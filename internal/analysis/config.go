@@ -128,6 +128,16 @@ func DefaultConfig() *Config {
 				Methods: []string{"ExecuteOn", "StreamOn"}},
 			{Pkg: "repro/internal/olap", Type: "QueryStream",
 				Methods: []string{"Next", "Close"}},
+			// PR 14: consuming segments are scanned and sealed from a
+			// prefix snapshot taken under d.mu, outside it — a scan or a
+			// seal under the lock stalls every ingest and every routeView
+			// for milliseconds.
+			{Pkg: "repro/internal/olap", Type: "scanSet",
+				Methods: []string{"executePartial", "streamSelect"}},
+			{Pkg: "repro/internal/olap", Type: "consumingScan",
+				Methods: []string{"executePartial"}},
+			{Pkg: "repro/internal/olap", Type: "mutableSegment",
+				Methods: []string{"seal"}},
 			{Pkg: "time", Methods: []string{"Sleep"}},
 			{Pkg: "sync", Type: "WaitGroup", Methods: []string{"Wait"}},
 		},

@@ -692,12 +692,13 @@ type Deployment struct {
 	busy map[string]bool
 	// consuming per partition.
 	consuming map[int]*mutableSegment
-	// sealing holds batches of rows that left the consuming segment but
-	// whose sealed segment has not entered routing yet. Queries keep
-	// serving them (routeView folds them into the consuming scan), so a
-	// Seal in progress never makes rows transiently invisible; the swap to
-	// the sealed segment is atomic under mu.
-	sealing map[int][]*sealingBatch
+	// sealing holds consuming segments mid-seal: frozen stores (nothing
+	// appends to them any more) whose sealed segment has not entered
+	// routing yet. Queries keep serving them (routeView scans them next to
+	// the live store), so a Seal in progress never makes rows transiently
+	// invisible; the swap to the sealed segment is atomic under mu. Their
+	// invalid sets keep absorbing upsert supersedes under mu until then.
+	sealing map[int][]*mutableSegment
 	segSeq  map[int]int
 	// upsert metadata per partition: pk -> latest location.
 	upsertLoc map[int]map[string]location
@@ -888,23 +889,13 @@ func (d *Deployment) emitMutationLocked(partition int, row record.Record, retrac
 	}
 }
 
-// sealingBatch is one consuming segment mid-seal: its rows stay queryable
-// (served like consuming rows) and its invalid set keeps absorbing upsert
-// supersedes under the deployment lock until the sealed segment atomically
-// replaces the batch in routing. name is the future sealed-segment name, so
-// upsert locations can already point at it.
-type sealingBatch struct {
-	name    string
-	rows    []record.Record
-	invalid map[int]bool
-}
-
-// sealingBatchLocked finds a partition's in-flight sealing batch by its
-// future segment name. Caller holds d.mu.
-func (d *Deployment) sealingBatchLocked(partition int, name string) *sealingBatch {
-	for _, b := range d.sealing[partition] {
-		if b.name == name {
-			return b
+// sealingLocked finds a partition's in-flight sealing store by name — the
+// future sealed-segment name, which upsert locations already point at.
+// Caller holds d.mu.
+func (d *Deployment) sealingLocked(partition int, name string) *mutableSegment {
+	for _, ms := range d.sealing[partition] {
+		if ms.name == name {
+			return ms
 		}
 	}
 	return nil
@@ -929,7 +920,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		decommissioned: make(map[int]bool),
 		busy:           make(map[string]bool),
 		consuming:      make(map[int]*mutableSegment),
-		sealing:        make(map[int][]*sealingBatch),
+		sealing:        make(map[int][]*mutableSegment),
 		segSeq:         make(map[int]int),
 		upsertLoc:      make(map[int]map[string]location),
 		placement:      make(map[string][]int),
@@ -997,9 +988,20 @@ func (d *Deployment) Ingest(partition int, r record.Record) error {
 		owner = d.pickOwnerLocked(partition)
 		d.partitionOwner[partition] = owner
 	}
-	ms, ok := d.consuming[partition]
-	if !ok {
-		ms = newMutableSegment(d.segmentName(partition, d.segSeq[partition]))
+	ms, consuming := d.consuming[partition]
+	if !consuming {
+		// Room for a whole segment up front (growing a vector copies it),
+		// unless the seal threshold is too large to reserve on spec.
+		ms = newMutableSegment(d.segmentName(partition, d.segSeq[partition]), d.cfg.Schema, min(d.cfg.SegmentRows, 1<<16))
+	}
+	// Append before touching any other state: a row the store rejects must
+	// leave no trace, and nothing after this can fail.
+	doc, err := ms.add(conformed)
+	if err != nil {
+		d.mu.Unlock()
+		return err
+	}
+	if !consuming {
 		d.consuming[partition] = ms
 	}
 	superseded := false
@@ -1014,10 +1016,10 @@ func (d *Deployment) Ingest(partition int, r record.Record) error {
 			superseded = true
 			if old.segment == "" {
 				ms.invalid[old.doc] = true
-			} else if sb := d.sealingBatchLocked(partition, old.segment); sb != nil {
-				// The superseded row is mid-seal: record it on the batch so
-				// the sealed segment's validity bitmap (built at swap time)
-				// excludes it.
+			} else if sb := d.sealingLocked(partition, old.segment); sb != nil {
+				// The superseded row is mid-seal: record it on the frozen
+				// store so the sealed segment's validity bitmap (built at
+				// swap time) excludes it.
 				sb.invalid[old.doc] = true
 			} else {
 				d.serverAt(owner).invalidate(old.segment, old.doc)
@@ -1029,15 +1031,12 @@ func (d *Deployment) Ingest(partition int, r record.Record) error {
 				}
 			}
 		}
-		doc := ms.add(conformed)
 		locs[pk] = location{segment: "", doc: doc}
-	} else {
-		ms.add(conformed)
 	}
 	d.ingested++
 	d.ingestRows.Inc()
 	d.lastIngestNanos = time.Now().UnixNano()
-	needSeal := len(ms.rows) >= d.cfg.SegmentRows
+	needSeal := ms.n >= d.cfg.SegmentRows
 	// The bump (and hook delivery) happens inside the same critical section
 	// that made the row visible, so the generation totally orders this
 	// mutation against every routing snapshot — the invariant both the
@@ -1058,23 +1057,25 @@ func (d *Deployment) segmentName(partition, seq int) string {
 
 // Seal converts the partition's consuming segment into an immutable sealed
 // segment, places it on replicas and backs it up per the configured mode.
-// The rows never become invisible mid-seal: they move to a sealingBatch
-// that queries keep serving (routeView folds it into the consuming scan)
-// until the sealed segment atomically replaces it in routing — so a cached
-// or uncached query racing the seal always sees every row exactly once.
-// Upsert supersedes that land while the segment builds accumulate on the
-// batch (the future segment name is already in the location map) and are
-// applied to the replicas' validity bitmaps at swap time.
+// The rows never become invisible mid-seal: the store moves, frozen, to the
+// sealing list, which queries keep serving (routeView scans it next to the
+// live store) until the sealed segment atomically replaces it in routing —
+// so a cached or uncached query racing the seal always sees every row
+// exactly once. The segment is built outside the lock by freezing the
+// store's columns (mutableSegment.seal). Upsert supersedes that land
+// meanwhile accumulate on the frozen store (the future segment name is
+// already in the location map) and are applied to the replicas' validity
+// bitmaps at swap time.
 func (d *Deployment) Seal(partition int) error {
 	sealStart := time.Now()
 	d.mu.Lock()
 	ms, ok := d.consuming[partition]
-	if !ok || len(ms.rows) == 0 {
+	if !ok || ms.n == 0 {
 		d.mu.Unlock()
 		return nil
 	}
 	defer func() { d.sealHist.Observe(time.Since(sealStart)) }()
-	//lint:ignore genbump rows move from consuming to the sealing batch below; routeView folds both, so the visible set is unchanged and cached results stay exact — the swap section bumps
+	//lint:ignore genbump the store moves from consuming to the sealing list below; routeView scans both, so the visible set is unchanged and cached results stay exact — the swap section bumps
 	delete(d.consuming, partition)
 	seq := d.segSeq[partition]
 	d.segSeq[partition] = seq + 1
@@ -1087,20 +1088,18 @@ func (d *Deployment) Seal(partition int) error {
 	if d.cfg.Upsert {
 		upsertPartition = partition
 	}
-	rows := ms.rows
-	batch := &sealingBatch{name: ms.name, rows: rows, invalid: ms.invalid}
 	//lint:ignore genbump second half of the consuming→sealing handover suppressed above: same rows, same visible set, no invalidation needed until the swap
-	d.sealing[partition] = append(d.sealing[partition], batch)
+	d.sealing[partition] = append(d.sealing[partition], ms)
 	// invalidSnap is the supersede set as of now; anything added to
-	// batch.invalid after this point (concurrent upserts, recorded under
-	// mu) is applied to the replicas at swap time.
+	// ms.invalid after this point (concurrent upserts, recorded under mu)
+	// is applied to the replicas at swap time.
 	invalidSnap := make(map[int]bool, len(ms.invalid))
 	for doc, v := range ms.invalid {
 		invalidSnap[doc] = v
 	}
 	if d.cfg.Upsert {
 		// Point mutable locations at the future sealed segment now, so
-		// supersedes during the build land on the batch (BuildSegment
+		// supersedes during the build land on the frozen store (seal
 		// preserves row order for upsert tables, so docs carry over).
 		locs := d.upsertLoc[partition]
 		for pk, loc := range locs {
@@ -1111,18 +1110,17 @@ func (d *Deployment) Seal(partition int) error {
 	}
 	d.mu.Unlock()
 
-	seg, err := BuildSegment(ms.name, d.cfg.Schema, rows, d.cfg.Indexes, upsertPartition)
+	seg, err := ms.seal(d.cfg.Indexes, upsertPartition)
 	if err != nil {
-		d.restoreSealing(partition, batch, seq)
+		d.restoreSealing(partition, ms, seq)
 		return err
 	}
 	var valid *Bitmap
 	if d.cfg.Upsert {
 		valid = NewBitmap(seg.NumRows)
 		valid.Fill()
-		// BuildSegment may reorder rows when a sorted column is set; upsert
-		// tables therefore must not configure one (Pinot has the same
-		// restriction).
+		// seal reorders rows when a sorted column is set; upsert tables
+		// therefore must not configure one (Pinot has the same restriction).
 		for doc := range invalidSnap {
 			valid.Clear(doc)
 		}
@@ -1140,7 +1138,7 @@ func (d *Deployment) Seal(partition int) error {
 		d.controller.Unlock()
 		if err != nil {
 			// Put the rows back so ingestion can retry after recovery.
-			d.restoreSealing(partition, batch, seq)
+			d.restoreSealing(partition, ms, seq)
 			return fmt.Errorf("olap: centralized backup of %s: %w", seg.Name, err)
 		}
 		// Replicas download from the store.
@@ -1192,10 +1190,10 @@ func (d *Deployment) Seal(partition int) error {
 	}
 	d.sealed++
 	if d.cfg.Upsert {
-		// Supersedes that landed on the batch after the bitmap snapshot:
-		// clear them on every replica (d.mu → s.mu is the established lock
-		// order; locations already name the sealed segment).
-		for doc := range batch.invalid {
+		// Supersedes that landed on the frozen store after the bitmap
+		// snapshot: clear them on every replica (d.mu → s.mu is the
+		// established lock order; locations already name the sealed segment).
+		for doc := range ms.invalid {
 			if !invalidSnap[doc] {
 				for _, ri := range replicas {
 					d.serverAt(ri).invalidate(seg.Name, doc)
@@ -1203,7 +1201,7 @@ func (d *Deployment) Seal(partition int) error {
 			}
 		}
 	}
-	d.removeSealingLocked(partition, batch)
+	d.removeSealingLocked(partition, ms)
 	// Neutral for view maintenance (the same rows, now sealed) but bumped
 	// inside the swap's critical section so the generation keeps totally
 	// ordering routing snapshots against mutations.
@@ -1212,41 +1210,36 @@ func (d *Deployment) Seal(partition int) error {
 	return nil
 }
 
-// removeSealingLocked unlinks a sealing batch. Caller holds d.mu.
-func (d *Deployment) removeSealingLocked(partition int, batch *sealingBatch) {
+// removeSealingLocked unlinks a sealing store. Caller holds d.mu.
+func (d *Deployment) removeSealingLocked(partition int, ms *mutableSegment) {
 	bs := d.sealing[partition]
 	for i, b := range bs {
-		if b == batch {
+		if b == ms {
 			d.sealing[partition] = append(bs[:i:i], bs[i+1:]...)
 			return
 		}
 	}
 }
 
-// restoreSealing aborts a failed seal: the batch's rows move back into the
-// consuming segment (merging ahead of any rows ingested while the seal ran,
-// with upsert locations re-pointed and re-offset) and the sequence number is
-// released so the retry reuses the same segment name.
-func (d *Deployment) restoreSealing(partition int, batch *sealingBatch, seq int) {
+// restoreSealing aborts a failed seal: the frozen store becomes the
+// consuming segment again (any rows ingested while the seal ran are
+// appended behind its own, column-wise, with upsert locations re-pointed
+// and re-offset) and the sequence number is released so the retry reuses
+// the same segment name.
+func (d *Deployment) restoreSealing(partition int, ms *mutableSegment, seq int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.removeSealingLocked(partition, batch)
-	restored := newMutableSegment(batch.name)
-	restored.rows = append([]record.Record(nil), batch.rows...)
-	restored.invalid = batch.invalid
-	off := len(batch.rows)
+	d.removeSealingLocked(partition, ms)
+	off := ms.n
 	cur, has := d.consuming[partition]
 	if has {
-		restored.rows = append(restored.rows, cur.rows...)
-		for doc, v := range cur.invalid {
-			restored.invalid[doc+off] = v
-		}
+		ms.appendStore(cur)
 	}
 	if d.cfg.Upsert {
 		locs := d.upsertLoc[partition]
 		for pk, loc := range locs {
 			switch loc.segment {
-			case batch.name: // batch rows: same docs, back to mutable
+			case ms.name: // the store's own rows: same docs, back to mutable
 				locs[pk] = location{segment: "", doc: loc.doc}
 			case "": // rows ingested during the seal: shifted by the merge
 				if has {
@@ -1255,17 +1248,17 @@ func (d *Deployment) restoreSealing(partition int, batch *sealingBatch, seq int)
 			}
 		}
 	}
-	d.consuming[partition] = restored
+	d.consuming[partition] = ms
 	// Release the sequence number only if no later seal claimed one in the
 	// meantime — rolling back past a concurrent successful seal would
 	// reissue its segment name and silently overwrite its placement. The
-	// retry reuses batch.name either way (it was never placed or stored).
+	// retry reuses ms.name either way (it was never placed or stored).
 	if d.segSeq[partition] == seq+1 {
 		d.segSeq[partition] = seq
 	}
 	// The rollback restores the exact pre-seal visible set, but the row→
-	// segment attribution changed (batch rows are mutable again); bump so
-	// any view or cache entry keyed on the aborted layout refreshes.
+	// segment attribution changed (the store's rows are mutable again);
+	// bump so any view or cache entry keyed on the aborted layout refreshes.
 	d.bumpGen()
 }
 

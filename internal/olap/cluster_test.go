@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/objstore"
 	"repro/internal/record"
 	"repro/internal/stream"
@@ -379,4 +380,109 @@ func TestRealtimeIngestion(t *testing.T) {
 	}
 	r, _ := b.Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
 	t.Fatalf("realtime ingestion incomplete: %v", r.Rows)
+}
+
+// TestSelectStarSkipsBlobsAcrossSeal: a TypeBytes column is stored in no
+// layout, so SELECT * leaves it out and naming it is an UnknownColumnError
+// — the same answer while the rows are consuming, while some are sealed,
+// and from the streaming path. (SELECT * used to answer on consuming rows
+// and fail with "unknown select column" as soon as a segment sealed.)
+func TestSelectStarSkipsBlobsAcrossSeal(t *testing.T) {
+	schema := &metadata.Schema{Name: "docs", Version: 1, Fields: []metadata.Field{
+		{Name: "id", Type: metadata.TypeString},
+		{Name: "blob", Type: metadata.TypeBytes, Nullable: true},
+		{Name: "n", Type: metadata.TypeLong},
+	}}
+	d, err := NewDeployment(DeploymentConfig{
+		Table:        TableConfig{Name: "docs", Schema: schema, SegmentRows: 4},
+		Servers:      []*Server{NewServer("s0")},
+		SegmentStore: objstore.NewMemStore(),
+		Backup:       BackupP2P,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(d)
+	ingested := 0
+	ingest := func(n int) {
+		for ; n > 0; n-- {
+			r := record.Record{"id": fmt.Sprintf("d%d", ingested), "blob": []byte{byte(ingested)}, "n": int64(ingested)}
+			if err := d.Ingest(0, r); err != nil {
+				t.Fatal(err)
+			}
+			ingested++
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		star := &Query{OrderBy: []OrderSpec{{Column: "n"}}}
+		resp, err := b.Execute(context.Background(), &QueryRequest{Query: star})
+		if err != nil {
+			t.Fatalf("%s: SELECT *: %v", stage, err)
+		}
+		if want := []string{"id", "n"}; !reflect.DeepEqual(resp.Columns, want) || len(resp.Rows) != ingested {
+			t.Fatalf("%s: SELECT * gave columns %v and %d rows, want %v and %d", stage, resp.Columns, len(resp.Rows), want, ingested)
+		}
+		qs, err := b.ExecuteStream(context.Background(), &QueryRequest{Query: &Query{}})
+		if err != nil {
+			t.Fatalf("%s: streamed SELECT *: %v", stage, err)
+		}
+		rows := drainStream(t, qs)
+		if !reflect.DeepEqual(qs.Columns(), []string{"id", "n"}) || len(rows) != ingested {
+			t.Fatalf("%s: streamed SELECT * gave columns %v and %d rows", stage, qs.Columns(), len(rows))
+		}
+		qs.Close()
+		var unknown *UnknownColumnError
+		_, err = b.Execute(context.Background(), &QueryRequest{Query: &Query{Select: []string{"id", "blob"}}})
+		if !errors.As(err, &unknown) || unknown.Column != "blob" || unknown.Role != "select" {
+			t.Fatalf("%s: SELECT blob: error %v, want an UnknownColumnError for select column blob", stage, err)
+		}
+	}
+	ingest(3)
+	check("consuming")
+	ingest(3) // seals at 4: four rows sealed, two consuming
+	if _, sealed, _ := d.Stats(); sealed != 1 {
+		t.Fatalf("%d segments sealed, want 1", sealed)
+	}
+	check("sealed+consuming")
+}
+
+// TestRowsScannedOneDefinition: RowsScanned (and UpsertFiltered) mean the
+// same on consuming and sealed rows — rows that survived the filters, rows
+// the validity mask dropped — so the numbers do not move when a seal turns
+// one layout into the other.
+func TestRowsScannedOneDefinition(t *testing.T) {
+	d, _ := newDeployment(t, 2, 1, true, BackupP2P, nil)
+	ingestOrders(t, d, 40, 2) // under the 50-row seal threshold: all consuming
+	for i, r := range orderRows(8) {
+		if err := d.Ingest(i%2, r); err != nil { // supersede eight keys
+			t.Fatal(err)
+		}
+	}
+	b := NewBroker(d)
+	req := &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}},
+		Filters: []Filter{{Column: "city", Op: OpEq, Value: "sf"}}}}
+	consuming, err := b.Execute(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sf is every fourth row: 10 live matches, 2 superseded ones.
+	if st := consuming.Stats; st.RowsScanned != 10 || st.UpsertFiltered != 2 || st.SegmentsScanned != 0 {
+		t.Fatalf("consuming: RowsScanned=%d UpsertFiltered=%d SegmentsScanned=%d, want 10, 2, 0", st.RowsScanned, st.UpsertFiltered, st.SegmentsScanned)
+	}
+	for p := 0; p < 2; p++ {
+		if err := d.Seal(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealed, err := b.Execute(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sealed.Stats; st.RowsScanned != 10 || st.UpsertFiltered != 2 || st.SegmentsScanned != 2 {
+		t.Fatalf("sealed: RowsScanned=%d UpsertFiltered=%d SegmentsScanned=%d, want 10, 2, 2", st.RowsScanned, st.UpsertFiltered, st.SegmentsScanned)
+	}
+	if !reflect.DeepEqual(consuming.Rows, sealed.Rows) {
+		t.Fatalf("answer changed across the seal: %v then %v", consuming.Rows, sealed.Rows)
+	}
 }

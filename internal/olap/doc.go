@@ -13,9 +13,9 @@
 //
 //   - Scatter: the query is decomposed into one subquery per server over
 //     the sealed segments it hosts (partition-aware routing for upsert
-//     tables) plus one scan per consuming segment. Within each server,
-//     Server.ExecuteOn scans segments concurrently through a bounded
-//     worker pool (BrokerOptions.Workers; default GOMAXPROCS).
+//     tables) plus one scan per partition with unsealed rows. Within each
+//     server, Server.ExecuteOn scans segments concurrently through a
+//     bounded worker pool (BrokerOptions.Workers; default GOMAXPROCS).
 //   - Gather: every scan emits a Partial — mergeable partial-aggregate
 //     states (COUNT/SUM/MIN/MAX as running numerics, AVG as a SUM+COUNT
 //     pair, DISTINCTCOUNT as a value set) keyed by group values. Partials
@@ -38,6 +38,20 @@
 // cross-server skew (like Pinot); QueryRequest.TrimExact disables it for
 // byte-identical full-sort results. ExecStats reports GroupsTrimmed,
 // RowsHeapKept and the GroupsShipped/RowsShipped boundary counts.
+//
+// # Consuming segments
+//
+// The rows of a partition that are not sealed yet live in a mutableSegment
+// (table.go): an append-only column store — raw int64/float64 vectors for
+// numerics, dense uint32 codes into an insertion-ordered dictionary for
+// strings — that keeps no record.Record. Ingest appends to it under the
+// deployment lock; a query captures (row count, slice headers) under that
+// lock and scans the prefix outside it, through the same selection-vector
+// kernels that scan sealed segments (vector.go), so a page costs the same
+// just before a seal as just after one. Seal freezes the store by sorting
+// dictionaries, remapping codes and bit-packing (mutableSegment.seal);
+// BuildSegment is "add every row, then seal", the one path from rows to a
+// Segment. See DESIGN.md "Consuming segments" for why readers need no lock.
 //
 // # Query API v2: typed requests and pluggable routing
 //

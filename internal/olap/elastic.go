@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -181,6 +182,9 @@ func (d *Deployment) rebalanceState(exclude int) rebalance.ClusterState {
 		}
 		state.Segments = append(state.Segments, seg)
 	}
+	// The planner sheds the tail of each server's list: give it the same
+	// order every pass, or successive passes undo each other's moves.
+	sort.Slice(state.Segments, func(i, j int) bool { return state.Segments[i].Name < state.Segments[j].Name })
 	return state
 }
 

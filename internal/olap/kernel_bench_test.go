@@ -1,0 +1,206 @@
+package olap
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/metadata"
+	"repro/internal/objstore"
+	"repro/internal/record"
+)
+
+// Kernel micro-benchmarks (ROADMAP item 1): one consuming segment's worth of
+// the pipeline benchmark's table — 25 000 rows, inverted index on city and
+// status — scanned by the dashboard's four shapes in both layouts, plus the
+// two ends of a consuming segment's life, the per-row append and the seal.
+// Run with -benchmem; the layout gap is ConsumingScan/Dn against
+// SealedScan/Dn.
+//
+//	go test -run '^$' -bench 'Scan|Add|Ingest|Seal' -benchmem ./internal/olap
+
+const benchSegmentRows = 25_000
+
+func benchSchema() *metadata.Schema {
+	return &metadata.Schema{
+		Name:    "orders",
+		Version: 1,
+		Fields: []metadata.Field{
+			{Name: "order_id", Type: metadata.TypeString},
+			{Name: "restaurant_id", Type: metadata.TypeLong, Dimension: true},
+			{Name: "city", Type: metadata.TypeString, Dimension: true},
+			{Name: "status", Type: metadata.TypeString, Dimension: true},
+			{Name: "amount", Type: metadata.TypeDouble},
+			{Name: "ts", Type: metadata.TypeTimestamp},
+		},
+		TimeField: "ts",
+	}
+}
+
+var benchIndexes = IndexConfig{InvertedColumns: []string{"city", "status"}}
+
+// benchRows draws rows shaped like the pipeline benchmark's: 5 000
+// restaurants under a Zipf law, each in one of 16 cities, four statuses
+// with the benchmark's shares, amounts in steps of 0.25, ten rows per
+// millisecond of event time.
+func benchRows(n int) []record.Record {
+	rng := rand.New(rand.NewSource(14))
+	zipf := rand.NewZipf(rng, 1.1, 1, 4999)
+	statuses := []string{"delivered", "preparing", "placed", "picked_up"}
+	shares := []float64{0.647, 0.788, 0.906, 1}
+	rows := make([]record.Record, n)
+	for i := range rows {
+		restaurant := int64(zipf.Uint64())
+		u, status := rng.Float64(), ""
+		for si, s := range shares {
+			if u < s {
+				status = statuses[si]
+				break
+			}
+		}
+		rows[i] = record.Record{
+			"order_id":      fmt.Sprintf("o%d", i),
+			"restaurant_id": restaurant,
+			"city":          fmt.Sprintf("city_%02d", restaurant%16),
+			"status":        status,
+			"amount":        5 + float64(rng.Intn(400))/4,
+			"ts":            int64(1_700_000_000_000 + i/10),
+		}
+	}
+	return rows
+}
+
+// benchShapes are the dashboard panels D1–D4 as the OLAP layer sees them.
+func benchShapes() map[string]*Query {
+	countSum := []AggSpec{{Kind: AggCount, As: "n"}, {Kind: AggSum, Column: "amount", As: "total"}}
+	return map[string]*Query{
+		"D1": {GroupBy: []string{"city"}, Aggs: countSum,
+			Filters: []Filter{{Column: "status", Op: OpEq, Value: "delivered"}}},
+		"D2": {Select: []string{"order_id", "restaurant_id", "amount", "ts"}, Limit: 100,
+			Filters: []Filter{{Column: "city", Op: OpEq, Value: "city_03"},
+				{Column: "status", Op: OpEq, Value: "placed"}, {Column: "amount", Op: OpGe, Value: 100.0}}},
+		"D3": {GroupBy: []string{"restaurant_id"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount", As: "total"}},
+			Filters: []Filter{{Column: "city", Op: OpEq, Value: "city_03"}},
+			OrderBy: []OrderSpec{{Column: "total", Desc: true}}, Limit: 10},
+		"D4": {GroupBy: []string{"city"}, Aggs: countSum,
+			Filters: []Filter{{Column: "ts", Op: OpGe, Value: float64(1_700_000_000_000 + benchSegmentRows*3/40)}}},
+	}
+}
+
+func benchStore(b *testing.B) *mutableSegment {
+	b.Helper()
+	m := newMutableSegment("bench", benchSchema(), benchSegmentRows)
+	for _, r := range benchRows(benchSegmentRows) {
+		if _, err := m.add(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return m
+}
+
+var benchSink *Partial
+
+// BenchmarkConsumingScan is what a query pays per consuming partition:
+// snapshot the store, scan it with the kernels, bound the partial.
+func BenchmarkConsumingScan(b *testing.B) {
+	m := benchStore(b)
+	for _, name := range []string{"D1", "D2", "D3", "D4"} {
+		q := benchShapes()[name]
+		tp := planTopK(q, 0)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cs := consumingScan{units: []consumingUnit{{rows: m.snapshot(), valid: m.validSnapshot()}}}
+				p, err := cs.executePartial(context.Background(), q, tp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = p
+			}
+		})
+	}
+}
+
+// BenchmarkSealedScan is the same rows after the seal, indexes included.
+func BenchmarkSealedScan(b *testing.B) {
+	seg, err := benchStore(b).seal(benchIndexes, -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"D1", "D2", "D3", "D4"} {
+		q := benchShapes()[name]
+		tp := planTopK(q, 0)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := seg.executePartialTrim(q, nil, tp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = p
+			}
+		})
+	}
+}
+
+// BenchmarkMutableAdd is the per-row cost of an append: ns/op is ns/row.
+func BenchmarkMutableAdd(b *testing.B) {
+	rows := benchRows(benchSegmentRows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var m *mutableSegment
+	for i := 0; i < b.N; i++ {
+		if i%benchSegmentRows == 0 {
+			m = newMutableSegment("bench", benchSchema(), benchSegmentRows)
+		}
+		if _, err := m.add(rows[i%benchSegmentRows]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDeploymentIngest is the whole append path per row, as the
+// realtime ingester drives it: conform, lock, append, bump the generation.
+// It stops one row short of the seal threshold, so no seal is in it.
+func BenchmarkDeploymentIngest(b *testing.B) {
+	rows := benchRows(benchSegmentRows - 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var d *Deployment
+	for i := 0; i < b.N; i++ {
+		if i%len(rows) == 0 {
+			b.StopTimer()
+			var err error
+			d, err = NewDeployment(DeploymentConfig{
+				Table:        TableConfig{Name: "orders", Schema: benchSchema(), SegmentRows: benchSegmentRows, Indexes: benchIndexes},
+				Servers:      []*Server{NewServer("s0")},
+				SegmentStore: objstore.NewMemStore(),
+				Backup:       BackupP2P,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := d.Ingest(0, rows[i%len(rows)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+var benchSegSink *Segment
+
+// BenchmarkSeal freezes a full consuming segment.
+func BenchmarkSeal(b *testing.B) {
+	m := benchStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seg, err := m.seal(benchIndexes, -1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSegSink = seg
+	}
+}

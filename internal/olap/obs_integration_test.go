@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -165,5 +166,48 @@ func TestScanDelayIsolatedBySlowLog(t *testing.T) {
 	}
 	if seg.Duration < 30*time.Millisecond {
 		t.Fatalf("slowest segment.scan %v does not cover the induced 30ms delay", seg.Duration)
+	}
+}
+
+// TestConsumingScanSpanAttrs: a consuming scan's span says what went in
+// and what came out — rows_in (examined), rows (matched), the partition and
+// the access path — on the gather path and on the streaming path, and
+// EXPLAIN ANALYZE (the rendered trace) prints all of it.
+func TestConsumingScanSpanAttrs(t *testing.T) {
+	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
+	ingestOrders(t, d, 40, 1) // one partition, under the seal threshold
+	tracer := obs.NewTracer(obs.TracerConfig{Recent: 8})
+	b := NewBrokerWithOptions(d, BrokerOptions{Tracer: tracer})
+	filters := []Filter{{Column: "city", Op: OpEq, Value: "sf"}}
+	if _, err := b.Execute(t.Context(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}, Filters: filters}}); err != nil {
+		t.Fatal(err)
+	}
+	root, sctx := tracer.StartTrace("stream"), t.Context()
+	qs, err := b.ExecuteStream(obs.ContextWithSpan(sctx, root), &QueryRequest{Query: &Query{Select: []string{"order_id"}, Filters: filters}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainStream(t, qs)
+	qs.Close()
+	tracer.FinishTrace(root)
+	traces := tracer.Recent()
+	if len(traces) != 2 {
+		t.Fatalf("recent ring holds %d traces, want 2", len(traces))
+	}
+	for i, name := range []string{"consuming.scan", "consuming.stream"} { // oldest first
+		sp := traces[i].Find(name)
+		if sp == nil {
+			t.Fatalf("trace has no %s span:\n%s", name, traces[i].Render())
+		}
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["partition"] != "0" || attrs["rows_in"] != "40" || attrs["access"] != "kernel" || sp.Rows != 10 {
+			t.Errorf("%s: attrs %v rows %d, want partition=0 rows_in=40 access=kernel rows=10", name, attrs, sp.Rows)
+		}
+		if out := traces[i].Render(); !strings.Contains(out, name+" partition=0 rows_in=40 access=kernel") || !strings.Contains(out, "rows=10") {
+			t.Errorf("rendered trace does not print the %s attributes:\n%s", name, out)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package olap
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -218,12 +217,17 @@ func (p *Partial) Finalize(q *Query) (*Result, error) {
 // PartialOfRows computes the mergeable partial-aggregate state of a query
 // over a batch of raw rows, all treated as valid — the primitive the
 // matview registry uses to fold newly-ingested rows into a standing view's
-// state (Merge) without re-executing the query. It runs the exact
-// consuming-segment scan path, so the partial merges and finalizes
-// identically to scatter-gathered partials.
+// state (Merge) without re-executing the query. The batch goes through a
+// transient column store and the exact consuming-segment scan, so the
+// partial merges and finalizes identically to scatter-gathered partials.
 func PartialOfRows(schema *metadata.Schema, rows []record.Record, q *Query) (*Partial, error) {
-	//lint:ignore ctxflow synchronous in-memory fold over an already-materialized batch: no I/O to cancel, and callers hold no context
-	return executeRows(context.Background(), schema, rows, q, func(int) bool { return true })
+	m := newMutableSegment("", schema, len(rows))
+	for _, r := range rows {
+		if _, err := m.add(r); err != nil {
+			return nil, err
+		}
+	}
+	return m.snapshot().executePartial(q, nil, nil)
 }
 
 // earlyLimit returns the row budget after which a query's fan-out can stop

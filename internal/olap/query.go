@@ -3,7 +3,6 @@ package olap
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/metadata"
 )
@@ -163,9 +162,17 @@ type Result struct {
 
 // ExecStats counts work done during execution.
 type ExecStats struct {
+	// SegmentsScanned counts sealed segments a scan ran on (consuming
+	// segments are not counted).
 	SegmentsScanned int
-	RowsScanned     int64
-	StarTreeServed  int // segments answered from the star-tree
+	// RowsScanned counts the rows that survived the query's filters, its
+	// time window and the upsert validity mask — the rows the aggregate and
+	// gather kernels then touched — summed over sealed and consuming scans
+	// alike. It is not the number of rows examined: a consuming scan's
+	// examined count is the rows_in attribute of its trace span. Star-tree
+	// answers contribute nothing (no row is scanned).
+	RowsScanned    int64
+	StarTreeServed int // segments answered from the star-tree
 	// ServersContacted is the broker-level fan-out: distinct servers that
 	// received a subquery (sealed-segment scans plus consuming-segment
 	// scans). Replica-group and partition routing exist to keep it below
@@ -175,7 +182,10 @@ type ExecStats struct {
 	// equality filter on the table's declared partition column — those
 	// partitions' servers were never contacted.
 	PartitionsPruned int
-	UpsertFiltered   int64
+	// UpsertFiltered counts rows that matched the filters but were dropped
+	// by the upsert validity mask (superseded by a later record of the same
+	// key), in sealed and consuming scans alike.
+	UpsertFiltered int64
 	// SegmentsPruned counts sealed segments skipped (never scanned, never
 	// reloaded from the deep store) because their time bounds don't
 	// overlap the query's TimeRange.
@@ -270,10 +280,10 @@ func newGroupAgg(q *Query, values []any) *groupAgg {
 	return &groupAgg{values: values, aggs: make([]aggState, len(q.Aggs))}
 }
 
-// normalizeFilterValue coerces a filter literal to the column's dictionary
-// domain (e.g. int → float64 for numeric dictionaries).
-func normalizeFilterValue(c *column, v any) any {
-	if c.Field.Type == metadata.TypeString {
+// normalizeFilterValue coerces a filter literal to the domain of a column
+// of the given type (e.g. int → float64 for numeric dictionaries).
+func normalizeFilterValue(typ metadata.FieldType, v any) any {
+	if typ == metadata.TypeString {
 		if s, ok := v.(string); ok {
 			return s
 		}
@@ -286,101 +296,75 @@ func normalizeFilterValue(c *column, v any) any {
 }
 
 // timeFilters returns the query's filters plus, when a time window applies
-// to this segment, an OpBetween predicate over the schema's time column —
+// to this scan set, an OpBetween predicate over the schema's time column —
 // the exactness half of time pruning: a segment that only partially
-// overlaps the window still returns only in-window rows. Segments fully
+// overlaps the window still returns only in-window rows. Scan sets fully
 // inside the window skip the extra predicate.
-func (s *Segment) timeFilters(q *Query) []Filter {
-	if q.Time == nil || s.Schema.TimeField == "" || q.Time.Contains(s.MinTime, s.MaxTime) {
+func (sc *scanSet) timeFilters(q *Query) []Filter {
+	if q.Time == nil || sc.schema.TimeField == "" || q.Time.Contains(sc.minTime, sc.maxTime) {
 		return q.Filters
 	}
 	filters := make([]Filter, 0, len(q.Filters)+1)
 	filters = append(filters, q.Filters...)
 	return append(filters, Filter{
-		Column: s.Schema.TimeField,
+		Column: sc.schema.TimeField,
 		Op:     OpBetween,
 		Value:  q.Time.From,
 		Value2: q.Time.To,
 	})
 }
 
-// filterBitmap evaluates all filters on the segment, returning the matching
-// row set. Inverted indexes and the sorted column accelerate when present;
-// otherwise the forward index is scanned.
-func (s *Segment) filterBitmap(filters []Filter) (*Bitmap, error) {
-	result := NewBitmap(s.NumRows)
-	result.Fill()
-	for _, f := range filters {
-		c, ok := s.Columns[f.Column]
-		if !ok {
-			return nil, fmt.Errorf("olap: unknown filter column %q", f.Column)
-		}
-		bm, err := s.evalFilter(c, f)
-		if err != nil {
-			return nil, err
-		}
-		result.And(bm)
-	}
-	return result, nil
-}
-
-func (s *Segment) evalFilter(c *column, f Filter) (*Bitmap, error) {
+// evalFilter resolves one filter on an indexed sealed column (n rows) to
+// the bitmap of matching rows, through the inverted index or the sorted
+// column's run bounds.
+func (c *column) evalFilter(n int, f Filter) (*Bitmap, error) {
 	switch f.Op {
 	case OpEq:
-		code := c.Dict.lookup(normalizeFilterValue(c, f.Value))
+		code := c.Dict.lookup(normalizeFilterValue(c.Field.Type, f.Value))
 		if code < 0 {
-			return NewBitmap(s.NumRows), nil
+			return NewBitmap(n), nil
 		}
-		return s.codeEq(c, code), nil
+		return c.codeEq(n, code), nil
 	case OpNe:
-		code := c.Dict.lookup(normalizeFilterValue(c, f.Value))
-		bm := NewBitmap(s.NumRows)
+		code := c.Dict.lookup(normalizeFilterValue(c.Field.Type, f.Value))
+		bm := NewBitmap(n)
 		bm.Fill()
 		if code >= 0 {
-			bm.AndNot(s.codeEq(c, code))
+			bm.AndNot(c.codeEq(n, code))
 		}
 		// Nulls never match != either (SQL semantics).
 		bm.And(c.Present)
 		return bm, nil
 	case OpIn:
-		bm := NewBitmap(s.NumRows)
+		bm := NewBitmap(n)
 		for _, v := range f.Values {
-			if code := c.Dict.lookup(normalizeFilterValue(c, v)); code >= 0 {
-				bm.Or(s.codeEq(c, code))
+			if code := c.Dict.lookup(normalizeFilterValue(c.Field.Type, v)); code >= 0 {
+				bm.Or(c.codeEq(n, code))
 			}
 		}
 		return bm, nil
 	case OpLt, OpLe, OpGt, OpGe, OpBetween:
-		return s.codeRangeBitmap(c, f)
+		return c.codeRangeBitmap(n, f), nil
 	default:
 		return nil, fmt.Errorf("olap: unsupported filter op %d", f.Op)
 	}
 }
 
 // codeEq returns rows whose column equals the dict code, via the inverted
-// index, sorted-column binary search, or a forward scan.
-func (s *Segment) codeEq(c *column, code int) *Bitmap {
+// index or the sorted column's binary search.
+func (c *column) codeEq(n, code int) *Bitmap {
 	if c.Inverted != nil {
 		if bm := c.Inverted[code]; bm != nil {
 			return bm.Clone()
 		}
-		return NewBitmap(s.NumRows)
+		return NewBitmap(n)
 	}
-	bm := NewBitmap(s.NumRows)
-	if c.Sorted {
-		// Codes are non-decreasing: binary search the run bounds.
-		lo := sort.Search(s.NumRows, func(i int) bool { return c.Codes.Get(i) >= code })
-		hi := sort.Search(s.NumRows, func(i int) bool { return c.Codes.Get(i) > code })
-		for i := lo; i < hi; i++ {
-			if c.Present.Get(i) {
-				bm.Set(i)
-			}
-		}
-		return bm
-	}
-	null := c.Dict.size()
-	for i := 0; i < s.NumRows; i++ {
-		if got := c.Codes.Get(i); got == code && got != null {
+	// Sorted: codes are non-decreasing, binary search the run bounds.
+	bm := NewBitmap(n)
+	lo := sort.Search(n, func(i int) bool { return c.Codes.Get(i) >= code })
+	hi := sort.Search(n, func(i int) bool { return c.Codes.Get(i) > code })
+	for i := lo; i < hi; i++ {
+		if c.Present.Get(i) {
 			bm.Set(i)
 		}
 	}
@@ -390,11 +374,11 @@ func (s *Segment) codeEq(c *column, code int) *Bitmap {
 // codeRangeBitmap resolves range predicates to a dictionary code interval
 // (via rangeCodeBounds, shared with the vectorized kernels) and unions the
 // matching rows (the "range index": dictionary order makes ranges cheap).
-func (s *Segment) codeRangeBitmap(c *column, f Filter) (*Bitmap, error) {
-	lo, hi := rangeCodeBounds(c, f)
-	bm := NewBitmap(s.NumRows)
+func (c *column) codeRangeBitmap(n int, f Filter) *Bitmap {
+	lo, hi := rangeCodeBounds(&c.Dict, f)
+	bm := NewBitmap(n)
 	if lo >= hi {
-		return bm, nil
+		return bm
 	}
 	if c.Inverted != nil {
 		for code := lo; code < hi; code++ {
@@ -402,25 +386,46 @@ func (s *Segment) codeRangeBitmap(c *column, f Filter) (*Bitmap, error) {
 				bm.Or(sub)
 			}
 		}
-		return bm, nil
+		return bm
 	}
-	if c.Sorted {
-		start := sort.Search(s.NumRows, func(i int) bool { return c.Codes.Get(i) >= lo })
-		end := sort.Search(s.NumRows, func(i int) bool { return c.Codes.Get(i) >= hi })
-		for i := start; i < end; i++ {
-			if c.Present.Get(i) {
-				bm.Set(i)
-			}
-		}
-		return bm, nil
-	}
-	null := c.Dict.size()
-	for i := 0; i < s.NumRows; i++ {
-		if code := c.Codes.Get(i); code >= lo && code < hi && code != null {
+	start := sort.Search(n, func(i int) bool { return c.Codes.Get(i) >= lo })
+	end := sort.Search(n, func(i int) bool { return c.Codes.Get(i) >= hi })
+	for i := start; i < end; i++ {
+		if c.Present.Get(i) {
 			bm.Set(i)
 		}
 	}
-	return bm, nil
+	return bm
+}
+
+// scan presents the sealed segment to the kernels.
+func (s *Segment) scan() *scanSet {
+	sc := &scanSet{
+		n:       s.NumRows,
+		schema:  s.Schema,
+		cols:    make([]colView, 0, len(s.Columns)),
+		minTime: s.MinTime,
+		maxTime: s.MaxTime,
+	}
+	for _, f := range s.Schema.Fields {
+		c, ok := s.Columns[f.Name]
+		if !ok {
+			continue // blobs are never encoded
+		}
+		v := colView{
+			name:   f.Name,
+			typ:    c.Field.Type,
+			layout: layoutPacked,
+			packed: &c.Codes,
+			dict:   &c.Dict,
+			null:   c.Dict.size(),
+		}
+		if c.Inverted != nil || c.Sorted {
+			v.indexed = c
+		}
+		sc.cols = append(sc.cols, v)
+	}
+	return sc
 }
 
 // Execute runs a query against this single segment and finalizes the
@@ -461,13 +466,26 @@ func (s *Segment) executePartialTrim(q *Query, valid *Bitmap, tp *topKPlan) (*Pa
 		p.stats.StarTreeServed = 1
 		return p, nil
 	}
-	ss, err := s.newSelStream(s.timeFilters(q), valid)
+	p, err := s.scan().executePartial(q, valid, tp)
+	if err != nil {
+		return nil, err
+	}
+	p.stats.SegmentsScanned = 1
+	return p, nil
+}
+
+// executePartial scans the set through the kernel pipeline — compile the
+// filters, stream selection vectors, fold or gather the survivors — and
+// returns the mergeable partial. It is the one evaluator: sealed segments,
+// consuming segments and matview delta batches all answer through it.
+func (sc *scanSet) executePartial(q *Query, valid *Bitmap, tp *topKPlan) (*Partial, error) {
+	ss, err := sc.newSelStream(sc.timeFilters(q), valid)
 	if err != nil {
 		return nil, err
 	}
 	var p *Partial
 	if len(q.Aggs) > 0 {
-		groups, err := s.executeAgg(q, ss)
+		groups, err := sc.executeAgg(q, ss)
 		if err != nil {
 			return nil, err
 		}
@@ -475,134 +493,50 @@ func (s *Segment) executePartialTrim(q *Query, valid *Bitmap, tp *topKPlan) (*Pa
 		p = partialFromGroups(groups)
 		p.stats.GroupsTrimmed = trimmed
 	} else {
-		p, err = s.executeSelect(q, ss, tp)
+		p, err = sc.executeSelect(q, ss, tp)
 		if err != nil {
 			return nil, err
 		}
 	}
-	p.stats.SegmentsScanned = 1
 	p.stats.RowsScanned = ss.kept
 	p.stats.UpsertFiltered = ss.dropped
 	return p, nil
 }
 
-func (s *Segment) executeAgg(q *Query, ss *selStream) (map[string]*groupAgg, error) {
-	for _, g := range q.GroupBy {
-		if _, ok := s.Columns[g]; !ok {
-			return nil, fmt.Errorf("olap: unknown group-by column %q", g)
+func (sc *scanSet) executeAgg(q *Query, ss *selStream) (map[string]*groupAgg, error) {
+	gcols := make([]*colView, len(q.GroupBy))
+	for gi, name := range q.GroupBy {
+		if gcols[gi] = sc.col(name); gcols[gi] == nil {
+			return nil, &UnknownColumnError{Role: "group-by", Column: name}
 		}
 	}
-	for _, a := range q.Aggs {
-		if a.Kind == AggDistinctCount && a.Column == "" {
-			return nil, fmt.Errorf("olap: distinctcount requires a column")
-		}
-		if a.Column != "" {
-			c, ok := s.Columns[a.Column]
-			if !ok {
-				return nil, fmt.Errorf("olap: unknown aggregation column %q", a.Column)
+	cur := make([]aggCursor, len(q.Aggs))
+	for ai, a := range q.Aggs {
+		cur[ai].kind = a.Kind
+		if a.Column == "" {
+			if a.Kind != AggCount {
+				return nil, fmt.Errorf("olap: %s requires a column", a.Kind)
 			}
-			if err := aggTypeError(a.Kind, a.Column, c.Field.Type); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Fast paths: no group-by folds into one accumulator; a single group-by
-	// column indexes a dense array of accumulators by dict code — the
-	// columnar execution style that gives Pinot its latency edge (no per-row
-	// string keys or map hashing).
-	switch len(q.GroupBy) {
-	case 0:
-		return s.executeAggGlobal(q, ss), nil
-	case 1:
-		return s.executeAggSingleGroup(q, ss), nil
-	}
-	groups := make(map[string]*groupAgg)
-	gcols := make([]*column, len(q.GroupBy))
-	for gi, g := range q.GroupBy {
-		gcols[gi] = s.Columns[g]
-	}
-	cur := s.aggCursors(q)
-	var keyBuf strings.Builder
-	for sel := ss.next(); sel != nil; sel = ss.next() {
-		for _, ri := range sel {
-			i := int(ri)
-			keyBuf.Reset()
-			values := make([]any, len(gcols))
-			for gi, c := range gcols {
-				if c.Present.Get(i) {
-					code := c.Codes.Get(i)
-					values[gi] = c.Dict.value(code)
-					fmt.Fprintf(&keyBuf, "%d|", code)
-				} else {
-					keyBuf.WriteString("~|")
-				}
-			}
-			key := keyBuf.String()
-			g, ok := groups[key]
-			if !ok {
-				g = newGroupAgg(q, values)
-				groups[key] = g
-			}
-			foldRow(cur, g.aggs, i)
-		}
-	}
-	return groups, nil
-}
-
-// executeAggGlobal folds a no-group-by aggregation: one accumulator array,
-// no keys, no maps — the batch loop is a straight columnar fold.
-func (s *Segment) executeAggGlobal(q *Query, ss *selStream) map[string]*groupAgg {
-	cur := s.aggCursors(q)
-	var g *groupAgg
-	for sel := ss.next(); sel != nil; sel = ss.next() {
-		if g == nil {
-			g = newGroupAgg(q, make([]any, 0))
-		}
-		for _, ri := range sel {
-			foldRow(cur, g.aggs, int(ri))
-		}
-	}
-	groups := make(map[string]*groupAgg, 1)
-	if g != nil {
-		groups[""] = g
-	}
-	return groups
-}
-
-// executeAggSingleGroup aggregates grouped by one column using dense
-// code-indexed accumulators.
-func (s *Segment) executeAggSingleGroup(q *Query, ss *selStream) map[string]*groupAgg {
-	gc := s.Columns[q.GroupBy[0]]
-	nCodes := gc.Dict.size() + 1 // +1 for null
-	accs := make([][]aggState, nCodes)
-	cur := s.aggCursors(q)
-	for sel := ss.next(); sel != nil; sel = ss.next() {
-		for _, ri := range sel {
-			i := int(ri)
-			code := nCodes - 1
-			if gc.Present.Get(i) {
-				code = gc.Codes.Get(i)
-			}
-			acc := accs[code]
-			if acc == nil {
-				acc = make([]aggState, len(q.Aggs))
-				accs[code] = acc
-			}
-			foldRow(cur, acc, i)
-		}
-	}
-	groups := make(map[string]*groupAgg, nCodes)
-	for code, acc := range accs {
-		if acc == nil {
+			cur[ai].countStar = true
 			continue
 		}
-		var val any
-		if code < gc.Dict.size() {
-			val = gc.Dict.value(code)
+		c := sc.col(a.Column)
+		if c == nil {
+			return nil, &UnknownColumnError{Role: "aggregation", Column: a.Column}
 		}
-		groups[fmt.Sprintf("%08d", code)] = &groupAgg{values: []any{val}, aggs: acc}
+		if err := aggTypeError(a.Kind, a.Column, c.typ); err != nil {
+			return nil, err
+		}
+		cur[ai].col = c
 	}
-	return groups
+	g := newGrouper(gcols, len(q.Aggs))
+	for sel := ss.next(); sel != nil; sel = ss.next() {
+		slots := g.assign(sel)
+		for ai := range cur {
+			cur[ai].fold(g.accs, ai, slots, sel)
+		}
+	}
+	return g.groups(), nil
 }
 
 // aggValue collapses a partial state into the final user-facing value.
@@ -650,25 +584,19 @@ func aggTypeError(kind AggKind, col string, typ metadata.FieldType) error {
 	return nil
 }
 
-func (s *Segment) executeSelect(q *Query, ss *selStream, tp *topKPlan) (*Partial, error) {
-	cols := q.Select
-	if len(cols) == 0 {
-		cols = s.Schema.FieldNames()
-	}
-	scols, err := s.selectColumns(cols)
+func (sc *scanSet) executeSelect(q *Query, ss *selStream, tp *topKPlan) (*Partial, error) {
+	cols, scols, err := sc.selectColumns(q)
 	if err != nil {
 		return nil, err
 	}
-	p := &Partial{cols: append([]string(nil), cols...)}
+	p := &Partial{cols: cols}
 	// gather decodes the selected columns of one row — the gather kernel:
-	// column handles were resolved once, so the loop is Present-bit check +
-	// dictionary decode, no map lookups.
+	// column handles were resolved once, so the loop is a null check and a
+	// decode per column, no map lookups.
 	gather := func(i int) []any {
 		row := make([]any, len(scols))
 		for ci, c := range scols {
-			if c.Present.Get(i) {
-				row[ci] = c.Dict.value(c.Codes.Get(i))
-			}
+			row[ci] = c.value(i)
 		}
 		return row
 	}
@@ -709,17 +637,24 @@ scan:
 	return p, nil
 }
 
-// selectColumns resolves select-column handles, erroring on unknown names.
-func (s *Segment) selectColumns(cols []string) ([]*column, error) {
-	scols := make([]*column, len(cols))
-	for ci, name := range cols {
-		c, ok := s.Columns[name]
-		if !ok {
-			return nil, fmt.Errorf("olap: unknown select column %q", name)
+// selectColumns resolves the query's select list (every queryable column
+// for SELECT *) to column handles, erroring on unknown names.
+func (sc *scanSet) selectColumns(q *Query) ([]string, []*colView, error) {
+	if len(q.Select) == 0 {
+		cols := make([]string, len(sc.cols))
+		scols := make([]*colView, len(sc.cols))
+		for ci := range sc.cols {
+			cols[ci], scols[ci] = sc.cols[ci].name, &sc.cols[ci]
 		}
-		scols[ci] = c
+		return cols, scols, nil
 	}
-	return scols, nil
+	scols := make([]*colView, len(q.Select))
+	for ci, name := range q.Select {
+		if scols[ci] = sc.col(name); scols[ci] == nil {
+			return nil, nil, &UnknownColumnError{Role: "select", Column: name}
+		}
+	}
+	return append([]string(nil), q.Select...), scols, nil
 }
 
 // sortAndLimit applies ORDER BY / OFFSET / LIMIT to a merged result in

@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/metadata"
 	"repro/internal/obs"
-	"repro/internal/record"
 )
 
 // This file is the typed request/response half of the Query API v2: one
@@ -327,7 +327,7 @@ func (b *Broker) gather(ctx context.Context, req *QueryRequest, q *Query, router
 	}
 
 	// Keep only the consuming scans the router routed (partition pruning);
-	// the rows themselves were snapshotted atomically with the placement in
+	// the stores were snapshotted atomically with the placement in
 	// routeView, so a Seal racing this query can never drop rows between
 	// the sealed and consuming views.
 	consuming := make([]consumingScan, 0, len(plan.Consuming))
@@ -336,8 +336,6 @@ func (b *Broker) gather(ctx context.Context, req *QueryRequest, q *Query, router
 			consuming = append(consuming, cs)
 		}
 	}
-	upsert := snapshot.upsert
-	schema := snapshot.schema
 
 	servers := make([]int, 0, len(plan.Assignment))
 	for si := range plan.Assignment {
@@ -397,31 +395,16 @@ func (b *Broker) gather(ctx context.Context, req *QueryRequest, q *Query, router
 				errs <- fmt.Errorf("%w: consuming partition %d owner %s", ErrServerDown, cs.part, b.d.serverAt(cs.owner).Name())
 				return
 			}
-			sp, _ := obs.StartSpan(ctx, "consuming.scan")
-			sp.SetAttr("partition", fmt.Sprint(cs.part))
-			validFn := func(int) bool { return true }
-			if upsert {
-				validFn = func(i int) bool { return !cs.invalid[i] }
-			}
-			p, err := executeRows(ctx, schema, cs.rows, q, validFn)
+			sp, sctx := obs.StartSpan(ctx, "consuming.scan")
+			p, err := cs.executePartial(sctx, q, tp)
 			if err != nil {
-				sp.SetAttr("error", err.Error())
+				cs.annotate(sp, 0, err)
 				sp.End()
 				errs <- err
 				return
 			}
-			sp.SetRows(p.stats.RowsScanned)
+			cs.annotate(sp, p.stats.RowsScanned, nil)
 			sp.End()
-			// Consuming partials obey the same top-K bound as server
-			// partials, so the gather phase stays O(K · fan-out) even for
-			// tables with a large consuming tail — and their shipped units
-			// count toward the boundary stats.
-			p.trimTopK(q, tp)
-			if p.agg {
-				p.stats.GroupsShipped = int64(len(p.groups))
-			} else {
-				p.stats.RowsShipped = int64(len(p.rows))
-			}
 			results <- p
 		}(cs)
 	}
@@ -452,24 +435,95 @@ func (b *Broker) gather(ctx context.Context, req *QueryRequest, q *Query, router
 	return &gatherResult{acc: acc, plan: plan, tp: tp, contacted: len(contacted), snapGen: snapshot.gen}, nil
 }
 
-// consumingScan is one consuming segment's scan snapshot: the rows and
-// upsert-invalid set copied under the deployment lock, to be scanned on the
-// partition owner.
+// consumingScan is one partition's unsealed rows as a query sees them: the
+// prefix snapshots of its stores — any frozen ones mid-seal first, then the
+// live one — each with its upsert validity bitmap, captured under the
+// deployment lock and scanned, outside it, on the partition owner.
 type consumingScan struct {
-	owner   int
-	part    int
-	rows    []record.Record
-	invalid map[int]bool
+	owner int
+	part  int
+	units []consumingUnit
+}
+
+// consumingUnit is one store's share of a consumingScan.
+type consumingUnit struct {
+	rows  *scanSet
+	valid *Bitmap // nil = every row valid
+}
+
+// rowsIn is the number of rows the scan examines.
+func (cs *consumingScan) rowsIn() int {
+	n := 0
+	for _, u := range cs.units {
+		n += u.rows.n
+	}
+	return n
+}
+
+// annotate stamps a consuming.scan / consuming.stream span: which
+// partition, how many rows went in and came out, and the access path
+// (consuming segments carry no index, so it is always the kernels).
+func (cs *consumingScan) annotate(sp obs.Span, matched int64, err error) {
+	if !sp.Active() {
+		return
+	}
+	sp.SetAttr("partition", strconv.Itoa(cs.part))
+	sp.SetAttr("rows_in", strconv.Itoa(cs.rowsIn()))
+	sp.SetAttr("access", "kernel")
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+		return
+	}
+	sp.SetRows(matched)
+}
+
+// executePartial scans the partition's units through the segment kernels
+// and merges their partials. Each unit answers exactly; the top-K bound
+// applies to the merged partial, the same bound server partials obey, so
+// the gather phase stays O(K · fan-out) even for tables with a large
+// consuming tail — and the shipped units count toward the boundary stats.
+func (cs *consumingScan) executePartial(ctx context.Context, q *Query, tp *topKPlan) (*Partial, error) {
+	// Groups trim once, on the merged partial; an ordered selection may keep
+	// its bounded heap per unit, which is exact.
+	unitTP := tp
+	if len(q.Aggs) > 0 {
+		unitTP = nil
+	}
+	limit := earlyLimit(q)
+	var acc *Partial
+	for _, u := range cs.units {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		p, err := u.rows.executePartial(q, u.valid, unitTP)
+		if err != nil {
+			return nil, err
+		}
+		if acc == nil {
+			acc = p // the usual case is one unit: no copy
+		} else {
+			acc.Merge(p)
+		}
+		if limit > 0 && acc.Rows() >= limit {
+			break
+		}
+	}
+	acc.trimTopK(q, tp)
+	if acc.agg {
+		acc.stats.GroupsShipped = int64(len(acc.groups))
+	} else {
+		acc.stats.RowsShipped = int64(len(acc.rows))
+	}
+	return acc, nil
 }
 
 // querySnapshot is the execution state captured atomically with the route
-// view: consuming-segment rows per partition plus the table facts scans
-// need. Copying the rows in the same critical section that reads the sealed
-// placement guarantees every row is in exactly one of the two views even
-// while Seal runs concurrently.
+// view: the consuming stores' prefix snapshots per partition. Capturing
+// them in the same critical section that reads the sealed placement
+// guarantees every row is in exactly one of the two views even while Seal
+// runs concurrently.
 type querySnapshot struct {
 	consuming map[int]consumingScan
-	upsert    bool
 	schema    *metadata.Schema
 	// gen is the generation read inside the critical section: because
 	// visible-data mutations bump the generation in their own critical
@@ -479,9 +533,9 @@ type querySnapshot struct {
 }
 
 // routeView snapshots the routable cluster state for a Router, together
-// with the consuming-segment rows (one atomic view of sealed + consuming
-// data under the deployment lock); liveness and hosting are live closures
-// over the servers.
+// with the consuming stores (one atomic view of sealed + consuming data
+// under the deployment lock, O(columns) per store — no row is copied);
+// liveness and hosting are live closures over the servers.
 func (b *Broker) routeView() (*RouteView, *querySnapshot) {
 	d := b.d
 	d.mu.Lock()
@@ -506,41 +560,31 @@ func (b *Broker) routeView() (*RouteView, *querySnapshot) {
 	}
 	snapshot := &querySnapshot{
 		consuming: make(map[int]consumingScan, len(d.consuming)),
-		upsert:    d.cfg.Upsert,
 		schema:    d.cfg.Schema,
 		gen:       d.gen.Load(),
 	}
-	// One scan per partition holding unsealed rows: in-flight sealing
-	// batches first (rows mid-seal stay visible until their segment enters
-	// routing — the seal swap is atomic under this same lock), then the
-	// consuming segment, with upsert-invalid docs offset to match.
-	parts := make(map[int]bool, len(d.consuming)+len(d.sealing))
-	for part := range d.consuming {
-		parts[part] = true
-	}
-	for part, bs := range d.sealing {
-		if len(bs) > 0 {
-			parts[part] = true
+	// One scan per partition holding unsealed rows: stores mid-seal first
+	// (their rows stay visible until the sealed segment enters routing — the
+	// seal swap is atomic under this same lock), then the live store.
+	addUnit := func(part int, ms *mutableSegment) {
+		if ms.n == 0 {
+			return
 		}
-	}
-	for part := range parts {
-		view.ConsumingPartitions = append(view.ConsumingPartitions, part)
-		cs := consumingScan{owner: d.partitionOwner[part], part: part, invalid: make(map[int]bool)}
-		for _, b := range d.sealing[part] {
-			off := len(cs.rows)
-			cs.rows = append(cs.rows, b.rows...)
-			for doc, v := range b.invalid {
-				cs.invalid[doc+off] = v
-			}
+		cs, ok := snapshot.consuming[part]
+		if !ok {
+			view.ConsumingPartitions = append(view.ConsumingPartitions, part)
+			cs = consumingScan{owner: d.partitionOwner[part], part: part}
 		}
-		if ms, ok := d.consuming[part]; ok {
-			off := len(cs.rows)
-			cs.rows = append(cs.rows, ms.rows...)
-			for doc, v := range ms.invalid {
-				cs.invalid[doc+off] = v
-			}
-		}
+		cs.units = append(cs.units, consumingUnit{rows: ms.snapshot(), valid: ms.validSnapshot()})
 		snapshot.consuming[part] = cs
+	}
+	for part, stores := range d.sealing {
+		for _, ms := range stores {
+			addUnit(part, ms)
+		}
+	}
+	for part, ms := range d.consuming {
+		addUnit(part, ms)
 	}
 	d.mu.Unlock()
 	sort.Slice(view.Segments, func(i, j int) bool { return view.Segments[i].Name < view.Segments[j].Name })

@@ -2,8 +2,10 @@ package olap
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/metadata"
@@ -117,15 +119,21 @@ type packedInts struct {
 }
 
 func newPackedInts(values []int, maxValue int) packedInts {
-	bits := uint(1)
-	for (1 << bits) <= maxValue {
-		bits++
-	}
-	p := packedInts{Bits: bits, N: len(values), Data: make([]uint64, (len(values)*int(bits)+63)/64)}
+	p := makePackedInts(len(values), maxValue)
 	for i, v := range values {
 		p.set(i, uint64(v))
 	}
 	return p
+}
+
+// makePackedInts returns n zeroed slots wide enough for maxValue; the
+// caller sets each slot once.
+func makePackedInts(n, maxValue int) packedInts {
+	bits := uint(1)
+	for (1 << bits) <= maxValue {
+		bits++
+	}
+	return packedInts{Bits: bits, N: n, Data: make([]uint64, (n*int(bits)+63)/64)}
 }
 
 func (p *packedInts) set(i int, v uint64) {
@@ -210,49 +218,55 @@ type Segment struct {
 	Partition int
 }
 
-// BuildSegment constructs an immutable segment from rows. Rows are
+// BuildSegment constructs an immutable segment from rows: every row goes
+// into a mutable column store, which is then sealed — the one path from
+// rows to a Segment, shared with realtime ingestion. Rows are
 // dictionary-encoded per column; secondary indexes follow cfg.
 func BuildSegment(name string, schema *metadata.Schema, rows []record.Record, cfg IndexConfig, partition int) (*Segment, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("olap: segment %q has no rows", name)
+	m := newMutableSegment(name, schema, len(rows))
+	for _, r := range rows {
+		if _, err := m.add(r); err != nil {
+			return nil, err
+		}
 	}
-	// Sort rows by the sorted column first (segment-local clustering).
+	return m.seal(cfg, partition)
+}
+
+// seal freezes the store's rows into an immutable segment: string
+// dictionaries are sorted and the codes remapped, numeric vectors are
+// dictionary-encoded, codes are bit-packed, and presence bitmaps, inverted
+// indexes, time bounds and the star-tree are built. With a sorted column
+// the rows are first put in that column's order (stably), so doc ids change;
+// otherwise row i becomes doc i. seal only reads the store.
+func (m *mutableSegment) seal(cfg IndexConfig, partition int) (*Segment, error) {
+	if m.n == 0 {
+		return nil, fmt.Errorf("olap: segment %q has no rows", m.name)
+	}
+	var perm []int32 // perm[doc] = store row; nil is the identity
 	if cfg.SortedColumn != "" {
-		f, ok := schema.Field(cfg.SortedColumn)
-		if !ok {
+		if _, ok := m.schema.Field(cfg.SortedColumn); !ok {
 			return nil, fmt.Errorf("olap: sorted column %q not in schema", cfg.SortedColumn)
 		}
-		rows = append([]record.Record(nil), rows...)
-		if f.Type == metadata.TypeString {
-			sort.SliceStable(rows, func(i, j int) bool {
-				return rows[i].String(cfg.SortedColumn) < rows[j].String(cfg.SortedColumn)
-			})
-		} else {
-			sort.SliceStable(rows, func(i, j int) bool {
-				return rows[i].Double(cfg.SortedColumn) < rows[j].Double(cfg.SortedColumn)
-			})
+		for ci := range m.cols {
+			if m.cols[ci].field.Name == cfg.SortedColumn {
+				perm = m.cols[ci].sortedOrder(m.n)
+			}
 		}
 	}
 	seg := &Segment{
-		Name:      name,
-		Schema:    schema.Clone(),
-		NumRows:   len(rows),
-		Columns:   make(map[string]*column, len(schema.Fields)),
+		Name:      m.name,
+		Schema:    m.schema.Clone(),
+		NumRows:   m.n,
+		Columns:   make(map[string]*column, len(m.cols)),
 		Sealed:    true,
 		Partition: partition,
 	}
-	for _, f := range schema.Fields {
-		if f.Type == metadata.TypeBytes {
-			continue // blobs are not queryable; skip columnar encoding
-		}
-		col, err := buildColumn(f, rows, cfg)
-		if err != nil {
-			return nil, err
-		}
-		seg.Columns[f.Name] = col
+	for ci := range m.cols {
+		c := &m.cols[ci]
+		seg.Columns[c.field.Name] = c.seal(m.n, perm, cfg)
 	}
-	if schema.TimeField != "" {
-		seg.MinTime, seg.MaxTime = timeBounds(rows, schema.TimeField)
+	if m.schema.TimeField != "" {
+		seg.MinTime, seg.MaxTime = m.minTime, m.maxTime
 	}
 	if cfg.StarTree != nil {
 		tree, err := buildStarTree(seg, *cfg.StarTree)
@@ -264,90 +278,102 @@ func BuildSegment(name string, schema *metadata.Schema, rows []record.Record, cf
 	return seg, nil
 }
 
-func timeBounds(rows []record.Record, field string) (int64, int64) {
-	min, max := rows[0].Long(field), rows[0].Long(field)
-	for _, r := range rows[1:] {
-		t := r.Long(field)
-		if t < min {
-			min = t
-		}
-		if t > max {
-			max = t
-		}
+// sortedOrder returns the store rows in the column's value order, ties in
+// row order (segment-local clustering). NULL sorts as "" or 0.
+func (c *mutableColumn) sortedOrder(n int) []int32 {
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
 	}
-	return min, max
+	switch {
+	case c.layout == layoutDense:
+		sort.SliceStable(perm, func(a, b int) bool {
+			return c.strs[c.codes[perm[a]]] < c.strs[c.codes[perm[b]]]
+		})
+	case c.field.Type != metadata.TypeBool: // bools do not order rows
+		sort.SliceStable(perm, func(a, b int) bool { return c.num(int(perm[a])) < c.num(int(perm[b])) })
+	}
+	return perm
 }
 
-func buildColumn(f metadata.Field, rows []record.Record, cfg IndexConfig) (*column, error) {
-	present := NewBitmap(len(rows))
-	dict := dictionary{Typ: f.Type}
-	if f.Type == metadata.TypeString {
-		uniq := make(map[string]bool)
-		for i, r := range rows {
-			if v, ok := r[f.Name]; ok && v != nil {
-				present.Set(i)
-				uniq[r.String(f.Name)] = true
-			}
-		}
-		dict.Strs = make([]string, 0, len(uniq))
-		for s := range uniq {
-			dict.Strs = append(dict.Strs, s)
-		}
-		sort.Strings(dict.Strs)
+// seal encodes rows [0, n) of the column, in perm order, as a sealed
+// column: a sorted dictionary, codes that are positions in it (the
+// dictionary size standing for NULL), the presence bitmap and, when
+// configured, the inverted index.
+func (c *mutableColumn) seal(n int, perm []int32, cfg IndexConfig) *column {
+	// rank maps what a store row holds — a dense code, or for numerics a
+	// first-seen id, 0 being NULL either way — to the value's position in
+	// the sorted dictionary.
+	dict := dictionary{Typ: c.field.Type}
+	var rank []int
+	ids := c.codes
+	if c.layout == layoutDense {
+		dict.Strs, rank = sortedRanks(c.strs[1:])
 	} else {
-		uniq := make(map[float64]bool)
-		for i, r := range rows {
-			if v, ok := r[f.Name]; ok && v != nil {
-				present.Set(i)
-				fv, ok := toF64(v)
-				if !ok {
-					return nil, fmt.Errorf("olap: column %q row %d: non-numeric %T", f.Name, i, v)
-				}
-				uniq[fv] = true
-			}
-		}
-		dict.Nums = make([]float64, 0, len(uniq))
-		for v := range uniq {
-			dict.Nums = append(dict.Nums, v)
-		}
-		sort.Float64s(dict.Nums)
-	}
-	codes := make([]int, len(rows))
-	maxCode := dict.size() // code==size() reserved for null
-	for i, r := range rows {
-		if !present.Get(i) {
-			codes[i] = maxCode
-			continue
-		}
-		var code int
-		if f.Type == metadata.TypeString {
-			code = dict.lookup(r.String(f.Name))
-		} else {
-			fv, _ := toF64(r[f.Name])
-			code = dict.lookup(fv)
-		}
-		codes[i] = code
-	}
-	col := &column{
-		Field:   f,
-		Dict:    dict,
-		Codes:   newPackedInts(codes, maxCode),
-		Present: present,
-		Sorted:  cfg.SortedColumn == f.Name,
-	}
-	if cfg.inverted(f.Name) {
-		col.Inverted = make([]*Bitmap, dict.size())
-		for i, code := range codes {
-			if code == maxCode {
+		ids = make([]uint32, n)
+		seen := make(map[float64]uint32)
+		distinct := []float64{}
+		for i := 0; i < n; i++ {
+			if c.present != nil && !c.present[i] {
 				continue
 			}
-			if col.Inverted[code] == nil {
-				col.Inverted[code] = NewBitmap(len(rows))
+			x := c.num(i)
+			id, ok := seen[x]
+			if !ok {
+				distinct = append(distinct, x)
+				id = uint32(len(distinct))
+				seen[x] = id
 			}
-			col.Inverted[code].Set(i)
+			ids[i] = id
+		}
+		dict.Nums, rank = sortedRanks(distinct)
+	}
+	null := dict.size()
+	col := &column{
+		Field:   c.field,
+		Dict:    dict,
+		Codes:   makePackedInts(n, null),
+		Present: NewBitmap(n),
+		Sorted:  cfg.SortedColumn == c.field.Name,
+	}
+	if cfg.inverted(c.field.Name) {
+		col.Inverted = make([]*Bitmap, null)
+	}
+	for doc := 0; doc < n; doc++ {
+		row := doc
+		if perm != nil {
+			row = int(perm[doc])
+		}
+		code := rank[ids[row]]
+		col.Codes.set(doc, uint64(code))
+		if code == null {
+			continue
+		}
+		col.Present.Set(doc)
+		if col.Inverted != nil {
+			if col.Inverted[code] == nil {
+				col.Inverted[code] = NewBitmap(n)
+			}
+			col.Inverted[code].Set(doc)
 		}
 	}
-	return col, nil
+	return col
+}
+
+// sortedRanks sorts dictionary values and returns them with rank[1+i] the
+// sorted position of vals[i]; rank[0], the NULL id, is the dictionary size.
+func sortedRanks[T cmp.Ordered](vals []T) ([]T, []int) {
+	order := make([]int32, len(vals))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(vals[a], vals[b]) })
+	sorted, rank := make([]T, len(vals)), make([]int, len(vals)+1)
+	rank[0] = len(vals)
+	for pos, i := range order {
+		sorted[pos], rank[i+1] = vals[i], pos
+	}
+	return sorted, rank
 }
 
 // MemBytes approximates the segment's in-memory footprint.

@@ -254,7 +254,7 @@ func (t *StarTree) query(seg *Segment, q *Query) map[string]*groupAgg {
 	for _, f := range q.Filters {
 		for di, d := range t.Cfg.Dimensions {
 			if f.Column == d {
-				code := seg.Columns[d].Dict.lookup(normalizeFilterValue(seg.Columns[d], f.Value))
+				code := seg.Columns[d].Dict.lookup(normalizeFilterValue(seg.Columns[d].Field.Type, f.Value))
 				if code < 0 {
 					return map[string]*groupAgg{} // filter value absent
 				}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/metadata"
 	"repro/internal/obs"
 )
 
@@ -71,27 +70,31 @@ func (bp *batchPool) put(rb *RowBatch) {
 	}
 }
 
-// streamSelect scans this segment as column-major batches: the filter
-// kernels produce selection vectors (newSelStream), and the gather kernel
-// decodes only the selected rows of the selected columns into a pooled
-// batch. Returns whether the consumer wants more (yield never returned
-// false). Early termination skips the remaining windows entirely — unlike
+// streamSelect scans this segment as column-major batches; see
+// scanSet.streamSelect.
+func (s *Segment) streamSelect(ctx context.Context, q *Query, valid *Bitmap, pool *batchPool, yield func(*RowBatch) bool) (ExecStats, bool, error) {
+	stats, more, err := s.scan().streamSelect(ctx, q, valid, pool, yield)
+	stats.SegmentsScanned = 1
+	return stats, more, err
+}
+
+// streamSelect scans the set as column-major batches: the filter kernels
+// produce selection vectors (newSelStream), and the gather kernel decodes
+// only the selected rows of the selected columns into a pooled batch.
+// Returns whether the consumer wants more (yield never returned false).
+// Early termination skips the remaining windows entirely — unlike
 // executeSelect there is no parity drain, so the stats cover only the work
 // actually done.
-func (s *Segment) streamSelect(ctx context.Context, q *Query, valid *Bitmap, pool *batchPool, yield func(*RowBatch) bool) (ExecStats, bool, error) {
-	cols := q.Select
-	if len(cols) == 0 {
-		cols = s.Schema.FieldNames()
-	}
-	scols, err := s.selectColumns(cols)
+func (sc *scanSet) streamSelect(ctx context.Context, q *Query, valid *Bitmap, pool *batchPool, yield func(*RowBatch) bool) (ExecStats, bool, error) {
+	cols, scols, err := sc.selectColumns(q)
 	if err != nil {
 		return ExecStats{}, false, err
 	}
-	ss, err := s.newSelStream(s.timeFilters(q), valid)
+	ss, err := sc.newSelStream(sc.timeFilters(q), valid)
 	if err != nil {
 		return ExecStats{}, false, err
 	}
-	stats := ExecStats{SegmentsScanned: 1}
+	var stats ExecStats
 	more := true
 	for sel := ss.next(); sel != nil; sel = ss.next() {
 		if err := ctx.Err(); err != nil {
@@ -102,12 +105,7 @@ func (s *Segment) streamSelect(ctx context.Context, q *Query, valid *Bitmap, poo
 		for ci, c := range scols {
 			out := rb.Cols[ci][:0]
 			for _, ri := range sel {
-				i := int(ri)
-				if c.Present.Get(i) {
-					out = append(out, c.Dict.value(c.Codes.Get(i)))
-				} else {
-					out = append(out, nil)
-				}
+				out = append(out, c.value(int(ri)))
 			}
 			rb.Cols[ci] = out
 		}
@@ -369,7 +367,7 @@ func (b *Broker) ExecuteStream(ctx context.Context, req *QueryRequest) (*QuerySt
 
 	cols := q.Select
 	if len(cols) == 0 {
-		cols = snapshot.schema.FieldNames()
+		cols = selectable(snapshot.schema)
 	}
 	execOpts := ExecOptions{
 		Workers: req.Workers,
@@ -435,13 +433,11 @@ func (b *Broker) ExecuteStream(ctx context.Context, req *QueryRequest) (*QuerySt
 			qs.statsc <- st
 		}(si, plan.Assignment[si])
 	}
-	upsert := snapshot.upsert
-	schema := snapshot.schema
 	for _, cs := range consuming {
 		wg.Add(1)
 		go func(cs consumingScan) {
 			defer wg.Done()
-			st, err := b.streamConsuming(ctx, schema, cs, q, upsert, qs.pool, send)
+			st, err := b.streamConsuming(ctx, cs, q, qs.pool, send)
 			if err == nil {
 				err = ctx.Err()
 			}
@@ -459,51 +455,33 @@ func (b *Broker) ExecuteStream(ctx context.Context, req *QueryRequest) (*QuerySt
 	return qs, nil
 }
 
-// streamConsuming scans one consuming partition's snapshotted rows and
-// chunks the matches into batches. Consuming segments are bounded by the
-// table's SegmentRows, so the row-at-a-time executeRows scan stays small;
-// the stream contract (batches, early cancellation) is preserved by
-// chunking its output.
-func (b *Broker) streamConsuming(ctx context.Context, schema *metadata.Schema, cs consumingScan, q *Query, upsert bool, pool *batchPool, send func(*RowBatch) bool) (ExecStats, error) {
+// streamConsuming streams one consuming partition's snapshotted stores
+// through the same filter and gather kernels the sealed segments stream
+// through: batches of at most BatchRows rows, decoded only for the rows
+// that matched, and a consumer that stops (LIMIT met, stream closed) stops
+// the scan at the next window.
+func (b *Broker) streamConsuming(ctx context.Context, cs consumingScan, q *Query, pool *batchPool, send func(*RowBatch) bool) (ExecStats, error) {
 	sp, sctx := obs.StartSpan(ctx, "consuming.stream")
-	sp.SetAttr("partition", fmt.Sprint(cs.part))
 	defer sp.End()
 	if b.d.serverAt(cs.owner).Down() {
 		err := fmt.Errorf("%w: consuming partition %d owner %s", ErrServerDown, cs.part, b.d.serverAt(cs.owner).Name())
-		sp.SetAttr("error", err.Error())
+		cs.annotate(sp, 0, err)
 		return ExecStats{}, err
 	}
-	validFn := func(int) bool { return true }
-	if upsert {
-		validFn = func(i int) bool { return !cs.invalid[i] }
-	}
-	p, err := executeRows(sctx, schema, cs.rows, q, validFn)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		return ExecStats{}, err
-	}
-	sp.SetRows(p.stats.RowsScanned)
-	st := p.stats
-	for off := 0; off < len(p.rows); off += BatchRows {
-		end := off + BatchRows
-		if end > len(p.rows) {
-			end = len(p.rows)
+	var stats ExecStats
+	for _, u := range cs.units {
+		st, more, err := u.rows.streamSelect(sctx, q, u.valid, pool, send)
+		stats.Add(st)
+		if err != nil {
+			cs.annotate(sp, stats.RowsScanned, err)
+			return stats, err
 		}
-		rb := pool.get(p.cols)
-		for ci := range p.cols {
-			out := rb.Cols[ci][:0]
-			for _, row := range p.rows[off:end] {
-				out = append(out, row[ci])
-			}
-			rb.Cols[ci] = out
-		}
-		rb.Len = end - off
-		st.RowsShipped += int64(rb.Len)
-		if !send(rb) {
+		if !more {
 			break
 		}
 	}
-	return st, nil
+	cs.annotate(sp, stats.RowsScanned, nil)
+	return stats, nil
 }
 
 // materializedStream is the fallback for query shapes that cannot stream

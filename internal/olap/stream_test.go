@@ -134,7 +134,10 @@ func TestExecuteStreamFallbackShapes(t *testing.T) {
 	queries := []*Query{
 		{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}, {Kind: AggCount}}},
 		{Aggs: []AggSpec{{Kind: AggCount}}},
-		{OrderBy: []OrderSpec{{Column: "amount", Desc: true}}, Limit: 7},
+		// order_id breaks the ties on amount: two executions merge their
+		// partials in arrival order, so an ORDER BY that is not total may cut
+		// the LIMIT at different rows each time.
+		{OrderBy: []OrderSpec{{Column: "amount", Desc: true}, {Column: "order_id"}}, Limit: 7},
 	}
 	for qi, q := range queries {
 		resp, err := b.Execute(context.Background(), &QueryRequest{Query: q})

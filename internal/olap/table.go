@@ -1,9 +1,8 @@
 package olap
 
 import (
-	"context"
 	"fmt"
-	"strings"
+	"math"
 
 	"repro/internal/metadata"
 	"repro/internal/record"
@@ -73,191 +72,293 @@ func (c TableConfig) withDefaults() (TableConfig, error) {
 	return c, nil
 }
 
-// mutableSegment is the consuming (in-flight) segment of one partition:
-// plain rows queried by scan, plus an invalid set for upsert supersedes.
+// mutableSegment is the consuming (in-flight) segment of one partition: an
+// append-only column store. Every queryable schema field has one typed
+// vector — raw int64 for long, timestamp and bool (0/1), raw float64 for
+// double, and for strings a dense uint32 code per row into an
+// insertion-ordered dictionary — so a query scans it with the same kernels
+// that scan sealed segments, and sealing sorts dictionaries and remaps
+// codes instead of re-reading rows. It keeps no record.Record.
+//
+// Readers need no lock. add only ever writes vector index >= n or a
+// reallocated array, so a snapshot — n and the slice headers, captured
+// under the owner's lock — stays a consistent view of rows [0, n) while the
+// writer carries on: what a reader holds is never written again. The one
+// structure that is rewritten in place, the value→code map of a string
+// dictionary, belongs to the writer alone; readers resolve literals by
+// scanning the snapshotted dictionary entries. The upsert-invalid set is
+// mutated under the owner's lock and handed to readers as a bitmap built
+// there.
 type mutableSegment struct {
 	name    string
-	rows    []record.Record
-	invalid map[int]bool // docID -> superseded
+	schema  *metadata.Schema
+	n       int
+	cols    []mutableColumn // queryable (non-blob) schema fields, in schema order
+	timeCol int             // index in cols of the schema's time field, or -1
+	// minTime/maxTime bound the time column over rows [0, n); a NULL time
+	// counts as 0, as in a sealed segment's bounds.
+	minTime, maxTime int64
+	invalid          map[int]bool // docID -> superseded (upsert)
+	cells            []cell       // add's scratch, one per column
 }
 
-func newMutableSegment(name string) *mutableSegment {
-	return &mutableSegment{name: name, invalid: make(map[int]bool)}
+// mutableColumn is one append-only column. Which vector is in use follows
+// from layout.
+type mutableColumn struct {
+	field  metadata.Field
+	layout colLayout
+
+	ints   []int64   // layoutInts
+	floats []float64 // layoutFloats
+	// present[i] reports row i non-NULL (raw layouts). It stays nil until
+	// the column sees its first NULL.
+	present []bool
+
+	codes []uint32          // layoutDense: code per row, 0 for NULL
+	strs  []string          // dictionary by code; strs[0] is the NULL slot
+	index map[string]uint32 // value → code; the writer's alone
 }
 
-func (m *mutableSegment) add(r record.Record) int {
-	m.rows = append(m.rows, r)
-	return len(m.rows) - 1
+// cell is one value on its way into a column.
+type cell struct {
+	null bool
+	i    int64
+	f    float64
+	s    string
 }
 
-// executeRows runs a query by scanning raw rows — how consuming segments
-// answer queries before sealing — and returns a mergeable partial keyed the
-// same way as sealed-segment partials. valid(i) gates upsert-superseded
-// docs; ctx cancellation is honored between row batches so a timed-out
-// query does not keep scanning a large consuming segment.
-func executeRows(ctx context.Context, schema *metadata.Schema, rows []record.Record, q *Query, valid func(int) bool) (*Partial, error) {
-	match := func(r record.Record) (bool, error) {
-		if q.Time != nil && schema.TimeField != "" {
-			if t := r.Long(schema.TimeField); t < q.Time.From || t > q.Time.To {
-				return false, nil
-			}
-		}
-		for _, f := range q.Filters {
-			ok, err := rowMatches(schema, r, f)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	const ctxCheckEvery = 1024
-	if len(q.Aggs) > 0 {
-		for _, a := range q.Aggs {
-			if a.Kind == AggDistinctCount && a.Column == "" {
-				return nil, fmt.Errorf("olap: distinctcount requires a column")
-			}
-			if a.Column != "" {
-				if f, ok := schema.Field(a.Column); ok {
-					if err := aggTypeError(a.Kind, a.Column, f.Type); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		groups := make(map[string]*groupAgg)
-		for i, r := range rows {
-			if i%ctxCheckEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if valid != nil && !valid(i) {
-				continue
-			}
-			ok, err := match(r)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			values := make([]any, len(q.GroupBy))
-			for gi, g := range q.GroupBy {
-				values[gi] = r[g]
-			}
-			key := groupValueKey(values)
-			g, ok2 := groups[key]
-			if !ok2 {
-				g = newGroupAgg(q, values)
-				groups[key] = g
-			}
-			for ai, spec := range q.Aggs {
-				switch {
-				case spec.Kind == AggCount && spec.Column == "":
-					g.aggs[ai].Count++
-				case spec.Kind == AggCount:
-					if _, has := r[spec.Column]; has {
-						g.aggs[ai].Count++
-					}
-				case spec.Kind == AggDistinctCount:
-					if v, has := r[spec.Column]; has && v != nil {
-						g.aggs[ai].addDistinct(distinctKey(v))
-					}
-				default:
-					if _, has := r[spec.Column]; has {
-						g.aggs[ai].add(r.Double(spec.Column))
-					}
-				}
-			}
-		}
-		p := &Partial{agg: true, groups: groups}
-		p.stats.RowsScanned = int64(len(rows))
-		return p, nil
-	}
-	cols := q.Select
-	if len(cols) == 0 {
-		cols = schema.FieldNames()
-	}
-	p := &Partial{cols: append([]string(nil), cols...)}
-	for i, r := range rows {
-		if i%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if valid != nil && !valid(i) {
-			continue
-		}
-		ok, err := match(r)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		row := make([]any, len(cols))
-		for ci, c := range cols {
-			row[ci] = r[c]
-		}
-		p.rows = append(p.rows, row)
-		if q.Limit > 0 && len(q.OrderBy) == 0 && len(p.rows) >= q.Limit+q.Offset {
-			break
-		}
-	}
-	p.stats.RowsScanned = int64(len(rows))
-	return p, nil
-}
-
-func rowMatches(schema *metadata.Schema, r record.Record, f Filter) (bool, error) {
-	field, ok := schema.Field(f.Column)
-	if !ok {
-		return false, fmt.Errorf("olap: unknown filter column %q", f.Column)
-	}
-	v, has := r[f.Column]
-	if !has || v == nil {
-		return false, nil
-	}
-	cmp := func(a, b any) int {
-		if field.Type == metadata.TypeString {
-			return strings.Compare(fmt.Sprintf("%v", a), fmt.Sprintf("%v", b))
-		}
-		fa, _ := toF64(a)
-		fb, _ := toF64(b)
-		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
+// newMutableSegment creates an empty store for the schema, with room for
+// rowsHint rows.
+func newMutableSegment(name string, schema *metadata.Schema, rowsHint int) *mutableSegment {
+	m := &mutableSegment{name: name, schema: schema, timeCol: -1, invalid: make(map[int]bool)}
+	for _, f := range schema.Fields {
+		c := mutableColumn{field: f}
+		switch f.Type {
+		case metadata.TypeBytes:
+			continue // blobs are not queryable; no layout encodes them
+		case metadata.TypeString:
+			c.layout = layoutDense
+			c.codes = make([]uint32, 0, rowsHint)
+			c.strs = []string{""}
+			c.index = make(map[string]uint32)
+		case metadata.TypeDouble:
+			c.layout = layoutFloats
+			c.floats = make([]float64, 0, rowsHint)
 		default:
-			return 0
+			c.layout = layoutInts
+			c.ints = make([]int64, 0, rowsHint)
+		}
+		if f.Name == schema.TimeField {
+			m.timeCol = len(m.cols)
+		}
+		m.cols = append(m.cols, c)
+	}
+	m.cells = make([]cell, len(m.cols))
+	return m
+}
+
+// toCell coerces a non-nil value to the column's vector type. Conformed
+// rows (Deployment.Ingest) always pass; BuildSegment callers may hand in
+// looser rows, which coerce the way record.Coerce would.
+func (c *mutableColumn) toCell(v any) (cell, bool) {
+	switch c.layout {
+	case layoutDense:
+		if s, ok := v.(string); ok {
+			return cell{s: s}, true
+		}
+		return cell{s: fmt.Sprintf("%v", v)}, true
+	case layoutFloats:
+		f, ok := toF64(v)
+		return cell{f: f}, ok
+	}
+	switch x := v.(type) {
+	case int64:
+		return cell{i: x}, c.field.Type != metadata.TypeBool
+	case int:
+		return cell{i: int64(x)}, c.field.Type != metadata.TypeBool
+	case float64:
+		return cell{i: int64(x)}, c.field.Type != metadata.TypeBool && x == math.Trunc(x)
+	case bool:
+		if x {
+			return cell{i: 1}, true
+		}
+		return cell{}, true
+	}
+	return cell{}, false
+}
+
+// add appends one row and returns its doc id. A missing or nil field is
+// NULL. The row is validated whole before any vector grows, so a rejected
+// row leaves the store untouched.
+func (m *mutableSegment) add(r record.Record) (int, error) {
+	for ci := range m.cols {
+		c := &m.cols[ci]
+		v, has := r[c.field.Name]
+		if !has || v == nil {
+			m.cells[ci] = cell{null: true}
+			continue
+		}
+		var ok bool
+		if m.cells[ci], ok = c.toCell(v); !ok {
+			return 0, fmt.Errorf("olap: column %q row %d: cannot store %T as %s", c.field.Name, m.n, v, c.field.Type)
 		}
 	}
-	switch f.Op {
-	case OpEq:
-		return cmp(v, f.Value) == 0, nil
-	case OpNe:
-		return cmp(v, f.Value) != 0, nil
-	case OpLt:
-		return cmp(v, f.Value) < 0, nil
-	case OpLe:
-		return cmp(v, f.Value) <= 0, nil
-	case OpGt:
-		return cmp(v, f.Value) > 0, nil
-	case OpGe:
-		return cmp(v, f.Value) >= 0, nil
-	case OpBetween:
-		return cmp(v, f.Value) >= 0 && cmp(v, f.Value2) <= 0, nil
-	case OpIn:
-		for _, want := range f.Values {
-			if cmp(v, want) == 0 {
-				return true, nil
-			}
+	for ci := range m.cols {
+		m.cols[ci].push(m.cells[ci], m.n)
+	}
+	if m.timeCol >= 0 {
+		t := m.cells[m.timeCol].i
+		if m.cols[m.timeCol].layout == layoutFloats {
+			t = int64(m.cells[m.timeCol].f)
 		}
-		return false, nil
+		m.noteTime(t, t)
+	}
+	m.n++
+	return m.n - 1, nil
+}
+
+// noteTime widens the time bounds to cover [lo, hi].
+func (m *mutableSegment) noteTime(lo, hi int64) {
+	if m.n == 0 || lo < m.minTime {
+		m.minTime = lo
+	}
+	if m.n == 0 || hi > m.maxTime {
+		m.maxTime = hi
+	}
+}
+
+// push appends one cell as row n of the column.
+func (c *mutableColumn) push(v cell, n int) {
+	switch c.layout {
+	case layoutDense:
+		c.codes = append(c.codes, c.intern(v))
+		return
+	case layoutFloats:
+		c.floats = append(c.floats, v.f)
 	default:
-		return false, fmt.Errorf("olap: unsupported op %d", f.Op)
+		c.ints = append(c.ints, v.i)
 	}
+	c.markPresent(n, 1, !v.null)
+}
+
+// intern returns the code of a string cell, adding the value to the
+// dictionary on first sight.
+func (c *mutableColumn) intern(v cell) uint32 {
+	if v.null {
+		return 0
+	}
+	code, ok := c.index[v.s]
+	if !ok {
+		code = uint32(len(c.strs))
+		c.strs = append(c.strs, v.s)
+		c.index[v.s] = code
+	}
+	return code
+}
+
+// num returns row i of a raw column as a float64; a NULL row reads 0.
+func (c *mutableColumn) num(i int) float64 {
+	if c.layout == layoutFloats {
+		return c.floats[i]
+	}
+	return float64(c.ints[i])
+}
+
+// markPresent records the presence of k rows starting at row n of a raw
+// column. The vector materializes at the first NULL, into a fresh array: a
+// reader holding the nil header keeps reading "all present", which is true
+// of the prefix it may look at.
+func (c *mutableColumn) markPresent(n, k int, present bool) {
+	if c.present == nil {
+		if present {
+			return
+		}
+		c.present = make([]bool, n, n+k)
+		for i := range c.present {
+			c.present[i] = true
+		}
+	}
+	for ; k > 0; k-- {
+		c.present = append(c.present, present)
+	}
+}
+
+// appendStore appends every row of o, a store of the same schema, after
+// this one's, column-wise; string codes are re-interned into this
+// dictionary. Upsert-invalid docs of o shift by the old row count.
+func (m *mutableSegment) appendStore(o *mutableSegment) {
+	for ci := range m.cols {
+		c, oc := &m.cols[ci], &o.cols[ci]
+		switch c.layout {
+		case layoutDense:
+			remap := make([]uint32, len(oc.strs))
+			for code := 1; code < len(oc.strs); code++ {
+				remap[code] = c.intern(cell{s: oc.strs[code]})
+			}
+			for _, code := range oc.codes[:o.n] {
+				c.codes = append(c.codes, remap[code])
+			}
+			continue
+		case layoutFloats:
+			c.floats = append(c.floats, oc.floats[:o.n]...)
+		default:
+			c.ints = append(c.ints, oc.ints[:o.n]...)
+		}
+		if oc.present == nil {
+			c.markPresent(m.n, o.n, true)
+			continue
+		}
+		for i, p := range oc.present[:o.n] {
+			c.markPresent(m.n+i, 1, p)
+		}
+	}
+	for doc, v := range o.invalid {
+		m.invalid[doc+m.n] = v
+	}
+	if o.n > 0 {
+		m.noteTime(o.minTime, o.maxTime)
+	}
+	m.n += o.n
+}
+
+// snapshot captures the store's current rows as a scan set: O(columns)
+// slice headers, no row is copied. The caller holds the lock that
+// serializes add; the scan then runs outside it.
+func (m *mutableSegment) snapshot() *scanSet {
+	sc := &scanSet{
+		n:       m.n,
+		schema:  m.schema,
+		cols:    make([]colView, len(m.cols)),
+		minTime: m.minTime,
+		maxTime: m.maxTime,
+	}
+	for ci := range m.cols {
+		c := &m.cols[ci]
+		sc.cols[ci] = colView{
+			name:    c.field.Name,
+			typ:     c.field.Type,
+			layout:  c.layout,
+			dense:   c.codes,
+			strs:    c.strs,
+			ints:    c.ints,
+			floats:  c.floats,
+			present: c.present,
+		}
+	}
+	return sc
+}
+
+// validSnapshot renders the upsert-invalid set as the validity bitmap a
+// scan masks with, or nil when every row is valid. Same locking as
+// snapshot.
+func (m *mutableSegment) validSnapshot() *Bitmap {
+	if len(m.invalid) == 0 {
+		return nil
+	}
+	valid := NewBitmap(m.n)
+	valid.Fill()
+	for doc := range m.invalid {
+		valid.Clear(doc)
+	}
+	return valid
 }

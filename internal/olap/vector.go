@@ -1,20 +1,29 @@
 package olap
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
+	"strconv"
+
+	"repro/internal/metadata"
 )
 
-// Vectorized segment kernels: instead of materializing one bitmap of every
-// matching row and walking it row-at-a-time, the scan runs in windows of
-// BatchRows rows. Filter kernels evaluate directly on the bit-packed
-// dictionary *codes* (an equality is one int compare, a range is a code
-// interval from the sorted dictionary — no value decoding at all), and a
-// selection vector of surviving row ids flows from the filter kernels into
-// the aggregate/gather kernels. Columns that carry an inverted index or the
-// sorted-column property keep using the index path (evalFilter), folded
-// into a base bitmap once up front, so the kernels never regress the E4
-// index wins.
+// Vectorized scan kernels: instead of materializing one bitmap of every
+// matching row and walking it row-at-a-time, a scan runs in windows of
+// BatchRows rows. Filter kernels evaluate on dictionary *codes* where a
+// column has them (an equality is one int compare, a range over a sorted
+// dictionary is a code interval — no value decoding at all) and on the raw
+// numeric vector where it does not, and a selection vector of surviving row
+// ids flows from the filter kernels into the aggregate/gather kernels.
+// Sealed columns that carry an inverted index or the sorted-column property
+// keep using the index path (evalFilter), folded into a base bitmap once up
+// front, so the kernels never regress the E4 index wins.
+//
+// The same pipeline scans sealed segments and consuming ones. The kernels
+// see a column only through a colView, which names one of three physical
+// layouts; every layout switch sits outside a row loop.
 
 // BatchRows is the scan window width: selection vectors and streamed row
 // batches hold at most this many rows. Large enough to amortize per-batch
@@ -22,7 +31,161 @@ import (
 // cache and the engine's resident set stays O(BatchRows), not O(table).
 const BatchRows = 4096
 
-// predKind enumerates compiled code-predicate shapes.
+// colLayout names the physical layout behind a colView.
+type colLayout uint8
+
+const (
+	// layoutPacked is a sealed column of any type: bit-packed codes into a
+	// sorted dictionary, NULL coded as the dictionary size.
+	layoutPacked colLayout = iota
+	// layoutDense is a consuming string column: one uint32 code per row into
+	// an insertion-ordered dictionary, NULL coded as 0.
+	layoutDense
+	// layoutInts is a consuming long, timestamp or bool (0/1) column: the
+	// raw values, with an optional presence vector.
+	layoutInts
+	// layoutFloats is a consuming double column.
+	layoutFloats
+)
+
+// colView is the read-only face of one column that the kernels scan
+// through. A view of a consuming column is a prefix snapshot: slice headers
+// captured under the deployment lock, read outside it (see mutableSegment).
+type colView struct {
+	name   string
+	typ    metadata.FieldType
+	layout colLayout
+
+	// Code layouts. null is the code standing for NULL.
+	packed *packedInts
+	dict   *dictionary // layoutPacked
+	dense  []uint32
+	strs   []string // layoutDense dictionary by code; strs[0] is the NULL slot
+	null   int
+
+	// Raw layouts. present[i] reports row i non-NULL; nil means every row is.
+	ints    []int64
+	floats  []float64
+	present []bool
+
+	// indexed is the sealed column when it has an inverted index or is the
+	// sorted column: its filters resolve through evalFilter, not a kernel.
+	indexed *column
+}
+
+// coded reports whether rows carry dictionary codes.
+func (v *colView) coded() bool { return v.layout <= layoutDense }
+
+// numCodes is the size of the code space, the NULL code included.
+func (v *colView) numCodes() int {
+	if v.layout == layoutPacked {
+		return v.null + 1
+	}
+	return len(v.strs)
+}
+
+// code returns row i's dictionary code (code layouts only).
+func (v *colView) code(i int) int {
+	if v.layout == layoutPacked {
+		return v.packed.Get(i)
+	}
+	return int(v.dense[i])
+}
+
+// codeValue decodes one dictionary code; the NULL code decodes to nil.
+func (v *colView) codeValue(code int) any {
+	if code == v.null {
+		return nil
+	}
+	if v.layout == layoutPacked {
+		return v.dict.value(code)
+	}
+	return v.strs[code]
+}
+
+func (v *colView) isNull(i int) bool {
+	if v.coded() {
+		return v.code(i) == v.null
+	}
+	return v.present != nil && !v.present[i]
+}
+
+// num returns row i of a raw numeric column as the float64 every numeric
+// comparison and aggregation works in (sealed dictionaries hold the same).
+func (v *colView) num(i int) float64 {
+	if v.layout == layoutFloats {
+		return v.floats[i]
+	}
+	return float64(v.ints[i])
+}
+
+// value decodes row i — the late-materialization step, paid only for rows
+// and groups that survive the scan.
+func (v *colView) value(i int) any {
+	switch v.layout {
+	case layoutPacked, layoutDense:
+		return v.codeValue(v.code(i))
+	case layoutFloats:
+		if v.present != nil && !v.present[i] {
+			return nil
+		}
+		return v.floats[i]
+	default:
+		if v.present != nil && !v.present[i] {
+			return nil
+		}
+		if v.typ == metadata.TypeBool {
+			return v.ints[i] != 0
+		}
+		return v.ints[i]
+	}
+}
+
+// scanSet is the unit every kernel scans: n rows of named column views plus
+// the time bounds that let a window predicate be skipped. A sealed Segment
+// and the prefix snapshot of a consuming segment both present as one.
+type scanSet struct {
+	n                int
+	schema           *metadata.Schema
+	cols             []colView // queryable (non-blob) schema fields, in schema order
+	minTime, maxTime int64
+}
+
+func (sc *scanSet) col(name string) *colView {
+	for i := range sc.cols {
+		if sc.cols[i].name == name {
+			return &sc.cols[i]
+		}
+	}
+	return nil
+}
+
+// selectable lists the columns SELECT * expands to: every schema field but
+// the blobs, which no layout encodes.
+func selectable(schema *metadata.Schema) []string {
+	names := make([]string, 0, len(schema.Fields))
+	for _, f := range schema.Fields {
+		if f.Type != metadata.TypeBytes {
+			names = append(names, f.Name)
+		}
+	}
+	return names
+}
+
+// UnknownColumnError reports a query naming a column the table cannot
+// serve in that role: not in the schema, or a TypeBytes blob, which is
+// stored nowhere queryable. The same error whether the rows are consuming
+// or sealed.
+type UnknownColumnError struct {
+	Role   string // "filter", "group-by", "aggregation" or "select"
+	Column string
+}
+
+func (e *UnknownColumnError) Error() string {
+	return fmt.Sprintf("olap: unknown %s column %q", e.Role, e.Column)
+}
+
+// predKind enumerates compiled predicate shapes.
 type predKind uint8
 
 const (
@@ -30,83 +193,93 @@ const (
 	predNever predKind = iota
 	// predEq keeps rows whose code equals eq.
 	predEq
-	// predNe keeps rows whose code differs from eq and is not null.
+	// predNe keeps rows whose code (value) differs from eq and is not null.
 	predNe
-	// predRange keeps rows whose code lies in [lo, hi).
+	// predRange keeps rows whose code lies in [lo, hi) — or, on a raw
+	// numeric vector, whose value lies in [lo, hi], both ends included.
 	predRange
-	// predIn keeps rows whose code is set in the in table.
+	// predIn keeps rows whose code is set in the in table (whose value is
+	// in the list).
 	predIn
 )
 
 // codePred is one filter compiled against a column's dictionary: the
-// predicate the kernel evaluates per row is a comparison on the bit-packed
-// code, never on the decoded value.
+// predicate the kernel evaluates per row is a comparison on the code, never
+// on the decoded value.
 type codePred struct {
 	kind   predKind
 	lo, hi int    // predRange bounds, half-open
 	eq     int    // predEq / predNe target code (-1: value absent, predNe only)
-	null   int    // the column's null code (dictionary size)
+	null   int    // the column's null code
 	in     []bool // predIn membership, indexed by code (null entry false)
 }
 
-// kernelFilter pairs a compiled predicate with its column's forward index.
+// numPred is one filter over a raw numeric vector: a direct compare.
+type numPred struct {
+	kind   predKind
+	lo, hi float64   // predRange bounds, inclusive; predNe target in lo
+	in     []float64 // predIn list
+}
+
+// kernelFilter pairs a compiled predicate with the column it reads.
 type kernelFilter struct {
-	codes *packedInts
-	pred  codePred
+	col  *colView
+	code codePred // code layouts
+	num  numPred  // raw layouts
 }
 
 // rangeCodeBounds resolves a range filter to the half-open dictionary code
 // interval [lo, hi) it matches, including the strict-bound adjustments for
 // OpLt/OpGt — shared by the bitmap path (codeRangeBitmap) and the kernel
 // compiler so both evaluate ranges identically.
-func rangeCodeBounds(c *column, f Filter) (int, int) {
+func rangeCodeBounds(d *dictionary, f Filter) (int, int) {
 	var min, max any
 	switch f.Op {
 	case OpLt, OpLe:
-		max = normalizeFilterValue(c, f.Value)
+		max = normalizeFilterValue(d.Typ, f.Value)
 	case OpGt, OpGe:
-		min = normalizeFilterValue(c, f.Value)
+		min = normalizeFilterValue(d.Typ, f.Value)
 	case OpBetween:
-		min = normalizeFilterValue(c, f.Value)
-		max = normalizeFilterValue(c, f.Value2)
+		min = normalizeFilterValue(d.Typ, f.Value)
+		max = normalizeFilterValue(d.Typ, f.Value2)
 	}
-	lo, hi := c.Dict.codeRange(min, max)
+	lo, hi := d.codeRange(min, max)
 	// Adjust exclusive bounds.
 	if f.Op == OpLt && hi > 0 {
 		// codeRange's hi already excludes > max; for strict < drop equals.
-		if code := c.Dict.lookup(max); code >= 0 && code == hi-1 {
+		if code := d.lookup(max); code >= 0 && code == hi-1 {
 			hi--
 		}
 	}
 	if f.Op == OpGt {
-		if code := c.Dict.lookup(min); code >= 0 && code == lo {
+		if code := d.lookup(min); code >= 0 && code == lo {
 			lo++
 		}
 	}
 	return lo, hi
 }
 
-// compileCodePred compiles one filter into a code predicate. The null code
-// (dictionary size) can never satisfy predEq/predRange/predIn because
+// compileCodePred compiles one filter against a sorted dictionary. The null
+// code (dictionary size) can never satisfy predEq/predRange/predIn because
 // codes of real values are < size and range bounds stop at size; predNe
 // excludes it explicitly (SQL semantics: NULL matches neither = nor !=).
-func compileCodePred(c *column, f Filter) (codePred, error) {
-	null := c.Dict.size()
+func compileCodePred(d *dictionary, f Filter) (codePred, error) {
+	null := d.size()
 	switch f.Op {
 	case OpEq:
-		code := c.Dict.lookup(normalizeFilterValue(c, f.Value))
+		code := d.lookup(normalizeFilterValue(d.Typ, f.Value))
 		if code < 0 {
 			return codePred{kind: predNever}, nil
 		}
 		return codePred{kind: predEq, eq: code}, nil
 	case OpNe:
-		code := c.Dict.lookup(normalizeFilterValue(c, f.Value))
+		code := d.lookup(normalizeFilterValue(d.Typ, f.Value))
 		return codePred{kind: predNe, eq: code, null: null}, nil
 	case OpIn:
 		in := make([]bool, null+1)
 		matched := false
 		for _, v := range f.Values {
-			if code := c.Dict.lookup(normalizeFilterValue(c, v)); code >= 0 {
+			if code := d.lookup(normalizeFilterValue(d.Typ, v)); code >= 0 {
 				in[code] = true
 				matched = true
 			}
@@ -116,7 +289,7 @@ func compileCodePred(c *column, f Filter) (codePred, error) {
 		}
 		return codePred{kind: predIn, in: in}, nil
 	case OpLt, OpLe, OpGt, OpGe, OpBetween:
-		lo, hi := rangeCodeBounds(c, f)
+		lo, hi := rangeCodeBounds(d, f)
 		if lo >= hi {
 			return codePred{kind: predNever}, nil
 		}
@@ -126,38 +299,281 @@ func compileCodePred(c *column, f Filter) (codePred, error) {
 	}
 }
 
-// filterSel refines a selection vector in place through one code predicate.
-// Writes trail reads over the same backing array, so in-place compaction is
-// safe.
-func filterSel(codes *packedInts, pr codePred, sel []int32) []int32 {
-	out := sel[:0]
+// compileDictPred compiles one filter against an insertion-ordered string
+// dictionary. Codes carry no order there, so anything but an equality
+// becomes a membership table: the predicate is evaluated once per
+// dictionary entry, never per row. Literals normalize exactly as on a
+// sealed string column. Readers never touch the writer's value→code map;
+// an equality finds its code by scanning the snapshotted entries.
+func compileDictPred(strs []string, f Filter) (codePred, error) {
+	lit := func(v any) string { return normalizeFilterValue(metadata.TypeString, v).(string) }
+	var match func(s string) bool
+	switch f.Op {
+	case OpEq, OpNe:
+		want, code := lit(f.Value), -1
+		for c := 1; c < len(strs); c++ {
+			if strs[c] == want {
+				code = c
+				break
+			}
+		}
+		if f.Op == OpNe {
+			return codePred{kind: predNe, eq: code}, nil
+		}
+		if code < 0 {
+			return codePred{kind: predNever}, nil
+		}
+		return codePred{kind: predEq, eq: code}, nil
+	case OpIn:
+		wants := make([]string, len(f.Values))
+		for i, v := range f.Values {
+			wants[i] = lit(v)
+		}
+		match = func(s string) bool {
+			for _, w := range wants {
+				if s == w {
+					return true
+				}
+			}
+			return false
+		}
+	case OpLt:
+		max := lit(f.Value)
+		match = func(s string) bool { return s < max }
+	case OpLe:
+		max := lit(f.Value)
+		match = func(s string) bool { return s <= max }
+	case OpGt:
+		min := lit(f.Value)
+		match = func(s string) bool { return s > min }
+	case OpGe:
+		min := lit(f.Value)
+		match = func(s string) bool { return s >= min }
+	case OpBetween:
+		min, max := lit(f.Value), lit(f.Value2)
+		match = func(s string) bool { return s >= min && s <= max }
+	default:
+		return codePred{}, fmt.Errorf("olap: unsupported filter op %d", f.Op)
+	}
+	in := make([]bool, len(strs))
+	matched := false
+	for c := 1; c < len(strs); c++ {
+		if match(strs[c]) {
+			in[c] = true
+			matched = true
+		}
+	}
+	if !matched {
+		return codePred{kind: predNever}, nil
+	}
+	return codePred{kind: predIn, in: in}, nil
+}
+
+// compileNumPred compiles one filter for a raw numeric vector. It mirrors
+// what the sorted numeric dictionary does with the same literal: values
+// compare as float64, a literal that is not a number can equal nothing and
+// bounds nothing (that side of the range stays open).
+func compileNumPred(f Filter) (numPred, error) {
+	lo, hi := math.Inf(-1), math.Inf(1)
+	x, isNum := toF64(f.Value)
+	switch f.Op {
+	case OpEq:
+		if !isNum {
+			return numPred{kind: predNever}, nil
+		}
+		lo, hi = x, x
+	case OpNe:
+		if isNum {
+			return numPred{kind: predNe, lo: x}, nil
+		}
+	case OpIn:
+		var in []float64
+		for _, v := range f.Values {
+			if x, ok := toF64(v); ok {
+				in = append(in, x)
+			}
+		}
+		if len(in) == 0 {
+			return numPred{kind: predNever}, nil
+		}
+		return numPred{kind: predIn, in: in}, nil
+	case OpLt, OpLe:
+		if isNum {
+			hi = x
+			if f.Op == OpLt {
+				hi = math.Nextafter(x, math.Inf(-1))
+			}
+		}
+	case OpGt, OpGe, OpBetween:
+		if isNum {
+			lo = x
+			if f.Op == OpGt {
+				lo = math.Nextafter(x, math.Inf(1))
+			}
+		}
+		if y, ok := toF64(f.Value2); ok && f.Op == OpBetween {
+			hi = y
+		}
+	default:
+		return numPred{}, fmt.Errorf("olap: unsupported filter op %d", f.Op)
+	}
+	if lo > hi {
+		return numPred{kind: predNever}, nil
+	}
+	return numPred{kind: predRange, lo: lo, hi: hi}, nil
+}
+
+// compileFilter compiles one filter for the column's layout. never reports
+// a predicate that can match no row.
+func compileFilter(c *colView, f Filter) (k kernelFilter, never bool, err error) {
+	k.col = c
+	switch c.layout {
+	case layoutPacked:
+		k.code, err = compileCodePred(c.dict, f)
+		never = k.code.kind == predNever
+	case layoutDense:
+		k.code, err = compileDictPred(c.strs, f)
+		never = k.code.kind == predNever
+	default:
+		k.num, err = compileNumPred(f)
+		never = k.num.kind == predNever
+	}
+	return k, never, err
+}
+
+// filterSel refines a selection vector in place through one predicate. sel
+// holds row ids relative to off. The kernels compact by storing every
+// candidate and advancing past the ones that match: at a dashboard
+// filter's selectivity (one row in two to one in twenty) the unconditional
+// store is cheaper than a branch the predictor keeps missing.
+func (k *kernelFilter) filterSel(off int, sel []int32) []int32 {
+	switch k.col.layout {
+	case layoutPacked:
+		return filterPacked(k.col.packed, k.code, off, sel)
+	case layoutDense:
+		return filterDense(k.col.dense[off:], k.code, sel)
+	default:
+		return filterNum(k.col, k.num, off, sel)
+	}
+}
+
+func filterPacked(codes *packedInts, pr codePred, off int, sel []int32) []int32 {
+	k := 0
 	switch pr.kind {
 	case predEq:
 		for _, i := range sel {
-			if codes.Get(int(i)) == pr.eq {
-				out = append(out, i)
+			sel[k] = i
+			if codes.Get(off+int(i)) == pr.eq {
+				k++
 			}
 		}
 	case predNe:
 		for _, i := range sel {
-			if c := codes.Get(int(i)); c != pr.eq && c != pr.null {
-				out = append(out, i)
+			sel[k] = i
+			if c := codes.Get(off + int(i)); c != pr.eq && c != pr.null {
+				k++
 			}
 		}
 	case predRange:
+		lo, width := pr.lo, uint(pr.hi-pr.lo)
 		for _, i := range sel {
-			if c := codes.Get(int(i)); c >= pr.lo && c < pr.hi {
-				out = append(out, i)
+			sel[k] = i
+			if uint(codes.Get(off+int(i))-lo) < width {
+				k++
 			}
 		}
 	case predIn:
 		for _, i := range sel {
-			if pr.in[codes.Get(int(i))] {
-				out = append(out, i)
+			sel[k] = i
+			if pr.in[codes.Get(off+int(i))] {
+				k++
 			}
 		}
 	}
-	return out
+	return sel[:k]
+}
+
+// filterDense is filterPacked over dense codes (NULL is code 0). The
+// compiler never emits predRange for an unordered dictionary.
+func filterDense(codes []uint32, pr codePred, sel []int32) []int32 {
+	k := 0
+	switch pr.kind {
+	case predEq:
+		eq := uint32(pr.eq)
+		for _, i := range sel {
+			sel[k] = i
+			if codes[i] == eq {
+				k++
+			}
+		}
+	case predNe:
+		for _, i := range sel {
+			sel[k] = i
+			if c := int(codes[i]); c != pr.eq && c != 0 {
+				k++
+			}
+		}
+	case predIn:
+		for _, i := range sel {
+			sel[k] = i
+			if pr.in[codes[i]] {
+				k++
+			}
+		}
+	}
+	return sel[:k]
+}
+
+// filterNum is the direct compare kernel over a raw numeric vector.
+func filterNum(c *colView, pr numPred, off int, sel []int32) []int32 {
+	if c.present != nil {
+		k := 0
+		for _, i := range sel {
+			sel[k] = i
+			if c.present[off+int(i)] {
+				k++
+			}
+		}
+		sel = sel[:k]
+	}
+	k := 0
+	switch pr.kind {
+	case predRange:
+		if c.layout == layoutFloats {
+			for _, i := range sel {
+				sel[k] = i
+				if x := c.floats[off+int(i)]; x >= pr.lo && x <= pr.hi {
+					k++
+				}
+			}
+			break
+		}
+		for _, i := range sel {
+			sel[k] = i
+			if x := float64(c.ints[off+int(i)]); x >= pr.lo && x <= pr.hi {
+				k++
+			}
+		}
+	case predNe:
+		for _, i := range sel {
+			sel[k] = i
+			if c.num(off+int(i)) != pr.lo {
+				k++
+			}
+		}
+	case predIn:
+		for _, i := range sel {
+			sel[k] = i
+			x := c.num(off + int(i))
+			for _, want := range pr.in {
+				if x == want {
+					k++
+					break
+				}
+			}
+		}
+	}
+	return sel[:k]
 }
 
 // appendSetBits appends the positions of set bits in [lo, hi) to sel,
@@ -186,11 +602,21 @@ func appendSetBits(sel []int32, b *Bitmap, lo, hi int) []int32 {
 	return sel
 }
 
-// selStream drives one segment scan as a sequence of selection vectors.
-// Indexed filters (inverted / sorted columns) are folded into one base
-// bitmap up front; every other filter becomes a code-predicate kernel
-// applied per window; the upsert validity bitmap masks last so the dropped
-// count matches the bitmap path's UpsertFiltered exactly.
+// identitySel is the selection vector of a whole window, relative to the
+// window start: the kernels' first input is a copy of it rather than a
+// filled loop.
+var identitySel = func() (s [BatchRows]int32) {
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}()
+
+// selStream drives one scan as a sequence of selection vectors. Indexed
+// filters (inverted / sorted columns) are folded into one base bitmap up
+// front; every other filter becomes a kernel applied per window; the upsert
+// validity bitmap masks last so the dropped count matches the bitmap path's
+// UpsertFiltered exactly.
 type selStream struct {
 	n       int
 	base    *Bitmap // nil: every row is a candidate
@@ -204,16 +630,16 @@ type selStream struct {
 	dropped int64 // rows the valid mask removed (= old UpsertFiltered)
 }
 
-// newSelStream compiles the filters against this segment.
-func (s *Segment) newSelStream(filters []Filter, valid *Bitmap) (*selStream, error) {
-	ss := &selStream{n: s.NumRows, valid: valid, sel: make([]int32, 0, BatchRows)}
+// newSelStream compiles the filters against this scan set.
+func (sc *scanSet) newSelStream(filters []Filter, valid *Bitmap) (*selStream, error) {
+	ss := &selStream{n: sc.n, valid: valid, sel: make([]int32, 0, BatchRows)}
 	for _, f := range filters {
-		c, ok := s.Columns[f.Column]
-		if !ok {
-			return nil, fmt.Errorf("olap: unknown filter column %q", f.Column)
+		c := sc.col(f.Column)
+		if c == nil {
+			return nil, &UnknownColumnError{Role: "filter", Column: f.Column}
 		}
-		if c.Inverted != nil || c.Sorted {
-			bm, err := s.evalFilter(c, f)
+		if c.indexed != nil {
+			bm, err := c.indexed.evalFilter(sc.n, f)
 			if err != nil {
 				return nil, err
 			}
@@ -224,22 +650,22 @@ func (s *Segment) newSelStream(filters []Filter, valid *Bitmap) (*selStream, err
 			}
 			continue
 		}
-		pr, err := compileCodePred(c, f)
+		k, never, err := compileFilter(c, f)
 		if err != nil {
 			return nil, err
 		}
-		if pr.kind == predNever {
+		if never {
 			ss.dead = true
 			continue
 		}
-		ss.kernels = append(ss.kernels, kernelFilter{codes: &c.Codes, pred: pr})
+		ss.kernels = append(ss.kernels, k)
 	}
 	return ss, nil
 }
 
-// next returns the next non-empty selection vector, or nil at end of
-// segment. The returned slice is reused by the following next call — the
-// caller must consume it first.
+// next returns the next non-empty selection vector, or nil at end of scan.
+// The returned slice is reused by the following next call — the caller
+// must consume it first.
 func (ss *selStream) next() []int32 {
 	if ss.dead {
 		ss.pos = ss.n
@@ -250,19 +676,26 @@ func (ss *selStream) next() []int32 {
 		if end > ss.n {
 			end = ss.n
 		}
-		sel := ss.sel[:0]
+		// Kernels work on ids relative to off; only survivors are rebased.
+		off := 0
+		var sel []int32
 		if ss.base != nil {
-			sel = appendSetBits(sel, ss.base, ss.pos, end)
+			sel = appendSetBits(ss.sel[:0], ss.base, ss.pos, end)
 		} else {
-			for i := ss.pos; i < end; i++ {
-				sel = append(sel, int32(i))
-			}
+			off = ss.pos
+			sel = ss.sel[:end-off]
+			copy(sel, identitySel[:])
 		}
-		for _, k := range ss.kernels {
+		for i := range ss.kernels {
 			if len(sel) == 0 {
 				break
 			}
-			sel = filterSel(k.codes, k.pred, sel)
+			sel = ss.kernels[i].filterSel(off, sel)
+		}
+		if off != 0 {
+			for j := range sel {
+				sel[j] += int32(off)
+			}
 		}
 		if ss.valid != nil && len(sel) > 0 {
 			kept := sel[:0]
@@ -292,55 +725,183 @@ func (ss *selStream) drain() {
 	}
 }
 
-// aggCursor pre-resolves one aggregation's column accessors so the fold
-// loop touches no maps per row.
+// aggCursor pre-resolves one aggregation's column so the fold kernels touch
+// no maps per row.
 type aggCursor struct {
 	kind      AggKind
 	countStar bool
-	col       *column
-	nums      []float64
+	col       *colView
 }
 
-// aggCursors resolves every aggregation of the query against this segment.
-// Columns were validated by the caller.
-func (s *Segment) aggCursors(q *Query) []aggCursor {
-	cur := make([]aggCursor, len(q.Aggs))
-	for ai, spec := range q.Aggs {
-		cur[ai].kind = spec.Kind
-		if spec.Kind == AggCount && spec.Column == "" {
-			cur[ai].countStar = true
-			continue
+// fold folds one batch into aggregation ai of each selected row's group:
+// slots[j] is the accumulator slot of row sel[j]. Rows of one group fold in
+// row order, so float sums come out the same whatever the batch boundaries.
+func (ac *aggCursor) fold(accs [][]aggState, ai int, slots, sel []int32) {
+	c := ac.col
+	switch {
+	case ac.countStar:
+		for _, s := range slots {
+			accs[s][ai].Count++
 		}
-		c := s.Columns[spec.Column]
-		cur[ai].col = c
-		cur[ai].nums = c.Dict.Nums
+	case ac.kind == AggCount:
+		for j, i := range sel {
+			if !c.isNull(int(i)) {
+				accs[slots[j]][ai].Count++
+			}
+		}
+	case ac.kind == AggDistinctCount:
+		for j, i := range sel {
+			if v := c.value(int(i)); v != nil {
+				accs[slots[j]][ai].addDistinct(distinctKey(v))
+			}
+		}
+	case c.layout == layoutPacked:
+		nums := c.dict.Nums
+		for j, i := range sel {
+			if code := c.packed.Get(int(i)); code != c.null {
+				accs[slots[j]][ai].add(nums[code])
+			}
+		}
+	case c.present == nil:
+		for j, i := range sel {
+			accs[slots[j]][ai].add(c.num(int(i)))
+		}
+	default:
+		for j, i := range sel {
+			if c.present[i] {
+				accs[slots[j]][ai].add(c.num(int(i)))
+			}
+		}
 	}
-	return cur
 }
 
-// foldRow folds row i into one group's accumulator states.
-func foldRow(cur []aggCursor, acc []aggState, i int) {
-	for ai := range cur {
-		ac := &cur[ai]
+// grouper assigns every selected row the accumulator slot of its group.
+// No group-by is one slot; one group-by column that carries codes indexes a
+// dense array of accumulators by code — the columnar execution style that
+// gives Pinot its latency edge (no per-row keys or hashing); anything else
+// (several columns, or one raw numeric column) hashes the row's codes and
+// values to a slot.
+type grouper struct {
+	cols  []*colView
+	naggs int
+	accs  [][]aggState // by slot; nil until the group has a row
+	slots []int32      // scratch: the current batch's slot per selected row
+
+	// Hashed grouping only; keys and vals are by slot.
+	index map[string]int32
+	keys  []string
+	vals  [][]any
+	key   []byte
+}
+
+func newGrouper(cols []*colView, naggs int) *grouper {
+	g := &grouper{cols: cols, naggs: naggs, slots: make([]int32, BatchRows)}
+	switch {
+	case len(cols) == 0:
+		g.accs = make([][]aggState, 1)
+	case len(cols) == 1 && cols[0].coded():
+		g.accs = make([][]aggState, cols[0].numCodes())
+	default:
+		g.index = make(map[string]int32)
+	}
+	return g
+}
+
+// assign returns the slot of each selected row, valid until the next call.
+func (g *grouper) assign(sel []int32) []int32 {
+	slots := g.slots[:len(sel)]
+	switch {
+	case len(g.cols) == 0:
+		// One group: the scratch is never written, so every slot reads 0.
+		if g.accs[0] == nil {
+			g.accs[0] = make([]aggState, g.naggs)
+		}
+		return slots
+	case g.index != nil:
+		for j, i := range sel {
+			slots[j] = g.hashed(int(i))
+		}
+		return slots
+	}
+	if c := g.cols[0]; c.layout == layoutPacked {
+		for j, i := range sel {
+			slots[j] = int32(c.packed.Get(int(i)))
+		}
+	} else {
+		for j, i := range sel {
+			slots[j] = int32(c.dense[i])
+		}
+	}
+	for _, s := range slots {
+		if g.accs[s] == nil {
+			g.accs[s] = make([]aggState, g.naggs)
+		}
+	}
+	return slots
+}
+
+// hashed finds or creates the slot of row i's group. The key spells each
+// column's code ("~" for NULL) — or, for a raw numeric column, its value —
+// and doubles as the group's key in the output map.
+func (g *grouper) hashed(i int) int32 {
+	key := g.key[:0]
+	for _, c := range g.cols {
 		switch {
-		case ac.countStar:
-			acc[ai].Count++
-		case ac.kind == AggCount:
-			if ac.col.Present.Get(i) {
-				acc[ai].Count++
+		case c.coded():
+			if code := c.code(i); code != c.null {
+				key = strconv.AppendInt(key, int64(code), 10)
+			} else {
+				key = append(key, '~')
 			}
-		case ac.kind == AggDistinctCount:
-			if ac.col.Present.Get(i) {
-				acc[ai].addDistinct(distinctKey(ac.col.Dict.value(ac.col.Codes.Get(i))))
-			}
+		case c.isNull(i):
+			key = append(key, '~')
 		default:
-			if ac.col.Present.Get(i) {
-				v := 0.0
-				if ac.nums != nil {
-					v = ac.nums[ac.col.Codes.Get(i)]
-				}
-				acc[ai].add(v)
-			}
+			// '=' and eight bytes: fixed width, so no value can pass for "~|"
+			// followed by the next column.
+			key = binary.LittleEndian.AppendUint64(append(key, '='), math.Float64bits(c.num(i)))
+		}
+		key = append(key, '|')
+	}
+	g.key = key
+	if slot, ok := g.index[string(key)]; ok {
+		return slot
+	}
+	slot := int32(len(g.accs))
+	vals := make([]any, len(g.cols))
+	for gi, c := range g.cols {
+		vals[gi] = c.value(i)
+	}
+	k := string(key)
+	g.index[k] = slot
+	g.keys = append(g.keys, k)
+	g.vals = append(g.vals, vals)
+	g.accs = append(g.accs, make([]aggState, g.naggs))
+	return slot
+}
+
+// groups hands the accumulators over as segment-local groups, decoding the
+// group values — once per surviving group, not per row.
+func (g *grouper) groups() map[string]*groupAgg {
+	switch {
+	case len(g.cols) == 0:
+		groups := make(map[string]*groupAgg, 1)
+		if g.accs[0] != nil {
+			groups[""] = &groupAgg{values: []any{}, aggs: g.accs[0]}
+		}
+		return groups
+	case g.index != nil:
+		groups := make(map[string]*groupAgg, len(g.accs))
+		for slot, acc := range g.accs {
+			groups[g.keys[slot]] = &groupAgg{values: g.vals[slot], aggs: acc}
+		}
+		return groups
+	}
+	c := g.cols[0]
+	groups := make(map[string]*groupAgg, len(g.accs))
+	for code, acc := range g.accs {
+		if acc != nil {
+			groups[fmt.Sprintf("%08d", code)] = &groupAgg{values: []any{c.codeValue(code)}, aggs: acc}
 		}
 	}
+	return groups
 }
