@@ -19,18 +19,19 @@
 //
 //	sql> EXPLAIN SELECT order_id, SUM(amount) AS rev FROM pinot.orders GROUP BY order_id ORDER BY rev DESC LIMIT 10
 //	plan:
-//	  scan pinot.orders [aggregate-scan] pushdown=aggs+limit exec=materialized route=partition servers_contacted=3 cache=hit trim=server k=1000 groups_trimmed=17000 rows_moved=10 time=32µs
-//	stats: rows_moved=10 fallbacks=0 segments_scanned=8 rows_scanned=20000 servers_contacted=3 partitions_pruned=0 segments_time_pruned=0 groups_trimmed=17000 rows_heap_kept=0 cache_hit=1 coalesced=0 cache_bytes=801 shed=0 view_hit=0 view_staleness_ms=0 batches_streamed=0 peak_engine_bytes=390
+//	  scan pinot.orders [aggregate-scan] pushdown=aggs+limit exec=materialized route=partition servers_contacted=3 cache=hit trim=server k=1000 groups_trimmed=17000 rows_moved=10 time=18µs
+//	stats: rows_moved=10 fallbacks=0 segments_scanned=8 rows_scanned=20000 servers_contacted=3 partitions_pruned=0 segments_time_pruned=0 groups_trimmed=17000 rows_heap_kept=0 cache_hit=1 coalesced=0 cache_bytes=1024 shed=0 view_hit=0 view_staleness_ms=0 batches_streamed=1 peak_engine_bytes=390
 //
 // Every plan line carries an exec= token: row scans stream across the
-// connector boundary as column-major batches (Connector v3), so a
-// selection shows exec=streaming with the batch size, and the stats line
-// reports how many batches crossed and the peak engine-resident bytes —
-// one in-flight batch, not the whole materialized result:
+// connector boundary as column-major batches — the broker's stream from
+// pinot, one archive part per pull from hive — so a selection shows
+// exec=streaming with the number of batches pulled, and the stats line
+// reports the peak engine-resident bytes — one in-flight batch, not the
+// whole result:
 //
 //	sql> EXPLAIN SELECT order_id, city, amount FROM pinot.orders WHERE city = 'sf' AND amount > 40 LIMIT 5
 //	plan:
-//	  scan pinot.orders [row-scan] pushdown=filters+limit exec=streaming batch=4096 route=partition servers_contacted=1 partitions_pruned=2 rows_moved=5 time=451µs
+//	  scan pinot.orders [row-scan] pushdown=filters+limit exec=streaming batches=1 route=partition servers_contacted=1 partitions_pruned=2 rows_moved=5 time=421µs
 //	stats: rows_moved=5 fallbacks=0 segments_scanned=2 rows_scanned=2500 servers_contacted=1 partitions_pruned=2 segments_time_pruned=0 groups_trimmed=0 rows_heap_kept=0 cache_hit=0 coalesced=0 cache_bytes=0 shed=0 view_hit=0 view_staleness_ms=0 batches_streamed=1 peak_engine_bytes=285
 //
 // The demo also registers the city-revenue dashboard shape as a
@@ -41,8 +42,8 @@
 //
 //	sql> EXPLAIN SELECT city, SUM(amount) AS revenue FROM pinot.orders GROUP BY city
 //	plan:
-//	  scan pinot.orders [aggregate-scan] pushdown=aggs exec=materialized view=hit rows_moved=4 time=12µs
-//	stats: rows_moved=4 fallbacks=0 segments_scanned=0 rows_scanned=0 servers_contacted=0 partitions_pruned=0 segments_time_pruned=0 groups_trimmed=0 rows_heap_kept=0 cache_hit=0 coalesced=0 cache_bytes=801 shed=0 view_hit=1 view_staleness_ms=0 batches_streamed=0 peak_engine_bytes=138
+//	  scan pinot.orders [aggregate-scan] pushdown=aggs exec=materialized view=hit rows_moved=4 time=18µs
+//	stats: rows_moved=4 fallbacks=0 segments_scanned=0 rows_scanned=0 servers_contacted=0 partitions_pruned=0 segments_time_pruned=0 groups_trimmed=0 rows_heap_kept=0 cache_hit=0 coalesced=0 cache_bytes=1024 shed=0 view_hit=1 view_staleness_ms=0 batches_streamed=1 peak_engine_bytes=138
 package main
 
 import (

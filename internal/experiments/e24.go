@@ -11,7 +11,8 @@ import (
 // ---- E24: streaming batch-iterator execution (Connector v3) ----
 
 // v2Connector hides a connector's streaming surface, forcing the engine
-// through the legacy materialize-then-chunk adapter — the pre-v3 baseline.
+// through the v2 Scan adapter (the whole result as records, then rows, before
+// the first batch) — the materialized reference.
 type v2Connector struct{ fedsql.Connector }
 
 // E24 measures the Connector v3 streaming redesign on its headline shape:

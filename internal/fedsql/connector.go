@@ -16,10 +16,10 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// ErrPushdownUnsupported is returned by AggregateScan when a connector
-// cannot execute aggregate queries inside its backend. The engine falls
-// back to Scan + engine-side aggregation and counts the fallback in
-// QueryStats.PushdownFallbacks.
+// ErrPushdownUnsupported is returned by OpenAggregateScan (and the v2
+// AggregateScan) when a connector cannot execute aggregate queries inside
+// its backend. The engine falls back to a row scan + engine-side aggregation
+// and counts the fallback in QueryStats.PushdownFallbacks.
 var ErrPushdownUnsupported = errors.New("fedsql: connector does not execute aggregates")
 
 // Capabilities advertises, fragment by fragment, what a connector can
@@ -29,7 +29,7 @@ var ErrPushdownUnsupported = errors.New("fedsql: connector does not execute aggr
 type Capabilities struct {
 	// Filters: WHERE predicates execute inside the backend.
 	Filters bool
-	// Aggregations: aggregate functions execute inside via AggregateScan.
+	// Aggregations: aggregate functions execute inside via OpenAggregateScan.
 	Aggregations bool
 	// GroupBy: grouped aggregations execute inside (requires Aggregations).
 	GroupBy bool
@@ -39,10 +39,10 @@ type Capabilities struct {
 	Limit bool
 }
 
-// Pushdown is the row-scan fragment handed to a connector's Scan: a
+// Pushdown is the row-scan fragment handed to a connector's OpenScan: a
 // projection with filters and optional ordering/limit. Aggregations travel
-// separately through AggregateScan. Fields the connector did not advertise
-// are guaranteed empty.
+// separately through OpenAggregateScan. Fields the connector did not
+// advertise are guaranteed empty.
 type Pushdown struct {
 	// Columns is the projection (empty = all columns).
 	Columns []string
@@ -54,8 +54,8 @@ type Pushdown struct {
 }
 
 // AggregateQuery is a whole aggregate query for connector-side execution:
-// the fragment AggregateScan pushes into the backend so only (partial)
-// aggregate states cross the connector boundary, never raw rows.
+// the fragment OpenAggregateScan pushes into the backend so only per-group
+// aggregate rows cross the connector boundary, never raw rows.
 type AggregateQuery struct {
 	Filters []sqlparse.Predicate
 	GroupBy []string
@@ -77,7 +77,7 @@ type QueryStats struct {
 	PushedLimit   bool
 	// PushdownFallbacks counts aggregate queries that fell back to row
 	// scan + engine-side aggregation because the connector lacked the
-	// capability (or its AggregateScan refused).
+	// capability (or its OpenAggregateScan refused).
 	PushdownFallbacks int64
 	// TrimK is the per-server top-K budget the backend applied to an
 	// ORDER BY/LIMIT query (groups for aggregations, rows for selections);
@@ -86,17 +86,18 @@ type QueryStats struct {
 	// Router names the backend routing strategy ("" when the backend has
 	// none, e.g. the archive).
 	Router string
-	// Streamed marks that the row-scan fragment crossed the connector
-	// boundary as a pull-based batch stream (Connector v3 OpenScan) instead
-	// of one materialized slice — EXPLAIN's exec=streaming vs
-	// exec=materialized.
+	// Streamed marks that the scan's rows reached the engine as they were
+	// produced (a broker stream, one archive part at a time) instead of
+	// being whole in memory before the first batch was pulled (a finalized
+	// aggregate response, a v2 connector's slice) — EXPLAIN's exec=streaming
+	// vs exec=materialized.
 	Streamed bool
-	// BatchesStreamed counts the batches that crossed the boundary (both
-	// true streams and materialized adapters chunk into batches).
+	// BatchesStreamed counts the batches that crossed the boundary, from
+	// either kind of source.
 	BatchesStreamed int64
 	// PeakEngineBytes estimates the largest engine-resident row footprint
-	// the query needed at any one moment: the whole scan result for
-	// materialized paths, one in-flight batch for streaming paths.
+	// the scan needed at any one moment: the whole result for materialized
+	// sources, one in-flight batch for streaming ones.
 	PeakEngineBytes int64
 	// Exec carries the backend's execution counters (segment scans, time
 	// pruning, server fan-out, partition pruning) when the backend is the
@@ -129,14 +130,12 @@ func (s *QueryStats) Merge(o QueryStats) {
 	s.Exec.Add(o.Exec)
 }
 
-// Connector is the backend interface (Presto's Connector API). The modern
-// surface is Connector v3 — StreamingConnector's OpenScan/OpenAggregateScan
-// returning pull-based RowIterators (see iterator.go); the slice-returning
-// Scan/AggregateScan here remain as the v2 compatibility contract so
-// out-of-tree connectors keep compiling, and the engine adapts them through
-// a materialized iterator (EXPLAIN's exec=materialized). Connectors that
-// cannot run aggregates return ErrPushdownUnsupported from AggregateScan
-// and let the engine aggregate the scanned rows itself.
+// Connector is the backend interface (Presto's Connector API): catalog
+// metadata, declared capabilities, and the v2 slice-returning scan pair. The
+// engine executes through StreamingConnector (iterator.go), which every
+// in-tree connector implements; why Scan/AggregateScan remain is in DESIGN.md
+// "Streaming execution". In-tree they are drains of the v3 methods, called
+// only by openScan/openAggregateScan for a connector without the v3 surface.
 type Connector interface {
 	// Name returns the catalog name ("pinot", "hive", ...).
 	Name() string
@@ -146,9 +145,7 @@ type Connector interface {
 	Schema(table string) (*metadata.Schema, error)
 	// Capabilities advertises pushdown support, explicitly per fragment.
 	Capabilities() Capabilities
-	// Scan executes the row-scan fragment and returns rows. The context
-	// carries the federated query's deadline/cancellation into the backend,
-	// so a timed-out query stops scanning inside the OLAP layer too.
+	// Scan executes the row-scan fragment and returns every row at once.
 	Scan(ctx context.Context, table string, pd Pushdown) ([]record.Record, QueryStats, error)
 	// AggregateScan executes a whole aggregate query inside the backend
 	// and returns one row per group, named by SelectItem.OutputName.
@@ -159,8 +156,8 @@ type Connector interface {
 
 // PinotConnector exposes OLAP deployments as federated tables with full
 // pushdown (§4.3.2: "predicate pushdowns and aggregation function pushdowns
-// enable us to achieve sub-second query latencies"). AggregateScan maps to
-// the broker's scatter-gather, so a federated GROUP BY moves per-group
+// enable us to achieve sub-second query latencies"). OpenAggregateScan maps
+// to the broker's scatter-gather, so a federated GROUP BY moves per-group
 // aggregate rows across the connector boundary instead of raw rows.
 type PinotConnector struct {
 	name    string
@@ -231,7 +228,7 @@ func (p *PinotConnector) AddTable(d *olap.Deployment) {
 }
 
 // RegisterView registers a standing aggregate fragment as a materialized
-// view on one table: the exact OLAP query AggregateScan would push down for
+// view on one table: the exact OLAP query OpenAggregateScan pushes down for
 // this fragment is materialized once and maintained incrementally, so every
 // later federated query with the same shape is served from the view. The
 // connector must have been created with EnableViews set before AddTable.
@@ -299,22 +296,12 @@ func (p *PinotConnector) OpenScan(ctx context.Context, table string, pd Pushdown
 	if !ok {
 		return nil, fmt.Errorf("fedsql: pinot table %q not found", table)
 	}
-	q := &olap.Query{Table: table, Select: pd.Columns}
-	stats := QueryStats{PushedFilters: len(pd.Filters) > 0, Streamed: true}
-	for _, f := range pd.Filters {
-		of, err := toOlapFilter(f)
-		if err != nil {
-			return nil, err
-		}
-		q.Filters = append(q.Filters, of)
+	q, stats, err := olapQuery(table, pd.Filters, pd.OrderBy, pd.Limit)
+	if err != nil {
+		return nil, err
 	}
-	for _, o := range pd.OrderBy {
-		q.OrderBy = append(q.OrderBy, olap.OrderSpec{Column: o.Column, Desc: o.Desc})
-	}
-	if pd.Limit > 0 {
-		q.Limit = pd.Limit
-		stats.PushedLimit = true
-	}
+	q.Select = pd.Columns
+	stats.Streamed = true
 	qs, err := broker.ExecuteStream(ctx, &olap.QueryRequest{Query: q, TrimExact: p.TrimExact, Tenant: p.Tenant})
 	if err != nil {
 		return nil, err
@@ -322,38 +309,47 @@ func (p *PinotConnector) OpenScan(ctx context.Context, table string, pd Pushdown
 	return &brokerIterator{qs: qs, stats: stats}, nil
 }
 
-// OpenAggregateScan implements StreamingConnector. Aggregate pushdown
-// produces finalized per-group rows — there is nothing to stream until the
-// backend has seen every input row — so this executes eagerly (through the
-// broker's cache, views and admission, exactly like AggregateScan) and
-// chunks the small result.
+// OpenAggregateScan implements StreamingConnector by executing the whole
+// aggregate query in the OLAP layer (through the broker's cache, views and
+// admission): servers ship mergeable partial-aggregate states to the broker,
+// and only the finalized per-group rows cross the connector boundary. There
+// is nothing to stream until the backend has seen every input row, so the
+// response's rows are served as they are by the in-memory source.
 func (p *PinotConnector) OpenAggregateScan(ctx context.Context, table string, aq AggregateQuery) (RowIterator, error) {
-	rows, stats, err := p.AggregateScan(ctx, table, aq)
+	if p.DisablePushdown {
+		return nil, ErrPushdownUnsupported
+	}
+	broker, ok := p.brokers[table]
+	if !ok {
+		return nil, fmt.Errorf("fedsql: pinot table %q not found", table)
+	}
+	q, stats, err := p.aggQuery(table, aq)
 	if err != nil {
 		return nil, err
 	}
-	return newMaterializedIterator(rows, aggColumns(aq), stats), nil
-}
-
-// aggColumns is the deterministic column order of an aggregate fragment's
-// result rows: group-by columns, then aggregate output names.
-func aggColumns(aq AggregateQuery) []string {
-	cols := append([]string(nil), aq.GroupBy...)
-	for _, a := range aq.Aggs {
-		cols = append(cols, a.OutputName())
+	resp, err := broker.Execute(ctx, &olap.QueryRequest{Query: q, TrimExact: p.TrimExact, Tenant: p.Tenant})
+	if err != nil {
+		return nil, err
 	}
-	return cols
+	// The backend reports the top-K budget it actually applied (EXPLAIN's
+	// trim=server k=N line); no connector-side re-derivation.
+	stats.TrimK = resp.TrimK
+	stats.RowsReturned = int64(len(resp.Rows))
+	stats.Router = resp.Route.Router
+	stats.Exec = resp.Stats
+	return newRowsIterator(resp.Columns, resp.Rows, stats), nil
 }
 
-// Scan implements Connector (v2). It is a thin compatibility adapter that
-// drains OpenScan into the legacy slice shape; new callers should use
-// OpenScan and pull batches.
+// Scan implements Connector (v2) as a drain of OpenScan.
 func (p *PinotConnector) Scan(ctx context.Context, table string, pd Pushdown) ([]record.Record, QueryStats, error) {
 	it, err := p.OpenScan(ctx, table, pd)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return drainIterator(ctx, it)
+	return drainRecords(ctx, it, err)
+}
+
+// AggregateScan implements Connector (v2) as a drain of OpenAggregateScan.
+func (p *PinotConnector) AggregateScan(ctx context.Context, table string, aq AggregateQuery) ([]record.Record, QueryStats, error) {
+	it, err := p.OpenAggregateScan(ctx, table, aq)
+	return drainRecords(ctx, it, err)
 }
 
 // brokerIterator adapts an olap.QueryStream to the RowIterator contract.
@@ -364,17 +360,12 @@ type brokerIterator struct {
 	qs    *olap.QueryStream
 	stats QueryStats
 	batch Batch
-	done  bool
 }
 
 func (b *brokerIterator) Columns() []string { return b.qs.Columns() }
 
 func (b *brokerIterator) Next(ctx context.Context) (*Batch, error) {
 	rb, err := b.qs.Next(ctx)
-	if err == io.EOF {
-		b.finish()
-		return nil, io.EOF
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -390,95 +381,49 @@ func (b *brokerIterator) Next(ctx context.Context) (*Batch, error) {
 	return &b.batch, nil
 }
 
-// finish folds the backend's end-of-stream stats in (routing, execution
-// counters, applied trim budget).
-func (b *brokerIterator) finish() {
-	if b.done {
-		return
-	}
-	b.done = true
-	b.stats.Exec = b.qs.Stats()
-	b.stats.Router = b.qs.Route().Router
-	b.stats.TrimK = b.qs.TrimK()
+// Stats adds the backend's side — routing, execution counters, applied trim
+// budget — which the stream completes at end of stream or Close.
+func (b *brokerIterator) Stats() QueryStats {
+	st := b.stats
+	st.Exec = b.qs.Stats()
+	st.Router = b.qs.Route().Router
+	st.TrimK = b.qs.TrimK()
+	return st
 }
 
-func (b *brokerIterator) Stats() QueryStats { return b.stats }
+func (b *brokerIterator) Close() error { return b.qs.Close() }
 
-func (b *brokerIterator) Close() error {
-	err := b.qs.Close()
-	b.finish()
-	return err
-}
-
-// AggregateScan implements Connector by executing the whole aggregate
-// query in the OLAP layer: servers ship mergeable partial-aggregate states
-// to the broker, and only the finalized per-group rows cross the connector
-// boundary. (v2 surface; OpenAggregateScan wraps this same execution.)
-func (p *PinotConnector) AggregateScan(ctx context.Context, table string, aq AggregateQuery) ([]record.Record, QueryStats, error) {
-	if p.DisablePushdown {
-		return nil, QueryStats{}, ErrPushdownUnsupported
-	}
-	broker, ok := p.brokers[table]
-	if !ok {
-		return nil, QueryStats{}, fmt.Errorf("fedsql: pinot table %q not found", table)
-	}
-	q, stats, err := p.aggQuery(table, aq)
+// aggQuery translates an aggregate fragment into the OLAP query pushed into
+// the broker — shared by OpenAggregateScan and RegisterView, so a registered
+// view's shape is guaranteed to match the later pushed-down execution.
+func (p *PinotConnector) aggQuery(table string, aq AggregateQuery) (*olap.Query, QueryStats, error) {
+	q, stats, err := olapQuery(table, aq.Filters, aq.OrderBy, aq.Limit)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
-	return p.run(ctx, broker, q, stats)
+	q.GroupBy = aq.GroupBy
+	stats.PushedAggs = true
+	for _, a := range aq.Aggs {
+		q.Aggs = append(q.Aggs, olap.AggSpec{Kind: toOlapAgg(a.Func), Column: a.Column, As: a.OutputName()})
+	}
+	return q, stats, nil
 }
 
-// aggQuery translates an aggregate fragment into the OLAP query pushed into
-// the broker — shared by AggregateScan and RegisterView, so a registered
-// view's shape is guaranteed to match the later pushed-down execution.
-func (p *PinotConnector) aggQuery(table string, aq AggregateQuery) (*olap.Query, QueryStats, error) {
-	q := &olap.Query{Table: table, GroupBy: aq.GroupBy}
-	stats := QueryStats{PushedFilters: len(aq.Filters) > 0, PushedAggs: true}
-	for _, f := range aq.Filters {
+// olapQuery translates what both fragments share — filters, ORDER BY, LIMIT
+// — into an OLAP query, and marks in the stats what it pushed.
+func olapQuery(table string, filters []sqlparse.Predicate, orderBy []sqlparse.OrderItem, limit int) (*olap.Query, QueryStats, error) {
+	q := &olap.Query{Table: table, Limit: limit}
+	for _, f := range filters {
 		of, err := toOlapFilter(f)
 		if err != nil {
 			return nil, QueryStats{}, err
 		}
 		q.Filters = append(q.Filters, of)
 	}
-	for _, a := range aq.Aggs {
-		q.Aggs = append(q.Aggs, olap.AggSpec{Kind: toOlapAgg(a.Func), Column: a.Column, As: a.OutputName()})
-	}
-	for _, o := range aq.OrderBy {
+	for _, o := range orderBy {
 		q.OrderBy = append(q.OrderBy, olap.OrderSpec{Column: o.Column, Desc: o.Desc})
 	}
-	if aq.Limit > 0 {
-		q.Limit = aq.Limit
-		stats.PushedLimit = true
-	}
-	return q, stats, nil
-}
-
-// run executes an OLAP query through the typed v2 broker surface and
-// converts the response into connector rows + unified stats.
-func (p *PinotConnector) run(ctx context.Context, broker *olap.Broker, q *olap.Query, stats QueryStats) ([]record.Record, QueryStats, error) {
-	resp, err := broker.Execute(ctx, &olap.QueryRequest{Query: q, TrimExact: p.TrimExact, Tenant: p.Tenant})
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	// The backend reports the top-K budget it actually applied (EXPLAIN's
-	// trim=server k=N line); no connector-side re-derivation.
-	stats.TrimK = resp.TrimK
-	rows := make([]record.Record, len(resp.Rows))
-	for i, r := range resp.Rows {
-		rec := make(record.Record, len(resp.Columns))
-		for ci, c := range resp.Columns {
-			if r[ci] != nil {
-				rec[c] = r[ci]
-			}
-		}
-		rows[i] = rec
-	}
-	stats.RowsReturned = int64(len(rows))
-	stats.Router = resp.Route.Router
-	stats.Exec = resp.Stats
-	return rows, stats, nil
+	return q, QueryStats{PushedFilters: len(filters) > 0, PushedLimit: limit > 0}, nil
 }
 
 func toOlapFilter(f sqlparse.Predicate) (olap.Filter, error) {
@@ -578,25 +523,92 @@ func (a *ArchiveConnector) Capabilities() Capabilities {
 	}
 }
 
-// Scan implements Connector with a full table read.
-func (a *ArchiveConnector) Scan(ctx context.Context, table string, pd Pushdown) ([]record.Record, QueryStats, error) {
+// OpenScan implements StreamingConnector: one archive part is read and
+// decoded per pull, so a scan's resident state is one part, never the whole
+// table. pd carries at most a projection — the archive advertises nothing
+// else.
+func (a *ArchiveConnector) OpenScan(ctx context.Context, table string, pd Pushdown) (RowIterator, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, QueryStats{}, err
+		return nil, err
 	}
 	schema, ok := a.schemas[table]
 	if !ok {
-		return nil, QueryStats{}, fmt.Errorf("fedsql: archive table %q not found", table)
+		return nil, fmt.Errorf("fedsql: archive table %q not found", table)
 	}
 	reader := objstore.NewArchiveReader(a.store, table, schema)
-	rows, err := reader.ReadAll()
+	parts, err := reader.Parts()
 	if err != nil {
-		return nil, QueryStats{}, err
+		return nil, err
 	}
-	return rows, QueryStats{RowsReturned: int64(len(rows))}, nil
+	cols := pd.Columns
+	if len(cols) == 0 {
+		for _, f := range schema.Fields {
+			cols = append(cols, f.Name)
+		}
+	}
+	return &archiveIterator{reader: reader, parts: parts, stats: QueryStats{Streamed: true},
+		batch: Batch{Columns: cols, Cols: make([][]any, len(cols))}}, nil
 }
 
-// AggregateScan implements Connector: the archive cannot aggregate, so the
-// engine must pull rows and aggregate itself.
+// OpenAggregateScan implements StreamingConnector: the archive cannot
+// aggregate, so the engine must pull rows and aggregate itself.
+func (a *ArchiveConnector) OpenAggregateScan(ctx context.Context, table string, aq AggregateQuery) (RowIterator, error) {
+	return nil, ErrPushdownUnsupported
+}
+
+// archiveIterator streams an archived dataset part by part; each part is
+// one batch.
+type archiveIterator struct {
+	reader *objstore.ArchiveReader
+	parts  []string
+	stats  QueryStats
+	batch  Batch
+}
+
+func (it *archiveIterator) Columns() []string { return it.batch.Columns }
+
+func (it *archiveIterator) Next(ctx context.Context) (*Batch, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(it.parts) == 0 {
+		return nil, io.EOF
+	}
+	recs, err := it.reader.ReadPart(it.parts[0])
+	if err != nil {
+		return nil, err
+	}
+	it.parts = it.parts[1:]
+	for ci, c := range it.batch.Columns {
+		out := it.batch.Cols[ci][:0]
+		for _, r := range recs {
+			out = append(out, r[c])
+		}
+		it.batch.Cols[ci] = out
+	}
+	it.batch.Len = len(recs)
+	it.stats.RowsReturned += int64(len(recs))
+	it.stats.BatchesStreamed++
+	if bb := it.batch.Bytes(); bb > it.stats.PeakEngineBytes {
+		it.stats.PeakEngineBytes = bb
+	}
+	return &it.batch, nil
+}
+
+func (it *archiveIterator) Stats() QueryStats { return it.stats }
+
+func (it *archiveIterator) Close() error {
+	it.parts = nil
+	return nil
+}
+
+// Scan implements Connector (v2) as a drain of OpenScan.
+func (a *ArchiveConnector) Scan(ctx context.Context, table string, pd Pushdown) ([]record.Record, QueryStats, error) {
+	it, err := a.OpenScan(ctx, table, pd)
+	return drainRecords(ctx, it, err)
+}
+
+// AggregateScan implements Connector (v2); see OpenAggregateScan.
 func (a *ArchiveConnector) AggregateScan(ctx context.Context, table string, aq AggregateQuery) ([]record.Record, QueryStats, error) {
 	return nil, QueryStats{}, ErrPushdownUnsupported
 }

@@ -3,26 +3,32 @@
 // (joins, subqueries) across heterogeneous backends through a Connector API,
 // pushing as much of the plan as possible down to each backend.
 //
-// The Connector API v2 splits the scan surface: Scan pulls (projected,
-// filtered, ordered, limited) rows, and AggregateScan pushes a whole
-// aggregate query into the backend so only per-group aggregate rows cross
-// the connector boundary. Capabilities are declared explicitly per
-// fragment; an aggregate a connector cannot absorb falls back to row scan
-// plus engine-side hash aggregation, counted in
-// QueryStats.PushdownFallbacks (and logged via Engine.Logf when set).
+// Execution is one operator pipeline over batches. Every relation — a
+// connector scan, a pushed-down aggregate, a subquery's result, a join's
+// output — is a RowIterator, and one consumer drives it: residual filter,
+// then aggregate or project, then ORDER BY/LIMIT. Every column reference is
+// bound to a batch column index once per query, never looked up by name per
+// row. Connectors hand over iterators (StreamingConnector: OpenScan pulls
+// projected, filtered, ordered, limited rows; OpenAggregateScan pushes a
+// whole aggregate query into the backend so only per-group rows cross the
+// boundary). Capabilities are declared explicitly per fragment; an aggregate
+// a connector cannot absorb falls back to a row scan plus engine-side hash
+// aggregation, counted in QueryStats.PushdownFallbacks (and logged via
+// Engine.Log / Engine.Logf when set).
 //
 // The Pinot connector pushes predicates, projections, aggregations and
 // limits into the OLAP layer (§4.3.2, E11/E18) — with a pluggable routing
 // strategy (PinotConnector.Router) so partition-filtered federated queries
 // skip servers entirely — which is what makes sub-second federated queries
-// on fresh data possible; the archive connector reads the long-term store
-// and relies on engine-side processing, like Presto-over-Hive.
-// Result.Stats unifies connector-side and backend execution counters, and
-// Result.Plan records one pushdown/routing line per table scan (the
-// payload of sqlshell's EXPLAIN).
+// on fresh data possible; the archive connector streams the long-term store
+// one part at a time and relies on engine-side processing, like
+// Presto-over-Hive. Result.Stats unifies connector-side and backend
+// execution counters, and Result.Plan records one pushdown/routing line per
+// table scan (the payload of sqlshell's EXPLAIN).
 //
-// Concurrency and cancellation thread end-to-end: Engine.QueryCtx passes
-// its context through every Connector.Scan into the OLAP broker's parallel
-// scatter-gather, join sides execute concurrently, and a cancelled or
-// timed-out federated query stops segment scans inside the backend.
+// Concurrency and cancellation thread end-to-end: Engine.QueryCtx passes its
+// context into every scan and on into the OLAP broker's parallel
+// scatter-gather, a join's build side executes while its probe side opens,
+// and a cancelled, timed-out or early-closed (LIMIT met) federated query
+// stops segment scans inside the backend.
 package fedsql

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -49,40 +51,20 @@ func (r *Result) Records() []record.Record {
 // Engine is the federated query engine: it parses SQL, resolves tables
 // through registered connectors, plans pushdown per connector capabilities,
 // and executes the remainder (joins, subqueries, residual filters and
-// aggregations) in memory with a hash-join + hash-aggregation executor.
+// aggregations) as one pipeline of operators over batch iterators.
 type Engine struct {
 	connectors map[string]Connector
 	defaultCat string
-	// Logf, when set, receives one diagnostic line per pushdown fallback
-	// (an aggregate query a connector could not absorb). Fallbacks are
-	// counted in QueryStats.PushdownFallbacks regardless. Logf is the
-	// legacy compatibility sink: structured diagnostics flow through Log,
-	// and each event is also formatted onto Logf so existing consumers
-	// keep seeing one line per fallback.
+	// Logf, when set, receives one text line per pushdown fallback (an
+	// aggregate query a connector could not absorb). Fallbacks are counted
+	// in QueryStats.PushdownFallbacks regardless.
 	Logf func(format string, args ...any)
-	// Log, when set, receives structured events (level + key/value fields)
-	// for the same diagnostics Logf renders as text.
+	// Log, when set, receives the same diagnostic as a structured event.
 	Log *obs.Logger
 	// Tracer, when set, opens a fedsql.query root span per query; connector
 	// scans and the backend broker pipeline record child spans, and the
 	// finished tree is attached to Result.Trace.
 	Tracer *obs.Tracer
-}
-
-// event emits one structured diagnostic through the obs logger and renders
-// the same fact onto the legacy Logf sink.
-func (e *Engine) event(level obs.Level, msg string, legacy string, fields ...obs.Field) {
-	switch level {
-	case obs.LevelWarn:
-		e.Log.Warn(msg, fields...)
-	case obs.LevelError:
-		e.Log.Error(msg, fields...)
-	default:
-		e.Log.Info(msg, fields...)
-	}
-	if e.Logf != nil {
-		e.Logf("%s", legacy)
-	}
 }
 
 // NewEngine creates an engine. The first registered connector becomes the
@@ -125,7 +107,7 @@ func (e *Engine) Query(sql string) (*Result, error) {
 }
 
 // QueryCtx parses and executes one SELECT under a caller context. The
-// context flows through every connector Scan, so cancelling it aborts
+// context flows into every connector scan, so cancelling it aborts
 // backend-side work (e.g. the OLAP broker's parallel scatter-gather) too.
 func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 	stmt, err := sqlparse.Parse(sql)
@@ -155,74 +137,66 @@ func (e *Engine) QueryCtx(ctx context.Context, sql string) (*Result, error) {
 	return res, err
 }
 
-// relation is an intermediate result: named rows plus the predicates the
-// backend did not absorb. A relation with src != nil has not materialized
-// yet — the consumer pulls batches from the iterator (and must complete or
-// fail the scan, which closes the span and renders the plan line).
+// relation is an unconsumed intermediate result — a table scan, a
+// pushed-down aggregate, a subquery's result or a join's output: a batch
+// iterator plus what its consumer still has to apply to it. Whoever holds the
+// relation owns src.Close.
 type relation struct {
-	rows  []record.Record
-	cols  []string // known column order (may be empty for star)
-	stats QueryStats
-	// plan collects one EXPLAIN line per table scan beneath this relation.
-	plan []string
-	// residual predicates still to be applied by the engine.
+	src RowIterator
+	// star is what SELECT * expands to over this relation.
+	star []string
+	// residual predicates the backend did not absorb.
 	residual []sqlparse.Predicate
-	// aggregated marks that the connector already produced the final
-	// aggregate rows, so the engine skips its own aggregation step.
+	// aggregated marks that src already yields the final aggregate rows.
 	aggregated bool
 	// ordered marks that ORDER BY/LIMIT already applied in the backend.
 	ordered bool
-	// src is the unconsumed batch iterator of a streaming table scan; rows
-	// is empty until it is drained. The path that consumes it owns Close.
-	src RowIterator
-	// meta carries the deferred plan-line/span context of the src scan —
-	// rendered only at completeScan, when stats are finally known.
-	meta *scanMeta
+	// scan is the table scan src pulls from, still open: its stats, EXPLAIN
+	// line and span are complete only once src is drained (finish). Nil for
+	// a subquery.
+	scan *scanMeta
+	// stats and plan cover the work beneath the relation that has already
+	// finished: a subquery's, a join's build side.
+	stats QueryStats
+	plan  []string
 }
 
-// scanMeta is the deferred EXPLAIN/tracing context of one streaming scan.
+// scanMeta is the deferred EXPLAIN/tracing context of one open table scan.
 type scanMeta struct {
 	catalog, table, kind string
 	residual             int
 	span                 obs.Span
 	start                time.Time
-	// fallback marks an aggregate query that fell back to row scan +
-	// engine-side aggregation; counted once the scan completes.
-	fallback bool
 }
 
-// completeScan finalizes a streaming scan after its iterator was drained:
-// folds the iterator's end-of-stream stats into the relation, renders the
-// plan line, and ends the scan span.
-func (rel *relation) completeScan() {
-	if rel.meta == nil || rel.src == nil {
-		return
+// kindFallback is the scan kind of an aggregate query that fell back to row
+// scan + engine-side aggregation; finish counts it in PushdownFallbacks.
+const kindFallback = "row-scan+engine-agg"
+
+// finish ends the relation's open table scan after consume closed src — with
+// err when the query failed — and returns the stats and plan of everything
+// the relation covered.
+func (rel *relation) finish(err error) (QueryStats, []string) {
+	m := rel.scan
+	if m == nil {
+		return rel.stats, rel.plan
 	}
-	st := rel.src.Stats()
-	if rel.meta.fallback {
-		st.PushdownFallbacks++
+	if err != nil {
+		endScanSpan(m.span, 0, err)
+		return rel.stats, rel.plan
 	}
-	rel.stats = st
-	rel.plan = []string{planLine(rel.meta.catalog, rel.meta.table, rel.meta.kind, st, rel.meta.residual, time.Since(rel.meta.start))}
-	if rel.meta.span.Active() {
-		rel.meta.span.SetRows(st.RowsReturned)
-		rel.meta.span.End()
+	stats := rel.src.Stats()
+	if m.kind == kindFallback {
+		stats.PushdownFallbacks++
 	}
-	rel.meta = nil
+	line := planLine(m.catalog, m.table, m.kind, stats, m.residual, time.Since(m.start))
+	endScanSpan(m.span, stats.RowsReturned, nil)
+	stats.Merge(rel.stats)
+	return stats, append([]string{line}, rel.plan...)
 }
 
-// failScan ends a streaming scan's span with the error that aborted it.
-func (rel *relation) failScan(err error) {
-	if rel.meta == nil {
-		return
-	}
-	if rel.meta.span.Active() {
-		rel.meta.span.SetAttr("error", err.Error())
-		rel.meta.span.End()
-	}
-	rel.meta = nil
-}
-
+// execute runs one SELECT through the pipeline every query shape shares:
+// resolveRef yields the FROM clause as an iterator, consume drives it.
 func (e *Engine) execute(ctx context.Context, stmt *sqlparse.SelectStmt) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -233,95 +207,67 @@ func (e *Engine) execute(ctx context.Context, stmt *sqlparse.SelectStmt) (*Resul
 	if stmt.Window != nil {
 		return nil, fmt.Errorf("fedsql: window functions belong to the streaming SQL layer (flinksql)")
 	}
-	rel, err := e.resolveFrom(ctx, stmt)
+	rel, err := e.resolveRef(ctx, stmt.From, stmt)
 	if err != nil {
 		return nil, err
 	}
-	if rel.src != nil {
-		// Streaming table scan: consume batch-at-a-time instead of
-		// materializing the scan into records first.
-		return e.consumeSource(ctx, rel, stmt)
-	}
-	rows := rel.rows
-
-	// Residual filters (anything not pushed down was left in rel by
-	// resolveFrom via the returned residual list — here rel carries rows
-	// already filtered when pushdown happened).
-	if !rel.aggregated {
-		if len(rel.residual) > 0 {
-			rows = filterRows(rows, rel.residual)
-		}
-		if stmt.HasAggregates() {
-			rows, err = aggregateRows(rows, stmt)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	cols, err := outputColumns(stmt, rows, rel)
+	res, err := rel.consume(ctx, stmt)
+	stats, plan := rel.finish(err)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Columns: cols, Stats: rel.stats, Plan: rel.plan}
-	for _, r := range rows {
-		row := make([]any, len(cols))
-		for ci, c := range cols {
-			row[ci] = lookupColumn(r, c)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if !rel.ordered {
-		if err := orderAndLimit(res, stmt); err != nil {
-			return nil, err
-		}
-	}
+	res.Stats, res.Plan = stats, plan
 	return res, nil
 }
 
-// consumeSource executes a single-table query over a streaming scan: the
-// iterator's batches flow through residual filtering straight into either
-// the engine aggregator or the result rows, so the engine never holds the
-// scan as a []record.Record. Unordered LIMIT queries stop pulling (and
-// close the backend scan) as soon as the limit is met.
-func (e *Engine) consumeSource(ctx context.Context, rel *relation, stmt *sqlparse.SelectStmt) (*Result, error) {
-	it := rel.src
-	defer it.Close()
-	if stmt.HasAggregates() {
-		return e.consumeAggregate(ctx, rel, stmt)
+// consume drives the relation to a result: residual filter, then aggregate
+// or project, then ORDER BY/LIMIT. An engine-side aggregation is itself a
+// relation — its groups, laid out like a pushed-down aggregate's response —
+// so both kinds reach collect the same way.
+func (rel *relation) consume(ctx context.Context, stmt *sqlparse.SelectStmt) (*Result, error) {
+	defer rel.src.Close()
+	filter := bindPredicates(rel.residual, rel.src.Columns())
+	if !stmt.HasAggregates() || rel.aggregated {
+		return collect(ctx, rel.src, filter, rel.star, stmt, rel.ordered)
 	}
-	cols, err := outputColumns(stmt, nil, rel)
+	groups, err := aggregate(ctx, rel.src, filter, stmt)
 	if err != nil {
-		rel.failScan(err)
 		return nil, err
 	}
-	res := &Result{Columns: cols}
-	// Unordered LIMIT: any stmt.Limit rows are a correct answer, so stop
-	// pulling once collected — the backend scan is cancelled via Close.
-	earlyStop := !rel.ordered && len(stmt.OrderBy) == 0 && stmt.Limit > 0
-	var idx []int
+	defer groups.Close()
+	return collect(ctx, groups, nil, groups.Columns(), stmt, false)
+}
+
+// collect is the pipeline's tail and the one place iterator output becomes
+// result rows: it binds the projection to batch columns, copies out the rows
+// that pass filter, and applies ORDER BY/LIMIT unless the backend already
+// did. An unordered LIMIT stops pulling as soon as it is met — any
+// stmt.Limit rows are a correct answer — and the caller's Close then
+// cancels the backend scan.
+func collect(ctx context.Context, src RowIterator, filter []boundPredicate, star []string, stmt *sqlparse.SelectStmt, ordered bool) (*Result, error) {
+	names, refs, err := projection(stmt, star)
+	if err != nil {
+		return nil, err
+	}
+	idx := bindColumns(src.Columns(), refs)
+	res := &Result{Columns: names}
+	earlyStop := len(stmt.OrderBy) == 0 && stmt.Limit > 0
 scan:
 	for {
-		b, err := it.Next(ctx)
+		b, err := src.Next(ctx)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			rel.failScan(err)
 			return nil, err
 		}
-		if idx == nil {
-			idx = batchColumnIndexes(b.Columns, cols)
-		}
 		for r := 0; r < b.Len; r++ {
-			if len(rel.residual) > 0 && !recordSatisfies(b.Record(r), rel.residual) {
+			if !satisfies(b, r, filter) {
 				continue
 			}
-			row := make([]any, len(cols))
+			row := make([]any, len(idx))
 			for ci, bi := range idx {
-				if bi >= 0 {
-					row[ci] = b.Cols[bi][r]
-				}
+				row[ci] = cell(b, bi, r)
 			}
 			res.Rows = append(res.Rows, row)
 			if earlyStop && len(res.Rows) >= stmt.Limit {
@@ -329,10 +275,7 @@ scan:
 			}
 		}
 	}
-	rel.completeScan()
-	res.Stats = rel.stats
-	res.Plan = rel.plan
-	if !rel.ordered {
+	if !ordered {
 		if err := orderAndLimit(res, stmt); err != nil {
 			return nil, err
 		}
@@ -340,97 +283,55 @@ scan:
 	return res, nil
 }
 
-// consumeAggregate folds a streaming scan into the engine's hash
-// aggregator batch-at-a-time — the peak engine footprint is one batch plus
-// the group table, not the scanned rows (the E24 measurement).
-func (e *Engine) consumeAggregate(ctx context.Context, rel *relation, stmt *sqlparse.SelectStmt) (*Result, error) {
-	it := rel.src
-	// Output columns derive from the aggregate rows, not the scan.
-	rel.cols = nil
-	agg := newEngineAggregator(stmt)
-	for {
-		b, err := it.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rel.failScan(err)
-			return nil, err
-		}
-		for r := 0; r < b.Len; r++ {
-			rec := b.Record(r)
-			if len(rel.residual) > 0 && !recordSatisfies(rec, rel.residual) {
-				continue
-			}
-			if err := agg.add(rec); err != nil {
-				rel.failScan(err)
-				return nil, err
-			}
+// findColumn binds one column reference to its position in cols, -1 (always
+// NULL) when absent: the exact name first, else the first column with the
+// same bare name — so o.city finds a scan's city, and city finds a join's
+// o.city ahead of its c.city (the probe side's columns come first).
+func findColumn(cols []string, name string) int {
+	for i, c := range cols {
+		if c == name {
+			return i
 		}
 	}
-	rel.completeScan()
-	rows := agg.result()
-	cols, err := outputColumns(stmt, rows, rel)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Columns: cols, Stats: rel.stats, Plan: rel.plan}
-	for _, r := range rows {
-		row := make([]any, len(cols))
-		for ci, c := range cols {
-			row[ci] = lookupColumn(r, c)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if !rel.ordered {
-		if err := orderAndLimit(res, stmt); err != nil {
-			return nil, err
+	for i, c := range cols {
+		if bareName(c) == bareName(name) {
+			return i
 		}
 	}
-	return res, nil
+	return -1
 }
 
-// recordSatisfies applies every residual predicate to one record.
-func recordSatisfies(r record.Record, preds []sqlparse.Predicate) bool {
-	for _, p := range preds {
-		if !rowSatisfies(r, p) {
-			return false
-		}
-	}
-	return true
-}
-
-// batchColumnIndexes maps each output column to its batch column (-1 when
-// absent → NULL), with lookupColumn's qualified-name fallback semantics.
-func batchColumnIndexes(bcols, out []string) []int {
-	idx := make([]int, len(out))
-	for oi, col := range out {
-		idx[oi] = -1
-		for bi, bc := range bcols {
-			if bc == col {
-				idx[oi] = bi
-				break
-			}
-		}
-		if idx[oi] >= 0 {
-			continue
-		}
-		if _, c := sqlSplit(col); c != col {
-			for bi, bc := range bcols {
-				if bc == c {
-					idx[oi] = bi
-					break
-				}
-			}
-		}
+func bindColumns(cols, names []string) []int {
+	idx := make([]int, len(names))
+	for i, n := range names {
+		idx[i] = findColumn(cols, n)
 	}
 	return idx
 }
 
-// resolveFrom evaluates the FROM clause (table / subquery / join) and
-// returns rows plus any predicates the backend did not absorb.
-func (e *Engine) resolveFrom(ctx context.Context, stmt *sqlparse.SelectStmt) (*relation, error) {
-	return e.resolveRef(ctx, stmt.From, stmt)
+// boundPredicate is a WHERE conjunct bound to its batch column.
+type boundPredicate struct {
+	col int
+	sqlparse.Predicate
+}
+
+func bindPredicates(preds []sqlparse.Predicate, cols []string) []boundPredicate {
+	out := make([]boundPredicate, len(preds))
+	for i, p := range preds {
+		out[i] = boundPredicate{findColumn(cols, qualName(p.Table, p.Column)), p}
+	}
+	return out
+}
+
+// satisfies applies every bound predicate to batch row r; a NULL or missing
+// column satisfies none.
+func satisfies(b *Batch, r int, filter []boundPredicate) bool {
+	for _, p := range filter {
+		if v := cell(b, p.col, r); v == nil || !literalCompare(v, p.Predicate) {
+			return false
+		}
+	}
+	return true
 }
 
 func (e *Engine) resolveRef(ctx context.Context, ref *sqlparse.TableRef, stmt *sqlparse.SelectStmt) (*relation, error) {
@@ -442,20 +343,22 @@ func (e *Engine) resolveRef(ctx context.Context, ref *sqlparse.TableRef, stmt *s
 		if err != nil {
 			return nil, err
 		}
-		rel := &relation{rows: sub.Records(), cols: sub.Columns, stats: sub.Stats, plan: sub.Plan}
-		// Outer predicates apply in the engine.
-		rel.residual = predicatesFor(stmt.Where, ref.RefName(), true)
-		return rel, nil
+		return &relation{
+			src:  newRowsIterator(sub.Columns, sub.Rows, QueryStats{}),
+			star: sub.Columns, stats: sub.Stats, plan: sub.Plan,
+			// Outer predicates apply in the engine.
+			residual: predicatesFor(stmt.Where, ref.RefName(), true),
+		}, nil
 	default:
 		return e.scanTable(ctx, ref, stmt)
 	}
 }
 
 // scanTable plans pushdown for a single-table query: aggregate queries go
-// through AggregateScan when the connector declares the needed fragments,
-// falling back to row scan + engine-side aggregation otherwise (counted in
-// QueryStats.PushdownFallbacks); plain selections go through Scan with
-// filter/projection/order/limit pushdown per capability.
+// through OpenAggregateScan when the connector declares the needed
+// fragments, falling back to row scan + engine-side aggregation otherwise
+// (counted in QueryStats.PushdownFallbacks); plain selections go through
+// OpenScan with filter/projection/order/limit pushdown per capability.
 func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sqlparse.SelectStmt) (*relation, error) {
 	catalog := ref.Qualifier
 	if catalog == "" {
@@ -479,15 +382,14 @@ func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sq
 	} else {
 		residual = mine
 	}
-
-	isJoinless := stmt.From == ref
-	if isJoinless && stmt.HasAggregates() && stmt.Window == nil {
+	orderBy, limit, ordered := pushOrderLimit(stmt, caps, residual)
+	if stmt.HasAggregates() {
 		// Aggregate pushdown: the whole aggregate query executes inside the
 		// backend when the connector declares the needed fragments and
 		// every filter was absorbed — only per-group aggregate rows cross
 		// the connector boundary then, never raw rows.
 		if caps.Aggregations && len(residual) == 0 && (len(stmt.GroupBy) == 0 || caps.GroupBy) {
-			aq := AggregateQuery{Filters: pushFilters, GroupBy: stripQualifiers(stmt.GroupBy)}
+			aq := AggregateQuery{Filters: pushFilters, GroupBy: stripQualifiers(stmt.GroupBy), OrderBy: orderBy, Limit: limit}
 			for _, it := range stmt.Items {
 				if it.Func == sqlparse.FuncNone {
 					continue // plain group-by columns come back via GroupBy
@@ -496,32 +398,12 @@ func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sq
 				item.Table = ""
 				aq.Aggs = append(aq.Aggs, item)
 			}
-			if caps.OrderBy {
-				aq.OrderBy = append(aq.OrderBy, stmt.OrderBy...)
-			}
-			if caps.Limit && (len(stmt.OrderBy) == 0 || len(aq.OrderBy) > 0) {
-				aq.Limit = stmt.Limit
-			}
-			sp, sctx := scanSpan(ctx, catalog, ref.Name, "aggregate-scan")
-			scanStart := time.Now()
-			it, err := openAggregateScan(sctx, conn, ref.Name, aq)
-			var rows []record.Record
-			var stats QueryStats
+			rel, err := openRelation(ctx, catalog, ref.Name, "aggregate-scan", nil, func(ctx context.Context) (RowIterator, error) {
+				return openAggregateScan(ctx, conn, ref.Name, aq)
+			})
 			if err == nil {
-				// Aggregate results are per-group rows — small by
-				// construction — so the v3 iterator is drained eagerly.
-				rows, stats, err = drainIterator(sctx, it)
-			}
-			elapsed := time.Since(scanStart)
-			endScanSpan(sp, rows, err)
-			if err == nil {
-				return &relation{
-					rows:       rows,
-					stats:      stats,
-					plan:       []string{planLine(catalog, ref.Name, "aggregate-scan", stats, 0, elapsed)},
-					aggregated: true,
-					ordered:    aq.Limit > 0 || len(aq.OrderBy) > 0,
-				}, nil
+				rel.aggregated, rel.ordered = true, ordered
+				return rel, nil
 			}
 			if !errors.Is(err, ErrPushdownUnsupported) {
 				return nil, err
@@ -531,62 +413,59 @@ func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sq
 		}
 		// Fallback: stream rows (with whatever filter pushdown the backend
 		// offers) and aggregate in the engine, batch-at-a-time.
-		e.event(obs.LevelWarn, "pushdown fallback",
-			fmt.Sprintf("fedsql: aggregate pushdown fallback for %s.%s (connector capabilities %+v)", catalog, ref.Name, caps),
-			obs.F("catalog", catalog), obs.F("table", ref.Name),
+		e.Log.Warn("pushdown fallback", obs.F("catalog", catalog), obs.F("table", ref.Name),
 			obs.F("fragment", "aggregate"), obs.F("capabilities", fmt.Sprintf("%+v", caps)))
-		return e.openScanRelation(ctx, conn, catalog, ref.Name, "row-scan+engine-agg",
-			Pushdown{Filters: pushFilters}, residual, false, true)
-	}
-
-	// Projection pushdown for plain selections.
-	pd := Pushdown{Filters: pushFilters}
-	if !stmt.HasAggregates() && isJoinless {
-		pd.Columns = selectionColumns(stmt, ref.RefName(), residual)
-		if len(residual) == 0 {
-			if caps.OrderBy {
-				pd.OrderBy = append(pd.OrderBy, stmt.OrderBy...)
-			}
-			if caps.Limit && (len(stmt.OrderBy) == 0 || len(pd.OrderBy) > 0) {
-				pd.Limit = stmt.Limit
-			}
+		if e.Logf != nil {
+			e.Logf("fedsql: aggregate pushdown fallback for %s.%s (connector capabilities %+v)", catalog, ref.Name, caps)
 		}
+		return openRelation(ctx, catalog, ref.Name, kindFallback, residual, func(ctx context.Context) (RowIterator, error) {
+			return openScan(ctx, conn, ref.Name, Pushdown{Filters: pushFilters})
+		})
 	}
-	// ordered marks ORDER BY and LIMIT as fully applied in the backend, so
-	// the engine's own orderAndLimit pass can be skipped.
-	ordered := (len(stmt.OrderBy) == 0 || len(pd.OrderBy) > 0) &&
-		(stmt.Limit == 0 || pd.Limit > 0) &&
-		(len(pd.OrderBy) > 0 || pd.Limit > 0)
-	return e.openScanRelation(ctx, conn, catalog, ref.Name, "row-scan", pd, residual, ordered, false)
+	pd := Pushdown{Filters: pushFilters, OrderBy: orderBy, Limit: limit, Columns: selectionColumns(stmt, ref.RefName(), residual)}
+	rel, err := openRelation(ctx, catalog, ref.Name, "row-scan", residual, func(ctx context.Context) (RowIterator, error) {
+		return openScan(ctx, conn, ref.Name, pd)
+	})
+	if err == nil {
+		rel.ordered = ordered
+	}
+	return rel, err
 }
 
-// openScanRelation opens a v3 row-scan iterator and wraps it as an
-// unconsumed streaming relation. The plan line and span close when the
-// consumer drains the iterator (completeScan) — stats exist only then.
-func (e *Engine) openScanRelation(ctx context.Context, conn Connector, catalog, table, kind string, pd Pushdown, residual []sqlparse.Predicate, ordered, fallback bool) (*relation, error) {
+// pushOrderLimit decides which of the statement's ORDER BY and LIMIT the
+// backend applies — nothing while a residual filter remains, and no LIMIT
+// ahead of an ORDER BY the engine still has to apply — and reports whether
+// that is all of both, so the engine's own orderAndLimit pass can be skipped.
+func pushOrderLimit(stmt *sqlparse.SelectStmt, caps Capabilities, residual []sqlparse.Predicate) (orderBy []sqlparse.OrderItem, limit int, ordered bool) {
+	if len(residual) > 0 {
+		return nil, 0, false
+	}
+	if caps.OrderBy {
+		orderBy = stmt.OrderBy
+	}
+	if caps.Limit && len(orderBy) == len(stmt.OrderBy) {
+		limit = stmt.Limit
+	}
+	ordered = len(orderBy) == len(stmt.OrderBy) && limit == stmt.Limit && (len(orderBy) > 0 || limit > 0)
+	return orderBy, limit, ordered
+}
+
+// openRelation opens one table scan under its span and wraps the iterator as
+// an unconsumed relation. The plan line and span close when the consumer has
+// drained it (finish) — stats exist only then. SELECT * expands to the sorted
+// iterator columns: a connector's column order is its own business.
+func openRelation(ctx context.Context, catalog, table, kind string, residual []sqlparse.Predicate, open func(context.Context) (RowIterator, error)) (*relation, error) {
 	sp, sctx := scanSpan(ctx, catalog, table, kind)
 	start := time.Now()
-	it, err := openScan(sctx, conn, table, pd)
+	it, err := open(sctx)
 	if err != nil {
-		endScanSpan(sp, nil, err)
+		endScanSpan(sp, 0, err)
 		return nil, err
 	}
-	rel := &relation{
-		src:      it,
-		residual: residual,
-		ordered:  ordered,
-		meta: &scanMeta{
-			catalog: catalog, table: table, kind: kind,
-			residual: len(residual), span: sp, start: start, fallback: fallback,
-		},
-	}
-	// Star projections need a column order before rows exist: the sorted
-	// iterator columns — identical to the legacy sorted-record-keys order
-	// for any column with at least one non-NULL value.
-	cols := append([]string(nil), it.Columns()...)
-	sort.Strings(cols)
-	rel.cols = cols
-	return rel, nil
+	star := append([]string(nil), it.Columns()...)
+	sort.Strings(star)
+	return &relation{src: it, star: star, residual: residual,
+		scan: &scanMeta{catalog: catalog, table: table, kind: kind, residual: len(residual), span: sp, start: start}}, nil
 }
 
 // scanSpan opens the scan child span for one connector call (no-op without
@@ -601,14 +480,14 @@ func scanSpan(ctx context.Context, catalog, table, kind string) (obs.Span, conte
 	return sp, sctx
 }
 
-func endScanSpan(sp obs.Span, rows []record.Record, err error) {
+func endScanSpan(sp obs.Span, rows int64, err error) {
 	if !sp.Active() {
 		return
 	}
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	} else {
-		sp.SetRows(int64(len(rows)))
+		sp.SetRows(rows)
 	}
 	sp.End()
 }
@@ -633,10 +512,9 @@ func planLine(catalog, table, kind string, st QueryStats, residual int, elapsed 
 	} else {
 		b.WriteString(" pushdown=none")
 	}
-	// Execution transport across the connector boundary: a pull-based batch
-	// stream (Connector v3 OpenScan) or one materialized slice.
+	// Whether rows reached the engine as the backend produced them.
 	if st.Streamed {
-		fmt.Fprintf(&b, " exec=streaming batch=%d", BatchRows)
+		fmt.Fprintf(&b, " exec=streaming batches=%d", st.BatchesStreamed)
 	} else {
 		b.WriteString(" exec=materialized")
 	}
@@ -689,131 +567,149 @@ func planLine(catalog, table, kind string, st QueryStats, residual int, elapsed 
 	return b.String()
 }
 
-// resolveJoin hash-joins the two sides: the right side is the build side
-// (materialized into the hash table, concurrently with opening the left
-// side so both backends' scatter-gathers overlap), and the left side is
-// the probe side, consumed batch-at-a-time when its scan streams — probe
-// rows flow through the join as they arrive and are never held as a
-// materialized input slice.
+// resolveJoin opens a hash join as a relation. The right side is the build
+// side: its statement executes to completion into the hash table,
+// concurrently with opening the left side so both backends' scatter-gathers
+// overlap. The left side is the probe side and stays an iterator — its rows
+// flow through joinIterator as the consumer pulls and are never held as a
+// joined slice.
 func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sqlparse.SelectStmt) (*relation, error) {
-	leftStmt := &sqlparse.SelectStmt{
-		Items: []sqlparse.SelectItem{{Star: true}},
-		From:  j.Left,
-		Where: predicatesFor(stmt.Where, j.Left.RefName(), false),
-	}
-	rightStmt := &sqlparse.SelectStmt{
-		Items: []sqlparse.SelectItem{{Star: true}},
-		From:  j.Right,
-		Where: predicatesFor(stmt.Where, j.Right.RefName(), false),
+	sideStmt := func(ref *sqlparse.TableRef) *sqlparse.SelectStmt {
+		return &sqlparse.SelectStmt{
+			Items: []sqlparse.SelectItem{{Star: true}},
+			From:  ref,
+			Where: predicatesFor(stmt.Where, ref.RefName(), false),
+		}
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	var (
 		wg       sync.WaitGroup
-		buildRes *Result
+		build    *Result
 		buildErr error
 	)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		buildRes, buildErr = e.execute(ctx, rightStmt)
+		build, buildErr = e.execute(ctx, sideStmt(j.Right))
 		if buildErr != nil {
 			cancel() // abort the probe side
 		}
 	}()
 	// Opening the probe side starts its backend scan immediately; batches
 	// buffer in the stream while the build side materializes.
-	probeRel, probeErr := e.resolveRef(ctx, j.Left, leftStmt)
+	probe, probeErr := e.resolveRef(ctx, j.Left, sideStmt(j.Left))
 	if probeErr != nil {
 		cancel()
 	}
 	wg.Wait()
-	if probeErr == nil && probeRel.src != nil {
-		defer probeRel.src.Close()
-	}
 	// Prefer the side that actually failed: the other side usually reports
 	// context.Canceled only because our cancel() aborted it.
-	if buildErr != nil && !errors.Is(buildErr, context.Canceled) {
+	err := buildErr
+	if err == nil || (probeErr != nil && errors.Is(err, context.Canceled)) {
+		err = probeErr
+	}
+	if err != nil {
+		cancel()
 		if probeErr == nil {
-			probeRel.failScan(buildErr)
+			probe.src.Close()
+			probe.finish(err)
 		}
-		return nil, buildErr
+		return nil, err
 	}
-	if probeErr != nil && !errors.Is(probeErr, context.Canceled) {
-		return nil, probeErr
+
+	it := &joinIterator{
+		probe:     probe.src,
+		cancel:    cancel,
+		filter:    bindPredicates(probe.residual, probe.src.Columns()),
+		probeKey:  findColumn(probe.src.Columns(), j.LeftCol),
+		buildRows: make(map[string][][]any, len(build.Rows)),
 	}
-	if buildErr != nil {
-		return nil, buildErr
+	buildKey := findColumn(build.Columns, j.RightCol)
+	var key []byte
+	for _, row := range build.Rows {
+		if buildKey >= 0 && row[buildKey] != nil { // a NULL key joins nothing
+			key = appendValueKey(key[:0], row[buildKey])
+			it.buildRows[string(key)] = append(it.buildRows[string(key)], row)
+		}
 	}
-	if probeErr != nil {
-		return nil, probeErr
+	// Output columns are alias.column for both sides, probe side first (a
+	// side that is itself a join is qualified already); SELECT * is the
+	// sorted union of their bare names.
+	for _, c := range probe.src.Columns() {
+		it.batch.Columns = append(it.batch.Columns, qualName(j.Left.RefName(), c))
 	}
-	_, probeKey := sqlSplit(j.LeftCol)
-	_, buildKey := sqlSplit(j.RightCol)
-	probeName, buildName := j.Left.RefName(), j.Right.RefName()
-	build := buildRes.Records()
-	ht := make(map[string][]record.Record, len(build))
-	for _, r := range build {
-		k := fmt.Sprintf("%v", r[buildKey])
-		ht[k] = append(ht[k], r)
+	for _, c := range build.Columns {
+		it.batch.Columns = append(it.batch.Columns, qualName(j.Right.RefName(), c))
 	}
-	var joined []record.Record
-	probeRow := func(pr record.Record) {
-		k := fmt.Sprintf("%v", pr[probeKey])
-		for _, br := range ht[k] {
-			out := make(record.Record, len(pr)+len(br))
-			for c, v := range pr {
-				out[c] = v
-				out[probeName+"."+c] = v
+	it.batch.Cols = make([][]any, len(it.batch.Columns))
+	star := stripQualifiers(it.batch.Columns)
+	sort.Strings(star)
+	star = slices.Compact(star)
+
+	stats := probe.stats
+	stats.Merge(build.Stats)
+	return &relation{src: it, star: star, scan: probe.scan, stats: stats,
+		plan: append(append([]string(nil), probe.plan...), build.Plan...),
+		// Predicates with no side qualifier run after the join.
+		residual: predicatesFor(stmt.Where, "", false)}, nil
+}
+
+// joinIterator is the hash-join operator: each probe batch becomes one
+// output batch holding, for every probe row that passes the probe side's
+// residual filter, one row per build row with an equal key. Keys are equal
+// under appendValueKey — numerics by value, strings by content, never across
+// the two — and a NULL key equals nothing. SELECT * over the join and bare
+// column references resolve through findColumn: the probe side wins a clash.
+type joinIterator struct {
+	probe     RowIterator
+	cancel    context.CancelFunc // releases the join's context; see Close
+	filter    []boundPredicate
+	probeKey  int
+	buildRows map[string][][]any // build-side rows by key
+	key       []byte
+	batch     Batch
+}
+
+func (j *joinIterator) Columns() []string { return j.batch.Columns }
+
+func (j *joinIterator) Next(ctx context.Context) (*Batch, error) {
+	for {
+		b, err := j.probe.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		for ci := range j.batch.Cols {
+			j.batch.Cols[ci] = j.batch.Cols[ci][:0]
+		}
+		j.batch.Len = 0
+		for r := 0; r < b.Len; r++ {
+			k := cell(b, j.probeKey, r)
+			if k == nil || !satisfies(b, r, j.filter) {
+				continue
 			}
-			for c, v := range br {
-				if _, clash := out[c]; !clash {
-					out[c] = v
+			j.key = appendValueKey(j.key[:0], k)
+			for _, row := range j.buildRows[string(j.key)] {
+				for ci := range b.Cols {
+					j.batch.Cols[ci] = append(j.batch.Cols[ci], b.Cols[ci][r])
 				}
-				out[buildName+"."+c] = v
-			}
-			joined = append(joined, out)
-		}
-	}
-	if probeRel.src != nil {
-		for {
-			b, err := probeRel.src.Next(ctx)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				probeRel.failScan(err)
-				return nil, err
-			}
-			for r := 0; r < b.Len; r++ {
-				rec := b.Record(r)
-				if len(probeRel.residual) > 0 && !recordSatisfies(rec, probeRel.residual) {
-					continue
+				for ci, v := range row {
+					j.batch.Cols[len(b.Cols)+ci] = append(j.batch.Cols[len(b.Cols)+ci], v)
 				}
-				probeRow(rec)
+				j.batch.Len++
 			}
 		}
-		probeRel.completeScan()
-	} else {
-		rows := probeRel.rows
-		if len(probeRel.residual) > 0 {
-			rows = filterRows(rows, probeRel.residual)
-		}
-		for _, pr := range rows {
-			probeRow(pr)
+		if j.batch.Len > 0 {
+			return &j.batch, nil
 		}
 	}
-	stats := probeRel.stats
-	stats.Merge(buildRes.Stats)
-	plan := append(append([]string(nil), probeRel.plan...), buildRes.Plan...)
-	// Residual: predicates with no side qualifier (must run post-join).
-	var residual []sqlparse.Predicate
-	for _, p := range stmt.Where {
-		if p.Table == "" {
-			residual = append(residual, p)
-		}
-	}
-	return &relation{rows: joined, stats: stats, plan: plan, residual: residual}, nil
+}
+
+func (j *joinIterator) Stats() QueryStats { return j.probe.Stats() }
+
+func (j *joinIterator) Close() error {
+	err := j.probe.Close()
+	j.cancel()
+	return err
 }
 
 // predicatesFor selects WHERE conjuncts for a table ref. includeUnqualified
@@ -831,17 +727,13 @@ func predicatesFor(where []sqlparse.Predicate, refName string, includeUnqualifie
 func stripQualifiers(cols []string) []string {
 	out := make([]string, len(cols))
 	for i, c := range cols {
-		_, out[i] = sqlSplit(c)
+		out[i] = bareName(c)
 	}
 	return out
 }
 
-func sqlSplit(col string) (table, column string) {
-	if i := strings.IndexByte(col, '.'); i >= 0 {
-		return col[:i], col[i+1:]
-	}
-	return "", col
-}
+// bareName strips a column reference's qualifiers: o.city → city.
+func bareName(col string) string { return col[strings.LastIndexByte(col, '.')+1:] }
 
 // selectionColumns lists projected column names for pushdown (nil for *).
 func selectionColumns(stmt *sqlparse.SelectStmt, refName string, residual []sqlparse.Predicate) []string {
@@ -861,8 +753,7 @@ func selectionColumns(stmt *sqlparse.SelectStmt, refName string, residual []sqlp
 		need[c] = true
 	}
 	for _, o := range stmt.OrderBy {
-		_, c := sqlSplit(o.Column)
-		if !need[c] {
+		if !need[bareName(o.Column)] {
 			return nil
 		}
 	}
@@ -872,38 +763,6 @@ func selectionColumns(stmt *sqlparse.SelectStmt, refName string, residual []sqlp
 		}
 	}
 	return cols
-}
-
-// filterRows applies residual predicates in the engine.
-func filterRows(rows []record.Record, preds []sqlparse.Predicate) []record.Record {
-	var out []record.Record
-	for _, r := range rows {
-		ok := true
-		for _, p := range preds {
-			if !rowSatisfies(r, p) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func rowSatisfies(r record.Record, p sqlparse.Predicate) bool {
-	key := p.Column
-	if p.Table != "" {
-		if v, ok := r[p.Table+"."+p.Column]; ok {
-			return literalCompare(v, p)
-		}
-	}
-	v, ok := r[key]
-	if !ok || v == nil {
-		return false
-	}
-	return literalCompare(v, p)
 }
 
 // literalCompare evaluates one predicate against a row value using the
@@ -932,153 +791,165 @@ func literalCompare(v any, p sqlparse.Predicate) bool {
 				return true
 			}
 		}
-		return false
 	}
 	return false
 }
 
-// engineAggregator is the engine-side hash aggregation, fed one record at
-// a time so streaming scans fold into it batch-by-batch without ever
-// materializing their input. aggregateRows wraps it for materialized
-// inputs — one implementation, so both paths are identical by
-// construction.
-type engineAggregator struct {
-	stmt    *sqlparse.SelectStmt
-	groupBy []string
-	groups  map[string]*engineAggGroup
-	order   []string
-}
-
-type engineAggState struct {
-	count int64
-	sum   float64
-	min   float64
-	max   float64
-	seen  bool
-}
-
-type engineAggGroup struct {
-	values map[string]any
-	aggs   []engineAggState
-}
-
-func newEngineAggregator(stmt *sqlparse.SelectStmt) *engineAggregator {
-	return &engineAggregator{
-		stmt:    stmt,
-		groupBy: stripQualifiers(stmt.GroupBy),
-		groups:  make(map[string]*engineAggGroup),
+// appendValueKey appends v's hash-key encoding — the one the OLAP layer
+// groups by (olap.groupValueKey), so engine-side and pushed-down grouping
+// agree: a NULL marker, numerics canonicalized through float64 (int64(3)
+// equals float64(3)), anything else quoted so an embedded separator cannot
+// alias two tuples and a string never equals a number.
+func appendValueKey(key []byte, v any) []byte {
+	switch f, ok := record.ToFloat64(v); {
+	case v == nil:
+		return append(key, "~|"...)
+	case ok:
+		return append(strconv.AppendFloat(append(key, 'n'), f, 'g', -1, 64), '|')
+	default:
+		s, isStr := v.(string)
+		if !isStr {
+			s = fmt.Sprintf("%v", v)
+		}
+		return append(strconv.AppendQuote(append(key, 's'), s), '|')
 	}
 }
 
-// add folds one input record into its group's accumulators.
-func (a *engineAggregator) add(r record.Record) error {
-	var kb strings.Builder
-	for _, g := range a.stmt.GroupBy {
-		fmt.Fprintf(&kb, "%v|", lookupColumn(r, g))
-	}
-	k := kb.String()
-	g, ok := a.groups[k]
-	if !ok {
-		g = &engineAggGroup{values: map[string]any{}, aggs: make([]engineAggState, len(a.stmt.Items))}
-		for i, gc := range a.stmt.GroupBy {
-			g.values[a.groupBy[i]] = lookupColumn(r, gc)
-		}
-		a.groups[k] = g
-		a.order = append(a.order, k)
-	}
-	for i, it := range a.stmt.Items {
-		if it.Func == sqlparse.FuncNone {
-			continue
-		}
-		st := &g.aggs[i]
-		if it.Func == sqlparse.FuncCount && it.Column == "" {
-			st.count++
-			continue
-		}
-		v := lookupColumn(r, qualName(it.Table, it.Column))
-		if v == nil {
-			continue
-		}
-		if it.Func == sqlparse.FuncCount {
-			st.count++
-			continue
-		}
-		f, ok := record.ToFloat64(v)
-		if !ok {
-			// Match the OLAP layer's validation: SUM/AVG/MIN/MAX over
-			// non-numeric values are rejected, never coerced to 0, so
-			// the engine-side fallback stays equivalent to pushdown.
-			return fmt.Errorf("fedsql: %s over non-numeric value %T is not supported; use COUNT", it.OutputName(), v)
-		}
-		st.count++
-		st.sum += f
-		if !st.seen || f < st.min {
-			st.min = f
-		}
-		if !st.seen || f > st.max {
-			st.max = f
-		}
-		st.seen = true
-	}
-	return nil
+// aggState accumulates one aggregate of one group; count is the number of
+// non-NULL inputs (of rows, for COUNT(*)).
+type aggState struct {
+	count    int64
+	sum      float64
+	min, max float64
 }
 
-// result finalizes the groups into output records, key-sorted.
-func (a *engineAggregator) result() []record.Record {
-	if len(a.groups) == 0 && len(a.stmt.GroupBy) == 0 {
-		a.groups[""] = &engineAggGroup{values: map[string]any{}, aggs: make([]engineAggState, len(a.stmt.Items))}
-		a.order = append(a.order, "")
+// final is the aggregate's value. SQL NULL semantics, matching the OLAP
+// layer's aggValue: MIN/MAX/AVG over zero non-null values are NULL, so the
+// engine-side fallback stays equivalent to pushdown.
+func (st aggState) final(f sqlparse.FuncKind) any {
+	switch {
+	case f == sqlparse.FuncCount:
+		return st.count
+	case f == sqlparse.FuncSum:
+		return st.sum
+	case st.count == 0:
+		return nil
+	case f == sqlparse.FuncMin:
+		return st.min
+	case f == sqlparse.FuncMax:
+		return st.max
+	default:
+		return st.sum / float64(st.count)
 	}
-	sort.Strings(a.order)
-	var out []record.Record
-	for _, k := range a.order {
-		g := a.groups[k]
-		rec := make(record.Record, len(a.stmt.Items))
-		for c, v := range g.values {
-			rec[c] = v
-		}
-		for i, it := range a.stmt.Items {
-			if it.Func == sqlparse.FuncNone {
-				continue
-			}
-			st := g.aggs[i]
-			// SQL NULL semantics, matching the OLAP layer's aggValue:
-			// MIN/MAX/AVG over zero non-null values are NULL, so the
-			// engine-side fallback stays equivalent to pushdown.
-			switch it.Func {
-			case sqlparse.FuncCount:
-				rec[it.OutputName()] = st.count
-			case sqlparse.FuncSum:
-				rec[it.OutputName()] = st.sum
-			case sqlparse.FuncMin:
-				if st.seen {
-					rec[it.OutputName()] = st.min
-				}
-			case sqlparse.FuncMax:
-				if st.seen {
-					rec[it.OutputName()] = st.max
-				}
-			case sqlparse.FuncAvg:
-				if st.count > 0 {
-					rec[it.OutputName()] = st.sum / float64(st.count)
-				}
-			}
-		}
-		out = append(out, rec)
-	}
-	return out
 }
 
-// aggregateRows runs engine-side hash aggregation over a materialized
-// input (joins, subqueries).
-func aggregateRows(rows []record.Record, stmt *sqlparse.SelectStmt) ([]record.Record, error) {
-	a := newEngineAggregator(stmt)
-	for _, r := range rows {
-		if err := a.add(r); err != nil {
+type aggGroup struct {
+	key    string
+	values []any
+	states []aggState
+}
+
+// aggregate is the engine-side hash aggregation: it folds the rows of src
+// that pass filter into one accumulator set per group, batch by batch — the
+// peak engine footprint is one batch plus the group table, not the input —
+// and returns the groups as an in-memory relation laid out like a pushed-down
+// aggregate's response: the GROUP BY columns, then one column per aggregate
+// named by OutputName, rows in group-key order.
+func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, stmt *sqlparse.SelectStmt) (RowIterator, error) {
+	var aggs []sqlparse.SelectItem
+	var inputs []string
+	for _, it := range stmt.Items {
+		if it.Func != sqlparse.FuncNone {
+			aggs = append(aggs, it)
+			inputs = append(inputs, qualName(it.Table, it.Column))
+		}
+	}
+	groupIdx := bindColumns(src.Columns(), stmt.GroupBy)
+	inputIdx := bindColumns(src.Columns(), inputs)
+	groups := map[string]*aggGroup{}
+	var key []byte
+	for {
+		b, err := src.Next(ctx)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
 			return nil, err
 		}
+		for r := 0; r < b.Len; r++ {
+			if !satisfies(b, r, filter) {
+				continue
+			}
+			key = key[:0]
+			for _, gi := range groupIdx {
+				key = appendValueKey(key, cell(b, gi, r))
+			}
+			g, ok := groups[string(key)]
+			if !ok {
+				g = &aggGroup{key: string(key), values: make([]any, len(groupIdx)), states: make([]aggState, len(aggs))}
+				for i, gi := range groupIdx {
+					g.values[i] = cell(b, gi, r)
+				}
+				groups[g.key] = g
+			}
+			for i, it := range aggs {
+				st := &g.states[i]
+				v := cell(b, inputIdx[i], r)
+				if it.Func == sqlparse.FuncCount {
+					if v != nil || it.Column == "" { // COUNT(col), COUNT(*)
+						st.count++
+					}
+					continue
+				}
+				if v == nil {
+					continue
+				}
+				f, ok := record.ToFloat64(v)
+				if !ok {
+					// Match the OLAP layer's validation: SUM/AVG/MIN/MAX over
+					// non-numeric values are rejected, never coerced to 0, so
+					// the engine-side fallback stays equivalent to pushdown.
+					return nil, fmt.Errorf("fedsql: %s over non-numeric value %T is not supported; use COUNT", it.OutputName(), v)
+				}
+				if st.count == 0 || f < st.min {
+					st.min = f
+				}
+				if st.count == 0 || f > st.max {
+					st.max = f
+				}
+				st.count++
+				st.sum += f
+			}
+		}
 	}
-	return a.result(), nil
+	if len(groups) == 0 && len(stmt.GroupBy) == 0 {
+		groups[""] = &aggGroup{states: make([]aggState, len(aggs))}
+	}
+	sorted := make([]*aggGroup, 0, len(groups))
+	for _, g := range groups {
+		sorted = append(sorted, g)
+	}
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a].key < sorted[b].key })
+	cols := append([]string(nil), stmt.GroupBy...)
+	for _, it := range aggs {
+		cols = append(cols, it.OutputName())
+	}
+	rows := make([][]any, len(sorted))
+	for ri, g := range sorted {
+		rows[ri] = g.values
+		for i, it := range aggs {
+			rows[ri] = append(rows[ri], g.states[i].final(it.Func))
+		}
+	}
+	return newRowsIterator(cols, rows, QueryStats{}), nil
+}
+
+// cell is batch column col at row r; an unbound column (-1) is NULL.
+func cell(b *Batch, col, r int) any {
+	if col < 0 {
+		return nil
+	}
+	return b.Cols[col][r]
 }
 
 func qualName(table, column string) string {
@@ -1088,61 +959,33 @@ func qualName(table, column string) string {
 	return column
 }
 
-// lookupColumn resolves a possibly-qualified column in a row.
-func lookupColumn(r record.Record, col string) any {
-	if v, ok := r[col]; ok {
-		return v
-	}
-	// Qualified name requested but row has unqualified (or vice versa).
-	if t, c := sqlSplit(col); t != "" {
-		if v, ok := r[c]; ok {
-			return v
-		}
-	}
-	return nil
-}
-
-// outputColumns derives the result column list.
-func outputColumns(stmt *sqlparse.SelectStmt, rows []record.Record, rel *relation) ([]string, error) {
-	var cols []string
+// projection derives the result's column names and, beside each, the source
+// column it is read from: a plain item reads its (qualified) column under
+// its alias, an aggregate item reads the column the aggregation — pushed
+// down or engine-side — named by OutputName, and * reads star.
+func projection(stmt *sqlparse.SelectStmt, star []string) (names, refs []string, err error) {
 	for _, it := range stmt.Items {
-		if it.Star {
-			if len(rel.cols) > 0 {
-				cols = append(cols, rel.cols...)
-				continue
-			}
-			// Derive from row keys (sorted, unqualified only).
-			seen := map[string]bool{}
-			for _, r := range rows {
-				for k := range r {
-					if !strings.Contains(k, ".") && !seen[k] {
-						seen[k] = true
-					}
-				}
-			}
-			var names []string
-			for k := range seen {
-				names = append(names, k)
-			}
-			sort.Strings(names)
-			cols = append(cols, names...)
-			continue
-		}
-		if it.Func != sqlparse.FuncNone || it.Table == "" {
-			cols = append(cols, it.OutputName())
-		} else {
-			// Qualified plain column: output name is column (or alias).
+		switch {
+		case it.Star:
+			names = append(names, star...)
+			refs = append(refs, star...)
+		case it.Func != sqlparse.FuncNone:
+			names = append(names, it.OutputName())
+			refs = append(refs, it.OutputName())
+		default:
+			ref := qualName(it.Table, it.Column)
 			if it.Alias != "" {
-				cols = append(cols, it.Alias)
+				names = append(names, it.Alias)
 			} else {
-				cols = append(cols, it.Table+"."+it.Column)
+				names = append(names, ref)
 			}
+			refs = append(refs, ref)
 		}
 	}
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("fedsql: empty projection")
+	if len(names) == 0 {
+		return nil, nil, fmt.Errorf("fedsql: empty projection")
 	}
-	return cols, nil
+	return names, refs, nil
 }
 
 // orderAndLimit applies ORDER BY / LIMIT on the final result.
@@ -1150,29 +993,15 @@ func orderAndLimit(res *Result, stmt *sqlparse.SelectStmt) error {
 	if len(stmt.OrderBy) > 0 {
 		idx := make([]int, len(stmt.OrderBy))
 		for i, o := range stmt.OrderBy {
-			_, want := sqlSplit(o.Column)
-			idx[i] = -1
-			for ci, c := range res.Columns {
-				_, cc := sqlSplit(c)
-				if c == o.Column || cc == want {
-					idx[i] = ci
-					break
-				}
-			}
-			if idx[i] < 0 {
+			if idx[i] = findColumn(res.Columns, o.Column); idx[i] < 0 {
 				return fmt.Errorf("fedsql: ORDER BY column %q not in projection", o.Column)
 			}
 		}
 		sort.SliceStable(res.Rows, func(a, b int) bool {
 			for i, o := range stmt.OrderBy {
-				cmp := record.Compare(res.Rows[a][idx[i]], res.Rows[b][idx[i]])
-				if cmp == 0 {
-					continue
+				if cmp := record.Compare(res.Rows[a][idx[i]], res.Rows[b][idx[i]]); cmp != 0 {
+					return (cmp < 0) != o.Desc
 				}
-				if o.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
 			}
 			return false
 		})

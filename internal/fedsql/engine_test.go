@@ -49,6 +49,14 @@ func orderRows(n int) []record.Record {
 	return rows
 }
 
+// setupNaiveDB is setupEngine's data as the reference evaluator sees it.
+func setupNaiveDB(n int) naiveDB {
+	return naiveDB{
+		"pinot.orders": {cols: []string{"order_id", "city", "amount", "ts"}, rows: orderRows(n)},
+		"hive.orders":  {cols: []string{"order_id", "city", "amount", "ts"}, rows: orderRows(n)},
+	}
+}
+
 // setupEngine builds: pinot.orders (OLAP deployment), hive.orders (archive),
 // hive.cities (dimension table).
 func setupEngine(t *testing.T, n int) (*Engine, *PinotConnector) {
@@ -222,6 +230,58 @@ func TestJoinWithSidePredicates(t *testing.T) {
 	}
 	if len(res.Rows) != 30 {
 		t.Fatalf("rows = %d, want 30 sf orders", len(res.Rows))
+	}
+}
+
+// TestGroupKeyUnambiguous: engine-side grouping must keep apart tuples that
+// a separator-joined key confuses — ('x|y','z') and ('x','y|z'), NULL and
+// the string '<nil>'.
+func TestGroupKeyUnambiguous(t *testing.T) {
+	store := objstore.NewMemStore()
+	hive := NewArchiveConnector("hive", store)
+	archiveTable(t, hive, store, pipesSchema(), pipeParts...)
+	e := NewEngine()
+	e.Register(hive)
+	res, err := e.Query("SELECT a, b, COUNT(*) AS n FROM hive.pipes GROUP BY a, b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int64{}
+	for _, row := range res.Rows {
+		got[fmt.Sprintf("%#v,%#v", row[0], row[1])] = row[2].(int64)
+	}
+	want := map[string]int64{
+		`"x|y","z"`: 2, `"x","y|z"`: 2, `<nil>,"q"`: 2, `"<nil>","q"`: 1, `"~","|"`: 1, `"n1","1"`: 1,
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("groups = %v, want %v", got, want)
+	}
+}
+
+// TestJoinKeysNullAndTyped: a NULL join key matches nothing, its own kind
+// included, and a number never matches a string that prints the same.
+func TestJoinKeysNullAndTyped(t *testing.T) {
+	store := objstore.NewMemStore()
+	hive := NewArchiveConnector("hive", store)
+	archiveTable(t, hive, store, notesSchema(), noteRows)
+	archiveTable(t, hive, store, pipesSchema(), pipeParts...)
+	archiveTable(t, hive, store, numsSchema(), numRows)
+	e := NewEngine()
+	e.Register(hive)
+	// ok x ok = 4, late = 1, gone = 1; the two NULL statuses join nothing.
+	res, err := e.Query("SELECT l.note, r.note FROM hive.notes l JOIN hive.notes r ON l.status = r.status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 6 {
+		t.Errorf("self-join on a nullable key: %d rows, want 6: %v", len(res.Rows), res.Rows)
+	}
+	res, err = e.Query("SELECT x.tag, p.a FROM hive.nums x JOIN hive.pipes p ON x.n = p.b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Errorf("int64(1) joined '1': %v", res.Rows)
 	}
 }
 

@@ -8,9 +8,11 @@ import (
 	"repro/internal/record"
 )
 
-// BatchRows is the row capacity of one streamed batch — matching the OLAP
-// layer's scan window, so a batch crosses the connector boundary exactly as
-// the segment kernels produced it.
+// BatchRows is the row capacity of a batch from the broker stream and the
+// in-memory source — matching the OLAP layer's scan window, so a batch
+// crosses the connector boundary exactly as the segment kernels produced it.
+// The archive's batches are one part each and a join's follow its probe
+// side's, so consumers must not assume the bound.
 const BatchRows = 4096
 
 // Batch is one column-major batch of rows crossing the connector boundary:
@@ -21,18 +23,6 @@ type Batch struct {
 	Columns []string
 	Cols    [][]any
 	Len     int
-}
-
-// Record copies batch row r into a record, omitting NULLs — the same shape
-// the legacy slice surface produced, so adapters stay byte-identical.
-func (b *Batch) Record(r int) record.Record {
-	rec := make(record.Record, len(b.Columns))
-	for ci, c := range b.Columns {
-		if v := b.Cols[ci][r]; v != nil {
-			rec[c] = v
-		}
-	}
-	return rec
 }
 
 // Bytes estimates the resident size of the batch's values — the unit the
@@ -55,11 +45,13 @@ func approxValueBytes(v any) int64 {
 	return word
 }
 
-// RowIterator is the Connector v3 contract: a pull-based stream of row
-// batches. Exactly one consumer calls Next until io.EOF (or an error) and
-// must Close on every path — Close is idempotent, safe mid-stream, and
-// releases backend resources (the repolint iterclose analyzer enforces the
-// discipline). Stats is complete once Next returned io.EOF or after Close.
+// RowIterator is the engine's one data contract: a pull-based stream of row
+// batches. Table scans, pushed-down aggregates, subquery results and join
+// outputs all reach the engine as one. Exactly one consumer calls Next until
+// io.EOF (or an error) and must Close on every path — Close is idempotent,
+// safe mid-stream, and releases backend resources (the repolint iterclose
+// analyzer enforces the discipline). Stats is complete once Next returned
+// io.EOF or after Close.
 type RowIterator interface {
 	// Columns is the column order of every batch.
 	Columns() []string
@@ -73,33 +65,27 @@ type RowIterator interface {
 	Close() error
 }
 
-// StreamingConnector is Connector v3: backends that can produce results as
-// batch iterators implement it alongside the legacy slice surface. The
-// engine type-asserts for it and falls back to wrapping Scan/AggregateScan
-// in a materialized iterator (EXPLAIN's exec=materialized) otherwise.
+// StreamingConnector is Connector v3, the surface the engine executes
+// through: backends hand their results over as batch iterators. A connector
+// that implements only Connector is adapted by openScan/openAggregateScan.
 type StreamingConnector interface {
 	Connector
 	// OpenScan starts the row-scan fragment as a batch stream.
 	OpenScan(ctx context.Context, table string, pd Pushdown) (RowIterator, error)
-	// OpenAggregateScan starts a whole aggregate query; backends that
-	// cannot aggregate return ErrPushdownUnsupported, like AggregateScan.
-	// Aggregate results are finalized rows, so the iterator typically wraps
-	// a materialized result.
+	// OpenAggregateScan starts a whole aggregate query and returns its
+	// finalized per-group rows; backends that cannot aggregate return
+	// ErrPushdownUnsupported and the engine aggregates an OpenScan itself.
 	OpenAggregateScan(ctx context.Context, table string, aq AggregateQuery) (RowIterator, error)
 }
 
-// openScan returns the v3 iterator for a row scan: the connector's own
-// stream when it implements StreamingConnector, a materialized adapter over
-// Scan otherwise.
+// openScan opens a row scan on the connector's v3 surface, or adapts a
+// v2-only connector's Scan result to the in-memory source (EXPLAIN's
+// exec=materialized).
 func openScan(ctx context.Context, conn Connector, table string, pd Pushdown) (RowIterator, error) {
 	if sc, ok := conn.(StreamingConnector); ok {
 		return sc.OpenScan(ctx, table, pd)
 	}
-	rows, stats, err := conn.Scan(ctx, table, pd)
-	if err != nil {
-		return nil, err
-	}
-	return newMaterializedIterator(rows, pd.Columns, stats), nil
+	return recordsIterator(conn.Scan(ctx, table, pd))
 }
 
 // openAggregateScan is openScan's aggregate-query counterpart.
@@ -107,88 +93,105 @@ func openAggregateScan(ctx context.Context, conn Connector, table string, aq Agg
 	if sc, ok := conn.(StreamingConnector); ok {
 		return sc.OpenAggregateScan(ctx, table, aq)
 	}
-	rows, stats, err := conn.AggregateScan(ctx, table, aq)
+	return recordsIterator(conn.AggregateScan(ctx, table, aq))
+}
+
+// recordsIterator turns a v2 connector's slice result (or passes on its
+// error) into rows, once, under the sorted union of the records' keys — a
+// column no row has a value for is absent, and binds as NULL.
+func recordsIterator(recs []record.Record, stats QueryStats, err error) (RowIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newMaterializedIterator(rows, nil, stats), nil
+	seen := map[string]bool{}
+	var cols []string
+	for _, r := range recs {
+		for k := range r {
+			if !seen[k] {
+				seen[k] = true
+				cols = append(cols, k)
+			}
+		}
+	}
+	sort.Strings(cols)
+	rows := make([][]any, len(recs))
+	for i, r := range recs {
+		rows[i] = make([]any, len(cols))
+		for ci, c := range cols {
+			rows[i][ci] = r[c]
+		}
+	}
+	return newRowsIterator(cols, rows, stats), nil
 }
 
-// drainIterator consumes an iterator to completion into the legacy slice
-// shape — the compatibility adapter behind the v2 Scan methods. Whatever
-// the backend streamed, the caller receives a materialized result, so the
-// stats say so: Streamed is cleared and PeakEngineBytes covers the whole
-// slice now resident in memory.
-func drainIterator(ctx context.Context, it RowIterator) ([]record.Record, QueryStats, error) {
+// drainRecords consumes a just-opened iterator (or passes on the error that
+// opening it returned) into the v2 slice shape, NULLs omitted — the body of
+// every in-tree Scan/AggregateScan, and the only place a batch row becomes a
+// record. The caller receives a materialized result, so the stats say so:
+// Streamed is cleared and PeakEngineBytes covers the whole slice.
+func drainRecords(ctx context.Context, it RowIterator, err error) ([]record.Record, QueryStats, error) {
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
 	defer it.Close()
-	var rows []record.Record
+	var recs []record.Record
+	var total int64
 	for {
 		b, err := it.Next(ctx)
 		if err == io.EOF {
-			stats := it.Stats()
-			stats.Streamed = false
-			stats.BatchesStreamed = 0
-			var total int64
-			for _, r := range rows {
-				for _, v := range r {
-					total += approxValueBytes(v)
-				}
-			}
-			if total > stats.PeakEngineBytes {
-				stats.PeakEngineBytes = total
-			}
-			return rows, stats, nil
+			break
 		}
 		if err != nil {
 			return nil, QueryStats{}, err
 		}
 		for r := 0; r < b.Len; r++ {
-			rows = append(rows, b.Record(r))
+			rec := make(record.Record, len(b.Columns))
+			for ci, c := range b.Columns {
+				if v := b.Cols[ci][r]; v != nil {
+					rec[c] = v
+					total += approxValueBytes(v)
+				}
+			}
+			recs = append(recs, rec)
 		}
 	}
+	stats := it.Stats()
+	stats.Streamed = false
+	stats.BatchesStreamed = 0
+	if total > stats.PeakEngineBytes {
+		stats.PeakEngineBytes = total
+	}
+	return recs, stats, nil
 }
 
-// materializedIterator adapts a fully-materialized []record.Record result
-// to the RowIterator contract, chunking it into batches. It reports
-// exec=materialized (Streamed stays false) and its PeakEngineBytes is the
-// whole result — the slice existed in memory before the first batch was
-// pulled, which is exactly what streaming connectors avoid.
-type materializedIterator struct {
+// rowsIterator is the one in-memory source: it serves rows that already
+// exist — a subquery's result, a pushed-down aggregate's response, a v2
+// connector's slice — as batches, reading them only (a cached broker
+// response shares its rows between callers). It reports exec=materialized
+// (Streamed stays false) and counts the whole result into PeakEngineBytes:
+// every row was resident before the first batch was pulled, which is what
+// streaming scans avoid.
+type rowsIterator struct {
 	cols  []string
-	rows  []record.Record
+	rows  [][]any
 	pos   int
 	stats QueryStats
 	batch Batch
 }
 
-// newMaterializedIterator wraps rows. cols fixes the column order; when
-// empty it is derived as the sorted union of record keys (the same star
-// order the legacy engine path produced).
-func newMaterializedIterator(rows []record.Record, cols []string, stats QueryStats) *materializedIterator {
-	if len(cols) == 0 {
-		seen := map[string]bool{}
-		for _, r := range rows {
-			for k := range r {
-				seen[k] = true
-			}
-		}
-		cols = make([]string, 0, len(seen))
-		for k := range seen {
-			cols = append(cols, k)
-		}
-		sort.Strings(cols)
-	}
-	for _, r := range rows {
-		for _, v := range r {
+func newRowsIterator(cols []string, rows [][]any, stats QueryStats) RowIterator {
+	for _, row := range rows {
+		for _, v := range row {
 			stats.PeakEngineBytes += approxValueBytes(v)
 		}
 	}
-	return &materializedIterator{cols: cols, rows: rows, stats: stats}
+	return &rowsIterator{cols: cols, rows: rows, stats: stats,
+		batch: Batch{Columns: cols, Cols: make([][]any, len(cols))}}
 }
 
-func (m *materializedIterator) Columns() []string { return m.cols }
+func (m *rowsIterator) Columns() []string { return m.cols }
 
-func (m *materializedIterator) Next(ctx context.Context) (*Batch, error) {
+func (m *rowsIterator) Next(ctx context.Context) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -199,13 +202,10 @@ func (m *materializedIterator) Next(ctx context.Context) (*Batch, error) {
 	if end > len(m.rows) {
 		end = len(m.rows)
 	}
-	if m.batch.Cols == nil {
-		m.batch = Batch{Columns: m.cols, Cols: make([][]any, len(m.cols))}
-	}
-	for ci, c := range m.cols {
+	for ci := range m.cols {
 		out := m.batch.Cols[ci][:0]
-		for _, r := range m.rows[m.pos:end] {
-			out = append(out, r[c])
+		for _, row := range m.rows[m.pos:end] {
+			out = append(out, row[ci])
 		}
 		m.batch.Cols[ci] = out
 	}
@@ -215,10 +215,9 @@ func (m *materializedIterator) Next(ctx context.Context) (*Batch, error) {
 	return &m.batch, nil
 }
 
-func (m *materializedIterator) Stats() QueryStats { return m.stats }
+func (m *rowsIterator) Stats() QueryStats { return m.stats }
 
-func (m *materializedIterator) Close() error {
-	m.rows = nil
-	m.pos = 0
+func (m *rowsIterator) Close() error {
+	m.rows, m.pos = nil, 0
 	return nil
 }

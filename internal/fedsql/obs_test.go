@@ -10,7 +10,7 @@ import (
 
 // TestFallbackEventStructured asserts the pushdown-fallback diagnostic flows
 // through the obs logger as a structured event carrying the fragment name,
-// while the legacy Logf sink keeps receiving exactly one formatted line.
+// while the Logf text sink receives exactly one formatted line.
 func TestFallbackEventStructured(t *testing.T) {
 	e, _ := setupEngine(t, 200)
 	e.Log = obs.NewLogger(obs.LevelDebug, 16, nil)
@@ -41,7 +41,7 @@ func TestFallbackEventStructured(t *testing.T) {
 		t.Fatalf("table field = %v, want orders", got)
 	}
 	if len(lines) != 1 || !strings.Contains(lines[0], "fallback") {
-		t.Fatalf("legacy Logf sink got %v, want one fallback line", lines)
+		t.Fatalf("Logf sink got %v, want one fallback line", lines)
 	}
 }
 

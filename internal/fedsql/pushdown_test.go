@@ -12,8 +12,8 @@ import (
 )
 
 // equivalenceQueries is the matrix every aggregate/group-by/limit shape must
-// answer identically through AggregateScan pushdown and through the
-// row-scan + engine-side-aggregation fallback.
+// answer identically through aggregate pushdown and through the row-scan +
+// engine-side-aggregation fallback.
 var equivalenceQueries = []string{
 	"SELECT COUNT(*) FROM pinot.orders",
 	"SELECT COUNT(*) AS n, SUM(amount) AS total FROM pinot.orders",
@@ -41,10 +41,12 @@ func rowsKey(res *Result) string {
 }
 
 // TestPushdownEquivalenceMatrix: every aggregate/group-by/limit query must
-// return identical results via AggregateScan pushdown and via the row-scan
-// fallback path (DisablePushdown). Run under -race in CI.
+// return identical results via aggregate pushdown and via the row-scan
+// fallback path (DisablePushdown), and each of them — and the v2 adapter's —
+// must be an answer the reference evaluator accepts. Run under -race in CI.
 func TestPushdownEquivalenceMatrix(t *testing.T) {
 	e, pinot := setupEngine(t, 300)
+	db := setupNaiveDB(300)
 	for _, sql := range equivalenceQueries {
 		t.Run(sql, func(t *testing.T) {
 			pinot.DisablePushdown = false
@@ -60,6 +62,13 @@ func TestPushdownEquivalenceMatrix(t *testing.T) {
 			}
 			if got, want := rowsKey(pushed), rowsKey(fallback); got != want {
 				t.Errorf("pushdown and fallback disagree:\npushed:\n%s\nfallback:\n%s", got, want)
+			}
+			adapted, err := v2Engine(e).Query(sql)
+			if err != nil {
+				t.Fatalf("v2 adapter: %v", err)
+			}
+			for _, res := range []*Result{pushed, fallback, adapted} {
+				checkAgainstNaive(t, db, "pinot", sql, res)
 			}
 		})
 	}

@@ -2,9 +2,11 @@ package fedsql
 
 // Randomized differential harness for the streaming execution path: every
 // query shape runs once through the Connector v3 batch-iterator surface and
-// once through the legacy materialized surface (the same connector with its
-// streaming methods hidden), and the results must be byte-identical after
-// canonical serialization. Unordered results are compared as sorted
+// once through the v2 adapter (the same connectors with their streaming
+// methods hidden), and the results must be byte-identical after canonical
+// serialization. Both engines run the same pipeline and differ only in the
+// source, so every result is also checked against the row-at-a-time
+// reference evaluator (naive_test.go). Unordered results are compared as sorted
 // multisets — the row set is deterministic, the arrival order across
 // concurrent segment producers is not; ORDER BY results compare in exact
 // order. Amounts are quarter-valued so float aggregation is exact and
@@ -48,9 +50,9 @@ var diffCities = []string{"sf", "nyc", "la", "chi"}
 
 // diffRows generates n random rows. Nullable columns are NULL with real
 // probability, but row 0 carries every column so each column has at least
-// one non-NULL value — the condition under which the streaming star
-// projection (sorted schema columns) matches the legacy star projection
-// (sorted union of record keys).
+// one non-NULL value — the condition under which a streaming scan's star
+// projection (sorted schema columns) matches the v2 adapter's (sorted union
+// of record keys).
 func diffRows(rng *rand.Rand, n int) []record.Record {
 	rows := make([]record.Record, n)
 	for i := range rows {
@@ -72,14 +74,102 @@ func diffRows(rng *rand.Rand, n int) []record.Record {
 	return rows
 }
 
+// Extra archive tables for the join, grouping and multi-part shapes.
+func notesSchema() *metadata.Schema {
+	return &metadata.Schema{Name: "notes", Version: 1, Fields: []metadata.Field{
+		{Name: "status", Type: metadata.TypeString, Nullable: true},
+		{Name: "city", Type: metadata.TypeString, Nullable: true},
+		{Name: "note", Type: metadata.TypeString},
+	}}
+}
+
+func pipesSchema() *metadata.Schema {
+	return &metadata.Schema{Name: "pipes", Version: 1, Fields: []metadata.Field{
+		{Name: "a", Type: metadata.TypeString, Nullable: true},
+		{Name: "b", Type: metadata.TypeString, Nullable: true},
+		{Name: "v", Type: metadata.TypeLong},
+	}}
+}
+
+func numsSchema() *metadata.Schema {
+	return &metadata.Schema{Name: "nums", Version: 1, Fields: []metadata.Field{
+		{Name: "n", Type: metadata.TypeLong, Nullable: true},
+		{Name: "tag", Type: metadata.TypeString},
+	}}
+}
+
+// notes joins events on status: duplicate and NULL keys on both sides, a
+// key only the probe side has (lost), one only the build side has (gone),
+// and a city column that clashes with the events' own.
+var noteRows = []record.Record{
+	{"status": "ok", "city": "x1", "note": "fine"},
+	{"status": "ok", "city": "x2", "note": "again"},
+	{"status": "late", "note": "slow"},
+	{"city": "x3", "note": "no status"},
+	{"status": "gone", "city": "x4", "note": "unmatched"},
+}
+
+// pipes is archived in three parts. Its string values contain the
+// separators a concatenated group key would confuse: ('x|y','z') and
+// ('x','y|z'), NULL and '<nil>', '~' and '|'.
+var pipeParts = [][]record.Record{
+	{{"a": "x|y", "b": "z", "v": int64(1)}, {"a": "x", "b": "y|z", "v": int64(2)}, {"b": "q", "v": int64(3)}},
+	{{"a": "<nil>", "b": "q", "v": int64(4)}, {"a": "x|y", "b": "z", "v": int64(5)}, {"a": "~", "b": "|", "v": int64(6)}},
+	{{"a": "x", "b": "y|z", "v": int64(7)}, {"b": "q", "v": int64(8)}, {"a": "n1", "b": "1", "v": int64(9)}},
+}
+
+// nums.n joins pipes.v (both numeric) but must never join pipes.b ('1').
+var numRows = []record.Record{
+	{"n": int64(1), "tag": "one"}, {"n": int64(9), "tag": "nine"}, {"tag": "none"}, {"n": int64(9), "tag": "nine again"},
+}
+
+// archiveTable writes one archive part per element of parts and registers
+// the table; it returns the reference copy of its contents.
+func archiveTable(t *testing.T, hive *ArchiveConnector, store objstore.Store, schema *metadata.Schema, parts ...[]record.Record) naiveTable {
+	t.Helper()
+	codec, err := record.NewCodec(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := objstore.NewRawLogWriter(store, schema.Name, codec)
+	compactor := objstore.NewCompactor(store, schema.Name, codec)
+	ref := naiveTable{}
+	for _, f := range schema.Fields {
+		ref.cols = append(ref.cols, f.Name)
+	}
+	for _, rows := range parts {
+		if err := w.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := compactor.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		ref.rows = append(ref.rows, rows...)
+	}
+	hive.AddTable(schema.Name, schema)
+	return ref
+}
+
 // v2Conn hides a connector's streaming surface: the engine's openScan
-// type-assertion fails and every scan goes through the materialized
-// adapter. This is the differential baseline.
+// type-assertion fails and every scan goes through the v2 Scan /
+// AggregateScan adapter. This is the differential baseline.
 type v2Conn struct{ Connector }
 
-// buildDiffEngines returns the same data behind two engines: one on the
-// full v3 surface, one forced through the materialized path.
-func buildDiffEngines(t *testing.T, rng *rand.Rand, n int, disablePushdown bool) (streaming, materialized *Engine, servers []*olap.Server) {
+// v2Engine returns an engine over the same connectors with their streaming
+// surface hidden.
+func v2Engine(e *Engine) *Engine {
+	out := NewEngine()
+	for _, name := range e.Catalogs() {
+		out.Register(&v2Conn{Connector: e.connectors[name]})
+	}
+	out.defaultCat = e.defaultCat
+	return out
+}
+
+// buildDiffEngines returns the same data behind two engines — one on the
+// full v3 surface, one forced through the v2 adapter — and as the reference
+// evaluator's tables.
+func buildDiffEngines(t *testing.T, rng *rand.Rand, n int, disablePushdown bool) (streaming, materialized *Engine, db naiveDB, servers []*olap.Server) {
 	t.Helper()
 	servers = []*olap.Server{olap.NewServer("s0"), olap.NewServer("s1")}
 	d, err := olap.NewDeployment(olap.DeploymentConfig{
@@ -95,7 +185,11 @@ func buildDiffEngines(t *testing.T, rng *rand.Rand, n int, disablePushdown bool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range diffRows(rng, n) {
+	events := naiveTable{rows: diffRows(rng, n)}
+	for _, f := range diffSchema().Fields {
+		events.cols = append(events.cols, f.Name)
+	}
+	for i, r := range events.rows {
 		if err := d.Ingest(i%2, r); err != nil {
 			t.Fatal(err)
 		}
@@ -105,25 +199,24 @@ func buildDiffEngines(t *testing.T, rng *rand.Rand, n int, disablePushdown bool)
 	pinot.AddTable(d)
 
 	store := objstore.NewMemStore()
-	codec, _ := record.NewCodec(citiesSchema())
-	w := objstore.NewRawLogWriter(store, "cities", codec)
-	w.Append([]record.Record{
-		{"city": "sf", "region": "west"},
-		{"city": "la", "region": "west"},
-		{"city": "nyc", "region": "east"},
-		{"city": "chi", "region": "central"},
-	})
-	objstore.NewCompactor(store, "cities", codec).Compact()
 	hive := NewArchiveConnector("hive", store)
-	hive.AddTable("cities", citiesSchema())
+	db = naiveDB{
+		"pinot.events": events,
+		"hive.cities": archiveTable(t, hive, store, citiesSchema(), []record.Record{
+			{"city": "sf", "region": "west"},
+			{"city": "la", "region": "west"},
+			{"city": "nyc", "region": "east"},
+			{"city": "chi", "region": "central"},
+		}),
+		"hive.notes": archiveTable(t, hive, store, notesSchema(), noteRows),
+		"hive.pipes": archiveTable(t, hive, store, pipesSchema(), pipeParts...),
+		"hive.nums":  archiveTable(t, hive, store, numsSchema(), numRows),
+	}
 
 	streaming = NewEngine()
 	streaming.Register(pinot)
 	streaming.Register(hive)
-	materialized = NewEngine()
-	materialized.Register(&v2Conn{Connector: pinot})
-	materialized.Register(hive)
-	return streaming, materialized, servers
+	return streaming, v2Engine(streaming), db, servers
 }
 
 // serializeRows renders every row to a canonical byte form.
@@ -135,8 +228,9 @@ func serializeRows(res *Result) []string {
 	return out
 }
 
-// diffQuery runs sql through both engines and fails on any divergence.
-func diffQuery(t *testing.T, streaming, materialized *Engine, sql string, ordered, wantStreamed bool) {
+// diffQuery runs sql through both engines and fails on any divergence,
+// between them or from the reference evaluator.
+func diffQuery(t *testing.T, streaming, materialized *Engine, db naiveDB, sql string, ordered, wantStreamed bool) {
 	t.Helper()
 	sRes, err := streaming.Query(sql)
 	if err != nil {
@@ -146,6 +240,8 @@ func diffQuery(t *testing.T, streaming, materialized *Engine, sql string, ordere
 	if err != nil {
 		t.Fatalf("materialized %q: %v", sql, err)
 	}
+	checkAgainstNaive(t, db, "pinot", sql, sRes)
+	checkAgainstNaive(t, db, "pinot", sql, mRes)
 	if fmt.Sprintf("%q", sRes.Columns) != fmt.Sprintf("%q", mRes.Columns) {
 		t.Fatalf("%q: columns diverge\nstreaming    %q\nmaterialized %q", sql, sRes.Columns, mRes.Columns)
 	}
@@ -181,13 +277,15 @@ func TestStreamDifferential(t *testing.T) {
 			name = "scan-only"
 		}
 		t.Run(name, func(t *testing.T) {
-			streaming, materialized, _ := buildDiffEngines(t, rng, 600, dp)
+			streaming, materialized, db, _ := buildDiffEngines(t, rng, 600, dp)
+			const notesJoin = " FROM pinot.events o JOIN hive.notes s ON o.status = s.status"
 			for trial := 0; trial < 4; trial++ {
 				x := float64(rng.Intn(400)) / 4
 				city := diffCities[rng.Intn(len(diffCities))]
 				k := 5 + rng.Intn(40)
-				// Selections stream on the v3 path in both modes; aggregates
-				// stream only when pushdown is off (scan + engine-side agg).
+				// Selections and join probes stream on the v3 path in both
+				// modes, the archive always; pinot aggregates stream only when
+				// pushdown is off (scan + engine-side agg).
 				shapes := []struct {
 					sql          string
 					ordered      bool
@@ -196,62 +294,140 @@ func TestStreamDifferential(t *testing.T) {
 					{fmt.Sprintf("SELECT * FROM pinot.events WHERE amount > %v", x), false, true},
 					{fmt.Sprintf("SELECT id, city, amount FROM pinot.events WHERE city = '%s' AND amount <= %v", city, x), false, true},
 					{"SELECT id, status FROM pinot.events WHERE rush = true", false, true},
+					{"SELECT id AS event, city AS town FROM pinot.events WHERE qty < 3", false, true},
 					{fmt.Sprintf("SELECT id, amount FROM pinot.events ORDER BY id LIMIT %d", k), true, false},
 					{"SELECT city, COUNT(*) AS n, SUM(amount) AS total FROM pinot.events GROUP BY city ORDER BY city", true, dp},
 					{fmt.Sprintf("SELECT COUNT(*) AS n, AVG(amount) AS mean FROM pinot.events WHERE amount >= %v", x), false, dp},
+					{"SELECT city, status, COUNT(*) AS n, AVG(amount) AS mean, MIN(qty) AS lo FROM pinot.events GROUP BY city, status", false, dp},
 					{fmt.Sprintf("SELECT o.id, o.city, c.region FROM pinot.events o JOIN hive.cities c ON o.city = c.city WHERE o.amount > %v", x), false, true},
+					// NULL and duplicate keys on both sides.
+					{"SELECT o.id, s.note" + notesJoin, false, true},
+					// Bare names clash: the probe side's column wins.
+					{fmt.Sprintf("SELECT id, city, o.city, s.city, status, s.status, note"+notesJoin+" WHERE o.amount > %v AND s.note != 'slow'", x), false, true},
+					{"SELECT *" + notesJoin + " WHERE qty > 10", false, true},
+					{"SELECT s.status, COUNT(*) AS n, SUM(o.amount) AS total" + notesJoin + " GROUP BY s.status", false, true},
+					// A number never joins a string that prints the same.
+					{"SELECT x.tag, p.a FROM hive.nums x JOIN hive.pipes p ON x.n = p.b", false, true},
+					{"SELECT x.tag, p.a, p.v FROM hive.nums x JOIN hive.pipes p ON x.n = p.v", false, true},
+					// Subquery with an outer predicate and an outer aggregate.
+					{"SELECT COUNT(*) AS groups, SUM(total) AS s, MAX(n) AS top FROM (SELECT city, status, COUNT(*) AS n, SUM(amount) AS total FROM pinot.events GROUP BY city, status) t WHERE n > 5", false, dp},
+					{fmt.Sprintf("SELECT city, total FROM (SELECT city, SUM(amount) AS total FROM pinot.events WHERE amount > %v GROUP BY city) t WHERE total > 100 ORDER BY city", x), true, dp},
+					// The multi-part archive; group values containing '|'.
+					{"SELECT a, b, COUNT(*) AS n, SUM(v) AS s FROM hive.pipes GROUP BY a, b", false, true},
+					{"SELECT * FROM hive.pipes WHERE v > 2", false, true},
+					{"SELECT a, v FROM hive.pipes ORDER BY v LIMIT 4", true, true},
 				}
 				for _, s := range shapes {
-					diffQuery(t, streaming, materialized, s.sql, s.ordered, s.wantStreamed)
+					diffQuery(t, streaming, materialized, db, s.sql, s.ordered, s.wantStreamed)
 				}
 			}
 			// Unordered LIMIT picks an arbitrary subset per arrival order;
-			// only the cardinality is comparable.
-			sRes, err := streaming.Query("SELECT id FROM pinot.events LIMIT 17")
-			if err != nil {
-				t.Fatal(err)
-			}
-			mRes, err := materialized.Query("SELECT id FROM pinot.events LIMIT 17")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sRes.Rows) != 17 || len(mRes.Rows) != 17 {
-				t.Fatalf("LIMIT rows: streaming %d, materialized %d, want 17", len(sRes.Rows), len(mRes.Rows))
+			// only the reference can say whether each is a valid one.
+			for _, sql := range []string{
+				"SELECT id FROM pinot.events LIMIT 17",
+				"SELECT o.id, c.region FROM pinot.events o JOIN hive.cities c ON o.city = c.city LIMIT 5",
+			} {
+				for _, e := range []*Engine{streaming, materialized} {
+					res, err := e.Query(sql)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkAgainstNaive(t, db, "pinot", sql, res)
+				}
 			}
 		})
 	}
 }
 
-// TestStreamDiffCancelMidQuery cancels an engine query mid-stream: the
-// error must surface (no silent truncation) and every producer goroutine
-// must be reaped.
+// TestStreamDiffCancelMidQuery cancels engine queries mid-stream — a plain
+// scan, and a join whose probe side is still streaming: the error must
+// surface (no silent truncation) and every producer goroutine must be
+// reaped.
 func TestStreamDiffCancelMidQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	streaming, _, servers := buildDiffEngines(t, rng, 2000, false)
+	streaming, _, _, servers := buildDiffEngines(t, rng, 2000, false)
 	for _, s := range servers {
 		s.SetScanDelay(2 * time.Millisecond)
 		defer s.SetScanDelay(0)
 	}
 	before := runtime.NumGoroutine()
-	for i := 0; i < 10; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 8*time.Millisecond)
-		_, err := streaming.QueryCtx(ctx, "SELECT * FROM pinot.events")
-		cancel()
-		if err == nil {
-			t.Fatal("mid-stream deadline produced a clean result: truncation went unreported")
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("mid-stream error = %v, want context.DeadlineExceeded", err)
+	for _, sql := range []string{
+		"SELECT * FROM pinot.events",
+		"SELECT o.id, c.region FROM pinot.events o JOIN hive.cities c ON o.city = c.city",
+	} {
+		for i := 0; i < 10; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 8*time.Millisecond)
+			_, err := streaming.QueryCtx(ctx, sql)
+			cancel()
+			if err == nil {
+				t.Fatalf("%q: mid-stream deadline produced a clean result: truncation went unreported", sql)
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%q: mid-stream error = %v, want context.DeadlineExceeded", sql, err)
+			}
 		}
 	}
 	waitGoroutines(t, before)
+}
+
+// TestJoinCloseMidStreamNoLeak stops a join after five rows: closing the
+// join operator must close its probe scan and reap the broker producers.
+func TestJoinCloseMidStreamNoLeak(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	streaming, _, _, _ := buildDiffEngines(t, rng, 2000, false)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		res, err := streaming.Query("SELECT o.id, c.region FROM pinot.events o JOIN hive.cities c ON o.city = c.city LIMIT 5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 5 {
+			t.Fatalf("rows = %d, want 5", len(res.Rows))
+		}
+		if res.Stats.RowsReturned >= 2000 {
+			t.Fatalf("join pulled %d rows for LIMIT 5: the probe scan was not stopped early", res.Stats.RowsReturned)
+		}
+	}
+	waitGoroutines(t, before)
+}
+
+// TestArchiveIteratorCancelAndClose pulls one part of a three-part archive:
+// the stats cover only that part, a cancelled context surfaces from Next,
+// and a closed iterator is at end of stream.
+func TestArchiveIteratorCancelAndClose(t *testing.T) {
+	store := objstore.NewMemStore()
+	hive := NewArchiveConnector("hive", store)
+	archiveTable(t, hive, store, pipesSchema(), pipeParts...)
+	ctx, cancel := context.WithCancel(context.Background())
+	it, err := hive.OpenScan(ctx, "pipes", Pushdown{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	b, err := it.Next(ctx)
+	if err != nil || b.Len != len(pipeParts[0]) {
+		t.Fatalf("first pull = %v, %v; want the %d rows of part one", b, err, len(pipeParts[0]))
+	}
+	cancel()
+	if _, err := it.Next(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("post-cancel Next = %v, want context.Canceled", err)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := it.Next(context.Background()); err != io.EOF {
+		t.Fatalf("Next after Close = %v, want io.EOF", err)
+	}
+	if st := it.Stats(); !st.Streamed || st.RowsReturned != int64(len(pipeParts[0])) || st.BatchesStreamed != 1 {
+		t.Fatalf("stats after one part = %+v", st)
+	}
 }
 
 // TestOpenScanCloseMidStreamNoLeak abandons connector-level iterators after
 // one batch; Close alone must reap the broker producers.
 func TestOpenScanCloseMidStreamNoLeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	streaming, _, _ := buildDiffEngines(t, rng, 2000, false)
+	streaming, _, _, _ := buildDiffEngines(t, rng, 2000, false)
 	conn, ok := streaming.connectors["pinot"].(StreamingConnector)
 	if !ok {
 		t.Fatal("pinot connector is not streaming")
@@ -280,7 +456,7 @@ func TestOpenScanCloseMidStreamNoLeak(t *testing.T) {
 // must converge to context.Canceled and stay there.
 func TestOpenScanContextCancelSticky(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	streaming, _, _ := buildDiffEngines(t, rng, 2000, false)
+	streaming, _, _, _ := buildDiffEngines(t, rng, 2000, false)
 	conn := streaming.connectors["pinot"].(StreamingConnector)
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +90,35 @@ func TestBrokerTraceSpanTree(t *testing.T) {
 	}
 	if hit.Find("server.scan") != nil {
 		t.Fatalf("cache hit should not scatter:\n%s", hit.Render())
+	}
+}
+
+// TestStreamTraceSpans asserts the streaming path plans its scatter like the
+// gathered one: a route span beside the producers' server.stream spans.
+func TestStreamTraceSpans(t *testing.T) {
+	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
+	ingestOrders(t, d, 220, 2)
+	tracer := obs.NewTracer(obs.TracerConfig{Recent: 2})
+	root := tracer.StartTrace("test")
+	ctx := obs.ContextWithSpan(t.Context(), root)
+	qs, err := NewBroker(d).ExecuteStream(ctx, &QueryRequest{Query: &Query{Select: []string{"city"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qs.Close()
+	for {
+		if _, err := qs.Next(ctx); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	qs.Close()
+	sum := tracer.FinishTraceSummary(root)
+	for _, name := range []string{"route", "server.stream"} {
+		if sum.Find(name) == nil {
+			t.Errorf("trace missing span %q:\n%s", name, sum.Render())
+		}
 	}
 }
 

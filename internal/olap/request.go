@@ -126,46 +126,11 @@ type QueryResponse struct {
 // against the new liveness state before the error surfaces. Overload is
 // reported as a typed ErrOverloaded, never by queueing without bound.
 func (b *Broker) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
-	if req == nil || req.Query == nil {
-		return nil, fmt.Errorf("olap: nil query request")
-	}
-	if err := ctx.Err(); err != nil {
+	ctx, cancel, q, router, err := b.prepare(ctx, req)
+	if err != nil {
 		return nil, err
 	}
-	q := req.Query
-	if req.Time != nil {
-		q2 := *q
-		q2.Time = req.Time
-		q = &q2
-	}
-	// Reject type-invalid aggregations before any scan is scheduled, so the
-	// error surfaces even when routing prunes every segment.
-	for _, a := range q.Aggs {
-		if a.Column == "" {
-			continue
-		}
-		if f, ok := b.d.cfg.Schema.Field(a.Column); ok {
-			if err := aggTypeError(a.Kind, a.Column, f.Type); err != nil {
-				return nil, err
-			}
-		}
-	}
-	timeout := req.Timeout
-	if timeout == 0 {
-		timeout = b.opts.Timeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	router := req.Router
-	if router == nil {
-		router = b.opts.Router
-	}
-	if router == nil {
-		router = defaultRouter
-	}
+	defer cancel()
 	// Trace wiring: nest under a caller-provided span (the fedsql case), or
 	// own a fresh trace when the broker has a tracer. The cache-hit fast
 	// path then costs one pooled trace and its summary — benchjson gates
@@ -194,6 +159,112 @@ func (b *Broker) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse
 		}
 	}
 	return resp, err
+}
+
+// prepare normalises one request for every entry point: the query with the
+// request's time window laid over it, the effective router, and a context
+// bounded by the effective timeout whose cancel the caller must call.
+// Type-invalid aggregations are rejected here, before any scan is scheduled,
+// so the error surfaces even when routing prunes every segment.
+func (b *Broker) prepare(ctx context.Context, req *QueryRequest) (context.Context, context.CancelFunc, *Query, Router, error) {
+	if req == nil || req.Query == nil {
+		return nil, nil, nil, nil, fmt.Errorf("olap: nil query request")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	q := req.Query
+	if req.Time != nil {
+		q2 := *q
+		q2.Time = req.Time
+		q = &q2
+	}
+	for _, a := range q.Aggs {
+		if a.Column == "" {
+			continue
+		}
+		if f, ok := b.d.cfg.Schema.Field(a.Column); ok {
+			if err := aggTypeError(a.Kind, a.Column, f.Type); err != nil {
+				return nil, nil, nil, nil, err
+			}
+		}
+	}
+	router := req.Router
+	if router == nil {
+		router = b.opts.Router
+	}
+	if router == nil {
+		router = defaultRouter
+	}
+	timeout := req.Timeout
+	if timeout == 0 {
+		timeout = b.opts.Timeout
+	}
+	cancel := context.CancelFunc(func() {})
+	if timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+	}
+	return ctx, cancel, q, router, nil
+}
+
+// scatterPlan is one routing round's decision: which servers scan which
+// sealed segments, which consuming partitions are scanned beside them, and
+// with what options.
+type scatterPlan struct {
+	plan      *RoutePlan
+	servers   []int // assigned servers, ascending
+	consuming []consumingScan
+	contacted int // distinct servers either kind of scan touches
+	opts      ExecOptions
+	snapshot  *querySnapshot
+}
+
+// planScatter routes one request under a route span: it snapshots the
+// routable state, asks the router, enforces the MaxSegments budget and
+// resolves the routed consuming partitions against the snapshot.
+func (b *Broker) planScatter(ctx context.Context, req *QueryRequest, q *Query, router Router) (*scatterPlan, error) {
+	routeSp, _ := obs.StartSpan(ctx, "route")
+	routeSp.SetAttr("router", router.Name())
+	view, snapshot := b.routeView()
+	plan, err := router.Route(view, q)
+	if err != nil {
+		routeSp.End()
+		return nil, err
+	}
+	sortPlan(plan)
+	routeSp.End()
+	if req.MaxSegments > 0 {
+		if n := plan.SegmentCount(); n > req.MaxSegments {
+			return nil, fmt.Errorf("%w: %d segments routed, budget %d", ErrTooManySegments, n, req.MaxSegments)
+		}
+	}
+	sp := &scatterPlan{plan: plan, snapshot: snapshot, opts: ExecOptions{
+		Workers:   req.Workers,
+		HotOnly:   req.Consistency == ConsistencyHot,
+		TrimExact: req.TrimExact,
+		TrimSize:  req.TrimSize,
+	}}
+	if sp.opts.Workers == 0 {
+		sp.opts.Workers = b.opts.Workers
+	}
+	contacted := make(map[int]bool, len(plan.Assignment)+len(plan.Consuming))
+	for si := range plan.Assignment {
+		sp.servers = append(sp.servers, si)
+		contacted[si] = true
+	}
+	sort.Ints(sp.servers)
+	// Keep only the consuming scans the router routed (partition pruning);
+	// the stores were snapshotted atomically with the placement in
+	// routeView, so a Seal racing this query can never drop rows between
+	// the sealed and consuming views.
+	for _, part := range plan.Consuming {
+		if cs, ok := snapshot.consuming[part]; ok {
+			sp.consuming = append(sp.consuming, cs)
+			contacted[cs.owner] = true
+		}
+	}
+	sp.contacted = len(contacted)
+	return sp, nil
 }
 
 // executeRouted performs one route + scatter-gather round and finalizes the
@@ -245,44 +316,14 @@ func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query,
 // directly (no cache, no coalescing, no admission), with the broker's usual
 // one re-route on ErrServerDown.
 func (b *Broker) MaterializePartial(ctx context.Context, req *QueryRequest) (*Partial, int64, error) {
-	if req == nil || req.Query == nil {
-		return nil, 0, fmt.Errorf("olap: nil query request")
+	ctx, cancel, q, router, err := b.prepare(ctx, req)
+	if err != nil {
+		return nil, 0, err
 	}
+	defer cancel()
 	r2 := *req
 	r2.TrimExact = true
 	req = &r2
-	q := req.Query
-	if req.Time != nil {
-		q2 := *q
-		q2.Time = req.Time
-		q = &q2
-	}
-	for _, a := range q.Aggs {
-		if a.Column == "" {
-			continue
-		}
-		if f, ok := b.d.cfg.Schema.Field(a.Column); ok {
-			if err := aggTypeError(a.Kind, a.Column, f.Type); err != nil {
-				return nil, 0, err
-			}
-		}
-	}
-	timeout := req.Timeout
-	if timeout == 0 {
-		timeout = b.opts.Timeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	router := req.Router
-	if router == nil {
-		router = b.opts.Router
-	}
-	if router == nil {
-		router = defaultRouter
-	}
 	g, err := b.gather(ctx, req, q, router)
 	if err != nil && errors.Is(err, ErrServerDown) && ctx.Err() == nil {
 		g, err = b.gather(ctx, req, q, router)
@@ -310,48 +351,11 @@ func (b *Broker) gather(ctx context.Context, req *QueryRequest, q *Query, router
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	routeSp, _ := obs.StartSpan(ctx, "route")
-	routeSp.SetAttr("router", router.Name())
-	view, snapshot := b.routeView()
-	plan, err := router.Route(view, q)
+	sp, err := b.planScatter(ctx, req, q, router)
 	if err != nil {
-		routeSp.End()
 		return nil, err
 	}
-	sortPlan(plan)
-	routeSp.End()
-	if req.MaxSegments > 0 {
-		if n := plan.SegmentCount(); n > req.MaxSegments {
-			return nil, fmt.Errorf("%w: %d segments routed, budget %d", ErrTooManySegments, n, req.MaxSegments)
-		}
-	}
-
-	// Keep only the consuming scans the router routed (partition pruning);
-	// the stores were snapshotted atomically with the placement in
-	// routeView, so a Seal racing this query can never drop rows between
-	// the sealed and consuming views.
-	consuming := make([]consumingScan, 0, len(plan.Consuming))
-	for _, part := range plan.Consuming {
-		if cs, ok := snapshot.consuming[part]; ok {
-			consuming = append(consuming, cs)
-		}
-	}
-
-	servers := make([]int, 0, len(plan.Assignment))
-	for si := range plan.Assignment {
-		servers = append(servers, si)
-	}
-	sort.Ints(servers)
-
-	execOpts := ExecOptions{
-		Workers:   req.Workers,
-		HotOnly:   req.Consistency == ConsistencyHot,
-		TrimExact: req.TrimExact,
-		TrimSize:  req.TrimSize,
-	}
-	if execOpts.Workers == 0 {
-		execOpts.Workers = b.opts.Workers
-	}
+	plan, servers, consuming, execOpts := sp.plan, sp.servers, sp.consuming, sp.opts
 	// The same plan the servers derive from ExecOptions, used here to trim
 	// consuming-partition partials and to report the applied budget.
 	var tp *topKPlan
@@ -384,12 +388,7 @@ func (b *Broker) gather(ctx context.Context, req *QueryRequest, q *Query, router
 			results <- p
 		}(si, plan.Assignment[si])
 	}
-	contacted := make(map[int]bool, units)
-	for _, si := range servers {
-		contacted[si] = true
-	}
 	for _, cs := range consuming {
-		contacted[cs.owner] = true
 		go func(cs consumingScan) {
 			if b.d.serverAt(cs.owner).Down() {
 				errs <- fmt.Errorf("%w: consuming partition %d owner %s", ErrServerDown, cs.part, b.d.serverAt(cs.owner).Name())
@@ -432,7 +431,7 @@ func (b *Broker) gather(ctx context.Context, req *QueryRequest, q *Query, router
 	}
 	mergeSp.SetRows(int64(acc.Rows()))
 	mergeSp.End()
-	return &gatherResult{acc: acc, plan: plan, tp: tp, contacted: len(contacted), snapGen: snapshot.gen}, nil
+	return &gatherResult{acc: acc, plan: plan, tp: tp, contacted: sp.contacted, snapGen: sp.snapshot.gen}, nil
 }
 
 // consumingScan is one partition's unsealed rows as a query sees them: the

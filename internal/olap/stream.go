@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -293,88 +292,29 @@ func (s *QueryStream) TrimK() int { return s.trimK }
 // path bypasses cache, views and admission — a stream is consumed once,
 // not shared. The caller must Close the returned stream on every path.
 func (b *Broker) ExecuteStream(ctx context.Context, req *QueryRequest) (*QueryStream, error) {
-	if req == nil || req.Query == nil {
-		return nil, fmt.Errorf("olap: nil query request")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	q := req.Query
-	if req.Time != nil {
-		q2 := *q
-		q2.Time = req.Time
-		q = &q2
-	}
-	if len(q.Aggs) > 0 || len(q.OrderBy) > 0 {
+	if req != nil && req.Query != nil && (len(req.Query.Aggs) > 0 || len(req.Query.OrderBy) > 0) {
 		return b.materializedStream(ctx, req)
 	}
-	timeout := req.Timeout
-	if timeout == 0 {
-		timeout = b.opts.Timeout
+	ctx, cancel, q, router, err := b.prepare(ctx, req)
+	if err != nil {
+		return nil, err
 	}
-	cancels := make([]context.CancelFunc, 0, 2)
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		cancels = append(cancels, cancel)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	cancels = append(cancels, cancel)
+	// The stream outlives this call: its Close (or end of stream) releases
+	// both the timeout and the producers.
+	ctx, stop := context.WithCancel(ctx)
 	cancelAll := func() {
-		for _, c := range cancels {
-			c()
-		}
+		stop()
+		cancel()
 	}
-	router := req.Router
-	if router == nil {
-		router = b.opts.Router
-	}
-	if router == nil {
-		router = defaultRouter
-	}
-
-	view, snapshot := b.routeView()
-	plan, err := router.Route(view, q)
+	sp, err := b.planScatter(ctx, req, q, router)
 	if err != nil {
 		cancelAll()
 		return nil, err
 	}
-	sortPlan(plan)
-	if req.MaxSegments > 0 {
-		if n := plan.SegmentCount(); n > req.MaxSegments {
-			cancelAll()
-			return nil, fmt.Errorf("%w: %d segments routed, budget %d", ErrTooManySegments, n, req.MaxSegments)
-		}
-	}
-	consuming := make([]consumingScan, 0, len(plan.Consuming))
-	for _, part := range plan.Consuming {
-		if cs, ok := snapshot.consuming[part]; ok {
-			consuming = append(consuming, cs)
-		}
-	}
-	servers := make([]int, 0, len(plan.Assignment))
-	for si := range plan.Assignment {
-		servers = append(servers, si)
-	}
-	sort.Ints(servers)
-	contacted := make(map[int]bool, len(servers)+len(consuming))
-	for _, si := range servers {
-		contacted[si] = true
-	}
-	for _, cs := range consuming {
-		contacted[cs.owner] = true
-	}
-
+	plan, servers, consuming, execOpts := sp.plan, sp.servers, sp.consuming, sp.opts
 	cols := q.Select
 	if len(cols) == 0 {
-		cols = selectable(snapshot.schema)
-	}
-	execOpts := ExecOptions{
-		Workers: req.Workers,
-		HotOnly: req.Consistency == ConsistencyHot,
-	}
-	if execOpts.Workers == 0 {
-		execOpts.Workers = b.opts.Workers
+		cols = selectable(sp.snapshot.schema)
 	}
 
 	units := len(servers) + len(consuming)
@@ -394,7 +334,7 @@ func (b *Broker) ExecuteStream(ctx context.Context, req *QueryRequest) (*QuerySt
 			Router:           router.Name(),
 			ReplicaGroup:     plan.ReplicaGroup,
 			SegmentsRouted:   plan.SegmentCount(),
-			ServersContacted: len(contacted),
+			ServersContacted: sp.contacted,
 			PartitionsPruned: plan.PartitionsPruned,
 		},
 	}
