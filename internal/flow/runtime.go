@@ -302,7 +302,7 @@ func (j *Job) runSource(si int, spec SourceSpec, outs []chan element) {
 			j.eventsIn.Add(1)
 		}
 		sinceWM += len(events)
-		if sinceWM >= spec.WatermarkEvery || len(events) == 0 {
+		if sinceWM >= spec.WatermarkEvery || drained(spec.Source, len(events)) {
 			sinceWM = 0
 			if wm := spec.Source.Watermark(); wm > lastWM {
 				lastWM = wm
@@ -318,6 +318,18 @@ func (j *Job) runSource(si int, spec SourceSpec, outs []chan element) {
 			return
 		}
 	}
+}
+
+// drained reports whether a poll that returned n events left the source
+// with nothing more to read: the next Next will block, so a watermark held
+// back until WatermarkEvery events have passed would wait out that block,
+// and every window result with it.
+func drained(src Source, n int) bool {
+	if n == 0 {
+		return true
+	}
+	lr, ok := src.(LagReporter)
+	return ok && lr.Lag() == 0
 }
 
 // send delivers one element respecting cancellation; false means the job is
@@ -384,7 +396,7 @@ func (j *Job) runInstance(level, inst, flat int, op Operator, ins []chan element
 	gate := newInputGate(ins)
 	stName := j.spec.Stages[level].Name
 	for {
-		el, alive := gate.next(j.ctx)
+		el, alive := gate.next(j.ctx, true)
 		if !alive {
 			return
 		}
@@ -431,22 +443,39 @@ func (j *Job) runInstance(level, inst, flat int, op Operator, ins []chan element
 
 // ---- sink loop ----
 
+// runSink drives the sink. Consecutive events the gate already holds go to
+// the sink as one Write — at most BufferSize of them, and only what is ready
+// now: the loop never waits to fill a run. The run is written before the
+// element that ended it is handled, so every event that preceded a barrier
+// in the gate reaches the sink before that barrier's Flush and ack.
 func (j *Job) runSink(ins []chan element) {
 	defer j.wg.Done()
 	gate := newInputGate(ins)
 	sink := j.spec.Sink.Sink
+	run := make([]Event, 0, j.spec.BufferSize)
 	for {
-		el, alive := gate.next(j.ctx)
-		if !alive {
+		el, ok := gate.next(j.ctx, true)
+		if !ok {
 			return
 		}
-		switch el.kind {
-		case elemEvent:
-			if err := sink.Write([]Event{el.event}); err != nil {
+		for ok && el.kind == elemEvent {
+			run = append(run, el.event)
+			if ok = len(run) < cap(run); ok {
+				el, ok = gate.next(j.ctx, false)
+			}
+		}
+		if len(run) > 0 {
+			if err := sink.Write(run); err != nil {
 				j.fail(fmt.Errorf("flow: sink %s: %w", j.spec.Sink.Name, err))
 				return
 			}
-			j.eventsOut.Add(1)
+			j.eventsOut.Add(int64(len(run)))
+			run = run[:0]
+		}
+		if !ok {
+			continue // the run ended on its size or on an empty gate
+		}
+		switch el.kind {
 		case elemWatermark:
 			if el.wm != WatermarkMax {
 				j.sinkWM.Store(el.wm)
@@ -494,11 +523,13 @@ func newInputGate(ins []chan element) *inputGate {
 	return g
 }
 
-// next returns the next logical element. alive=false means the job is
-// cancelled or all inputs ended after the final end was already delivered.
-func (g *inputGate) next(ctx context.Context) (element, bool) {
+// next returns the next logical element, waiting for one if block is set.
+// ok=false means the job is cancelled, all inputs ended after the final end
+// was already delivered or — when not blocking — no input holds an element
+// right now.
+func (g *inputGate) next(ctx context.Context, block bool) (element, bool) {
 	for {
-		idx, el, recvOK := g.receive(ctx)
+		idx, el, recvOK := g.receive(ctx, block)
 		if !recvOK {
 			return element{}, false
 		}
@@ -545,8 +576,9 @@ func (g *inputGate) next(ctx context.Context) (element, bool) {
 	}
 }
 
-// receive picks the next element from any unblocked, unended channel.
-func (g *inputGate) receive(ctx context.Context) (int, element, bool) {
+// receive picks the next element from any unblocked, unended channel,
+// waiting for one only if block is set.
+func (g *inputGate) receive(ctx context.Context, block bool) (int, element, bool) {
 	// Fast path: single-input gates dominate; avoid reflect.
 	active := -1
 	nActive := 0
@@ -557,6 +589,19 @@ func (g *inputGate) receive(ctx context.Context) (int, element, bool) {
 		}
 	}
 	if nActive == 0 {
+		return 0, element{}, false
+	}
+	if !block {
+		for i := range g.ins {
+			if g.ended[i] || g.blocked[i] {
+				continue
+			}
+			select {
+			case el := <-g.ins[i]:
+				return i, el, true
+			default:
+			}
+		}
 		return 0, element{}, false
 	}
 	if nActive == 1 {

@@ -11,7 +11,9 @@ import (
 // single goroutine.
 type Sink interface {
 	// Write delivers a batch of output events (at-least-once across
-	// restarts).
+	// restarts): the run of events that was ready when the sink loop came
+	// round, in order, at most JobSpec.BufferSize of them. The slice is
+	// reused after Write returns.
 	Write(events []Event) error
 	// Flush is called at checkpoints and end-of-stream.
 	Flush() error
@@ -81,7 +83,7 @@ func NewTopicSink(target stream.ProducerTarget, topic string, codec *record.Code
 	}
 }
 
-// Write implements Sink.
+// Write implements Sink: the whole run goes out as one ProduceBatch.
 func (t *TopicSink) Write(events []Event) error {
 	msgs := make([]stream.Message, 0, len(events))
 	for _, e := range events {
@@ -98,7 +100,8 @@ func (t *TopicSink) Write(events []Event) error {
 	return t.producer.ProduceBatch(t.topic, msgs)
 }
 
-// Flush implements Sink (produce is synchronous; nothing buffered).
+// Flush implements Sink. Write returns once its batch is acknowledged, so
+// there is never anything buffered to flush at a checkpoint.
 func (t *TopicSink) Flush() error { return nil }
 
 // FuncSink adapts a function into a Sink.

@@ -13,9 +13,10 @@ import (
 // Source feeds a job with events. Implementations are driven by a single
 // runtime goroutine, so they need no locking.
 type Source interface {
-	// Next returns the next batch of events (possibly empty) within
-	// maxWait. end is true once a bounded source is exhausted; unbounded
-	// sources never end.
+	// Next returns the next batch of events, blocking for at most maxWait
+	// when there are none yet (the bound is what keeps the runtime's
+	// cancellation and checkpoint barriers prompt). end is true once a
+	// bounded source is exhausted; unbounded sources never end.
 	Next(maxWait time.Duration) (events []Event, end bool, err error)
 	// Watermark returns the source's current event-time watermark.
 	Watermark() int64
@@ -34,7 +35,9 @@ type LagReporter interface {
 // StreamSource reads a topic from a broker cluster, managing its own
 // per-partition offsets so checkpoints capture the exact read position
 // (Flink's Kafka source contract). Event time comes from the schema's
-// configured time field.
+// configured time field. When it has caught up, Next parks in the cluster's
+// Wait on all of its partitions at once and an append to any of them wakes
+// it.
 type StreamSource struct {
 	cluster   *stream.Cluster
 	topic     string
@@ -48,6 +51,12 @@ type StreamSource struct {
 	mu        sync.Mutex
 	positions []int64
 	maxTime   int64
+
+	// watch is Next's argument to Wait and fetched its decoded fetches,
+	// one entry per partition; only the goroutine driving Next touches
+	// them.
+	watch   []stream.Position
+	fetched [][]Event
 }
 
 // StreamSourceConfig configures a StreamSource.
@@ -82,8 +91,11 @@ func NewStreamSource(cluster *stream.Cluster, topic string, codec *record.Codec,
 		lateness:  cfg.LatenessMs,
 		batch:     cfg.Batch,
 		positions: make([]int64, n),
+		watch:     make([]stream.Position, n),
+		fetched:   make([][]Event, n),
 	}
 	for i := range s.positions {
+		s.watch[i].TopicPartition = stream.TopicPartition{Topic: topic, Partition: i}
 		low, high, err := cluster.Watermarks(stream.TopicPartition{Topic: topic, Partition: i})
 		if err != nil {
 			return nil, err
@@ -97,13 +109,22 @@ func NewStreamSource(cluster *stream.Cluster, topic string, codec *record.Codec,
 	return s, nil
 }
 
-// Next implements Source.
+// Next implements Source. The wait happens outside mu: Lag reads the
+// positions from the job manager's goroutine and must not queue behind it.
 func (s *StreamSource) Next(maxWait time.Duration) ([]Event, bool, error) {
 	s.mu.Lock()
+	for i, pos := range s.positions {
+		s.watch[i].Offset = pos
+	}
+	s.mu.Unlock()
+	s.cluster.Wait(s.watch, maxWait)
+
+	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []Event
+	total := 0
 	for i := range s.positions {
-		tp := stream.TopicPartition{Topic: s.topic, Partition: i}
+		s.fetched[i] = s.fetched[i][:0]
+		tp := s.watch[i].TopicPartition
 		msgs, err := s.cluster.Fetch(tp, s.positions[i], s.batch)
 		if err != nil {
 			// Retention moved past us; resume at the low watermark.
@@ -119,16 +140,39 @@ func (s *StreamSource) Next(maxWait time.Duration) ([]Event, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			out = append(out, ev)
+			s.fetched[i] = append(s.fetched[i], ev)
 		}
 		if len(msgs) > 0 {
 			s.positions[i] = msgs[len(msgs)-1].Offset + 1
+			total += len(msgs)
 		}
 	}
-	if len(out) == 0 && maxWait > 0 {
-		time.Sleep(time.Millisecond)
+	return mergeByTime(s.fetched, total), false, nil
+}
+
+// mergeByTime merges per-partition event slices into one, taking the
+// earliest head each time (the lower partition on a tie): each partition's
+// order is kept, and rows a producer spread over the partitions come out in
+// event-time order instead of partition by partition. Downstream that is
+// the difference between a watermark that follows a run of events and one
+// that overtakes the other partitions' share of the same batch.
+func mergeByTime(parts [][]Event, total int) []Event {
+	if total == 0 {
+		return nil
 	}
-	return out, false, nil
+	out := make([]Event, 0, total)
+	heads := make([]int, len(parts))
+	for len(out) < total {
+		best := -1
+		for i, p := range parts {
+			if heads[i] < len(p) && (best < 0 || p[heads[i]].Time < parts[best][heads[best]].Time) {
+				best = i
+			}
+		}
+		out = append(out, parts[best][heads[best]])
+		heads[best]++
+	}
+	return out
 }
 
 func (s *StreamSource) decode(m stream.Message) (Event, error) {

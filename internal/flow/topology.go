@@ -13,8 +13,8 @@ type SourceSpec struct {
 	Name string
 	// Source supplies the events.
 	Source Source
-	// WatermarkEvery emits a watermark after every N polled events (and on
-	// idle polls). Default 64.
+	// WatermarkEvery emits a watermark after every N polled events (and
+	// after every poll that left the source drained). Default 64.
 	WatermarkEvery int
 }
 

@@ -964,25 +964,85 @@ func (d *Deployment) MetricsSnapshot() []obs.MetricPoint { return d.metrics.Snap
 // Table returns the deployment's table config.
 func (d *Deployment) Table() TableConfig { return d.cfg }
 
-// Ingest adds one record from the given input partition. For upsert tables
-// the record's primary key supersedes any prior record with the same key —
-// the shared-nothing scheme of §4.3.1: all records of one key arrive on one
-// partition, whose metadata lives on exactly one server.
+// Ingest adds one record from the given input partition: the one-row call
+// of IngestBatch.
 func (d *Deployment) Ingest(partition int, r record.Record) error {
+	_, err := d.IngestBatch(partition, []record.Record{r})
+	return err
+}
+
+// IngestBatch adds records from the given input partition, in order. For
+// upsert tables a record's primary key supersedes any prior record with the
+// same key — the shared-nothing scheme of §4.3.1: all records of one key
+// arrive on one partition, whose metadata lives on exactly one server.
+//
+// Rows are conformed (and checked against the partition column) before d.mu
+// is taken and appended under one acquisition per consuming store, each row
+// with its own generation bump and hook delivery inside that critical
+// section. The store is sealed exactly when it reaches SegmentRows, splitting
+// the batch there. A store that is already full on entry — the previous
+// seal failed — is sealed before anything is appended, so a centralized
+// backup outage halts ingestion (§4.3.4) instead of growing the store.
+//
+// n is the number of rows consumed: rows[:n] are in the table and must not
+// be offered again, rows[n:] are not and may be retried. n can equal
+// len(rows) with a non-nil error when the seal after the last row failed.
+func (d *Deployment) IngestBatch(partition int, rows []record.Record) (n int, err error) {
+	conformed := make([]record.Record, 0, len(rows))
+	var rowErr error // the first row that does not conform ends the batch
+	for _, r := range rows {
+		c, cerr := d.conform(partition, r)
+		if cerr != nil {
+			rowErr = cerr
+			break
+		}
+		conformed = append(conformed, c)
+	}
+	for {
+		d.mu.Lock()
+		ms := d.consuming[partition]
+		full := ms != nil && ms.n >= d.cfg.SegmentRows
+		if !full && n < len(conformed) {
+			var added int
+			added, full, err = d.appendLocked(partition, conformed[n:])
+			n += added
+		}
+		d.mu.Unlock()
+		if err != nil {
+			return n, err
+		}
+		if !full {
+			return n, rowErr // every conformed row is in
+		}
+		if err := d.Seal(partition); err != nil {
+			return n, err
+		}
+	}
+}
+
+// conform returns r in the table schema's canonical form, checked against
+// the partition-aware router's contract.
+func (d *Deployment) conform(partition int, r record.Record) (record.Record, error) {
 	conformed, err := record.Conform(r, d.cfg.Schema)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if d.cfg.PartitionColumn != "" {
 		// The partition-aware router prunes servers assuming records landed
 		// on PartitionFor(partition column); enforce that contract here so
 		// pruning can never silently miss rows.
 		if want := PartitionFor(conformed[d.cfg.PartitionColumn], d.cfg.Partitions); want != partition {
-			return fmt.Errorf("olap: record with %s=%v belongs on partition %d, ingested on %d",
+			return nil, fmt.Errorf("olap: record with %s=%v belongs on partition %d, ingested on %d",
 				d.cfg.PartitionColumn, conformed[d.cfg.PartitionColumn], want, partition)
 		}
 	}
-	d.mu.Lock()
+	return conformed, nil
+}
+
+// appendLocked appends conformed rows to the partition's consuming store
+// until the rows run out or the store reaches SegmentRows (full). Caller
+// holds d.mu and has checked that the store is not already full.
+func (d *Deployment) appendLocked(partition int, rows []record.Record) (added int, full bool, err error) {
 	owner, ok := d.partitionOwner[partition]
 	if !ok {
 		owner = d.pickOwnerLocked(partition)
@@ -994,61 +1054,69 @@ func (d *Deployment) Ingest(partition int, r record.Record) error {
 		// unless the seal threshold is too large to reserve on spec.
 		ms = newMutableSegment(d.segmentName(partition, d.segSeq[partition]), d.cfg.Schema, min(d.cfg.SegmentRows, 1<<16))
 	}
-	// Append before touching any other state: a row the store rejects must
-	// leave no trace, and nothing after this can fail.
-	doc, err := ms.add(conformed)
-	if err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	if !consuming {
-		d.consuming[partition] = ms
-	}
-	superseded := false
-	if d.cfg.Upsert {
-		pk := conformed.String(d.cfg.Schema.PrimaryKey)
-		locs, ok := d.upsertLoc[partition]
-		if !ok {
-			locs = make(map[string]location)
-			d.upsertLoc[partition] = locs
+	now := time.Now().UnixNano()
+	for _, row := range rows {
+		// Append before touching any other state: a row the store rejects
+		// must leave no trace, and nothing after this can fail.
+		doc, err := ms.add(row)
+		if err != nil {
+			return added, false, err
 		}
-		if old, exists := locs[pk]; exists {
-			superseded = true
-			if old.segment == "" {
-				ms.invalid[old.doc] = true
-			} else if sb := d.sealingLocked(partition, old.segment); sb != nil {
-				// The superseded row is mid-seal: record it on the frozen
-				// store so the sealed segment's validity bitmap (built at
-				// swap time) excludes it.
-				sb.invalid[old.doc] = true
-			} else {
-				d.serverAt(owner).invalidate(old.segment, old.doc)
-				// Keep replica validity consistent too.
-				for _, ri := range d.placement[old.segment] {
-					if ri != owner {
-						d.serverAt(ri).invalidate(old.segment, old.doc)
-					}
+		if !consuming {
+			d.consuming[partition] = ms
+			consuming = true
+		}
+		superseded := d.cfg.Upsert && d.supersedeLocked(partition, owner, ms, row, doc)
+		d.ingested++
+		d.ingestRows.Inc()
+		d.lastIngestNanos = now
+		added++
+		// The bump (and hook delivery) happens inside the same critical
+		// section that made the row visible, so the generation totally
+		// orders this mutation against every routing snapshot — the
+		// invariant both the result cache and incremental view maintenance
+		// rely on. An upsert supersede is a retraction: the old row left
+		// the visible set, which mergeable aggregates cannot undo
+		// incrementally.
+		d.emitMutationLocked(partition, row, superseded)
+		if ms.n >= d.cfg.SegmentRows {
+			return added, true, nil
+		}
+	}
+	return added, false, nil
+}
+
+// supersedeLocked points the row's primary key at its new location in the
+// consuming store and invalidates the row it replaces, if any, wherever
+// that row lives. It reports whether a row was replaced. Caller holds d.mu.
+func (d *Deployment) supersedeLocked(partition, owner int, ms *mutableSegment, row record.Record, doc int) bool {
+	pk := row.String(d.cfg.Schema.PrimaryKey)
+	locs, ok := d.upsertLoc[partition]
+	if !ok {
+		locs = make(map[string]location)
+		d.upsertLoc[partition] = locs
+	}
+	old, exists := locs[pk]
+	if exists {
+		if old.segment == "" {
+			ms.invalid[old.doc] = true
+		} else if sb := d.sealingLocked(partition, old.segment); sb != nil {
+			// The superseded row is mid-seal: record it on the frozen
+			// store so the sealed segment's validity bitmap (built at
+			// swap time) excludes it.
+			sb.invalid[old.doc] = true
+		} else {
+			d.serverAt(owner).invalidate(old.segment, old.doc)
+			// Keep replica validity consistent too.
+			for _, ri := range d.placement[old.segment] {
+				if ri != owner {
+					d.serverAt(ri).invalidate(old.segment, old.doc)
 				}
 			}
 		}
-		locs[pk] = location{segment: "", doc: doc}
 	}
-	d.ingested++
-	d.ingestRows.Inc()
-	d.lastIngestNanos = time.Now().UnixNano()
-	needSeal := ms.n >= d.cfg.SegmentRows
-	// The bump (and hook delivery) happens inside the same critical section
-	// that made the row visible, so the generation totally orders this
-	// mutation against every routing snapshot — the invariant both the
-	// result cache and incremental view maintenance rely on. An upsert
-	// supersede is a retraction: the old row left the visible set, which
-	// mergeable aggregates cannot undo incrementally.
-	d.emitMutationLocked(partition, conformed, superseded)
-	d.mu.Unlock()
-	if needSeal {
-		return d.Seal(partition)
-	}
-	return nil
+	locs[pk] = location{segment: "", doc: doc}
+	return exists
 }
 
 func (d *Deployment) segmentName(partition, seq int) string {

@@ -14,7 +14,9 @@ import (
 // Pinot's lambda architecture (§4.3). Partition i of the topic feeds
 // ingestion partition i, which for upsert tables is exactly the "organize
 // the input stream into multiple partitions by the primary key, and
-// distribute each partition to a node" scheme of §4.3.1.
+// distribute each partition to a node" scheme of §4.3.1. Each loop parks in
+// the cluster's Wait until its partition has data, then hands a whole fetch
+// to Deployment.IngestBatch.
 type RealtimeIngester struct {
 	cluster *stream.Cluster
 	topic   string
@@ -128,56 +130,72 @@ func (ri *RealtimeIngester) Stats() IngestStats {
 	return IngestStats{Errors: n, LastErr: err, Lag: ri.Lag()}
 }
 
+// ingestWait bounds one park of a consume loop on its idle partition, and so
+// how long Stop can take; ingestBackoff is the pause after a failed ingest.
+const (
+	ingestWait    = 10 * time.Millisecond
+	ingestBackoff = 5 * time.Millisecond
+)
+
 func (ri *RealtimeIngester) consumePartition(p int) {
 	defer ri.wg.Done()
 	tp := stream.TopicPartition{Topic: ri.topic, Partition: p}
+	at := []stream.Position{{TopicPartition: tp}}
+	rows := make([]record.Record, 0, ri.batch)
 	for {
+		pos := ri.positions[p].Load()
+		at[0].Offset = pos
+		// Wait parks through an outage too (nothing is fetchable), so a
+		// Fetch that keeps failing is retried once per ingestWait.
+		ri.cluster.Wait(at, ingestWait)
 		select {
 		case <-ri.stop:
 			return
 		default:
 		}
-		pos := ri.positions[p].Load()
 		msgs, err := ri.cluster.Fetch(tp, pos, ri.batch)
 		if err != nil {
 			// Retention may have advanced; skip to the low watermark.
 			if low, _, werr := ri.cluster.Watermarks(tp); werr == nil && pos < low {
 				ri.positions[p].Store(low)
-				continue
 			}
-			time.Sleep(time.Millisecond)
 			continue
 		}
-		if len(msgs) == 0 {
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		blocked := false
+		// Decode the fetch up to its first corrupt message and ingest
+		// those rows as one batch; offsets in a fetch are consecutive.
+		var corrupt error
+		rows = rows[:0]
 		for _, m := range msgs {
 			r, err := ri.codec.Decode(m.Value)
 			if err != nil {
-				// Corrupt message: count it and move on (it can never
-				// succeed, unlike a seal failure).
-				ri.errs.Add(1)
-				ri.lastErr.Store(err)
-				ri.positions[p].Store(m.Offset + 1)
-				continue
-			}
-			if err := ri.d.Ingest(p, r); err != nil {
-				ri.errs.Add(1)
-				ri.lastErr.Store(err)
-				// A failed seal (centralized backup outage) blocks this
-				// partition at the failed message: retry after a pause
-				// rather than dropping it — exactly the "all data
-				// ingestion comes to a halt" behavior of §4.3.4.
-				ri.positions[p].Store(m.Offset)
-				blocked = true
+				corrupt = err
 				break
 			}
-			ri.positions[p].Store(m.Offset + 1)
+			rows = append(rows, r)
 		}
-		if blocked {
-			time.Sleep(5 * time.Millisecond)
+		n, err := ri.d.IngestBatch(p, rows)
+		pos += int64(n)
+		if err != nil {
+			// A failed seal (centralized backup outage) blocks this
+			// partition at the first row the table did not take: retry
+			// after a pause rather than dropping it — exactly the "all
+			// data ingestion comes to a halt" behavior of §4.3.4.
+			ri.fail(err)
+			ri.positions[p].Store(pos)
+			time.Sleep(ingestBackoff)
+			continue
 		}
+		if corrupt != nil {
+			// Count it and move on (it can never succeed, unlike a seal
+			// failure).
+			ri.fail(corrupt)
+			pos++
+		}
+		ri.positions[p].Store(pos)
 	}
+}
+
+func (ri *RealtimeIngester) fail(err error) {
+	ri.errs.Add(1)
+	ri.lastErr.Store(err)
 }

@@ -1,0 +1,319 @@
+package olap
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/objstore"
+	"repro/internal/record"
+	"repro/internal/stream"
+)
+
+// hookEvent is what a mutation hook saw, with the row reduced to its key.
+type hookEvent struct {
+	Seq       int64
+	Partition int
+	Key       string
+	Retract   bool
+}
+
+// recordHooks registers a hook that records every mutation and checks the
+// delivery contract: inside d.mu, Seq strictly increasing.
+func recordHooks(t *testing.T, d *Deployment) *[]hookEvent {
+	t.Helper()
+	var events []hookEvent
+	d.AddMutationHook(func(m ViewMutation) {
+		if d.mu.TryLock() {
+			d.mu.Unlock()
+			t.Error("mutation hook delivered outside d.mu")
+		}
+		if n := len(events); n > 0 && m.Seq <= events[n-1].Seq {
+			t.Errorf("hook Seq %d after %d", m.Seq, events[n-1].Seq)
+		}
+		events = append(events, hookEvent{m.Seq, m.Partition, m.Row.String("order_id"), m.Retract})
+	})
+	return &events
+}
+
+// tableState is everything a reader can tell two deployments apart by.
+type tableState struct {
+	Ingested, Sealed int64
+	Generation       int64
+	Segments         []string // name/partition/rows of every sealed segment
+	Rows             [][]any  // every live row, sorted
+	ByCity           [][]any
+}
+
+func stateOf(t *testing.T, d *Deployment) tableState {
+	t.Helper()
+	var s tableState
+	s.Ingested, s.Sealed, _ = d.Stats()
+	s.Generation = d.Generation()
+	for _, si := range d.SegmentInfos() {
+		s.Segments = append(s.Segments, fmt.Sprintf("%s/%d/%d", si.Name, si.Partition, si.NumRows))
+	}
+	sort.Strings(s.Segments)
+	b := NewBroker(d)
+	sel, err := b.Query(&Query{Select: []string{"order_id", "amount", "ts"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Rows = sel.Rows
+	sort.Slice(s.Rows, func(i, j int) bool { return fmt.Sprint(s.Rows[i]) < fmt.Sprint(s.Rows[j]) })
+	agg, err := b.Query(&Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggSum, Column: "amount"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ByCity = agg.Rows
+	return s
+}
+
+// IngestBatch must be indistinguishable from feeding the same rows to
+// Ingest one at a time: same rows and segments (seal boundaries fall
+// mid-batch: SegmentRows is 50, batches run to 120), same generation, same
+// hook sequence with one strictly increasing Seq per row.
+func TestIngestBatchMatchesRowAtATime(t *testing.T) {
+	for _, upsert := range []bool{false, true} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			rows := orderRows(600)
+			if upsert {
+				// Keys repeat, often within one batch; each key stays on
+				// one partition, as the stream's key hashing guarantees.
+				for i, r := range rows {
+					r["order_id"] = fmt.Sprintf("o-%d", rng.Intn(40))
+					r["amount"] = float64(i)
+				}
+			}
+			partitionOf := func(r record.Record) int {
+				if !upsert {
+					return rng.Intn(2)
+				}
+				return int(r.String("order_id")[2]) % 2
+			}
+
+			one, _ := newDeployment(t, 2, 1, upsert, BackupP2P, nil)
+			batched, _ := newDeployment(t, 2, 1, upsert, BackupP2P, nil)
+			oneHooks, batchedHooks := recordHooks(t, one), recordHooks(t, batched)
+			for len(rows) > 0 {
+				size := 1 + rng.Intn(120)
+				if size > len(rows) {
+					size = len(rows)
+				}
+				byPartition := map[int][]record.Record{}
+				for _, r := range rows[:size] {
+					p := partitionOf(r)
+					byPartition[p] = append(byPartition[p], r)
+				}
+				rows = rows[size:]
+				for p := 0; p < 2; p++ {
+					for _, r := range byPartition[p] {
+						if err := one.Ingest(p, r); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if n, err := batched.IngestBatch(p, byPartition[p]); err != nil || n != len(byPartition[p]) {
+						t.Fatalf("IngestBatch = %d, %v; want %d", n, err, len(byPartition[p]))
+					}
+				}
+			}
+			if got, want := stateOf(t, batched), stateOf(t, one); !reflect.DeepEqual(got, want) {
+				t.Errorf("upsert=%v seed=%d: batched table differs\n got %+v\nwant %+v", upsert, seed, got, want)
+			}
+			if !reflect.DeepEqual(*batchedHooks, *oneHooks) {
+				t.Errorf("upsert=%v seed=%d: hook sequences differ (%d vs %d events)", upsert, seed, len(*batchedHooks), len(*oneHooks))
+			}
+			if len(*batchedHooks) != 600 {
+				t.Errorf("upsert=%v seed=%d: %d hook deliveries for 600 rows", upsert, seed, len(*batchedHooks))
+			}
+			if _, sealed, _ := batched.Stats(); sealed < 4 && !upsert {
+				t.Errorf("only %d seals: no boundary fell inside a batch", sealed)
+			}
+		}
+	}
+}
+
+// The same primary key twice in one upsert batch: the second supersedes the
+// first inside the batch, as a retraction.
+func TestIngestBatchSupersedesWithinBatch(t *testing.T) {
+	d, _ := newDeployment(t, 1, 1, true, BackupP2P, nil)
+	hooks := recordHooks(t, d)
+	rows := orderRows(3)
+	rows[0]["order_id"], rows[2]["order_id"] = "dup", "dup"
+	if n, err := d.IngestBatch(0, rows); n != 3 || err != nil {
+		t.Fatalf("IngestBatch = %d, %v", n, err)
+	}
+	sel, err := NewBroker(d).Query(&Query{Select: []string{"order_id", "amount"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]any{}
+	for _, r := range sel.Rows {
+		got[r[0].(string)] = r[1]
+	}
+	if want := (map[string]any{"dup": rows[2]["amount"], "o-00001": rows[1]["amount"]}); !reflect.DeepEqual(got, want) {
+		t.Errorf("live rows = %v, want %v", got, want)
+	}
+	if h := *hooks; len(h) != 3 || h[0].Retract || h[1].Retract || !h[2].Retract {
+		t.Errorf("hooks = %+v, want the third a retraction", h)
+	}
+}
+
+// A row that does not conform ends the batch where row-at-a-time ingestion
+// would have stopped: the rows before it are in, n points at it.
+func TestIngestBatchStopsAtBadRow(t *testing.T) {
+	d, _ := newDeployment(t, 1, 1, false, BackupP2P, nil)
+	rows := orderRows(10)
+	delete(rows[6], "order_id")
+	n, err := d.IngestBatch(0, rows)
+	if n != 6 || err == nil {
+		t.Fatalf("IngestBatch = %d, %v; want 6 and the conform error", n, err)
+	}
+	if ingested, _, _ := d.Stats(); ingested != 6 {
+		t.Errorf("ingested = %d, want 6", ingested)
+	}
+}
+
+// §4.3.4: a failed centralized backup halts ingestion. Mid-batch, n tells
+// the caller which rows the table took, so a retry of rows[n:] neither
+// drops nor duplicates; while the outage lasts a retry takes nothing — the
+// full store is sealed before anything is appended to it.
+func TestIngestBatchFailedBackupMidBatch(t *testing.T) {
+	store := objstore.NewFaultStore(objstore.NewMemStore())
+	d, _ := newDeployment(t, 2, 1, false, BackupCentralized, store)
+	rows := orderRows(130)
+	if n, err := d.IngestBatch(0, rows[:30]); n != 30 || err != nil {
+		t.Fatalf("IngestBatch = %d, %v", n, err)
+	}
+	store.SetDown(true)
+	n, err := d.IngestBatch(0, rows[30:])
+	if n != 20 || !errors.Is(err, objstore.ErrUnavailable) {
+		t.Fatalf("IngestBatch during outage = %d, %v; want 20 rows (the store fills at 50) and ErrUnavailable", n, err)
+	}
+	rest := rows[30+n:]
+	for i := 0; i < 3; i++ {
+		if n, err := d.IngestBatch(0, rest); n != 0 || !errors.Is(err, objstore.ErrUnavailable) {
+			t.Fatalf("retry %d during outage = %d, %v; want 0 rows taken", i, n, err)
+		}
+	}
+	if ingested, sealed, _ := d.Stats(); ingested != 50 || sealed != 0 {
+		t.Errorf("during outage: ingested = %d, sealed = %d; want 50, 0", ingested, sealed)
+	}
+	store.SetDown(false)
+	if n, err := d.IngestBatch(0, rest); n != len(rest) || err != nil {
+		t.Fatalf("retry after recovery = %d, %v", n, err)
+	}
+	ingested, sealed, _ := d.Stats()
+	if ingested != 130 || sealed != 2 {
+		t.Errorf("after recovery: ingested = %d, sealed = %d; want 130, 2", ingested, sealed)
+	}
+	sel, err := NewBroker(d).Query(&Query{Select: []string{"order_id"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[any]int{}
+	for _, r := range sel.Rows {
+		seen[r[0]]++
+	}
+	if len(sel.Rows) != 130 || len(seen) != 130 {
+		t.Errorf("%d rows, %d distinct order ids; want 130 of each", len(sel.Rows), len(seen))
+	}
+}
+
+func newIngestFixture(t *testing.T, partitions int, backup BackupMode, store objstore.Store) (*stream.Cluster, *record.Codec, *Deployment, *RealtimeIngester) {
+	t.Helper()
+	cluster, err := stream.NewCluster(stream.ClusterConfig{Name: "c", Nodes: 1, ReplicationInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Close)
+	if err := cluster.CreateTopic("orders", stream.TopicConfig{Partitions: partitions}); err != nil {
+		t.Fatal(err)
+	}
+	codec, err := record.NewCodec(ordersSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := newDeployment(t, 2, 1, false, backup, store)
+	ing, err := NewRealtimeIngester(cluster, "orders", codec, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cluster, codec, d, ing
+}
+
+// The same outage seen from the stream: the ingester stores the offset of
+// the first message the table did not take, so after recovery every
+// message is in the table exactly once.
+func TestIngesterFailedBackupNoLossNoDuplicate(t *testing.T) {
+	store := objstore.NewFaultStore(objstore.NewMemStore())
+	cluster, codec, d, ing := newIngestFixture(t, 1, BackupCentralized, store)
+	store.SetDown(true)
+	ing.Start()
+	defer ing.Stop()
+
+	p := stream.NewProducer(cluster, "svc", "", nil)
+	msgs := make([]stream.Message, 120)
+	for i, r := range orderRows(120) {
+		payload, _ := codec.Encode(r)
+		msgs[i] = stream.Message{Value: payload}
+	}
+	if err := p.ProduceBatch("orders", msgs); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the ingester to hit the outage", func() bool { return ing.Stats().Errors >= 3 })
+	if ingested, sealed, _ := d.Stats(); ingested != 50 || sealed != 0 {
+		t.Errorf("halted at ingested = %d, sealed = %d; want 50, 0", ingested, sealed)
+	}
+	if lag := ing.Lag(); lag != 70 {
+		t.Errorf("lag during the halt = %d, want 70", lag)
+	}
+	store.SetDown(false)
+	waitFor(t, "ingestion to resume", func() bool { return ing.Lag() == 0 })
+	ingested, sealed, _ := d.Stats()
+	if ingested != 120 || sealed != 2 {
+		t.Errorf("after recovery: ingested = %d, sealed = %d; want 120, 2", ingested, sealed)
+	}
+	r, err := NewBroker(d).Query(&Query{Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggDistinctCount, Column: "order_id"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.Rows[0], []any{int64(120), int64(120)}) {
+		t.Errorf("count, distinct order ids = %v; want 120, 120", r.Rows[0])
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(3 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// Stop returns promptly with every consume loop parked on an idle topic,
+// and leaves no goroutine behind.
+func TestIngesterStopWhileParked(t *testing.T) {
+	before := runtime.NumGoroutine()
+	_, _, _, ing := newIngestFixture(t, 4, BackupP2P, nil)
+	before++ // the cluster's replication pump, stopped by the test's cleanup
+	ing.Start()
+	time.Sleep(3 * ingestWait) // every loop has parked, timed out and parked again
+	start := time.Now()
+	ing.Stop()
+	if d := time.Since(start); d > 10*ingestWait {
+		t.Errorf("Stop took %v with loops parked for at most %v", d, ingestWait)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after Stop", before, runtime.NumGoroutine())
+		}
+	}
+}

@@ -160,16 +160,27 @@ func BenchmarkMutableAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkDeploymentIngest is the whole append path per row, as the
-// realtime ingester drives it: conform, lock, append, bump the generation.
+// BenchmarkDeploymentIngest is the whole append path one row per call, as
+// Deployment.Ingest drives it: conform, lock, append, bump the generation.
 // It stops one row short of the seal threshold, so no seal is in it.
 func BenchmarkDeploymentIngest(b *testing.B) {
+	benchIngest(b, 1)
+}
+
+// BenchmarkDeploymentIngestBatch is the same path as the realtime ingester
+// drives it, a 128-message fetch at a time; ns/op is still ns/row.
+func BenchmarkDeploymentIngestBatch(b *testing.B) {
+	benchIngest(b, 128)
+}
+
+func benchIngest(b *testing.B, batch int) {
 	rows := benchRows(benchSegmentRows - 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var d *Deployment
-	for i := 0; i < b.N; i++ {
-		if i%len(rows) == 0 {
+	for i := 0; i < b.N; {
+		at := i % len(rows)
+		if at == 0 {
 			b.StopTimer()
 			var err error
 			d, err = NewDeployment(DeploymentConfig{
@@ -183,9 +194,11 @@ func BenchmarkDeploymentIngest(b *testing.B) {
 			}
 			b.StartTimer()
 		}
-		if err := d.Ingest(0, rows[i%len(rows)]); err != nil {
+		n, err := d.IngestBatch(0, rows[at:min(at+batch, len(rows), at+b.N-i)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		i += n
 	}
 }
 

@@ -33,13 +33,10 @@ func NewCodec(s *metadata.Schema) (*Codec, error) {
 // Schema returns the codec's bound schema.
 func (c *Codec) Schema() *metadata.Schema { return c.schema.Clone() }
 
-// Encode serializes the record. The record is conformed to the schema first,
-// so unknown columns are dropped and type mismatches are errors.
+// Encode serializes the record, conforming it to the schema field by field
+// as it goes (conformField, the rule Conform applies): unknown columns are
+// dropped and type mismatches are errors.
 func (c *Codec) Encode(r Record) ([]byte, error) {
-	conformed, err := Conform(r, c.schema)
-	if err != nil {
-		return nil, err
-	}
 	nf := len(c.schema.Fields)
 	bitmapLen := (nf + 7) / 8
 	buf := make([]byte, 0, 16+8*nf)
@@ -49,7 +46,10 @@ func (c *Codec) Encode(r Record) ([]byte, error) {
 		buf = append(buf, 0)
 	}
 	for i, f := range c.schema.Fields {
-		v, ok := conformed[f.Name]
+		v, ok, err := conformField(r, f, c.schema.Name)
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			continue
 		}

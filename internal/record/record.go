@@ -100,7 +100,7 @@ func Coerce(v any, t metadata.FieldType) (any, error) {
 	case metadata.TypeLong, metadata.TypeTimestamp:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case int:
 			return int64(x), nil
 		case float64:
@@ -112,23 +112,23 @@ func Coerce(v any, t metadata.FieldType) (any, error) {
 	case metadata.TypeDouble:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case int64:
 			return float64(x), nil
 		case int:
 			return float64(x), nil
 		}
 	case metadata.TypeString:
-		if s, ok := v.(string); ok {
-			return s, nil
+		if _, ok := v.(string); ok {
+			return v, nil
 		}
 	case metadata.TypeBool:
-		if b, ok := v.(bool); ok {
-			return b, nil
+		if _, ok := v.(bool); ok {
+			return v, nil
 		}
 	case metadata.TypeBytes:
-		if b, ok := v.([]byte); ok {
-			return b, nil
+		if _, ok := v.([]byte); ok {
+			return v, nil
 		}
 	}
 	return nil, fmt.Errorf("record: cannot coerce %T to %s", v, t)
@@ -140,18 +140,29 @@ func Coerce(v any, t metadata.FieldType) (any, error) {
 func Conform(r Record, s *metadata.Schema) (Record, error) {
 	out := make(Record, len(s.Fields))
 	for _, f := range s.Fields {
-		v, ok := r[f.Name]
-		if !ok || v == nil {
-			if !f.Nullable {
-				return nil, fmt.Errorf("record: missing required field %q for schema %q", f.Name, s.Name)
-			}
-			continue
-		}
-		cv, err := Coerce(v, f.Type)
+		cv, ok, err := conformField(r, f, s.Name)
 		if err != nil {
-			return nil, fmt.Errorf("record: field %q: %w", f.Name, err)
+			return nil, err
 		}
-		out[f.Name] = cv
+		if ok {
+			out[f.Name] = cv
+		}
 	}
 	return out, nil
+}
+
+// conformField is Conform's rule for one field: the canonical value of r's
+// column f, ok=false when a nullable column is absent or nil.
+func conformField(r Record, f metadata.Field, schema string) (v any, ok bool, err error) {
+	v, ok = r[f.Name]
+	if !ok || v == nil {
+		if !f.Nullable {
+			return nil, false, fmt.Errorf("record: missing required field %q for schema %q", f.Name, schema)
+		}
+		return nil, false, nil
+	}
+	if v, err = Coerce(v, f.Type); err != nil {
+		return nil, false, fmt.Errorf("record: field %q: %w", f.Name, err)
+	}
+	return v, true, nil
 }

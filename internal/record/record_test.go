@@ -253,3 +253,79 @@ func TestCodecDeterministic(t *testing.T) {
 		t.Error("encoding is not deterministic")
 	}
 }
+
+// Encode conforms field by field instead of building Conform's map. Its
+// bytes must be those of encoding the conformed record, and its errors
+// Conform's, for conforming, coercible, missing-required and wrong-type
+// input alike.
+func TestEncodeMatchesConform(t *testing.T) {
+	with := func(k string, v any) Record {
+		r := sampleRecord()
+		if v == nil {
+			delete(r, k)
+		} else {
+			r[k] = v
+		}
+		return r
+	}
+	cases := map[string]Record{
+		"conforming":          sampleRecord(),
+		"unknown column":      with("extra", "dropped"),
+		"int as long":         with("id", 42),
+		"whole float as long": with("ts", 1700000000000.0),
+		"long as double":      with("fare", int64(12)),
+		"int as double":       with("fare", 12),
+		"nullable absent":     with("blob", nil),
+		"nullable nil":        Record{"id": int64(1), "city": "x", "fare": 1.0, "ok": false, "ts": int64(2), "opt": nil},
+		"missing required":    with("city", nil),
+		"nil required":        Record{"id": int64(1), "city": nil, "fare": 1.0, "ok": false, "ts": int64(2)},
+		"fraction as long":    with("id", 1.5),
+		"string as long":      with("id", "42"),
+		"long as string":      with("city", int64(7)),
+		"string as bool":      with("ok", "true"),
+		"string as bytes":     with("blob", "abc"),
+		"two bad fields":      Record{"id": "x", "fare": "y", "ok": true, "ts": int64(2)},
+	}
+	schema := testSchema()
+	c, err := NewCodec(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range cases {
+		got, gotErr := c.Encode(r)
+		conformed, wantErr := Conform(r, schema)
+		if wantErr != nil {
+			if gotErr == nil || gotErr.Error() != wantErr.Error() || got != nil {
+				t.Errorf("%s: Encode = %v, %v; want Conform's error %v", name, got, gotErr, wantErr)
+			}
+			continue
+		}
+		if gotErr != nil {
+			t.Errorf("%s: Encode: %v", name, gotErr)
+			continue
+		}
+		// A conformed record holds only canonical values, so encoding it
+		// exercises no coercion: it is the reference.
+		want, err := c.Encode(conformed)
+		if err != nil {
+			t.Fatalf("%s: encoding the conformed record: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: Encode = %x, conformed encodes to %x", name, got, want)
+		}
+		back, err := c.Decode(got)
+		if err != nil || !reflect.DeepEqual(back, conformed) {
+			t.Errorf("%s: decoded %v (%v), want %v", name, back, err, conformed)
+		}
+	}
+}
+
+// Encoding a record of canonical values allocates the payload and nothing
+// else.
+func TestEncodeAllocations(t *testing.T) {
+	c, _ := NewCodec(testSchema())
+	r := sampleRecord()
+	if n := testing.AllocsPerRun(100, func() { _, _ = c.Encode(r) }); n > 1 {
+		t.Errorf("Encode allocates %v times per record, want 1 (the payload)", n)
+	}
+}

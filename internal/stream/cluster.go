@@ -100,7 +100,8 @@ func (c *Cluster) Name() string { return c.cfg.Name }
 // Nodes returns the configured node count.
 func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 
-// Close stops the background replication pump.
+// Close stops the background replication pump and wakes every consumer
+// parked in Wait.
 func (c *Cluster) Close() {
 	select {
 	case <-c.pumpStop:
@@ -109,6 +110,9 @@ func (c *Cluster) Close() {
 		close(c.pumpStop)
 		<-c.pumpDone
 	}
+	c.mu.RLock()
+	c.wakeAllLocked()
+	c.mu.RUnlock()
 }
 
 func (c *Cluster) replicationPump() {
@@ -169,10 +173,12 @@ func (c *Cluster) CreateTopic(name string, cfg TopicConfig) error {
 func (c *Cluster) DeleteTopic(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.topics[name]; !ok {
+	t, ok := c.topics[name]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrTopicNotFound, name)
 	}
 	delete(c.topics, name)
+	t.wakeAll()
 	return nil
 }
 
@@ -275,27 +281,52 @@ func (c *Cluster) Produce(topic string, msgs []Message, rrHint int64) error {
 		return fmt.Errorf("%w: %s", ErrTopicNotFound, topic)
 	}
 	c.confirmMembership()
-	// Group messages by destination partition, preserving order.
-	n := len(t.partitions)
-	buckets := make(map[int][]Message, n)
-	for i, m := range msgs {
-		var pi int
-		if len(m.Key) > 0 {
-			pi = int(hashBytes(m.Key) % uint32(n))
-		} else {
-			pi = int((rrHint + int64(i)) % int64(n))
-		}
-		buckets[pi] = append(buckets[pi], m)
-	}
 	parts := t.partitions
 	c.mu.RUnlock()
-
+	buckets := bucketByPartition(msgs, len(parts), rrHint)
+	var err error
 	for pi, batch := range buckets {
-		if _, err := parts[pi].append(batch); err != nil {
-			return err
+		if len(batch) > 0 && err == nil {
+			_, err = parts[pi].append(batch)
 		}
 	}
-	return nil
+	// Wake consumers only now that every partition has its share: one woken
+	// by the first append would read the others before the rest of the
+	// batch reached them, and a flow source would put its watermark between
+	// rows that were produced together.
+	for pi, batch := range buckets {
+		if len(batch) > 0 {
+			parts[pi].wake()
+		}
+	}
+	return err
+}
+
+// bucketByPartition groups messages by destination partition, preserving
+// order, as a counting sort into one backing array: a fixed number of
+// allocations whatever the batch size, and partitions in index order.
+func bucketByPartition(msgs []Message, n int, rrHint int64) [][]Message {
+	dest := make([]int, len(msgs))
+	counts := make([]int, n)
+	for i := range msgs {
+		if key := msgs[i].Key; len(key) > 0 {
+			dest[i] = int(hashBytes(key) % uint32(n))
+		} else {
+			dest[i] = int((rrHint + int64(i)) % int64(n))
+		}
+		counts[dest[i]]++
+	}
+	flat := make([]Message, len(msgs))
+	buckets := make([][]Message, n)
+	off := 0
+	for pi, c := range counts {
+		buckets[pi] = flat[off : off : off+c]
+		off += c
+	}
+	for i := range msgs {
+		buckets[dest[i]] = append(buckets[dest[i]], msgs[i])
+	}
+	return buckets
 }
 
 // Fetch returns up to max messages from the given partition starting at
@@ -306,15 +337,6 @@ func (c *Cluster) Fetch(tp TopicPartition, offset int64, max int) ([]Message, er
 		return nil, err
 	}
 	return p.fetch(offset, max)
-}
-
-// FetchWait is Fetch but blocks until data arrives or maxWait elapses.
-func (c *Cluster) FetchWait(tp TopicPartition, offset int64, max int, maxWait time.Duration) ([]Message, error) {
-	p, err := c.partition(tp.Topic, tp.Partition)
-	if err != nil {
-		return nil, err
-	}
-	return p.fetchWait(offset, max, c.clock().Add(maxWait))
 }
 
 // Watermarks returns the low and high watermark of a partition.
@@ -331,6 +353,7 @@ func (c *Cluster) Watermarks(tp TopicPartition) (low, high int64, err error) {
 func (c *Cluster) SetDown(down bool) {
 	c.mu.Lock()
 	c.down = down
+	c.wakeAllLocked()
 	c.mu.Unlock()
 }
 

@@ -86,8 +86,8 @@ func TestProduceFetchOrdering(t *testing.T) {
 		if string(m.Value) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("value[%d] = %q", i, m.Value)
 		}
-		if m.Headers[HeaderService] != "test-svc" || m.Headers[HeaderUUID] == "" {
-			t.Fatal("audit headers missing")
+		if m.Service != "test-svc" || m.HeaderOr(HeaderUUID, "") != fmt.Sprintf("test-svc-%d", i+1) {
+			t.Fatal("audit metadata missing")
 		}
 	}
 	// Partial fetch with max.
@@ -138,33 +138,6 @@ func TestRoundRobinSpreads(t *testing.T) {
 		if high < 30 || high > 70 {
 			t.Errorf("partition %d got %d messages, want ~50", i, high)
 		}
-	}
-}
-
-func TestFetchWaitBlocksUntilData(t *testing.T) {
-	c := testCluster(t, 1)
-	mustCreate(t, c, "t", TopicConfig{Partitions: 1})
-	tp := TopicPartition{Topic: "t", Partition: 0}
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		NewProducer(c, "svc", "", nil).Produce("t", nil, []byte("late"))
-	}()
-	start := time.Now()
-	msgs, err := c.FetchWait(tp, 0, 10, time.Second)
-	if err != nil || len(msgs) != 1 {
-		t.Fatalf("FetchWait = %v, %v", msgs, err)
-	}
-	if time.Since(start) > 500*time.Millisecond {
-		t.Error("FetchWait did not wake promptly on append")
-	}
-	// Timeout path.
-	start = time.Now()
-	msgs, err = c.FetchWait(tp, 1, 10, 50*time.Millisecond)
-	if err != nil || len(msgs) != 0 {
-		t.Errorf("FetchWait timeout = %v, %v", msgs, err)
-	}
-	if time.Since(start) < 40*time.Millisecond {
-		t.Error("FetchWait returned before deadline with no data")
 	}
 }
 
@@ -361,5 +334,81 @@ func TestTopicsSorted(t *testing.T) {
 	got := c.Topics()
 	if len(got) != 3 || got[0] != "alpha" || got[2] != "zeta" {
 		t.Errorf("Topics = %v", got)
+	}
+}
+
+// nopTarget acknowledges everything; it isolates what the Producer itself
+// does to a batch.
+type nopTarget struct{}
+
+func (nopTarget) Produce(string, []Message, int64) error { return nil }
+
+// Stamping the audit metadata allocates nothing: no map, no formatted uuid
+// or timestamp string, whatever the batch size.
+func TestProduceBatchStampsWithoutAllocating(t *testing.T) {
+	p := NewProducer(nopTarget{}, "svc", "", nil)
+	msgs := make([]Message, 100)
+	extras := map[string]string{HeaderRetryCount: "2"}
+	for i := range msgs {
+		msgs[i] = Message{Value: []byte("v"), Headers: extras}
+	}
+	if n := testing.AllocsPerRun(50, func() { _ = p.ProduceBatch("t", msgs) }); n != 0 {
+		t.Errorf("ProduceBatch allocates %v times per 100-message batch, want 0", n)
+	}
+	if len(extras) != 1 {
+		t.Errorf("producer wrote into the caller's Headers map: %v", extras)
+	}
+	last := msgs[len(msgs)-1]
+	if last.Service != "svc" || last.Tier != "prod" || last.AppTime == 0 || last.UUID() != fmt.Sprintf("svc-%d", last.Seq) {
+		t.Errorf("audit fields = %+v", last)
+	}
+	if last.HeaderOr(HeaderRetryCount, "") != "2" || last.HeaderOr(HeaderTier, "") != "prod" || last.HeaderOr("absent", "def") != "def" {
+		t.Error("HeaderOr does not answer from both the fields and the map")
+	}
+}
+
+// Byte retention charges the audit fields what they cost as four map
+// entries, so a partition holds as many messages as before they moved out
+// of the map.
+func TestSizeBytesChargesAuditFieldsAsHeaders(t *testing.T) {
+	asHeaders := func(m Message) int64 {
+		n := int64(len(m.Key) + len(m.Value) + 32)
+		for _, k := range []string{HeaderUUID, HeaderAppTime, HeaderService, HeaderTier, HeaderRetryCount} {
+			if v := m.HeaderOr(k, ""); v != "" {
+				n += int64(len(k) + len(v) + 8)
+			}
+		}
+		return n
+	}
+	for _, m := range []Message{
+		{Value: make([]byte, 40)},
+		{Key: []byte("k"), Value: make([]byte, 40), Service: "bench-producer", Tier: "prod", Seq: 1, AppTime: 1700000000000},
+		{Value: make([]byte, 7), Service: "s", Tier: "staging", Seq: 99999, AppTime: 9},
+		{Value: []byte("v"), Service: "s", Tier: "t", Seq: 10, AppTime: -15, Headers: map[string]string{HeaderRetryCount: "3"}},
+		{Value: []byte("v"), Headers: map[string]string{HeaderUUID: "hand-built", HeaderAppTime: "12"}},
+	} {
+		if got, want := m.sizeBytes(), asHeaders(m); got != want {
+			t.Errorf("sizeBytes(%+v) = %d, want %d", m, got, want)
+		}
+	}
+	// The benchmark's message: 46-byte payload, no key, bench-producer/prod.
+	m := Message{Value: make([]byte, 46), Service: "bench-producer", Tier: "prod", Seq: 123456, AppTime: 1700000000000}
+	if got := m.sizeBytes(); got != 46+32+(4+21+8)+(6+13+8)+(7+14+8)+(4+4+8) {
+		t.Errorf("sizeBytes = %d", got)
+	}
+}
+
+// A fetch sizes its result once.
+func TestFetchAllocatesOnce(t *testing.T) {
+	c := testCluster(t, 1)
+	mustCreate(t, c, "t", TopicConfig{Partitions: 1, SegmentBytes: 2000})
+	produceN(t, c, "t", 500, false) // spans many segments
+	tp := TopicPartition{Topic: "t", Partition: 0}
+	if n := testing.AllocsPerRun(20, func() {
+		if msgs, err := c.Fetch(tp, 100, 128); err != nil || len(msgs) != 128 || msgs[127].Offset != 227 {
+			t.Fatalf("fetch = %d msgs, %v", len(msgs), err)
+		}
+	}); n > 1 {
+		t.Errorf("Fetch(…, 128) allocates %v times, want 1", n)
 	}
 }

@@ -99,7 +99,8 @@ type Consumer struct {
 	generation int64
 	assigned   []TopicPartition
 	positions  map[TopicPartition]int64
-	nextIdx    int // round-robin cursor over assigned partitions
+	nextIdx    int        // round-robin cursor over assigned partitions
+	watch      []Position // scratch for Poll's wait
 	closed     bool
 }
 
@@ -179,48 +180,49 @@ func (k *Consumer) refreshAssignment() {
 
 // Poll returns up to max messages, waiting up to maxWait for data. It cycles
 // fairly over assigned partitions. An empty return means no data arrived
-// within maxWait.
+// within maxWait. An idle poll parks in Cluster.Wait on the assigned
+// positions; a rebalance is picked up when the wait ends.
 func (k *Consumer) Poll(maxWait time.Duration, max int) []Message {
 	if k.closed || max <= 0 {
 		return nil
 	}
-	deadline := k.cluster.clock().Add(maxWait)
+	deadline := time.Now().Add(maxWait)
 	for {
 		k.refreshAssignment()
-		if len(k.assigned) > 0 {
-			var out []Message
-			for range k.assigned {
-				tp := k.assigned[k.nextIdx%len(k.assigned)]
-				k.nextIdx++
-				pos := k.positions[tp]
-				msgs, err := k.cluster.Fetch(tp, pos, max-len(out))
-				if err != nil {
-					// Retention may have moved past our position: skip ahead
-					// rather than stall (matching auto.offset.reset).
-					low, high, werr := k.cluster.Watermarks(tp)
-					if werr == nil && pos < low {
-						k.positions[tp] = low
-					} else if werr == nil && pos > high {
-						k.positions[tp] = high
-					}
-					continue
+		left := time.Until(deadline)
+		k.watch = k.watch[:0]
+		for _, tp := range k.assigned {
+			k.watch = append(k.watch, Position{TopicPartition: tp, Offset: k.positions[tp]})
+		}
+		k.cluster.Wait(k.watch, left)
+		var out []Message
+		for range k.assigned {
+			tp := k.assigned[k.nextIdx%len(k.assigned)]
+			k.nextIdx++
+			pos := k.positions[tp]
+			msgs, err := k.cluster.Fetch(tp, pos, max-len(out))
+			if err != nil {
+				// Retention may have moved past our position: skip ahead
+				// rather than stall (matching auto.offset.reset).
+				low, high, werr := k.cluster.Watermarks(tp)
+				if werr == nil && pos < low {
+					k.positions[tp] = low
+				} else if werr == nil && pos > high {
+					k.positions[tp] = high
 				}
-				if len(msgs) > 0 {
-					k.positions[tp] = msgs[len(msgs)-1].Offset + 1
-					out = append(out, msgs...)
-				}
-				if len(out) >= max {
-					return out
-				}
+				continue
 			}
-			if len(out) > 0 {
+			if len(msgs) > 0 {
+				k.positions[tp] = msgs[len(msgs)-1].Offset + 1
+				out = append(out, msgs...)
+			}
+			if len(out) >= max {
 				return out
 			}
 		}
-		if !k.cluster.clock().Before(deadline) {
-			return nil
+		if len(out) > 0 || left <= 0 {
+			return out
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -284,5 +285,57 @@ func TestConcurrentProducersAndGroupConsumers(t *testing.T) {
 	}
 	if covered != total {
 		t.Errorf("group covered %d distinct messages, want %d", covered, total)
+	}
+}
+
+// A poll on an idle topic parks once, for its whole wait, and returns at the
+// deadline without leaving anything behind; data arriving meanwhile ends it
+// early.
+func TestPollParksUntilDeadlineOrData(t *testing.T) {
+	c := testCluster(t, 1)
+	mustCreate(t, c, "t", TopicConfig{Partitions: 2})
+	mustCreate(t, c, "u", TopicConfig{Partitions: 1})
+	k := c.NewConsumer("g", "t", "u")
+	defer k.Close()
+	before := runtime.NumGoroutine()
+
+	start := time.Now()
+	if msgs := k.Poll(50*time.Millisecond, 10); len(msgs) != 0 {
+		t.Fatalf("idle poll returned %d messages", len(msgs))
+	}
+	if d := time.Since(start); d < 40*time.Millisecond || d > time.Second {
+		t.Errorf("idle Poll(50ms) took %v", d)
+	}
+
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		time.Sleep(20 * time.Millisecond)
+		NewProducer(c, "svc", "", nil).Produce("u", nil, []byte("late"))
+	}()
+	start = time.Now()
+	msgs := k.Poll(5*time.Second, 10)
+	if len(msgs) != 1 || msgs[0].Topic != "u" {
+		t.Fatalf("poll = %v", msgs)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Poll took %v to see an append to its second topic", d)
+	}
+	for _, topic := range []string{"t", "u"} {
+		n, _ := c.Partitions(topic)
+		for i := 0; i < n; i++ {
+			p, _ := c.partition(topic, i)
+			p.mu.Lock()
+			if len(p.waiters) != 0 {
+				t.Errorf("%s[%d] still holds %d waiters", topic, i, len(p.waiters))
+			}
+			p.mu.Unlock()
+		}
+	}
+	<-produced
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before polling, %d after", before, runtime.NumGoroutine())
+		}
 	}
 }

@@ -240,6 +240,8 @@ func Merge(cluster *stream.Cluster, topic string, max int) (int, error) {
 		}
 		batch := make([]stream.Message, len(msgs))
 		for i, m := range msgs {
+			// Headers is shared with the message retained in the DLQ's log;
+			// the producer only reads it.
 			batch[i] = stream.Message{Key: m.Key, Value: m.Value, Timestamp: m.Timestamp, Headers: m.Headers}
 		}
 		if err := producer.ProduceBatch(topic, batch); err != nil {

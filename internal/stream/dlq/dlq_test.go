@@ -162,6 +162,69 @@ func TestMergeReinjects(t *testing.T) {
 	}
 }
 
+// auditOf reads the four §9.4 audit values of a message by header name.
+func auditOf(m stream.Message) [4]string {
+	return [4]string{
+		m.HeaderOr(stream.HeaderUUID, ""), m.HeaderOr(stream.HeaderAppTime, ""),
+		m.HeaderOr(stream.HeaderService, ""), m.HeaderOr(stream.HeaderTier, ""),
+	}
+}
+
+// Merge re-publishes fetched messages through its own producer. A fetched
+// message shares its Headers map with the copy retained in the DLQ's log,
+// and the producer used to stamp uuid/app-ts/service/tier into that map: the
+// retained message then read uuid=dlq-merge-1, and the write raced every
+// reader of the log. The audit metadata of a retained message must not
+// change once it is appended.
+func TestMergeLeavesRetainedAuditMetadata(t *testing.T) {
+	c := newCluster(t)
+	c.CreateTopic("t", stream.TopicConfig{Partitions: 1})
+	EnsureDLQTopic(c, "t")
+	dead := stream.Message{Value: []byte("poison"), Headers: map[string]string{stream.HeaderRetryCount: "1"}}
+	if err := stream.NewProducer(c, "svc-a", "", nil).ProduceBatch(DLQTopic("t"), []stream.Message{dead}); err != nil {
+		t.Fatal(err)
+	}
+	dlqTP := stream.TopicPartition{Topic: DLQTopic("t"), Partition: 0}
+	before, err := c.Fetch(dlqTP, 0, 10)
+	if err != nil || len(before) != 1 {
+		t.Fatalf("fetch DLQ = %v, %v", before, err)
+	}
+	want := auditOf(before[0])
+	if want[0] != "svc-a-1" || want[2] != "svc-a" {
+		t.Fatalf("audit metadata as produced = %v", want)
+	}
+
+	// A reader of the DLQ's log runs beside the merge (for -race).
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if msgs, err := c.Fetch(dlqTP, 0, 10); err == nil && len(msgs) == 1 {
+				_ = auditOf(msgs[0])
+			}
+		}
+	}()
+	if merged, err := Merge(c, "t", 10); err != nil || merged != 1 {
+		t.Fatalf("Merge = %d, %v", merged, err)
+	}
+	<-done
+
+	after, _ := c.Fetch(dlqTP, 0, 10)
+	if got := auditOf(after[0]); got != want {
+		t.Errorf("retained DLQ message audit metadata = %v after Merge, want %v", got, want)
+	}
+	if got := auditOf(before[0]); got != want {
+		t.Errorf("previously fetched message audit metadata = %v after Merge, want %v", got, want)
+	}
+	// The merged copy is a new message of the merging service, and keeps
+	// the caller-supplied header.
+	merged, _ := c.Fetch(stream.TopicPartition{Topic: "t", Partition: 0}, 0, 10)
+	if len(merged) != 1 || merged[0].HeaderOr(stream.HeaderUUID, "") != "dlq-merge-1" ||
+		merged[0].HeaderOr(stream.HeaderRetryCount, "") != "1" {
+		t.Errorf("merged message = %+v", merged)
+	}
+}
+
 func TestPurgeDiscards(t *testing.T) {
 	c := newCluster(t)
 	c.CreateTopic("t", stream.TopicConfig{Partitions: 1})

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -24,10 +25,11 @@ var (
 	ErrPartitionOffline = errors.New("stream: partition offline")
 )
 
-// Header keys stamped on every message by the producer, implementing the
-// audit metadata of §9.4 ("each such event is decorated with additional
-// metadata such as a unique identifier, application timestamp, service name,
-// tier by the Kafka client").
+// Header keys. The first four name the audit metadata of §9.4 ("each such
+// event is decorated with additional metadata such as a unique identifier,
+// application timestamp, service name, tier by the Kafka client"), which
+// lives in Message fields and is read by name through HeaderOr; the rest
+// are caller-supplied entries of Message.Headers.
 const (
 	HeaderUUID       = "uuid"
 	HeaderAppTime    = "app-ts"
@@ -52,14 +54,46 @@ type Message struct {
 	Value []byte
 	// Timestamp is the event time in milliseconds since the epoch.
 	Timestamp int64
-	// Headers carries the audit metadata and layer-specific annotations.
+	// Service, Tier, Seq and AppTime are the §9.4 audit metadata, stamped
+	// by the Producer: the producing service and its deployment tier, the
+	// producer's sequence number (the unique id is "Service-Seq", formatted
+	// by UUID) and the application timestamp in milliseconds. Seq 0 means
+	// the message went through no Producer. They are plain values, so a
+	// retained message carries no per-message map and copying a message
+	// never shares them.
+	Service string
+	Tier    string
+	Seq     int64
+	AppTime int64
+	// Headers carries caller-supplied annotations (HeaderRetryCount,
+	// HeaderOrigin). The stream layer only reads it: a fetched message
+	// shares the map with the copy retained in the log.
 	Headers map[string]string
 }
 
-// HeaderOr returns the named header or def when absent.
+// UUID returns the message's unique id, "" if no Producer stamped one.
+func (m *Message) UUID() string {
+	if m.Seq == 0 {
+		return ""
+	}
+	return m.Service + "-" + strconv.FormatInt(m.Seq, 10)
+}
+
+// HeaderOr returns the named header or def when absent. The four audit keys
+// answer from the Message fields when stamped and from Headers otherwise,
+// so hand-built messages that carry them in the map read the same way.
 func (m *Message) HeaderOr(key, def string) string {
-	if m.Headers == nil {
-		return def
+	if m.Seq != 0 {
+		switch key {
+		case HeaderUUID:
+			return m.UUID()
+		case HeaderAppTime:
+			return strconv.FormatInt(m.AppTime, 10)
+		case HeaderService:
+			return m.Service
+		case HeaderTier:
+			return m.Tier
+		}
 	}
 	if v, ok := m.Headers[key]; ok {
 		return v
@@ -68,10 +102,31 @@ func (m *Message) HeaderOr(key, def string) string {
 }
 
 // sizeBytes approximates the message's footprint for byte-based retention.
+// The audit fields are charged what they cost as four headers — key, value
+// as HeaderOr formats it, and 8 bytes of overhead each — so a partition
+// retains as many messages as when they were map entries.
 func (m *Message) sizeBytes() int64 {
 	n := int64(len(m.Key) + len(m.Value) + 32)
+	if m.Seq != 0 {
+		n += int64(len(HeaderUUID)+len(m.Service)+1+decimalLen(m.Seq)+8) +
+			int64(len(HeaderAppTime)+decimalLen(m.AppTime)+8) +
+			int64(len(HeaderService)+len(m.Service)+8) +
+			int64(len(HeaderTier)+len(m.Tier)+8)
+	}
 	for k, v := range m.Headers {
 		n += int64(len(k) + len(v) + 8)
+	}
+	return n
+}
+
+// decimalLen is len(strconv.FormatInt(v, 10)) without formatting.
+func decimalLen(v int64) int {
+	n := 1
+	if v < 0 {
+		n = 2
+	}
+	for v /= 10; v != 0; v /= 10 {
+		n++
 	}
 	return n
 }

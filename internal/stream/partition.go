@@ -24,8 +24,11 @@ type partition struct {
 	cfg   TopicConfig
 	clock Clock
 
-	mu       sync.Mutex
-	dataCond *sync.Cond // signalled on append, for blocking fetches
+	mu sync.Mutex
+	// waiters are the goroutines parked in Cluster.Wait on this partition;
+	// a produce that appended here and every availability change wake and
+	// drop them.
+	waiters []*waiter
 
 	segments []*segment
 	// logStart is the low watermark: the oldest retained offset.
@@ -46,14 +49,14 @@ type partition struct {
 }
 
 func newPartition(topic string, index int, cfg TopicConfig, clock Clock) *partition {
-	p := &partition{topic: topic, index: index, cfg: cfg, clock: clock}
-	p.dataCond = sync.NewCond(&p.mu)
-	return p
+	return &partition{topic: topic, index: index, cfg: cfg, clock: clock}
 }
 
 // append adds messages to the log and returns the base offset assigned to
 // the first of them. For AckAll topics the replicated watermark advances
-// synchronously (the in-process stand-in for waiting on ISR acks).
+// synchronously (the in-process stand-in for waiting on ISR acks). It does
+// not wake the partition's waiters: Cluster.Produce does, once the whole
+// batch is in.
 func (p *partition) append(msgs []Message) (int64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -75,7 +78,6 @@ func (p *partition) append(msgs []Message) (int64, error) {
 		p.replicated = p.next
 	}
 	p.enforceRetentionLocked(now)
-	p.dataCond.Broadcast()
 	return base, nil
 }
 
@@ -146,11 +148,12 @@ func (p *partition) fetchLocked(offset int64, max int) ([]Message, error) {
 	if offset == p.next {
 		return nil, nil
 	}
-	var out []Message
+	n := p.next - offset
+	if max > 0 && n > int64(max) {
+		n = int64(max)
+	}
+	out := make([]Message, 0, n)
 	for _, seg := range p.segments {
-		if len(seg.messages) == 0 {
-			continue
-		}
 		segEnd := seg.baseOffset + int64(len(seg.messages))
 		if offset >= segEnd {
 			continue
@@ -159,29 +162,16 @@ func (p *partition) fetchLocked(offset int64, max int) ([]Message, error) {
 		if offset > seg.baseOffset {
 			start = int(offset - seg.baseOffset)
 		}
-		for _, m := range seg.messages[start:] {
-			out = append(out, m)
-			if max > 0 && len(out) >= max {
-				return out, nil
-			}
+		take := seg.messages[start:]
+		if room := int(n) - len(out); len(take) > room {
+			take = take[:room]
+		}
+		out = append(out, take...)
+		if len(out) == int(n) {
+			break
 		}
 	}
 	return out, nil
-}
-
-// fetchWait blocks until data is available at offset, the deadline passes,
-// or the partition goes offline. It then behaves like fetch.
-func (p *partition) fetchWait(offset int64, max int, deadline time.Time) ([]Message, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for !p.offline && offset == p.next && p.clock().Before(deadline) {
-		// sync.Cond has no timed wait; poke the condition periodically so
-		// a quiet partition still honors the deadline.
-		waiter := time.AfterFunc(time.Until(deadline)+time.Millisecond, p.dataCond.Broadcast)
-		p.dataCond.Wait()
-		waiter.Stop()
-	}
-	return p.fetchLocked(offset, max)
 }
 
 // watermarks returns the low (oldest retained) and high (next write) offsets.
@@ -195,7 +185,7 @@ func (p *partition) watermarks() (low, high int64) {
 func (p *partition) setOffline(off bool) {
 	p.mu.Lock()
 	p.offline = off
-	p.dataCond.Broadcast()
+	p.wakeLocked()
 	p.mu.Unlock()
 }
 

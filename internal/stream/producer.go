@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // ProducerTarget is the produce surface a Producer writes through. Both a
 // physical *Cluster and a federation logical cluster satisfy it, so
@@ -14,8 +11,10 @@ type ProducerTarget interface {
 
 // Producer is the thin client applications use to publish events. It stamps
 // the audit metadata of §9.4 (unique id, application timestamp, service
-// name, tier) on every message, implements round-robin spreading for
-// unkeyed messages, and counts produced messages for the auditing layer.
+// name, tier) into the Message fields of every message — values, so
+// stamping allocates nothing and never writes into a caller's Headers map —
+// implements round-robin spreading for unkeyed messages, and counts
+// produced messages for the auditing layer.
 type Producer struct {
 	target  ProducerTarget
 	service string
@@ -46,19 +45,17 @@ func (p *Producer) Produce(topic string, key, value []byte) error {
 	return p.ProduceBatch(topic, []Message{{Key: key, Value: value}})
 }
 
-// ProduceBatch publishes a batch of messages, stamping audit headers on each.
+// ProduceBatch publishes a batch of messages, stamping the audit fields on
+// each (overwriting any a re-published message carried).
 func (p *Producer) ProduceBatch(topic string, msgs []Message) error {
 	now := p.clock().UnixMilli()
+	seq := p.seq.Add(int64(len(msgs))) - int64(len(msgs))
 	for i := range msgs {
-		if msgs[i].Headers == nil {
-			msgs[i].Headers = make(map[string]string, 4)
-		}
-		msgs[i].Headers[HeaderUUID] = fmt.Sprintf("%s-%d", p.service, p.seq.Add(1))
-		msgs[i].Headers[HeaderAppTime] = fmt.Sprintf("%d", now)
-		msgs[i].Headers[HeaderService] = p.service
-		msgs[i].Headers[HeaderTier] = p.tier
-		if msgs[i].Timestamp == 0 {
-			msgs[i].Timestamp = now
+		m := &msgs[i]
+		seq++
+		m.Service, m.Tier, m.Seq, m.AppTime = p.service, p.tier, seq, now
+		if m.Timestamp == 0 {
+			m.Timestamp = now
 		}
 	}
 	if err := p.target.Produce(topic, msgs, p.rr.Add(int64(len(msgs)))); err != nil {

@@ -147,6 +147,16 @@ func TestProxyRetriesThenDLQ(t *testing.T) {
 	if got := c.Committed("g", stream.TopicPartition{Topic: "t", Partition: 0}); got != 2 {
 		t.Errorf("committed = %d, want 2", got)
 	}
+	// Dead-lettering re-publishes the message under the proxy's identity
+	// without touching the one retained in the source log.
+	src, _ := c.Fetch(stream.TopicPartition{Topic: "t", Partition: 0}, 0, 1)
+	if got := src[0].HeaderOr(stream.HeaderUUID, ""); got != "svc-1" {
+		t.Errorf("source message uuid = %q after dead-lettering, want svc-1", got)
+	}
+	dead, _ := c.Fetch(stream.TopicPartition{Topic: dlq.DLQTopic("t"), Partition: 0}, 0, 1)
+	if got := dead[0].HeaderOr(stream.HeaderService, ""); got != "consumer-proxy" {
+		t.Errorf("dead-lettered message service = %q, want consumer-proxy", got)
+	}
 }
 
 func TestProxyDropWithoutDLQ(t *testing.T) {

@@ -275,7 +275,13 @@ func (r *Replicator) replicatePartition(tp stream.TopicPartition) {
 			headers[k] = v
 		}
 		headers[stream.HeaderOrigin] = r.src.Name()
-		out[i] = stream.Message{Key: m.Key, Value: m.Value, Timestamp: m.Timestamp, Headers: headers, Partition: tp.Partition}
+		// The audit fields travel with the copy, so an end-to-end audit
+		// matches a replicated message to its original by uuid.
+		out[i] = stream.Message{
+			Key: m.Key, Value: m.Value, Timestamp: m.Timestamp, Partition: tp.Partition,
+			Service: m.Service, Tier: m.Tier, Seq: m.Seq, AppTime: m.AppTime,
+			Headers: headers,
+		}
 	}
 	// Preserve partition: write directly to the matching destination
 	// partition by using keys only when present; the destination cluster
