@@ -524,9 +524,10 @@ func (a *ArchiveConnector) Capabilities() Capabilities {
 }
 
 // OpenScan implements StreamingConnector: one archive part is read and
-// decoded per pull, so a scan's resident state is one part, never the whole
-// table. pd carries at most a projection — the archive advertises nothing
-// else.
+// decoded per pull, so a scan's resident state is one part's requested
+// columns, never the whole table. pd carries at most a projection — the
+// archive advertises nothing else — and the projection is applied while
+// reading: a column nobody asked for is never decoded.
 func (a *ArchiveConnector) OpenScan(ctx context.Context, table string, pd Pushdown) (RowIterator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -542,9 +543,7 @@ func (a *ArchiveConnector) OpenScan(ctx context.Context, table string, pd Pushdo
 	}
 	cols := pd.Columns
 	if len(cols) == 0 {
-		for _, f := range schema.Fields {
-			cols = append(cols, f.Name)
-		}
+		cols = schema.FieldNames()
 	}
 	return &archiveIterator{reader: reader, parts: parts, stats: QueryStats{Streamed: true},
 		batch: Batch{Columns: cols, Cols: make([][]any, len(cols))}}, nil
@@ -557,7 +556,8 @@ func (a *ArchiveConnector) OpenAggregateScan(ctx context.Context, table string, 
 }
 
 // archiveIterator streams an archived dataset part by part; each part is
-// one batch.
+// one batch, decoded by the archive reader straight into the batch's columns
+// — no row is ever assembled on the way.
 type archiveIterator struct {
 	reader *objstore.ArchiveReader
 	parts  []string
@@ -574,20 +574,13 @@ func (it *archiveIterator) Next(ctx context.Context) (*Batch, error) {
 	if len(it.parts) == 0 {
 		return nil, io.EOF
 	}
-	recs, err := it.reader.ReadPart(it.parts[0])
+	n, err := it.reader.ReadColumns(it.parts[0], it.batch.Columns, it.batch.Cols)
 	if err != nil {
 		return nil, err
 	}
 	it.parts = it.parts[1:]
-	for ci, c := range it.batch.Columns {
-		out := it.batch.Cols[ci][:0]
-		for _, r := range recs {
-			out = append(out, r[c])
-		}
-		it.batch.Cols[ci] = out
-	}
-	it.batch.Len = len(recs)
-	it.stats.RowsReturned += int64(len(recs))
+	it.batch.Len = n
+	it.stats.RowsReturned += int64(n)
 	it.stats.BatchesStreamed++
 	if bb := it.batch.Bytes(); bb > it.stats.PeakEngineBytes {
 		it.stats.PeakEngineBytes = bb

@@ -2,16 +2,18 @@ package fedsql
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/sqlparse"
@@ -165,8 +167,11 @@ type relation struct {
 type scanMeta struct {
 	catalog, table, kind string
 	residual             int
-	span                 obs.Span
-	start                time.Time
+	// cols of the schema's width columns crossed the connector; width is 0
+	// for an aggregate scan, whose rows are not the table's.
+	cols, width int
+	span        obs.Span
+	start       time.Time
 }
 
 // kindFallback is the scan kind of an aggregate query that fell back to row
@@ -189,7 +194,7 @@ func (rel *relation) finish(err error) (QueryStats, []string) {
 	if m.kind == kindFallback {
 		stats.PushdownFallbacks++
 	}
-	line := planLine(m.catalog, m.table, m.kind, stats, m.residual, time.Since(m.start))
+	line := planLine(m, stats, time.Since(m.start))
 	endScanSpan(m.span, stats.RowsReturned, nil)
 	stats.Merge(rel.stats)
 	return stats, append([]string{line}, rel.plan...)
@@ -383,6 +388,10 @@ func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sq
 		residual = mine
 	}
 	orderBy, limit, ordered := pushOrderLimit(stmt, caps, residual)
+	// The schema says which referenced names are columns of this table and
+	// how wide an unprojected row is; without one the scan is unprojected.
+	schema := e.tableSchema(ref)
+	kind, pd := "row-scan", Pushdown{Filters: pushFilters}
 	if stmt.HasAggregates() {
 		// Aggregate pushdown: the whole aggregate query executes inside the
 		// backend when the connector declares the needed fragments and
@@ -411,25 +420,31 @@ func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sq
 			// A capable-looking connector refused: fall through to the
 			// row-scan fallback below.
 		}
-		// Fallback: stream rows (with whatever filter pushdown the backend
-		// offers) and aggregate in the engine, batch-at-a-time.
+		// Fallback: stream the rows the aggregation reads (with whatever
+		// filter pushdown the backend offers) and aggregate in the engine,
+		// batch-at-a-time.
 		e.Log.Warn("pushdown fallback", obs.F("catalog", catalog), obs.F("table", ref.Name),
 			obs.F("fragment", "aggregate"), obs.F("capabilities", fmt.Sprintf("%+v", caps)))
 		if e.Logf != nil {
 			e.Logf("fedsql: aggregate pushdown fallback for %s.%s (connector capabilities %+v)", catalog, ref.Name, caps)
 		}
-		return openRelation(ctx, catalog, ref.Name, kindFallback, residual, func(ctx context.Context) (RowIterator, error) {
-			return openScan(ctx, conn, ref.Name, Pushdown{Filters: pushFilters})
-		})
+		kind, ordered = kindFallback, false
+		pd.Columns = fallbackColumns(stmt, residual, schema)
+	} else {
+		pd.OrderBy, pd.Limit = orderBy, limit
+		pd.Columns = selectionColumns(stmt, residual)
 	}
-	pd := Pushdown{Filters: pushFilters, OrderBy: orderBy, Limit: limit, Columns: selectionColumns(stmt, ref.RefName(), residual)}
-	rel, err := openRelation(ctx, catalog, ref.Name, "row-scan", residual, func(ctx context.Context) (RowIterator, error) {
+	rel, err := openRelation(ctx, catalog, ref.Name, kind, residual, func(ctx context.Context) (RowIterator, error) {
 		return openScan(ctx, conn, ref.Name, pd)
 	})
-	if err == nil {
-		rel.ordered = ordered
+	if err != nil {
+		return nil, err
 	}
-	return rel, err
+	rel.ordered = ordered
+	if schema != nil {
+		rel.scan.width = len(schema.Fields)
+	}
+	return rel, nil
 }
 
 // pushOrderLimit decides which of the statement's ORDER BY and LIMIT the
@@ -465,7 +480,7 @@ func openRelation(ctx context.Context, catalog, table, kind string, residual []s
 	star := append([]string(nil), it.Columns()...)
 	sort.Strings(star)
 	return &relation{src: it, star: star, residual: residual,
-		scan: &scanMeta{catalog: catalog, table: table, kind: kind, residual: len(residual), span: sp, start: start}}, nil
+		scan: &scanMeta{catalog: catalog, table: table, kind: kind, residual: len(residual), cols: len(star), span: sp, start: start}}, nil
 }
 
 // scanSpan opens the scan child span for one connector call (no-op without
@@ -494,9 +509,9 @@ func endScanSpan(sp obs.Span, rows int64, err error) {
 
 // planLine renders one EXPLAIN line describing a table scan's pushdown and
 // routing decisions, plus the scan's elapsed wall time.
-func planLine(catalog, table, kind string, st QueryStats, residual int, elapsed time.Duration) string {
+func planLine(m *scanMeta, st QueryStats, elapsed time.Duration) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scan %s.%s [%s]", catalog, table, kind)
+	fmt.Fprintf(&b, "scan %s.%s [%s]", m.catalog, m.table, m.kind)
 	var pushed []string
 	if st.PushedFilters {
 		pushed = append(pushed, "filters")
@@ -512,14 +527,18 @@ func planLine(catalog, table, kind string, st QueryStats, residual int, elapsed 
 	} else {
 		b.WriteString(" pushdown=none")
 	}
+	// Projection: how many of the table's columns a row scan moved.
+	if m.width > 0 {
+		fmt.Fprintf(&b, " cols=%d/%d", m.cols, m.width)
+	}
 	// Whether rows reached the engine as the backend produced them.
 	if st.Streamed {
 		fmt.Fprintf(&b, " exec=streaming batches=%d", st.BatchesStreamed)
 	} else {
 		b.WriteString(" exec=materialized")
 	}
-	if residual > 0 {
-		fmt.Fprintf(&b, " residual_filters=%d", residual)
+	if m.residual > 0 {
+		fmt.Fprintf(&b, " residual_filters=%d", m.residual)
 	}
 	if st.PushdownFallbacks > 0 {
 		fmt.Fprintf(&b, " fallbacks=%d", st.PushdownFallbacks)
@@ -574,13 +593,26 @@ func planLine(catalog, table, kind string, st QueryStats, residual int, elapsed 
 // flow through joinIterator as the consumer pulls and are never held as a
 // joined slice.
 func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sqlparse.SelectStmt) (*relation, error) {
-	sideStmt := func(ref *sqlparse.TableRef) *sqlparse.SelectStmt {
-		return &sqlparse.SelectStmt{
-			Items: []sqlparse.SelectItem{{Star: true}},
-			From:  ref,
-			Where: predicatesFor(stmt.Where, ref.RefName(), false),
+	// Each side runs as its own statement: the columns the join's consumer
+	// can reach on that side, under the predicates qualified with its name.
+	// Predicates with no side qualifier run after the join.
+	after := predicatesFor(stmt.Where, "", false)
+	refs, all := references(stmt, after)
+	leftSchema, rightSchema := e.tableSchema(j.Left), e.tableSchema(j.Right)
+	sideStmt := func(ref *sqlparse.TableRef, schema *metadata.Schema, key string, other *sqlparse.TableRef, otherSchema *metadata.Schema) *sqlparse.SelectStmt {
+		side := &sqlparse.SelectStmt{From: ref, Where: predicatesFor(stmt.Where, ref.RefName(), false)}
+		if !all && schema != nil {
+			for _, c := range sideColumns(refs, key, ref.RefName(), schema, other.RefName(), otherSchema) {
+				side.Items = append(side.Items, sqlparse.SelectItem{Column: c})
+			}
 		}
+		if len(side.Items) == 0 {
+			side.Items = []sqlparse.SelectItem{{Star: true}}
+		}
+		return side
 	}
+	leftStmt := sideStmt(j.Left, leftSchema, j.LeftCol, j.Right, rightSchema)
+	rightStmt := sideStmt(j.Right, rightSchema, j.RightCol, j.Left, leftSchema)
 	ctx, cancel := context.WithCancel(ctx)
 	var (
 		wg       sync.WaitGroup
@@ -590,14 +622,14 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		build, buildErr = e.execute(ctx, sideStmt(j.Right))
+		build, buildErr = e.execute(ctx, rightStmt)
 		if buildErr != nil {
 			cancel() // abort the probe side
 		}
 	}()
 	// Opening the probe side starts its backend scan immediately; batches
 	// buffer in the stream while the build side materializes.
-	probe, probeErr := e.resolveRef(ctx, j.Left, sideStmt(j.Left))
+	probe, probeErr := e.resolveRef(ctx, j.Left, leftStmt)
 	if probeErr != nil {
 		cancel()
 	}
@@ -628,7 +660,7 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 	var key []byte
 	for _, row := range build.Rows {
 		if buildKey >= 0 && row[buildKey] != nil { // a NULL key joins nothing
-			key = appendValueKey(key[:0], row[buildKey])
+			key = appendHashKey(key[:0], row[buildKey])
 			it.buildRows[string(key)] = append(it.buildRows[string(key)], row)
 		}
 	}
@@ -649,15 +681,14 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 	stats := probe.stats
 	stats.Merge(build.Stats)
 	return &relation{src: it, star: star, scan: probe.scan, stats: stats,
-		plan: append(append([]string(nil), probe.plan...), build.Plan...),
-		// Predicates with no side qualifier run after the join.
-		residual: predicatesFor(stmt.Where, "", false)}, nil
+		plan:     append(append([]string(nil), probe.plan...), build.Plan...),
+		residual: after}, nil
 }
 
 // joinIterator is the hash-join operator: each probe batch becomes one
 // output batch holding, for every probe row that passes the probe side's
 // residual filter, one row per build row with an equal key. Keys are equal
-// under appendValueKey — numerics by value, strings by content, never across
+// under appendHashKey — numerics by value, strings by content, never across
 // the two — and a NULL key equals nothing. SELECT * over the join and bare
 // column references resolve through findColumn: the probe side wins a clash.
 type joinIterator struct {
@@ -665,7 +696,7 @@ type joinIterator struct {
 	cancel    context.CancelFunc // releases the join's context; see Close
 	filter    []boundPredicate
 	probeKey  int
-	buildRows map[string][][]any // build-side rows by key
+	buildRows map[string][][]any // build-side rows by appendHashKey of their key
 	key       []byte
 	batch     Batch
 }
@@ -687,7 +718,7 @@ func (j *joinIterator) Next(ctx context.Context) (*Batch, error) {
 			if k == nil || !satisfies(b, r, j.filter) {
 				continue
 			}
-			j.key = appendValueKey(j.key[:0], k)
+			j.key = appendHashKey(j.key[:0], k)
 			for _, row := range j.buildRows[string(j.key)] {
 				for ci := range b.Cols {
 					j.batch.Cols[ci] = append(j.batch.Cols[ci], b.Cols[ci][r])
@@ -735,31 +766,124 @@ func stripQualifiers(cols []string) []string {
 // bareName strips a column reference's qualifiers: o.city → city.
 func bareName(col string) string { return col[strings.LastIndexByte(col, '.')+1:] }
 
-// selectionColumns lists projected column names for pushdown (nil for *).
-func selectionColumns(stmt *sqlparse.SelectStmt, refName string, residual []sqlparse.Predicate) []string {
+// colRef is one column reference of a statement: o.city is {"o", "city"}.
+type colRef struct{ table, column string }
+
+// references lists the columns stmt reads from its FROM relation — select
+// items, aggregate inputs, GROUP BY terms — plus those of preds, the
+// predicates the engine will apply to that relation's rows. all reports a
+// SELECT *, which reads everything. ORDER BY is absent on purpose: it binds
+// to result columns.
+func references(stmt *sqlparse.SelectStmt, preds []sqlparse.Predicate) (refs []colRef, all bool) {
+	for _, it := range stmt.Items {
+		if it.Star {
+			return nil, true
+		}
+		if it.Column != "" { // COUNT(*) reads no column
+			refs = append(refs, colRef{it.Table, it.Column})
+		}
+	}
+	for _, g := range stmt.GroupBy {
+		dot := strings.LastIndexByte(g, '.')
+		refs = append(refs, colRef{g[:max(dot, 0)], g[dot+1:]})
+	}
+	for _, p := range preds {
+		refs = append(refs, colRef{p.Table, p.Column})
+	}
+	return refs, false
+}
+
+func appendUnique(cols []string, c string) []string {
+	if slices.Contains(cols, c) {
+		return cols
+	}
+	return append(cols, c)
+}
+
+// tableSchema describes a FROM source that is a plain table; nil for a join
+// or a subquery, whose columns only running it tells, and for a table its
+// catalog cannot describe (the scan reports that).
+func (e *Engine) tableSchema(ref *sqlparse.TableRef) *metadata.Schema {
+	if ref.Join != nil || ref.Sub != nil {
+		return nil
+	}
+	catalog := ref.Qualifier
+	if catalog == "" {
+		catalog = e.defaultCat
+	}
+	conn, ok := e.connectors[catalog]
+	if !ok {
+		return nil
+	}
+	schema, _ := conn.Schema(ref.Name) // nil with the error
+	return schema
+}
+
+// selectionColumns is the projection a plain selection pushes down: the
+// select items, the ORDER BY terms (a backend that orders must return what
+// it orders by) and the columns of the residual predicates the engine still
+// has to apply. nil, all columns, for SELECT *. Names pass as written: a
+// backend rejects one it does not know.
+func selectionColumns(stmt *sqlparse.SelectStmt, residual []sqlparse.Predicate) []string {
 	var cols []string
 	for _, it := range stmt.Items {
 		if it.Star {
 			return nil
 		}
-		if it.Table == "" || it.Table == refName {
-			cols = append(cols, it.Column)
-		}
-	}
-	// WHERE/ORDER BY columns must survive the projection for residual work;
-	// simplest correct choice: fetch all columns when any extra is needed.
-	need := map[string]bool{}
-	for _, c := range cols {
-		need[c] = true
+		cols = appendUnique(cols, it.Column)
 	}
 	for _, o := range stmt.OrderBy {
-		if !need[bareName(o.Column)] {
-			return nil
-		}
+		cols = appendUnique(cols, bareName(o.Column))
 	}
 	for _, p := range residual {
-		if !need[p.Column] {
-			return nil
+		cols = appendUnique(cols, p.Column)
+	}
+	return cols
+}
+
+// fallbackColumns is the projection of the row scan beneath an engine-side
+// aggregation: whatever the statement and its residual predicates read that
+// the schema has. A name the schema lacks binds to NULL, as it does over all
+// columns. A statement that reads nothing — COUNT(*) — still counts rows,
+// so it asks for one column: the first that is not a blob, the one type a
+// backend may not serve. nil, all columns, for SELECT * or without a schema.
+func fallbackColumns(stmt *sqlparse.SelectStmt, residual []sqlparse.Predicate, schema *metadata.Schema) []string {
+	refs, all := references(stmt, residual)
+	if all || schema == nil {
+		return nil
+	}
+	var cols []string
+	for _, r := range refs {
+		if schema.FieldIndex(r.column) >= 0 {
+			cols = appendUnique(cols, r.column)
+		}
+	}
+	if len(cols) > 0 {
+		return cols
+	}
+	for _, f := range schema.Fields {
+		if f.Type != metadata.TypeBytes {
+			return []string{f.Name}
+		}
+	}
+	return nil
+}
+
+// sideColumns is the projection of the join side named side: its join key,
+// and every reference that findColumn can bind to it. A reference binds to
+// the exact alias.column first and else to the first column with the same
+// bare name, so a side can skip a column it has only when the reference names
+// the other side and that side is known to have it; an unqualified name is
+// fetched on every side that has it.
+func sideColumns(refs []colRef, key, side string, schema *metadata.Schema, other string, otherSchema *metadata.Schema) []string {
+	var cols []string
+	if k := bareName(key); schema.FieldIndex(k) >= 0 {
+		cols = append(cols, k)
+	}
+	for _, r := range refs {
+		elsewhere := r.table == other && r.table != side && otherSchema != nil && otherSchema.FieldIndex(r.column) >= 0
+		if !elsewhere && schema.FieldIndex(r.column) >= 0 {
+			cols = appendUnique(cols, r.column)
 		}
 	}
 	return cols
@@ -795,24 +919,28 @@ func literalCompare(v any, p sqlparse.Predicate) bool {
 	return false
 }
 
-// appendValueKey appends v's hash-key encoding — the one the OLAP layer
-// groups by (olap.groupValueKey), so engine-side and pushed-down grouping
-// agree: a NULL marker, numerics canonicalized through float64 (int64(3)
-// equals float64(3)), anything else quoted so an embedded separator cannot
-// alias two tuples and a string never equals a number.
-func appendValueKey(key []byte, v any) []byte {
-	switch f, ok := record.ToFloat64(v); {
-	case v == nil:
-		return append(key, "~|"...)
-	case ok:
-		return append(strconv.AppendFloat(append(key, 'n'), f, 'g', -1, 64), '|')
-	default:
-		s, isStr := v.(string)
-		if !isStr {
-			s = fmt.Sprintf("%v", v)
-		}
-		return append(strconv.AppendQuote(append(key, 's'), s), '|')
+// appendHashKey appends v's lookup-key encoding: a tag, then a number's
+// float64 bits (every NaN as one) or a string's length and bytes. Two
+// values get the same bytes exactly when record.AppendValueKey spells them
+// the same — int64(3) is float64(3), a string is never a number, NULL is
+// apart, a non-scalar is its formatted form — so the hash tables group and
+// join by the canonical key's classes without formatting a number or quoting
+// a string per row. The length prefix keeps a tuple's keys from aliasing.
+func appendHashKey(key []byte, v any) []byte {
+	if v == nil {
+		return append(key, 0)
 	}
+	if f, ok := record.ToFloat64(v); ok {
+		if f != f {
+			f = math.NaN()
+		}
+		return binary.LittleEndian.AppendUint64(append(key, 1), math.Float64bits(f))
+	}
+	s, ok := v.(string)
+	if !ok {
+		s = fmt.Sprintf("%v", v)
+	}
+	return append(binary.AppendUvarint(append(key, 2), uint64(len(s))), s...)
 }
 
 // aggState accumulates one aggregate of one group; count is the number of
@@ -844,7 +972,7 @@ func (st aggState) final(f sqlparse.FuncKind) any {
 }
 
 type aggGroup struct {
-	key    string
+	key    string // record.AppendValueKey of values: the output order
 	values []any
 	states []aggState
 }
@@ -854,7 +982,8 @@ type aggGroup struct {
 // peak engine footprint is one batch plus the group table, not the input —
 // and returns the groups as an in-memory relation laid out like a pushed-down
 // aggregate's response: the GROUP BY columns, then one column per aggregate
-// named by OutputName, rows in group-key order.
+// named by OutputName, rows in canonical group-key order. A row finds its
+// group by appendHashKey of its GROUP BY values.
 func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, stmt *sqlparse.SelectStmt) (RowIterator, error) {
 	var aggs []sqlparse.SelectItem
 	var inputs []string
@@ -882,15 +1011,19 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 			}
 			key = key[:0]
 			for _, gi := range groupIdx {
-				key = appendValueKey(key, cell(b, gi, r))
+				key = appendHashKey(key, cell(b, gi, r))
 			}
 			g, ok := groups[string(key)]
 			if !ok {
-				g = &aggGroup{key: string(key), values: make([]any, len(groupIdx)), states: make([]aggState, len(aggs))}
+				// The canonical key is formatted once per group, not per row.
+				g = &aggGroup{values: make([]any, len(groupIdx)), states: make([]aggState, len(aggs))}
+				var canon []byte
 				for i, gi := range groupIdx {
 					g.values[i] = cell(b, gi, r)
+					canon = record.AppendValueKey(canon, g.values[i])
 				}
-				groups[g.key] = g
+				g.key = string(canon)
+				groups[string(key)] = g
 			}
 			for i, it := range aggs {
 				st := &g.states[i]

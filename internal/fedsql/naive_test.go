@@ -60,12 +60,13 @@ func (rel *naiveRel) lookup(row record.Record, name string) any {
 }
 
 // naiveEqual is SQL equality for join keys and group values: numbers by
-// value, everything else by content, never one with the other.
+// value — NaN being one value, as a GROUP BY has it — everything else by
+// content, never one with the other.
 func naiveEqual(a, b any) bool {
 	fa, aNum := record.ToFloat64(a)
 	fb, bNum := record.ToFloat64(b)
 	if aNum || bNum {
-		return aNum && bNum && fa == fb
+		return aNum && bNum && (fa == fb || (fa != fa && fb != fb))
 	}
 	return fmt.Sprint(a) == fmt.Sprint(b)
 }

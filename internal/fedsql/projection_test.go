@@ -1,0 +1,315 @@
+package fedsql
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/metadata"
+	"repro/internal/objstore"
+	"repro/internal/olap"
+	"repro/internal/record"
+)
+
+// recordingConn notes the projection of every row scan the engine opens on
+// the connector it wraps.
+type recordingConn struct {
+	StreamingConnector
+	mu    sync.Mutex
+	asked map[string][]string // table → Pushdown.Columns of its last OpenScan
+}
+
+func (c *recordingConn) OpenScan(ctx context.Context, table string, pd Pushdown) (RowIterator, error) {
+	c.mu.Lock()
+	c.asked[table] = append([]string(nil), pd.Columns...)
+	c.mu.Unlock()
+	return c.StreamingConnector.OpenScan(ctx, table, pd)
+}
+
+// requested is the set a scan of table asked for, sorted; "*" for all.
+func (c *recordingConn) requested(table string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cols, ok := c.asked[table]
+	switch {
+	case !ok:
+		return "(no scan)"
+	case len(cols) == 0:
+		return "*"
+	}
+	cols = append([]string(nil), cols...)
+	sort.Strings(cols)
+	return strings.Join(cols, ",")
+}
+
+// adhocSchemas are the pipeline benchmark's tables in small: the fact table
+// (live in pinot.orders, archived as hive.orders_day) and the restaurant
+// dimension, which shares restaurant_id and city with it.
+func adhocSchemas() (orders, restaurants *metadata.Schema) {
+	orders = &metadata.Schema{Name: "orders", Version: 1, TimeField: "ts", Fields: []metadata.Field{
+		{Name: "order_id", Type: metadata.TypeString},
+		{Name: "restaurant_id", Type: metadata.TypeLong, Dimension: true},
+		{Name: "city", Type: metadata.TypeString, Dimension: true},
+		{Name: "status", Type: metadata.TypeString, Dimension: true},
+		{Name: "amount", Type: metadata.TypeDouble},
+		{Name: "ts", Type: metadata.TypeTimestamp},
+	}}
+	restaurants = &metadata.Schema{Name: "restaurants", Version: 1, Fields: []metadata.Field{
+		{Name: "restaurant_id", Type: metadata.TypeLong},
+		{Name: "name", Type: metadata.TypeString},
+		{Name: "cuisine", Type: metadata.TypeString},
+		{Name: "city", Type: metadata.TypeString, Nullable: true},
+	}}
+	return orders, restaurants
+}
+
+// adhocEngine serves those tables through recording connectors — with
+// aggregate pushdown on or off for pinot — and as the reference's tables.
+func adhocEngine(t *testing.T, disablePushdown bool) (*Engine, *recordingConn, *recordingConn, naiveDB) {
+	t.Helper()
+	ordersSchema, restaurantsSchema := adhocSchemas()
+	ordersSchema.Name = "orders_day"
+	var orders, restaurants []record.Record
+	for i := 0; i < 12; i++ {
+		r := record.Record{"restaurant_id": int64(i), "name": fmt.Sprintf("r%d", i), "cuisine": []string{"thai", "pizza", "sushi"}[i%3]}
+		if i%4 != 0 {
+			r["city"] = fmt.Sprintf("dim_city_%d", i%2)
+		}
+		restaurants = append(restaurants, r)
+	}
+	for i := 0; i < 240; i++ {
+		orders = append(orders, record.Record{
+			"order_id": fmt.Sprintf("o%04d", i), "restaurant_id": int64(i % 15), // 12, 13, 14 have no dimension row
+			"city": fmt.Sprintf("city_%02d", i%4), "status": []string{"placed", "picked_up", "delivered"}[i%3],
+			"amount": float64(i%40) / 4, "ts": int64(1_700_000_000_000 + i),
+		})
+	}
+	store := objstore.NewMemStore()
+	hive := NewArchiveConnector("hive", store)
+	db := naiveDB{
+		"hive.orders_day":  archiveTable(t, hive, store, ordersSchema, orders[:100], orders[100:]),
+		"hive.restaurants": archiveTable(t, hive, store, restaurantsSchema, restaurants),
+	}
+	db["pinot.orders"] = db["hive.orders_day"]
+
+	ordersSchema, _ = adhocSchemas()
+	d, err := olap.NewDeployment(olap.DeploymentConfig{
+		Table:        olap.TableConfig{Name: "orders", Schema: ordersSchema, SegmentRows: 64},
+		Servers:      []*olap.Server{olap.NewServer("s0"), olap.NewServer("s1")},
+		SegmentStore: objstore.NewMemStore(),
+		Backup:       olap.BackupP2P,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range orders {
+		if err := d.Ingest(i%2, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinot := NewPinotConnector("pinot")
+	pinot.DisablePushdown = disablePushdown
+	pinot.AddTable(d)
+
+	e := NewEngine()
+	recPinot := &recordingConn{StreamingConnector: pinot, asked: map[string][]string{}}
+	recHive := &recordingConn{StreamingConnector: hive, asked: map[string][]string{}}
+	e.Register(recPinot)
+	e.Register(recHive)
+	return e, recPinot, recHive, db
+}
+
+// TestProjectionReachesEveryScan: each table scan is asked for exactly the
+// columns its statement can reach — on the aggregate fallback and on both
+// sides of a join, not only on plain selections — and every answer is the
+// reference's.
+func TestProjectionReachesEveryScan(t *testing.T) {
+	e, pinot, hive, db := adhocEngine(t, false)
+	const join = " FROM pinot.orders o JOIN hive.restaurants r ON o.restaurant_id = r.restaurant_id"
+	for _, c := range []struct {
+		sql          string
+		probe, build string // what pinot.orders and the archive table were asked for
+		archive      string // the archive table scanned
+	}{
+		// The ad-hoc pass's A2 and A3.
+		{"SELECT r.cuisine, COUNT(*) AS n, SUM(o.amount) AS total" + join + " WHERE o.status = 'picked_up' GROUP BY r.cuisine",
+			"amount,restaurant_id", "cuisine,restaurant_id", "restaurants"},
+		{"SELECT city, COUNT(*) AS n, SUM(amount) AS total FROM hive.orders_day GROUP BY city",
+			"(no scan)", "amount,city", "orders_day"},
+		// An unqualified name is fetched on every side that has it; the
+		// probe side's wins the binding.
+		{"SELECT city, COUNT(*) AS n" + join + " GROUP BY city",
+			"city,restaurant_id", "city,restaurant_id", "restaurants"},
+		// A name qualified with the other side is that side's alone; one
+		// qualified with a side that lacks it falls back to the bare name.
+		{"SELECT r.city, o.city, o.cuisine" + join,
+			"city,restaurant_id", "city,cuisine,restaurant_id", "restaurants"},
+		// Residual predicates add their columns: the archive filters nothing
+		// itself, and an unqualified predicate runs after the join.
+		{"SELECT o.order_id" + join + " WHERE r.name != 'r3' AND cuisine = 'thai'",
+			"order_id,restaurant_id", "cuisine,name,restaurant_id", "restaurants"},
+		{"SELECT order_id FROM hive.orders_day WHERE amount > 9 AND status = 'placed'",
+			"(no scan)", "amount,order_id,status", "orders_day"},
+		// A statement that reads no column still counts rows.
+		{"SELECT COUNT(*) AS n FROM hive.orders_day", "(no scan)", "order_id", "orders_day"},
+		{"SELECT COUNT(*) AS n" + join, "restaurant_id", "restaurant_id", "restaurants"},
+		// A name the schema lacks is NULL, not a column to ask for.
+		{"SELECT COUNT(nosuch) AS n, MAX(amount) AS top FROM hive.orders_day", "(no scan)", "amount", "orders_day"},
+		// SELECT * reaches everything, on every side.
+		{"SELECT *" + join + " WHERE o.amount > 9", "*", "*", "restaurants"},
+		{"SELECT * FROM hive.orders_day WHERE amount > 9.5", "(no scan)", "*", "orders_day"},
+		// A backend that orders must return what it orders by.
+		{"SELECT order_id, amount FROM pinot.orders ORDER BY amount DESC, order_id LIMIT 7", "amount,order_id", "(no scan)", "restaurants"},
+	} {
+		pinot.asked, hive.asked = map[string][]string{}, map[string][]string{}
+		res, err := e.Query(c.sql)
+		if err != nil {
+			t.Fatalf("%q: %v", c.sql, err)
+		}
+		checkAgainstNaive(t, db, "pinot", c.sql, res)
+		if got := pinot.requested("orders"); got != c.probe {
+			t.Errorf("%q: pinot.orders was asked for %s, want %s", c.sql, got, c.probe)
+		}
+		if got := hive.requested(c.archive); got != c.build {
+			t.Errorf("%q: hive.%s was asked for %s, want %s", c.sql, c.archive, got, c.build)
+		}
+	}
+
+	// The aggregate fallback over a backend that filters: the predicate is
+	// absorbed, so only what the aggregation reads is moved.
+	e, pinot, _, db = adhocEngine(t, true)
+	sql := "SELECT city, status, COUNT(*) AS n, AVG(amount) AS mean FROM pinot.orders WHERE ts >= 1700000000100 GROUP BY city, status"
+	res, err := e.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstNaive(t, db, "pinot", sql, res)
+	if got := pinot.requested("orders"); got != "amount,city,status,ts" {
+		// DisablePushdown turns filter pushdown off too: ts is a residual.
+		t.Errorf("%q: pinot.orders was asked for %s, want amount,city,status,ts", sql, got)
+	}
+	if !strings.Contains(res.Plan[0], " cols=4/6 ") {
+		t.Errorf("plan line %q does not show the projection as cols=4/6", res.Plan[0])
+	}
+}
+
+// memConn serves in-memory tables of any values — NaNs, one column holding
+// int64 and float64 — which no typed backend produces, through the v3
+// surface, projection honoured.
+type memConn struct {
+	name   string
+	tables map[string]naiveTable
+}
+
+func (m *memConn) Name() string               { return m.name }
+func (m *memConn) Capabilities() Capabilities { return Capabilities{} }
+func (m *memConn) Tables() []string {
+	var out []string
+	for t := range m.tables {
+		out = append(out, t)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (m *memConn) Schema(table string) (*metadata.Schema, error) {
+	t, ok := m.tables[table]
+	if !ok {
+		return nil, fmt.Errorf("memConn: no table %q", table)
+	}
+	s := &metadata.Schema{Name: table, Version: 1}
+	for _, c := range t.cols {
+		s.Fields = append(s.Fields, metadata.Field{Name: c, Type: metadata.TypeDouble, Nullable: true})
+	}
+	return s, nil
+}
+
+func (m *memConn) OpenScan(ctx context.Context, table string, pd Pushdown) (RowIterator, error) {
+	t, ok := m.tables[table]
+	if !ok {
+		return nil, fmt.Errorf("memConn: no table %q", table)
+	}
+	cols := pd.Columns
+	if len(cols) == 0 {
+		cols = t.cols
+	}
+	rows := make([][]any, len(t.rows))
+	for i, r := range t.rows {
+		rows[i] = make([]any, len(cols))
+		for ci, c := range cols {
+			rows[i][ci] = r[c]
+		}
+	}
+	return newRowsIterator(cols, rows, QueryStats{}), nil
+}
+
+func (m *memConn) OpenAggregateScan(context.Context, string, AggregateQuery) (RowIterator, error) {
+	return nil, ErrPushdownUnsupported
+}
+
+func (m *memConn) Scan(ctx context.Context, table string, pd Pushdown) ([]record.Record, QueryStats, error) {
+	it, err := m.OpenScan(ctx, table, pd)
+	return drainRecords(ctx, it, err)
+}
+
+func (m *memConn) AggregateScan(context.Context, string, AggregateQuery) ([]record.Record, QueryStats, error) {
+	return nil, QueryStats{}, ErrPushdownUnsupported
+}
+
+// TestHashKeysKeepTheCanonicalClasses: the engine's group and join tables
+// look rows up by appendHashKey; its classes must be the canonical key's.
+// Checked value against value, then end to end against the reference over
+// keys a formatted key used to decide: NaN, ±Inf, int64 and float64 of one
+// value in one column, a string that prints like a number, NULL.
+func TestHashKeysKeepTheCanonicalClasses(t *testing.T) {
+	values := []any{nil, int64(3), float64(3), 3, true, int64(1), false, 0.0, math.Copysign(0, -1), math.NaN(), -math.NaN(),
+		math.Inf(1), math.Inf(-1), 1e300, int64(1) << 60, "3", "", "~", "n3|", "<nil>", "a|b", `a"b`, []byte("3"), []string{"3"}}
+	for _, a := range values {
+		for _, b := range values {
+			canon := string(record.AppendValueKey(nil, a)) == string(record.AppendValueKey(nil, b))
+			hash := string(appendHashKey(nil, a)) == string(appendHashKey(nil, b))
+			if canon != hash {
+				t.Errorf("%#v and %#v: same canonical key %v, same hash key %v", a, b, canon, hash)
+			}
+		}
+	}
+	// Tuples: a string's bytes cannot pass for the next value's key.
+	if string(appendHashKey(appendHashKey(nil, "a\x02\x01b"), "c")) == string(appendHashKey(appendHashKey(nil, "a"), "b\x02\x01c")) {
+		t.Error("tuple keys alias")
+	}
+
+	nan := math.NaN()
+	db := naiveDB{
+		"mem.m": {cols: []string{"k", "v", "tag"}, rows: []record.Record{
+			{"k": int64(1), "v": 1.0, "tag": "int one"}, {"k": 1.0, "v": 2.0, "tag": "float one"},
+			{"k": nan, "v": 4.0, "tag": "nan"}, {"k": nan, "v": 8.0, "tag": "nan again"},
+			{"k": "1", "v": 16.0, "tag": "string one"}, {"v": 32.0, "tag": "null"}, {"v": 64.0, "tag": "null again"},
+			{"k": math.Inf(1), "v": 128.0, "tag": "inf"}, {"k": int64(2), "v": nan, "tag": "two"}, {"k": 2.0, "tag": "two, no v"},
+		}},
+		"mem.d": {cols: []string{"k", "label"}, rows: []record.Record{
+			{"k": 1.0, "label": "one"}, {"k": int64(2), "label": "two"}, {"k": nan, "label": "not a number"},
+			{"k": "1", "label": "the string"}, {"label": "no key"}, {"k": math.Inf(1), "label": "infinity"}, {"k": 2.0, "label": "two again"},
+		}},
+	}
+	e := NewEngine()
+	e.Register(&memConn{name: "mem", tables: map[string]naiveTable{"m": db["mem.m"], "d": db["mem.d"]}})
+	for _, sql := range []string{
+		"SELECT k, COUNT(*) AS n, SUM(v) AS total, COUNT(v) AS vs FROM mem.m GROUP BY k",
+		"SELECT k, tag, COUNT(*) AS n FROM mem.m GROUP BY k, tag",
+		"SELECT a.tag, b.label FROM mem.m a JOIN mem.d b ON a.k = b.k",
+		"SELECT b.label, COUNT(*) AS n, MAX(a.v) AS top FROM mem.m a JOIN mem.d b ON a.k = b.k GROUP BY b.label",
+		"SELECT a.k, COUNT(*) AS n FROM mem.m a JOIN mem.d b ON a.k = b.k GROUP BY a.k",
+	} {
+		for name, eng := range map[string]*Engine{"v3": e, "v2": v2Engine(e)} {
+			res, err := eng.Query(sql)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, sql, err)
+			}
+			checkAgainstNaive(t, db, "mem", sql, res)
+		}
+	}
+}

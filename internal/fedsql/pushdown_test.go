@@ -202,19 +202,26 @@ func TestPlanLinesDescribeDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Plan) != 1 || !strings.Contains(res.Plan[0], "row-scan+engine-agg") {
-		t.Errorf("fallback plan = %v, want row-scan+engine-agg line", res.Plan)
+	// The fallback's row scan moves one of the table's four columns.
+	if len(res.Plan) != 1 || !strings.Contains(res.Plan[0], "row-scan+engine-agg") || !strings.Contains(res.Plan[0], " cols=1/4 ") {
+		t.Errorf("fallback plan = %v, want a row-scan+engine-agg line with cols=1/4", res.Plan)
 	}
 
-	// Joins carry one line per side.
+	// Joins carry one line per side, each with that side's projection: the
+	// join key and amount of orders' four columns, both of cities' two. An
+	// aggregate scan's rows are not the table's, so it prints no cols=.
 	res, err = e.Query(`SELECT c.region, SUM(o.amount) AS revenue
 		FROM pinot.orders o JOIN hive.cities c ON o.city = c.city
 		GROUP BY c.region`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Plan) != 2 {
-		t.Errorf("join plan = %v, want two scan lines", res.Plan)
+	if len(res.Plan) != 2 || !strings.Contains(res.Plan[0], "scan pinot.orders [row-scan] pushdown=none cols=2/4 ") ||
+		!strings.Contains(res.Plan[1], "scan hive.cities [row-scan] pushdown=none cols=2/2 ") {
+		t.Errorf("join plan = %v, want two row-scan lines with cols=2/4 and cols=2/2", res.Plan)
+	}
+	if strings.Contains(line, "cols=") {
+		t.Errorf("aggregate-scan line %q claims a projection", line)
 	}
 }
 

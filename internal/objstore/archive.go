@@ -67,22 +67,23 @@ func rawLogKey(dataset string, seq int64) string {
 // decodeRawBatch parses one raw-log object back into records.
 func decodeRawBatch(codec *record.Codec, data []byte) ([]record.Record, error) {
 	count, n := binary.Uvarint(data)
-	if n <= 0 {
+	// A record is at least its length byte.
+	if n <= 0 || count > uint64(len(data)-n) {
 		return nil, fmt.Errorf("objstore: corrupt raw batch header")
 	}
 	data = data[n:]
 	out := make([]record.Record, 0, count)
 	for i := uint64(0); i < count; i++ {
-		l, n := binary.Uvarint(data)
-		if n <= 0 || len(data[n:]) < int(l) {
+		payload, rest, ok := cutPrefixed(data)
+		if !ok {
 			return nil, fmt.Errorf("objstore: corrupt raw batch record %d", i)
 		}
-		r, err := codec.Decode(data[n : n+int(l)])
+		r, err := codec.Decode(payload)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, r)
-		data = data[n+int(l):]
+		data = rest
 	}
 	return out, nil
 }
@@ -170,6 +171,16 @@ func NewArchiveReader(store Store, dataset string, schema *metadata.Schema) *Arc
 // Parts lists the archive part keys in part order.
 func (a *ArchiveReader) Parts() ([]string, error) {
 	return a.store.List("archive/" + a.dataset + "/")
+}
+
+// ReadColumns decodes the named columns of one archive part into cols and
+// returns its row count; see DecodeColumns.
+func (a *ArchiveReader) ReadColumns(key string, names []string, cols [][]any) (int, error) {
+	data, err := a.store.Get(key)
+	if err != nil {
+		return 0, err
+	}
+	return DecodeColumns(a.schema, data, names, cols)
 }
 
 // ReadPart decodes one archive part into rows.
@@ -291,128 +302,188 @@ func encodeColumn(f metadata.Field, rows []record.Record) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeColumnar parses a columnar part produced by EncodeColumnar.
-func DecodeColumnar(schema *metadata.Schema, data []byte) ([]record.Record, error) {
+// cutPrefixed splits one uvarint-length-prefixed field off the front of data.
+// The length is compared as a uint64 against the bytes that remain, so a
+// corrupt length can neither wrap negative nor reach past the buffer.
+func cutPrefixed(data []byte) (field, rest []byte, ok bool) {
+	l, n := binary.Uvarint(data)
+	if n <= 0 || l > uint64(len(data)-n) {
+		return nil, nil, false
+	}
+	end := n + int(l)
+	return data[n:end], data[end:], true
+}
+
+// DecodeColumns is the one parser of a columnar part: it decodes the named
+// columns column by column into cols — cols[c][r] is the value of names[c]
+// at row r, nil for NULL — and returns the row count. cols must be as long
+// as names; each column's backing array is reused when it is large enough.
+// A stored column nobody asked for is stepped over by its length without
+// parsing a value, and a dictionary string is boxed once per dictionary
+// entry, not once per row. A name the schema lacks, or a schema column an
+// older part lacks, reads as NULL in every row; values are typed by the
+// schema. Bytes values are copies, never views of data.
+func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols [][]any) (int, error) {
 	nRows, n := binary.Uvarint(data)
 	if n <= 0 {
-		return nil, fmt.Errorf("objstore: corrupt columnar header")
+		return 0, fmt.Errorf("objstore: corrupt columnar header")
 	}
 	data = data[n:]
 	nCols, n := binary.Uvarint(data)
 	if n <= 0 {
-		return nil, fmt.Errorf("objstore: corrupt columnar header")
+		return 0, fmt.Errorf("objstore: corrupt columnar header")
 	}
 	data = data[n:]
-	rows := make([]record.Record, nRows)
-	for i := range rows {
-		rows[i] = make(record.Record, nCols)
+	// Every stored column opens with a presence bitmap of one bit per row,
+	// so a part holds at most eight rows per byte; a header claiming more is
+	// rejected before anything is sized by it.
+	if nRows > 8*uint64(len(data)) {
+		return 0, fmt.Errorf("objstore: columnar header claims %d rows in %d bytes", nRows, len(data))
+	}
+	rows := int(nRows)
+	for c := range cols {
+		if cap(cols[c]) < rows {
+			cols[c] = make([]any, rows)
+			continue
+		}
+		cols[c] = cols[c][:rows]
+		clear(cols[c])
 	}
 	for c := uint64(0); c < nCols; c++ {
-		l, n := binary.Uvarint(data)
-		if n <= 0 || len(data[n:]) < int(l) {
-			return nil, fmt.Errorf("objstore: corrupt column name")
-		}
-		name := string(data[n : n+int(l)])
-		data = data[n+int(l):]
-		colLen, n := binary.Uvarint(data)
-		if n <= 0 || len(data[n:]) < int(colLen) {
-			return nil, fmt.Errorf("objstore: corrupt column %q", name)
-		}
-		col := data[n : n+int(colLen)]
-		data = data[n+int(colLen):]
-		f, ok := schema.Field(name)
+		name, rest, ok := cutPrefixed(data)
 		if !ok {
-			continue // column dropped from schema; skip
+			return 0, fmt.Errorf("objstore: corrupt column name")
 		}
-		if err := decodeColumn(f, col, rows); err != nil {
-			return nil, err
+		col, rest, ok := cutPrefixed(rest)
+		if !ok {
+			return 0, fmt.Errorf("objstore: corrupt column %q", name)
+		}
+		data = rest
+		for i, want := range names {
+			if want != string(name) {
+				continue
+			}
+			f, ok := schema.Field(want)
+			if !ok {
+				continue // column dropped from schema; stays NULL
+			}
+			if err := decodeColumn(f, col, cols[i]); err != nil {
+				return 0, err
+			}
 		}
 	}
 	return rows, nil
 }
 
-func decodeColumn(f metadata.Field, col []byte, rows []record.Record) error {
-	bitmapLen := (len(rows) + 7) / 8
+// DecodeColumnar parses a columnar part produced by EncodeColumnar into
+// rows: DecodeColumns over every schema column, transposed. NULLs are
+// absent keys.
+func DecodeColumnar(schema *metadata.Schema, data []byte) ([]record.Record, error) {
+	names := schema.FieldNames()
+	cols := make([][]any, len(names))
+	n, err := DecodeColumns(schema, data, names, cols)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]record.Record, n)
+	for i := range rows {
+		r := make(record.Record, len(names))
+		for c, name := range names {
+			if v := cols[c][i]; v != nil {
+				r[name] = v
+			}
+		}
+		rows[i] = r
+	}
+	return rows, nil
+}
+
+// present reports row i's bit of a column's presence bitmap.
+func present(bitmap []byte, i int) bool { return bitmap[i/8]&(1<<(i%8)) != 0 }
+
+// decodeColumn decodes one stored column into out, which has one all-NULL
+// slot per row; rows the presence bitmap marks absent stay NULL.
+func decodeColumn(f metadata.Field, col []byte, out []any) error {
+	bitmapLen := (len(out) + 7) / 8
 	if len(col) < bitmapLen {
 		return fmt.Errorf("objstore: corrupt bitmap for column %q", f.Name)
 	}
 	bitmap := col[:bitmapLen]
 	col = col[bitmapLen:]
-	present := func(i int) bool { return bitmap[i/8]&(1<<(i%8)) != 0 }
 	switch f.Type {
 	case metadata.TypeLong, metadata.TypeTimestamp:
-		for i := range rows {
-			if !present(i) {
+		for i := range out {
+			if !present(bitmap, i) {
 				continue
 			}
 			v, n := binary.Varint(col)
 			if n <= 0 {
 				return fmt.Errorf("objstore: truncated long column %q", f.Name)
 			}
-			rows[i][f.Name] = v
+			out[i] = v
 			col = col[n:]
 		}
 	case metadata.TypeDouble:
-		for i := range rows {
-			if !present(i) {
+		for i := range out {
+			if !present(bitmap, i) {
 				continue
 			}
 			if len(col) < 8 {
 				return fmt.Errorf("objstore: truncated double column %q", f.Name)
 			}
-			rows[i][f.Name] = math.Float64frombits(binary.LittleEndian.Uint64(col))
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(col))
 			col = col[8:]
 		}
 	case metadata.TypeBool:
-		for i := range rows {
-			if !present(i) {
+		for i := range out {
+			if !present(bitmap, i) {
 				continue
 			}
 			if len(col) < 1 {
 				return fmt.Errorf("objstore: truncated bool column %q", f.Name)
 			}
-			rows[i][f.Name] = col[0] != 0
+			out[i] = col[0] != 0
 			col = col[1:]
 		}
 	case metadata.TypeString:
 		dictSize, n := binary.Uvarint(col)
-		if n <= 0 {
+		// An entry is at least its length byte: a dictionary cannot have
+		// more entries than the column has bytes left.
+		if n <= 0 || dictSize > uint64(len(col)-n) {
 			return fmt.Errorf("objstore: truncated dictionary for %q", f.Name)
 		}
 		col = col[n:]
-		dict := make([]string, dictSize)
+		dict := make([]any, dictSize)
 		for d := range dict {
-			l, n := binary.Uvarint(col)
-			if n <= 0 || len(col[n:]) < int(l) {
+			s, rest, ok := cutPrefixed(col)
+			if !ok {
 				return fmt.Errorf("objstore: truncated dictionary entry for %q", f.Name)
 			}
-			dict[d] = string(col[n : n+int(l)])
-			col = col[n+int(l):]
+			dict[d] = string(s)
+			col = rest
 		}
-		for i := range rows {
-			if !present(i) {
+		for i := range out {
+			if !present(bitmap, i) {
 				continue
 			}
 			code, n := binary.Uvarint(col)
 			if n <= 0 || code >= dictSize {
 				return fmt.Errorf("objstore: bad dictionary code for %q", f.Name)
 			}
-			rows[i][f.Name] = dict[code]
+			out[i] = dict[code]
 			col = col[n:]
 		}
 	case metadata.TypeBytes:
-		for i := range rows {
-			if !present(i) {
+		for i := range out {
+			if !present(bitmap, i) {
 				continue
 			}
-			l, n := binary.Uvarint(col)
-			if n <= 0 || len(col[n:]) < int(l) {
+			b, rest, ok := cutPrefixed(col)
+			if !ok {
 				return fmt.Errorf("objstore: truncated bytes column %q", f.Name)
 			}
-			b := make([]byte, l)
-			copy(b, col[n:n+int(l)])
-			rows[i][f.Name] = b
-			col = col[n+int(l):]
+			out[i] = append([]byte{}, b...)
+			col = rest
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package objstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
@@ -251,5 +253,146 @@ func TestColumnarProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// corruptPart assembles a part header by hand: nRows, nCols, then one column
+// entry per (name length, name, column bytes) the caller appends.
+func corruptPart(nRows, nCols uint64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(nil, nRows), nCols)
+}
+
+// TestCorruptPartIsAnError: bytes from the deep store that claim more than
+// they hold must come back as errors. Each of these crashed the reader
+// before it compared lengths as uint64 and bounded what it sizes by the
+// bytes that remain: a column-name length of 2^63+15 went negative through
+// int() and sliced out of range, a dictionary of 2^62 entries was a
+// makeslice panic, and 2^33 rows were allocated before a column was read.
+func TestCorruptPartIsAnError(t *testing.T) {
+	s := archiveSchema()
+	hugeName := binary.AppendUvarint(corruptPart(1, 1), 1<<63+15)
+	hugeDict := append(binary.AppendUvarint(corruptPart(1, 1), 4), "city"...)
+	dictCol := binary.AppendUvarint([]byte{1}, 1<<62) // bitmap, then the dictionary size
+	hugeDict = append(binary.AppendUvarint(hugeDict, uint64(len(dictCol))), dictCol...)
+	hugeRows := append(binary.AppendUvarint(corruptPart(1<<33, 1), 2), "id"...)
+	hugeCol := append(binary.AppendUvarint(corruptPart(1, 1), 2), "id"...)
+	hugeCol = binary.AppendUvarint(hugeCol, 1<<63+1)
+	for name, data := range map[string][]byte{
+		"column-name length 2^63+15": hugeName,
+		"dictionary of 2^62 entries": hugeDict,
+		"header of 2^33 rows":        hugeRows,
+		"column length 2^63+1":       hugeCol,
+	} {
+		if rows, err := DecodeColumnar(s, data); err == nil {
+			t.Errorf("%s: DecodeColumnar returned %d rows, want an error", name, len(rows))
+		}
+		cols := make([][]any, 2)
+		if n, err := DecodeColumns(s, data, []string{"id", "city"}, cols); err == nil {
+			t.Errorf("%s: DecodeColumns returned %d rows, want an error", name, n)
+		}
+	}
+
+	codec, err := record.NewCodec(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"raw batch of 2^40 records":    binary.AppendUvarint(nil, 1<<40),
+		"raw record of length 2^63+15": binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<63+15),
+	} {
+		if recs, err := decodeRawBatch(codec, data); err == nil {
+			t.Errorf("%s: decodeRawBatch returned %d records, want an error", name, len(recs))
+		}
+	}
+}
+
+// TestDecodeColumnsProjection: only the named columns are decoded, in the
+// order asked; a name the part or the schema lacks is NULL in every row; a
+// column nobody asked for is stepped over unparsed — its values may be
+// garbage — and the columns' backing arrays are reused.
+func TestDecodeColumnsProjection(t *testing.T) {
+	s := archiveSchema()
+	rows := orderRows(50)
+	data, err := EncodeColumnar(s, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"amount", "note", "nosuch", "city", "amount"}
+	cols := make([][]any, len(names))
+	n, err := DecodeColumns(s, data, names, cols)
+	if err != nil || n != len(rows) {
+		t.Fatalf("DecodeColumns = %d, %v; want %d rows", n, err, len(rows))
+	}
+	for i, r := range rows {
+		for c, name := range names {
+			if got, want := cols[c][i], r[name]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("row %d column %s = %#v, want %#v", i, name, got, want)
+			}
+		}
+	}
+
+	// An older part without "note", read under the full schema.
+	older := s.Clone()
+	older.Fields = older.Fields[:len(older.Fields)-1]
+	oldData, err := EncodeColumnar(older, rows[:7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := &cols[1][0]
+	if n, err = DecodeColumns(s, oldData, names, cols); err != nil || n != 7 {
+		t.Fatalf("older part: %d, %v", n, err)
+	}
+	if &cols[1][0] != backing {
+		t.Error("a column's backing array was not reused")
+	}
+	for i := 0; i < n; i++ {
+		if cols[1][i] != nil || cols[3][i] != rows[i]["city"] {
+			t.Fatalf("older part row %d: note %#v city %#v", i, cols[1][i], cols[3][i])
+		}
+	}
+
+	// Overwrite the values of "city" (after its one-byte-per-8-rows bitmap)
+	// with dictionary garbage: a scan that does not ask for it never notices.
+	at := bytes.Index(data, []byte("\x04city")) + 5
+	_, w := binary.Uvarint(data[at:])
+	garbled := append([]byte(nil), data...)
+	for i := at + w + (len(rows)+7)/8; i < at+w+(len(rows)+7)/8+4; i++ {
+		garbled[i] = 0xff
+	}
+	if _, err := DecodeColumns(s, garbled, []string{"city"}, make([][]any, 1)); err == nil {
+		t.Fatal("the garbled column decoded; the test corrupts the wrong bytes")
+	}
+	if n, err := DecodeColumns(s, garbled, []string{"id", "amount"}, make([][]any, 2)); err != nil || n != len(rows) {
+		t.Errorf("scan of other columns over a garbled one = %d, %v; want it skipped", n, err)
+	}
+}
+
+// TestDecodeColumnsAllocatesPerDictionaryEntry: decoding a string column
+// boxes one value per dictionary entry, whatever the row count, and no row
+// is assembled anywhere.
+func TestDecodeColumnsAllocatesPerDictionaryEntry(t *testing.T) {
+	s := &metadata.Schema{Name: "d", Version: 1, Fields: []metadata.Field{
+		{Name: "city", Type: metadata.TypeString},
+		{Name: "order_id", Type: metadata.TypeString},
+	}}
+	allocs := func(n int) float64 {
+		rows := make([]record.Record, n)
+		for i := range rows {
+			rows[i] = record.Record{"city": fmt.Sprintf("city_%02d", i%16), "order_id": fmt.Sprintf("o%07d", i)}
+		}
+		data, err := EncodeColumnar(s, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, cols := []string{"city"}, make([][]any, 1)
+		return testing.AllocsPerRun(10, func() {
+			if got, err := DecodeColumns(s, data, names, cols); err != nil || got != n {
+				t.Fatalf("DecodeColumns = %d, %v", got, err)
+			}
+		})
+	}
+	small, large := allocs(1500), allocs(15000)
+	if small != large || large > 40 {
+		t.Errorf("decoding a 16-value column allocates %v times for 1 500 rows and %v for 15 000; want the same, about two per dictionary entry", small, large)
 	}
 }

@@ -18,7 +18,10 @@ import (
 // Run with -benchmem; the layout gap is ConsumingScan/Dn against
 // SealedScan/Dn.
 //
-//	go test -run '^$' -bench 'Scan|Add|Ingest|Seal' -benchmem ./internal/olap
+// GroupByTwoCoded and TopKTrim are the ad-hoc pass's A4 and A1 on the sealed
+// segment: the grouper's composite-code form and its slot-level trim.
+//
+//	go test -run '^$' -bench 'Scan|Add|Ingest|Seal|GroupBy|TopK' -benchmem ./internal/olap
 
 const benchSegmentRows = 25_000
 
@@ -142,6 +145,43 @@ func BenchmarkSealedScan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchSealedShape scans the sealed bench segment with one ad-hoc shape,
+// trim plan included, and reports the cost per row and per group.
+func benchSealedShape(b *testing.B, q *Query) {
+	seg, err := benchStore(b).seal(benchIndexes, -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tp := planTopK(q, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := seg.executePartialTrim(q, nil, tp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = p
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchSegmentRows, "ns/row")
+	b.ReportMetric(float64(len(benchSink.groups)), "groups")
+}
+
+// BenchmarkGroupByTwoCoded is the ad-hoc pass's A4 on one segment: a full
+// scan grouped by two dictionary-coded columns, which the grouper indexes
+// by the composite of their codes (no key per row).
+func BenchmarkGroupByTwoCoded(b *testing.B) {
+	benchSealedShape(b, &Query{GroupBy: []string{"city", "status"},
+		Aggs: []AggSpec{{Kind: AggCount, As: "n"}, {Kind: AggAvg, Column: "amount", As: "mean"}, {Kind: AggMax, Column: "amount", As: "top"}}})
+}
+
+// BenchmarkTopKTrim is A1 on one segment: a top-10 over some 4 000
+// restaurants, trimmed to DefaultGroupTrimSize slots before any group is
+// decoded or keyed.
+func BenchmarkTopKTrim(b *testing.B) {
+	benchSealedShape(b, &Query{GroupBy: []string{"restaurant_id"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount", As: "total"}},
+		OrderBy: []OrderSpec{{Column: "total", Desc: true}}, Limit: 10})
 }
 
 // BenchmarkMutableAdd is the per-row cost of an append: ns/op is ns/row.

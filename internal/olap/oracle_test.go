@@ -59,7 +59,11 @@ func oracleExecute(schema *metadata.Schema, rows []record.Record, q *Query, vali
 			for gi, g := range q.GroupBy {
 				values[gi] = r[g]
 			}
-			key := groupValueKey(values)
+			var keyBytes []byte
+			for _, v := range values {
+				keyBytes = record.AppendValueKey(keyBytes, v)
+			}
+			key := string(keyBytes)
 			g, ok2 := groups[key]
 			if !ok2 {
 				g = newGroupAgg(q, values)
@@ -432,8 +436,8 @@ func (g *diffGen) query() *Query {
 			}
 			q.OrderBy = append(q.OrderBy, OrderSpec{Column: "id", Desc: g.rng.Intn(2) == 0})
 		}
-	} else { // aggregation
-		for i, n := 0, g.rng.Intn(3); i < n; i++ {
+	} else { // aggregation, grouped by up to three columns
+		for i, n := 0, g.rng.Intn(4); i < n; i++ {
 			q.GroupBy = append(q.GroupBy, pick().Name)
 		}
 		for i, n := 0, 1+g.rng.Intn(3); i < n; i++ {
@@ -581,6 +585,153 @@ func TestScanDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGroupTrimDifferential: a scan that trims its own groups — slots, before
+// any is decoded — keeps a correct top groupK in every form of the grouper:
+// one coded column, the composite of two or three (NULL codes included), and
+// the hashed fallback for a raw column or a code space past maxCodeSpace.
+// Orders are full of ties (counts over a few rows), which a trim may break
+// either way, so the check is on what must hold regardless: exactly groupK
+// groups survive, each one a group of the oracle's with its exact aggregates,
+// and their ranks are the oracle's groupK best. The map-form trim of the
+// oracle's own partial is held to the same.
+func TestGroupTrimDifferential(t *testing.T) {
+	forms := map[string]int{}
+	for seed := int64(1); seed <= 30; seed++ {
+		g := newDiffGen(seed)
+		m := newMutableSegment("m", g.schema, 0)
+		for _, r := range g.rows {
+			conformed, err := record.Conform(r, g.schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.add(conformed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seg, err := m.seal(IndexConfig{}, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scans := map[string]*scanSet{"consuming": m.snapshot(), "sealed": seg.scan()}
+		fields := g.queryable()
+		trials := 8
+		if m.n > BatchRows {
+			trials = 4 // the checks sort thousands of groups through record.Compare
+		}
+		for trial := 0; trial < trials; trial++ {
+			q := &Query{Table: "t", Aggs: []AggSpec{{Kind: AggCount, As: "n"}}}
+			if trial%4 == 3 { // a wide code space: the unique id times two more columns
+				q.GroupBy = []string{"id"}
+			}
+			for len(q.GroupBy) < []int{1, 2, 3, 3}[trial%4] {
+				q.GroupBy = append(q.GroupBy, fields[g.rng.Intn(len(fields))].Name)
+			}
+			if f := fields[g.rng.Intn(len(fields))]; f.Type != metadata.TypeString {
+				q.Aggs = append(q.Aggs, AggSpec{Kind: []AggKind{AggSum, AggMin, AggMax, AggAvg}[g.rng.Intn(4)], Column: f.Name, As: "m"})
+			}
+			lead := append(append([]string(nil), q.GroupBy...), "n", q.Aggs[len(q.Aggs)-1].As)
+			q.OrderBy = []OrderSpec{{Column: lead[g.rng.Intn(len(lead))], Desc: g.rng.Intn(2) == 0}}
+			q.Limit = 1 + g.rng.Intn(3)
+			tp := planTopK(q, 1+g.rng.Intn(12))
+			want, err := oracleExecute(g.schema, g.rows, q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best := leadRanks(tp, want.groups)
+			check := func(name string, got *Partial) {
+				t.Helper()
+				if msg := checkTrimmed(q, tp, want.groups, best, got); msg != "" {
+					t.Fatalf("seed %d %s %+v (trim %+v): %s", seed, name, q, tp, msg)
+				}
+			}
+			for name, sc := range scans {
+				gcols := make([]*colView, len(q.GroupBy))
+				for gi, c := range q.GroupBy {
+					gcols[gi] = sc.col(c)
+				}
+				switch gr := newGrouper(gcols, 1, sc.n); {
+				case gr.index != nil:
+					forms[name+" hashed"]++
+				case len(gcols) > 1:
+					forms[name+" composite"]++
+				default:
+					forms[name+" single"]++
+				}
+				got, err := sc.executePartial(q, nil, tp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(name, got)
+			}
+			oracle := &Partial{agg: true, groups: want.groups}
+			oracle.trimTopK(q, tp)
+			check("oracle map trim", oracle)
+		}
+	}
+	for _, form := range []string{"sealed single", "sealed composite", "sealed hashed", "consuming single", "consuming composite", "consuming hashed"} {
+		if forms[form] == 0 {
+			t.Errorf("no trial exercised the %s grouper (%v)", form, forms)
+		}
+	}
+}
+
+// leadRanks lists the plan's leading ORDER BY term of every group, best
+// first, by record.Compare.
+func leadRanks(tp *topKPlan, groups map[string]*groupAgg) []any {
+	if tp == nil {
+		return make([]any, len(groups))
+	}
+	var out []any
+	for _, g := range groups {
+		if tp.valIdx >= 0 {
+			out = append(out, g.values[tp.valIdx])
+		} else {
+			out = append(out, aggValue(g.aggs[tp.aggIdx], tp.aggKind))
+		}
+	}
+	sort.Slice(out, func(a, b int) bool {
+		cmp := record.Compare(out[a], out[b])
+		return cmp != 0 && (cmp < 0) != tp.desc
+	})
+	return out
+}
+
+// checkTrimmed reports how got fails to be a correct trim of all — whose
+// leadRanks are best — to the plan's groupK (see
+// TestGroupTrimDifferential), or "".
+func checkTrimmed(q *Query, tp *topKPlan, all map[string]*groupAgg, best []any, got *Partial) string {
+	k := len(all)
+	if tp != nil && tp.groupK < k {
+		k = tp.groupK
+	}
+	if len(got.groups) != k || got.stats.GroupsTrimmed != int64(len(all)-k) {
+		return fmt.Sprintf("%d groups kept and %d reported trimmed, of %d with a budget of %d", len(got.groups), got.stats.GroupsTrimmed, len(all), k)
+	}
+	row := func(g *groupAgg) []any {
+		out := append([]any(nil), g.values...)
+		for ai, spec := range q.Aggs {
+			out = append(out, aggValue(g.aggs[ai], spec.Kind))
+		}
+		return out
+	}
+	for key, g := range got.groups {
+		w, ok := all[key]
+		if !ok {
+			return fmt.Sprintf("kept group %q is not a group of the oracle's", key)
+		}
+		if !reflect.DeepEqual(row(g), row(w)) {
+			return fmt.Sprintf("group %q is %v, oracle %v", key, row(g), row(w))
+		}
+	}
+	kept := leadRanks(tp, got.groups)
+	for i := range kept {
+		if record.Compare(kept[i], best[i]) != 0 {
+			return fmt.Sprintf("kept ranks %v, the oracle's best %d are %v", kept, k, best[:k])
+		}
+	}
+	return ""
 }
 
 // TestSealMatchesRowBuilder: the segment seal() freezes out of a column

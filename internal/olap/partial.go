@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/metadata"
 	"repro/internal/record"
@@ -59,30 +58,6 @@ func distinctKey(v any) string {
 	return "s:" + fmt.Sprintf("%v", v)
 }
 
-// groupValueKey derives the cross-segment merge key from decoded group-by
-// values. Segment-local dictionary codes are meaningless across segments, so
-// partials re-key groups by value before leaving the segment. The encoding
-// is unambiguous: numerics canonicalize through float64 (so int64(3) from a
-// sealed dictionary and float64(3) from a consuming row collide as they
-// must) and strings are quoted so embedded separators cannot alias two
-// distinct multi-column tuples.
-func groupValueKey(values []any) string {
-	var b strings.Builder
-	for _, v := range values {
-		switch f, ok := toF64(v); {
-		case v == nil:
-			b.WriteString("~|")
-		case ok:
-			b.WriteString("n")
-			b.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
-			b.WriteString("|")
-		default:
-			fmt.Fprintf(&b, "s%q|", fmt.Sprintf("%v", v))
-		}
-	}
-	return b.String()
-}
-
 // Partial is the mergeable partial result of a query over a subset of a
 // table's segments — the unit the scatter phase ships from segment scans to
 // the broker's streaming merge. For aggregation queries it holds group
@@ -103,12 +78,18 @@ func newPartial(q *Query) *Partial {
 	return &Partial{}
 }
 
-// partialFromGroups re-keys segment-local group accumulators (dict-code or
-// star-tree keys) by group value so they merge correctly across segments.
+// partialFromGroups re-keys a star-tree answer's groups by group value —
+// record.AppendValueKey of each, the key every partial merges on: segment-
+// local dictionary codes mean nothing across segments.
 func partialFromGroups(groups map[string]*groupAgg) *Partial {
 	p := &Partial{agg: true, groups: make(map[string]*groupAgg, len(groups))}
+	var key []byte
 	for _, g := range groups {
-		p.groups[groupValueKey(g.values)] = g
+		key = key[:0]
+		for _, v := range g.values {
+			key = record.AppendValueKey(key, v)
+		}
+		p.groups[string(key)] = g
 	}
 	return p
 }

@@ -485,25 +485,19 @@ func (sc *scanSet) executePartial(q *Query, valid *Bitmap, tp *topKPlan) (*Parti
 	}
 	var p *Partial
 	if len(q.Aggs) > 0 {
-		groups, err := sc.executeAgg(q, ss)
-		if err != nil {
-			return nil, err
-		}
-		groups, trimmed := trimGroups(groups, tp)
-		p = partialFromGroups(groups)
-		p.stats.GroupsTrimmed = trimmed
+		p, err = sc.executeAgg(q, ss, tp)
 	} else {
 		p, err = sc.executeSelect(q, ss, tp)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	p.stats.RowsScanned = ss.kept
 	p.stats.UpsertFiltered = ss.dropped
 	return p, nil
 }
 
-func (sc *scanSet) executeAgg(q *Query, ss *selStream) (map[string]*groupAgg, error) {
+func (sc *scanSet) executeAgg(q *Query, ss *selStream, tp *topKPlan) (*Partial, error) {
 	gcols := make([]*colView, len(q.GroupBy))
 	for gi, name := range q.GroupBy {
 		if gcols[gi] = sc.col(name); gcols[gi] == nil {
@@ -529,14 +523,14 @@ func (sc *scanSet) executeAgg(q *Query, ss *selStream) (map[string]*groupAgg, er
 		}
 		cur[ai].col = c
 	}
-	g := newGrouper(gcols, len(q.Aggs))
+	g := newGrouper(gcols, len(q.Aggs), sc.n)
 	for sel := ss.next(); sel != nil; sel = ss.next() {
 		slots := g.assign(sel)
 		for ai := range cur {
-			cur[ai].fold(g.accs, ai, slots, sel)
+			cur[ai].fold(g.accs, g.naggs, ai, slots, sel)
 		}
 	}
-	return g.groups(), nil
+	return g.partial(tp), nil
 }
 
 // aggValue collapses a partial state into the final user-facing value.

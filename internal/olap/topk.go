@@ -2,7 +2,7 @@ package olap
 
 import (
 	"container/heap"
-	"sort"
+	"strings"
 
 	"repro/internal/record"
 )
@@ -168,44 +168,148 @@ func (t *topKRows) push(row []any) {
 // sort over the O(K · fan-out) survivors restores the user-facing order.
 func (t *topKRows) take() [][]any { return t.h.rows }
 
-// trimGroups keeps the groupK best groups by the plan's leading ORDER BY
-// term, returning the kept map and how many groups were dropped. Ties break
-// on the map key so trimming is deterministic regardless of map iteration
-// or merge arrival order. The input map is returned untouched when no
-// trimming applies.
+// groupRanks holds the leading ORDER BY term of each candidate group of a
+// trim, typed once: ranking compares float64s and strings, never boxed
+// values through record.Compare. The order is record.Compare's — NULL
+// first, numbers by value (a NaN ties with everything), strings by content —
+// reversed for DESC.
+type groupRanks struct {
+	desc bool
+	null []bool
+	num  []float64
+	str  []string // allocated when the term is a string group-by column
+}
+
+func newGroupRanks(n int, desc bool) *groupRanks {
+	return &groupRanks{desc: desc, null: make([]bool, n), num: make([]float64, n)}
+}
+
+// setAgg ranks candidate i by an aggregation: the float64 record.Compare
+// would see of aggValue's result, NULL for MIN/MAX/AVG of no input.
+func (r *groupRanks) setAgg(i int, a *aggState, kind AggKind) {
+	switch kind {
+	case AggSum:
+		r.num[i] = a.Sum
+	case AggMin:
+		r.num[i], r.null[i] = a.Min, a.Count == 0
+	case AggMax:
+		r.num[i], r.null[i] = a.Max, a.Count == 0
+	case AggAvg:
+		r.num[i], r.null[i] = a.Sum/float64(a.Count), a.Count == 0
+	case AggDistinctCount:
+		r.num[i] = float64(len(a.distinct))
+	default:
+		r.num[i] = float64(a.Count)
+	}
+}
+
+// setValue ranks candidate i by a group-by value: a number (a bool is 0 or
+// 1), a string or NULL.
+func (r *groupRanks) setValue(i int, v any) {
+	switch f, ok := toF64(v); {
+	case ok:
+		r.num[i] = f
+	case v == nil:
+		r.null[i] = true
+	default:
+		if r.str == nil {
+			r.str = make([]string, len(r.null))
+		}
+		r.str[i], _ = v.(string)
+	}
+}
+
+// compare orders candidates a and b: negative when a ranks before b.
+func (r *groupRanks) compare(a, b int32) int {
+	var c int
+	switch {
+	case r.null[a] || r.null[b]:
+		if !r.null[b] {
+			c = -1
+		} else if !r.null[a] {
+			c = 1
+		}
+	case r.str != nil:
+		c = strings.Compare(r.str[a], r.str[b])
+	case r.num[a] < r.num[b]:
+		c = -1
+	case r.num[a] > r.num[b]:
+		c = 1
+	}
+	if r.desc {
+		return -c
+	}
+	return c
+}
+
+// selectTop reorders idx so that its first k entries are the k that come
+// first under less, in no particular order — a quickselect: a trim needs the
+// set of survivors, not their order, so it is O(n) rather than a full sort.
+func selectTop(idx []int32, k int, less func(a, b int32) bool) {
+	lo, hi := 0, len(idx)
+	for lo < k && k < hi {
+		// Median of three as the pivot, parked at hi-1.
+		mid, last := lo+(hi-lo)/2, hi-1
+		if less(idx[mid], idx[lo]) {
+			idx[mid], idx[lo] = idx[lo], idx[mid]
+		}
+		if less(idx[last], idx[lo]) {
+			idx[last], idx[lo] = idx[lo], idx[last]
+		}
+		if less(idx[mid], idx[last]) {
+			idx[mid], idx[last] = idx[last], idx[mid]
+		}
+		pivot, p := idx[last], lo
+		for i := lo; i < last; i++ {
+			if less(idx[i], pivot) {
+				idx[i], idx[p] = idx[p], idx[i]
+				p++
+			}
+		}
+		idx[p], idx[last] = idx[last], idx[p]
+		// idx[lo:p] come before the pivot at p, idx[p+1:hi] do not.
+		if k <= p {
+			hi = p
+		} else {
+			lo = p + 1
+		}
+	}
+}
+
+// trimGroups is the trim over groups already keyed by value — a star-tree
+// answer, a server's merged partial: it keeps the groupK best groups by the
+// plan's leading ORDER BY term, returning the kept map and how many groups
+// were dropped. Ties break on the map key so trimming is deterministic
+// regardless of map iteration or merge arrival order. The input map is
+// returned untouched when no trimming applies. (A segment scan trims its
+// slots before they become groups; see grouper.partial.)
 func trimGroups(groups map[string]*groupAgg, tp *topKPlan) (map[string]*groupAgg, int64) {
 	if tp == nil || tp.groupK <= 0 || len(groups) <= tp.groupK {
 		return groups, 0
 	}
-	type keyed struct {
-		key string
-		g   *groupAgg
-		v   any
-	}
-	all := make([]keyed, 0, len(groups))
+	keys := make([]string, 0, len(groups))
+	idx := make([]int32, 0, len(groups))
+	ranks := newGroupRanks(len(groups), tp.desc)
 	for k, g := range groups {
-		var v any
+		i := len(keys)
+		keys, idx = append(keys, k), append(idx, int32(i))
 		if tp.valIdx >= 0 {
-			v = g.values[tp.valIdx]
+			ranks.setValue(i, g.values[tp.valIdx])
 		} else {
-			v = aggValue(g.aggs[tp.aggIdx], tp.aggKind)
+			ranks.setAgg(i, &g.aggs[tp.aggIdx], tp.aggKind)
 		}
-		all = append(all, keyed{k, g, v})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if cmp := record.Compare(all[i].v, all[j].v); cmp != 0 {
-			if tp.desc {
-				return cmp > 0
-			}
-			return cmp < 0
+	selectTop(idx, tp.groupK, func(a, b int32) bool {
+		if c := ranks.compare(a, b); c != 0 {
+			return c < 0
 		}
-		return all[i].key < all[j].key
+		return keys[a] < keys[b]
 	})
 	kept := make(map[string]*groupAgg, tp.groupK)
-	for _, e := range all[:tp.groupK] {
-		kept[e.key] = e.g
+	for _, i := range idx[:tp.groupK] {
+		kept[keys[i]] = groups[keys[i]]
 	}
-	return kept, int64(len(all) - tp.groupK)
+	return kept, int64(len(groups) - tp.groupK)
 }
 
 // trimTopK bounds a merged partial before it leaves the server: grouped

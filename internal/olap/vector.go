@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"repro/internal/metadata"
+	"repro/internal/record"
 )
 
 // Vectorized scan kernels: instead of materializing one bitmap of every
@@ -734,77 +735,132 @@ type aggCursor struct {
 }
 
 // fold folds one batch into aggregation ai of each selected row's group:
-// slots[j] is the accumulator slot of row sel[j]. Rows of one group fold in
-// row order, so float sums come out the same whatever the batch boundaries.
-func (ac *aggCursor) fold(accs [][]aggState, ai int, slots, sel []int32) {
+// slots[j] is the accumulator slot of row sel[j], and slot s's aggregations
+// are accs[s*naggs : (s+1)*naggs]. Rows of one group fold in row order, so
+// float sums come out the same whatever the batch boundaries.
+func (ac *aggCursor) fold(accs []aggState, naggs, ai int, slots, sel []int32) {
 	c := ac.col
 	switch {
 	case ac.countStar:
 		for _, s := range slots {
-			accs[s][ai].Count++
+			accs[int(s)*naggs+ai].Count++
 		}
 	case ac.kind == AggCount:
 		for j, i := range sel {
 			if !c.isNull(int(i)) {
-				accs[slots[j]][ai].Count++
+				accs[int(slots[j])*naggs+ai].Count++
 			}
 		}
 	case ac.kind == AggDistinctCount:
 		for j, i := range sel {
 			if v := c.value(int(i)); v != nil {
-				accs[slots[j]][ai].addDistinct(distinctKey(v))
+				accs[int(slots[j])*naggs+ai].addDistinct(distinctKey(v))
 			}
 		}
 	case c.layout == layoutPacked:
 		nums := c.dict.Nums
 		for j, i := range sel {
 			if code := c.packed.Get(int(i)); code != c.null {
-				accs[slots[j]][ai].add(nums[code])
+				accs[int(slots[j])*naggs+ai].add(nums[code])
 			}
 		}
 	case c.present == nil:
 		for j, i := range sel {
-			accs[slots[j]][ai].add(c.num(int(i)))
+			accs[int(slots[j])*naggs+ai].add(c.num(int(i)))
 		}
 	default:
 		for j, i := range sel {
 			if c.present[i] {
-				accs[slots[j]][ai].add(c.num(int(i)))
+				accs[int(slots[j])*naggs+ai].add(c.num(int(i)))
 			}
 		}
 	}
 }
 
-// grouper assigns every selected row the accumulator slot of its group.
-// No group-by is one slot; one group-by column that carries codes indexes a
-// dense array of accumulators by code — the columnar execution style that
-// gives Pinot its latency edge (no per-row keys or hashing); anything else
-// (several columns, or one raw numeric column) hashes the row's codes and
-// values to a slot.
+// maxCodeSpace bounds the id table of a group-by over dictionary codes: the
+// product of the columns' code counts may reach this many ids, or one per
+// scanned row if that is more (which a single column never exceeds). Past
+// it the grouper hashes.
+const maxCodeSpace = 1 << 16
+
+// grouper assigns every selected row the accumulator slot of its group and
+// keeps groups as slots — an index into one flat accumulator array — until
+// the scan is over and the top-K trim has run: a group's values are decoded
+// and its key formatted only if it survives (partial). Slots are handed out
+// in first-row order, so the array holds exactly the groups that have a row.
+// A row finds its slot in one of three ways, chosen once per scan:
+//
+//   - no group-by: one slot;
+//   - every group-by column carries dictionary codes and their code space
+//     is within maxCodeSpace: the group's id is its code — for several
+//     columns the mixed-radix composite of their codes, the NULL code a
+//     digit like any other — and a table maps id to slot. No per-row key or
+//     hashing: the columnar execution style that gives Pinot its latency
+//     edge;
+//   - otherwise (a raw numeric column, or a larger code space): the row's
+//     codes and values are spelled into a byte key that hashes to the slot.
 type grouper struct {
 	cols  []*colView
 	naggs int
-	accs  [][]aggState // by slot; nil until the group has a row
-	slots []int32      // scratch: the current batch's slot per selected row
+	n     int        // slots in use
+	accs  []aggState // slot s's aggregations are accs[s*naggs : (s+1)*naggs]
+	slots []int32    // scratch: the current batch's slot per selected row
 
-	// Hashed grouping only; keys and vals are by slot.
+	// Code-space grouping. table[id] is the slot of group id plus one, 0
+	// until the group has a row; radix[ci] is the number of codes of column
+	// ci; ids[slot] is the group's id, the table inverted once the scan is
+	// over (partial).
+	table []int32
+	radix []int
+	ids   []int32
+
+	// Hashed grouping. keys[slot] is the group's byte key and first[slot] a
+	// row of the group, from which its values are decoded.
 	index map[string]int32
 	keys  []string
-	vals  [][]any
+	first []int32
 	key   []byte
 }
 
-func newGrouper(cols []*colView, naggs int) *grouper {
+// newGrouper picks the grouping form for the columns of a scan of n rows.
+func newGrouper(cols []*colView, naggs, n int) *grouper {
 	g := &grouper{cols: cols, naggs: naggs, slots: make([]int32, BatchRows)}
-	switch {
-	case len(cols) == 0:
-		g.accs = make([][]aggState, 1)
-	case len(cols) == 1 && cols[0].coded():
-		g.accs = make([][]aggState, cols[0].numCodes())
-	default:
+	if len(cols) == 0 {
+		return g
+	}
+	limit := max(maxCodeSpace, n+1)
+	space := 1
+	g.radix = make([]int, len(cols))
+	for ci, c := range cols {
+		if !c.coded() || space > limit {
+			space = limit + 1
+			break
+		}
+		g.radix[ci] = c.numCodes()
+		space *= g.radix[ci]
+	}
+	if space <= limit {
+		g.table = make([]int32, space)
+		g.accs = make([]aggState, 0, min(space, 64)*naggs)
+	} else {
 		g.index = make(map[string]int32)
 	}
 	return g
+}
+
+// addSlot appends a zeroed accumulator slot. The array grows by doubling: a
+// filtered scan touches a fraction of the code space, so it is not sized by
+// it up front.
+func (g *grouper) addSlot() int32 {
+	need := (g.n + 1) * g.naggs
+	if need > cap(g.accs) {
+		grown := make([]aggState, len(g.accs), max(2*cap(g.accs), 64*g.naggs))
+		copy(grown, g.accs)
+		g.accs = grown
+	}
+	g.accs = g.accs[:need]
+	g.n++
+	return int32(g.n - 1)
 }
 
 // assign returns the slot of each selected row, valid until the next call.
@@ -813,8 +869,8 @@ func (g *grouper) assign(sel []int32) []int32 {
 	switch {
 	case len(g.cols) == 0:
 		// One group: the scratch is never written, so every slot reads 0.
-		if g.accs[0] == nil {
-			g.accs[0] = make([]aggState, g.naggs)
+		if g.n == 0 {
+			g.addSlot()
 		}
 		return slots
 	case g.index != nil:
@@ -823,26 +879,33 @@ func (g *grouper) assign(sel []int32) []int32 {
 		}
 		return slots
 	}
-	if c := g.cols[0]; c.layout == layoutPacked {
-		for j, i := range sel {
-			slots[j] = int32(c.packed.Get(int(i)))
-		}
-	} else {
-		for j, i := range sel {
-			slots[j] = int32(c.dense[i])
+	// Ids first, a column at a time, then ids to slots through the table.
+	clear(slots)
+	for ci, c := range g.cols {
+		radix := int32(g.radix[ci])
+		if c.layout == layoutPacked {
+			for j, i := range sel {
+				slots[j] = slots[j]*radix + int32(c.packed.Get(int(i)))
+			}
+		} else {
+			for j, i := range sel {
+				slots[j] = slots[j]*radix + int32(c.dense[i])
+			}
 		}
 	}
-	for _, s := range slots {
-		if g.accs[s] == nil {
-			g.accs[s] = make([]aggState, g.naggs)
+	for j, id := range slots {
+		slot := g.table[id]
+		if slot == 0 {
+			slot = g.addSlot() + 1
+			g.table[id] = slot
 		}
+		slots[j] = slot - 1
 	}
 	return slots
 }
 
 // hashed finds or creates the slot of row i's group. The key spells each
-// column's code ("~" for NULL) — or, for a raw numeric column, its value —
-// and doubles as the group's key in the output map.
+// column's code ("~" for NULL) — or, for a raw numeric column, its value.
 func (g *grouper) hashed(i int) int32 {
 	key := g.key[:0]
 	for _, c := range g.cols {
@@ -866,42 +929,88 @@ func (g *grouper) hashed(i int) int32 {
 	if slot, ok := g.index[string(key)]; ok {
 		return slot
 	}
-	slot := int32(len(g.accs))
-	vals := make([]any, len(g.cols))
-	for gi, c := range g.cols {
-		vals[gi] = c.value(i)
-	}
+	slot := g.addSlot()
 	k := string(key)
 	g.index[k] = slot
 	g.keys = append(g.keys, k)
-	g.vals = append(g.vals, vals)
-	g.accs = append(g.accs, make([]aggState, g.naggs))
+	g.first = append(g.first, int32(i))
 	return slot
 }
 
-// groups hands the accumulators over as segment-local groups, decoding the
-// group values — once per surviving group, not per row.
-func (g *grouper) groups() map[string]*groupAgg {
-	switch {
-	case len(g.cols) == 0:
-		groups := make(map[string]*groupAgg, 1)
-		if g.accs[0] != nil {
-			groups[""] = &groupAgg{values: []any{}, aggs: g.accs[0]}
-		}
-		return groups
-	case g.index != nil:
-		groups := make(map[string]*groupAgg, len(g.accs))
-		for slot, acc := range g.accs {
-			groups[g.keys[slot]] = &groupAgg{values: g.vals[slot], aggs: acc}
-		}
-		return groups
+// value decodes group-by column gi of the slot's group.
+func (g *grouper) value(slot, gi int) any {
+	if g.index != nil {
+		return g.cols[gi].value(int(g.first[slot]))
 	}
-	c := g.cols[0]
-	groups := make(map[string]*groupAgg, len(g.accs))
-	for code, acc := range g.accs {
-		if acc != nil {
-			groups[fmt.Sprintf("%08d", code)] = &groupAgg{values: []any{c.codeValue(code)}, aggs: acc}
+	id := int(g.ids[slot])
+	for ci := len(g.cols) - 1; ci > gi; ci-- {
+		id /= g.radix[ci]
+	}
+	return g.cols[gi].codeValue(id % g.radix[gi])
+}
+
+// before breaks a tie between two slots the trim ranks equal, independent
+// of batch boundaries and row arrival: ascending id — a single column's
+// ascending code — or, hashed, ascending byte key.
+func (g *grouper) before(a, b int32) bool {
+	if g.index != nil {
+		return g.keys[a] < g.keys[b]
+	}
+	return g.ids[a] < g.ids[b]
+}
+
+// partial hands the scan's groups over as the segment's mergeable partial,
+// keyed by group value. Under a top-K plan the slots are trimmed first, by
+// the plan's leading ORDER BY term read off the accumulators, so the decode
+// and the key are paid once per surviving group — not per row, and not for
+// a group the trim drops.
+func (g *grouper) partial(tp *topKPlan) *Partial {
+	if g.table != nil {
+		g.ids = make([]int32, g.n)
+		for id, slot := range g.table {
+			if slot != 0 {
+				g.ids[slot-1] = int32(id)
+			}
 		}
 	}
-	return groups
+	keep := make([]int32, g.n)
+	for s := range keep {
+		keep[s] = int32(s)
+	}
+	p := &Partial{agg: true}
+	if tp != nil && tp.groupK > 0 && g.n > tp.groupK {
+		ranks := newGroupRanks(g.n, tp.desc)
+		for s := 0; s < g.n; s++ {
+			if tp.valIdx >= 0 {
+				ranks.setValue(s, g.value(s, tp.valIdx))
+			} else {
+				ranks.setAgg(s, &g.accs[s*g.naggs+tp.aggIdx], tp.aggKind)
+			}
+		}
+		selectTop(keep, tp.groupK, func(a, b int32) bool {
+			if c := ranks.compare(a, b); c != 0 {
+				return c < 0
+			}
+			return g.before(a, b)
+		})
+		keep = keep[:tp.groupK]
+		p.stats.GroupsTrimmed = int64(g.n - tp.groupK)
+	}
+	p.groups = make(map[string]*groupAgg, len(keep))
+	groups := make([]groupAgg, len(keep))
+	values := make([]any, len(keep)*len(g.cols))
+	var key []byte
+	for k, slot := range keep {
+		s := int(slot)
+		ga := &groups[k]
+		ga.values = values[k*len(g.cols) : (k+1)*len(g.cols) : (k+1)*len(g.cols)]
+		ga.aggs = g.accs[s*g.naggs : (s+1)*g.naggs : (s+1)*g.naggs]
+		key = key[:0]
+		for gi := range g.cols {
+			ga.values[gi] = g.value(s, gi)
+			key = record.AppendValueKey(key, ga.values[gi])
+		}
+		p.groups[string(key)] = ga
+	}
+	return p
 }
