@@ -277,7 +277,7 @@ func BenchmarkParallelScatterGather(b *testing.B) {
 		broker := olap.NewBrokerWithOptions(d, olap.BrokerOptions{Workers: workers})
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := broker.Query(q); err != nil {
+				if _, err := broker.Execute(context.Background(), &olap.QueryRequest{Query: q}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -115,7 +115,7 @@ func DefaultConfig() *Config {
 		},
 		Blocking: []CallSpec{
 			{Pkg: "repro/internal/objstore", Type: "Store",
-				Methods: []string{"Get", "Put", "Delete", "List", "Len"}},
+				Methods: []string{"Get", "Put", "Delete", "List", "Size"}},
 			{Pkg: "repro/internal/fedsql", Type: "Connector",
 				Methods: []string{"Scan", "AggregateScan"}},
 			{Pkg: "repro/internal/fedsql", Type: "StreamingConnector",
@@ -123,9 +123,9 @@ func DefaultConfig() *Config {
 			{Pkg: "repro/internal/fedsql", Type: "RowIterator",
 				Methods: []string{"Next", "Close"}},
 			{Pkg: "repro/internal/olap", Type: "Broker",
-				Methods: []string{"Execute", "QueryCtx", "Query", "MaterializePartial", "ExecuteStream"}},
+				Methods: []string{"Execute", "MaterializePartial", "ExecuteStream"}},
 			{Pkg: "repro/internal/olap", Type: "Server",
-				Methods: []string{"ExecuteOn", "StreamOn"}},
+				Methods: []string{"scanSegments"}},
 			{Pkg: "repro/internal/olap", Type: "QueryStream",
 				Methods: []string{"Next", "Close"}},
 			// PR 14: consuming segments are scanned and sealed from a
@@ -135,7 +135,7 @@ func DefaultConfig() *Config {
 			{Pkg: "repro/internal/olap", Type: "scanSet",
 				Methods: []string{"executePartial", "streamSelect"}},
 			{Pkg: "repro/internal/olap", Type: "consumingScan",
-				Methods: []string{"executePartial"}},
+				Methods: []string{"scanUnits"}},
 			{Pkg: "repro/internal/olap", Type: "mutableSegment",
 				Methods: []string{"seal"}},
 			{Pkg: "time", Methods: []string{"Sleep"}},

@@ -8,7 +8,7 @@ import (
 // LockScope enforces the PR 2/8 discipline: segment bytes (and every other
 // blocking result) are obtained OUTSIDE the lock. While a configured mutex
 // is held — s.mu, d.mu — the critical section must not perform a channel
-// send/receive, a select, a query execution (Execute/ExecuteOn/Scan/
+// send/receive, a select, a query execution (Execute/scanSegments/Scan/
 // AggregateScan), deep-store I/O, a sleep or a WaitGroup wait. Holding the
 // lock across any of these serializes the whole query path behind one slow
 // operation and, for channel operations, risks deadlock against goroutines

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"time"
 
@@ -95,12 +96,12 @@ func E17(rowsN int) []Row {
 	windowed.Time = &olap.TimeRange{From: from, To: to}
 	broker := olap.NewBroker(allHot)
 	const iters = 20
-	measure := func(query *olap.Query) (time.Duration, *olap.Result) {
-		var res *olap.Result
+	measure := func(query *olap.Query) (time.Duration, *olap.QueryResponse) {
+		var res *olap.QueryResponse
 		start := time.Now()
 		for i := 0; i < iters; i++ {
 			var err error
-			if res, err = broker.Query(query); err != nil {
+			if res, err = broker.Execute(context.Background(), &olap.QueryRequest{Query: query}); err != nil {
 				panic(err)
 			}
 		}
@@ -111,11 +112,11 @@ func E17(rowsN int) []Row {
 
 	// Exactness over offloaded segments: the bounded deployment answers
 	// the full grouped aggregation through transparent reloads.
-	wantRes, err := broker.Query(q)
+	wantRes, err := broker.Execute(context.Background(), &olap.QueryRequest{Query: q})
 	if err != nil {
 		panic(err)
 	}
-	gotRes, err := olap.NewBroker(bounded).Query(q)
+	gotRes, err := olap.NewBroker(bounded).Execute(context.Background(), &olap.QueryRequest{Query: q})
 	if err != nil {
 		panic(err)
 	}

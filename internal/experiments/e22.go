@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -81,7 +82,7 @@ func E22(rowsN int) []Row {
 	for round := 0; round < 3; round++ {
 		for _, q := range shapes {
 			start := time.Now()
-			if _, err := plain.Query(q); err != nil {
+			if _, err := plain.Execute(context.Background(), &olap.QueryRequest{Query: q}); err != nil {
 				panic(err)
 			}
 			if el := time.Since(start); el > maxBase {
@@ -111,7 +112,7 @@ func E22(rowsN int) []Row {
 	// broker (a hit/miss mix), with nothing slow expected.
 	const mixedIters = 40
 	for i := 0; i < mixedIters; i++ {
-		if _, err := traced.Query(shapes[i%len(shapes)]); err != nil {
+		if _, err := traced.Execute(context.Background(), &olap.QueryRequest{Query: shapes[i%len(shapes)]}); err != nil {
 			panic(err)
 		}
 	}
@@ -121,7 +122,7 @@ func E22(rowsN int) []Row {
 	// cache must be bypassed (fresh shape) so the query actually scatters.
 	servers[1].SetScanDelay(delay)
 	probe := &olap.Query{GroupBy: []string{"status"}, Aggs: []olap.AggSpec{{Kind: olap.AggCount}}}
-	if _, err := traced.Query(probe); err != nil {
+	if _, err := traced.Execute(context.Background(), &olap.QueryRequest{Query: probe}); err != nil {
 		panic(err)
 	}
 	servers[1].SetScanDelay(0)
@@ -151,7 +152,7 @@ func E22(rowsN int) []Row {
 		samples := make([]time.Duration, hitIters)
 		for i := range samples {
 			start := time.Now()
-			if _, err := b.Query(hit); err != nil {
+			if _, err := b.Execute(context.Background(), &olap.QueryRequest{Query: hit}); err != nil {
 				panic(err)
 			}
 			samples[i] = time.Since(start)

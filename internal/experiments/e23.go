@@ -74,7 +74,7 @@ func E23(rowsN int) []Row {
 	shape := &olap.Query{GroupBy: []string{"city"}, Aggs: []olap.AggSpec{
 		{Kind: olap.AggSum, Column: "amount"}, {Kind: olap.AggCount},
 	}}
-	baseline, err := b.Query(shape)
+	baseline, err := b.Execute(context.Background(), &olap.QueryRequest{Query: shape})
 	if err != nil {
 		panic(err)
 	}
@@ -108,7 +108,7 @@ func E23(rowsN int) []Row {
 						return
 					default:
 					}
-					r, err := b.Query(shape)
+					r, err := b.Execute(context.Background(), &olap.QueryRequest{Query: shape})
 					if err != nil {
 						queryErrs.Add(1)
 						continue
@@ -164,7 +164,7 @@ func E23(rowsN int) []Row {
 	if coldRep.Applied > 0 && coldRep.BytesCopied == 0 && coldRep.MetadataMoves == coldRep.Applied {
 		zeroCopy = 1
 	}
-	after, err := b.Query(shape)
+	after, err := b.Execute(context.Background(), &olap.QueryRequest{Query: shape})
 	if err != nil {
 		panic(err)
 	}

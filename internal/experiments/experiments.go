@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -580,7 +581,7 @@ func E10(updates, keys, partitions int) []Row {
 	}
 	ingestDur := time.Since(start)
 	b := olap.NewBroker(d)
-	res, err := b.Query(&olap.Query{Aggs: []olap.AggSpec{{Kind: olap.AggCount}}})
+	res, err := b.Execute(context.Background(), &olap.QueryRequest{Query: &olap.Query{Aggs: []olap.AggSpec{{Kind: olap.AggCount}}}})
 	if err != nil {
 		panic(err)
 	}
@@ -588,7 +589,7 @@ func E10(updates, keys, partitions int) []Row {
 	const iters = 30
 	start = time.Now()
 	for i := 0; i < iters; i++ {
-		if _, err := b.Query(&olap.Query{Aggs: []olap.AggSpec{{Kind: olap.AggSum, Column: "amount"}}}); err != nil {
+		if _, err := b.Execute(context.Background(), &olap.QueryRequest{Query: &olap.Query{Aggs: []olap.AggSpec{{Kind: olap.AggSum, Column: "amount"}}}}); err != nil {
 			panic(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"runtime"
 	"time"
 
@@ -77,7 +78,7 @@ func E16(rowsN int) []Row {
 	measure := func(b *olap.Broker) time.Duration {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			if _, err := b.Query(q); err != nil {
+			if _, err := b.Execute(context.Background(), &olap.QueryRequest{Query: q}); err != nil {
 				panic(err)
 			}
 		}
@@ -85,7 +86,7 @@ func E16(rowsN int) []Row {
 	}
 	// Warm both paths once before timing.
 	measureOnce := func(b *olap.Broker) {
-		if _, err := b.Query(q); err != nil {
+		if _, err := b.Execute(context.Background(), &olap.QueryRequest{Query: q}); err != nil {
 			panic(err)
 		}
 	}
@@ -93,7 +94,7 @@ func E16(rowsN int) []Row {
 	measureOnce(parallel)
 	serialLat := measure(serial)
 	parallelLat := measure(parallel)
-	res, err := parallel.Query(q)
+	res, err := parallel.Execute(context.Background(), &olap.QueryRequest{Query: q})
 	if err != nil {
 		panic(err)
 	}

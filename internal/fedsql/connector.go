@@ -282,15 +282,14 @@ func (p *PinotConnector) Capabilities() Capabilities {
 	return Capabilities{Filters: true, Aggregations: true, GroupBy: true, OrderBy: true, Limit: true}
 }
 
-// OpenScan implements StreamingConnector: the row-scan fragment becomes an
-// OLAP streaming query (Broker.ExecuteStream), so batches flow from the
-// servers' vectorized segment kernels straight to the engine — the first
-// batch arrives while the slowest server is still scanning, and closing
-// the iterator early (LIMIT satisfied, join done, query cancelled) stops
-// the backend scan. Note the native streaming path bypasses the broker's
-// result cache, views and admission — a stream is consumed once, not
-// shared; ORDER BY scans fall back to Broker.Execute internally (batches
-// still stream across the boundary, with those services intact).
+// OpenScan implements StreamingConnector. An unordered row-scan fragment
+// becomes an OLAP streaming query (Broker.ExecuteStream): batches flow from
+// the servers' vectorized segment kernels straight to the engine — the first
+// arrives while the slowest server is still scanning — and closing the
+// iterator early (LIMIT satisfied, join done, query cancelled) stops the
+// backend scan. A stream is consumed once, not shared, so it bypasses the
+// broker's result cache, views and admission. A pushed-down ORDER BY cannot
+// stream; it executes like an aggregate (executed), those services intact.
 func (p *PinotConnector) OpenScan(ctx context.Context, table string, pd Pushdown) (RowIterator, error) {
 	broker, ok := p.brokers[table]
 	if !ok {
@@ -301,8 +300,12 @@ func (p *PinotConnector) OpenScan(ctx context.Context, table string, pd Pushdown
 		return nil, err
 	}
 	q.Select = pd.Columns
+	req := &olap.QueryRequest{Query: q, TrimExact: p.TrimExact, Tenant: p.Tenant}
+	if len(q.OrderBy) > 0 {
+		return executed(ctx, broker, req, stats)
+	}
 	stats.Streamed = true
-	qs, err := broker.ExecuteStream(ctx, &olap.QueryRequest{Query: q, TrimExact: p.TrimExact, Tenant: p.Tenant})
+	qs, err := broker.ExecuteStream(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -312,9 +315,7 @@ func (p *PinotConnector) OpenScan(ctx context.Context, table string, pd Pushdown
 // OpenAggregateScan implements StreamingConnector by executing the whole
 // aggregate query in the OLAP layer (through the broker's cache, views and
 // admission): servers ship mergeable partial-aggregate states to the broker,
-// and only the finalized per-group rows cross the connector boundary. There
-// is nothing to stream until the backend has seen every input row, so the
-// response's rows are served as they are by the in-memory source.
+// and only the finalized per-group rows cross the connector boundary.
 func (p *PinotConnector) OpenAggregateScan(ctx context.Context, table string, aq AggregateQuery) (RowIterator, error) {
 	if p.DisablePushdown {
 		return nil, ErrPushdownUnsupported
@@ -327,7 +328,14 @@ func (p *PinotConnector) OpenAggregateScan(ctx context.Context, table string, aq
 	if err != nil {
 		return nil, err
 	}
-	resp, err := broker.Execute(ctx, &olap.QueryRequest{Query: q, TrimExact: p.TrimExact, Tenant: p.Tenant})
+	return executed(ctx, broker, &olap.QueryRequest{Query: q, TrimExact: p.TrimExact, Tenant: p.Tenant}, stats)
+}
+
+// executed runs a fragment the backend folds — an aggregate, an ordered scan
+// — through Broker.Execute: nothing can stream until the backend has seen
+// every row, so the in-memory source serves the response's rows as they are.
+func executed(ctx context.Context, broker *olap.Broker, req *olap.QueryRequest, stats QueryStats) (RowIterator, error) {
+	resp, err := broker.Execute(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -352,14 +360,12 @@ func (p *PinotConnector) AggregateScan(ctx context.Context, table string, aq Agg
 	return drainRecords(ctx, it, err)
 }
 
-// brokerIterator adapts an olap.QueryStream to the RowIterator contract.
-// The olap layer's RowBatch backing arrays are shared directly into the
-// fedsql Batch — both contracts scope a batch's validity to the next
-// Next/Close call, so no copy is needed at the boundary.
+// brokerIterator adapts an olap.QueryStream to the RowIterator contract. The
+// two layers share one batch type and one validity rule (until the next
+// Next/Close call), so the stream's batch is handed over as it is.
 type brokerIterator struct {
 	qs    *olap.QueryStream
 	stats QueryStats
-	batch Batch
 }
 
 func (b *brokerIterator) Columns() []string { return b.qs.Columns() }
@@ -371,23 +377,19 @@ func (b *brokerIterator) Next(ctx context.Context) (*Batch, error) {
 	}
 	b.stats.RowsReturned += int64(rb.Len)
 	b.stats.BatchesStreamed++
-	b.batch.Columns = rb.Columns
-	b.batch.Cols = rb.Cols
-	b.batch.Len = rb.Len
 	// The engine-resident footprint of a streaming scan is one batch.
-	if bb := b.batch.Bytes(); bb > b.stats.PeakEngineBytes {
+	if bb := batchBytes(rb); bb > b.stats.PeakEngineBytes {
 		b.stats.PeakEngineBytes = bb
 	}
-	return &b.batch, nil
+	return rb, nil
 }
 
-// Stats adds the backend's side — routing, execution counters, applied trim
-// budget — which the stream completes at end of stream or Close.
+// Stats adds the backend's side — routing and execution counters — which the
+// stream completes at end of scan or Close.
 func (b *brokerIterator) Stats() QueryStats {
 	st := b.stats
 	st.Exec = b.qs.Stats()
 	st.Router = b.qs.Route().Router
-	st.TrimK = b.qs.TrimK()
 	return st
 }
 
@@ -582,7 +584,7 @@ func (it *archiveIterator) Next(ctx context.Context) (*Batch, error) {
 	it.batch.Len = n
 	it.stats.RowsReturned += int64(n)
 	it.stats.BatchesStreamed++
-	if bb := it.batch.Bytes(); bb > it.stats.PeakEngineBytes {
+	if bb := batchBytes(&it.batch); bb > it.stats.PeakEngineBytes {
 		it.stats.PeakEngineBytes = bb
 	}
 	return &it.batch, nil

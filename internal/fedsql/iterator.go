@@ -15,19 +15,14 @@ import (
 // side's, so consumers must not assume the bound.
 const BatchRows = 4096
 
-// Batch is one column-major batch of rows crossing the connector boundary:
-// Cols[c][r] is the value of Columns[c] at batch row r, nil for SQL NULL.
-// A batch is valid only until the iterator's following Next or Close call —
-// iterators recycle the backing arrays.
-type Batch struct {
-	Columns []string
-	Cols    [][]any
-	Len     int
-}
+// Batch is one column-major batch of rows crossing the connector boundary —
+// the OLAP layer's scan batch, so a broker stream's batches cross as they
+// are — valid only until the iterator's following Next or Close call.
+type Batch = record.Batch
 
-// Bytes estimates the resident size of the batch's values — the unit the
-// engine tracks as PeakEngineBytes.
-func (b *Batch) Bytes() int64 {
+// batchBytes estimates the resident size of the batch's values — the unit
+// the engine tracks as PeakEngineBytes.
+func batchBytes(b *Batch) int64 {
 	var n int64
 	for ci := range b.Cols {
 		for _, v := range b.Cols[ci][:b.Len] {

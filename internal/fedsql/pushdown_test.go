@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -222,6 +223,46 @@ func TestPlanLinesDescribeDecisions(t *testing.T) {
 	}
 	if strings.Contains(line, "cols=") {
 		t.Errorf("aggregate-scan line %q claims a projection", line)
+	}
+
+	// exec= tells the truth. A pushed-down ORDER BY is folded by the backend:
+	// every row of the result is resident before the first batch is pulled.
+	// (order_id makes the order total: two executions merge their partials in
+	// arrival order, so ties on amount may cut the LIMIT at different rows.)
+	res, err = e.Query("SELECT order_id, amount FROM pinot.orders ORDER BY amount DESC, order_id LIMIT 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := pinot.brokers["orders"].Execute(context.Background(), &olap.QueryRequest{Query: &olap.Query{
+		Table: "orders", Select: []string{"order_id", "amount"}, Limit: 10,
+		OrderBy: []olap.OrderSpec{{Column: "amount", Desc: true}, {Column: "order_id"}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Rows, direct.Rows) {
+		t.Errorf("ordered scan rows differ from Broker.Execute's:\n%v\n%v", res.Rows, direct.Rows)
+	}
+	var whole int64
+	for _, row := range res.Rows {
+		for _, v := range row {
+			whole += approxValueBytes(v)
+		}
+	}
+	if len(res.Plan) != 1 || !strings.Contains(res.Plan[0], " exec=materialized") || !strings.Contains(res.Plan[0], " trim=server k=10") {
+		t.Errorf("ordered scan plan = %v, want exec=materialized and trim=server k=10", res.Plan)
+	}
+	if res.Stats.Streamed || len(res.Rows) != 10 || res.Stats.PeakEngineBytes != whole {
+		t.Errorf("ordered scan: Streamed=%v rows=%d PeakEngineBytes=%d, want a materialized scan holding the whole result (%d bytes)",
+			res.Stats.Streamed, len(res.Rows), res.Stats.PeakEngineBytes, whole)
+	}
+	// An unordered scan streams.
+	res, err = e.Query("SELECT order_id, amount FROM pinot.orders LIMIT 10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Plan) != 1 || !strings.Contains(res.Plan[0], " exec=streaming batches=") || !res.Stats.Streamed {
+		t.Errorf("unordered scan plan = %v (Streamed=%v), want exec=streaming", res.Plan, res.Stats.Streamed)
 	}
 }
 

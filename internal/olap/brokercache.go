@@ -199,8 +199,8 @@ func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query,
 
 // executeAdmitted runs one real execution through the bounded concurrency
 // gate (cache hits and coalesced followers never reach it) with the broker's
-// one re-route on ErrServerDown. queuedOut, when non-nil, reports whether
-// the execution waited for a slot.
+// one re-route (rerouted). queuedOut, when non-nil, reports whether the
+// execution waited for a slot.
 func (b *Broker) executeAdmitted(ctx context.Context, req *QueryRequest, q *Query, router Router, queuedOut *bool) (*QueryResponse, error) {
 	if b.admit != nil {
 		sp, _ := obs.StartSpan(ctx, "admission.queue")
@@ -217,16 +217,7 @@ func (b *Broker) executeAdmitted(ctx context.Context, req *QueryRequest, q *Quer
 			*queuedOut = queued
 		}
 	}
-	resp, err := b.executeRouted(ctx, req, q, router)
-	if err != nil && (errors.Is(err, ErrServerDown) || errors.Is(err, ErrSegmentUnavailable)) && ctx.Err() == nil {
-		// One re-route: the failed server is down now (or a rebalance /
-		// compaction swap retired the routed copy after this query's
-		// snapshot), so a fresh snapshot steers the retry to the current
-		// placement (unless the strategy pins the segment on the failed
-		// server, e.g. upsert owner routing).
-		resp, err = b.executeRouted(ctx, req, q, router)
-	}
-	return resp, err
+	return rerouted(ctx, func() (*QueryResponse, error) { return b.executeRouted(ctx, req, q, router) })
 }
 
 // respond hands one caller its own copy of a (possibly shared) response.

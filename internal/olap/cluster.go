@@ -323,8 +323,7 @@ type ExecOptions struct {
 // segSnapshot is one query's view of the routed segments on this server:
 // resident segment data plus cloned validity bitmaps (index-aligned), with
 // out-of-window segments pruned and offloaded segments transparently
-// reloaded or skipped. Shared by the partial path (ExecuteOn) and the
-// streaming path (StreamOn).
+// reloaded or skipped.
 type segSnapshot struct {
 	segs     []*Segment
 	valids   []*Bitmap
@@ -334,7 +333,7 @@ type segSnapshot struct {
 	scanHist *obs.Histogram
 }
 
-// snapshotSegments runs the ExecuteOn/StreamOn preamble: under the read
+// snapshotSegments runs the scanSegments preamble: under the read
 // lock it checks liveness, prunes segments whose time bounds miss the
 // query's window (using hosted metadata, so offloaded segments never touch
 // the deep store), records query touches for the LRU hot-set, and clones
@@ -418,155 +417,21 @@ func (s *Server) snapshotSegments(ctx context.Context, q *Query, segmentNames []
 	return snap, nil
 }
 
-// ExecuteOn runs a query over the named sealed segments hosted here,
-// scanning up to opts.Workers segments concurrently (0 means GOMAXPROCS)
-// and merging their partial-aggregate states as they complete. Segments
-// whose time bounds fall outside the query's TimeRange are pruned before
-// any scan is scheduled (and before any deep-store reload); offloaded
-// segments that survive pruning are transparently reloaded through the
-// attached loader and installed back as resident (or skipped under
-// opts.HotOnly). The context cancels in-flight work between segment scans;
-// ORDER-BY-agnostic LIMIT selections stop as soon as enough rows have been
-// gathered. ORDER BY + LIMIT queries execute through the bounded top-K path
-// (segment heaps / group trims plus a server-level trim of the merged
-// partial) unless opts.TrimExact asks for full-sort execution.
-func (s *Server) ExecuteOn(ctx context.Context, q *Query, segmentNames []string, opts ExecOptions) (*Partial, error) {
-	snap, err := s.snapshotSegments(ctx, q, segmentNames, opts.HotOnly)
-	if err != nil {
-		return nil, err
-	}
-	segs, valids := snap.segs, snap.valids
-	scanHist := snap.scanHist
-	parentSpan := obs.SpanFromContext(ctx)
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	limit := earlyLimit(q)
-	var tp *topKPlan
-	if !opts.TrimExact {
-		tp = planTopK(q, opts.TrimSize)
-	}
-	acc := newPartial(q)
-	acc.stats.SegmentsPruned = snap.pruned
-	acc.stats.SegmentsReloaded = snap.reloaded
-	acc.stats.SegmentsSkipped = snap.skipped
-	// scanSegment runs one segment scan with the fault-injection delay,
-	// latency histogram and (when the query carries a trace) a segment.scan
-	// span — the delay sleeps inside the timed window so slow-query capture
-	// attributes it to this scan.
-	scanSegment := func(seg *Segment, valid *Bitmap) (*Partial, error) {
-		sp := parentSpan.Child("segment.scan")
-		start := time.Now()
-		if delay := s.scanDelay.Load(); delay > 0 {
-			time.Sleep(time.Duration(delay))
-		}
-		p, err := seg.executePartialTrim(q, valid, tp)
-		scanHist.Observe(time.Since(start))
-		if sp.Active() {
-			sp.SetAttr("segment", seg.Name)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-			} else {
-				sp.SetRows(p.stats.RowsScanned)
-				if p.stats.StarTreeServed > 0 {
-					sp.SetAttr("path", "startree")
-				}
-			}
-			sp.End()
-		}
-		return p, err
-	}
-	// finish applies the server-level trim to the merged partial — the same
-	// bound the segments used, so at most groupK groups / rowK rows cross
-	// the server→broker boundary — and records what actually shipped.
-	finish := func() *Partial {
-		acc.trimTopK(q, tp)
-		if acc.agg {
-			acc.stats.GroupsShipped = int64(len(acc.groups))
-		} else {
-			acc.stats.RowsShipped = int64(len(acc.rows))
-		}
-		return acc
-	}
-
-	if workers <= 1 {
-		// Serial fast path: no goroutine or channel overhead — the
-		// workers=1 baseline BenchmarkParallelScatterGather compares against.
-		for i, seg := range segs {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			p, err := scanSegment(seg, valids[i])
-			if err != nil {
-				return nil, err
-			}
-			acc.Merge(p)
-			if limit > 0 && acc.Rows() >= limit {
-				break
-			}
-		}
-		return finish(), nil
-	}
-
-	// Bounded worker pool: workers pull segment indexes from a shared
-	// counter and ship partials back; the merge happens here, streaming, as
-	// partials arrive. Channels are buffered to capacity so workers never
-	// block after cancellation.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan *Partial, len(segs))
-	errs := make(chan error, workers)
-	var next atomic.Int64
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				i := int(next.Add(1))
-				if i >= len(segs) || ctx.Err() != nil {
-					return
-				}
-				p, err := scanSegment(segs[i], valids[i])
-				if err != nil {
-					errs <- err
-					return
-				}
-				results <- p
-			}
-		}()
-	}
-	for served := 0; served < len(segs); served++ {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case err := <-errs:
-			return nil, err
-		case p := <-results:
-			acc.Merge(p)
-			if limit > 0 && acc.Rows() >= limit {
-				return finish(), nil // defer cancel() stops the remaining workers
-			}
-		}
-	}
-	return finish(), nil
-}
-
-// StreamOn scans the named sealed segments hosted here as a stream of
-// column-major row batches, yielding each batch to the caller as it is
-// produced — the scatter half of streaming execution. The same preamble as
-// ExecuteOn applies (liveness, time pruning, transparent reload of
-// offloaded segments); segments then scan serially through the vectorized
-// gather kernel, one segment.stream span each with per-batch row counts.
-// Yielded batches are pool-recycled: they are valid only until yield
-// returns. yield returning false stops the scan early (consumer satisfied
-// or cancelled); the returned stats then cover only the work actually
-// done. Selection queries only — aggregations ship mergeable partials via
-// ExecuteOn.
-func (s *Server) StreamOn(ctx context.Context, q *Query, segmentNames []string, opts ExecOptions, pool *batchPool, yield func(*RowBatch) bool) (ExecStats, error) {
+// scanSegments runs a routed server's share of a scatter over the named
+// sealed segments hosted here. Segments whose time bounds fall outside the
+// query's TimeRange are pruned before any scan is scheduled (and before any
+// deep-store reload); offloaded segments that survive pruning are
+// transparently reloaded through the attached loader and installed back as
+// resident (or skipped under opts.HotOnly). The survivors scan into out, up
+// to opts.Workers at once (0 means GOMAXPROCS; 1 is serial, in routed order,
+// with no goroutine overhead — a stream's order, and the baseline
+// BenchmarkParallelScatterGather compares against), until out has had enough,
+// a scan fails or ctx ends (checked between segment scans). Each scan is a
+// sample in the server's scan histogram and a segment.scan span; the
+// fault-injection delay sleeps inside the timed window so slow-query capture
+// attributes it to this scan. The returned stats sum the scans' and the
+// snapshot's (segments pruned, reloaded, skipped).
+func (s *Server) scanSegments(ctx context.Context, q *Query, segmentNames []string, opts ExecOptions, out producer) (ExecStats, error) {
 	snap, err := s.snapshotSegments(ctx, q, segmentNames, opts.HotOnly)
 	if err != nil {
 		return ExecStats{}, err
@@ -577,39 +442,65 @@ func (s *Server) StreamOn(ctx context.Context, q *Query, segmentNames []string, 
 		SegmentsSkipped:  snap.skipped,
 	}
 	parentSpan := obs.SpanFromContext(ctx)
-	for i, seg := range snap.segs {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		// One span per segment, not per batch: the batch loop stays
-		// allocation-free on the tracing side; AddRows accumulates the
-		// per-batch counts onto the segment span.
-		sp := parentSpan.Child("segment.stream")
-		start := time.Now()
-		if delay := s.scanDelay.Load(); delay > 0 {
-			time.Sleep(time.Duration(delay))
-		}
-		segStats, more, err := seg.streamSelect(ctx, q, snap.valids[i], pool, func(rb *RowBatch) bool {
-			sp.AddRows(int64(rb.Len))
-			return yield(rb)
-		})
-		snap.scanHist.Observe(time.Since(start))
-		if sp.Active() {
-			sp.SetAttr("segment", seg.Name)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
+	// Workers pull segment indexes from a shared counter. The first failure
+	// cancels pctx, which stops every worker before its next segment; a sink
+	// that has had enough exhausts the counter.
+	pctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var mu sync.Mutex
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(snap.segs) && pctx.Err() == nil; i = int(next.Add(1)) - 1 {
+			sp := parentSpan.Child("segment.scan")
+			start := time.Now()
+			if delay := s.scanDelay.Load(); delay > 0 {
+				time.Sleep(time.Duration(delay))
 			}
-			sp.End()
-		}
-		stats.Add(segStats)
-		if err != nil {
-			return stats, err
-		}
-		if !more {
-			break
+			st, more, err := out.scan(pctx, scanUnit{seg: snap.segs[i], valid: snap.valids[i]})
+			snap.scanHist.Observe(time.Since(start))
+			if sp.Active() {
+				sp.SetAttr("segment", snap.segs[i].Name)
+				if err != nil {
+					sp.SetAttr("error", err.Error())
+				} else {
+					sp.SetRows(st.RowsScanned)
+					if st.StarTreeServed > 0 {
+						sp.SetAttr("path", "startree")
+					}
+				}
+				sp.End()
+			}
+			mu.Lock()
+			stats.Add(st)
+			mu.Unlock()
+			if err != nil {
+				cancel(err)
+			} else if !more {
+				next.Store(int64(len(snap.segs)))
+			}
 		}
 	}
-	return stats, nil
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, len(snap.segs)); workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	if err := ctx.Err(); err != nil {
+		return stats, err // the round ended around this server
+	}
+	return stats, context.Cause(pctx) // a scan's failure, or nil
 }
 
 // MemBytes approximates the server's resident segment memory. Offloaded
@@ -1357,8 +1248,7 @@ func (d *Deployment) Stats() (ingested, sealed, uploadErrors int64) {
 // pools), and the partial-aggregate states are merged as they stream back
 // (§4.3). Which server answers each segment is a pluggable Router decision
 // (round-robin, replica-group-aware, partition-aware); see router.go. The
-// typed entry point is Execute (request.go); Query/QueryCtx are
-// conveniences over it.
+// typed entry point is Execute (request.go).
 type Broker struct {
 	d    *Deployment
 	opts BrokerOptions
@@ -1442,25 +1332,4 @@ func NewBrokerWithOptions(d *Deployment, opts BrokerOptions) *Broker {
 	}
 	b.views = opts.Views
 	return b
-}
-
-// Query executes a structured query with the broker's default context.
-func (b *Broker) Query(q *Query) (*Result, error) {
-	//lint:ignore ctxflow pre-PR-1 convenience entry point kept for callers with no context; QueryCtx is the cancellable API
-	return b.QueryCtx(context.Background(), q)
-}
-
-// QueryCtx executes a structured query under a caller context with the
-// broker's default options — a convenience over Execute. The context (plus
-// the broker's configured timeout, when set) cancels the scatter phase:
-// per-server subqueries stop between segment scans and the merge aborts.
-// Partial-aggregate states (AVG as SUM+COUNT, DISTINCTCOUNT as a value set)
-// merge exactly in arrival order, and ORDER-BY-agnostic LIMIT selections
-// terminate early once enough rows have been gathered.
-func (b *Broker) QueryCtx(ctx context.Context, q *Query) (*Result, error) {
-	resp, err := b.Execute(ctx, &QueryRequest{Query: q})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: resp.Columns, Rows: resp.Rows, Stats: resp.Stats}, nil
 }

@@ -63,7 +63,7 @@ func TestDeploymentIngestSealQuery(t *testing.T) {
 		t.Errorf("sealed = %d, want 4", sealed)
 	}
 	b := NewBroker(d)
-	r, err := b.Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	r, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDeploymentIngestSealQuery(t *testing.T) {
 	}
 	q := &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}, {Kind: AggCount}}}
 	want, _ := oracle.Execute(q, nil)
-	got, err := b.Query(q)
+	got, err := b.Execute(context.Background(), &QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBrokerAvgMerge(t *testing.T) {
 	oracle, _ := BuildSegment("all", ordersSchema(), orderRows(173), IndexConfig{}, -1)
 	q := &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggAvg, Column: "amount"}}}
 	want, _ := oracle.Execute(q, nil)
-	got, err := NewBroker(d).Query(q)
+	got, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestUpsertLatestValueWins(t *testing.T) {
 	}
 	b := NewBroker(d)
 	// Count sees exactly 10 live rows (one per key).
-	r, err := b.Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	r, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestUpsertLatestValueWins(t *testing.T) {
 		t.Errorf("upsert count = %d, want 10", got)
 	}
 	// Every surviving row carries the final amount (11).
-	sel, err := b.Query(&Query{Select: []string{"order_id", "amount"}})
+	sel, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Select: []string{"order_id", "amount"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestUpsertLatestValueWins(t *testing.T) {
 		}
 	}
 	// Sum reflects only latest values.
-	sum, _ := b.Query(&Query{Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}}})
+	sum, _ := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}}}})
 	if got := sum.Rows[0][0].(float64); got != 110 {
 		t.Errorf("upsert sum = %v, want 110", got)
 	}
@@ -179,14 +179,14 @@ func TestReplicaFailover(t *testing.T) {
 		}
 	}
 	b := NewBroker(d)
-	before, err := b.Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	before, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Kill one server: every segment has a second replica, so the broker
 	// reroutes and the answer is unchanged.
 	servers[0].SetDown(true)
-	after, err := b.Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	after, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestReplicaFailover(t *testing.T) {
 }
 
 // TestRerouteMatchesWrappedErrServerDown pins the errors.Is discipline the
-// sentinelerr analyzer enforces: ExecuteOn delivers ErrServerDown wrapped
+// sentinelerr analyzer enforces: scanSegments delivers ErrServerDown wrapped
 // with server context via %w, so the broker's one re-route must match by
 // unwrapping — a == comparison would see only the wrapper, never re-route,
 // and surface the outage to a caller whose data has a healthy replica.
@@ -212,7 +212,7 @@ func TestRerouteMatchesWrappedErrServerDown(t *testing.T) {
 
 	// The failure the re-route path observes is the wrapped sentinel, not
 	// the bare value: errors.Is matches, string equality does not.
-	_, err := servers[0].ExecuteOn(context.Background(), &Query{Aggs: []AggSpec{{Kind: AggCount}}}, nil, ExecOptions{})
+	_, err := servers[0].scanSegments(context.Background(), &Query{Aggs: []AggSpec{{Kind: AggCount}}}, nil, ExecOptions{}, nil)
 	if !errors.Is(err, ErrServerDown) {
 		t.Fatalf("down server returned %v, want a wrapped ErrServerDown", err)
 	}
@@ -221,7 +221,7 @@ func TestRerouteMatchesWrappedErrServerDown(t *testing.T) {
 	}
 
 	// One re-route onto the surviving replica must absorb the wrapped error.
-	res, err := NewBroker(d).Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	res, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatalf("re-route did not absorb the wrapped ErrServerDown: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestP2PRecoveryWithStoreDown(t *testing.T) {
 	if recovered == 0 {
 		t.Fatal("nothing recovered")
 	}
-	r, err := NewBroker(d).Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	r, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestCentralizedSealBlocksDuringOutage(t *testing.T) {
 	if err := d.Ingest(0, orderRows(51)[50]); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewBroker(d).Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	r, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestP2PSealUnaffectedByOutage(t *testing.T) {
 	if uploadErrs == 0 {
 		t.Error("async uploads should have failed during the outage")
 	}
-	r, err := NewBroker(d).Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	r, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestRealtimeIngestion(t *testing.T) {
 	b := NewBroker(d)
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		r, err := b.Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+		r, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 		if err == nil && r.Rows[0][0].(int64) == 150 {
 			if lag := ing.Lag(); lag != 0 {
 				t.Errorf("lag = %d after full ingest", lag)
@@ -378,7 +378,7 @@ func TestRealtimeIngestion(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	r, _ := b.Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	r, _ := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	t.Fatalf("realtime ingestion incomplete: %v", r.Rows)
 }
 

@@ -8,26 +8,28 @@
 //
 // # Query execution: parallel scatter-gather-merge
 //
-// A Broker answers queries in three phases (§4.3, DESIGN.md "parallel
-// scatter-gather"):
+// A Broker answers queries in three phases (§4.3, DESIGN.md "One scatter"):
 //
-//   - Scatter: the query is decomposed into one subquery per server over
-//     the sealed segments it hosts (partition-aware routing for upsert
-//     tables) plus one scan per partition with unsealed rows. Within each
-//     server, Server.ExecuteOn scans segments concurrently through a
-//     bounded worker pool (BrokerOptions.Workers; default GOMAXPROCS).
-//   - Gather: every scan emits a Partial — mergeable partial-aggregate
+//   - Scatter: the query is routed once into one producer per routed
+//     server, over the sealed segments it hosts (partition-aware routing
+//     for upsert tables), plus one per partition with unsealed rows. What a
+//     producer does with its rows is the round's sink. Aggregates and
+//     ordered selections fold: every scan emits a Partial — mergeable
 //     states (COUNT/SUM/MIN/MAX as running numerics, AVG as a SUM+COUNT
-//     pair, DISTINCTCOUNT as a value set) keyed by group values. Partials
-//     merge associatively, so the broker folds them in arrival order,
-//     streaming, without barriers.
+//     pair, DISTINCTCOUNT as a value set) keyed by group values — and a
+//     server scans its segments through a bounded worker pool
+//     (BrokerOptions.Workers; default GOMAXPROCS). Unordered selections
+//     stream: scans push row batches onto one bounded channel, in order.
+//   - Gather: partials merge associatively, so the broker folds them in
+//     arrival order, streaming, without barriers; a batch stream is
+//     collected (Execute) or handed to the caller (ExecuteStream).
 //   - Merge/finalize: the accumulated partial collapses to final values
 //     exactly once, then ORDER BY / LIMIT apply.
 //
-// Queries run under a context.Context (Broker.QueryCtx): cancellation and
-// the optional per-query BrokerOptions.Timeout stop segment scans between
-// segments, and ORDER-BY-agnostic LIMIT selections cancel the remaining
-// fan-out as soon as enough rows have been gathered.
+// Queries run under a context.Context: cancellation and the optional
+// BrokerOptions.Timeout stop segment scans between segments, the first
+// producer error stops the others, and ORDER-BY-agnostic LIMIT selections
+// cancel the remaining fan-out as soon as enough rows are in.
 //
 // ORDER BY + LIMIT queries take the bounded top-K path (topk.go): segments
 // keep a Limit+Offset row heap (selections) or trim candidate groups by

@@ -200,11 +200,11 @@ func (m *mirror) offload(part int) {
 // compare runs one query on both brokers and requires byte-identical output.
 func (m *mirror) compare(sb, cb *olap.Broker, q *olap.Query) {
 	m.t.Helper()
-	got, err := sb.Query(q)
+	got, err := sb.Execute(context.Background(), &olap.QueryRequest{Query: q})
 	if err != nil {
 		m.t.Fatalf("elastic query error: %v", err)
 	}
-	want, err := cb.Query(q)
+	want, err := cb.Execute(context.Background(), &olap.QueryRequest{Query: q})
 	if err != nil {
 		m.t.Fatalf("control query error: %v", err)
 	}
@@ -371,10 +371,10 @@ func TestDifferentialElasticityConcurrent(t *testing.T) {
 	m.offload(0)
 
 	shapes := make([]*olap.Query, 12)
-	wants := make([]*olap.Result, 12)
+	wants := make([]*olap.QueryResponse, 12)
 	for i := range shapes {
 		shapes[i] = elasticShape(rng)
-		w, err := cb.Query(shapes[i])
+		w, err := cb.Execute(context.Background(), &olap.QueryRequest{Query: shapes[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +396,7 @@ func TestDifferentialElasticityConcurrent(t *testing.T) {
 				default:
 				}
 				i := r.Intn(len(shapes))
-				got, err := sb.Query(shapes[i])
+				got, err := sb.Execute(context.Background(), &olap.QueryRequest{Query: shapes[i]})
 				if err != nil {
 					errs.Add(1)
 					continue

@@ -36,7 +36,7 @@ func TestAddServerScaleOutMovesMinimalShare(t *testing.T) {
 		}
 	}
 	b := NewBroker(d)
-	before, err := b.Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	before, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestAddServerScaleOutMovesMinimalShare(t *testing.T) {
 		t.Fatalf("new server received no segments: %v", counts)
 	}
 
-	after, err := b.Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	after, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestAddServerScaleOutMovesMinimalShare(t *testing.T) {
 	// The moved-onto server actually serves: kill one old server and the
 	// count must survive via the rebalanced replicas.
 	d.serverAt(0).SetDown(true)
-	again, err := b.Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	again, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDecommissionDrainsAndGuardsReplicaFloor(t *testing.T) {
 		}
 	}
 	b := NewBroker(d)
-	before, err := b.Query(&Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}, {Kind: AggCount}}})
+	before, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}, {Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestDecommissionDrainsAndGuardsReplicaFloor(t *testing.T) {
 		t.Fatal("server 1 not marked decommissioned")
 	}
 
-	after, err := b.Query(&Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}, {Kind: AggCount}}})
+	after, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}, {Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestOffloadedSegmentsRebalanceMetadataOnly(t *testing.T) {
 		t.Fatalf("metadata moves = %d of %d applied", rep.MetadataMoves, rep.Applied)
 	}
 	// The moved metadata still answers queries (lazy reload from the store).
-	r, err := NewBroker(d).Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	r, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +213,14 @@ func TestDecommissionUpsertOwnerReassignsPartition(t *testing.T) {
 	}
 	// Upsert invariant survives the move: one live row per key, latest wins.
 	b := NewBroker(d)
-	r, err := b.Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	r, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Rows[0][0].(int64); got != 10 {
 		t.Fatalf("upsert count after owner decommission = %d, want 10", got)
 	}
-	sel, err := b.Query(&Query{Select: []string{"order_id", "amount"}})
+	sel, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Select: []string{"order_id", "amount"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestRecoverDecommissionedPathSharesMachinery(t *testing.T) {
 	if counts := placementCounts(d); counts[0] != 0 {
 		t.Fatalf("dead server still referenced by placement: %v", counts)
 	}
-	r, err := NewBroker(d).Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	r, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestQueriesExactDuringMembershipChange(t *testing.T) {
 		}
 	}
 	b := NewBroker(d)
-	want, err := b.Query(&Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}, {Kind: AggCount}}})
+	want, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}, {Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestQueriesExactDuringMembershipChange(t *testing.T) {
 					return
 				default:
 				}
-				got, err := b.Query(&Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}, {Kind: AggCount}}})
+				got, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}, {Kind: AggCount}}}})
 				if err != nil {
 					queryErrs.Add(1)
 					continue
@@ -394,7 +394,7 @@ func TestAddServerGetsLoaderWhenAttached(t *testing.T) {
 	}
 	// Late-joined server must be able to lazy-load offloaded segments it
 	// received metadata for.
-	r, err := NewBroker(d).Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	r, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -60,13 +61,13 @@ func stateOf(t *testing.T, d *Deployment) tableState {
 	}
 	sort.Strings(s.Segments)
 	b := NewBroker(d)
-	sel, err := b.Query(&Query{Select: []string{"order_id", "amount", "ts"}})
+	sel, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Select: []string{"order_id", "amount", "ts"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Rows = sel.Rows
 	sort.Slice(s.Rows, func(i, j int) bool { return fmt.Sprint(s.Rows[i]) < fmt.Sprint(s.Rows[j]) })
-	agg, err := b.Query(&Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggSum, Column: "amount"}}})
+	agg, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggSum, Column: "amount"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestIngestBatchSupersedesWithinBatch(t *testing.T) {
 	if n, err := d.IngestBatch(0, rows); n != 3 || err != nil {
 		t.Fatalf("IngestBatch = %d, %v", n, err)
 	}
-	sel, err := NewBroker(d).Query(&Query{Select: []string{"order_id", "amount"}})
+	sel, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: &Query{Select: []string{"order_id", "amount"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestIngestBatchFailedBackupMidBatch(t *testing.T) {
 	if ingested != 130 || sealed != 2 {
 		t.Errorf("after recovery: ingested = %d, sealed = %d; want 130, 2", ingested, sealed)
 	}
-	sel, err := NewBroker(d).Query(&Query{Select: []string{"order_id"}})
+	sel, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: &Query{Select: []string{"order_id"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +281,7 @@ func TestIngesterFailedBackupNoLossNoDuplicate(t *testing.T) {
 	if ingested != 120 || sealed != 2 {
 		t.Errorf("after recovery: ingested = %d, sealed = %d; want 120, 2", ingested, sealed)
 	}
-	r, err := NewBroker(d).Query(&Query{Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggDistinctCount, Column: "order_id"}}})
+	r, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggDistinctCount, Column: "order_id"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,12 +114,13 @@ func BenchmarkConsumingScan(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cs := consumingScan{units: []consumingUnit{{rows: m.snapshot(), valid: m.validSnapshot()}}}
-				p, err := cs.executePartial(context.Background(), q, tp)
-				if err != nil {
+				cs := consumingScan{units: []scanUnit{{rows: m.snapshot(), valid: m.validSnapshot()}}}
+				sk := &foldSink{q: q, tp: tp, results: make(chan *Partial, 1)}
+				out := sk.producer(true)
+				if err := out.finish(cs.scanUnits(context.Background(), out)); err != nil {
 					b.Fatal(err)
 				}
-				benchSink = p
+				benchSink = <-sk.results
 			}
 		})
 	}

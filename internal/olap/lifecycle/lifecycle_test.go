@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -79,9 +80,9 @@ func ingestN(t *testing.T, d *olap.Deployment, n int) {
 	d.WaitUploads()
 }
 
-func countRows(t *testing.T, d *olap.Deployment, q *olap.Query) (int64, *olap.Result) {
+func countRows(t *testing.T, d *olap.Deployment, q *olap.Query) (int64, *olap.QueryResponse) {
 	t.Helper()
-	res, err := olap.NewBroker(d).Query(q)
+	res, err := olap.NewBroker(d).Execute(context.Background(), &olap.QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestOffloadedSegmentsAnswerExactly(t *testing.T) {
 			{Kind: olap.AggDistinctCount, Column: "status"},
 		},
 	}
-	baseline, err := olap.NewBroker(d).Query(q)
+	baseline, err := olap.NewBroker(d).Execute(context.Background(), &olap.QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestOffloadedSegmentsAnswerExactly(t *testing.T) {
 
 	// Queries over offloaded segments reload transparently and match the
 	// all-hot baseline exactly.
-	got, err := olap.NewBroker(d).Query(q)
+	got, err := olap.NewBroker(d).Execute(context.Background(), &olap.QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestOffloadGracefulWhenStoreDown(t *testing.T) {
 	// entirely in the hot/pruned set still succeeds — pruning skips cold
 	// segments before any deep-store fetch.
 	fault.SetDown(true)
-	if _, err := olap.NewBroker(d).Query(countQuery()); !errors.Is(err, olap.ErrSegmentUnavailable) {
+	if _, err := olap.NewBroker(d).Execute(context.Background(), &olap.QueryRequest{Query: countQuery()}); !errors.Is(err, olap.ErrSegmentUnavailable) {
 		t.Errorf("cold query during outage = %v, want ErrSegmentUnavailable", err)
 	}
 	infos := d.SegmentInfos()
@@ -293,7 +294,7 @@ func TestOffloadGracefulWhenStoreDown(t *testing.T) {
 	}
 	q := countQuery()
 	q.Time = &olap.TimeRange{From: hot.MinTime, To: hot.MaxTime}
-	res, err := olap.NewBroker(d).Query(q)
+	res, err := olap.NewBroker(d).Execute(context.Background(), &olap.QueryRequest{Query: q})
 	if err != nil {
 		t.Fatalf("hot-window query during outage: %v", err)
 	}
@@ -323,11 +324,11 @@ func TestTimePruningMatchesExplicitFilter(t *testing.T) {
 		Aggs:    []olap.AggSpec{{Kind: olap.AggSum, Column: "amount"}, {Kind: olap.AggCount}},
 	}
 	b := olap.NewBroker(d)
-	got, err := b.Query(windowed)
+	got, err := b.Execute(context.Background(), &olap.QueryRequest{Query: windowed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := b.Query(explicit)
+	want, err := b.Execute(context.Background(), &olap.QueryRequest{Query: explicit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestCompactionMergesRuntSegments(t *testing.T) {
 		t.Fatalf("runt segments = %d, want 8", n)
 	}
 	q := &olap.Query{GroupBy: []string{"city"}, Aggs: []olap.AggSpec{{Kind: olap.AggSum, Column: "amount"}, {Kind: olap.AggCount}}}
-	before, err := olap.NewBroker(d).Query(q)
+	before, err := olap.NewBroker(d).Execute(context.Background(), &olap.QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestCompactionMergesRuntSegments(t *testing.T) {
 	if total != 200 {
 		t.Errorf("rows across segments = %d, want 200", total)
 	}
-	after, err := olap.NewBroker(d).Query(q)
+	after, err := olap.NewBroker(d).Execute(context.Background(), &olap.QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,7 @@ func TestCompactionUnderUpsert(t *testing.T) {
 	if got, _ := countRows(t, d, countQuery()); got != keys {
 		t.Errorf("live rows after post-merge updates = %d, want %d", got, keys)
 	}
-	sum, err := olap.NewBroker(d).Query(&olap.Query{Aggs: []olap.AggSpec{{Kind: olap.AggSum, Column: "amount"}}})
+	sum, err := olap.NewBroker(d).Execute(context.Background(), &olap.QueryRequest{Query: &olap.Query{Aggs: []olap.AggSpec{{Kind: olap.AggSum, Column: "amount"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +472,7 @@ func TestCompactionConcurrentWithUpserts(t *testing.T) {
 	b := olap.NewBroker(d)
 	for {
 		m.Sweep()
-		if _, err := b.Query(countQuery()); err != nil {
+		if _, err := b.Execute(context.Background(), &olap.QueryRequest{Query: countQuery()}); err != nil {
 			t.Error(err)
 		}
 		select {

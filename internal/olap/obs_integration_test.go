@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -93,8 +94,9 @@ func TestBrokerTraceSpanTree(t *testing.T) {
 	}
 }
 
-// TestStreamTraceSpans asserts the streaming path plans its scatter like the
-// gathered one: a route span beside the producers' server.stream spans.
+// TestStreamTraceSpans asserts a stream is the same scatter as a fold: a
+// route span, which names the batch sink, beside the producers' server.scan
+// spans.
 func TestStreamTraceSpans(t *testing.T) {
 	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
 	ingestOrders(t, d, 220, 2)
@@ -115,10 +117,13 @@ func TestStreamTraceSpans(t *testing.T) {
 	}
 	qs.Close()
 	sum := tracer.FinishTraceSummary(root)
-	for _, name := range []string{"route", "server.stream"} {
+	for _, name := range []string{"route", "server.scan", "segment.scan"} {
 		if sum.Find(name) == nil {
 			t.Errorf("trace missing span %q:\n%s", name, sum.Render())
 		}
+	}
+	if out := sum.Render(); !strings.Contains(out, "route router=round-robin sink=batch") {
+		t.Errorf("route span does not name the batch sink:\n%s", out)
 	}
 }
 
@@ -131,7 +136,7 @@ func TestDeploymentMetricsSnapshot(t *testing.T) {
 	b := NewBrokerWithOptions(d, BrokerOptions{CacheMaxBytes: 1 << 20})
 	q := &Query{Aggs: []AggSpec{{Kind: AggCount}}}
 	for i := 0; i < 3; i++ {
-		if _, err := b.Query(q); err != nil {
+		if _, err := b.Execute(context.Background(), &QueryRequest{Query: q}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +170,7 @@ func TestScanDelayIsolatedBySlowLog(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerConfig{SlowThreshold: 20 * time.Millisecond})
 	b := NewBrokerWithOptions(d, BrokerOptions{Tracer: tracer})
 	q := &Query{Aggs: []AggSpec{{Kind: AggCount}}}
-	if _, err := b.Query(q); err != nil {
+	if _, err := b.Execute(context.Background(), &QueryRequest{Query: q}); err != nil {
 		t.Fatal(err)
 	}
 	if n := tracer.SlowCount(); n != 0 {
@@ -173,7 +178,7 @@ func TestScanDelayIsolatedBySlowLog(t *testing.T) {
 	}
 	servers[1].SetScanDelay(30 * time.Millisecond)
 	defer servers[1].SetScanDelay(0)
-	if _, err := b.Query(q); err != nil {
+	if _, err := b.Execute(context.Background(), &QueryRequest{Query: q}); err != nil {
 		t.Fatal(err)
 	}
 	slow := tracer.Slow()
@@ -201,8 +206,8 @@ func TestScanDelayIsolatedBySlowLog(t *testing.T) {
 
 // TestConsumingScanSpanAttrs: a consuming scan's span says what went in
 // and what came out — rows_in (examined), rows (matched), the partition and
-// the access path — on the gather path and on the streaming path, and
-// EXPLAIN ANALYZE (the rendered trace) prints all of it.
+// the access path — into either sink, and EXPLAIN ANALYZE (the rendered
+// trace) prints all of it.
 func TestConsumingScanSpanAttrs(t *testing.T) {
 	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
 	ingestOrders(t, d, 40, 1) // one partition, under the seal threshold
@@ -224,7 +229,8 @@ func TestConsumingScanSpanAttrs(t *testing.T) {
 	if len(traces) != 2 {
 		t.Fatalf("recent ring holds %d traces, want 2", len(traces))
 	}
-	for i, name := range []string{"consuming.scan", "consuming.stream"} { // oldest first
+	const name = "consuming.scan"
+	for i := range traces { // the fold's, then the stream's
 		sp := traces[i].Find(name)
 		if sp == nil {
 			t.Fatalf("trace has no %s span:\n%s", name, traces[i].Render())

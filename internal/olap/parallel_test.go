@@ -49,11 +49,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 	serial := NewBrokerWithOptions(d, BrokerOptions{Workers: 1})
 	parallel := NewBrokerWithOptions(d, BrokerOptions{Workers: 8})
 	for qi, q := range parallelQueries() {
-		want, err := serial.Query(q)
+		want, err := serial.Execute(context.Background(), &QueryRequest{Query: q})
 		if err != nil {
 			t.Fatalf("query %d serial: %v", qi, err)
 		}
-		got, err := parallel.Query(q)
+		got, err := parallel.Execute(context.Background(), &QueryRequest{Query: q})
 		if err != nil {
 			t.Fatalf("query %d parallel: %v", qi, err)
 		}
@@ -76,7 +76,7 @@ func TestDistinctCountAcrossSegments(t *testing.T) {
 		{Kind: AggDistinctCount, Column: "city"},
 		{Kind: AggDistinctCount, Column: "order_id"},
 	}}
-	got, err := NewBroker(d).Query(q)
+	got, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestQueryCancellation(t *testing.T) {
 	b := NewBroker(d)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := b.QueryCtx(ctx, &Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	_, err := b.Execute(ctx, &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled query returned %v, want context.Canceled", err)
 	}
@@ -170,7 +170,7 @@ func TestQueryCancellation(t *testing.T) {
 	// a query racing the deadline, success — both are acceptable outcomes;
 	// what must not happen is a hang or a partial result with a nil error).
 	tb := NewBrokerWithOptions(d, BrokerOptions{Timeout: time.Nanosecond})
-	res, err := tb.Query(&Query{Aggs: []AggSpec{{Kind: AggCount}}})
+	res, err := tb.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err == nil {
 		if res.Rows[0][0].(int64) != 200 {
 			t.Errorf("timed-out query returned partial result %v with nil error", res.Rows)
@@ -214,7 +214,7 @@ func TestMidQuerySetDown(t *testing.T) {
 		go func() {
 			defer queriers.Done()
 			for i := 0; i < 50; i++ {
-				res, err := b.Query(q)
+				res, err := b.Execute(context.Background(), &QueryRequest{Query: q})
 				if err != nil {
 					if !errors.Is(err, ErrServerDown) && !errors.Is(err, ErrSegmentUnavailable) {
 						t.Errorf("unexpected error: %v", err)
@@ -238,7 +238,7 @@ func TestEarlyTerminationLimit(t *testing.T) {
 	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
 	ingestOrders(t, d, 800, 4)
 	b := NewBrokerWithOptions(d, BrokerOptions{Workers: 4})
-	res, err := b.Query(&Query{Select: []string{"order_id"}, Limit: 5})
+	res, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Select: []string{"order_id"}, Limit: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestEarlyTerminationLimit(t *testing.T) {
 	}
 	// The same limit with an ORDER BY must NOT terminate early: the global
 	// minimum could live in the last segment scanned.
-	ordered, err := b.Query(&Query{Select: []string{"order_id"}, OrderBy: []OrderSpec{{Column: "order_id"}}, Limit: 5})
+	ordered, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Select: []string{"order_id"}, OrderBy: []OrderSpec{{Column: "order_id"}}, Limit: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestUpsertInvalidateDuringQuery(t *testing.T) {
 		// rows from the consuming map into a sealed segment; the invariants
 		// are race-freedom, no errors, and never exceeding the live keys by
 		// more than the one in-flight update.
-		res, err := b.Query(q)
+		res, err := b.Execute(context.Background(), &QueryRequest{Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestUpsertInvalidateDuringQuery(t *testing.T) {
 			t.Fatalf("upsert count = %d mid-ingest, want <= %d live keys (+1 in flight)", got, keys+1)
 		}
 	}
-	res, err := b.Query(q)
+	res, err := b.Execute(context.Background(), &QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 		// Counts may transiently dip during a seal (rows leave the consuming
 		// map before the sealed segment enters placement), so the mid-flight
 		// invariant is only an upper bound; exactness is checked at the end.
-		res, err := b.Query(q)
+		res, err := b.Execute(context.Background(), &QueryRequest{Query: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 			t.Fatalf("count overshot: %d > 600", got)
 		}
 	}
-	res, err := b.Query(q)
+	res, err := b.Execute(context.Background(), &QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,11 +134,6 @@ func (p *Partial) Merge(o *Partial) {
 	p.rows = append(p.rows, o.rows...)
 }
 
-// Rows reports how many result rows the partial holds so far (selection
-// queries only) — the broker's early-termination signal for
-// ORDER-BY-agnostic LIMIT queries.
-func (p *Partial) Rows() int { return len(p.rows) }
-
 // Finalize converts the merged partial into a user-facing Result: group
 // states collapse to final values (AVG = Sum/Count, DISTINCTCOUNT = set
 // cardinality), groups sort deterministically, and ORDER BY / LIMIT apply.
@@ -209,15 +204,4 @@ func PartialOfRows(schema *metadata.Schema, rows []record.Record, q *Query) (*Pa
 		}
 	}
 	return m.snapshot().executePartial(q, nil, nil)
-}
-
-// earlyLimit returns the row budget after which a query's fan-out can stop
-// early: selection queries with a LIMIT and no ORDER BY are satisfied by any
-// Limit+Offset matching rows. Aggregations and ordered queries must see
-// every row.
-func earlyLimit(q *Query) int {
-	if len(q.Aggs) == 0 && q.Limit > 0 && len(q.OrderBy) == 0 {
-		return q.Limit + q.Offset
-	}
-	return 0
 }

@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -23,7 +24,7 @@ func TestTimeWindowOnConsumingSegment(t *testing.T) {
 		Time: &TimeRange{From: from, To: to},
 		Aggs: []AggSpec{{Kind: AggCount}},
 	}
-	res, err := NewBroker(d).Query(q)
+	res, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestServerTimePruning(t *testing.T) {
 		Time: &TimeRange{From: 0, To: 1}, // far before all data
 		Aggs: []AggSpec{{Kind: AggCount}},
 	}
-	res, err := NewBroker(d).Query(q)
+	res, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/metadata"
+	"repro/internal/record"
 )
 
 // FilterOp enumerates filter predicates.
@@ -314,73 +315,45 @@ func (sc *scanSet) timeFilters(q *Query) []Filter {
 	})
 }
 
-// evalFilter resolves one filter on an indexed sealed column (n rows) to
-// the bitmap of matching rows, through the inverted index or the sorted
-// column's run bounds.
-func (c *column) evalFilter(n int, f Filter) (*Bitmap, error) {
-	switch f.Op {
-	case OpEq:
-		code := c.Dict.lookup(normalizeFilterValue(c.Field.Type, f.Value))
-		if code < 0 {
-			return NewBitmap(n), nil
+// predBitmap resolves a compiled predicate on an indexed sealed column (n
+// rows) to the bitmap of matching rows: an equality is one code's rows, a
+// range its code interval's, an IN the union over its member codes.
+func (c *column) predBitmap(n int, pr codePred) *Bitmap {
+	switch pr.kind {
+	case predEq:
+		return c.codeRows(n, pr.eq, pr.eq+1)
+	case predRange:
+		return c.codeRows(n, pr.lo, pr.hi)
+	case predIn:
+		bm := NewBitmap(n)
+		for code, in := range pr.in {
+			if in {
+				bm.Or(c.codeRows(n, code, code+1))
+			}
 		}
-		return c.codeEq(n, code), nil
-	case OpNe:
-		code := c.Dict.lookup(normalizeFilterValue(c.Field.Type, f.Value))
+		return bm
+	default: // predNe
 		bm := NewBitmap(n)
 		bm.Fill()
-		if code >= 0 {
-			bm.AndNot(c.codeEq(n, code))
+		if pr.eq >= 0 {
+			bm.AndNot(c.codeRows(n, pr.eq, pr.eq+1))
 		}
 		// Nulls never match != either (SQL semantics).
 		bm.And(c.Present)
-		return bm, nil
-	case OpIn:
-		bm := NewBitmap(n)
-		for _, v := range f.Values {
-			if code := c.Dict.lookup(normalizeFilterValue(c.Field.Type, v)); code >= 0 {
-				bm.Or(c.codeEq(n, code))
-			}
-		}
-		return bm, nil
-	case OpLt, OpLe, OpGt, OpGe, OpBetween:
-		return c.codeRangeBitmap(n, f), nil
-	default:
-		return nil, fmt.Errorf("olap: unsupported filter op %d", f.Op)
-	}
-}
-
-// codeEq returns rows whose column equals the dict code, via the inverted
-// index or the sorted column's binary search.
-func (c *column) codeEq(n, code int) *Bitmap {
-	if c.Inverted != nil {
-		if bm := c.Inverted[code]; bm != nil {
-			return bm.Clone()
-		}
-		return NewBitmap(n)
-	}
-	// Sorted: codes are non-decreasing, binary search the run bounds.
-	bm := NewBitmap(n)
-	lo := sort.Search(n, func(i int) bool { return c.Codes.Get(i) >= code })
-	hi := sort.Search(n, func(i int) bool { return c.Codes.Get(i) > code })
-	for i := lo; i < hi; i++ {
-		if c.Present.Get(i) {
-			bm.Set(i)
-		}
-	}
-	return bm
-}
-
-// codeRangeBitmap resolves range predicates to a dictionary code interval
-// (via rangeCodeBounds, shared with the vectorized kernels) and unions the
-// matching rows (the "range index": dictionary order makes ranges cheap).
-func (c *column) codeRangeBitmap(n int, f Filter) *Bitmap {
-	lo, hi := rangeCodeBounds(&c.Dict, f)
-	bm := NewBitmap(n)
-	if lo >= hi {
 		return bm
 	}
+}
+
+// codeRows returns the rows whose dict code lies in [lo, hi): on an inverted
+// column a clone of the one posting list or the union of the interval's (the
+// "range index": dictionary order makes ranges cheap); on the sorted column,
+// whose codes are non-decreasing, the run between two binary searches.
+func (c *column) codeRows(n, lo, hi int) *Bitmap {
 	if c.Inverted != nil {
+		if hi == lo+1 && c.Inverted[lo] != nil {
+			return c.Inverted[lo].Clone()
+		}
+		bm := NewBitmap(n)
 		for code := lo; code < hi; code++ {
 			if sub := c.Inverted[code]; sub != nil {
 				bm.Or(sub)
@@ -388,6 +361,7 @@ func (c *column) codeRangeBitmap(n int, f Filter) *Bitmap {
 		}
 		return bm
 	}
+	bm := NewBitmap(n)
 	start := sort.Search(n, func(i int) bool { return c.Codes.Get(i) >= lo })
 	end := sort.Search(n, func(i int) bool { return c.Codes.Get(i) >= hi })
 	for i := start; i < end; i++ {
@@ -444,7 +418,7 @@ func (s *Segment) Execute(q *Query, valid *Bitmap) (*Result, error) {
 // Aggregations stay as running states (AVG as SUM+COUNT, DISTINCTCOUNT as a
 // value set) so partials from many segments merge exactly at any level.
 // Direct callers get exact (untrimmed) execution; the distributed path
-// (Server.ExecuteOn) threads a top-K trim plan via executePartialTrim.
+// (the fold sink) threads a top-K trim plan via executePartialTrim.
 func (s *Segment) ExecutePartial(q *Query, valid *Bitmap) (*Partial, error) {
 	return s.executePartialTrim(q, valid, nil)
 }
@@ -584,16 +558,6 @@ func (sc *scanSet) executeSelect(q *Query, ss *selStream, tp *topKPlan) (*Partia
 		return nil, err
 	}
 	p := &Partial{cols: cols}
-	// gather decodes the selected columns of one row — the gather kernel:
-	// column handles were resolved once, so the loop is a null check and a
-	// decode per column, no map lookups.
-	gather := func(i int) []any {
-		row := make([]any, len(scols))
-		for ci, c := range scols {
-			row[ci] = c.value(i)
-		}
-		return row
-	}
 	// Ordered LIMIT with a trim plan: keep a bounded heap of the best
 	// Limit+Offset rows instead of materializing every match. Per-segment
 	// top-K rows are independent, so their union still contains the global
@@ -603,7 +567,13 @@ func (sc *scanSet) executeSelect(q *Query, ss *selStream, tp *topKPlan) (*Partia
 			tk := newTopKRows(tp.rowK, cmp)
 			for sel := ss.next(); sel != nil; sel = ss.next() {
 				for _, ri := range sel {
-					tk.push(gather(int(ri)))
+					// Column handles were resolved once, so a row is a null
+					// check and a decode per column, no map lookups.
+					row := make([]any, len(scols))
+					for ci, c := range scols {
+						row[ci] = c.value(int(ri))
+					}
+					tk.push(row)
 				}
 			}
 			p.rows = tk.take()
@@ -611,23 +581,21 @@ func (sc *scanSet) executeSelect(q *Query, ss *selStream, tp *topKPlan) (*Partia
 			return p, nil
 		}
 	}
-	limit := q.Limit + q.Offset
-	// Order-by requires materializing all matches; plain limited selects
-	// can stop early.
-	early := q.Limit > 0 && len(q.OrderBy) == 0
-scan:
-	for sel := ss.next(); sel != nil; sel = ss.next() {
-		for _, ri := range sel {
-			p.rows = append(p.rows, gather(int(ri)))
-			if early && len(p.rows) >= limit {
-				break scan
-			}
-		}
+	// Everything else collects the gather loop's batches: every match of an
+	// ordered query that runs exact, or — no ORDER BY — any Limit+Offset of
+	// them, after which the scan stops.
+	budget := -1
+	if q.Limit > 0 && len(q.OrderBy) == 0 {
+		budget = q.Limit + q.Offset
 	}
-	// Early termination must not skew the scan counters: the bitmap path
-	// evaluated filters over the whole segment regardless, so drain the
-	// stream to keep RowsScanned/UpsertFiltered identical.
-	ss.drain()
+	pool := &batchPool{}
+	ss.gatherBatches(cols, scols, pool, func(rb *record.Batch) bool {
+		for r := 0; r < rb.Len && len(p.rows) != budget; r++ {
+			p.rows = append(p.rows, rb.Row(r))
+		}
+		pool.put(rb)
+		return len(p.rows) != budget
+	})
 	return p, nil
 }
 

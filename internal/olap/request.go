@@ -4,19 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/metadata"
 	"repro/internal/obs"
 )
-
-// This file is the typed request/response half of the Query API v2: one
-// QueryRequest carries the structured query plus per-request execution
-// options, and one QueryResponse carries the rows plus the execution and
-// routing stats EXPLAIN-style consumers need. Broker.Query/QueryCtx remain
-// as thin conveniences over Execute.
 
 // ErrTooManySegments is returned when a query would scan more sealed
 // segments than its MaxSegments budget allows.
@@ -212,6 +208,7 @@ func (b *Broker) prepare(ctx context.Context, req *QueryRequest) (context.Contex
 // with what options.
 type scatterPlan struct {
 	plan      *RoutePlan
+	router    string
 	servers   []int // assigned servers, ascending
 	consuming []consumingScan
 	contacted int // distinct servers either kind of scan touches
@@ -219,12 +216,25 @@ type scatterPlan struct {
 	snapshot  *querySnapshot
 }
 
-// planScatter routes one request under a route span: it snapshots the
-// routable state, asks the router, enforces the MaxSegments budget and
-// resolves the routed consuming partitions against the snapshot.
-func (b *Broker) planScatter(ctx context.Context, req *QueryRequest, q *Query, router Router) (*scatterPlan, error) {
+// route reports the plan as the RouteInfo of a response or stream.
+func (sp *scatterPlan) route() RouteInfo {
+	return RouteInfo{
+		Router:           sp.router,
+		ReplicaGroup:     sp.plan.ReplicaGroup,
+		SegmentsRouted:   sp.plan.SegmentCount(),
+		ServersContacted: sp.contacted,
+		PartitionsPruned: sp.plan.PartitionsPruned,
+	}
+}
+
+// planScatter routes one request under a route span, which also names the
+// sink the round will run into: it snapshots the routable state, asks the
+// router, enforces the MaxSegments budget and resolves the routed consuming
+// partitions against the snapshot.
+func (b *Broker) planScatter(ctx context.Context, req *QueryRequest, q *Query, router Router, sink string) (*scatterPlan, error) {
 	routeSp, _ := obs.StartSpan(ctx, "route")
 	routeSp.SetAttr("router", router.Name())
+	routeSp.SetAttr("sink", sink)
 	view, snapshot := b.routeView()
 	plan, err := router.Route(view, q)
 	if err != nil {
@@ -238,7 +248,7 @@ func (b *Broker) planScatter(ctx context.Context, req *QueryRequest, q *Query, r
 			return nil, fmt.Errorf("%w: %d segments routed, budget %d", ErrTooManySegments, n, req.MaxSegments)
 		}
 	}
-	sp := &scatterPlan{plan: plan, snapshot: snapshot, opts: ExecOptions{
+	sp := &scatterPlan{plan: plan, router: router.Name(), snapshot: snapshot, opts: ExecOptions{
 		Workers:   req.Workers,
 		HotOnly:   req.Consistency == ConsistencyHot,
 		TrimExact: req.TrimExact,
@@ -267,10 +277,139 @@ func (b *Broker) planScatter(ctx context.Context, req *QueryRequest, q *Query, r
 	return sp, nil
 }
 
-// executeRouted performs one route + scatter-gather round and finalizes the
-// merged partial into a user-facing response.
+// A sink is where a scatter round puts what its producers find. There are
+// two because there are two kinds of answer: foldSink (aggregates and ordered
+// selections cannot emit a row before they have seen every row) and batchSink
+// (a stream of unordered selection rows must not hold the rows it has seen).
+// Everything around the sink is the scatter's, the same for both.
+type sink interface {
+	// producer opens the share of one routed server or (consuming) one
+	// routed consuming partition.
+	producer(consuming bool) producer
+	// close is called once, after the last producer has exited.
+	close()
+}
+
+// A producer is one scatter goroutine's share of a sink.
+type producer interface {
+	// scan runs one unit into the sink and returns its scan stats; more =
+	// false says the sink has had enough, which ends the share.
+	scan(ctx context.Context, u scanUnit) (st ExecStats, more bool, err error)
+	// finish ends the share: st sums its units' scan stats and its segment
+	// snapshot's counters (pruned, reloaded, skipped); err is what stopped it.
+	finish(st ExecStats, err error) error
+}
+
+// scanUnit is one unit of a producer's share: a sealed segment, or (seg nil)
+// the prefix snapshot of a consuming store — with its upsert validity bitmap.
+type scanUnit struct {
+	seg   *Segment
+	rows  *scanSet
+	valid *Bitmap
+}
+
+// scatter launches one routing round: one goroutine per routed server
+// (Server.scanSegments) and per routed consuming partition
+// (consumingScan.scanUnits), each running its share of sk under a
+// server.scan or consuming.scan span. The returned context is the round's: it
+// ends — with the cause — when a producer fails (the first error wins and
+// stops the others), when the request's context ends, or when the terminal
+// consuming the sink cancels it because it is done. sk.close runs once the
+// last producer has exited, which is how a terminal waits for them. Span
+// handles are generation-stamped: a producer outliving the trace writes no-ops.
+func (b *Broker) scatter(ctx context.Context, q *Query, sp *scatterPlan, sk sink) (context.Context, context.CancelCauseFunc) {
+	ctx, cancel := context.WithCancelCause(ctx)
+	var pending atomic.Int32
+	pending.Store(int32(len(sp.servers) + len(sp.consuming) + 1))
+	release := func() {
+		if pending.Add(-1) == 0 {
+			sk.close()
+		}
+	}
+	run := func(name string, consuming bool, share func(ctx context.Context, span obs.Span, out producer) (ExecStats, error)) {
+		defer release()
+		span, sctx := obs.StartSpan(ctx, name)
+		out := sk.producer(consuming)
+		st, err := share(sctx, span, out)
+		if err = out.finish(st, err); err != nil {
+			span.SetAttr("error", err.Error())
+			cancel(err)
+		} else {
+			span.SetRows(st.RowsScanned)
+		}
+		span.End()
+	}
+	for _, si := range sp.servers {
+		srv, segs := b.d.serverAt(si), sp.plan.Assignment[si]
+		go run("server.scan", false, func(ctx context.Context, span obs.Span, out producer) (ExecStats, error) {
+			span.SetAttr("server", srv.Name())
+			return srv.scanSegments(ctx, q, segs, sp.opts, out)
+		})
+	}
+	for _, cs := range sp.consuming {
+		owner := b.d.serverAt(cs.owner)
+		go run("consuming.scan", true, func(ctx context.Context, span obs.Span, out producer) (ExecStats, error) {
+			// What goes in (the span's rows are what came out) and the access
+			// path: consuming segments carry no index, it is always the kernels.
+			if span.Active() {
+				span.SetAttr("partition", strconv.Itoa(cs.part))
+				span.SetAttr("rows_in", strconv.Itoa(cs.rowsIn()))
+				span.SetAttr("access", "kernel")
+			}
+			if owner.Down() {
+				return ExecStats{}, fmt.Errorf("%w: consuming partition %d owner %s", ErrServerDown, cs.part, owner.Name())
+			}
+			return cs.scanUnits(ctx, out)
+		})
+	}
+	release()
+	return ctx, cancel
+}
+
+// rerouted runs one routing round and, when it failed because a routed
+// server went down after routing (or a rebalance or compaction swap retired
+// the routed copy), runs it once more: a fresh snapshot steers the retry to
+// the current placement, unless the strategy pins the segment on the failed
+// server (upsert owner routing).
+func rerouted[T any](ctx context.Context, round func() (T, error)) (T, error) {
+	v, err := round()
+	if err != nil && (errors.Is(err, ErrServerDown) || errors.Is(err, ErrSegmentUnavailable)) && ctx.Err() == nil {
+		v, err = round()
+	}
+	return v, err
+}
+
+// executeRouted performs one routing round into the sink the query shape
+// needs: an unordered selection collects the batch stream (any Limit+Offset
+// matching rows answer it, so the round stops as soon as they are in);
+// everything else folds, and the merged partial is finalized.
 func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query, router Router) (*QueryResponse, error) {
-	g, err := b.gather(ctx, req, q, router)
+	if streamable(q) {
+		qs, err := b.openStream(ctx, req, q, router)
+		if err != nil {
+			return nil, err
+		}
+		defer qs.Close()
+		mergeSp, _ := obs.StartSpan(ctx, "merge")
+		defer mergeSp.End()
+		var rows [][]any
+		for {
+			rb, err := qs.Next(ctx)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			for r := 0; r < rb.Len; r++ {
+				rows = append(rows, rb.Row(r))
+			}
+		}
+		qs.Close() // joins the producers: the stats below are complete
+		mergeSp.SetRows(int64(len(rows)))
+		return &QueryResponse{Columns: qs.Columns(), Rows: rows, Stats: qs.Stats(), Route: qs.Route()}, nil
+	}
+	g, err := b.fold(ctx, req, q, router)
 	if err != nil {
 		return nil, err
 	}
@@ -280,8 +419,8 @@ func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query,
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.ServersContacted = g.contacted
-	res.Stats.PartitionsPruned = g.plan.PartitionsPruned
+	res.Stats.ServersContacted = g.sp.contacted
+	res.Stats.PartitionsPruned = g.sp.plan.PartitionsPruned
 	trimK := 0
 	if g.tp != nil {
 		if len(q.Aggs) > 0 {
@@ -290,19 +429,7 @@ func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query,
 			trimK = g.tp.rowK
 		}
 	}
-	return &QueryResponse{
-		Columns: res.Columns,
-		Rows:    res.Rows,
-		Stats:   res.Stats,
-		TrimK:   trimK,
-		Route: RouteInfo{
-			Router:           router.Name(),
-			ReplicaGroup:     g.plan.ReplicaGroup,
-			SegmentsRouted:   g.plan.SegmentCount(),
-			ServersContacted: g.contacted,
-			PartitionsPruned: g.plan.PartitionsPruned,
-		},
-	}, nil
+	return &QueryResponse{Columns: res.Columns, Rows: res.Rows, Stats: res.Stats, TrimK: trimK, Route: g.sp.route()}, nil
 }
 
 // MaterializePartial executes one request and returns the merged mergeable
@@ -314,7 +441,7 @@ func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query,
 // ViewMutation.Seq at or below it. Trimming is forced exact: a view's state
 // must cover every group, never a top-K candidate subset. The request runs
 // directly (no cache, no coalescing, no admission), with the broker's usual
-// one re-route on ErrServerDown.
+// one re-route.
 func (b *Broker) MaterializePartial(ctx context.Context, req *QueryRequest) (*Partial, int64, error) {
 	ctx, cancel, q, router, err := b.prepare(ctx, req)
 	if err != nil {
@@ -323,115 +450,129 @@ func (b *Broker) MaterializePartial(ctx context.Context, req *QueryRequest) (*Pa
 	defer cancel()
 	r2 := *req
 	r2.TrimExact = true
-	req = &r2
-	g, err := b.gather(ctx, req, q, router)
-	if err != nil && errors.Is(err, ErrServerDown) && ctx.Err() == nil {
-		g, err = b.gather(ctx, req, q, router)
-	}
+	g, err := rerouted(ctx, func() (*folded, error) { return b.fold(ctx, &r2, q, router) })
 	if err != nil {
 		return nil, 0, err
 	}
-	return g.acc, g.snapGen, nil
+	return g.acc, g.sp.snapshot.gen, nil
 }
 
-// gatherResult is one route + scatter round's merged, unfinalized output.
-type gatherResult struct {
-	acc       *Partial
-	plan      *RoutePlan
-	tp        *topKPlan
-	contacted int
-	// snapGen is the generation read inside routeView's critical section:
-	// the gathered data contains exactly the mutations with seq <= snapGen.
-	snapGen int64
+// folded is one routing round's merged, unfinalized output: the partial
+// contains exactly the mutations with seq <= sp.snapshot.gen.
+type folded struct {
+	acc *Partial
+	sp  *scatterPlan
+	tp  *topKPlan
 }
 
-// gather performs one route + scatter round, merging partial states as they
-// stream back, without finalizing.
-func (b *Broker) gather(ctx context.Context, req *QueryRequest, q *Query, router Router) (*gatherResult, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// foldSink is the sink of aggregates and ordered selections: every unit
+// answers with a Partial; a producer merges its units' and trims the merge to
+// the query's top-K bound before it crosses to the broker, so at most groupK
+// groups / rowK rows per producer do (GroupsShipped/RowsShipped count them).
+type foldSink struct {
+	q       *Query
+	tp      *topKPlan // nil: exact, untrimmed execution
+	results chan *Partial
+}
 
-	sp, err := b.planScatter(ctx, req, q, router)
+func (f *foldSink) close() { close(f.results) }
+
+func (f *foldSink) producer(consuming bool) producer {
+	p := &foldProducer{sink: f, unitTP: f.tp}
+	if consuming && len(f.q.Aggs) > 0 {
+		// A consuming unit answers an aggregate exactly: groups trim once, on
+		// the partition's merged partial. (A bounded row heap is exact.)
+		p.unitTP = nil
+	}
+	return p
+}
+
+// foldProducer merges one producer's units. The mutex orders the merges of
+// a server's pooled segment scans.
+type foldProducer struct {
+	sink   *foldSink
+	unitTP *topKPlan
+	mu     sync.Mutex
+	acc    *Partial
+}
+
+func (p *foldProducer) scan(_ context.Context, u scanUnit) (ExecStats, bool, error) {
+	var part *Partial
+	var err error
+	if u.seg != nil {
+		part, err = u.seg.executePartialTrim(p.sink.q, u.valid, p.unitTP)
+	} else {
+		part, err = u.rows.executePartial(p.sink.q, u.valid, p.unitTP)
+	}
+	if err != nil {
+		return ExecStats{}, false, err
+	}
+	st := part.stats
+	p.mu.Lock()
+	if p.acc == nil {
+		p.acc = part // the first partial is adopted, not copied
+	} else {
+		p.acc.Merge(part)
+	}
+	p.mu.Unlock()
+	return st, true, nil
+}
+
+func (p *foldProducer) finish(st ExecStats, err error) error {
+	if err != nil {
+		return err
+	}
+	acc := p.acc
+	if acc == nil {
+		acc = newPartial(p.sink.q)
+	}
+	acc.stats = st
+	acc.trimTopK(p.sink.q, p.sink.tp)
+	if acc.agg {
+		acc.stats.GroupsShipped = int64(len(acc.groups))
+	} else {
+		acc.stats.RowsShipped = int64(len(acc.rows))
+	}
+	p.sink.results <- acc
+	return nil
+}
+
+// fold performs one routing round into a foldSink, merging the producers'
+// partials as they arrive, without finalizing. Under default trimming the
+// merge holds O(K · producers) state instead of O(groups) — the top-K memory
+// bound. On a failure or the request's deadline it returns at once, without
+// waiting for scans still in flight.
+func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query, router Router) (*folded, error) {
+	sp, err := b.planScatter(ctx, req, q, router, "fold")
 	if err != nil {
 		return nil, err
 	}
-	plan, servers, consuming, execOpts := sp.plan, sp.servers, sp.consuming, sp.opts
-	// The same plan the servers derive from ExecOptions, used here to trim
-	// consuming-partition partials and to report the applied budget.
-	var tp *topKPlan
-	if !req.TrimExact {
-		tp = planTopK(q, req.TrimSize)
+	g := &folded{acc: newPartial(q), sp: sp}
+	if !sp.opts.TrimExact {
+		g.tp = planTopK(q, sp.opts.TrimSize)
 	}
-
-	// Scatter: one subquery per assigned server plus one scan per routed
-	// consuming partition, all concurrent. Gather: merge partial states as
-	// they stream back.
-	units := len(servers) + len(consuming)
-	results := make(chan *Partial, units)
-	errs := make(chan error, units)
-	for _, si := range servers {
-		go func(si int, segs []string) {
-			// The span handle is generation-stamped: if early termination
-			// finishes (and recycles) the trace while this goroutine is still
-			// scanning, its span ops degrade to safe no-ops.
-			sp, sctx := obs.StartSpan(ctx, "server.scan")
-			sp.SetAttr("server", b.d.serverAt(si).Name())
-			p, err := b.d.serverAt(si).ExecuteOn(sctx, q, segs, execOpts)
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-				sp.End()
-				errs <- err
-				return
-			}
-			sp.SetRows(p.stats.RowsScanned)
-			sp.End()
-			results <- p
-		}(si, plan.Assignment[si])
-	}
-	for _, cs := range consuming {
-		go func(cs consumingScan) {
-			if b.d.serverAt(cs.owner).Down() {
-				errs <- fmt.Errorf("%w: consuming partition %d owner %s", ErrServerDown, cs.part, b.d.serverAt(cs.owner).Name())
-				return
-			}
-			sp, sctx := obs.StartSpan(ctx, "consuming.scan")
-			p, err := cs.executePartial(sctx, q, tp)
-			if err != nil {
-				cs.annotate(sp, 0, err)
-				sp.End()
-				errs <- err
-				return
-			}
-			cs.annotate(sp, p.stats.RowsScanned, nil)
-			sp.End()
-			results <- p
-		}(cs)
-	}
-
-	// Gather: under default trimming each server partial carries at most
-	// groupK groups / Limit+Offset rows, so the streaming merge holds
-	// O(K · servers) state instead of O(groups) — the top-K memory bound.
-	acc := newPartial(q)
-	limit := earlyLimit(q)
+	// One slot per producer: a producer never blocks on a terminal that left.
+	sk := &foldSink{q: q, tp: g.tp, results: make(chan *Partial, len(sp.servers)+len(sp.consuming))}
+	sctx, cancel := b.scatter(ctx, q, sp, sk)
+	defer cancel(nil)
 	mergeSp, _ := obs.StartSpan(ctx, "merge")
-	for served := 0; served < units; served++ {
+	defer mergeSp.End()
+	for {
 		select {
-		case <-ctx.Done():
-			mergeSp.End()
-			return nil, ctx.Err()
-		case err := <-errs:
-			mergeSp.End()
-			return nil, err // defer cancel() aborts in-flight subqueries
-		case p := <-results:
-			acc.Merge(p)
-			if limit > 0 && acc.Rows() >= limit {
-				served = units // early termination; cancel remaining work
+		case <-sctx.Done():
+			return nil, context.Cause(sctx)
+		case p, ok := <-sk.results:
+			if !ok {
+				// A producer that failed cancelled the round before it exited.
+				if err := context.Cause(sctx); err != nil {
+					return nil, err
+				}
+				mergeSp.SetRows(int64(len(g.acc.rows)))
+				return g, nil
 			}
+			g.acc.Merge(p)
 		}
 	}
-	mergeSp.SetRows(int64(acc.Rows()))
-	mergeSp.End()
-	return &gatherResult{acc: acc, plan: plan, tp: tp, contacted: sp.contacted, snapGen: sp.snapshot.gen}, nil
 }
 
 // consumingScan is one partition's unsealed rows as a query sees them: the
@@ -441,13 +582,7 @@ func (b *Broker) gather(ctx context.Context, req *QueryRequest, q *Query, router
 type consumingScan struct {
 	owner int
 	part  int
-	units []consumingUnit
-}
-
-// consumingUnit is one store's share of a consumingScan.
-type consumingUnit struct {
-	rows  *scanSet
-	valid *Bitmap // nil = every row valid
+	units []scanUnit
 }
 
 // rowsIn is the number of rows the scan examines.
@@ -459,61 +594,21 @@ func (cs *consumingScan) rowsIn() int {
 	return n
 }
 
-// annotate stamps a consuming.scan / consuming.stream span: which
-// partition, how many rows went in and came out, and the access path
-// (consuming segments carry no index, so it is always the kernels).
-func (cs *consumingScan) annotate(sp obs.Span, matched int64, err error) {
-	if !sp.Active() {
-		return
-	}
-	sp.SetAttr("partition", strconv.Itoa(cs.part))
-	sp.SetAttr("rows_in", strconv.Itoa(cs.rowsIn()))
-	sp.SetAttr("access", "kernel")
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		return
-	}
-	sp.SetRows(matched)
-}
-
-// executePartial scans the partition's units through the segment kernels
-// and merges their partials. Each unit answers exactly; the top-K bound
-// applies to the merged partial, the same bound server partials obey, so
-// the gather phase stays O(K · fan-out) even for tables with a large
-// consuming tail — and the shipped units count toward the boundary stats.
-func (cs *consumingScan) executePartial(ctx context.Context, q *Query, tp *topKPlan) (*Partial, error) {
-	// Groups trim once, on the merged partial; an ordered selection may keep
-	// its bounded heap per unit, which is exact.
-	unitTP := tp
-	if len(q.Aggs) > 0 {
-		unitTP = nil
-	}
-	limit := earlyLimit(q)
-	var acc *Partial
+// scanUnits runs the partition's share of a scatter: its stores, one after
+// the other through the segment kernels, until out has had enough.
+func (cs *consumingScan) scanUnits(ctx context.Context, out producer) (ExecStats, error) {
+	var stats ExecStats
 	for _, u := range cs.units {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return stats, err
 		}
-		p, err := u.rows.executePartial(q, u.valid, unitTP)
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = p // the usual case is one unit: no copy
-		} else {
-			acc.Merge(p)
-		}
-		if limit > 0 && acc.Rows() >= limit {
-			break
+		st, more, err := out.scan(ctx, u)
+		stats.Add(st)
+		if err != nil || !more {
+			return stats, err
 		}
 	}
-	acc.trimTopK(q, tp)
-	if acc.agg {
-		acc.stats.GroupsShipped = int64(len(acc.groups))
-	} else {
-		acc.stats.RowsShipped = int64(len(acc.rows))
-	}
-	return acc, nil
+	return stats, nil
 }
 
 // querySnapshot is the execution state captured atomically with the route
@@ -523,7 +618,6 @@ func (cs *consumingScan) executePartial(ctx context.Context, q *Query, tp *topKP
 // runs concurrently.
 type querySnapshot struct {
 	consuming map[int]consumingScan
-	schema    *metadata.Schema
 	// gen is the generation read inside the critical section: because
 	// visible-data mutations bump the generation in their own critical
 	// sections, this snapshot contains exactly the mutations with
@@ -559,7 +653,6 @@ func (b *Broker) routeView() (*RouteView, *querySnapshot) {
 	}
 	snapshot := &querySnapshot{
 		consuming: make(map[int]consumingScan, len(d.consuming)),
-		schema:    d.cfg.Schema,
 		gen:       d.gen.Load(),
 	}
 	// One scan per partition holding unsealed rows: stores mid-seal first
@@ -574,7 +667,7 @@ func (b *Broker) routeView() (*RouteView, *querySnapshot) {
 			view.ConsumingPartitions = append(view.ConsumingPartitions, part)
 			cs = consumingScan{owner: d.partitionOwner[part], part: part}
 		}
-		cs.units = append(cs.units, consumingUnit{rows: ms.snapshot(), valid: ms.validSnapshot()})
+		cs.units = append(cs.units, scanUnit{rows: ms.snapshot(), valid: ms.validSnapshot()})
 		snapshot.consuming[part] = cs
 	}
 	for part, stores := range d.sealing {

@@ -134,7 +134,7 @@ func TestRoundRobinRouterMatchesExpectedTotals(t *testing.T) {
 
 func TestReplicaGroupRouterBoundsFanOut(t *testing.T) {
 	d, _, _ := routedDeployment(t, 60)
-	baseline, err := NewBroker(d).Query(countQueryFor(""))
+	baseline, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: countQueryFor("")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestReplicaGroupRouterBoundsFanOut(t *testing.T) {
 
 func TestReplicaGroupRouterFailsOverToOtherReplicaSet(t *testing.T) {
 	d, servers, _ := routedDeployment(t, 60)
-	baseline, err := NewBroker(d).Query(countQueryFor(""))
+	baseline, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: countQueryFor("")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestReplicaGroupRouterFailsOverToOtherReplicaSet(t *testing.T) {
 func TestPartitionRouterPrunesServers(t *testing.T) {
 	d, _, cities := routedDeployment(t, 60)
 	q := countQueryFor(cities[2])
-	baseline, err := NewBroker(d).Query(q)
+	baseline, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestPartitionRouterInFilterPrunes(t *testing.T) {
 func TestPartitionRouterNeverPrunesOnlyLiveReplica(t *testing.T) {
 	d, servers, cities := routedDeployment(t, 60)
 	q := countQueryFor(cities[1])
-	baseline, err := NewBroker(d).Query(q)
+	baseline, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestPartitionRouterNeverPrunesOnlyLiveReplica(t *testing.T) {
 // every successful query must return exact results. Run with -race.
 func TestRoutingUnderSetDownFlaps(t *testing.T) {
 	d, servers, cities := routedDeployment(t, 45)
-	want, err := NewBroker(d).Query(countQueryFor(cities[0]))
+	want, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: countQueryFor(cities[0])})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,55 +2,41 @@ package olap
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"io"
 	"sync"
 
-	"repro/internal/obs"
+	"repro/internal/record"
 )
 
-// Streaming execution: instead of gathering every server's full selection
-// partial before the broker answers, ExecuteStream pulls column-major row
-// batches from the servers as they are produced. The consumer sees row one
-// while the slowest server is still scanning, and the broker's resident
-// state is O(batches in flight), not O(result). Aggregations and ordered
-// queries still need every row before the first output row is known, so
-// they fall back to Execute internally and the stream chunks the finalized
-// response — same contract, materialized cost.
+// Streaming execution: the batch sink of the scatter (request.go). Instead
+// of folding every producer's rows into a partial before the broker answers,
+// an unordered selection's producers push column-major row batches onto one
+// small bounded channel the consumer pulls from: it sees row one while the
+// slowest server is still scanning, and the broker's resident state is
+// O(batches in flight), not O(result). Aggregations and ordered queries need
+// every row before the first output row is known: they fold.
 
-// RowBatch is one column-major batch of streamed rows: Cols[c][r] is the
-// value of Columns[c] at batch row r, nil for SQL NULL. Batches hold at
-// most BatchRows rows and are pool-recycled: a batch handed out by
-// QueryStream.Next is valid only until the following Next or Close call.
-type RowBatch struct {
-	Columns []string
-	Cols    [][]any
-	Len     int
-}
+// ErrNotStreamable is returned by ExecuteStream for a query whose first
+// output row depends on every input row (an aggregation, an ORDER BY): it has
+// nothing to stream; run it through Execute.
+var ErrNotStreamable = errors.New("olap: aggregations and ordered queries do not stream")
 
-// Row copies batch row r into a fresh row slice (for consumers that need
-// rows to outlive the batch).
-func (rb *RowBatch) Row(r int) []any {
-	row := make([]any, len(rb.Cols))
-	for c := range rb.Cols {
-		row[c] = rb.Cols[c][r]
-	}
-	return row
-}
+// streamable reports whether a query's rows can be emitted as they are
+// found: a selection without ORDER BY.
+func streamable(q *Query) bool { return len(q.Aggs) == 0 && len(q.OrderBy) == 0 }
 
-// batchPool recycles RowBatch buffers between the segment gather kernels
+// batchPool recycles batch buffers between the segment gather kernels
 // (producers) and the stream consumer, so a steady-state scan allocates no
 // per-batch memory.
 type batchPool struct{ p sync.Pool }
 
-func newBatchPool() *batchPool { return &batchPool{} }
-
 // get returns an empty batch shaped for the given columns, reusing backing
 // arrays from recycled batches when available.
-func (bp *batchPool) get(cols []string) *RowBatch {
-	rb, _ := bp.p.Get().(*RowBatch)
+func (bp *batchPool) get(cols []string) *record.Batch {
+	rb, _ := bp.p.Get().(*record.Batch)
 	if rb == nil {
-		rb = &RowBatch{}
+		rb = &record.Batch{}
 	}
 	rb.Columns = cols
 	if len(rb.Cols) != len(cols) {
@@ -63,28 +49,19 @@ func (bp *batchPool) get(cols []string) *RowBatch {
 	return rb
 }
 
-func (bp *batchPool) put(rb *RowBatch) {
+func (bp *batchPool) put(rb *record.Batch) {
 	if rb != nil {
 		bp.p.Put(rb)
 	}
-}
-
-// streamSelect scans this segment as column-major batches; see
-// scanSet.streamSelect.
-func (s *Segment) streamSelect(ctx context.Context, q *Query, valid *Bitmap, pool *batchPool, yield func(*RowBatch) bool) (ExecStats, bool, error) {
-	stats, more, err := s.scan().streamSelect(ctx, q, valid, pool, yield)
-	stats.SegmentsScanned = 1
-	return stats, more, err
 }
 
 // streamSelect scans the set as column-major batches: the filter kernels
 // produce selection vectors (newSelStream), and the gather kernel decodes
 // only the selected rows of the selected columns into a pooled batch.
 // Returns whether the consumer wants more (yield never returned false).
-// Early termination skips the remaining windows entirely — unlike
-// executeSelect there is no parity drain, so the stats cover only the work
-// actually done.
-func (sc *scanSet) streamSelect(ctx context.Context, q *Query, valid *Bitmap, pool *batchPool, yield func(*RowBatch) bool) (ExecStats, bool, error) {
+// Early termination skips the remaining windows entirely, so the stats cover
+// only the work actually done.
+func (sc *scanSet) streamSelect(ctx context.Context, q *Query, valid *Bitmap, pool *batchPool, yield func(*record.Batch) bool) (ExecStats, bool, error) {
 	cols, scols, err := sc.selectColumns(q)
 	if err != nil {
 		return ExecStats{}, false, err
@@ -93,13 +70,18 @@ func (sc *scanSet) streamSelect(ctx context.Context, q *Query, valid *Bitmap, po
 	if err != nil {
 		return ExecStats{}, false, err
 	}
-	var stats ExecStats
-	more := true
+	shipped, more := ss.gatherBatches(cols, scols, pool, func(rb *record.Batch) bool {
+		return yield(rb) && ctx.Err() == nil
+	})
+	return ExecStats{RowsScanned: ss.kept, UpsertFiltered: ss.dropped, RowsShipped: shipped}, more, ctx.Err()
+}
+
+// gatherBatches is the gather loop of every selection that is not a bounded
+// heap: each selection vector's rows are decoded, column by selected column,
+// into a pooled batch handed to yield, until the stream is spent or yield
+// returns false. It reports the rows handed over and whether yield wants more.
+func (ss *selStream) gatherBatches(cols []string, scols []*colView, pool *batchPool, yield func(*record.Batch) bool) (shipped int64, more bool) {
 	for sel := ss.next(); sel != nil; sel = ss.next() {
-		if err := ctx.Err(); err != nil {
-			stats.RowsScanned, stats.UpsertFiltered = ss.kept, ss.dropped
-			return stats, false, err
-		}
 		rb := pool.get(cols)
 		for ci, c := range scols {
 			out := rb.Cols[ci][:0]
@@ -109,14 +91,56 @@ func (sc *scanSet) streamSelect(ctx context.Context, q *Query, valid *Bitmap, po
 			rb.Cols[ci] = out
 		}
 		rb.Len = len(sel)
-		stats.RowsShipped += int64(rb.Len)
+		shipped += int64(rb.Len)
 		if !yield(rb) {
-			more = false
-			break
+			return shipped, false
 		}
 	}
-	stats.RowsScanned, stats.UpsertFiltered = ss.kept, ss.dropped
-	return stats, more, nil
+	return shipped, true
+}
+
+// batchSink is the sink of unordered selections: every unit streams its
+// matching rows as pooled batches onto one bounded channel. The producers
+// only add up their stats; LIMIT/OFFSET apply at the consumer (QueryStream).
+type batchSink struct {
+	q    *Query
+	pool *batchPool
+	// ch is small on purpose: it decouples producers from the consumer
+	// without re-materializing the result in channel slack.
+	ch chan *record.Batch
+
+	mu    sync.Mutex
+	stats ExecStats
+}
+
+func (b *batchSink) close()                 { close(b.ch) }
+func (b *batchSink) producer(bool) producer { return b }
+
+func (b *batchSink) scan(ctx context.Context, u scanUnit) (ExecStats, bool, error) {
+	rows := u.rows
+	if u.seg != nil {
+		rows = u.seg.scan()
+	}
+	st, more, err := rows.streamSelect(ctx, b.q, u.valid, b.pool, func(rb *record.Batch) bool {
+		select {
+		case b.ch <- rb:
+			return true
+		case <-ctx.Done():
+			b.pool.put(rb)
+			return false
+		}
+	})
+	if u.seg != nil {
+		st.SegmentsScanned = 1
+	}
+	return st, more, err
+}
+
+func (b *batchSink) finish(st ExecStats, err error) error {
+	b.mu.Lock()
+	b.stats.Add(st)
+	b.mu.Unlock()
+	return err
 }
 
 // QueryStream is the pull-based result of Broker.ExecuteStream. Exactly
@@ -125,23 +149,19 @@ func (sc *scanSet) streamSelect(ctx context.Context, q *Query, valid *Bitmap, po
 // always waits for every producer goroutine to exit before returning, so a
 // closed stream leaks nothing.
 type QueryStream struct {
-	cols   []string
-	ch     chan *RowBatch
-	errc   chan error
-	statsc chan ExecStats
-	done   chan struct{} // closed when all producers have exited
-	cancel context.CancelFunc
-	pool   *batchPool
+	cols []string
+	sink *batchSink
+	// ctx is the scatter round's: it ends, with the cause, when a producer
+	// fails or the request's deadline passes (or, causeless, on stop).
+	ctx   context.Context
+	stop  context.CancelCauseFunc
+	route RouteInfo
 
 	// Consumer-side state; Next/Close are single-consumer by contract.
-	prev      *RowBatch
-	skip      int // OFFSET rows still to drop
-	remaining int // LIMIT rows still to emit; -1 = unlimited
-	stats     ExecStats
-	route     RouteInfo
-	trimK     int
-	finished  bool
-	err       error
+	prev      *record.Batch
+	skip      int   // OFFSET rows still to drop
+	remaining int   // LIMIT rows still to emit; -1 = unlimited
+	err       error // sticky end of stream: io.EOF, or what failed it
 }
 
 // Columns reports the column order of every batch.
@@ -149,124 +169,86 @@ func (s *QueryStream) Columns() []string { return s.cols }
 
 // Next returns the next batch of rows, io.EOF at end of stream, or the
 // first producer error. The returned batch is recycled by the following
-// Next or Close call.
-func (s *QueryStream) Next(ctx context.Context) (*RowBatch, error) {
+// Next or Close call. A LIMIT ends the stream — and stops the producers — on
+// the batch that spends it.
+func (s *QueryStream) Next(ctx context.Context) (*record.Batch, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	if s.finished {
-		return nil, io.EOF
-	}
-	if s.prev != nil {
-		s.pool.put(s.prev)
-		s.prev = nil
-	}
+	s.sink.pool.put(s.prev)
+	s.prev = nil
 	for {
-		// Fail fast on a producer error even while batches are queued: the
-		// query failed, partial delivery must not read as success.
-		select {
-		case err := <-s.errc:
-			return nil, s.fail(err)
-		default:
+		// Fail fast on a producer error or the request's deadline even while
+		// batches are queued: partial delivery must not read as success. The
+		// same check once the channel is closed turns a send the deadline
+		// aborted into an error, never a silent truncation.
+		if err := context.Cause(s.ctx); err != nil {
+			return nil, s.end(err)
 		}
 		select {
 		case <-ctx.Done():
-			return nil, s.fail(ctx.Err())
-		case rb, ok := <-s.ch:
+			return nil, s.end(ctx.Err())
+		case <-s.ctx.Done():
+		case rb, ok := <-s.sink.ch:
 			if !ok {
-				s.shutdown()
-				select {
-				case err := <-s.errc:
-					s.finished = true
-					s.err = err
-					return nil, err
-				default:
+				if err := context.Cause(s.ctx); err != nil {
+					return nil, s.end(err)
 				}
-				s.finished = true
-				return nil, io.EOF
+				return nil, s.end(io.EOF)
 			}
-			if s.skip >= rb.Len {
-				s.skip -= rb.Len
-				s.pool.put(rb)
+			// OFFSET drops rows from the front, LIMIT from the back.
+			from := min(s.skip, rb.Len)
+			s.skip -= from
+			to := rb.Len
+			if s.remaining >= 0 {
+				to = min(to, from+s.remaining)
+				if s.remaining -= to - from; s.remaining == 0 {
+					s.end(io.EOF)
+				}
+			}
+			if from == to {
+				s.sink.pool.put(rb)
 				continue
 			}
-			if s.skip > 0 {
-				for ci := range rb.Cols {
-					rb.Cols[ci] = rb.Cols[ci][s.skip:rb.Len]
-				}
-				rb.Len -= s.skip
-				s.skip = 0
+			for ci := range rb.Cols {
+				rb.Cols[ci] = rb.Cols[ci][from:to]
 			}
-			if s.remaining >= 0 {
-				if rb.Len > s.remaining {
-					for ci := range rb.Cols {
-						rb.Cols[ci] = rb.Cols[ci][:s.remaining]
-					}
-					rb.Len = s.remaining
-				}
-				s.remaining -= rb.Len
-				if rb.Len == 0 {
-					// LIMIT satisfied: stop the producers and end the stream.
-					s.pool.put(rb)
-					s.shutdown()
-					s.finished = true
-					return nil, io.EOF
-				}
-			}
+			rb.Len = to - from
 			s.prev = rb
 			return rb, nil
 		}
 	}
 }
 
-// fail records a terminal error, tears the producers down and returns it.
-func (s *QueryStream) fail(err error) error {
-	s.shutdown()
-	s.finished = true
+// end stops the producers and makes err what every further Next returns.
+func (s *QueryStream) end(err error) error {
+	s.stop(nil)
 	s.err = err
 	return err
 }
 
-// Close cancels any remaining production, waits for every producer
-// goroutine to exit, and releases the stream. Idempotent; safe mid-stream.
+// Close cancels any remaining production, drains the batch channel until the
+// last producer to exit closes it, and releases the stream. Idempotent; safe
+// mid-stream.
 func (s *QueryStream) Close() error {
-	if s.prev != nil {
-		s.pool.put(s.prev)
-		s.prev = nil
+	if s.err == nil {
+		s.end(io.EOF)
 	}
-	s.shutdown()
-	s.finished = true
+	s.sink.pool.put(s.prev)
+	s.prev = nil
+	for rb := range s.sink.ch {
+		s.sink.pool.put(rb)
+	}
 	return nil
 }
 
-// shutdown cancels producers, drains the batch channel so none of them
-// stays blocked, waits for them to exit, and folds their stats in. Stats
-// after an early shutdown cover only the work actually done.
-func (s *QueryStream) shutdown() {
-	if s.cancel == nil {
-		return
-	}
-	s.cancel()
-	s.cancel = nil
-	for rb := range s.ch { // coordinator closes ch once every producer exits
-		s.pool.put(rb)
-	}
-	<-s.done
-	for {
-		select {
-		case st := <-s.statsc:
-			s.stats.Add(st)
-		default:
-			return
-		}
-	}
-}
-
-// Stats reports the execution stats gathered so far; complete once Next
-// returned io.EOF or the stream was closed. Early termination (LIMIT,
-// Close) reports only the work actually done — that is the point.
+// Stats reports the execution stats of the producers that have finished:
+// complete once the scan ran out (io.EOF without a LIMIT) and after Close.
+// Early termination (LIMIT, Close) reports only the work actually done.
 func (s *QueryStream) Stats() ExecStats {
-	st := s.stats
+	s.sink.mu.Lock()
+	st := s.sink.stats
+	s.sink.mu.Unlock()
 	st.ServersContacted = s.route.ServersContacted
 	st.PartitionsPruned = s.route.PartitionsPruned
 	return st
@@ -275,205 +257,56 @@ func (s *QueryStream) Stats() ExecStats {
 // Route reports how the streamed request was routed.
 func (s *QueryStream) Route() RouteInfo { return s.route }
 
-// TrimK mirrors QueryResponse.TrimK for the fallback path (0 on the native
-// streaming path: unordered selections never trim).
-func (s *QueryStream) TrimK() int { return s.trimK }
-
-// ExecuteStream runs one typed request as a pull-based batch stream.
-// Selection queries without ORDER BY stream natively: one producer per
-// routed server (Server.StreamOn) plus one per routed consuming partition,
-// all feeding a small bounded channel the consumer pulls from — first rows
-// arrive while the slowest server is still scanning, and broker-resident
-// state stays O(batches in flight). LIMIT/OFFSET apply at the consumer,
-// which cancels the producers as soon as the budget is met. Aggregations
-// and ordered queries cannot emit row one before seeing every input row,
-// so they execute through Broker.Execute (cache, views, admission and
-// trimming included) and the stream chunks the finalized rows; the native
-// path bypasses cache, views and admission — a stream is consumed once,
-// not shared. The caller must Close the returned stream on every path.
+// ExecuteStream runs one unordered selection as a pull-based batch stream:
+// one scatter round into the batch sink — first rows arrive while the
+// slowest server is still scanning, and broker-resident state stays
+// O(batches in flight). LIMIT/OFFSET apply at the consumer, which stops the
+// producers once the budget is met. A stream is consumed once, not shared: it
+// bypasses the result cache, views and admission, and a server failing
+// mid-flight fails it (no re-route). Aggregations and ordered queries return
+// ErrNotStreamable. The caller must Close the stream on every path.
 func (b *Broker) ExecuteStream(ctx context.Context, req *QueryRequest) (*QueryStream, error) {
-	if req != nil && req.Query != nil && (len(req.Query.Aggs) > 0 || len(req.Query.OrderBy) > 0) {
-		return b.materializedStream(ctx, req)
-	}
 	ctx, cancel, q, router, err := b.prepare(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	// The stream outlives this call: its Close (or end of stream) releases
-	// both the timeout and the producers.
-	ctx, stop := context.WithCancel(ctx)
-	cancelAll := func() {
-		stop()
+	if !streamable(q) {
 		cancel()
+		return nil, ErrNotStreamable
 	}
-	sp, err := b.planScatter(ctx, req, q, router)
+	qs, err := b.openStream(ctx, req, q, router)
 	if err != nil {
-		cancelAll()
+		cancel()
 		return nil, err
 	}
-	plan, servers, consuming, execOpts := sp.plan, sp.servers, sp.consuming, sp.opts
+	// The stream outlives this call: stopping it releases the timeout too.
+	stop := qs.stop
+	qs.stop = func(err error) { stop(err); cancel() }
+	return qs, nil
+}
+
+// openStream starts one routing round into a batch sink and returns its
+// consumer side.
+func (b *Broker) openStream(ctx context.Context, req *QueryRequest, q *Query, router Router) (*QueryStream, error) {
+	sp, err := b.planScatter(ctx, req, q, router, "batch")
+	if err != nil {
+		return nil, err
+	}
 	cols := q.Select
 	if len(cols) == 0 {
-		cols = selectable(sp.snapshot.schema)
+		cols = selectable(b.d.cfg.Schema)
 	}
-
-	units := len(servers) + len(consuming)
 	qs := &QueryStream{
-		cols: append([]string(nil), cols...),
-		// A small buffer decouples producers from the consumer without
-		// re-materializing the result in channel slack.
-		ch:        make(chan *RowBatch, 2),
-		errc:      make(chan error, units),
-		statsc:    make(chan ExecStats, units),
-		done:      make(chan struct{}),
-		cancel:    cancelAll,
-		pool:      newBatchPool(),
+		cols:      append([]string(nil), cols...),
+		sink:      &batchSink{q: q, pool: &batchPool{}, ch: make(chan *record.Batch, 2)},
 		skip:      q.Offset,
 		remaining: -1,
-		route: RouteInfo{
-			Router:           router.Name(),
-			ReplicaGroup:     plan.ReplicaGroup,
-			SegmentsRouted:   plan.SegmentCount(),
-			ServersContacted: sp.contacted,
-			PartitionsPruned: plan.PartitionsPruned,
-		},
+		route:     sp.route(),
 	}
 	if q.Limit > 0 {
 		qs.remaining = q.Limit
 	}
-	send := func(rb *RowBatch) bool {
-		select {
-		case qs.ch <- rb:
-			return true
-		case <-ctx.Done():
-			qs.pool.put(rb)
-			return false
-		}
-	}
-
-	var wg sync.WaitGroup
-	for _, si := range servers {
-		wg.Add(1)
-		go func(si int, segs []string) {
-			defer wg.Done()
-			sp, sctx := obs.StartSpan(ctx, "server.stream")
-			sp.SetAttr("server", b.d.serverAt(si).Name())
-			st, err := b.d.serverAt(si).StreamOn(sctx, q, segs, execOpts, qs.pool, send)
-			if err == nil {
-				// A send aborted by ctx (timeout) is silent truncation, not
-				// success; Close/LIMIT shutdowns never read errc again.
-				err = ctx.Err()
-			}
-			if err != nil {
-				sp.SetAttr("error", err.Error())
-				qs.errc <- err
-			}
-			sp.SetRows(st.RowsScanned)
-			sp.End()
-			qs.statsc <- st
-		}(si, plan.Assignment[si])
-	}
-	for _, cs := range consuming {
-		wg.Add(1)
-		go func(cs consumingScan) {
-			defer wg.Done()
-			st, err := b.streamConsuming(ctx, cs, q, qs.pool, send)
-			if err == nil {
-				err = ctx.Err()
-			}
-			if err != nil {
-				qs.errc <- err
-			}
-			qs.statsc <- st
-		}(cs)
-	}
-	go func() {
-		wg.Wait()
-		close(qs.ch)
-		close(qs.done)
-	}()
-	return qs, nil
-}
-
-// streamConsuming streams one consuming partition's snapshotted stores
-// through the same filter and gather kernels the sealed segments stream
-// through: batches of at most BatchRows rows, decoded only for the rows
-// that matched, and a consumer that stops (LIMIT met, stream closed) stops
-// the scan at the next window.
-func (b *Broker) streamConsuming(ctx context.Context, cs consumingScan, q *Query, pool *batchPool, send func(*RowBatch) bool) (ExecStats, error) {
-	sp, sctx := obs.StartSpan(ctx, "consuming.stream")
-	defer sp.End()
-	if b.d.serverAt(cs.owner).Down() {
-		err := fmt.Errorf("%w: consuming partition %d owner %s", ErrServerDown, cs.part, b.d.serverAt(cs.owner).Name())
-		cs.annotate(sp, 0, err)
-		return ExecStats{}, err
-	}
-	var stats ExecStats
-	for _, u := range cs.units {
-		st, more, err := u.rows.streamSelect(sctx, q, u.valid, pool, send)
-		stats.Add(st)
-		if err != nil {
-			cs.annotate(sp, stats.RowsScanned, err)
-			return stats, err
-		}
-		if !more {
-			break
-		}
-	}
-	cs.annotate(sp, stats.RowsScanned, nil)
-	return stats, nil
-}
-
-// materializedStream is the fallback for query shapes that cannot stream
-// (aggregations, ORDER BY): execute fully — through the broker's cache,
-// views, admission and top-K trimming — and chunk the finalized rows. The
-// batches copy out of the response, so shared cached rows stay untouched.
-func (b *Broker) materializedStream(ctx context.Context, req *QueryRequest) (*QueryStream, error) {
-	resp, err := b.Execute(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	qs := &QueryStream{
-		cols:      resp.Columns,
-		ch:        make(chan *RowBatch, 1),
-		errc:      make(chan error, 1),
-		statsc:    make(chan ExecStats, 1),
-		done:      make(chan struct{}),
-		pool:      newBatchPool(),
-		remaining: -1, // Execute already applied ORDER BY/LIMIT/OFFSET
-		stats:     resp.Stats,
-		trimK:     resp.TrimK,
-		route:     resp.Route,
-	}
-	// Stats are already complete; keep Stats() assembly uniform.
-	qs.route.ServersContacted = resp.Stats.ServersContacted
-	qs.route.PartitionsPruned = resp.Stats.PartitionsPruned
-	ctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	qs.cancel = cancel
-	go func() {
-		defer close(qs.ch)
-		defer close(qs.done)
-		for off := 0; off < len(resp.Rows); off += BatchRows {
-			end := off + BatchRows
-			if end > len(resp.Rows) {
-				end = len(resp.Rows)
-			}
-			rb := qs.pool.get(resp.Columns)
-			for ci := range resp.Columns {
-				out := rb.Cols[ci][:0]
-				for _, row := range resp.Rows[off:end] {
-					out = append(out, row[ci])
-				}
-				rb.Cols[ci] = out
-			}
-			rb.Len = end - off
-			select {
-			case qs.ch <- rb:
-			case <-ctx.Done():
-				qs.pool.put(rb)
-				return
-			}
-		}
-	}()
+	sp.opts.Workers = 1 // a stream keeps each server's segments in routed order
+	qs.ctx, qs.stop = b.scatter(ctx, q, sp, qs.sink)
 	return qs, nil
 }

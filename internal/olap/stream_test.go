@@ -10,6 +10,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/record"
 )
 
 // drainStream pulls every batch, copying rows out (batches are recycled).
@@ -125,43 +127,25 @@ func orderRowWith(k, round int) map[string]any {
 	}
 }
 
-func TestExecuteStreamFallbackShapes(t *testing.T) {
+// TestExecuteStreamRefusesFolds: a query whose first row depends on every
+// input row has nothing to stream — ExecuteStream says so with a typed error
+// instead of materializing it behind the stream's back.
+func TestExecuteStreamRefusesFolds(t *testing.T) {
 	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
 	ingestOrders(t, d, 300, 2)
 	b := NewBroker(d)
-	// Aggregations and ORDER BY cannot stream natively; the fallback must
-	// still deliver Execute's exact rows in Execute's exact order.
-	queries := []*Query{
+	for qi, q := range []*Query{
 		{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}, {Kind: AggCount}}},
 		{Aggs: []AggSpec{{Kind: AggCount}}},
-		// order_id breaks the ties on amount: two executions merge their
-		// partials in arrival order, so an ORDER BY that is not total may cut
-		// the LIMIT at different rows each time.
 		{OrderBy: []OrderSpec{{Column: "amount", Desc: true}, {Column: "order_id"}}, Limit: 7},
-	}
-	for qi, q := range queries {
-		resp, err := b.Execute(context.Background(), &QueryRequest{Query: q})
-		if err != nil {
-			t.Fatalf("query %d execute: %v", qi, err)
-		}
+	} {
 		qs, err := b.ExecuteStream(context.Background(), &QueryRequest{Query: q})
-		if err != nil {
-			t.Fatalf("query %d stream: %v", qi, err)
+		if err == nil {
+			qs.Close()
 		}
-		got := drainStream(t, qs)
-		want := resp.Rows
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d rows vs %d", qi, len(got), len(want))
+		if !errors.Is(err, ErrNotStreamable) {
+			t.Errorf("query %d: ExecuteStream = %v, want ErrNotStreamable", qi, err)
 		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("query %d row %d: %v vs %v", qi, i, got[i], want[i])
-			}
-		}
-		if qs.TrimK() != resp.TrimK {
-			t.Errorf("query %d: TrimK = %d, want %d", qi, qs.TrimK(), resp.TrimK)
-		}
-		qs.Close()
 	}
 }
 
@@ -198,6 +182,40 @@ func TestExecuteStreamLimitOffset(t *testing.T) {
 			}
 		}
 		qs.Close()
+	}
+}
+
+// TestExecuteStreamLimitEndsOnTheSpendingBatch: the batch that spends the
+// LIMIT ends the stream — the following Next is io.EOF at once, it does not
+// wait for one more batch (one more segment scan) to arrive and be thrown
+// away. With every segment scan delayed, that wait is the delay.
+func TestExecuteStreamLimitEndsOnTheSpendingBatch(t *testing.T) {
+	d, servers := newDeployment(t, 2, 1, false, BackupP2P, nil)
+	ingestOrders(t, d, 400, 2) // several sealed segments per server
+	const delay = 300 * time.Millisecond
+	for _, s := range servers {
+		s.SetScanDelay(delay)
+		defer s.SetScanDelay(0)
+	}
+	qs, err := NewBroker(d).ExecuteStream(context.Background(), &QueryRequest{Query: &Query{Select: []string{"order_id"}, Limit: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qs.Close()
+	rb, err := qs.Next(context.Background())
+	if err != nil || rb.Len != 5 {
+		t.Fatalf("first Next = %v rows, err %v; want the 5 LIMIT rows", rb, err)
+	}
+	start := time.Now()
+	if _, err := qs.Next(context.Background()); err != io.EOF {
+		t.Fatalf("Next after the LIMIT was spent = %v, want io.EOF", err)
+	}
+	if took := time.Since(start); took > delay/3 {
+		t.Fatalf("Next after the LIMIT was spent took %v: it waited for another segment scan (delay %v)", took, delay)
+	}
+	qs.Close()
+	if st := qs.Stats(); st.RowsShipped < 5 || st.SegmentsScanned == 0 {
+		t.Errorf("stats after Close = %+v, want the work actually done", st)
 	}
 }
 
@@ -313,9 +331,9 @@ func TestStreamSelectSegmentLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := newBatchPool()
+	pool := &batchPool{}
 	var rows [][]any
-	st, more, err := seg.streamSelect(context.Background(), q, nil, pool, func(rb *RowBatch) bool {
+	st, more, err := seg.scan().streamSelect(context.Background(), q, nil, pool, func(rb *record.Batch) bool {
 		for r := 0; r < rb.Len; r++ {
 			rows = append(rows, rb.Row(r))
 		}
@@ -336,7 +354,7 @@ func TestStreamSelectSegmentLevel(t *testing.T) {
 	}
 	// Early stop: yield false after the first batch halts the scan.
 	n := 0
-	_, more, err = seg.streamSelect(context.Background(), q, nil, pool, func(rb *RowBatch) bool {
+	_, more, err = seg.scan().streamSelect(context.Background(), q, nil, pool, func(rb *record.Batch) bool {
 		n += rb.Len
 		return false
 	})

@@ -44,8 +44,8 @@ func GroupTrimK(limit, trimSize int) int {
 }
 
 // topKPlan is the execution-time shape of a bounded ORDER BY/LIMIT query,
-// derived once by planTopK and threaded from the broker through
-// Server.ExecuteOn down to segment scans. nil means exact (untrimmed)
+// derived once by planTopK and threaded from the broker through the fold
+// sink down to segment scans. nil means exact (untrimmed)
 // execution.
 type topKPlan struct {
 	// rowK bounds selection-row heaps: the best Limit+Offset rows.

@@ -226,7 +226,7 @@ func TestQueryOffsetPagination(t *testing.T) {
 	// regression for the consuming-path offset bug.
 	dc, _ := newDeployment(t, 1, 1, false, BackupP2P, nil)
 	ingestAll(t, dc, topKOrderRows(30), 1) // stays below the 50-row seal threshold
-	page, err := NewBroker(dc).Query(&Query{Select: []string{"order_id"}, Limit: 10, Offset: 5})
+	page, err := NewBroker(dc).Execute(context.Background(), &QueryRequest{Query: &Query{Select: []string{"order_id"}, Limit: 10, Offset: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,16 +323,16 @@ func TestAggNullSemantics(t *testing.T) {
 	}
 	ingestAll(t, d, scoreRows(40), 1)
 	b := NewBroker(d)
-	got, err := b.Query(&Query{GroupBy: []string{"city"}, Aggs: aggs})
+	got, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{GroupBy: []string{"city"}, Aggs: aggs}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGroups(t, got.Rows)
 
-	empty, err := b.Query(&Query{
+	empty, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{
 		Filters: []Filter{{Column: "city", Op: OpEq, Value: "nowhere"}},
 		Aggs:    aggs,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestStringAggRejected(t *testing.T) {
 	ingestOrders(t, d, 30, 2) // stays consuming (threshold 50)
 	b := NewBroker(d)
 	for _, kind := range badKinds {
-		_, err := b.Query(&Query{Aggs: []AggSpec{{Kind: kind, Column: "city"}}})
+		_, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: kind, Column: "city"}}}})
 		if err == nil || !strings.Contains(err.Error(), "string column") {
 			t.Errorf("broker %s(city): err = %v, want string-column rejection", kind, err)
 		}
@@ -387,7 +387,7 @@ func TestStringAggRejected(t *testing.T) {
 		if _, err := seg.Execute(q, nil); err != nil {
 			t.Errorf("segment count/distinctcount over strings: %v", err)
 		}
-		if _, err := b.Query(q); err != nil {
+		if _, err := b.Execute(context.Background(), &QueryRequest{Query: q}); err != nil {
 			t.Errorf("broker count/distinctcount over strings: %v", err)
 		}
 	}

@@ -18,9 +18,10 @@ import (
 // dictionary is a code interval — no value decoding at all) and on the raw
 // numeric vector where it does not, and a selection vector of surviving row
 // ids flows from the filter kernels into the aggregate/gather kernels.
-// Sealed columns that carry an inverted index or the sorted-column property
-// keep using the index path (evalFilter), folded into a base bitmap once up
-// front, so the kernels never regress the E4 index wins.
+// A filter on a sealed column that carries an inverted index or the
+// sorted-column property compiles like any other and is then resolved
+// through the index (predBitmap) into a base bitmap once up front, so the
+// kernels never regress the E4 index wins.
 //
 // The same pipeline scans sealed segments and consuming ones. The kernels
 // see a column only through a colView, which names one of three physical
@@ -70,7 +71,8 @@ type colView struct {
 	present []bool
 
 	// indexed is the sealed column when it has an inverted index or is the
-	// sorted column: its filters resolve through evalFilter, not a kernel.
+	// sorted column: its compiled filters resolve through predBitmap, not a
+	// kernel.
 	indexed *column
 }
 
@@ -231,8 +233,7 @@ type kernelFilter struct {
 
 // rangeCodeBounds resolves a range filter to the half-open dictionary code
 // interval [lo, hi) it matches, including the strict-bound adjustments for
-// OpLt/OpGt — shared by the bitmap path (codeRangeBitmap) and the kernel
-// compiler so both evaluate ranges identically.
+// OpLt/OpGt.
 func rangeCodeBounds(d *dictionary, f Filter) (int, int) {
 	var min, max any
 	switch f.Op {
@@ -260,7 +261,9 @@ func rangeCodeBounds(d *dictionary, f Filter) (int, int) {
 	return lo, hi
 }
 
-// compileCodePred compiles one filter against a sorted dictionary. The null
+// compileCodePred compiles one filter against a sorted dictionary — the one
+// place a literal meets a sealed dictionary, whether the predicate then runs
+// as a kernel or is resolved through the column's index. The null
 // code (dictionary size) can never satisfy predEq/predRange/predIn because
 // codes of real values are < size and range bounds stop at size; predNe
 // excludes it explicitly (SQL semantics: NULL matches neither = nor !=).
@@ -616,8 +619,8 @@ var identitySel = func() (s [BatchRows]int32) {
 // selStream drives one scan as a sequence of selection vectors. Indexed
 // filters (inverted / sorted columns) are folded into one base bitmap up
 // front; every other filter becomes a kernel applied per window; the upsert
-// validity bitmap masks last so the dropped count matches the bitmap path's
-// UpsertFiltered exactly.
+// validity bitmap masks last, so dropped counts exactly the rows that
+// matched the filters and were superseded.
 type selStream struct {
 	n       int
 	base    *Bitmap // nil: every row is a candidate
@@ -627,8 +630,8 @@ type selStream struct {
 
 	pos     int
 	sel     []int32
-	kept    int64 // rows surviving filters and the valid mask (= old bm.Count())
-	dropped int64 // rows the valid mask removed (= old UpsertFiltered)
+	kept    int64 // rows surviving filters and the valid mask
+	dropped int64 // rows the valid mask removed
 }
 
 // newSelStream compiles the filters against this scan set.
@@ -639,27 +642,20 @@ func (sc *scanSet) newSelStream(filters []Filter, valid *Bitmap) (*selStream, er
 		if c == nil {
 			return nil, &UnknownColumnError{Role: "filter", Column: f.Column}
 		}
-		if c.indexed != nil {
-			bm, err := c.indexed.evalFilter(sc.n, f)
-			if err != nil {
-				return nil, err
-			}
-			if ss.base == nil {
-				ss.base = bm
-			} else {
-				ss.base.And(bm)
-			}
-			continue
-		}
 		k, never, err := compileFilter(c, f)
 		if err != nil {
 			return nil, err
 		}
-		if never {
+		switch {
+		case never:
 			ss.dead = true
-			continue
+		case c.indexed == nil:
+			ss.kernels = append(ss.kernels, k)
+		case ss.base == nil:
+			ss.base = c.indexed.predBitmap(sc.n, k.code)
+		default:
+			ss.base.And(c.indexed.predBitmap(sc.n, k.code))
 		}
-		ss.kernels = append(ss.kernels, k)
 	}
 	return ss, nil
 }
@@ -715,15 +711,6 @@ func (ss *selStream) next() []int32 {
 		}
 	}
 	return nil
-}
-
-// drain consumes the rest of the stream, updating the match counters
-// without yielding rows — used by early-terminating consumers that must
-// still report the same RowsScanned/UpsertFiltered the bitmap path did
-// (which always evaluated filters over the whole segment).
-func (ss *selStream) drain() {
-	for ss.next() != nil {
-	}
 }
 
 // aggCursor pre-resolves one aggregation's column so the fold kernels touch
