@@ -6,6 +6,7 @@
 //
 //	rtbench            # run everything
 //	rtbench E3 E11     # run selected experiments
+//	rtbench trajectory # chain the paired deltas of the BENCH_pr*.json files in .
 package main
 
 import (
@@ -18,11 +19,18 @@ import (
 )
 
 func main() {
+	if len(os.Args) == 2 && os.Args[1] == "trajectory" {
+		if err := trajectory(os.Stdout, "."); err != nil {
+			fmt.Fprintln(os.Stderr, "rtbench:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	want := map[string]bool{}
 	for _, arg := range os.Args[1:] {
 		want[arg] = true
 	}
-	all := experiments.AllWithIntegration()
+	all := experiments.All()
 	ran := 0
 	for _, e := range all {
 		if len(want) > 0 && !want[e.ID] {

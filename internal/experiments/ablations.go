@@ -139,12 +139,3 @@ func AblationCheckpointInterval(events int) []Row {
 	}
 	return out
 }
-
-// Ablations returns the design-choice sweeps listed in DESIGN.md.
-func Ablations() []Experiment {
-	return []Experiment{
-		{"A1", "Ablation: star-tree MaxLeafRecords sweep", "smaller leaves trade build size for query latency", func() []Row { return AblationStarTreeLeaf(0) }},
-		{"A2", "Ablation: consumer proxy worker pool sweep", "throughput scales past the partition cap, then saturates", func() []Row { return AblationProxyWorkers(0, 0) }},
-		{"A3", "Ablation: checkpoint interval vs throughput", "aligned barriers cost a small steady-state overhead", func() []Row { return AblationCheckpointInterval(0) }},
-	}
-}

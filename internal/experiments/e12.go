@@ -110,39 +110,3 @@ func E12(messages int) []Row {
 		{"ap_replay_overlap", float64(int64(got) - unconsumed), "msgs"},
 	}
 }
-
-func init() {
-	// E12 registers lazily to keep All() in paper order with its peers.
-	allExtra = append(allExtra, Experiment{
-		ID:    "E12",
-		Title: "Multi-region failover (Figs 6-7, §6)",
-		Claim: "active-active state converges across regions; active-passive resumes from synced offsets without loss",
-		Run:   func() []Row { return E12(0) },
-	})
-}
-
-var allExtra []Experiment
-
-// AllWithIntegration returns All() plus the multi-region experiment and the
-// design-choice ablations.
-func AllWithIntegration() []Experiment {
-	out := All()
-	// Insert E12 before E13 to keep numeric order.
-	var merged []Experiment
-	for _, e := range out {
-		if e.ID == "E13" {
-			merged = append(merged, allExtra...)
-		}
-		merged = append(merged, e)
-	}
-	merged = append(merged, scatterGatherExperiments()...)
-	merged = append(merged, lifecycleExperiments()...)
-	merged = append(merged, pushdownRoutingExperiments()...)
-	merged = append(merged, topKExperiments()...)
-	merged = append(merged, cacheAdmissionExperiments()...)
-	merged = append(merged, matviewExperiments()...)
-	merged = append(merged, observabilityExperiments()...)
-	merged = append(merged, elasticityExperiments()...)
-	merged = append(merged, streamingExperiments()...)
-	return append(merged, Ablations()...)
-}

@@ -1,54 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"reflect"
 	"time"
 
-	"repro/internal/objstore"
 	"repro/internal/olap"
 	"repro/internal/olap/lifecycle"
 )
 
 // ---- E17: segment lifecycle — retention, tiering, pruning (§4.3.4, §4.4) ----
-
-// lifecycleDeployment seals rowsN rows into ~40 segments across two
-// servers — the wide-retention, many-segment table the lifecycle policies
-// act on.
-func lifecycleDeployment(rowsN, segmentRows int) *olap.Deployment {
-	if rowsN <= 0 {
-		rowsN = 40_000
-	}
-	if segmentRows <= 0 {
-		segmentRows = rowsN / 40
-	}
-	servers := []*olap.Server{olap.NewServer("s0"), olap.NewServer("s1")}
-	d, err := olap.NewDeployment(olap.DeploymentConfig{
-		Table: olap.TableConfig{
-			Name:        "orders",
-			Schema:      ordersSchema(),
-			SegmentRows: segmentRows,
-		},
-		Servers:      servers,
-		SegmentStore: objstore.NewMemStore(),
-		Backup:       olap.BackupP2P,
-	})
-	if err != nil {
-		panic(err)
-	}
-	for i, r := range orderRows(rowsN) {
-		if err := d.Ingest(i%2, r); err != nil {
-			panic(err)
-		}
-	}
-	for p := 0; p < 2; p++ {
-		if err := d.Seal(p); err != nil {
-			panic(err)
-		}
-	}
-	d.WaitUploads()
-	return d
-}
 
 // E17 measures the segment lifecycle manager against the no-lifecycle
 // baseline on the same ingest and query workload:
@@ -67,15 +27,16 @@ func E17(rowsN int) []Row {
 	}
 	const hotSet = 6
 
-	// Baseline: ingest with no lifecycle; resident memory tracks total
-	// sealed data.
-	allHot := lifecycleDeployment(rowsN, 0)
+	// The wide-retention, many-segment table the lifecycle policies act on:
+	// ~40 segments across two servers. Baseline: ingest with no lifecycle;
+	// resident memory tracks total sealed data.
+	allHot, _ := sealedOrders(rowsN, rowsN/40, 2, 2, 1)
 	baselineBytes := allHot.ResidentBytes()
 	totalSegments := len(allHot.SegmentInfos())
 
 	// Lifecycle on: the same ingest with the manager sweeping alongside
 	// (as its background loop would), hot-set bounded at hotSet segments.
-	bounded := lifecycleDeployment(rowsN, 0)
+	bounded, _ := sealedOrders(rowsN, rowsN/40, 2, 2, 1)
 	mgr := lifecycle.New(bounded, lifecycle.Config{MaxHotSegments: hotSet})
 	mgr.Sweep()
 	boundedBytes := bounded.ResidentBytes()
@@ -100,10 +61,7 @@ func E17(rowsN int) []Row {
 		var res *olap.QueryResponse
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			var err error
-			if res, err = broker.Execute(context.Background(), &olap.QueryRequest{Query: query}); err != nil {
-				panic(err)
-			}
+			res = mustExecute(broker, &olap.QueryRequest{Query: query})
 		}
 		return time.Since(start) / iters, res
 	}
@@ -112,14 +70,8 @@ func E17(rowsN int) []Row {
 
 	// Exactness over offloaded segments: the bounded deployment answers
 	// the full grouped aggregation through transparent reloads.
-	wantRes, err := broker.Execute(context.Background(), &olap.QueryRequest{Query: q})
-	if err != nil {
-		panic(err)
-	}
-	gotRes, err := olap.NewBroker(bounded).Execute(context.Background(), &olap.QueryRequest{Query: q})
-	if err != nil {
-		panic(err)
-	}
+	wantRes := mustExecute(broker, &olap.QueryRequest{Query: q})
+	gotRes := mustExecute(olap.NewBroker(bounded), &olap.QueryRequest{Query: q})
 	exact := 0.0
 	if reflect.DeepEqual(gotRes.Rows, wantRes.Rows) {
 		exact = 1.0
@@ -138,17 +90,5 @@ func E17(rowsN int) []Row {
 		{"pruning_speedup", float64(fullLat) / float64(windowLat), "x"},
 		{"offloaded_exact_match", exact, "bool"},
 		{"deepstore_reloads", float64(bounded.Reloads()), "segments"},
-	}
-}
-
-// lifecycleExperiments registers E17 for rtbench / AllWithIntegration.
-func lifecycleExperiments() []Experiment {
-	return []Experiment{
-		{
-			ID:    "E17",
-			Title: "Segment lifecycle: retention, tiering, time pruning (§4.3.4, §4.4)",
-			Claim: "servers keep only hot segments while sealed segments age to the deep store; brokers prune segments by time range before scanning",
-			Run:   func() []Row { return E17(0) },
-		},
 	}
 }

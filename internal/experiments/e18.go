@@ -151,15 +151,3 @@ func E18(rowsN int) []Row {
 		{"pull_fallbacks", float64(pullStats.PushdownFallbacks), "queries"},
 	}
 }
-
-// pushdownRoutingExperiments registers E18 for rtbench / AllWithIntegration.
-func pushdownRoutingExperiments() []Experiment {
-	return []Experiment{
-		{
-			ID:    "E18",
-			Title: "Aggregate pushdown + partition/replica-group routing (§4.3, §4.5)",
-			Claim: "aggregation pushdowns move partial-aggregate results instead of raw rows; broker routing prunes servers by partition and bounds fan-out by replica group",
-			Run:   func() []Row { return E18(0) },
-		},
-	}
-}

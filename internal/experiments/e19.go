@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"reflect"
 	"time"
 
@@ -29,7 +28,7 @@ func E19(rowsN int) []Row {
 	}
 	// 8 segments across 2 servers; order_id is unique per row, so the
 	// grouped query below has rowsN candidate groups.
-	d := ScatterGatherDeployment(rowsN, rowsN/8)
+	d, _ := sealedOrders(rowsN, rowsN/8, 2, 2, 1)
 	b := olap.NewBroker(d)
 
 	grouped := &olap.Query{
@@ -47,15 +46,10 @@ func E19(rowsN int) []Row {
 	const iters = 10
 	run := func(q *olap.Query, exact bool) (*olap.QueryResponse, time.Duration) {
 		req := &olap.QueryRequest{Query: q, TrimExact: exact}
-		resp, err := b.Execute(context.Background(), req)
-		if err != nil {
-			panic(err)
-		}
+		resp := mustExecute(b, req)
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			if resp, err = b.Execute(context.Background(), req); err != nil {
-				panic(err)
-			}
+			resp = mustExecute(b, req)
 		}
 		return resp, time.Since(start) / iters
 	}
@@ -88,17 +82,5 @@ func E19(rowsN int) []Row {
 		{"trim_group_query_us", float64(trimGLat.Microseconds()), "us"},
 		{"latency_ratio", float64(exactGLat) / float64(trimGLat), "x"},
 		{"topk_exact_match", match, "bool"},
-	}
-}
-
-// topKExperiments registers E19 for rtbench / AllWithIntegration.
-func topKExperiments() []Experiment {
-	return []Experiment{
-		{
-			ID:    "E19",
-			Title: "Bounded top-K execution: ORDER BY/LIMIT pushdown (§4.3)",
-			Claim: "server-side group trimming and per-segment row heaps ship O(K) candidates per server instead of every group/row, keeping dashboard top-N queries fast under fan-out",
-			Run:   func() []Row { return E19(0) },
-		},
 	}
 }

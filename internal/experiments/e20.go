@@ -5,10 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/olap"
 	"repro/internal/olap/qcache"
@@ -34,7 +32,7 @@ func E20(rowsN int) []Row {
 	if rowsN <= 0 {
 		rowsN = 40_000
 	}
-	d := ScatterGatherDeployment(rowsN, rowsN/8)
+	d, _ := sealedOrders(rowsN, rowsN/8, 2, 2, 1)
 	dashboard := &olap.Query{
 		Filters: []olap.Filter{{Column: "status", Op: olap.OpEq, Value: "delivered"}},
 		GroupBy: []string{"city"},
@@ -50,23 +48,10 @@ func E20(rowsN int) []Row {
 	uncached := olap.NewBroker(d)
 	cached := olap.NewBrokerWithOptions(d, olap.BrokerOptions{CacheMaxBytes: bound})
 	const iters = 60
-	p50 := func(b *olap.Broker) time.Duration {
-		samples := make([]time.Duration, iters)
-		for i := range samples {
-			start := time.Now()
-			if _, err := b.Execute(context.Background(), &olap.QueryRequest{Query: dashboard}); err != nil {
-				panic(err)
-			}
-			samples[i] = time.Since(start)
-		}
-		sort.Slice(samples, func(a, b int) bool { return samples[a] < samples[b] })
-		return samples[iters/2]
-	}
-	missP50 := p50(uncached)
-	if _, err := cached.Execute(context.Background(), &olap.QueryRequest{Query: dashboard}); err != nil {
-		panic(err) // warm the cache once; every timed iteration below hits
-	}
-	hitP50 := p50(cached)
+	dash := &olap.QueryRequest{Query: dashboard}
+	missP50 := p50(iters, nil, func() { mustExecute(uncached, dash) })
+	mustExecute(cached, dash) // warm the cache once; every timed iteration below hits
+	hitP50 := p50(iters, nil, func() { mustExecute(cached, dash) })
 	hitStats := cached.CacheStats()
 
 	// Phase 2 — in-flight deduplication: a cold query hit by many callers
@@ -84,21 +69,13 @@ func E20(rowsN int) []Row {
 		shared     atomic.Int64
 		mismatch   atomic.Int64
 	)
-	var wantRows [][]any
-	if r, err := uncached.Execute(context.Background(), &olap.QueryRequest{Query: coldQuery}); err != nil {
-		panic(err)
-	} else {
-		wantRows = r.Rows
-	}
+	wantRows := mustExecute(uncached, &olap.QueryRequest{Query: coldQuery}).Rows
 	wg.Add(concurrent)
 	for i := 0; i < concurrent; i++ {
 		go func() {
 			defer wg.Done()
 			<-gate
-			resp, err := cached.Execute(context.Background(), &olap.QueryRequest{Query: coldQuery})
-			if err != nil {
-				panic(err)
-			}
+			resp := mustExecute(cached, &olap.QueryRequest{Query: coldQuery})
 			if resp.Stats.CacheHit == 0 && resp.Stats.Coalesced == 0 {
 				executions.Add(1)
 			} else {
@@ -185,17 +162,5 @@ func E20(rowsN int) []Row {
 		{"cache_mem_bytes", float64(admitted.CacheStats().Bytes), "B"},
 		{"cache_bound_bytes", float64(bound), "B"},
 		{"mem_bounded", memOK, "bool"},
-	}
-}
-
-// cacheAdmissionExperiments registers E20 for rtbench / AllWithIntegration.
-func cacheAdmissionExperiments() []Experiment {
-	return []Experiment{
-		{
-			ID:    "E20",
-			Title: "Broker result cache + admission control (§4.3)",
-			Claim: "result caching keyed on segment versions plus per-tenant admission control let brokers survive heavy multi-tenant dashboard traffic: repeated queries collapse to cache hits, identical in-flight queries execute once, and bursts shed with typed errors instead of collapsing the broker",
-			Run:   func() []Row { return E20(0) },
-		},
 	}
 }

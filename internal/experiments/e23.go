@@ -6,48 +6,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/objstore"
 	"repro/internal/olap"
 	"repro/internal/olap/rebalance"
 )
 
 // ---- E23: online cluster elasticity (internal/olap/rebalance) ----
-
-// elasticDeployment builds an N-server replicated deployment with every
-// partition sealed, ready for membership changes.
-func elasticDeployment(rowsN, segmentRows, nServers, partitions, replicas int) *olap.Deployment {
-	servers := make([]*olap.Server, nServers)
-	for i := range servers {
-		servers[i] = olap.NewServer("s" + string(rune('0'+i)))
-	}
-	d, err := olap.NewDeployment(olap.DeploymentConfig{
-		Table: olap.TableConfig{
-			Name:        "orders",
-			Schema:      ordersSchema(),
-			SegmentRows: segmentRows,
-			Replicas:    replicas,
-		},
-		Servers:      servers,
-		SegmentStore: objstore.NewMemStore(),
-		Backup:       olap.BackupP2P,
-	})
-	if err != nil {
-		panic(err)
-	}
-	d.AttachLoaders()
-	for i, r := range orderRows(rowsN) {
-		if err := d.Ingest(i%partitions, r); err != nil {
-			panic(err)
-		}
-	}
-	for p := 0; p < partitions; p++ {
-		if err := d.Seal(p); err != nil {
-			panic(err)
-		}
-	}
-	d.WaitUploads()
-	return d
-}
 
 // E23 measures online cluster elasticity — the §4.1.4 sticky-assignment
 // claim applied to OLAP segment replicas:
@@ -69,15 +32,13 @@ func E23(rowsN int) []Row {
 		rowsN = 24_000
 	}
 	const nServers, partitions, replicas = 4, 4, 2
-	d := elasticDeployment(rowsN, rowsN/16, nServers, partitions, replicas)
+	d, _ := sealedOrders(rowsN, rowsN/16, nServers, partitions, replicas)
+	d.AttachLoaders() // offloaded segments (phase 4) reload from the deep store
 	b := olap.NewBroker(d)
 	shape := &olap.Query{GroupBy: []string{"city"}, Aggs: []olap.AggSpec{
 		{Kind: olap.AggSum, Column: "amount"}, {Kind: olap.AggCount},
 	}}
-	baseline, err := b.Execute(context.Background(), &olap.QueryRequest{Query: shape})
-	if err != nil {
-		panic(err)
-	}
+	baseline := mustExecute(b, &olap.QueryRequest{Query: shape})
 
 	// Phase 1 — plan comparison on the identical snapshot: join server N,
 	// then plan the same state both ways before executing anything.
@@ -133,7 +94,8 @@ func E23(rowsN int) []Row {
 		wg.Wait()
 	}
 	ctx := context.Background()
-	var scaleRep olap.RebalanceReport
+	var scaleRep, drainRep olap.RebalanceReport
+	var err error
 	runWorkload(func() {
 		if scaleRep, err = d.Rebalance(ctx); err != nil {
 			panic(err)
@@ -141,7 +103,6 @@ func E23(rowsN int) []Row {
 	})
 
 	// Phase 3 — decommission one original server under the same workload.
-	var drainRep olap.RebalanceReport
 	runWorkload(func() {
 		if drainRep, err = d.DecommissionServer(ctx, 0); err != nil {
 			panic(err)
@@ -164,10 +125,7 @@ func E23(rowsN int) []Row {
 	if coldRep.Applied > 0 && coldRep.BytesCopied == 0 && coldRep.MetadataMoves == coldRep.Applied {
 		zeroCopy = 1
 	}
-	after, err := b.Execute(context.Background(), &olap.QueryRequest{Query: shape})
-	if err != nil {
-		panic(err)
-	}
+	after := mustExecute(b, &olap.QueryRequest{Query: shape})
 	exact := 0.0
 	if queryErrs.Load() == 0 && wrong.Load() == 0 && reflect.DeepEqual(after.Rows, baseline.Rows) {
 		exact = 1
@@ -190,17 +148,5 @@ func E23(rowsN int) []Row {
 		{"cold_moves", float64(coldRep.Applied), "moves"},
 		{"cold_bytes_copied", float64(coldRep.BytesCopied), "B"},
 		{"offload_zero_copy", zeroCopy, "bool"},
-	}
-}
-
-// elasticityExperiments registers E23 for rtbench / AllWithIntegration.
-func elasticityExperiments() []Experiment {
-	return []Experiment{
-		{
-			ID:    "E23",
-			Title: "Online cluster elasticity: sticky segment rebalancing (internal/olap/rebalance)",
-			Claim: "joining or decommissioning a server moves ~1/N of segment replicas (naive re-hash moves most), queries stay error-free and byte-identical throughout the rebalance, and fully offloaded segments relocate with zero bytes copied",
-			Run:   func() []Row { return E23(0) },
-		},
 	}
 }

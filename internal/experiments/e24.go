@@ -35,7 +35,7 @@ func E24(rowsN int) []Row {
 	if rowsN <= 0 {
 		rowsN = 60_000
 	}
-	d := ScatterGatherDeployment(rowsN, rowsN/32)
+	d, _ := sealedOrders(rowsN, rowsN/32, 2, 2, 1)
 	pinot := fedsql.NewPinotConnector("pinot")
 	pinot.DisablePushdown = true // force scan + engine-side aggregation
 	pinot.AddTable(d)
@@ -101,17 +101,5 @@ func E24(rowsN int) []Row {
 		{"stream_rows", float64(sRes.Stats.RowsReturned), "rows"},
 		{"streaming_exact", exact, "bool"},
 		{"streaming_streamed", streamedOK, "bool"},
-	}
-}
-
-// streamingExperiments registers E24 for rtbench / AllWithIntegration.
-func streamingExperiments() []Experiment {
-	return []Experiment{
-		{
-			ID:    "E24",
-			Title: "Streaming batch-iterator execution (Connector v3, internal/fedsql)",
-			Claim: "pull-based batch streaming cuts peak engine-resident bytes ≥10x on full-table cold aggregate scans vs the materialized connector path, at no throughput cost, with byte-identical answers",
-			Run:   func() []Row { return E24(0) },
-		},
 	}
 }

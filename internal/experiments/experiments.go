@@ -1,14 +1,16 @@
 // Package experiments implements the reproduction harness for every
 // quantitative claim, table and figure in the paper's evaluation narrative
 // (see DESIGN.md's per-experiment index). Each experiment is a pure function
-// returning labeled rows; bench_test.go at the repository root wraps them as
-// Go benchmarks and cmd/rtbench prints them as paper-style tables.
+// returning labeled rows. All is the one list of them: cmd/rtbench prints it
+// as paper-style tables and TestExperimentShapes asserts every claim that is
+// exact or directional; timing ratios are reported, not gated.
 package experiments
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -87,6 +89,65 @@ func newCluster(name string, nodes, partitions int, topics ...string) *stream.Cl
 		}
 	}
 	return c
+}
+
+// sealedOrders builds the fixture the OLAP experiments from E16 on share: an
+// orders table on nServers servers fed rowsN orderRows round-robin over
+// `partitions` input partitions, every partition sealed (about
+// rowsN/segmentRows segments) and the deep-store uploads settled. The server
+// handles come back for experiments that inject faults into one of them.
+func sealedOrders(rowsN, segmentRows, nServers, partitions, replicas int) (*olap.Deployment, []*olap.Server) {
+	servers := make([]*olap.Server, nServers)
+	for i := range servers {
+		servers[i] = olap.NewServer(fmt.Sprintf("s%d", i))
+	}
+	d, err := olap.NewDeployment(olap.DeploymentConfig{
+		Table:        olap.TableConfig{Name: "orders", Schema: ordersSchema(), SegmentRows: segmentRows, Replicas: replicas},
+		Servers:      servers,
+		SegmentStore: objstore.NewMemStore(),
+		Backup:       olap.BackupP2P,
+	})
+	if err != nil {
+		panic(err)
+	}
+	for i, r := range orderRows(rowsN) {
+		if err := d.Ingest(i%partitions, r); err != nil {
+			panic(err)
+		}
+	}
+	for p := 0; p < partitions; p++ {
+		if err := d.Seal(p); err != nil {
+			panic(err)
+		}
+	}
+	d.WaitUploads()
+	return d, servers
+}
+
+// mustExecute runs one query through the broker; experiments panic on
+// internal errors.
+func mustExecute(b *olap.Broker, req *olap.QueryRequest) *olap.QueryResponse {
+	resp, err := b.Execute(context.Background(), req)
+	if err != nil {
+		panic(err)
+	}
+	return resp
+}
+
+// p50 times op iters times and returns the median. prep, when non-nil, runs
+// untimed before each op.
+func p50(iters int, prep, op func()) time.Duration {
+	samples := make([]time.Duration, iters)
+	for i := range samples {
+		if prep != nil {
+			prep()
+		}
+		start := time.Now()
+		op()
+		samples[i] = time.Since(start)
+	}
+	slices.Sort(samples)
+	return samples[iters/2]
 }
 
 // ---- E1: backpressure backlog recovery (Storm vs Flink, §4.2) ----
@@ -811,7 +872,8 @@ func E15(rowsN int) []Row {
 	}
 }
 
-// All returns every experiment at its default scale, in paper order.
+// All returns every experiment at its default scale, in numeric order, the
+// design-choice ablations last. It is the only list of them in the program.
 func All() []Experiment {
 	return []Experiment{
 		{"E1", "Backlog recovery: Storm vs Flink (§4.2)", "Storm takes hours to drain millions of backlogged messages; Flink ~20 min", func() []Row { return E1(0) }},
@@ -825,7 +887,20 @@ func All() []Experiment {
 		{"E9", "Peer-to-peer segment recovery (§4.3.4)", "replaced a centralized segment store with a peer-to-peer scheme... improved data freshness", func() []Row { return E9(0) }},
 		{"E10", "Shared-nothing upsert (§4.3.1)", "records can be updated during real-time ingestion", func() []Row { return E10(0, 0, 0) }},
 		{"E11", "Presto-Pinot operator pushdown (§4.3.2)", "pushdowns enable sub-second query latencies", func() []Row { return E11(0) }},
+		{"E12", "Multi-region failover (Figs 6-7, §6)", "active-active state converges across regions; active-passive resumes from synced offsets without loss", func() []Row { return E12(0) }},
 		{"E13", "Kappa+ backfill (§7)", "same code on streaming or batch sources, with throttling", func() []Row { return E13(0) }},
 		{"E15", "Pre-aggregation tradeoff (§5.2)", "preprocessing reduces serving data and latency at the cost of flexibility", func() []Row { return E15(0) }},
+		{"E16", "Parallel scatter-gather query execution (§4.3)", "scatter-gather across segment servers serves sub-second aggregations; partial aggregates merge exactly at the broker", func() []Row { return E16(0) }},
+		{"E17", "Segment lifecycle: retention, tiering, time pruning (§4.3.4, §4.4)", "servers keep only hot segments while sealed segments age to the deep store; brokers prune segments by time range before scanning", func() []Row { return E17(0) }},
+		{"E18", "Aggregate pushdown + partition/replica-group routing (§4.3, §4.5)", "aggregation pushdowns move partial-aggregate results instead of raw rows; broker routing prunes servers by partition and bounds fan-out by replica group", func() []Row { return E18(0) }},
+		{"E19", "Bounded top-K execution: ORDER BY/LIMIT pushdown (§4.3)", "server-side group trimming and per-segment row heaps ship O(K) candidates per server instead of every group/row, keeping dashboard top-N queries fast under fan-out", func() []Row { return E19(0) }},
+		{"E20", "Broker result cache + admission control (§4.3)", "result caching keyed on segment versions plus per-tenant admission control let brokers survive heavy multi-tenant dashboard traffic: repeated queries collapse to cache hits, identical in-flight queries execute once, and bursts shed with typed errors instead of collapsing the broker", func() []Row { return E20(0) }},
+		{"E21", "Incrementally-maintained materialized views (§4.3)", "standing dashboard aggregates maintained incrementally from the ingest mutation feed keep serving at near-cache-hit latency under continuous writes — exactly where the generation-keyed result cache degrades to a ~0% hit rate — while staying byte-identical to cold re-execution", func() []Row { return E21(0) }},
+		{"E22", "End-to-end query tracing and slow-query capture (internal/obs)", "per-query span trees isolate an induced slow segment scan to the responsible server via the slow-query log, with zero false positives on the mixed workload and a small hit-path tracing overhead (trace_overhead_x)", func() []Row { return E22(0) }},
+		{"E23", "Online cluster elasticity: sticky segment rebalancing (internal/olap/rebalance)", "joining or decommissioning a server moves ~1/N of segment replicas (naive re-hash moves most), queries stay error-free and byte-identical throughout the rebalance, and fully offloaded segments relocate with zero bytes copied", func() []Row { return E23(0) }},
+		{"E24", "Streaming batch-iterator execution (Connector v3, internal/fedsql)", "pull-based batch streaming cuts peak engine-resident bytes ≥10x on full-table cold aggregate scans vs the materialized connector path, at no throughput cost, with byte-identical answers", func() []Row { return E24(0) }},
+		{"A1", "Ablation: star-tree MaxLeafRecords sweep", "smaller leaves trade build size for query latency", func() []Row { return AblationStarTreeLeaf(0) }},
+		{"A2", "Ablation: consumer proxy worker pool sweep", "throughput scales past the partition cap, then saturates", func() []Row { return AblationProxyWorkers(0, 0) }},
+		{"A3", "Ablation: checkpoint interval vs throughput", "aligned barriers cost a small steady-state overhead", func() []Row { return AblationCheckpointInterval(0) }},
 	}
 }

@@ -29,8 +29,8 @@
 //     allocation), and keeps attributes in a fixed inline array;
 //   - on a broker cache hit the trace records the decision as a root-span
 //     attribute instead of a child span, keeping the instrumented hit path
-//     within a few percent of the uninstrumented one (benchjson gates the
-//     ratio as obs_overhead).
+//     within a few percent of the uninstrumented one (E22 reports the
+//     ratio as trace_overhead_x).
 //
 // Span handles carry a generation stamp checked under the trace lock, so a
 // scatter goroutine that outlives its query (early termination) can touch

@@ -122,7 +122,7 @@ func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query,
 	if cacheable {
 		if v, ok := b.cache.Get(key, gen); ok {
 			// A root attribute, not a child span: the hit path is the
-			// obs_overhead budget (instrumented p50 within 5% of plain).
+			// tracing-overhead budget (E22 trace_overhead_x, DESIGN.md).
 			obs.SpanFromContext(ctx).SetAttr("cache", "hit")
 			return b.respond(v.(*QueryResponse), true, false, false), nil
 		}

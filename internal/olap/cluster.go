@@ -424,8 +424,8 @@ func (s *Server) snapshotSegments(ctx context.Context, q *Query, segmentNames []
 // transparently reloaded through the attached loader and installed back as
 // resident (or skipped under opts.HotOnly). The survivors scan into out, up
 // to opts.Workers at once (0 means GOMAXPROCS; 1 is serial, in routed order,
-// with no goroutine overhead — a stream's order, and the baseline
-// BenchmarkParallelScatterGather compares against), until out has had enough,
+// with no goroutine overhead — a stream's order, and the baseline E16
+// compares against), until out has had enough,
 // a scan fails or ctx ends (checked between segment scans). Each scan is a
 // sample in the server's scan histogram and a segment.scan span; the
 // fault-injection delay sleeps inside the timed window so slow-query capture

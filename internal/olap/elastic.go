@@ -371,7 +371,7 @@ func (d *Deployment) applyMove(ctx context.Context, m rebalance.Move) (rebalance
 	// Clone the bitmap here, not in phase 2: invalidations run under d.mu,
 	// so everything up to this instant is in the clone and everything after
 	// lands on the target via the swapped placement below.
-	valid := cloneValid(src.valid[m.Segment])
+	valid := src.validSnapshot(m.Segment)
 	if metadataOnly {
 		dst.AddOffloaded(m.Segment, meta.numRows, meta.minTime, meta.maxTime, d.cfg.Schema.TimeField != "", valid)
 	} else {

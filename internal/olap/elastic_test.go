@@ -402,3 +402,45 @@ func TestAddServerGetsLoaderWhenAttached(t *testing.T) {
 		t.Fatalf("count via late-joined loader = %d, want 100", got)
 	}
 }
+
+// TestApplyMoveConcurrentWithPurgeRetired: a move copies the source's
+// validity bitmap while the grace-window sweeper deletes retired entries from
+// the same map. applyMove holds d.mu, PurgeRetired holds s.mu, so the copy
+// must go through Server.validSnapshot. Meaningful under -race; CI runs it
+// -count=400 (the unsynchronized read was caught about once in 400 runs).
+func TestApplyMoveConcurrentWithPurgeRetired(t *testing.T) {
+	d, _ := newDeployment(t, 4, 2, false, BackupP2P, nil)
+	ingestOrders(t, d, 2000, 4)
+	for p := 0; p < 4; p++ {
+		if err := d.Seal(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.AddServer(NewServer("server-4"))
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				d.PurgeRetired(0)
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if _, err := d.Rebalance(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		ingestOrders(t, d, 200, 4)
+		for p := 0; p < 4; p++ {
+			_ = d.Seal(p)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

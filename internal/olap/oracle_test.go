@@ -402,6 +402,18 @@ func (g *diffGen) queryable() []metadata.Field {
 	return fs
 }
 
+// sortable draws a column IndexConfig.checkSorted accepts as the sorted
+// column: not nullable, not bool ("id" always qualifies).
+func (g *diffGen) sortable() string {
+	var names []string
+	for _, f := range g.queryable() {
+		if (IndexConfig{SortedColumn: f.Name}).checkSorted(g.schema) == nil {
+			names = append(names, f.Name)
+		}
+	}
+	return names[g.rng.Intn(len(names))]
+}
+
 func (g *diffGen) query() *Query {
 	fields := g.queryable()
 	pick := func() metadata.Field { return fields[g.rng.Intn(len(fields))] }
@@ -504,15 +516,7 @@ func TestScanDifferential(t *testing.T) {
 			cfg.InvertedColumns = append(cfg.InvertedColumns, fields[g.rng.Intn(len(fields))].Name)
 		}
 		if shape == 3 {
-			// seal orders NULL as ""/0 and leaves bools alone: only a column
-			// with neither is sorted in the run-bounds sense.
-			var sortable []string
-			for _, f := range fields {
-				if !f.Nullable && f.Type != metadata.TypeBool {
-					sortable = append(sortable, f.Name)
-				}
-			}
-			cfg.SortedColumn = sortable[g.rng.Intn(len(sortable))]
+			cfg.SortedColumn = g.sortable()
 		}
 		permuted := cfg.SortedColumn != ""
 		var valid *Bitmap
@@ -802,7 +806,7 @@ func TestSealMatchesRowBuilder(t *testing.T) {
 		cfgs := []IndexConfig{
 			{},
 			{InvertedColumns: []string{fields[g.rng.Intn(len(fields))].Name, "id"}},
-			{SortedColumn: fields[g.rng.Intn(len(fields))].Name},
+			{SortedColumn: g.sortable()},
 		}
 		for _, cfg := range cfgs {
 			want, err := refBuildSegment("s", g.schema, g.rows, cfg, 3)

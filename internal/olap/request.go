@@ -129,8 +129,8 @@ func (b *Broker) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse
 	defer cancel()
 	// Trace wiring: nest under a caller-provided span (the fedsql case), or
 	// own a fresh trace when the broker has a tracer. The cache-hit fast
-	// path then costs one pooled trace and its summary — benchjson gates
-	// the ratio as obs_overhead.
+	// path then costs one pooled trace and its summary — E22 reports the
+	// ratio as trace_overhead_x.
 	span := obs.SpanFromContext(ctx)
 	var ownedRoot obs.Span
 	switch {

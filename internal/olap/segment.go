@@ -193,6 +193,27 @@ type IndexConfig struct {
 	NoDictionary bool
 }
 
+// checkSorted rejects a sorted column whose rows cannot be laid out in code
+// order. column.Sorted promises non-decreasing dictionary codes and
+// predBitmap binary-searches on that promise; a NULL row has no code and
+// bool columns are not ordered at seal, so either would answer range and
+// equality filters wrongly.
+func (ic IndexConfig) checkSorted(schema *metadata.Schema) error {
+	if ic.SortedColumn == "" {
+		return nil
+	}
+	f, ok := schema.Field(ic.SortedColumn)
+	switch {
+	case !ok:
+		return fmt.Errorf("olap: sorted column %q not in schema", ic.SortedColumn)
+	case f.Nullable:
+		return fmt.Errorf("olap: sorted column %q is nullable: NULL rows have no position in code order", ic.SortedColumn)
+	case f.Type == metadata.TypeBool:
+		return fmt.Errorf("olap: sorted column %q is a bool: bool columns are not ordered at seal", ic.SortedColumn)
+	}
+	return nil
+}
+
 func (ic IndexConfig) inverted(col string) bool {
 	for _, c := range ic.InvertedColumns {
 		if c == col {
@@ -242,11 +263,11 @@ func (m *mutableSegment) seal(cfg IndexConfig, partition int) (*Segment, error) 
 	if m.n == 0 {
 		return nil, fmt.Errorf("olap: segment %q has no rows", m.name)
 	}
+	if err := cfg.checkSorted(m.schema); err != nil {
+		return nil, err
+	}
 	var perm []int32 // perm[doc] = store row; nil is the identity
 	if cfg.SortedColumn != "" {
-		if _, ok := m.schema.Field(cfg.SortedColumn); !ok {
-			return nil, fmt.Errorf("olap: sorted column %q not in schema", cfg.SortedColumn)
-		}
 		for ci := range m.cols {
 			if m.cols[ci].field.Name == cfg.SortedColumn {
 				perm = m.cols[ci].sortedOrder(m.n)
@@ -279,7 +300,8 @@ func (m *mutableSegment) seal(cfg IndexConfig, partition int) (*Segment, error) 
 }
 
 // sortedOrder returns the store rows in the column's value order, ties in
-// row order (segment-local clustering). NULL sorts as "" or 0.
+// row order (segment-local clustering). checkSorted has ruled out NULLs and
+// bools.
 func (c *mutableColumn) sortedOrder(n int) []int32 {
 	perm := make([]int32, n)
 	for i := range perm {
@@ -290,7 +312,7 @@ func (c *mutableColumn) sortedOrder(n int) []int32 {
 		sort.SliceStable(perm, func(a, b int) bool {
 			return c.strs[c.codes[perm[a]]] < c.strs[c.codes[perm[b]]]
 		})
-	case c.field.Type != metadata.TypeBool: // bools do not order rows
+	default:
 		sort.SliceStable(perm, func(a, b int) bool { return c.num(int(perm[a])) < c.num(int(perm[b])) })
 	}
 	return perm

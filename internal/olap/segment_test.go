@@ -3,6 +3,7 @@ package olap
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -487,6 +488,37 @@ func TestSortedColumnBinarySearchMatchesScan(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1.Rows, r2.Rows) {
 		t.Errorf("sorted path disagrees: %v vs %v", r1.Rows, r2.Rows)
+	}
+}
+
+// TestSortedColumnRejectsUnorderableFields: a nullable or bool sorted column
+// cannot keep column.Sorted's non-decreasing-codes promise, so both places a
+// sorted column is configured — the table and the seal — refuse it by name.
+func TestSortedColumnRejectsUnorderableFields(t *testing.T) {
+	schema := &metadata.Schema{Name: "t", Version: 1, Fields: []metadata.Field{
+		{Name: "id", Type: metadata.TypeString},
+		{Name: "note", Type: metadata.TypeString, Nullable: true},
+		{Name: "qty", Type: metadata.TypeLong, Nullable: true},
+		{Name: "rush", Type: metadata.TypeBool},
+	}}
+	rows := []record.Record{{"id": "a", "note": "x", "qty": int64(1), "rush": true}, {"id": "b", "rush": false}}
+	for _, tc := range []struct{ column, reason string }{
+		{"note", "nullable"},
+		{"qty", "nullable"},
+		{"rush", "bool"},
+		{"gone", "not in schema"},
+	} {
+		cfg := IndexConfig{SortedColumn: tc.column}
+		_, tableErr := TableConfig{Name: "t", Schema: schema, Indexes: cfg}.withDefaults()
+		_, sealErr := BuildSegment("s", schema, rows, cfg, -1)
+		for _, err := range []error{tableErr, sealErr} {
+			if err == nil || !strings.Contains(err.Error(), `"`+tc.column+`"`) || !strings.Contains(err.Error(), tc.reason) {
+				t.Errorf("sorted column %s: err = %v, want one naming the column and %q", tc.column, err, tc.reason)
+			}
+		}
+	}
+	if _, err := BuildSegment("s", schema, rows, IndexConfig{SortedColumn: "id"}, -1); err != nil {
+		t.Errorf("non-nullable string sorted column rejected: %v", err)
 	}
 }
 

@@ -55,6 +55,9 @@ func (c TableConfig) withDefaults() (TableConfig, error) {
 		// break the upsert location map (same restriction as Pinot).
 		return c, fmt.Errorf("olap: upsert table %q cannot use a sorted column", c.Name)
 	}
+	if err := c.Indexes.checkSorted(c.Schema); err != nil {
+		return c, err
+	}
 	if c.PartitionColumn != "" {
 		if _, ok := c.Schema.Field(c.PartitionColumn); !ok {
 			return c, fmt.Errorf("olap: table %q partition column %q is not a schema field", c.Name, c.PartitionColumn)
