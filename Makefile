@@ -29,6 +29,7 @@ lint: repolint
 fuzz-smoke:
 	go test ./internal/olap -run='^$$' -fuzz=FuzzMergePartials -fuzztime=30s
 	go test ./internal/objstore -run='^$$' -fuzz=FuzzDecodeColumnar -fuzztime=30s
+	go test ./internal/record -run='^$$' -fuzz=FuzzCodecDecode -fuzztime=30s
 
 fmt:
 	gofmt -w .

@@ -120,7 +120,7 @@ func main() {
 	}
 	dca, phx := mkRegion("dca"), mkRegion("phx")
 	mesh, err := regions.NewMultiRegion([]*regions.Region{dca, phx}, []string{"trip_events"},
-		replicator.Config{Workers: 2, Interval: time.Millisecond, CheckpointEvery: 32})
+		replicator.Config{Workers: 2, CheckpointEvery: 32})
 	if err != nil {
 		log.Fatal(err)
 	}

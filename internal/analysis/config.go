@@ -138,6 +138,15 @@ func DefaultConfig() *Config {
 				Methods: []string{"scanUnits"}},
 			{Pkg: "repro/internal/olap", Type: "mutableSegment",
 				Methods: []string{"seal"}},
+			// PR 22: the stream layer's parks. A reader waits for a produce
+			// for as long as its bound allows; d.mu or s.mu held across one
+			// stalls every ingest and every query's routeView that long.
+			{Pkg: "repro/internal/stream", Type: "Cluster",
+				Methods: []string{"Wait"}},
+			{Pkg: "repro/internal/stream", Type: "Reader",
+				Methods: []string{"Wait"}},
+			{Pkg: "repro/internal/stream", Type: "Consumer",
+				Methods: []string{"Poll"}},
 			{Pkg: "time", Methods: []string{"Sleep"}},
 			{Pkg: "sync", Type: "WaitGroup", Methods: []string{"Wait"}},
 		},

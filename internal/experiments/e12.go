@@ -33,7 +33,7 @@ func E12(messages int) []Row {
 	}
 	r0, r1 := mkRegion("dca"), mkRegion("phx")
 	mr, err := regions.NewMultiRegion([]*regions.Region{r0, r1}, []string{"trips"}, replicator.Config{
-		Workers: 1, Interval: time.Millisecond, CheckpointEvery: 8, BatchSize: 16,
+		Workers: 1, CheckpointEvery: 8, BatchSize: 16,
 	})
 	if err != nil {
 		panic(err)

@@ -332,7 +332,7 @@ func bindPredicates(preds []sqlparse.Predicate, cols []string) []boundPredicate 
 // column satisfies none.
 func satisfies(b *Batch, r int, filter []boundPredicate) bool {
 	for _, p := range filter {
-		if v := cell(b, p.col, r); v == nil || !literalCompare(v, p.Predicate) {
+		if !p.Matches(cell(b, p.col, r)) {
 			return false
 		}
 	}
@@ -887,36 +887,6 @@ func sideColumns(refs []colRef, key, side string, schema *metadata.Schema, other
 		}
 	}
 	return cols
-}
-
-// literalCompare evaluates one predicate against a row value using the
-// shared record.Compare ordering (numeric coercion included), so engine-side
-// residual filtering agrees exactly with pushed-down filtering.
-func literalCompare(v any, p sqlparse.Predicate) bool {
-	cmp := record.Compare(v, p.Value)
-	switch p.Op {
-	case sqlparse.CmpEq:
-		return cmp == 0
-	case sqlparse.CmpNe:
-		return cmp != 0
-	case sqlparse.CmpLt:
-		return cmp < 0
-	case sqlparse.CmpLe:
-		return cmp <= 0
-	case sqlparse.CmpGt:
-		return cmp > 0
-	case sqlparse.CmpGe:
-		return cmp >= 0
-	case sqlparse.CmpBetween:
-		return cmp >= 0 && record.Compare(v, p.Value2) <= 0
-	case sqlparse.CmpIn:
-		for _, want := range p.Values {
-			if record.Compare(v, want) == 0 {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // appendHashKey appends v's lookup-key encoding: a tag, then a number's

@@ -65,7 +65,7 @@ func Compile(stmt *sqlparse.SelectStmt, parallelism int) (*Plan, error) {
 			New: func() flow.Operator {
 				return &flow.FilterOp{Pred: func(e flow.Event) bool {
 					for _, p := range preds {
-						if !evalPredicate(e.Data, p) {
+						if !p.Matches(e.Data[p.Column]) {
 							return false
 						}
 					}
@@ -220,86 +220,6 @@ func toFlowAgg(f sqlparse.FuncKind) flow.AggKind {
 		return flow.AggAvg
 	default:
 		return flow.AggCount
-	}
-}
-
-// evalPredicate evaluates one WHERE conjunct against a record.
-func evalPredicate(r record.Record, p sqlparse.Predicate) bool {
-	v, ok := r[p.Column]
-	if !ok || v == nil {
-		return false
-	}
-	cmp := compareAny(v, p.Value)
-	switch p.Op {
-	case sqlparse.CmpEq:
-		return cmp == 0
-	case sqlparse.CmpNe:
-		return cmp != 0
-	case sqlparse.CmpLt:
-		return cmp < 0
-	case sqlparse.CmpLe:
-		return cmp <= 0
-	case sqlparse.CmpGt:
-		return cmp > 0
-	case sqlparse.CmpGe:
-		return cmp >= 0
-	case sqlparse.CmpBetween:
-		return compareAny(v, p.Value) >= 0 && compareAny(v, p.Value2) <= 0
-	case sqlparse.CmpIn:
-		for _, want := range p.Values {
-			if compareAny(v, want) == 0 {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
-	}
-}
-
-// compareAny orders a record value against a SQL literal (numbers compare
-// numerically, everything else as strings).
-func compareAny(v, lit any) int {
-	switch lv := lit.(type) {
-	case float64:
-		var f float64
-		switch x := v.(type) {
-		case float64:
-			f = x
-		case int64:
-			f = float64(x)
-		case int:
-			f = float64(x)
-		case bool:
-			if x {
-				f = 1
-			}
-		default:
-			return strings.Compare(fmt.Sprintf("%v", v), fmt.Sprintf("%v", lit))
-		}
-		switch {
-		case f < lv:
-			return -1
-		case f > lv:
-			return 1
-		default:
-			return 0
-		}
-	case bool:
-		bv, ok := v.(bool)
-		if !ok {
-			return 1
-		}
-		switch {
-		case bv == lv:
-			return 0
-		case !bv:
-			return -1
-		default:
-			return 1
-		}
-	default:
-		return strings.Compare(fmt.Sprintf("%v", v), fmt.Sprintf("%v", lit))
 	}
 }
 

@@ -1,10 +1,13 @@
 package flinksql
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/fedsql"
 	"repro/internal/flow"
 	"repro/internal/flow/backfill"
 	"repro/internal/metadata"
@@ -227,25 +230,102 @@ func TestBackfillBoundary(t *testing.T) {
 	}
 }
 
+// TestEvalPredicate: one predicate, one verdict, whichever engine filters.
+// Every WHERE clause runs over the same rows as a Compile'd filter stage
+// and as fedsql's residual filter (the archive connector pushes nothing
+// down) and must keep the rows the table names — which is
+// sqlparse.Predicate.Matches, the evaluator both call.
 func TestEvalPredicate(t *testing.T) {
-	r := record.Record{"s": "abc", "n": int64(5), "f": 2.5, "b": true}
-	cases := []struct {
-		pred sqlparse.Predicate
-		want bool
-	}{
-		{sqlparse.Predicate{Column: "s", Op: sqlparse.CmpEq, Value: "abc"}, true},
-		{sqlparse.Predicate{Column: "s", Op: sqlparse.CmpNe, Value: "abc"}, false},
-		{sqlparse.Predicate{Column: "n", Op: sqlparse.CmpGt, Value: 4.0}, true},
-		{sqlparse.Predicate{Column: "n", Op: sqlparse.CmpLe, Value: 4.0}, false},
-		{sqlparse.Predicate{Column: "f", Op: sqlparse.CmpBetween, Value: 2.0, Value2: 3.0}, true},
-		{sqlparse.Predicate{Column: "f", Op: sqlparse.CmpIn, Values: []any{2.5, 9.0}}, true},
-		{sqlparse.Predicate{Column: "f", Op: sqlparse.CmpIn, Values: []any{9.0}}, false},
-		{sqlparse.Predicate{Column: "b", Op: sqlparse.CmpEq, Value: true}, true},
-		{sqlparse.Predicate{Column: "missing", Op: sqlparse.CmpEq, Value: 1.0}, false},
+	schema := &metadata.Schema{
+		Name:    "vals",
+		Version: 1,
+		Fields: []metadata.Field{
+			{Name: "id", Type: metadata.TypeLong},
+			{Name: "n", Type: metadata.TypeLong},
+			{Name: "f", Type: metadata.TypeDouble},
+			{Name: "s", Type: metadata.TypeString},
+			{Name: "b", Type: metadata.TypeBool},
+			{Name: "o", Type: metadata.TypeString, Nullable: true},
+		},
 	}
-	for i, tc := range cases {
-		if got := evalPredicate(r, tc.pred); got != tc.want {
-			t.Errorf("case %d: evalPredicate = %v, want %v", i, got, tc.want)
+	rows := []record.Record{
+		{"id": int64(0), "n": int64(0), "f": 0.5, "s": "abc", "b": false, "o": "x"},
+		{"id": int64(1), "n": int64(1), "f": 2.5, "s": "b", "b": true},
+		{"id": int64(2), "n": int64(5), "f": 3.0, "s": "5", "b": true, "o": "y"},
+		{"id": int64(3), "n": int64(-7), "f": 9.0, "s": "", "b": false},
+	}
+	cases := []struct {
+		where string
+		want  []int64
+	}{
+		{"s = 'abc'", []int64{0}},
+		{"s != 'abc'", []int64{1, 2, 3}},
+		{"s < 'b'", []int64{0, 2, 3}},
+		{"n > 4", []int64{2}},
+		{"n <= 0.5", []int64{0, 3}},
+		{"n = 5", []int64{2}},
+		{"n = '5'", []int64{2}},
+		{"s = 5", []int64{2}},
+		{"n = TRUE", []int64{1}}, // a bool literal is 1 or 0 against a number
+		{"n != FALSE", []int64{1, 2, 3}},
+		{"b = TRUE", []int64{1, 2}},
+		{"b = 1", []int64{1, 2}},
+		{"b < TRUE", []int64{0, 3}},
+		{"f BETWEEN 2 AND 3", []int64{1, 2}},
+		{"n BETWEEN -7 AND 0", []int64{0, 3}},
+		{"f IN (2.5, 9)", []int64{1, 3}},
+		{"n IN (9)", nil},
+		{"o = 'x'", []int64{0}},
+		{"o != 'x'", []int64{2}}, // NULL satisfies nothing, != included
+		{"o IN ('x', 'y')", []int64{0, 2}},
+		{"n >= 0 AND o != 'y'", []int64{0}},
+	}
+
+	store := objstore.NewMemStore()
+	codec, err := record.NewCodec(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := objstore.NewRawLogWriter(store, "vals", codec).Append(rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := objstore.NewCompactor(store, "vals", codec).Compact(); err != nil {
+		t.Fatal(err)
+	}
+	hive := fedsql.NewArchiveConnector("hive", store)
+	hive.AddTable("vals", schema)
+	engine := fedsql.NewEngine()
+	engine.Register(hive)
+
+	for _, tc := range cases {
+		stmt, err := sqlparse.Parse("SELECT id FROM vals WHERE " + tc.where)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.where, err)
+		}
+		plan, err := Compile(stmt, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.where, err)
+		}
+		filter := plan.Stages[0].New()
+		var streamed []int64
+		for _, r := range rows {
+			if err := filter.ProcessElement(flow.Event{Data: r}, func(e flow.Event) {
+				streamed = append(streamed, e.Data.Long("id"))
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := engine.QueryCtx(context.Background(), "SELECT id FROM hive.vals WHERE "+tc.where)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.where, err)
+		}
+		var queried []int64
+		for _, row := range res.Rows {
+			queried = append(queried, row[0].(int64))
+		}
+		slices.Sort(queried)
+		if !slices.Equal(streamed, tc.want) || !slices.Equal(queried, tc.want) {
+			t.Errorf("WHERE %s: flinksql keeps %v, fedsql keeps %v, want %v", tc.where, streamed, queried, tc.want)
 		}
 	}
 }

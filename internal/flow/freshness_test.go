@@ -251,3 +251,63 @@ func TestStreamSourceNextBlocksUntilDataOrBound(t *testing.T) {
 		}
 	}
 }
+
+// A leader failure cuts an AckLeader log behind the source and producers
+// carry on from the cut, reusing offsets the source has passed: it must go
+// back to the cut (stream.Reader's rule) and yield every new event.
+func TestStreamSourceRereadsAfterLeaderFailureCutsTheLog(t *testing.T) {
+	cluster, err := stream.NewCluster(stream.ClusterConfig{Name: "c", Nodes: 3, ReplicationInterval: time.Hour}) // pump never fires
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if err := cluster.CreateTopic("trips", stream.TopicConfig{Partitions: 1, ReplicationFactor: 2, Acks: stream.AckLeader}); err != nil {
+		t.Fatal(err)
+	}
+	codec, err := record.NewCodec(tripsSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewStreamSource(cluster, "trips", codec, StreamSourceConfig{TimeField: "ts", Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := stream.NewProducer(cluster, "svc", "", nil)
+	// produceAndRead appends rows from..to-1 and reads the source dry,
+	// returning the v of every event it yields.
+	produceAndRead := func(from, to int) []float64 {
+		t.Helper()
+		for i := from; i < to; i++ {
+			payload, _ := codec.Encode(record.Record{"city": "sf", "v": float64(i), "ts": base + int64(i)})
+			if err := p.Produce("trips", nil, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []float64
+		for {
+			events, _, err := src.Next(0)
+			if err != nil {
+				t.Fatalf("Next after rows %d..%d: %v", from, to, err)
+			}
+			if len(events) == 0 {
+				return got
+			}
+			for _, e := range events {
+				got = append(got, e.Data.Double("v"))
+			}
+		}
+	}
+	if got := produceAndRead(0, 20); len(got) != 20 {
+		t.Fatalf("read %d events, want 20", len(got))
+	}
+	if err := cluster.FailNode(cluster.PartitionStats()[0]["leader"].(int)); err != nil {
+		t.Fatal(err)
+	}
+	got := produceAndRead(20, 50)
+	if len(got) != 30 || got[0] != 20 || got[29] != 49 {
+		t.Fatalf("after the cut the source yielded %d events %v, want rows 20..49", len(got), got)
+	}
+	if lag := src.Lag(); lag != 0 {
+		t.Errorf("lag = %d after reading to the end", lag)
+	}
+}

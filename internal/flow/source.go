@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/record"
@@ -32,30 +33,24 @@ type LagReporter interface {
 	Lag() int64
 }
 
-// StreamSource reads a topic from a broker cluster, managing its own
-// per-partition offsets so checkpoints capture the exact read position
-// (Flink's Kafka source contract). Event time comes from the schema's
-// configured time field. When it has caught up, Next parks in the cluster's
-// Wait on all of its partitions at once and an append to any of them wakes
-// it.
+// StreamSource reads a topic from a broker cluster through a stream.Reader
+// over all of its partitions, so checkpoints capture the exact read
+// position (Flink's Kafka source contract); what it adds is decoding, event
+// time — from the schema's configured time field — and the merge of its
+// partitions by it. When it has caught up, Next parks in the reader's Wait
+// and an append to any partition wakes it.
 type StreamSource struct {
-	cluster   *stream.Cluster
-	topic     string
+	reader    *stream.Reader
 	codec     *record.Codec
 	timeField string
 	lateness  int64
 	batch     int
 
-	// mu guards positions/maxTime: the runtime's source goroutine mutates
-	// them while Lag() reads from the job-manager goroutine.
-	mu        sync.Mutex
-	positions []int64
-	maxTime   int64
-
-	// watch is Next's argument to Wait and fetched its decoded fetches,
-	// one entry per partition; only the goroutine driving Next touches
-	// them.
-	watch   []stream.Position
+	// maxTime is written by the runtime's source goroutine and read by
+	// whoever asks for the watermark.
+	maxTime atomic.Int64
+	// fetched holds Next's decoded fetches, one entry per partition; only
+	// the goroutine driving Next touches it.
 	fetched [][]Event
 }
 
@@ -83,56 +78,38 @@ func NewStreamSource(cluster *stream.Cluster, topic string, codec *record.Codec,
 	if cfg.Batch <= 0 {
 		cfg.Batch = 128
 	}
-	s := &StreamSource{
-		cluster:   cluster,
-		topic:     topic,
+	tps := make([]stream.TopicPartition, n)
+	for i := range tps {
+		tps[i] = stream.TopicPartition{Topic: topic, Partition: i}
+	}
+	reset := stream.ResetEarliest
+	if cfg.FromLatest {
+		reset = stream.ResetLatest
+	}
+	reader, err := cluster.NewReader(reset, tps...)
+	if err != nil {
+		return nil, err
+	}
+	return &StreamSource{
+		reader:    reader,
 		codec:     codec,
 		timeField: cfg.TimeField,
 		lateness:  cfg.LatenessMs,
 		batch:     cfg.Batch,
-		positions: make([]int64, n),
-		watch:     make([]stream.Position, n),
 		fetched:   make([][]Event, n),
-	}
-	for i := range s.positions {
-		s.watch[i].TopicPartition = stream.TopicPartition{Topic: topic, Partition: i}
-		low, high, err := cluster.Watermarks(stream.TopicPartition{Topic: topic, Partition: i})
-		if err != nil {
-			return nil, err
-		}
-		if cfg.FromLatest {
-			s.positions[i] = high
-		} else {
-			s.positions[i] = low
-		}
-	}
-	return s, nil
+	}, nil
 }
 
-// Next implements Source. The wait happens outside mu: Lag reads the
-// positions from the job manager's goroutine and must not queue behind it.
+// Next implements Source. A partition's position moves once its whole fetch
+// decoded.
 func (s *StreamSource) Next(maxWait time.Duration) ([]Event, bool, error) {
-	s.mu.Lock()
-	for i, pos := range s.positions {
-		s.watch[i].Offset = pos
-	}
-	s.mu.Unlock()
-	s.cluster.Wait(s.watch, maxWait)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.reader.Wait(maxWait)
 	total := 0
-	for i := range s.positions {
+	maxTime := s.maxTime.Load()
+	for i := range s.fetched {
 		s.fetched[i] = s.fetched[i][:0]
-		tp := s.watch[i].TopicPartition
-		msgs, err := s.cluster.Fetch(tp, s.positions[i], s.batch)
+		msgs, err := s.reader.Fetch(i, s.batch)
 		if err != nil {
-			// Retention moved past us; resume at the low watermark.
-			low, _, werr := s.cluster.Watermarks(tp)
-			if werr == nil && s.positions[i] < low {
-				s.positions[i] = low
-				continue
-			}
 			return nil, false, err
 		}
 		for _, m := range msgs {
@@ -140,13 +117,15 @@ func (s *StreamSource) Next(maxWait time.Duration) ([]Event, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
+			maxTime = max(maxTime, ev.Time)
 			s.fetched[i] = append(s.fetched[i], ev)
 		}
 		if len(msgs) > 0 {
-			s.positions[i] = msgs[len(msgs)-1].Offset + 1
+			s.reader.Seek(i, msgs[len(msgs)-1].Offset+1)
 			total += len(msgs)
 		}
 	}
+	s.maxTime.Store(maxTime)
 	return mergeByTime(s.fetched, total), false, nil
 }
 
@@ -186,30 +165,23 @@ func (s *StreamSource) decode(m stream.Message) (Event, error) {
 			t = et
 		}
 	}
-	if t > s.maxTime {
-		s.maxTime = t
-	}
 	return Event{Time: t, Data: r}, nil
 }
 
 // Watermark implements Source.
 func (s *StreamSource) Watermark() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.maxTime == 0 {
-		return 0
+	if t := s.maxTime.Load(); t != 0 {
+		return t - s.lateness
 	}
-	return s.maxTime - s.lateness
+	return 0
 }
 
 // Position implements Source.
 func (s *StreamSource) Position() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return json.Marshal(struct {
 		Positions []int64
 		MaxTime   int64
-	}{s.positions, s.maxTime})
+	}{s.reader.Offsets(), s.maxTime.Load()})
 }
 
 // Seek implements Source.
@@ -221,33 +193,20 @@ func (s *StreamSource) Seek(pos []byte) error {
 	if err := json.Unmarshal(pos, &p); err != nil {
 		return fmt.Errorf("flow: bad source position: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(p.Positions) != len(s.positions) {
-		return fmt.Errorf("flow: position has %d partitions, topic has %d", len(p.Positions), len(s.positions))
+	if len(p.Positions) != len(s.fetched) {
+		return fmt.Errorf("flow: position has %d partitions, topic has %d", len(p.Positions), len(s.fetched))
 	}
-	s.positions = p.Positions
-	s.maxTime = p.MaxTime
+	for i, off := range p.Positions {
+		s.reader.Seek(i, off)
+	}
+	s.maxTime.Store(p.MaxTime)
 	return nil
 }
 
-// Lag implements LagReporter: total unread backlog across partitions.
-func (s *StreamSource) Lag() int64 {
-	s.mu.Lock()
-	positions := append([]int64(nil), s.positions...)
-	s.mu.Unlock()
-	var lag int64
-	for i, pos := range positions {
-		_, high, err := s.cluster.Watermarks(stream.TopicPartition{Topic: s.topic, Partition: i})
-		if err != nil {
-			continue
-		}
-		if d := high - pos; d > 0 {
-			lag += d
-		}
-	}
-	return lag
-}
+// Lag implements LagReporter: total unread backlog across partitions. It
+// is the job manager's call, from its own goroutine, and does not queue
+// behind a parked Next.
+func (s *StreamSource) Lag() int64 { return s.reader.Lag() }
 
 // BoundedSource replays an in-memory slice of records — the DataSet-mode
 // input used by backfill (§7) and tests. It supports throttling so Kappa+

@@ -14,19 +14,18 @@ import (
 // Pinot's lambda architecture (§4.3). Partition i of the topic feeds
 // ingestion partition i, which for upsert tables is exactly the "organize
 // the input stream into multiple partitions by the primary key, and
-// distribute each partition to a node" scheme of §4.3.1. Each loop parks in
-// the cluster's Wait until its partition has data, then hands a whole fetch
-// to Deployment.IngestBatch.
+// distribute each partition to a node" scheme of §4.3.1. Each loop owns a
+// stream.Reader over its one partition: it parks in the reader's Wait until
+// the partition has data, then decodes a whole fetch and hands it to
+// Deployment.IngestBatch.
 type RealtimeIngester struct {
-	cluster *stream.Cluster
-	topic   string
 	codec   *record.Codec
 	d       *Deployment
 	batch   int
+	readers []*stream.Reader // one per partition
 
-	positions []atomic.Int64
-	errs      atomic.Int64
-	lastErr   atomic.Value // error
+	errs    atomic.Int64
+	lastErr atomic.Value // error
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -40,20 +39,17 @@ func NewRealtimeIngester(cluster *stream.Cluster, topic string, codec *record.Co
 		return nil, err
 	}
 	ri := &RealtimeIngester{
-		cluster:   cluster,
-		topic:     topic,
-		codec:     codec,
-		d:         d,
-		batch:     128,
-		positions: make([]atomic.Int64, n),
-		stop:      make(chan struct{}),
+		codec:   codec,
+		d:       d,
+		batch:   128,
+		readers: make([]*stream.Reader, n),
+		stop:    make(chan struct{}),
 	}
-	for i := 0; i < n; i++ {
-		low, _, err := cluster.Watermarks(stream.TopicPartition{Topic: topic, Partition: i})
+	for i := range ri.readers {
+		ri.readers[i], err = cluster.NewReader(stream.ResetEarliest, stream.TopicPartition{Topic: topic, Partition: i})
 		if err != nil {
 			return nil, err
 		}
-		ri.positions[i].Store(low)
 	}
 	// Ingestion health as pull gauges on the deployment registry: the rate
 	// counter (olap_ingest_rows_total) is already maintained by Ingest; lag
@@ -69,7 +65,7 @@ func NewRealtimeIngester(cluster *stream.Cluster, topic string, codec *record.Co
 
 // Start launches the per-partition ingestion loops.
 func (ri *RealtimeIngester) Start() {
-	for p := range ri.positions {
+	for p := range ri.readers {
 		ri.wg.Add(1)
 		go ri.consumePartition(p)
 	}
@@ -86,19 +82,7 @@ func (ri *RealtimeIngester) Stop() {
 }
 
 // Lag returns the total unconsumed backlog across partitions.
-func (ri *RealtimeIngester) Lag() int64 {
-	var lag int64
-	for p := range ri.positions {
-		_, high, err := ri.cluster.Watermarks(stream.TopicPartition{Topic: ri.topic, Partition: p})
-		if err != nil {
-			continue
-		}
-		if d := high - ri.positions[p].Load(); d > 0 {
-			lag += d
-		}
-	}
-	return lag
-}
+func (ri *RealtimeIngester) Lag() int64 { return ri.Stats().Lag }
 
 // Errors returns the count of ingestion errors (decode or seal failures)
 // and the most recent one.
@@ -122,12 +106,21 @@ type IngestStats struct {
 	LastErr error
 	// Lag is the total unconsumed backlog across partitions.
 	Lag int64
+	// Repairs counts read positions the stream layer had to move
+	// (stream.Reader.Repairs): rows skipped because retention passed the
+	// ingester, or read again because a leader failure cut the log.
+	Repairs int64
 }
 
 // Stats snapshots the ingester's health counters.
 func (ri *RealtimeIngester) Stats() IngestStats {
 	n, err := ri.Errors()
-	return IngestStats{Errors: n, LastErr: err, Lag: ri.Lag()}
+	st := IngestStats{Errors: n, LastErr: err}
+	for _, r := range ri.readers {
+		st.Lag += r.Lag()
+		st.Repairs += r.Repairs()
+	}
+	return st
 }
 
 // ingestWait bounds one park of a consume loop on its idle partition, and so
@@ -139,26 +132,19 @@ const (
 
 func (ri *RealtimeIngester) consumePartition(p int) {
 	defer ri.wg.Done()
-	tp := stream.TopicPartition{Topic: ri.topic, Partition: p}
-	at := []stream.Position{{TopicPartition: tp}}
+	r := ri.readers[p]
 	rows := make([]record.Record, 0, ri.batch)
 	for {
-		pos := ri.positions[p].Load()
-		at[0].Offset = pos
 		// Wait parks through an outage too (nothing is fetchable), so a
 		// Fetch that keeps failing is retried once per ingestWait.
-		ri.cluster.Wait(at, ingestWait)
+		r.Wait(ingestWait)
 		select {
 		case <-ri.stop:
 			return
 		default:
 		}
-		msgs, err := ri.cluster.Fetch(tp, pos, ri.batch)
+		msgs, err := r.Fetch(0, ri.batch)
 		if err != nil {
-			// Retention may have advanced; skip to the low watermark.
-			if low, _, werr := ri.cluster.Watermarks(tp); werr == nil && pos < low {
-				ri.positions[p].Store(low)
-			}
 			continue
 		}
 		// Decode the fetch up to its first corrupt message and ingest
@@ -166,32 +152,33 @@ func (ri *RealtimeIngester) consumePartition(p int) {
 		var corrupt error
 		rows = rows[:0]
 		for _, m := range msgs {
-			r, err := ri.codec.Decode(m.Value)
+			row, err := ri.codec.Decode(m.Value)
 			if err != nil {
 				corrupt = err
 				break
 			}
-			rows = append(rows, r)
+			rows = append(rows, row)
 		}
-		n, err := ri.d.IngestBatch(p, rows)
-		pos += int64(n)
+		// An empty fetch still calls in: a store left full by a failed seal
+		// is sealed on entry.
+		taken, err := ri.d.IngestBatch(p, rows)
+		if err == nil && corrupt != nil {
+			// Count it and move on (it can never succeed, unlike a seal
+			// failure).
+			ri.fail(corrupt)
+			taken++
+		}
+		if taken > 0 {
+			r.Seek(0, msgs[0].Offset+int64(taken))
+		}
 		if err != nil {
 			// A failed seal (centralized backup outage) blocks this
 			// partition at the first row the table did not take: retry
 			// after a pause rather than dropping it — exactly the "all
 			// data ingestion comes to a halt" behavior of §4.3.4.
 			ri.fail(err)
-			ri.positions[p].Store(pos)
 			time.Sleep(ingestBackoff)
-			continue
 		}
-		if corrupt != nil {
-			// Count it and move on (it can never succeed, unlike a seal
-			// failure).
-			ri.fail(corrupt)
-			pos++
-		}
-		ri.positions[p].Store(pos)
 	}
 }
 

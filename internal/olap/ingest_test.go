@@ -69,3 +69,61 @@ func TestIngesterStatsSurfacesErrors(t *testing.T) {
 	}
 	t.Fatalf("stats never converged: %+v", ing.Stats())
 }
+
+// A leader failure on an AckLeader topic cuts the log behind the ingester
+// and producers carry on from the cut: the new messages reuse offsets the
+// ingester has passed. It must go back to the cut (stream.Reader's rule),
+// ingest every new message, and report the repair.
+func TestIngesterRereadsAfterLeaderFailureCutsTheLog(t *testing.T) {
+	cluster, err := stream.NewCluster(stream.ClusterConfig{Name: "c", Nodes: 3, ReplicationInterval: time.Hour}) // pump never fires
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if err := cluster.CreateTopic("orders", stream.TopicConfig{Partitions: 1, ReplicationFactor: 2, Acks: stream.AckLeader}); err != nil {
+		t.Fatal(err)
+	}
+	codec, err := record.NewCodec(ordersSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := newDeployment(t, 1, 1, false, BackupP2P, nil)
+	ing, err := NewRealtimeIngester(cluster, "orders", codec, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing.Start()
+	defer ing.Stop()
+
+	p := stream.NewProducer(cluster, "svc", "", nil)
+	rows := orderRows(50)
+	produceAndAwait := func(from, to int) {
+		t.Helper()
+		for _, r := range rows[from:to] {
+			payload, _ := codec.Encode(r)
+			if err := p.Produce("orders", nil, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(time.Millisecond) {
+			if ingested, _, _ := d.Stats(); ingested == int64(to) && ing.Stats().Lag == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				ingested, _, _ := d.Stats()
+				t.Fatalf("table has %d rows, want %d; ingester stats %+v", ingested, to, ing.Stats())
+			}
+		}
+	}
+	produceAndAwait(0, 20)
+	if err := cluster.FailNode(cluster.PartitionStats()[0]["leader"].(int)); err != nil {
+		t.Fatal(err)
+	}
+	if lost := cluster.LostMessages(); lost != 20 {
+		t.Fatalf("the failure cut %d messages, want 20", lost)
+	}
+	produceAndAwait(20, 50)
+	if s := ing.Stats(); s.Errors != 0 || s.Repairs != 1 {
+		t.Errorf("stats = %+v, want no errors and the one repair", s)
+	}
+}

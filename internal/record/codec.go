@@ -115,8 +115,10 @@ func (c *Codec) Decode(data []byte) (Record, error) {
 			out[f.Name] = math.Float64frombits(binary.LittleEndian.Uint64(data))
 			data = data[8:]
 		case metadata.TypeString:
+			// The length is outside input: compare it unconverted, a value
+			// of 2^63 or more is negative as an int and would pass.
 			l, n := binary.Uvarint(data)
-			if n <= 0 || len(data[n:]) < int(l) {
+			if n <= 0 || uint64(len(data)-n) < l {
 				return nil, fmt.Errorf("record: truncated string field %q", f.Name)
 			}
 			out[f.Name] = string(data[n : n+int(l)])
@@ -129,7 +131,7 @@ func (c *Codec) Decode(data []byte) (Record, error) {
 			data = data[1:]
 		case metadata.TypeBytes:
 			l, n := binary.Uvarint(data)
-			if n <= 0 || len(data[n:]) < int(l) {
+			if n <= 0 || uint64(len(data)-n) < l {
 				return nil, fmt.Errorf("record: truncated bytes field %q", f.Name)
 			}
 			b := make([]byte, l)

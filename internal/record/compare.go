@@ -6,10 +6,11 @@ import (
 )
 
 // This file is the one shared value-comparison helper for the whole stack.
-// The OLAP result sorter, the federated engine's predicate evaluation and
-// its ORDER BY all need the same dynamic-value ordering; keeping a single
-// implementation here guarantees a pushed-down query and its engine-side
-// fallback order rows identically.
+// The OLAP result sorter, predicate evaluation in both SQL engines
+// (sqlparse.Predicate.Matches) and the federated engine's ORDER BY all need
+// the same dynamic-value ordering; keeping a single implementation here
+// guarantees a pushed-down query and its engine-side fallback order rows
+// identically.
 
 // ToFloat64 reports v as a float64 when it is one of the canonical numeric
 // representations a Record may hold: float64, int64, int, or bool (true=1).

@@ -187,6 +187,58 @@ func TestCodecTruncation(t *testing.T) {
 			}
 		}
 	}
+	// A claimed length the payload cannot hold is a truncation too, also
+	// when it is 2^63 or more and negative as an int: id, then city (a
+	// string) or blob (bytes) with a ten-byte uvarint length of 2^64-1.
+	huge := bytes.Repeat([]byte{0xff}, 9)
+	huge = append(huge, 0x01)
+	for _, payload := range [][]byte{
+		append([]byte{1, 0b0000011, 2}, huge...),
+		append([]byte{1, 0b0010001, 2}, huge...),
+	} {
+		if r, err := c.Decode(payload); err == nil {
+			t.Errorf("length 2^64-1 in a %d-byte payload decoded as %v", len(payload), r)
+		}
+	}
+}
+
+// FuzzCodecDecode feeds Decode what a topic may hold: it must never panic,
+// and a payload it accepts must come back unchanged from encode → decode →
+// encode (byte for byte, which also holds NaN to itself).
+func FuzzCodecDecode(f *testing.F) {
+	c, err := NewCodec(testSchema())
+	if err != nil {
+		f.Fatal(err)
+	}
+	sparse := sampleRecord()
+	delete(sparse, "blob")
+	sparse["opt"] = ""
+	for _, r := range []Record{sampleRecord(), sparse} {
+		data, err := c.Encode(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := c.Decode(data)
+		if err != nil {
+			return
+		}
+		first, err := c.Encode(r)
+		if err != nil {
+			return // a required field the payload marked absent
+		}
+		back, err := c.Decode(first)
+		if err != nil {
+			t.Fatalf("decoding the re-encoded record: %v", err)
+		}
+		second, err := c.Encode(back)
+		if err != nil || !bytes.Equal(first, second) {
+			t.Fatalf("encode(decode(encode(r))) = %x, %v; want %x", second, err, first)
+		}
+	})
 }
 
 func TestCodecRejectsInvalidSchema(t *testing.T) {

@@ -21,7 +21,7 @@ func TestChaperoneAuditsReplicationPipeline(t *testing.T) {
 	auditor.RegisterStage("aggregate")
 
 	r, err := replicator.New(src.Regional, src.Aggregate, []string{"trips"},
-		replicator.Config{Workers: 1, Interval: time.Millisecond, BatchSize: 16}, nil)
+		replicator.Config{Workers: 1, BatchSize: 16}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,6 +132,19 @@ func (ms *MappingStore) DstForSrc(src, dst, topic string, partition int, srcOffs
 	return best, found
 }
 
+// start returns the destination offset at which (src→dst) replication wrote
+// its first message — the replicator checkpoints it before that write — or
+// false when src has sent dst nothing.
+func (ms *MappingStore) start(src, dst, topic string, partition int) (int64, bool) {
+	ms.mu.RLock()
+	defer ms.mu.RUnlock()
+	list := ms.mappings[mappingKey(src, dst, topic, partition)]
+	if len(list) == 0 {
+		return 0, false
+	}
+	return list[0].DstOffset, true
+}
+
 // MultiRegion wires regions together: one uReplicator per (regional →
 // aggregate) pair, a shared mapping store, an active-active DB, and the
 // coordinator's primary-region pointer.
@@ -267,8 +280,9 @@ func NewOffsetSync(mr *MultiRegion, group, topic string) *OffsetSync {
 // every other region. It returns the number of partition offsets synced.
 // The translation goes aggregate(active) → regional source offset → every
 // other aggregate: conservative (≤ exact position), so failover re-reads a
-// bounded suffix (at-least-once) instead of losing data or replaying the
-// full backlog.
+// suffix (at-least-once) instead of losing data. The suffix is as long as
+// the two aggregates interleave the regions differently — a few replication
+// batches while the replicators keep pace, the full backlog at worst.
 func (s *OffsetSync) Sync(active int) int {
 	mr := s.mr
 	act := mr.regions[active]
@@ -293,17 +307,19 @@ func (s *OffsetSync) Sync(active int) int {
 			var dstOffset int64
 			resolved := false
 			for _, src := range mr.regions {
+				var d int64
 				srcOff, found := mr.mappings.SrcForDst(src.Regional.Name(), act.Aggregate.Name(), s.topic, p, committed)
-				if !found {
-					// This source region contributed nothing (yet) to the
-					// active aggregate: it imposes no constraint.
+				if found {
+					// Not found: the passive aggregate has not received
+					// this source's data at all, only offset 0 is safe.
+					d, _ = mr.mappings.DstForSrc(src.Regional.Name(), dst.Aggregate.Name(), s.topic, p, srcOff)
+				} else if d, found = mr.mappings.start(src.Regional.Name(), dst.Aggregate.Name(), s.topic, p); !found {
+					// The group has read none of this source's data and the
+					// passive aggregate holds none: no constraint. Where it
+					// holds some — the aggregates need not interleave the
+					// regions alike — the group resumes no later than where
+					// that data starts.
 					continue
-				}
-				d, found := mr.mappings.DstForSrc(src.Regional.Name(), dst.Aggregate.Name(), s.topic, p, srcOff)
-				if !found {
-					// The passive aggregate has not received this source's
-					// data at all: only offset 0 is safe.
-					d = 0
 				}
 				if !resolved || d < dstOffset {
 					dstOffset = d

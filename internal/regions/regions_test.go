@@ -32,7 +32,7 @@ func setupMesh(t *testing.T) *MultiRegion {
 	r1 := newRegion(t, "dca", 2, "trips")
 	r2 := newRegion(t, "phx", 2, "trips")
 	mr, err := NewMultiRegion([]*Region{r1, r2}, []string{"trips"}, replicator.Config{
-		Workers: 1, Interval: time.Millisecond, CheckpointEvery: 5, BatchSize: 16,
+		Workers: 1, CheckpointEvery: 5, BatchSize: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +180,44 @@ func TestActivePassiveOffsetSync(t *testing.T) {
 	}
 	if got >= 100 {
 		t.Errorf("resumed consumer saw %d: replayed the full backlog instead of resuming from synced offsets", got)
+	}
+}
+
+// The aggregates need not interleave the regions alike: the active one holds
+// dca's burst then phx's, the passive one phx's then dca's. A group that has
+// read all of dca's data and less than one checkpoint of phx's must resume
+// where phx's data starts on the passive side, not after dca's.
+func TestOffsetSyncWhenAggregatesInterleaveDifferently(t *testing.T) {
+	dca, phx := newRegion(t, "dca", 1, "trips"), newRegion(t, "phx", 1, "trips")
+	mr, err := NewMultiRegion([]*Region{dca, phx}, []string{"trips"}, replicator.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What four replicators checkpoint for 50 messages a region, a mapping
+	// before the first write and one per batch of 16 after.
+	save := func(src, dst *stream.Cluster, dstStart int64) {
+		for _, n := range []int64{0, 16, 32, 48, 50} {
+			mr.Mappings().SaveMapping(src.Name(), dst.Name(), replicator.OffsetMapping{Topic: "trips", SrcOffset: n, DstOffset: dstStart + n})
+		}
+	}
+	save(dca.Regional, dca.Aggregate, 0)
+	save(phx.Regional, dca.Aggregate, 50)
+	save(phx.Regional, phx.Aggregate, 0)
+	save(dca.Regional, phx.Aggregate, 50)
+
+	tp := stream.TopicPartition{Topic: "trips"}
+	for _, tc := range []struct{ committed, want int64 }{
+		{60, 0},  // 10 of phx's read: below its first checkpoint
+		{40, 0},  // none of phx's read
+		{70, 16}, // 20 of phx's read: one checkpoint
+	} {
+		dca.Aggregate.CommitGroupOffset("payments", tp, tc.committed)
+		if synced := NewOffsetSync(mr, "payments", "trips").Sync(0); synced != 1 {
+			t.Fatalf("committed %d: synced %d partitions, want 1", tc.committed, synced)
+		}
+		if got := phx.Aggregate.Committed("payments", tp); got != tc.want {
+			t.Errorf("committed %d on the active aggregate synced to %d on the passive one, want %d", tc.committed, got, tc.want)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package sqlparse
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/record"
 )
 
 // FuncKind enumerates supported function calls in projections.
@@ -101,6 +103,42 @@ type Predicate struct {
 	Value  any
 	Value2 any
 	Values []any
+}
+
+// Matches evaluates the predicate against its column's value in a row, in
+// the shared record.Compare ordering (numeric coercion included). It is the
+// one evaluator outside the OLAP kernels — fedsql's residual filter and a
+// flinksql-compiled filter stage both call it — so a query filters the same
+// rows whichever engine runs it. NULL, or a column the row lacks, satisfies
+// no predicate.
+func (p Predicate) Matches(v any) bool {
+	if v == nil {
+		return false
+	}
+	cmp := record.Compare(v, p.Value)
+	switch p.Op {
+	case CmpEq:
+		return cmp == 0
+	case CmpNe:
+		return cmp != 0
+	case CmpLt:
+		return cmp < 0
+	case CmpLe:
+		return cmp <= 0
+	case CmpGt:
+		return cmp > 0
+	case CmpGe:
+		return cmp >= 0
+	case CmpBetween:
+		return cmp >= 0 && record.Compare(v, p.Value2) <= 0
+	case CmpIn:
+		for _, want := range p.Values {
+			if record.Compare(v, want) == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // WindowSpec is a streaming window group key: TUMBLE(ts, sizeMs) or

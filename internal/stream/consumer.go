@@ -21,7 +21,6 @@ const (
 // groupState is the broker-side coordinator state for one consumer group.
 type groupState struct {
 	mu            sync.Mutex
-	name          string
 	generation    int64
 	nextMember    int64
 	subscriptions map[string][]string // memberID -> topics
@@ -35,7 +34,6 @@ func (c *Cluster) group(name string) *groupState {
 	g, ok := c.groups[name]
 	if !ok {
 		g = &groupState{
-			name:          name,
 			subscriptions: make(map[string][]string),
 			assignments:   make(map[string][]TopicPartition),
 			committed:     make(map[TopicPartition]int64),
@@ -87,20 +85,20 @@ func (g *groupState) rebalanceLocked(c *Cluster) {
 }
 
 // Consumer reads topics as a member of a consumer group, with broker-side
-// committed offsets. It is NOT safe for concurrent use; each goroutine
-// should own its consumer (matching the Kafka client contract).
+// committed offsets: a Reader over the partitions the group assigns it,
+// plus the assignment and the commits. It is NOT safe for concurrent use;
+// each goroutine should own its consumer (matching the Kafka client
+// contract).
 type Consumer struct {
 	cluster *Cluster
 	g       *groupState
 	id      string
-	topics  []string
 	reset   ResetPolicy
 
 	generation int64
 	assigned   []TopicPartition
-	positions  map[TopicPartition]int64
-	nextIdx    int        // round-robin cursor over assigned partitions
-	watch      []Position // scratch for Poll's wait
+	reader     *Reader // over assigned, index for index
+	nextIdx    int     // round-robin cursor over assigned partitions
 	closed     bool
 }
 
@@ -115,11 +113,10 @@ func (c *Cluster) NewConsumer(group string, topics ...string) *Consumer {
 	g.rebalanceLocked(c)
 	g.mu.Unlock()
 	return &Consumer{
-		cluster:   c,
-		g:         g,
-		id:        id,
-		topics:    topics,
-		positions: make(map[TopicPartition]int64),
+		cluster: c,
+		g:       g,
+		id:      id,
+		reader:  &Reader{cluster: c},
 	}
 }
 
@@ -136,51 +133,49 @@ func (k *Consumer) Assignment() []TopicPartition {
 	return append([]TopicPartition(nil), k.assigned...)
 }
 
+// refreshAssignment picks up a rebalance: the reader goes over to the new
+// assignment, each partition at the position (and log epoch) it had before
+// the rebalance, else the group's committed offset, else where the reset
+// policy starts (an unreadable partition starts at 0 and is repaired when
+// read).
 func (k *Consumer) refreshAssignment() {
 	k.g.mu.Lock()
-	gen := k.g.generation
-	if gen == k.generation {
-		k.g.mu.Unlock()
+	defer k.g.mu.Unlock()
+	if k.g.generation == k.generation {
 		return
 	}
 	assigned := append([]TopicPartition(nil), k.g.assignments[k.id]...)
-	committed := make(map[TopicPartition]int64, len(assigned))
-	for _, tp := range assigned {
-		if off, ok := k.g.committed[tp]; ok {
-			committed[tp] = off
-		}
-	}
-	k.g.mu.Unlock()
-
-	k.generation = gen
-	k.assigned = assigned
-	k.nextIdx = 0
-	positions := make(map[TopicPartition]int64, len(assigned))
-	for _, tp := range assigned {
-		if pos, ok := k.positions[tp]; ok {
-			positions[tp] = pos // kept from before rebalance
-			continue
-		}
-		if off, ok := committed[tp]; ok {
-			positions[tp] = off
-			continue
-		}
-		low, high, err := k.cluster.Watermarks(tp)
-		if err != nil {
-			continue
-		}
-		if k.reset == ResetLatest {
-			positions[tp] = high
+	at := make([]Position, len(assigned))
+	kept := make([]int, len(assigned))
+	offsets := k.reader.Offsets()
+	for i, tp := range assigned {
+		at[i].TopicPartition = tp
+		kept[i] = k.index(tp)
+		if j := kept[i]; j >= 0 {
+			at[i].Offset = offsets[j]
+		} else if off, ok := k.g.committed[tp]; ok {
+			at[i].Offset = off
 		} else {
-			positions[tp] = low
+			at[i].Offset, _ = k.cluster.startOffset(tp, k.reset)
 		}
 	}
-	k.positions = positions
+	k.generation, k.assigned, k.nextIdx = k.g.generation, assigned, 0
+	k.reader.assign(at, kept)
+}
+
+// index returns tp's place in the assignment, -1 when it is not assigned.
+func (k *Consumer) index(tp TopicPartition) int {
+	for i, a := range k.assigned {
+		if a == tp {
+			return i
+		}
+	}
+	return -1
 }
 
 // Poll returns up to max messages, waiting up to maxWait for data. It cycles
 // fairly over assigned partitions. An empty return means no data arrived
-// within maxWait. An idle poll parks in Cluster.Wait on the assigned
+// within maxWait. An idle poll parks in the reader's Wait on the assigned
 // positions; a rebalance is picked up when the wait ends.
 func (k *Consumer) Poll(maxWait time.Duration, max int) []Message {
 	if k.closed || max <= 0 {
@@ -190,30 +185,15 @@ func (k *Consumer) Poll(maxWait time.Duration, max int) []Message {
 	for {
 		k.refreshAssignment()
 		left := time.Until(deadline)
-		k.watch = k.watch[:0]
-		for _, tp := range k.assigned {
-			k.watch = append(k.watch, Position{TopicPartition: tp, Offset: k.positions[tp]})
-		}
-		k.cluster.Wait(k.watch, left)
+		k.reader.Wait(left)
 		var out []Message
 		for range k.assigned {
-			tp := k.assigned[k.nextIdx%len(k.assigned)]
+			i := k.nextIdx % len(k.assigned)
 			k.nextIdx++
-			pos := k.positions[tp]
-			msgs, err := k.cluster.Fetch(tp, pos, max-len(out))
-			if err != nil {
-				// Retention may have moved past our position: skip ahead
-				// rather than stall (matching auto.offset.reset).
-				low, high, werr := k.cluster.Watermarks(tp)
-				if werr == nil && pos < low {
-					k.positions[tp] = low
-				} else if werr == nil && pos > high {
-					k.positions[tp] = high
-				}
-				continue
-			}
+			// An unavailable partition is skipped; Wait is the back-off.
+			msgs, _ := k.reader.Fetch(i, max-len(out))
 			if len(msgs) > 0 {
-				k.positions[tp] = msgs[len(msgs)-1].Offset + 1
+				k.reader.Seek(i, msgs[len(msgs)-1].Offset+1)
 				out = append(out, msgs...)
 			}
 			if len(out) >= max {
@@ -229,10 +209,11 @@ func (k *Consumer) Poll(maxWait time.Duration, max int) []Message {
 // Commit persists the consumer's current positions as the group's committed
 // offsets for its assigned partitions.
 func (k *Consumer) Commit() {
+	offsets := k.reader.Offsets()
 	k.g.mu.Lock()
 	defer k.g.mu.Unlock()
-	for tp, pos := range k.positions {
-		k.g.committed[tp] = pos
+	for i, tp := range k.assigned {
+		k.g.committed[tp] = offsets[i]
 	}
 }
 
@@ -246,30 +227,25 @@ func (k *Consumer) CommitOffset(tp TopicPartition, offset int64) {
 // Seek moves the consumer's read position for an assigned partition.
 func (k *Consumer) Seek(tp TopicPartition, offset int64) {
 	k.refreshAssignment()
-	k.positions[tp] = offset
+	if i := k.index(tp); i >= 0 {
+		k.reader.Seek(i, offset)
+	}
 }
 
 // Position returns the next offset the consumer will read for tp.
 func (k *Consumer) Position(tp TopicPartition) int64 {
 	k.refreshAssignment()
-	return k.positions[tp]
+	if i := k.index(tp); i >= 0 {
+		return k.reader.Offsets()[i]
+	}
+	return 0
 }
 
 // Lag returns the total unconsumed backlog across assigned partitions,
-// measured against committed positions in the consumer's local view.
+// measured against the consumer's read positions.
 func (k *Consumer) Lag() int64 {
 	k.refreshAssignment()
-	var lag int64
-	for _, tp := range k.assigned {
-		_, high, err := k.cluster.Watermarks(tp)
-		if err != nil {
-			continue
-		}
-		if d := high - k.positions[tp]; d > 0 {
-			lag += d
-		}
-	}
-	return lag
+	return k.reader.Lag()
 }
 
 // Close leaves the group, triggering a rebalance of its partitions to the
@@ -311,18 +287,12 @@ func (c *Cluster) GroupLag(group, topic string) int64 {
 		return 0
 	}
 	g := c.group(group)
+	at := make([]Position, n)
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	var lag int64
-	for i := 0; i < n; i++ {
-		tp := TopicPartition{Topic: topic, Partition: i}
-		_, high, err := c.Watermarks(tp)
-		if err != nil {
-			continue
-		}
-		if d := high - g.committed[tp]; d > 0 {
-			lag += d
-		}
+	for i := range at {
+		at[i].TopicPartition = TopicPartition{Topic: topic, Partition: i}
+		at[i].Offset = g.committed[at[i].TopicPartition]
 	}
-	return lag
+	g.mu.Unlock()
+	return c.lag(at)
 }

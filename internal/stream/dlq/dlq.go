@@ -192,26 +192,31 @@ func (p *Processor) processOne(m stream.Message) bool {
 			p.dropped.Add(1)
 			return true
 		}
-		p.sendToDLQ(m)
+		if err := Publish(p.producer, p.topic, m); err == nil {
+			p.deadLettered.Add(1)
+		} else {
+			// DLQ publish failed: the message would otherwise be lost, so
+			// count it as dropped to keep the accounting honest.
+			p.dropped.Add(1)
+		}
 		return true
 	}
 }
 
-func (p *Processor) sendToDLQ(m stream.Message) {
+// Publish is the one dead-letter publish: m, a message of topic whose
+// retries are spent, goes to topic's dead letter topic through the caller's
+// long-lived producer (so every dead letter gets its own audit id), with its
+// headers copied — never the map the source log retains — and retry-count
+// one higher.
+func Publish(producer *stream.Producer, topic string, m stream.Message) error {
 	headers := make(map[string]string, len(m.Headers)+1)
 	for k, v := range m.Headers {
 		headers[k] = v
 	}
 	retries, _ := strconv.Atoi(headers[stream.HeaderRetryCount])
 	headers[stream.HeaderRetryCount] = strconv.Itoa(retries + 1)
-	dlqMsg := stream.Message{Key: m.Key, Value: m.Value, Timestamp: m.Timestamp, Headers: headers}
-	if err := p.producer.ProduceBatch(DLQTopic(p.topic), []stream.Message{dlqMsg}); err == nil {
-		p.deadLettered.Add(1)
-	} else {
-		// DLQ publish failed: the message would otherwise be lost, so count
-		// it as dropped to keep the accounting honest.
-		p.dropped.Add(1)
-	}
+	dead := stream.Message{Key: m.Key, Value: m.Value, Timestamp: m.Timestamp, Headers: headers}
+	return producer.ProduceBatch(DLQTopic(topic), []stream.Message{dead})
 }
 
 // Stats returns a snapshot of the processor's counters.

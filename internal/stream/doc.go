@@ -6,6 +6,15 @@
 // consumer groups with rebalancing and committed offsets, and node-failure
 // simulation.
 //
+// Reading is one type: Reader, a cursor over an explicit set of partitions
+// that owns the positions, the park in Cluster.Wait, the fetch, the repair
+// of a position the log no longer has (retention passed it, a leader
+// failure cut it off — partition.resume is the one rule) and the lag sum.
+// Consumer is a Reader plus group assignment and commits; the flow source,
+// the OLAP ingester and the replicator each own one too. Nothing else calls
+// Cluster.Fetch or Cluster.Wait, and nothing in this layer wakes on a timer
+// to look for data: an idle reader is parked (a busy replicator paces itself).
+//
 // Uber's enhancements from §4.1 live in subpackages:
 //
 //   - federation: logical clusters spanning physical ones (§4.1.1, E6)

@@ -44,6 +44,12 @@ type partition struct {
 	leaderNode   int
 	replicaNodes []int
 	offline      bool
+	// cuts holds, for every truncation of this log, the offset it was cut
+	// at; len(cuts) is the log's epoch (Kafka's leader epoch). Offsets at or
+	// above a cut that were handed out before it name messages that are
+	// gone — the same offsets are assigned again when the log regrows — so a
+	// reader compares the epoch it last read under with this one (resume).
+	cuts []int64
 
 	totalBytes int64
 }
@@ -191,7 +197,8 @@ func (p *partition) setOffline(off bool) {
 
 // truncateUnreplicated drops messages above the replicated watermark — the
 // data-loss event when an AckLeader topic's leader node fails before async
-// replication catches up. It returns the number of messages lost.
+// replication catches up — and records the cut. It returns the number of
+// messages lost.
 func (p *partition) truncateUnreplicated() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -200,6 +207,7 @@ func (p *partition) truncateUnreplicated() int64 {
 		return 0
 	}
 	remaining := p.replicated
+	p.cuts = append(p.cuts, remaining)
 	for i, seg := range p.segments {
 		segEnd := seg.baseOffset + int64(len(seg.messages))
 		if segEnd <= remaining {
@@ -218,6 +226,28 @@ func (p *partition) truncateUnreplicated() int64 {
 	}
 	p.next = remaining
 	return lost
+}
+
+// resume is the one place a faulty read position is decided. A reader that
+// stands at offset and last read under epoch (negative: none, it only asks) gets
+// back where to read next and the epoch now. Every truncation since its
+// epoch pulls an offset above the cut back to the cut, whether or not the
+// log has regrown past it since; when its fetch was out of range, what is
+// left is a position retention has passed (→ the low watermark) or one
+// beyond a log that was never cut under it, such as a restored checkpoint of
+// a recreated topic (→ the high watermark).
+func (p *partition) resume(offset int64, epoch int, outOfRange bool) (int64, int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if epoch >= 0 && epoch < len(p.cuts) {
+		for _, cut := range p.cuts[epoch:] {
+			offset = min(offset, cut)
+		}
+	}
+	if outOfRange {
+		offset = min(max(offset, p.logStart), p.next)
+	}
+	return offset, len(p.cuts)
 }
 
 // stats is a snapshot used by admin tooling and benchmarks.

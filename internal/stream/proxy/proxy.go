@@ -10,7 +10,7 @@
 // workers complete out of order, the proxy tracks per-partition in-flight
 // offsets and commits only the contiguous prefix (so delivery stays
 // at-least-once across crashes). Failed dispatches are retried and then sent
-// to the dead letter queue, reusing the §4.1.2 machinery.
+// to the dead letter queue through dlq.Publish, the §4.1.2 machinery.
 package proxy
 
 import (
@@ -105,6 +105,7 @@ type Proxy struct {
 	group    string
 	cfg      Config
 	endpoint Endpoint
+	dead     *stream.Producer // publishes the dead letters
 
 	stats struct {
 		dispatched, succeeded, retried, deadLettered, dropped atomic.Int64
@@ -129,6 +130,7 @@ func New(cluster *stream.Cluster, group, topic string, cfg Config, ep Endpoint) 
 		group:    group,
 		cfg:      cfg,
 		endpoint: ep,
+		dead:     stream.NewProducer(cluster, "consumer-proxy", "", nil),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}, nil
@@ -136,9 +138,7 @@ func New(cluster *stream.Cluster, group, topic string, cfg Config, ep Endpoint) 
 
 // Start launches the proxy's poll/dispatch loop. Call Stop to drain and
 // shut down.
-func (p *Proxy) Start() {
-	go p.run()
-}
+func (p *Proxy) Start() { go p.loop(50*time.Millisecond, false) }
 
 // Stop signals shutdown and waits for in-flight dispatches to finish.
 func (p *Proxy) Stop() {
@@ -153,24 +153,15 @@ func (p *Proxy) Stop() {
 // DrainUntilIdle runs the proxy inline until the topic has been idle for
 // idleWait, then returns the stats. Used by batch-shaped experiments.
 func (p *Proxy) DrainUntilIdle(idleWait time.Duration) Stats {
-	p.runUntilIdle(idleWait)
-	return p.Stats()
-}
-
-func (p *Proxy) run() {
-	defer close(p.done)
-	p.loop(50*time.Millisecond, false)
-}
-
-func (p *Proxy) runUntilIdle(idleWait time.Duration) {
-	defer close(p.done)
 	p.loop(idleWait, true)
+	return p.Stats()
 }
 
 // loop is the poll → push-dispatch → track-acks cycle. With exitOnIdle set,
 // one empty poll ends the loop (batch drain); otherwise the loop runs until
 // Stop is called.
 func (p *Proxy) loop(pollWait time.Duration, exitOnIdle bool) {
+	defer close(p.done)
 	consumer := p.cluster.NewConsumer(p.group, p.topic)
 	defer consumer.Close()
 	sem := make(chan struct{}, p.cfg.Workers)
@@ -227,24 +218,18 @@ drain:
 // dispatch pushes one message with retry and DLQ handling.
 func (p *Proxy) dispatch(m stream.Message) {
 	p.stats.dispatched.Add(1)
-	if err := p.endpoint(m); err == nil {
-		p.stats.succeeded.Add(1)
-		return
-	}
-	for attempt := 0; attempt < p.cfg.MaxRetries; attempt++ {
-		p.stats.retried.Add(1)
+	for attempt := 0; attempt <= p.cfg.MaxRetries; attempt++ {
+		if attempt > 0 {
+			p.stats.retried.Add(1)
+		}
 		if err := p.endpoint(m); err == nil {
 			p.stats.succeeded.Add(1)
 			return
 		}
 	}
-	if p.cfg.DLQ {
-		producer := stream.NewProducer(p.cluster, "consumer-proxy", "", nil)
-		dm := stream.Message{Key: m.Key, Value: m.Value, Timestamp: m.Timestamp, Headers: m.Headers}
-		if err := producer.ProduceBatch(dlq.DLQTopic(p.topic), []stream.Message{dm}); err == nil {
-			p.stats.deadLettered.Add(1)
-			return
-		}
+	if p.cfg.DLQ && dlq.Publish(p.dead, p.topic, m) == nil {
+		p.stats.deadLettered.Add(1)
+		return
 	}
 	p.stats.dropped.Add(1)
 }

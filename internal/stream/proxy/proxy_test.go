@@ -118,7 +118,10 @@ func TestProxyRetriesThenDLQ(t *testing.T) {
 	c := newCluster(t)
 	c.CreateTopic("t", stream.TopicConfig{Partitions: 1})
 	p := stream.NewProducer(c, "svc", "", nil)
-	p.Produce("t", nil, []byte("poison"))
+	const poisoned = 3
+	for i := 0; i < poisoned; i++ {
+		p.Produce("t", nil, []byte(fmt.Sprintf("poison%d", i)))
+	}
 	p.Produce("t", nil, []byte("fine"))
 
 	var attempts atomic.Int64
@@ -133,19 +136,15 @@ func TestProxyRetriesThenDLQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := proxy.DrainUntilIdle(100 * time.Millisecond)
-	if stats.Succeeded != 1 || stats.DeadLettered != 1 || stats.Dropped != 0 {
+	if stats.Succeeded != 1 || stats.DeadLettered != poisoned || stats.Dropped != 0 {
 		t.Errorf("stats = %+v", stats)
 	}
-	if attempts.Load() != 4 { // 1 initial + 3 retries
-		t.Errorf("attempts = %d, want 4", attempts.Load())
+	if attempts.Load() != 4*poisoned { // 1 initial + 3 retries each
+		t.Errorf("attempts = %d, want %d", attempts.Load(), 4*poisoned)
 	}
-	_, high, _ := c.Watermarks(stream.TopicPartition{Topic: dlq.DLQTopic("t"), Partition: 0})
-	if high != 1 {
-		t.Errorf("DLQ has %d messages, want 1", high)
-	}
-	// The poison message did not block the committed offset.
-	if got := c.Committed("g", stream.TopicPartition{Topic: "t", Partition: 0}); got != 2 {
-		t.Errorf("committed = %d, want 2", got)
+	// The poison messages did not block the committed offset.
+	if got := c.Committed("g", stream.TopicPartition{Topic: "t", Partition: 0}); got != poisoned+1 {
+		t.Errorf("committed = %d, want %d", got, poisoned+1)
 	}
 	// Dead-lettering re-publishes the message under the proxy's identity
 	// without touching the one retained in the source log.
@@ -153,9 +152,27 @@ func TestProxyRetriesThenDLQ(t *testing.T) {
 	if got := src[0].HeaderOr(stream.HeaderUUID, ""); got != "svc-1" {
 		t.Errorf("source message uuid = %q after dead-lettering, want svc-1", got)
 	}
-	dead, _ := c.Fetch(stream.TopicPartition{Topic: dlq.DLQTopic("t"), Partition: 0}, 0, 1)
-	if got := dead[0].HeaderOr(stream.HeaderService, ""); got != "consumer-proxy" {
-		t.Errorf("dead-lettered message service = %q, want consumer-proxy", got)
+	if _, touched := src[0].Headers[stream.HeaderRetryCount]; touched {
+		t.Error("dead-lettering wrote retry-count into the source message's headers")
+	}
+	// Every dead letter is its own event to the §9.4 audit — one long-lived
+	// producer, so the ids differ — and says how often it was given up on.
+	dead, _ := c.Fetch(stream.TopicPartition{Topic: dlq.DLQTopic("t"), Partition: 0}, 0, 100)
+	if len(dead) != poisoned {
+		t.Fatalf("DLQ has %d messages, want %d", len(dead), poisoned)
+	}
+	ids := map[string]bool{}
+	for _, m := range dead {
+		ids[m.UUID()] = true
+		if got := m.HeaderOr(stream.HeaderService, ""); got != "consumer-proxy" {
+			t.Errorf("dead-lettered message service = %q, want consumer-proxy", got)
+		}
+		if got := m.HeaderOr(stream.HeaderRetryCount, ""); got != "1" {
+			t.Errorf("dead letter %s retry-count = %q, want 1", m.UUID(), got)
+		}
+	}
+	if len(ids) != poisoned {
+		t.Errorf("%d dead letters carry %d distinct uuids: %v", poisoned, len(ids), ids)
 	}
 }
 

@@ -10,13 +10,20 @@
 //     partitions to standby workers.
 //
 // The replicator also periodically checkpoints the source→destination offset
-// mapping into a shared store, which the §6 active/passive offset sync
-// service consumes for cross-region consumer failover.
+// mapping into a shared store — first of all where a partition's data starts
+// in the destination — which the §6 active/passive offset sync service
+// consumes for cross-region consumer failover.
+//
+// It reads the source through one stream.Reader over every partition of its
+// topics — positions, the park while the source is idle, repair of a
+// position the source log no longer has and the lag sum are the reader's —
+// and adds the copy, the worker assignment, the pace and the checkpoints.
 package replicator
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sticky"
@@ -41,15 +48,6 @@ type CheckpointStore interface {
 
 // Assignment maps worker IDs to their topic-partitions.
 type Assignment map[string][]stream.TopicPartition
-
-// clone deep-copies an assignment.
-func (a Assignment) clone() Assignment {
-	c := make(Assignment, len(a))
-	for w, tps := range a {
-		c[w] = append([]stream.TopicPartition(nil), tps...)
-	}
-	return c
-}
 
 // count returns the total number of assigned partitions.
 func (a Assignment) count() int {
@@ -105,8 +103,6 @@ type Config struct {
 	// CheckpointEvery is how many replicated messages trigger an offset
 	// mapping checkpoint per partition. Default 100.
 	CheckpointEvery int64
-	// Interval is the worker poll interval. Default 2ms.
-	Interval time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -122,9 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 100
 	}
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Millisecond
-	}
 	return c
 }
 
@@ -133,19 +126,19 @@ func (c Config) withDefaults() Config {
 // writes to destination partition i) and stamping HeaderOrigin so audit
 // tooling can distinguish replicated from natively produced messages.
 type Replicator struct {
-	src, dst *stream.Cluster
-	topics   []string
-	cfg      Config
-	ckpt     CheckpointStore
+	src, dst   *stream.Cluster
+	partitions []stream.TopicPartition // every partition of the topics
+	reader     *stream.Reader          // over partitions, on src
+	copied     []int64                 // per partition, messages copied; run's alone
+	replicated atomic.Int64            // their sum, for everyone else
+	cfg        Config
+	ckpt       CheckpointStore
 
 	mu         sync.Mutex
 	assignment Assignment
-	positions  map[stream.TopicPartition]int64
-	sinceCkpt  map[stream.TopicPartition]int64
 	active     []string
 	standby    []string
 	moved      int64
-	replicated int64
 
 	stop chan struct{}
 	done chan struct{}
@@ -173,16 +166,20 @@ func New(src, dst *stream.Cluster, topics []string, cfg Config, ckpt CheckpointS
 			partitions = append(partitions, stream.TopicPartition{Topic: t, Partition: i})
 		}
 	}
+	reader, err := src.NewReader(stream.ResetEarliest, partitions...)
+	if err != nil {
+		return nil, err
+	}
 	r := &Replicator{
-		src:       src,
-		dst:       dst,
-		topics:    topics,
-		cfg:       cfg,
-		ckpt:      ckpt,
-		positions: make(map[stream.TopicPartition]int64),
-		sinceCkpt: make(map[stream.TopicPartition]int64),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		src:        src,
+		dst:        dst,
+		partitions: partitions,
+		reader:     reader,
+		copied:     make([]int64, len(partitions)),
+		cfg:        cfg,
+		ckpt:       ckpt,
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		r.active = append(r.active, fmt.Sprintf("worker-%d", i))
@@ -207,69 +204,56 @@ func (r *Replicator) Stop() {
 	<-r.done
 }
 
-// partitionsList returns all partitions across the replicator's topics.
-func (r *Replicator) partitionsList() []stream.TopicPartition {
-	var out []stream.TopicPartition
-	for _, t := range r.topics {
-		n, err := r.src.Partitions(t)
-		if err != nil {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, stream.TopicPartition{Topic: t, Partition: i})
-		}
-	}
-	return out
-}
+// replicateWait bounds one park on an idle source, and so how long Stop can
+// take. replicatePace is the least time between two rounds while there is
+// something to copy — the WAN hop. It is what keeps the replicators that
+// feed the aggregates from one burst in step, a batch each per pace, so the
+// aggregates interleave the regions alike and an offset translated from one
+// to another (regions.OffsetSync) lands a few batches back, not at the
+// start; it is also the retry pause while a destination refuses writes.
+const (
+	replicateWait = 10 * time.Millisecond
+	replicatePace = time.Millisecond
+)
 
 func (r *Replicator) run() {
 	defer close(r.done)
-	ticker := time.NewTicker(r.cfg.Interval)
-	defer ticker.Stop()
 	for {
+		// Wait parks through a source outage too (nothing is fetchable).
+		woke := r.reader.Wait(replicateWait)
 		select {
 		case <-r.stop:
 			return
-		case <-ticker.C:
-			r.replicateRound()
-			r.adaptToLoad()
+		default:
+		}
+		r.replicateRound()
+		r.adaptToLoad()
+		if woke {
+			time.Sleep(replicatePace)
 		}
 	}
 }
 
-// replicateRound copies up to BatchSize messages per assigned partition.
-// Workers are simulated as sequential slices of the round; their identity
-// matters for assignment-churn accounting, not for throughput here.
+// replicateRound copies up to BatchSize messages per partition, each tried
+// whatever became of the others. Every partition is copied every round: the
+// workers are simulated, and the assignment is accounting (how many
+// partitions a join, a leave or a burst moves), not who copies what.
 func (r *Replicator) replicateRound() {
-	r.mu.Lock()
-	assignment := r.assignment.clone()
-	r.mu.Unlock()
-	for _, tps := range assignment {
-		for _, tp := range tps {
-			r.replicatePartition(tp)
-		}
+	for i := range r.partitions {
+		r.replicatePartition(i)
 	}
 }
 
-func (r *Replicator) replicatePartition(tp stream.TopicPartition) {
-	r.mu.Lock()
-	pos := r.positions[tp]
-	r.mu.Unlock()
-	msgs, err := r.src.Fetch(tp, pos, r.cfg.BatchSize)
-	if err != nil {
-		// Source retention may have advanced; skip to the low watermark.
-		if low, _, werr := r.src.Watermarks(tp); werr == nil && pos < low {
-			r.mu.Lock()
-			r.positions[tp] = low
-			r.mu.Unlock()
-		}
-		return
-	}
-	if len(msgs) == 0 {
-		return
+// replicatePartition copies one batch of partition i, an index into
+// r.partitions.
+func (r *Replicator) replicatePartition(i int) {
+	tp := r.partitions[i]
+	msgs, err := r.reader.Fetch(i, r.cfg.BatchSize)
+	if err != nil || len(msgs) == 0 {
+		return // an unavailable source is waited out in Wait
 	}
 	out := make([]stream.Message, len(msgs))
-	for i, m := range msgs {
+	for j, m := range msgs {
 		headers := make(map[string]string, len(m.Headers)+1)
 		for k, v := range m.Headers {
 			headers[k] = v
@@ -277,48 +261,49 @@ func (r *Replicator) replicatePartition(tp stream.TopicPartition) {
 		headers[stream.HeaderOrigin] = r.src.Name()
 		// The audit fields travel with the copy, so an end-to-end audit
 		// matches a replicated message to its original by uuid.
-		out[i] = stream.Message{
+		out[j] = stream.Message{
 			Key: m.Key, Value: m.Value, Timestamp: m.Timestamp, Partition: tp.Partition,
 			Service: m.Service, Tier: m.Tier, Seq: m.Seq, AppTime: m.AppTime,
 			Headers: headers,
 		}
 	}
-	// Preserve partition: write directly to the matching destination
-	// partition by using keys only when present; the destination cluster
-	// routes by explicit partition when keys are absent. We emulate
-	// partition-preserving produce by sending per-partition batches keyed
-	// to land on tp.Partition via rrHint.
+	if r.copied[i] == 0 {
+		// Where this source's data starts in the destination: what the
+		// offset sync falls back on for a group that has read none of it.
+		r.checkpoint(tp, msgs[0].Offset)
+	}
 	if err := r.produceToPartition(tp, out); err != nil {
-		return
+		return // fetched again next round: the position has not moved
 	}
 	newPos := msgs[len(msgs)-1].Offset + 1
-	r.mu.Lock()
-	r.positions[tp] = newPos
-	r.replicated += int64(len(msgs))
-	r.sinceCkpt[tp] += int64(len(msgs))
-	doCkpt := r.sinceCkpt[tp] >= r.cfg.CheckpointEvery
-	if doCkpt {
-		r.sinceCkpt[tp] = 0
-	}
-	r.mu.Unlock()
-	if doCkpt && r.ckpt != nil {
-		_, dstHigh, _ := r.dst.Watermarks(tp)
-		r.ckpt.SaveMapping(r.src.Name(), r.dst.Name(), OffsetMapping{
-			Topic: tp.Topic, Partition: tp.Partition,
-			SrcOffset: newPos, DstOffset: dstHigh,
-		})
+	r.reader.Seek(i, newPos)
+	r.replicated.Add(int64(len(msgs)))
+	every, before := r.cfg.CheckpointEvery, r.copied[i]
+	r.copied[i] += int64(len(msgs))
+	if before/every != r.copied[i]/every {
+		r.checkpoint(tp, newPos)
 	}
 }
 
-// produceToPartition appends a batch to one specific destination partition.
-// Unkeyed messages with rrHint spread round-robin, so to pin the partition
-// we exploit the broker's routing: rrHint = partition for a batch of size n
-// would spread across partitions. Instead we produce each batch with an
-// rrHint that maps every message to tp.Partition.
+// checkpoint records that the source's messages below srcOffset lie below
+// the destination's current high watermark, and the rest at or above it.
+func (r *Replicator) checkpoint(tp stream.TopicPartition, srcOffset int64) {
+	if r.ckpt == nil {
+		return
+	}
+	_, dstHigh, _ := r.dst.Watermarks(tp)
+	r.ckpt.SaveMapping(r.src.Name(), r.dst.Name(), OffsetMapping{
+		Topic: tp.Topic, Partition: tp.Partition,
+		SrcOffset: srcOffset, DstOffset: dstHigh,
+	})
+}
+
+// produceToPartition appends a batch to one specific destination partition,
+// so that source partition i lands on destination partition i. The broker
+// assigns unkeyed message j of a batch to (rrHint+j) % n, which would spread
+// a batch across partitions: produce one message at a time with rrHint =
+// partition to pin the placement.
 func (r *Replicator) produceToPartition(tp stream.TopicPartition, msgs []stream.Message) error {
-	// The broker assigns unkeyed message i to (rrHint+i) % n. Produce one
-	// message at a time with rrHint = partition to pin placement; batch
-	// inserts would interleave across partitions otherwise.
 	for i := range msgs {
 		if err := r.dst.Produce(tp.Topic, msgs[i:i+1], int64(tp.Partition)); err != nil {
 			return err
@@ -337,7 +322,7 @@ func (r *Replicator) adaptToLoad() {
 		promoted := r.standby[0]
 		r.standby = r.standby[1:]
 		r.active = append(r.active, promoted)
-		next, moved := StickyRebalance(r.assignment, r.active, r.partitionsList())
+		next, moved := StickyRebalance(r.assignment, r.active, r.partitions)
 		r.assignment = next
 		r.moved += int64(moved)
 	}
@@ -349,7 +334,7 @@ func (r *Replicator) AddWorker(name string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.active = append(r.active, name)
-	next, moved := StickyRebalance(r.assignment, r.active, r.partitionsList())
+	next, moved := StickyRebalance(r.assignment, r.active, r.partitions)
 	r.assignment = next
 	r.moved += int64(moved)
 	return moved
@@ -367,39 +352,17 @@ func (r *Replicator) RemoveWorker(name string) int {
 		}
 	}
 	r.active = remaining
-	next, moved := StickyRebalance(r.assignment, r.active, r.partitionsList())
+	next, moved := StickyRebalance(r.assignment, r.active, r.partitions)
 	r.assignment = next
 	r.moved += int64(moved)
 	return moved
 }
 
-// Lag returns the total unreplicated backlog across assigned partitions.
-func (r *Replicator) Lag() int64 {
-	r.mu.Lock()
-	positions := make(map[stream.TopicPartition]int64, len(r.positions))
-	for tp, p := range r.positions {
-		positions[tp] = p
-	}
-	r.mu.Unlock()
-	var lag int64
-	for _, tp := range r.partitionsList() {
-		_, high, err := r.src.Watermarks(tp)
-		if err != nil {
-			continue
-		}
-		if d := high - positions[tp]; d > 0 {
-			lag += d
-		}
-	}
-	return lag
-}
+// Lag returns the total unreplicated backlog across the topics' partitions.
+func (r *Replicator) Lag() int64 { return r.reader.Lag() }
 
 // Replicated returns the total number of messages copied so far.
-func (r *Replicator) Replicated() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.replicated
-}
+func (r *Replicator) Replicated() int64 { return r.replicated.Load() }
 
 // MovedPartitions returns the cumulative count of partition reassignments.
 func (r *Replicator) MovedPartitions() int64 {

@@ -2,6 +2,7 @@ package replicator
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -134,7 +135,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 	dst.CreateTopic("trips", cfg)
 
 	ckpt := &memCkpt{}
-	r, err := New(src, dst, []string{"trips"}, Config{Workers: 2, CheckpointEvery: 10, Interval: time.Millisecond}, ckpt)
+	r, err := New(src, dst, []string{"trips"}, Config{Workers: 2, CheckpointEvery: 10}, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestAdaptiveStandbyPromotion(t *testing.T) {
 	dst.CreateTopic("t", cfg)
 	r, err := New(src, dst, []string{"t"}, Config{
 		Workers: 1, Standby: 2, LagThreshold: 50,
-		BatchSize: 4, Interval: time.Millisecond,
+		BatchSize: 4,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -260,4 +261,132 @@ func TestAdaptiveStandbyPromotion(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Errorf("standby never promoted under burst; active = %v", r.ActiveWorkers())
+}
+
+// A leader failure cuts an AckLeader source log behind the replicator and
+// producers carry on from the cut, reusing offsets it has passed: it must go
+// back to the cut (stream.Reader's rule) and copy every new message.
+func TestReplicatorRereadsAfterSourceLeaderFailure(t *testing.T) {
+	src, err := stream.NewCluster(stream.ClusterConfig{Name: "regional", Nodes: 3, ReplicationInterval: time.Hour}) // pump never fires
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst := newCluster(t, "aggregate")
+	src.CreateTopic("trips", stream.TopicConfig{Partitions: 1, ReplicationFactor: 2, Acks: stream.AckLeader})
+	dst.CreateTopic("trips", stream.TopicConfig{Partitions: 1, Acks: stream.AckAll})
+	r, err := New(src, dst, []string{"trips"}, Config{Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	defer r.Stop()
+
+	p := stream.NewProducer(src, "svc", "", nil)
+	produceAndAwait := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := p.Produce("trips", nil, []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for deadline := time.Now().Add(3 * time.Second); r.Replicated() < int64(to) || r.Lag() != 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("replicated %d of %d, lag %d", r.Replicated(), to, r.Lag())
+			}
+		}
+	}
+	produceAndAwait(0, 20)
+	if err := src.FailNode(src.PartitionStats()[0]["leader"].(int)); err != nil {
+		t.Fatal(err)
+	}
+	produceAndAwait(20, 50)
+	got, err := dst.Fetch(stream.TopicPartition{Topic: "trips", Partition: 0}, 0, 100)
+	if err != nil || len(got) != 50 {
+		t.Fatalf("destination holds %d messages, %v; want the 20 copied before the cut and the 30 after", len(got), err)
+	}
+	for i, m := range got {
+		if want := fmt.Sprintf("v%d", i); string(m.Value) != want {
+			t.Fatalf("destination message %d = %q, want %q", i, m.Value, want)
+		}
+	}
+	if n := r.reader.Repairs(); n != 1 {
+		t.Errorf("reader repairs = %d, want 1", n)
+	}
+}
+
+// One destination partition being unavailable must not keep the others from
+// being copied, and it catches up once it is back.
+func TestReplicatorCopiesPastAnUnavailableDestinationPartition(t *testing.T) {
+	src := newCluster(t, "regional")
+	dst := newCluster(t, "aggregate")
+	src.CreateTopic("trips", stream.TopicConfig{Partitions: 3})
+	dst.CreateTopic("trips", stream.TopicConfig{Partitions: 3, ReplicationFactor: 1})
+	stats := dst.PartitionStats()
+	failed := stats[0]["leader"].(int) // RF 1: partition 0 goes offline
+	healthy := 0
+	for _, s := range stats {
+		if s["leader"].(int) != failed {
+			healthy++
+		}
+	}
+	if err := dst.FailNode(failed); err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(src, dst, []string{"trips"}, Config{Workers: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	defer r.Stop()
+
+	p := stream.NewProducer(src, "svc", "", nil)
+	for i := 0; i < 30; i++ { // unkeyed: 10 a partition
+		if err := p.Produce("trips", nil, []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	await := func(want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(3 * time.Second); r.Replicated() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("replicated %d, want %d", r.Replicated(), want)
+			}
+		}
+	}
+	await(int64(10 * healthy))
+	if err := dst.RecoverNode(failed); err != nil {
+		t.Fatal(err)
+	}
+	await(30)
+}
+
+// The first checkpoint of a partition is taken before its first write and
+// says where this source's data starts in the destination.
+func TestReplicatorCheckpointsWhereItsDataStarts(t *testing.T) {
+	src := newCluster(t, "regional")
+	dst := newCluster(t, "aggregate")
+	src.CreateTopic("trips", stream.TopicConfig{Partitions: 1})
+	dst.CreateTopic("trips", stream.TopicConfig{Partitions: 1})
+	other := stream.NewProducer(dst, "another-region", "", nil)
+	for i := 0; i < 7; i++ {
+		other.Produce("trips", nil, []byte("x"))
+	}
+	ckpt := &memCkpt{}
+	r, err := New(src, dst, []string{"trips"}, Config{Workers: 1, CheckpointEvery: 10}, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := stream.NewProducer(src, "svc", "", nil)
+	for i := 0; i < 20; i++ {
+		p.Produce("trips", nil, []byte("v"))
+	}
+	r.replicateRound()
+	want := []OffsetMapping{
+		{Topic: "trips", SrcOffset: 0, DstOffset: 7},
+		{Topic: "trips", SrcOffset: 20, DstOffset: 27},
+	}
+	if !reflect.DeepEqual(ckpt.mappings, want) {
+		t.Errorf("checkpoints = %+v, want %+v", ckpt.mappings, want)
+	}
 }

@@ -21,11 +21,12 @@ type waiter struct{ ch chan struct{} }
 // availability change (partition offline or back, SetDown, DeleteTopic,
 // Close), so callers re-evaluate promptly; a position on an offline partition, a downed
 // cluster or an unknown topic is simply not fetchable, which makes Wait the
-// back-off for consumers whose Fetch keeps failing. A position below the
-// low watermark counts as fetchable — the Fetch that follows reports
-// ErrOffsetOutOfRange and the consumer skips ahead. Wait parks at most
+// back-off for readers whose Fetch keeps failing. A position outside the
+// log on either side counts as fetchable — the Fetch that follows reports
+// ErrOffsetOutOfRange and the Reader repairs it. Wait parks at most
 // once: after a wake-up it returns without re-checking, and the caller's
-// next Wait parks again if there was nothing to read.
+// next Wait parks again if there was nothing to read. Reader.Wait is its
+// one caller in the program.
 func (c *Cluster) Wait(at []Position, maxWait time.Duration) bool {
 	// Holding c.mu across the check and the registration orders both
 	// against SetDown, DeleteTopic and Close, which wake under it.
@@ -103,14 +104,14 @@ func (p *partition) wake() {
 }
 
 // fetchable reports whether a fetch at offset would return messages (or
-// ErrOffsetOutOfRange below the low watermark); down is the cluster-wide
+// ErrOffsetOutOfRange, on either side of the log); down is the cluster-wide
 // outage flag. When it would not and w is non-nil, w is registered for the
 // partition's next wake-up — in the same critical section, so no append can
 // fall between the check and the registration.
 func (p *partition) fetchable(offset int64, down bool, w *waiter) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !down && !p.offline && offset < p.next {
+	if !down && !p.offline && offset != p.next {
 		return true
 	}
 	if w != nil {
