@@ -30,6 +30,7 @@ fuzz-smoke:
 	go test ./internal/olap -run='^$$' -fuzz=FuzzMergePartials -fuzztime=30s
 	go test ./internal/objstore -run='^$$' -fuzz=FuzzDecodeColumnar -fuzztime=30s
 	go test ./internal/record -run='^$$' -fuzz=FuzzCodecDecode -fuzztime=30s
+	go test ./internal/stream -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=30s
 
 fmt:
 	gofmt -w .

@@ -78,8 +78,8 @@ func main() {
 	fmt.Println("\ncluster-b partition state for rider-events:")
 	for _, st := range c2.PartitionStats() {
 		if st["topic"] == "rider-events" {
-			fmt.Printf("  partition %v: high=%v bytes=%v leader=node-%v\n",
-				st["partition"], st["high"], st["bytes"], st["leader"])
+			fmt.Printf("  partition %v: high=%v bytes=%v resident_bytes=%v leader=node-%v\n",
+				st["partition"], st["high"], st["bytes"], st["resident_bytes"], st["leader"])
 		}
 	}
 }

@@ -285,58 +285,59 @@ func (c *Cluster) Produce(topic string, msgs []Message, rrHint int64) error {
 	c.mu.RUnlock()
 	buckets := bucketByPartition(msgs, len(parts), rrHint)
 	var err error
-	for pi, batch := range buckets {
-		if len(batch) > 0 && err == nil {
-			_, err = parts[pi].append(batch)
+	for pi, picks := range buckets {
+		if len(picks) > 0 && err == nil {
+			err = parts[pi].append(msgs, picks)
 		}
 	}
 	// Wake consumers only now that every partition has its share: one woken
 	// by the first append would read the others before the rest of the
 	// batch reached them, and a flow source would put its watermark between
 	// rows that were produced together.
-	for pi, batch := range buckets {
-		if len(batch) > 0 {
+	for pi, picks := range buckets {
+		if len(picks) > 0 {
 			parts[pi].wake()
 		}
 	}
 	return err
 }
 
-// bucketByPartition groups messages by destination partition, preserving
-// order, as a counting sort into one backing array: a fixed number of
-// allocations whatever the batch size, and partitions in index order.
-func bucketByPartition(msgs []Message, n int, rrHint int64) [][]Message {
-	dest := make([]int, len(msgs))
+// bucketByPartition groups the indices of msgs by destination partition,
+// preserving order, as a counting sort into one backing array: a fixed
+// number of allocations whatever the batch size, partitions in index order,
+// and no message copied.
+func bucketByPartition(msgs []Message, n int, rrHint int64) [][]int32 {
+	dest := make([]int32, len(msgs))
 	counts := make([]int, n)
 	for i := range msgs {
 		if key := msgs[i].Key; len(key) > 0 {
-			dest[i] = int(hashBytes(key) % uint32(n))
+			dest[i] = int32(hashBytes(key) % uint32(n))
 		} else {
-			dest[i] = int((rrHint + int64(i)) % int64(n))
+			dest[i] = int32((rrHint + int64(i)) % int64(n))
 		}
 		counts[dest[i]]++
 	}
-	flat := make([]Message, len(msgs))
-	buckets := make([][]Message, n)
+	flat := make([]int32, len(msgs))
+	buckets := make([][]int32, n)
 	off := 0
 	for pi, c := range counts {
 		buckets[pi] = flat[off : off : off+c]
 		off += c
 	}
-	for i := range msgs {
-		buckets[dest[i]] = append(buckets[dest[i]], msgs[i])
+	for i, pi := range dest {
+		buckets[pi] = append(buckets[pi], int32(i))
 	}
 	return buckets
 }
 
 // Fetch returns up to max messages from the given partition starting at
-// offset, without blocking.
+// offset, without blocking, in a slice of the caller's.
 func (c *Cluster) Fetch(tp TopicPartition, offset int64, max int) ([]Message, error) {
 	p, err := c.partition(tp.Topic, tp.Partition)
 	if err != nil {
 		return nil, err
 	}
-	return p.fetch(offset, max)
+	return p.fetch(nil, offset, max)
 }
 
 // Watermarks returns the low and high watermark of a partition.
@@ -441,6 +442,8 @@ func (c *Cluster) LostMessages() int64 {
 }
 
 // PartitionStats returns a snapshot of every partition, for admin tooling.
+// "bytes" is what retention charges the partition, "resident_bytes" what its
+// log holds in memory (see partitionStats).
 func (c *Cluster) PartitionStats() []map[string]any {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -456,9 +459,9 @@ func (c *Cluster) PartitionStats() []map[string]any {
 			out = append(out, map[string]any{
 				"topic": s.Topic, "partition": s.Partition,
 				"low": s.LowWatermark, "high": s.HighWatermark,
-				"replicated": s.Replicated, "bytes": s.Bytes,
-				"segments": s.Segments, "leader": s.LeaderNode,
-				"offline": s.Offline,
+				"replicated": s.Replicated, "segments": s.Segments,
+				"bytes": s.Bytes, "resident_bytes": s.ResidentBytes,
+				"leader": s.LeaderNode, "offline": s.Offline,
 			})
 		}
 	}

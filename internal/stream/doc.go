@@ -6,14 +6,23 @@
 // consumer groups with rebalancing and committed offsets, and node-failure
 // simulation.
 //
+// A partition's log is a list of segments, each one byte slab of encoded
+// records plus an index of where each ends (segment): no Go pointer per
+// retained message, so the collector has a handful of objects to mark per
+// segment however much the topic holds. Retention charges a message what
+// Message.sizeBytes says, which the record never exceeds; PartitionStats
+// reports both the charged bytes and the resident ones.
+//
 // Reading is one type: Reader, a cursor over an explicit set of partitions
 // that owns the positions, the park in Cluster.Wait, the fetch, the repair
 // of a position the log no longer has (retention passed it, a leader
 // failure cut it off — partition.resume is the one rule) and the lag sum.
 // Consumer is a Reader plus group assignment and commits; the flow source,
-// the OLAP ingester and the replicator each own one too. Nothing else calls
-// Cluster.Fetch or Cluster.Wait, and nothing in this layer wakes on a timer
-// to look for data: an idle reader is parked (a busy replicator paces itself).
+// the OLAP ingester and the replicator each own one too. A Reader decodes
+// each fetch into a buffer it reuses; Cluster.Fetch, for the one-off read
+// of a test or a tool, returns a fresh slice. Nothing else calls
+// Cluster.Wait, and nothing in this layer wakes on a timer to look for
+// data: an idle reader is parked (a busy replicator paces itself).
 //
 // Uber's enhancements from §4.1 live in subpackages:
 //

@@ -39,7 +39,10 @@ const (
 	HeaderOrigin     = "origin"      // source cluster, stamped by uReplicator
 )
 
-// Message is one event in a topic partition.
+// Message is one event in a topic partition. The log keeps messages as
+// encoded records (see segment) and builds a Message for each on the way
+// out of a fetch: an empty Key, Value or Headers comes back nil whether it
+// went in nil or empty — nothing in the program tells them apart.
 type Message struct {
 	// Topic and Partition locate the message; filled in by the broker.
 	Topic     string
@@ -50,7 +53,10 @@ type Message struct {
 	// Key selects the partition (hashed) and is the upsert / join key for
 	// downstream layers. Empty keys are partitioned round-robin.
 	Key []byte
-	// Value is the payload (typically a record.Codec-encoded event).
+	// Value is the payload (typically a record.Codec-encoded event). A
+	// produce copies Key and Value into the log; a fetched message's alias
+	// the log, which never rewrites them: read, keep and pass them on
+	// freely, do not write through them.
 	Value []byte
 	// Timestamp is the event time in milliseconds since the epoch.
 	Timestamp int64
@@ -66,8 +72,9 @@ type Message struct {
 	Seq     int64
 	AppTime int64
 	// Headers carries caller-supplied annotations (HeaderRetryCount,
-	// HeaderOrigin). The stream layer only reads it: a fetched message
-	// shares the map with the copy retained in the log.
+	// HeaderOrigin). A produce copies the entries into the log and a fetch
+	// builds a fresh map (nil when there are none), so the map is its
+	// holder's to write.
 	Headers map[string]string
 }
 
@@ -104,7 +111,9 @@ func (m *Message) HeaderOr(key, def string) string {
 // sizeBytes approximates the message's footprint for byte-based retention.
 // The audit fields are charged what they cost as four headers — key, value
 // as HeaderOr formats it, and 8 bytes of overhead each — so a partition
-// retains as many messages as when they were map entries.
+// retains as many messages as when they were map entries. It is a charge,
+// not the memory the log spends: the record a message is stored as never
+// takes more (see segment), usually well under half.
 func (m *Message) sizeBytes() int64 {
 	n := int64(len(m.Key) + len(m.Value) + 32)
 	if m.Seq != 0 {
@@ -189,6 +198,9 @@ func (c TopicConfig) withDefaults() (TopicConfig, error) {
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = DefaultSegmentBytes
 	}
+	// A segment indexes its slab with uint32: rolling by 2 GiB leaves room
+	// for the record that crosses the roll size.
+	c.SegmentBytes = min(c.SegmentBytes, 1<<31)
 	return c, nil
 }
 

@@ -2,18 +2,10 @@ package stream
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
-
-// segment is one chunk of a partition's log. Like Kafka, retention removes
-// whole segments from the head of the log, never individual messages.
-type segment struct {
-	baseOffset int64
-	messages   []Message
-	bytes      int64
-	maxTime    time.Time
-}
 
 // partition is a single partition's replicated log. All access goes through
 // the owning topic/cluster which handles leader placement; partition itself
@@ -58,56 +50,50 @@ func newPartition(topic string, index int, cfg TopicConfig, clock Clock) *partit
 	return &partition{topic: topic, index: index, cfg: cfg, clock: clock}
 }
 
-// append adds messages to the log and returns the base offset assigned to
-// the first of them. For AckAll topics the replicated watermark advances
-// synchronously (the in-process stand-in for waiting on ISR acks). It does
-// not wake the partition's waiters: Cluster.Produce does, once the whole
-// batch is in.
-func (p *partition) append(msgs []Message) (int64, error) {
+// append adds msgs[i] for each i of picks, in that order, to the log — the
+// share of a produced batch that is this partition's, encoded straight from
+// the caller's slice, which is neither written nor kept. For AckAll topics
+// the replicated watermark advances synchronously (the in-process stand-in
+// for waiting on ISR acks). It does not wake the partition's waiters:
+// Cluster.Produce does, once the whole batch is in.
+func (p *partition) append(msgs []Message, picks []int32) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.offline {
-		return 0, fmt.Errorf("%w: %s[%d]", ErrPartitionOffline, p.topic, p.index)
+		return fmt.Errorf("%w: %s[%d]", ErrPartitionOffline, p.topic, p.index)
 	}
-	base := p.next
 	now := p.clock()
-	for i := range msgs {
-		msgs[i].Topic = p.topic
-		msgs[i].Partition = p.index
-		msgs[i].Offset = p.next
-		if msgs[i].Timestamp == 0 {
-			msgs[i].Timestamp = now.UnixMilli()
+	for _, i := range picks {
+		m := &msgs[i]
+		ts := m.Timestamp
+		if ts == 0 {
+			ts = now.UnixMilli()
 		}
-		p.appendOneLocked(msgs[i], now)
+		sz := m.sizeBytes()
+		p.activeSegmentLocked().append(m, ts, sz, p.cfg.SegmentBytes+sz)
+		p.totalBytes += sz
+		p.next++
 	}
 	if p.cfg.Acks == AckAll {
 		p.replicated = p.next
 	}
 	p.enforceRetentionLocked(now)
-	return base, nil
+	return nil
 }
 
-func (p *partition) appendOneLocked(m Message, now time.Time) {
-	seg := p.activeSegmentLocked()
-	sz := m.sizeBytes()
-	seg.messages = append(seg.messages, m)
-	seg.bytes += sz
-	if t := time.UnixMilli(m.Timestamp); t.After(seg.maxTime) {
-		seg.maxTime = t
-	}
-	p.totalBytes += sz
-	p.next++
-}
-
+// activeSegmentLocked returns the segment the next message goes to, rolling
+// a new one when the last has been charged its fill.
 func (p *partition) activeSegmentLocked() *segment {
-	if len(p.segments) == 0 {
-		p.segments = append(p.segments, &segment{baseOffset: p.next})
+	var last *segment
+	if len(p.segments) > 0 {
+		last = p.segments[len(p.segments)-1]
+		if last.bytes < p.cfg.SegmentBytes {
+			return last
+		}
+		last.seal()
 	}
-	last := p.segments[len(p.segments)-1]
-	if last.bytes >= p.cfg.SegmentBytes {
-		last = &segment{baseOffset: p.next}
-		p.segments = append(p.segments, last)
-	}
+	last = newSegment(p.next, last)
+	p.segments = append(p.segments, last)
 	return last
 }
 
@@ -117,11 +103,12 @@ func (p *partition) enforceRetentionLocked(now time.Time) {
 	for len(p.segments) > 1 {
 		head := p.segments[0]
 		overBytes := p.cfg.RetentionBytes > 0 && p.totalBytes > p.cfg.RetentionBytes
-		overTime := p.cfg.RetentionTime > 0 && now.Sub(head.maxTime) > p.cfg.RetentionTime
+		overTime := p.cfg.RetentionTime > 0 && now.Sub(time.UnixMilli(head.maxTime)) > p.cfg.RetentionTime
 		if !overBytes && !overTime {
 			return
 		}
 		p.totalBytes -= head.bytes
+		p.segments[0] = nil // the array outlives the reslice; the slab must not
 		p.segments = p.segments[1:]
 		p.logStart = p.segments[0].baseOffset
 	}
@@ -135,46 +122,37 @@ func (p *partition) advanceReplication() {
 	p.mu.Unlock()
 }
 
-// fetch returns up to max messages starting at offset. A fetch exactly at
-// the high watermark returns an empty slice; below the low watermark or
-// beyond the high watermark it returns ErrOffsetOutOfRange.
-func (p *partition) fetch(offset int64, max int) ([]Message, error) {
+// fetch appends up to max messages starting at offset to buf[:0] and returns
+// it (a nil buf is sized once, to what the fetch returns). A fetch exactly at
+// the high watermark returns no messages; below the low watermark or beyond
+// the high watermark it returns ErrOffsetOutOfRange.
+func (p *partition) fetch(buf []Message, offset int64, max int) ([]Message, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.fetchLocked(offset, max)
-}
-
-func (p *partition) fetchLocked(offset int64, max int) ([]Message, error) {
 	if p.offline {
 		return nil, fmt.Errorf("%w: %s[%d]", ErrPartitionOffline, p.topic, p.index)
 	}
 	if offset < p.logStart || offset > p.next {
 		return nil, fmt.Errorf("%w: %s[%d] offset %d, range [%d,%d)", ErrOffsetOutOfRange, p.topic, p.index, offset, p.logStart, p.next)
 	}
-	if offset == p.next {
-		return nil, nil
+	n := int(p.next - offset)
+	if max > 0 && n > max {
+		n = max
 	}
-	n := p.next - offset
-	if max > 0 && n > int64(max) {
-		n = int64(max)
+	out := buf[:0]
+	if cap(out) < n {
+		out = make([]Message, 0, n)
 	}
-	out := make([]Message, 0, n)
-	for _, seg := range p.segments {
-		segEnd := seg.baseOffset + int64(len(seg.messages))
-		if offset >= segEnd {
-			continue
-		}
-		start := 0
-		if offset > seg.baseOffset {
-			start = int(offset - seg.baseOffset)
-		}
-		take := seg.messages[start:]
-		if room := int(n) - len(out); len(take) > room {
-			take = take[:room]
-		}
-		out = append(out, take...)
-		if len(out) == int(n) {
-			break
+	// The last segment that begins at or below offset holds it.
+	si := sort.Search(len(p.segments), func(i int) bool { return p.segments[i].baseOffset > offset }) - 1
+	for ; len(out) < n; si++ {
+		seg := p.segments[si]
+		for i := int(offset - seg.baseOffset); i < seg.count() && len(out) < n; i++ {
+			out = out[:len(out)+1]
+			m := &out[len(out)-1]
+			m.Topic, m.Partition, m.Offset = p.topic, p.index, offset
+			seg.message(i, m)
+			offset++
 		}
 	}
 	return out, nil
@@ -206,25 +184,23 @@ func (p *partition) truncateUnreplicated() int64 {
 	if lost <= 0 {
 		return 0
 	}
-	remaining := p.replicated
-	p.cuts = append(p.cuts, remaining)
-	for i, seg := range p.segments {
-		segEnd := seg.baseOffset + int64(len(seg.messages))
-		if segEnd <= remaining {
-			continue
+	cut := p.replicated
+	p.cuts = append(p.cuts, cut)
+	// Whole segments above the cut go, then the tail of the one it falls in.
+	for last := len(p.segments) - 1; last >= 0; last-- {
+		seg := p.segments[last]
+		if seg.baseOffset < cut {
+			p.totalBytes -= seg.truncate(int(cut - seg.baseOffset))
+			break
 		}
-		keep := 0
-		if remaining > seg.baseOffset {
-			keep = int(remaining - seg.baseOffset)
-		}
-		for _, m := range seg.messages[keep:] {
-			p.totalBytes -= m.sizeBytes()
-		}
-		seg.messages = seg.messages[:keep]
-		p.segments = p.segments[:i+1]
-		break
+		p.totalBytes -= seg.bytes
+		p.segments[last] = nil
+		p.segments = p.segments[:last]
 	}
-	p.next = remaining
+	// Retention may have outrun replication: nothing retained is below the
+	// cut then, and the empty log stands at it.
+	p.logStart = min(p.logStart, cut)
+	p.next = cut
 	return lost
 }
 
@@ -257,7 +233,11 @@ type partitionStats struct {
 	LowWatermark  int64
 	HighWatermark int64
 	Replicated    int64
+	// Bytes is what retention charges (sizeBytes per message); ResidentBytes
+	// is what the log holds in memory: the capacities of the retained
+	// segments' slabs and indexes.
 	Bytes         int64
+	ResidentBytes int64
 	Segments      int
 	LeaderNode    int
 	Offline       bool
@@ -266,6 +246,10 @@ type partitionStats struct {
 func (p *partition) stats() partitionStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var resident int64
+	for _, seg := range p.segments {
+		resident += seg.residentBytes()
+	}
 	return partitionStats{
 		Topic:         p.topic,
 		Partition:     p.index,
@@ -273,6 +257,7 @@ func (p *partition) stats() partitionStats {
 		HighWatermark: p.next,
 		Replicated:    p.replicated,
 		Bytes:         p.totalBytes,
+		ResidentBytes: resident,
 		Segments:      len(p.segments),
 		LeaderNode:    p.leaderNode,
 		Offline:       p.offline,

@@ -32,6 +32,9 @@ type Reader struct {
 	// log never cut, where there was none to ask). Only the owner touches it.
 	epochs  []int
 	repairs atomic.Int64
+	// buf is the last fetch, and what the next decodes into. Only the owner
+	// touches it.
+	buf []Message
 }
 
 // NewReader assigns the given partitions to a new reader, each starting at
@@ -86,21 +89,32 @@ func (r *Reader) Wait(maxWait time.Duration) bool { return r.cluster.Wait(r.at, 
 
 // Fetch returns up to max messages of partition i (an index into the
 // assignment) from its position, without blocking and without moving the
-// position. A position the log no longer has — retention passed it, a
+// position. The messages are decoded into a buffer the reader owns and are
+// valid until its next Fetch, of any partition; an owner that keeps one
+// longer copies it (Key and Value alias the log and may be kept as they
+// are). A position the log no longer has — retention passed it, a
 // truncation cut it off, or it was never in this log — is repaired and the
 // fetch repeated; an unavailable partition (offline, outage, unknown topic)
 // is the caller's error to wait out, in Wait.
 func (r *Reader) Fetch(i, max int) ([]Message, error) {
 	for {
 		pos := r.at[i]
-		msgs, err := r.cluster.Fetch(pos.TopicPartition, pos.Offset, max)
+		p, err := r.cluster.partition(pos.Topic, pos.Partition)
+		if err != nil {
+			return nil, err
+		}
+		msgs, err := p.fetch(r.buf, pos.Offset, max)
 		outOfRange := errors.Is(err, ErrOffsetOutOfRange)
 		if err != nil && !outOfRange {
 			return nil, err
 		}
-		p, err := r.cluster.partition(pos.Topic, pos.Partition)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			// What the last fetch held beyond this one is let go: a message
+			// pins the slab it aliases, long after retention dropped it.
+			if len(msgs) < len(r.buf) {
+				clear(r.buf[len(msgs):])
+			}
+			r.buf = msgs
 		}
 		// Looking after the fetch is what makes it exact: an unchanged
 		// epoch says no truncation fell between the last look and this one,
