@@ -41,13 +41,12 @@ type location struct {
 }
 
 // hosted tracks one sealed segment's local serving state: the resident
-// columnar data (nil while offloaded to the deep store), metadata kept
-// resident even while the data is not (so time pruning and upsert
-// invalidation never need a deep-store fetch), and the last query touch
-// that drives the lifecycle manager's LRU hot-set.
+// columnar data (nil while offloaded to the deep store), time bounds kept
+// resident even while the data is not (so time pruning never needs a
+// deep-store fetch), and the last query touch that drives the lifecycle
+// manager's LRU hot-set.
 type hosted struct {
 	seg       *Segment // nil while offloaded
-	numRows   int
 	minTime   int64
 	maxTime   int64
 	hasBounds bool
@@ -65,7 +64,6 @@ type Server struct {
 
 	mu       sync.RWMutex
 	segments map[string]*hosted
-	valid    map[string]*Bitmap // upsert: segment -> still-valid docs
 	down     bool
 	loader   func(name string) (*Segment, error)
 	reloads  int64
@@ -86,7 +84,6 @@ func NewServer(name string) *Server {
 	return &Server{
 		name:     name,
 		segments: make(map[string]*hosted),
-		valid:    make(map[string]*Bitmap),
 	}
 }
 
@@ -122,12 +119,10 @@ func (s *Server) Down() bool {
 	return s.down
 }
 
-// AddSegment installs a sealed segment (with its upsert validity bitmap,
-// which may be nil for non-upsert tables).
-func (s *Server) AddSegment(seg *Segment, valid *Bitmap) {
+// addSegment installs a sealed segment.
+func (s *Server) addSegment(seg *Segment) {
 	h := &hosted{
 		seg:       seg,
-		numRows:   seg.NumRows,
 		minTime:   seg.MinTime,
 		maxTime:   seg.MaxTime,
 		hasBounds: seg.Schema.TimeField != "",
@@ -135,23 +130,15 @@ func (s *Server) AddSegment(seg *Segment, valid *Bitmap) {
 	h.lastQuery.Store(time.Now().UnixNano())
 	s.mu.Lock()
 	s.segments[seg.Name] = h
-	if valid != nil {
-		s.valid[seg.Name] = valid
-	} else {
-		// A fresh install must not inherit the bitmap of a retired copy
-		// this server held earlier (a segment rebalanced away and back).
-		delete(s.valid, seg.Name)
-	}
 	s.mu.Unlock()
 }
 
-// AddOffloaded installs a sealed segment in its offloaded state: routing
+// addOffloaded installs a sealed segment in its offloaded state: routing
 // metadata only, no resident data — the metadata-only half of a rebalance
 // move, where the deep store already holds the bytes and queries reload
 // them transparently through the loader.
-func (s *Server) AddOffloaded(name string, numRows int, minTime, maxTime int64, hasBounds bool, valid *Bitmap) {
+func (s *Server) addOffloaded(name string, minTime, maxTime int64, hasBounds bool) {
 	h := &hosted{
-		numRows:   numRows,
 		minTime:   minTime,
 		maxTime:   maxTime,
 		hasBounds: hasBounds,
@@ -159,11 +146,6 @@ func (s *Server) AddOffloaded(name string, numRows int, minTime, maxTime int64, 
 	h.lastQuery.Store(time.Now().UnixNano())
 	s.mu.Lock()
 	s.segments[name] = h
-	if valid != nil {
-		s.valid[name] = valid
-	} else {
-		delete(s.valid, name)
-	}
 	s.mu.Unlock()
 }
 
@@ -212,10 +194,9 @@ func (s *Server) SetLoader(fn func(name string) (*Segment, error)) {
 	s.mu.Unlock()
 }
 
-// Offload drops a segment's resident data, keeping routing metadata (time
-// bounds, row count) so pruning and upsert invalidation keep working. The
-// caller must have archived the segment first. Reports whether data was
-// actually released.
+// Offload drops a segment's resident data, keeping its time bounds so
+// pruning keeps working. The caller must have archived the segment first.
+// Reports whether data was actually released.
 func (s *Server) Offload(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -238,8 +219,8 @@ func (s *Server) Retire(name string) {
 	s.mu.Unlock()
 }
 
-// PurgeRetired drops retired segments (and their validity bitmaps) that
-// were retired before the cutoff, returning how many were reclaimed.
+// PurgeRetired drops segments retired before the cutoff, returning how many
+// were reclaimed.
 func (s *Server) PurgeRetired(before time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -247,7 +228,6 @@ func (s *Server) PurgeRetired(before time.Time) int {
 	for name, h := range s.segments {
 		if !h.retiredAt.IsZero() && h.retiredAt.Before(before) {
 			delete(s.segments, name)
-			delete(s.valid, name)
 			n++
 		}
 	}
@@ -280,25 +260,6 @@ func (s *Server) Reloads() int64 {
 	return s.reloads
 }
 
-// invalidate clears an upsert-superseded doc in a sealed segment. The
-// metadata kept by hosted lets this work even while the segment's data is
-// offloaded.
-func (s *Server) invalidate(segment string, doc int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bm, ok := s.valid[segment]
-	if !ok {
-		if h, has := s.segments[segment]; has {
-			bm = NewBitmap(h.numRows)
-			bm.Fill()
-			s.valid[segment] = bm
-		} else {
-			return
-		}
-	}
-	bm.Clear(doc)
-}
-
 // ExecOptions tunes one server-side subquery execution.
 type ExecOptions struct {
 	// Workers bounds the segment-scan worker pool (0 means GOMAXPROCS; 1
@@ -321,12 +282,10 @@ type ExecOptions struct {
 }
 
 // segSnapshot is one query's view of the routed segments on this server:
-// resident segment data plus cloned validity bitmaps (index-aligned), with
-// out-of-window segments pruned and offloaded segments transparently
-// reloaded or skipped.
+// resident segment data, with out-of-window segments pruned and offloaded
+// segments transparently reloaded or skipped.
 type segSnapshot struct {
 	segs     []*Segment
-	valids   []*Bitmap
 	pruned   int
 	skipped  int
 	reloaded int
@@ -336,13 +295,13 @@ type segSnapshot struct {
 // snapshotSegments runs the scanSegments preamble: under the read
 // lock it checks liveness, prunes segments whose time bounds miss the
 // query's window (using hosted metadata, so offloaded segments never touch
-// the deep store), records query touches for the LRU hot-set, and clones
-// validity bitmaps; then — outside the lock, because the deep store may be
-// slow or down — it reloads surviving offloaded segments through the
-// attached loader and installs them back as resident (or skips them when
-// hotOnly). A reload failure fails only queries that need the cold
-// segment; hot-set queries are unaffected — the graceful-degradation
-// contract under a deep-store outage.
+// the deep store) and records query touches for the LRU hot-set; then —
+// outside the lock, because the deep store may be slow or down — it
+// reloads surviving offloaded segments through the attached loader and
+// installs them back as resident (or skips them when hotOnly). A reload
+// failure fails only queries that need the cold segment; hot-set queries
+// are unaffected — the graceful-degradation contract under a deep-store
+// outage.
 func (s *Server) snapshotSegments(ctx context.Context, q *Query, segmentNames []string, hotOnly bool) (*segSnapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -353,10 +312,7 @@ func (s *Server) snapshotSegments(ctx context.Context, q *Query, segmentNames []
 		s.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %s", ErrServerDown, s.name)
 	}
-	snap := &segSnapshot{
-		segs:   make([]*Segment, 0, len(segmentNames)),
-		valids: make([]*Bitmap, 0, len(segmentNames)),
-	}
+	snap := &segSnapshot{segs: make([]*Segment, 0, len(segmentNames))}
 	var offloaded []string
 	for _, name := range segmentNames {
 		h, ok := s.segments[name]
@@ -381,9 +337,6 @@ func (s *Server) snapshotSegments(ctx context.Context, q *Query, segmentNames []
 			continue
 		}
 		snap.segs = append(snap.segs, h.seg)
-		// Snapshot the validity bitmap: Server.invalidate mutates it under
-		// s.mu while scans here run lock-free (and concurrently).
-		snap.valids = append(snap.valids, cloneValid(s.valid[name])) // nil when fully valid
 	}
 	loader := s.loader
 	snap.scanHist = s.scanHist
@@ -408,30 +361,29 @@ func (s *Server) snapshotSegments(ctx context.Context, q *Query, segmentNames []
 			h.seg = seg
 			s.reloads++
 		}
-		v := cloneValid(s.valid[name])
 		s.mu.Unlock()
 		snap.reloaded++
 		snap.segs = append(snap.segs, seg)
-		snap.valids = append(snap.valids, v)
 	}
 	return snap, nil
 }
 
 // scanSegments runs a routed server's share of a scatter over the named
-// sealed segments hosted here. Segments whose time bounds fall outside the
-// query's TimeRange are pruned before any scan is scheduled (and before any
-// deep-store reload); offloaded segments that survive pruning are
-// transparently reloaded through the attached loader and installed back as
-// resident (or skipped under opts.HotOnly). The survivors scan into out, up
-// to opts.Workers at once (0 means GOMAXPROCS; 1 is serial, in routed order,
-// with no goroutine overhead — a stream's order, and the baseline E16
-// compares against), until out has had enough,
-// a scan fails or ctx ends (checked between segment scans). Each scan is a
-// sample in the server's scan histogram and a segment.scan span; the
-// fault-injection delay sleeps inside the timed window so slow-query capture
-// attributes it to this scan. The returned stats sum the scans' and the
+// sealed segments hosted here, masked by valid (segment name → upsert
+// validity, taken with the routing snapshot; absent means every row is
+// valid). Segments whose time bounds fall outside the query's TimeRange are
+// pruned before any scan is scheduled (and before any deep-store reload);
+// offloaded segments that survive pruning are transparently reloaded
+// through the attached loader and installed back as resident (or skipped
+// under opts.HotOnly). The survivors scan into out, up to opts.Workers at
+// once (0 means GOMAXPROCS; 1 is serial, in routed order, with no goroutine
+// overhead — a stream's order, and the baseline E16 compares against),
+// until out has had enough, a scan fails or ctx ends (checked between
+// segment scans). Each scan is a sample in the server's scan histogram and
+// a segment.scan span; the fault-injection delay sleeps inside the timed
+// window so slow-query capture attributes it to this scan. The returned stats sum the scans' and the
 // snapshot's (segments pruned, reloaded, skipped).
-func (s *Server) scanSegments(ctx context.Context, q *Query, segmentNames []string, opts ExecOptions, out producer) (ExecStats, error) {
+func (s *Server) scanSegments(ctx context.Context, q *Query, segmentNames []string, valid map[string]*Bitmap, opts ExecOptions, out producer) (ExecStats, error) {
 	snap, err := s.snapshotSegments(ctx, q, segmentNames, opts.HotOnly)
 	if err != nil {
 		return ExecStats{}, err
@@ -456,10 +408,11 @@ func (s *Server) scanSegments(ctx context.Context, q *Query, segmentNames []stri
 			if delay := s.scanDelay.Load(); delay > 0 {
 				time.Sleep(time.Duration(delay))
 			}
-			st, more, err := out.scan(pctx, scanUnit{seg: snap.segs[i], valid: snap.valids[i]})
+			seg := snap.segs[i]
+			st, more, err := out.scan(pctx, scanUnit{seg: seg, valid: valid[seg.Name]})
 			snap.scanHist.Observe(time.Since(start))
 			if sp.Active() {
-				sp.SetAttr("segment", snap.segs[i].Name)
+				sp.SetAttr("segment", seg.Name)
 				if err != nil {
 					sp.SetAttr("error", err.Error())
 				} else {
@@ -513,9 +466,6 @@ func (s *Server) MemBytes() int64 {
 		if h.seg != nil {
 			n += h.seg.MemBytes()
 		}
-	}
-	for _, bm := range s.valid {
-		n += bm.MemBytes()
 	}
 	return n
 }
@@ -934,10 +884,8 @@ func (d *Deployment) conform(partition int, r record.Record) (record.Record, err
 // until the rows run out or the store reaches SegmentRows (full). Caller
 // holds d.mu and has checked that the store is not already full.
 func (d *Deployment) appendLocked(partition int, rows []record.Record) (added int, full bool, err error) {
-	owner, ok := d.partitionOwner[partition]
-	if !ok {
-		owner = d.pickOwnerLocked(partition)
-		d.partitionOwner[partition] = owner
+	if _, ok := d.partitionOwner[partition]; !ok {
+		d.partitionOwner[partition] = d.pickOwnerLocked(partition)
 	}
 	ms, consuming := d.consuming[partition]
 	if !consuming {
@@ -957,7 +905,7 @@ func (d *Deployment) appendLocked(partition int, rows []record.Record) (added in
 			d.consuming[partition] = ms
 			consuming = true
 		}
-		superseded := d.cfg.Upsert && d.supersedeLocked(partition, owner, ms, row, doc)
+		superseded := d.cfg.Upsert && d.supersedeLocked(partition, ms, row, doc)
 		d.ingested++
 		d.ingestRows.Inc()
 		d.lastIngestNanos = now
@@ -980,7 +928,7 @@ func (d *Deployment) appendLocked(partition int, rows []record.Record) (added in
 // supersedeLocked points the row's primary key at its new location in the
 // consuming store and invalidates the row it replaces, if any, wherever
 // that row lives. It reports whether a row was replaced. Caller holds d.mu.
-func (d *Deployment) supersedeLocked(partition, owner int, ms *mutableSegment, row record.Record, doc int) bool {
+func (d *Deployment) supersedeLocked(partition int, ms *mutableSegment, row record.Record, doc int) bool {
 	pk := row.String(d.cfg.Schema.PrimaryKey)
 	locs, ok := d.upsertLoc[partition]
 	if !ok {
@@ -993,17 +941,11 @@ func (d *Deployment) supersedeLocked(partition, owner int, ms *mutableSegment, r
 			ms.invalid[old.doc] = true
 		} else if sb := d.sealingLocked(partition, old.segment); sb != nil {
 			// The superseded row is mid-seal: record it on the frozen
-			// store so the sealed segment's validity bitmap (built at
-			// swap time) excludes it.
+			// store, whose invalid set becomes the sealed segment's
+			// validity bitmap at the swap.
 			sb.invalid[old.doc] = true
 		} else {
-			d.serverAt(owner).invalidate(old.segment, old.doc)
-			// Keep replica validity consistent too.
-			for _, ri := range d.placement[old.segment] {
-				if ri != owner {
-					d.serverAt(ri).invalidate(old.segment, old.doc)
-				}
-			}
+			d.invalidateLocked(old.segment, old.doc)
 		}
 	}
 	locs[pk] = location{segment: "", doc: doc}
@@ -1023,8 +965,8 @@ func (d *Deployment) segmentName(partition, seq int) string {
 // exactly once. The segment is built outside the lock by freezing the
 // store's columns (mutableSegment.seal). Upsert supersedes that land
 // meanwhile accumulate on the frozen store (the future segment name is
-// already in the location map) and are applied to the replicas' validity
-// bitmaps at swap time.
+// already in the location map), whose invalid set becomes the segment's
+// validity bitmap at the swap.
 func (d *Deployment) Seal(partition int) error {
 	sealStart := time.Now()
 	d.mu.Lock()
@@ -1049,13 +991,6 @@ func (d *Deployment) Seal(partition int) error {
 	}
 	//lint:ignore genbump second half of the consuming→sealing handover suppressed above: same rows, same visible set, no invalidation needed until the swap
 	d.sealing[partition] = append(d.sealing[partition], ms)
-	// invalidSnap is the supersede set as of now; anything added to
-	// ms.invalid after this point (concurrent upserts, recorded under mu)
-	// is applied to the replicas at swap time.
-	invalidSnap := make(map[int]bool, len(ms.invalid))
-	for doc, v := range ms.invalid {
-		invalidSnap[doc] = v
-	}
 	if d.cfg.Upsert {
 		// Point mutable locations at the future sealed segment now, so
 		// supersedes during the build land on the frozen store (seal
@@ -1073,16 +1008,6 @@ func (d *Deployment) Seal(partition int) error {
 	if err != nil {
 		d.restoreSealing(partition, ms, seq)
 		return err
-	}
-	var valid *Bitmap
-	if d.cfg.Upsert {
-		valid = NewBitmap(seg.NumRows)
-		valid.Fill()
-		// seal reorders rows when a sorted column is set; upsert tables
-		// therefore must not configure one (Pinot has the same restriction).
-		for doc := range invalidSnap {
-			valid.Clear(doc)
-		}
 	}
 
 	switch d.backup {
@@ -1102,13 +1027,13 @@ func (d *Deployment) Seal(partition int) error {
 		}
 		// Replicas download from the store.
 		for _, ri := range replicas {
-			d.serverAt(ri).AddSegment(seg, cloneValid(valid))
+			d.serverAt(ri).addSegment(seg)
 		}
 	case BackupP2P:
 		// Peer replication first: the segment is immediately durable across
 		// servers and serveable; deep-store upload is async best-effort.
 		for _, ri := range replicas {
-			d.serverAt(ri).AddSegment(seg, cloneValid(valid))
+			d.serverAt(ri).addSegment(seg)
 		}
 		d.asyncWG.Add(1)
 		go func() {
@@ -1135,7 +1060,7 @@ func (d *Deployment) Seal(partition int) error {
 			continue
 		}
 		if sub := d.activeSubstituteLocked(replicas, ri); sub >= 0 {
-			d.serverAt(sub).AddSegment(seg, cloneValid(valid))
+			d.serverAt(sub).addSegment(seg)
 			d.serverAt(ri).Retire(seg.Name)
 			replicas[i] = sub
 		}
@@ -1146,20 +1071,11 @@ func (d *Deployment) Seal(partition int) error {
 		numRows:   seg.NumRows,
 		minTime:   seg.MinTime,
 		maxTime:   seg.MaxTime,
+		// Every supersede of the store's rows is on ms.invalid by now: they
+		// run under d.mu, and the locations name this segment from here on.
+		valid: ms.validSnapshot(),
 	}
 	d.sealed++
-	if d.cfg.Upsert {
-		// Supersedes that landed on the frozen store after the bitmap
-		// snapshot: clear them on every replica (d.mu → s.mu is the
-		// established lock order; locations already name the sealed segment).
-		for doc := range ms.invalid {
-			if !invalidSnap[doc] {
-				for _, ri := range replicas {
-					d.serverAt(ri).invalidate(seg.Name, doc)
-				}
-			}
-		}
-	}
 	d.removeSealingLocked(partition, ms)
 	// Neutral for view maintenance (the same rows, now sealed) but bumped
 	// inside the swap's critical section so the generation keeps totally
@@ -1223,13 +1139,6 @@ func (d *Deployment) restoreSealing(partition int, ms *mutableSegment, seq int) 
 
 func (d *Deployment) storeKey(segment string) string {
 	return fmt.Sprintf("segments/%s/%s", d.cfg.Name, segment)
-}
-
-func cloneValid(v *Bitmap) *Bitmap {
-	if v == nil {
-		return nil
-	}
-	return v.Clone()
 }
 
 // WaitUploads blocks until async P2P deep-store uploads settle.

@@ -157,6 +157,122 @@ func TestUpsertLatestValueWins(t *testing.T) {
 	}
 }
 
+// getHookStore runs onGet before each deep-store read: a hook into the
+// unlocked gather phase of a compaction over offloaded segments.
+type getHookStore struct {
+	objstore.Store
+	onGet func()
+}
+
+func (s *getHookStore) Get(key string) ([]byte, error) {
+	if s.onGet != nil {
+		s.onGet()
+	}
+	return s.Store.Get(key)
+}
+
+// TestSealedValidityCopyOnWrite pins the contract of the one validity
+// bitmap per sealed segment: a routing snapshot reads it without a copy, a
+// supersede after the snapshot clears its bit in a clone (the snapshot's
+// bitmap never changes), a supersede with no reader outstanding clears in
+// place, and a compaction whose claimed bitmap is superseded mid-merge
+// takes the merged segment's validity from the upsert locations.
+func TestSealedValidityCopyOnWrite(t *testing.T) {
+	store := &getHookStore{Store: objstore.NewMemStore()}
+	d, _ := newDeployment(t, 2, 1, true, BackupP2P, store) // seals every 50 rows
+	b := NewBroker(d)
+	ingest := func(key, round int) {
+		t.Helper()
+		r := orderRows(1)[0]
+		r["order_id"] = fmt.Sprintf("k-%02d", key)
+		r["amount"] = float64(round)
+		if err := d.Ingest(0, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	validOf := func(seg string) *Bitmap {
+		_, snap := b.routeView()
+		return snap.valid[seg]
+	}
+	count := func() int64 {
+		t.Helper()
+		res, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].(int64)
+	}
+	for k := 0; k < 50; k++ {
+		ingest(k, 0)
+	}
+	first := d.segmentName(0, 0)
+	if v := validOf(first); v != nil {
+		t.Fatalf("segment with no supersede carries a bitmap (%d valid)", v.Count())
+	}
+
+	ingest(0, 1) // supersedes doc 0 of first
+	held := validOf(first)
+	if held == nil || held.Get(0) || !held.Get(1) {
+		t.Fatalf("snapshot bitmap does not mask exactly the superseded doc 0")
+	}
+	ingest(1, 1) // supersedes doc 1 while the snapshot is outstanding
+	if !held.Get(1) {
+		t.Error("a supersede after the snapshot cleared the snapshot's bitmap")
+	}
+	d.mu.Lock()
+	allocs := testing.AllocsPerRun(100, func() { d.invalidateLocked(first, 1) })
+	d.mu.Unlock()
+	if allocs != 0 {
+		t.Errorf("supersede with no reader outstanding allocated %v times, want 0", allocs)
+	}
+	if v := validOf(first); v == held || v.Get(1) {
+		t.Error("a fresh snapshot does not see the supersede of doc 1")
+	}
+
+	// Fill the store (keys 0 and 1 are in it already) to seal a second
+	// segment; 98 keys are live.
+	for k := 50; k < 98; k++ {
+		ingest(k, 0)
+	}
+	second := d.segmentName(0, 1)
+	d.WaitUploads()
+	for _, seg := range []string{first, second} {
+		if _, err := d.OffloadSegment(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A query holds first's bitmap through the compaction, and key 2 is
+	// superseded between the compaction's claim and its swap: the claimed
+	// bitmap still has doc 2, only the location says it is gone.
+	held = validOf(first)
+	store.onGet = func() {
+		store.onGet = nil
+		ingest(2, 1)
+	}
+	res, err := d.Compact([]string{first, second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.onGet != nil {
+		t.Fatal("compaction read no input from the deep store")
+	}
+	if res.RowsOut != 98 {
+		t.Errorf("merged %d rows, want 98 (48 + 50 valid at the claim)", res.RowsOut)
+	}
+	if !held.Get(2) || held.Count() != 48 {
+		t.Errorf("the query's bitmap changed under it: doc 2 set %v, %d valid, want true, 48", held.Get(2), held.Count())
+	}
+	d.mu.Lock()
+	merged := d.segMeta[res.Merged].valid
+	d.mu.Unlock()
+	if merged == nil || merged.Count() != 97 {
+		t.Fatalf("merged validity: %v, want 97 of 98 rows valid (key 2 moved on)", merged)
+	}
+	if got := count(); got != 98 {
+		t.Errorf("COUNT(*) after compaction = %d, want 98 live keys", got)
+	}
+}
+
 func TestUpsertRequiresPrimaryKey(t *testing.T) {
 	schema := ordersSchema()
 	schema.PrimaryKey = ""
@@ -212,7 +328,7 @@ func TestRerouteMatchesWrappedErrServerDown(t *testing.T) {
 
 	// The failure the re-route path observes is the wrapped sentinel, not
 	// the bare value: errors.Is matches, string equality does not.
-	_, err := servers[0].scanSegments(context.Background(), &Query{Aggs: []AggSpec{{Kind: AggCount}}}, nil, ExecOptions{}, nil)
+	_, err := servers[0].scanSegments(context.Background(), &Query{Aggs: []AggSpec{{Kind: AggCount}}}, nil, nil, ExecOptions{}, nil)
 	if !errors.Is(err, ErrServerDown) {
 		t.Fatalf("down server returned %v, want a wrapped ErrServerDown", err)
 	}

@@ -55,6 +55,17 @@
 // BuildSegment is "add every row, then seal", the one path from rows to a
 // Segment. See DESIGN.md "Consuming segments" for why readers need no lock.
 //
+// # Upsert validity
+//
+// A sealed segment's upsert validity has one owner, the Deployment: one
+// copy-on-write bitmap per segment on its metadata, guarded by the
+// deployment lock; servers and replicas hold none. A query takes the
+// bitmaps in the critical section that captures the consuming stores, so a
+// supersede (old row masked, new row appended, under that same lock) is in
+// its snapshot whole or not at all; a supersede after the snapshot clears
+// its bit in a clone. A rebalance move therefore carries no validity, and a
+// seal's bitmap is the frozen store's invalid set at the swap.
+//
 // # Query API v2: typed requests and pluggable routing
 //
 // The typed entry point is Broker.Execute(ctx, *QueryRequest): per-request

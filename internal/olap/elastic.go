@@ -282,10 +282,9 @@ func (mv deploymentMover) Move(ctx context.Context, m rebalance.Move) (rebalance
 //  2. obtain the bytes outside the deployment lock — a pointer share from
 //     the live source, a peer or deep-store copy when the source is down,
 //     or nothing at all when the segment is offloaded (metadata-only);
-//  3. revalidate under the lock, install on the target with the validity
-//     bitmap cloned in the SAME critical section (upsert invalidations
-//     run under this lock, so none can fall between bitmap and swap),
-//     swap the placement slot and bump the generation atomically;
+//  3. revalidate under the lock, install on the target, swap the placement
+//     slot and bump the generation atomically — no validity moves: upsert
+//     validity lives on the deployment, not on replicas;
 //  4. retire the source copy — queries routed before the swap finish on
 //     it during the grace window.
 func (d *Deployment) applyMove(ctx context.Context, m rebalance.Move) (rebalance.MoveResult, error) {
@@ -318,8 +317,7 @@ func (d *Deployment) applyMove(ctx context.Context, m rebalance.Move) (rebalance
 
 	// Phase 2: obtain the bytes (no deployment lock — the deep store may
 	// be slow or down). Segments are immutable, so a pointer share from a
-	// resident copy is exact; only the validity bitmap is swap-sensitive
-	// and is cloned in phase 3.
+	// resident copy is exact.
 	var seg *Segment
 	metadataOnly := false
 	var bytes int64
@@ -368,14 +366,10 @@ func (d *Deployment) applyMove(ctx context.Context, m rebalance.Move) (rebalance
 		d.mu.Unlock()
 		return res, err
 	}
-	// Clone the bitmap here, not in phase 2: invalidations run under d.mu,
-	// so everything up to this instant is in the clone and everything after
-	// lands on the target via the swapped placement below.
-	valid := src.validSnapshot(m.Segment)
 	if metadataOnly {
-		dst.AddOffloaded(m.Segment, meta.numRows, meta.minTime, meta.maxTime, d.cfg.Schema.TimeField != "", valid)
+		dst.addOffloaded(m.Segment, meta.minTime, meta.maxTime, d.cfg.Schema.TimeField != "")
 	} else {
-		dst.AddSegment(seg, valid)
+		dst.addSegment(seg)
 	}
 	replicas := append([]int(nil), d.placement[m.Segment]...)
 	replicas[m.Slot] = m.To

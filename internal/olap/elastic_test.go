@@ -229,6 +229,21 @@ func TestDecommissionUpsertOwnerReassignsPartition(t *testing.T) {
 			t.Fatalf("stale value surfaced for %v after rebalance: %v", row[0], row[1])
 		}
 	}
+	// Validity is held once per segment, not per replica: with the data
+	// offloaded, what stays resident is each segment's bitmap, counted once
+	// (every sealed row here was superseded by the consuming rounds 10-11).
+	d.WaitUploads()
+	d.PurgeRetired(0)
+	var want int64
+	for _, info := range d.SegmentInfos() {
+		if _, err := d.OffloadSegment(info.Name); err != nil {
+			t.Fatal(err)
+		}
+		want += NewBitmap(info.NumRows).MemBytes()
+	}
+	if got := d.ResidentBytes(); want == 0 || got != want {
+		t.Errorf("resident bytes with every segment offloaded = %d, want %d (one bitmap per segment)", got, want)
+	}
 }
 
 func TestRebalanceIdempotent(t *testing.T) {
@@ -403,11 +418,10 @@ func TestAddServerGetsLoaderWhenAttached(t *testing.T) {
 	}
 }
 
-// TestApplyMoveConcurrentWithPurgeRetired: a move copies the source's
-// validity bitmap while the grace-window sweeper deletes retired entries from
-// the same map. applyMove holds d.mu, PurgeRetired holds s.mu, so the copy
-// must go through Server.validSnapshot. Meaningful under -race; CI runs it
-// -count=400 (the unsynchronized read was caught about once in 400 runs).
+// TestApplyMoveConcurrentWithPurgeRetired: moves and seals install segments
+// (addSegment) and retire source copies (Retire) on Server.segments while the
+// grace-window sweeper deletes retired entries from the same map
+// (PurgeRetired). Meaningful under -race.
 func TestApplyMoveConcurrentWithPurgeRetired(t *testing.T) {
 	d, _ := newDeployment(t, 4, 2, false, BackupP2P, nil)
 	ingestOrders(t, d, 2000, 4)

@@ -24,6 +24,38 @@ type segMeta struct {
 	numRows   int
 	minTime   int64
 	maxTime   int64
+	// valid is the segment's upsert validity (nil: every row is valid), the
+	// one copy there is — replicas hold none. It is copy-on-write: share
+	// hands it to a reader outside d.mu and marks it shared, and the next
+	// invalidateLocked clears its bit in a clone, so no writer touches a
+	// bitmap a scan or a compaction is reading.
+	valid  *Bitmap
+	shared bool
+}
+
+// share hands the validity bitmap to a query or a compaction that reads it
+// outside d.mu. Caller holds d.mu.
+func (m *segMeta) share() *Bitmap {
+	m.shared = m.valid != nil
+	return m.valid
+}
+
+// invalidateLocked clears an upsert-superseded doc of a sealed segment —
+// in a clone when the current bitmap is shared. Caller holds d.mu.
+func (d *Deployment) invalidateLocked(segment string, doc int) {
+	m := d.segMeta[segment]
+	if m == nil {
+		return
+	}
+	switch {
+	case m.valid == nil:
+		m.valid = NewBitmap(m.numRows)
+		m.valid.Fill()
+	case m.shared:
+		m.valid = m.valid.Clone()
+		m.shared = false
+	}
+	m.valid.Clear(doc)
 }
 
 // SegmentInfo describes one sealed segment for lifecycle decisions.
@@ -89,13 +121,21 @@ func (d *Deployment) SegmentInfos() []SegmentInfo {
 	return infos
 }
 
-// ResidentBytes sums the resident segment memory across all servers — the
-// quantity the lifecycle manager keeps bounded.
+// ResidentBytes sums the resident segment memory across all servers, plus
+// each sealed segment's validity bitmap once — the quantity the lifecycle
+// manager keeps bounded.
 func (d *Deployment) ResidentBytes() int64 {
 	var n int64
 	for _, s := range d.serverList() {
 		n += s.MemBytes()
 	}
+	d.mu.Lock()
+	for _, m := range d.segMeta {
+		if m.valid != nil {
+			n += m.valid.MemBytes()
+		}
+	}
+	d.mu.Unlock()
 	return n
 }
 
@@ -272,10 +312,10 @@ type CompactResult struct {
 // Queries keep running throughout: they either see the old segments (which
 // stay briefly resident as retired copies) or the merged one, never both.
 // For upsert tables the merge stays exact under concurrent updates: rows
-// are gathered from a validity snapshot, and at swap time each merged row
-// is kept only if its key's location still points at the source row — keys
-// updated mid-merge surface their newer row instead, and the location map
-// is rewritten to the merged segment atomically.
+// are gathered under the inputs' validity as of the claim, and at swap time
+// each merged row is kept only if its key's location still points at the
+// source row — keys updated mid-merge surface their newer row instead, and
+// the location map is rewritten to the merged segment atomically.
 func (d *Deployment) Compact(names []string) (CompactResult, error) {
 	var res CompactResult
 	if len(names) < 2 {
@@ -308,12 +348,13 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 			return res, fmt.Errorf("%w: compaction input %s", ErrSegmentsBusy, name)
 		}
 	}
-	for _, name := range names {
+	valids := make([]*Bitmap, len(names))
+	for i, name := range names {
 		d.busy[name] = true
+		valids[i] = d.segMeta[name].share()
 	}
 	cseq := d.compactSeq[part]
 	d.compactSeq[part] = cseq + 1
-	owner := replicas[0]
 	d.mu.Unlock()
 	defer func() {
 		d.mu.Lock()
@@ -333,14 +374,13 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 	}
 	var rows []record.Record
 	var provs []prov
-	for _, name := range names {
+	for i, name := range names {
 		seg, err := d.loadSegment(name)
 		if err != nil {
 			return res, err
 		}
-		valid := d.serverAt(owner).validSnapshot(name)
 		for doc, r := range seg.DecodeRows() {
-			if valid != nil && !valid.Get(doc) {
+			if valids[i] != nil && !valids[i].Get(doc) {
 				continue
 			}
 			rows = append(rows, r)
@@ -377,7 +417,9 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 	var valid *Bitmap
 	if d.cfg.Upsert {
 		// Upsert tables never configure a sorted column, so BuildSegment
-		// preserved row order: provs[i] is merged doc i.
+		// preserved row order: provs[i] is merged doc i. The locations, not
+		// the claimed bitmaps, decide: a row superseded since the claim is
+		// no longer its key's location.
 		valid = NewBitmap(merged.NumRows)
 		locs := d.upsertLoc[part]
 		for doc, pv := range provs {
@@ -400,7 +442,7 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 		}
 	}
 	for _, ri := range replicas {
-		d.serverAt(ri).AddSegment(merged, cloneValid(valid))
+		d.serverAt(ri).addSegment(merged)
 	}
 	d.placement[mergedName] = replicas
 	d.segMeta[mergedName] = &segMeta{
@@ -408,6 +450,7 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 		numRows:   merged.NumRows,
 		minTime:   merged.MinTime,
 		maxTime:   merged.MaxTime,
+		valid:     valid,
 	}
 	for _, name := range names {
 		delete(d.placement, name)
@@ -453,12 +496,4 @@ func (d *Deployment) retireSegments(names []string) {
 			d.serverAt(ri).Retire(name)
 		}
 	}
-}
-
-// validSnapshot clones the server's validity bitmap for a segment (nil =
-// all rows valid).
-func (s *Server) validSnapshot(name string) *Bitmap {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return cloneValid(s.valid[name])
 }

@@ -259,63 +259,138 @@ func TestEarlyTerminationLimit(t *testing.T) {
 	}
 }
 
-// TestUpsertInvalidateDuringQuery races upsert ingestion — which clears
-// bits in sealed segments' validity bitmaps via Server.invalidate — against
-// parallel queries reading those bitmaps. ExecuteOn must snapshot validity
-// under the server lock; the count must always equal the live-key count.
+// TestUpsertInvalidateDuringQuery races upsert ingestion — each update
+// supersedes a row in a consuming, sealing or sealed segment — against
+// queries, under three maintenance schedules. A supersede masks the old row
+// and appends the new one in one d.mu critical section, and routeView takes
+// the consuming stores and the sealed validity bitmaps in one too, so every
+// answer counts each key exactly once: a query that saw the mask without
+// the new row would count a key zero times.
 func TestUpsertInvalidateDuringQuery(t *testing.T) {
-	d, _ := newDeployment(t, 2, 1, true, BackupP2P, nil)
-	const keys = 40
-	ingest := func(round int) {
-		for k := 0; k < keys; k++ {
-			r := record.Record{
-				"order_id": fmt.Sprintf("order-%d", k),
-				"city":     "sf",
-				"status":   "placed",
-				"amount":   float64(round),
-				"items":    int64(1),
-				"ts":       int64(1700000000000 + round),
+	const keys, rounds = 40, 60
+	for _, tc := range []struct {
+		name  string
+		setup func(d *Deployment)
+		// maintain runs one step of the schedule, in a loop beside ingest.
+		maintain func(d *Deployment) error
+	}{
+		{name: "no maintenance"},
+		{name: "compact", maintain: func(d *Deployment) error {
+			var part0 []string
+			for _, info := range d.SegmentInfos() {
+				if info.Partition == 0 {
+					part0 = append(part0, info.Name)
+				}
 			}
-			if err := d.Ingest(k%2, r); err != nil {
-				t.Errorf("ingest: %v", err)
-				return
+			if len(part0) < 2 {
+				return nil
 			}
-		}
-	}
-	ingest(0)
-	b := NewBrokerWithOptions(d, BrokerOptions{Workers: 4})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for round := 1; round <= 12; round++ { // seals happen mid-stream
-			ingest(round)
-		}
-	}()
-	q := &Query{Aggs: []AggSpec{{Kind: AggCount}}}
-	for alive := true; alive; {
-		select {
-		case <-done:
-			alive = false
-		default:
-		}
-		// Mid-flight counts may transiently dip while a seal is migrating
-		// rows from the consuming map into a sealed segment; the invariants
-		// are race-freedom, no errors, and never exceeding the live keys by
-		// more than the one in-flight update.
-		res, err := b.Execute(context.Background(), &QueryRequest{Query: q})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.Rows[0][0].(int64); got > keys+1 {
-			t.Fatalf("upsert count = %d mid-ingest, want <= %d live keys (+1 in flight)", got, keys+1)
-		}
-	}
-	res, err := b.Execute(context.Background(), &QueryRequest{Query: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Rows[0][0].(int64); got != keys {
-		t.Errorf("final upsert count = %d, want %d", got, keys)
+			if _, err := d.Compact(part0); err != nil && !errors.Is(err, ErrSegmentsBusy) {
+				return err
+			}
+			return nil
+		}},
+		{name: "rebalance",
+			setup: func(d *Deployment) { d.AddServer(NewServer("server-3")) },
+			maintain: func(d *Deployment) error {
+				_, err := d.Rebalance(context.Background())
+				d.PurgeRetired(0)
+				return err
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, _ := newDeployment(t, 3, 2, true, BackupP2P, nil)
+			ingest := func(round int) error {
+				for k := 0; k < keys; k++ {
+					r := record.Record{
+						"order_id": fmt.Sprintf("order-%d", k),
+						"city":     "sf",
+						"status":   "placed",
+						"amount":   float64(round),
+						"items":    int64(1),
+						"ts":       int64(1700000000000 + round),
+					}
+					if err := d.Ingest(k%2, r); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			if err := ingest(0); err != nil {
+				t.Fatal(err)
+			}
+			if tc.setup != nil {
+				tc.setup(d)
+			}
+			b := NewBrokerWithOptions(d, BrokerOptions{Workers: 4})
+			done := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer close(done)
+				for round := 1; round <= rounds; round++ { // seals happen mid-stream
+					if err := ingest(round); err != nil {
+						t.Errorf("ingest: %v", err)
+						return
+					}
+				}
+			}()
+			if tc.maintain != nil {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-done:
+							return
+						default:
+						}
+						if err := tc.maintain(d); err != nil {
+							t.Errorf("maintenance: %v", err)
+							return
+						}
+					}
+				}()
+			}
+			q := &Query{Aggs: []AggSpec{{Kind: AggCount}}}
+			var queries, wrong, unavailable int
+			low := int64(keys)
+			for alive := true; alive; {
+				select {
+				case <-done:
+					alive = false
+				default:
+				}
+				res, err := b.Execute(context.Background(), &QueryRequest{Query: q})
+				if errors.Is(err, ErrSegmentUnavailable) {
+					// A purge can take the retired copy a query routed to,
+					// twice running: a typed error, never a wrong count.
+					unavailable++
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries++
+				if got := res.Rows[0][0].(int64); got != keys {
+					wrong++
+					low = min(low, got)
+				}
+			}
+			wg.Wait()
+			if wrong > 0 {
+				t.Errorf("%d of %d queries mid-ingest did not count %d keys (lowest %d)", wrong, queries, keys, low)
+			}
+			t.Logf("%d queries answered, %d ErrSegmentUnavailable", queries, unavailable)
+			res, err := b.Execute(context.Background(), &QueryRequest{Query: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Rows[0][0].(int64); got != keys {
+				t.Errorf("final upsert count = %d, want %d", got, keys)
+			}
+		})
 	}
 }
 

@@ -343,7 +343,7 @@ func (b *Broker) scatter(ctx context.Context, q *Query, sp *scatterPlan, sk sink
 		srv, segs := b.d.serverAt(si), sp.plan.Assignment[si]
 		go run("server.scan", false, func(ctx context.Context, span obs.Span, out producer) (ExecStats, error) {
 			span.SetAttr("server", srv.Name())
-			return srv.scanSegments(ctx, q, segs, sp.opts, out)
+			return srv.scanSegments(ctx, q, segs, sp.snapshot.valid, sp.opts, out)
 		})
 	}
 	for _, cs := range sp.consuming {
@@ -612,12 +612,17 @@ func (cs *consumingScan) scanUnits(ctx context.Context, out producer) (ExecStats
 }
 
 // querySnapshot is the execution state captured atomically with the route
-// view: the consuming stores' prefix snapshots per partition. Capturing
-// them in the same critical section that reads the sealed placement
-// guarantees every row is in exactly one of the two views even while Seal
-// runs concurrently.
+// view: the consuming stores' prefix snapshots per partition and the sealed
+// segments' validity bitmaps. Capturing them in the same critical section
+// that reads the sealed placement guarantees every row is in exactly one of
+// the two views even while Seal runs concurrently, and that an upsert
+// supersede is either wholly in the snapshot (old row masked, new row
+// scanned) or wholly after it.
 type querySnapshot struct {
 	consuming map[int]consumingScan
+	// valid maps a sealed segment to its shared upsert validity bitmap; a
+	// segment absent from it has every row valid (nil for non-upsert tables).
+	valid map[string]*Bitmap
 	// gen is the generation read inside the critical section: because
 	// visible-data mutations bump the generation in their own critical
 	// sections, this snapshot contains exactly the mutations with
@@ -626,9 +631,10 @@ type querySnapshot struct {
 }
 
 // routeView snapshots the routable cluster state for a Router, together
-// with the consuming stores (one atomic view of sealed + consuming data
-// under the deployment lock, O(columns) per store — no row is copied);
-// liveness and hosting are live closures over the servers.
+// with the consuming stores and the sealed segments' validity bitmaps (one
+// atomic view of sealed + consuming data under the deployment lock,
+// O(columns) per store — no row or bitmap is copied); liveness and hosting
+// are live closures over the servers.
 func (b *Broker) routeView() (*RouteView, *querySnapshot) {
 	d := b.d
 	d.mu.Lock()
@@ -639,21 +645,27 @@ func (b *Broker) routeView() (*RouteView, *querySnapshot) {
 		Replicas:        d.cfg.Replicas,
 		NumServers:      d.NumServers(),
 	}
+	snapshot := &querySnapshot{
+		consuming: make(map[int]consumingScan, len(d.consuming)),
+		gen:       d.gen.Load(),
+	}
 	view.Segments = make([]SegmentRoute, 0, len(d.placement))
 	for name, replicas := range d.placement {
 		part := -1
 		if m := d.segMeta[name]; m != nil {
 			part = m.partition
+			if v := m.share(); v != nil {
+				if snapshot.valid == nil {
+					snapshot.valid = make(map[string]*Bitmap)
+				}
+				snapshot.valid[name] = v
+			}
 		}
 		view.Segments = append(view.Segments, SegmentRoute{
 			Name:      name,
 			Partition: part,
 			Replicas:  append([]int(nil), replicas...),
 		})
-	}
-	snapshot := &querySnapshot{
-		consuming: make(map[int]consumingScan, len(d.consuming)),
-		gen:       d.gen.Load(),
 	}
 	// One scan per partition holding unsealed rows: stores mid-seal first
 	// (their rows stay visible until the sealed segment enters routing — the
