@@ -285,10 +285,8 @@ func TestUpsertInvalidateDuringQuery(t *testing.T) {
 			if len(part0) < 2 {
 				return nil
 			}
-			if _, err := d.Compact(part0); err != nil && !errors.Is(err, ErrSegmentsBusy) {
-				return err
-			}
-			return nil
+			_, err := d.Compact(part0)
+			return err
 		}},
 		{name: "rebalance",
 			setup: func(d *Deployment) { d.AddServer(NewServer("server-3")) },
@@ -370,7 +368,8 @@ func TestUpsertInvalidateDuringQuery(t *testing.T) {
 					continue
 				}
 				if err != nil {
-					t.Fatal(err)
+					t.Errorf("query: %v", err) // not Fatal: ingest and maintenance still run
+					break
 				}
 				queries++
 				if got := res.Rows[0][0].(int64); got != keys {
