@@ -352,8 +352,9 @@ func (s *Server) snapshotSegments(ctx context.Context, q *Query, segmentNames []
 // until out has had enough, a scan fails or ctx ends (checked between
 // segment scans). Each scan is a sample in the server's scan histogram and
 // a segment.scan span; the fault-injection delay sleeps inside the timed
-// window so slow-query capture attributes it to this scan. The returned stats sum the scans' and the
-// snapshot's (segments pruned, reloaded, skipped).
+// window so slow-query capture attributes it to this scan. The returned
+// stats sum the scans' and the snapshot's (segments pruned, reloaded,
+// skipped).
 func (s *Server) scanSegments(ctx context.Context, q *Query, segmentNames []string, valid map[string]*Bitmap, opts ExecOptions, out producer) (ExecStats, error) {
 	snap, err := s.snapshotSegments(ctx, q, segmentNames, opts.HotOnly)
 	if err != nil {
