@@ -101,12 +101,14 @@ type Deployment struct {
 	busy map[string]bool
 	// consuming per partition.
 	consuming map[int]*mutableSegment
-	// sealing holds consuming segments mid-seal: frozen stores (nothing
-	// appends to them any more) whose sealed segment has not entered
-	// routing yet. Queries keep serving them (routeView scans them next to
-	// the live store), so a Seal in progress never makes rows transiently
-	// invisible; the swap to the sealed segment is atomic under mu. Their
-	// invalid sets keep absorbing upsert supersedes under mu until then.
+	// sealing holds consuming segments mid-seal, oldest first: frozen
+	// stores (nothing appends to them any more) whose sealed segment has
+	// not entered routing yet. Queries keep serving them (routeView scans
+	// them next to the live store), so a Seal in progress never makes rows
+	// transiently invisible; the swap to the sealed segment is atomic under
+	// mu and is a store's only way out — a failed seal leaves it here for
+	// the next one. Their invalid sets keep absorbing upsert supersedes
+	// under mu until then.
 	sealing map[int][]*mutableSegment
 	segSeq  map[int]int
 	// upsert metadata per partition: pk -> latest location.
@@ -233,9 +235,8 @@ func (d *Deployment) replicasForLocked(owner int) []int {
 }
 
 // activeSubstituteLocked finds an active server not already in replicas, to
-// stand in for a replica decommissioned while a seal or compaction was in
-// flight. Returns -1 when every active server already holds one. Caller
-// holds d.mu.
+// stand in for a replica decommissioned while a compaction was in flight.
+// Returns -1 when every active server already holds one. Caller holds d.mu.
 func (d *Deployment) activeSubstituteLocked(replicas []int, from int) int {
 	n := len(d.serverList())
 	for i := 0; i < n; i++ {
@@ -304,6 +305,17 @@ func (d *Deployment) emitMutationLocked(partition int, row record.Record, retrac
 func (d *Deployment) sealingLocked(partition int, name string) *mutableSegment {
 	for _, ms := range d.sealing[partition] {
 		if ms.name == name {
+			return ms
+		}
+	}
+	return nil
+}
+
+// unplacedLocked returns the partition's oldest frozen store that no seal is
+// placing, or nil. Caller holds d.mu.
+func (d *Deployment) unplacedLocked(partition int) *mutableSegment {
+	for _, ms := range d.sealing[partition] {
+		if !ms.placing {
 			return ms
 		}
 	}
@@ -388,10 +400,11 @@ func (d *Deployment) Ingest(partition int, r record.Record) error {
 // Rows are conformed (and checked against the partition column) before d.mu
 // is taken and appended under one acquisition per consuming store, each row
 // with its own generation bump and hook delivery inside that critical
-// section. The store is sealed exactly when it reaches SegmentRows, splitting
-// the batch there. A store that is already full on entry — the previous
-// seal failed — is sealed before anything is appended, so a centralized
-// backup outage halts ingestion (§4.3.4) instead of growing the store.
+// section. The store is frozen exactly when it reaches SegmentRows, splitting
+// the batch there, and sealed before the next row is appended. A frozen
+// store still unplaced on entry — its seal failed — is sealed before anything
+// is appended, so a centralized backup outage halts ingestion (§4.3.4): an
+// unplaced frozen store blocks its partition.
 //
 // n is the number of rows consumed: rows[:n] are in the table and must not
 // be offered again, rows[n:] are not and may be retried. n can equal
@@ -409,21 +422,20 @@ func (d *Deployment) IngestBatch(partition int, rows []record.Record) (n int, er
 	}
 	for {
 		d.mu.Lock()
-		ms := d.consuming[partition]
-		full := ms != nil && ms.n >= d.cfg.SegmentRows
-		if !full && n < len(conformed) {
+		blocked := d.unplacedLocked(partition) != nil
+		if !blocked && n < len(conformed) {
 			var added int
-			added, full, err = d.appendLocked(partition, conformed[n:])
+			added, blocked, err = d.appendLocked(partition, conformed[n:])
 			n += added
 		}
 		d.mu.Unlock()
 		if err != nil {
 			return n, err
 		}
-		if !full {
+		if !blocked {
 			return n, rowErr // every conformed row is in
 		}
-		if err := d.Seal(partition); err != nil {
+		if err := d.placeSealing(partition); err != nil {
 			return n, err
 		}
 	}
@@ -449,8 +461,8 @@ func (d *Deployment) conform(partition int, r record.Record) (record.Record, err
 }
 
 // appendLocked appends conformed rows to the partition's consuming store
-// until the rows run out or the store reaches SegmentRows (full). Caller
-// holds d.mu and has checked that the store is not already full.
+// until the rows run out or the store reaches SegmentRows, which freezes it
+// (full). Caller holds d.mu.
 func (d *Deployment) appendLocked(partition int, rows []record.Record) (added int, full bool, err error) {
 	if _, ok := d.partitionOwner[partition]; !ok {
 		d.partitionOwner[partition] = d.pickOwnerLocked(partition)
@@ -487,6 +499,7 @@ func (d *Deployment) appendLocked(partition int, rows []record.Record) (added in
 		// incrementally.
 		d.emitMutationLocked(partition, row, superseded)
 		if ms.n >= d.cfg.SegmentRows {
+			d.freezeLocked(partition, ms)
 			return added, true, nil
 		}
 	}
@@ -535,33 +548,30 @@ func (d *Deployment) segmentName(partition, seq int) string {
 // meanwhile accumulate on the frozen store (the future segment name is
 // already in the location map), whose invalid set becomes the segment's
 // validity bitmap at the swap.
+//
+// Seal also places every older frozen store of the partition that no other
+// seal is placing, oldest first. A seal only moves forward: a failed build
+// or centralized backup leaves the store frozen on the sealing list, still
+// served and still absorbing supersedes, for the next Seal or IngestBatch
+// on the partition to retry.
 func (d *Deployment) Seal(partition int) error {
-	sealStart := time.Now()
 	d.mu.Lock()
-	ms, ok := d.consuming[partition]
-	if !ok || ms.n == 0 {
-		d.mu.Unlock()
-		return nil
+	if ms, ok := d.consuming[partition]; ok {
+		d.freezeLocked(partition, ms)
 	}
-	defer func() { d.sealHist.Observe(time.Since(sealStart)) }()
-	//lint:ignore genbump the store moves from consuming to the sealing list below; routeView scans both, so the visible set is unchanged and cached results stay exact — the swap section bumps
+	d.mu.Unlock()
+	return d.placeSealing(partition)
+}
+
+// freezeLocked moves the partition's live store, frozen, to the sealing
+// list. Caller holds d.mu.
+func (d *Deployment) freezeLocked(partition int, ms *mutableSegment) {
 	delete(d.consuming, partition)
-	seq := d.segSeq[partition]
-	d.segSeq[partition] = seq + 1
-	owner := d.partitionOwner[partition]
-	// Replica placement: owner plus the next Replicas-1 active servers,
-	// chosen under the lock so a concurrent membership change cannot hand
-	// out a decommissioned target (and re-checked at swap time below).
-	replicas := d.replicasForLocked(owner)
-	upsertPartition := -1
-	if d.cfg.Upsert {
-		upsertPartition = partition
-	}
-	//lint:ignore genbump second half of the consuming→sealing handover suppressed above: same rows, same visible set, no invalidation needed until the swap
+	d.segSeq[partition]++
 	d.sealing[partition] = append(d.sealing[partition], ms)
 	if d.cfg.Upsert {
 		// Point mutable locations at the future sealed segment now, so
-		// supersedes during the build land on the frozen store (seal
+		// supersedes until the swap land on the frozen store (seal
 		// preserves row order for upsert tables, so docs carry over).
 		locs := d.upsertLoc[partition]
 		for pk, loc := range locs {
@@ -570,18 +580,51 @@ func (d *Deployment) Seal(partition int) error {
 			}
 		}
 	}
-	d.mu.Unlock()
+	// The visible set is unchanged (routeView scans both lists), but the
+	// rows changed store: bumped with the move, like every routing change.
+	d.bumpGen()
+}
 
+// placeSealing seals every frozen store of the partition that no other
+// caller is placing, oldest first, and stops at the first failure. The
+// placing flag, set and cleared under d.mu, is the claim.
+func (d *Deployment) placeSealing(partition int) error {
+	for {
+		d.mu.Lock()
+		ms := d.unplacedLocked(partition)
+		if ms != nil {
+			ms.placing = true
+		}
+		d.mu.Unlock()
+		if ms == nil {
+			return nil
+		}
+		if err := d.place(partition, ms); err != nil {
+			d.mu.Lock()
+			ms.placing = false
+			d.mu.Unlock()
+			return err
+		}
+	}
+}
+
+// place builds a claimed frozen store's segment, backs it up per the
+// configured mode and swaps it in for the store.
+func (d *Deployment) place(partition int, ms *mutableSegment) error {
+	start := time.Now()
+	defer func() { d.sealHist.Observe(time.Since(start)) }()
+	upsertPartition := -1
+	if d.cfg.Upsert {
+		upsertPartition = partition
+	}
 	seg, err := ms.seal(d.cfg.Indexes, upsertPartition)
 	if err != nil {
-		d.restoreSealing(partition, ms, seq)
 		return err
 	}
-
-	switch d.backup {
-	case BackupCentralized:
-		// Synchronous upload through the single controller; ingestion (this
-		// caller) blocks, and a store outage fails the seal.
+	if d.backup == BackupCentralized {
+		// Synchronous upload through the single controller before any
+		// replica gets the segment; ingestion (this caller) blocks, and a
+		// store outage fails the seal.
 		d.controller.Lock()
 		data, err := seg.Encode()
 		if err == nil {
@@ -589,20 +632,27 @@ func (d *Deployment) Seal(partition int) error {
 		}
 		d.controller.Unlock()
 		if err != nil {
-			// Put the rows back so ingestion can retry after recovery.
-			d.restoreSealing(partition, ms, seq)
 			return fmt.Errorf("olap: centralized backup of %s: %w", seg.Name, err)
 		}
-		// Replicas download from the store.
-		for _, ri := range replicas {
-			d.serverAt(ri).addSegment(seg)
-		}
-	case BackupP2P:
-		// Peer replication first: the segment is immediately durable across
-		// servers and serveable; deep-store upload is async best-effort.
-		for _, ri := range replicas {
-			d.serverAt(ri).addSegment(seg)
-		}
+	}
+
+	d.mu.Lock()
+	// Replicas (owner plus the next Replicas-1 active servers) are picked in
+	// the swap's critical section, so no decommission can slip in between.
+	// Every supersede of the store's rows is on ms.invalid by now: they run
+	// under d.mu, and the locations name this segment from here on.
+	d.installLocked(seg, partition, d.replicasForLocked(d.partitionOwner[partition]), ms.validSnapshot())
+	d.sealed++
+	d.removeSealingLocked(partition, ms)
+	// Neutral for view maintenance (the same rows, now sealed) but bumped
+	// inside the swap's critical section so the generation keeps totally
+	// ordering routing snapshots against mutations.
+	d.bumpGen() // rows moved from sealing to sealed; trims/routing may differ
+	d.mu.Unlock()
+
+	if d.backup == BackupP2P {
+		// The peer replicas already serve the segment; the deep-store
+		// upload is async best-effort.
 		d.asyncWG.Add(1)
 		go func() {
 			defer d.asyncWG.Done()
@@ -617,21 +667,22 @@ func (d *Deployment) Seal(partition int) error {
 			}
 		}()
 	}
+	return nil
+}
 
-	d.mu.Lock()
-	// A replica may have been decommissioned while the segment built (the
-	// install above still landed — decommissioned servers keep serving).
-	// Swap it for an active substitute now, inside the placement critical
-	// section, so the decommission's drain is not reopened by this seal.
+// installLocked routes a freshly built sealed segment: each replica — or an
+// active substitute for one decommissioned since the replicas were chosen,
+// so a decommission's drain is not reopened — adds it, and it enters
+// placement and segMeta. The caller bumps the generation. Caller holds d.mu.
+func (d *Deployment) installLocked(seg *Segment, partition int, replicas []int, valid *Bitmap) {
+	replicas = append([]int(nil), replicas...)
 	for i, ri := range replicas {
-		if !d.decommissioned[ri] {
-			continue
+		if d.decommissioned[ri] {
+			if sub := d.activeSubstituteLocked(replicas, ri); sub >= 0 {
+				replicas[i] = sub
+			}
 		}
-		if sub := d.activeSubstituteLocked(replicas, ri); sub >= 0 {
-			d.serverAt(sub).addSegment(seg)
-			d.serverAt(ri).Retire(seg.Name)
-			replicas[i] = sub
-		}
+		d.serverAt(replicas[i]).addSegment(seg)
 	}
 	d.placement[seg.Name] = replicas
 	d.segMeta[seg.Name] = &segMeta{
@@ -639,18 +690,8 @@ func (d *Deployment) Seal(partition int) error {
 		numRows:   seg.NumRows,
 		minTime:   seg.MinTime,
 		maxTime:   seg.MaxTime,
-		// Every supersede of the store's rows is on ms.invalid by now: they
-		// run under d.mu, and the locations name this segment from here on.
-		valid: ms.validSnapshot(),
+		valid:     valid,
 	}
-	d.sealed++
-	d.removeSealingLocked(partition, ms)
-	// Neutral for view maintenance (the same rows, now sealed) but bumped
-	// inside the swap's critical section so the generation keeps totally
-	// ordering routing snapshots against mutations.
-	d.bumpGen() // rows moved from consuming to sealed; trims/routing may differ
-	d.mu.Unlock()
-	return nil
 }
 
 // removeSealingLocked unlinks a sealing store. Caller holds d.mu.
@@ -662,47 +703,6 @@ func (d *Deployment) removeSealingLocked(partition int, ms *mutableSegment) {
 			return
 		}
 	}
-}
-
-// restoreSealing aborts a failed seal: the frozen store becomes the
-// consuming segment again (any rows ingested while the seal ran are
-// appended behind its own, column-wise, with upsert locations re-pointed
-// and re-offset) and the sequence number is released so the retry reuses
-// the same segment name.
-func (d *Deployment) restoreSealing(partition int, ms *mutableSegment, seq int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.removeSealingLocked(partition, ms)
-	off := ms.n
-	cur, has := d.consuming[partition]
-	if has {
-		ms.appendStore(cur)
-	}
-	if d.cfg.Upsert {
-		locs := d.upsertLoc[partition]
-		for pk, loc := range locs {
-			switch loc.segment {
-			case ms.name: // the store's own rows: same docs, back to mutable
-				locs[pk] = location{segment: "", doc: loc.doc}
-			case "": // rows ingested during the seal: shifted by the merge
-				if has {
-					locs[pk] = location{segment: "", doc: loc.doc + off}
-				}
-			}
-		}
-	}
-	d.consuming[partition] = ms
-	// Release the sequence number only if no later seal claimed one in the
-	// meantime — rolling back past a concurrent successful seal would
-	// reissue its segment name and silently overwrite its placement. The
-	// retry reuses ms.name either way (it was never placed or stored).
-	if d.segSeq[partition] == seq+1 {
-		d.segSeq[partition] = seq
-	}
-	// The rollback restores the exact pre-seal visible set, but the row→
-	// segment attribution changed (the store's rows are mutable again);
-	// bump so any view or cache entry keyed on the aborted layout refreshes.
-	d.bumpGen()
 }
 
 func (d *Deployment) storeKey(segment string) string {

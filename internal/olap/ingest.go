@@ -159,8 +159,8 @@ func (ri *RealtimeIngester) consumePartition(p int) {
 			}
 			rows = append(rows, row)
 		}
-		// An empty fetch still calls in: a store left full by a failed seal
-		// is sealed on entry.
+		// An empty fetch still calls in: a frozen store a failed seal left
+		// unplaced is sealed on entry.
 		taken, err := ri.d.IngestBatch(p, rows)
 		if err == nil && corrupt != nil {
 			// Count it and move on (it can never succeed, unlike a seal

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -224,6 +225,110 @@ func TestIngestBatchFailedBackupMidBatch(t *testing.T) {
 	}
 	if len(sel.Rows) != 130 || len(seen) != 130 {
 		t.Errorf("%d rows, %d distinct order ids; want 130 of each", len(sel.Rows), len(seen))
+	}
+}
+
+// putHookStore runs onPut before each deep-store write: a hook into a
+// centralized seal's backup, which runs outside d.mu.
+type putHookStore struct {
+	objstore.Store
+	onPut func()
+}
+
+func (s *putHookStore) Put(key string, value []byte) error {
+	s.onPut()
+	return s.Store.Put(key, value)
+}
+
+// A seal only moves forward. While a centralized backup blocks and then
+// fails, a second batch on the partition goes into a new live store (on an
+// upsert table it supersedes 10 keys of the frozen one). The frozen store
+// stays queued and visible, a retry during the outage takes nothing, and
+// after recovery it seals at SegmentRows — no rows move behind it.
+func TestFailedSealMovesNoRows(t *testing.T) {
+	for _, upsert := range []bool{false, true} {
+		t.Run(fmt.Sprintf("upsert=%v", upsert), func(t *testing.T) {
+			fault := objstore.NewFaultStore(objstore.NewMemStore())
+			fault.SetDown(true)
+			entered, release := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			store := &putHookStore{Store: fault, onPut: func() {
+				once.Do(func() { close(entered); <-release })
+			}}
+			d, _ := newDeployment(t, 2, 1, upsert, BackupCentralized, store)
+			b := NewBroker(d)
+			// rows[:50] fill the store, rows[50:60] arrive while its backup
+			// blocks, rows[60] after recovery.
+			rows := orderRows(61)
+			for i, r := range rows {
+				r["amount"] = float64(i)
+				if upsert && i >= 50 && i < 60 {
+					r["order_id"] = rows[i-50]["order_id"]
+				}
+			}
+			check := func(step string, ingested int) {
+				t.Helper()
+				want := map[any]any{}
+				for _, r := range rows[:ingested] {
+					want[r["order_id"]] = r["amount"]
+				}
+				res, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Rows[0][0].(int64); got != int64(len(want)) {
+					t.Errorf("%s: COUNT(*) = %d, want %d", step, got, len(want))
+				}
+				sel, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Select: []string{"order_id", "amount"}}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := map[any]any{}
+				for _, r := range sel.Rows {
+					got[r[0]] = r[1]
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: latest value per key differs: %d keys, want %d", step, len(got), len(want))
+				}
+			}
+
+			type result struct {
+				n   int
+				err error
+			}
+			first := make(chan result)
+			go func() {
+				n, err := d.IngestBatch(0, rows[:50])
+				first <- result{n, err}
+			}()
+			<-entered
+			if n, err := d.IngestBatch(0, rows[50:60]); n != 10 || err != nil {
+				t.Fatalf("IngestBatch while the backup blocks = %d, %v; want 10, nil", n, err)
+			}
+			check("backup blocked", 60)
+			close(release)
+			if r := <-first; r.n != 50 || !errors.Is(r.err, objstore.ErrUnavailable) {
+				t.Fatalf("IngestBatch whose seal failed = %d, %v; want 50 and ErrUnavailable", r.n, r.err)
+			}
+			check("backup failed", 60)
+			if n, err := d.IngestBatch(0, rows[60:]); n != 0 || !errors.Is(err, objstore.ErrUnavailable) {
+				t.Fatalf("retry during the outage = %d, %v; want 0 rows and ErrUnavailable", n, err)
+			}
+			check("retry during the outage", 60)
+
+			fault.SetDown(false)
+			if n, err := d.IngestBatch(0, rows[60:]); n != 1 || err != nil {
+				t.Fatalf("IngestBatch after recovery = %d, %v; want 1, nil", n, err)
+			}
+			check("after recovery", 61)
+			infos := d.SegmentInfos()
+			if len(infos) != 1 {
+				t.Fatalf("%d sealed segments after recovery, want 1", len(infos))
+			}
+			if infos[0].NumRows > d.Table().SegmentRows {
+				t.Errorf("sealed segment %s has %d rows, more than SegmentRows (%d)", infos[0].Name, infos[0].NumRows, d.Table().SegmentRows)
+			}
+		})
 	}
 }
 

@@ -429,29 +429,9 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 			}
 		}
 	}
-	// A replica decommissioned while the merge built must not receive the
-	// new segment (its drain would never finish); substitute an active
-	// server inside the same critical section that swaps routing. The
-	// inputs still retire from their original holders.
-	inputReplicas := append([]int(nil), replicas...)
-	for i, ri := range replicas {
-		if d.decommissioned[ri] {
-			if sub := d.activeSubstituteLocked(replicas, ri); sub >= 0 {
-				replicas[i] = sub
-			}
-		}
-	}
-	for _, ri := range replicas {
-		d.serverAt(ri).addSegment(merged)
-	}
-	d.placement[mergedName] = replicas
-	d.segMeta[mergedName] = &segMeta{
-		partition: part,
-		numRows:   merged.NumRows,
-		minTime:   merged.MinTime,
-		maxTime:   merged.MaxTime,
-		valid:     valid,
-	}
+	// The merged segment goes where the inputs were, less any replica
+	// decommissioned meanwhile; the inputs retire from their holders.
+	d.installLocked(merged, part, replicas, valid)
 	for _, name := range names {
 		delete(d.placement, name)
 		delete(d.segMeta, name)
@@ -462,7 +442,7 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 	d.bumpGen() // segment set swapped (inputs replaced by the merged segment)
 	d.mu.Unlock()
 	for _, name := range names {
-		for _, ri := range inputReplicas {
+		for _, ri := range replicas {
 			d.serverAt(ri).Retire(name)
 		}
 	}

@@ -986,43 +986,3 @@ func TestConsumingScanUnderIngestAndSeal(t *testing.T) {
 		t.Fatalf("final count %d, want %d", got, total)
 	}
 }
-
-// TestAppendStoreMatchesRebuild: a failed seal puts the frozen store back
-// and appends what was ingested meanwhile behind it. The merged store must
-// be the store one would get by adding all the rows in order — checked
-// through seal(), which is deep-comparable — with the later store's
-// upsert-invalid docs shifted.
-func TestAppendStoreMatchesRebuild(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		g := newDiffGen(seed)
-		cut := g.rng.Intn(len(g.rows) + 1)
-		first, later := newMutableSegment("s", g.schema, 0), newMutableSegment("later", g.schema, 0)
-		for i, r := range g.rows {
-			m := first
-			if i >= cut {
-				m = later
-			}
-			if _, err := m.add(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if later.n > 0 {
-			later.invalid[later.n-1] = true
-		}
-		first.appendStore(later)
-		if first.n != len(g.rows) || (later.n > 0 && !first.invalid[len(g.rows)-1]) || len(first.invalid) > 1 {
-			t.Fatalf("seed %d: merged store has %d rows (want %d), invalid %v", seed, first.n, len(g.rows), first.invalid)
-		}
-		got, err := first.seal(IndexConfig{}, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := BuildSegment("s", g.schema, g.rows, IndexConfig{}, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: store merged at row %d seals differently from one built in order", seed, cut)
-		}
-	}
-}

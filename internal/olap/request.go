@@ -694,10 +694,11 @@ func (b *Broker) routeView() (*RouteView, *querySnapshot) {
 	sort.Slice(view.Segments, func(i, j int) bool { return view.Segments[i].Name < view.Segments[j].Name })
 	sort.Ints(view.ConsumingPartitions)
 	view.Live = func(i int) bool { return !d.serverAt(i).Down() }
-	// Hosts, not HasSegment: a snapshot that routed just before a rebalance
-	// or compaction swap may name a replica whose copy was retired in the
-	// meantime — the retired copy still answers exactly during the grace
-	// window, so the router must not prune the segment's only live replica.
+	// Hosts counts retired copies: a snapshot that routed just before a
+	// rebalance or compaction swap may name a replica whose copy was retired
+	// in the meantime — the retired copy still answers exactly during the
+	// grace window, so the router must not prune the segment's only live
+	// replica.
 	view.Has = func(i int, seg string) bool { return d.serverAt(i).Hosts(seg) }
 	view.ServerName = func(i int) string { return d.serverAt(i).Name() }
 	return view, snapshot

@@ -120,21 +120,12 @@ func (s *Server) addOffloaded(name string, minTime, maxTime int64, hasBounds boo
 	s.mu.Unlock()
 }
 
-// HasSegment reports whether the server hosts the named segment (resident
-// or offloaded; retired segments no longer count).
-func (s *Server) HasSegment(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	h, ok := s.segments[name]
-	return ok && h.retiredAt.IsZero()
-}
-
-// Hosts reports whether the server can still serve the named segment,
-// including retired copies kept resident for in-flight queries. Routing
-// uses this (not HasSegment) so a query whose snapshot predates a
-// rebalance or compaction swap can land on the old replica during the
-// retire grace window instead of failing — the segment data is immutable,
-// so the retired copy answers exactly.
+// Hosts reports whether the server can still serve the named segment:
+// resident, offloaded, or retired and kept for in-flight queries. Routing
+// counts retired copies so a query whose snapshot predates a rebalance or
+// compaction swap can land on the old replica during the retire grace
+// window instead of failing — the segment data is immutable, so the retired
+// copy answers exactly.
 func (s *Server) Hosts(name string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -103,6 +103,9 @@ type mutableSegment struct {
 	minTime, maxTime int64
 	invalid          map[int]bool // docID -> superseded (upsert)
 	cells            []cell       // add's scratch, one per column
+	// placing claims a frozen store for the one seal building and backing
+	// it up (Deployment.placeSealing); guarded by the owner's lock.
+	placing bool
 }
 
 // mutableColumn is one append-only column. Which vector is in use follows
@@ -214,20 +217,15 @@ func (m *mutableSegment) add(r record.Record) (int, error) {
 		if m.cols[m.timeCol].layout == layoutFloats {
 			t = int64(m.cells[m.timeCol].f)
 		}
-		m.noteTime(t, t)
+		if m.n == 0 || t < m.minTime {
+			m.minTime = t
+		}
+		if m.n == 0 || t > m.maxTime {
+			m.maxTime = t
+		}
 	}
 	m.n++
 	return m.n - 1, nil
-}
-
-// noteTime widens the time bounds to cover [lo, hi].
-func (m *mutableSegment) noteTime(lo, hi int64) {
-	if m.n == 0 || lo < m.minTime {
-		m.minTime = lo
-	}
-	if m.n == 0 || hi > m.maxTime {
-		m.maxTime = hi
-	}
 }
 
 // push appends one cell as row n of the column.
@@ -241,7 +239,7 @@ func (c *mutableColumn) push(v cell, n int) {
 	default:
 		c.ints = append(c.ints, v.i)
 	}
-	c.markPresent(n, 1, !v.null)
+	c.markPresent(n, !v.null)
 }
 
 // intern returns the code of a string cell, adding the value to the
@@ -267,61 +265,21 @@ func (c *mutableColumn) num(i int) float64 {
 	return float64(c.ints[i])
 }
 
-// markPresent records the presence of k rows starting at row n of a raw
-// column. The vector materializes at the first NULL, into a fresh array: a
-// reader holding the nil header keeps reading "all present", which is true
-// of the prefix it may look at.
-func (c *mutableColumn) markPresent(n, k int, present bool) {
+// markPresent records the presence of row n of a raw column. The vector
+// materializes at the first NULL, into a fresh array: a reader holding the
+// nil header keeps reading "all present", which is true of the prefix it may
+// look at.
+func (c *mutableColumn) markPresent(n int, present bool) {
 	if c.present == nil {
 		if present {
 			return
 		}
-		c.present = make([]bool, n, n+k)
+		c.present = make([]bool, n, n+1)
 		for i := range c.present {
 			c.present[i] = true
 		}
 	}
-	for ; k > 0; k-- {
-		c.present = append(c.present, present)
-	}
-}
-
-// appendStore appends every row of o, a store of the same schema, after
-// this one's, column-wise; string codes are re-interned into this
-// dictionary. Upsert-invalid docs of o shift by the old row count.
-func (m *mutableSegment) appendStore(o *mutableSegment) {
-	for ci := range m.cols {
-		c, oc := &m.cols[ci], &o.cols[ci]
-		switch c.layout {
-		case layoutDense:
-			remap := make([]uint32, len(oc.strs))
-			for code := 1; code < len(oc.strs); code++ {
-				remap[code] = c.intern(cell{s: oc.strs[code]})
-			}
-			for _, code := range oc.codes[:o.n] {
-				c.codes = append(c.codes, remap[code])
-			}
-			continue
-		case layoutFloats:
-			c.floats = append(c.floats, oc.floats[:o.n]...)
-		default:
-			c.ints = append(c.ints, oc.ints[:o.n]...)
-		}
-		if oc.present == nil {
-			c.markPresent(m.n, o.n, true)
-			continue
-		}
-		for i, p := range oc.present[:o.n] {
-			c.markPresent(m.n+i, 1, p)
-		}
-	}
-	for doc, v := range o.invalid {
-		m.invalid[doc+m.n] = v
-	}
-	if o.n > 0 {
-		m.noteTime(o.minTime, o.maxTime)
-	}
-	m.n += o.n
+	c.present = append(c.present, present)
 }
 
 // snapshot captures the store's current rows as a scan set: O(columns)
