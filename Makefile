@@ -2,7 +2,7 @@
 
 REPOLINT := $(CURDIR)/bin/repolint
 
-.PHONY: build test bench-check lint repolint fuzz-smoke fmt
+.PHONY: build test bench-check lint repolint reftest-unlinked fuzz-smoke fmt
 
 build:
 	go build ./...
@@ -26,10 +26,18 @@ lint: repolint
 	go vet -vettool=$(REPOLINT) ./...
 	cd bench && go vet -vettool=$(REPOLINT) ./...
 
+# reftest-unlinked fails when a program of either module links
+# internal/reftest, the differential tests' reference: it is test support.
+reftest-unlinked:
+	@deps=$$(go list -deps ./cmd/... ./examples/... && cd bench && go list -deps ./...) || exit 1; \
+	if echo "$$deps" | grep -qx repro/internal/reftest; then echo "a program links repro/internal/reftest"; exit 1; fi
+
 fuzz-smoke:
 	go test ./internal/olap -run='^$$' -fuzz=FuzzMergePartials -fuzztime=30s
+	go test ./internal/olap -run='^$$' -fuzz=FuzzDecodeSegment -fuzztime=30s
 	go test ./internal/objstore -run='^$$' -fuzz=FuzzDecodeColumnar -fuzztime=30s
 	go test ./internal/record -run='^$$' -fuzz=FuzzCodecDecode -fuzztime=30s
+	go test ./internal/sqlparse -run='^$$' -fuzz=FuzzParse -fuzztime=30s
 	go test ./internal/stream -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=30s
 
 fmt:

@@ -8,6 +8,7 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/olap"
 	"repro/internal/record"
+	"repro/internal/reftest"
 )
 
 func ordersSchema() *metadata.Schema {
@@ -49,11 +50,11 @@ func orderRows(n int) []record.Record {
 	return rows
 }
 
-// setupNaiveDB is setupEngine's data as the reference evaluator sees it.
-func setupNaiveDB(n int) naiveDB {
-	return naiveDB{
-		"pinot.orders": {cols: []string{"order_id", "city", "amount", "ts"}, rows: orderRows(n)},
-		"hive.orders":  {cols: []string{"order_id", "city", "amount", "ts"}, rows: orderRows(n)},
+// setupRefDB is setupEngine's data as the reference evaluator sees it.
+func setupRefDB(n int) reftest.DB {
+	return reftest.DB{
+		"pinot.orders": refTable(ordersSchema().FieldNames(), orderRows(n)),
+		"hive.orders":  refTable(ordersSchema().FieldNames(), orderRows(n)),
 	}
 }
 

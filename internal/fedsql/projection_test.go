@@ -13,6 +13,7 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/olap"
 	"repro/internal/record"
+	"repro/internal/reftest"
 )
 
 // recordingConn notes the projection of every row scan the engine opens on
@@ -69,7 +70,7 @@ func adhocSchemas() (orders, restaurants *metadata.Schema) {
 
 // adhocEngine serves those tables through recording connectors — with
 // aggregate pushdown on or off for pinot — and as the reference's tables.
-func adhocEngine(t *testing.T, disablePushdown bool) (*Engine, *recordingConn, *recordingConn, naiveDB) {
+func adhocEngine(t *testing.T, disablePushdown bool) (*Engine, *recordingConn, *recordingConn, reftest.DB) {
 	t.Helper()
 	ordersSchema, restaurantsSchema := adhocSchemas()
 	ordersSchema.Name = "orders_day"
@@ -90,7 +91,7 @@ func adhocEngine(t *testing.T, disablePushdown bool) (*Engine, *recordingConn, *
 	}
 	store := objstore.NewMemStore()
 	hive := NewArchiveConnector("hive", store)
-	db := naiveDB{
+	db := reftest.DB{
 		"hive.orders_day":  archiveTable(t, hive, store, ordersSchema, orders[:100], orders[100:]),
 		"hive.restaurants": archiveTable(t, hive, store, restaurantsSchema, restaurants),
 	}
@@ -170,7 +171,7 @@ func TestProjectionReachesEveryScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", c.sql, err)
 		}
-		checkAgainstNaive(t, db, "pinot", c.sql, res)
+		checkRef(t, db, c.sql, res)
 		if got := pinot.requested("orders"); got != c.probe {
 			t.Errorf("%q: pinot.orders was asked for %s, want %s", c.sql, got, c.probe)
 		}
@@ -187,7 +188,7 @@ func TestProjectionReachesEveryScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstNaive(t, db, "pinot", sql, res)
+	checkRef(t, db, sql, res)
 	if got := pinot.requested("orders"); got != "amount,city,status,ts" {
 		// DisablePushdown turns filter pushdown off too: ts is a residual.
 		t.Errorf("%q: pinot.orders was asked for %s, want amount,city,status,ts", sql, got)
@@ -202,7 +203,7 @@ func TestProjectionReachesEveryScan(t *testing.T) {
 // surface, projection honoured.
 type memConn struct {
 	name   string
-	tables map[string]naiveTable
+	tables map[string]*reftest.Table
 }
 
 func (m *memConn) Name() string               { return m.name }
@@ -222,7 +223,7 @@ func (m *memConn) Schema(table string) (*metadata.Schema, error) {
 		return nil, fmt.Errorf("memConn: no table %q", table)
 	}
 	s := &metadata.Schema{Name: table, Version: 1}
-	for _, c := range t.cols {
+	for _, c := range t.Cols {
 		s.Fields = append(s.Fields, metadata.Field{Name: c, Type: metadata.TypeDouble, Nullable: true})
 	}
 	return s, nil
@@ -235,10 +236,10 @@ func (m *memConn) OpenScan(ctx context.Context, table string, pd Pushdown) (RowI
 	}
 	cols := pd.Columns
 	if len(cols) == 0 {
-		cols = t.cols
+		cols = t.Cols
 	}
-	rows := make([][]any, len(t.rows))
-	for i, r := range t.rows {
+	rows := make([][]any, len(t.Rows))
+	for i, r := range t.Rows {
 		rows[i] = make([]any, len(cols))
 		for ci, c := range cols {
 			rows[i][ci] = r[c]
@@ -283,20 +284,20 @@ func TestHashKeysKeepTheCanonicalClasses(t *testing.T) {
 	}
 
 	nan := math.NaN()
-	db := naiveDB{
-		"mem.m": {cols: []string{"k", "v", "tag"}, rows: []record.Record{
+	db := reftest.DB{
+		"mem.m": refTable([]string{"k", "v", "tag"}, []record.Record{
 			{"k": int64(1), "v": 1.0, "tag": "int one"}, {"k": 1.0, "v": 2.0, "tag": "float one"},
 			{"k": nan, "v": 4.0, "tag": "nan"}, {"k": nan, "v": 8.0, "tag": "nan again"},
 			{"k": "1", "v": 16.0, "tag": "string one"}, {"v": 32.0, "tag": "null"}, {"v": 64.0, "tag": "null again"},
 			{"k": math.Inf(1), "v": 128.0, "tag": "inf"}, {"k": int64(2), "v": nan, "tag": "two"}, {"k": 2.0, "tag": "two, no v"},
-		}},
-		"mem.d": {cols: []string{"k", "label"}, rows: []record.Record{
+		}),
+		"mem.d": refTable([]string{"k", "label"}, []record.Record{
 			{"k": 1.0, "label": "one"}, {"k": int64(2), "label": "two"}, {"k": nan, "label": "not a number"},
 			{"k": "1", "label": "the string"}, {"label": "no key"}, {"k": math.Inf(1), "label": "infinity"}, {"k": 2.0, "label": "two again"},
-		}},
+		}),
 	}
 	e := NewEngine()
-	e.Register(&memConn{name: "mem", tables: map[string]naiveTable{"m": db["mem.m"], "d": db["mem.d"]}})
+	e.Register(&memConn{name: "mem", tables: map[string]*reftest.Table{"m": db["mem.m"], "d": db["mem.d"]}})
 	for _, sql := range []string{
 		"SELECT k, COUNT(*) AS n, SUM(v) AS total, COUNT(v) AS vs FROM mem.m GROUP BY k",
 		"SELECT k, tag, COUNT(*) AS n FROM mem.m GROUP BY k, tag",
@@ -309,7 +310,7 @@ func TestHashKeysKeepTheCanonicalClasses(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %q: %v", name, sql, err)
 			}
-			checkAgainstNaive(t, db, "mem", sql, res)
+			checkRef(t, db, sql, res)
 		}
 	}
 }

@@ -1,384 +1,252 @@
 package olap_test
 
-// The elasticity differential harness: one deployment undergoes randomized
-// membership churn (AddServer, DecommissionServer, Rebalance) interleaved
-// with ingests, seals, compactions and offloads, while a control deployment
-// receives the identical data operations on a fixed topology. Every query
-// answer from the elastic deployment must be byte-identical
-// (reflect.DeepEqual) to the control's — zero errors, zero wrong answers.
-// Numerics in the fixture are exactly representable (multiples of 0.5, far
-// below 2^52), so float64 aggregates are merge-order independent and
-// byte-identical is a meaningful bar.
+// The elasticity differential harness: two deployments receive one
+// randomized schedule of ingests, seals (some held in flight while rows and
+// queries arrive), compactions and offloads from the reference driver — a
+// fixed topology with peer-to-peer backup, and an elastic one with
+// centralized backup whose membership also churns (AddServer,
+// DecommissionServer, Rebalance) — and every answer of both must be one the
+// reference accepts: zero errors, zero wrong answers.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
-	"reflect"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/metadata"
 	"repro/internal/objstore"
 	"repro/internal/olap"
-	"repro/internal/record"
+	"repro/internal/reftest"
 )
 
-func elasticSchema() *metadata.Schema {
-	return &metadata.Schema{
-		Name:    "orders",
-		Version: 1,
-		Fields: []metadata.Field{
-			{Name: "order_id", Type: metadata.TypeString},
-			{Name: "city", Type: metadata.TypeString, Dimension: true},
-			{Name: "status", Type: metadata.TypeString, Dimension: true},
-			{Name: "amount", Type: metadata.TypeDouble},
-			{Name: "items", Type: metadata.TypeLong},
-			{Name: "ts", Type: metadata.TypeTimestamp},
-		},
-		TimeField:  "ts",
-		PrimaryKey: "order_id",
-	}
+// system is a deployment as the reference driver drives it, read through
+// one broker.
+type system struct {
+	*olap.Deployment
+	b *olap.Broker
+	// hook, when set, runs inside the next deep-store write: under
+	// centralized backup, a seal's backup with the seal in flight.
+	hook func()
 }
 
-func newElasticDeployment(t *testing.T, nServers int, upsert bool) *olap.Deployment {
+func newSystem(t *testing.T, g *reftest.Gen, nServers int, upsert bool, backup olap.BackupMode) *system {
 	t.Helper()
 	servers := make([]*olap.Server, nServers)
 	for i := range servers {
 		servers[i] = olap.NewServer(fmt.Sprintf("server-%d", i))
 	}
+	s := &system{}
+	var store objstore.Store = objstore.NewMemStore()
+	if backup == olap.BackupCentralized { // the only backup a seal waits for
+		store = &hookStore{Store: store, s: s}
+	}
+	fields := g.Queryable()
 	d, err := olap.NewDeployment(olap.DeploymentConfig{
 		Table: olap.TableConfig{
-			Name:        "orders",
-			Schema:      elasticSchema(),
+			Name:        g.Schema.Name,
+			Schema:      g.Schema,
 			SegmentRows: 60,
 			Upsert:      upsert,
 			Replicas:    2,
-			Indexes:     olap.IndexConfig{InvertedColumns: []string{"city"}},
+			Indexes:     olap.IndexConfig{InvertedColumns: []string{fields[g.Rng.Intn(len(fields))].Name}},
 		},
 		Servers:      servers,
-		SegmentStore: objstore.NewMemStore(),
-		Backup:       olap.BackupP2P,
+		SegmentStore: store,
+		Backup:       backup,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.AttachLoaders()
-	return d
+	s.Deployment, s.b = d, olap.NewBroker(d)
+	return s
 }
 
-var elasticCities = []string{"sf", "nyc", "la", "chi", "sea"}
-var elasticStatuses = []string{"placed", "cooking", "delivered"}
-
-func elasticRow(i, keySpace int) record.Record {
-	k := i
-	if keySpace > 0 {
-		k = i % keySpace
-	}
-	return record.Record{
-		"order_id": fmt.Sprintf("o-%06d", k),
-		"city":     elasticCities[i%len(elasticCities)],
-		"status":   elasticStatuses[i%len(elasticStatuses)],
-		"amount":   float64(i%97) / 2,
-		"items":    int64(i%9 + 1),
-		"ts":       int64(1700000000000) + int64(i)*1000,
-	}
+type hookStore struct {
+	objstore.Store
+	s *system
 }
 
-// elasticShape generates one random aggregate query; ORDER BY a group
-// column keeps row order deterministic for DeepEqual.
-func elasticShape(rng *rand.Rand) *olap.Query {
-	aggPool := []olap.AggSpec{
-		{Kind: olap.AggCount},
-		{Kind: olap.AggSum, Column: "amount"},
-		{Kind: olap.AggSum, Column: "items"},
-		{Kind: olap.AggMin, Column: "amount"},
-		{Kind: olap.AggMax, Column: "amount"},
-		{Kind: olap.AggAvg, Column: "amount"},
-		{Kind: olap.AggDistinctCount, Column: "city"},
-		{Kind: olap.AggDistinctCount, Column: "order_id"},
+func (h *hookStore) Put(key string, value []byte) error {
+	if hook := h.s.hook; hook != nil {
+		h.s.hook = nil
+		hook()
 	}
-	rng.Shuffle(len(aggPool), func(i, j int) { aggPool[i], aggPool[j] = aggPool[j], aggPool[i] })
-	q := &olap.Query{Aggs: append([]olap.AggSpec(nil), aggPool[:rng.Intn(3)+1]...)}
-	switch rng.Intn(4) {
-	case 1:
-		q.GroupBy = []string{"city"}
-	case 2:
-		q.GroupBy = []string{"status"}
-	case 3:
-		q.GroupBy = []string{"city", "status"}
-	}
-	if rng.Intn(3) == 0 {
-		q.Filters = append(q.Filters, olap.Filter{
-			Column: "city", Op: olap.OpEq, Value: elasticCities[rng.Intn(len(elasticCities))],
-		})
-	}
-	if rng.Intn(4) == 0 {
-		lo := int64(rng.Intn(5) + 1)
-		q.Filters = append(q.Filters, olap.Filter{Column: "items", Op: olap.OpBetween, Value: lo, Value2: lo + 3})
-	}
-	return q
+	return h.Store.Put(key, value)
 }
 
-// mirror applies one data operation identically to both deployments.
-type mirror struct {
-	t        *testing.T
-	subject  *olap.Deployment
-	control  *olap.Deployment
-	next     int
-	keySpace int
-}
-
-func (m *mirror) both(fn func(d *olap.Deployment) error) {
-	m.t.Helper()
-	if err := fn(m.subject); err != nil {
-		m.t.Fatalf("subject: %v", err)
+// SealWhile seals the partition, running during inside the seal's backup
+// when the backup is centralized, else after the seal.
+func (s *system) SealWhile(p int, during func()) error {
+	s.hook = during
+	err := s.Seal(p)
+	if s.hook != nil { // no backup ran mid-seal: peer-to-peer, or nothing to seal
+		s.hook = nil
+		during()
 	}
-	if err := fn(m.control); err != nil {
-		m.t.Fatalf("control: %v", err)
-	}
+	return err
 }
 
-func (m *mirror) ingest(n, partitions int) {
-	m.t.Helper()
-	for i := 0; i < n; i++ {
-		part := m.next % partitions
-		// Each deployment gets its own copy: Ingest retains the map.
-		idx := m.next
-		m.both(func(d *olap.Deployment) error { return d.Ingest(part, elasticRow(idx, m.keySpace)) })
-		m.next++
-	}
-}
-
-func (m *mirror) seal(part int) {
-	m.t.Helper()
-	m.both(func(d *olap.Deployment) error { return d.Seal(part) })
-}
-
-// sealedNames returns the subject's segment names for a partition, sorted.
-// Data operations are mirrored exactly, so the control has the same names.
-func (m *mirror) sealedNames(part int) []string {
+func (s *system) sealed(p int) []string {
 	var names []string
-	for _, info := range m.subject.SegmentInfos() {
-		if info.Partition == part {
+	for _, info := range s.SegmentInfos() {
+		if info.Partition == p {
 			names = append(names, info.Name)
 		}
 	}
-	sort.Strings(names)
 	return names
 }
 
-func (m *mirror) compact(part int) {
-	m.t.Helper()
-	names := m.sealedNames(part)
-	if len(names) < 2 {
-		return
-	}
-	m.both(func(d *olap.Deployment) error {
-		_, err := d.Compact(names)
+func (s *system) Compact(p int) error {
+	if names := s.sealed(p); len(names) >= 2 {
+		_, err := s.Deployment.Compact(names)
 		return err
-	})
+	}
+	return nil
 }
 
-func (m *mirror) offload(part int) {
-	m.t.Helper()
-	names := m.sealedNames(part)
-	if len(names) == 0 {
-		return
-	}
-	name := names[len(names)-1]
-	m.both(func(d *olap.Deployment) error {
-		_, err := d.OffloadSegment(name)
+func (s *system) Offload(p int) error {
+	if names := s.sealed(p); len(names) > 0 {
+		_, err := s.OffloadSegment(names[len(names)-1])
 		return err
-	})
+	}
+	return nil
 }
 
-// compare runs one query on both brokers and requires byte-identical output.
-func (m *mirror) compare(sb, cb *olap.Broker, q *olap.Query) {
-	m.t.Helper()
-	got, err := sb.Execute(context.Background(), &olap.QueryRequest{Query: q})
+func (s *system) Query(q *reftest.Query) ([]string, [][]any, error) {
+	res, err := s.b.Execute(context.Background(), &olap.QueryRequest{Query: olap.FromReference(q)})
 	if err != nil {
-		m.t.Fatalf("elastic query error: %v", err)
+		return nil, nil, err
 	}
-	want, err := cb.Execute(context.Background(), &olap.QueryRequest{Query: q})
-	if err != nil {
-		m.t.Fatalf("control query error: %v", err)
-	}
-	if !reflect.DeepEqual(got.Columns, want.Columns) {
-		m.t.Fatalf("columns diverge for %+v:\n elastic %v\n control %v", q, got.Columns, want.Columns)
-	}
-	if !reflect.DeepEqual(got.Rows, want.Rows) {
-		m.t.Fatalf("rows diverge for %+v:\n elastic %v\n control %v", q, got.Rows, want.Rows)
-	}
+	return res.Columns, res.Rows, nil
 }
 
-func elasticSeed(t *testing.T) int64 {
-	if s := os.Getenv("ELASTIC_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("ELASTIC_SEED: %v", err)
+// elastic is a system whose membership the driver churns.
+type elastic struct {
+	*system
+	changes int
+}
+
+// Churn joins a server (and rebalances onto it) while three or fewer are
+// active, or at random below eight; otherwise decommissions an active one.
+func (e *elastic) Churn(rng *rand.Rand) error {
+	var active []int
+	for i := 0; i < e.NumServers(); i++ {
+		if !e.Decommissioned(i) {
+			active = append(active, i)
 		}
-		return v
 	}
-	return 20260808
+	ctx := context.Background()
+	if len(active) <= 3 || rng.Intn(2) == 0 {
+		if e.NumServers() >= 8 {
+			return nil
+		}
+		e.changes++
+		e.AddServer(olap.NewServer(fmt.Sprintf("joined-%d", e.NumServers())))
+		_, err := e.Rebalance(ctx)
+		return err
+	}
+	e.changes++
+	_, err := e.DecommissionServer(ctx, active[rng.Intn(len(active))])
+	return err
 }
 
 // TestDifferentialElasticity is the membership-churn gate: 30 randomized
-// rounds of data operations mirrored onto both deployments, with the
-// elastic one also joining and decommissioning servers, and every
-// observation point byte-compared against the fixed-topology control.
+// rounds of the driver's schedule, the elastic deployment also joining and
+// decommissioning servers, with queries checked after every round.
 func TestDifferentialElasticity(t *testing.T) {
-	seed := elasticSeed(t)
-	t.Logf("elasticity seed %d (override with ELASTIC_SEED)", seed)
-	rng := rand.New(rand.NewSource(seed))
+	g := reftest.NewGen(reftest.Seed(t))
 	const partitions = 3
-
-	m := &mirror{
-		t:       t,
-		subject: newElasticDeployment(t, 3, false),
-		control: newElasticDeployment(t, 3, false),
-	}
-	sb, cb := olap.NewBroker(m.subject), olap.NewBroker(m.control)
-	m.ingest(250, partitions)
-
-	ctx := context.Background()
-	membershipOps := 0
+	moving := &elastic{system: newSystem(t, g, 3, false, olap.BackupCentralized)}
+	drv := reftest.NewDriver(t, g, partitions, 0, newSystem(t, g, 3, false, olap.BackupP2P), moving)
+	drv.Ingest(250)
 	for round := 0; round < 30; round++ {
-		switch rng.Intn(10) {
-		case 6:
-			m.seal(rng.Intn(partitions))
-		case 7:
-			m.compact(rng.Intn(partitions))
-		case 8:
-			m.offload(rng.Intn(partitions))
-		default:
-			m.ingest(rng.Intn(40)+10, partitions)
+		if g.Rng.Intn(5) == 0 {
+			drv.SealMidway(g.Rng.Intn(partitions), 5+g.Rng.Intn(20), g.Query(), g.Query())
+		} else {
+			drv.Step()
 		}
-		// Membership churn on the elastic deployment only.
-		if rng.Intn(3) == 0 {
-			active := 0
-			var activeIdx []int
-			for i := 0; i < m.subject.NumServers(); i++ {
-				if !m.subject.Decommissioned(i) {
-					active++
-					activeIdx = append(activeIdx, i)
-				}
-			}
-			if active <= 3 || rng.Intn(2) == 0 {
-				if m.subject.NumServers() < 8 {
-					m.subject.AddServer(olap.NewServer(fmt.Sprintf("joined-%d", m.subject.NumServers())))
-					if _, err := m.subject.Rebalance(ctx); err != nil {
-						t.Fatalf("rebalance after join: %v", err)
-					}
-					membershipOps++
-				}
-			} else {
-				victim := activeIdx[rng.Intn(len(activeIdx))]
-				if _, err := m.subject.DecommissionServer(ctx, victim); err != nil {
-					t.Fatalf("decommission %d: %v", victim, err)
-				}
-				membershipOps++
-			}
+		if g.Rng.Intn(3) == 0 {
+			drv.Churn()
 		}
 		for i := 0; i < 6; i++ {
-			m.compare(sb, cb, elasticShape(rng))
+			drv.Check(g.Query())
 		}
 	}
-	if membershipOps == 0 {
+	if moving.changes == 0 {
 		t.Fatal("churn schedule never changed membership")
 	}
 	// Final sweep on the settled cluster.
 	for i := 0; i < 40; i++ {
-		m.compare(sb, cb, elasticShape(rng))
+		drv.Check(g.Query())
 	}
 }
 
 // TestDifferentialElasticityUpsert is the same gate over an upsert table:
-// later rows supersede keys while the partition-owner anchor (replica slot
-// 0) follows decommissions. Latest-value semantics must match the control
-// exactly throughout.
+// later rows supersede keys — some of them while the seal holding the old
+// row is in flight — while the partition-owner anchor (replica slot 0)
+// follows a join and a decommission. Every row's latest value is checked
+// after every round.
 func TestDifferentialElasticityUpsert(t *testing.T) {
-	seed := elasticSeed(t) + 1
-	t.Logf("elasticity seed %d (override with ELASTIC_SEED)", seed)
-	rng := rand.New(rand.NewSource(seed))
+	g := reftest.NewGen(reftest.Seed(t) + 1)
 	const partitions = 2
-
-	m := &mirror{
-		t:        t,
-		subject:  newElasticDeployment(t, 3, true),
-		control:  newElasticDeployment(t, 3, true),
-		keySpace: 120,
+	moving := newSystem(t, g, 3, true, olap.BackupCentralized)
+	drv := reftest.NewDriver(t, g, partitions, 120, newSystem(t, g, 3, true, olap.BackupP2P), moving)
+	drv.Ingest(200)
+	all, err := reftest.Parse("SELECT * FROM t")
+	if err != nil {
+		t.Fatal(err)
 	}
-	sb, cb := olap.NewBroker(m.subject), olap.NewBroker(m.control)
-	m.ingest(200, partitions)
-
 	ctx := context.Background()
-	joined := false
 	for round := 0; round < 20; round++ {
-		if rng.Intn(5) == 4 {
-			m.seal(rng.Intn(partitions))
-		} else {
-			m.ingest(rng.Intn(30)+10, partitions)
+		switch p := g.Rng.Intn(partitions); g.Rng.Intn(5) {
+		case 3:
+			drv.Seal(p)
+		case 4:
+			drv.SealMidway(p, 10, all, g.Query())
+		default:
+			drv.Ingest(g.Rng.Intn(30) + 10)
 		}
 		switch round {
 		case 6:
-			m.subject.AddServer(olap.NewServer("joined-3"))
-			if _, err := m.subject.Rebalance(ctx); err != nil {
+			moving.AddServer(olap.NewServer("joined-3"))
+			if _, err := moving.Rebalance(ctx); err != nil {
 				t.Fatal(err)
 			}
-			joined = true
 		case 13:
-			if _, err := m.subject.DecommissionServer(ctx, 0); err != nil {
+			if _, err := moving.DecommissionServer(ctx, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 5; i++ {
-			m.compare(sb, cb, elasticShape(rng))
+			drv.Check(g.Query())
 		}
-		// Latest-value invariant, directly: full selection matches.
-		m.compare(sb, cb, &olap.Query{
-			Select:  []string{"order_id", "amount"},
-			OrderBy: []olap.OrderSpec{{Column: "order_id"}},
-			Limit:   200,
-		})
-	}
-	if !joined {
-		t.Fatal("schedule never joined a server")
+		drv.Check(all)
 	}
 }
 
 // TestDifferentialElasticityConcurrent is the -race gate: data is frozen,
-// reader goroutines continuously byte-compare the elastic deployment
-// against the control while servers join, rebalance and decommission
-// underneath them. Zero errors, zero divergent answers.
+// reader goroutines continuously check the elastic deployment's answers
+// against the reference while servers join, rebalance and decommission
+// underneath them. Zero errors, zero wrong answers.
 func TestDifferentialElasticityConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(elasticSeed(t) + 2))
+	g := reftest.NewGen(reftest.Seed(t) + 2)
 	const partitions = 3
-	m := &mirror{
-		t:       t,
-		subject: newElasticDeployment(t, 4, false),
-		control: newElasticDeployment(t, 4, false),
-	}
-	sb, cb := olap.NewBroker(m.subject), olap.NewBroker(m.control)
-	m.ingest(700, partitions)
+	s := newSystem(t, g, 4, false, olap.BackupP2P)
+	drv := reftest.NewDriver(t, g, partitions, 0, s)
+	drv.Ingest(700)
 	for p := 0; p < partitions; p++ {
-		m.seal(p)
+		drv.Seal(p)
 	}
-	m.offload(0)
+	drv.Offload(0)
 
-	shapes := make([]*olap.Query, 12)
-	wants := make([]*olap.QueryResponse, 12)
+	shapes := make([]*reftest.Query, 12)
+	wants := make([]*reftest.Result, len(shapes))
 	for i := range shapes {
-		shapes[i] = elasticShape(rng)
-		w, err := cb.Execute(context.Background(), &olap.QueryRequest{Query: shapes[i]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants[i] = w
+		shapes[i] = g.Query()
+		wants[i] = drv.Want(shapes[i])
 	}
 
 	stop := make(chan struct{})
@@ -396,13 +264,14 @@ func TestDifferentialElasticityConcurrent(t *testing.T) {
 				default:
 				}
 				i := r.Intn(len(shapes))
-				got, err := sb.Execute(context.Background(), &olap.QueryRequest{Query: shapes[i]})
+				cols, rows, err := s.Query(shapes[i])
 				if err != nil {
 					errs.Add(1)
 					continue
 				}
 				queries.Add(1)
-				if !reflect.DeepEqual(got.Rows, wants[i].Rows) {
+				if err := wants[i].Check(shapes[i], cols, rows); err != nil {
+					t.Errorf("%s: %v", shapes[i], err)
 					wrong.Add(1)
 				}
 			}
@@ -419,21 +288,21 @@ func TestDifferentialElasticityConcurrent(t *testing.T) {
 		}
 	}
 	waitTraffic()
-	m.subject.AddServer(olap.NewServer("joined-4"))
-	if _, err := m.subject.Rebalance(ctx); err != nil {
+	s.AddServer(olap.NewServer("joined-4"))
+	if _, err := s.Rebalance(ctx); err != nil {
 		t.Fatal(err)
 	}
 	waitTraffic()
-	m.subject.AddServer(olap.NewServer("joined-5"))
-	if _, err := m.subject.Rebalance(ctx); err != nil {
+	s.AddServer(olap.NewServer("joined-5"))
+	if _, err := s.Rebalance(ctx); err != nil {
 		t.Fatal(err)
 	}
 	waitTraffic()
-	if _, err := m.subject.DecommissionServer(ctx, 0); err != nil {
+	if _, err := s.DecommissionServer(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	waitTraffic()
-	if _, err := m.subject.DecommissionServer(ctx, 4); err != nil {
+	if _, err := s.DecommissionServer(ctx, 4); err != nil {
 		t.Fatal(err)
 	}
 	waitTraffic()
@@ -447,6 +316,11 @@ func TestDifferentialElasticityConcurrent(t *testing.T) {
 		t.Fatalf("%d query errors during churn, want 0", n)
 	}
 	if n := wrong.Load(); n != 0 {
-		t.Fatalf("%d divergent answers during churn, want 0", n)
+		t.Fatalf("%d wrong answers during churn, want 0", n)
 	}
 }
+
+var (
+	_ reftest.Midway  = (*system)(nil)
+	_ reftest.Elastic = (*elastic)(nil)
+)

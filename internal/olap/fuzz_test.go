@@ -190,3 +190,36 @@ func FuzzMergePartials(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeSegment feeds DecodeSegment the bytes a deep store could hand a
+// reload or a recovery: whatever decodes must answer a COUNT and a GROUP BY
+// on each column, through the star-tree where one serves, without a panic.
+func FuzzDecodeSegment(f *testing.F) {
+	for _, cfg := range []IndexConfig{
+		{InvertedColumns: []string{"city"}, StarTree: &StarTreeConfig{Dimensions: []string{"city", "status"}, Metrics: []string{"amount"}, MaxLeafRecords: 4}},
+		{SortedColumn: "status"},
+	} {
+		seg, err := BuildSegment("s", ordersSchema(), orderRows(40), cfg, -1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := seg.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		seg, err := DecodeSegment(data)
+		if err != nil {
+			return
+		}
+		queries := []*Query{{Aggs: []AggSpec{{Kind: AggCount}}}}
+		for _, fld := range seg.Schema.Fields {
+			queries = append(queries, &Query{GroupBy: []string{fld.Name}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggMax, Column: fld.Name}}})
+		}
+		for _, q := range queries {
+			seg.Execute(q, nil) // an error is an answer; a panic is the failure
+		}
+	})
+}

@@ -1,67 +1,75 @@
 package matview_test
 
-// The differential harness is the matview gate: for hundreds of randomized
-// aggregate query shapes, interleaved with ingests, seals, compactions and
-// upserts, every view-served answer must be byte-identical
-// (reflect.DeepEqual on columns and rows) to a cold broker execution of the
-// same shape at the same generation, with caching disabled and trimming
-// exact. Numeric values in the fixture are exactly representable (small
-// multiples of 0.5, far below 2^52), so float64 sums are merge-order
-// independent and "byte-identical" is a meaningful bar; group-bys use
-// string columns, whose value identity is path-independent.
+// The differential harness is the matview gate: random aggregate shapes are
+// registered as views over a random table, the reference driver interleaves
+// ingests, seals, compactions, offloads and upserts with them, and every
+// view-served answer must be one the reference accepts at that point —
+// checked against the reference, not against a second run of the system.
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"reflect"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/metadata"
 	"repro/internal/objstore"
 	"repro/internal/olap"
 	"repro/internal/olap/matview"
 	"repro/internal/record"
-
-	"math/rand"
+	"repro/internal/reftest"
+	"repro/internal/sqlparse"
 )
 
-func diffSchema() *metadata.Schema {
-	return &metadata.Schema{
-		Name:    "orders",
-		Version: 1,
-		Fields: []metadata.Field{
-			{Name: "order_id", Type: metadata.TypeString},
-			{Name: "city", Type: metadata.TypeString, Dimension: true},
-			{Name: "status", Type: metadata.TypeString, Dimension: true},
-			{Name: "amount", Type: metadata.TypeDouble},
-			{Name: "items", Type: metadata.TypeLong},
-			{Name: "rush", Type: metadata.TypeBool, Nullable: true},
-			{Name: "ts", Type: metadata.TypeTimestamp},
-		},
-		TimeField:  "ts",
-		PrimaryKey: "order_id",
+// fromReference returns the reference's aggregation as the OLAP layer's
+// query — olap.FromReference, which this package's tests cannot reach, less
+// selections, which views do not serve: comparison operators and, from
+// COUNT on, aggregate kinds are numbered alike, and GROUP BY columns lead
+// the items.
+func fromReference(rq *reftest.Query) *olap.Query {
+	q := &olap.Query{Table: rq.From.Name, GroupBy: rq.GroupBy, Limit: rq.Limit, Offset: rq.Offset}
+	for _, p := range rq.Where {
+		q.Filters = append(q.Filters, olap.Filter{Column: p.Column, Op: olap.FilterOp(p.Op), Value: p.Value, Value2: p.Value2, Values: p.Values})
 	}
+	if w := rq.Time; w != nil {
+		q.Time = &olap.TimeRange{From: w.From, To: w.To}
+	}
+	for _, it := range rq.Items {
+		if it.Func != sqlparse.FuncNone {
+			q.Aggs = append(q.Aggs, olap.AggSpec{Kind: olap.AggKind(it.Func - sqlparse.FuncCount), Column: it.Column, As: it.Alias})
+		}
+	}
+	for _, o := range rq.OrderBy {
+		q.OrderBy = append(q.OrderBy, olap.OrderSpec{Column: o.Column, Desc: o.Desc})
+	}
+	return q
 }
 
-func newDiffDeployment(t *testing.T, upsert bool) *olap.Deployment {
+// viewSystem is a deployment as the reference driver drives it, read
+// through a broker that serves its registered views.
+type viewSystem struct {
+	*olap.Deployment
+	reg  *matview.Registry
+	b    *olap.Broker
+	last *olap.QueryResponse // the latest answer, for its view stats
+}
+
+func newViewSystem(t *testing.T, g *reftest.Gen, upsert bool, cfg matview.Config) *viewSystem {
 	t.Helper()
 	servers := make([]*olap.Server, 3)
 	for i := range servers {
 		servers[i] = olap.NewServer(fmt.Sprintf("server-%d", i))
 	}
+	fields := g.Queryable()
 	d, err := olap.NewDeployment(olap.DeploymentConfig{
 		Table: olap.TableConfig{
-			Name:        "orders",
-			Schema:      diffSchema(),
+			Name:        g.Schema.Name,
+			Schema:      g.Schema,
 			SegmentRows: 60,
 			Upsert:      upsert,
 			Replicas:    1,
-			Indexes:     olap.IndexConfig{InvertedColumns: []string{"city"}},
+			Indexes:     olap.IndexConfig{InvertedColumns: []string{fields[g.Rng.Intn(len(fields))].Name}},
 		},
 		Servers:      servers,
 		SegmentStore: objstore.NewMemStore(),
@@ -70,241 +78,90 @@ func newDiffDeployment(t *testing.T, upsert bool) *olap.Deployment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
+	d.AttachLoaders()
+	reg := matview.NewRegistry(d, cfg)
+	return &viewSystem{Deployment: d, reg: reg, b: olap.NewBrokerWithOptions(d, olap.BrokerOptions{Views: reg})}
 }
 
-var diffCities = []string{"sf", "nyc", "la", "chi", "sea"}
-var diffStatuses = []string{"placed", "cooking", "delivered"}
-
-const diffTsBase = int64(1700000000000)
-
-// diffRow builds row i with exactly-representable numerics: amounts are
-// multiples of 0.5 below 50, items small ints — float64 sums over any merge
-// order are exact.
-func diffRow(i, keySpace int) record.Record {
-	k := i
-	if keySpace > 0 {
-		k = i % keySpace
-	}
-	r := record.Record{
-		"order_id": fmt.Sprintf("o-%06d", k),
-		"city":     diffCities[i%len(diffCities)],
-		"status":   diffStatuses[i%len(diffStatuses)],
-		"amount":   float64(i%97) / 2,
-		"items":    int64(i%9 + 1),
-		"ts":       diffTsBase + int64(i)*1000,
-	}
-	if i%2 == 0 {
-		r["rush"] = i%4 == 0
-	}
-	return r
-}
-
-// randShape generates one registrable aggregate query shape: random
-// aggregation multiset (including DISTINCTCOUNT and the nullable column),
-// random string group-bys, random filters over strings/numerics/time, and
-// sometimes ORDER BY / LIMIT / OFFSET over an output column.
-func randShape(rng *rand.Rand) *olap.QueryRequest {
-	aggPool := []olap.AggSpec{
-		{Kind: olap.AggCount},
-		{Kind: olap.AggCount, Column: "rush"}, // nullable: counts non-null only
-		{Kind: olap.AggSum, Column: "amount"},
-		{Kind: olap.AggSum, Column: "items"},
-		{Kind: olap.AggMin, Column: "amount"},
-		{Kind: olap.AggMax, Column: "amount"},
-		{Kind: olap.AggAvg, Column: "amount"},
-		{Kind: olap.AggMin, Column: "items"},
-		{Kind: olap.AggMax, Column: "items"},
-		{Kind: olap.AggAvg, Column: "items"},
-		{Kind: olap.AggDistinctCount, Column: "city"},
-		{Kind: olap.AggDistinctCount, Column: "items"},
-		{Kind: olap.AggDistinctCount, Column: "order_id"},
-	}
-	rng.Shuffle(len(aggPool), func(i, j int) { aggPool[i], aggPool[j] = aggPool[j], aggPool[i] })
-	q := &olap.Query{Aggs: append([]olap.AggSpec(nil), aggPool[:rng.Intn(3)+1]...)}
-	if rng.Intn(3) == 0 {
-		q.Aggs[0].As = "a" + strconv.Itoa(rng.Intn(4))
-	}
-	switch rng.Intn(4) {
-	case 1:
-		q.GroupBy = []string{"city"}
-	case 2:
-		q.GroupBy = []string{"status"}
-	case 3:
-		q.GroupBy = []string{"city", "status"}
-	}
-	for _, f := range []func() olap.Filter{
-		func() olap.Filter {
-			return olap.Filter{Column: "city", Op: olap.OpEq, Value: diffCities[rng.Intn(len(diffCities))]}
-		},
-		func() olap.Filter {
-			return olap.Filter{Column: "city", Op: olap.OpIn,
-				Values: []any{diffCities[rng.Intn(len(diffCities))], diffCities[rng.Intn(len(diffCities))]}}
-		},
-		func() olap.Filter {
-			return olap.Filter{Column: "status", Op: olap.OpNe, Value: diffStatuses[rng.Intn(len(diffStatuses))]}
-		},
-		func() olap.Filter {
-			lo := int64(rng.Intn(5) + 1)
-			return olap.Filter{Column: "items", Op: olap.OpBetween, Value: lo, Value2: lo + int64(rng.Intn(4))}
-		},
-		func() olap.Filter {
-			return olap.Filter{Column: "amount", Op: olap.OpGe, Value: float64(rng.Intn(60)) / 2}
-		},
-	} {
-		if rng.Intn(5) == 0 {
-			q.Filters = append(q.Filters, f())
+func (s *viewSystem) sealed(p int) []string {
+	var names []string
+	for _, info := range s.SegmentInfos() {
+		if info.Partition == p {
+			names = append(names, info.Name)
 		}
 	}
-	req := &olap.QueryRequest{Query: q, Consistency: olap.ConsistencyFull}
-	if rng.Intn(5) == 0 {
-		from := diffTsBase + int64(rng.Intn(500))*1000
-		req.Time = &olap.TimeRange{From: from, To: from + int64(rng.Intn(4000)+500)*1000}
-	}
-	if rng.Intn(2) == 0 {
-		ord := q.Aggs[0].As
-		if ord == "" {
-			ord = q.Aggs[0].Kind.String()
-			if q.Aggs[0].Column != "" {
-				ord += "_" + q.Aggs[0].Column
-			} else {
-				ord = "count"
-			}
-		}
-		if len(q.GroupBy) > 0 && rng.Intn(3) == 0 {
-			ord = q.GroupBy[0]
-		}
-		q.OrderBy = []olap.OrderSpec{{Column: ord, Desc: rng.Intn(2) == 0}}
-		q.Limit = rng.Intn(5) + 1
-		q.Offset = rng.Intn(3)
-	}
-	return req
+	return names
 }
 
-// coldReq copies a shape for the oracle execution: trimming exact so the
-// cold answer is byte-stable, everything else identical.
-func coldReq(req *olap.QueryRequest) *olap.QueryRequest {
-	r2 := *req
-	r2.TrimExact = true
-	return &r2
+func (s *viewSystem) Compact(p int) error {
+	if names := s.sealed(p); len(names) >= 2 {
+		_, err := s.Deployment.Compact(names)
+		return err
+	}
+	return nil
 }
 
-// checkShape asserts the view-served answer is byte-identical to the cold
-// execution at the current (quiescent) generation.
-func checkShape(t *testing.T, vb, cold *olap.Broker, req *olap.QueryRequest, wantHit bool) {
+func (s *viewSystem) Offload(p int) error {
+	if names := s.sealed(p); len(names) > 0 {
+		_, err := s.OffloadSegment(names[len(names)-1])
+		return err
+	}
+	return nil
+}
+
+func (s *viewSystem) Query(q *reftest.Query) (cols []string, rows [][]any, err error) {
+	if s.last, err = s.b.Execute(context.Background(), &olap.QueryRequest{Query: fromReference(q)}); err != nil {
+		return nil, nil, err
+	}
+	return s.last.Columns, s.last.Rows, nil
+}
+
+// register registers n random aggregate shapes as views.
+func (s *viewSystem) register(t *testing.T, g *reftest.Gen, n int) []*reftest.Query {
 	t.Helper()
-	ctx := context.Background()
-	got, err := vb.Execute(ctx, req)
-	if err != nil {
-		t.Fatalf("view execute: %v", err)
-	}
-	want, err := cold.Execute(ctx, coldReq(req))
-	if err != nil {
-		t.Fatalf("cold execute: %v", err)
-	}
-	if wantHit {
-		if got.Stats.ViewHit != 1 {
-			t.Fatalf("expected a view hit, got %+v", got.Stats)
-		}
-		if got.Stats.ViewStalenessMs != 0 {
-			t.Fatalf("fresh view must report 0 staleness, got %d", got.Stats.ViewStalenessMs)
-		}
-		if got.Stats.RowsScanned != 0 || got.Stats.SegmentsScanned != 0 {
-			t.Fatalf("view hit must not scan: %+v", got.Stats)
+	shapes := make([]*reftest.Query, n)
+	for i := range shapes {
+		shapes[i] = g.Aggregation()
+		if _, err := s.reg.Register(context.Background(), &olap.QueryRequest{Query: fromReference(shapes[i])}); err != nil {
+			t.Fatalf("register %s: %v", shapes[i], err)
 		}
 	}
-	if !reflect.DeepEqual(got.Columns, want.Columns) {
-		t.Fatalf("columns diverge for %+v:\n view %v\n cold %v", req.Query, got.Columns, want.Columns)
-	}
-	if !reflect.DeepEqual(got.Rows, want.Rows) {
-		t.Fatalf("rows diverge for %+v:\n view %v\n cold %v", req.Query, got.Rows, want.Rows)
-	}
+	return shapes
 }
 
-func diffSeed(t *testing.T) int64 {
-	if s := os.Getenv("MATVIEW_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			t.Fatalf("MATVIEW_SEED: %v", err)
-		}
-		return v
+// check holds the served answer to q to the reference and, with wantHit, to
+// a fresh view hit that scanned nothing.
+func (s *viewSystem) check(t *testing.T, drv *reftest.Driver, q *reftest.Query, wantHit bool) {
+	t.Helper()
+	drv.Check(q)
+	if st := s.last.Stats; wantHit && (st.ViewHit != 1 || st.ViewStalenessMs != 0 || st.RowsScanned != 0 || st.SegmentsScanned != 0) {
+		t.Fatalf("%s: want a fresh view hit that scans nothing, got %+v", q, st)
 	}
-	return 20260808
 }
 
 // TestDifferentialRandomizedViews is the main gate: 200 random registered
-// shapes over an append-only table, randomized interleavings of ingest
-// batches, seals and compactions, with view reads checked byte-identical to
-// cold execution at every observation point and a full sweep at the end.
-// Append-only mutations never retract, so every single read must be a fresh
+// shapes over an append-only table and 40 rounds of the driver's schedule,
+// view reads checked at every observation point and a full sweep at the
+// end. Append-only mutations never retract, so every read must be a fresh
 // view hit.
 func TestDifferentialRandomizedViews(t *testing.T) {
-	seed := diffSeed(t)
-	t.Logf("differential seed %d (override with MATVIEW_SEED)", seed)
-	rng := rand.New(rand.NewSource(seed))
-	d := newDiffDeployment(t, false)
-
-	next := 0
-	ingest := func(n int) {
-		for i := 0; i < n; i++ {
-			if err := d.Ingest(next%2, diffRow(next, 0)); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		}
-	}
-	// Pre-load enough rows that initial materialization sees sealed and
-	// consuming segments on both partitions.
-	ingest(300)
-
-	reg := matview.NewRegistry(d, matview.Config{})
-	vb := olap.NewBrokerWithOptions(d, olap.BrokerOptions{Views: reg})
-	cold := olap.NewBroker(d)
-
-	const shapes = 200
-	reqs := make([]*olap.QueryRequest, 0, shapes)
-	for len(reqs) < shapes {
-		req := randShape(rng)
-		if _, err := reg.Register(context.Background(), req); err != nil {
-			t.Fatalf("register %+v: %v", req.Query, err)
-		}
-		reqs = append(reqs, req)
-	}
-
-	compactPartition := func(part int) {
-		var names []string
-		for _, info := range d.SegmentInfos() {
-			if info.Partition == part {
-				names = append(names, info.Name)
-			}
-		}
-		if len(names) >= 2 {
-			if _, err := d.Compact(names); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
+	g := reftest.NewGen(reftest.Seed(t))
+	s := newViewSystem(t, g, false, matview.Config{})
+	drv := reftest.NewDriver(t, g, 2, 0, s)
+	// Enough rows that initial materialization sees sealed and consuming
+	// segments on both partitions.
+	drv.Ingest(300)
+	shapes := s.register(t, g, 200)
 	for round := 0; round < 40; round++ {
-		switch rng.Intn(8) {
-		case 6:
-			if err := d.Seal(rng.Intn(2)); err != nil {
-				t.Fatal(err)
-			}
-		case 7:
-			compactPartition(rng.Intn(2))
-		default:
-			ingest(rng.Intn(25) + 5)
-		}
+		drv.Step()
 		for i := 0; i < 6; i++ {
-			checkShape(t, vb, cold, reqs[rng.Intn(len(reqs))], true)
+			s.check(t, drv, shapes[g.Rng.Intn(len(shapes))], true)
 		}
 	}
-	// Final sweep: every registered shape, byte-identical.
-	for _, req := range reqs {
-		checkShape(t, vb, cold, req, true)
+	for _, q := range shapes {
+		s.check(t, drv, q, true)
 	}
-	st := reg.Stats()
+	st := s.reg.Stats()
 	if st.Views == 0 || st.Hits == 0 || st.RowsMerged == 0 {
 		t.Fatalf("registry did no incremental work: %+v", st)
 	}
@@ -316,44 +173,18 @@ func TestDifferentialRandomizedViews(t *testing.T) {
 // TestDifferentialUpsertRetraction exercises the retraction path: an upsert
 // table where random batches supersede existing keys, forcing views dirty
 // and re-materialized. MaxStaleness is 0, so every served answer is either
-// a fresh exact view hit or a cold fall-through — both must match the
-// oracle byte-for-byte; the harness waits for freshness after each batch so
+// a fresh exact view hit or a cold fall-through — both must be answers the
+// reference accepts; the harness waits for freshness after each read so
 // hits are actually exercised.
 func TestDifferentialUpsertRetraction(t *testing.T) {
-	seed := diffSeed(t) + 1
-	t.Logf("differential seed %d (override with MATVIEW_SEED)", seed)
-	rng := rand.New(rand.NewSource(seed))
-	d := newDiffDeployment(t, true)
-
-	next := 0
-	const keySpace = 150 // every row past the first 150 supersedes one
-	ingest := func(n int) {
-		for i := 0; i < n; i++ {
-			if err := d.Ingest(0, diffRow(next, keySpace)); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		}
-	}
-	ingest(200)
-
-	reg := matview.NewRegistry(d, matview.Config{MaxStaleness: 0})
-	vb := olap.NewBrokerWithOptions(d, olap.BrokerOptions{Views: reg})
-	cold := olap.NewBroker(d)
-
-	const shapes = 30
-	reqs := make([]*olap.QueryRequest, 0, shapes)
-	for len(reqs) < shapes {
-		req := randShape(rng)
-		if _, err := reg.Register(context.Background(), req); err != nil {
-			t.Fatalf("register %+v: %v", req.Query, err)
-		}
-		reqs = append(reqs, req)
-	}
-
-	waitFresh := func(req *olap.QueryRequest) {
+	g := reftest.NewGen(reftest.Seed(t) + 1)
+	s := newViewSystem(t, g, true, matview.Config{MaxStaleness: 0})
+	drv := reftest.NewDriver(t, g, 1, 150, s)
+	drv.Ingest(200)
+	shapes := s.register(t, g, 30)
+	waitFresh := func(q *reftest.Query) {
 		t.Helper()
-		v := reg.View(req)
+		v := s.reg.View(&olap.QueryRequest{Query: fromReference(q)})
 		if v == nil {
 			t.Fatal("shape not registered")
 		}
@@ -365,29 +196,26 @@ func TestDifferentialUpsertRetraction(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-
 	for round := 0; round < 25; round++ {
-		if rng.Intn(6) == 5 {
-			if err := d.Seal(0); err != nil {
-				t.Fatal(err)
-			}
+		if g.Rng.Intn(6) == 5 {
+			drv.Seal(0)
 		} else {
-			ingest(rng.Intn(20) + 5)
+			drv.Ingest(g.Rng.Intn(20) + 5)
 		}
 		for i := 0; i < 4; i++ {
-			req := reqs[rng.Intn(len(reqs))]
-			// Answers must match the oracle whether the view is mid-
-			// re-materialization (cold fall-through) or already fresh.
-			checkShape(t, vb, cold, req, false)
-			waitFresh(req)
-			checkShape(t, vb, cold, req, true)
+			q := shapes[g.Rng.Intn(len(shapes))]
+			// Mid-re-materialization (a cold fall-through) or already fresh,
+			// the answer must be the reference's.
+			s.check(t, drv, q, false)
+			waitFresh(q)
+			s.check(t, drv, q, true)
 		}
 	}
-	for _, req := range reqs {
-		waitFresh(req)
-		checkShape(t, vb, cold, req, true)
+	for _, q := range shapes {
+		waitFresh(q)
+		s.check(t, drv, q, true)
 	}
-	st := reg.Stats()
+	st := s.reg.Stats()
 	if st.Rematerializations == 0 {
 		t.Fatalf("upsert run must have re-materialized, stats %+v", st)
 	}
@@ -400,29 +228,27 @@ func TestDifferentialUpsertRetraction(t *testing.T) {
 // sealing and compacting continuously while readers serve registered views
 // through the broker. Readers assert the linearization invariant — a view
 // answer reflects at least every ingest that completed before the read
-// began and nothing beyond what has committed by the time it returns.
+// began and nothing beyond what has committed by the time it returns — and
+// once the writer is done every view answers as the reference does.
 func TestDifferentialConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(diffSeed(t) + 2))
-	d := newDiffDeployment(t, false)
-	for i := 0; i < 100; i++ {
-		if err := d.Ingest(i%2, diffRow(i, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reg := matview.NewRegistry(d, matview.Config{})
-	vb := olap.NewBrokerWithOptions(d, olap.BrokerOptions{Views: reg})
-
-	countShape := &olap.QueryRequest{Query: &olap.Query{Aggs: []olap.AggSpec{{Kind: olap.AggCount}}}}
-	if _, err := reg.Register(context.Background(), countShape); err != nil {
+	g := reftest.NewGen(reftest.Seed(t) + 2)
+	s := newViewSystem(t, g, false, matview.Config{})
+	drv := reftest.NewDriver(t, g, 2, 0, s)
+	drv.Ingest(100)
+	count, err := reftest.Parse("SELECT COUNT(*) FROM t")
+	if err != nil {
 		t.Fatal(err)
 	}
-	var others []*olap.QueryRequest
-	for len(others) < 8 {
-		req := randShape(rng)
-		if _, err := reg.Register(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
-		others = append(others, req)
+	countShape := &olap.QueryRequest{Query: fromReference(count)}
+	if _, err := s.reg.Register(context.Background(), countShape); err != nil {
+		t.Fatal(err)
+	}
+	others := s.register(t, g, 8)
+	// The writer's rows, keys 100 on, each on partition key mod 2 as the
+	// driver would place them.
+	rows := make([]record.Record, 2000)
+	for i := range rows {
+		rows[i] = g.Row(100 + i)
 	}
 
 	// started counts rows whose Ingest has begun, committed those whose
@@ -436,29 +262,22 @@ func TestDifferentialConcurrent(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 100; i < 2100; i++ {
+		for i, r := range rows {
+			k := 100 + i
 			started.Add(1)
-			if err := d.Ingest(i%2, diffRow(i, 0)); err != nil {
+			if err := s.Ingest(k%2, r); err != nil {
 				t.Error(err)
 				return
 			}
 			committed.Add(1)
-			if i%400 == 399 {
-				if err := d.Seal(i % 2); err != nil {
+			if k%400 == 399 {
+				if err := s.Seal(k % 2); err != nil {
 					t.Error(err)
 					return
 				}
-				var part0 []string
-				for _, info := range d.SegmentInfos() {
-					if info.Partition == 0 {
-						part0 = append(part0, info.Name)
-					}
-				}
-				if len(part0) >= 2 {
-					if _, err := d.Compact(part0); err != nil {
-						t.Error(err)
-						return
-					}
+				if err := s.Compact(0); err != nil {
+					t.Error(err)
+					return
 				}
 			}
 		}
@@ -469,15 +288,14 @@ func TestDifferentialConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w)))
-			for {
+			for i := w; ; i++ {
 				select {
 				case <-done:
 					return
 				default:
 				}
 				before := committed.Load()
-				resp, err := vb.Execute(context.Background(), countShape)
+				resp, err := s.b.Execute(context.Background(), countShape)
 				if err != nil {
 					t.Error(err)
 					return
@@ -492,7 +310,7 @@ func TestDifferentialConcurrent(t *testing.T) {
 					t.Errorf("count %d outside committed window [%d, %d]", n, before, after)
 					return
 				}
-				if _, err := vb.Execute(context.Background(), others[r.Intn(len(others))]); err != nil {
+				if _, err := s.b.Execute(context.Background(), &olap.QueryRequest{Query: fromReference(others[i%len(others)])}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -501,4 +319,10 @@ func TestDifferentialConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	<-done
+	for _, r := range rows {
+		drv.Ref.Put(r)
+	}
+	for _, q := range append(others, count) {
+		s.check(t, drv, q, true)
+	}
 }

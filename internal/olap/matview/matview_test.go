@@ -9,18 +9,22 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/olap"
 	"repro/internal/olap/matview"
+	"repro/internal/reftest"
 )
 
-func newUnitDeployment(t *testing.T) (*olap.Deployment, []*olap.Server) {
+// newUnitDeployment returns a deployment of a generated table and the
+// generator of its rows.
+func newUnitDeployment(t *testing.T) (*olap.Deployment, []*olap.Server, *reftest.Gen) {
 	t.Helper()
+	g := reftest.NewGen(reftest.Seed(t))
 	servers := make([]*olap.Server, 2)
 	for i := range servers {
 		servers[i] = olap.NewServer(fmt.Sprintf("server-%d", i))
 	}
 	d, err := olap.NewDeployment(olap.DeploymentConfig{
 		Table: olap.TableConfig{
-			Name:        "orders",
-			Schema:      diffSchema(),
+			Name:        g.Schema.Name,
+			Schema:      g.Schema,
 			SegmentRows: 50,
 			Replicas:    1,
 		},
@@ -31,7 +35,7 @@ func newUnitDeployment(t *testing.T) (*olap.Deployment, []*olap.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, servers
+	return d, servers, g
 }
 
 func unitCountReq() *olap.QueryRequest {
@@ -39,7 +43,7 @@ func unitCountReq() *olap.QueryRequest {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	d, _ := newUnitDeployment(t)
+	d, _, _ := newUnitDeployment(t)
 	reg := matview.NewRegistry(d, matview.Config{})
 	ctx := context.Background()
 	if _, err := reg.Register(ctx, nil); err == nil {
@@ -48,7 +52,7 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := reg.Register(ctx, &olap.QueryRequest{}); err == nil {
 		t.Error("nil query must be rejected")
 	}
-	if _, err := reg.Register(ctx, &olap.QueryRequest{Query: &olap.Query{Select: []string{"city"}}}); err == nil {
+	if _, err := reg.Register(ctx, &olap.QueryRequest{Query: &olap.Query{Select: []string{"id"}}}); err == nil {
 		t.Error("selection shapes must be rejected: only aggregates are mergeable")
 	}
 	if _, err := reg.Register(ctx, &olap.QueryRequest{
@@ -60,7 +64,7 @@ func TestRegisterValidation(t *testing.T) {
 	// A shape that cannot execute (SUM over a string column) must fail
 	// registration, not linger as a broken view.
 	if _, err := reg.Register(ctx, &olap.QueryRequest{
-		Query: &olap.Query{Aggs: []olap.AggSpec{{Kind: olap.AggSum, Column: "city"}}},
+		Query: &olap.Query{Aggs: []olap.AggSpec{{Kind: olap.AggSum, Column: "id"}}},
 	}); err == nil {
 		t.Error("type-invalid shapes must fail registration")
 	}
@@ -70,9 +74,9 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestRegisterIdempotentAndUnregister(t *testing.T) {
-	d, _ := newUnitDeployment(t)
+	d, _, g := newUnitDeployment(t)
 	for i := 0; i < 40; i++ {
-		if err := d.Ingest(0, diffRow(i, 0)); err != nil {
+		if err := d.Ingest(0, g.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +97,7 @@ func TestRegisterIdempotentAndUnregister(t *testing.T) {
 	if st := reg.Stats(); st.Views != 1 {
 		t.Errorf("views = %d, want 1", st.Views)
 	}
-	if v1.Key() != olap.ViewKey("orders", unitCountReq()) {
+	if v1.Key() != olap.ViewKey(g.Schema.Name, unitCountReq()) {
 		t.Error("view key must match the canonical ViewKey")
 	}
 
@@ -129,9 +133,9 @@ func TestRegisterIdempotentAndUnregister(t *testing.T) {
 // serves its last consistent snapshot with an explicit staleness bound, and
 // once the cluster recovers it converges back to fresh exact serving.
 func TestStaleServeDuringRematerialize(t *testing.T) {
-	d, servers := newUnitDeployment(t)
+	d, servers, g := newUnitDeployment(t)
 	for i := 0; i < 120; i++ {
-		if err := d.Ingest(0, diffRow(i, 0)); err != nil {
+		if err := d.Ingest(0, g.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,9 +211,9 @@ func TestStaleServeDuringRematerialize(t *testing.T) {
 // never serves its snapshot — the broker falls through to normal execution,
 // which here surfaces the outage instead of a silently stale answer.
 func TestStalenessBoundFallsThrough(t *testing.T) {
-	d, servers := newUnitDeployment(t)
+	d, servers, g := newUnitDeployment(t)
 	for i := 0; i < 120; i++ {
-		if err := d.Ingest(0, diffRow(i, 0)); err != nil {
+		if err := d.Ingest(0, g.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,9 +248,9 @@ func TestStalenessBoundFallsThrough(t *testing.T) {
 // metrics registry reflect view traffic: view count, hit counter, and the
 // drain-lag/staleness gauges reading zero on a fresh, clean view.
 func TestRegistryMetricsGauges(t *testing.T) {
-	d, _ := newUnitDeployment(t)
+	d, _, g := newUnitDeployment(t)
 	for i := 0; i < 40; i++ {
-		if err := d.Ingest(0, diffRow(i, 0)); err != nil {
+		if err := d.Ingest(0, g.Row(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,8 +3,8 @@ package olap
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,161 +13,40 @@ import (
 
 	"repro/internal/metadata"
 	"repro/internal/record"
+	"repro/internal/reftest"
+	"repro/internal/sqlparse"
 )
 
-// This file holds the test-only naive references the columnar code is
-// checked against (first brick of ROADMAP item 4): oracleExecute, the
-// row-at-a-time evaluator over []record.Record that consuming segments used
-// to answer with, and refBuildSegment, the row-reading segment builder that
-// sealing used to run. Neither shares code with the kernels.
+// This file holds the OLAP layer's side of the references the columnar code
+// is checked against: FromReference, which hands the queries of
+// internal/reftest's evaluator and generator to this package, and
+// refBuildSegment, the row-reading segment builder that sealing used to run.
+// Neither shares code with the kernels.
 
-// oracleExecute runs a query by scanning raw rows, no indexes, no vectors,
-// and returns a mergeable partial keyed like every other partial. valid(i)
-// gates upsert-superseded docs.
-func oracleExecute(schema *metadata.Schema, rows []record.Record, q *Query, valid func(int) bool) (*Partial, error) {
-	match := func(r record.Record) (bool, error) {
-		if q.Time != nil && schema.TimeField != "" {
-			if t := r.Long(schema.TimeField); t < q.Time.From || t > q.Time.To {
-				return false, nil
-			}
-		}
-		for _, f := range q.Filters {
-			ok, err := oracleRowMatches(schema, r, f)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-		return true, nil
+// FromReference returns the reference's query as the OLAP layer's. The two
+// number their comparison operators alike, and aggregate kinds alike from
+// COUNT on; GROUP BY columns lead the items, and SELECT * is an empty select
+// list. olap_test shares it.
+func FromReference(rq *reftest.Query) *Query {
+	q := &Query{Table: rq.From.Name, GroupBy: rq.GroupBy, Limit: rq.Limit, Offset: rq.Offset}
+	for _, p := range rq.Where {
+		q.Filters = append(q.Filters, Filter{Column: p.Column, Op: FilterOp(p.Op), Value: p.Value, Value2: p.Value2, Values: p.Values})
 	}
-	if len(q.Aggs) > 0 {
-		groups := make(map[string]*groupAgg)
-		for i, r := range rows {
-			if valid != nil && !valid(i) {
-				continue
-			}
-			ok, err := match(r)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			values := make([]any, len(q.GroupBy))
-			for gi, g := range q.GroupBy {
-				values[gi] = r[g]
-			}
-			var keyBytes []byte
-			for _, v := range values {
-				keyBytes = record.AppendValueKey(keyBytes, v)
-			}
-			key := string(keyBytes)
-			g, ok2 := groups[key]
-			if !ok2 {
-				g = newGroupAgg(q, values)
-				groups[key] = g
-			}
-			for ai, spec := range q.Aggs {
-				switch {
-				case spec.Kind == AggCount && spec.Column == "":
-					g.aggs[ai].Count++
-				case spec.Kind == AggCount:
-					if _, has := r[spec.Column]; has {
-						g.aggs[ai].Count++
-					}
-				case spec.Kind == AggDistinctCount:
-					if v, has := r[spec.Column]; has && v != nil {
-						g.aggs[ai].addDistinct(distinctKey(v))
-					}
-				default:
-					// Numbers as the dictionaries hold them: a bool is 0 or 1.
-					if x, has := toF64(r[spec.Column]); has {
-						g.aggs[ai].add(x)
-					}
-				}
-			}
-		}
-		return &Partial{agg: true, groups: groups}, nil
+	if w := rq.Time; w != nil {
+		q.Time = &TimeRange{From: w.From, To: w.To}
 	}
-	cols := q.Select
-	if len(cols) == 0 {
-		cols = selectable(schema)
-	}
-	p := &Partial{cols: append([]string(nil), cols...)}
-	for i, r := range rows {
-		if valid != nil && !valid(i) {
-			continue
-		}
-		ok, err := match(r)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		row := make([]any, len(cols))
-		for ci, c := range cols {
-			row[ci] = r[c]
-		}
-		p.rows = append(p.rows, row)
-		if q.Limit > 0 && len(q.OrderBy) == 0 && len(p.rows) >= q.Limit+q.Offset {
-			break
-		}
-	}
-	return p, nil
-}
-
-func oracleRowMatches(schema *metadata.Schema, r record.Record, f Filter) (bool, error) {
-	field, ok := schema.Field(f.Column)
-	if !ok {
-		return false, fmt.Errorf("olap: unknown filter column %q", f.Column)
-	}
-	v, has := r[f.Column]
-	if !has || v == nil {
-		return false, nil
-	}
-	cmp := func(a, b any) int {
-		if field.Type == metadata.TypeString {
-			return strings.Compare(fmt.Sprintf("%v", a), fmt.Sprintf("%v", b))
-		}
-		fa, _ := toF64(a)
-		fb, _ := toF64(b)
+	for _, it := range rq.Items {
 		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
-		default:
-			return 0
+		case it.Func != sqlparse.FuncNone:
+			q.Aggs = append(q.Aggs, AggSpec{Kind: AggKind(it.Func - sqlparse.FuncCount), Column: it.Column, As: it.Alias})
+		case !it.Star && !rq.HasAggregates():
+			q.Select = append(q.Select, it.Column)
 		}
 	}
-	switch f.Op {
-	case OpEq:
-		return cmp(v, f.Value) == 0, nil
-	case OpNe:
-		return cmp(v, f.Value) != 0, nil
-	case OpLt:
-		return cmp(v, f.Value) < 0, nil
-	case OpLe:
-		return cmp(v, f.Value) <= 0, nil
-	case OpGt:
-		return cmp(v, f.Value) > 0, nil
-	case OpGe:
-		return cmp(v, f.Value) >= 0, nil
-	case OpBetween:
-		return cmp(v, f.Value) >= 0 && cmp(v, f.Value2) <= 0, nil
-	case OpIn:
-		for _, want := range f.Values {
-			if cmp(v, want) == 0 {
-				return true, nil
-			}
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("olap: unsupported op %d", f.Op)
+	for _, o := range rq.OrderBy {
+		q.OrderBy = append(q.OrderBy, OrderSpec{Column: o.Column, Desc: o.Desc})
 	}
+	return q
 }
 
 // refBuildSegment is the row-reading builder BuildSegment used to be: sort
@@ -287,250 +166,99 @@ func refBuildColumn(f metadata.Field, rows []record.Record, cfg IndexConfig) *co
 	return col
 }
 
-// diffGen draws random schemas, rows and queries for the differential
-// test. Doubles are multiples of 0.25 and every number stays far below
-// 2^53, so float sums are exact and a long survives its trip through a
-// float64 dictionary.
-type diffGen struct {
-	rng    *rand.Rand
-	schema *metadata.Schema
-	rows   []record.Record
+// scanRows draws the rows of one scan differential: up to 200, and now and
+// then past a scan-window boundary.
+func scanRows(g *reftest.Gen) []record.Record {
+	n := 1 + g.Rng.Intn(200)
+	if g.Rng.Intn(8) == 0 {
+		n += BatchRows
+	}
+	return g.Rows(n)
 }
 
-var diffStrings = []string{"", "a", "ab", "b", "city_03", "5", "12", "zeta"}
-
-func newDiffGen(seed int64) *diffGen {
-	g := &diffGen{rng: rand.New(rand.NewSource(seed))}
-	// id is unique and never NULL: the tiebreak that makes an ORDER BY total.
-	fields := []metadata.Field{{Name: "id", Type: metadata.TypeString}}
-	types := []metadata.FieldType{metadata.TypeString, metadata.TypeLong, metadata.TypeDouble,
-		metadata.TypeBool, metadata.TypeTimestamp, metadata.TypeString, metadata.TypeLong}
-	for i, n := 0, 2+g.rng.Intn(5); i < n; i++ {
-		fields = append(fields, metadata.Field{
-			Name:     fmt.Sprintf("c%d", i),
-			Type:     types[g.rng.Intn(len(types))],
-			Nullable: g.rng.Intn(2) == 0,
-		})
-	}
-	if g.rng.Intn(3) == 0 {
-		fields = append(fields, metadata.Field{Name: "blob", Type: metadata.TypeBytes, Nullable: true})
-	}
-	g.schema = &metadata.Schema{Name: "t", Version: 1, Fields: fields}
-	if g.rng.Intn(2) == 0 {
-		g.schema.Fields = append(g.schema.Fields, metadata.Field{Name: "ts", Type: metadata.TypeTimestamp})
-		g.schema.TimeField = "ts"
-	}
-	n := 1 + g.rng.Intn(200)
-	if g.rng.Intn(8) == 0 {
-		n += BatchRows // cross a scan-window boundary now and then
-	}
-	g.rows = make([]record.Record, n)
-	for i := range g.rows {
-		r := record.Record{"id": fmt.Sprintf("r%05d", i)}
-		for _, f := range g.schema.Fields[1:] {
-			if f.Nullable && g.rng.Intn(4) == 0 {
-				continue
-			}
-			r[f.Name] = g.value(f.Type)
+// storeOf appends rows to a fresh mutable store.
+func storeOf(t *testing.T, schema *metadata.Schema, rows []record.Record) *mutableSegment {
+	t.Helper()
+	m := newMutableSegment("m", schema, 0)
+	for _, r := range rows {
+		conformed, err := record.Conform(r, schema)
+		if err != nil {
+			t.Fatal(err)
 		}
-		g.rows[i] = r
-	}
-	return g
-}
-
-func (g *diffGen) value(t metadata.FieldType) any {
-	switch t {
-	case metadata.TypeString:
-		return diffStrings[g.rng.Intn(len(diffStrings))]
-	case metadata.TypeLong:
-		return int64(g.rng.Intn(26) - 5)
-	case metadata.TypeDouble:
-		return float64(g.rng.Intn(61)-12) / 4
-	case metadata.TypeBool:
-		return g.rng.Intn(2) == 0
-	case metadata.TypeTimestamp:
-		return int64(1_700_000_000_000 + g.rng.Intn(1000))
-	default:
-		return []byte{byte(g.rng.Intn(256))}
-	}
-}
-
-// literal draws a filter literal for a column, often of another Go type
-// than the column stores, sometimes absent from it, sometimes outside its
-// domain altogether.
-func (g *diffGen) literal(t metadata.FieldType) any {
-	switch t {
-	case metadata.TypeString:
-		switch g.rng.Intn(4) {
-		case 0:
-			return g.rng.Intn(14) // numeric literal on a string column: "5", "12" exist
-		case 1:
-			return []string{"aa", "zzzz", "!"}[g.rng.Intn(3)] // absent / beyond either end
-		default:
-			return g.value(t)
-		}
-	case metadata.TypeBool:
-		if g.rng.Intn(2) == 0 {
-			return g.rng.Intn(2) == 0
-		}
-		return g.rng.Intn(3) - 1 // -1, 0, 1 against a 0/1 column
-	case metadata.TypeTimestamp:
-		return []any{int64(1_700_000_000_000 + g.rng.Intn(1200) - 100), float64(1_700_000_000_500), 0}[g.rng.Intn(3)]
-	default:
-		switch g.rng.Intn(5) {
-		case 0:
-			return g.rng.Intn(30) - 8 // int literal, double or long column
-		case 1:
-			return float64(g.rng.Intn(120)-30) / 8 // between the stored values
-		case 2:
-			return []any{int64(-1000), 1e9, -0.125}[g.rng.Intn(3)] // extreme bounds
-		case 3:
-			return int64(g.rng.Intn(26) - 5)
-		default:
-			return float64(g.rng.Intn(61)-12) / 4
+		if _, err := m.add(conformed); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-func (g *diffGen) queryable() []metadata.Field {
-	var fs []metadata.Field
-	for _, f := range g.schema.Fields {
-		if f.Type != metadata.TypeBytes {
-			fs = append(fs, f)
-		}
-	}
-	return fs
+	return m
 }
 
 // sortable draws a column IndexConfig.checkSorted accepts as the sorted
 // column: not nullable, not bool ("id" always qualifies).
-func (g *diffGen) sortable() string {
+func sortable(g *reftest.Gen) string {
 	var names []string
-	for _, f := range g.queryable() {
-		if (IndexConfig{SortedColumn: f.Name}).checkSorted(g.schema) == nil {
+	for _, f := range g.Queryable() {
+		if (IndexConfig{SortedColumn: f.Name}).checkSorted(g.Schema) == nil {
 			names = append(names, f.Name)
 		}
 	}
-	return names[g.rng.Intn(len(names))]
+	return names[g.Rng.Intn(len(names))]
 }
 
-func (g *diffGen) query() *Query {
-	fields := g.queryable()
-	pick := func() metadata.Field { return fields[g.rng.Intn(len(fields))] }
-	q := &Query{Table: "t"}
-	for i, n := 0, g.rng.Intn(4); i < n; i++ {
-		f := pick()
-		flt := Filter{Column: f.Name, Op: FilterOp(g.rng.Intn(8)), Value: g.literal(f.Type)}
-		switch flt.Op {
-		case OpBetween:
-			flt.Value2 = g.literal(f.Type)
-		case OpIn:
-			for j, m := 0, 1+g.rng.Intn(3); j < m; j++ {
-				flt.Values = append(flt.Values, g.literal(f.Type))
-			}
-		}
-		q.Filters = append(q.Filters, flt)
-	}
-	if g.schema.TimeField != "" && g.rng.Intn(3) == 0 {
-		from := int64(1_700_000_000_000 + g.rng.Intn(1000))
-		q.Time = &TimeRange{From: from, To: from + int64(g.rng.Intn(600))}
-	}
-	if g.rng.Intn(2) == 0 { // selection
-		if g.rng.Intn(3) > 0 {
-			q.Select = []string{"id"}
-			for i, n := 0, g.rng.Intn(4); i < n; i++ {
-				q.Select = append(q.Select, pick().Name)
-			}
-		}
-		if g.rng.Intn(2) == 0 {
-			for i, n := 0, g.rng.Intn(3); i < n; i++ {
-				q.OrderBy = append(q.OrderBy, OrderSpec{Column: g.selected(q), Desc: g.rng.Intn(2) == 0})
-			}
-			q.OrderBy = append(q.OrderBy, OrderSpec{Column: "id", Desc: g.rng.Intn(2) == 0})
-		}
-	} else { // aggregation, grouped by up to three columns
-		for i, n := 0, g.rng.Intn(4); i < n; i++ {
-			q.GroupBy = append(q.GroupBy, pick().Name)
-		}
-		for i, n := 0, 1+g.rng.Intn(3); i < n; i++ {
-			f := pick()
-			spec := AggSpec{Kind: AggKind(g.rng.Intn(6)), Column: f.Name, As: fmt.Sprintf("a%d", i)}
-			switch {
-			case spec.Kind == AggCount && g.rng.Intn(2) == 0:
-				spec.Column = ""
-			case f.Type == metadata.TypeString && spec.Kind != AggCount:
-				spec.Kind = AggDistinctCount // the numeric aggregates reject strings
-			}
-			q.Aggs = append(q.Aggs, spec)
-		}
-		if g.rng.Intn(2) == 0 {
-			out := append(append([]string(nil), q.GroupBy...), q.Aggs[0].As)
-			q.OrderBy = []OrderSpec{{Column: out[g.rng.Intn(len(out))], Desc: g.rng.Intn(2) == 0}}
-		}
-	}
-	if g.rng.Intn(2) == 0 {
-		q.Limit = 1 + g.rng.Intn(20)
-		q.Offset = g.rng.Intn(6)
+// mustParse parses sql for the reference.
+func mustParse(t testing.TB, sql string) *reftest.Query {
+	t.Helper()
+	q, err := reftest.Parse(sql)
+	if err != nil {
+		t.Fatalf("%q: %v", sql, err)
 	}
 	return q
 }
 
-func (g *diffGen) selected(q *Query) string {
-	if len(q.Select) == 0 {
-		fs := g.queryable()
-		return fs[g.rng.Intn(len(fs))].Name
-	}
-	return q.Select[g.rng.Intn(len(q.Select))]
-}
-
 // TestScanDifferential: over random schemas, rows, upsert-invalid sets and
-// queries, the kernel scan of the mutable store, the same scan of the store
-// after seal() and the naive oracle finalize to the same bytes, with and
-// without the bounded top-K path.
+// queries, the kernel scan of the mutable store and the same scan of the
+// store after seal() answer as the reference does, with and without the
+// bounded top-K path, and an unordered selection streams every match.
 func TestScanDifferential(t *testing.T) {
-	seeds := 80
+	seeds := int64(80)
 	if testing.Short() {
 		seeds = 20
 	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		g := newDiffGen(seed)
-		m := newMutableSegment("m", g.schema, 0)
-		for _, r := range g.rows {
-			conformed, err := record.Conform(r, g.schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.add(conformed); err != nil {
-				t.Fatal(err)
-			}
-		}
+	base := reftest.Seed(t)
+	for seed := base; seed < base+seeds; seed++ {
+		g := reftest.NewGen(seed)
+		rows := scanRows(g)
+		m := storeOf(t, g.Schema, rows)
 		// Index configurations: none, one inverted column, two, or a sorted
 		// column beside an inverted one — so every FilterOp meets the index
 		// path (posting lists, run bounds) with present, absent, extreme and
 		// NULL-bearing operands. A sorted column makes the seal permute the
 		// rows, which rules out the upsert-invalid set (as TableConfig does).
-		fields := g.queryable()
+		fields := g.Queryable()
 		cfg := IndexConfig{}
-		shape := g.rng.Intn(4)
+		shape := g.Rng.Intn(4)
 		for i := 0; i < shape && i < 2; i++ {
-			cfg.InvertedColumns = append(cfg.InvertedColumns, fields[g.rng.Intn(len(fields))].Name)
+			cfg.InvertedColumns = append(cfg.InvertedColumns, fields[g.Rng.Intn(len(fields))].Name)
 		}
 		if shape == 3 {
-			cfg.SortedColumn = g.sortable()
+			cfg.SortedColumn = sortable(g)
 		}
 		permuted := cfg.SortedColumn != ""
 		var valid *Bitmap
-		var validFn func(int) bool
-		if !permuted && g.rng.Intn(2) == 0 {
-			for doc := range g.rows {
-				if g.rng.Intn(5) == 0 {
+		if !permuted && g.Rng.Intn(2) == 0 {
+			for doc := range rows {
+				if g.Rng.Intn(5) == 0 {
 					m.invalid[doc] = true
 				}
 			}
 			valid = m.validSnapshot()
-			invalid := m.invalid
-			validFn = func(i int) bool { return !invalid[i] }
 		}
+		ref := reftest.NewTable(g.Schema, false)
+		for doc, r := range rows {
+			if !m.invalid[doc] {
+				ref.Put(r)
+			}
+		}
+		db := reftest.DB{g.Schema.Name: ref}
 		seg, err := m.seal(cfg, -1)
 		if err != nil {
 			t.Fatal(err)
@@ -538,13 +266,14 @@ func TestScanDifferential(t *testing.T) {
 		consuming := m.snapshot()
 		queries := 30
 		if m.n > BatchRows {
-			queries = 8 // the oracle is slow; these seeds are about window edges
+			queries = 8 // the reference is slow; these seeds are about window edges
 		}
 		for qi := 0; qi < queries; qi++ {
-			q := g.query()
+			rq := g.Query()
+			q := FromReference(rq)
 			var tp *topKPlan
-			if g.rng.Intn(2) == 0 { // else: TrimExact
-				tp = planTopK(q, 1+g.rng.Intn(4))
+			if g.Rng.Intn(2) == 0 { // else: TrimExact
+				tp = planTopK(q, 1+g.Rng.Intn(4))
 			}
 			// A unit answers aggregations exactly; the bound applies to the
 			// merged partial (consumingScan.executePartial).
@@ -552,57 +281,43 @@ func TestScanDifferential(t *testing.T) {
 			if len(q.Aggs) > 0 {
 				unitTP = nil
 			}
-			finalize := func(p *Partial, err error) (*Result, error) {
-				if err != nil {
-					return nil, err
-				}
-				p.trimTopK(q, tp)
-				return p.Finalize(q)
-			}
-			want, wantErr := finalize(oracleExecute(g.schema, g.rows, q, validFn))
-			// An unordered selection's rows come in doc order, and with a LIMIT
-			// they are whichever matches come first: where the seal permuted the
-			// docs, the sealed side is held to the oracle's rows as a multiset —
-			// all of them, or LIMIT-many out of them.
-			var all *Partial
-			if streamable(q) && wantErr == nil {
-				unlimited := *q
-				unlimited.Limit, unlimited.Offset = 0, 0
-				if all, err = oracleExecute(g.schema, g.rows, &unlimited, validFn); err != nil {
-					t.Fatal(err)
-				}
-			}
-			anyOrder := permuted && streamable(q)
+			want, wantErr := db.Eval(rq)
 			mp, mErr := consuming.executePartial(q, valid, unitTP)
 			sp, sErr := seg.executePartialTrim(q, valid, unitTP)
-			if mErr == nil && sErr == nil && !(anyOrder && q.Limit > 0) &&
+			// Which rows an unordered LIMIT stops at depends on doc order,
+			// which a sorted column permutes.
+			if mErr == nil && sErr == nil && !(permuted && streamable(q) && q.Limit > 0) &&
 				(mp.stats.RowsScanned != sp.stats.RowsScanned || mp.stats.UpsertFiltered != sp.stats.UpsertFiltered) {
-				t.Errorf("seed %d query %d %+v: consuming counted %d scanned / %d filtered, sealed %d / %d", seed, qi, q,
+				t.Errorf("seed %d query %d %s: consuming counted %d scanned / %d filtered, sealed %d / %d", seed, qi, rq,
 					mp.stats.RowsScanned, mp.stats.UpsertFiltered, sp.stats.RowsScanned, sp.stats.UpsertFiltered)
 			}
-			for name, run := range map[string]func() (*Result, error){
-				"consuming": func() (*Result, error) { return finalize(mp, mErr) },
-				"sealed":    func() (*Result, error) { return finalize(sp, sErr) },
-			} {
-				got, err := run()
+			for _, run := range []struct {
+				name string
+				p    *Partial
+				err  error
+			}{{"consuming", mp, mErr}, {"sealed", sp, sErr}} {
+				var got *Result
+				err := run.err
+				if err == nil {
+					run.p.trimTopK(q, tp)
+					got, err = run.p.Finalize(q)
+				}
 				if (err == nil) != (wantErr == nil) {
-					t.Fatalf("seed %d query %d %+v (index %+v): %s error %v, oracle error %v", seed, qi, q, cfg, name, err, wantErr)
+					t.Fatalf("seed %d query %d %s (index %+v): %s error %v, reference error %v", seed, qi, rq, cfg, run.name, err, wantErr)
 				}
 				if err != nil {
 					continue
 				}
-				same := reflect.DeepEqual(got.Rows, want.Rows)
-				if name == "sealed" && anyOrder {
-					same = len(got.Rows) == len(want.Rows) && subMultiset(got.Rows, all.rows)
-				}
-				if !reflect.DeepEqual(got.Columns, want.Columns) || !same {
-					t.Fatalf("seed %d query %d %+v (trim %+v, index %+v):\n%s  %v %v\noracle %v %v", seed, qi, q, tp, cfg, name, got.Columns, got.Rows, want.Columns, want.Rows)
+				if err := want.Check(rq, got.Columns, got.Rows); err != nil {
+					t.Fatalf("seed %d query %d %s (trim %+v, index %+v): %s: %v", seed, qi, rq, tp, cfg, run.name, err)
 				}
 			}
-			if all == nil {
+			if !streamable(q) || wantErr != nil {
 				continue
 			}
-			// Unordered selections also stream: every match, in doc order.
+			// Unordered selections also stream: every match.
+			all := *rq
+			all.Limit, all.Offset = 0, 0
 			for name, sc := range map[string]*scanSet{"consuming": consuming, "sealed": seg.scan()} {
 				var rows [][]any
 				_, _, err := sc.streamSelect(context.Background(), q, valid, &batchPool{}, func(rb *record.Batch) bool {
@@ -611,41 +326,15 @@ func TestScanDifferential(t *testing.T) {
 					}
 					return true
 				})
+				if err == nil {
+					err = want.Check(&all, want.Columns, rows)
+				}
 				if err != nil {
-					t.Fatal(err)
-				}
-				same := reflect.DeepEqual(rows, all.rows)
-				if name == "sealed" && permuted {
-					same = len(rows) == len(all.rows) && subMultiset(rows, all.rows)
-				}
-				if !same {
-					t.Fatalf("seed %d query %d %+v (index %+v): %s streamed %v, oracle %v", seed, qi, q, cfg, name, rows, all.rows)
+					t.Fatalf("seed %d query %d %s (index %+v): %s streamed: %v", seed, qi, rq, cfg, name, err)
 				}
 			}
 		}
 	}
-}
-
-// subMultiset reports whether every row of sub occurs in of, as often.
-func subMultiset(sub, of [][]any) bool {
-	key := func(row []any) string {
-		var sb strings.Builder
-		for _, v := range row {
-			fmt.Fprintf(&sb, "%T=%v|", v, v)
-		}
-		return sb.String()
-	}
-	left := map[string]int{}
-	for _, r := range of {
-		left[key(r)]++
-	}
-	for _, r := range sub {
-		if left[key(r)] == 0 {
-			return false
-		}
-		left[key(r)]--
-	}
-	return true
 }
 
 // TestGroupTrimDifferential: a scan that trims its own groups — slots, before
@@ -654,57 +343,69 @@ func subMultiset(sub, of [][]any) bool {
 // the hashed fallback for a raw column or a code space past maxCodeSpace.
 // Orders are full of ties (counts over a few rows), which a trim may break
 // either way, so the check is on what must hold regardless: exactly groupK
-// groups survive, each one a group of the oracle's with its exact aggregates,
-// and their ranks are the oracle's groupK best. The map-form trim of the
-// oracle's own partial is held to the same.
+// groups survive, reported as such, and they are an answer the reference
+// accepts to the query with LIMIT groupK — groups of the reference's with
+// their exact aggregates, ranked as its groupK best. The map-form trim of an
+// untrimmed partial is held to the same.
 func TestGroupTrimDifferential(t *testing.T) {
 	forms := map[string]int{}
-	for seed := int64(1); seed <= 30; seed++ {
-		g := newDiffGen(seed)
-		m := newMutableSegment("m", g.schema, 0)
-		for _, r := range g.rows {
-			conformed, err := record.Conform(r, g.schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.add(conformed); err != nil {
-				t.Fatal(err)
-			}
-		}
+	base := reftest.Seed(t)
+	for seed := base; seed < base+30; seed++ {
+		g := reftest.NewGen(seed)
+		rows := scanRows(g)
+		m := storeOf(t, g.Schema, rows)
 		seg, err := m.seal(IndexConfig{}, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref := reftest.NewTable(g.Schema, false)
+		for _, r := range rows {
+			ref.Put(r)
+		}
+		db := reftest.DB{g.Schema.Name: ref}
 		scans := map[string]*scanSet{"consuming": m.snapshot(), "sealed": seg.scan()}
-		fields := g.queryable()
+		fields := g.Queryable()
 		trials := 8
 		if m.n > BatchRows {
-			trials = 4 // the checks sort thousands of groups through record.Compare
+			trials = 2 // the reference groups thousands of rows by linear search
 		}
 		for trial := 0; trial < trials; trial++ {
-			q := &Query{Table: "t", Aggs: []AggSpec{{Kind: AggCount, As: "n"}}}
+			var group []string
 			if trial%4 == 3 { // a wide code space: the unique id times two more columns
-				q.GroupBy = []string{"id"}
+				group = []string{"id"}
 			}
-			for len(q.GroupBy) < []int{1, 2, 3, 3}[trial%4] {
-				q.GroupBy = append(q.GroupBy, fields[g.rng.Intn(len(fields))].Name)
+			for len(group) < []int{1, 2, 3, 3}[trial%4] {
+				group = append(group, fields[g.Rng.Intn(len(fields))].Name)
 			}
-			if f := fields[g.rng.Intn(len(fields))]; f.Type != metadata.TypeString {
-				q.Aggs = append(q.Aggs, AggSpec{Kind: []AggKind{AggSum, AggMin, AggMax, AggAvg}[g.rng.Intn(4)], Column: f.Name, As: "m"})
+			aggs, lead := "COUNT(*) AS n", append(slices.Clip(group), "n", "n")
+			if f := fields[g.Rng.Intn(len(fields))]; f.Type != metadata.TypeString {
+				aggs += fmt.Sprintf(", %s(%s) AS m", []string{"SUM", "MIN", "MAX", "AVG"}[g.Rng.Intn(4)], f.Name)
+				lead[len(lead)-1] = "m"
 			}
-			lead := append(append([]string(nil), q.GroupBy...), "n", q.Aggs[len(q.Aggs)-1].As)
-			q.OrderBy = []OrderSpec{{Column: lead[g.rng.Intn(len(lead))], Desc: g.rng.Intn(2) == 0}}
-			q.Limit = 1 + g.rng.Intn(3)
-			tp := planTopK(q, 1+g.rng.Intn(12))
-			want, err := oracleExecute(g.schema, g.rows, q, nil)
+			cols := strings.Join(group, ", ")
+			rq := mustParse(t, fmt.Sprintf("SELECT %s, %s FROM t GROUP BY %s ORDER BY %s%s LIMIT %d",
+				cols, aggs, cols, lead[g.Rng.Intn(len(lead))], []string{"", " DESC"}[g.Rng.Intn(2)], 1+g.Rng.Intn(3)))
+			q := FromReference(rq)
+			tp := planTopK(q, 1+g.Rng.Intn(12))
+			want, err := db.Eval(rq)
 			if err != nil {
 				t.Fatal(err)
 			}
-			best := leadRanks(tp, want.groups)
+			k := min(len(want.Rows), tp.groupK)
+			top, qTop := *rq, *q
+			top.Limit, qTop.Limit = k, k
 			check := func(name string, got *Partial) {
 				t.Helper()
-				if msg := checkTrimmed(q, tp, want.groups, best, got); msg != "" {
-					t.Fatalf("seed %d %s %+v (trim %+v): %s", seed, name, q, tp, msg)
+				if len(got.groups) != k || got.stats.GroupsTrimmed != int64(len(want.Rows)-k) {
+					t.Fatalf("seed %d %s %s (trim %+v): %d groups kept and %d reported trimmed, of %d with a budget of %d",
+						seed, name, rq, tp, len(got.groups), got.stats.GroupsTrimmed, len(want.Rows), k)
+				}
+				res, err := got.Finalize(&qTop)
+				if err == nil {
+					err = want.Check(&top, res.Columns, res.Rows)
+				}
+				if err != nil {
+					t.Fatalf("seed %d %s %s (trim %+v): %v", seed, name, rq, tp, err)
 				}
 			}
 			for name, sc := range scans {
@@ -726,9 +427,12 @@ func TestGroupTrimDifferential(t *testing.T) {
 				}
 				check(name, got)
 			}
-			oracle := &Partial{agg: true, groups: want.groups}
-			oracle.trimTopK(q, tp)
-			check("oracle map trim", oracle)
+			full, err := scans["consuming"].executePartial(q, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full.trimTopK(q, tp)
+			check("map trim", full)
 		}
 	}
 	for _, form := range []string{"sealed single", "sealed composite", "sealed hashed", "consuming single", "consuming composite", "consuming hashed"} {
@@ -738,82 +442,26 @@ func TestGroupTrimDifferential(t *testing.T) {
 	}
 }
 
-// leadRanks lists the plan's leading ORDER BY term of every group, best
-// first, by record.Compare.
-func leadRanks(tp *topKPlan, groups map[string]*groupAgg) []any {
-	if tp == nil {
-		return make([]any, len(groups))
-	}
-	var out []any
-	for _, g := range groups {
-		if tp.valIdx >= 0 {
-			out = append(out, g.values[tp.valIdx])
-		} else {
-			out = append(out, aggValue(g.aggs[tp.aggIdx], tp.aggKind))
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		cmp := record.Compare(out[a], out[b])
-		return cmp != 0 && (cmp < 0) != tp.desc
-	})
-	return out
-}
-
-// checkTrimmed reports how got fails to be a correct trim of all — whose
-// leadRanks are best — to the plan's groupK (see
-// TestGroupTrimDifferential), or "".
-func checkTrimmed(q *Query, tp *topKPlan, all map[string]*groupAgg, best []any, got *Partial) string {
-	k := len(all)
-	if tp != nil && tp.groupK < k {
-		k = tp.groupK
-	}
-	if len(got.groups) != k || got.stats.GroupsTrimmed != int64(len(all)-k) {
-		return fmt.Sprintf("%d groups kept and %d reported trimmed, of %d with a budget of %d", len(got.groups), got.stats.GroupsTrimmed, len(all), k)
-	}
-	row := func(g *groupAgg) []any {
-		out := append([]any(nil), g.values...)
-		for ai, spec := range q.Aggs {
-			out = append(out, aggValue(g.aggs[ai], spec.Kind))
-		}
-		return out
-	}
-	for key, g := range got.groups {
-		w, ok := all[key]
-		if !ok {
-			return fmt.Sprintf("kept group %q is not a group of the oracle's", key)
-		}
-		if !reflect.DeepEqual(row(g), row(w)) {
-			return fmt.Sprintf("group %q is %v, oracle %v", key, row(g), row(w))
-		}
-	}
-	kept := leadRanks(tp, got.groups)
-	for i := range kept {
-		if record.Compare(kept[i], best[i]) != 0 {
-			return fmt.Sprintf("kept ranks %v, the oracle's best %d are %v", kept, k, best[:k])
-		}
-	}
-	return ""
-}
-
 // TestSealMatchesRowBuilder: the segment seal() freezes out of a column
 // store is deep-equal to the one the row-reading builder makes of the same
 // rows — dictionaries, packed codes, presence and inverted bitmaps, time
 // bounds, star-tree, and the row order a sorted column imposes.
 func TestSealMatchesRowBuilder(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		g := newDiffGen(seed)
-		fields := g.queryable()
+		g := reftest.NewGen(seed)
+		rows := scanRows(g)
+		fields := g.Queryable()
 		cfgs := []IndexConfig{
 			{},
-			{InvertedColumns: []string{fields[g.rng.Intn(len(fields))].Name, "id"}},
-			{SortedColumn: g.sortable()},
+			{InvertedColumns: []string{fields[g.Rng.Intn(len(fields))].Name, "id"}},
+			{SortedColumn: sortable(g)},
 		}
 		for _, cfg := range cfgs {
-			want, err := refBuildSegment("s", g.schema, g.rows, cfg, 3)
+			want, err := refBuildSegment("s", g.Schema, rows, cfg, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := BuildSegment("s", g.schema, g.rows, cfg, 3)
+			got, err := BuildSegment("s", g.Schema, rows, cfg, 3)
 			if err != nil {
 				t.Fatal(err)
 			}

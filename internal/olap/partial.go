@@ -156,13 +156,13 @@ func (p *Partial) Finalize(q *Query) (*Result, error) {
 	res := &Result{Columns: cols, Stats: p.stats}
 	if len(p.groups) == 0 && len(q.GroupBy) == 0 {
 		// SQL semantics: a global aggregate over zero rows still returns one
-		// row (count = 0, sum = 0, min/max/avg = NULL).
+		// row (count = 0, sum = 0, min/max/avg = NULL), which OFFSET skips as
+		// it would any other.
 		row := make([]any, 0, len(q.Aggs))
 		for _, spec := range q.Aggs {
 			row = append(row, aggValue(aggState{}, spec.Kind))
 		}
 		res.Rows = append(res.Rows, row)
-		return res, nil
 	}
 	ordered := make([]*groupAgg, 0, len(p.groups))
 	for _, g := range p.groups {

@@ -421,13 +421,68 @@ func (s *Segment) Encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeSegment parses a segment serialized by Encode.
+// DecodeSegment parses a segment serialized by Encode. The bytes come from
+// the deep store, so a segment a query could crash on — a structure Encode
+// never writes — is an error.
 func DecodeSegment(data []byte) (*Segment, error) {
-	var s Segment
+	// A map gob fills is allocated at the size the bytes claim, unless it
+	// exists already.
+	s := Segment{Columns: map[string]*column{}}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
 		return nil, fmt.Errorf("olap: decoding segment: %w", err)
 	}
+	if err := s.check(); err != nil {
+		return nil, fmt.Errorf("olap: decoding segment %q: %w", s.Name, err)
+	}
 	return &s, nil
+}
+
+// check verifies what the query path assumes of a sealed segment: a valid
+// schema with one column per non-blob field, of that field; codes, presence
+// and inverted bitmaps covering NumRows; every code a dictionary position or
+// the NULL code exactly where no value is present; a star-tree whose nodes
+// and rows match its configuration.
+func (s *Segment) check() error {
+	if s.Schema == nil || s.Schema.Validate() != nil || s.NumRows < 0 {
+		return fmt.Errorf("invalid schema or row count")
+	}
+	covers := func(b *Bitmap) bool { return b != nil && b.N == s.NumRows && len(b.Words) == (s.NumRows+63)/64 }
+	fields := 0
+	for _, f := range s.Schema.Fields {
+		if f.Type < metadata.TypeLong || f.Type > metadata.TypeTimestamp {
+			return fmt.Errorf("field %q has invalid type %d", f.Name, f.Type)
+		}
+		if f.Type == metadata.TypeBytes {
+			continue
+		}
+		fields++
+		c := s.Columns[f.Name]
+		if c == nil || c.Field != f || c.Dict.Typ != f.Type || !covers(c.Present) ||
+			c.Codes.N != s.NumRows || c.Codes.Bits < 1 || c.Codes.Bits > 63 || len(c.Codes.Data) != (s.NumRows*int(c.Codes.Bits)+63)/64 {
+			return fmt.Errorf("column %q is missing or does not match its field and %d rows", f.Name, s.NumRows)
+		}
+		null := c.Dict.size()
+		for i := 0; i < s.NumRows; i++ {
+			if code := c.Codes.Get(i); code > null || (code == null) == c.Present.Get(i) {
+				return fmt.Errorf("column %q row %d has code %d of a %d-entry dictionary", f.Name, i, code, null)
+			}
+		}
+		if c.Inverted != nil && len(c.Inverted) != null {
+			return fmt.Errorf("column %q has %d posting lists for %d codes", f.Name, len(c.Inverted), null)
+		}
+		for _, bm := range c.Inverted {
+			if bm != nil && !covers(bm) {
+				return fmt.Errorf("column %q has a posting list not over %d rows", f.Name, s.NumRows)
+			}
+		}
+	}
+	if len(s.Columns) != fields {
+		return fmt.Errorf("%d columns for %d non-blob fields", len(s.Columns), fields)
+	}
+	if s.Tree != nil {
+		return s.Tree.check(s)
+	}
+	return nil
 }
 
 // DecodeRows reconstructs the segment's rows as records in doc-ID order —

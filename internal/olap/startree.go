@@ -1,8 +1,10 @@
 package olap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // StarTreeConfig configures the star-tree pre-aggregation index (§4.3: "It
@@ -70,16 +72,25 @@ type starRow struct {
 	Aggs  []starAgg
 }
 
-// StarNode is one tree node. Children are keyed by dict code of the node's
-// split dimension; Star is the aggregated "any value" child.
+// StarNode is one tree node. Children hold one node per dict code of the
+// node's split dimension, in code order; Star is the aggregated "any value"
+// child.
 type StarNode struct {
 	// Level is the dimension index this node splits on (== len(cfg.
 	// Dimensions) at leaves).
-	Level    int
-	Children map[int]*StarNode
+	Level int
+	// Children is a slice, not a map: decoding a map allocates it at
+	// whatever size the bytes claim.
+	Children []starChild
 	Star     *StarNode
 	// Rows are the node's pre-aggregated rows (leaf nodes only).
 	Rows []starRow
+}
+
+// starChild is a node's child for one code of its split dimension.
+type starChild struct {
+	Code int
+	Node *StarNode
 }
 
 // StarTree is the built index.
@@ -140,9 +151,8 @@ func (t *StarTree) buildNode(rows []starRow, level int) *StarNode {
 	for _, r := range rows {
 		groups[r.Dims[level]] = append(groups[r.Dims[level]], r)
 	}
-	node.Children = make(map[int]*StarNode, len(groups))
-	for code, group := range groups {
-		node.Children[code] = t.buildNode(group, level+1)
+	for _, code := range slices.Sorted(maps.Keys(groups)) {
+		node.Children = append(node.Children, starChild{Code: code, Node: t.buildNode(groups[code], level+1)})
 	}
 	// Star child: collapse this dimension entirely.
 	starRows := collapseDim(rows, level)
@@ -196,6 +206,41 @@ func dimsKey(dims []int) string {
 		b = append(b, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
 	}
 	return string(b)
+}
+
+// check verifies a decoded tree against its segment: its dimensions and
+// metrics are columns, every node a query can walk into exists, and every
+// leaf row has one code per dimension and one rollup per metric.
+func (t *StarTree) check(seg *Segment) error {
+	for _, c := range slices.Concat(t.Cfg.Dimensions, t.Cfg.Metrics) {
+		if seg.Columns[c] == nil {
+			return fmt.Errorf("star-tree column %q is not in the segment", c)
+		}
+	}
+	var walk func(n *StarNode) error
+	walk = func(n *StarNode) error {
+		if n == nil {
+			return fmt.Errorf("star-tree node missing")
+		}
+		if n.Rows != nil {
+			for _, r := range n.Rows {
+				if len(r.Dims) != len(t.Cfg.Dimensions) || len(r.Aggs) != len(t.Cfg.Metrics) {
+					return fmt.Errorf("star-tree row of %d codes and %d rollups", len(r.Dims), len(r.Aggs))
+				}
+			}
+			return nil
+		}
+		for i, c := range n.Children {
+			if i > 0 && c.Code <= n.Children[i-1].Code {
+				return fmt.Errorf("star-tree children out of code order")
+			}
+			if err := walk(c.Node); err != nil {
+				return err
+			}
+		}
+		return walk(n.Star)
+	}
+	return walk(t.Root)
 }
 
 // memBytes approximates the tree's footprint.
@@ -318,8 +363,8 @@ func (t *StarTree) query(seg *Segment, q *Query) map[string]*groupAgg {
 		}
 		level := n.Level
 		if code, filtered := eqCode[level]; filtered {
-			if child, ok := n.Children[code]; ok {
-				walk(child)
+			if i, ok := slices.BinarySearchFunc(n.Children, code, func(c starChild, code int) int { return cmp.Compare(c.Code, code) }); ok {
+				walk(n.Children[i].Node)
 			}
 			return
 		}
@@ -331,13 +376,8 @@ func (t *StarTree) query(seg *Segment, q *Query) map[string]*groupAgg {
 			}
 		}
 		if isGroup {
-			codes := make([]int, 0, len(n.Children))
-			for code := range n.Children {
-				codes = append(codes, code)
-			}
-			sort.Ints(codes)
-			for _, code := range codes {
-				walk(n.Children[code])
+			for _, c := range n.Children {
+				walk(c.Node)
 			}
 			return
 		}

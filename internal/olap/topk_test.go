@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/metadata"
 	"repro/internal/record"
+	"repro/internal/reftest"
 )
 
 // topKOrderRows returns n rows whose amounts are a deterministic permutation
@@ -114,74 +115,54 @@ func TestTopKTrimmedMatchesExactUniqueKeys(t *testing.T) {
 // randomTopKQuery draws one ORDER BY/LIMIT query shape: grouped on a
 // unique key (trim provably exact), grouped on a low-cardinality key (trim
 // never kicks in), or an ordered selection — with random direction, limit,
-// offset and an optional filter. Order keys are tie-free by fixture
-// construction.
-func randomTopKQuery(rng *rand.Rand) *Query {
-	q := &Query{Limit: 1 + rng.Intn(15), Offset: rng.Intn(4)}
-	if rng.Intn(3) > 0 {
-		q.Filters = nil
-	} else {
-		q.Filters = []Filter{{Column: "city", Op: OpEq, Value: []string{"sf", "nyc"}[rng.Intn(2)]}}
+// offset and an optional filter.
+func randomTopKQuery(t *testing.T, rng *rand.Rand) *reftest.Query {
+	where, dir := "", []string{"", " DESC"}[rng.Intn(2)]
+	if rng.Intn(3) == 0 {
+		where = fmt.Sprintf(" WHERE city = '%s'", []string{"sf", "nyc"}[rng.Intn(2)])
 	}
-	desc := rng.Intn(2) == 0
+	var sql string
 	switch rng.Intn(3) {
 	case 0: // high-cardinality group-by: every group lives in one segment
-		kind := []AggKind{AggSum, AggAvg, AggMax}[rng.Intn(3)]
-		q.GroupBy = []string{"order_id"}
-		q.Aggs = []AggSpec{{Kind: kind, Column: "amount", As: "m"}}
-		q.OrderBy = []OrderSpec{{Column: "m", Desc: desc}}
+		sql = fmt.Sprintf("SELECT order_id, %s(amount) AS m FROM orders%s GROUP BY order_id ORDER BY m%s",
+			[]string{"SUM", "AVG", "MAX"}[rng.Intn(3)], where, dir)
 	case 1: // low-cardinality group-by: fewer groups than any trim budget
-		kind := []AggKind{AggSum, AggAvg, AggCount}[rng.Intn(3)]
-		col := "amount"
-		if kind == AggCount {
-			col = ""
-		}
-		q.GroupBy = []string{"city"}
-		q.Aggs = []AggSpec{{Kind: kind, Column: col, As: "m"}}
-		q.OrderBy = []OrderSpec{{Column: "m", Desc: desc}}
+		sql = fmt.Sprintf("SELECT city, %s AS m FROM orders%s GROUP BY city ORDER BY m%s",
+			[]string{"SUM(amount)", "AVG(amount)", "COUNT(*)"}[rng.Intn(3)], where, dir)
 	default: // ordered selection
-		q.Select = []string{"order_id", "amount"}
-		col := []string{"order_id", "amount"}[rng.Intn(2)]
-		q.OrderBy = []OrderSpec{{Column: col, Desc: desc}}
+		sql = fmt.Sprintf("SELECT order_id, amount FROM orders%s ORDER BY %s%s", where, []string{"order_id", "amount"}[rng.Intn(2)], dir)
 	}
+	q := mustParse(t, fmt.Sprintf("%s LIMIT %d", sql, 1+rng.Intn(15)))
+	q.Offset = rng.Intn(4)
 	return q
 }
 
 // TestTopKRandomizedEquivalence is the randomized equivalence matrix over
-// generated queries: TrimExact must always equal the single-segment
-// full-sort oracle byte for byte, and the default trimmed path must agree
-// on low-skew data (unique or low-cardinality group keys). Runs with a
-// parallel worker pool, so -race exercises the trim path concurrently.
+// generated queries: both TrimExact and the default trimmed path answer as
+// the reference does on low-skew data (unique or low-cardinality group
+// keys). Runs with a parallel worker pool, so -race exercises the trim path
+// concurrently.
 func TestTopKRandomizedEquivalence(t *testing.T) {
 	rows := topKOrderRows(360)
 	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
 	ingestAll(t, d, rows, 2) // sealed segments plus a 30-row consuming tail per partition
-	oracle, err := BuildSegment("all", ordersSchema(), rows, IndexConfig{}, -1)
-	if err != nil {
-		t.Fatal(err)
+	ref := reftest.NewTable(ordersSchema(), false)
+	for _, r := range rows {
+		ref.Put(r)
 	}
+	db := reftest.DB{"orders": ref}
 	b := NewBrokerWithOptions(d, BrokerOptions{Workers: 4})
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(7)) // fixed seed: deterministic matrix
+	rng := rand.New(rand.NewSource(reftest.Seed(t)))
 	for i := 0; i < 60; i++ {
-		q := randomTopKQuery(rng)
-		want, err := oracle.Execute(q, nil)
-		if err != nil {
-			t.Fatalf("query %d oracle: %v", i, err)
-		}
-		exact, err := b.Execute(ctx, &QueryRequest{Query: q, TrimExact: true})
-		if err != nil {
-			t.Fatalf("query %d exact: %v", i, err)
-		}
-		trim, err := b.Execute(ctx, &QueryRequest{Query: q, TrimSize: 25})
-		if err != nil {
-			t.Fatalf("query %d trimmed: %v", i, err)
-		}
-		if !reflect.DeepEqual(exact.Rows, want.Rows) {
-			t.Errorf("query %d %+v: TrimExact != full sort:\n got %v\nwant %v", i, q, exact.Rows, want.Rows)
-		}
-		if !reflect.DeepEqual(trim.Rows, want.Rows) {
-			t.Errorf("query %d %+v: trimmed diverged on low-skew data:\n got %v\nwant %v", i, q, trim.Rows, want.Rows)
+		rq := randomTopKQuery(t, rng)
+		for _, req := range []*QueryRequest{{Query: FromReference(rq), TrimExact: true}, {Query: FromReference(rq), TrimSize: 25}} {
+			got, err := b.Execute(context.Background(), req)
+			if err == nil {
+				err = db.Check(rq, got.Columns, got.Rows)
+			}
+			if err != nil {
+				t.Errorf("query %d %s (TrimExact %v): %v", i, rq, req.TrimExact, err)
+			}
 		}
 	}
 }
