@@ -27,10 +27,11 @@ lint: repolint
 	cd bench && go vet -vettool=$(REPOLINT) ./...
 
 # reftest-unlinked fails when a program of either module links
-# internal/reftest, the differential tests' reference: it is test support.
+# internal/reftest or a package under it, the differential tests' reference
+# and its OLAP adapter: they are test support.
 reftest-unlinked:
 	@deps=$$(go list -deps ./cmd/... ./examples/... && cd bench && go list -deps ./...) || exit 1; \
-	if echo "$$deps" | grep -qx repro/internal/reftest; then echo "a program links repro/internal/reftest"; exit 1; fi
+	if echo "$$deps" | grep -qE '^repro/internal/reftest(/|$$)'; then echo "a program links repro/internal/reftest"; exit 1; fi
 
 fuzz-smoke:
 	go test ./internal/olap -run='^$$' -fuzz=FuzzMergePartials -fuzztime=30s

@@ -16,116 +16,19 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/objstore"
 	"repro/internal/olap"
 	"repro/internal/reftest"
+	"repro/internal/reftest/olapsys"
 )
 
-// system is a deployment as the reference driver drives it, read through
-// one broker.
-type system struct {
-	*olap.Deployment
-	b *olap.Broker
-	// hook, when set, runs inside the next deep-store write: under
-	// centralized backup, a seal's backup with the seal in flight.
-	hook func()
-}
-
-func newSystem(t *testing.T, g *reftest.Gen, nServers int, upsert bool, backup olap.BackupMode) *system {
+func newSystem(t *testing.T, g *reftest.Gen, servers int, upsert bool, backup olap.BackupMode) *olapsys.System {
 	t.Helper()
-	servers := make([]*olap.Server, nServers)
-	for i := range servers {
-		servers[i] = olap.NewServer(fmt.Sprintf("server-%d", i))
-	}
-	s := &system{}
-	var store objstore.Store = objstore.NewMemStore()
-	if backup == olap.BackupCentralized { // the only backup a seal waits for
-		store = &hookStore{Store: store, s: s}
-	}
-	fields := g.Queryable()
-	d, err := olap.NewDeployment(olap.DeploymentConfig{
-		Table: olap.TableConfig{
-			Name:        g.Schema.Name,
-			Schema:      g.Schema,
-			SegmentRows: 60,
-			Upsert:      upsert,
-			Replicas:    2,
-			Indexes:     olap.IndexConfig{InvertedColumns: []string{fields[g.Rng.Intn(len(fields))].Name}},
-		},
-		Servers:      servers,
-		SegmentStore: store,
-		Backup:       backup,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.AttachLoaders()
-	s.Deployment, s.b = d, olap.NewBroker(d)
-	return s
-}
-
-type hookStore struct {
-	objstore.Store
-	s *system
-}
-
-func (h *hookStore) Put(key string, value []byte) error {
-	if hook := h.s.hook; hook != nil {
-		h.s.hook = nil
-		hook()
-	}
-	return h.Store.Put(key, value)
-}
-
-// SealWhile seals the partition, running during inside the seal's backup
-// when the backup is centralized, else after the seal.
-func (s *system) SealWhile(p int, during func()) error {
-	s.hook = during
-	err := s.Seal(p)
-	if s.hook != nil { // no backup ran mid-seal: peer-to-peer, or nothing to seal
-		s.hook = nil
-		during()
-	}
-	return err
-}
-
-func (s *system) sealed(p int) []string {
-	var names []string
-	for _, info := range s.SegmentInfos() {
-		if info.Partition == p {
-			names = append(names, info.Name)
-		}
-	}
-	return names
-}
-
-func (s *system) Compact(p int) error {
-	if names := s.sealed(p); len(names) >= 2 {
-		_, err := s.Deployment.Compact(names)
-		return err
-	}
-	return nil
-}
-
-func (s *system) Offload(p int) error {
-	if names := s.sealed(p); len(names) > 0 {
-		_, err := s.OffloadSegment(names[len(names)-1])
-		return err
-	}
-	return nil
-}
-
-func (s *system) Query(q *reftest.Query) ([]string, [][]any, error) {
-	res, err := s.b.Execute(context.Background(), &olap.QueryRequest{Query: olap.FromReference(q)})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Columns, res.Rows, nil
+	return olapsys.New(t, g, olapsys.Config{Servers: servers, Replicas: 2, Upsert: upsert, Backup: backup}, olap.FromReference)
 }
 
 // elastic is a system whose membership the driver churns.
 type elastic struct {
-	*system
+	*olapsys.System
 	changes int
 }
 
@@ -159,7 +62,7 @@ func (e *elastic) Churn(rng *rand.Rand) error {
 func TestDifferentialElasticity(t *testing.T) {
 	g := reftest.NewGen(reftest.Seed(t))
 	const partitions = 3
-	moving := &elastic{system: newSystem(t, g, 3, false, olap.BackupCentralized)}
+	moving := &elastic{System: newSystem(t, g, 3, false, olap.BackupCentralized)}
 	drv := reftest.NewDriver(t, g, partitions, 0, newSystem(t, g, 3, false, olap.BackupP2P), moving)
 	drv.Ingest(250)
 	for round := 0; round < 30; round++ {
@@ -320,7 +223,4 @@ func TestDifferentialElasticityConcurrent(t *testing.T) {
 	}
 }
 
-var (
-	_ reftest.Midway  = (*system)(nil)
-	_ reftest.Elastic = (*elastic)(nil)
-)
+var _ reftest.Elastic = (*elastic)(nil)

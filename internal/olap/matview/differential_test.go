@@ -8,17 +8,16 @@ package matview_test
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/objstore"
 	"repro/internal/olap"
 	"repro/internal/olap/matview"
 	"repro/internal/record"
 	"repro/internal/reftest"
+	"repro/internal/reftest/olapsys"
 	"repro/internal/sqlparse"
 )
 
@@ -49,71 +48,16 @@ func fromReference(rq *reftest.Query) *olap.Query {
 // viewSystem is a deployment as the reference driver drives it, read
 // through a broker that serves its registered views.
 type viewSystem struct {
-	*olap.Deployment
-	reg  *matview.Registry
-	b    *olap.Broker
-	last *olap.QueryResponse // the latest answer, for its view stats
+	*olapsys.System
+	reg *matview.Registry
 }
 
 func newViewSystem(t *testing.T, g *reftest.Gen, upsert bool, cfg matview.Config) *viewSystem {
 	t.Helper()
-	servers := make([]*olap.Server, 3)
-	for i := range servers {
-		servers[i] = olap.NewServer(fmt.Sprintf("server-%d", i))
-	}
-	fields := g.Queryable()
-	d, err := olap.NewDeployment(olap.DeploymentConfig{
-		Table: olap.TableConfig{
-			Name:        g.Schema.Name,
-			Schema:      g.Schema,
-			SegmentRows: 60,
-			Upsert:      upsert,
-			Replicas:    1,
-			Indexes:     olap.IndexConfig{InvertedColumns: []string{fields[g.Rng.Intn(len(fields))].Name}},
-		},
-		Servers:      servers,
-		SegmentStore: objstore.NewMemStore(),
-		Backup:       olap.BackupP2P,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.AttachLoaders()
-	reg := matview.NewRegistry(d, cfg)
-	return &viewSystem{Deployment: d, reg: reg, b: olap.NewBrokerWithOptions(d, olap.BrokerOptions{Views: reg})}
-}
-
-func (s *viewSystem) sealed(p int) []string {
-	var names []string
-	for _, info := range s.SegmentInfos() {
-		if info.Partition == p {
-			names = append(names, info.Name)
-		}
-	}
-	return names
-}
-
-func (s *viewSystem) Compact(p int) error {
-	if names := s.sealed(p); len(names) >= 2 {
-		_, err := s.Deployment.Compact(names)
-		return err
-	}
-	return nil
-}
-
-func (s *viewSystem) Offload(p int) error {
-	if names := s.sealed(p); len(names) > 0 {
-		_, err := s.OffloadSegment(names[len(names)-1])
-		return err
-	}
-	return nil
-}
-
-func (s *viewSystem) Query(q *reftest.Query) (cols []string, rows [][]any, err error) {
-	if s.last, err = s.b.Execute(context.Background(), &olap.QueryRequest{Query: fromReference(q)}); err != nil {
-		return nil, nil, err
-	}
-	return s.last.Columns, s.last.Rows, nil
+	s := &viewSystem{System: olapsys.New(t, g, olapsys.Config{Servers: 3, Replicas: 1, Upsert: upsert, Backup: olap.BackupP2P}, fromReference)}
+	s.reg = matview.NewRegistry(s.Deployment, cfg)
+	s.Broker = olap.NewBrokerWithOptions(s.Deployment, olap.BrokerOptions{Views: s.reg})
+	return s
 }
 
 // register registers n random aggregate shapes as views.
@@ -133,8 +77,14 @@ func (s *viewSystem) register(t *testing.T, g *reftest.Gen, n int) []*reftest.Qu
 // a fresh view hit that scanned nothing.
 func (s *viewSystem) check(t *testing.T, drv *reftest.Driver, q *reftest.Query, wantHit bool) {
 	t.Helper()
-	drv.Check(q)
-	if st := s.last.Stats; wantHit && (st.ViewHit != 1 || st.ViewStalenessMs != 0 || st.RowsScanned != 0 || st.SegmentsScanned != 0) {
+	resp, err := s.Execute(q)
+	if err == nil {
+		err = drv.Want(q).Check(q, resp.Columns, resp.Rows)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	if st := resp.Stats; wantHit && (st.ViewHit != 1 || st.ViewStalenessMs != 0 || st.RowsScanned != 0 || st.SegmentsScanned != 0) {
 		t.Fatalf("%s: want a fresh view hit that scans nothing, got %+v", q, st)
 	}
 }
@@ -295,7 +245,7 @@ func TestDifferentialConcurrent(t *testing.T) {
 				default:
 				}
 				before := committed.Load()
-				resp, err := s.b.Execute(context.Background(), countShape)
+				resp, err := s.Broker.Execute(context.Background(), countShape)
 				if err != nil {
 					t.Error(err)
 					return
@@ -310,7 +260,7 @@ func TestDifferentialConcurrent(t *testing.T) {
 					t.Errorf("count %d outside committed window [%d, %d]", n, before, after)
 					return
 				}
-				if _, err := s.b.Execute(context.Background(), &olap.QueryRequest{Query: fromReference(others[i%len(others)])}); err != nil {
+				if _, err := s.Execute(others[i%len(others)]); err != nil {
 					t.Error(err)
 					return
 				}

@@ -367,7 +367,7 @@ func TestGroupTrimDifferential(t *testing.T) {
 		fields := g.Queryable()
 		trials := 8
 		if m.n > BatchRows {
-			trials = 2 // the reference groups thousands of rows by linear search
+			trials = 4 // one of each grouper shape across scan windows
 		}
 		for trial := 0; trial < trials; trial++ {
 			var group []string

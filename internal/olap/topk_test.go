@@ -214,6 +214,21 @@ func TestQueryOffsetPagination(t *testing.T) {
 	if len(page.Rows) != 10 {
 		t.Errorf("consuming-path page = %d rows, want 10 (offset 5 of 30)", len(page.Rows))
 	}
+
+	// A global aggregate over zero rows answers one row (COUNT 0), which
+	// OFFSET skips like any other.
+	for name, dep := range map[string]*Deployment{"sealed": d, "consuming": dc} {
+		for off, want := range []int{1, 0} {
+			q := &Query{Aggs: []AggSpec{{Kind: AggCount}}, Filters: []Filter{{Column: "order_id", Op: OpEq, Value: "none"}}, Offset: off}
+			resp, err := NewBroker(dep).Execute(ctx, &QueryRequest{Query: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Rows) != want {
+				t.Errorf("%s: COUNT(*) of no rows, OFFSET %d = %v, want %d rows", name, off, resp.Rows, want)
+			}
+		}
+	}
 }
 
 // scoresSchema has a nullable numeric column, so groups can have zero

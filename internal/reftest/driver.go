@@ -150,8 +150,7 @@ func (d *Driver) Offload(p int) {
 
 // SealMidway seals partition p of every system and, while each seal is in
 // flight, ingests n more rows into p — superseding rows the seal holds, on
-// an upsert table — and checks qs. A system that cannot hold a seal takes
-// the rows and the checks before it seals.
+// an upsert table — and checks qs. Every system must be a Midway.
 func (d *Driver) SealMidway(p, n int, qs ...*Query) {
 	d.t.Helper()
 	rows := make([]record.Record, n)
@@ -160,29 +159,23 @@ func (d *Driver) SealMidway(p, n int, qs ...*Query) {
 		d.Ref.Put(rows[i])
 	}
 	for _, s := range d.systems {
-		during := func() {
+		m, ok := s.(Midway)
+		if !ok {
+			d.t.Fatalf("%T cannot hold a seal in flight", s)
+		}
+		err := m.SealWhile(p, func() {
 			for _, r := range rows {
 				d.ingest(s, p, r)
 			}
 			for _, q := range qs {
 				d.check(s, q)
 			}
-		}
-		m, ok := s.(Midway)
-		if !ok {
-			during()
-			m = sealer{s}
-		}
-		if err := m.SealWhile(p, during); err != nil {
+		})
+		if err != nil {
 			d.t.Fatalf("%T: seal partition %d midway: %v", s, p, err)
 		}
 	}
 }
-
-// sealer seals a System that cannot hold a seal, after the work.
-type sealer struct{ System }
-
-func (s sealer) SealWhile(p int, _ func()) error { return s.Seal(p) }
 
 // Churn changes the membership of every Elastic system.
 func (d *Driver) Churn() {

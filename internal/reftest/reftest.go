@@ -6,11 +6,12 @@
 //
 // The evaluator shares the parser (sqlparse) and the value ordering
 // (record.Compare) with the program and nothing else — nested-loop joins,
-// grouping by linear search, map lookups by name — so a bug in the program's
-// kernels, dictionaries, group keys, merges or pushdown cannot hide in both.
-// It is slow on purpose. The package imports no program package but record,
-// metadata and sqlparse, so tests inside internal/olap can use it; it is
-// test support and no program links it.
+// grouping by linear search among the groups whose values print alike, map
+// lookups by name — so a bug in the program's kernels, dictionaries, group
+// keys, merges or pushdown cannot hide in both. It is slow on purpose; its
+// deployment adapter is the subpackage olapsys. The package imports no
+// program package but record, metadata and sqlparse, so tests inside
+// internal/olap can use it; it is test support and no program links it.
 package reftest
 
 import (
@@ -407,31 +408,67 @@ func orderKeys(cols []string, stmt *sqlparse.SelectStmt) ([]int, error) {
 	return keys, nil
 }
 
-// group folds rows into groups found by linear search and returns one row
-// per group: the GROUP BY columns, then each aggregate under its output
-// name.
+// set numbers distinct value tuples — NULL equal to NULL only, values by
+// equal — found by linear search among the tuples in the same bucket.
+type set struct {
+	width  int
+	n      int
+	tuples []any            // tuple i is tuples[i*width:][:width]
+	in     map[string][]int // bucket → the tuples in it
+}
+
+// bucket is where a tuple's search runs: its values printed, numbers as
+// float64 and -0 as 0, so tuples equal calls equal print alike. It only
+// narrows the search; equal decides.
+func bucket(values []any) string {
+	var b strings.Builder
+	for _, v := range values {
+		if f, ok := record.ToFloat64(v); ok {
+			if f == 0 {
+				f = 0
+			}
+			v = f
+		}
+		fmt.Fprintf(&b, "%v|", v)
+	}
+	return b.String()
+}
+
+// index returns the number of values' tuple, adding it if it is new.
+func (s *set) index(values []any) int {
+	b := bucket(values)
+search:
+	for _, i := range s.in[b] {
+		for j, v := range values {
+			if w := s.tuples[i*s.width+j]; (v == nil) != (w == nil) || (v != nil && !equal(v, w)) {
+				continue search
+			}
+		}
+		return i
+	}
+	if s.in == nil {
+		s.in = map[string][]int{}
+	}
+	s.in[b] = append(s.in[b], s.n)
+	s.tuples = append(s.tuples, values...)
+	s.n++
+	return s.n - 1
+}
+
+// group folds rows into groups found by set and returns one row per group:
+// the GROUP BY columns, then each aggregate under its output name.
 func group(in *rel, stmt *sqlparse.SelectStmt) (*rel, error) {
-	// Group i's values are keys[i*width:][:width], its rows members[i].
+	// Group i's values are groups' tuple i, its rows members[i].
 	width := len(stmt.GroupBy)
-	var keys []any
+	groups := &set{width: width}
 	var members [][]record.Record
 	values := make([]any, width)
 	for _, row := range in.rows {
 		for i, g := range stmt.GroupBy {
 			values[i] = in.lookup(row, g)
 		}
-		i := 0
-	search:
-		for ; i < len(members); i++ {
-			for j, v := range values {
-				if w := keys[i*width+j]; (v == nil) != (w == nil) || (v != nil && !equal(v, w)) {
-					continue search
-				}
-			}
-			break
-		}
+		i := groups.index(values)
 		if i == len(members) {
-			keys = append(keys, values...)
 			members = append(members, nil)
 		}
 		members[i] = append(members[i], row)
@@ -439,6 +476,7 @@ func group(in *rel, stmt *sqlparse.SelectStmt) (*rel, error) {
 	if len(members) == 0 && width == 0 {
 		members = [][]record.Record{nil}
 	}
+	keys := groups.tuples
 	out := &rel{cols: slices.Clone(stmt.GroupBy)}
 	for _, it := range stmt.Items {
 		if it.Func != sqlparse.FuncNone {
@@ -459,7 +497,7 @@ func group(in *rel, stmt *sqlparse.SelectStmt) (*rel, error) {
 			}
 			var count int64
 			var sum, lo, hi float64
-			var distinct []any
+			distinct := &set{width: 1}
 			for _, r := range rows {
 				if it.Column == "" {
 					count++
@@ -470,9 +508,7 @@ func group(in *rel, stmt *sqlparse.SelectStmt) (*rel, error) {
 					continue
 				}
 				if it.Func == funcDistinctCount {
-					if !slices.ContainsFunc(distinct, func(d any) bool { return equal(d, v) }) {
-						distinct = append(distinct, v)
-					}
+					distinct.index([]any{v})
 					continue
 				}
 				f, numeric := record.ToFloat64(v)
@@ -491,7 +527,7 @@ func group(in *rel, stmt *sqlparse.SelectStmt) (*rel, error) {
 			name := outputName(it)
 			switch {
 			case it.Func == funcDistinctCount:
-				row[name] = int64(len(distinct))
+				row[name] = int64(distinct.n)
 			case it.Func == sqlparse.FuncCount:
 				row[name] = count
 			case it.Func == sqlparse.FuncSum:
