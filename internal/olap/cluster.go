@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/objstore"
 	"repro/internal/obs"
 	"repro/internal/olap/qcache"
@@ -80,6 +81,9 @@ type Deployment struct {
 	cfg    TableConfig
 	store  objstore.Store
 	backup BackupMode
+	// keyField and partitionField are the schema indexes of the primary key
+	// and the partition column, -1 when the table has none.
+	keyField, partitionField int
 
 	// servers is the membership list. It is append-only — indexes are the
 	// stable identity placement and partition ownership are keyed by, so a
@@ -266,8 +270,9 @@ func (d *Deployment) activeSubstituteLocked(replicas []int, from int) int {
 type ViewMutation struct {
 	Seq       int64
 	Partition int
-	// Row is the appended record (conformed to the table schema; shared,
-	// read-only). Nil for coarse retractions such as segment drops.
+	// Row is the appended record (conformed to the table schema, built only
+	// when a hook is registered; shared, read-only). Nil for coarse
+	// retractions such as segment drops.
 	Row record.Record
 	// Retract marks a non-monotonic mutation: visible rows were removed or
 	// replaced (an upsert supersede, a retention drop). Mergeable
@@ -349,6 +354,16 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		compactSeq:     make(map[int]int),
 		partitionOwner: make(map[int]int),
 		metrics:        obs.NewRegistry(),
+		keyField:       -1,
+		partitionField: -1,
+	}
+	for i, f := range tcfg.Schema.Fields {
+		if f.Name == tcfg.Schema.PrimaryKey {
+			d.keyField = i
+		}
+		if f.Name == tcfg.PartitionColumn {
+			d.partitionField = i
+		}
 	}
 	servers := append([]*Server(nil), cfg.Servers...)
 	d.servers.Store(&servers)
@@ -397,43 +412,53 @@ func (d *Deployment) Ingest(partition int, r record.Record) error {
 // same key — the shared-nothing scheme of §4.3.1: all records of one key
 // arrive on one partition, whose metadata lives on exactly one server.
 //
-// Rows are conformed (and checked against the partition column) before d.mu
-// is taken and appended under one acquisition per consuming store, each row
-// with its own generation bump and hook delivery inside that critical
-// section. The store is frozen exactly when it reaches SegmentRows, splitting
-// the batch there, and sealed before the next row is appended. A frozen
-// store still unplaced on entry — its seal failed — is sealed before anything
-// is appended, so a centralized backup outage halts ingestion (§4.3.4): an
-// unplaced frozen store blocks its partition.
+// Rows are conformed into typed cells (and checked against the partition
+// column) before d.mu is taken, up to the first that does not conform, and
+// appended by ingestBlock, the path the realtime ingester's decoded
+// payloads take too.
 //
 // n is the number of rows consumed: rows[:n] are in the table and must not
 // be offered again, rows[n:] are not and may be retried. n can equal
 // len(rows) with a non-nil error when the seal after the last row failed.
 func (d *Deployment) IngestBatch(partition int, rows []record.Record) (n int, err error) {
-	conformed := make([]record.Record, 0, len(rows))
+	b := newCellBlock(d.cfg.Schema, len(rows))
 	var rowErr error // the first row that does not conform ends the batch
 	for _, r := range rows {
-		c, cerr := d.conform(partition, r)
-		if cerr != nil {
-			rowErr = cerr
+		row := b.slot()
+		if rowErr = conformRow(d.cfg.Schema, r, row); rowErr == nil {
+			rowErr = d.checkPartition(partition, row)
+		}
+		if rowErr != nil {
 			break
 		}
-		conformed = append(conformed, c)
+		b.keep()
 	}
+	if n, err = d.ingestBlock(partition, &b); err == nil {
+		err = rowErr
+	}
+	return n, err
+}
+
+// ingestBlock appends a block of conformed rows under one d.mu acquisition
+// per consuming store, each row with its own generation bump and hook
+// delivery inside that critical section. The store is frozen exactly when it
+// reaches SegmentRows, splitting the block there, and sealed before the next
+// row is appended. A frozen store still unplaced on entry — its seal failed —
+// is sealed before anything is appended, so a centralized backup outage
+// halts ingestion (§4.3.4): an unplaced frozen store blocks its partition.
+// n counts the rows appended, as IngestBatch's does.
+func (d *Deployment) ingestBlock(partition int, b *cellBlock) (n int, err error) {
 	for {
 		d.mu.Lock()
 		blocked := d.unplacedLocked(partition) != nil
-		if !blocked && n < len(conformed) {
+		if !blocked && n < b.rows() {
 			var added int
-			added, blocked, err = d.appendLocked(partition, conformed[n:])
+			added, blocked = d.appendLocked(partition, b, n)
 			n += added
 		}
 		d.mu.Unlock()
-		if err != nil {
-			return n, err
-		}
 		if !blocked {
-			return n, rowErr // every conformed row is in
+			return n, nil // every row is in
 		}
 		if err := d.placeSealing(partition); err != nil {
 			return n, err
@@ -441,51 +466,55 @@ func (d *Deployment) IngestBatch(partition int, rows []record.Record) (n int, er
 	}
 }
 
-// conform returns r in the table schema's canonical form, checked against
-// the partition-aware router's contract.
-func (d *Deployment) conform(partition int, r record.Record) (record.Record, error) {
-	conformed, err := record.Conform(r, d.cfg.Schema)
-	if err != nil {
-		return nil, err
-	}
-	if d.cfg.PartitionColumn != "" {
-		// The partition-aware router prunes servers assuming records landed
-		// on PartitionFor(partition column); enforce that contract here so
-		// pruning can never silently miss rows.
-		if want := PartitionFor(conformed[d.cfg.PartitionColumn], d.cfg.Partitions); want != partition {
-			return nil, fmt.Errorf("olap: record with %s=%v belongs on partition %d, ingested on %d",
-				d.cfg.PartitionColumn, conformed[d.cfg.PartitionColumn], want, partition)
+// conformRow conforms r into row, one cell per schema field, by the rule
+// record.Codec.Encode applies (record.ConformValue).
+func conformRow(schema *metadata.Schema, r record.Record, row []record.Value) error {
+	for fi, f := range schema.Fields {
+		v, err := record.ConformValue(r[f.Name], f, schema.Name)
+		if err != nil {
+			return err
 		}
+		row[fi] = record.ValueOf(v)
 	}
-	return conformed, nil
+	return nil
 }
 
-// appendLocked appends conformed rows to the partition's consuming store
-// until the rows run out or the store reaches SegmentRows, which freezes it
-// (full). Caller holds d.mu.
-func (d *Deployment) appendLocked(partition int, rows []record.Record) (added int, full bool, err error) {
+// checkPartition enforces the partition-aware router's contract on a
+// conformed row: the router prunes servers assuming records landed on
+// PartitionFor(partition column), so a row elsewhere could be silently
+// missed.
+func (d *Deployment) checkPartition(partition int, row []record.Value) error {
+	if d.partitionField < 0 {
+		return nil
+	}
+	f := d.cfg.Schema.Fields[d.partitionField]
+	v := row[d.partitionField]
+	if want := partitionOfValue(v, f.Type, d.cfg.Partitions); want != partition {
+		return fmt.Errorf("olap: record with %s=%v belongs on partition %d, ingested on %d",
+			f.Name, v.Box(f.Type), want, partition)
+	}
+	return nil
+}
+
+// appendLocked appends rows [from, b.rows()) of the block to the partition's
+// consuming store until they run out or the store reaches SegmentRows,
+// which freezes it (full). Caller holds d.mu.
+func (d *Deployment) appendLocked(partition int, b *cellBlock, from int) (added int, full bool) {
 	if _, ok := d.partitionOwner[partition]; !ok {
 		d.partitionOwner[partition] = d.pickOwnerLocked(partition)
 	}
-	ms, consuming := d.consuming[partition]
-	if !consuming {
+	ms, ok := d.consuming[partition]
+	if !ok {
 		// Room for a whole segment up front (growing a vector copies it),
 		// unless the seal threshold is too large to reserve on spec.
 		ms = newMutableSegment(d.segmentName(partition, d.segSeq[partition]), d.cfg.Schema, min(d.cfg.SegmentRows, 1<<16))
+		d.consuming[partition] = ms
 	}
 	now := time.Now().UnixNano()
-	for _, row := range rows {
-		// Append before touching any other state: a row the store rejects
-		// must leave no trace, and nothing after this can fail.
-		doc, err := ms.add(row)
-		if err != nil {
-			return added, false, err
-		}
-		if !consuming {
-			d.consuming[partition] = ms
-			consuming = true
-		}
-		superseded := d.cfg.Upsert && d.supersedeLocked(partition, ms, row, doc)
+	for i := from; i < b.rows(); i++ {
+		row := b.row(i)
+		doc := ms.appendRow(row)
+		superseded := d.cfg.Upsert && d.supersedeLocked(partition, ms, d.keyOf(ms, doc, row), doc)
 		d.ingested++
 		d.ingestRows.Inc()
 		d.lastIngestNanos = now
@@ -497,20 +526,38 @@ func (d *Deployment) appendLocked(partition int, rows []record.Record) (added in
 		// rely on. An upsert supersede is a retraction: the old row left
 		// the visible set, which mergeable aggregates cannot undo
 		// incrementally.
-		d.emitMutationLocked(partition, row, superseded)
+		var r record.Record
+		if len(d.hooks) > 0 {
+			r = ms.recordOf(doc, row)
+		}
+		d.emitMutationLocked(partition, r, superseded)
 		if ms.n >= d.cfg.SegmentRows {
 			d.freezeLocked(partition, ms)
-			return added, true, nil
+			return added, true
 		}
 	}
-	return added, false, nil
+	return added, false
 }
 
-// supersedeLocked points the row's primary key at its new location in the
-// consuming store and invalidates the row it replaces, if any, wherever
-// that row lives. It reports whether a row was replaced. Caller holds d.mu.
-func (d *Deployment) supersedeLocked(partition int, ms *mutableSegment, row record.Record, doc int) bool {
-	pk := row.String(d.cfg.Schema.PrimaryKey)
+// keyOf is row doc's upsert primary key, formatted as record.Record.String
+// formats it; a string key is the store's dictionary entry, so the location
+// map never holds a payload's bytes.
+func (d *Deployment) keyOf(ms *mutableSegment, doc int, row []record.Value) string {
+	f := d.cfg.Schema.Fields[d.keyField]
+	switch {
+	case row[d.keyField].Null:
+		return ""
+	case f.Type == metadata.TypeString:
+		return ms.str(d.keyField, doc)
+	}
+	return fmt.Sprintf("%v", row[d.keyField].Box(f.Type))
+}
+
+// supersedeLocked points the primary key pk at its new location, row doc of
+// the consuming store, and invalidates the row it replaces, if any,
+// wherever that row lives. It reports whether a row was replaced. Caller
+// holds d.mu.
+func (d *Deployment) supersedeLocked(partition int, ms *mutableSegment, pk string, doc int) bool {
 	locs, ok := d.upsertLoc[partition]
 	if !ok {
 		locs = make(map[string]location)

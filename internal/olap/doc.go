@@ -46,8 +46,9 @@
 // The rows of a partition that are not sealed yet live in a mutableSegment
 // (table.go): an append-only column store — raw int64/float64 vectors for
 // numerics, dense uint32 codes into an insertion-ordered dictionary for
-// strings — that keeps no record.Record. Ingest appends to it under the
-// deployment lock; a query captures (row count, slice headers) under that
+// strings — that keeps no record.Record. Ingestion appends typed cells to
+// it under the deployment lock — the realtime ingester decodes payloads
+// straight into cells, Ingest conforms a record into them; a query captures (row count, slice headers) under that
 // lock and scans the prefix outside it, through the same selection-vector
 // kernels that scan sealed segments (vector.go), so a page costs the same
 // just before a seal as just after one. Seal freezes the store by sorting

@@ -1,10 +1,12 @@
 package olap
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/record"
 	"repro/internal/stream"
 )
@@ -16,10 +18,11 @@ import (
 // the input stream into multiple partitions by the primary key, and
 // distribute each partition to a node" scheme of §4.3.1. Each loop owns a
 // stream.Reader over its one partition: it parks in the reader's Wait until
-// the partition has data, then decodes a whole fetch and hands it to
-// Deployment.IngestBatch.
+// the partition has data, then decodes a whole fetch from the payload bytes
+// into typed cells and appends them through the path IngestBatch takes — no
+// record.Record per row.
 type RealtimeIngester struct {
-	codec   *record.Codec
+	bind    *binding // the codec's fields onto the table's columns
 	d       *Deployment
 	batch   int
 	readers []*stream.Reader // one per partition
@@ -39,7 +42,7 @@ func NewRealtimeIngester(cluster *stream.Cluster, topic string, codec *record.Co
 		return nil, err
 	}
 	ri := &RealtimeIngester{
-		codec:   codec,
+		bind:    bind(codec, d),
 		d:       d,
 		batch:   128,
 		readers: make([]*stream.Reader, n),
@@ -99,8 +102,10 @@ func (ri *RealtimeIngester) Errors() (int64, error) {
 // operator dashboard (or test) polls to see whether ingestion is keeping
 // up and why not.
 type IngestStats struct {
-	// Errors counts decode failures (corrupt messages, skipped) and seal
-	// failures (segment-store outages, retried).
+	// Errors counts messages the table can never take — corrupt payloads,
+	// rows that do not conform to the table schema or sit on the wrong
+	// partition: each is skipped — and seal failures (segment-store outages,
+	// retried).
 	Errors int64
 	// LastErr is the most recent ingestion error (nil when none).
 	LastErr error
@@ -133,7 +138,7 @@ const (
 func (ri *RealtimeIngester) consumePartition(p int) {
 	defer ri.wg.Done()
 	r := ri.readers[p]
-	rows := make([]record.Record, 0, ri.batch)
+	block, vals := ri.bind.scratch(ri.batch)
 	for {
 		// Wait parks through an outage too (nothing is fetchable), so a
 		// Fetch that keeps failing is retried once per ingestWait.
@@ -147,25 +152,13 @@ func (ri *RealtimeIngester) consumePartition(p int) {
 		if err != nil {
 			continue
 		}
-		// Decode the fetch up to its first corrupt message and ingest
-		// those rows as one batch; offsets in a fetch are consecutive.
-		var corrupt error
-		rows = rows[:0]
-		for _, m := range msgs {
-			row, err := ri.codec.Decode(m.Value)
-			if err != nil {
-				corrupt = err
-				break
-			}
-			rows = append(rows, row)
-		}
 		// An empty fetch still calls in: a frozen store a failed seal left
 		// unplaced is sealed on entry.
-		taken, err := ri.d.IngestBatch(p, rows)
-		if err == nil && corrupt != nil {
-			// Count it and move on (it can never succeed, unlike a seal
-			// failure).
-			ri.fail(corrupt)
+		taken, bad, err := ri.bind.ingest(p, msgs, &block, vals)
+		if err == nil && bad != nil {
+			// A message the table can never take: count it and move on,
+			// as a seal failure (below) is not.
+			ri.fail(bad)
 			taken++
 		}
 		if taken > 0 {
@@ -185,4 +178,125 @@ func (ri *RealtimeIngester) consumePartition(p int) {
 func (ri *RealtimeIngester) fail(err error) {
 	ri.errs.Add(1)
 	ri.lastErr.Store(err)
+}
+
+// binding decodes a topic's payloads into a table's cells. It binds the
+// codec's fields to the table's columns once, by the rule a record is
+// conformed with (record.ConformValue): a codec field the table lacks is
+// dropped, a column the codec lacks is NULL, and a value whose Go type is
+// not the column's (long into double, double into long) is converted by
+// that rule, which takes a double into a long column only when it is whole.
+type binding struct {
+	d     *Deployment
+	codec *record.Codec
+	from  []metadata.Field // the codec's fields
+	src   []int            // per table field: the codec field feeding it, or -1
+	same  []bool           // per table field: the codec field's values are the column's as they are
+}
+
+func bind(codec *record.Codec, d *Deployment) *binding {
+	b := &binding{d: d, codec: codec, from: codec.Schema().Fields}
+	for _, f := range d.cfg.Schema.Fields {
+		src := slices.IndexFunc(b.from, func(cf metadata.Field) bool { return cf.Name == f.Name })
+		b.src = append(b.src, src)
+		b.same = append(b.same, src >= 0 && goType(b.from[src].Type) == goType(f.Type))
+	}
+	return b
+}
+
+// goType names the Go type a field's values have in a record; long and
+// timestamp share int64.
+func goType(t metadata.FieldType) metadata.FieldType {
+	if t == metadata.TypeTimestamp {
+		return metadata.TypeLong
+	}
+	return t
+}
+
+// scratch returns what one consume loop decodes into, fetch after fetch: a
+// block for rows rows and one payload's fields in codec order.
+func (b *binding) scratch(rows int) (cellBlock, []record.Value) {
+	return newCellBlock(b.d.cfg.Schema, rows), make([]record.Value, len(b.from))
+}
+
+// decode parses one payload from partition p into row, conformed to the
+// table schema and checked against the partition column; vals holds the
+// payload's fields in codec order.
+func (b *binding) decode(p int, payload []byte, vals, row []record.Value) error {
+	if err := b.codec.DecodeValues(payload, vals); err != nil {
+		return err
+	}
+	schema := b.d.cfg.Schema
+	for fi, f := range schema.Fields {
+		v, src := record.Value{Null: true}, b.src[fi]
+		if src >= 0 {
+			v = vals[src]
+		}
+		if v.Null && f.Nullable || !v.Null && b.same[fi] {
+			row[fi] = v
+			continue
+		}
+		// A missing required field, or a value to convert: the rule itself.
+		var in any
+		if !v.Null {
+			in = v.Box(b.from[src].Type)
+		}
+		cv, err := record.ConformValue(in, f, schema.Name)
+		if err != nil {
+			return err
+		}
+		row[fi] = record.ValueOf(cv)
+	}
+	return b.d.checkPartition(p, row)
+}
+
+// ingest decodes msgs, one fetch of partition p, into block up to the first
+// message the table can never take (bad) and appends the block
+// (Deployment.ingestBlock). taken counts the messages appended; the one
+// after them is bad's, when bad is not nil.
+func (b *binding) ingest(p int, msgs []stream.Message, block *cellBlock, vals []record.Value) (taken int, bad, err error) {
+	block.reset()
+	for _, m := range msgs {
+		if bad = b.decode(p, m.Value, vals, block.slot()); bad != nil {
+			break
+		}
+		block.keep()
+	}
+	taken, err = b.d.ingestBlock(p, block)
+	return taken, bad, err
+}
+
+// cellBlock holds rows on their way into a consuming store, conformed to
+// the table schema: row i is cells[i*width : (i+1)*width], one cell per
+// schema field in schema order (blobs too: a mutation hook's row carries
+// them). A consume loop reuses one block; its string cells alias the
+// fetched payloads.
+type cellBlock struct {
+	width int
+	cells []record.Value
+}
+
+func newCellBlock(schema *metadata.Schema, rows int) cellBlock {
+	return cellBlock{width: len(schema.Fields), cells: make([]record.Value, 0, rows*len(schema.Fields))}
+}
+
+func (b *cellBlock) rows() int { return len(b.cells) / b.width }
+
+func (b *cellBlock) row(i int) []record.Value { return b.cells[i*b.width : (i+1)*b.width] }
+
+// slot returns the cells of one more row, to fill and then keep.
+func (b *cellBlock) slot() []record.Value {
+	n := len(b.cells)
+	b.cells = slices.Grow(b.cells, b.width)
+	return b.cells[n : n+b.width]
+}
+
+func (b *cellBlock) keep() { b.cells = b.cells[:len(b.cells)+b.width] }
+
+// reset empties the block. It lets go of every payload the last use
+// aliased, the unkept slot included: a payload pins the log slab it points
+// into (stream.Reader.Fetch lets its buffer go the same way).
+func (b *cellBlock) reset() {
+	clear(b.cells[:min(len(b.cells)+b.width, cap(b.cells))])
+	b.cells = b.cells[:0]
 }

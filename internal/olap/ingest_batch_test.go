@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/objstore"
 	"repro/internal/record"
 	"repro/internal/stream"
@@ -421,5 +422,185 @@ func TestIngesterStopWhileParked(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines: %d before, %d after Stop", before, runtime.NumGoroutine())
 		}
+	}
+}
+
+// The realtime ingester's payload path — a fetch decoded straight into
+// typed cells — must be indistinguishable from decoding each payload into a
+// record and handing the records to IngestBatch, the path it replaced:
+// same rows, segments and generation, the same hook sequence (rows
+// included), and the same messages skipped with the same errors. Fetches of
+// 1 to 128 messages cross the 50-row seal threshold.
+func TestIngestPayloadsMatchRows(t *testing.T) {
+	withField := func(s *metadata.Schema, name string, typ metadata.FieldType, nullable bool) *metadata.Schema {
+		for i := range s.Fields {
+			if s.Fields[i].Name == name {
+				s.Fields[i].Type, s.Fields[i].Nullable = typ, nullable
+				return s
+			}
+		}
+		s.Fields = append(s.Fields, metadata.Field{Name: name, Type: typ, Nullable: nullable})
+		return s
+	}
+	type tc struct {
+		codec *metadata.Schema // the topic's schema
+		table TableConfig      // Name, SegmentRows and Indexes are filled in
+		edit  func(i int, r record.Record)
+		// partition places row i; nil spreads rows over two partitions.
+		partition func(i int, r record.Record) int
+		rejects   bool // some rows cannot be taken
+	}
+	cases := map[string]tc{
+		"same schema": {codec: ordersSchema(), table: TableConfig{Schema: ordersSchema()}},
+		"extra codec field": {
+			codec: withField(ordersSchema(), "note", metadata.TypeString, true),
+			table: TableConfig{Schema: ordersSchema()},
+			edit: func(i int, r record.Record) {
+				if i%3 != 0 {
+					r["note"] = fmt.Sprintf("n%d", i)
+				}
+			},
+		},
+		"long into double": {
+			codec: withField(ordersSchema(), "amount", metadata.TypeLong, false),
+			table: TableConfig{Schema: ordersSchema()},
+			edit:  func(i int, r record.Record) { r["amount"] = int64(i%50 - 10) },
+		},
+		"double into long": {
+			codec: withField(ordersSchema(), "items", metadata.TypeDouble, false),
+			table: TableConfig{Schema: ordersSchema()},
+			edit: func(i int, r record.Record) {
+				r["items"] = float64(i % 9)
+				if i%7 == 3 {
+					r["items"] = float64(i) + 0.5 // fractional: rejected
+				}
+			},
+			rejects: true,
+		},
+		"nullable into required": {
+			codec: ordersSchema(),
+			table: TableConfig{Schema: withField(ordersSchema(), "rush", metadata.TypeBool, false)},
+			edit: func(i int, r record.Record) {
+				if i%5 != 0 {
+					r["rush"] = i%2 == 0
+				} else {
+					delete(r, "rush") // rejected
+				}
+			},
+			rejects: true,
+		},
+		"upsert": {
+			codec: ordersSchema(),
+			table: TableConfig{Schema: ordersSchema(), Upsert: true},
+			edit:  func(i int, r record.Record) { r["order_id"] = fmt.Sprintf("o-%d", (i*7)%45) },
+			partition: func(_ int, r record.Record) int {
+				return int(r.String("order_id")[2]) % 2
+			},
+		},
+		"partition column": {
+			codec: ordersSchema(),
+			table: TableConfig{Schema: ordersSchema(), PartitionColumn: "city", Partitions: 2},
+			partition: func(i int, r record.Record) int {
+				if i%6 == 0 {
+					return 1 - PartitionFor(r["city"], 2) // the wrong one: rejected
+				}
+				return PartitionFor(r["city"], 2)
+			},
+			rejects: true,
+		},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			codec, err := record.NewCodec(c.codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(7))
+			byPartition := map[int][]stream.Message{}
+			for i, r := range orderRows(700) {
+				if c.edit != nil {
+					c.edit(i, r)
+				}
+				p := rng.Intn(2)
+				if c.partition != nil {
+					p = c.partition(i, r)
+				}
+				payload, err := codec.Encode(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byPartition[p] = append(byPartition[p], stream.Message{Value: payload})
+			}
+			newTable := func() (*Deployment, *[]ViewMutation) {
+				cfg := c.table
+				cfg.Name, cfg.SegmentRows, cfg.Indexes = "orders", 50, IndexConfig{InvertedColumns: []string{"city"}}
+				d, err := NewDeployment(DeploymentConfig{
+					Table:        cfg,
+					Servers:      []*Server{NewServer("s0"), NewServer("s1")},
+					SegmentStore: objstore.NewMemStore(),
+					Backup:       BackupP2P,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var hooks []ViewMutation
+				d.AddMutationHook(func(m ViewMutation) { hooks = append(hooks, m) })
+				return d, &hooks
+			}
+			payloads, payloadHooks := newTable()
+			rows, rowHooks := newTable()
+			bound := bind(codec, payloads)
+			block, vals := bound.scratch(128)
+			var payloadErrs, rowErrs []string
+			for p := 0; p < 2; p++ {
+				msgs := byPartition[p]
+				for len(msgs) > 0 {
+					fetch := msgs[:min(1+rng.Intn(128), len(msgs))]
+					msgs = msgs[len(fetch):]
+					for len(fetch) > 0 {
+						taken, bad, err := bound.ingest(p, fetch, &block, vals)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if bad != nil {
+							payloadErrs = append(payloadErrs, bad.Error())
+							taken++
+						}
+						fetch = fetch[taken:]
+					}
+				}
+				var batch []record.Record
+				for _, m := range byPartition[p] {
+					r, err := codec.Decode(m.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					batch = append(batch, r)
+				}
+				for len(batch) > 0 {
+					n, err := rows.IngestBatch(p, batch[:min(1+rng.Intn(128), len(batch))])
+					if err != nil {
+						rowErrs = append(rowErrs, err.Error())
+						n++
+					}
+					batch = batch[n:]
+				}
+			}
+			if (len(rowErrs) > 0) != c.rejects {
+				t.Errorf("%d rows rejected, want some: %v", len(rowErrs), c.rejects)
+			}
+			if !reflect.DeepEqual(payloadErrs, rowErrs) {
+				t.Errorf("skipped messages differ:\n payloads %q\n rows     %q", payloadErrs, rowErrs)
+			}
+			if got, want := stateOf(t, payloads), stateOf(t, rows); !reflect.DeepEqual(got, want) {
+				t.Errorf("tables differ\n payloads %+v\n rows     %+v", got, want)
+			}
+			if !reflect.DeepEqual(*payloadHooks, *rowHooks) {
+				t.Errorf("hook sequences differ (%d vs %d events)", len(*payloadHooks), len(*rowHooks))
+			}
+			if ingested, _, _ := rows.Stats(); ingested == 0 || len(*rowHooks) != int(ingested) {
+				t.Errorf("%d rows ingested, %d hook deliveries", ingested, len(*rowHooks))
+			}
+		})
 	}
 }

@@ -1,9 +1,11 @@
 package olap
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/objstore"
 	"repro/internal/record"
 	"repro/internal/stream"
 )
@@ -125,5 +127,67 @@ func TestIngesterRereadsAfterLeaderFailureCutsTheLog(t *testing.T) {
 	produceAndAwait(20, 50)
 	if s := ing.Stats(); s.Errors != 0 || s.Repairs != 1 {
 		t.Errorf("stats = %+v, want no errors and the one repair", s)
+	}
+}
+
+// A message that decodes but that the table can never take is counted and
+// skipped like a corrupt one; only a seal failure is retried. Here the
+// topic's schema leaves rush nullable, the table requires it, and one of
+// ten rows has none: the other nine land, and the partition drains.
+func TestIngesterSkipsNonConformingRow(t *testing.T) {
+	cluster, err := stream.NewCluster(stream.ClusterConfig{Name: "c", Nodes: 1, ReplicationInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	if err := cluster.CreateTopic("orders", stream.TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	codec, err := record.NewCodec(ordersSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict := ordersSchema()
+	for i := range strict.Fields {
+		strict.Fields[i].Nullable = false
+	}
+	d, err := NewDeployment(DeploymentConfig{
+		Table:        TableConfig{Name: "orders", Schema: strict, SegmentRows: 50},
+		Servers:      []*Server{NewServer("s0")},
+		SegmentStore: objstore.NewMemStore(),
+		Backup:       BackupP2P,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, err := NewRealtimeIngester(cluster, "orders", codec, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing.Start()
+	defer ing.Stop()
+
+	p := stream.NewProducer(cluster, "svc", "", nil)
+	rows := orderRows(10)
+	for i, r := range rows {
+		r["rush"] = i%3 == 0
+	}
+	delete(rows[4], "rush")
+	for _, r := range rows {
+		payload, err := codec.Encode(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Produce("orders", nil, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "the partition to drain", func() bool { return ing.Lag() == 0 })
+	s := ing.Stats()
+	if s.Errors != 1 || s.LastErr == nil || !strings.Contains(s.LastErr.Error(), `"rush"`) {
+		t.Errorf("stats = %+v, want the one row without rush counted", s)
+	}
+	if ingested, _, _ := d.Stats(); ingested != 9 {
+		t.Errorf("ingested = %d, want the 9 rows with rush", ingested)
 	}
 }

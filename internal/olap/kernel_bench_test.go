@@ -9,6 +9,7 @@ import (
 	"repro/internal/metadata"
 	"repro/internal/objstore"
 	"repro/internal/record"
+	"repro/internal/stream"
 )
 
 // Kernel micro-benchmarks (ROADMAP item 1): one consuming segment's worth of
@@ -201,45 +202,105 @@ func BenchmarkMutableAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkDeploymentIngest is the whole append path one row per call, as
-// Deployment.Ingest drives it: conform, lock, append, bump the generation.
-// It stops one row short of the seal threshold, so no seal is in it.
+// BenchmarkDeploymentIngest is the map API's append path one row per call,
+// as Deployment.Ingest drives it: conform into cells, lock, append, bump the
+// generation. It stops one row short of the seal threshold, so no seal is in
+// it.
 func BenchmarkDeploymentIngest(b *testing.B) {
-	benchIngest(b, 1)
-}
-
-// BenchmarkDeploymentIngestBatch is the same path as the realtime ingester
-// drives it, a 128-message fetch at a time; ns/op is still ns/row.
-func BenchmarkDeploymentIngestBatch(b *testing.B) {
-	benchIngest(b, 128)
-}
-
-func benchIngest(b *testing.B, batch int) {
 	rows := benchRows(benchSegmentRows - 1)
+	benchIngest(b, len(rows), 1, func(d *Deployment) func(from, to int) (int, error) {
+		return func(from, to int) (int, error) { return d.IngestBatch(0, rows[from:to]) }
+	})
+}
+
+// BenchmarkDeploymentIngestBatch is the path the realtime ingester drives:
+// encoded 128-message fetches decoded into a reused cell block and appended
+// (binding.ingest); ns/op is still ns/row.
+func BenchmarkDeploymentIngestBatch(b *testing.B) {
+	codec, msgs := benchMessages(b, benchSegmentRows-1)
+	benchIngest(b, len(msgs), 128, func(d *Deployment) func(from, to int) (int, error) {
+		bound := bind(codec, d)
+		block, vals := bound.scratch(128)
+		return func(from, to int) (int, error) {
+			n, bad, err := bound.ingest(0, msgs[from:to], &block, vals)
+			if bad != nil {
+				return n, bad
+			}
+			return n, err
+		}
+	})
+}
+
+// benchIngest appends n rows at most batch at a time, into a fresh
+// deployment whenever all n are in; start binds the append to each.
+func benchIngest(b *testing.B, n, batch int, start func(*Deployment) func(from, to int) (int, error)) {
 	b.ReportAllocs()
 	b.ResetTimer()
-	var d *Deployment
+	var ingest func(from, to int) (int, error)
 	for i := 0; i < b.N; {
-		at := i % len(rows)
+		at := i % n
 		if at == 0 {
 			b.StopTimer()
-			var err error
-			d, err = NewDeployment(DeploymentConfig{
-				Table:        TableConfig{Name: "orders", Schema: benchSchema(), SegmentRows: benchSegmentRows, Indexes: benchIndexes},
-				Servers:      []*Server{NewServer("s0")},
-				SegmentStore: objstore.NewMemStore(),
-				Backup:       BackupP2P,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			ingest = start(benchDeployment(b))
 			b.StartTimer()
 		}
-		n, err := d.IngestBatch(0, rows[at:min(at+batch, len(rows), at+b.N-i)])
+		k, err := ingest(at, min(at+batch, n, at+b.N-i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		i += n
+		i += k
+	}
+}
+
+func benchDeployment(tb testing.TB) *Deployment {
+	tb.Helper()
+	d, err := NewDeployment(DeploymentConfig{
+		Table:        TableConfig{Name: "orders", Schema: benchSchema(), SegmentRows: benchSegmentRows, Indexes: benchIndexes},
+		Servers:      []*Server{NewServer("s0")},
+		SegmentStore: objstore.NewMemStore(),
+		Backup:       BackupP2P,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+// benchMessages encodes n benchRows as a topic of the bench schema holds
+// them.
+func benchMessages(tb testing.TB, n int) (*record.Codec, []stream.Message) {
+	tb.Helper()
+	codec, err := record.NewCodec(benchSchema())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	msgs := make([]stream.Message, n)
+	for i, r := range benchRows(n) {
+		if msgs[i].Value, err = codec.Encode(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return codec, msgs
+}
+
+// The payload path allocates only what the store keeps: per row of a
+// 128-message fetch, the unique order_id copied into its dictionary (and
+// the dictionary's amortized growth), nothing per column and no record.
+func TestPayloadIngestAllocations(t *testing.T) {
+	const fetch, runs = 128, 60
+	codec, msgs := benchMessages(t, fetch*(runs+1))
+	bound := bind(codec, benchDeployment(t))
+	block, vals := bound.scratch(fetch)
+	at := 0
+	perFetch := testing.AllocsPerRun(runs, func() {
+		n, bad, err := bound.ingest(0, msgs[at:at+fetch], &block, vals)
+		if n != fetch || bad != nil || err != nil {
+			t.Fatalf("ingest = %d, %v, %v", n, bad, err)
+		}
+		at += fetch
+	})
+	if perRow := perFetch / fetch; perRow > 1.1 {
+		t.Errorf("payload ingest allocates %.2f times per row, want at most 1.1 (the order_id)", perRow)
 	}
 }
 

@@ -180,14 +180,12 @@ func scanRows(g *reftest.Gen) []record.Record {
 func storeOf(t *testing.T, schema *metadata.Schema, rows []record.Record) *mutableSegment {
 	t.Helper()
 	m := newMutableSegment("m", schema, 0)
+	row := make([]record.Value, len(schema.Fields))
 	for _, r := range rows {
-		conformed, err := record.Conform(r, schema)
-		if err != nil {
+		if err := conformRow(schema, r, row); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.add(conformed); err != nil {
-			t.Fatal(err)
-		}
+		m.appendRow(row)
 	}
 	return m
 }

@@ -2,10 +2,12 @@ package olap
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync/atomic"
+
+	"repro/internal/metadata"
+	"repro/internal/record"
 )
 
 // This file is the pluggable routing half of the Query API v2: a Router
@@ -296,16 +298,40 @@ func partitionCandidates(view *RouteView, q *Query) map[int]bool {
 // layer canonicalizes literals (numerics through float64), so a filter
 // literal hashes identically to the ingested value.
 func PartitionFor(v any, partitions int) int {
+	if f, ok := toF64(v); ok {
+		return partitionHash(strconv.AppendFloat([]byte("n:"), f, 'g', -1, 64), partitions)
+	}
+	return partitionHash(fmt.Appendf([]byte("s:"), "%v", v), partitions)
+}
+
+// partitionOfValue is PartitionFor of a conformed cell of type t, hashed
+// from the cell without boxing it.
+func partitionOfValue(v record.Value, t metadata.FieldType, partitions int) int {
+	var buf [48]byte
+	switch {
+	case v.Null || t == metadata.TypeBytes:
+		return PartitionFor(v.Box(t), partitions)
+	case t == metadata.TypeString:
+		return partitionHash(append(append(buf[:0], "s:"...), v.B...), partitions)
+	case t == metadata.TypeDouble:
+		return partitionHash(strconv.AppendFloat(append(buf[:0], "n:"...), v.F, 'g', -1, 64), partitions)
+	}
+	// long, timestamp and bool (true = 1) hash as numbers, as toF64 reads them
+	return partitionHash(strconv.AppendFloat(append(buf[:0], "n:"...), float64(v.I), 'g', -1, 64), partitions)
+}
+
+// partitionHash is the canonical hash of a partition key's text, FNV-1a
+// (32 bit), modulo the partition count.
+func partitionHash(key []byte, partitions int) int {
 	if partitions <= 0 {
 		return 0
 	}
-	h := fnv.New32a()
-	if f, ok := toF64(v); ok {
-		h.Write([]byte("n:" + strconv.FormatFloat(f, 'g', -1, 64)))
-	} else {
-		fmt.Fprintf(h, "s:%v", v)
+	h := uint32(2166136261)
+	for _, c := range key {
+		h ^= uint32(c)
+		h *= 16777619
 	}
-	return int(h.Sum32() % uint32(partitions))
+	return int(h % uint32(partitions))
 }
 
 // sortPlan orders each server's segment list for deterministic scans.

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/objstore"
 	"repro/internal/record"
 )
@@ -406,5 +409,42 @@ func TestRequestTimeWindowOverride(t *testing.T) {
 	}
 	if resp.Stats.SegmentsPruned == 0 {
 		t.Error("time window should prune out-of-window segments")
+	}
+}
+
+// A conformed cell hashes where its boxed value does, for every column type
+// and NULL, and the hash is FNV-1a.
+func TestPartitionOfValueMatchesPartitionFor(t *testing.T) {
+	cases := []struct {
+		t metadata.FieldType
+		v any
+	}{
+		{metadata.TypeString, "sf"}, {metadata.TypeString, ""},
+		{metadata.TypeLong, int64(-7)}, {metadata.TypeLong, int64(1) << 60},
+		{metadata.TypeTimestamp, int64(1_700_000_000_000)},
+		{metadata.TypeDouble, 2.5}, {metadata.TypeDouble, 3.0}, {metadata.TypeDouble, math.Inf(-1)},
+		{metadata.TypeBool, true}, {metadata.TypeBool, false},
+		{metadata.TypeBytes, []byte{1, 2}},
+		{metadata.TypeString, nil},
+	}
+	for _, c := range cases {
+		for _, parts := range []int{1, 4, 7} {
+			if got, want := partitionOfValue(record.ValueOf(c.v), c.t, parts), PartitionFor(c.v, parts); got != want {
+				t.Errorf("%s %v over %d partitions: cell hashes to %d, value to %d", c.t, c.v, parts, got, want)
+			}
+		}
+	}
+	for _, key := range []string{"", "s:sf", "n:3"} {
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		if got, want := partitionHash([]byte(key), 1<<31), int(h.Sum32()%(1<<31)); got != want {
+			t.Errorf("partitionHash(%q) = %d, FNV-1a gives %d", key, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		partitionOfValue(record.ValueOf("city_03"), metadata.TypeString, 8)
+		partitionOfValue(record.Value{I: 42}, metadata.TypeLong, 8)
+	}); n != 0 {
+		t.Errorf("hashing a cell allocates %v times, want 0", n)
 	}
 }

@@ -83,7 +83,7 @@ func (c TableConfig) withDefaults() (TableConfig, error) {
 // that scan sealed segments, and sealing sorts dictionaries and remaps
 // codes instead of re-reading rows. It keeps no record.Record.
 //
-// Readers need no lock. add only ever writes vector index >= n or a
+// Readers need no lock. appendRow only ever writes vector index >= n or a
 // reallocated array, so a snapshot — n and the slice headers, captured
 // under the owner's lock — stays a consistent view of rows [0, n) while the
 // writer carries on: what a reader holds is never written again. The one
@@ -93,16 +93,19 @@ func (c TableConfig) withDefaults() (TableConfig, error) {
 // mutated under the owner's lock and handed to readers as a bitmap built
 // there.
 type mutableSegment struct {
-	name    string
-	schema  *metadata.Schema
-	n       int
-	cols    []mutableColumn // queryable (non-blob) schema fields, in schema order
-	timeCol int             // index in cols of the schema's time field, or -1
+	name   string
+	schema *metadata.Schema
+	n      int
+	cols   []mutableColumn // queryable (non-blob) schema fields, in schema order
+	// colOf maps a schema field to its index in cols, -1 for a blob.
+	colOf []int
+	// timeField is the schema index of the time field, or -1.
+	timeField int
 	// minTime/maxTime bound the time column over rows [0, n); a NULL time
 	// counts as 0, as in a sealed segment's bounds.
 	minTime, maxTime int64
-	invalid          map[int]bool // docID -> superseded (upsert)
-	cells            []cell       // add's scratch, one per column
+	invalid          map[int]bool   // docID -> superseded (upsert)
+	row              []record.Value // add's scratch, one cell per schema field
 	// placing claims a frozen store for the one seal building and backing
 	// it up (Deployment.placeSealing); guarded by the owner's lock.
 	placing bool
@@ -125,23 +128,19 @@ type mutableColumn struct {
 	index map[string]uint32 // value → code; the writer's alone
 }
 
-// cell is one value on its way into a column.
-type cell struct {
-	null bool
-	i    int64
-	f    float64
-	s    string
-}
-
 // newMutableSegment creates an empty store for the schema, with room for
 // rowsHint rows.
 func newMutableSegment(name string, schema *metadata.Schema, rowsHint int) *mutableSegment {
-	m := &mutableSegment{name: name, schema: schema, timeCol: -1, invalid: make(map[int]bool)}
-	for _, f := range schema.Fields {
+	m := &mutableSegment{name: name, schema: schema, timeField: -1, invalid: make(map[int]bool)}
+	for fi, f := range schema.Fields {
+		if f.Name == schema.TimeField {
+			m.timeField = fi
+		}
 		c := mutableColumn{field: f}
 		switch f.Type {
 		case metadata.TypeBytes:
-			continue // blobs are not queryable; no layout encodes them
+			m.colOf = append(m.colOf, -1) // blobs are not queryable; no layout encodes them
+			continue
 		case metadata.TypeString:
 			c.layout = layoutDense
 			c.codes = make([]uint32, 0, rowsHint)
@@ -154,68 +153,74 @@ func newMutableSegment(name string, schema *metadata.Schema, rowsHint int) *muta
 			c.layout = layoutInts
 			c.ints = make([]int64, 0, rowsHint)
 		}
-		if f.Name == schema.TimeField {
-			m.timeCol = len(m.cols)
-		}
+		m.colOf = append(m.colOf, len(m.cols))
 		m.cols = append(m.cols, c)
 	}
-	m.cells = make([]cell, len(m.cols))
+	m.row = make([]record.Value, len(schema.Fields))
 	return m
 }
 
-// toCell coerces a non-nil value to the column's vector type. Conformed
-// rows (Deployment.Ingest) always pass; BuildSegment callers may hand in
-// looser rows, which coerce the way record.Coerce would.
-func (c *mutableColumn) toCell(v any) (cell, bool) {
+// toCell coerces a non-nil value to the column's vector type. BuildSegment
+// and PartialOfRows callers may hand in loose rows, which coerce the way
+// record.Coerce would (Deployment conforms strictly, conformRow).
+func (c *mutableColumn) toCell(v any) (record.Value, bool) {
 	switch c.layout {
 	case layoutDense:
-		if s, ok := v.(string); ok {
-			return cell{s: s}, true
+		s, ok := v.(string)
+		if !ok {
+			s = fmt.Sprintf("%v", v)
 		}
-		return cell{s: fmt.Sprintf("%v", v)}, true
+		return record.ValueOf(s), true
 	case layoutFloats:
 		f, ok := toF64(v)
-		return cell{f: f}, ok
+		return record.Value{F: f}, ok
 	}
 	switch x := v.(type) {
 	case int64:
-		return cell{i: x}, c.field.Type != metadata.TypeBool
+		return record.Value{I: x}, c.field.Type != metadata.TypeBool
 	case int:
-		return cell{i: int64(x)}, c.field.Type != metadata.TypeBool
+		return record.Value{I: int64(x)}, c.field.Type != metadata.TypeBool
 	case float64:
-		return cell{i: int64(x)}, c.field.Type != metadata.TypeBool && x == math.Trunc(x)
+		return record.Value{I: int64(x)}, c.field.Type != metadata.TypeBool && x == math.Trunc(x)
 	case bool:
-		if x {
-			return cell{i: 1}, true
-		}
-		return cell{}, true
+		return record.ValueOf(x), true
 	}
-	return cell{}, false
+	return record.Value{}, false
 }
 
-// add appends one row and returns its doc id. A missing or nil field is
-// NULL. The row is validated whole before any vector grows, so a rejected
-// row leaves the store untouched.
+// add appends one record as a row and returns its doc id. A missing or nil
+// field is NULL. The row is validated whole before any vector grows, so a
+// rejected row leaves the store untouched.
 func (m *mutableSegment) add(r record.Record) (int, error) {
-	for ci := range m.cols {
-		c := &m.cols[ci]
-		v, has := r[c.field.Name]
-		if !has || v == nil {
-			m.cells[ci] = cell{null: true}
+	for fi, ci := range m.colOf {
+		v := r[m.schema.Fields[fi].Name]
+		if ci < 0 || v == nil {
+			m.row[fi] = record.Value{Null: true}
 			continue
 		}
+		c := &m.cols[ci]
 		var ok bool
-		if m.cells[ci], ok = c.toCell(v); !ok {
+		if m.row[fi], ok = c.toCell(v); !ok {
 			return 0, fmt.Errorf("olap: column %q row %d: cannot store %T as %s", c.field.Name, m.n, v, c.field.Type)
 		}
 	}
-	for ci := range m.cols {
-		m.cols[ci].push(m.cells[ci], m.n)
+	return m.appendRow(m.row), nil
+}
+
+// appendRow appends one row of cells, one per schema field and each of its
+// column's type, and returns its doc id. It is the store's one way in. A
+// string cell may alias a payload: the store keeps a copy (intern).
+func (m *mutableSegment) appendRow(row []record.Value) int {
+	for fi, ci := range m.colOf {
+		if ci >= 0 {
+			m.cols[ci].push(row[fi], m.n)
+		}
 	}
-	if m.timeCol >= 0 {
-		t := m.cells[m.timeCol].i
-		if m.cols[m.timeCol].layout == layoutFloats {
-			t = int64(m.cells[m.timeCol].f)
+	if m.timeField >= 0 {
+		v := row[m.timeField]
+		t := v.I
+		if m.schema.Fields[m.timeField].Type == metadata.TypeDouble {
+			t = int64(v.F)
 		}
 		if m.n == 0 || t < m.minTime {
 			m.minTime = t
@@ -225,36 +230,61 @@ func (m *mutableSegment) add(r record.Record) (int, error) {
 		}
 	}
 	m.n++
-	return m.n - 1, nil
+	return m.n - 1
 }
 
 // push appends one cell as row n of the column.
-func (c *mutableColumn) push(v cell, n int) {
+func (c *mutableColumn) push(v record.Value, n int) {
 	switch c.layout {
 	case layoutDense:
 		c.codes = append(c.codes, c.intern(v))
 		return
 	case layoutFloats:
-		c.floats = append(c.floats, v.f)
+		c.floats = append(c.floats, v.F)
 	default:
-		c.ints = append(c.ints, v.i)
+		c.ints = append(c.ints, v.I)
 	}
-	c.markPresent(n, !v.null)
+	c.markPresent(n, !v.Null)
 }
 
 // intern returns the code of a string cell, adding the value to the
-// dictionary on first sight.
-func (c *mutableColumn) intern(v cell) uint32 {
-	if v.null {
+// dictionary on first sight. The lookup converts nothing; only a new value
+// is copied, so the dictionary never holds the cell's bytes.
+func (c *mutableColumn) intern(v record.Value) uint32 {
+	if v.Null {
 		return 0
 	}
-	code, ok := c.index[v.s]
+	code, ok := c.index[string(v.B)]
 	if !ok {
+		s := string(v.B)
 		code = uint32(len(c.strs))
-		c.strs = append(c.strs, v.s)
-		c.index[v.s] = code
+		c.strs = append(c.strs, s)
+		c.index[s] = code
 	}
 	return code
+}
+
+// str is string column fi's value at row doc: the dictionary's own copy.
+func (m *mutableSegment) str(fi, doc int) string {
+	c := &m.cols[m.colOf[fi]]
+	return c.strs[c.codes[doc]]
+}
+
+// recordOf renders row doc, appended from row, as the conformed record a
+// mutation hook receives: strings are the dictionary's, blobs (which the
+// store does not keep) are copied out of their cells.
+func (m *mutableSegment) recordOf(doc int, row []record.Value) record.Record {
+	r := make(record.Record, len(row))
+	for fi, f := range m.schema.Fields {
+		switch {
+		case row[fi].Null:
+		case f.Type == metadata.TypeString:
+			r[f.Name] = m.str(fi, doc)
+		default:
+			r[f.Name] = row[fi].Box(f.Type)
+		}
+	}
+	return r
 }
 
 // num returns row i of a raw column as a float64; a NULL row reads 0.
@@ -284,7 +314,7 @@ func (c *mutableColumn) markPresent(n int, present bool) {
 
 // snapshot captures the store's current rows as a scan set: O(columns)
 // slice headers, no row is copied. The caller holds the lock that
-// serializes add; the scan then runs outside it.
+// serializes appendRow; the scan then runs outside it.
 func (m *mutableSegment) snapshot() *scanSet {
 	sc := &scanSet{
 		n:       m.n,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/metadata"
 )
@@ -34,8 +35,8 @@ func NewCodec(s *metadata.Schema) (*Codec, error) {
 func (c *Codec) Schema() *metadata.Schema { return c.schema.Clone() }
 
 // Encode serializes the record, conforming it to the schema field by field
-// as it goes (conformField, the rule Conform applies): unknown columns are
-// dropped and type mismatches are errors.
+// as it goes (ConformValue): unknown columns are dropped and type mismatches
+// are errors.
 func (c *Codec) Encode(r Record) ([]byte, error) {
 	nf := len(c.schema.Fields)
 	bitmapLen := (nf + 7) / 8
@@ -46,11 +47,11 @@ func (c *Codec) Encode(r Record) ([]byte, error) {
 		buf = append(buf, 0)
 	}
 	for i, f := range c.schema.Fields {
-		v, ok, err := conformField(r, f, c.schema.Name)
+		v, err := ConformValue(r[f.Name], f, c.schema.Name)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if v == nil {
 			continue
 		}
 		buf[bitmapAt+i/8] |= 1 << (i % 8)
@@ -78,25 +79,107 @@ func (c *Codec) Encode(r Record) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode deserializes a payload produced by Encode with the same schema.
+// Value is one field of a decoded row, typed by the field's schema type and
+// never boxed: long, timestamp and bool (0 or 1) in I, double in F, string
+// and bytes in B. B aliases the payload it was parsed from (or, from
+// ValueOf, a string's bytes): read it, copy what is kept, never write it.
+type Value struct {
+	Null bool
+	I    int64
+	F    float64
+	B    []byte
+}
+
+// ValueOf is the Value of a canonical record value (see Coerce); nil is
+// NULL. A string's B aliases the string's bytes, which must not be written.
+func ValueOf(v any) Value {
+	switch x := v.(type) {
+	case nil:
+		return Value{Null: true}
+	case int64:
+		return Value{I: x}
+	case float64:
+		return Value{F: x}
+	case string:
+		return Value{B: unsafe.Slice(unsafe.StringData(x), len(x))}
+	case bool:
+		if x {
+			return Value{I: 1}
+		}
+		return Value{}
+	case []byte:
+		return Value{B: x}
+	}
+	panic(fmt.Sprintf("record: %T is not a canonical value", v))
+}
+
+// Box returns the value as a field of type t holds it in a Record: nil for
+// NULL, strings and bytes copied out of B.
+func (v Value) Box(t metadata.FieldType) any {
+	if v.Null {
+		return nil
+	}
+	switch t {
+	case metadata.TypeDouble:
+		return v.F
+	case metadata.TypeString:
+		return string(v.B)
+	case metadata.TypeBool:
+		return v.I != 0
+	case metadata.TypeBytes:
+		b := make([]byte, len(v.B))
+		copy(b, v.B)
+		return b
+	}
+	return v.I
+}
+
+// Decode deserializes a payload produced by Encode with the same schema:
+// DecodeValues, then each present field boxed into the record.
 func (c *Codec) Decode(data []byte) (Record, error) {
+	// The flow source decodes every message: up to 16 fields, the parser's
+	// scratch stays on the stack.
+	var buf [16]Value
+	vals := buf[:0]
+	if nf := len(c.schema.Fields); nf <= len(buf) {
+		vals = buf[:nf]
+	} else {
+		vals = make([]Value, nf)
+	}
+	if err := c.DecodeValues(data, vals); err != nil {
+		return nil, err
+	}
+	out := make(Record, len(vals))
+	for i, f := range c.schema.Fields {
+		if !vals[i].Null {
+			out[f.Name] = vals[i].Box(f.Type)
+		}
+	}
+	return out, nil
+}
+
+// DecodeValues parses a payload produced by Encode with the same schema into
+// vals, one Value per schema field in schema order (len(vals) must be the
+// field count): an absent field is NULL, and strings and bytes alias data.
+// It is the codec's one parser of the wire format.
+func (c *Codec) DecodeValues(data []byte, vals []Value) error {
 	version, n := binary.Uvarint(data)
 	if n <= 0 {
-		return nil, fmt.Errorf("record: truncated payload")
+		return fmt.Errorf("record: truncated payload")
 	}
 	if int(version) != c.schema.Version {
-		return nil, fmt.Errorf("record: payload schema version %d, codec has %d", version, c.schema.Version)
+		return fmt.Errorf("record: payload schema version %d, codec has %d", version, c.schema.Version)
 	}
 	data = data[n:]
 	nf := len(c.schema.Fields)
 	bitmapLen := (nf + 7) / 8
 	if len(data) < bitmapLen {
-		return nil, fmt.Errorf("record: truncated presence bitmap")
+		return fmt.Errorf("record: truncated presence bitmap")
 	}
 	bitmap := data[:bitmapLen]
 	data = data[bitmapLen:]
-	out := make(Record, nf)
 	for i, f := range c.schema.Fields {
+		vals[i] = Value{Null: true}
 		if bitmap[i/8]&(1<<(i%8)) == 0 {
 			continue
 		}
@@ -104,43 +187,38 @@ func (c *Codec) Decode(data []byte) (Record, error) {
 		case metadata.TypeLong, metadata.TypeTimestamp:
 			v, n := binary.Varint(data)
 			if n <= 0 {
-				return nil, fmt.Errorf("record: truncated long field %q", f.Name)
+				return fmt.Errorf("record: truncated long field %q", f.Name)
 			}
 			data = data[n:]
-			out[f.Name] = v
+			vals[i] = Value{I: v}
 		case metadata.TypeDouble:
 			if len(data) < 8 {
-				return nil, fmt.Errorf("record: truncated double field %q", f.Name)
+				return fmt.Errorf("record: truncated double field %q", f.Name)
 			}
-			out[f.Name] = math.Float64frombits(binary.LittleEndian.Uint64(data))
+			vals[i] = Value{F: math.Float64frombits(binary.LittleEndian.Uint64(data))}
 			data = data[8:]
-		case metadata.TypeString:
+		case metadata.TypeString, metadata.TypeBytes:
 			// The length is outside input: compare it unconverted, a value
 			// of 2^63 or more is negative as an int and would pass.
 			l, n := binary.Uvarint(data)
 			if n <= 0 || uint64(len(data)-n) < l {
-				return nil, fmt.Errorf("record: truncated string field %q", f.Name)
+				return fmt.Errorf("record: truncated %s field %q", f.Type, f.Name)
 			}
-			out[f.Name] = string(data[n : n+int(l)])
+			vals[i] = Value{B: data[n : n+int(l) : n+int(l)]}
 			data = data[n+int(l):]
 		case metadata.TypeBool:
 			if len(data) < 1 {
-				return nil, fmt.Errorf("record: truncated bool field %q", f.Name)
+				return fmt.Errorf("record: truncated bool field %q", f.Name)
 			}
-			out[f.Name] = data[0] != 0
+			if data[0] != 0 {
+				vals[i] = Value{I: 1}
+			} else {
+				vals[i] = Value{}
+			}
 			data = data[1:]
-		case metadata.TypeBytes:
-			l, n := binary.Uvarint(data)
-			if n <= 0 || uint64(len(data)-n) < l {
-				return nil, fmt.Errorf("record: truncated bytes field %q", f.Name)
-			}
-			b := make([]byte, l)
-			copy(b, data[n:n+int(l)])
-			out[f.Name] = b
-			data = data[n+int(l):]
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // EncodeJSON serializes the record as JSON — the wire format used by the
@@ -149,7 +227,8 @@ func (c *Codec) Decode(data []byte) (Record, error) {
 func EncodeJSON(r Record) ([]byte, error) { return json.Marshal(map[string]any(r)) }
 
 // DecodeJSON parses a JSON document into a Record. JSON numbers become
-// float64; callers needing longs should Conform the result against a schema.
+// float64; callers needing longs should conform the result against a schema
+// (ConformValue).
 func DecodeJSON(data []byte) (Record, error) {
 	var m map[string]any
 	if err := json.Unmarshal(data, &m); err != nil {

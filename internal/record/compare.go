@@ -60,6 +60,11 @@ func Compare(a, b any) int {
 			return 0
 		}
 	}
-	sa, sb := fmt.Sprintf("%v", a), fmt.Sprintf("%v", b)
-	return strings.Compare(sa, sb)
+	// %v of a string is the string: two of them compare without formatting.
+	if sa, ok := a.(string); ok {
+		if sb, ok := b.(string); ok {
+			return strings.Compare(sa, sb)
+		}
+	}
+	return strings.Compare(fmt.Sprintf("%v", a), fmt.Sprintf("%v", b))
 }

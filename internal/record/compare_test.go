@@ -62,3 +62,12 @@ func TestCompareAntisymmetry(t *testing.T) {
 		}
 	}
 }
+
+// Two strings compare without formatting either: the clean job's status
+// filter runs Compare on every row.
+func TestCompareStringsAllocateNothing(t *testing.T) {
+	var a, b any = "delivered", "cancelled"
+	if n := testing.AllocsPerRun(100, func() { _ = Compare(a, b) }); n != 0 {
+		t.Errorf("Compare of two strings allocates %v times, want 0", n)
+	}
+}

@@ -134,35 +134,22 @@ func Coerce(v any, t metadata.FieldType) (any, error) {
 	return nil, fmt.Errorf("record: cannot coerce %T to %s", v, t)
 }
 
-// Conform validates r against the schema and returns a copy containing only
-// schema columns with canonical value types. Missing non-nullable columns
-// are an error; missing nullable columns are left absent.
-func Conform(r Record, s *metadata.Schema) (Record, error) {
-	out := make(Record, len(s.Fields))
-	for _, f := range s.Fields {
-		cv, ok, err := conformField(r, f, s.Name)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out[f.Name] = cv
-		}
-	}
-	return out, nil
-}
-
-// conformField is Conform's rule for one field: the canonical value of r's
-// column f, ok=false when a nullable column is absent or nil.
-func conformField(r Record, f metadata.Field, schema string) (v any, ok bool, err error) {
-	v, ok = r[f.Name]
-	if !ok || v == nil {
+// ConformValue is the rule that conforms one field of a record to its schema
+// (schema names it in errors): v, the field's value or nil when absent,
+// comes back as the canonical value Coerce gives, nil for a NULL in a
+// nullable field; a NULL in a required field and a value the type cannot
+// hold are errors. Unknown columns never reach it: a record conforms field
+// by field over the schema.
+func ConformValue(v any, f metadata.Field, schema string) (any, error) {
+	if v == nil {
 		if !f.Nullable {
-			return nil, false, fmt.Errorf("record: missing required field %q for schema %q", f.Name, schema)
+			return nil, fmt.Errorf("record: missing required field %q for schema %q", f.Name, schema)
 		}
-		return nil, false, nil
+		return nil, nil
 	}
-	if v, err = Coerce(v, f.Type); err != nil {
-		return nil, false, fmt.Errorf("record: field %q: %w", f.Name, err)
+	v, err := Coerce(v, f.Type)
+	if err != nil {
+		return nil, fmt.Errorf("record: field %q: %w", f.Name, err)
 	}
-	return v, true, nil
+	return v, nil
 }

@@ -97,16 +97,32 @@ func TestCoerce(t *testing.T) {
 	}
 }
 
+// conform is ConformValue over a whole record: only schema columns, each
+// canonical, absent nullable columns left absent.
+func conform(r Record, s *metadata.Schema) (Record, error) {
+	out := make(Record, len(s.Fields))
+	for _, f := range s.Fields {
+		v, err := ConformValue(r[f.Name], f, s.Name)
+		if err != nil {
+			return nil, err
+		}
+		if v != nil {
+			out[f.Name] = v
+		}
+	}
+	return out, nil
+}
+
 func TestConform(t *testing.T) {
 	s := testSchema()
 	r := sampleRecord()
 	r["extra"] = "dropme"
-	out, err := Conform(r, s)
+	out, err := conform(r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := out["extra"]; ok {
-		t.Error("Conform kept unknown column")
+		t.Error("conform kept unknown column")
 	}
 	if _, ok := out["opt"]; ok {
 		t.Error("absent nullable column should stay absent")
@@ -114,13 +130,13 @@ func TestConform(t *testing.T) {
 
 	missing := sampleRecord()
 	delete(missing, "id")
-	if _, err := Conform(missing, s); err == nil {
+	if _, err := conform(missing, s); err == nil {
 		t.Error("missing required field should error")
 	}
 
 	bad := sampleRecord()
 	bad["fare"] = "not-a-number"
-	if _, err := Conform(bad, s); err == nil {
+	if _, err := conform(bad, s); err == nil {
 		t.Error("type mismatch should error")
 	}
 }
@@ -139,7 +155,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := Conform(r, c.Schema())
+	want, _ := conform(r, c.Schema())
 	if !reflect.DeepEqual(map[string]any(got), map[string]any(want)) {
 		t.Errorf("round trip mismatch:\n got %v\nwant %v", got, want)
 	}
@@ -202,11 +218,15 @@ func TestCodecTruncation(t *testing.T) {
 	}
 }
 
-// FuzzCodecDecode feeds Decode what a topic may hold: it must never panic,
-// and a payload it accepts must come back unchanged from encode → decode →
+// FuzzCodecDecode feeds the codec what a topic may hold. DecodeValues, the
+// one parser, and Decode must agree on every input: both accept or both
+// reject, NULL exactly where Decode's record has no field, and equal values
+// elsewhere (a double bit for bit, NaN included). Nothing may panic, and a
+// payload both accept must come back unchanged from encode → decode →
 // encode (byte for byte, which also holds NaN to itself).
 func FuzzCodecDecode(f *testing.F) {
-	c, err := NewCodec(testSchema())
+	schema := testSchema()
+	c, err := NewCodec(schema)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -221,10 +241,45 @@ func FuzzCodecDecode(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
+	// Payloads with required fields absent, as a producer whose schema
+	// marks them nullable writes them: the parser takes them as NULLs.
+	loose := testSchema()
+	for i := range loose.Fields {
+		loose.Fields[i].Nullable = true
+	}
+	lc, err := NewCodec(loose)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, absent := range [][]string{{"id"}, {"city", "ts"}, {"id", "city", "fare", "ok", "ts"}} {
+		r := sampleRecord()
+		for _, k := range absent {
+			delete(r, k)
+		}
+		data, err := lc.Encode(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		vals := make([]Value, len(schema.Fields))
+		valsErr := c.DecodeValues(data, vals)
 		r, err := c.Decode(data)
+		if (err == nil) != (valsErr == nil) {
+			t.Fatalf("Decode error %v, DecodeValues error %v", err, valsErr)
+		}
 		if err != nil {
 			return
+		}
+		for i, fd := range schema.Fields {
+			got, present := r[fd.Name]
+			if present == vals[i].Null {
+				t.Fatalf("field %q: in the record %v, NULL %v", fd.Name, present, vals[i].Null)
+			}
+			if present && !sameValue(got, vals[i], fd.Type) {
+				t.Fatalf("field %q: Decode %#v, DecodeValues %+v", fd.Name, got, vals[i])
+			}
 		}
 		first, err := c.Encode(r)
 		if err != nil {
@@ -239,6 +294,24 @@ func FuzzCodecDecode(f *testing.F) {
 			t.Fatalf("encode(decode(encode(r))) = %x, %v; want %x", second, err, first)
 		}
 	})
+}
+
+// sameValue reports whether a decoded record value is v as a field of type
+// t holds it.
+func sameValue(got any, v Value, t metadata.FieldType) bool {
+	switch x := got.(type) {
+	case int64:
+		return (t == metadata.TypeLong || t == metadata.TypeTimestamp) && x == v.I
+	case float64:
+		return t == metadata.TypeDouble && math.Float64bits(x) == math.Float64bits(v.F)
+	case string:
+		return t == metadata.TypeString && x == string(v.B)
+	case bool:
+		return t == metadata.TypeBool && (v.I == 0 || v.I == 1) && x == (v.I == 1)
+	case []byte:
+		return t == metadata.TypeBytes && bytes.Equal(x, v.B)
+	}
+	return false
 }
 
 func TestCodecRejectsInvalidSchema(t *testing.T) {
@@ -306,10 +379,9 @@ func TestCodecDeterministic(t *testing.T) {
 	}
 }
 
-// Encode conforms field by field instead of building Conform's map. Its
-// bytes must be those of encoding the conformed record, and its errors
-// Conform's, for conforming, coercible, missing-required and wrong-type
-// input alike.
+// Encode conforms field by field as it writes. Its bytes must be those of
+// encoding the conformed record, and its errors conform's, for conforming,
+// coercible, missing-required and wrong-type input alike.
 func TestEncodeMatchesConform(t *testing.T) {
 	with := func(k string, v any) Record {
 		r := sampleRecord()
@@ -345,10 +417,10 @@ func TestEncodeMatchesConform(t *testing.T) {
 	}
 	for name, r := range cases {
 		got, gotErr := c.Encode(r)
-		conformed, wantErr := Conform(r, schema)
+		conformed, wantErr := conform(r, schema)
 		if wantErr != nil {
 			if gotErr == nil || gotErr.Error() != wantErr.Error() || got != nil {
-				t.Errorf("%s: Encode = %v, %v; want Conform's error %v", name, got, gotErr, wantErr)
+				t.Errorf("%s: Encode = %v, %v; want conform's error %v", name, got, gotErr, wantErr)
 			}
 			continue
 		}
