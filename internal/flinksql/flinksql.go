@@ -4,6 +4,12 @@
 // pipelines. A query compiles into a logical plan (filter → key-extract →
 // window aggregate → project), which maps onto flow stages.
 //
+// The compiled WHERE, GROUP BY key and projection work on schema-bound rows
+// (flow.Event.Row) and have no map form: each payload is decoded once, by
+// the source, and a row is boxed into a map only once per window result or
+// where a sink wants one. The typed predicate answers what
+// sqlparse.Predicate.Matches answers on the boxed value.
+//
 // The same compiled stages execute in two modes (§7 "SQL based" backfill):
 // streaming over a live topic (DataStream) or bounded over the archived
 // dataset (DataSet / Kappa+), so one query backfills itself.
@@ -11,7 +17,6 @@ package flinksql
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/flow"
 	"repro/internal/flow/backfill"
@@ -21,10 +26,6 @@ import (
 	"repro/internal/sqlparse"
 	"repro/internal/stream"
 )
-
-// compositeKeyColumn is the synthetic routing-key column for multi-column
-// GROUP BY.
-const compositeKeyColumn = "__key"
 
 // Plan is a compiled query: flow stages plus output metadata.
 type Plan struct {
@@ -58,21 +59,7 @@ func Compile(stmt *sqlparse.SelectStmt, parallelism int) (*Plan, error) {
 	var stages []flow.StageSpec
 	// WHERE → filter stage.
 	if len(stmt.Where) > 0 {
-		preds := stmt.Where
-		stages = append(stages, flow.StageSpec{
-			Name:        "where",
-			Parallelism: parallelism,
-			New: func() flow.Operator {
-				return &flow.FilterOp{Pred: func(e flow.Event) bool {
-					for _, p := range preds {
-						if !p.Matches(e.Data[p.Column]) {
-							return false
-						}
-					}
-					return true
-				}}
-			},
-		})
+		stages = append(stages, whereStage(stmt.Where, parallelism))
 	}
 
 	if stmt.HasAggregates() {
@@ -87,22 +74,9 @@ func Compile(stmt *sqlparse.SelectStmt, parallelism int) (*Plan, error) {
 		plan.TimeColumn = stmt.Window.TimeColumn
 		groupBy := append([]string(nil), stmt.GroupBy...)
 		// Key-extraction stage: composite key from the group-by columns.
-		stages = append(stages, flow.StageSpec{
-			Name:        "keyby",
-			Parallelism: parallelism,
-			New: func() flow.Operator {
-				return &flow.MapOp{Fn: func(e flow.Event) (flow.Event, error) {
-					var kb strings.Builder
-					for _, g := range groupBy {
-						fmt.Fprintf(&kb, "%v\x1f", e.Data[g])
-					}
-					e.Data = e.Data.Clone()
-					e.Data[compositeKeyColumn] = kb.String()
-					return e, nil
-				}}
-			},
-		})
-		// Window aggregation stage, keyed by the composite key.
+		stages = append(stages, keyStage(groupBy, parallelism))
+		// Window aggregation stage, keyed by the composite key the stage
+		// before set on each event.
 		var aggs []flow.Aggregation
 		for _, it := range stmt.Items {
 			if it.Func == sqlparse.FuncNone {
@@ -118,21 +92,22 @@ func Compile(stmt *sqlparse.SelectStmt, parallelism int) (*Plan, error) {
 		stages = append(stages, flow.StageSpec{
 			Name:        "window",
 			Parallelism: parallelism,
-			KeyBy:       compositeKeyColumn,
+			KeyBy:       flow.KeyByEventKey,
 			New: func() flow.Operator {
 				op := flow.NewWindowAggOp(size, slide, "", aggs...)
 				op.CarryColumns = groupBy
 				return op
 			},
 		})
-		// Projection stage: group columns + aggregates + window bounds.
+		// Projection stage: group columns + aggregates + window bounds, over
+		// the window's map results, once per window.
 		outCols := append([]string(nil), groupBy...)
 		for _, a := range aggs {
 			outCols = append(outCols, a.As)
 		}
 		outCols = append(outCols, "window_start", "window_end")
 		plan.OutputColumns = outCols
-		stages = append(stages, projectionStage(outCols, parallelism))
+		stages = append(stages, resultStage(outCols, parallelism))
 		plan.Stages = stages
 		return plan, nil
 	}
@@ -151,27 +126,14 @@ func Compile(stmt *sqlparse.SelectStmt, parallelism int) (*Plan, error) {
 	}
 	plan.OutputColumns = outCols
 	if !star {
-		stages = append(stages, flow.StageSpec{
-			Name:        "project",
-			Parallelism: parallelism,
-			New: func() flow.Operator {
-				return &flow.MapOp{Fn: func(e flow.Event) (flow.Event, error) {
-					out := make(record.Record, len(outCols))
-					for _, name := range outCols {
-						out[name] = e.Data[renames[name]]
-					}
-					e.Data = out
-					return e, nil
-				}}
-			},
-		})
+		stages = append(stages, projectStage(outCols, renames, parallelism))
 	} else if len(stages) == 0 {
 		// SELECT * with no WHERE still needs one stage (jobs require >= 1).
 		stages = append(stages, flow.StageSpec{
 			Name:        "identity",
 			Parallelism: parallelism,
 			New: func() flow.Operator {
-				return &flow.MapOp{Fn: func(e flow.Event) (flow.Event, error) { return e, nil }}
+				return &rowStage{name: "identity", fn: func(e flow.Event, emit func(flow.Event)) { emit(e) }}
 			},
 		})
 	}
@@ -179,7 +141,8 @@ func Compile(stmt *sqlparse.SelectStmt, parallelism int) (*Plan, error) {
 	return plan, nil
 }
 
-func projectionStage(outCols []string, parallelism int) flow.StageSpec {
+// resultStage projects a window's results onto the query's output columns.
+func resultStage(outCols []string, parallelism int) flow.StageSpec {
 	cols := append([]string(nil), outCols...)
 	return flow.StageSpec{
 		Name:        "project",

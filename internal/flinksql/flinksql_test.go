@@ -67,6 +67,21 @@ func setupTopic(t *testing.T, n int) (*stream.Cluster, *record.Codec) {
 	return cluster, codec
 }
 
+// rowEvent is r as a StreamSource delivers it: conformed to schema, as
+// schema-bound cells.
+func rowEvent(t testing.TB, schema *metadata.Schema, r record.Record) flow.Event {
+	t.Helper()
+	vals := make([]record.Value, len(schema.Fields))
+	for i, f := range schema.Fields {
+		v, err := record.ConformValue(r[f.Name], f, schema.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals[i] = record.ValueOf(v)
+	}
+	return flow.Event{Row: record.Row{Schema: schema, Vals: vals}}
+}
+
 func TestCompileRejections(t *testing.T) {
 	bad := []string{
 		"SELECT city, COUNT(*) FROM trips GROUP BY city",                    // agg without window
@@ -233,8 +248,8 @@ func TestBackfillBoundary(t *testing.T) {
 // TestEvalPredicate: one predicate, one verdict, whichever engine filters.
 // Every WHERE clause runs over the same rows as a Compile'd filter stage
 // and as fedsql's residual filter (the archive connector pushes nothing
-// down) and must keep the rows the table names — which is
-// sqlparse.Predicate.Matches, the evaluator both call.
+// down) and must keep the rows the table names — sqlparse.Predicate.Matches's
+// verdict, which fedsql calls and the compiled stage computes on typed cells.
 func TestEvalPredicate(t *testing.T) {
 	schema := &metadata.Schema{
 		Name:    "vals",
@@ -309,8 +324,8 @@ func TestEvalPredicate(t *testing.T) {
 		filter := plan.Stages[0].New()
 		var streamed []int64
 		for _, r := range rows {
-			if err := filter.ProcessElement(flow.Event{Data: r}, func(e flow.Event) {
-				streamed = append(streamed, e.Data.Long("id"))
+			if err := filter.ProcessElement(rowEvent(t, schema, r), func(e flow.Event) {
+				streamed = append(streamed, e.Record().Long("id"))
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -339,6 +354,50 @@ func TestCompileParallelismDefaults(t *testing.T) {
 	for _, st := range plan.Stages {
 		if st.Parallelism != 1 {
 			t.Errorf("stage %s parallelism = %d", st.Name, st.Parallelism)
+		}
+	}
+}
+
+// GROUP BY keys each group injectively: no two groups share a key however
+// their strings are spelled, and NULL is not the string "<nil>". A key that
+// joined each value's %v with a separator merged both pairs below.
+func TestGroupByKeysDoNotCollide(t *testing.T) {
+	schema := &metadata.Schema{
+		Name:    "pairs",
+		Version: 1,
+		Fields: []metadata.Field{
+			{Name: "a", Type: metadata.TypeString},
+			{Name: "b", Type: metadata.TypeString},
+			{Name: "o", Type: metadata.TypeString, Nullable: true},
+			{Name: "ts", Type: metadata.TypeTimestamp},
+		},
+		TimeField: "ts",
+	}
+	rows := []record.Record{
+		{"a": "x\x1fy", "b": "z", "o": "<nil>", "ts": base},
+		{"a": "x", "b": "y\x1fz", "ts": base + 1},
+	}
+	store := objstore.NewMemStore()
+	codec, err := record.NewCodec(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := objstore.NewRawLogWriter(store, "pairs", codec).Append(rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := objstore.NewCompactor(store, "pairs", codec).Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT a, b, COUNT(*) AS n FROM pairs GROUP BY a, b, TUMBLE(ts, 60000)",
+		"SELECT o, COUNT(*) AS n FROM pairs GROUP BY o, TUMBLE(ts, 60000)",
+	} {
+		sink := flow.NewCollectSink()
+		if _, _, err := BackfillJob("groups", sql, store, schema, sink, backfill.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := sink.Records(); len(got) != 2 || got[0].Long("n") != 1 || got[1].Long("n") != 1 {
+			t.Errorf("%s: %v, want two groups of one row", sql, got)
 		}
 	}
 }

@@ -71,18 +71,31 @@ func Run(jobName string, store objstore.Store, dataset string, schema *metadata.
 	if err != nil {
 		return Result{}, fmt.Errorf("backfill: reading archive %q: %w", dataset, err)
 	}
+	// The rows are replayed as a StreamSource would deliver them: conformed
+	// to the schema once, as schema-bound cells.
 	timeField := schema.TimeField
-	var bounded []record.Record
+	var bounded []record.Row
 	skipped := 0
+	nf := len(schema.Fields)
+	cells := make([]record.Value, len(rows)*nf)
 	for _, r := range rows {
 		t := r.Long(timeField)
 		if (cfg.StartMs != 0 && t < cfg.StartMs) || (cfg.EndMs != 0 && t >= cfg.EndMs) {
 			skipped++
 			continue
 		}
-		bounded = append(bounded, r)
+		vals := cells[:nf:nf]
+		cells = cells[nf:]
+		for i, f := range schema.Fields {
+			v, err := record.ConformValue(r[f.Name], f, schema.Name)
+			if err != nil {
+				return Result{}, fmt.Errorf("backfill: archive %q: %w", dataset, err)
+			}
+			vals[i] = record.ValueOf(v)
+		}
+		bounded = append(bounded, record.Row{Schema: schema, Vals: vals})
 	}
-	src := flow.NewBoundedSource(bounded, timeField, cfg.Batch)
+	src := flow.NewBoundedRowSource(bounded, timeField, cfg.Batch)
 	src.SetLateness(cfg.LatenessMs)
 	if cfg.RatePerSec > 0 {
 		src.SetRate(cfg.RatePerSec)

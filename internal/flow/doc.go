@@ -13,6 +13,13 @@
 //   - a job management layer (§4.2.2) that deploys, monitors and
 //     automatically recovers jobs with a rule-based engine.
 //
+// An event's payload is a map (Event.Data) or schema-bound cells (Event.Row).
+// StreamSource decodes each message once into a row, and a row stays a row
+// through the compiled SQL stages, the window operator and TopicSink. It is
+// boxed into Data only where user code reads maps: the function operators
+// (MapOp, FilterOp, FlatMapOp, ReduceOp, IntervalJoinOp), FuncSink,
+// CollectSink and keyed routing on a named field, all through Event.Record.
+//
 // Kappa+ backfill over archived data (§7, E13) lives in the backfill
 // subpackage. The flinksql package compiles SQL into these dataflow jobs
 // (§4.2.1).

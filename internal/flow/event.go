@@ -16,8 +16,32 @@ type Event struct {
 	// Source is the index of the originating source (join operators use it
 	// to tell sides apart).
 	Source int
-	// Data is the event payload.
+	// Data is the event payload as a map: what user functions read and
+	// write.
 	Data record.Record
+	// Row is the payload as schema-bound cells, when Data is nil: a
+	// StreamSource decodes each message into one, and the compiled SQL
+	// stages and TopicSink work on it without a map.
+	Row record.Row
+}
+
+// Record returns the payload as a map: Data, or the row boxed when Data is
+// nil.
+func (e Event) Record() record.Record {
+	if e.Data == nil && e.Row.Schema != nil {
+		return e.Row.Record()
+	}
+	return e.Data
+}
+
+// boxed is e as code that reads Data sees it: the row, if any, boxed into
+// Data and dropped, so a function that changes Data leaves no stale row
+// behind. User functions, keyed routing on a field, FuncSink and
+// CollectSink take events through it.
+func boxed(e Event) Event {
+	e.Data = e.Record()
+	e.Row = record.Row{}
+	return e
 }
 
 // WatermarkMax is the final watermark emitted by bounded sources: it flushes

@@ -293,7 +293,7 @@ func TestStreamSourceRereadsAfterLeaderFailureCutsTheLog(t *testing.T) {
 				return got
 			}
 			for _, e := range events {
-				got = append(got, e.Data.Double("v"))
+				got = append(got, e.Record().Double("v"))
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/objstore"
 	"repro/internal/record"
+	"repro/internal/stream"
 )
 
 func TestManagerDeployAndStatus(t *testing.T) {
@@ -215,5 +216,101 @@ func TestReduceOpSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := r2.Restore([]byte("{bad")); err == nil {
 		t.Error("corrupt restore should fail")
+	}
+}
+
+// A payload the codec cannot parse fails no job: the source counts it,
+// skips it and moves past it, so the job emits every other message without a
+// restart, and a checkpoint taken afterwards resumes behind it.
+func TestStreamSourceSkipsPoisonPayload(t *testing.T) {
+	cluster, codec := setupTopic(t, 0)
+	p := stream.NewProducer(cluster, "svc", "", nil)
+	produce := func(i int) {
+		payload, err := codec.Encode(record.Record{"city": "sf", "v": float64(i), "ts": base + int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 5 {
+			payload = []byte{0xff} // a truncated version varint
+		}
+		if err := p.Produce("trips", nil, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		produce(i)
+	}
+	store := objstore.NewMemStore()
+	spec := func(sink Sink) JobSpec {
+		src, err := NewStreamSource(cluster, "trips", codec, StreamSourceConfig{TimeField: "ts"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return JobSpec{
+			Name:            "poisoned",
+			Sources:         []SourceSpec{{Source: src}},
+			Stages:          []StageSpec{{Name: "id", New: passthrough}},
+			Sink:            SinkSpec{Sink: sink},
+			CheckpointStore: store,
+		}
+	}
+
+	m := NewJobManager(ManagerConfig{MonitorInterval: 5 * time.Millisecond})
+	defer m.Close()
+	sink := NewCollectSink()
+	var job atomic.Pointer[Job]
+	if err := m.Deploy("poisoned", func(int) (*Job, error) {
+		j, err := NewJob(spec(sink))
+		job.Store(j)
+		return j, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for sink.Len() < 9 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // a restart would show by now
+	st, err := m.Status("poisoned")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sink.Len() != 9 || st.Restarts != 0 || st.Failed || st.Metrics.SkippedMessages != 1 {
+		t.Fatalf("emitted %d (want 9), status %+v (want 0 restarts, 1 skipped)", sink.Len(), st)
+	}
+	for _, r := range sink.Records() {
+		if r.Double("v") == 5 {
+			t.Fatalf("the poison payload came out as %v", r)
+		}
+	}
+	if _, err := job.Load().TriggerCheckpoint(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Stop("poisoned"); err != nil {
+		t.Fatal(err)
+	}
+	_ = job.Load().Wait()
+
+	// The restored job reads only what came after the checkpoint.
+	produce(10)
+	sink2 := NewCollectSink()
+	job2, err := NewJob(spec(sink2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job2.RestoreLatest(); err != nil {
+		t.Fatal(err)
+	}
+	if err := job2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { job2.Cancel(); _ = job2.Wait() }()
+	deadline = time.Now().Add(3 * time.Second)
+	for sink2.Len() < 1 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := job2.Metrics(); got.EventsIn != 1 || got.SkippedMessages != 0 || sink2.Records()[0].Double("v") != 10 {
+		t.Fatalf("restored job: %+v, records %v; want the one new row", got, sink2.Records())
 	}
 }

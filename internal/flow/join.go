@@ -58,6 +58,7 @@ func defaultMerge(left, right record.Record) record.Record {
 // ProcessElement implements Operator: buffer the event on its side and probe
 // the opposite side for interval matches.
 func (j *IntervalJoinOp) ProcessElement(e Event, emit func(Event)) error {
+	e = boxed(e)
 	merge := j.Merge
 	if merge == nil {
 		merge = defaultMerge

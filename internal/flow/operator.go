@@ -45,8 +45,8 @@ func (statelessBase) StateBytes() int64 { return 0 }
 // OnWatermark implements Operator; stateless operators ignore time.
 func (statelessBase) OnWatermark(int64, func(Event)) error { return nil }
 
-// MapOp applies fn to each event. fn may mutate and return the event, or
-// build a new one.
+// MapOp applies fn to each event, its payload in Data. fn may mutate and
+// return the event, or build a new one.
 type MapOp struct {
 	statelessBase
 	Fn func(Event) (Event, error)
@@ -54,7 +54,7 @@ type MapOp struct {
 
 // ProcessElement implements Operator.
 func (m *MapOp) ProcessElement(e Event, emit func(Event)) error {
-	out, err := m.Fn(e)
+	out, err := m.Fn(boxed(e))
 	if err != nil {
 		return err
 	}
@@ -62,7 +62,8 @@ func (m *MapOp) ProcessElement(e Event, emit func(Event)) error {
 	return nil
 }
 
-// FilterOp keeps events for which Pred returns true.
+// FilterOp keeps events for which Pred returns true; they go on with their
+// payload in Data.
 type FilterOp struct {
 	statelessBase
 	Pred func(Event) bool
@@ -70,13 +71,13 @@ type FilterOp struct {
 
 // ProcessElement implements Operator.
 func (f *FilterOp) ProcessElement(e Event, emit func(Event)) error {
-	if f.Pred(e) {
+	if e = boxed(e); f.Pred(e) {
 		emit(e)
 	}
 	return nil
 }
 
-// FlatMapOp emits any number of events per input.
+// FlatMapOp emits any number of events per input, its payload in Data.
 type FlatMapOp struct {
 	statelessBase
 	Fn func(Event, func(Event)) error
@@ -84,7 +85,7 @@ type FlatMapOp struct {
 
 // ProcessElement implements Operator.
 func (f *FlatMapOp) ProcessElement(e Event, emit func(Event)) error {
-	return f.Fn(e, emit)
+	return f.Fn(boxed(e), emit)
 }
 
 // ---- Keyed reduce (running aggregate per key) ----
@@ -107,6 +108,7 @@ func NewReduceOp(fn func(acc record.Record, e Event) record.Record) *ReduceOp {
 
 // ProcessElement implements Operator.
 func (r *ReduceOp) ProcessElement(e Event, emit func(Event)) error {
+	e = boxed(e)
 	old := r.state[e.Key]
 	acc := r.Fn(old, e)
 	if old == nil {

@@ -290,7 +290,7 @@ func (j *Job) runSource(si int, spec SourceSpec, outs []chan element) {
 			e.Source = si
 			dest := 0
 			if stage0.keyed() {
-				e.Key = e.Data.String(stage0.keyField(si))
+				e = stage0.route(e)
 				dest = int(hashKey(e.Key) % uint32(len(outs)))
 			} else {
 				dest = rr % len(outs)
@@ -382,7 +382,7 @@ func (j *Job) runInstance(level, inst, flat int, op Operator, ins []chan element
 		}
 		dest := 0
 		if nextStage != nil && nextKeyed {
-			e.Key = e.Data.String(nextStage.keyField(e.Source))
+			e = nextStage.route(e)
 			dest = int(hashKey(e.Key) % uint32(len(outs)))
 		} else if len(outs) > 1 {
 			dest = rr % len(outs)
@@ -470,6 +470,8 @@ func (j *Job) runSink(ins []chan element) {
 				return
 			}
 			j.eventsOut.Add(int64(len(run)))
+			// A written event's row pins the log slab it aliases.
+			clear(run)
 			run = run[:0]
 		}
 		if !ok {
@@ -673,6 +675,9 @@ type Metrics struct {
 	SourceLag int64
 	// LateEvents counts window-dropped late events.
 	LateEvents int64
+	// SkippedMessages counts messages a source could not decode and
+	// skipped (StreamSource.Skipped).
+	SkippedMessages int64
 }
 
 // Metrics returns the current snapshot.
@@ -681,19 +686,23 @@ func (j *Job) Metrics() Metrics {
 	for i := range j.stateBytes {
 		state += j.stateBytes[i].Load()
 	}
-	var lag int64
+	var lag, skipped int64
 	for _, s := range j.spec.Sources {
 		if lr, ok := s.Source.(LagReporter); ok {
 			lag += lr.Lag()
 		}
+		if sr, ok := s.Source.(interface{ Skipped() int64 }); ok {
+			skipped += sr.Skipped()
+		}
 	}
 	return Metrics{
-		EventsIn:      j.eventsIn.Load(),
-		EventsOut:     j.eventsOut.Load(),
-		SinkWatermark: j.sinkWM.Load(),
-		StateBytes:    state,
-		SourceLag:     lag,
-		LateEvents:    j.lateEvents.Load(),
+		EventsIn:        j.eventsIn.Load(),
+		EventsOut:       j.eventsOut.Load(),
+		SinkWatermark:   j.sinkWM.Load(),
+		StateBytes:      state,
+		SourceLag:       lag,
+		LateEvents:      j.lateEvents.Load(),
+		SkippedMessages: skipped,
 	}
 }
 

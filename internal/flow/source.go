@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/record"
 	"repro/internal/stream"
 )
@@ -39,12 +40,20 @@ type LagReporter interface {
 // time — from the schema's configured time field — and the merge of its
 // partitions by it. When it has caught up, Next parks in the reader's Wait
 // and an append to any partition wakes it.
+//
+// Each payload is decoded once, into a row of typed cells (Event.Row) and
+// not into a map: code that wants a map boxes it (Event.Record). A payload
+// the codec cannot parse is counted (Skipped) and passed over, as the OLAP
+// ingester does, instead of failing the job on the same offset after every
+// restart.
 type StreamSource struct {
-	reader    *stream.Reader
-	codec     *record.Codec
-	timeField string
-	lateness  int64
-	batch     int
+	reader   *stream.Reader
+	codec    *record.Codec
+	schema   *metadata.Schema // the codec's, shared by every row decoded
+	timeAt   int              // the time field's position in schema, or -1
+	lateness int64
+	batch    int
+	skipped  atomic.Int64
 
 	// maxTime is written by the runtime's source goroutine and read by
 	// whoever asks for the watermark.
@@ -69,7 +78,7 @@ type StreamSourceConfig struct {
 }
 
 // NewStreamSource creates a source over the topic. The codec decodes
-// payloads into records.
+// payloads into rows.
 func NewStreamSource(cluster *stream.Cluster, topic string, codec *record.Codec, cfg StreamSourceConfig) (*StreamSource, error) {
 	n, err := cluster.Partitions(topic)
 	if err != nil {
@@ -90,40 +99,59 @@ func NewStreamSource(cluster *stream.Cluster, topic string, codec *record.Codec,
 	if err != nil {
 		return nil, err
 	}
+	schema := codec.Schema()
+	timeAt := -1
+	if cfg.TimeField != "" {
+		timeAt = schema.FieldIndex(cfg.TimeField)
+	}
 	return &StreamSource{
-		reader:    reader,
-		codec:     codec,
-		timeField: cfg.TimeField,
-		lateness:  cfg.LatenessMs,
-		batch:     cfg.Batch,
-		fetched:   make([][]Event, n),
+		reader:   reader,
+		codec:    codec,
+		schema:   schema,
+		timeAt:   timeAt,
+		lateness: cfg.LatenessMs,
+		batch:    cfg.Batch,
+		fetched:  make([][]Event, n),
 	}, nil
 }
 
-// Next implements Source. A partition's position moves once its whole fetch
-// decoded.
+// Next implements Source. A partition's position moves past its whole
+// fetch, skipped payloads included.
 func (s *StreamSource) Next(maxWait time.Duration) ([]Event, bool, error) {
 	s.reader.Wait(maxWait)
 	total := 0
 	maxTime := s.maxTime.Load()
+	nf := len(s.schema.Fields)
 	for i := range s.fetched {
+		clear(s.fetched[i]) // last call's rows pin the slabs they alias
 		s.fetched[i] = s.fetched[i][:0]
 		msgs, err := s.reader.Fetch(i, s.batch)
 		if err != nil {
 			return nil, false, err
 		}
+		if len(msgs) == 0 {
+			continue
+		}
+		// One fresh block of cells per fetch, never reused: the rows cross
+		// goroutines. Their string cells alias the log slab, whose bytes
+		// are never rewritten.
+		block := make([]record.Value, len(msgs)*nf)
 		for _, m := range msgs {
-			ev, err := s.decode(m)
-			if err != nil {
-				return nil, false, err
+			vals := block[:nf:nf]
+			if err := s.codec.DecodeValues(m.Value, vals); err != nil {
+				s.skipped.Add(1)
+				continue
+			}
+			block = block[nf:]
+			ev := Event{Time: m.Timestamp, Row: record.Row{Schema: s.schema, Vals: vals}}
+			if et := ev.Row.Long(s.timeAt); et != 0 {
+				ev.Time = et
 			}
 			maxTime = max(maxTime, ev.Time)
 			s.fetched[i] = append(s.fetched[i], ev)
 		}
-		if len(msgs) > 0 {
-			s.reader.Seek(i, msgs[len(msgs)-1].Offset+1)
-			total += len(msgs)
-		}
+		s.reader.Seek(i, msgs[len(msgs)-1].Offset+1)
+		total += len(s.fetched[i])
 	}
 	s.maxTime.Store(maxTime)
 	return mergeByTime(s.fetched, total), false, nil
@@ -152,20 +180,6 @@ func mergeByTime(parts [][]Event, total int) []Event {
 		heads[best]++
 	}
 	return out
-}
-
-func (s *StreamSource) decode(m stream.Message) (Event, error) {
-	r, err := s.codec.Decode(m.Value)
-	if err != nil {
-		return Event{}, fmt.Errorf("flow: decoding %s[%d]@%d: %w", m.Topic, m.Partition, m.Offset, err)
-	}
-	t := m.Timestamp
-	if s.timeField != "" {
-		if et := r.Long(s.timeField); et != 0 {
-			t = et
-		}
-	}
-	return Event{Time: t, Data: r}, nil
 }
 
 // Watermark implements Source.
@@ -208,12 +222,17 @@ func (s *StreamSource) Seek(pos []byte) error {
 // behind a parked Next.
 func (s *StreamSource) Lag() int64 { return s.reader.Lag() }
 
+// Skipped returns how many payloads the codec could not parse; each was
+// passed over (Metrics.SkippedMessages).
+func (s *StreamSource) Skipped() int64 { return s.skipped.Load() }
+
 // BoundedSource replays an in-memory slice of records — the DataSet-mode
 // input used by backfill (§7) and tests. It supports throttling so Kappa+
 // backfills can bound their resource usage while reading historic data far
 // faster than real time.
 type BoundedSource struct {
 	rows      []record.Record
+	cells     []record.Row // replayed instead of rows (NewBoundedRowSource)
 	timeField string
 	lateness  int64
 	batch     int
@@ -236,6 +255,33 @@ func NewBoundedSource(rows []record.Record, timeField string, batch int) *Bounde
 	return &BoundedSource{rows: rows, timeField: timeField, batch: batch}
 }
 
+// NewBoundedRowSource creates a bounded source over schema-bound rows, which
+// it replays as Event.Row — how a backfill feeds compiled SQL stages the
+// rows a StreamSource would. Event time is read as NewBoundedSource reads
+// it.
+func NewBoundedRowSource(rows []record.Row, timeField string, batch int) *BoundedSource {
+	b := NewBoundedSource(nil, timeField, batch)
+	b.cells = rows
+	return b
+}
+
+// len is how many events the source replays in all.
+func (b *BoundedSource) len() int { return len(b.rows) + len(b.cells) }
+
+// event is the i-th event the source replays.
+func (b *BoundedSource) event(i int) Event {
+	if b.cells != nil {
+		r := b.cells[i]
+		return Event{Time: r.Long(r.Schema.FieldIndex(b.timeField)), Row: r}
+	}
+	r := b.rows[i]
+	t := int64(0)
+	if b.timeField != "" {
+		t = r.Long(b.timeField)
+	}
+	return Event{Time: t, Data: r}
+}
+
 // SetRate throttles the source to at most eventsPerSec (Kappa+ throttling).
 func (b *BoundedSource) SetRate(eventsPerSec int) { b.ratePerSec = eventsPerSec }
 
@@ -246,7 +292,7 @@ func (b *BoundedSource) SetLateness(ms int64) { b.lateness = ms }
 func (b *BoundedSource) Next(maxWait time.Duration) ([]Event, bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.idx >= len(b.rows) {
+	if b.idx >= b.len() {
 		return nil, true, nil
 	}
 	n := b.batch
@@ -271,22 +317,17 @@ func (b *BoundedSource) Next(maxWait time.Duration) ([]Event, bool, error) {
 		}
 		b.tokens -= float64(n)
 	}
-	if b.idx+n > len(b.rows) {
-		n = len(b.rows) - b.idx
+	if b.idx+n > b.len() {
+		n = b.len() - b.idx
 	}
 	out := make([]Event, 0, n)
-	for _, r := range b.rows[b.idx : b.idx+n] {
-		t := int64(0)
-		if b.timeField != "" {
-			t = r.Long(b.timeField)
-		}
-		if t > b.maxTime {
-			b.maxTime = t
-		}
-		out = append(out, Event{Time: t, Data: r})
+	for i := b.idx; i < b.idx+n; i++ {
+		e := b.event(i)
+		b.maxTime = max(b.maxTime, e.Time)
+		out = append(out, e)
 	}
 	b.idx += n
-	return out, b.idx >= len(b.rows), nil
+	return out, b.idx >= b.len(), nil
 }
 
 // Watermark implements Source.
@@ -326,5 +367,5 @@ func (b *BoundedSource) Seek(pos []byte) error {
 func (b *BoundedSource) Lag() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return int64(len(b.rows) - b.idx)
+	return int64(b.len() - b.idx)
 }

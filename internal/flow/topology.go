@@ -24,8 +24,9 @@ type StageSpec struct {
 	Name string
 	// Parallelism is the instance count; default 1.
 	Parallelism int
-	// KeyBy routes input events by this record field (hash partitioning).
-	// Empty means round-robin rebalance.
+	// KeyBy routes input events by this record field (hash partitioning),
+	// or by the key they carry when it is KeyByEventKey. Empty means
+	// round-robin rebalance.
 	KeyBy string
 	// KeyBySource overrides KeyBy per source index — stream-stream joins
 	// key each side by its own column.
@@ -34,7 +35,25 @@ type StageSpec struct {
 	New OperatorFactory
 }
 
+// KeyByEventKey, as a stage's KeyBy, routes each event by the Key the stage
+// before set on it instead of by a payload field: how a key that no single
+// field holds, such as a compiled multi-column GROUP BY, reaches a keyed
+// stage without a map.
+const KeyByEventKey = "__key"
+
 func (s StageSpec) keyed() bool { return s.KeyBy != "" || len(s.KeyBySource) > 0 }
+
+// route sets e's routing key for the keyed stage s: the field s keys e's
+// source by, read from the boxed payload, or the key e carries.
+func (s StageSpec) route(e Event) Event {
+	field := s.keyField(e.Source)
+	if field == KeyByEventKey {
+		return e
+	}
+	e = boxed(e)
+	e.Key = e.Data.String(field)
+	return e
+}
 
 func (s StageSpec) keyField(source int) string {
 	if f, ok := s.KeyBySource[source]; ok {

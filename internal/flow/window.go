@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/metadata"
 	"repro/internal/record"
 )
 
@@ -102,6 +103,11 @@ func (s *aggState) result(kind AggKind) any {
 // and sliding (hopping) windows. Windows fire when the watermark passes
 // their end; events older than the watermark ("late-arriving messages",
 // §5.1) are dropped and counted.
+//
+// It reads a row event (Event.Row) by position, the fields bound once per
+// schema, and boxes nothing per event: the carried columns are boxed — their
+// strings copied — once per (key, window), so no window state pins the log
+// slab a row aliases.
 type WindowAggOp struct {
 	// Size is the window length in ms; must be > 0.
 	Size int64
@@ -123,6 +129,13 @@ type WindowAggOp struct {
 	lastWM    int64
 	lateCount int64
 	bytes     int64
+
+	// bound is the schema aggAt and carryAt hold positions in: per
+	// aggregation and per carried column, its field, or -1.
+	bound   *metadata.Schema
+	aggAt   []int
+	carryAt []int
+	starts  []int64 // assign's scratch
 }
 
 // NewWindowAggOp builds a window aggregator; it panics on invalid config
@@ -138,14 +151,26 @@ func NewWindowAggOp(size, slide int64, keyColumn string, aggs ...Aggregation) *W
 	}
 }
 
-// assign returns the starts of all windows containing t.
+// assign returns the starts of all windows containing t, in a slice the
+// next call reuses.
 func (w *WindowAggOp) assign(t int64) []int64 {
-	var starts []int64
+	w.starts = w.starts[:0]
 	first := t - t%w.Slide
 	for s := first; s > t-w.Size; s -= w.Slide {
-		starts = append(starts, s)
+		w.starts = append(w.starts, s)
 	}
-	return starts
+	return w.starts
+}
+
+// bind points aggAt and carryAt at schema's fields.
+func (w *WindowAggOp) bind(schema *metadata.Schema) {
+	w.bound, w.aggAt, w.carryAt = schema, w.aggAt[:0], w.carryAt[:0]
+	for _, a := range w.Aggs {
+		w.aggAt = append(w.aggAt, schema.FieldIndex(a.Field))
+	}
+	for _, c := range w.CarryColumns {
+		w.carryAt = append(w.carryAt, schema.FieldIndex(c))
+	}
 }
 
 // ProcessElement implements Operator.
@@ -153,6 +178,10 @@ func (w *WindowAggOp) ProcessElement(e Event, emit func(Event)) error {
 	if w.watermark() > e.Time {
 		w.lateCount++
 		return nil
+	}
+	row := e.Data == nil && e.Row.Schema != nil
+	if row && e.Row.Schema != w.bound {
+		w.bind(e.Row.Schema)
 	}
 	perKey, ok := w.windows[e.Key]
 	if !ok {
@@ -173,17 +202,26 @@ func (w *WindowAggOp) ProcessElement(e Event, emit func(Event)) error {
 					w.carried[e.Key] = cm
 				}
 				carry := make(record.Record, len(w.CarryColumns))
-				for _, c := range w.CarryColumns {
-					carry[c] = e.Data[c]
+				for ci, c := range w.CarryColumns {
+					if !row {
+						carry[c] = e.Data[c]
+					} else if at := w.carryAt[ci]; at >= 0 {
+						carry[c] = e.Row.Vals[at].Box(e.Row.Schema.Fields[at].Type)
+					} else {
+						carry[c] = nil
+					}
 				}
 				cm[start] = carry
 			}
 		}
 		for i, agg := range w.Aggs {
-			if agg.Kind == AggCount {
+			switch {
+			case agg.Kind == AggCount:
 				states[i].Count++
 				states[i].Seen = true
-			} else {
+			case row:
+				states[i].add(e.Row.Double(w.aggAt[i]))
+			default:
 				states[i].add(e.Data.Double(agg.Field))
 			}
 		}

@@ -180,43 +180,25 @@ func (ri *RealtimeIngester) fail(err error) {
 	ri.lastErr.Store(err)
 }
 
-// binding decodes a topic's payloads into a table's cells. It binds the
-// codec's fields to the table's columns once, by the rule a record is
-// conformed with (record.ConformValue): a codec field the table lacks is
-// dropped, a column the codec lacks is NULL, and a value whose Go type is
-// not the column's (long into double, double into long) is converted by
-// that rule, which takes a double into a long column only when it is whole.
+// binding decodes a topic's payloads into a table's cells: the codec's
+// fields map onto the table's columns by the shared rule (record.Binding),
+// and each row is checked against the table's partition column.
 type binding struct {
 	d     *Deployment
 	codec *record.Codec
-	from  []metadata.Field // the codec's fields
-	src   []int            // per table field: the codec field feeding it, or -1
-	same  []bool           // per table field: the codec field's values are the column's as they are
+	rule  *record.Binding
+	nf    int // the codec's field count
 }
 
 func bind(codec *record.Codec, d *Deployment) *binding {
-	b := &binding{d: d, codec: codec, from: codec.Schema().Fields}
-	for _, f := range d.cfg.Schema.Fields {
-		src := slices.IndexFunc(b.from, func(cf metadata.Field) bool { return cf.Name == f.Name })
-		b.src = append(b.src, src)
-		b.same = append(b.same, src >= 0 && goType(b.from[src].Type) == goType(f.Type))
-	}
-	return b
-}
-
-// goType names the Go type a field's values have in a record; long and
-// timestamp share int64.
-func goType(t metadata.FieldType) metadata.FieldType {
-	if t == metadata.TypeTimestamp {
-		return metadata.TypeLong
-	}
-	return t
+	from := codec.Schema()
+	return &binding{d: d, codec: codec, rule: record.Bind(from, d.cfg.Schema), nf: len(from.Fields)}
 }
 
 // scratch returns what one consume loop decodes into, fetch after fetch: a
 // block for rows rows and one payload's fields in codec order.
 func (b *binding) scratch(rows int) (cellBlock, []record.Value) {
-	return newCellBlock(b.d.cfg.Schema, rows), make([]record.Value, len(b.from))
+	return newCellBlock(b.d.cfg.Schema, rows), make([]record.Value, b.nf)
 }
 
 // decode parses one payload from partition p into row, conformed to the
@@ -226,26 +208,8 @@ func (b *binding) decode(p int, payload []byte, vals, row []record.Value) error 
 	if err := b.codec.DecodeValues(payload, vals); err != nil {
 		return err
 	}
-	schema := b.d.cfg.Schema
-	for fi, f := range schema.Fields {
-		v, src := record.Value{Null: true}, b.src[fi]
-		if src >= 0 {
-			v = vals[src]
-		}
-		if v.Null && f.Nullable || !v.Null && b.same[fi] {
-			row[fi] = v
-			continue
-		}
-		// A missing required field, or a value to convert: the rule itself.
-		var in any
-		if !v.Null {
-			in = v.Box(b.from[src].Type)
-		}
-		cv, err := record.ConformValue(in, f, schema.Name)
-		if err != nil {
-			return err
-		}
-		row[fi] = record.ValueOf(cv)
+	if err := b.rule.Conform(vals, row); err != nil {
+		return err
 	}
 	return b.d.checkPartition(p, row)
 }

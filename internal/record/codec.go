@@ -36,47 +36,53 @@ func (c *Codec) Schema() *metadata.Schema { return c.schema.Clone() }
 
 // Encode serializes the record, conforming it to the schema field by field
 // as it goes (ConformValue): unknown columns are dropped and type mismatches
-// are errors.
+// are errors. The conformed cells go through EncodeValues.
 func (c *Codec) Encode(r Record) ([]byte, error) {
-	nf := len(c.schema.Fields)
-	bitmapLen := (nf + 7) / 8
-	buf := make([]byte, 0, 16+8*nf)
-	buf = binary.AppendUvarint(buf, uint64(c.schema.Version))
-	bitmapAt := len(buf)
-	for i := 0; i < bitmapLen; i++ {
-		buf = append(buf, 0)
-	}
+	var buf [16]Value
+	vals := cells(buf[:], len(c.schema.Fields))
 	for i, f := range c.schema.Fields {
 		v, err := ConformValue(r[f.Name], f, c.schema.Name)
 		if err != nil {
 			return nil, err
 		}
-		if v == nil {
+		vals[i] = ValueOf(v)
+	}
+	return c.EncodeValues(make([]byte, 0, 16+8*len(vals)), vals), nil
+}
+
+// EncodeValues appends the payload of one row to dst and returns the
+// extended slice: vals holds one cell per schema field in schema order,
+// already conformed to the schema (Binding.Conform, ConformValue). It is the
+// codec's one writer of the wire format.
+func (c *Codec) EncodeValues(dst []byte, vals []Value) []byte {
+	dst = binary.AppendUvarint(dst, uint64(c.schema.Version))
+	bitmapAt := len(dst)
+	for i := 0; i < (len(vals)+7)/8; i++ {
+		dst = append(dst, 0)
+	}
+	for i, f := range c.schema.Fields {
+		v := vals[i]
+		if v.Null {
 			continue
 		}
-		buf[bitmapAt+i/8] |= 1 << (i % 8)
+		dst[bitmapAt+i/8] |= 1 << (i % 8)
 		switch f.Type {
 		case metadata.TypeLong, metadata.TypeTimestamp:
-			buf = binary.AppendVarint(buf, v.(int64))
+			dst = binary.AppendVarint(dst, v.I)
 		case metadata.TypeDouble:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.(float64)))
-		case metadata.TypeString:
-			s := v.(string)
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
+		case metadata.TypeString, metadata.TypeBytes:
+			dst = binary.AppendUvarint(dst, uint64(len(v.B)))
+			dst = append(dst, v.B...)
 		case metadata.TypeBool:
-			if v.(bool) {
-				buf = append(buf, 1)
+			if v.I != 0 {
+				dst = append(dst, 1)
 			} else {
-				buf = append(buf, 0)
+				dst = append(dst, 0)
 			}
-		case metadata.TypeBytes:
-			b := v.([]byte)
-			buf = binary.AppendUvarint(buf, uint64(len(b)))
-			buf = append(buf, b...)
 		}
 	}
-	return buf, nil
+	return dst
 }
 
 // Value is one field of a decoded row, typed by the field's schema type and
@@ -135,27 +141,15 @@ func (v Value) Box(t metadata.FieldType) any {
 }
 
 // Decode deserializes a payload produced by Encode with the same schema:
-// DecodeValues, then each present field boxed into the record.
+// DecodeValues, then the row boxed (Row.Record).
 func (c *Codec) Decode(data []byte) (Record, error) {
-	// The flow source decodes every message: up to 16 fields, the parser's
-	// scratch stays on the stack.
+	// The parser's scratch stays on the stack for up to 16 fields.
 	var buf [16]Value
-	vals := buf[:0]
-	if nf := len(c.schema.Fields); nf <= len(buf) {
-		vals = buf[:nf]
-	} else {
-		vals = make([]Value, nf)
-	}
+	vals := cells(buf[:], len(c.schema.Fields))
 	if err := c.DecodeValues(data, vals); err != nil {
 		return nil, err
 	}
-	out := make(Record, len(vals))
-	for i, f := range c.schema.Fields {
-		if !vals[i].Null {
-			out[f.Name] = vals[i].Box(f.Type)
-		}
-	}
-	return out, nil
+	return Row{Schema: c.schema, Vals: vals}.Record(), nil
 }
 
 // DecodeValues parses a payload produced by Encode with the same schema into
