@@ -45,15 +45,17 @@ type planRig struct {
 	codec *record.Codec
 	prod  *stream.Producer
 	src   *flow.StreamSource
-	ops   []flow.Operator
-	emits []func(flow.Event) // emits[i] feeds ops[i]; the last collects
+	ops   [][]flow.Operator    // per stage instance, its chain of stages
+	emits [][]func(flow.Event) // emits[c][i] feeds ops[c][i]; the last collects
 	out   []flow.Event
 	sink  flow.Sink // nil: the output is dropped
 	rows  int       // produced so far
 	msgs  []stream.Message
 }
 
-func newPlanRig(tb testing.TB, sql string, withSink bool) *planRig {
+// newPlanRig compiles sql and builds instances parallel chains of its
+// stages; a fetch's rows are dealt to the chains in turn.
+func newPlanRig(tb testing.TB, sql string, withSink bool, instances int) *planRig {
 	tb.Helper()
 	cluster, err := stream.NewCluster(stream.ClusterConfig{Name: "c", Nodes: 1, ReplicationInterval: time.Millisecond})
 	if err != nil {
@@ -88,18 +90,22 @@ func newPlanRig(tb testing.TB, sql string, withSink bool) *planRig {
 		}
 		r.sink = flow.NewTopicSink(cluster, "orders_clean", cleanCodec)
 	}
-	for _, st := range plan.Stages {
-		r.ops = append(r.ops, st.New())
-	}
-	r.emits = make([]func(flow.Event), len(r.ops)+1)
-	r.emits[len(r.ops)] = func(e flow.Event) { r.out = append(r.out, e) }
-	for i := len(r.ops) - 1; i >= 0; i-- {
-		op, next := r.ops[i], r.emits[i+1]
-		r.emits[i] = func(e flow.Event) {
-			if err := op.ProcessElement(e, next); err != nil {
-				tb.Fatal(err)
+	for c := 0; c < instances; c++ {
+		ops := make([]flow.Operator, len(plan.Stages))
+		for i, st := range plan.Stages {
+			ops[i] = st.New()
+		}
+		emits := make([]func(flow.Event), len(ops)+1)
+		emits[len(ops)] = func(e flow.Event) { r.out = append(r.out, e) }
+		for i := len(ops) - 1; i >= 0; i-- {
+			op, next := ops[i], emits[i+1]
+			emits[i] = func(e flow.Event) {
+				if err := op.ProcessElement(e, next); err != nil {
+					tb.Fatal(err)
+				}
 			}
 		}
+		r.ops, r.emits = append(r.ops, ops), append(r.emits, emits)
 	}
 	return r
 }
@@ -140,13 +146,15 @@ func (r *planRig) step() int {
 	if err != nil {
 		r.tb.Fatal(err)
 	}
-	for _, e := range events {
-		r.emits[0](e)
+	for i, e := range events {
+		r.emits[i%len(r.emits)][0](e)
 	}
 	wm := r.src.Watermark()
-	for i, op := range r.ops {
-		if err := op.OnWatermark(wm, r.emits[i+1]); err != nil {
-			r.tb.Fatal(err)
+	for c, ops := range r.ops {
+		for i, op := range ops {
+			if err := op.OnWatermark(wm, r.emits[c][i+1]); err != nil {
+				r.tb.Fatal(err)
+			}
 		}
 	}
 	if r.sink != nil && len(r.out) > 0 {
@@ -160,9 +168,9 @@ func (r *planRig) step() int {
 }
 
 // perRowAllocs measures a plan's steady state: allocations per fetched row.
-func perRowAllocs(t *testing.T, sql string, withSink bool) float64 {
+func perRowAllocs(t *testing.T, sql string, withSink bool, instances int) float64 {
 	const runs = 50
-	r := newPlanRig(t, sql, withSink)
+	r := newPlanRig(t, sql, withSink, instances)
 	r.produce(planFetch * (runs + 2))
 	r.step() // first sight of the schema and the window
 	perFetch := testing.AllocsPerRun(runs, func() {
@@ -178,8 +186,17 @@ func perRowAllocs(t *testing.T, sql string, withSink bool) float64 {
 // 128 rows, the producer's per-batch bookkeeping. A map or a boxed value
 // per row shows as 10 or more.
 func TestCleanPlanAllocations(t *testing.T) {
-	if perRow := perRowAllocs(t, cleanPlanSQL, true); perRow > 0.1 {
+	if perRow := perRowAllocs(t, cleanPlanSQL, true, 1); perRow > 0.1 {
 		t.Errorf("clean plan allocates %.3f times per row, want at most 0.1", perRow)
+	}
+}
+
+// Two projection instances feeding one topic sink share one output schema,
+// so the sink binds it once: were each instance to build its own, the sink
+// would rebind — and allocate — whenever the rows' instance changed.
+func TestCleanPlanAllocationsTwoInstances(t *testing.T) {
+	if perRow := perRowAllocs(t, cleanPlanSQL, true, 2); perRow > 0.1 {
+		t.Errorf("clean plan on two instances allocates %.3f times per row, want at most 0.1", perRow)
 	}
 }
 
@@ -187,7 +204,7 @@ func TestCleanPlanAllocations(t *testing.T) {
 // per row either: the key is interned, the window's state is per (key,
 // window).
 func TestWindowPlanAllocations(t *testing.T) {
-	if perRow := perRowAllocs(t, windowPlanSQL, false); perRow > 0.1 {
+	if perRow := perRowAllocs(t, windowPlanSQL, false, 1); perRow > 0.1 {
 		t.Errorf("window plan allocates %.3f times per row, want at most 0.1", perRow)
 	}
 }
@@ -195,7 +212,7 @@ func TestWindowPlanAllocations(t *testing.T) {
 // benchmarkPlan reports ns and allocations per row of a plan's steady state;
 // the source is refilled, untimed, whenever it runs dry.
 func benchmarkPlan(b *testing.B, sql string, withSink bool) {
-	r := newPlanRig(b, sql, withSink)
+	r := newPlanRig(b, sql, withSink, 1)
 	r.produce(planFetch * 64)
 	r.step()
 	rows := 0

@@ -401,3 +401,57 @@ func TestGroupByKeysDoNotCollide(t *testing.T) {
 		}
 	}
 }
+
+// A window keyed by GROUP BY on a long column survives a checkpoint. The key
+// is binary and not valid UTF-8 (200 encodes to a 0xC8 byte), and after a
+// restore each group still has one window, which new rows of the group keep
+// counting into.
+func TestGroupByWindowSurvivesRestore(t *testing.T) {
+	stmt, err := sqlparse.Parse("SELECT restaurant_id, COUNT(*) AS n FROM orders GROUP BY restaurant_id, TUMBLE(ts, 60000)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(stmt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := ordersSchema("orders")
+	keyby := plan.Stages[0].New()
+	feed := func(window flow.Operator, from, to int) {
+		for i := from; i < to; i++ {
+			e := rowEvent(t, schema, record.Record{
+				"order_id": fmt.Sprint(i), "restaurant_id": int64(200 + i%2), "city": "sf",
+				"status": "placed", "amount": 1.0, "ts": base + int64(i),
+			})
+			e.Time = base + int64(i)
+			if err := keyby.ProcessElement(e, func(k flow.Event) {
+				if err := window.ProcessElement(k, func(flow.Event) {}); err != nil {
+					t.Fatal(err)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	window := plan.Stages[1].New()
+	feed(window, 0, 10)
+	snap, err := window.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := plan.Stages[1].New()
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	feed(restored, 10, 20)
+	var got []string
+	if err := restored.OnWatermark(base+120_000, func(e flow.Event) {
+		got = append(got, fmt.Sprintf("%d:%d", e.Data.Long("restaurant_id"), e.Data.Long("n")))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(got)
+	if want := []string{"200:10", "201:10"}; !slices.Equal(got, want) {
+		t.Errorf("restored windows fired %v, want %v", got, want)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"repro/internal/flow"
 	"repro/internal/metadata"
@@ -26,7 +27,7 @@ type rowStage struct {
 
 // ProcessElement implements flow.Operator.
 func (s *rowStage) ProcessElement(e flow.Event, emit func(flow.Event)) error {
-	if e.Data != nil || e.Row.Schema == nil {
+	if !e.IsRow() {
 		return fmt.Errorf("flinksql: the %s stage takes schema-bound rows (flow.Event.Row), not maps", s.name)
 	}
 	s.fn(e, emit)
@@ -279,13 +280,26 @@ func appendGroupKey(dst []byte, cols *columns, r record.Row) []byte {
 const projectChunk = 128
 
 // projectStage emits each row under the output schema — the selected
-// columns, renamed — built once per input schema. The output cells are the
-// input cells as they are: strings still alias the payload, nothing is
-// copied out of it.
+// columns, renamed — built once per input schema and shared by every
+// instance of the stage, so a sink behind several instances sees one schema.
+// The output cells are the input cells as they are: strings still alias the
+// payload, nothing is copied out of it.
 func projectStage(outCols []string, renames map[string]string, parallelism int) flow.StageSpec {
 	names := make([]string, len(outCols))
 	for i, name := range outCols {
 		names[i] = renames[name]
+	}
+	var mu sync.Mutex
+	outputs := make(map[*metadata.Schema]*metadata.Schema)
+	output := func(in *metadata.Schema, at []int) *metadata.Schema {
+		mu.Lock()
+		defer mu.Unlock()
+		out, ok := outputs[in]
+		if !ok {
+			out = outputSchema(in, outCols, at)
+			outputs[in] = out
+		}
+		return out
 	}
 	return flow.StageSpec{
 		Name:        "project",
@@ -297,7 +311,7 @@ func projectStage(outCols []string, renames map[string]string, parallelism int) 
 			return &rowStage{name: "project", fn: func(e flow.Event, emit func(flow.Event)) {
 				if e.Row.Schema != cols.bound {
 					cols.bind(e.Row.Schema)
-					out = outputSchema(e.Row.Schema, outCols, cols.at)
+					out = output(e.Row.Schema, cols.at)
 				}
 				w := len(outCols)
 				if len(chunk) < w {

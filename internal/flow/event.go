@@ -25,10 +25,13 @@ type Event struct {
 	Row record.Row
 }
 
+// IsRow reports whether the payload is the row: Data, when set, wins.
+func (e Event) IsRow() bool { return e.Data == nil && e.Row.Schema != nil }
+
 // Record returns the payload as a map: Data, or the row boxed when Data is
 // nil.
 func (e Event) Record() record.Record {
-	if e.Data == nil && e.Row.Schema != nil {
+	if e.IsRow() {
 		return e.Row.Record()
 	}
 	return e.Data

@@ -128,7 +128,7 @@ func (t *TopicSink) Write(events []Event) error {
 
 // encode appends e's payload to buf and its end to ends.
 func (t *TopicSink) encode(e Event) error {
-	if e.Data != nil || e.Row.Schema == nil {
+	if !e.IsRow() {
 		payload, err := t.codec.Encode(e.Data)
 		if err != nil {
 			return err

@@ -231,11 +231,9 @@ func (s *StreamSource) Skipped() int64 { return s.skipped.Load() }
 // backfills can bound their resource usage while reading historic data far
 // faster than real time.
 type BoundedSource struct {
-	rows      []record.Record
-	cells     []record.Row // replayed instead of rows (NewBoundedRowSource)
-	timeField string
-	lateness  int64
-	batch     int
+	events   []Event
+	lateness int64
+	batch    int
 	// ratePerSec throttles emission; 0 means unthrottled.
 	ratePerSec int
 
@@ -249,10 +247,14 @@ type BoundedSource struct {
 // NewBoundedSource creates a bounded source over rows. timeField supplies
 // event time (0 ⇒ all events at time 0).
 func NewBoundedSource(rows []record.Record, timeField string, batch int) *BoundedSource {
-	if batch <= 0 {
-		batch = 128
+	events := make([]Event, len(rows))
+	for i, r := range rows {
+		events[i].Data = r
+		if timeField != "" {
+			events[i].Time = r.Long(timeField)
+		}
 	}
-	return &BoundedSource{rows: rows, timeField: timeField, batch: batch}
+	return newBoundedSource(events, batch)
 }
 
 // NewBoundedRowSource creates a bounded source over schema-bound rows, which
@@ -260,26 +262,18 @@ func NewBoundedSource(rows []record.Record, timeField string, batch int) *Bounde
 // rows a StreamSource would. Event time is read as NewBoundedSource reads
 // it.
 func NewBoundedRowSource(rows []record.Row, timeField string, batch int) *BoundedSource {
-	b := NewBoundedSource(nil, timeField, batch)
-	b.cells = rows
-	return b
+	events := make([]Event, len(rows))
+	for i, r := range rows {
+		events[i] = Event{Time: r.Long(r.Schema.FieldIndex(timeField)), Row: r}
+	}
+	return newBoundedSource(events, batch)
 }
 
-// len is how many events the source replays in all.
-func (b *BoundedSource) len() int { return len(b.rows) + len(b.cells) }
-
-// event is the i-th event the source replays.
-func (b *BoundedSource) event(i int) Event {
-	if b.cells != nil {
-		r := b.cells[i]
-		return Event{Time: r.Long(r.Schema.FieldIndex(b.timeField)), Row: r}
+func newBoundedSource(events []Event, batch int) *BoundedSource {
+	if batch <= 0 {
+		batch = 128
 	}
-	r := b.rows[i]
-	t := int64(0)
-	if b.timeField != "" {
-		t = r.Long(b.timeField)
-	}
-	return Event{Time: t, Data: r}
+	return &BoundedSource{events: events, batch: batch}
 }
 
 // SetRate throttles the source to at most eventsPerSec (Kappa+ throttling).
@@ -288,11 +282,12 @@ func (b *BoundedSource) SetRate(eventsPerSec int) { b.ratePerSec = eventsPerSec 
 // SetLateness sets the watermark lag in ms.
 func (b *BoundedSource) SetLateness(ms int64) { b.lateness = ms }
 
-// Next implements Source.
+// Next implements Source. The batch is a window onto the source's own
+// events: callers read it and do not write it.
 func (b *BoundedSource) Next(maxWait time.Duration) ([]Event, bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.idx >= b.len() {
+	if b.idx >= len(b.events) {
 		return nil, true, nil
 	}
 	n := b.batch
@@ -317,17 +312,13 @@ func (b *BoundedSource) Next(maxWait time.Duration) ([]Event, bool, error) {
 		}
 		b.tokens -= float64(n)
 	}
-	if b.idx+n > b.len() {
-		n = b.len() - b.idx
-	}
-	out := make([]Event, 0, n)
-	for i := b.idx; i < b.idx+n; i++ {
-		e := b.event(i)
+	n = min(n, len(b.events)-b.idx)
+	out := b.events[b.idx : b.idx+n : b.idx+n]
+	for _, e := range out {
 		b.maxTime = max(b.maxTime, e.Time)
-		out = append(out, e)
 	}
 	b.idx += n
-	return out, b.idx >= b.len(), nil
+	return out, b.idx >= len(b.events), nil
 }
 
 // Watermark implements Source.
@@ -367,5 +358,5 @@ func (b *BoundedSource) Seek(pos []byte) error {
 func (b *BoundedSource) Lag() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return int64(b.len() - b.idx)
+	return int64(len(b.events) - b.idx)
 }

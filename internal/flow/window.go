@@ -179,7 +179,7 @@ func (w *WindowAggOp) ProcessElement(e Event, emit func(Event)) error {
 		w.lateCount++
 		return nil
 	}
-	row := e.Data == nil && e.Row.Schema != nil
+	row := e.IsRow()
 	if row && e.Row.Schema != w.bound {
 		w.bind(e.Row.Schema)
 	}
@@ -289,17 +289,36 @@ func (w *WindowAggOp) OnWatermark(wm int64, emit func(Event)) error {
 // LateEvents returns the number of dropped late events.
 func (w *WindowAggOp) LateEvents() int64 { return w.lateCount }
 
-// windowSnapshot is the serialized checkpoint form.
+// windowSnapshot is the serialized checkpoint form. Each key's state is one
+// entry, its key as raw bytes: a key need not be valid UTF-8 — a compiled
+// GROUP BY key is binary — and JSON would rewrite such a key as an object
+// key.
 type windowSnapshot struct {
-	LastWM  int64
-	Late    int64
-	Windows map[string]map[int64][]aggState
-	Carried map[string]map[int64]record.Record
+	LastWM int64
+	Late   int64
+	Keys   []keyState
 }
 
-// Snapshot implements Operator.
+// keyState is one key's open windows and their carried columns.
+type keyState struct {
+	Key     []byte
+	Windows map[int64][]aggState
+	Carried map[int64]record.Record `json:",omitempty"`
+}
+
+// Snapshot implements Operator; keys are written in order, so equal state
+// snapshots to equal bytes.
 func (w *WindowAggOp) Snapshot() ([]byte, error) {
-	return json.Marshal(windowSnapshot{LastWM: w.lastWM, Late: w.lateCount, Windows: w.windows, Carried: w.carried})
+	keys := make([]string, 0, len(w.windows))
+	for key := range w.windows {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	s := windowSnapshot{LastWM: w.lastWM, Late: w.lateCount, Keys: make([]keyState, len(keys))}
+	for i, key := range keys {
+		s.Keys[i] = keyState{Key: []byte(key), Windows: w.windows[key], Carried: w.carried[key]}
+	}
+	return json.Marshal(s)
 }
 
 // Restore implements Operator.
@@ -313,17 +332,19 @@ func (w *WindowAggOp) Restore(data []byte) error {
 	}
 	w.lastWM = s.LastWM
 	w.lateCount = s.Late
-	w.windows = s.Windows
-	if w.windows == nil {
-		w.windows = make(map[string]map[int64][]aggState)
-	}
-	w.carried = s.Carried
-	if w.carried == nil {
-		w.carried = make(map[string]map[int64]record.Record)
-	}
+	w.windows = make(map[string]map[int64][]aggState, len(s.Keys))
+	w.carried = make(map[string]map[int64]record.Record)
 	w.bytes = 0
-	for key, perKey := range w.windows {
-		w.bytes += int64(len(key)) + 48 + int64(len(perKey))*(int64(len(w.Aggs))*40+16)
+	for _, k := range s.Keys {
+		if len(k.Windows) == 0 {
+			continue
+		}
+		key := string(k.Key)
+		w.windows[key] = k.Windows
+		if len(k.Carried) > 0 {
+			w.carried[key] = k.Carried
+		}
+		w.bytes += int64(len(key)) + 48 + int64(len(k.Windows))*(int64(len(w.Aggs))*40+16)
 	}
 	return nil
 }
