@@ -40,7 +40,7 @@ fuzz-smoke:
 	go test ./internal/record -run='^$$' -fuzz=FuzzCodecDecode -fuzztime=30s
 	go test ./internal/sqlparse -run='^$$' -fuzz=FuzzParse -fuzztime=30s
 	go test ./internal/stream -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=30s
-	go test ./internal/flinksql -run='^$$' -fuzz=FuzzPredicateValue -fuzztime=30s
+	go test ./internal/sqlparse -run='^$$' -fuzz=FuzzPredicateValue -fuzztime=30s
 	go test ./internal/record -run='^$$' -fuzz=FuzzCompare -fuzztime=30s
 
 fmt:

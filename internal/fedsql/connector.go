@@ -378,7 +378,7 @@ func (b *brokerIterator) Next(ctx context.Context) (*Batch, error) {
 	b.stats.RowsReturned += int64(rb.Len)
 	b.stats.BatchesStreamed++
 	// The engine-resident footprint of a streaming scan is one batch.
-	if bb := batchBytes(rb); bb > b.stats.PeakEngineBytes {
+	if bb := rb.Size(); bb > b.stats.PeakEngineBytes {
 		b.stats.PeakEngineBytes = bb
 	}
 	return rb, nil
@@ -548,7 +548,7 @@ func (a *ArchiveConnector) OpenScan(ctx context.Context, table string, pd Pushdo
 		cols = schema.FieldNames()
 	}
 	return &archiveIterator{reader: reader, parts: parts, stats: QueryStats{Streamed: true},
-		batch: Batch{Columns: cols, Cols: make([][]any, len(cols))}}, nil
+		batch: Batch{Columns: cols, Cols: make([]record.Vector, len(cols))}}, nil
 }
 
 // OpenAggregateScan implements StreamingConnector: the archive cannot
@@ -558,8 +558,9 @@ func (a *ArchiveConnector) OpenAggregateScan(ctx context.Context, table string, 
 }
 
 // archiveIterator streams an archived dataset part by part; each part is
-// one batch, decoded by the archive reader straight into the batch's columns
-// — no row is ever assembled on the way.
+// one batch, decoded by the archive reader straight into the batch's typed
+// vectors, reused from part to part — no row is ever assembled on the way,
+// and no value is boxed.
 type archiveIterator struct {
 	reader *objstore.ArchiveReader
 	parts  []string
@@ -584,7 +585,7 @@ func (it *archiveIterator) Next(ctx context.Context) (*Batch, error) {
 	it.batch.Len = n
 	it.stats.RowsReturned += int64(n)
 	it.stats.BatchesStreamed++
-	if bb := batchBytes(&it.batch); bb > it.stats.PeakEngineBytes {
+	if bb := it.batch.Size(); bb > it.stats.PeakEngineBytes {
 		it.stats.PeakEngineBytes = bb
 	}
 	return &it.batch, nil

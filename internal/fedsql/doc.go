@@ -5,10 +5,14 @@
 //
 // Execution is one operator pipeline over batches. Every relation — a
 // connector scan, a pushed-down aggregate, a subquery's result, a join's
-// output — is a RowIterator, and one consumer drives it: residual filter,
-// then aggregate or project, then ORDER BY/LIMIT. Every column reference is
-// bound to a batch column index once per query, never looked up by name per
-// row. Connectors hand over iterators (StreamingConnector: OpenScan pulls
+// output — is a RowIterator of typed column batches (record.Batch), and one
+// consumer drives it: residual filter (sqlparse.Compiled, shared with
+// flinksql), then hash aggregate or project, then ORDER BY/LIMIT, every
+// operator reading and appending typed vectors. A value is boxed only at the
+// edges: Result.Rows and the v2 Scan/AggregateScan drains. A join's build
+// side stays typed under a table keyed by the cell itself. Every column
+// reference is bound to a batch column index once per query, never looked
+// up by name per row. Connectors hand over iterators (StreamingConnector: OpenScan pulls
 // projected, filtered, ordered, limited rows; OpenAggregateScan pushes a
 // whole aggregate query into the backend so only per-group rows cross the
 // boundary). Capabilities are declared explicitly per fragment; an aggregate

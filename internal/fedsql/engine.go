@@ -1,6 +1,7 @@
 package fedsql
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -200,36 +201,46 @@ func (rel *relation) finish(err error) (QueryStats, []string) {
 	return stats, append([]string{line}, rel.plan...)
 }
 
-// execute runs one SELECT through the pipeline every query shape shares:
-// resolveRef yields the FROM clause as an iterator, consume drives it.
+// execute runs one SELECT and boxes its rows: Result.Rows is the engine's
+// edge, where typed vectors become cells.
 func (e *Engine) execute(ctx context.Context, stmt *sqlparse.SelectStmt) (*Result, error) {
-	if err := ctx.Err(); err != nil {
+	out, stats, plan, err := e.run(ctx, stmt)
+	if err != nil {
 		return nil, err
 	}
+	return &Result{Columns: out.Columns, Rows: out.AppendRows(nil), Stats: stats, Plan: plan}, nil
+}
+
+// run runs one SELECT through the pipeline every query shape shares:
+// resolveRef yields the FROM clause as an iterator, consume drives it into
+// typed output vectors.
+func (e *Engine) run(ctx context.Context, stmt *sqlparse.SelectStmt) (*Batch, QueryStats, []string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, QueryStats{}, nil, err
+	}
 	if stmt.From == nil {
-		return nil, fmt.Errorf("fedsql: SELECT without FROM is not supported")
+		return nil, QueryStats{}, nil, fmt.Errorf("fedsql: SELECT without FROM is not supported")
 	}
 	if stmt.Window != nil {
-		return nil, fmt.Errorf("fedsql: window functions belong to the streaming SQL layer (flinksql)")
+		return nil, QueryStats{}, nil, fmt.Errorf("fedsql: window functions belong to the streaming SQL layer (flinksql)")
 	}
 	rel, err := e.resolveRef(ctx, stmt.From, stmt)
 	if err != nil {
-		return nil, err
+		return nil, QueryStats{}, nil, err
 	}
-	res, err := rel.consume(ctx, stmt)
+	out, err := rel.consume(ctx, stmt)
 	stats, plan := rel.finish(err)
 	if err != nil {
-		return nil, err
+		return nil, QueryStats{}, nil, err
 	}
-	res.Stats, res.Plan = stats, plan
-	return res, nil
+	return out, stats, plan, nil
 }
 
-// consume drives the relation to a result: residual filter, then aggregate
-// or project, then ORDER BY/LIMIT. An engine-side aggregation is itself a
-// relation — its groups, laid out like a pushed-down aggregate's response —
-// so both kinds reach collect the same way.
-func (rel *relation) consume(ctx context.Context, stmt *sqlparse.SelectStmt) (*Result, error) {
+// consume drives the relation to its output rows: residual filter, then
+// aggregate or project, then ORDER BY/LIMIT. An engine-side aggregation is
+// itself a relation — its groups, laid out like a pushed-down aggregate's
+// response — so both kinds reach collect the same way.
+func (rel *relation) consume(ctx context.Context, stmt *sqlparse.SelectStmt) (*Batch, error) {
 	defer rel.src.Close()
 	filter := bindPredicates(rel.residual, rel.src.Columns())
 	if !stmt.HasAggregates() || rel.aggregated {
@@ -244,21 +255,24 @@ func (rel *relation) consume(ctx context.Context, stmt *sqlparse.SelectStmt) (*R
 }
 
 // collect is the pipeline's tail and the one place iterator output becomes
-// result rows: it binds the projection to batch columns, copies out the rows
-// that pass filter, and applies ORDER BY/LIMIT unless the backend already
-// did. An unordered LIMIT stops pulling as soon as it is met — any
-// stmt.Limit rows are a correct answer — and the caller's Close then
-// cancels the backend scan.
-func collect(ctx context.Context, src RowIterator, filter []boundPredicate, star []string, stmt *sqlparse.SelectStmt, ordered bool) (*Result, error) {
+// output rows: it binds the projection to batch columns, appends the rows
+// that pass filter to typed output vectors, which grow by doubling, and
+// applies ORDER BY/LIMIT unless the backend already did. An unordered LIMIT
+// stops pulling as soon as it is met — any stmt.Limit rows are a correct
+// answer — and the caller's Close then cancels the backend scan.
+func collect(ctx context.Context, src RowIterator, filter []boundPredicate, star []string, stmt *sqlparse.SelectStmt, ordered bool) (*Batch, error) {
 	names, refs, err := projection(stmt, star)
 	if err != nil {
 		return nil, err
 	}
 	idx := bindColumns(src.Columns(), refs)
-	res := &Result{Columns: names}
-	earlyStop := len(stmt.OrderBy) == 0 && stmt.Limit > 0
-scan:
-	for {
+	out := &Batch{Columns: names, Cols: make([]record.Vector, len(names))}
+	limit := 0
+	if len(stmt.OrderBy) == 0 {
+		limit = stmt.Limit
+	}
+	var sel []int32
+	for limit == 0 || out.Len < limit {
 		b, err := src.Next(ctx)
 		if err == io.EOF {
 			break
@@ -266,26 +280,23 @@ scan:
 		if err != nil {
 			return nil, err
 		}
-		for r := 0; r < b.Len; r++ {
-			if !satisfies(b, r, filter) {
+		sel = filterRows(b, filter, sel)
+		if limit > 0 {
+			sel = sel[:min(len(sel), limit-out.Len)]
+		}
+		for ci, bi := range idx {
+			if bi < 0 {
+				out.Cols[ci].AppendNulls(len(sel))
 				continue
 			}
-			row := make([]any, len(idx))
-			for ci, bi := range idx {
-				row[ci] = cell(b, bi, r)
-			}
-			res.Rows = append(res.Rows, row)
-			if earlyStop && len(res.Rows) >= stmt.Limit {
-				break scan
-			}
+			out.Cols[ci].AppendRows(&b.Cols[bi], sel)
 		}
+		out.Len += len(sel)
 	}
-	if !ordered {
-		if err := orderAndLimit(res, stmt); err != nil {
-			return nil, err
-		}
+	if ordered {
+		return out, nil
 	}
-	return res, nil
+	return orderAndLimit(out, stmt)
 }
 
 // findColumn binds one column reference to its position in cols, -1 (always
@@ -314,29 +325,50 @@ func bindColumns(cols, names []string) []int {
 	return idx
 }
 
-// boundPredicate is a WHERE conjunct bound to its batch column.
+// boundPredicate is a WHERE conjunct compiled for typed cells and bound to
+// its batch column.
 type boundPredicate struct {
 	col int
-	sqlparse.Predicate
+	sqlparse.Compiled
 }
 
 func bindPredicates(preds []sqlparse.Predicate, cols []string) []boundPredicate {
 	out := make([]boundPredicate, len(preds))
 	for i, p := range preds {
-		out[i] = boundPredicate{findColumn(cols, qualName(p.Table, p.Column)), p}
+		out[i] = boundPredicate{findColumn(cols, qualName(p.Table, p.Column)), p.Compile()}
 	}
 	return out
 }
 
-// satisfies applies every bound predicate to batch row r; a NULL or missing
-// column satisfies none.
-func satisfies(b *Batch, r int, filter []boundPredicate) bool {
-	for _, p := range filter {
-		if !p.Matches(cell(b, p.col, r)) {
-			return false
-		}
+// filterRows returns the rows of b that pass every bound predicate, in sel's
+// storage; a NULL or missing column satisfies none. A typed column is read
+// as cells, a boxed one as its boxed values.
+func filterRows(b *Batch, filter []boundPredicate, sel []int32) []int32 {
+	sel = slices.Grow(sel[:0], b.Len)
+	for r := 0; r < b.Len; r++ {
+		sel = append(sel, int32(r))
 	}
-	return true
+	for i := range filter {
+		p := &filter[i]
+		if p.col < 0 {
+			return sel[:0]
+		}
+		v, k := &b.Cols[p.col], 0
+		for _, r := range sel {
+			var ok bool
+			if v.Boxed() {
+				ok = p.Matches(v.Any[r])
+			} else {
+				ok = p.MatchesValue(v.Value(int(r)), v.Type)
+			}
+			if ok {
+				sel[k] = r
+				k++
+			}
+		}
+		sel = sel[:k]
+	}
+	return sel
 }
 
 func (e *Engine) resolveRef(ctx context.Context, ref *sqlparse.TableRef, stmt *sqlparse.SelectStmt) (*relation, error) {
@@ -344,13 +376,13 @@ func (e *Engine) resolveRef(ctx context.Context, ref *sqlparse.TableRef, stmt *s
 	case ref.Join != nil:
 		return e.resolveJoin(ctx, ref.Join, stmt)
 	case ref.Sub != nil:
-		sub, err := e.execute(ctx, ref.Sub)
+		sub, stats, plan, err := e.run(ctx, ref.Sub)
 		if err != nil {
 			return nil, err
 		}
 		return &relation{
-			src:  newRowsIterator(sub.Columns, sub.Rows, QueryStats{}),
-			star: sub.Columns, stats: sub.Stats, plan: sub.Plan,
+			src:  newBatchIterator(*sub, QueryStats{}),
+			star: sub.Columns, stats: stats, plan: plan,
 			// Outer predicates apply in the engine.
 			residual: predicatesFor(stmt.Where, ref.RefName(), true),
 		}, nil
@@ -423,8 +455,10 @@ func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sq
 		// Fallback: stream the rows the aggregation reads (with whatever
 		// filter pushdown the backend offers) and aggregate in the engine,
 		// batch-at-a-time.
-		e.Log.Warn("pushdown fallback", obs.F("catalog", catalog), obs.F("table", ref.Name),
-			obs.F("fragment", "aggregate"), obs.F("capabilities", fmt.Sprintf("%+v", caps)))
+		if e.Log != nil { // the fields are formatted only for a logger
+			e.Log.Warn("pushdown fallback", obs.F("catalog", catalog), obs.F("table", ref.Name),
+				obs.F("fragment", "aggregate"), obs.F("capabilities", fmt.Sprintf("%+v", caps)))
+		}
 		if e.Logf != nil {
 			e.Logf("fedsql: aggregate pushdown fallback for %s.%s (connector capabilities %+v)", catalog, ref.Name, caps)
 		}
@@ -587,11 +621,11 @@ func planLine(m *scanMeta, st QueryStats, elapsed time.Duration) string {
 }
 
 // resolveJoin opens a hash join as a relation. The right side is the build
-// side: its statement executes to completion into the hash table,
-// concurrently with opening the left side so both backends' scatter-gathers
-// overlap. The left side is the probe side and stays an iterator — its rows
-// flow through joinIterator as the consumer pulls and are never held as a
-// joined slice.
+// side: its statement runs to completion into typed vectors and the join
+// table over them (joinTable), concurrently with opening the left side so
+// both backends' scatter-gathers overlap. The left side is the probe side and
+// stays an iterator — its rows flow through joinIterator as the consumer
+// pulls and are never held as a joined slice.
 func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sqlparse.SelectStmt) (*relation, error) {
 	// Each side runs as its own statement: the columns the join's consumer
 	// can reach on that side, under the predicates qualified with its name.
@@ -615,14 +649,16 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 	rightStmt := sideStmt(j.Right, rightSchema, j.RightCol, j.Left, leftSchema)
 	ctx, cancel := context.WithCancel(ctx)
 	var (
-		wg       sync.WaitGroup
-		build    *Result
-		buildErr error
+		wg         sync.WaitGroup
+		build      *Batch
+		buildStats QueryStats
+		buildPlan  []string
+		buildErr   error
 	)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		build, buildErr = e.execute(ctx, rightStmt)
+		build, buildStats, buildPlan, buildErr = e.run(ctx, rightStmt)
 		if buildErr != nil {
 			cancel() // abort the probe side
 		}
@@ -650,19 +686,11 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 	}
 
 	it := &joinIterator{
-		probe:     probe.src,
-		cancel:    cancel,
-		filter:    bindPredicates(probe.residual, probe.src.Columns()),
-		probeKey:  findColumn(probe.src.Columns(), j.LeftCol),
-		buildRows: make(map[string][][]any, len(build.Rows)),
-	}
-	buildKey := findColumn(build.Columns, j.RightCol)
-	var key []byte
-	for _, row := range build.Rows {
-		if buildKey >= 0 && row[buildKey] != nil { // a NULL key joins nothing
-			key = appendHashKey(key[:0], row[buildKey])
-			it.buildRows[string(key)] = append(it.buildRows[string(key)], row)
-		}
+		probe:    probe.src,
+		cancel:   cancel,
+		filter:   bindPredicates(probe.residual, probe.src.Columns()),
+		probeKey: findColumn(probe.src.Columns(), j.LeftCol),
+		build:    newJoinTable(build, findColumn(build.Columns, j.RightCol)),
 	}
 	// Output columns are alias.column for both sides, probe side first (a
 	// side that is itself a join is qualified already); SELECT * is the
@@ -673,31 +701,122 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 	for _, c := range build.Columns {
 		it.batch.Columns = append(it.batch.Columns, qualName(j.Right.RefName(), c))
 	}
-	it.batch.Cols = make([][]any, len(it.batch.Columns))
+	it.batch.Cols = make([]record.Vector, len(it.batch.Columns))
 	star := stripQualifiers(it.batch.Columns)
 	sort.Strings(star)
 	star = slices.Compact(star)
 
 	stats := probe.stats
-	stats.Merge(build.Stats)
+	stats.Merge(buildStats)
 	return &relation{src: it, star: star, scan: probe.scan, stats: stats,
-		plan:     append(append([]string(nil), probe.plan...), build.Plan...),
+		plan:     append(append([]string(nil), probe.plan...), buildPlan...),
 		residual: after}, nil
+}
+
+// joinTable is a hash join's build side: its rows as they were collected,
+// typed, and the rows of each key chained in row order. It is keyed by the
+// cell itself, under appendHashKey's classes — a number by its canonical
+// float64 bits, a string (or a non-scalar's %v) by its text — so no key is
+// built per row; a NULL key joins nothing.
+type joinTable struct {
+	rows *Batch
+	nums map[uint64]int32 // first row of each number key
+	strs map[string]int32 // first row of each text key
+	next []int32          // the following row with the same key, -1 after the last
+}
+
+func newJoinTable(rows *Batch, key int) *joinTable {
+	t := &joinTable{rows: rows, nums: map[uint64]int32{}, strs: map[string]int32{}, next: make([]int32, rows.Len)}
+	if key < 0 {
+		return t
+	}
+	// The key column's own class is sized for every row.
+	v := &rows.Cols[key]
+	if v.Type == metadata.TypeString {
+		t.strs = make(map[string]int32, rows.Len)
+	} else if v.Type != metadata.TypeInvalid && v.Type != metadata.TypeBytes {
+		t.nums = make(map[uint64]int32, rows.Len)
+	}
+	// Chained last row first, so each chain runs in row order.
+	for r := rows.Len - 1; r >= 0; r-- {
+		num, bits, text, ok := joinKey(v, r)
+		if !ok {
+			continue
+		}
+		var head int32
+		var seen bool
+		if num {
+			head, seen = t.nums[bits]
+			t.nums[bits] = int32(r)
+		} else {
+			head, seen = t.strs[text]
+			t.strs[text] = int32(r)
+		}
+		t.next[r] = -1
+		if seen {
+			t.next[r] = head
+		}
+	}
+	return t
+}
+
+// first returns the first build row whose key equals row r of v, or -1.
+func (t *joinTable) first(v *record.Vector, r int) int32 {
+	num, bits, text, ok := joinKey(v, r)
+	if !ok {
+		return -1
+	}
+	var head int32
+	if num {
+		head, ok = t.nums[bits]
+	} else {
+		head, ok = t.strs[text]
+	}
+	if !ok {
+		return -1
+	}
+	return head
+}
+
+// joinKey classifies row r's join key by appendHashKey's classes: a number
+// and its canonical float64 bits, or a text; ok is false for NULL.
+func joinKey(v *record.Vector, r int) (num bool, bits uint64, text string, ok bool) {
+	switch {
+	case v.IsNull(r):
+		return false, 0, "", false
+	case v.Type == metadata.TypeString:
+		return false, 0, v.Strs[r], true
+	case v.Type == metadata.TypeDouble:
+		return true, canonBits(v.Floats[r]), "", true
+	case v.Type != metadata.TypeInvalid && v.Type != metadata.TypeBytes:
+		return true, canonBits(float64(v.Ints[r])), "", true
+	}
+	x := v.Box(r)
+	if f, isNum := record.ToFloat64(x); isNum {
+		return true, canonBits(f), "", true
+	}
+	s, isStr := x.(string)
+	if !isStr {
+		s = fmt.Sprintf("%v", x)
+	}
+	return false, 0, s, true
 }
 
 // joinIterator is the hash-join operator: each probe batch becomes one
 // output batch holding, for every probe row that passes the probe side's
-// residual filter, one row per build row with an equal key. Keys are equal
-// under appendHashKey — numerics by value, strings by content, never across
-// the two — and a NULL key equals nothing. SELECT * over the join and bare
+// residual filter, one row per build row with an equal key (joinTable). The
+// matches are found first, as row pairs, and then gathered column by column
+// into typed output vectors from both sides. SELECT * over the join and bare
 // column references resolve through findColumn: the probe side wins a clash.
 type joinIterator struct {
 	probe     RowIterator
 	cancel    context.CancelFunc // releases the join's context; see Close
 	filter    []boundPredicate
 	probeKey  int
-	buildRows map[string][][]any // build-side rows by appendHashKey of their key
-	key       []byte
+	build     *joinTable
+	sel       []int32
+	probeRows []int32 // the current batch's matches: probe row,
+	buildRows []int32 // and build row
 	batch     Batch
 }
 
@@ -709,29 +828,33 @@ func (j *joinIterator) Next(ctx context.Context) (*Batch, error) {
 		if err != nil {
 			return nil, err
 		}
+		j.probeRows, j.buildRows = j.probeRows[:0], j.buildRows[:0]
+		if j.probeKey >= 0 {
+			j.sel = filterRows(b, j.filter, j.sel)
+			// Sized for one match per row, the common case of a dimension.
+			j.probeRows, j.buildRows = slices.Grow(j.probeRows, len(j.sel)), slices.Grow(j.buildRows, len(j.sel))
+			key := &b.Cols[j.probeKey]
+			for _, r := range j.sel {
+				for br := j.build.first(key, int(r)); br >= 0; br = j.build.next[br] {
+					j.probeRows = append(j.probeRows, r)
+					j.buildRows = append(j.buildRows, br)
+				}
+			}
+		}
+		if len(j.probeRows) == 0 {
+			continue
+		}
 		for ci := range j.batch.Cols {
-			j.batch.Cols[ci] = j.batch.Cols[ci][:0]
+			j.batch.Cols[ci].Reset(metadata.TypeInvalid) // takes its source's type
 		}
-		j.batch.Len = 0
-		for r := 0; r < b.Len; r++ {
-			k := cell(b, j.probeKey, r)
-			if k == nil || !satisfies(b, r, j.filter) {
-				continue
-			}
-			j.key = appendHashKey(j.key[:0], k)
-			for _, row := range j.buildRows[string(j.key)] {
-				for ci := range b.Cols {
-					j.batch.Cols[ci] = append(j.batch.Cols[ci], b.Cols[ci][r])
-				}
-				for ci, v := range row {
-					j.batch.Cols[len(b.Cols)+ci] = append(j.batch.Cols[len(b.Cols)+ci], v)
-				}
-				j.batch.Len++
-			}
+		for ci := range b.Cols {
+			j.batch.Cols[ci].AppendRows(&b.Cols[ci], j.probeRows)
 		}
-		if j.batch.Len > 0 {
-			return &j.batch, nil
+		for ci := range j.build.rows.Cols {
+			j.batch.Cols[len(b.Cols)+ci].AppendRows(&j.build.rows.Cols[ci], j.buildRows)
 		}
+		j.batch.Len = len(j.probeRows)
+		return &j.batch, nil
 	}
 }
 
@@ -890,10 +1013,10 @@ func sideColumns(refs []colRef, key, side string, schema *metadata.Schema, other
 }
 
 // appendHashKey appends v's lookup-key encoding: a tag, then a number's
-// float64 bits (every NaN as one) or a string's length and bytes. Two
-// values get the same bytes exactly when record.AppendValueKey spells them
-// the same — int64(3) is float64(3), a string is never a number, NULL is
-// apart, a non-scalar is its formatted form — so the hash tables group and
+// float64 bits (every NaN as one, -0 as 0) or a string's length and bytes.
+// Two values get the same bytes exactly when record.AppendValueKey spells
+// them the same — int64(3) is float64(3), a string is never a number, NULL
+// is apart, a non-scalar is its formatted form — so the hash tables group and
 // join by the canonical key's classes without formatting a number or quoting
 // a string per row. The length prefix keeps a tuple's keys from aliasing.
 func appendHashKey(key []byte, v any) []byte {
@@ -901,16 +1024,52 @@ func appendHashKey(key []byte, v any) []byte {
 		return append(key, 0)
 	}
 	if f, ok := record.ToFloat64(v); ok {
-		if f != f {
-			f = math.NaN()
-		}
-		return binary.LittleEndian.AppendUint64(append(key, 1), math.Float64bits(f))
+		return appendNumKey(key, f)
 	}
 	s, ok := v.(string)
 	if !ok {
 		s = fmt.Sprintf("%v", v)
 	}
+	return appendTextKey(key, s)
+}
+
+// appendCellKey is appendHashKey of row r of batch column col (-1 is NULL),
+// read from the typed vector without boxing it.
+func appendCellKey(key []byte, b *Batch, col, r int) []byte {
+	if col < 0 {
+		return append(key, 0)
+	}
+	v := &b.Cols[col]
+	switch {
+	case v.IsNull(r):
+		return append(key, 0)
+	case v.Type == metadata.TypeString:
+		return appendTextKey(key, v.Strs[r])
+	case v.Type == metadata.TypeDouble:
+		return appendNumKey(key, v.Floats[r])
+	case v.Type == metadata.TypeInvalid || v.Type == metadata.TypeBytes:
+		return appendHashKey(key, v.Box(r))
+	}
+	return appendNumKey(key, float64(v.Ints[r]))
+}
+
+func appendNumKey(key []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(append(key, 1), canonBits(f))
+}
+
+func appendTextKey(key []byte, s string) []byte {
 	return append(binary.AppendUvarint(append(key, 2), uint64(len(s))), s...)
+}
+
+// canonBits is a number's key: its float64 bits, with one NaN and 0 for -0.
+func canonBits(f float64) uint64 {
+	switch {
+	case f != f:
+		f = math.NaN()
+	case f == 0:
+		f = 0
+	}
+	return math.Float64bits(f)
 }
 
 // aggState accumulates one aggregate of one group; count is the number of
@@ -921,30 +1080,37 @@ type aggState struct {
 	min, max float64
 }
 
-// final is the aggregate's value. SQL NULL semantics, matching the OLAP
-// layer's aggValue: MIN/MAX/AVG over zero non-null values are NULL, so the
-// engine-side fallback stays equivalent to pushdown.
-func (st aggState) final(f sqlparse.FuncKind) any {
-	switch {
-	case f == sqlparse.FuncCount:
-		return st.count
-	case f == sqlparse.FuncSum:
-		return st.sum
-	case st.count == 0:
-		return nil
-	case f == sqlparse.FuncMin:
-		return st.min
-	case f == sqlparse.FuncMax:
-		return st.max
-	default:
-		return st.sum / float64(st.count)
+func (st *aggState) add(f float64) {
+	if st.count == 0 || f < st.min {
+		st.min = f
 	}
+	if st.count == 0 || f > st.max {
+		st.max = f
+	}
+	st.count++
+	st.sum += f
 }
 
-type aggGroup struct {
-	key    string // record.AppendValueKey of values: the output order
-	values []any
-	states []aggState
+// appendFinal appends the aggregate's value to v: COUNT's int64 to a long
+// column, every other aggregate's float64 to a double column. SQL NULL
+// semantics, matching the OLAP layer's aggValue: MIN/MAX/AVG over zero
+// non-null values are NULL, so the engine-side fallback stays equivalent to
+// pushdown.
+func (st aggState) appendFinal(v *record.Vector, f sqlparse.FuncKind) {
+	switch {
+	case f == sqlparse.FuncCount:
+		v.Ints = append(v.Ints, st.count)
+	case f == sqlparse.FuncSum:
+		v.Floats = append(v.Floats, st.sum)
+	case st.count == 0:
+		v.AppendNulls(1)
+	case f == sqlparse.FuncMin:
+		v.Floats = append(v.Floats, st.min)
+	case f == sqlparse.FuncMax:
+		v.Floats = append(v.Floats, st.max)
+	default:
+		v.Floats = append(v.Floats, st.sum/float64(st.count))
+	}
 }
 
 // aggregate is the engine-side hash aggregation: it folds the rows of src
@@ -953,7 +1119,8 @@ type aggGroup struct {
 // and returns the groups as an in-memory relation laid out like a pushed-down
 // aggregate's response: the GROUP BY columns, then one column per aggregate
 // named by OutputName, rows in canonical group-key order. A row finds its
-// group by appendHashKey of its GROUP BY values.
+// group by appendCellKey of its typed GROUP BY cells; each aggregate then
+// folds its input vector for the whole batch (fold).
 func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, stmt *sqlparse.SelectStmt) (RowIterator, error) {
 	var aggs []sqlparse.SelectItem
 	var inputs []string
@@ -965,8 +1132,19 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 	}
 	groupIdx := bindColumns(src.Columns(), stmt.GroupBy)
 	inputIdx := bindColumns(src.Columns(), inputs)
-	groups := map[string]*aggGroup{}
-	var key []byte
+	var (
+		index  = map[string]int32{} // appendCellKey of a group's values → group
+		values = make([]record.Vector, len(groupIdx))
+		// Group g's record.AppendValueKey of its values, the output order, is
+		// canon[ends[g-1]:ends[g]] (from 0 for the first).
+		canon  []byte
+		ends   []int
+		states []aggState // group g's aggregates are states[g*len(aggs):][:len(aggs)]
+		key    []byte
+		sel    []int32
+		groups []int32 // the group of each selected row
+		one    = make([]int32, 1)
+	)
 	for {
 		b, err := src.Next(ctx)
 		if err == io.EOF {
@@ -975,84 +1153,124 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 		if err != nil {
 			return nil, err
 		}
-		for r := 0; r < b.Len; r++ {
-			if !satisfies(b, r, filter) {
-				continue
-			}
+		sel = filterRows(b, filter, sel)
+		groups = slices.Grow(groups[:0], len(sel))
+		for _, r := range sel {
 			key = key[:0]
 			for _, gi := range groupIdx {
-				key = appendHashKey(key, cell(b, gi, r))
+				key = appendCellKey(key, b, gi, int(r))
 			}
-			g, ok := groups[string(key)]
+			g, ok := index[string(key)]
 			if !ok {
-				// The canonical key is formatted once per group, not per row.
-				g = &aggGroup{values: make([]any, len(groupIdx)), states: make([]aggState, len(aggs))}
-				var canon []byte
+				// The group's values are copied, and its canonical key
+				// formatted, once per group, not per row.
+				g = int32(len(ends))
+				index[string(key)] = g
+				one[0] = r
 				for i, gi := range groupIdx {
-					g.values[i] = cell(b, gi, r)
-					canon = record.AppendValueKey(canon, g.values[i])
-				}
-				g.key = string(canon)
-				groups[string(key)] = g
-			}
-			for i, it := range aggs {
-				st := &g.states[i]
-				v := cell(b, inputIdx[i], r)
-				if it.Func == sqlparse.FuncCount {
-					if v != nil || it.Column == "" { // COUNT(col), COUNT(*)
-						st.count++
+					if gi < 0 {
+						values[i].AppendNulls(1)
+					} else {
+						values[i].AppendRows(&b.Cols[gi], one)
 					}
-					continue
+					canon = values[i].AppendKey(canon, int(g))
 				}
-				if v == nil {
-					continue
+				ends = append(ends, len(canon))
+				for range aggs {
+					states = append(states, aggState{})
 				}
-				f, ok := record.ToFloat64(v)
-				if !ok {
-					// Match the OLAP layer's validation: SUM/AVG/MIN/MAX over
-					// non-numeric values are rejected, never coerced to 0, so
-					// the engine-side fallback stays equivalent to pushdown.
-					return nil, fmt.Errorf("fedsql: %s over non-numeric value %T is not supported; use COUNT", it.OutputName(), v)
-				}
-				if st.count == 0 || f < st.min {
-					st.min = f
-				}
-				if st.count == 0 || f > st.max {
-					st.max = f
-				}
-				st.count++
-				st.sum += f
+			}
+			groups = append(groups, g)
+		}
+		for i, it := range aggs {
+			if err := fold(states, len(aggs), i, it, b, inputIdx[i], sel, groups); err != nil {
+				return nil, err
 			}
 		}
 	}
-	if len(groups) == 0 && len(stmt.GroupBy) == 0 {
-		groups[""] = &aggGroup{states: make([]aggState, len(aggs))}
+	if len(ends) == 0 && len(stmt.GroupBy) == 0 {
+		ends = []int{0}
+		states = make([]aggState, len(aggs))
 	}
-	sorted := make([]*aggGroup, 0, len(groups))
-	for _, g := range groups {
-		sorted = append(sorted, g)
+	canonOf := func(g int32) []byte {
+		if g == 0 {
+			return canon[:ends[0]]
+		}
+		return canon[ends[g-1]:ends[g]]
 	}
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].key < sorted[b].key })
-	cols := append([]string(nil), stmt.GroupBy...)
-	for _, it := range aggs {
-		cols = append(cols, it.OutputName())
+	order := make([]int32, len(ends))
+	for g := range order {
+		order[g] = int32(g)
 	}
-	rows := make([][]any, len(sorted))
-	for ri, g := range sorted {
-		rows[ri] = g.values
-		for i, it := range aggs {
-			rows[ri] = append(rows[ri], g.states[i].final(it.Func))
+	sort.Slice(order, func(a, b int) bool { return bytes.Compare(canonOf(order[a]), canonOf(order[b])) < 0 })
+	out := Batch{Columns: append([]string(nil), stmt.GroupBy...), Cols: make([]record.Vector, len(groupIdx)+len(aggs)), Len: len(order)}
+	for i := range groupIdx {
+		out.Cols[i].AppendRows(&values[i], order)
+	}
+	for i, it := range aggs {
+		out.Columns = append(out.Columns, it.OutputName())
+		v := &out.Cols[len(groupIdx)+i]
+		v.Reset(metadata.TypeDouble)
+		if it.Func == sqlparse.FuncCount {
+			v.Reset(metadata.TypeLong)
+		}
+		for _, g := range order {
+			states[int(g)*len(aggs)+i].appendFinal(v, it.Func)
 		}
 	}
-	return newRowsIterator(cols, rows, QueryStats{}), nil
+	return newBatchIterator(out, QueryStats{}), nil
 }
 
-// cell is batch column col at row r; an unbound column (-1) is NULL.
-func cell(b *Batch, col, r int) any {
+// fold folds aggregate ai's input, batch column col (-1 is NULL), of the
+// selected rows into their groups' states: row sel[j] into group groups[j].
+// The column's type is switched on once per batch; a number is read straight
+// from Floats or Ints. SUM/AVG/MIN/MAX over a non-NULL value that is not a
+// number is an error, as in the OLAP layer, never coerced to 0, so the
+// engine-side fallback stays equivalent to pushdown.
+func fold(states []aggState, naggs, ai int, it sqlparse.SelectItem, b *Batch, col int, sel, groups []int32) error {
+	st := func(j int) *aggState { return &states[int(groups[j])*naggs+ai] }
 	if col < 0 {
+		if it.Func == sqlparse.FuncCount && it.Column == "" { // COUNT(*)
+			for j := range sel {
+				st(j).count++
+			}
+		}
 		return nil
 	}
-	return b.Cols[col][r]
+	v := &b.Cols[col]
+	switch {
+	case it.Func == sqlparse.FuncCount:
+		for j, r := range sel {
+			if !v.IsNull(int(r)) {
+				st(j).count++
+			}
+		}
+	case v.Type == metadata.TypeDouble:
+		for j, r := range sel {
+			if !v.IsNull(int(r)) {
+				st(j).add(v.Floats[r])
+			}
+		}
+	case v.Type == metadata.TypeLong || v.Type == metadata.TypeTimestamp || v.Type == metadata.TypeBool:
+		for j, r := range sel {
+			if !v.IsNull(int(r)) {
+				st(j).add(float64(v.Ints[r]))
+			}
+		}
+	default: // strings, blobs, boxed cells: only a number may pass
+		for j, r := range sel {
+			x := v.Box(int(r))
+			if x == nil {
+				continue
+			}
+			f, ok := record.ToFloat64(x)
+			if !ok {
+				return fmt.Errorf("fedsql: %s over non-numeric value %T is not supported; use COUNT", it.OutputName(), x)
+			}
+			st(j).add(f)
+		}
+	}
+	return nil
 }
 
 func qualName(table, column string) string {
@@ -1091,26 +1309,66 @@ func projection(stmt *sqlparse.SelectStmt, star []string) (names, refs []string,
 	return names, refs, nil
 }
 
-// orderAndLimit applies ORDER BY / LIMIT on the final result.
-func orderAndLimit(res *Result, stmt *sqlparse.SelectStmt) error {
-	if len(stmt.OrderBy) > 0 {
-		idx := make([]int, len(stmt.OrderBy))
+// orderAndLimit applies ORDER BY / LIMIT to collected rows: row positions
+// sort stably by the typed cells (compareRows), and the first LIMIT of them
+// are gathered into the output.
+func orderAndLimit(out *Batch, stmt *sqlparse.SelectStmt) (*Batch, error) {
+	n := out.Len
+	if stmt.Limit > 0 {
+		n = min(n, stmt.Limit)
+	}
+	if len(stmt.OrderBy) == 0 {
+		out.Slice(0, n)
+		return out, nil
+	}
+	idx := make([]int, len(stmt.OrderBy))
+	for i, o := range stmt.OrderBy {
+		if idx[i] = findColumn(out.Columns, o.Column); idx[i] < 0 {
+			return nil, fmt.Errorf("fedsql: ORDER BY column %q not in projection", o.Column)
+		}
+	}
+	perm := make([]int32, out.Len)
+	for r := range perm {
+		perm[r] = int32(r)
+	}
+	sort.SliceStable(perm, func(a, b int) bool {
 		for i, o := range stmt.OrderBy {
-			if idx[i] = findColumn(res.Columns, o.Column); idx[i] < 0 {
-				return fmt.Errorf("fedsql: ORDER BY column %q not in projection", o.Column)
+			if c := compareRows(&out.Cols[idx[i]], int(perm[a]), int(perm[b])); c != 0 {
+				return (c < 0) != o.Desc
 			}
 		}
-		sort.SliceStable(res.Rows, func(a, b int) bool {
-			for i, o := range stmt.OrderBy {
-				if cmp := record.Compare(res.Rows[a][idx[i]], res.Rows[b][idx[i]]); cmp != 0 {
-					return (cmp < 0) != o.Desc
-				}
-			}
-			return false
-		})
+		return false
+	})
+	sorted := &Batch{Columns: out.Columns, Cols: make([]record.Vector, len(out.Cols)), Len: n}
+	for ci := range out.Cols {
+		sorted.Cols[ci].AppendRows(&out.Cols[ci], perm[:n])
 	}
-	if stmt.Limit > 0 && len(res.Rows) > stmt.Limit {
-		res.Rows = res.Rows[:stmt.Limit]
+	return sorted, nil
+}
+
+// compareRows is record.Compare of rows a and b of one column, read typed
+// where the column is: numbers as float64, strings as strings.
+func compareRows(v *record.Vector, a, b int) int {
+	if v.Boxed() || v.Type == metadata.TypeBytes || v.IsNull(a) || v.IsNull(b) {
+		return record.Compare(v.Box(a), v.Box(b))
 	}
-	return nil
+	switch v.Type {
+	case metadata.TypeString:
+		return strings.Compare(v.Strs[a], v.Strs[b])
+	case metadata.TypeDouble:
+		return compareNums(v.Floats[a], v.Floats[b])
+	}
+	return compareNums(float64(v.Ints[a]), float64(v.Ints[b]))
+}
+
+// compareNums orders two numbers as record.Compare does: a NaN is equal to
+// everything.
+func compareNums(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }

@@ -2,6 +2,7 @@ package fedsql
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/metadata"
@@ -362,5 +363,61 @@ func TestConnectorMetadata(t *testing.T) {
 	}
 	if _, err := pinot.Schema("nope"); err == nil {
 		t.Error("missing schema should error")
+	}
+}
+
+// TestNegativeZeroGroupsWithZero: -0 and 0 are one value to record.Compare
+// and to the reference, so GROUP BY over them is one group — from the
+// consuming and the sealed table, pushed down and aggregated engine-side,
+// and from the archive.
+func TestNegativeZeroGroupsWithZero(t *testing.T) {
+	rows := orderRows(12)
+	for i, r := range rows {
+		r["amount"] = []float64{math.Copysign(0, -1), 0, 2.5}[i%3]
+	}
+	store := objstore.NewMemStore()
+	hive := NewArchiveConnector("hive", store)
+	db := reftest.DB{"hive.orders": archiveTable(t, hive, store, ordersSchema(), rows)}
+	db["pinot.orders"] = db["hive.orders"]
+	for _, sealed := range []bool{false, true} {
+		d, err := olap.NewDeployment(olap.DeploymentConfig{
+			Table:        olap.TableConfig{Name: "orders", Schema: ordersSchema(), SegmentRows: 100},
+			Servers:      []*olap.Server{olap.NewServer("s0")},
+			SegmentStore: objstore.NewMemStore(),
+			Backup:       olap.BackupP2P,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if err := d.Ingest(0, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sealed {
+			if err := d.Seal(0); err != nil {
+				t.Fatal(err)
+			}
+			d.WaitUploads()
+		}
+		pinot := NewPinotConnector("pinot")
+		pinot.AddTable(d)
+		e := NewEngine()
+		e.Register(pinot)
+		e.Register(hive)
+		for _, disable := range []bool{false, true} {
+			pinot.DisablePushdown = disable
+			for _, catalog := range []string{"pinot", "hive"} {
+				sql := fmt.Sprintf("SELECT amount, COUNT(*) AS n FROM %s.orders GROUP BY amount", catalog)
+				res, err := e.Query(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) != 2 {
+					t.Errorf("sealed %v, pushdown off %v: %s = %v, want the groups 0 and 2.5", sealed, disable, sql, res.Rows)
+				}
+				checkRef(t, db, sql, res)
+			}
+		}
 	}
 }

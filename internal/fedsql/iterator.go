@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/metadata"
 	"repro/internal/record"
 )
 
@@ -15,30 +16,12 @@ import (
 // side's, so consumers must not assume the bound.
 const BatchRows = 4096
 
-// Batch is one column-major batch of rows crossing the connector boundary —
-// the OLAP layer's scan batch, so a broker stream's batches cross as they
-// are — valid only until the iterator's following Next or Close call.
+// Batch is one column-major batch of typed column vectors crossing the
+// connector boundary — the OLAP layer's scan batch, so a broker stream's
+// batches cross as they are — valid only until the iterator's following Next
+// or Close call. Its resident size (record.Batch.Size, read from the vector
+// lengths) is the unit the engine tracks as PeakEngineBytes.
 type Batch = record.Batch
-
-// batchBytes estimates the resident size of the batch's values — the unit
-// the engine tracks as PeakEngineBytes.
-func batchBytes(b *Batch) int64 {
-	var n int64
-	for ci := range b.Cols {
-		for _, v := range b.Cols[ci][:b.Len] {
-			n += approxValueBytes(v)
-		}
-	}
-	return n
-}
-
-func approxValueBytes(v any) int64 {
-	const word = 16 // interface header + typical boxed scalar
-	if s, ok := v.(string); ok {
-		return word + int64(len(s))
-	}
-	return word
-}
 
 // RowIterator is the engine's one data contract: a pull-based stream of row
 // batches. Table scans, pushed-down aggregates, subquery results and join
@@ -121,9 +104,9 @@ func recordsIterator(recs []record.Record, stats QueryStats, err error) (RowIter
 
 // drainRecords consumes a just-opened iterator (or passes on the error that
 // opening it returned) into the v2 slice shape, NULLs omitted — the body of
-// every in-tree Scan/AggregateScan, and the only place a batch row becomes a
-// record. The caller receives a materialized result, so the stats say so:
-// Streamed is cleared and PeakEngineBytes covers the whole slice.
+// every in-tree Scan/AggregateScan, and an edge where batch rows are boxed.
+// The caller receives a materialized result, so the stats say so: Streamed
+// is cleared and PeakEngineBytes covers every batch drained.
 func drainRecords(ctx context.Context, it RowIterator, err error) ([]record.Record, QueryStats, error) {
 	if err != nil {
 		return nil, QueryStats{}, err
@@ -139,12 +122,12 @@ func drainRecords(ctx context.Context, it RowIterator, err error) ([]record.Reco
 		if err != nil {
 			return nil, QueryStats{}, err
 		}
+		total += b.Size()
 		for r := 0; r < b.Len; r++ {
 			rec := make(record.Record, len(b.Columns))
 			for ci, c := range b.Columns {
-				if v := b.Cols[ci][r]; v != nil {
+				if v := b.Cols[ci].Box(r); v != nil {
 					rec[c] = v
-					total += approxValueBytes(v)
 				}
 			}
 			recs = append(recs, rec)
@@ -159,60 +142,76 @@ func drainRecords(ctx context.Context, it RowIterator, err error) ([]record.Reco
 	return recs, stats, nil
 }
 
-// rowsIterator is the one in-memory source: it serves rows that already
-// exist — a subquery's result, a pushed-down aggregate's response, a v2
-// connector's slice — as batches, reading them only (a cached broker
-// response shares its rows between callers). It reports exec=materialized
-// (Streamed stays false) and counts the whole result into PeakEngineBytes:
-// every row was resident before the first batch was pulled, which is what
-// streaming scans avoid.
-type rowsIterator struct {
-	cols  []string
-	rows  [][]any
-	pos   int
-	stats QueryStats
-	batch Batch
-}
-
+// newRowsIterator serves rows that already exist — a pushed-down aggregate's
+// response, a v2 connector's slice — through the in-memory source, reading
+// them only (a cached broker response shares its rows between callers). Each
+// column is typed once, here: a column whose non-NULL cells share one Go type
+// becomes that type's vector, any other stays boxed (record.Vector).
 func newRowsIterator(cols []string, rows [][]any, stats QueryStats) RowIterator {
-	for _, row := range rows {
-		for _, v := range row {
-			stats.PeakEngineBytes += approxValueBytes(v)
+	data := Batch{Columns: cols, Cols: make([]record.Vector, len(cols)), Len: len(rows)}
+	for ci := range cols {
+		t, typed := metadata.TypeInvalid, true
+		for _, row := range rows {
+			switch vt := record.TypeOf(row[ci]); {
+			case row[ci] == nil:
+			case vt == metadata.TypeInvalid || t != metadata.TypeInvalid && vt != t:
+				typed = false
+			default:
+				t = vt
+			}
+		}
+		v := &data.Cols[ci]
+		if typed {
+			v.Reset(t)
+		}
+		v.Grow(len(rows))
+		for _, row := range rows {
+			v.Append(row[ci])
 		}
 	}
-	return &rowsIterator{cols: cols, rows: rows, stats: stats,
-		batch: Batch{Columns: cols, Cols: make([][]any, len(cols))}}
+	return newBatchIterator(data, stats)
 }
 
-func (m *rowsIterator) Columns() []string { return m.cols }
+// batchIterator is the one in-memory source: it serves a batch that is whole
+// before the first pull — a subquery's result, an engine-side aggregation's
+// groups, rows typed by newRowsIterator — in views of at most BatchRows rows,
+// copying nothing. It reports exec=materialized (Streamed stays false) and
+// counts the whole batch into PeakEngineBytes: every row was resident before
+// the first batch was pulled, which is what streaming scans avoid.
+type batchIterator struct {
+	data  Batch
+	pos   int
+	stats QueryStats
+	view  Batch
+}
 
-func (m *rowsIterator) Next(ctx context.Context) (*Batch, error) {
+func newBatchIterator(data Batch, stats QueryStats) RowIterator {
+	stats.PeakEngineBytes += data.Size()
+	return &batchIterator{data: data, stats: stats,
+		view: Batch{Columns: data.Columns, Cols: make([]record.Vector, len(data.Cols))}}
+}
+
+func (m *batchIterator) Columns() []string { return m.data.Columns }
+
+func (m *batchIterator) Next(ctx context.Context) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if m.pos >= len(m.rows) {
+	if m.pos >= m.data.Len {
 		return nil, io.EOF
 	}
-	end := m.pos + BatchRows
-	if end > len(m.rows) {
-		end = len(m.rows)
-	}
-	for ci := range m.cols {
-		out := m.batch.Cols[ci][:0]
-		for _, row := range m.rows[m.pos:end] {
-			out = append(out, row[ci])
-		}
-		m.batch.Cols[ci] = out
-	}
-	m.batch.Len = end - m.pos
+	end := min(m.pos+BatchRows, m.data.Len)
+	copy(m.view.Cols, m.data.Cols)
+	m.view.Len = m.data.Len
+	m.view.Slice(m.pos, end)
 	m.stats.BatchesStreamed++
 	m.pos = end
-	return &m.batch, nil
+	return &m.view, nil
 }
 
-func (m *rowsIterator) Stats() QueryStats { return m.stats }
+func (m *batchIterator) Stats() QueryStats { return m.stats }
 
-func (m *rowsIterator) Close() error {
-	m.rows, m.pos = nil, 0
+func (m *batchIterator) Close() error {
+	m.data, m.pos = Batch{}, 0
 	return nil
 }

@@ -128,12 +128,19 @@ func refTable(cols []string, rows []record.Record) *reftest.Table {
 }
 
 // checkRef fails unless res is an answer to sql the reference accepts over
-// db.
+// db, in value and in Go type.
 func checkRef(t *testing.T, db reftest.DB, sql string, res *Result) {
 	t.Helper()
 	q, err := reftest.Parse(sql)
+	var want *reftest.Result
 	if err == nil {
-		err = db.Check(q, res.Columns, res.Rows)
+		want, err = db.Eval(q)
+	}
+	if err == nil {
+		err = want.Check(q, res.Columns, res.Rows)
+	}
+	if err == nil {
+		err = want.CheckTypes(res.Rows)
 	}
 	if err != nil {
 		t.Fatalf("%q: %v", sql, err)

@@ -7,7 +7,8 @@
 // The compiled WHERE, GROUP BY key and projection work on schema-bound rows
 // (flow.Event.Row) and have no map form: each payload is decoded once, by
 // the source, and a row is boxed into a map only once per window result or
-// where a sink wants one. The typed predicate answers what
+// where a sink wants one. The WHERE stage filters with sqlparse.Compiled, the
+// typed predicate the federated engine shares, which answers what
 // sqlparse.Predicate.Matches answers on the boxed value.
 //
 // The same compiled stages execute in two modes (§7 "SQL based" backfill):

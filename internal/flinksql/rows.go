@@ -1,11 +1,9 @@
 package flinksql
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 
 	"repro/internal/flow"
@@ -76,125 +74,12 @@ func (c *columns) cell(r record.Row, i int) (record.Value, metadata.FieldType) {
 
 // ---- WHERE ----
 
-// predicate is a WHERE conjunct compiled for typed cells: matches answers
-// what Predicate.Matches answers on the boxed cell, without boxing the cell
-// or formatting the literal per row.
-type predicate struct {
-	op   sqlparse.CompareOp
-	lits []literal // Value, then Value2 for BETWEEN; Values for IN
-}
-
-// literal is a predicate literal as record.Compare sees it.
-type literal struct {
-	v    any
-	null bool
-	num  bool    // record.ToFloat64 takes it
-	f    float64 // its number when num
-	text []byte  // its %v: what a non-number compares against
-}
-
-func compilePredicate(p sqlparse.Predicate) predicate {
-	lits := []any{p.Value}
-	switch p.Op {
-	case sqlparse.CmpBetween:
-		lits = append(lits, p.Value2)
-	case sqlparse.CmpIn:
-		lits = p.Values
-	}
-	c := predicate{op: p.Op}
-	for _, v := range lits {
-		l := literal{v: v, null: v == nil}
-		l.f, l.num = record.ToFloat64(v)
-		if !l.null {
-			l.text = []byte(fmt.Sprintf("%v", v))
-		}
-		c.lits = append(c.lits, l)
-	}
-	return c
-}
-
-// matches is the predicate's verdict on a cell of type t: NULL satisfies
-// nothing.
-func (p *predicate) matches(v record.Value, t metadata.FieldType) bool {
-	if v.Null {
-		return false
-	}
-	switch p.op {
-	case sqlparse.CmpIn:
-		for i := range p.lits {
-			if p.lits[i].compare(v, t) == 0 {
-				return true
-			}
-		}
-		return false
-	case sqlparse.CmpBetween:
-		return p.lits[0].compare(v, t) >= 0 && p.lits[1].compare(v, t) <= 0
-	}
-	cmp := p.lits[0].compare(v, t)
-	switch p.op {
-	case sqlparse.CmpEq:
-		return cmp == 0
-	case sqlparse.CmpNe:
-		return cmp != 0
-	case sqlparse.CmpLt:
-		return cmp < 0
-	case sqlparse.CmpLe:
-		return cmp <= 0
-	case sqlparse.CmpGt:
-		return cmp > 0
-	case sqlparse.CmpGe:
-		return cmp >= 0
-	}
-	return false
-}
-
-// compare is record.Compare(v.Box(t), l.v) for a non-NULL cell: numbers
-// compare as numbers, anything else as text — a string cell is its own text,
-// a number's is written into a stack buffer only when the literal is not a
-// number.
-func (l *literal) compare(v record.Value, t metadata.FieldType) int {
-	if l.null {
-		return 1
-	}
-	var f float64
-	switch t {
-	case metadata.TypeString:
-		return bytes.Compare(v.B, l.text)
-	case metadata.TypeBytes:
-		return record.Compare(v.Box(t), l.v) // a blob's text is its %v
-	case metadata.TypeDouble:
-		f = v.F
-	default: // long, timestamp, bool (0 or 1)
-		f = float64(v.I)
-	}
-	if l.num {
-		switch {
-		case f < l.f:
-			return -1
-		case f > l.f:
-			return 1
-		}
-		return 0
-	}
-	var buf [32]byte
-	text := buf[:0]
-	switch t {
-	case metadata.TypeDouble:
-		text = strconv.AppendFloat(text, v.F, 'g', -1, 64)
-	case metadata.TypeBool:
-		text = strconv.AppendBool(text, v.I != 0)
-	default:
-		text = strconv.AppendInt(text, v.I, 10)
-	}
-	return bytes.Compare(text, l.text)
-}
-
 // whereStage keeps the rows every predicate matches.
 func whereStage(preds []sqlparse.Predicate, parallelism int) flow.StageSpec {
-	compiled := make([]predicate, len(preds))
+	compiled := make([]sqlparse.Compiled, len(preds))
 	names := make([]string, len(preds))
 	for i, p := range preds {
-		compiled[i], names[i] = compilePredicate(p), p.Column
+		compiled[i], names[i] = p.Compile(), p.Column
 	}
 	return flow.StageSpec{
 		Name:        "where",
@@ -204,7 +89,7 @@ func whereStage(preds []sqlparse.Predicate, parallelism int) flow.StageSpec {
 			return &rowStage{name: "where", fn: func(e flow.Event, emit func(flow.Event)) {
 				cols.bind(e.Row.Schema)
 				for i := range compiled {
-					if !compiled[i].matches(cols.cell(e.Row, i)) {
+					if !compiled[i].MatchesValue(cols.cell(e.Row, i)) {
 						return
 					}
 				}

@@ -175,7 +175,7 @@ func (a *ArchiveReader) Parts() ([]string, error) {
 
 // ReadColumns decodes the named columns of one archive part into cols and
 // returns its row count; see DecodeColumns.
-func (a *ArchiveReader) ReadColumns(key string, names []string, cols [][]any) (int, error) {
+func (a *ArchiveReader) ReadColumns(key string, names []string, cols []record.Vector) (int, error) {
 	data, err := a.store.Get(key)
 	if err != nil {
 		return 0, err
@@ -315,15 +315,15 @@ func cutPrefixed(data []byte) (field, rest []byte, ok bool) {
 }
 
 // DecodeColumns is the one parser of a columnar part: it decodes the named
-// columns column by column into cols — cols[c][r] is the value of names[c]
-// at row r, nil for NULL — and returns the row count. cols must be as long
-// as names; each column's backing array is reused when it is large enough.
-// A stored column nobody asked for is stepped over by its length without
-// parsing a value, and a dictionary string is boxed once per dictionary
-// entry, not once per row. A name the schema lacks, or a schema column an
-// older part lacks, reads as NULL in every row; values are typed by the
-// schema. Bytes values are copies, never views of data.
-func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols [][]any) (int, error) {
+// columns column by column into cols, typed by the schema — cols[c] holds
+// names[c], one row per part row — and returns the row count. cols must be
+// as long as names; the vectors are the caller's, and their backing arrays
+// are reused. A stored column nobody asked for is stepped over by its length
+// without parsing a value. A dictionary string is one string per dictionary
+// entry, shared by its rows; bytes values are copies, never views of data. A
+// schema column an older part lacks reads as NULL in every row, and so does a
+// name the schema lacks, as a boxed column of nils (record.Vector).
+func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols []record.Vector) (int, error) {
 	nRows, n := binary.Uvarint(data)
 	if n <= 0 {
 		return 0, fmt.Errorf("objstore: corrupt columnar header")
@@ -341,13 +341,9 @@ func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols []
 		return 0, fmt.Errorf("objstore: columnar header claims %d rows in %d bytes", nRows, len(data))
 	}
 	rows := int(nRows)
-	for c := range cols {
-		if cap(cols[c]) < rows {
-			cols[c] = make([]any, rows)
-			continue
-		}
-		cols[c] = cols[c][:rows]
-		clear(cols[c])
+	for c, name := range names {
+		f, _ := schema.Field(name) // TypeInvalid, a boxed column, when absent
+		cols[c].Reset(f.Type)
 	}
 	for c := uint64(0); c < nCols; c++ {
 		name, rest, ok := cutPrefixed(data)
@@ -367,20 +363,27 @@ func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols []
 			if !ok {
 				continue // column dropped from schema; stays NULL
 			}
-			if err := decodeColumn(f, col, cols[i]); err != nil {
+			cols[i].Reset(f.Type)
+			cols[i].Grow(rows)
+			if err := decodeColumn(f, col, rows, &cols[i]); err != nil {
 				return 0, err
 			}
+		}
+	}
+	for c := range cols {
+		if short := rows - cols[c].Len(); short > 0 {
+			cols[c].AppendNulls(short)
 		}
 	}
 	return rows, nil
 }
 
 // DecodeColumnar parses a columnar part produced by EncodeColumnar into
-// rows: DecodeColumns over every schema column, transposed. NULLs are
+// rows: DecodeColumns over every schema column, boxed row by row. NULLs are
 // absent keys.
 func DecodeColumnar(schema *metadata.Schema, data []byte) ([]record.Record, error) {
 	names := schema.FieldNames()
-	cols := make([][]any, len(names))
+	cols := make([]record.Vector, len(names))
 	n, err := DecodeColumns(schema, data, names, cols)
 	if err != nil {
 		return nil, err
@@ -389,7 +392,7 @@ func DecodeColumnar(schema *metadata.Schema, data []byte) ([]record.Record, erro
 	for i := range rows {
 		r := make(record.Record, len(names))
 		for c, name := range names {
-			if v := cols[c][i]; v != nil {
+			if v := cols[c].Box(i); v != nil {
 				r[name] = v
 			}
 		}
@@ -401,10 +404,10 @@ func DecodeColumnar(schema *metadata.Schema, data []byte) ([]record.Record, erro
 // present reports row i's bit of a column's presence bitmap.
 func present(bitmap []byte, i int) bool { return bitmap[i/8]&(1<<(i%8)) != 0 }
 
-// decodeColumn decodes one stored column into out, which has one all-NULL
-// slot per row; rows the presence bitmap marks absent stay NULL.
-func decodeColumn(f metadata.Field, col []byte, out []any) error {
-	bitmapLen := (len(out) + 7) / 8
+// decodeColumn appends one stored column's rows to out, a vector of the
+// field's type; rows the presence bitmap marks absent are NULL.
+func decodeColumn(f metadata.Field, col []byte, rows int, out *record.Vector) error {
+	bitmapLen := (rows + 7) / 8
 	if len(col) < bitmapLen {
 		return fmt.Errorf("objstore: corrupt bitmap for column %q", f.Name)
 	}
@@ -412,37 +415,47 @@ func decodeColumn(f metadata.Field, col []byte, out []any) error {
 	col = col[bitmapLen:]
 	switch f.Type {
 	case metadata.TypeLong, metadata.TypeTimestamp:
-		for i := range out {
+		for i := 0; i < rows; i++ {
 			if !present(bitmap, i) {
+				out.Ints = append(out.Ints, 0)
+				out.SetNull(i)
 				continue
 			}
 			v, n := binary.Varint(col)
 			if n <= 0 {
 				return fmt.Errorf("objstore: truncated long column %q", f.Name)
 			}
-			out[i] = v
+			out.Ints = append(out.Ints, v)
 			col = col[n:]
 		}
 	case metadata.TypeDouble:
-		for i := range out {
+		for i := 0; i < rows; i++ {
 			if !present(bitmap, i) {
+				out.Floats = append(out.Floats, 0)
+				out.SetNull(i)
 				continue
 			}
 			if len(col) < 8 {
 				return fmt.Errorf("objstore: truncated double column %q", f.Name)
 			}
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(col))
+			out.Floats = append(out.Floats, math.Float64frombits(binary.LittleEndian.Uint64(col)))
 			col = col[8:]
 		}
 	case metadata.TypeBool:
-		for i := range out {
+		for i := 0; i < rows; i++ {
 			if !present(bitmap, i) {
+				out.Ints = append(out.Ints, 0)
+				out.SetNull(i)
 				continue
 			}
 			if len(col) < 1 {
 				return fmt.Errorf("objstore: truncated bool column %q", f.Name)
 			}
-			out[i] = col[0] != 0
+			var b int64
+			if col[0] != 0 {
+				b = 1
+			}
+			out.Ints = append(out.Ints, b)
 			col = col[1:]
 		}
 	case metadata.TypeString:
@@ -453,7 +466,7 @@ func decodeColumn(f metadata.Field, col []byte, out []any) error {
 			return fmt.Errorf("objstore: truncated dictionary for %q", f.Name)
 		}
 		col = col[n:]
-		dict := make([]any, dictSize)
+		dict := make([]string, dictSize)
 		for d := range dict {
 			s, rest, ok := cutPrefixed(col)
 			if !ok {
@@ -462,27 +475,31 @@ func decodeColumn(f metadata.Field, col []byte, out []any) error {
 			dict[d] = string(s)
 			col = rest
 		}
-		for i := range out {
+		for i := 0; i < rows; i++ {
 			if !present(bitmap, i) {
+				out.Strs = append(out.Strs, "")
+				out.SetNull(i)
 				continue
 			}
 			code, n := binary.Uvarint(col)
 			if n <= 0 || code >= dictSize {
 				return fmt.Errorf("objstore: bad dictionary code for %q", f.Name)
 			}
-			out[i] = dict[code]
+			out.Strs = append(out.Strs, dict[code])
 			col = col[n:]
 		}
 	case metadata.TypeBytes:
-		for i := range out {
+		for i := 0; i < rows; i++ {
 			if !present(bitmap, i) {
+				out.Bytes = append(out.Bytes, nil)
+				out.SetNull(i)
 				continue
 			}
 			b, rest, ok := cutPrefixed(col)
 			if !ok {
 				return fmt.Errorf("objstore: truncated bytes column %q", f.Name)
 			}
-			out[i] = append([]byte{}, b...)
+			out.Bytes = append(out.Bytes, append([]byte{}, b...))
 			col = rest
 		}
 	}

@@ -42,7 +42,7 @@ func BenchmarkArchiveScanProjected(b *testing.B) {
 		b.Fatal(err)
 	}
 	reader := NewArchiveReader(store, "orders_day", schema)
-	names, cols := []string{"city", "amount"}, make([][]any, 2)
+	names, cols := []string{"city", "amount"}, make([]record.Vector, 2)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ReportAllocs()

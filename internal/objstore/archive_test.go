@@ -286,7 +286,7 @@ func TestCorruptPartIsAnError(t *testing.T) {
 		if rows, err := DecodeColumnar(s, data); err == nil {
 			t.Errorf("%s: DecodeColumnar returned %d rows, want an error", name, len(rows))
 		}
-		cols := make([][]any, 2)
+		cols := make([]record.Vector, 2)
 		if n, err := DecodeColumns(s, data, []string{"id", "city"}, cols); err == nil {
 			t.Errorf("%s: DecodeColumns returned %d rows, want an error", name, n)
 		}
@@ -318,14 +318,14 @@ func TestDecodeColumnsProjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := []string{"amount", "note", "nosuch", "city", "amount"}
-	cols := make([][]any, len(names))
+	cols := make([]record.Vector, len(names))
 	n, err := DecodeColumns(s, data, names, cols)
 	if err != nil || n != len(rows) {
 		t.Fatalf("DecodeColumns = %d, %v; want %d rows", n, err, len(rows))
 	}
 	for i, r := range rows {
 		for c, name := range names {
-			if got, want := cols[c][i], r[name]; !reflect.DeepEqual(got, want) {
+			if got, want := cols[c].Box(i), r[name]; !reflect.DeepEqual(got, want) {
 				t.Fatalf("row %d column %s = %#v, want %#v", i, name, got, want)
 			}
 		}
@@ -338,16 +338,16 @@ func TestDecodeColumnsProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backing := &cols[1][0]
+	backing := &cols[1].Strs[0]
 	if n, err = DecodeColumns(s, oldData, names, cols); err != nil || n != 7 {
 		t.Fatalf("older part: %d, %v", n, err)
 	}
-	if &cols[1][0] != backing {
+	if &cols[1].Strs[0] != backing {
 		t.Error("a column's backing array was not reused")
 	}
 	for i := 0; i < n; i++ {
-		if cols[1][i] != nil || cols[3][i] != rows[i]["city"] {
-			t.Fatalf("older part row %d: note %#v city %#v", i, cols[1][i], cols[3][i])
+		if cols[1].Box(i) != nil || cols[3].Box(i) != rows[i]["city"] {
+			t.Fatalf("older part row %d: note %#v city %#v", i, cols[1].Box(i), cols[3].Box(i))
 		}
 	}
 
@@ -359,17 +359,17 @@ func TestDecodeColumnsProjection(t *testing.T) {
 	for i := at + w + (len(rows)+7)/8; i < at+w+(len(rows)+7)/8+4; i++ {
 		garbled[i] = 0xff
 	}
-	if _, err := DecodeColumns(s, garbled, []string{"city"}, make([][]any, 1)); err == nil {
+	if _, err := DecodeColumns(s, garbled, []string{"city"}, make([]record.Vector, 1)); err == nil {
 		t.Fatal("the garbled column decoded; the test corrupts the wrong bytes")
 	}
-	if n, err := DecodeColumns(s, garbled, []string{"id", "amount"}, make([][]any, 2)); err != nil || n != len(rows) {
+	if n, err := DecodeColumns(s, garbled, []string{"id", "amount"}, make([]record.Vector, 2)); err != nil || n != len(rows) {
 		t.Errorf("scan of other columns over a garbled one = %d, %v; want it skipped", n, err)
 	}
 }
 
 // TestDecodeColumnsAllocatesPerDictionaryEntry: decoding a string column
-// boxes one value per dictionary entry, whatever the row count, and no row
-// is assembled anywhere.
+// allocates one string per dictionary entry, whatever the row count; its
+// rows share them, and no row is assembled anywhere.
 func TestDecodeColumnsAllocatesPerDictionaryEntry(t *testing.T) {
 	s := &metadata.Schema{Name: "d", Version: 1, Fields: []metadata.Field{
 		{Name: "city", Type: metadata.TypeString},
@@ -384,7 +384,7 @@ func TestDecodeColumnsAllocatesPerDictionaryEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		names, cols := []string{"city"}, make([][]any, 1)
+		names, cols := []string{"city"}, make([]record.Vector, 1)
 		return testing.AllocsPerRun(10, func() {
 			if got, err := DecodeColumns(s, data, names, cols); err != nil || got != n {
 				t.Fatalf("DecodeColumns = %d, %v", got, err)

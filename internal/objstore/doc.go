@@ -6,7 +6,9 @@
 //   - long-term archival of raw streams (RawLogWriter appends row
 //     batches, the Avro stand-in) compacted into columnar archive files
 //     (Compactor, the Parquet stand-in) that the batch/SQL layers read
-//     back through ArchiveReader;
+//     back through ArchiveReader — DecodeColumns decodes the requested
+//     columns of a part straight into typed vectors (record.Vector), and
+//     DecodeColumnar boxes them into rows;
 //   - Flink checkpoint backend (internal/flow writes checkpoint state
 //     here);
 //   - Pinot segment store: sealed segments upload here (centralized or

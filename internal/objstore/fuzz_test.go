@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/record"
 )
@@ -23,10 +24,22 @@ func sameValue(a, b any) bool {
 	}
 }
 
+// aliases reports b's bytes inside data's.
+func aliases(b, data []byte) bool {
+	if len(data) == 0 {
+		return false
+	}
+	lo, hi := uintptr(unsafe.Pointer(&data[0])), uintptr(unsafe.Pointer(&data[len(data)-1]))
+	p := uintptr(unsafe.Pointer(&b[0]))
+	return p >= lo && p <= hi
+}
+
 // FuzzDecodeColumnar feeds the archive part decoder arbitrary bytes — they
 // come from the deep store. It must never panic and never size anything by a
-// claimed count the input could not hold; and whatever it does decode must
-// survive encode → decode unchanged, in the column form and the row form.
+// claimed count the input could not hold; the typed columns must box to the
+// row form's values and Go types, NULLs included, with no blob a view of the
+// input; and whatever it does decode must survive encode → decode unchanged,
+// in the column form and the row form.
 func FuzzDecodeColumnar(f *testing.F) {
 	s := archiveSchema() // one field of every type, two of them nullable
 	rows := orderRows(40)
@@ -42,7 +55,7 @@ func FuzzDecodeColumnar(f *testing.F) {
 	}
 	names := s.FieldNames()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cols := make([][]any, len(names))
+		cols := make([]record.Vector, len(names))
 		n, err := DecodeColumns(s, data, names, cols)
 		decoded, rowErr := DecodeColumnar(s, data)
 		if (err == nil) != (rowErr == nil) {
@@ -53,6 +66,20 @@ func FuzzDecodeColumnar(f *testing.F) {
 		}
 		if n > 8*len(data) || len(decoded) != n {
 			t.Fatalf("%d rows in columns, %d as records, from %d bytes", n, len(decoded), len(data))
+		}
+		for c, name := range names {
+			if cols[c].Type != s.Fields[c].Type || cols[c].Len() != n {
+				t.Fatalf("column %s: %d rows of type %s, want %d of %s", name, cols[c].Len(), cols[c].Type, n, s.Fields[c].Type)
+			}
+			for i, r := range decoded {
+				typed := cols[c].Box(i)
+				if !sameValue(typed, r[name]) || cols[c].IsNull(i) != (r[name] == nil) {
+					t.Fatalf("row %d column %s: typed %#v (NULL %v), boxed %#v", i, name, typed, cols[c].IsNull(i), r[name])
+				}
+				if b, ok := typed.([]byte); ok && len(b) > 0 && aliases(b, data) {
+					t.Fatalf("row %d column %s: a blob is a view of the input", i, name)
+				}
+			}
 		}
 		again, err := EncodeColumnar(s, decoded)
 		if err != nil {
@@ -71,8 +98,8 @@ func FuzzDecodeColumnar(f *testing.F) {
 				t.Fatalf("row %d: %v, was %v", i, back[i], r)
 			}
 			for c, name := range names {
-				if !sameValue(cols[c][i], r[name]) || !sameValue(back[i][name], r[name]) {
-					t.Fatalf("row %d column %s: columns %#v, records %#v, was %#v", i, name, cols[c][i], back[i][name], r[name])
+				if !sameValue(cols[c].Box(i), r[name]) || !sameValue(back[i][name], r[name]) {
+					t.Fatalf("row %d column %s: columns %#v, records %#v, was %#v", i, name, cols[c].Box(i), back[i][name], r[name])
 				}
 			}
 		}

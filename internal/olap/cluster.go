@@ -787,6 +787,9 @@ type Broker struct {
 	// views serves registered materialized-view shapes ahead of the cache
 	// (nil when disabled); see brokercache.go and internal/olap/matview.
 	views ViewServer
+
+	// pool recycles streamed batches from one stream to the next.
+	pool batchPool
 }
 
 // BrokerOptions tunes query execution.

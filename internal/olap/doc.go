@@ -6,6 +6,13 @@
 // shared-nothing upsert (§4.3.1); and both centralized and peer-to-peer
 // segment recovery schemes (§4.3.4).
 //
+// Sealed dictionaries are sorted strings, int64s (long, timestamp and bool,
+// exact beyond 2^53) or float64s; every numeric comparison reads a value as
+// the float64 record.Compare does. A streamed selection gathers its rows
+// straight into the typed vectors of a pooled record.Batch — dictionary
+// values by code, raw consuming vectors as they are — and boxes nothing;
+// Result and QueryResponse rows are boxed from those batches at the edge.
+//
 // # Query execution: parallel scatter-gather-merge
 //
 // A Broker answers queries in three phases (§4.3, DESIGN.md "One scatter"):

@@ -133,8 +133,8 @@ func faultEntries() []faultEntry {
 					if err != nil {
 						return nil, err
 					}
-					for r := 0; r < rb.Len; r++ {
-						got = append(got, fmt.Sprint(rb.Row(r)...))
+					for _, row := range rb.AppendRows(nil) {
+						got = append(got, fmt.Sprint(row...))
 					}
 				}
 			}},

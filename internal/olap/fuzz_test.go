@@ -195,11 +195,19 @@ func FuzzMergePartials(f *testing.F) {
 // reload or a recovery: whatever decodes must answer a COUNT and a GROUP BY
 // on each column, through the star-tree where one serves, without a panic.
 func FuzzDecodeSegment(f *testing.F) {
-	for _, cfg := range []IndexConfig{
-		{InvertedColumns: []string{"city"}, StarTree: &StarTreeConfig{Dimensions: []string{"city", "status"}, Metrics: []string{"amount"}, MaxLeafRecords: 4}},
-		{SortedColumn: "status"},
+	bigLongs := orderRows(40)
+	for i, r := range bigLongs {
+		r["items"] = int64(1)<<53 + int64(i%5) // an int64 dictionary past float64's exact integers
+	}
+	for _, c := range []struct {
+		rows []record.Record
+		cfg  IndexConfig
+	}{
+		{orderRows(40), IndexConfig{InvertedColumns: []string{"city"}, StarTree: &StarTreeConfig{Dimensions: []string{"city", "status"}, Metrics: []string{"amount"}, MaxLeafRecords: 4}}},
+		{orderRows(40), IndexConfig{SortedColumn: "status"}},
+		{bigLongs, IndexConfig{SortedColumn: "items", InvertedColumns: []string{"items"}}},
 	} {
-		seg, err := BuildSegment("s", ordersSchema(), orderRows(40), cfg, -1)
+		seg, err := BuildSegment("s", ordersSchema(), c.rows, c.cfg, -1)
 		if err != nil {
 			f.Fatal(err)
 		}

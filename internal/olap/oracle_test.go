@@ -118,18 +118,25 @@ func refBuildColumn(f metadata.Field, rows []record.Record, cfg IndexConfig) *co
 		sort.Strings(dict.Strs)
 	} else {
 		uniq := make(map[float64]bool)
+		uniqInts := make(map[int64]bool)
 		for i, r := range rows {
 			if v, ok := r[f.Name]; ok && v != nil {
 				present.Set(i)
-				fv, _ := toF64(v)
-				uniq[fv] = true
+				if f.Type == metadata.TypeDouble {
+					uniq[r.Double(f.Name)] = true
+				} else {
+					uniqInts[r.Long(f.Name)] = true
+				}
 			}
 		}
-		dict.Nums = make([]float64, 0, len(uniq))
 		for v := range uniq {
 			dict.Nums = append(dict.Nums, v)
 		}
 		sort.Float64s(dict.Nums)
+		for v := range uniqInts {
+			dict.Ints = append(dict.Ints, v)
+		}
+		slices.Sort(dict.Ints)
 	}
 	codes := make([]int, len(rows))
 	maxCode := dict.size()
@@ -138,10 +145,11 @@ func refBuildColumn(f metadata.Field, rows []record.Record, cfg IndexConfig) *co
 		case !present.Get(i):
 			codes[i] = maxCode
 		case f.Type == metadata.TypeString:
-			codes[i] = dict.lookup(r.String(f.Name))
+			codes[i] = sort.SearchStrings(dict.Strs, r.String(f.Name))
+		case f.Type == metadata.TypeDouble:
+			codes[i] = sort.SearchFloat64s(dict.Nums, r.Double(f.Name))
 		default:
-			fv, _ := toF64(r[f.Name])
-			codes[i] = dict.lookup(fv)
+			codes[i], _ = slices.BinarySearch(dict.Ints, r.Long(f.Name))
 		}
 	}
 	col := &column{
@@ -319,9 +327,7 @@ func TestScanDifferential(t *testing.T) {
 			for name, sc := range map[string]*scanSet{"consuming": consuming, "sealed": seg.scan()} {
 				var rows [][]any
 				_, _, err := sc.streamSelect(context.Background(), q, valid, &batchPool{}, func(rb *record.Batch) bool {
-					for r := 0; r < rb.Len; r++ {
-						rows = append(rows, rb.Row(r))
-					}
+					rows = rb.AppendRows(rows)
 					return true
 				})
 				if err == nil {

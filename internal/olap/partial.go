@@ -50,9 +50,12 @@ func (a *aggState) mergeState(o *aggState) {
 
 // distinctKey canonicalizes a value for the DISTINCTCOUNT set so that the
 // same logical value collides across segments regardless of its Go type
-// (int64 from a sealed dictionary vs float64 from a consuming row).
+// (int64 from a sealed dictionary vs float64 from a consuming row); -0 is 0.
 func distinctKey(v any) string {
 	if f, ok := toF64(v); ok {
+		if f == 0 {
+			f = 0
+		}
 		return "n:" + strconv.FormatFloat(f, 'g', -1, 64)
 	}
 	return "s:" + fmt.Sprintf("%v", v)
@@ -89,9 +92,23 @@ func partialFromGroups(groups map[string]*groupAgg) *Partial {
 		for _, v := range g.values {
 			key = record.AppendValueKey(key, v)
 		}
-		p.groups[string(key)] = g
+		p.addGroup(key, g)
 	}
 	return p
+}
+
+// addGroup adds a segment's group under its value key. Two codes of one
+// segment can share a key — longs above 2^53 that are one float64 — and then
+// fold into one group.
+func (p *Partial) addGroup(key []byte, g *groupAgg) {
+	mine, ok := p.groups[string(key)]
+	if !ok {
+		p.groups[string(key)] = g
+		return
+	}
+	for i := range mine.aggs {
+		mine.aggs[i].mergeState(&g.aggs[i])
+	}
 }
 
 // cloneGroup deep-copies a group accumulator so an adopting Partial cannot

@@ -433,12 +433,14 @@ func (s *Segment) executePartialTrim(q *Query, valid *Bitmap, tp *topKPlan) (*Pa
 	// segment lies entirely inside the window).
 	timeNoop := q.Time == nil || s.Schema.TimeField == "" || q.Time.Contains(s.MinTime, s.MaxTime)
 	if s.Tree != nil && valid == nil && timeNoop && s.Tree.Eligible(q) {
-		groups, trimmed := trimGroups(s.Tree.query(s, q), tp)
-		p := partialFromGroups(groups)
-		p.stats.GroupsTrimmed = trimmed
-		p.stats.SegmentsScanned = 1
-		p.stats.StarTreeServed = 1
-		return p, nil
+		if groups := s.Tree.query(s, q); groups != nil {
+			groups, trimmed := trimGroups(groups, tp)
+			p := partialFromGroups(groups)
+			p.stats.GroupsTrimmed = trimmed
+			p.stats.SegmentsScanned = 1
+			p.stats.StarTreeServed = 1
+			return p, nil
+		}
 	}
 	p, err := s.scan().executePartial(q, valid, tp)
 	if err != nil {
@@ -590,9 +592,10 @@ func (sc *scanSet) executeSelect(q *Query, ss *selStream, tp *topKPlan) (*Partia
 	}
 	pool := &batchPool{}
 	ss.gatherBatches(cols, scols, pool, func(rb *record.Batch) bool {
-		for r := 0; r < rb.Len && len(p.rows) != budget; r++ {
-			p.rows = append(p.rows, rb.Row(r))
+		if budget >= 0 && len(p.rows)+rb.Len > budget {
+			rb.Slice(0, budget-len(p.rows))
 		}
+		p.rows = rb.AppendRows(p.rows)
 		pool.put(rb)
 		return len(p.rows) != budget
 	})

@@ -401,9 +401,7 @@ func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query,
 			if err != nil {
 				return nil, err
 			}
-			for r := 0; r < rb.Len; r++ {
-				rows = append(rows, rb.Row(r))
-			}
+			rows = rb.AppendRows(rows)
 		}
 		qs.Close() // joins the producers: the stats below are complete
 		mergeSp.SetRows(int64(len(rows)))

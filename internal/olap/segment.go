@@ -14,42 +14,78 @@ import (
 
 // dictionary holds the sorted distinct values of one column. Codes are
 // positions in sorted order, so range predicates become code ranges — the
-// property the range "index" exploits.
+// property the range "index" exploits. Integer columns keep their values
+// exactly; every comparison reads a number as the float64 record.Compare
+// does, which is ascending in code for either numeric form.
 type dictionary struct {
 	Typ  metadata.FieldType
 	Strs []string  // sorted, for string columns
-	Nums []float64 // sorted, for numeric/bool columns (longs stored exactly up to 2^53)
+	Ints []int64   // sorted, for long, timestamp and bool (0 or 1) columns
+	Nums []float64 // sorted, for double columns
 }
 
 func (d *dictionary) size() int {
-	if d.Typ == metadata.TypeString {
+	switch d.Typ {
+	case metadata.TypeString:
 		return len(d.Strs)
+	case metadata.TypeDouble:
+		return len(d.Nums)
 	}
-	return len(d.Nums)
+	return len(d.Ints)
 }
 
-// lookup returns the code for a value, or -1 when absent.
-func (d *dictionary) lookup(v any) int {
+// holds reports that the dictionary's values sit in its type's slice alone,
+// in ascending order.
+func (d *dictionary) holds() bool {
+	switch d.Typ {
+	case metadata.TypeString:
+		return len(d.Ints) == 0 && len(d.Nums) == 0 && slices.IsSorted(d.Strs)
+	case metadata.TypeDouble:
+		return len(d.Strs) == 0 && len(d.Ints) == 0 && slices.IsSorted(d.Nums)
+	}
+	return len(d.Strs) == 0 && len(d.Nums) == 0 && slices.IsSorted(d.Ints)
+}
+
+// num is a numeric code's value as the float64 comparisons and aggregations
+// work in.
+func (d *dictionary) num(code int) float64 {
+	if d.Typ == metadata.TypeDouble {
+		return d.Nums[code]
+	}
+	return float64(d.Ints[code])
+}
+
+// search returns the first numeric code whose value is at least x, or, with
+// after, greater than x.
+func (d *dictionary) search(x float64, after bool) int {
+	return sort.Search(d.size(), func(i int) bool {
+		if after {
+			return d.num(i) > x
+		}
+		return d.num(i) >= x
+	})
+}
+
+// span returns the codes [lo, hi) of the values equal to v: none or one for a
+// string or a double, and for an integer column every long whose float64 is
+// v — a long above 2^53 compares as its float64, as record.Compare has it.
+func (d *dictionary) span(v any) (int, int) {
 	if d.Typ == metadata.TypeString {
 		s, ok := v.(string)
 		if !ok {
-			return -1
+			return 0, 0
 		}
 		i := sort.SearchStrings(d.Strs, s)
 		if i < len(d.Strs) && d.Strs[i] == s {
-			return i
+			return i, i + 1
 		}
-		return -1
+		return i, i
 	}
 	f, ok := toF64(v)
 	if !ok {
-		return -1
+		return 0, 0
 	}
-	i := sort.SearchFloat64s(d.Nums, f)
-	if i < len(d.Nums) && d.Nums[i] == f {
-		return i
-	}
-	return -1
+	return d.search(f, false), d.search(f, true)
 }
 
 // codeRange returns the half-open code interval [lo, hi) of values in
@@ -71,12 +107,12 @@ func (d *dictionary) codeRange(min, max any) (int, int) {
 	}
 	if min != nil {
 		if f, ok := toF64(min); ok {
-			lo = sort.SearchFloat64s(d.Nums, f)
+			lo = d.search(f, false)
 		}
 	}
 	if max != nil {
 		if f, ok := toF64(max); ok {
-			hi = sort.Search(len(d.Nums), func(i int) bool { return d.Nums[i] > f })
+			hi = d.search(f, true)
 		}
 	}
 	return lo, hi
@@ -84,18 +120,15 @@ func (d *dictionary) codeRange(min, max any) (int, int) {
 
 // value returns the decoded value for a code.
 func (d *dictionary) value(code int) any {
-	if d.Typ == metadata.TypeString {
-		return d.Strs[code]
-	}
-	f := d.Nums[code]
 	switch d.Typ {
-	case metadata.TypeLong, metadata.TypeTimestamp:
-		return int64(f)
+	case metadata.TypeString:
+		return d.Strs[code]
+	case metadata.TypeDouble:
+		return d.Nums[code]
 	case metadata.TypeBool:
-		return f != 0
-	default:
-		return f
+		return d.Ints[code] != 0
 	}
+	return d.Ints[code]
 }
 
 func (d *dictionary) memBytes() int64 {
@@ -103,7 +136,7 @@ func (d *dictionary) memBytes() int64 {
 	for _, s := range d.Strs {
 		n += int64(len(s)) + 16
 	}
-	n += int64(len(d.Nums) * 8)
+	n += int64(len(d.Nums)*8 + len(d.Ints)*8)
 	return n
 }
 
@@ -312,8 +345,10 @@ func (c *mutableColumn) sortedOrder(n int) []int32 {
 		sort.SliceStable(perm, func(a, b int) bool {
 			return c.strs[c.codes[perm[a]]] < c.strs[c.codes[perm[b]]]
 		})
+	case c.layout == layoutInts:
+		sort.SliceStable(perm, func(a, b int) bool { return c.ints[perm[a]] < c.ints[perm[b]] })
 	default:
-		sort.SliceStable(perm, func(a, b int) bool { return c.num(int(perm[a])) < c.num(int(perm[b])) })
+		sort.SliceStable(perm, func(a, b int) bool { return c.floats[perm[a]] < c.floats[perm[b]] })
 	}
 	return perm
 }
@@ -329,25 +364,16 @@ func (c *mutableColumn) seal(n int, perm []int32, cfg IndexConfig) *column {
 	dict := dictionary{Typ: c.field.Type}
 	var rank []int
 	ids := c.codes
-	if c.layout == layoutDense {
+	switch c.layout {
+	case layoutDense:
 		dict.Strs, rank = sortedRanks(c.strs[1:])
-	} else {
-		ids = make([]uint32, n)
-		seen := make(map[float64]uint32)
-		distinct := []float64{}
-		for i := 0; i < n; i++ {
-			if c.present != nil && !c.present[i] {
-				continue
-			}
-			x := c.num(i)
-			id, ok := seen[x]
-			if !ok {
-				distinct = append(distinct, x)
-				id = uint32(len(distinct))
-				seen[x] = id
-			}
-			ids[i] = id
-		}
+	case layoutInts:
+		var distinct []int64
+		ids, distinct = firstSeen(c.ints[:n], c.present)
+		dict.Ints, rank = sortedRanks(distinct)
+	default:
+		var distinct []float64
+		ids, distinct = firstSeen(c.floats[:n], c.present)
 		dict.Nums, rank = sortedRanks(distinct)
 	}
 	null := dict.size()
@@ -380,6 +406,28 @@ func (c *mutableColumn) seal(n int, perm []int32, cfg IndexConfig) *column {
 		}
 	}
 	return col
+}
+
+// firstSeen numbers the distinct values of a raw column in first-seen order
+// from 1, 0 being NULL (present[i] false; nil present means none is), and
+// returns each row's number and the distinct values.
+func firstSeen[T comparable](vals []T, present []bool) ([]uint32, []T) {
+	ids := make([]uint32, len(vals))
+	seen := make(map[T]uint32)
+	distinct := []T{}
+	for i, x := range vals {
+		if present != nil && !present[i] {
+			continue
+		}
+		id, ok := seen[x]
+		if !ok {
+			distinct = append(distinct, x)
+			id = uint32(len(distinct))
+			seen[x] = id
+		}
+		ids[i] = id
+	}
+	return ids, distinct
 }
 
 // sortedRanks sorts dictionary values and returns them with rank[1+i] the
@@ -439,7 +487,8 @@ func DecodeSegment(data []byte) (*Segment, error) {
 
 // check verifies what the query path assumes of a sealed segment: a valid
 // schema with one column per non-blob field, of that field; codes, presence
-// and inverted bitmaps covering NumRows; every code a dictionary position or
+// and inverted bitmaps covering NumRows; each dictionary in its type's slice
+// and ascending; every code a dictionary position or
 // the NULL code exactly where no value is present; a star-tree whose nodes
 // and rows match its configuration.
 func (s *Segment) check() error {
@@ -457,7 +506,7 @@ func (s *Segment) check() error {
 		}
 		fields++
 		c := s.Columns[f.Name]
-		if c == nil || c.Field != f || c.Dict.Typ != f.Type || !covers(c.Present) ||
+		if c == nil || c.Field != f || c.Dict.Typ != f.Type || !c.Dict.holds() || !covers(c.Present) ||
 			c.Codes.N != s.NumRows || c.Codes.Bits < 1 || c.Codes.Bits > 63 || len(c.Codes.Data) != (s.NumRows*int(c.Codes.Bits)+63)/64 {
 			return fmt.Errorf("column %q is missing or does not match its field and %d rows", f.Name, s.NumRows)
 		}
@@ -519,9 +568,8 @@ func (s *Segment) double(col string, row int) float64 {
 	if !ok || !c.Present.Get(row) {
 		return 0
 	}
-	code := c.Codes.Get(row)
 	if c.Field.Type == metadata.TypeString {
 		return 0
 	}
-	return c.Dict.Nums[code]
+	return c.Dict.num(c.Codes.Get(row))
 }

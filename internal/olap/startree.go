@@ -292,18 +292,22 @@ func (t *StarTree) Eligible(q *Query) bool {
 
 // query answers an eligible query from the tree: walk dimensions in order,
 // descending into the filtered code, iterating children for group-by dims,
-// and taking the star child otherwise.
+// and taking the star child otherwise. nil means the tree cannot answer: a
+// filter literal equals several codes, and the segment scans instead.
 func (t *StarTree) query(seg *Segment, q *Query) map[string]*groupAgg {
 	// Pre-resolve filters to codes.
 	eqCode := make(map[int]int) // dim level -> required code
 	for _, f := range q.Filters {
 		for di, d := range t.Cfg.Dimensions {
 			if f.Column == d {
-				code := seg.Columns[d].Dict.lookup(normalizeFilterValue(seg.Columns[d].Field.Type, f.Value))
-				if code < 0 {
+				lo, hi := seg.Columns[d].Dict.span(normalizeFilterValue(seg.Columns[d].Field.Type, f.Value))
+				switch {
+				case lo == hi:
 					return map[string]*groupAgg{} // filter value absent
+				case hi > lo+1:
+					return nil // several longs that are one float64: scan
 				}
-				eqCode[di] = code
+				eqCode[di] = lo
 			}
 		}
 	}

@@ -28,24 +28,18 @@ func streamable(q *Query) bool { return len(q.Aggs) == 0 && len(q.OrderBy) == 0 
 
 // batchPool recycles batch buffers between the segment gather kernels
 // (producers) and the stream consumer, so a steady-state scan allocates no
-// per-batch memory.
+// per-batch memory; a broker's streams share one.
 type batchPool struct{ p sync.Pool }
 
 // get returns an empty batch shaped for the given columns, reusing backing
-// arrays from recycled batches when available.
+// arrays from recycled batches when available; the gather retypes each
+// vector by its column.
 func (bp *batchPool) get(cols []string) *record.Batch {
 	rb, _ := bp.p.Get().(*record.Batch)
 	if rb == nil {
 		rb = &record.Batch{}
 	}
-	rb.Columns = cols
-	if len(rb.Cols) != len(cols) {
-		rb.Cols = make([][]any, len(cols))
-	}
-	for ci := range rb.Cols {
-		rb.Cols[ci] = rb.Cols[ci][:0]
-	}
-	rb.Len = 0
+	rb.Reset(cols)
 	return rb
 }
 
@@ -78,17 +72,14 @@ func (sc *scanSet) streamSelect(ctx context.Context, q *Query, valid *Bitmap, po
 
 // gatherBatches is the gather loop of every selection that is not a bounded
 // heap: each selection vector's rows are decoded, column by selected column,
-// into a pooled batch handed to yield, until the stream is spent or yield
-// returns false. It reports the rows handed over and whether yield wants more.
+// into the typed vectors of a pooled batch handed to yield (colView.gather),
+// until the stream is spent or yield returns false. It reports the rows
+// handed over and whether yield wants more.
 func (ss *selStream) gatherBatches(cols []string, scols []*colView, pool *batchPool, yield func(*record.Batch) bool) (shipped int64, more bool) {
 	for sel := ss.next(); sel != nil; sel = ss.next() {
 		rb := pool.get(cols)
 		for ci, c := range scols {
-			out := rb.Cols[ci][:0]
-			for _, ri := range sel {
-				out = append(out, c.value(int(ri)))
-			}
-			rb.Cols[ci] = out
+			c.gather(&rb.Cols[ci], sel)
 		}
 		rb.Len = len(sel)
 		shipped += int64(rb.Len)
@@ -210,10 +201,7 @@ func (s *QueryStream) Next(ctx context.Context) (*record.Batch, error) {
 				s.sink.pool.put(rb)
 				continue
 			}
-			for ci := range rb.Cols {
-				rb.Cols[ci] = rb.Cols[ci][from:to]
-			}
-			rb.Len = to - from
+			rb.Slice(from, to)
 			s.prev = rb
 			return rb, nil
 		}
@@ -298,7 +286,7 @@ func (b *Broker) openStream(ctx context.Context, req *QueryRequest, q *Query, ro
 	}
 	qs := &QueryStream{
 		cols:      append([]string(nil), cols...),
-		sink:      &batchSink{q: q, pool: &batchPool{}, ch: make(chan *record.Batch, 2)},
+		sink:      &batchSink{q: q, pool: &b.pool, ch: make(chan *record.Batch, 2)},
 		skip:      q.Offset,
 		remaining: -1,
 		route:     sp.route(),

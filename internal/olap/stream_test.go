@@ -29,9 +29,7 @@ func drainStream(t *testing.T, qs *QueryStream) [][]any {
 		if rb.Len == 0 {
 			t.Fatal("stream yielded an empty batch")
 		}
-		for r := 0; r < rb.Len; r++ {
-			rows = append(rows, rb.Row(r))
-		}
+		rows = rb.AppendRows(rows)
 	}
 }
 
@@ -334,9 +332,7 @@ func TestStreamSelectSegmentLevel(t *testing.T) {
 	pool := &batchPool{}
 	var rows [][]any
 	st, more, err := seg.scan().streamSelect(context.Background(), q, nil, pool, func(rb *record.Batch) bool {
-		for r := 0; r < rb.Len; r++ {
-			rows = append(rows, rb.Row(r))
-		}
+		rows = rb.AppendRows(rows)
 		pool.put(rb)
 		return true
 	})

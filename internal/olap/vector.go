@@ -144,6 +144,68 @@ func (v *colView) value(i int) any {
 	}
 }
 
+// gather decodes the selected rows into out, typed by the column: codes
+// become their dictionary's strings or numbers, raw vectors are copied. The
+// layout switch is outside the row loops.
+func (v *colView) gather(out *record.Vector, sel []int32) {
+	out.Reset(v.typ)
+	out.Grow(len(sel))
+	switch v.layout {
+	case layoutPacked:
+		switch v.dict.Typ {
+		case metadata.TypeString:
+			out.Strs = gatherPacked(out, out.Strs, v.dict.Strs, v.packed, v.null, sel)
+		case metadata.TypeDouble:
+			out.Floats = gatherPacked(out, out.Floats, v.dict.Nums, v.packed, v.null, sel)
+		default:
+			out.Ints = gatherPacked(out, out.Ints, v.dict.Ints, v.packed, v.null, sel)
+		}
+	case layoutDense:
+		for j, i := range sel {
+			code := v.dense[i]
+			out.Strs = append(out.Strs, v.strs[code])
+			if code == 0 {
+				out.SetNull(j)
+			}
+		}
+	case layoutFloats:
+		out.Floats = gatherRaw(out, out.Floats, v.floats, v.present, sel)
+	default:
+		out.Ints = gatherRaw(out, out.Ints, v.ints, v.present, sel)
+	}
+}
+
+// gatherPacked appends the dictionary value of each selected row's code to
+// dst, the zero value for the NULL code.
+func gatherPacked[T any](out *record.Vector, dst, dict []T, codes *packedInts, null int, sel []int32) []T {
+	var zero T
+	for j, i := range sel {
+		if code := codes.Get(int(i)); code != null {
+			dst = append(dst, dict[code])
+		} else {
+			dst = append(dst, zero)
+			out.SetNull(j)
+		}
+	}
+	return dst
+}
+
+// gatherRaw appends each selected row of a raw vector to dst; a row present
+// marks absent holds the zero value the store wrote for it.
+func gatherRaw[T any](out *record.Vector, dst, vals []T, present []bool, sel []int32) []T {
+	for _, i := range sel {
+		dst = append(dst, vals[i])
+	}
+	if present != nil {
+		for j, i := range sel {
+			if !present[i] {
+				out.SetNull(j)
+			}
+		}
+	}
+	return dst
+}
+
 // scanSet is the unit every kernel scans: n rows of named column views plus
 // the time bounds that let a window predicate be skipped. A sealed Segment
 // and the prefix snapshot of a consuming segment both present as one.
@@ -233,7 +295,7 @@ type kernelFilter struct {
 
 // rangeCodeBounds resolves a range filter to the half-open dictionary code
 // interval [lo, hi) it matches, including the strict-bound adjustments for
-// OpLt/OpGt.
+// OpLt/OpGt: a strict bound drops the codes equal to it.
 func rangeCodeBounds(d *dictionary, f Filter) (int, int) {
 	var min, max any
 	switch f.Op {
@@ -246,16 +308,14 @@ func rangeCodeBounds(d *dictionary, f Filter) (int, int) {
 		max = normalizeFilterValue(d.Typ, f.Value2)
 	}
 	lo, hi := d.codeRange(min, max)
-	// Adjust exclusive bounds.
-	if f.Op == OpLt && hi > 0 {
-		// codeRange's hi already excludes > max; for strict < drop equals.
-		if code := d.lookup(max); code >= 0 && code == hi-1 {
-			hi--
+	if f.Op == OpLt {
+		if eqLo, eqHi := d.span(max); eqLo < eqHi && eqHi == hi {
+			hi = eqLo
 		}
 	}
 	if f.Op == OpGt {
-		if code := d.lookup(min); code >= 0 && code == lo {
-			lo++
+		if eqLo, eqHi := d.span(min); eqLo < eqHi && eqLo == lo {
+			lo = eqHi
 		}
 	}
 	return lo, hi
@@ -263,27 +323,43 @@ func rangeCodeBounds(d *dictionary, f Filter) (int, int) {
 
 // compileCodePred compiles one filter against a sorted dictionary — the one
 // place a literal meets a sealed dictionary, whether the predicate then runs
-// as a kernel or is resolved through the column's index. The null
-// code (dictionary size) can never satisfy predEq/predRange/predIn because
-// codes of real values are < size and range bounds stop at size; predNe
-// excludes it explicitly (SQL semantics: NULL matches neither = nor !=).
+// as a kernel or is resolved through the column's index. A literal equals a
+// span of codes (dictionary.span): one code, or on an integer column several
+// longs that are one float64. The null code (dictionary size) can never
+// satisfy predEq/predRange/predIn because codes of real values are < size and
+// range bounds stop at size; predNe excludes it explicitly (SQL semantics:
+// NULL matches neither = nor !=).
 func compileCodePred(d *dictionary, f Filter) (codePred, error) {
 	null := d.size()
 	switch f.Op {
 	case OpEq:
-		code := d.lookup(normalizeFilterValue(d.Typ, f.Value))
-		if code < 0 {
+		lo, hi := d.span(normalizeFilterValue(d.Typ, f.Value))
+		switch {
+		case lo == hi:
 			return codePred{kind: predNever}, nil
+		case hi == lo+1:
+			return codePred{kind: predEq, eq: lo}, nil
 		}
-		return codePred{kind: predEq, eq: code}, nil
+		return codePred{kind: predRange, lo: lo, hi: hi}, nil
 	case OpNe:
-		code := d.lookup(normalizeFilterValue(d.Typ, f.Value))
-		return codePred{kind: predNe, eq: code, null: null}, nil
+		lo, hi := d.span(normalizeFilterValue(d.Typ, f.Value))
+		switch {
+		case lo == hi:
+			return codePred{kind: predNe, eq: -1, null: null}, nil
+		case hi == lo+1:
+			return codePred{kind: predNe, eq: lo, null: null}, nil
+		}
+		in := make([]bool, null+1)
+		for code := range null {
+			in[code] = code < lo || code >= hi
+		}
+		return codePred{kind: predIn, in: in}, nil
 	case OpIn:
 		in := make([]bool, null+1)
 		matched := false
 		for _, v := range f.Values {
-			if code := d.lookup(normalizeFilterValue(d.Typ, v)); code >= 0 {
+			lo, hi := d.span(normalizeFilterValue(d.Typ, v))
+			for code := lo; code < hi; code++ {
 				in[code] = true
 				matched = true
 			}
@@ -744,11 +820,18 @@ func (ac *aggCursor) fold(accs []aggState, naggs, ai int, slots, sel []int32) {
 				accs[int(slots[j])*naggs+ai].addDistinct(distinctKey(v))
 			}
 		}
-	case c.layout == layoutPacked:
+	case c.layout == layoutPacked && c.typ == metadata.TypeDouble:
 		nums := c.dict.Nums
 		for j, i := range sel {
 			if code := c.packed.Get(int(i)); code != c.null {
 				accs[int(slots[j])*naggs+ai].add(nums[code])
+			}
+		}
+	case c.layout == layoutPacked:
+		ints := c.dict.Ints
+		for j, i := range sel {
+			if code := c.packed.Get(int(i)); code != c.null {
+				accs[int(slots[j])*naggs+ai].add(float64(ints[code]))
 			}
 		}
 	case c.present == nil:
@@ -907,8 +990,13 @@ func (g *grouper) hashed(i int) int32 {
 			key = append(key, '~')
 		default:
 			// '=' and eight bytes: fixed width, so no value can pass for "~|"
-			// followed by the next column.
-			key = binary.LittleEndian.AppendUint64(append(key, '='), math.Float64bits(c.num(i)))
+			// followed by the next column. -0 is 0, one group as in
+			// record.AppendValueKey.
+			x := c.num(i)
+			if x == 0 {
+				x = 0
+			}
+			key = binary.LittleEndian.AppendUint64(append(key, '='), math.Float64bits(x))
 		}
 		key = append(key, '|')
 	}
@@ -997,7 +1085,7 @@ func (g *grouper) partial(tp *topKPlan) *Partial {
 			ga.values[gi] = g.value(s, gi)
 			key = record.AppendValueKey(key, ga.values[gi])
 		}
-		p.groups[string(key)] = ga
+		p.addGroup(key, ga)
 	}
 	return p
 }

@@ -3,6 +3,8 @@ package record
 import (
 	"fmt"
 	"strconv"
+
+	"repro/internal/metadata"
 )
 
 // AppendValueKey appends v's canonical key encoding to key and returns the
@@ -11,20 +13,47 @@ import (
 // engine orders its groups by it, so pushed-down and engine-side grouping
 // agree: a NULL marker, numerics canonicalized through float64 (int64(3)
 // from a sealed dictionary and float64(3) from a consuming row collide, as
-// they must), anything else quoted, so an embedded separator cannot alias
-// two tuples and a string never equals a number. Keys of a tuple are the
-// concatenation of its values' keys.
+// they must; -0 and 0 are one number, as Compare has them), anything else
+// quoted, so an embedded separator cannot alias two tuples and a string never
+// equals a number. Keys of a tuple are the concatenation of its values' keys.
 func AppendValueKey(key []byte, v any) []byte {
 	switch f, ok := ToFloat64(v); {
 	case v == nil:
 		return append(key, "~|"...)
 	case ok:
-		return append(strconv.AppendFloat(append(key, 'n'), f, 'g', -1, 64), '|')
+		return appendNumberKey(key, f)
 	default:
 		s, isStr := v.(string)
 		if !isStr {
 			s = fmt.Sprintf("%v", v)
 		}
-		return append(strconv.AppendQuote(append(key, 's'), s), '|')
+		return appendTextKey(key, s)
 	}
+}
+
+// AppendKey appends row r's AppendValueKey, read from the typed vector
+// without boxing the cell.
+func (v *Vector) AppendKey(key []byte, r int) []byte {
+	switch {
+	case v.Type == metadata.TypeInvalid || v.Type == metadata.TypeBytes:
+		return AppendValueKey(key, v.Box(r))
+	case v.IsNull(r):
+		return append(key, "~|"...)
+	case v.Type == metadata.TypeString:
+		return appendTextKey(key, v.Strs[r])
+	case v.Type == metadata.TypeDouble:
+		return appendNumberKey(key, v.Floats[r])
+	}
+	return appendNumberKey(key, float64(v.Ints[r]))
+}
+
+func appendNumberKey(key []byte, f float64) []byte {
+	if f == 0 {
+		f = 0 // -0
+	}
+	return append(strconv.AppendFloat(append(key, 'n'), f, 'g', -1, 64), '|')
+}
+
+func appendTextKey(key []byte, s string) []byte {
+	return append(strconv.AppendQuote(append(key, 's'), s), '|')
 }

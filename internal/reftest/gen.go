@@ -2,6 +2,7 @@ package reftest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/metadata"
@@ -69,9 +70,9 @@ func (g *Gen) Rows(n int) []record.Record {
 	return rows
 }
 
-// value draws a column value. Doubles are multiples of 0.25 and every number
-// stays far below 2^53, so float sums are exact in any order and a long
-// survives a sealed dictionary, which holds numbers as float64.
+// value draws a column value. Doubles are multiples of 0.25, one in 62 of
+// them -0, and every number stays far below 2^53, so float sums are exact in
+// any order.
 func (g *Gen) value(t metadata.FieldType) any {
 	switch t {
 	case metadata.TypeString:
@@ -79,7 +80,10 @@ func (g *Gen) value(t metadata.FieldType) any {
 	case metadata.TypeLong:
 		return int64(g.Rng.Intn(26) - 5)
 	case metadata.TypeDouble:
-		return float64(g.Rng.Intn(61)-12) / 4
+		if n := g.Rng.Intn(62); n < 61 {
+			return float64(n-12) / 4
+		}
+		return math.Copysign(0, -1)
 	case metadata.TypeBool:
 		return g.Rng.Intn(2) == 0
 	case metadata.TypeTimestamp:

@@ -16,6 +16,8 @@ package reftest
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -138,10 +140,10 @@ func (want *Result) Check(q *Query, cols []string, rows [][]any) error {
 	}
 	pool := map[string]int{}
 	for _, row := range want.Rows {
-		pool[fmt.Sprintf("%#v", row)]++
+		pool[printRow(row)]++
 	}
 	for i, row := range rows {
-		k := fmt.Sprintf("%#v", row)
+		k := printRow(row)
 		if pool[k] == 0 {
 			return fmt.Errorf("row %d = %s is not in the reference result (or is there too often)", i, k)
 		}
@@ -155,6 +157,45 @@ func (want *Result) Check(q *Query, cols []string, rows [][]any) error {
 		for _, k := range keys {
 			if ref := want.Rows[q.Offset+i][k]; record.Compare(row[k], ref) != 0 {
 				return fmt.Errorf("row %d sorts by %v, reference by %v", i, row[k], ref)
+			}
+		}
+	}
+	return nil
+}
+
+// printRow is a row as Check compares it: %#v, with -0 as 0. The two are one
+// value to record.Compare, a sealed dictionary holds one entry for both, and
+// which of them a group or a MIN reports depends on arrival order.
+func printRow(row []any) string {
+	negZero := func(v any) bool { f, ok := v.(float64); return ok && f == 0 && math.Signbit(f) }
+	if slices.ContainsFunc(row, negZero) {
+		row = slices.Clone(row)
+		for i, v := range row {
+			if negZero(v) {
+				row[i] = 0.0
+			}
+		}
+	}
+	return fmt.Sprintf("%#v", row)
+}
+
+// CheckTypes reports an answer cell whose Go type no cell of its column has
+// in the reference result, or nil: Check compares values as they print,
+// which an int64 and a float64 of one number share.
+func (want *Result) CheckTypes(rows [][]any) error {
+	types := make([]map[reflect.Type]bool, len(want.Columns))
+	for c := range types {
+		types[c] = map[reflect.Type]bool{}
+		for _, row := range want.Rows {
+			if row[c] != nil {
+				types[c][reflect.TypeOf(row[c])] = true
+			}
+		}
+	}
+	for i, row := range rows {
+		for c, v := range row {
+			if v != nil && !types[c][reflect.TypeOf(v)] {
+				return fmt.Errorf("row %d column %s = %#v is a %T; the reference's are %v", i, want.Columns[c], v, v, types[c])
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-package flinksql
+package sqlparse
 
 import (
 	"math"
@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/metadata"
 	"repro/internal/record"
-	"repro/internal/sqlparse"
 )
 
 var fuzzTypes = []metadata.FieldType{metadata.TypeLong, metadata.TypeDouble, metadata.TypeString,
@@ -30,7 +29,7 @@ func fuzzLiteral(kind uint8, i int64, f float64, s string) any {
 	return i&1 == 1
 }
 
-// FuzzPredicateValue holds the compiled WHERE to sqlparse.Predicate.Matches:
+// FuzzPredicateValue holds the compiled WHERE to Predicate.Matches:
 // on any cell of any type, NULL included, against literals of any type and
 // every operator, the typed predicate answers what Matches answers on the
 // boxed cell.
@@ -61,15 +60,15 @@ func FuzzPredicateValue(f *testing.F) {
 			v = record.Value{Null: true}
 		}
 		l1, l2 := fuzzLiteral(k1, i1, f1, s1), fuzzLiteral(k2, i2, f2, s2)
-		p := sqlparse.Predicate{Column: "c", Op: sqlparse.CompareOp(op % 8), Value: l1}
+		p := Predicate{Column: "c", Op: CompareOp(op % 8), Value: l1}
 		switch p.Op {
-		case sqlparse.CmpBetween:
+		case CmpBetween:
 			p.Value2 = l2
-		case sqlparse.CmpIn:
+		case CmpIn:
 			p.Value, p.Values = nil, []any{l1, l2}
 		}
-		compiled := compilePredicate(p)
-		if got, want := compiled.matches(v, ft), p.Matches(v.Box(ft)); got != want {
+		compiled := p.Compile()
+		if got, want := compiled.MatchesValue(v, ft), p.Matches(v.Box(ft)); got != want {
 			t.Fatalf("%s cell %#v, predicate %+v: typed %v, Matches %v", ft, v.Box(ft), p, got, want)
 		}
 	})
