@@ -12,12 +12,14 @@ import (
 	"repro/internal/record"
 )
 
-// The ad-hoc pass's engine-side shapes at the pipeline benchmark's sizes:
-// A2 joins one status's orders of a 30 000-row sealed Pinot table with a
+// The ad-hoc pass's shapes at the pipeline benchmark's sizes: A1 is a
+// top-10 over the 5 000 restaurants of a 30 000-row sealed Pinot table,
+// pushed down whole; A2 joins one status's orders of that table with a
 // 5 000-row archived dimension; A3 groups a 15 000-row archive part. Each
 // pays for what crosses the connectors and for the engine's join and group
-// lookups.
+// lookups, A1 for the OLAP layer's group table.
 const (
+	a1SQL = "SELECT restaurant_id, SUM(amount) AS total FROM pinot.orders GROUP BY restaurant_id ORDER BY total DESC LIMIT 10"
 	a2SQL = "SELECT r.cuisine, COUNT(*) AS n, SUM(o.amount) AS total FROM pinot.orders o" +
 		" JOIN hive.restaurants r ON o.restaurant_id = r.restaurant_id WHERE o.status = 'picked_up' GROUP BY r.cuisine"
 	a3SQL = "SELECT city, COUNT(*) AS n, SUM(amount) AS total FROM hive.orders_day GROUP BY city"
@@ -104,16 +106,19 @@ func runAdhoc(tb testing.TB, e *Engine, sql string, groups int) {
 	}
 }
 
-// TestEngineScanAllocations: A2 and A3 allocate per query, not per row —
-// at most 0.02 allocations per row of the tables they read. Typed vectors
-// carry the rows from segment and archive part to the Result edge; a boxed
-// cell, a row slice or a join key per row is back if this fails.
+// TestEngineScanAllocations: A1, A2 and A3 allocate per query, not per row
+// — at most 0.02 allocations per row of the tables they read. Typed vectors
+// carry the rows from segment and archive part to the Result edge, and
+// A1's groups live in the OLAP layer's typed group table; a boxed cell, a
+// row slice, a join key per row or a heap object per group is back if this
+// fails.
 func TestEngineScanAllocations(t *testing.T) {
 	e := adhocScanEngine(t)
 	for _, c := range []struct {
 		name, sql  string
 		groups, in int
 	}{
+		{"A1", a1SQL, 10, adhocOrders},
 		{"A2", a2SQL, 12, adhocOrders + adhocRestaurants},
 		{"A3", a3SQL, 16, adhocDay},
 	} {

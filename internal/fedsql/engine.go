@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -716,8 +715,8 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 // joinTable is a hash join's build side: its rows as they were collected,
 // typed, and the rows of each key chained in row order. It is keyed by the
 // cell itself, under appendHashKey's classes — a number by its canonical
-// float64 bits, a string (or a non-scalar's %v) by its text — so no key is
-// built per row; a NULL key joins nothing.
+// float64 bits, a string (or a non-scalar's %v) by its text
+// (record.Vector.Key) — so no key is built per row; a NULL key joins nothing.
 type joinTable struct {
 	rows *Batch
 	nums map[uint64]int32 // first row of each number key
@@ -739,7 +738,7 @@ func newJoinTable(rows *Batch, key int) *joinTable {
 	}
 	// Chained last row first, so each chain runs in row order.
 	for r := rows.Len - 1; r >= 0; r-- {
-		num, bits, text, ok := joinKey(v, r)
+		num, bits, text, ok := v.Key(r)
 		if !ok {
 			continue
 		}
@@ -762,7 +761,7 @@ func newJoinTable(rows *Batch, key int) *joinTable {
 
 // first returns the first build row whose key equals row r of v, or -1.
 func (t *joinTable) first(v *record.Vector, r int) int32 {
-	num, bits, text, ok := joinKey(v, r)
+	num, bits, text, ok := v.Key(r)
 	if !ok {
 		return -1
 	}
@@ -776,30 +775,6 @@ func (t *joinTable) first(v *record.Vector, r int) int32 {
 		return -1
 	}
 	return head
-}
-
-// joinKey classifies row r's join key by appendHashKey's classes: a number
-// and its canonical float64 bits, or a text; ok is false for NULL.
-func joinKey(v *record.Vector, r int) (num bool, bits uint64, text string, ok bool) {
-	switch {
-	case v.IsNull(r):
-		return false, 0, "", false
-	case v.Type == metadata.TypeString:
-		return false, 0, v.Strs[r], true
-	case v.Type == metadata.TypeDouble:
-		return true, canonBits(v.Floats[r]), "", true
-	case v.Type != metadata.TypeInvalid && v.Type != metadata.TypeBytes:
-		return true, canonBits(float64(v.Ints[r])), "", true
-	}
-	x := v.Box(r)
-	if f, isNum := record.ToFloat64(x); isNum {
-		return true, canonBits(f), "", true
-	}
-	s, isStr := x.(string)
-	if !isStr {
-		s = fmt.Sprintf("%v", x)
-	}
-	return false, 0, s, true
 }
 
 // joinIterator is the hash-join operator: each probe batch becomes one
@@ -1054,22 +1029,11 @@ func appendCellKey(key []byte, b *Batch, col, r int) []byte {
 }
 
 func appendNumKey(key []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(append(key, 1), canonBits(f))
+	return binary.LittleEndian.AppendUint64(append(key, 1), record.CanonBits(f))
 }
 
 func appendTextKey(key []byte, s string) []byte {
 	return append(binary.AppendUvarint(append(key, 2), uint64(len(s))), s...)
-}
-
-// canonBits is a number's key: its float64 bits, with one NaN and 0 for -0.
-func canonBits(f float64) uint64 {
-	switch {
-	case f != f:
-		f = math.NaN()
-	case f == 0:
-		f = 0
-	}
-	return math.Float64bits(f)
 }
 
 // aggState accumulates one aggregate of one group; count is the number of
@@ -1310,7 +1274,7 @@ func projection(stmt *sqlparse.SelectStmt, star []string) (names, refs []string,
 }
 
 // orderAndLimit applies ORDER BY / LIMIT to collected rows: row positions
-// sort stably by the typed cells (compareRows), and the first LIMIT of them
+// sort stably by the typed cells (record.Vector.Compare), and the first LIMIT of them
 // are gathered into the output.
 func orderAndLimit(out *Batch, stmt *sqlparse.SelectStmt) (*Batch, error) {
 	n := out.Len
@@ -1333,7 +1297,7 @@ func orderAndLimit(out *Batch, stmt *sqlparse.SelectStmt) (*Batch, error) {
 	}
 	sort.SliceStable(perm, func(a, b int) bool {
 		for i, o := range stmt.OrderBy {
-			if c := compareRows(&out.Cols[idx[i]], int(perm[a]), int(perm[b])); c != 0 {
+			if c := out.Cols[idx[i]].Compare(int(perm[a]), int(perm[b])); c != 0 {
 				return (c < 0) != o.Desc
 			}
 		}
@@ -1344,31 +1308,4 @@ func orderAndLimit(out *Batch, stmt *sqlparse.SelectStmt) (*Batch, error) {
 		sorted.Cols[ci].AppendRows(&out.Cols[ci], perm[:n])
 	}
 	return sorted, nil
-}
-
-// compareRows is record.Compare of rows a and b of one column, read typed
-// where the column is: numbers as float64, strings as strings.
-func compareRows(v *record.Vector, a, b int) int {
-	if v.Boxed() || v.Type == metadata.TypeBytes || v.IsNull(a) || v.IsNull(b) {
-		return record.Compare(v.Box(a), v.Box(b))
-	}
-	switch v.Type {
-	case metadata.TypeString:
-		return strings.Compare(v.Strs[a], v.Strs[b])
-	case metadata.TypeDouble:
-		return compareNums(v.Floats[a], v.Floats[b])
-	}
-	return compareNums(float64(v.Ints[a]), float64(v.Ints[b]))
-}
-
-// compareNums orders two numbers as record.Compare does: a NaN is equal to
-// everything.
-func compareNums(x, y float64) int {
-	switch {
-	case x < y:
-		return -1
-	case x > y:
-		return 1
-	}
-	return 0
 }

@@ -21,17 +21,23 @@
 //     server, over the sealed segments it hosts (partition-aware routing
 //     for upsert tables), plus one per partition with unsealed rows. What a
 //     producer does with its rows is the round's sink. Aggregates and
-//     ordered selections fold: every scan emits a Partial — mergeable
-//     states (COUNT/SUM/MIN/MAX as running numerics, AVG as a SUM+COUNT
-//     pair, DISTINCTCOUNT as a value set) keyed by group values — and a
-//     server scans its segments through a bounded worker pool
+//     ordered selections fold: every scan emits a Partial — one typed
+//     group table: the group keys as record.Vectors, one flat array of
+//     mergeable states (COUNT/SUM/MIN/MAX as running numerics, AVG as a
+//     SUM+COUNT pair, DISTINCTCOUNT as a set of canonical number bits and
+//     strings) and an index from a typed key to its row — and a server
+//     scans its segments through a bounded worker pool
 //     (BrokerOptions.Workers; default GOMAXPROCS). Unordered selections
 //     stream: scans push row batches onto one bounded channel, in order.
 //   - Gather: partials merge associatively, so the broker folds them in
-//     arrival order, streaming, without barriers; a batch stream is
-//     collected (Execute) or handed to the caller (ExecuteStream).
+//     arrival order, streaming, without barriers — a new group's key row
+//     and states are appended by value, a known one's states folded, no
+//     object per group; a batch stream is collected (Execute) or handed to
+//     the caller (ExecuteStream).
 //   - Merge/finalize: the accumulated partial collapses to final values
-//     exactly once, then ORDER BY / LIMIT apply.
+//     exactly once: groups rank by row position over the typed table (the
+//     ORDER BY terms, ties by ascending group value), and only the rows
+//     returned are boxed.
 //
 // Queries run under a context.Context: cancellation and the optional
 // BrokerOptions.Timeout stop segment scans between segments, the first
@@ -43,7 +49,8 @@
 // the leading ORDER BY term to max(5·(Limit+Offset), TrimSize) — Pinot's
 // minSegmentGroupTrimSize rule — and servers apply the same bound to the
 // merged partial, so the broker's gather phase holds O(K · servers) state
-// instead of O(groups). Group trimming can be inexact under pathological
+// instead of O(groups). Every trim and the final sort break ORDER BY ties by
+// ascending group value. Group trimming can be inexact under pathological
 // cross-server skew (like Pinot); QueryRequest.TrimExact disables it for
 // byte-identical full-sort results. ExecStats reports GroupsTrimmed,
 // RowsHeapKept and the GroupsShipped/RowsShipped boundary counts.

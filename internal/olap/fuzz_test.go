@@ -12,8 +12,13 @@ import (
 // (and therefore for matview incremental maintenance, which is nothing but
 // Merge over PartialOfRows batches): for fuzz-derived row sets, splitting
 // the rows into any chunking and merging the chunk partials in any rotation
-// — or as a balanced tree — must finalize byte-identically to a single-pass
-// aggregation over all rows. The derived rows include the PR 4
+// — or as a balanced tree — must finalize to a single-pass aggregation over
+// all rows, cell for cell in value and Go type (reflect.DeepEqual of the
+// boxed rows). The chunks come from every source a broker merges: a
+// consuming scan, a sealed segment (whose long keys and values come from an
+// int64 dictionary) and a star-tree-served segment. Merge must leave its
+// argument unchanged: every chunk finalizes as before after it has been
+// merged into two accumulators. The derived rows include the
 // NULL-semantics edges: missing measure values, all-null chunks, empty
 // chunks, and filters that match zero rows (MIN/MAX/AVG over empty sets).
 
@@ -75,8 +80,26 @@ func fuzzQueries() []*Query {
 			Aggs: []AggSpec{{Kind: AggMin, Column: "amount"},
 				{Kind: AggMax, Column: "items"}, {Kind: AggAvg, Column: "amount"},
 				{Kind: AggCount}}},
+		// Grouped by a long, DISTINCTCOUNT over a long and a string: typed
+		// sets and keys that a sealed chunk reads from its dictionaries.
+		{GroupBy: []string{"items"}, Aggs: []AggSpec{
+			{Kind: AggDistinctCount, Column: "items"},
+			{Kind: AggDistinctCount, Column: "status"},
+			{Kind: AggSum, Column: "amount"}}},
+		// Star-tree eligible: an equality on a dimension, group-by dimensions
+		// and metric rollups, so the star-tree chunk answers from its tree.
+		{Filters: []Filter{{Column: "status", Op: OpEq, Value: "placed"}},
+			GroupBy: []string{"city", "items"},
+			Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggSum, Column: "amount"},
+				{Kind: AggMin, Column: "amount"}, {Kind: AggMax, Column: "amount"},
+				{Kind: AggAvg, Column: "amount"}}},
 	}
 }
+
+// fuzzStarTree is the star-tree chunk's index: the dimensions and metric
+// fuzzQueries' star-tree-eligible shape reads.
+var fuzzStarTree = IndexConfig{StarTree: &StarTreeConfig{
+	Dimensions: []string{"city", "status", "items"}, Metrics: []string{"amount"}, MaxLeafRecords: 2}}
 
 func FuzzMergePartials(f *testing.F) {
 	f.Add([]byte{})
@@ -106,6 +129,36 @@ func FuzzMergePartials(f *testing.F) {
 			rows[i] = fuzzRow(b, i)
 		}
 
+		// Chunk the rows evenly (some chunks may be empty), each to be
+		// answered by a consuming scan, a sealed segment or a star-tree
+		// segment in turn, and append one always-empty chunk.
+		per := max((len(rows)+nChunks-1)/nChunks, 1)
+		var chunks []func(q *Query) (*Partial, error)
+		star := -1 // the chunk a star-tree segment answers
+		for at := 0; at < nChunks; at++ {
+			chunk := rows[min(at*per, len(rows)):min((at+1)*per, len(rows))]
+			var cfg *IndexConfig
+			switch at % 3 {
+			case 1:
+				cfg = &IndexConfig{}
+			case 2:
+				cfg = &fuzzStarTree
+			}
+			if cfg == nil || len(chunk) == 0 {
+				chunks = append(chunks, func(q *Query) (*Partial, error) { return PartialOfRows(schema, chunk, q) })
+				continue
+			}
+			seg, err := BuildSegment(fmt.Sprintf("c%d", at), schema, chunk, *cfg, -1)
+			if err != nil {
+				t.Fatalf("chunk %d: %v", at, err)
+			}
+			if cfg.StarTree != nil {
+				star = at
+			}
+			chunks = append(chunks, func(q *Query) (*Partial, error) { return seg.ExecutePartial(q, nil) })
+		}
+		chunks = append(chunks, func(q *Query) (*Partial, error) { return PartialOfRows(schema, nil, q) })
+
 		for qi, q := range fuzzQueries() {
 			single, err := PartialOfRows(schema, rows, q)
 			if err != nil {
@@ -115,77 +168,66 @@ func FuzzMergePartials(f *testing.F) {
 			if err != nil {
 				t.Fatalf("q%d finalize: %v", qi, err)
 			}
-
-			// Chunk the rows evenly (some chunks may be empty) and append
-			// one always-empty chunk.
-			parts := make([]*Partial, 0, nChunks+1)
-			per := (len(rows) + nChunks - 1) / nChunks
-			if per == 0 {
-				per = 1
-			}
-			for at := 0; at < nChunks; at++ {
-				lo := at * per
-				hi := lo + per
-				if lo > len(rows) {
-					lo = len(rows)
-				}
-				if hi > len(rows) {
-					hi = len(rows)
-				}
-				p, err := PartialOfRows(schema, rows[lo:hi], q)
+			same := func(how string, p *Partial) {
+				t.Helper()
+				got, err := p.Finalize(q)
 				if err != nil {
-					t.Fatalf("q%d chunk %d: %v", qi, at, err)
+					t.Fatalf("q%d %s finalize: %v", qi, how, err)
 				}
-				parts = append(parts, p)
-			}
-			empty, err := PartialOfRows(schema, nil, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts = append(parts, empty)
-
-			// Rotated sequential merge: commutativity across arrival orders.
-			acc, err := PartialOfRows(schema, nil, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range parts {
-				acc.Merge(parts[(i+rot)%len(parts)])
-			}
-			got, err := acc.Finalize(q)
-			if err != nil {
-				t.Fatalf("q%d rotated finalize: %v", qi, err)
-			}
-			if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Fatalf("q%d rotated merge diverges from single pass:\n got %v %v\nwant %v %v",
-					qi, got.Columns, got.Rows, want.Columns, want.Rows)
+				if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("q%d %s diverges from single pass:\n got %v %v\nwant %v %v",
+						qi, how, got.Columns, fmt.Sprintf("%#v", got.Rows), want.Columns, fmt.Sprintf("%#v", want.Rows))
+				}
 			}
 
-			// Balanced-tree merge: associativity across groupings. Merge
-			// leaves o unchanged, so reusing parts here is safe.
-			left, err := PartialOfRows(schema, nil, q)
-			if err != nil {
-				t.Fatal(err)
+			parts := make([]*Partial, len(chunks))
+			before := make([]*Result, len(chunks))
+			for i, chunk := range chunks {
+				if parts[i], err = chunk(q); err != nil {
+					t.Fatalf("q%d chunk %d: %v", qi, i, err)
+				}
+				if before[i], err = parts[i].Finalize(q); err != nil {
+					t.Fatalf("q%d chunk %d finalize: %v", qi, i, err)
+				}
 			}
-			right, err := PartialOfRows(schema, nil, q)
-			if err != nil {
-				t.Fatal(err)
+
+			if qi == len(fuzzQueries())-1 && star >= 0 && parts[star].stats.StarTreeServed != 1 {
+				t.Fatalf("q%d: the star-tree chunk was not served from its tree", qi)
 			}
+
+			// Rotated sequential merges into two accumulators:
+			// commutativity across arrival orders.
+			for _, start := range []int{rot, rot + 1} {
+				acc, err := PartialOfRows(schema, nil, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range parts {
+					acc.Merge(parts[(i+start)%len(parts)])
+				}
+				same(fmt.Sprintf("rotated merge from %d", start%len(parts)), acc)
+			}
+
+			// Balanced-tree merge: associativity across groupings.
+			var tree func(ps []*Partial) *Partial
+			tree = func(ps []*Partial) *Partial {
+				if len(ps) == 1 {
+					acc := newPartial(q)
+					acc.Merge(ps[0])
+					return acc
+				}
+				left, right := tree(ps[:len(ps)/2]), tree(ps[len(ps)/2:])
+				left.Merge(right)
+				return left
+			}
+			same("tree merge", tree(parts))
+
+			// Merge left every chunk as it was.
 			for i, p := range parts {
-				if i < len(parts)/2 {
-					left.Merge(p)
-				} else {
-					right.Merge(p)
+				after, err := p.Finalize(q)
+				if err != nil || !reflect.DeepEqual(after.Rows, before[i].Rows) {
+					t.Fatalf("q%d chunk %d changed by Merge: %v, was %v (%v)", qi, i, after.Rows, before[i].Rows, err)
 				}
-			}
-			left.Merge(right)
-			got2, err := left.Finalize(q)
-			if err != nil {
-				t.Fatalf("q%d tree finalize: %v", qi, err)
-			}
-			if !reflect.DeepEqual(got2.Rows, want.Rows) {
-				t.Fatalf("q%d tree merge diverges from single pass:\n got %v\nwant %v",
-					qi, got2.Rows, want.Rows)
 			}
 		}
 	})

@@ -20,7 +20,8 @@ import (
 // SealedScan/Dn.
 //
 // GroupByTwoCoded and TopKTrim are the ad-hoc pass's A4 and A1 on the sealed
-// segment: the grouper's composite-code form and its slot-level trim.
+// segment: the grouper's composite-code form and its trim; BrokerGroupBy
+// runs both through the broker.
 //
 //	go test -run '^$' -bench 'Scan|Add|Ingest|Seal|GroupBy|TopK' -benchmem ./internal/olap
 
@@ -167,7 +168,7 @@ func benchSealedShape(b *testing.B, q *Query) {
 		benchSink = p
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchSegmentRows, "ns/row")
-	b.ReportMetric(float64(len(benchSink.groups)), "groups")
+	b.ReportMetric(float64(benchSink.n), "groups")
 }
 
 // BenchmarkGroupByTwoCoded is the ad-hoc pass's A4 on one segment: a full
@@ -179,11 +180,55 @@ func BenchmarkGroupByTwoCoded(b *testing.B) {
 }
 
 // BenchmarkTopKTrim is A1 on one segment: a top-10 over some 4 000
-// restaurants, trimmed to DefaultGroupTrimSize slots before any group is
-// decoded or keyed.
+// restaurants, trimmed to DefaultGroupTrimSize groups before any group is
+// indexed.
 func BenchmarkTopKTrim(b *testing.B) {
 	benchSealedShape(b, &Query{GroupBy: []string{"restaurant_id"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount", As: "total"}},
 		OrderBy: []OrderSpec{{Column: "total", Desc: true}}, Limit: 10})
+}
+
+// BenchmarkBrokerGroupBy is the broker hop of the ad-hoc pass's A1 and A4:
+// Broker.Execute over two servers, each owning a partition of the bench rows
+// held as one sealed 10 000-row segment and a 2 500-row consuming tail —
+// scatter, segment and consuming scans, the server trim, the broker's merge
+// and Finalize.
+func BenchmarkBrokerGroupBy(b *testing.B) {
+	d, err := NewDeployment(DeploymentConfig{
+		Table:        TableConfig{Name: "orders", Schema: benchSchema(), SegmentRows: 10_000, Indexes: benchIndexes},
+		Servers:      []*Server{NewServer("s0"), NewServer("s1")},
+		SegmentStore: objstore.NewMemStore(),
+		Backup:       BackupP2P,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, r := range benchRows(benchSegmentRows) {
+		if err := d.Ingest(i%2, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	d.WaitUploads()
+	broker := NewBrokerWithOptions(d, BrokerOptions{Workers: 2})
+	for _, c := range []struct {
+		name   string
+		q      *Query
+		groups int
+	}{
+		{"A1", &Query{GroupBy: []string{"restaurant_id"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount", As: "total"}},
+			OrderBy: []OrderSpec{{Column: "total", Desc: true}}, Limit: 10}, 10},
+		{"A4", &Query{GroupBy: []string{"city", "status"},
+			Aggs: []AggSpec{{Kind: AggCount, As: "n"}, {Kind: AggAvg, Column: "amount", As: "mean"}, {Kind: AggMax, Column: "amount", As: "top"}}}, 64},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := broker.Execute(context.Background(), &QueryRequest{Query: c.q})
+				if err != nil || len(res.Rows) != c.groups {
+					b.Fatalf("%s: %v rows, %v; want %d", c.name, len(res.Rows), err, c.groups)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkMutableAdd is the per-row cost of an append: ns/op is ns/row.

@@ -400,9 +400,9 @@ func TestGroupTrimDifferential(t *testing.T) {
 			top.Limit, qTop.Limit = k, k
 			check := func(name string, got *Partial) {
 				t.Helper()
-				if len(got.groups) != k || got.stats.GroupsTrimmed != int64(len(want.Rows)-k) {
+				if got.n != k || got.stats.GroupsTrimmed != int64(len(want.Rows)-k) {
 					t.Fatalf("seed %d %s %s (trim %+v): %d groups kept and %d reported trimmed, of %d with a budget of %d",
-						seed, name, rq, tp, len(got.groups), got.stats.GroupsTrimmed, len(want.Rows), k)
+						seed, name, rq, tp, got.n, got.stats.GroupsTrimmed, len(want.Rows), k)
 				}
 				res, err := got.Finalize(&qTop)
 				if err == nil {

@@ -2,8 +2,9 @@ package olap
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"maps"
+	"slices"
+	"unsafe"
 
 	"repro/internal/metadata"
 	"repro/internal/record"
@@ -24,124 +25,217 @@ import (
 // together in any grouping or order.
 type aggState struct {
 	starAgg
-	distinct map[string]struct{} // nil unless the spec is AggDistinctCount
+	distinct *distinctSet // nil unless the spec is AggDistinctCount
 }
 
-// addDistinct records one observed value for DISTINCTCOUNT.
-func (a *aggState) addDistinct(key string) {
+// distinctSet is the values a DISTINCTCOUNT observed: numbers by
+// record.CanonBits, strings apart — the classes record.AppendValueKey tells
+// apart.
+type distinctSet struct {
+	nums map[uint64]struct{}
+	strs map[string]struct{}
+}
+
+// set returns the state's distinct set, creating it.
+func (a *aggState) set() *distinctSet {
 	if a.distinct == nil {
-		a.distinct = make(map[string]struct{})
+		a.distinct = &distinctSet{nums: map[uint64]struct{}{}, strs: map[string]struct{}{}}
 	}
-	a.distinct[key] = struct{}{}
+	return a.distinct
+}
+
+// addNum records one observed number for DISTINCTCOUNT.
+func (a *aggState) addNum(f float64) { a.set().nums[record.CanonBits(f)] = struct{}{} }
+
+// addStr records one observed string for DISTINCTCOUNT.
+func (a *aggState) addStr(s string) { a.set().strs[s] = struct{}{} }
+
+// distinctCount is DISTINCTCOUNT's answer: the number of values observed.
+func (a *aggState) distinctCount() int {
+	if a.distinct == nil {
+		return 0
+	}
+	return len(a.distinct.nums) + len(a.distinct.strs)
 }
 
 // mergeState folds another partial state into this one.
 func (a *aggState) mergeState(o *aggState) {
 	a.starAgg.merge(o.starAgg)
-	if len(o.distinct) > 0 {
-		if a.distinct == nil {
-			a.distinct = make(map[string]struct{}, len(o.distinct))
-		}
-		for k := range o.distinct {
-			a.distinct[k] = struct{}{}
-		}
+	if o.distinct != nil {
+		set := a.set()
+		maps.Copy(set.nums, o.distinct.nums)
+		maps.Copy(set.strs, o.distinct.strs)
 	}
-}
-
-// distinctKey canonicalizes a value for the DISTINCTCOUNT set so that the
-// same logical value collides across segments regardless of its Go type
-// (int64 from a sealed dictionary vs float64 from a consuming row); -0 is 0.
-func distinctKey(v any) string {
-	if f, ok := toF64(v); ok {
-		if f == 0 {
-			f = 0
-		}
-		return "n:" + strconv.FormatFloat(f, 'g', -1, 64)
-	}
-	return "s:" + fmt.Sprintf("%v", v)
 }
 
 // Partial is the mergeable partial result of a query over a subset of a
 // table's segments — the unit the scatter phase ships from segment scans to
-// the broker's streaming merge. For aggregation queries it holds group
-// accumulators keyed by group values; for selection queries, raw rows.
+// the broker's streaming merge. For aggregation queries it is one typed
+// group table: group r's key is row r of the key vectors and its
+// aggregations are accs[r*naggs : (r+1)*naggs], with an index from a typed
+// key to its row — a single number by its record.CanonBits, a single text
+// by itself, a tuple by its record.AppendValueKey bytes — so a group costs
+// no heap object of its own. For selection queries it holds raw rows.
 type Partial struct {
-	agg    bool
-	groups map[string]*groupAgg
-	rows   [][]any
-	cols   []string
-	stats  ExecStats
+	agg   bool
+	naggs int
+	n     int             // groups
+	keys  []record.Vector // one per GROUP BY column
+	accs  []aggState
+
+	nums  map[uint64]int32 // a single key column's numbers → row
+	strs  map[string]int32 // its texts, or a tuple's key bytes → row
+	null  int32            // row+1 of a single key column's NULL group; 0: none
+	buf   []byte           // scratch: a tuple's key bytes
+	arena []byte           // backing of the tuple keys in strs
+
+	rows  [][]any
+	cols  []string
+	stats ExecStats
 }
 
 // newPartial returns an empty partial for the query shape.
 func newPartial(q *Query) *Partial {
 	if len(q.Aggs) > 0 {
-		return &Partial{agg: true, groups: make(map[string]*groupAgg)}
+		return &Partial{agg: true, naggs: len(q.Aggs), keys: make([]record.Vector, len(q.GroupBy))}
 	}
 	return &Partial{}
 }
 
-// partialFromGroups re-keys a star-tree answer's groups by group value —
-// record.AppendValueKey of each, the key every partial merges on: segment-
-// local dictionary codes mean nothing across segments.
-func partialFromGroups(groups map[string]*groupAgg) *Partial {
-	p := &Partial{agg: true, groups: make(map[string]*groupAgg, len(groups))}
-	var key []byte
-	for _, g := range groups {
-		key = key[:0]
-		for _, v := range g.values {
-			key = record.AppendValueKey(key, v)
-		}
-		p.addGroup(key, g)
+// slot returns the row the index holds for the key at row r of key, or,
+// when it holds none, records at as that key's row and reports false.
+func (p *Partial) slot(key []record.Vector, r, at int) (int, bool) {
+	if len(key) == 0 {
+		return 0, at > 0 // one group, row 0
 	}
-	return p
+	if p.nums == nil {
+		p.reserve(0)
+	}
+	if len(key) > 1 {
+		p.buf = p.buf[:0]
+		for c := range key {
+			p.buf = key[c].AppendKey(p.buf, r)
+		}
+		if g, ok := p.strs[string(p.buf)]; ok {
+			return int(g), true
+		}
+		p.strs[intern(&p.arena, p.buf)] = int32(at)
+		return at, false
+	}
+	switch num, bits, text, ok := key[0].Key(r); {
+	case !ok:
+		if p.null > 0 {
+			return int(p.null - 1), true
+		}
+		p.null = int32(at + 1)
+	case num:
+		if g, ok := p.nums[bits]; ok {
+			return int(g), true
+		}
+		p.nums[bits] = int32(at)
+	default:
+		if g, ok := p.strs[text]; ok {
+			return int(g), true
+		}
+		p.strs[text] = int32(at)
+	}
+	return at, false
 }
 
-// addGroup adds a segment's group under its value key. Two codes of one
-// segment can share a key — longs above 2^53 that are one float64 — and then
-// fold into one group.
-func (p *Partial) addGroup(key []byte, g *groupAgg) {
-	mine, ok := p.groups[string(key)]
-	if !ok {
-		p.groups[string(key)] = g
-		return
+// reserve makes the index, sized for n groups in the class the key type
+// has.
+func (p *Partial) reserve(n int) {
+	nums, strs := 0, n
+	if len(p.keys) == 1 && p.keys[0].Type != metadata.TypeString {
+		nums, strs = n, 0
 	}
-	for i := range mine.aggs {
-		mine.aggs[i].mergeState(&g.aggs[i])
+	p.nums, p.strs = make(map[uint64]int32, nums), make(map[string]int32, strs)
+}
+
+// positions lists the table's rows in order.
+func (p *Partial) positions() []int32 {
+	rows := make([]int32, p.n)
+	for r := range rows {
+		rows[r] = int32(r)
+	}
+	return rows
+}
+
+// index indexes a table built without one, in place. It reports false,
+// leaving the index partial, when two rows share a key — longs above 2^53
+// that are one float64 — and the rows must fold instead (keep).
+func (p *Partial) index() bool {
+	p.reserve(p.n)
+	for r := range p.n {
+		if _, dup := p.slot(p.keys, r, r); dup {
+			return false
+		}
+	}
+	return true
+}
+
+// intern returns a string of key's bytes carved from the arena: a table of
+// tuple keys allocates a chunk, each twice the last, not a string per group.
+// Bytes once carved are never written again.
+func intern(arena *[]byte, key []byte) string {
+	if len(*arena)+len(key) > cap(*arena) {
+		*arena = make([]byte, 0, max(256, 2*cap(*arena), len(key)))
+	}
+	at := len(*arena)
+	*arena = append(*arena, key...)
+	return unsafe.String(&(*arena)[at], len(key))
+}
+
+// add folds a group — row r of key, aggregations accs — into the table,
+// appending it, key row copied, when the table lacks it. adopt hands over
+// accs' DISTINCTCOUNT sets when the group is new; without it they are
+// copied, so the source stays unchanged.
+func (p *Partial) add(key []record.Vector, r int, accs []aggState, adopt bool) {
+	row, found := p.slot(key, r, p.n)
+	if !found {
+		for c := range key {
+			p.keys[c].AppendRows(&key[c], []int32{int32(r)})
+		}
+		for range p.naggs {
+			p.accs = append(p.accs, aggState{})
+		}
+		p.n++
+	}
+	mine := p.accs[row*p.naggs : (row+1)*p.naggs]
+	for i := range accs {
+		if adopt && !found {
+			mine[i] = accs[i]
+			continue
+		}
+		mine[i].mergeState(&accs[i])
 	}
 }
 
-// cloneGroup deep-copies a group accumulator so an adopting Partial cannot
-// later mutate state still referenced by the source.
-func cloneGroup(g *groupAgg) *groupAgg {
-	cp := &groupAgg{values: g.values, aggs: make([]aggState, len(g.aggs))}
-	for i, a := range g.aggs {
-		cp.aggs[i].starAgg = a.starAgg
-		if a.distinct != nil {
-			cp.aggs[i].distinct = make(map[string]struct{}, len(a.distinct))
-			for k := range a.distinct {
-				cp.aggs[i].distinct[k] = struct{}{}
-			}
-		}
+// keep returns a table of the given rows of p, indexed and in that order;
+// it takes over their DISTINCTCOUNT sets and p's stats.
+func (p *Partial) keep(rows []int32) *Partial {
+	out := &Partial{agg: true, naggs: p.naggs, keys: make([]record.Vector, len(p.keys)), stats: p.stats}
+	out.accs = make([]aggState, 0, len(rows)*p.naggs)
+	for c := range out.keys {
+		out.keys[c].Reset(p.keys[c].Type)
+		out.keys[c].Grow(len(rows))
 	}
-	return cp
+	out.reserve(len(rows))
+	for _, r := range rows {
+		out.add(p.keys, int(r), p.accs[int(r)*p.naggs:(int(r)+1)*p.naggs], true)
+	}
+	return out
 }
 
 // Merge folds another partial into this one, leaving o unchanged. Merging
 // is associative and commutative, so the broker can fold partials in
-// arrival order — and partials remain reusable after being merged.
+// arrival order — and partials remain reusable after being merged. A group
+// new to p is appended by value; only its DISTINCTCOUNT sets are copied.
 func (p *Partial) Merge(o *Partial) {
 	p.stats.Add(o.stats)
 	if p.agg {
-		for k, g := range o.groups {
-			mine, ok := p.groups[k]
-			if !ok {
-				p.groups[k] = cloneGroup(g)
-				continue
-			}
-			for i := range mine.aggs {
-				mine.aggs[i].mergeState(&g.aggs[i])
-			}
+		for r := 0; r < o.n; r++ {
+			p.add(o.keys, r, o.accs[r*o.naggs:(r+1)*o.naggs], false)
 		}
 		return
 	}
@@ -153,7 +247,10 @@ func (p *Partial) Merge(o *Partial) {
 
 // Finalize converts the merged partial into a user-facing Result: group
 // states collapse to final values (AVG = Sum/Count, DISTINCTCOUNT = set
-// cardinality), groups sort deterministically, and ORDER BY / LIMIT apply.
+// cardinality) and ORDER BY / OFFSET / LIMIT apply. Groups rank by row
+// position over the typed table — the ORDER BY terms, then ascending group
+// value (Partial.less) — and only the rows returned are boxed, into one
+// backing array.
 func (p *Partial) Finalize(q *Query) (*Result, error) {
 	if !p.agg {
 		cols := p.cols
@@ -170,39 +267,61 @@ func (p *Partial) Finalize(q *Query) (*Result, error) {
 	for _, a := range q.Aggs {
 		cols = append(cols, a.outName())
 	}
-	res := &Result{Columns: cols, Stats: p.stats}
-	if len(p.groups) == 0 && len(q.GroupBy) == 0 {
+	if p.n == 0 && len(q.GroupBy) == 0 {
 		// SQL semantics: a global aggregate over zero rows still returns one
 		// row (count = 0, sum = 0, min/max/avg = NULL), which OFFSET skips as
 		// it would any other.
-		row := make([]any, 0, len(q.Aggs))
-		for _, spec := range q.Aggs {
-			row = append(row, aggValue(aggState{}, spec.Kind))
-		}
-		res.Rows = append(res.Rows, row)
+		p = &Partial{agg: true, naggs: p.naggs, n: 1, accs: make([]aggState, p.naggs), stats: p.stats}
 	}
-	ordered := make([]*groupAgg, 0, len(p.groups))
-	for _, g := range p.groups {
-		ordered = append(ordered, g)
-	}
-	sort.Slice(ordered, func(a, b int) bool {
-		ga, gb := ordered[a].values, ordered[b].values
-		for i := range ga {
-			if cmp := record.Compare(ga[i], gb[i]); cmp != 0 {
-				return cmp < 0
+	terms := make([]rankTerm, len(q.OrderBy))
+	for i, o := range q.OrderBy {
+		// The last column of the name wins: an aggregation over a group
+		// column it shadows, as in planTopK.
+		ci := -1
+		for j, c := range cols {
+			if c == o.Column {
+				ci = j
 			}
 		}
-		return false
-	})
-	for _, g := range ordered {
-		row := append([]any(nil), g.values...)
-		for ai, spec := range q.Aggs {
-			row = append(row, aggValue(g.aggs[ai], spec.Kind))
+		switch {
+		case ci < 0:
+			return nil, fmt.Errorf("olap: order-by column %q not in result", o.Column)
+		case ci < len(q.GroupBy):
+			terms[i] = p.rankTerm(ci, -1, 0, o.Desc)
+		default:
+			ai := ci - len(q.GroupBy)
+			terms[i] = p.rankTerm(-1, ai, q.Aggs[ai].Kind, o.Desc)
 		}
-		res.Rows = append(res.Rows, row)
 	}
-	if err := sortAndLimit(res, q); err != nil {
-		return nil, err
+	order, less := p.positions(), p.less(terms)
+	if k := q.Limit + q.Offset; q.Limit > 0 && k < len(order) {
+		selectTop(order, k, less)
+		order = order[:k]
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		switch {
+		case a == b:
+			return 0
+		case less(a, b):
+			return -1
+		}
+		return 1
+	})
+	order = order[min(q.Offset, len(order)):]
+	if q.Limit > 0 && len(order) > q.Limit {
+		order = order[:q.Limit]
+	}
+	res := &Result{Columns: cols, Rows: make([][]any, len(order)), Stats: p.stats}
+	cells := make([]any, len(order)*len(cols))
+	for j, r := range order {
+		row := cells[j*len(cols) : (j+1)*len(cols) : (j+1)*len(cols)]
+		for c := range p.keys {
+			row[c] = p.keys[c].Box(int(r))
+		}
+		for ai, spec := range q.Aggs {
+			row[len(p.keys)+ai] = aggValue(&p.accs[int(r)*p.naggs+ai], spec.Kind)
+		}
+		res.Rows[j] = row
 	}
 	return res, nil
 }

@@ -1,0 +1,87 @@
+package olap
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/record"
+)
+
+// TestPartialAllocations: the group table costs no heap object per group.
+// At 1 000 and at 4 000 distinct keys it measures a segment's
+// ExecutePartial — sealed, and a consuming store grouped by its raw long
+// column — a Merge of two partials with disjoint and with equal key sets,
+// and a Finalize under ORDER BY … LIMIT 10. The groups the larger size adds
+// may cost at most 0.02 allocations each: amortized growth of the table's
+// arrays and index, never an object per group.
+func TestPartialAllocations(t *testing.T) {
+	q := &Query{GroupBy: []string{"items"},
+		Aggs:    []AggSpec{{Kind: AggCount, As: "n"}, {Kind: AggSum, Column: "amount", As: "total"}},
+		OrderBy: []OrderSpec{{Column: "total", Desc: true}}, Limit: 10}
+	// rows holds two rows of each of keys items from first on.
+	rows := func(first, keys int) []record.Record {
+		out := make([]record.Record, 2*keys)
+		for i := range out {
+			out[i] = record.Record{"order_id": fmt.Sprintf("o-%d", i), "city": "sf", "status": "placed",
+				"amount": float64(i%97) / 4, "items": int64(first + i%keys), "ts": int64(1_700_000_000_000 + i)}
+		}
+		return out
+	}
+	measure := func(keys int) map[string][2]float64 {
+		seg, err := BuildSegment("s", ordersSchema(), rows(0, keys), IndexConfig{}, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := storeOf(t, ordersSchema(), rows(0, keys))
+		a, err := seg.ExecutePartial(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := store.snapshot().executePartial(q, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disjoint, err := storeOf(t, ordersSchema(), rows(keys, keys)).snapshot().executePartial(q, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merge := func(o *Partial, groups int) func() {
+			return func() {
+				acc := newPartial(q)
+				acc.Merge(a)
+				acc.Merge(o)
+				if acc.n != groups {
+					t.Fatalf("%d groups merged, want %d", acc.n, groups)
+				}
+			}
+		}
+		// Each case: its allocations, and the groups it holds.
+		return map[string][2]float64{
+			"ExecutePartial/sealed": {testing.AllocsPerRun(5, func() {
+				if _, err := seg.ExecutePartial(q, nil); err != nil {
+					t.Fatal(err)
+				}
+			}), float64(keys)},
+			"ExecutePartial/consuming": {testing.AllocsPerRun(5, func() {
+				if _, err := store.snapshot().executePartial(q, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}), float64(keys)},
+			"Merge/disjoint": {testing.AllocsPerRun(5, merge(disjoint, 2*keys)), float64(2 * keys)},
+			"Merge/equal":    {testing.AllocsPerRun(5, merge(b, keys)), float64(keys)},
+			"Finalize": {testing.AllocsPerRun(5, func() {
+				if res, err := a.Finalize(q); err != nil || len(res.Rows) != 10 {
+					t.Fatalf("Finalize: %v", err)
+				}
+			}), float64(keys)},
+		}
+	}
+	small, large := measure(1000), measure(4000)
+	for name, l := range large {
+		sm := small[name]
+		if perGroup := (l[0] - sm[0]) / (l[1] - sm[1]); perGroup > 0.02 {
+			t.Errorf("%s: %.0f allocations for %.0f groups, %.0f for %.0f (%.3f per added group), want at most 0.02",
+				name, sm[0], sm[1], l[0], l[1], perGroup)
+		}
+	}
+}

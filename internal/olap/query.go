@@ -271,16 +271,6 @@ func (s *ExecStats) Add(o ExecStats) {
 	}
 }
 
-// groupAgg accumulates one output group as mergeable partial states.
-type groupAgg struct {
-	values []any // group-by column values
-	aggs   []aggState
-}
-
-func newGroupAgg(q *Query, values []any) *groupAgg {
-	return &groupAgg{values: values, aggs: make([]aggState, len(q.Aggs))}
-}
-
 // normalizeFilterValue coerces a filter literal to the domain of a column
 // of the given type (e.g. int → float64 for numeric dictionaries).
 func normalizeFilterValue(typ metadata.FieldType, v any) any {
@@ -433,10 +423,8 @@ func (s *Segment) executePartialTrim(q *Query, valid *Bitmap, tp *topKPlan) (*Pa
 	// segment lies entirely inside the window).
 	timeNoop := q.Time == nil || s.Schema.TimeField == "" || q.Time.Contains(s.MinTime, s.MaxTime)
 	if s.Tree != nil && valid == nil && timeNoop && s.Tree.Eligible(q) {
-		if groups := s.Tree.query(s, q); groups != nil {
-			groups, trimmed := trimGroups(groups, tp)
-			p := partialFromGroups(groups)
-			p.stats.GroupsTrimmed = trimmed
+		if p := s.Tree.query(s, q); p != nil {
+			p = p.trim(tp)
 			p.stats.SegmentsScanned = 1
 			p.stats.StarTreeServed = 1
 			return p, nil
@@ -509,33 +497,39 @@ func (sc *scanSet) executeAgg(q *Query, ss *selStream, tp *topKPlan) (*Partial, 
 	return g.partial(tp), nil
 }
 
-// aggValue collapses a partial state into the final user-facing value.
-// SQL NULL semantics: MIN/MAX/AVG over zero non-null values are NULL (nil),
-// never a fabricated 0 — only COUNT (0) and SUM (empty sum 0) have defined
-// zero-input values.
-func aggValue(a aggState, kind AggKind) any {
+// aggValue collapses a partial state into the final user-facing value:
+// COUNT and DISTINCTCOUNT as an int64, the others as final's float64.
+func aggValue(a *aggState, kind AggKind) any {
+	switch f, null := a.final(kind); {
+	case null:
+		return nil
+	case kind == AggCount:
+		return a.Count
+	case kind == AggDistinctCount:
+		return int64(f)
+	default:
+		return f
+	}
+}
+
+// final is the state's final value as a float64 — the number record.Compare
+// sees of aggValue's — or null. SQL NULL semantics: MIN/MAX/AVG over zero
+// non-null values are NULL, never a fabricated 0 — only COUNT (0) and SUM
+// (empty sum 0) have defined zero-input values.
+func (a *aggState) final(kind AggKind) (f float64, null bool) {
 	switch kind {
 	case AggSum:
-		return a.Sum
+		return a.Sum, false
 	case AggMin:
-		if a.Count == 0 {
-			return nil
-		}
-		return a.Min
+		return a.Min, a.Count == 0
 	case AggMax:
-		if a.Count == 0 {
-			return nil
-		}
-		return a.Max
+		return a.Max, a.Count == 0
 	case AggAvg:
-		if a.Count == 0 {
-			return nil
-		}
-		return a.Sum / float64(a.Count)
+		return a.Sum / float64(a.Count), a.Count == 0
 	case AggDistinctCount:
-		return int64(len(a.distinct))
+		return float64(a.distinctCount()), false
 	default:
-		return a.Count
+		return float64(a.Count), false
 	}
 }
 
@@ -622,10 +616,10 @@ func (sc *scanSet) selectColumns(q *Query) ([]string, []*colView, error) {
 	return append([]string(nil), q.Select...), scols, nil
 }
 
-// sortAndLimit applies ORDER BY / OFFSET / LIMIT to a merged result in
-// place. It sorts with the same orderComparator the bounded top-K heaps
-// and trims use, so the final sort and the candidate selection can never
-// disagree on ordering.
+// sortAndLimit applies ORDER BY / OFFSET / LIMIT to a merged selection in
+// place. It sorts with the same orderComparator the bounded top-K row heaps
+// use, so the final sort and the candidate selection can never disagree on
+// ordering.
 func sortAndLimit(res *Result, q *Query) error {
 	if len(q.OrderBy) > 0 {
 		cmp, ok := orderComparator(q, res.Columns)

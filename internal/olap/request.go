@@ -527,7 +527,7 @@ func (p *foldProducer) finish(st ExecStats, err error) error {
 	acc.stats = st
 	acc.trimTopK(p.sink.q, p.sink.tp)
 	if acc.agg {
-		acc.stats.GroupsShipped = int64(len(acc.groups))
+		acc.stats.GroupsShipped = int64(acc.n)
 	} else {
 		acc.stats.RowsShipped = int64(len(acc.rows))
 	}
@@ -546,6 +546,7 @@ func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query, router R
 		return nil, err
 	}
 	g := &folded{acc: newPartial(q), sp: sp}
+	adopted := false
 	if !sp.opts.TrimExact {
 		g.tp = planTopK(q, sp.opts.TrimSize)
 	}
@@ -568,7 +569,11 @@ func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query, router R
 				mergeSp.SetRows(int64(len(g.acc.rows)))
 				return g, nil
 			}
-			g.acc.Merge(p)
+			if adopted {
+				g.acc.Merge(p)
+			} else {
+				g.acc, adopted = p, true // the first partial is adopted, not copied
+			}
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+
+	"repro/internal/record"
 )
 
 // StarTreeConfig configures the star-tree pre-aggregation index (§4.3: "It
@@ -130,7 +132,10 @@ func buildStarTree(seg *Segment, cfg StarTreeConfig) (*StarTree, error) {
 		}
 		aggs := make([]starAgg, len(cfg.Metrics))
 		for mi, m := range cfg.Metrics {
-			aggs[mi].add(seg.double(m, i))
+			// A NULL measure is no input: MIN/MAX/AVG over it stay NULL.
+			if seg.Columns[m].Present.Get(i) {
+				aggs[mi].add(seg.double(m, i))
+			}
 		}
 		base[i] = starRow{Dims: dims, Count: 1, Aggs: aggs}
 	}
@@ -292,9 +297,11 @@ func (t *StarTree) Eligible(q *Query) bool {
 
 // query answers an eligible query from the tree: walk dimensions in order,
 // descending into the filtered code, iterating children for group-by dims,
-// and taking the star child otherwise. nil means the tree cannot answer: a
-// filter literal equals several codes, and the segment scans instead.
-func (t *StarTree) query(seg *Segment, q *Query) map[string]*groupAgg {
+// and taking the star child otherwise. Each matching pre-aggregated row
+// enters the partial's group table under its group's key, typed from the
+// dictionaries by code. nil means the tree cannot answer: a filter literal
+// equals several codes, and the segment scans instead.
+func (t *StarTree) query(seg *Segment, q *Query) *Partial {
 	// Pre-resolve filters to codes.
 	eqCode := make(map[int]int) // dim level -> required code
 	for _, f := range q.Filters {
@@ -303,7 +310,7 @@ func (t *StarTree) query(seg *Segment, q *Query) map[string]*groupAgg {
 				lo, hi := seg.Columns[d].Dict.span(normalizeFilterValue(seg.Columns[d].Field.Type, f.Value))
 				switch {
 				case lo == hi:
-					return map[string]*groupAgg{} // filter value absent
+					return newPartial(q) // filter value absent
 				case hi > lo+1:
 					return nil // several longs that are one float64: scan
 				}
@@ -324,7 +331,14 @@ func (t *StarTree) query(seg *Segment, q *Query) map[string]*groupAgg {
 		metricIdx[m] = i
 	}
 
-	results := make(map[string]*groupAgg)
+	p := newPartial(q)
+	sc := seg.scan()
+	gcols := make([]*colView, len(groupLevels))
+	for i, gl := range groupLevels {
+		gcols[i] = sc.col(t.Cfg.Dimensions[gl])
+	}
+	key := make([]record.Vector, len(groupLevels)) // one row: a group's key
+	accs := make([]aggState, len(q.Aggs))
 	var walk func(n *StarNode)
 	walk = func(n *StarNode) {
 		if n.Rows != nil {
@@ -349,19 +363,18 @@ func (t *StarTree) query(seg *Segment, q *Query) map[string]*groupAgg {
 				if !match {
 					continue
 				}
-				groupKey := t.rowGroupKey(seg, r, groupLevels)
-				g, ok := results[groupKey]
-				if !ok {
-					g = newGroupAgg(q, t.rowGroupValues(seg, r, groupLevels))
-					results[groupKey] = g
+				for i, gl := range groupLevels {
+					key[i].Reset(gcols[i].typ)
+					gcols[i].appendCode(&key[i], r.Dims[gl])
 				}
 				for ai, spec := range q.Aggs {
 					if spec.Kind == AggCount && spec.Column == "" {
-						g.aggs[ai].Count += r.Count
+						accs[ai] = aggState{starAgg: starAgg{Count: r.Count}}
 						continue
 					}
-					g.aggs[ai].merge(r.Aggs[metricIdx[spec.Column]])
+					accs[ai] = aggState{starAgg: r.Aggs[metricIdx[spec.Column]]}
 				}
+				p.add(key, 0, accs, true)
 			}
 			return
 		}
@@ -388,27 +401,5 @@ func (t *StarTree) query(seg *Segment, q *Query) map[string]*groupAgg {
 		walk(n.Star)
 	}
 	walk(t.Root)
-	return results
-}
-
-// rowGroupKey builds the group key for a pre-aggregated row.
-func (t *StarTree) rowGroupKey(seg *Segment, r starRow, groupLevels []int) string {
-	b := make([]byte, 0, 16)
-	for _, gl := range groupLevels {
-		b = append(b, byte(r.Dims[gl]), byte(r.Dims[gl]>>8), byte(r.Dims[gl]>>16), 0xfe)
-	}
-	return string(b)
-}
-
-func (t *StarTree) rowGroupValues(seg *Segment, r starRow, groupLevels []int) []any {
-	vals := make([]any, len(groupLevels))
-	for i, gl := range groupLevels {
-		d := t.Cfg.Dimensions[gl]
-		col := seg.Columns[d]
-		code := r.Dims[gl]
-		if code >= 0 && code < col.Dict.size() {
-			vals[i] = col.Dict.value(code)
-		}
-	}
-	return vals
+	return p
 }

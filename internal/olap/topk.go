@@ -2,7 +2,6 @@ package olap
 
 import (
 	"container/heap"
-	"strings"
 
 	"repro/internal/record"
 )
@@ -80,7 +79,7 @@ func planTopK(q *Query, trimSize int) *topKPlan {
 		}
 	}
 	// Aggregation names override group columns on collision, matching the
-	// last-match-wins column lookup in sortAndLimit.
+	// last-match-wins column lookup of Finalize.
 	for ai, a := range q.Aggs {
 		if a.outName() == lead {
 			tp.valIdx, tp.aggIdx, tp.aggKind = -1, ai, a.Kind
@@ -168,78 +167,75 @@ func (t *topKRows) push(row []any) {
 // sort over the O(K · fan-out) survivors restores the user-facing order.
 func (t *topKRows) take() [][]any { return t.h.rows }
 
-// groupRanks holds the leading ORDER BY term of each candidate group of a
-// trim, typed once: ranking compares float64s and strings, never boxed
-// values through record.Compare. The order is record.Compare's — NULL
-// first, numbers by value (a NaN ties with everything), strings by content —
-// reversed for DESC.
-type groupRanks struct {
+// rankTerm is one ORDER BY term over a group table's rows, typed once: a
+// group-by column compared in place, or an aggregation's final value as the
+// float64 record.Compare would see of aggValue's result (null: NULL, for
+// MIN/MAX/AVG of no input). Ranking never boxes a value. The order is
+// record.Compare's — NULL first, numbers by value (a NaN ties with
+// everything), strings by content — reversed for DESC.
+type rankTerm struct {
 	desc bool
+	key  *record.Vector
 	null []bool
 	num  []float64
-	str  []string // allocated when the term is a string group-by column
 }
 
-func newGroupRanks(n int, desc bool) *groupRanks {
-	return &groupRanks{desc: desc, null: make([]bool, n), num: make([]float64, n)}
-}
-
-// setAgg ranks candidate i by an aggregation: the float64 record.Compare
-// would see of aggValue's result, NULL for MIN/MAX/AVG of no input.
-func (r *groupRanks) setAgg(i int, a *aggState, kind AggKind) {
-	switch kind {
-	case AggSum:
-		r.num[i] = a.Sum
-	case AggMin:
-		r.num[i], r.null[i] = a.Min, a.Count == 0
-	case AggMax:
-		r.num[i], r.null[i] = a.Max, a.Count == 0
-	case AggAvg:
-		r.num[i], r.null[i] = a.Sum/float64(a.Count), a.Count == 0
-	case AggDistinctCount:
-		r.num[i] = float64(len(a.distinct))
-	default:
-		r.num[i] = float64(a.Count)
+// rankTerm ranks the table's rows by group-by column valIdx, or, when it is
+// negative, by aggregation aggIdx of the given kind.
+func (p *Partial) rankTerm(valIdx, aggIdx int, kind AggKind, desc bool) rankTerm {
+	t := rankTerm{desc: desc}
+	if valIdx >= 0 {
+		t.key = &p.keys[valIdx]
+		return t
 	}
-}
-
-// setValue ranks candidate i by a group-by value: a number (a bool is 0 or
-// 1), a string or NULL.
-func (r *groupRanks) setValue(i int, v any) {
-	switch f, ok := toF64(v); {
-	case ok:
-		r.num[i] = f
-	case v == nil:
-		r.null[i] = true
-	default:
-		if r.str == nil {
-			r.str = make([]string, len(r.null))
-		}
-		r.str[i], _ = v.(string)
+	t.null, t.num = make([]bool, p.n), make([]float64, p.n)
+	for r := range p.n {
+		t.num[r], t.null[r] = p.accs[r*p.naggs+aggIdx].final(kind)
 	}
+	return t
 }
 
-// compare orders candidates a and b: negative when a ranks before b.
-func (r *groupRanks) compare(a, b int32) int {
+// compare orders rows a and b: negative when a ranks before b.
+func (t *rankTerm) compare(a, b int32) int {
 	var c int
 	switch {
-	case r.null[a] || r.null[b]:
-		if !r.null[b] {
+	case t.key != nil:
+		c = t.key.Compare(int(a), int(b))
+	case t.null[a] || t.null[b]:
+		if !t.null[b] {
 			c = -1
-		} else if !r.null[a] {
+		} else if !t.null[a] {
 			c = 1
 		}
-	case r.str != nil:
-		c = strings.Compare(r.str[a], r.str[b])
-	case r.num[a] < r.num[b]:
+	case t.num[a] < t.num[b]:
 		c = -1
-	case r.num[a] > r.num[b]:
+	case t.num[a] > t.num[b]:
 		c = 1
 	}
-	if r.desc {
+	if t.desc {
 		return -c
 	}
 	return c
+}
+
+// less orders the table's rows by the terms and breaks their ties by
+// ascending group value, column by column, then by row — the one tie rule of
+// the segment trim, the server trim and Finalize, so a trimmed top-K keeps
+// the groups an exact one returns when the ORDER BY term ties at the cut.
+func (p *Partial) less(terms []rankTerm) func(a, b int32) bool {
+	return func(a, b int32) bool {
+		for i := range terms {
+			if c := terms[i].compare(a, b); c != 0 {
+				return c < 0
+			}
+		}
+		for c := range p.keys {
+			if x := p.keys[c].Compare(int(a), int(b)); x != 0 {
+				return x < 0
+			}
+		}
+		return a < b
+	}
 }
 
 // selectTop reorders idx so that its first k entries are the k that come
@@ -276,40 +272,19 @@ func selectTop(idx []int32, k int, less func(a, b int32) bool) {
 	}
 }
 
-// trimGroups is the trim over groups already keyed by value — a star-tree
-// answer, a server's merged partial: it keeps the groupK best groups by the
-// plan's leading ORDER BY term, returning the kept map and how many groups
-// were dropped. Ties break on the map key so trimming is deterministic
-// regardless of map iteration or merge arrival order. The input map is
-// returned untouched when no trimming applies. (A segment scan trims its
-// slots before they become groups; see grouper.partial.)
-func trimGroups(groups map[string]*groupAgg, tp *topKPlan) (map[string]*groupAgg, int64) {
-	if tp == nil || tp.groupK <= 0 || len(groups) <= tp.groupK {
-		return groups, 0
+// trim returns the table cut to the plan's group budget — the groupK rows
+// that rank first by its leading ORDER BY term under Partial.less — counting
+// the dropped groups into GroupsTrimmed, or p itself when no trim applies.
+// The trim needs the set of survivors, not their order (selectTop).
+func (p *Partial) trim(tp *topKPlan) *Partial {
+	if tp == nil || tp.groupK <= 0 || p.n <= tp.groupK {
+		return p
 	}
-	keys := make([]string, 0, len(groups))
-	idx := make([]int32, 0, len(groups))
-	ranks := newGroupRanks(len(groups), tp.desc)
-	for k, g := range groups {
-		i := len(keys)
-		keys, idx = append(keys, k), append(idx, int32(i))
-		if tp.valIdx >= 0 {
-			ranks.setValue(i, g.values[tp.valIdx])
-		} else {
-			ranks.setAgg(i, &g.aggs[tp.aggIdx], tp.aggKind)
-		}
-	}
-	selectTop(idx, tp.groupK, func(a, b int32) bool {
-		if c := ranks.compare(a, b); c != 0 {
-			return c < 0
-		}
-		return keys[a] < keys[b]
-	})
-	kept := make(map[string]*groupAgg, tp.groupK)
-	for _, i := range idx[:tp.groupK] {
-		kept[keys[i]] = groups[keys[i]]
-	}
-	return kept, int64(len(groups) - tp.groupK)
+	rows := p.positions()
+	selectTop(rows, tp.groupK, p.less([]rankTerm{p.rankTerm(tp.valIdx, tp.aggIdx, tp.aggKind, tp.desc)}))
+	kept := p.keep(rows[:tp.groupK])
+	kept.stats.GroupsTrimmed += int64(p.n - tp.groupK)
+	return kept
 }
 
 // trimTopK bounds a merged partial before it leaves the server: grouped
@@ -320,9 +295,7 @@ func (p *Partial) trimTopK(q *Query, tp *topKPlan) {
 		return
 	}
 	if p.agg {
-		groups, trimmed := trimGroups(p.groups, tp)
-		p.groups = groups
-		p.stats.GroupsTrimmed += trimmed
+		*p = *p.trim(tp)
 		return
 	}
 	if tp.rowK <= 0 || len(p.rows) <= tp.rowK {

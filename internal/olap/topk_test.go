@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/metadata"
+	"repro/internal/objstore"
 	"repro/internal/record"
 	"repro/internal/reftest"
 )
@@ -109,6 +110,74 @@ func TestTopKTrimmedMatchesExactUniqueKeys(t *testing.T) {
 	}
 	if trimS.Stats.RowsHeapKept != 7*8 { // 7 kept by each of the 8 segment heaps
 		t.Errorf("RowsHeapKept = %d, want 56", trimS.Stats.RowsHeapKept)
+	}
+}
+
+// TestTrimTiesMatchExact: when the ORDER BY term ties at the LIMIT
+// boundary, a trimmed top-K returns the rows TrimExact does. The segment
+// trim, the server trim and Finalize break a tie by one rule, ascending
+// group value, so "n10" never outranks "n2" as text and a consuming
+// string's insertion order or a hashed group's code spelling never decides
+// which groups survive. Every group here has one row, so every COUNT ties.
+func TestTrimTiesMatchExact(t *testing.T) {
+	rows := func(n int) []record.Record {
+		out := make([]record.Record, n)
+		for i := range out {
+			// Strings out of value order, so insertion order is not the answer.
+			id := (i*17)%n + 1
+			out[i] = record.Record{"order_id": fmt.Sprintf("o-%d", id), "city": "sf", "status": "placed",
+				"amount": float64(id) / 4, "items": int64(id), "ts": int64(1_700_000_000_000 + i)}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name          string
+		rows, segment int
+		groupBy       []string
+		first         []any // the answer's first column: the least group values
+	}{
+		{"numeric/consuming", 40, 50, []string{"items"}, []any{int64(1), int64(2)}},
+		{"string/consuming", 40, 50, []string{"order_id"}, []any{"o-1", "o-10"}},
+		// Four unique columns of 100-row segments: a code space of 101^4,
+		// past maxCodeSpace, so the sealed scans hash.
+		{"numeric/sealed-hashed", 200, 100, []string{"items", "order_id", "amount", "ts"}, []any{int64(1), int64(2)}},
+		{"string/sealed-hashed", 200, 100, []string{"order_id", "items", "amount", "ts"}, []any{"o-1", "o-10"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d, err := NewDeployment(DeploymentConfig{
+				Table:        TableConfig{Name: "orders", Schema: ordersSchema(), SegmentRows: c.segment},
+				Servers:      []*Server{NewServer("s0")},
+				SegmentStore: objstore.NewMemStore(),
+				Backup:       BackupP2P,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestAll(t, d, rows(c.rows), 1)
+			b := NewBroker(d)
+			q := &Query{GroupBy: c.groupBy, Aggs: []AggSpec{{Kind: AggCount, As: "n"}},
+				OrderBy: []OrderSpec{{Column: "n", Desc: true}}, Limit: 2}
+			exact, err := b.Execute(context.Background(), &QueryRequest{Query: q, TrimExact: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			trim, err := b.Execute(context.Background(), &QueryRequest{Query: q, TrimSize: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trim.Stats.GroupsTrimmed == 0 {
+				t.Fatal("the trimmed run trimmed nothing")
+			}
+			if !reflect.DeepEqual(trim.Rows, exact.Rows) {
+				t.Errorf("trimmed top-K %v, TrimExact %v", trim.Rows, exact.Rows)
+			}
+			for i, row := range exact.Rows {
+				if row[0] != c.first[i] {
+					t.Errorf("TrimExact %v: ties not broken by ascending group value, want first column %v", exact.Rows, c.first)
+					break
+				}
+			}
+		})
 	}
 }
 

@@ -95,6 +95,29 @@ func (v *colView) code(i int) int {
 	return int(v.dense[i])
 }
 
+// codeStr is a string column's value for a non-NULL code.
+func (v *colView) codeStr(code int) string {
+	if v.layout == layoutPacked {
+		return v.dict.Strs[code]
+	}
+	return v.strs[code]
+}
+
+// appendCode appends the value of one dictionary code to out, typed as
+// gather types it: the NULL code appends a NULL.
+func (v *colView) appendCode(out *record.Vector, code int) {
+	switch {
+	case code == v.null:
+		out.AppendNulls(1)
+	case v.typ == metadata.TypeString:
+		out.Strs = append(out.Strs, v.codeStr(code))
+	case v.dict.Typ == metadata.TypeDouble:
+		out.Floats = append(out.Floats, v.dict.Nums[code])
+	default:
+		out.Ints = append(out.Ints, v.dict.Ints[code])
+	}
+}
+
 // codeValue decodes one dictionary code; the NULL code decodes to nil.
 func (v *colView) codeValue(code int) any {
 	if code == v.null {
@@ -814,10 +837,22 @@ func (ac *aggCursor) fold(accs []aggState, naggs, ai int, slots, sel []int32) {
 				accs[int(slots[j])*naggs+ai].Count++
 			}
 		}
+	case ac.kind == AggDistinctCount && c.typ == metadata.TypeString:
+		for j, i := range sel {
+			if code := c.code(int(i)); code != c.null {
+				accs[int(slots[j])*naggs+ai].addStr(c.codeStr(code))
+			}
+		}
+	case ac.kind == AggDistinctCount && c.layout == layoutPacked:
+		for j, i := range sel {
+			if code := c.packed.Get(int(i)); code != c.null {
+				accs[int(slots[j])*naggs+ai].addNum(c.dict.num(code))
+			}
+		}
 	case ac.kind == AggDistinctCount:
 		for j, i := range sel {
-			if v := c.value(int(i)); v != nil {
-				accs[int(slots[j])*naggs+ai].addDistinct(distinctKey(v))
+			if !c.isNull(int(i)) {
+				accs[int(slots[j])*naggs+ai].addNum(c.num(int(i)))
 			}
 		}
 	case c.layout == layoutPacked && c.typ == metadata.TypeDouble:
@@ -855,10 +890,10 @@ const maxCodeSpace = 1 << 16
 
 // grouper assigns every selected row the accumulator slot of its group and
 // keeps groups as slots — an index into one flat accumulator array — until
-// the scan is over and the top-K trim has run: a group's values are decoded
-// and its key formatted only if it survives (partial). Slots are handed out
-// in first-row order, so the array holds exactly the groups that have a row.
-// A row finds its slot in one of three ways, chosen once per scan:
+// the scan is over: then each group's key is gathered, typed, from its first
+// row, and the top-K trim runs over the typed table (partial). Slots are
+// handed out in first-row order, so the array holds exactly the groups that
+// have a row. A row finds its slot in one of four ways, chosen once per scan:
 //
 //   - no group-by: one slot;
 //   - every group-by column carries dictionary codes and their code space
@@ -867,29 +902,34 @@ const maxCodeSpace = 1 << 16
 //     digit like any other — and a table maps id to slot. No per-row key or
 //     hashing: the columnar execution style that gives Pinot its latency
 //     edge;
-//   - otherwise (a raw numeric column, or a larger code space): the row's
-//     codes and values are spelled into a byte key that hashes to the slot.
+//   - one raw numeric column: its record.CanonBits index the slot, as they
+//     index the partial's group table;
+//   - otherwise (a raw numeric column among several, or a larger code
+//     space): the row's codes and values are spelled into a byte key that
+//     hashes to the slot.
 type grouper struct {
 	cols  []*colView
 	naggs int
 	n     int        // slots in use
 	accs  []aggState // slot s's aggregations are accs[s*naggs : (s+1)*naggs]
 	slots []int32    // scratch: the current batch's slot per selected row
+	first []int32    // first[slot] is a row of the group, its key's source
 
 	// Code-space grouping. table[id] is the slot of group id plus one, 0
 	// until the group has a row; radix[ci] is the number of codes of column
-	// ci; ids[slot] is the group's id, the table inverted once the scan is
-	// over (partial).
+	// ci.
 	table []int32
 	radix []int
-	ids   []int32
 
-	// Hashed grouping. keys[slot] is the group's byte key and first[slot] a
-	// row of the group, from which its values are decoded.
+	// Grouping by one raw numeric column: slot by CanonBits, and the NULL
+	// group's slot plus one (0: none yet).
+	nums map[uint64]int32
+	null int32
+
+	// Hashed grouping: slot by byte key, carved from arena.
 	index map[string]int32
-	keys  []string
-	first []int32
 	key   []byte
+	arena []byte
 }
 
 // newGrouper picks the grouping form for the columns of a scan of n rows.
@@ -909,19 +949,22 @@ func newGrouper(cols []*colView, naggs, n int) *grouper {
 		g.radix[ci] = c.numCodes()
 		space *= g.radix[ci]
 	}
-	if space <= limit {
+	switch {
+	case space <= limit:
 		g.table = make([]int32, space)
 		g.accs = make([]aggState, 0, min(space, 64)*naggs)
-	} else {
+	case len(cols) == 1 && !cols[0].coded():
+		g.nums = make(map[uint64]int32)
+	default:
 		g.index = make(map[string]int32)
 	}
 	return g
 }
 
-// addSlot appends a zeroed accumulator slot. The array grows by doubling: a
-// filtered scan touches a fraction of the code space, so it is not sized by
-// it up front.
-func (g *grouper) addSlot() int32 {
+// addSlot appends a zeroed accumulator slot for the group of row i. The
+// array grows by doubling: a filtered scan touches a fraction of the code
+// space, so it is not sized by it up front.
+func (g *grouper) addSlot(i int32) int32 {
 	need := (g.n + 1) * g.naggs
 	if need > cap(g.accs) {
 		grown := make([]aggState, len(g.accs), max(2*cap(g.accs), 64*g.naggs))
@@ -929,6 +972,7 @@ func (g *grouper) addSlot() int32 {
 		g.accs = grown
 	}
 	g.accs = g.accs[:need]
+	g.first = append(g.first, i)
 	g.n++
 	return int32(g.n - 1)
 }
@@ -940,12 +984,17 @@ func (g *grouper) assign(sel []int32) []int32 {
 	case len(g.cols) == 0:
 		// One group: the scratch is never written, so every slot reads 0.
 		if g.n == 0 {
-			g.addSlot()
+			g.addSlot(sel[0])
+		}
+		return slots
+	case g.nums != nil:
+		for j, i := range sel {
+			slots[j] = g.numSlot(i)
 		}
 		return slots
 	case g.index != nil:
 		for j, i := range sel {
-			slots[j] = g.hashed(int(i))
+			slots[j] = g.hashed(i)
 		}
 		return slots
 	}
@@ -966,7 +1015,7 @@ func (g *grouper) assign(sel []int32) []int32 {
 	for j, id := range slots {
 		slot := g.table[id]
 		if slot == 0 {
-			slot = g.addSlot() + 1
+			slot = g.addSlot(sel[j]) + 1
 			g.table[id] = slot
 		}
 		slots[j] = slot - 1
@@ -974,29 +1023,43 @@ func (g *grouper) assign(sel []int32) []int32 {
 	return slots
 }
 
+// numSlot finds or creates the slot of row i's group under one raw numeric
+// column.
+func (g *grouper) numSlot(i int32) int32 {
+	c := g.cols[0]
+	if c.isNull(int(i)) {
+		if g.null == 0 {
+			g.null = g.addSlot(i) + 1
+		}
+		return g.null - 1
+	}
+	bits := record.CanonBits(c.num(int(i)))
+	if slot, ok := g.nums[bits]; ok {
+		return slot
+	}
+	slot := g.addSlot(i)
+	g.nums[bits] = slot
+	return slot
+}
+
 // hashed finds or creates the slot of row i's group. The key spells each
 // column's code ("~" for NULL) — or, for a raw numeric column, its value.
-func (g *grouper) hashed(i int) int32 {
+func (g *grouper) hashed(i int32) int32 {
 	key := g.key[:0]
 	for _, c := range g.cols {
 		switch {
 		case c.coded():
-			if code := c.code(i); code != c.null {
+			if code := c.code(int(i)); code != c.null {
 				key = strconv.AppendInt(key, int64(code), 10)
 			} else {
 				key = append(key, '~')
 			}
-		case c.isNull(i):
+		case c.isNull(int(i)):
 			key = append(key, '~')
 		default:
 			// '=' and eight bytes: fixed width, so no value can pass for "~|"
-			// followed by the next column. -0 is 0, one group as in
-			// record.AppendValueKey.
-			x := c.num(i)
-			if x == 0 {
-				x = 0
-			}
-			key = binary.LittleEndian.AppendUint64(append(key, '='), math.Float64bits(x))
+			// followed by the next column.
+			key = binary.LittleEndian.AppendUint64(append(key, '='), record.CanonBits(c.num(int(i))))
 		}
 		key = append(key, '|')
 	}
@@ -1004,88 +1067,24 @@ func (g *grouper) hashed(i int) int32 {
 	if slot, ok := g.index[string(key)]; ok {
 		return slot
 	}
-	slot := g.addSlot()
-	k := string(key)
-	g.index[k] = slot
-	g.keys = append(g.keys, k)
-	g.first = append(g.first, int32(i))
+	slot := g.addSlot(i)
+	g.index[intern(&g.arena, key)] = slot
 	return slot
 }
 
-// value decodes group-by column gi of the slot's group.
-func (g *grouper) value(slot, gi int) any {
-	if g.index != nil {
-		return g.cols[gi].value(int(g.first[slot]))
-	}
-	id := int(g.ids[slot])
-	for ci := len(g.cols) - 1; ci > gi; ci-- {
-		id /= g.radix[ci]
-	}
-	return g.cols[gi].codeValue(id % g.radix[gi])
-}
-
-// before breaks a tie between two slots the trim ranks equal, independent
-// of batch boundaries and row arrival: ascending id — a single column's
-// ascending code — or, hashed, ascending byte key.
-func (g *grouper) before(a, b int32) bool {
-	if g.index != nil {
-		return g.keys[a] < g.keys[b]
-	}
-	return g.ids[a] < g.ids[b]
-}
-
-// partial hands the scan's groups over as the segment's mergeable partial,
-// keyed by group value. Under a top-K plan the slots are trimmed first, by
-// the plan's leading ORDER BY term read off the accumulators, so the decode
-// and the key are paid once per surviving group — not per row, and not for
-// a group the trim drops.
+// partial hands the scan's groups over as the segment's mergeable partial:
+// each group's key is gathered, typed, from its first row — no value is
+// boxed — and under a top-K plan the table is trimmed by the plan's leading
+// ORDER BY term before it is indexed, so only surviving groups are keyed.
+// Two slots of one segment can share a key — longs above 2^53 that are one
+// float64 — and then fold into one group.
 func (g *grouper) partial(tp *topKPlan) *Partial {
-	if g.table != nil {
-		g.ids = make([]int32, g.n)
-		for id, slot := range g.table {
-			if slot != 0 {
-				g.ids[slot-1] = int32(id)
-			}
-		}
+	all := &Partial{agg: true, naggs: g.naggs, n: g.n, accs: g.accs, keys: make([]record.Vector, len(g.cols))}
+	for gi, c := range g.cols {
+		c.gather(&all.keys[gi], g.first)
 	}
-	keep := make([]int32, g.n)
-	for s := range keep {
-		keep[s] = int32(s)
+	if p := all.trim(tp); p != all || all.index() {
+		return p
 	}
-	p := &Partial{agg: true}
-	if tp != nil && tp.groupK > 0 && g.n > tp.groupK {
-		ranks := newGroupRanks(g.n, tp.desc)
-		for s := 0; s < g.n; s++ {
-			if tp.valIdx >= 0 {
-				ranks.setValue(s, g.value(s, tp.valIdx))
-			} else {
-				ranks.setAgg(s, &g.accs[s*g.naggs+tp.aggIdx], tp.aggKind)
-			}
-		}
-		selectTop(keep, tp.groupK, func(a, b int32) bool {
-			if c := ranks.compare(a, b); c != 0 {
-				return c < 0
-			}
-			return g.before(a, b)
-		})
-		keep = keep[:tp.groupK]
-		p.stats.GroupsTrimmed = int64(g.n - tp.groupK)
-	}
-	p.groups = make(map[string]*groupAgg, len(keep))
-	groups := make([]groupAgg, len(keep))
-	values := make([]any, len(keep)*len(g.cols))
-	var key []byte
-	for k, slot := range keep {
-		s := int(slot)
-		ga := &groups[k]
-		ga.values = values[k*len(g.cols) : (k+1)*len(g.cols) : (k+1)*len(g.cols)]
-		ga.aggs = g.accs[s*g.naggs : (s+1)*g.naggs : (s+1)*g.naggs]
-		key = key[:0]
-		for gi := range g.cols {
-			ga.values[gi] = g.value(s, gi)
-			key = record.AppendValueKey(key, ga.values[gi])
-		}
-		p.addGroup(key, ga)
-	}
-	return p
+	return all.keep(all.positions())
 }

@@ -3,6 +3,8 @@ package record
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/metadata"
 )
 
 // This file is the one shared value-comparison helper for the whole stack.
@@ -67,4 +69,31 @@ func Compare(a, b any) int {
 		}
 	}
 	return strings.Compare(fmt.Sprintf("%v", a), fmt.Sprintf("%v", b))
+}
+
+// Compare is Compare of rows a and b of the vector, read typed where the
+// column is: numbers as float64, strings as strings.
+func (v *Vector) Compare(a, b int) int {
+	if v.Boxed() || v.Type == metadata.TypeBytes || v.IsNull(a) || v.IsNull(b) {
+		return Compare(v.Box(a), v.Box(b))
+	}
+	switch v.Type {
+	case metadata.TypeString:
+		return strings.Compare(v.Strs[a], v.Strs[b])
+	case metadata.TypeDouble:
+		return compareNums(v.Floats[a], v.Floats[b])
+	}
+	return compareNums(float64(v.Ints[a]), float64(v.Ints[b]))
+}
+
+// compareNums orders two numbers as Compare does: a NaN is equal to
+// everything.
+func compareNums(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }

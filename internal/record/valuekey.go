@@ -2,6 +2,7 @@ package record
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/metadata"
@@ -45,6 +46,45 @@ func (v *Vector) AppendKey(key []byte, r int) []byte {
 		return appendNumberKey(key, v.Floats[r])
 	}
 	return appendNumberKey(key, float64(v.Ints[r]))
+}
+
+// Key classifies row r by AppendValueKey's classes without formatting it: a
+// number and its CanonBits, or a text — a string as the vector holds it, any
+// other non-number its %v form. ok is false for NULL. Hash tables keyed by
+// these classes group and join exactly as the canonical key would.
+func (v *Vector) Key(r int) (num bool, bits uint64, text string, ok bool) {
+	switch {
+	case v.IsNull(r):
+		return false, 0, "", false
+	case v.Type == metadata.TypeString:
+		return false, 0, v.Strs[r], true
+	case v.Type == metadata.TypeDouble:
+		return true, CanonBits(v.Floats[r]), "", true
+	case v.Type != metadata.TypeInvalid && v.Type != metadata.TypeBytes:
+		return true, CanonBits(float64(v.Ints[r])), "", true
+	}
+	x := v.Box(r)
+	if f, isNum := ToFloat64(x); isNum {
+		return true, CanonBits(f), "", true
+	}
+	s, isStr := x.(string)
+	if !isStr {
+		s = fmt.Sprintf("%v", x)
+	}
+	return false, 0, s, true
+}
+
+// CanonBits is a number's hash key: its float64 bits, with every NaN as one
+// and -0 as 0, so two numbers get the same bits exactly when AppendValueKey
+// spells them the same. It is the one place that canonicalization is decided.
+func CanonBits(f float64) uint64 {
+	switch {
+	case f != f:
+		f = math.NaN()
+	case f == 0:
+		f = 0
+	}
+	return math.Float64bits(f)
 }
 
 func appendNumberKey(key []byte, f float64) []byte {

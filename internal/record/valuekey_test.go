@@ -3,6 +3,8 @@ package record
 import (
 	"math"
 	"testing"
+
+	"repro/internal/metadata"
 )
 
 // TestAppendValueKey pins the canonical key byte for byte: partials merge
@@ -49,5 +51,68 @@ func TestAppendValueKey(t *testing.T) {
 	}
 	if string(AppendValueKey(AppendValueKey(nil, "x|y"), "z")) == string(AppendValueKey(AppendValueKey(nil, "x"), "y|z")) {
 		t.Error("('x|y','z') and ('x','y|z') share a key")
+	}
+}
+
+// TestVectorKeyMatchesValueKey: Vector.Key puts two cells in one class and
+// one key exactly when AppendValueKey spells them the same — int64(3) is
+// float64(3), -0 is 0, every NaN is one, a string is never a number, NULL
+// is apart — read typed or boxed; and Vector.Compare orders them as
+// Compare does.
+func TestVectorKeyMatchesValueKey(t *testing.T) {
+	cells := []any{nil, int64(3), 3.0, -0.0, 0.0, int64(0), math.NaN(), math.Inf(1), "3", "", true, int64(1), "a|b"}
+	vectors := func(x any) []*Vector {
+		typed := &Vector{}
+		typed.Reset(TypeOf(x))
+		if x == nil {
+			typed.Reset(metadata.TypeString)
+		}
+		typed.Append(x)
+		boxed := &Vector{}
+		boxed.Append(x)
+		return []*Vector{typed, boxed}
+	}
+	type key struct {
+		num  bool
+		bits uint64
+		text string
+		ok   bool
+	}
+	for _, a := range cells {
+		for _, b := range cells {
+			same := string(AppendValueKey(nil, a)) == string(AppendValueKey(nil, b))
+			for _, va := range vectors(a) {
+				for _, vb := range vectors(b) {
+					var ka, kb key
+					ka.num, ka.bits, ka.text, ka.ok = va.Key(0)
+					kb.num, kb.bits, kb.text, kb.ok = vb.Key(0)
+					if (ka == kb) != same {
+						t.Errorf("Key(%#v) = %+v, Key(%#v) = %+v; AppendValueKey same = %v", a, ka, b, kb, same)
+					}
+				}
+			}
+		}
+	}
+	// Vector.Compare is Compare, typed or boxed.
+	for _, a := range cells {
+		for _, b := range cells {
+			typ := TypeOf(a)
+			if typ == metadata.TypeInvalid {
+				typ = TypeOf(b)
+			}
+			if tb := TypeOf(b); tb != typ && tb != metadata.TypeInvalid {
+				typ = metadata.TypeInvalid // mixed: a boxed column
+			}
+			v := &Vector{}
+			v.Reset(typ)
+			v.Append(a)
+			v.Append(b)
+			if got, want := v.Compare(0, 1), Compare(a, b); got != want {
+				t.Errorf("Vector.Compare(%#v, %#v) = %d, Compare = %d", a, b, got, want)
+			}
+		}
+	}
+	if CanonBits(math.Copysign(0, -1)) != CanonBits(0) || CanonBits(math.NaN()) != CanonBits(-math.NaN()) {
+		t.Error("CanonBits keeps -0 or a NaN's sign apart")
 	}
 }
