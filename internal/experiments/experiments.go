@@ -715,28 +715,29 @@ func E11(rowsN int) []Row {
 	e := fedsql.NewEngine()
 	e.Register(pinot)
 	sql := "SELECT city, SUM(amount) AS revenue FROM pinot.orders WHERE status = 'delivered' GROUP BY city ORDER BY revenue DESC LIMIT 5"
+	// One untimed query per side, then alternating rounds, each side's
+	// median: neither side runs cold or in a slower stretch of its own.
+	query := func(pushdown bool) (time.Duration, int64) {
+		pinot.DisablePushdown = !pushdown
+		start := time.Now()
+		res, err := e.Query(sql)
+		if err != nil {
+			panic(err)
+		}
+		return time.Since(start), res.Stats.RowsReturned
+	}
+	query(true)
+	query(false)
 	const iters = 20
-	start := time.Now()
-	var pushedRows int64
-	for i := 0; i < iters; i++ {
-		res, err := e.Query(sql)
-		if err != nil {
-			panic(err)
-		}
-		pushedRows = res.Stats.RowsReturned
+	pushed, scanned := make([]time.Duration, iters), make([]time.Duration, iters)
+	var pushedRows, scanRows int64
+	for i := range iters {
+		pushed[i], pushedRows = query(true)
+		scanned[i], scanRows = query(false)
 	}
-	pushedLat := time.Since(start) / iters
-	pinot.DisablePushdown = true
-	start = time.Now()
-	var scanRows int64
-	for i := 0; i < iters; i++ {
-		res, err := e.Query(sql)
-		if err != nil {
-			panic(err)
-		}
-		scanRows = res.Stats.RowsReturned
-	}
-	scanLat := time.Since(start) / iters
+	slices.Sort(pushed)
+	slices.Sort(scanned)
+	pushedLat, scanLat := pushed[iters/2], scanned[iters/2]
 	return []Row{
 		{"pushdown_query_us", float64(pushedLat.Microseconds()), "us"},
 		{"no_pushdown_query_us", float64(scanLat.Microseconds()), "us"},

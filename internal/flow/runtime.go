@@ -3,11 +3,12 @@ package flow
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/stream"
 )
 
 // Job is a deployed dataflow. Create with NewJob, optionally Restore from a
@@ -291,7 +292,7 @@ func (j *Job) runSource(si int, spec SourceSpec, outs []chan element) {
 			dest := 0
 			if stage0.keyed() {
 				e = stage0.route(e)
-				dest = int(hashKey(e.Key) % uint32(len(outs)))
+				dest = int(stream.Hash(e.Key) % uint32(len(outs)))
 			} else {
 				dest = rr % len(outs)
 				rr++
@@ -383,7 +384,7 @@ func (j *Job) runInstance(level, inst, flat int, op Operator, ins []chan element
 		dest := 0
 		if nextStage != nil && nextKeyed {
 			e = nextStage.route(e)
-			dest = int(hashKey(e.Key) % uint32(len(outs)))
+			dest = int(stream.Hash(e.Key) % uint32(len(outs)))
 		} else if len(outs) > 1 {
 			dest = rr % len(outs)
 			rr++
@@ -704,12 +705,6 @@ func (j *Job) Metrics() Metrics {
 		LateEvents:      j.lateEvents.Load(),
 		SkippedMessages: skipped,
 	}
-}
-
-func hashKey(s string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return h.Sum32()
 }
 
 func opStateKey(stage string, inst int) string {

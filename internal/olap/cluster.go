@@ -270,10 +270,12 @@ func (d *Deployment) activeSubstituteLocked(replicas []int, from int) int {
 type ViewMutation struct {
 	Seq       int64
 	Partition int
-	// Row is the appended record (conformed to the table schema, built only
-	// when a hook is registered; shared, read-only). Nil for coarse
-	// retractions such as segment drops.
-	Row record.Record
+	// Row is the appended row as cells of the table schema, built only when
+	// a hook is registered and shared, read-only, by every hook: string
+	// cells alias the consuming store's dictionary, blobs are copies, and a
+	// NULL is Value{Null: true}. Zero (nil Vals) for coarse retractions
+	// such as segment drops.
+	Row record.Row
 	// Retract marks a non-monotonic mutation: visible rows were removed or
 	// replaced (an upsert supersede, a retention drop). Mergeable
 	// partial-aggregate states cannot subtract, so incremental view
@@ -297,7 +299,7 @@ func (d *Deployment) AddMutationHook(fn func(ViewMutation)) {
 // visible-data mutation. Caller holds d.mu — the bump and the hook delivery
 // must share the critical section that changed row visibility, or the
 // seq-vs-snapshot ordering contract above breaks.
-func (d *Deployment) emitMutationLocked(partition int, row record.Record, retract bool) {
+func (d *Deployment) emitMutationLocked(partition int, row record.Row, retract bool) {
 	seq := d.gen.Add(1)
 	for _, fn := range d.hooks {
 		fn(ViewMutation{Seq: seq, Partition: partition, Row: row, Retract: retract})
@@ -526,9 +528,9 @@ func (d *Deployment) appendLocked(partition int, b *cellBlock, from int) (added 
 		// rely on. An upsert supersede is a retraction: the old row left
 		// the visible set, which mergeable aggregates cannot undo
 		// incrementally.
-		var r record.Record
+		var r record.Row
 		if len(d.hooks) > 0 {
-			r = ms.recordOf(doc, row)
+			r = ms.hookRow(doc, row)
 		}
 		d.emitMutationLocked(partition, r, superseded)
 		if ms.n >= d.cfg.SegmentRows {
@@ -539,9 +541,10 @@ func (d *Deployment) appendLocked(partition int, b *cellBlock, from int) (added 
 	return added, false
 }
 
-// keyOf is row doc's upsert primary key, formatted as record.Record.String
-// formats it; a string key is the store's dictionary entry, so the location
-// map never holds a payload's bytes.
+// keyOf is the upsert primary key of row doc of store ms, appended from
+// row: the one key format of the location map, which ingest and Compact
+// both key it by. A string key is the store's dictionary entry, so the map
+// never holds a payload's bytes; any other is formatted with %v.
 func (d *Deployment) keyOf(ms *mutableSegment, doc int, row []record.Value) string {
 	f := d.cfg.Schema.Fields[d.keyField]
 	switch {

@@ -176,15 +176,38 @@ func (s *getHookStore) Get(key string) ([]byte, error) {
 // supersede after the snapshot clears its bit in a clone (the snapshot's
 // bitmap never changes), a supersede with no reader outstanding clears in
 // place, and a compaction whose claimed bitmap is superseded mid-merge
-// takes the merged segment's validity from the upsert locations.
+// takes the merged segment's validity from the upsert locations. It runs
+// with a string and with a long primary key, which compaction formats into
+// the location map's key as ingest does.
 func TestSealedValidityCopyOnWrite(t *testing.T) {
+	for _, pk := range []string{"order_id", "items"} {
+		t.Run(pk, func(t *testing.T) { testSealedValidityCopyOnWrite(t, pk) })
+	}
+}
+
+func testSealedValidityCopyOnWrite(t *testing.T, pk string) {
 	store := &getHookStore{Store: objstore.NewMemStore()}
-	d, _ := newDeployment(t, 2, 1, true, BackupP2P, store) // seals every 50 rows
+	schema := ordersSchema()
+	schema.PrimaryKey = pk
+	d, err := NewDeployment(DeploymentConfig{
+		Table: TableConfig{Name: "orders", Schema: schema, SegmentRows: 50, Upsert: true,
+			Indexes: IndexConfig{InvertedColumns: []string{"city"}}}, // seals every 50 rows
+		Servers:      []*Server{NewServer("server-0"), NewServer("server-1")},
+		SegmentStore: store,
+		Backup:       BackupP2P,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := NewBroker(d)
+	keyField, _ := schema.Field(pk)
 	ingest := func(key, round int) {
 		t.Helper()
 		r := orderRows(1)[0]
-		r["order_id"] = fmt.Sprintf("k-%02d", key)
+		r[pk] = int64(key)
+		if keyField.Type == metadata.TypeString {
+			r[pk] = fmt.Sprintf("k-%02d", key)
+		}
 		r["amount"] = float64(round)
 		if err := d.Ingest(0, r); err != nil {
 			t.Fatal(err)

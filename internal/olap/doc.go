@@ -66,9 +66,13 @@
 // lock and scans the prefix outside it, through the same selection-vector
 // kernels that scan sealed segments (vector.go), so a page costs the same
 // just before a seal as just after one. Seal freezes the store by sorting
-// dictionaries, remapping codes and bit-packing (mutableSegment.seal);
-// BuildSegment is "add every row, then seal", the one path from rows to a
-// Segment. See DESIGN.md "Consuming segments" for why readers need no lock.
+// dictionaries, remapping codes and bit-packing (mutableSegment.seal).
+// Compaction gathers its inputs' valid rows column-wise into one store and
+// seals it the same way, and a mutation hook receives each appended row as
+// cells (ViewMutation.Row). Records enter the package only at its map
+// edges: Ingest, IngestBatch and BuildSegment ("add every row, then seal"),
+// which nothing inside the deployment calls. See DESIGN.md "Consuming
+// segments" for why readers need no lock.
 //
 // # Upsert validity
 //

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/metadata"
 	"repro/internal/record"
 )
 
@@ -46,6 +47,23 @@ func fuzzRow(b byte, i int) record.Record {
 		r["rush"] = b&2 == 0
 	}
 	return r
+}
+
+// partialOfRecords is PartialOfRows over records, each field's cell by the
+// rule BuildSegment's rows take: missing is NULL, the rest record.Coerce.
+func partialOfRecords(schema *metadata.Schema, recs []record.Record, q *Query) (*Partial, error) {
+	rows := make([]record.Row, len(recs))
+	for i, r := range recs {
+		rows[i] = record.Row{Schema: schema, Vals: make([]record.Value, len(schema.Fields))}
+		for fi, f := range schema.Fields {
+			v, err := record.Coerce(r[f.Name], f.Type)
+			if err != nil {
+				return nil, err
+			}
+			rows[i].Vals[fi] = record.ValueOf(v)
+		}
+	}
+	return PartialOfRows(schema, rows, q)
 }
 
 // fuzzQueries is the shape set every chunking is checked against: global
@@ -145,7 +163,7 @@ func FuzzMergePartials(f *testing.F) {
 				cfg = &fuzzStarTree
 			}
 			if cfg == nil || len(chunk) == 0 {
-				chunks = append(chunks, func(q *Query) (*Partial, error) { return PartialOfRows(schema, chunk, q) })
+				chunks = append(chunks, func(q *Query) (*Partial, error) { return partialOfRecords(schema, chunk, q) })
 				continue
 			}
 			seg, err := BuildSegment(fmt.Sprintf("c%d", at), schema, chunk, *cfg, -1)
@@ -160,7 +178,7 @@ func FuzzMergePartials(f *testing.F) {
 		chunks = append(chunks, func(q *Query) (*Partial, error) { return PartialOfRows(schema, nil, q) })
 
 		for qi, q := range fuzzQueries() {
-			single, err := PartialOfRows(schema, rows, q)
+			single, err := partialOfRecords(schema, rows, q)
 			if err != nil {
 				t.Fatalf("q%d single-pass: %v", qi, err)
 			}

@@ -39,7 +39,11 @@ func recordHooks(t *testing.T, d *Deployment) *[]hookEvent {
 		if n := len(events); n > 0 && m.Seq <= events[n-1].Seq {
 			t.Errorf("hook Seq %d after %d", m.Seq, events[n-1].Seq)
 		}
-		events = append(events, hookEvent{m.Seq, m.Partition, m.Row.String("order_id"), m.Retract})
+		var key string // the zero Row of a coarse retraction has none
+		if m.Row.Vals != nil {
+			key = string(m.Row.Vals[d.keyField].B)
+		}
+		events = append(events, hookEvent{m.Seq, m.Partition, key, m.Retract})
 	})
 	return &events
 }

@@ -23,7 +23,7 @@
 //     degradation.
 //   - Compaction: when one partition accumulates many small sealed
 //     segments (frequent seals, low-rate partitions), they are merged into
-//     one segment by re-running BuildSegment over their still-valid rows,
+//     one segment sealed from their still-valid rows (Deployment.Compact),
 //     without blocking concurrent queries or upsert invalidation; the
 //     upsert location map is rewritten atomically at swap time so the
 //     merge stays exact under continuing updates.

@@ -274,7 +274,7 @@ func (d *Deployment) DropSegment(name string, deleteArchive bool) {
 	// registered materialized view (and, via the bump, every cached
 	// result). Emitted inside the critical section that unrouted the
 	// segment so the seq orders against routing snapshots.
-	d.emitMutationLocked(part, nil, true)
+	d.emitMutationLocked(part, record.Row{}, true)
 	d.mu.Unlock()
 	for _, ri := range replicas {
 		d.serverAt(ri).Retire(name)
@@ -308,7 +308,8 @@ type CompactResult struct {
 }
 
 // Compact merges several small sealed segments of one partition into a
-// single segment by re-running BuildSegment over their still-valid rows.
+// single segment: their still-valid rows, gathered column-wise into one
+// column store, which is then sealed as ingestion seals its stores.
 // Queries keep running throughout: they either see the old segments (which
 // stay briefly resident as retired copies) or the merged one, never both.
 // For upsert tables the merge stays exact under concurrent updates: rows
@@ -364,47 +365,65 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 		d.mu.Unlock()
 	}()
 
-	// Gather phase (no deployment lock): decode the still-valid rows of
-	// every input, remembering each row's provenance for the upsert
-	// revalidation at swap time.
+	// Gather phase (no deployment lock): append the still-valid rows of
+	// every input to one store, remembering each row's provenance for the
+	// upsert revalidation at swap time.
 	type prov struct {
 		pk  string
 		seg string
 		doc int
 	}
-	var rows []record.Record
+	mergedName := fmt.Sprintf("%s__%d__c%d", d.cfg.Name, part, cseq)
+	ms := newMutableSegment(mergedName, d.cfg.Schema, 0)
+	fields := d.cfg.Schema.Fields
+	vecs := make([]record.Vector, len(fields))
+	row := make([]record.Value, len(fields))
 	var provs []prov
 	for i, name := range names {
 		seg, err := d.loadSegment(name)
 		if err != nil {
 			return res, err
 		}
-		for doc, r := range seg.DecodeRows() {
-			if valids[i] != nil && !valids[i].Get(doc) {
-				continue
+		sel := make([]int32, 0, seg.NumRows)
+		for doc := range seg.NumRows {
+			if valids[i] == nil || valids[i].Get(doc) {
+				sel = append(sel, int32(doc))
 			}
-			rows = append(rows, r)
+		}
+		sc := seg.scan()
+		for fi, f := range fields {
+			if c := sc.col(f.Name); c != nil {
+				c.gather(&vecs[fi], sel)
+			} else { // a blob: never encoded, NULL as any query sees it
+				vecs[fi].Reset(f.Type)
+				vecs[fi].AppendNulls(len(sel))
+			}
+		}
+		for j, doc := range sel {
+			for fi := range row {
+				row[fi] = vecs[fi].Value(j)
+			}
+			mdoc := ms.appendRow(row)
 			if d.cfg.Upsert {
-				provs = append(provs, prov{pk: r.String(d.cfg.Schema.PrimaryKey), seg: name, doc: doc})
+				provs = append(provs, prov{pk: d.keyOf(ms, mdoc, row), seg: name, doc: int(doc)})
 			}
 		}
 		res.RowsIn += seg.NumRows
 	}
 	res.Dropped = append([]string(nil), names...)
 
-	if len(rows) == 0 {
+	if ms.n == 0 {
 		// Every row superseded: compaction degenerates to garbage
 		// collection of the inputs (retireSegments bumps the generation).
 		d.retireSegments(names)
 		return res, nil
 	}
 
-	mergedName := fmt.Sprintf("%s__%d__c%d", d.cfg.Name, part, cseq)
 	upsertPartition := -1
 	if d.cfg.Upsert {
 		upsertPartition = part
 	}
-	merged, err := BuildSegment(mergedName, d.cfg.Schema, rows, d.cfg.Indexes, upsertPartition)
+	merged, err := ms.seal(d.cfg.Indexes, upsertPartition)
 	if err != nil {
 		return res, err
 	}
@@ -416,8 +435,8 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 	d.mu.Lock()
 	var valid *Bitmap
 	if d.cfg.Upsert {
-		// Upsert tables never configure a sorted column, so BuildSegment
-		// preserved row order: provs[i] is merged doc i. The locations, not
+		// Upsert tables never configure a sorted column, so seal preserved
+		// row order: provs[i] is merged doc i. The locations, not
 		// the claimed bitmaps, decide: a row superseded since the claim is
 		// no longer its key's location.
 		valid = NewBitmap(merged.NumRows)

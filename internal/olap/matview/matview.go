@@ -508,7 +508,7 @@ func (v *View) applyPendingLocked() {
 		}
 		// Batch the run of consecutive appends into one partial.
 		j := i
-		rows := make([]record.Record, 0, len(events)-i)
+		rows := make([]record.Row, 0, len(events)-i)
 		for j < len(events) && !events[j].Retract {
 			if events[j].Seq > v.seq {
 				rows = append(rows, events[j].Row)

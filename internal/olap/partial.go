@@ -327,17 +327,16 @@ func (p *Partial) Finalize(q *Query) (*Result, error) {
 }
 
 // PartialOfRows computes the mergeable partial-aggregate state of a query
-// over a batch of raw rows, all treated as valid — the primitive the
-// matview registry uses to fold newly-ingested rows into a standing view's
-// state (Merge) without re-executing the query. The batch goes through a
+// over a batch of rows, each cells of schema (a mutation hook's
+// ViewMutation.Row) and all treated as valid — the primitive the matview
+// registry uses to fold newly-ingested rows into a standing view's state
+// (Merge) without re-executing the query. The batch goes through a
 // transient column store and the exact consuming-segment scan, so the
 // partial merges and finalizes identically to scatter-gathered partials.
-func PartialOfRows(schema *metadata.Schema, rows []record.Record, q *Query) (*Partial, error) {
+func PartialOfRows(schema *metadata.Schema, rows []record.Row, q *Query) (*Partial, error) {
 	m := newMutableSegment("", schema, len(rows))
 	for _, r := range rows {
-		if _, err := m.add(r); err != nil {
-			return nil, err
-		}
+		m.appendRow(r.Vals)
 	}
 	return m.snapshot().executePartial(q, nil, nil)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/metadata"
 	"repro/internal/record"
+	"repro/internal/stream"
 )
 
 // This file is the pluggable routing half of the Query API v2: a Router
@@ -321,17 +322,12 @@ func partitionOfValue(v record.Value, t metadata.FieldType, partitions int) int 
 }
 
 // partitionHash is the canonical hash of a partition key's text, FNV-1a
-// (32 bit), modulo the partition count.
+// (stream.Hash), modulo the partition count.
 func partitionHash(key []byte, partitions int) int {
 	if partitions <= 0 {
 		return 0
 	}
-	h := uint32(2166136261)
-	for _, c := range key {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return int(h % uint32(partitions))
+	return int(stream.Hash(key) % uint32(partitions))
 }
 
 // sortPlan orders each server's segment list for deterministic scans.

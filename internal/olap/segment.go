@@ -272,10 +272,13 @@ type Segment struct {
 	Partition int
 }
 
-// BuildSegment constructs an immutable segment from rows: every row goes
-// into a mutable column store, which is then sealed — the one path from
-// rows to a Segment, shared with realtime ingestion. Rows are
-// dictionary-encoded per column; secondary indexes follow cfg.
+// BuildSegment constructs an immutable segment from records: every record
+// goes into a mutable column store (a missing or nil field is NULL, any
+// other value is coerced by record.Coerce), which is then sealed as
+// ingestion and compaction seal theirs. It is the package's one map entry
+// point to a Segment, and nothing inside the deployment calls it: tests and
+// internal/experiments build segments with it. Rows are dictionary-encoded
+// per column; secondary indexes follow cfg.
 func BuildSegment(name string, schema *metadata.Schema, rows []record.Record, cfg IndexConfig, partition int) (*Segment, error) {
 	m := newMutableSegment(name, schema, len(rows))
 	for _, r := range rows {
@@ -532,34 +535,6 @@ func (s *Segment) check() error {
 		return s.Tree.check(s)
 	}
 	return nil
-}
-
-// DecodeRows reconstructs the segment's rows as records in doc-ID order —
-// the input compaction feeds back through BuildSegment when merging many
-// small sealed segments into one. Columns the segment never encoded
-// (TypeBytes blobs) are absent from the decoded rows, matching what any
-// query could observe.
-func (s *Segment) DecodeRows() []record.Record {
-	rows := make([]record.Record, s.NumRows)
-	for i := range rows {
-		r := make(record.Record, len(s.Columns))
-		for name := range s.Columns {
-			if v := s.value(name, i); v != nil {
-				r[name] = v
-			}
-		}
-		rows[i] = r
-	}
-	return rows
-}
-
-// value returns the decoded value of a column at a row (nil when absent).
-func (s *Segment) value(col string, row int) any {
-	c, ok := s.Columns[col]
-	if !ok || !c.Present.Get(row) {
-		return nil
-	}
-	return c.Dict.value(c.Codes.Get(row))
 }
 
 // double returns a column's numeric value at a row (0 when absent).

@@ -11,6 +11,15 @@ import (
 	"repro/internal/record"
 )
 
+// value returns the decoded value of a column at a row (nil when absent).
+func (s *Segment) value(col string, row int) any {
+	c, ok := s.Columns[col]
+	if !ok || !c.Present.Get(row) {
+		return nil
+	}
+	return c.Dict.value(c.Codes.Get(row))
+}
+
 func ordersSchema() *metadata.Schema {
 	return &metadata.Schema{
 		Name:    "orders",

@@ -1,8 +1,8 @@
 package olap
 
 import (
+	"bytes"
 	"fmt"
-	"math"
 
 	"repro/internal/metadata"
 	"repro/internal/record"
@@ -160,49 +160,17 @@ func newMutableSegment(name string, schema *metadata.Schema, rowsHint int) *muta
 	return m
 }
 
-// toCell coerces a non-nil value to the column's vector type. BuildSegment
-// and PartialOfRows callers may hand in loose rows, which coerce the way
-// record.Coerce would (Deployment conforms strictly, conformRow).
-func (c *mutableColumn) toCell(v any) (record.Value, bool) {
-	switch c.layout {
-	case layoutDense:
-		s, ok := v.(string)
-		if !ok {
-			s = fmt.Sprintf("%v", v)
-		}
-		return record.ValueOf(s), true
-	case layoutFloats:
-		f, ok := toF64(v)
-		return record.Value{F: f}, ok
-	}
-	switch x := v.(type) {
-	case int64:
-		return record.Value{I: x}, c.field.Type != metadata.TypeBool
-	case int:
-		return record.Value{I: int64(x)}, c.field.Type != metadata.TypeBool
-	case float64:
-		return record.Value{I: int64(x)}, c.field.Type != metadata.TypeBool && x == math.Trunc(x)
-	case bool:
-		return record.ValueOf(x), true
-	}
-	return record.Value{}, false
-}
-
-// add appends one record as a row and returns its doc id. A missing or nil
-// field is NULL. The row is validated whole before any vector grows, so a
-// rejected row leaves the store untouched.
+// add appends one record as a row and returns its doc id: a missing or nil
+// field is NULL, any other value is coerced by record.Coerce. The row is
+// validated whole before any vector grows, so a rejected row leaves the
+// store untouched. BuildSegment is its one caller.
 func (m *mutableSegment) add(r record.Record) (int, error) {
-	for fi, ci := range m.colOf {
-		v := r[m.schema.Fields[fi].Name]
-		if ci < 0 || v == nil {
-			m.row[fi] = record.Value{Null: true}
-			continue
+	for fi, f := range m.schema.Fields {
+		v, err := record.Coerce(r[f.Name], f.Type)
+		if err != nil {
+			return 0, fmt.Errorf("olap: column %q row %d: %w", f.Name, m.n, err)
 		}
-		c := &m.cols[ci]
-		var ok bool
-		if m.row[fi], ok = c.toCell(v); !ok {
-			return 0, fmt.Errorf("olap: column %q row %d: cannot store %T as %s", c.field.Name, m.n, v, c.field.Type)
-		}
+		m.row[fi] = record.ValueOf(v)
 	}
 	return m.appendRow(m.row), nil
 }
@@ -270,21 +238,25 @@ func (m *mutableSegment) str(fi, doc int) string {
 	return c.strs[c.codes[doc]]
 }
 
-// recordOf renders row doc, appended from row, as the conformed record a
-// mutation hook receives: strings are the dictionary's, blobs (which the
-// store does not keep) are copied out of their cells.
-func (m *mutableSegment) recordOf(doc int, row []record.Value) record.Record {
-	r := make(record.Record, len(row))
+// hookRow copies row doc, appended from row, out of the caller's block as
+// the row a mutation hook receives: string cells alias the dictionary
+// (which is never written), blobs — which the store does not keep — are
+// copied.
+func (m *mutableSegment) hookRow(doc int, row []record.Value) record.Row {
+	vals := make([]record.Value, len(row))
 	for fi, f := range m.schema.Fields {
-		switch {
-		case row[fi].Null:
+		switch v := row[fi]; {
+		case v.Null:
+			vals[fi] = record.Value{Null: true}
 		case f.Type == metadata.TypeString:
-			r[f.Name] = m.str(fi, doc)
+			vals[fi] = record.ValueOf(m.str(fi, doc))
+		case f.Type == metadata.TypeBytes:
+			vals[fi] = record.Value{B: bytes.Clone(v.B)}
 		default:
-			r[f.Name] = row[fi].Box(f.Type)
+			vals[fi] = v
 		}
 	}
-	return r
+	return record.Row{Schema: m.schema, Vals: vals}
 }
 
 // num returns row i of a raw column as a float64; a NULL row reads 0.

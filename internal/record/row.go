@@ -10,6 +10,7 @@ import (
 // Schema.Fields[i]. It is how a decoded payload travels on the freshness
 // path, from the fetch it was parsed out of to the table or topic it goes
 // to, without a map; string and bytes cells alias that payload (see Value).
+// An OLAP mutation hook receives each appended row as one too.
 type Row struct {
 	Schema *metadata.Schema
 	Vals   []Value

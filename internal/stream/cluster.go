@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -156,7 +155,7 @@ func (c *Cluster) CreateTopic(name string, cfg TopicConfig) error {
 		return fmt.Errorf("%w: %s", ErrTopicExists, name)
 	}
 	t := &topicState{name: name, cfg: cfg}
-	base := hashString(name)
+	base := Hash(name)
 	for i := 0; i < cfg.Partitions; i++ {
 		p := newPartition(name, i, cfg, c.clock)
 		p.leaderNode = int((base + uint32(i)) % uint32(c.cfg.Nodes))
@@ -311,7 +310,7 @@ func bucketByPartition(msgs []Message, n int, rrHint int64) [][]int32 {
 	counts := make([]int, n)
 	for i := range msgs {
 		if key := msgs[i].Key; len(key) > 0 {
-			dest[i] = int32(hashBytes(key) % uint32(n))
+			dest[i] = int32(Hash(key) % uint32(n))
 		} else {
 			dest[i] = int32((rrHint + int64(i)) % int64(n))
 		}
@@ -468,14 +467,14 @@ func (c *Cluster) PartitionStats() []map[string]any {
 	return out
 }
 
-func hashBytes(b []byte) uint32 {
-	h := fnv.New32a()
-	h.Write(b)
-	return h.Sum32()
-}
-
-func hashString(s string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return h.Sum32()
+// Hash is the 32-bit FNV-1a hash of key, the one hash that places topics,
+// routes keyed messages to partitions, routes flow's keyBy and maps an OLAP
+// partition-column value to its partition.
+func Hash[K string | []byte](key K) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return h
 }

@@ -3,9 +3,26 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 )
+
+// Hash is FNV-1a (32 bit) of a string and of the same bytes: topic
+// placement, keyed produce and keyBy routing hashed with hash/fnv before it.
+func TestHashIsFNV1a(t *testing.T) {
+	for _, key := range []string{"", "a", "orders", "city_03", "n:3", "\x00\xff\x80"} {
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		want := h.Sum32()
+		if got := Hash(key); got != want {
+			t.Errorf("Hash(%q) = %#x, FNV-1a gives %#x", key, got, want)
+		}
+		if got := Hash([]byte(key)); got != want {
+			t.Errorf("Hash([]byte(%q)) = %#x, FNV-1a gives %#x", key, got, want)
+		}
+	}
+}
 
 func testCluster(t *testing.T, nodes int) *Cluster {
 	t.Helper()
