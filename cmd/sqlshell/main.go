@@ -20,7 +20,19 @@
 //	sql> EXPLAIN SELECT order_id, SUM(amount) AS rev FROM pinot.orders GROUP BY order_id ORDER BY rev DESC LIMIT 10
 //	plan:
 //	  scan pinot.orders [aggregate-scan] pushdown=aggs+limit exec=materialized route=partition servers_contacted=3 cache=hit trim=server k=1000 groups_trimmed=17000 rows_moved=10 time=18µs
-//	stats: rows_moved=10 fallbacks=0 segments_scanned=8 rows_scanned=20000 servers_contacted=3 partitions_pruned=0 segments_time_pruned=0 groups_trimmed=17000 rows_heap_kept=0 cache_hit=1 coalesced=0 cache_bytes=1024 shed=0 view_hit=0 view_staleness_ms=0 batches_streamed=1 peak_engine_bytes=390
+//	stats: rows_moved=10 fallbacks=0 segments_scanned=8 segments_cached=0 rows_scanned=20000 servers_contacted=3 partitions_pruned=0 segments_time_pruned=0 groups_trimmed=17000 rows_heap_kept=0 cache_hit=1 coalesced=0 cache_bytes=1024 shed=0 view_hit=0 view_staleness_ms=0 batches_streamed=1 peak_engine_bytes=390
+//
+// A result-cache miss can still skip most of the scan: the cache also
+// keeps each sealed segment's partial, keyed by the filters as compiled
+// against that segment's dictionary, so a query whose literal selects the
+// same rows of a segment reads its partial (segments_cached) and scans only
+// the segments the literal cuts differently, and the consuming ones. After
+// the same query with amount > 40:
+//
+//	sql> EXPLAIN SELECT city, COUNT(*) AS n FROM pinot.orders WHERE amount > 41 GROUP BY city
+//	plan:
+//	  scan pinot.orders [aggregate-scan] pushdown=filters+aggs exec=materialized route=partition servers_contacted=3 cache=miss segments_cached=6 rows_moved=4 time=170µs
+//	stats: rows_moved=4 fallbacks=0 segments_scanned=2 segments_cached=6 rows_scanned=2250 servers_contacted=3 partitions_pruned=0 segments_time_pruned=0 groups_trimmed=0 rows_heap_kept=0 cache_hit=0 coalesced=0 cache_bytes=3534 shed=0 view_hit=0 view_staleness_ms=0 batches_streamed=1 peak_engine_bytes=96
 //
 // Every plan line carries an exec= token: row scans stream across the
 // connector boundary as column-major batches — the broker's stream from
@@ -32,7 +44,7 @@
 //	sql> EXPLAIN SELECT order_id, city, amount FROM pinot.orders WHERE city = 'sf' AND amount > 40 LIMIT 5
 //	plan:
 //	  scan pinot.orders [row-scan] pushdown=filters+limit exec=streaming batches=1 route=partition servers_contacted=1 partitions_pruned=2 rows_moved=5 time=421µs
-//	stats: rows_moved=5 fallbacks=0 segments_scanned=2 rows_scanned=2500 servers_contacted=1 partitions_pruned=2 segments_time_pruned=0 groups_trimmed=0 rows_heap_kept=0 cache_hit=0 coalesced=0 cache_bytes=0 shed=0 view_hit=0 view_staleness_ms=0 batches_streamed=1 peak_engine_bytes=285
+//	stats: rows_moved=5 fallbacks=0 segments_scanned=2 segments_cached=0 rows_scanned=2500 servers_contacted=1 partitions_pruned=2 segments_time_pruned=0 groups_trimmed=0 rows_heap_kept=0 cache_hit=0 coalesced=0 cache_bytes=0 shed=0 view_hit=0 view_staleness_ms=0 batches_streamed=1 peak_engine_bytes=285
 //
 // The demo also registers the city-revenue dashboard shape as a
 // materialized view, maintained incrementally from the table's mutation
@@ -43,7 +55,7 @@
 //	sql> EXPLAIN SELECT city, SUM(amount) AS revenue FROM pinot.orders GROUP BY city
 //	plan:
 //	  scan pinot.orders [aggregate-scan] pushdown=aggs exec=materialized view=hit rows_moved=4 time=18µs
-//	stats: rows_moved=4 fallbacks=0 segments_scanned=0 rows_scanned=0 servers_contacted=0 partitions_pruned=0 segments_time_pruned=0 groups_trimmed=0 rows_heap_kept=0 cache_hit=0 coalesced=0 cache_bytes=1024 shed=0 view_hit=1 view_staleness_ms=0 batches_streamed=1 peak_engine_bytes=138
+//	stats: rows_moved=4 fallbacks=0 segments_scanned=0 segments_cached=0 rows_scanned=0 servers_contacted=0 partitions_pruned=0 segments_time_pruned=0 groups_trimmed=0 rows_heap_kept=0 cache_hit=0 coalesced=0 cache_bytes=1024 shed=0 view_hit=1 view_staleness_ms=0 batches_streamed=1 peak_engine_bytes=138
 package main
 
 import (
@@ -151,8 +163,8 @@ func printExplain(res *fedsql.Result) {
 		fmt.Println("  " + line)
 	}
 	st := res.Stats
-	fmt.Printf("stats: rows_moved=%d fallbacks=%d segments_scanned=%d rows_scanned=%d servers_contacted=%d partitions_pruned=%d segments_time_pruned=%d groups_trimmed=%d rows_heap_kept=%d cache_hit=%d coalesced=%d cache_bytes=%d shed=%d view_hit=%d view_staleness_ms=%d batches_streamed=%d peak_engine_bytes=%d\n",
-		st.RowsReturned, st.PushdownFallbacks, st.Exec.SegmentsScanned, st.Exec.RowsScanned,
+	fmt.Printf("stats: rows_moved=%d fallbacks=%d segments_scanned=%d segments_cached=%d rows_scanned=%d servers_contacted=%d partitions_pruned=%d segments_time_pruned=%d groups_trimmed=%d rows_heap_kept=%d cache_hit=%d coalesced=%d cache_bytes=%d shed=%d view_hit=%d view_staleness_ms=%d batches_streamed=%d peak_engine_bytes=%d\n",
+		st.RowsReturned, st.PushdownFallbacks, st.Exec.SegmentsScanned, st.Exec.SegmentsCached, st.Exec.RowsScanned,
 		st.Exec.ServersContacted, st.Exec.PartitionsPruned, st.Exec.SegmentsPruned,
 		st.Exec.GroupsTrimmed, st.Exec.RowsHeapKept,
 		st.Exec.CacheHit, st.Exec.Coalesced, st.Exec.CacheMemBytes, st.Exec.Shed,

@@ -135,11 +135,14 @@ func E20(rowsN int) []Row {
 		}
 		dashOK++
 	}
-	memOK := 1.0
-	if b := admitted.CacheStats().Bytes; b > bound {
-		memOK = 0
+	// The bound covers both kinds of entry: whole results and per-segment
+	// partials.
+	cacheBytes := func(b *olap.Broker) int64 {
+		st := b.CacheStats()
+		return st.Bytes + st.SegmentBytes
 	}
-	if cached.CacheStats().Bytes > bound {
+	memOK := 1.0
+	if cacheBytes(admitted) > bound || cacheBytes(cached) > bound {
 		memOK = 0
 	}
 
@@ -159,7 +162,7 @@ func E20(rowsN int) []Row {
 		{"burst_shed_untyped", float64(shedUntyped.Load()), "queries"},
 		{"broker_shed_stat", float64(admitted.AdmissionStats().Shed), "queries"},
 		{"dash_served", float64(dashOK), "queries"},
-		{"cache_mem_bytes", float64(admitted.CacheStats().Bytes), "B"},
+		{"cache_mem_bytes", float64(cacheBytes(admitted)), "B"},
 		{"cache_bound_bytes", float64(bound), "B"},
 		{"mem_bounded", memOK, "bool"},
 	}

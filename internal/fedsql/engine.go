@@ -606,6 +606,11 @@ func planLine(m *scanMeta, st QueryStats, elapsed time.Duration) string {
 	case st.Exec.CacheMemBytes > 0:
 		b.WriteString(" cache=miss")
 	}
+	// Sealed segments answered from the cache's per-segment partials, on a
+	// result-cache miss.
+	if st.Exec.SegmentsCached > 0 {
+		fmt.Fprintf(&b, " segments_cached=%d", st.Exec.SegmentsCached)
+	}
 	if st.TrimK > 0 {
 		fmt.Fprintf(&b, " trim=server k=%d", st.TrimK)
 		if st.Exec.GroupsTrimmed > 0 {

@@ -2,6 +2,7 @@ package olap
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -13,12 +14,16 @@ import (
 
 // This file threads the qcache subsystem through the broker: result caching
 // keyed by a canonical request hash plus the table's generation fingerprint,
+// per-segment partials keyed by what they were computed from (segmentKey),
 // in-flight deduplication of identical queries, and per-tenant admission
 // control with bounded queueing. The design invariant that keeps cached
 // results exact is ordering: the generation is read BEFORE the execution
 // snapshots any data, so an entry can only ever be stored under a generation
 // at or below the data it contains — a mutation racing the execution has
 // already bumped past the stored fingerprint and the next Get invalidates.
+// Per-segment partials need no generation: a sealed segment is immutable but
+// for its validity, whose version is in the key, captured in the same
+// snapshot as the bitmap the scan reads.
 
 // ErrOverloaded is returned when admission control sheds a query: the
 // tenant's token bucket is empty, the broker queue is full, or the deadline
@@ -49,19 +54,42 @@ type ViewServer interface {
 	ServeView(key string) (resp *QueryResponse, stalenessMs int64, ok bool)
 }
 
-// CacheStats reports the broker result cache's counters (zero when the
-// cache is disabled), after reconciling the resident-memory gauge: entries
+// CacheStats reports the broker cache's counters (zero when the cache is
+// disabled), after reconciling the resident-memory gauges: result entries
 // invalidated by a generation bump are normally dropped lazily — only when
 // their own key is next queried — so an in-flight execution that completes
 // after a mutation (or a warmed set the mutation orphaned) would keep its
-// dead bytes in the gauge indefinitely. Sweeping them here keeps
-// Entries/Bytes an honest account of memory that can still serve a hit.
+// dead bytes in the gauge indefinitely; and a segment entry whose segment
+// was compacted away, retired or expired, or whose validity moved on, can
+// never hit again. Sweeping both here keeps Entries/Bytes and
+// SegmentEntries/SegmentBytes an honest account of memory that can still
+// serve a hit.
 func (b *Broker) CacheStats() qcache.CacheStats {
 	if b.cache == nil {
 		return qcache.CacheStats{}
 	}
 	b.cache.SweepStale(b.d.Generation())
+	live := b.d.segmentVersions()
+	b.cache.SweepSegments(func(seg string, version uint64) bool {
+		v, ok := live[seg]
+		return ok && v == version
+	})
 	return b.cache.Stats()
+}
+
+// segmentVersions maps every placed sealed segment to its validity version.
+func (d *Deployment) segmentVersions() map[string]uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	live := make(map[string]uint64, len(d.placement))
+	for name := range d.placement {
+		var v uint64
+		if m := d.segMeta[name]; m != nil {
+			v = m.version
+		}
+		live[name] = v
+	}
+	return live
 }
 
 // AdmissionStats reports the broker's admission counters (zero when
@@ -363,6 +391,113 @@ func keyValue(sb *strings.Builder, v any) {
 	}
 	s := fmt.Sprint(v)
 	fmt.Fprintf(sb, "%T:%d:%s,", v, len(s), s)
+}
+
+// segmentKey appends to buf the cache key of a sealed unit's partial under
+// q and its unit trim plan tp, and reports false when a filter does not
+// compile against the segment (the scan then reports why). Segment entries
+// are generation-free, so the key holds everything the partial depends on:
+//
+//   - the segment's name and validity version (segMeta.version), which
+//     together name the rows it can return — compaction renames, a move or
+//     an offload keeps both;
+//   - every filter, the time window's included (timeFilter), as
+//     compileCodePred compiles it against the segment's dictionary, with its
+//     column — code ranges, not literals, so literals that select the same
+//     codes share the entry: a sliding `ts >= now - 10s` compiles to the
+//     whole dictionary on every segment the window covers;
+//   - whether the star-tree answers, the group-by columns, the aggregations'
+//     kinds and columns, and the trim plan.
+//
+// It is built by appends (no fmt) into the caller's buffer: for equality
+// and range filters, the kinds a dashboard uses, the key allocates nothing.
+func segmentKey(buf []byte, u scanUnit, q *Query, tp *topKPlan) ([]byte, bool) {
+	seg := u.seg
+	buf = append(buf, 'P') // result keys start with a digit
+	buf = appendKeyStr(buf, seg.Name)
+	buf = binary.AppendUvarint(buf, u.version)
+	buf = append(buf, boolByte(seg.treeEligible(q, u.valid)))
+	tf, cuts := timeFilter(q, seg.Schema, seg.MinTime, seg.MaxTime)
+	n := len(q.Filters)
+	if cuts {
+		n++
+	}
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for i := range n {
+		f := tf
+		if i < len(q.Filters) {
+			f = q.Filters[i]
+		}
+		c := seg.Columns[f.Column]
+		if c == nil {
+			return buf, false
+		}
+		pr, err := compileCodePred(&c.Dict, f)
+		if err != nil {
+			return buf, false
+		}
+		buf = appendKeyStr(buf, f.Column)
+		buf = pr.appendKey(buf)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(q.GroupBy)))
+	for _, g := range q.GroupBy {
+		buf = appendKeyStr(buf, g)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(q.Aggs)))
+	for _, a := range q.Aggs {
+		buf = append(buf, byte(a.Kind))
+		buf = appendKeyStr(buf, a.Column)
+	}
+	if tp == nil {
+		return append(buf, 0), true
+	}
+	buf = append(buf, 1, byte(tp.aggKind), boolByte(tp.desc))
+	for _, v := range [...]int{tp.rowK, tp.groupK, tp.valIdx, tp.aggIdx} {
+		buf = binary.AppendVarint(buf, int64(v))
+	}
+	return buf, true
+}
+
+// appendKey appends the compiled predicate's identity: its kind and the
+// codes it keeps.
+func (pr *codePred) appendKey(buf []byte) []byte {
+	buf = append(buf, byte(pr.kind))
+	switch pr.kind {
+	case predEq:
+		buf = binary.AppendVarint(buf, int64(pr.eq))
+	case predNe:
+		buf = binary.AppendVarint(buf, int64(pr.eq))
+		buf = binary.AppendVarint(buf, int64(pr.null))
+	case predRange:
+		buf = binary.AppendVarint(buf, int64(pr.lo))
+		buf = binary.AppendVarint(buf, int64(pr.hi))
+	case predIn:
+		buf = binary.AppendUvarint(buf, uint64(len(pr.in)))
+		var bits byte
+		for code, in := range pr.in {
+			if in {
+				bits |= 1 << (code % 8)
+			}
+			if code%8 == 7 || code == len(pr.in)-1 {
+				buf = append(buf, bits)
+				bits = 0
+			}
+		}
+	}
+	return buf
+}
+
+// appendKeyStr appends one length-prefixed string.
+func appendKeyStr(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+}
+
+// boolByte encodes a flag as one key byte.
+func boolByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // responseSize approximates a response's resident footprint for the cache's

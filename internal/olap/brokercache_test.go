@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -688,4 +689,177 @@ func TestInFlightCompletionAfterMutationNotCached(t *testing.T) {
 	if got := r.Rows[0][0].(int64); got != 101 {
 		t.Fatalf("post-mutation count = %d, want 101", got)
 	}
+}
+
+// TestSegmentPartialCache holds the per-segment partial cache to its keying
+// rule: a sealed segment's partial is reused exactly when the segment, its
+// validity version, the filters as compiled against its dictionary, the
+// query shape and the trim plan all match — and every answer equals an
+// uncached broker's.
+func TestSegmentPartialCache(t *testing.T) {
+	const t0 = int64(1700000000000) // orderRows' first ts; one row a second
+	ctx := context.Background()
+	shape := func(filters ...Filter) *Query {
+		return &Query{Filters: filters, GroupBy: []string{"city"},
+			Aggs: []AggSpec{{Kind: AggCount, As: "n"}, {Kind: AggSum, Column: "amount", As: "total"}}}
+	}
+	// budget gives every request its own result-cache key (the segment
+	// budget is far above any fan-out), so each runs the scatter.
+	budget := 1 << 20
+	exec := func(b *Broker, req *QueryRequest) *QueryResponse {
+		t.Helper()
+		budget++
+		req.MaxSegments = budget
+		resp, err := b.Execute(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	same := func(what string, got, want *QueryResponse) {
+		t.Helper()
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("%s: rows %v, uncached %v", what, got.Rows, want.Rows)
+		}
+	}
+
+	t.Run("compiled ranges share, a cut misses", func(t *testing.T) {
+		d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
+		ingestOrders(t, d, 220, 2) // 4 sealed segments of 50 rows, 20 consuming rows
+		b, ref := NewBrokerWithOptions(d, BrokerOptions{CacheMaxBytes: 1 << 20}), NewBroker(d)
+		below := func(ts int64) *QueryRequest {
+			return &QueryRequest{Query: shape(Filter{Column: "ts", Op: OpGe, Value: ts})}
+		}
+		first := exec(b, below(t0-5000))
+		if first.Stats.SegmentsScanned != 4 || first.Stats.SegmentsCached != 0 {
+			t.Fatalf("cold: %+v", first.Stats)
+		}
+		// Another literal below every row compiles to the whole dictionary
+		// on every segment: all four partials are reused, only the
+		// consuming rows are scanned.
+		second := exec(b, below(t0-1000))
+		if st := second.Stats; st.SegmentsCached != 4 || st.SegmentsScanned != 0 || st.RowsScanned != 20 {
+			t.Fatalf("same code range: %+v", st)
+		}
+		same("same code range", second, exec(ref, below(t0-1000)))
+		// ts >= t0+50s cuts each partition's first segment (rows 0..99)
+		// and lies below its second (rows 100..199).
+		cut := exec(b, below(t0+50_000))
+		if st := cut.Stats; st.SegmentsScanned != 2 || st.SegmentsCached != 2 {
+			t.Fatalf("cut: %+v", st)
+		}
+		same("cut", cut, exec(ref, below(t0+50_000)))
+
+		// ConsistencyHot neither reads nor fills the cache.
+		before := b.CacheStats()
+		hot := below(t0 - 2000)
+		hot.Consistency = ConsistencyHot
+		if st := exec(b, hot).Stats; st.SegmentsCached != 0 || st.SegmentsScanned != 4 {
+			t.Fatalf("hot: %+v", st)
+		}
+		after := b.CacheStats()
+		if after.SegmentHits != before.SegmentHits || after.SegmentMisses != before.SegmentMisses ||
+			after.SegmentEntries != before.SegmentEntries {
+			t.Fatalf("hot request touched the segment cache: %+v -> %+v", before, after)
+		}
+
+		// A compacted segment misses under its new name; the inputs'
+		// entries are swept.
+		var inputs []string
+		for _, info := range d.SegmentInfos() {
+			if info.Partition == 0 {
+				inputs = append(inputs, info.Name)
+			}
+		}
+		res, err := d.Compact(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged := exec(b, below(t0-1000))
+		if st := merged.Stats; st.SegmentsScanned != 1 || st.SegmentsCached != 2 {
+			t.Fatalf("after compacting %v into %s: %+v", inputs, res.Merged, st)
+		}
+		same("compacted", merged, exec(ref, below(t0-1000)))
+		// Left: the whole-range partials of partition 1's two segments and
+		// of the merged one, and the cut partial of partition 1's first.
+		if st := b.CacheStats(); st.SegmentEntries != 4 {
+			t.Fatalf("compacted inputs' entries not swept: %+v", st)
+		}
+	})
+
+	t.Run("upsert supersede misses and answers exactly", func(t *testing.T) {
+		d, _ := newDeployment(t, 2, 1, true, BackupP2P, nil)
+		rows := orderRows(120)
+		for _, r := range rows {
+			if err := d.Ingest(0, r); err != nil { // 2 sealed segments, 20 consuming rows
+				t.Fatal(err)
+			}
+		}
+		b, ref := NewBrokerWithOptions(d, BrokerOptions{CacheMaxBytes: 1 << 20}), NewBroker(d)
+		req := func() *QueryRequest { return &QueryRequest{Query: shape()} }
+		exec(b, req())
+		if st := exec(b, req()).Stats; st.SegmentsCached != 2 {
+			t.Fatalf("warm: %+v", st)
+		}
+		// Each round supersedes a row of one sealed segment. Its bitmap is
+		// cloned and the old one collected, so a key holding the bitmap's
+		// address instead of the version would sooner or later find a
+		// dead bitmap's entry under a new bitmap. (28 rounds leave the
+		// consuming store, which takes the new rows, short of a seal.)
+		for round := range 28 {
+			r := rows[(round*13)%100]
+			r["amount"] = float64(1000 + round)
+			if err := d.Ingest(0, r); err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			got := exec(b, req())
+			if st := got.Stats; st.SegmentsScanned != 1 || st.SegmentsCached != 1 {
+				t.Fatalf("round %d: the superseded row's segment must scan, the other hit: %+v", round, st)
+			}
+			same(fmt.Sprintf("round %d", round), got, exec(ref, req()))
+		}
+	})
+
+	t.Run("exact and trimmed never share", func(t *testing.T) {
+		d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
+		ingestOrders(t, d, 220, 2)
+		b, ref := NewBrokerWithOptions(d, BrokerOptions{CacheMaxBytes: 1 << 20}), NewBroker(d)
+		// 7 item groups per segment against a 5-group trim budget.
+		top := func(exact bool) *QueryRequest {
+			return &QueryRequest{TrimExact: exact, TrimSize: 1, Query: &Query{GroupBy: []string{"items"},
+				Aggs:    []AggSpec{{Kind: AggSum, Column: "amount", As: "total"}},
+				OrderBy: []OrderSpec{{Column: "total"}}, Limit: 1}}
+		}
+		if st := exec(b, top(false)).Stats; st.GroupsTrimmed == 0 {
+			t.Fatalf("the trimmed request trimmed nothing: %+v", st)
+		}
+		exact := exec(b, top(true))
+		if st := exact.Stats; st.SegmentsCached != 0 {
+			t.Fatalf("TrimExact read a trimmed partial: %+v", st)
+		}
+		same("exact", exact, exec(ref, top(true)))
+		if st := exec(b, top(true)).Stats; st.SegmentsCached != 4 {
+			t.Fatalf("TrimExact again: %+v", st)
+		}
+	})
+
+	t.Run("a hit allocates less than a scan", func(t *testing.T) {
+		seg := buildTestSegment(t, orderRows(2000), IndexConfig{InvertedColumns: []string{"city"}})
+		q := shape(Filter{Column: "status", Op: OpEq, Value: "delivered"})
+		cached := &foldSink{q: q, cache: qcache.NewCache(1 << 20)}
+		u := scanUnit{seg: seg}
+		scan := func(sk *foldSink) {
+			if _, _, err := (&foldProducer{sink: sk}).scan(ctx, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scan(cached)
+		hit := testing.AllocsPerRun(50, func() { scan(cached) })
+		miss := testing.AllocsPerRun(50, func() { scan(&foldSink{q: q}) })
+		if hit >= miss {
+			t.Fatalf("a hit allocates %.0f, a scan %.0f", hit, miss)
+		}
+		t.Logf("allocations: hit %.0f, scan %.0f", hit, miss)
+	})
 }

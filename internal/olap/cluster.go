@@ -810,9 +810,12 @@ type BrokerOptions struct {
 	// (0 disables it). Enabling the cache also enables in-flight
 	// deduplication: N concurrent identical queries execute once and share
 	// the response. Entries invalidate automatically on any ingest, seal,
-	// compaction, offload, drop or recovery of the table. With the cache
-	// enabled, QueryResponse.Rows are shared read-only data — callers must
-	// copy before mutating (see QueryResponse).
+	// compaction, offload, drop or recovery of the table. Under the same
+	// bound the cache also keeps each sealed segment's partial of a
+	// ConsistencyFull aggregate, which ingest elsewhere does not invalidate
+	// (ExecStats.SegmentsCached). With the cache enabled,
+	// QueryResponse.Rows are shared read-only data — callers must copy
+	// before mutating (see QueryResponse).
 	CacheMaxBytes int64
 	// Admission enables per-tenant token-bucket quotas and the bounded
 	// execution queue with deadline-aware shedding (typed ErrOverloaded).
@@ -849,6 +852,8 @@ func NewBrokerWithOptions(d *Deployment, opts BrokerOptions) *Broker {
 		reg, cache, flight := d.Metrics(), b.cache, b.flight
 		reg.SetGaugeFunc("qcache_hits_total", func() float64 { return float64(cache.Stats().Hits) })
 		reg.SetGaugeFunc("qcache_misses_total", func() float64 { return float64(cache.Stats().Misses) })
+		reg.SetGaugeFunc("qcache_segment_hits_total", func() float64 { return float64(cache.Stats().SegmentHits) })
+		reg.SetGaugeFunc("qcache_segment_misses_total", func() float64 { return float64(cache.Stats().SegmentMisses) })
 		reg.SetGaugeFunc("qcache_evictions_total", func() float64 { return float64(cache.Stats().Evictions) })
 		reg.SetGaugeFunc("qcache_entries", func() float64 { return float64(cache.Stats().Entries) })
 		reg.SetGaugeFunc("qcache_bytes", func() float64 { return float64(cache.Bytes()) })

@@ -215,7 +215,7 @@ func testSealedValidityCopyOnWrite(t *testing.T, pk string) {
 	}
 	validOf := func(seg string) *Bitmap {
 		_, snap := b.routeView()
-		return snap.valid[seg]
+		return snap.valid[seg].bits
 	}
 	count := func() int64 {
 		t.Helper()

@@ -112,8 +112,15 @@
 // (N concurrent callers execute once and share the response, each with an
 // independent ExecStats snapshot), and per-tenant token-bucket admission
 // (QueryRequest.Tenant) with a bounded, deadline-aware execution queue
-// that sheds overload as the typed ErrOverloaded. ExecStats reports
-// CacheHit, Coalesced, Queued, the Shed gauge and CacheMemBytes.
+// that sheds overload as the typed ErrOverloaded. Under the same byte
+// bound the cache keeps each sealed segment's partial of a ConsistencyFull
+// aggregate, with no generation: the key names the segment, its upsert
+// validity version, the filters as compiled against the segment's
+// dictionary, the query shape and the trim plan (segmentKey), so ingest
+// elsewhere in the table leaves it valid and a page under ingest scans only
+// the consuming stores and the segments that changed or that its window
+// cuts. ExecStats reports CacheHit, Coalesced, Queued, SegmentsCached, the
+// Shed gauge and CacheMemBytes.
 //
 // # Segment lifecycle
 //

@@ -1,12 +1,14 @@
 package olap_test
 
-// The elasticity differential harness: two deployments receive one
+// The elasticity differential harness: three deployments receive one
 // randomized schedule of ingests, seals (some held in flight while rows and
 // queries arrive), compactions and offloads from the reference driver — a
-// fixed topology with peer-to-peer backup, and an elastic one with
+// fixed topology with peer-to-peer backup, and two elastic ones with
 // centralized backup whose membership also churns (AddServer,
-// DecommissionServer, Rebalance) — and every answer of both must be one the
-// reference accepts: zero errors, zero wrong answers.
+// DecommissionServer, Rebalance), the second behind a broker cache — and
+// every answer of each must be one the reference accepts: zero errors, zero
+// wrong answers. Every query is checked twice: the cached system answers the
+// second from the per-segment partials the first left (olapsys.Config).
 
 import (
 	"context"
@@ -24,6 +26,20 @@ import (
 func newSystem(t *testing.T, g *reftest.Gen, servers int, upsert bool, backup olap.BackupMode) *olapsys.System {
 	t.Helper()
 	return olapsys.New(t, g, olapsys.Config{Servers: servers, Replicas: 2, Upsert: upsert, Backup: backup}, olap.FromReference)
+}
+
+// newCachedSystem is newSystem with centralized backup behind a broker
+// cache.
+func newCachedSystem(t *testing.T, g *reftest.Gen, servers int, upsert bool) *olapsys.System {
+	t.Helper()
+	cfg := olapsys.Config{Servers: servers, Replicas: 2, Upsert: upsert, Backup: olap.BackupCentralized, CacheMaxBytes: 16 << 20}
+	return olapsys.New(t, g, cfg, olap.FromReference)
+}
+
+// checkTwice checks q on every system twice in a row.
+func checkTwice(drv *reftest.Driver, q *reftest.Query) {
+	drv.Check(q)
+	drv.Check(q)
 }
 
 // elastic is a system whose membership the driver churns.
@@ -63,7 +79,8 @@ func TestDifferentialElasticity(t *testing.T) {
 	g := reftest.NewGen(reftest.Seed(t))
 	const partitions = 3
 	moving := &elastic{System: newSystem(t, g, 3, false, olap.BackupCentralized)}
-	drv := reftest.NewDriver(t, g, partitions, 0, newSystem(t, g, 3, false, olap.BackupP2P), moving)
+	cached := &elastic{System: newCachedSystem(t, g, 3, false)}
+	drv := reftest.NewDriver(t, g, partitions, 0, newSystem(t, g, 3, false, olap.BackupP2P), moving, cached)
 	drv.Ingest(250)
 	for round := 0; round < 30; round++ {
 		if g.Rng.Intn(5) == 0 {
@@ -75,15 +92,18 @@ func TestDifferentialElasticity(t *testing.T) {
 			drv.Churn()
 		}
 		for i := 0; i < 6; i++ {
-			drv.Check(g.Query())
+			checkTwice(drv, g.Query())
 		}
 	}
-	if moving.changes == 0 {
+	if moving.changes == 0 || cached.changes == 0 {
 		t.Fatal("churn schedule never changed membership")
 	}
 	// Final sweep on the settled cluster.
 	for i := 0; i < 40; i++ {
-		drv.Check(g.Query())
+		checkTwice(drv, g.Query())
+	}
+	if st := cached.Broker.CacheStats(); st.SegmentHits == 0 {
+		t.Fatalf("the cached system never answered from a segment partial: %+v", st)
 	}
 }
 
@@ -91,14 +111,22 @@ func TestDifferentialElasticity(t *testing.T) {
 // later rows supersede keys — some of them while the seal holding the old
 // row is in flight — while the partition-owner anchor (replica slot 0)
 // follows a join and a decommission. Every row's latest value is checked
-// after every round.
+// after every round, and so is the table's row count.
 func TestDifferentialElasticityUpsert(t *testing.T) {
 	g := reftest.NewGen(reftest.Seed(t) + 1)
 	const partitions = 2
 	moving := newSystem(t, g, 3, true, olap.BackupCentralized)
-	drv := reftest.NewDriver(t, g, partitions, 120, newSystem(t, g, 3, true, olap.BackupP2P), moving)
+	cached := newCachedSystem(t, g, 3, true)
+	drv := reftest.NewDriver(t, g, partitions, 120, newSystem(t, g, 3, true, olap.BackupP2P), moving, cached)
 	drv.Ingest(200)
 	all, err := reftest.Parse("SELECT * FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fixed aggregate over every row: after a supersede of a sealed row,
+	// the cached system must not answer it from the partial the same shape
+	// left before.
+	count, err := reftest.Parse("SELECT COUNT(*) FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,21 +140,27 @@ func TestDifferentialElasticityUpsert(t *testing.T) {
 		default:
 			drv.Ingest(g.Rng.Intn(30) + 10)
 		}
-		switch round {
-		case 6:
-			moving.AddServer(olap.NewServer("joined-3"))
-			if _, err := moving.Rebalance(ctx); err != nil {
-				t.Fatal(err)
-			}
-		case 13:
-			if _, err := moving.DecommissionServer(ctx, 0); err != nil {
-				t.Fatal(err)
+		for _, s := range []*olapsys.System{moving, cached} {
+			switch round {
+			case 6:
+				s.AddServer(olap.NewServer("joined-3"))
+				if _, err := s.Rebalance(ctx); err != nil {
+					t.Fatal(err)
+				}
+			case 13:
+				if _, err := s.DecommissionServer(ctx, 0); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		for i := 0; i < 5; i++ {
-			drv.Check(g.Query())
+			checkTwice(drv, g.Query())
 		}
-		drv.Check(all)
+		checkTwice(drv, all)
+		checkTwice(drv, count)
+	}
+	if st := cached.Broker.CacheStats(); st.SegmentHits == 0 {
+		t.Fatalf("the cached system never answered from a segment partial: %+v", st)
 	}
 }
 

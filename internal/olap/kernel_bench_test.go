@@ -21,9 +21,10 @@ import (
 //
 // GroupByTwoCoded and TopKTrim are the ad-hoc pass's A4 and A1 on the sealed
 // segment: the grouper's composite-code form and its trim; BrokerGroupBy
-// runs both through the broker.
+// runs both through the broker. BrokerDashPage runs D1, D3 and D4 through the
+// broker with its cache off and on.
 //
-//	go test -run '^$' -bench 'Scan|Add|Ingest|Seal|GroupBy|TopK' -benchmem ./internal/olap
+//	go test -run '^$' -bench 'Scan|Add|Ingest|Seal|GroupBy|TopK|DashPage' -benchmem ./internal/olap
 
 const benchSegmentRows = 25_000
 
@@ -228,6 +229,48 @@ func BenchmarkBrokerGroupBy(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBrokerDashPage is the dashboard's aggregate panels D1, D3 and D4
+// through Broker.Execute over one partition held as three sealed 10 000-row
+// segments and a 5 000-row consuming store, with the broker cache off and
+// on. Every request has its own segment budget, so none is a whole-result
+// hit — as on a dashboard under ingest, where every page misses. With the
+// cache on, a page scans the consuming store and, on D4, the one segment
+// the window cuts; the other segments' partials come from the cache.
+func BenchmarkBrokerDashPage(b *testing.B) {
+	d, err := NewDeployment(DeploymentConfig{
+		Table:        TableConfig{Name: "orders", Schema: benchSchema(), SegmentRows: 10_000, Indexes: benchIndexes},
+		Servers:      []*Server{NewServer("s0"), NewServer("s1")},
+		SegmentStore: objstore.NewMemStore(),
+		Backup:       BackupP2P,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range benchRows(35_000) {
+		if err := d.Ingest(0, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	d.WaitUploads()
+	shapes := benchShapes()
+	budget := 1 << 20 // counts up across runs: no request repeats
+	for _, cache := range []int64{0, 64 << 20} {
+		broker := NewBrokerWithOptions(d, BrokerOptions{Workers: 2, CacheMaxBytes: cache})
+		for _, name := range []string{"D1", "D3", "D4"} {
+			b.Run(fmt.Sprintf("cache=%t/%s", cache > 0, name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					budget++
+					res, err := broker.Execute(context.Background(), &QueryRequest{Query: shapes[name], MaxSegments: budget})
+					if err != nil || len(res.Rows) == 0 {
+						b.Fatalf("%s: %d rows, %v", name, len(res.Rows), err)
+					}
+				}
+			})
+		}
 	}
 }
 

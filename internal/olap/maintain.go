@@ -31,6 +31,11 @@ type segMeta struct {
 	// bitmap a scan or a compaction is reading.
 	valid  *Bitmap
 	shared bool
+	// version counts invalidateLocked calls: it names the segment's visible
+	// row set, as the key of a cached per-segment partial. (The bitmap's
+	// address cannot: the bitmap is mutated in place between shares, and a
+	// collected one's address can be reused.)
+	version uint64
 }
 
 // share hands the validity bitmap to a query or a compaction that reads it
@@ -56,6 +61,7 @@ func (d *Deployment) invalidateLocked(segment string, doc int) {
 		m.shared = false
 	}
 	m.valid.Clear(doc)
+	m.version++
 }
 
 // SegmentInfo describes one sealed segment for lifecycle decisions.

@@ -129,7 +129,7 @@ func TestStreamTraceSpans(t *testing.T) {
 
 // TestDeploymentMetricsSnapshot asserts the deployment registry carries the
 // per-layer metrics after traffic: ingest counter, seal histogram, per-server
-// scan histograms and the broker cache gauges.
+// scan histograms and the broker cache gauges, whole-result and per-segment.
 func TestDeploymentMetricsSnapshot(t *testing.T) {
 	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
 	ingestOrders(t, d, 220, 2)
@@ -158,6 +158,23 @@ func TestDeploymentMetricsSnapshot(t *testing.T) {
 	}
 	if got := byName["olap_table_generation"].Value; got <= 0 {
 		t.Errorf("olap_table_generation = %v, want > 0", got)
+	}
+	// One more row misses the whole-result entry; the four sealed
+	// segments' partials answer, and only they count as segment hits.
+	if err := d.Ingest(0, orderRows(221)[220]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Execute(context.Background(), &QueryRequest{Query: q}); err != nil {
+		t.Fatal(err)
+	}
+	byName = map[string]obs.MetricPoint{}
+	for _, p := range d.MetricsSnapshot() {
+		byName[p.Name] = p
+	}
+	for name, want := range map[string]float64{"qcache_hits_total": 2, "qcache_segment_misses_total": 4, "qcache_segment_hits_total": 4} {
+		if got := byName[name].Value; got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
 	}
 }
 

@@ -227,6 +227,25 @@ func (p *Partial) keep(rows []int32) *Partial {
 	return out
 }
 
+// size approximates an aggregate partial's resident footprint for the
+// cache's byte accounting: its key vectors (Vector.Size), its states, the
+// DISTINCTCOUNT sets' members, and the index and arena.
+func (p *Partial) size() int64 {
+	n := int64(128 + cap(p.arena) + 48*p.n + int(unsafe.Sizeof(aggState{}))*len(p.accs))
+	for c := range p.keys {
+		n += p.keys[c].Size()
+	}
+	for i := range p.accs {
+		if d := p.accs[i].distinct; d != nil {
+			n += int64(16*len(d.nums) + 32*len(d.strs))
+			for s := range d.strs {
+				n += int64(len(s))
+			}
+		}
+	}
+	return n
+}
+
 // Merge folds another partial into this one, leaving o unchanged. Merging
 // is associative and commutative, so the broker can fold partials in
 // arrival order — and partials remain reusable after being merged. A group

@@ -79,6 +79,46 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	}
 }
 
+// TestSegmentEntriesAreGenerationFree: a segment entry survives every
+// generation a result Get or SweepStale carries, shares the byte bound and
+// the LRU with result entries, is counted apart, and leaves by
+// SweepSegments once its (segment, version) is no longer live.
+func TestSegmentEntriesAreGenerationFree(t *testing.T) {
+	c := NewCache(100)
+	c.Put("result", 1, "r", 10)
+	c.PutSegment("s1", 0, "P-s1-v0", "p1", 20)
+	c.PutSegment("s1", 1, "P-s1-v1", "p1'", 20)
+	c.PutSegment("s2", 0, "P-s2-v0", "p2", 20)
+	c.Get("P-s1-v0", 9) // a result reader's newer generation
+	c.SweepStale(9)
+	if v, ok := c.GetSegment([]byte("P-s1-v0")); !ok || v != "p1" {
+		t.Fatalf("a generation bump dropped a segment entry: %v %v", v, ok)
+	}
+	if _, ok := c.GetSegment([]byte("P-none")); ok {
+		t.Fatal("absent segment key hit")
+	}
+	st := c.Stats()
+	if st.Entries != 0 || st.Bytes != 0 || st.SegmentEntries != 3 || st.SegmentBytes != 60 ||
+		st.SegmentHits != 1 || st.SegmentMisses != 1 || c.Bytes() != 60 {
+		t.Fatalf("stats %+v bytes %d", st, c.Bytes())
+	}
+	// s1 moved to version 1 and s2 is no longer placed.
+	live := map[string]uint64{"s1": 1}
+	dropped := c.SweepSegments(func(seg string, version uint64) bool {
+		v, ok := live[seg]
+		return ok && v == version
+	})
+	if st := c.Stats(); dropped != 2 || st.SegmentEntries != 1 || st.SegmentBytes != 20 || st.Invalidations != 3 {
+		t.Fatalf("sweep dropped %d: %+v", dropped, st)
+	}
+	// One bound: a result entry that does not fit evicts the LRU segment
+	// entry.
+	c.Put("big", 1, "b", 90)
+	if st := c.Stats(); st.SegmentEntries != 0 || st.Entries != 1 || st.Evictions != 1 || c.Bytes() != 90 {
+		t.Fatalf("after a 90-byte result entry: %+v", st)
+	}
+}
+
 func TestGroupCoalesces(t *testing.T) {
 	g := NewGroup()
 	var executions atomic.Int64

@@ -174,6 +174,10 @@ type ExecStats struct {
 	// answers contribute nothing (no row is scanned).
 	RowsScanned    int64
 	StarTreeServed int // segments answered from the star-tree
+	// SegmentsCached counts sealed segments answered from the broker
+	// cache's per-segment partials: no scan ran, so they add nothing to
+	// SegmentsScanned or RowsScanned.
+	SegmentsCached int
 	// ServersContacted is the broker-level fan-out: distinct servers that
 	// received a subquery (sealed-segment scans plus consuming-segment
 	// scans). Replica-group and partition routing exist to keep it below
@@ -244,6 +248,7 @@ func (s *ExecStats) Add(o ExecStats) {
 	s.SegmentsScanned += o.SegmentsScanned
 	s.RowsScanned += o.RowsScanned
 	s.StarTreeServed += o.StarTreeServed
+	s.SegmentsCached += o.SegmentsCached
 	s.ServersContacted += o.ServersContacted
 	s.PartitionsPruned += o.PartitionsPruned
 	s.UpsertFiltered += o.UpsertFiltered
@@ -292,17 +297,23 @@ func normalizeFilterValue(typ metadata.FieldType, v any) any {
 // overlaps the window still returns only in-window rows. Scan sets fully
 // inside the window skip the extra predicate.
 func (sc *scanSet) timeFilters(q *Query) []Filter {
-	if q.Time == nil || sc.schema.TimeField == "" || q.Time.Contains(sc.minTime, sc.maxTime) {
+	tf, cuts := timeFilter(q, sc.schema, sc.minTime, sc.maxTime)
+	if !cuts {
 		return q.Filters
 	}
 	filters := make([]Filter, 0, len(q.Filters)+1)
 	filters = append(filters, q.Filters...)
-	return append(filters, Filter{
-		Column: sc.schema.TimeField,
-		Op:     OpBetween,
-		Value:  q.Time.From,
-		Value2: q.Time.To,
-	})
+	return append(filters, tf)
+}
+
+// timeFilter is the predicate q's time window adds to a scan of rows whose
+// times lie in [minTime, maxTime]; cuts is false when the window adds none
+// (no window, no time column, or the rows lie entirely inside it).
+func timeFilter(q *Query, schema *metadata.Schema, minTime, maxTime int64) (f Filter, cuts bool) {
+	if q.Time == nil || schema.TimeField == "" || q.Time.Contains(minTime, maxTime) {
+		return Filter{}, false
+	}
+	return Filter{Column: schema.TimeField, Op: OpBetween, Value: q.Time.From, Value2: q.Time.To}, true
 }
 
 // predBitmap resolves a compiled predicate on an indexed sealed column (n
@@ -417,12 +428,7 @@ func (s *Segment) ExecutePartial(q *Query, valid *Bitmap) (*Partial, error) {
 // selections keep a Limit+Offset row heap, grouped aggregations trim to the
 // plan's group budget before the partial leaves the segment.
 func (s *Segment) executePartialTrim(q *Query, valid *Bitmap, tp *topKPlan) (*Partial, error) {
-	// Star-tree fast path (only when no upsert filtering applies, and —
-	// for time-windowed queries — only when the time predicate is a no-op
-	// the tree can safely ignore: the table has no time column, or the
-	// segment lies entirely inside the window).
-	timeNoop := q.Time == nil || s.Schema.TimeField == "" || q.Time.Contains(s.MinTime, s.MaxTime)
-	if s.Tree != nil && valid == nil && timeNoop && s.Tree.Eligible(q) {
+	if s.treeEligible(q, valid) {
 		if p := s.Tree.query(s, q); p != nil {
 			p = p.trim(tp)
 			p.stats.SegmentsScanned = 1
@@ -436,6 +442,19 @@ func (s *Segment) executePartialTrim(q *Query, valid *Bitmap, tp *topKPlan) (*Pa
 	}
 	p.stats.SegmentsScanned = 1
 	return p, nil
+}
+
+// treeEligible reports whether the star-tree may answer q on this segment:
+// only when no upsert filtering applies and — for time-windowed queries —
+// only when the time predicate is a no-op the tree can safely ignore (the
+// table has no time column, or the segment lies entirely inside the
+// window).
+func (s *Segment) treeEligible(q *Query, valid *Bitmap) bool {
+	if s.Tree == nil || valid != nil {
+		return false
+	}
+	_, cuts := timeFilter(q, s.Schema, s.MinTime, s.MaxTime)
+	return !cuts && s.Tree.Eligible(q)
 }
 
 // executePartial scans the set through the kernel pipeline — compile the

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/olap/qcache"
 )
 
 // ErrTooManySegments is returned when a query would scan more sealed
@@ -301,11 +302,13 @@ type producer interface {
 }
 
 // scanUnit is one unit of a producer's share: a sealed segment, or (seg nil)
-// the prefix snapshot of a consuming store — with its upsert validity bitmap.
+// the prefix snapshot of a consuming store — with its upsert validity bitmap
+// and, for a sealed segment, the validity version that names it.
 type scanUnit struct {
-	seg   *Segment
-	rows  *scanSet
-	valid *Bitmap
+	seg     *Segment
+	rows    *scanSet
+	valid   *Bitmap
+	version uint64
 }
 
 // scatter launches one routing round: one goroutine per routed server
@@ -471,6 +474,9 @@ type foldSink struct {
 	q       *Query
 	tp      *topKPlan // nil: exact, untrimmed execution
 	results chan *Partial
+	// cache, when set, holds sealed units' partials across queries (see
+	// segmentKey): a ConsistencyFull aggregate on a broker with a cache.
+	cache *qcache.Cache
 }
 
 func (f *foldSink) close() { close(f.results) }
@@ -497,23 +503,61 @@ type foldProducer struct {
 func (p *foldProducer) scan(_ context.Context, u scanUnit) (ExecStats, bool, error) {
 	var part *Partial
 	var err error
-	if u.seg != nil {
-		part, err = u.seg.executePartialTrim(p.sink.q, u.valid, p.unitTP)
-	} else {
+	switch {
+	case u.seg == nil:
 		part, err = u.rows.executePartial(p.sink.q, u.valid, p.unitTP)
+	case p.sink.cache != nil:
+		return p.scanCached(u)
+	default:
+		part, err = u.seg.executePartialTrim(p.sink.q, u.valid, p.unitTP)
 	}
 	if err != nil {
 		return ExecStats{}, false, err
 	}
-	st := part.stats
+	st := part.stats // read before an adopted part becomes the shared accumulator
+	p.merge(part, true)
+	return st, true, nil
+}
+
+// scanCached answers a sealed unit from the partial the cache holds for it,
+// or scans the unit and caches its partial. A hit counts in SegmentsCached
+// and nothing else. Either way the partial is shared with later queries, so
+// it is merged, never adopted: Merge leaves its argument unchanged.
+func (p *foldProducer) scanCached(u scanUnit) (ExecStats, bool, error) {
+	var buf [128]byte
+	key, ok := segmentKey(buf[:0], u, p.sink.q, p.unitTP)
+	if ok {
+		if v, hit := p.sink.cache.GetSegment(key); hit {
+			p.merge(v.(*Partial), false)
+			return ExecStats{SegmentsCached: 1}, true, nil
+		}
+	}
+	part, err := u.seg.executePartialTrim(p.sink.q, u.valid, p.unitTP)
+	if err != nil {
+		return ExecStats{}, false, err
+	}
+	if ok {
+		p.sink.cache.PutSegment(u.seg.Name, u.version, string(key), part, part.size())
+	}
+	p.merge(part, !ok)
+	return part.stats, true, nil
+}
+
+// merge folds one unit's partial into the producer's. adopt lets the first
+// partial become the accumulator instead of being copied into a new one;
+// a partial the cache holds must never be adopted.
+func (p *foldProducer) merge(part *Partial, adopt bool) {
 	p.mu.Lock()
-	if p.acc == nil {
-		p.acc = part // the first partial is adopted, not copied
-	} else {
+	switch {
+	case p.acc != nil:
+		p.acc.Merge(part)
+	case adopt:
+		p.acc = part
+	default:
+		p.acc = newPartial(p.sink.q)
 		p.acc.Merge(part)
 	}
 	p.mu.Unlock()
-	return st, true, nil
 }
 
 func (p *foldProducer) finish(st ExecStats, err error) error {
@@ -552,6 +596,9 @@ func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query, router R
 	}
 	// One slot per producer: a producer never blocks on a terminal that left.
 	sk := &foldSink{q: q, tp: g.tp, results: make(chan *Partial, len(sp.servers)+len(sp.consuming))}
+	if b.cache != nil && !sp.opts.HotOnly && len(q.Aggs) > 0 {
+		sk.cache = b.cache
+	}
 	sctx, cancel := b.scatter(ctx, q, sp, sk)
 	defer cancel(nil)
 	mergeSp, _ := obs.StartSpan(ctx, "merge")
@@ -623,14 +670,23 @@ func (cs *consumingScan) scanUnits(ctx context.Context, out producer) (ExecStats
 // scanned) or wholly after it.
 type querySnapshot struct {
 	consuming map[int]consumingScan
-	// valid maps a sealed segment to its shared upsert validity bitmap; a
-	// segment absent from it has every row valid (nil for non-upsert tables).
-	valid map[string]*Bitmap
+	// valid maps a sealed segment to its shared upsert validity; a segment
+	// absent from it has every row valid at version 0 (nil for non-upsert
+	// tables).
+	valid map[string]validity
 	// gen is the generation read inside the critical section: because
 	// visible-data mutations bump the generation in their own critical
 	// sections, this snapshot contains exactly the mutations with
 	// ViewMutation.Seq <= gen (see AddMutationHook).
 	gen int64
+}
+
+// validity is a sealed segment's upsert validity as a query snapshot
+// captures it: the shared bitmap (nil: every row valid) and the version that
+// names it (segMeta.version).
+type validity struct {
+	bits    *Bitmap
+	version uint64
 }
 
 // routeView snapshots the routable cluster state for a Router, together
@@ -659,9 +715,9 @@ func (b *Broker) routeView() (*RouteView, *querySnapshot) {
 			part = m.partition
 			if v := m.share(); v != nil {
 				if snapshot.valid == nil {
-					snapshot.valid = make(map[string]*Bitmap)
+					snapshot.valid = make(map[string]validity)
 				}
-				snapshot.valid[name] = v
+				snapshot.valid[name] = validity{bits: v, version: m.version}
 			}
 		}
 		view.Segments = append(view.Segments, SegmentRoute{

@@ -332,12 +332,12 @@ func (s *Server) snapshotSegments(ctx context.Context, q *Query, segmentNames []
 
 // scanSegments runs a routed server's share of a scatter over the named
 // sealed segments hosted here, masked by valid (segment name → upsert
-// validity, taken with the routing snapshot; absent means every row is
-// valid). Segments whose time bounds fall outside the query's TimeRange are
-// pruned before any scan is scheduled (and before any deep-store reload);
-// offloaded segments that survive pruning are transparently reloaded
-// through the attached loader and installed back as resident (or skipped
-// under opts.HotOnly). The survivors scan into out, up to opts.Workers at
+// validity and its version, taken with the routing snapshot; absent means
+// every row is valid). Segments whose time bounds fall outside the query's
+// TimeRange are pruned before any scan is scheduled (and before any
+// deep-store reload); offloaded segments that survive pruning are
+// transparently reloaded through the attached loader and installed back as
+// resident (or skipped under opts.HotOnly). The survivors scan into out, up to opts.Workers at
 // once (0 means GOMAXPROCS; 1 is serial, in routed order, with no goroutine
 // overhead — a stream's order, and the baseline E16 compares against),
 // until out has had enough, a scan fails or ctx ends (checked between
@@ -346,7 +346,7 @@ func (s *Server) snapshotSegments(ctx context.Context, q *Query, segmentNames []
 // window so slow-query capture attributes it to this scan. The returned
 // stats sum the scans' and the snapshot's (segments pruned, reloaded,
 // skipped).
-func (s *Server) scanSegments(ctx context.Context, q *Query, segmentNames []string, valid map[string]*Bitmap, opts ExecOptions, out producer) (ExecStats, error) {
+func (s *Server) scanSegments(ctx context.Context, q *Query, segmentNames []string, valid map[string]validity, opts ExecOptions, out producer) (ExecStats, error) {
 	snap, err := s.snapshotSegments(ctx, q, segmentNames, opts.HotOnly)
 	if err != nil {
 		return ExecStats{}, err
@@ -372,7 +372,8 @@ func (s *Server) scanSegments(ctx context.Context, q *Query, segmentNames []stri
 				time.Sleep(time.Duration(delay))
 			}
 			seg := snap.segs[i]
-			st, more, err := out.scan(pctx, scanUnit{seg: seg, valid: valid[seg.Name]})
+			v := valid[seg.Name]
+			st, more, err := out.scan(pctx, scanUnit{seg: seg, valid: v.bits, version: v.version})
 			snap.scanHist.Observe(time.Since(start))
 			if sp.Active() {
 				sp.SetAttr("segment", seg.Name)
@@ -380,7 +381,10 @@ func (s *Server) scanSegments(ctx context.Context, q *Query, segmentNames []stri
 					sp.SetAttr("error", err.Error())
 				} else {
 					sp.SetRows(st.RowsScanned)
-					if st.StarTreeServed > 0 {
+					switch {
+					case st.SegmentsCached > 0:
+						sp.SetAttr("path", "cached")
+					case st.StarTreeServed > 0:
 						sp.SetAttr("path", "startree")
 					}
 				}

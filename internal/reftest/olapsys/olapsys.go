@@ -7,6 +7,8 @@ package olapsys
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/objstore"
@@ -19,6 +21,12 @@ type Config struct {
 	Servers, Replicas int
 	Upsert            bool
 	Backup            olap.BackupMode
+	// CacheMaxBytes > 0 gives the broker a cache of that bound, and every
+	// other query a segment budget no fan-out reaches: the request key then
+	// differs between two consecutive identical queries, so the second
+	// misses the result cache and is answered from the per-segment
+	// partials the first one left.
+	CacheMaxBytes int64
 }
 
 // System is a deployment as the reference driver drives it, read through
@@ -32,6 +40,9 @@ type System struct {
 	// hook, when set, runs inside the next deep-store write: under
 	// centralized backup, a seal's backup with the seal in flight.
 	hook func()
+	// cached alternates the segment budget of a cached system's queries.
+	cached  bool
+	queries atomic.Int64
 }
 
 // New returns a deployment of g's table — 60-row segments, one random
@@ -43,7 +54,7 @@ func New(t testing.TB, g *reftest.Gen, cfg Config, translate func(*reftest.Query
 	for i := range servers {
 		servers[i] = olap.NewServer(fmt.Sprintf("server-%d", i))
 	}
-	s := &System{ctx: t.Context(), translate: translate}
+	s := &System{ctx: t.Context(), translate: translate, cached: cfg.CacheMaxBytes > 0}
 	var store objstore.Store = objstore.NewMemStore()
 	if cfg.Backup == olap.BackupCentralized { // the only backup a seal waits for
 		store = &hookStore{Store: store, s: s}
@@ -66,7 +77,7 @@ func New(t testing.TB, g *reftest.Gen, cfg Config, translate func(*reftest.Query
 		t.Fatal(err)
 	}
 	d.AttachLoaders()
-	s.Deployment, s.Broker = d, olap.NewBroker(d)
+	s.Deployment, s.Broker = d, olap.NewBrokerWithOptions(d, olap.BrokerOptions{CacheMaxBytes: cfg.CacheMaxBytes})
 	return s
 }
 
@@ -127,7 +138,11 @@ func (s *System) Offload(p int) error {
 
 // Execute answers q through Broker, stats and all.
 func (s *System) Execute(q *reftest.Query) (*olap.QueryResponse, error) {
-	return s.Broker.Execute(s.ctx, &olap.QueryRequest{Query: s.translate(q)})
+	req := &olap.QueryRequest{Query: s.translate(q)}
+	if s.cached && s.queries.Add(1)%2 == 0 {
+		req.MaxSegments = math.MaxInt32
+	}
+	return s.Broker.Execute(s.ctx, req)
 }
 
 // Query answers q through Broker.
