@@ -17,8 +17,8 @@ import (
 //   - groups shipped: with trimming, each server sends at most
 //     max(Limit*5, TrimSize) candidate groups to the broker instead of every
 //     group it holds — orders of magnitude fewer for high-card group-bys;
-//   - rows shipped: ordered selections keep a bounded Limit+Offset heap per
-//     segment instead of materializing every match;
+//   - rows shipped: ordered selections keep their best Limit+Offset rows
+//     per segment instead of materializing every match;
 //   - exactness: the group-by key is unique per row here, so every group
 //     lives in exactly one segment and the trimmed result must equal the
 //     exact one bit for bit (the experiment panics otherwise).

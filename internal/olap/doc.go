@@ -22,22 +22,24 @@
 //     for upsert tables), plus one per partition with unsealed rows. What a
 //     producer does with its rows is the round's sink. Aggregates and
 //     ordered selections fold: every scan emits a Partial — one typed
-//     group table: the group keys as record.Vectors, one flat array of
+//     table: an aggregate's group keys as record.Vectors, one flat array of
 //     mergeable states (COUNT/SUM/MIN/MAX as running numerics, AVG as a
 //     SUM+COUNT pair, DISTINCTCOUNT as a set of canonical number bits and
-//     strings) and an index from a typed key to its row — and a server
+//     strings) and an index from a typed key to its row; a selection's
+//     columns as record.Vectors, nothing else — and a server
 //     scans its segments through a bounded worker pool
 //     (BrokerOptions.Workers; default GOMAXPROCS). Unordered selections
 //     stream: scans push row batches onto one bounded channel, in order.
 //   - Gather: partials merge associatively, so the broker folds them in
 //     arrival order, streaming, without barriers — a new group's key row
-//     and states are appended by value, a known one's states folded, no
-//     object per group; a batch stream is collected (Execute) or handed to
+//     and states, or a selection's rows, are appended by value, a known
+//     group's states folded, no object per group or row; a batch stream is
+//     collected (Execute) or handed to
 //     the caller (ExecuteStream).
 //   - Merge/finalize: the accumulated partial collapses to final values
-//     exactly once: groups rank by row position over the typed table (the
-//     ORDER BY terms, ties by ascending group value), and only the rows
-//     returned are boxed.
+//     exactly once: groups or selected rows rank by row position over the
+//     typed table (the ORDER BY terms, ties by ascending key value), and
+//     only the rows returned are boxed.
 //
 // Queries run under a context.Context: cancellation and the optional
 // BrokerOptions.Timeout stop segment scans between segments, the first
@@ -45,15 +47,18 @@
 // cancel the remaining fan-out as soon as enough rows are in.
 //
 // ORDER BY + LIMIT queries take the bounded top-K path (topk.go): segments
-// keep a Limit+Offset row heap (selections) or trim candidate groups by
-// the leading ORDER BY term to max(5·(Limit+Offset), TrimSize) — Pinot's
-// minSegmentGroupTrimSize rule — and servers apply the same bound to the
-// merged partial, so the broker's gather phase holds O(K · servers) state
-// instead of O(groups). Every trim and the final sort break ORDER BY ties by
-// ascending group value. Group trimming can be inexact under pathological
-// cross-server skew (like Pinot); QueryRequest.TrimExact disables it for
-// byte-identical full-sort results. ExecStats reports GroupsTrimmed,
-// RowsHeapKept and the GroupsShipped/RowsShipped boundary counts.
+// cut a selection's typed columns to its best Limit+Offset rows by every
+// ORDER BY term, or trim candidate groups by the leading ORDER BY term to
+// max(5·(Limit+Offset), TrimSize) — Pinot's minSegmentGroupTrimSize rule —
+// and servers apply the same bound to the merged partial, so the broker's
+// gather phase holds O(K · servers) state instead of O(groups). Every cut,
+// trim and the final sort break ORDER BY ties by ascending key value — the
+// group, or the selected columns — so a selection cut is exact, ties
+// included. Group trimming can be inexact under pathological cross-server
+// skew (like Pinot); QueryRequest.TrimExact disables it for byte-identical
+// full-sort results. ExecStats reports GroupsTrimmed, RowsHeapKept (the rows
+// the selection cuts kept) and the GroupsShipped/RowsShipped boundary
+// counts.
 //
 // # Consuming segments
 //

@@ -67,8 +67,9 @@ func partialOfRecords(schema *metadata.Schema, recs []record.Record, q *Query) (
 }
 
 // fuzzQueries is the shape set every chunking is checked against: global
-// and grouped aggregations over every kind, plus filtered shapes that can
-// match zero rows in some or all chunks.
+// and grouped aggregations over every kind, filtered shapes that can match
+// zero rows in some or all chunks, and ordered selections whose ORDER BY
+// ties across chunks. The star-tree shape comes last.
 func fuzzQueries() []*Query {
 	return []*Query{
 		{Aggs: []AggSpec{
@@ -104,6 +105,12 @@ func fuzzQueries() []*Query {
 			{Kind: AggDistinctCount, Column: "items"},
 			{Kind: AggDistinctCount, Column: "status"},
 			{Kind: AggSum, Column: "amount"}}},
+		// Ordered selections: amount ties across chunks and is sometimes
+		// NULL; city and items tie more often still, and OFFSET skips rows.
+		{Select: []string{"order_id", "amount"},
+			OrderBy: []OrderSpec{{Column: "amount", Desc: true}}, Limit: 5},
+		{Select: []string{"city", "items", "status", "amount"},
+			OrderBy: []OrderSpec{{Column: "city"}, {Column: "items", Desc: true}}, Limit: 4, Offset: 3},
 		// Star-tree eligible: an equality on a dimension, group-by dimensions
 		// and metric rollups, so the star-tree chunk answers from its tree.
 		{Filters: []Filter{{Column: "status", Op: OpEq, Value: "placed"}},

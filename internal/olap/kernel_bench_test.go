@@ -22,9 +22,10 @@ import (
 // GroupByTwoCoded and TopKTrim are the ad-hoc pass's A4 and A1 on the sealed
 // segment: the grouper's composite-code form and its trim; BrokerGroupBy
 // runs both through the broker. BrokerDashPage runs D1, D3 and D4 through the
-// broker with its cache off and on.
+// broker with its cache off and on. BrokerOrderedSelect is an ordered
+// selection's top-10 through the broker, trimmed and exact.
 //
-//	go test -run '^$' -bench 'Scan|Add|Ingest|Seal|GroupBy|TopK|DashPage' -benchmem ./internal/olap
+//	go test -run '^$' -bench 'Scan|Add|Ingest|Seal|GroupBy|TopK|DashPage|OrderedSelect' -benchmem ./internal/olap
 
 const benchSegmentRows = 25_000
 
@@ -226,6 +227,43 @@ func BenchmarkBrokerGroupBy(b *testing.B) {
 				res, err := broker.Execute(context.Background(), &QueryRequest{Query: c.q})
 				if err != nil || len(res.Rows) != c.groups {
 					b.Fatalf("%s: %v rows, %v; want %d", c.name, len(res.Rows), err, c.groups)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBrokerOrderedSelect is ORDER BY amount DESC LIMIT 10 over the
+// selected rows through Broker.Execute: two servers, eight sealed 500-row
+// segments, amounts tied about ten rows apiece. trim cuts each segment and
+// each server to its best ten rows; exact (TrimExact) ships every row and
+// ranks them all in Finalize.
+func BenchmarkBrokerOrderedSelect(b *testing.B) {
+	d, err := NewDeployment(DeploymentConfig{
+		Table:        TableConfig{Name: "orders", Schema: benchSchema(), SegmentRows: 500, Indexes: benchIndexes},
+		Servers:      []*Server{NewServer("s0"), NewServer("s1")},
+		SegmentStore: objstore.NewMemStore(),
+		Backup:       BackupP2P,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, r := range benchRows(4_000) {
+		if err := d.Ingest(i%2, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	d.WaitUploads()
+	broker := NewBrokerWithOptions(d, BrokerOptions{Workers: 2})
+	q := &Query{Select: []string{"order_id", "amount", "ts"},
+		OrderBy: []OrderSpec{{Column: "amount", Desc: true}}, Limit: 10}
+	for _, exact := range []bool{false, true} {
+		b.Run(map[bool]string{false: "trim", true: "exact"}[exact], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := broker.Execute(context.Background(), &QueryRequest{Query: q, TrimExact: exact})
+				if err != nil || len(res.Rows) != 10 || res.Stats.SegmentsScanned != 8 {
+					b.Fatalf("%v rows over %d segments, %v; want 10 over 8", len(res.Rows), res.Stats.SegmentsScanned, err)
 				}
 			}
 		})

@@ -398,10 +398,10 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 		}
 		sc := seg.scan()
 		for fi, f := range fields {
+			vecs[fi].Reset(f.Type)
 			if c := sc.col(f.Name); c != nil {
 				c.gather(&vecs[fi], sel)
 			} else { // a blob: never encoded, NULL as any query sees it
-				vecs[fi].Reset(f.Type)
 				vecs[fi].AppendNulls(len(sel))
 			}
 		}

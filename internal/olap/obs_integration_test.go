@@ -14,8 +14,9 @@ import (
 // TestBrokerTraceSpanTree asserts the broker's query path records the full
 // span taxonomy: a cache-miss query produces
 // broker.execute → admission.queue / route / server.scan → segment.scan /
-// merge / finalize, and the following identical query is answered from the
-// cache with the decision recorded as a root attribute.
+// merge / finalize, the merge span counts the merged groups, and the
+// following identical query is answered from the cache with the decision
+// recorded as a root attribute.
 func TestBrokerTraceSpanTree(t *testing.T) {
 	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
 	ingestOrders(t, d, 220, 2)
@@ -27,7 +28,8 @@ func TestBrokerTraceSpanTree(t *testing.T) {
 	})
 	q := &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}, {Kind: AggCount}}}
 
-	if _, err := b.Execute(t.Context(), &QueryRequest{Query: q}); err != nil {
+	res, err := b.Execute(t.Context(), &QueryRequest{Query: q})
+	if err != nil {
 		t.Fatal(err)
 	}
 	recent := tracer.Recent()
@@ -52,6 +54,10 @@ func TestBrokerTraceSpanTree(t *testing.T) {
 		if miss.Find(name) == nil {
 			t.Errorf("trace missing span %q:\n%s", name, miss.Render())
 		}
+	}
+	// The merge span counts the groups the fold round merged.
+	if m := miss.Find("merge"); m != nil && m.Rows != int64(len(res.Rows)) {
+		t.Errorf("merge span rows = %d, want the %d groups", m.Rows, len(res.Rows))
 	}
 	// segment.scan must nest under server.scan, and server.scan must carry
 	// the server name and the scanned rows.

@@ -70,17 +70,18 @@ func (a *aggState) mergeState(o *aggState) {
 
 // Partial is the mergeable partial result of a query over a subset of a
 // table's segments — the unit the scatter phase ships from segment scans to
-// the broker's streaming merge. For aggregation queries it is one typed
-// group table: group r's key is row r of the key vectors and its
-// aggregations are accs[r*naggs : (r+1)*naggs], with an index from a typed
-// key to its row — a single number by its record.CanonBits, a single text
-// by itself, a tuple by its record.AppendValueKey bytes — so a group costs
-// no heap object of its own. For selection queries it holds raw rows.
+// the broker's streaming merge. It is one typed table: row r is row r of the
+// key vectors. For an aggregation the keys are the GROUP BY columns, group
+// r's aggregations are accs[r*naggs : (r+1)*naggs], and an index maps a
+// typed key to its row — a single number by its record.CanonBits, a single
+// text by itself, a tuple by its record.AppendValueKey bytes — so a group
+// costs no heap object of its own. For a selection the keys are the selected
+// columns, named by cols, with no states and no index.
 type Partial struct {
 	agg   bool
 	naggs int
-	n     int             // groups
-	keys  []record.Vector // one per GROUP BY column
+	n     int             // groups, or a selection's rows
+	keys  []record.Vector // one per GROUP BY or selected column
 	accs  []aggState
 
 	nums  map[uint64]int32 // a single key column's numbers → row
@@ -89,8 +90,7 @@ type Partial struct {
 	buf   []byte           // scratch: a tuple's key bytes
 	arena []byte           // backing of the tuple keys in strs
 
-	rows  [][]any
-	cols  []string
+	cols  []string // a selection's columns
 	stats ExecStats
 }
 
@@ -211,10 +211,17 @@ func (p *Partial) add(key []record.Vector, r int, accs []aggState, adopt bool) {
 	}
 }
 
-// keep returns a table of the given rows of p, indexed and in that order;
-// it takes over their DISTINCTCOUNT sets and p's stats.
+// keep returns a table of the given rows of p, in that order and, for an
+// aggregation, indexed; it takes over their DISTINCTCOUNT sets and p's stats.
 func (p *Partial) keep(rows []int32) *Partial {
-	out := &Partial{agg: true, naggs: p.naggs, keys: make([]record.Vector, len(p.keys)), stats: p.stats}
+	out := &Partial{agg: p.agg, naggs: p.naggs, keys: make([]record.Vector, len(p.keys)), cols: p.cols, stats: p.stats}
+	if !p.agg {
+		for c := range out.keys {
+			out.keys[c].AppendRows(&p.keys[c], rows)
+		}
+		out.n = len(rows)
+		return out
+	}
 	out.accs = make([]aggState, 0, len(rows)*p.naggs)
 	for c := range out.keys {
 		out.keys[c].Reset(p.keys[c].Type)
@@ -249,7 +256,8 @@ func (p *Partial) size() int64 {
 // Merge folds another partial into this one, leaving o unchanged. Merging
 // is associative and commutative, so the broker can fold partials in
 // arrival order — and partials remain reusable after being merged. A group
-// new to p is appended by value; only its DISTINCTCOUNT sets are copied.
+// new to p, or a selection's row, is appended by value; only a group's
+// DISTINCTCOUNT sets are copied.
 func (p *Partial) Merge(o *Partial) {
 	p.stats.Add(o.stats)
 	if p.agg {
@@ -259,73 +267,63 @@ func (p *Partial) Merge(o *Partial) {
 		return
 	}
 	if p.cols == nil {
-		p.cols = o.cols
+		p.cols, p.keys = o.cols, make([]record.Vector, len(o.keys))
 	}
-	p.rows = append(p.rows, o.rows...)
+	if o.n == 0 {
+		return
+	}
+	rows := o.positions()
+	for c := range o.keys {
+		p.keys[c].AppendRows(&o.keys[c], rows)
+	}
+	p.n += o.n
 }
 
 // Finalize converts the merged partial into a user-facing Result: group
 // states collapse to final values (AVG = Sum/Count, DISTINCTCOUNT = set
-// cardinality) and ORDER BY / OFFSET / LIMIT apply. Groups rank by row
-// position over the typed table — the ORDER BY terms, then ascending group
-// value (Partial.less) — and only the rows returned are boxed, into one
-// backing array.
+// cardinality) and ORDER BY / OFFSET / LIMIT apply. Rows rank by position
+// over the typed table — the ORDER BY terms, then ascending value of each
+// key column (Partial.less) — and only the rows returned are boxed, into one
+// backing array. A selection without ORDER BY keeps its rows' merge order.
 func (p *Partial) Finalize(q *Query) (*Result, error) {
-	if !p.agg {
-		cols := p.cols
-		if cols == nil {
-			cols = append([]string(nil), q.Select...)
+	cols := p.cols
+	switch {
+	case p.agg:
+		cols = append([]string(nil), q.GroupBy...)
+		for _, a := range q.Aggs {
+			cols = append(cols, a.outName())
 		}
-		res := &Result{Columns: cols, Rows: p.rows, Stats: p.stats}
-		if err := sortAndLimit(res, q); err != nil {
-			return nil, err
+		if p.n == 0 && len(q.GroupBy) == 0 {
+			// SQL semantics: a global aggregate over zero rows still returns
+			// one row (count = 0, sum = 0, min/max/avg = NULL), which OFFSET
+			// skips as it would any other.
+			p = &Partial{agg: true, naggs: p.naggs, n: 1, accs: make([]aggState, p.naggs), stats: p.stats}
 		}
-		return res, nil
+	case cols == nil: // a selection no scan answered
+		cols = append([]string(nil), q.Select...)
+		p = &Partial{keys: make([]record.Vector, len(cols)), stats: p.stats}
 	}
-	cols := append([]string(nil), q.GroupBy...)
-	for _, a := range q.Aggs {
-		cols = append(cols, a.outName())
+	terms, err := p.order(q, cols)
+	if err != nil {
+		return nil, err
 	}
-	if p.n == 0 && len(q.GroupBy) == 0 {
-		// SQL semantics: a global aggregate over zero rows still returns one
-		// row (count = 0, sum = 0, min/max/avg = NULL), which OFFSET skips as
-		// it would any other.
-		p = &Partial{agg: true, naggs: p.naggs, n: 1, accs: make([]aggState, p.naggs), stats: p.stats}
-	}
-	terms := make([]rankTerm, len(q.OrderBy))
-	for i, o := range q.OrderBy {
-		// The last column of the name wins: an aggregation over a group
-		// column it shadows, as in planTopK.
-		ci := -1
-		for j, c := range cols {
-			if c == o.Column {
-				ci = j
+	order := p.positions()
+	if p.agg || len(terms) > 0 {
+		less := p.less(terms)
+		if k := q.Limit + q.Offset; q.Limit > 0 && k < len(order) {
+			selectTop(order, k, less)
+			order = order[:k]
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			switch {
+			case a == b:
+				return 0
+			case less(a, b):
+				return -1
 			}
-		}
-		switch {
-		case ci < 0:
-			return nil, fmt.Errorf("olap: order-by column %q not in result", o.Column)
-		case ci < len(q.GroupBy):
-			terms[i] = p.rankTerm(ci, -1, 0, o.Desc)
-		default:
-			ai := ci - len(q.GroupBy)
-			terms[i] = p.rankTerm(-1, ai, q.Aggs[ai].Kind, o.Desc)
-		}
+			return 1
+		})
 	}
-	order, less := p.positions(), p.less(terms)
-	if k := q.Limit + q.Offset; q.Limit > 0 && k < len(order) {
-		selectTop(order, k, less)
-		order = order[:k]
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		switch {
-		case a == b:
-			return 0
-		case less(a, b):
-			return -1
-		}
-		return 1
-	})
 	order = order[min(q.Offset, len(order)):]
 	if q.Limit > 0 && len(order) > q.Limit {
 		order = order[:q.Limit]
@@ -343,6 +341,32 @@ func (p *Partial) Finalize(q *Query) (*Result, error) {
 		res.Rows[j] = row
 	}
 	return res, nil
+}
+
+// order resolves q's ORDER BY over the result columns cols — the key
+// columns, then the aggregations — to rank terms over the table.
+func (p *Partial) order(q *Query, cols []string) ([]rankTerm, error) {
+	terms := make([]rankTerm, len(q.OrderBy))
+	for i, o := range q.OrderBy {
+		// The last column of the name wins: an aggregation over a group
+		// column it shadows, as in planTopK.
+		ci := -1
+		for j, c := range cols {
+			if c == o.Column {
+				ci = j
+			}
+		}
+		switch {
+		case ci < 0:
+			return nil, fmt.Errorf("olap: order-by column %q not in result", o.Column)
+		case ci < len(p.keys):
+			terms[i] = p.rankTerm(ci, -1, 0, o.Desc)
+		default:
+			ai := ci - len(p.keys)
+			terms[i] = p.rankTerm(-1, ai, q.Aggs[ai].Kind, o.Desc)
+		}
+	}
+	return terms, nil
 }
 
 // PartialOfRows computes the mergeable partial-aggregate state of a query

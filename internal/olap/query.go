@@ -204,8 +204,8 @@ type ExecStats struct {
 	// GroupsTrimmed counts candidate groups dropped by per-segment and
 	// server-level top-K trims (always 0 under TrimExact).
 	GroupsTrimmed int64
-	// RowsHeapKept counts selection rows retained by bounded per-segment
-	// ORDER BY/LIMIT heaps instead of full materialization.
+	// RowsHeapKept counts the rows an ordered selection's per-segment top-K
+	// cut kept instead of materializing every match.
 	RowsHeapKept int64
 	// GroupsShipped / RowsShipped count what actually crossed the
 	// server→broker boundary after any trim — the fan-out cost the top-K
@@ -425,8 +425,9 @@ func (s *Segment) ExecutePartial(q *Query, valid *Bitmap) (*Partial, error) {
 }
 
 // executePartialTrim is ExecutePartial with an optional bounded top-K plan:
-// selections keep a Limit+Offset row heap, grouped aggregations trim to the
-// plan's group budget before the partial leaves the segment.
+// ordered selections keep their best Limit+Offset rows, grouped
+// aggregations trim to the plan's group budget before the partial leaves the
+// segment.
 func (s *Segment) executePartialTrim(q *Query, valid *Bitmap, tp *topKPlan) (*Partial, error) {
 	if s.treeEligible(q, valid) {
 		if p := s.Tree.query(s, q); p != nil {
@@ -567,51 +568,41 @@ func aggTypeError(kind AggKind, col string, typ metadata.FieldType) error {
 	return nil
 }
 
+// executeSelect gathers the survivors straight into the partial's column
+// vectors. An ordered LIMIT under a trim plan keeps the best k =
+// Limit+Offset rows, cutting the table to them whenever it holds 2k and once
+// more at the end; an unordered LIMIT stops once it has any k rows;
+// everything else keeps every match.
 func (sc *scanSet) executeSelect(q *Query, ss *selStream, tp *topKPlan) (*Partial, error) {
 	cols, scols, err := sc.selectColumns(q)
 	if err != nil {
 		return nil, err
 	}
-	p := &Partial{cols: cols}
-	// Ordered LIMIT with a trim plan: keep a bounded heap of the best
-	// Limit+Offset rows instead of materializing every match. Per-segment
-	// top-K rows are independent, so their union still contains the global
-	// top K — this path is exact (up to tie order).
-	if tp != nil && tp.rowK > 0 && len(q.OrderBy) > 0 {
-		if cmp, ok := orderComparator(q, cols); ok {
-			tk := newTopKRows(tp.rowK, cmp)
-			for sel := ss.next(); sel != nil; sel = ss.next() {
-				for _, ri := range sel {
-					// Column handles were resolved once, so a row is a null
-					// check and a decode per column, no map lookups.
-					row := make([]any, len(scols))
-					for ci, c := range scols {
-						row[ci] = c.value(int(ri))
-					}
-					tk.push(row)
-				}
-			}
-			p.rows = tk.take()
-			p.stats.RowsHeapKept = int64(len(p.rows))
-			return p, nil
-		}
-	}
-	// Everything else collects the gather loop's batches: every match of an
-	// ordered query that runs exact, or — no ORDER BY — any Limit+Offset of
-	// them, after which the scan stops.
-	budget := -1
-	if q.Limit > 0 && len(q.OrderBy) == 0 {
+	p := &Partial{cols: cols, keys: make([]record.Vector, len(scols))}
+	k, budget := 0, -1
+	if tp != nil {
+		k = tp.rowK
+	} else if q.Limit > 0 && len(q.OrderBy) == 0 {
 		budget = q.Limit + q.Offset
 	}
-	pool := &batchPool{}
-	ss.gatherBatches(cols, scols, pool, func(rb *record.Batch) bool {
-		if budget >= 0 && len(p.rows)+rb.Len > budget {
-			rb.Slice(0, budget-len(p.rows))
+	for sel := ss.next(); sel != nil; sel = ss.next() {
+		if budget >= 0 {
+			sel = sel[:min(len(sel), budget-p.n)]
 		}
-		p.rows = rb.AppendRows(p.rows)
-		pool.put(rb)
-		return len(p.rows) != budget
-	})
+		for ci, c := range scols {
+			c.gather(&p.keys[ci], sel)
+		}
+		if p.n += len(sel); p.n == budget {
+			break
+		}
+		if k > 0 && p.n >= 2*k {
+			p = p.top(q, k)
+		}
+	}
+	if k > 0 {
+		p = p.top(q, k)
+		p.stats.RowsHeapKept = int64(p.n)
+	}
 	return p, nil
 }
 
@@ -633,44 +624,4 @@ func (sc *scanSet) selectColumns(q *Query) ([]string, []*colView, error) {
 		}
 	}
 	return append([]string(nil), q.Select...), scols, nil
-}
-
-// sortAndLimit applies ORDER BY / OFFSET / LIMIT to a merged selection in
-// place. It sorts with the same orderComparator the bounded top-K row heaps
-// use, so the final sort and the candidate selection can never disagree on
-// ordering.
-func sortAndLimit(res *Result, q *Query) error {
-	if len(q.OrderBy) > 0 {
-		cmp, ok := orderComparator(q, res.Columns)
-		if !ok {
-			// Name the first unresolvable column in the error.
-			for _, o := range q.OrderBy {
-				found := false
-				for _, c := range res.Columns {
-					if c == o.Column {
-						found = true
-					}
-				}
-				if !found {
-					return fmt.Errorf("olap: order-by column %q not in result", o.Column)
-				}
-			}
-			return fmt.Errorf("olap: order-by columns not in result")
-		}
-		sort.SliceStable(res.Rows, func(a, b int) bool {
-			return cmp(res.Rows[a], res.Rows[b]) < 0
-		})
-	}
-	if q.Offset > 0 || q.Limit > 0 {
-		start := q.Offset
-		if start > len(res.Rows) {
-			start = len(res.Rows)
-		}
-		rows := res.Rows[start:]
-		if q.Limit > 0 && len(rows) > q.Limit {
-			rows = rows[:q.Limit]
-		}
-		res.Rows = rows
-	}
-	return nil
 }

@@ -485,7 +485,7 @@ func (f *foldSink) producer(consuming bool) producer {
 	p := &foldProducer{sink: f, unitTP: f.tp}
 	if consuming && len(f.q.Aggs) > 0 {
 		// A consuming unit answers an aggregate exactly: groups trim once, on
-		// the partition's merged partial. (A bounded row heap is exact.)
+		// the partition's merged partial. (A selection's top-K cut is exact.)
 		p.unitTP = nil
 	}
 	return p
@@ -573,7 +573,7 @@ func (p *foldProducer) finish(st ExecStats, err error) error {
 	if acc.agg {
 		acc.stats.GroupsShipped = int64(acc.n)
 	} else {
-		acc.stats.RowsShipped = int64(len(acc.rows))
+		acc.stats.RowsShipped = int64(acc.n)
 	}
 	p.sink.results <- acc
 	return nil
@@ -613,7 +613,7 @@ func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query, router R
 				if err := context.Cause(sctx); err != nil {
 					return nil, err
 				}
-				mergeSp.SetRows(int64(len(g.acc.rows)))
+				mergeSp.SetRows(int64(g.acc.n))
 				return g, nil
 			}
 			if adopted {

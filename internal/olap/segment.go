@@ -118,19 +118,6 @@ func (d *dictionary) codeRange(min, max any) (int, int) {
 	return lo, hi
 }
 
-// value returns the decoded value for a code.
-func (d *dictionary) value(code int) any {
-	switch d.Typ {
-	case metadata.TypeString:
-		return d.Strs[code]
-	case metadata.TypeDouble:
-		return d.Nums[code]
-	case metadata.TypeBool:
-		return d.Ints[code] != 0
-	}
-	return d.Ints[code]
-}
-
 func (d *dictionary) memBytes() int64 {
 	var n int64 = 48
 	for _, s := range d.Strs {

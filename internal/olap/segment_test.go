@@ -13,11 +13,13 @@ import (
 
 // value returns the decoded value of a column at a row (nil when absent).
 func (s *Segment) value(col string, row int) any {
-	c, ok := s.Columns[col]
-	if !ok || !c.Present.Get(row) {
+	c := s.scan().col(col)
+	if c == nil {
 		return nil
 	}
-	return c.Dict.value(c.Codes.Get(row))
+	var v record.Vector
+	c.gather(&v, []int32{int32(row)})
+	return v.Box(0)
 }
 
 func ordersSchema() *metadata.Schema {
@@ -430,9 +432,6 @@ func TestSelectionQueryWithOrderAndLimit(t *testing.T) {
 	}
 	r, err := seg.Execute(q, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sortAndLimit(r, q); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Rows) != 5 {

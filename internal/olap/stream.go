@@ -51,7 +51,8 @@ func (bp *batchPool) put(rb *record.Batch) {
 
 // streamSelect scans the set as column-major batches: the filter kernels
 // produce selection vectors (newSelStream), and the gather kernel decodes
-// only the selected rows of the selected columns into a pooled batch.
+// only the selected rows of the selected columns into the typed vectors of a
+// pooled batch (colView.gather).
 // Returns whether the consumer wants more (yield never returned false).
 // Early termination skips the remaining windows entirely, so the stats cover
 // only the work actually done.
@@ -64,30 +65,21 @@ func (sc *scanSet) streamSelect(ctx context.Context, q *Query, valid *Bitmap, po
 	if err != nil {
 		return ExecStats{}, false, err
 	}
-	shipped, more := ss.gatherBatches(cols, scols, pool, func(rb *record.Batch) bool {
-		return yield(rb) && ctx.Err() == nil
-	})
-	return ExecStats{RowsScanned: ss.kept, UpsertFiltered: ss.dropped, RowsShipped: shipped}, more, ctx.Err()
-}
-
-// gatherBatches is the gather loop of every selection that is not a bounded
-// heap: each selection vector's rows are decoded, column by selected column,
-// into the typed vectors of a pooled batch handed to yield (colView.gather),
-// until the stream is spent or yield returns false. It reports the rows
-// handed over and whether yield wants more.
-func (ss *selStream) gatherBatches(cols []string, scols []*colView, pool *batchPool, yield func(*record.Batch) bool) (shipped int64, more bool) {
+	var shipped int64
+	more := true
 	for sel := ss.next(); sel != nil; sel = ss.next() {
 		rb := pool.get(cols)
 		for ci, c := range scols {
+			rb.Cols[ci].Reset(c.typ)
 			c.gather(&rb.Cols[ci], sel)
 		}
 		rb.Len = len(sel)
 		shipped += int64(rb.Len)
-		if !yield(rb) {
-			return shipped, false
+		if more = yield(rb) && ctx.Err() == nil; !more {
+			break
 		}
 	}
-	return shipped, true
+	return ExecStats{RowsScanned: ss.kept, UpsertFiltered: ss.dropped, RowsShipped: shipped}, more, ctx.Err()
 }
 
 // batchSink is the sink of unordered selections: every unit streams its

@@ -1,27 +1,26 @@
 package olap
 
-import (
-	"container/heap"
-
-	"repro/internal/record"
-)
+import "repro/internal/record"
 
 // This file implements the bounded top-K execution path for ORDER BY/LIMIT
 // queries — Pinot's answer to the dashboard query shape
 // (GROUP BY d ORDER BY agg DESC LIMIT 10). Instead of materializing every
-// matching row and shipping every candidate group to the broker, segments
-// keep a bounded heap of the best Limit+Offset selection rows, grouped
+// matching row and shipping every candidate group to the broker, an ordered
+// selection keeps its best Limit+Offset rows per segment, grouped
 // aggregations trim to the top max(Limit*5, TrimSize) groups by the leading
 // ORDER BY term (Pinot's minSegmentGroupTrimSize rule), and servers apply
 // the same bound to the merged partial before it crosses the wire. Broker
-// memory for the gather phase is then O(K · servers), not O(groups).
+// memory for the gather phase is then O(K · servers), not O(groups). Every
+// cut ranks row positions over the typed table (Partial.less) and boxes
+// nothing.
 //
 // Group trimming is deliberately inexact under pathological skew — a group
 // trimmed on one server may survive on another, leaving its aggregate
-// partial — exactly like Pinot's server-side trim. Selection-row heaps are
-// always exact up to tie order (per-segment top-K rows are independent, so
-// their union contains the global top K). QueryRequest.TrimExact disables
-// all trimming for byte-identical full-sort results.
+// partial — exactly like Pinot's server-side trim. A selection cut is exact:
+// per-segment top-K rows are independent, so their union contains the
+// global top K, and it ranks by every ORDER BY term and then by every
+// selected column, so ties at the cut keep the rows the full sort returns.
+// QueryRequest.TrimExact disables all trimming.
 
 // DefaultGroupTrimSize is the minimum number of groups a trimmed grouped
 // aggregation keeps per segment and per server — the stand-in for Pinot's
@@ -47,7 +46,7 @@ func GroupTrimK(limit, trimSize int) int {
 // sink down to segment scans. nil means exact (untrimmed)
 // execution.
 type topKPlan struct {
-	// rowK bounds selection-row heaps: the best Limit+Offset rows.
+	// rowK bounds an ordered selection: the best Limit+Offset rows.
 	rowK int
 	// groupK bounds grouped aggregations: max(Limit*5, trim size) groups.
 	groupK int
@@ -91,88 +90,12 @@ func planTopK(q *Query, trimSize int) *topKPlan {
 	return tp
 }
 
-// orderComparator builds the full ORDER BY comparator over result rows with
-// the given columns. Reports false when an ORDER BY column is absent from
-// the row shape (callers then fall back to untrimmed execution).
-func orderComparator(q *Query, cols []string) (func(a, b []any) int, bool) {
-	idx := make([]int, len(q.OrderBy))
-	for i, o := range q.OrderBy {
-		idx[i] = -1
-		for ci, c := range cols {
-			if c == o.Column {
-				idx[i] = ci
-			}
-		}
-		if idx[i] < 0 {
-			return nil, false
-		}
-	}
-	return func(a, b []any) int {
-		for i, o := range q.OrderBy {
-			cmp := record.Compare(a[idx[i]], b[idx[i]])
-			if cmp == 0 {
-				continue
-			}
-			if o.Desc {
-				return -cmp
-			}
-			return cmp
-		}
-		return 0
-	}, true
-}
-
-// rowHeap is the container/heap backing of topKRows: the root is the WORST
-// row currently kept, so a better candidate replaces it in O(log k).
-type rowHeap struct {
-	rows [][]any
-	cmp  func(a, b []any) int // < 0 means a ranks before (better than) b
-}
-
-func (h *rowHeap) Len() int           { return len(h.rows) }
-func (h *rowHeap) Less(i, j int) bool { return h.cmp(h.rows[i], h.rows[j]) > 0 }
-func (h *rowHeap) Swap(i, j int)      { h.rows[i], h.rows[j] = h.rows[j], h.rows[i] }
-func (h *rowHeap) Push(x any)         { h.rows = append(h.rows, x.([]any)) }
-func (h *rowHeap) Pop() any {
-	n := len(h.rows)
-	r := h.rows[n-1]
-	h.rows = h.rows[:n-1]
-	return r
-}
-
-// topKRows keeps the best k rows seen under an ORDER BY comparator in O(k)
-// memory. Earlier rows win ties (a tie never evicts), matching the stable
-// full sort's preference for earlier doc IDs at the cut line.
-type topKRows struct {
-	k int
-	h rowHeap
-}
-
-func newTopKRows(k int, cmp func(a, b []any) int) *topKRows {
-	return &topKRows{k: k, h: rowHeap{cmp: cmp}}
-}
-
-func (t *topKRows) push(row []any) {
-	if t.h.Len() < t.k {
-		heap.Push(&t.h, row)
-		return
-	}
-	if t.h.cmp(row, t.h.rows[0]) < 0 {
-		t.h.rows[0] = row
-		heap.Fix(&t.h, 0)
-	}
-}
-
-// take returns the kept rows in heap order (arbitrary); Finalize's full
-// sort over the O(K · fan-out) survivors restores the user-facing order.
-func (t *topKRows) take() [][]any { return t.h.rows }
-
-// rankTerm is one ORDER BY term over a group table's rows, typed once: a
-// group-by column compared in place, or an aggregation's final value as the
-// float64 record.Compare would see of aggValue's result (null: NULL, for
-// MIN/MAX/AVG of no input). Ranking never boxes a value. The order is
-// record.Compare's — NULL first, numbers by value (a NaN ties with
-// everything), strings by content — reversed for DESC.
+// rankTerm is one ORDER BY term over a table's rows, typed once: a key
+// column — group-by or selected — compared in place, or an aggregation's
+// final value as the float64 record.Compare would see of aggValue's result
+// (null: NULL, for MIN/MAX/AVG of no input). Ranking never boxes a value.
+// The order is record.Compare's — NULL first, numbers by value (a NaN ties
+// with everything), strings by content — reversed for DESC.
 type rankTerm struct {
 	desc bool
 	key  *record.Vector
@@ -219,9 +142,10 @@ func (t *rankTerm) compare(a, b int32) int {
 }
 
 // less orders the table's rows by the terms and breaks their ties by
-// ascending group value, column by column, then by row — the one tie rule of
-// the segment trim, the server trim and Finalize, so a trimmed top-K keeps
-// the groups an exact one returns when the ORDER BY term ties at the cut.
+// ascending key value — the group or the selected row — column by column,
+// then by row: the one tie rule of the segment trim, the server trim and
+// Finalize, so a trimmed top-K keeps the groups or rows an exact one returns
+// when the ORDER BY terms tie at the cut.
 func (p *Partial) less(terms []rankTerm) func(a, b int32) bool {
 	return func(a, b int32) bool {
 		for i := range terms {
@@ -287,25 +211,31 @@ func (p *Partial) trim(tp *topKPlan) *Partial {
 	return kept
 }
 
+// top returns the selection cut to its k best rows under q's ORDER BY, or p
+// itself when it holds no more or an ORDER BY column is not selected
+// (Finalize reports that). The cut needs the set of survivors, not their
+// order (selectTop).
+func (p *Partial) top(q *Query, k int) *Partial {
+	if p.n <= k {
+		return p
+	}
+	terms, err := p.order(q, p.cols)
+	if err != nil {
+		return p
+	}
+	rows := p.positions()
+	selectTop(rows, k, p.less(terms))
+	return p.keep(rows[:k])
+}
+
 // trimTopK bounds a merged partial before it leaves the server: grouped
-// aggregations keep groupK groups, selections keep rowK rows. Counts
+// aggregations keep groupK groups, ordered selections rowK rows. Counts
 // dropped groups into stats.GroupsTrimmed.
 func (p *Partial) trimTopK(q *Query, tp *topKPlan) {
-	if tp == nil {
-		return
-	}
-	if p.agg {
+	switch {
+	case p.agg:
 		*p = *p.trim(tp)
-		return
-	}
-	if tp.rowK <= 0 || len(p.rows) <= tp.rowK {
-		return
-	}
-	if cmp, ok := orderComparator(q, p.cols); ok {
-		tk := newTopKRows(tp.rowK, cmp)
-		for _, r := range p.rows {
-			tk.push(r)
-		}
-		p.rows = tk.take()
+	case tp != nil:
+		*p = *p.top(q, tp.rowK)
 	}
 }

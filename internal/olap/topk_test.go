@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,6 +120,9 @@ func TestTopKTrimmedMatchesExactUniqueKeys(t *testing.T) {
 // group value, so "n10" never outranks "n2" as text and a consuming
 // string's insertion order or a hashed group's code spelling never decides
 // which groups survive. Every group here has one row, so every COUNT ties.
+// Ordered selections break a tie by ascending value of the selected
+// columns, so neither the cut nor the order servers finish in decides
+// which tied rows are returned.
 func TestTrimTiesMatchExact(t *testing.T) {
 	rows := func(n int) []record.Record {
 		out := make([]record.Record, n)
@@ -175,6 +179,57 @@ func TestTrimTiesMatchExact(t *testing.T) {
 				if row[0] != c.first[i] {
 					t.Errorf("TrimExact %v: ties not broken by ascending group value, want first column %v", exact.Rows, c.first)
 					break
+				}
+			}
+		})
+	}
+
+	// The ORDER BY key takes five values, so a fifth of the rows tie for
+	// first place and the LIMIT cuts through them. 50-row segments on two
+	// servers: 80 rows stay consuming, 400 seal.
+	for _, c := range []struct {
+		name, by string
+		rows     int
+	}{
+		{"select/numeric/consuming", "items", 80},
+		{"select/string/consuming", "status", 80},
+		{"select/numeric/sealed", "items", 400},
+		{"select/string/sealed", "status", 400},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			recs := rows(c.rows)
+			for _, r := range recs {
+				id := int(r["items"].(int64))
+				r["items"], r["status"] = int64(id%5), []string{"a", "b", "c", "d", "e"}[id%5]
+			}
+			d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
+			ingestAll(t, d, recs, 2)
+			b := NewBrokerWithOptions(d, BrokerOptions{Workers: 4})
+			q := &Query{Select: []string{"order_id", c.by, "amount"},
+				OrderBy: []OrderSpec{{Column: c.by, Desc: true}}, Limit: 7, Offset: 2}
+			// The answer: the key descending, then order_id ascending as text.
+			slices.SortFunc(recs, func(x, y record.Record) int {
+				if k := record.Compare(y[c.by], x[c.by]); k != 0 {
+					return k
+				}
+				return strings.Compare(x["order_id"].(string), y["order_id"].(string))
+			})
+			var want [][]any
+			for _, r := range recs[q.Offset : q.Offset+q.Limit] {
+				want = append(want, []any{r["order_id"], r[c.by], r["amount"]})
+			}
+			for run := range 30 {
+				for _, exact := range []bool{true, false} {
+					res, err := b.Execute(context.Background(), &QueryRequest{Query: q, TrimExact: exact})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !exact && res.Stats.RowsHeapKept == 0 {
+						t.Fatal("the trimmed run cut nothing")
+					}
+					if !reflect.DeepEqual(res.Rows, want) {
+						t.Fatalf("run %d, TrimExact %v: %v, want %v", run, exact, res.Rows, want)
+					}
 				}
 			}
 		})

@@ -118,17 +118,6 @@ func (v *colView) appendCode(out *record.Vector, code int) {
 	}
 }
 
-// codeValue decodes one dictionary code; the NULL code decodes to nil.
-func (v *colView) codeValue(code int) any {
-	if code == v.null {
-		return nil
-	}
-	if v.layout == layoutPacked {
-		return v.dict.value(code)
-	}
-	return v.strs[code]
-}
-
 func (v *colView) isNull(i int) bool {
 	if v.coded() {
 		return v.code(i) == v.null
@@ -145,84 +134,67 @@ func (v *colView) num(i int) float64 {
 	return float64(v.ints[i])
 }
 
-// value decodes row i — the late-materialization step, paid only for rows
-// and groups that survive the scan.
-func (v *colView) value(i int) any {
-	switch v.layout {
-	case layoutPacked, layoutDense:
-		return v.codeValue(v.code(i))
-	case layoutFloats:
-		if v.present != nil && !v.present[i] {
-			return nil
-		}
-		return v.floats[i]
-	default:
-		if v.present != nil && !v.present[i] {
-			return nil
-		}
-		if v.typ == metadata.TypeBool {
-			return v.ints[i] != 0
-		}
-		return v.ints[i]
-	}
-}
-
-// gather decodes the selected rows into out, typed by the column: codes
-// become their dictionary's strings or numbers, raw vectors are copied. The
-// layout switch is outside the row loops.
+// gather appends the selected rows to out, after the rows it holds, typed by
+// the column: codes become their dictionary's strings or numbers, raw
+// vectors are copied, and an empty out takes the column's type. The layout
+// switch is outside the row loops.
 func (v *colView) gather(out *record.Vector, sel []int32) {
-	out.Reset(v.typ)
+	at := out.Len()
+	if at == 0 {
+		out.Reset(v.typ)
+	}
 	out.Grow(len(sel))
 	switch v.layout {
 	case layoutPacked:
 		switch v.dict.Typ {
 		case metadata.TypeString:
-			out.Strs = gatherPacked(out, out.Strs, v.dict.Strs, v.packed, v.null, sel)
+			out.Strs = gatherPacked(out, at, out.Strs, v.dict.Strs, v.packed, v.null, sel)
 		case metadata.TypeDouble:
-			out.Floats = gatherPacked(out, out.Floats, v.dict.Nums, v.packed, v.null, sel)
+			out.Floats = gatherPacked(out, at, out.Floats, v.dict.Nums, v.packed, v.null, sel)
 		default:
-			out.Ints = gatherPacked(out, out.Ints, v.dict.Ints, v.packed, v.null, sel)
+			out.Ints = gatherPacked(out, at, out.Ints, v.dict.Ints, v.packed, v.null, sel)
 		}
 	case layoutDense:
 		for j, i := range sel {
 			code := v.dense[i]
 			out.Strs = append(out.Strs, v.strs[code])
 			if code == 0 {
-				out.SetNull(j)
+				out.SetNull(at + j)
 			}
 		}
 	case layoutFloats:
-		out.Floats = gatherRaw(out, out.Floats, v.floats, v.present, sel)
+		out.Floats = gatherRaw(out, at, out.Floats, v.floats, v.present, sel)
 	default:
-		out.Ints = gatherRaw(out, out.Ints, v.ints, v.present, sel)
+		out.Ints = gatherRaw(out, at, out.Ints, v.ints, v.present, sel)
 	}
 }
 
 // gatherPacked appends the dictionary value of each selected row's code to
-// dst, the zero value for the NULL code.
-func gatherPacked[T any](out *record.Vector, dst, dict []T, codes *packedInts, null int, sel []int32) []T {
+// dst, the zero value for the NULL code; out's row at+j is sel[j].
+func gatherPacked[T any](out *record.Vector, at int, dst, dict []T, codes *packedInts, null int, sel []int32) []T {
 	var zero T
 	for j, i := range sel {
 		if code := codes.Get(int(i)); code != null {
 			dst = append(dst, dict[code])
 		} else {
 			dst = append(dst, zero)
-			out.SetNull(j)
+			out.SetNull(at + j)
 		}
 	}
 	return dst
 }
 
 // gatherRaw appends each selected row of a raw vector to dst; a row present
-// marks absent holds the zero value the store wrote for it.
-func gatherRaw[T any](out *record.Vector, dst, vals []T, present []bool, sel []int32) []T {
+// marks absent holds the zero value the store wrote for it. out's row at+j
+// is sel[j].
+func gatherRaw[T any](out *record.Vector, at int, dst, vals []T, present []bool, sel []int32) []T {
 	for _, i := range sel {
 		dst = append(dst, vals[i])
 	}
 	if present != nil {
 		for j, i := range sel {
 			if !present[i] {
-				out.SetNull(j)
+				out.SetNull(at + j)
 			}
 		}
 	}
