@@ -455,3 +455,44 @@ func TestGroupByWindowSurvivesRestore(t *testing.T) {
 		t.Errorf("restored windows fired %v, want %v", got, want)
 	}
 }
+
+// A projection of every input column in input order — renamed or not —
+// emits the input row's own cells under the output schema; one that reorders
+// or drops a column copies the cells it keeps into its own.
+func TestIdentityProjectionSharesCells(t *testing.T) {
+	for _, tc := range []struct {
+		sql    string
+		shared bool
+	}{
+		{"SELECT city, product, fare, ts FROM trips", true},
+		{"SELECT city AS c, product, fare AS f, ts FROM trips", true},
+		{"SELECT product, city, fare, ts FROM trips", false},
+		{"SELECT city, fare FROM trips", false},
+	} {
+		stmt, err := sqlparse.Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := Compile(stmt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op := plan.Stages[len(plan.Stages)-1].New()
+		in := rowEvent(t, tripsSchema(), tripRows(1)[0])
+		var out flow.Event
+		if err := op.ProcessElement(in, func(e flow.Event) { out = e }); err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Row.Vals) != len(plan.OutputColumns) {
+			t.Fatalf("%s: emitted %d cells, want %d", tc.sql, len(out.Row.Vals), len(plan.OutputColumns))
+		}
+		for i, name := range plan.OutputColumns {
+			if out.Row.Schema.Fields[i].Name != name {
+				t.Errorf("%s: output column %d is %q, want %q", tc.sql, i, out.Row.Schema.Fields[i].Name, name)
+			}
+		}
+		if shared := &out.Row.Vals[0] == &in.Row.Vals[0]; shared != tc.shared {
+			t.Errorf("%s: output shares the input's cells = %v, want %v", tc.sql, shared, tc.shared)
+		}
+	}
+}

@@ -168,7 +168,8 @@ const projectChunk = 128
 // columns, renamed — built once per input schema and shared by every
 // instance of the stage, so a sink behind several instances sees one schema.
 // The output cells are the input cells as they are: strings still alias the
-// payload, nothing is copied out of it.
+// payload, nothing is copied out of it. A projection of every input column
+// in input order shares the input row's cells outright.
 func projectStage(outCols []string, renames map[string]string, parallelism int) flow.StageSpec {
 	names := make([]string, len(outCols))
 	for i, name := range outCols {
@@ -192,11 +193,21 @@ func projectStage(outCols []string, renames map[string]string, parallelism int) 
 		New: func() flow.Operator {
 			cols := &columns{names: names}
 			var out *metadata.Schema
+			var identity bool
 			var chunk []record.Value
 			return &rowStage{name: "project", fn: func(e flow.Event, emit func(flow.Event)) {
 				if e.Row.Schema != cols.bound {
 					cols.bind(e.Row.Schema)
 					out = output(e.Row.Schema, cols.at)
+					identity = isIdentity(cols.at, len(e.Row.Schema.Fields))
+				}
+				if identity {
+					// Every input cell, in input order: the row keeps its
+					// cells under the output schema. No stage writes a
+					// row's cells in place, so sharing them is safe.
+					e.Row.Schema = out
+					emit(e)
+					return
 				}
 				w := len(outCols)
 				if len(chunk) < w {
@@ -212,6 +223,20 @@ func projectStage(outCols []string, renames map[string]string, parallelism int) 
 			}}
 		},
 	}
+}
+
+// isIdentity reports whether a projection's columns, bound at at, are an
+// n-field schema's fields in order.
+func isIdentity(at []int, n int) bool {
+	if len(at) != n {
+		return false
+	}
+	for i, f := range at {
+		if f != i {
+			return false
+		}
+	}
+	return true
 }
 
 // outputSchema is in projected onto outCols, column i from in's field at[i];

@@ -7,9 +7,14 @@
 //   - event-time processing with watermarks and windowed aggregation;
 //   - keyed operator state with aligned checkpoint barriers persisted to the
 //     object store, and restore-from-checkpoint recovery (A3);
-//   - credit-based backpressure: bounded buffers propagate consumer slowness
-//     back to the sources instead of accumulating unbounded queues (the
-//     Storm-vs-Flink backlog recovery experiment, E1);
+//   - credit-based backpressure: events cross each edge between instances
+//     in runs of up to JobSpec.BufferSize, each in one of the edge's few
+//     run buffers (its credits); a sender waits for the receiver to hand a
+//     buffer back, so consumer slowness propagates back to the sources
+//     instead of accumulating unbounded queues (the Storm-vs-Flink backlog
+//     recovery experiment, E1). A sender flushes its open runs at the end
+//     of each source poll or input run and before every watermark, barrier
+//     and end, so no event waits on a timer;
 //   - a job management layer (§4.2.2) that deploys, monitors and
 //     automatically recovers jobs with a rule-based engine.
 //

@@ -21,8 +21,13 @@ type Event struct {
 	Data record.Record
 	// Row is the payload as schema-bound cells, when Data is nil: a
 	// StreamSource decodes each message into one, and the compiled SQL
-	// stages and TopicSink work on it without a map.
+	// stages and TopicSink work on it without a map. A source may lend the
+	// cells for as long as the job holds the event (cellBlock).
 	Row record.Row
+
+	// block is the cell block Row's cells live in, when a source lends
+	// them (cellBlock): the runtime counts the events that hold it.
+	block *cellBlock
 }
 
 // IsRow reports whether the payload is the row: Data, when set, wins.
@@ -43,7 +48,7 @@ func (e Event) Record() record.Record {
 // CollectSink take events through it.
 func boxed(e Event) Event {
 	e.Data = e.Record()
-	e.Row = record.Row{}
+	e.Row, e.block = record.Row{}, nil
 	return e
 }
 
@@ -55,7 +60,8 @@ const WatermarkMax = math.MaxInt64
 type elemKind uint8
 
 const (
-	elemEvent elemKind = iota
+	// elemEvents is a run of events, in the order they were emitted.
+	elemEvents elemKind = iota
 	// elemWatermark advances event time; the gate forwards the minimum
 	// across inputs.
 	elemWatermark
@@ -65,10 +71,14 @@ const (
 	elemEnd
 )
 
-// element is one unit on an inter-instance channel.
+// element is one unit on an inter-instance channel: a run of events or one
+// control signal.
 type element struct {
-	kind    elemKind
-	event   Event
+	kind elemKind
+	// events is an elemEvents run: 1..BufferSize events in one of the
+	// edge's credit buffers, which the receiver hands back once it has
+	// processed or written them.
+	events  []Event
 	wm      int64
 	barrier int64 // checkpoint id
 }

@@ -32,9 +32,28 @@ func (s *logSink) Flush() error {
 	return nil
 }
 
-// The sink loop writes the run of events the gate already holds as one
-// Write, never more than BufferSize of them, and writes the run before it
-// handles the barrier behind it: checkpoint order is preserved.
+// sendAll drives one sender's side of the exchange: each entry of script is
+// an event to emit, or a control element to broadcast behind the events
+// emitted before it.
+func sendAll(t *testing.T, out *outputs, script []element) {
+	t.Helper()
+	for _, el := range script {
+		ok := true
+		if el.kind == elemEvents {
+			ok = out.add(0, Event{})
+		} else {
+			ok = out.broadcast(el)
+		}
+		if !ok {
+			t.Fatal("exchange send failed")
+		}
+	}
+}
+
+// The exchange carries events in runs of at most BufferSize, cut early
+// before each watermark, barrier or end, and the sink loop writes each run
+// as one Write before it handles the element behind it: checkpoint order is
+// preserved.
 func TestSinkLoopBatchesRunsAndKeepsBarrierOrder(t *testing.T) {
 	sink := &logSink{}
 	job, err := NewJob(JobSpec{
@@ -47,17 +66,15 @@ func TestSinkLoopBatchesRunsAndKeepsBarrierOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := element{kind: elemEvent}
-	in := make(chan element, 16)
-	for _, el := range []element{
+	ev := element{kind: elemEvents}
+	in := newInputEdges(1, job.spec.BufferSize)
+	sendAll(t, newOutputs(job.ctx, in), []element{
 		ev, ev, ev, {kind: elemBarrier, barrier: 1}, // a run, then its barrier
 		ev, ev, ev, ev, ev, ev, // a run longer than BufferSize
 		{kind: elemWatermark, wm: 7}, ev, {kind: elemEnd},
-	} {
-		in <- el
-	}
+	})
 	job.wg.Add(1)
-	job.runSink([]chan element{in}) // everything is queued: runs to the end
+	job.runSink(in) // everything is queued: runs to the end
 	want := []string{"write 3", "flush", "write 4", "write 2", "write 1", "flush"}
 	if !reflect.DeepEqual(sink.log, want) {
 		t.Errorf("sink saw %v, want %v", sink.log, want)
@@ -65,11 +82,13 @@ func TestSinkLoopBatchesRunsAndKeepsBarrierOrder(t *testing.T) {
 	if got := job.Metrics(); got.EventsOut != 10 || got.SinkWatermark != 7 {
 		t.Errorf("metrics = %+v, want 10 events out and sink watermark 7", got)
 	}
+	if n := len(in[0].credits); n != exchangeCredits {
+		t.Errorf("%d of %d credits back after the sink wrote every run", n, exchangeCredits)
+	}
 }
 
 // With two inputs the barrier reaches the sink only once both delivered it,
-// and every event either input queued ahead of its barrier is written
-// first.
+// and every event either input sent ahead of its barrier is written first.
 func TestSinkLoopAlignsBarriersAcrossInputs(t *testing.T) {
 	sink := &logSink{}
 	job, err := NewJob(JobSpec{
@@ -81,16 +100,12 @@ func TestSinkLoopAlignsBarriersAcrossInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := element{kind: elemEvent}
-	a, b := make(chan element, 8), make(chan element, 8)
-	for _, el := range []element{ev, {kind: elemBarrier, barrier: 1}, ev, {kind: elemEnd}} {
-		a <- el
-	}
-	for _, el := range []element{ev, ev, ev, {kind: elemBarrier, barrier: 1}, {kind: elemEnd}} {
-		b <- el
-	}
+	ev := element{kind: elemEvents}
+	in := newInputEdges(2, job.spec.BufferSize)
+	sendAll(t, newOutputs(job.ctx, in[:1]), []element{ev, {kind: elemBarrier, barrier: 1}, ev, {kind: elemEnd}})
+	sendAll(t, newOutputs(job.ctx, in[1:]), []element{ev, ev, ev, {kind: elemBarrier, barrier: 1}, {kind: elemEnd}})
 	job.wg.Add(1)
-	job.runSink([]chan element{a, b})
+	job.runSink(in)
 	written, flushes := 0, 0
 	for _, entry := range sink.log {
 		var n int
@@ -100,7 +115,7 @@ func TestSinkLoopAlignsBarriersAcrossInputs(t *testing.T) {
 		}
 		flushes++
 		if flushes == 1 && written != 4 {
-			t.Errorf("barrier flushed after %d events, want the 4 queued ahead of it (log %v)", written, sink.log)
+			t.Errorf("barrier flushed after %d events, want the 4 sent ahead of it (log %v)", written, sink.log)
 		}
 	}
 	if written != 5 || flushes != 2 {

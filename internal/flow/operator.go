@@ -11,7 +11,10 @@ import (
 // a stage. The runtime guarantees single-threaded access per instance, so
 // implementations need no locking (matching Flink's operator contract).
 type Operator interface {
-	// ProcessElement handles one event, emitting zero or more events.
+	// ProcessElement handles one event, emitting zero or more events. e's
+	// row cells (Event.Row) may be reused once the call returns unless e
+	// is emitted: an operator that keeps a row for later copies it
+	// (boxing does, Event.Record).
 	ProcessElement(e Event, emit func(Event)) error
 	// OnWatermark fires when the instance's combined input watermark
 	// advances; window operators fire completed windows here.

@@ -3,7 +3,6 @@ package flow
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +29,7 @@ type Job struct {
 	eventsOut  atomic.Int64
 	sinkWM     atomic.Int64
 	stateBytes []atomic.Int64 // one per operator instance, flat index
-	lateEvents atomic.Int64
+	lateEvents []atomic.Int64 // likewise
 
 	coord *checkpointCoordinator
 
@@ -67,6 +66,7 @@ func NewJobCtx(parent context.Context, spec JobSpec) (*Job, error) {
 		cancel:     cancel,
 		done:       make(chan struct{}),
 		stateBytes: make([]atomic.Int64, total),
+		lateEvents: make([]atomic.Int64, total),
 	}
 	j.coord = newCheckpointCoordinator(j)
 	return j, nil
@@ -103,10 +103,10 @@ func (j *Job) Start() error {
 		return fmt.Errorf("flow: job %q already started", j.spec.Name)
 	}
 	nStages := len(j.spec.Stages)
-	// edges[l][up][down]: channel from sender up at level l to instance
+	// edges[l][up][down]: the edge from sender up at level l to instance
 	// down at level l+1. Level 0 senders are sources; level nStages senders
 	// feed the sink (one instance).
-	edges := make([][][]chan element, nStages+1)
+	edges := make([][][]edge, nStages+1)
 	senders := func(level int) int {
 		if level == 0 {
 			return len(j.spec.Sources)
@@ -120,11 +120,13 @@ func (j *Job) Start() error {
 		return j.spec.Stages[level].Parallelism
 	}
 	for l := 0; l <= nStages; l++ {
-		edges[l] = make([][]chan element, senders(l))
+		edges[l] = make([][]edge, senders(l))
 		for u := range edges[l] {
-			edges[l][u] = make([]chan element, receivers(l))
-			for d := range edges[l][u] {
-				edges[l][u][d] = make(chan element, j.spec.BufferSize)
+			edges[l][u] = make([]edge, receivers(l))
+		}
+		for d := 0; d < receivers(l); d++ {
+			for u, in := range newInputEdges(senders(l), j.spec.BufferSize) {
+				edges[l][u][d] = in
 			}
 		}
 	}
@@ -148,7 +150,7 @@ func (j *Job) Start() error {
 		st := j.spec.Stages[l]
 		for inst := 0; inst < st.Parallelism; inst++ {
 			// Gather inputs: channel from every sender at level l.
-			ins := make([]chan element, senders(l))
+			ins := make([]edge, senders(l))
 			for u := range ins {
 				ins[u] = edges[l][u][inst]
 			}
@@ -168,7 +170,7 @@ func (j *Job) Start() error {
 	}
 
 	// Sink: inputs from every last-stage instance.
-	sinkIns := make([]chan element, senders(nStages))
+	sinkIns := make([]edge, senders(nStages))
 	for u := range sinkIns {
 		sinkIns[u] = edges[nStages][u][0]
 	}
@@ -253,9 +255,10 @@ func (j *Job) autoCheckpoint() {
 
 // ---- source loop ----
 
-func (j *Job) runSource(si int, spec SourceSpec, outs []chan element) {
+func (j *Job) runSource(si int, spec SourceSpec, edges []edge) {
 	defer j.wg.Done()
 	stage0 := j.spec.Stages[0]
+	out := newOutputs(j.ctx, edges)
 	rr := 0
 	sinceWM := 0
 	lastWM := int64(-1)
@@ -263,7 +266,7 @@ func (j *Job) runSource(si int, spec SourceSpec, outs []chan element) {
 	for {
 		select {
 		case <-j.ctx.Done():
-			j.drainBroadcast(outs, element{kind: elemEnd})
+			out.abort()
 			return
 		default:
 		}
@@ -272,11 +275,11 @@ func (j *Job) runSource(si int, spec SourceSpec, outs []chan element) {
 			pos, err := spec.Source.Position()
 			if err != nil {
 				j.fail(err)
-				j.drainBroadcast(outs, element{kind: elemEnd})
+				out.abort()
 				return
 			}
 			j.coord.addSourceSnapshot(id, si, pos)
-			if !j.broadcast(outs, element{kind: elemBarrier, barrier: id}) {
+			if !out.broadcast(element{kind: elemBarrier, barrier: id}) {
 				return
 			}
 			lastBarrier = id
@@ -284,38 +287,44 @@ func (j *Job) runSource(si int, spec SourceSpec, outs []chan element) {
 		events, end, err := spec.Source.Next(5 * time.Millisecond)
 		if err != nil {
 			j.fail(err)
-			j.drainBroadcast(outs, element{kind: elemEnd})
+			out.abort()
 			return
 		}
+		// Every event is copied into a run before the next poll: the
+		// source may reuse the slice.
 		for _, e := range events {
 			e.Source = si
 			dest := 0
 			if stage0.keyed() {
 				e = stage0.route(e)
-				dest = int(stream.Hash(e.Key) % uint32(len(outs)))
+				dest = int(stream.Hash(e.Key) % uint32(len(edges)))
 			} else {
-				dest = rr % len(outs)
+				dest = rr % len(edges)
 				rr++
 			}
-			if !j.send(outs[dest], element{kind: elemEvent, event: e}) {
+			if !out.add(dest, e) {
 				return
 			}
-			j.eventsIn.Add(1)
 		}
+		if !out.flush() {
+			return
+		}
+		dropRefs(events)
+		j.eventsIn.Add(int64(len(events)))
 		sinceWM += len(events)
 		if sinceWM >= spec.WatermarkEvery || drained(spec.Source, len(events)) {
 			sinceWM = 0
 			if wm := spec.Source.Watermark(); wm > lastWM {
 				lastWM = wm
-				if !j.broadcast(outs, element{kind: elemWatermark, wm: wm}) {
+				if !out.broadcast(element{kind: elemWatermark, wm: wm}) {
 					return
 				}
 			}
 		}
 		if end {
 			// Flush all windows, then end.
-			j.broadcast(outs, element{kind: elemWatermark, wm: WatermarkMax})
-			j.broadcast(outs, element{kind: elemEnd})
+			out.broadcast(element{kind: elemWatermark, wm: WatermarkMax})
+			out.broadcast(element{kind: elemEnd})
 			return
 		}
 	}
@@ -333,40 +342,9 @@ func drained(src Source, n int) bool {
 	return ok && lr.Lag() == 0
 }
 
-// send delivers one element respecting cancellation; false means the job is
-// shutting down.
-func (j *Job) send(ch chan element, el element) bool {
-	select {
-	case ch <- el:
-		return true
-	case <-j.ctx.Done():
-		return false
-	}
-}
-
-// broadcast sends an element to every channel; false on cancellation.
-func (j *Job) broadcast(outs []chan element, el element) bool {
-	for _, ch := range outs {
-		if !j.send(ch, el) {
-			return false
-		}
-	}
-	return true
-}
-
-// drainBroadcast best-effort broadcasts end without blocking forever.
-func (j *Job) drainBroadcast(outs []chan element, el element) {
-	for _, ch := range outs {
-		select {
-		case ch <- el:
-		default:
-		}
-	}
-}
-
 // ---- operator instance loop ----
 
-func (j *Job) runInstance(level, inst, flat int, op Operator, ins []chan element, outs []chan element) {
+func (j *Job) runInstance(level, inst, flat int, op Operator, ins []edge, edges []edge) {
 	defer j.wg.Done()
 	var nextKeyed bool
 	var nextStage *StageSpec
@@ -375,6 +353,7 @@ func (j *Job) runInstance(level, inst, flat int, op Operator, ins []chan element
 		nextStage = &st
 		nextKeyed = st.keyed()
 	}
+	out := newOutputs(j.ctx, edges)
 	rr := 0
 	ok := true
 	emit := func(e Event) {
@@ -384,101 +363,89 @@ func (j *Job) runInstance(level, inst, flat int, op Operator, ins []chan element
 		dest := 0
 		if nextStage != nil && nextKeyed {
 			e = nextStage.route(e)
-			dest = int(stream.Hash(e.Key) % uint32(len(outs)))
-		} else if len(outs) > 1 {
-			dest = rr % len(outs)
+			dest = int(stream.Hash(e.Key) % uint32(len(edges)))
+		} else if len(edges) > 1 {
+			dest = rr % len(edges)
 			rr++
 		}
-		if !j.send(outs[dest], element{kind: elemEvent, event: e}) {
-			ok = false
-		}
+		ok = out.add(dest, e)
 	}
+	// A window operator, wrapped or not, reports the late events it dropped.
+	late, _ := op.(interface{ LateEvents() int64 })
 
 	gate := newInputGate(ins)
 	stName := j.spec.Stages[level].Name
 	for {
-		el, alive := gate.next(j.ctx, true)
+		el, alive := gate.next(j.ctx)
 		if !alive {
 			return
 		}
 		switch el.kind {
-		case elemEvent:
-			if err := op.ProcessElement(el.event, emit); err != nil {
-				j.fail(fmt.Errorf("flow: %s[%d]: %w", stName, inst, err))
-				j.drainBroadcast(outs, element{kind: elemEnd})
+		case elemEvents:
+			for _, e := range el.events {
+				if err := op.ProcessElement(e, emit); err != nil {
+					j.fail(fmt.Errorf("flow: %s[%d]: %w", stName, inst, err))
+					out.abort()
+					return
+				}
+			}
+			if !ok || !out.flush() {
 				return
 			}
+			gate.release(el.events)
 		case elemWatermark:
 			if err := op.OnWatermark(el.wm, emit); err != nil {
 				j.fail(fmt.Errorf("flow: %s[%d] watermark: %w", stName, inst, err))
-				j.drainBroadcast(outs, element{kind: elemEnd})
+				out.abort()
 				return
 			}
-			if !ok || !j.broadcast(outs, el) {
+			if !ok || !out.broadcast(el) {
 				return
 			}
 		case elemBarrier:
 			snap, err := op.Snapshot()
 			if err != nil {
 				j.fail(fmt.Errorf("flow: %s[%d] snapshot: %w", stName, inst, err))
-				j.drainBroadcast(outs, element{kind: elemEnd})
+				out.abort()
 				return
 			}
 			j.coord.addOperatorSnapshot(el.barrier, opStateKey(stName, inst), snap)
-			if !j.broadcast(outs, el) {
+			if !out.broadcast(el) {
 				return
 			}
 		case elemEnd:
-			j.broadcast(outs, element{kind: elemEnd})
+			out.broadcast(element{kind: elemEnd})
 			return
 		}
 		j.stateBytes[flat].Store(op.StateBytes())
-		if w, isWindow := op.(*WindowAggOp); isWindow {
-			j.lateEvents.Store(w.LateEvents())
-		}
-		if !ok {
-			return
+		if late != nil {
+			j.lateEvents[flat].Store(late.LateEvents())
 		}
 	}
 }
 
 // ---- sink loop ----
 
-// runSink drives the sink. Consecutive events the gate already holds go to
-// the sink as one Write — at most BufferSize of them, and only what is ready
-// now: the loop never waits to fill a run. The run is written before the
-// element that ended it is handled, so every event that preceded a barrier
-// in the gate reaches the sink before that barrier's Flush and ack.
-func (j *Job) runSink(ins []chan element) {
+// runSink drives the sink: each run that arrives is one Write. A run is
+// written before the element behind it is handled, so every event that
+// preceded a barrier reaches the sink before that barrier's Flush and ack.
+func (j *Job) runSink(ins []edge) {
 	defer j.wg.Done()
 	gate := newInputGate(ins)
 	sink := j.spec.Sink.Sink
-	run := make([]Event, 0, j.spec.BufferSize)
 	for {
-		el, ok := gate.next(j.ctx, true)
+		el, ok := gate.next(j.ctx)
 		if !ok {
 			return
 		}
-		for ok && el.kind == elemEvent {
-			run = append(run, el.event)
-			if ok = len(run) < cap(run); ok {
-				el, ok = gate.next(j.ctx, false)
-			}
-		}
-		if len(run) > 0 {
-			if err := sink.Write(run); err != nil {
+		switch el.kind {
+		case elemEvents:
+			if err := sink.Write(el.events); err != nil {
 				j.fail(fmt.Errorf("flow: sink %s: %w", j.spec.Sink.Name, err))
 				return
 			}
-			j.eventsOut.Add(int64(len(run)))
-			// A written event's row pins the log slab it aliases.
-			clear(run)
-			run = run[:0]
-		}
-		if !ok {
-			continue // the run ended on its size or on an empty gate
-		}
-		switch el.kind {
+			j.eventsOut.Add(int64(len(el.events)))
+			gate.release(el.events)
 		case elemWatermark:
 			if el.wm != WatermarkMax {
 				j.sinkWM.Store(el.wm)
@@ -496,167 +463,6 @@ func (j *Job) runSink(ins []chan element) {
 			return
 		}
 	}
-}
-
-// ---- input gate: merge, watermark min, barrier alignment ----
-
-// inputGate merges the channels from all upstream instances into one ordered
-// stream of elements for an operator instance, implementing watermark
-// min-tracking, aligned checkpoint barriers and end-of-input counting.
-type inputGate struct {
-	ins     []chan element
-	ended   []bool
-	wms     []int64
-	blocked []bool // aligned on the in-flight barrier
-	barrier int64
-	lastWM  int64
-}
-
-func newInputGate(ins []chan element) *inputGate {
-	g := &inputGate{
-		ins:     ins,
-		ended:   make([]bool, len(ins)),
-		wms:     make([]int64, len(ins)),
-		blocked: make([]bool, len(ins)),
-		lastWM:  -1,
-	}
-	for i := range g.wms {
-		g.wms[i] = -1
-	}
-	return g
-}
-
-// next returns the next logical element, waiting for one if block is set.
-// ok=false means the job is cancelled, all inputs ended after the final end
-// was already delivered or — when not blocking — no input holds an element
-// right now.
-func (g *inputGate) next(ctx context.Context, block bool) (element, bool) {
-	for {
-		idx, el, recvOK := g.receive(ctx, block)
-		if !recvOK {
-			return element{}, false
-		}
-		switch el.kind {
-		case elemEvent:
-			return el, true
-		case elemWatermark:
-			if el.wm > g.wms[idx] {
-				g.wms[idx] = el.wm
-			}
-			if min := g.minWM(); min > g.lastWM {
-				g.lastWM = min
-				return element{kind: elemWatermark, wm: min}, true
-			}
-		case elemBarrier:
-			g.blocked[idx] = true
-			g.barrier = el.barrier
-			if g.allBlocked() {
-				for i := range g.blocked {
-					g.blocked[i] = false
-				}
-				return el, true
-			}
-		case elemEnd:
-			g.ended[idx] = true
-			// An ended channel no longer holds back watermarks or barriers.
-			g.wms[idx] = WatermarkMax
-			if g.allEnded() {
-				return element{kind: elemEnd}, true
-			}
-			if min := g.minWM(); min > g.lastWM && min != WatermarkMax {
-				g.lastWM = min
-				return element{kind: elemWatermark, wm: min}, true
-			}
-			if g.barrier > 0 && g.allBlocked() {
-				for i := range g.blocked {
-					g.blocked[i] = false
-				}
-				b := g.barrier
-				g.barrier = 0
-				return element{kind: elemBarrier, barrier: b}, true
-			}
-		}
-	}
-}
-
-// receive picks the next element from any unblocked, unended channel,
-// waiting for one only if block is set.
-func (g *inputGate) receive(ctx context.Context, block bool) (int, element, bool) {
-	// Fast path: single-input gates dominate; avoid reflect.
-	active := -1
-	nActive := 0
-	for i := range g.ins {
-		if !g.ended[i] && !g.blocked[i] {
-			active = i
-			nActive++
-		}
-	}
-	if nActive == 0 {
-		return 0, element{}, false
-	}
-	if !block {
-		for i := range g.ins {
-			if g.ended[i] || g.blocked[i] {
-				continue
-			}
-			select {
-			case el := <-g.ins[i]:
-				return i, el, true
-			default:
-			}
-		}
-		return 0, element{}, false
-	}
-	if nActive == 1 {
-		select {
-		case el := <-g.ins[active]:
-			return active, el, true
-		case <-ctx.Done():
-			return 0, element{}, false
-		}
-	}
-	cases := make([]reflect.SelectCase, 0, nActive+1)
-	idxs := make([]int, 0, nActive)
-	for i := range g.ins {
-		if !g.ended[i] && !g.blocked[i] {
-			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(g.ins[i])})
-			idxs = append(idxs, i)
-		}
-	}
-	cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ctx.Done())})
-	chosen, val, _ := reflect.Select(cases)
-	if chosen == len(cases)-1 {
-		return 0, element{}, false
-	}
-	return idxs[chosen], val.Interface().(element), true
-}
-
-func (g *inputGate) allEnded() bool {
-	for _, e := range g.ended {
-		if !e {
-			return false
-		}
-	}
-	return true
-}
-
-func (g *inputGate) allBlocked() bool {
-	for i := range g.ins {
-		if !g.ended[i] && !g.blocked[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (g *inputGate) minWM() int64 {
-	min := int64(WatermarkMax)
-	for i := range g.ins {
-		if g.wms[i] < min {
-			min = g.wms[i]
-		}
-	}
-	return min
 }
 
 // ---- metrics ----
@@ -683,9 +489,10 @@ type Metrics struct {
 
 // Metrics returns the current snapshot.
 func (j *Job) Metrics() Metrics {
-	var state int64
+	var state, late int64
 	for i := range j.stateBytes {
 		state += j.stateBytes[i].Load()
+		late += j.lateEvents[i].Load()
 	}
 	var lag, skipped int64
 	for _, s := range j.spec.Sources {
@@ -702,7 +509,7 @@ func (j *Job) Metrics() Metrics {
 		SinkWatermark:   j.sinkWM.Load(),
 		StateBytes:      state,
 		SourceLag:       lag,
-		LateEvents:      j.lateEvents.Load(),
+		LateEvents:      late,
 		SkippedMessages: skipped,
 	}
 }

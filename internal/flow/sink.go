@@ -12,9 +12,11 @@ import (
 // single goroutine.
 type Sink interface {
 	// Write delivers a batch of output events (at-least-once across
-	// restarts): the run of events that was ready when the sink loop came
-	// round, in order, at most JobSpec.BufferSize of them. The slice is
-	// reused after Write returns.
+	// restarts): one run from one upstream instance, in order, at most
+	// JobSpec.BufferSize of them. The upstream flushes its run whenever it
+	// finishes an input run or forwards a watermark, barrier or end, so a
+	// run is never held back to fill. The slice, and its events' row
+	// cells, are reused after Write returns.
 	Write(events []Event) error
 	// Flush is called at checkpoints and end-of-stream.
 	Flush() error

@@ -18,7 +18,9 @@ type Source interface {
 	// Next returns the next batch of events, blocking for at most maxWait
 	// when there are none yet (the bound is what keeps the runtime's
 	// cancellation and checkpoint barriers prompt). end is true once a
-	// bounded source is exhausted; unbounded sources never end.
+	// bounded source is exhausted; unbounded sources never end. The events
+	// are valid until the next call: a source may reuse the slice, and the
+	// runtime copies each event out before it polls again.
 	Next(maxWait time.Duration) (events []Event, end bool, err error)
 	// Watermark returns the source's current event-time watermark.
 	Watermark() int64
@@ -58,10 +60,20 @@ type StreamSource struct {
 	// maxTime is written by the runtime's source goroutine and read by
 	// whoever asks for the watermark.
 	maxTime atomic.Int64
-	// fetched holds Next's decoded fetches, one entry per partition; only
-	// the goroutine driving Next touches it.
+	// fetched holds Next's decoded fetches, one entry per partition, and
+	// merged and heads their merge; only the goroutine driving Next touches
+	// them.
 	fetched [][]Event
+	merged  []Event
+	heads   []int
+	// free holds cell blocks the runtime has handed back.
+	free chan *cellBlock
 }
+
+// freeBlocks bounds the idle cell blocks a StreamSource keeps: enough for
+// the next poll's fetches, while the blocks in flight, which the exchange's
+// credits bound, come back. A block handed back to a full pool is dropped.
+const freeBlocks = 4
 
 // StreamSourceConfig configures a StreamSource.
 type StreamSourceConfig struct {
@@ -112,13 +124,18 @@ func NewStreamSource(cluster *stream.Cluster, topic string, codec *record.Codec,
 		lateness: cfg.LatenessMs,
 		batch:    cfg.Batch,
 		fetched:  make([][]Event, n),
+		heads:    make([]int, n),
+		free:     make(chan *cellBlock, freeBlocks),
 	}, nil
 }
 
 // Next implements Source. A partition's position moves past its whole
-// fetch, skipped payloads included.
+// fetch, skipped payloads included. The events are in a slice the next call
+// reuses.
 func (s *StreamSource) Next(maxWait time.Duration) ([]Event, bool, error) {
 	s.reader.Wait(maxWait)
+	clear(s.merged) // last call's rows pin the slabs they alias
+	s.merged = s.merged[:0]
 	total := 0
 	maxTime := s.maxTime.Load()
 	nf := len(s.schema.Fields)
@@ -132,43 +149,58 @@ func (s *StreamSource) Next(maxWait time.Duration) ([]Event, bool, error) {
 		if len(msgs) == 0 {
 			continue
 		}
-		// One fresh block of cells per fetch, never reused: the rows cross
-		// goroutines. Their string cells alias the log slab, whose bytes
-		// are never rewritten.
-		block := make([]record.Value, len(msgs)*nf)
+		// One block of cells per fetch, lent to the events: the rows cross
+		// goroutines, and the block comes back once the runtime has
+		// processed or written every event in it. Their string cells alias
+		// the log slab, whose bytes are never rewritten.
+		blk := s.block(len(msgs) * nf)
+		cells := blk.cells
 		for _, m := range msgs {
-			vals := block[:nf:nf]
+			vals := cells[:nf:nf]
 			if err := s.codec.DecodeValues(m.Value, vals); err != nil {
 				s.skipped.Add(1)
 				continue
 			}
-			block = block[nf:]
-			ev := Event{Time: m.Timestamp, Row: record.Row{Schema: s.schema, Vals: vals}}
+			cells = cells[nf:]
+			ev := Event{Time: m.Timestamp, Row: record.Row{Schema: s.schema, Vals: vals}, block: blk}
 			if et := ev.Row.Long(s.timeAt); et != 0 {
 				ev.Time = et
 			}
 			maxTime = max(maxTime, ev.Time)
 			s.fetched[i] = append(s.fetched[i], ev)
 		}
+		blk.refs.Store(int32(len(s.fetched[i])))
 		s.reader.Seek(i, msgs[len(msgs)-1].Offset+1)
 		total += len(s.fetched[i])
 	}
 	s.maxTime.Store(maxTime)
-	return mergeByTime(s.fetched, total), false, nil
+	s.merged = mergeByTime(s.merged, s.fetched, s.heads, total)
+	return s.merged, false, nil
 }
 
-// mergeByTime merges per-partition event slices into one, taking the
+// block returns a cell block of at least n cells for one fetch: one the
+// runtime handed back, or a new one of n. A caller that drives Next without
+// the runtime never hands any back, and each fetch gets a new block.
+func (s *StreamSource) block(n int) *cellBlock {
+	select {
+	case b := <-s.free:
+		if len(b.cells) >= n {
+			return b
+		}
+	default:
+	}
+	return &cellBlock{cells: make([]record.Value, n), free: s.free}
+}
+
+// mergeByTime appends per-partition event slices to out as one, taking the
 // earliest head each time (the lower partition on a tie): each partition's
 // order is kept, and rows a producer spread over the partitions come out in
 // event-time order instead of partition by partition. Downstream that is
 // the difference between a watermark that follows a run of events and one
-// that overtakes the other partitions' share of the same batch.
-func mergeByTime(parts [][]Event, total int) []Event {
-	if total == 0 {
-		return nil
-	}
-	out := make([]Event, 0, total)
-	heads := make([]int, len(parts))
+// that overtakes the other partitions' share of the same batch. heads is
+// scratch, one entry per partition.
+func mergeByTime(out []Event, parts [][]Event, heads []int, total int) []Event {
+	clear(heads)
 	for len(out) < total {
 		best := -1
 		for i, p := range parts {

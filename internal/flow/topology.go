@@ -80,9 +80,10 @@ type JobSpec struct {
 	Stages []StageSpec
 	// Sink is the single output.
 	Sink SinkSpec
-	// BufferSize is the inter-instance channel capacity — the backpressure
-	// knob: small buffers propagate consumer slowness upstream quickly.
-	// Default 64.
+	// BufferSize is the most events one run carries across an edge between
+	// instances. Each edge owns a few run buffers (its credits), so it also
+	// bounds what an edge holds in flight — the backpressure knob: small
+	// buffers propagate consumer slowness upstream quickly. Default 64.
 	BufferSize int
 	// CheckpointStore enables checkpointing when set.
 	CheckpointStore objstore.Store
