@@ -94,9 +94,9 @@ func main() {
 				Name: "window", KeyBy: "model", Parallelism: 4,
 				New: func() flow.Operator {
 					return flow.NewWindowAggOp(60_000, 0, "model",
-						flow.Aggregation{Kind: flow.AggCount, As: "samples"},
-						flow.Aggregation{Kind: flow.AggAvg, Field: "abs_err", As: "mae"},
-						flow.Aggregation{Kind: flow.AggMax, Field: "abs_err", As: "worst"},
+						flow.Aggregation{Kind: record.AggCount, As: "samples"},
+						flow.Aggregation{Kind: record.AggAvg, Field: "abs_err", As: "mae"},
+						flow.Aggregation{Kind: record.AggMax, Field: "abs_err", As: "worst"},
 					)
 				},
 			},

@@ -64,8 +64,8 @@ func surgePipeline(region string, agg *stream.Cluster, codec *record.Codec, upda
 				Name: "demand-supply", KeyBy: "hexagon", Parallelism: 2,
 				New: func() flow.Operator {
 					return flow.NewWindowAggOp(60_000, 0, "hexagon",
-						flow.Aggregation{Kind: flow.AggCount, As: "events"},
-						flow.Aggregation{Kind: flow.AggSum, Field: "is_request", As: "demand"},
+						flow.Aggregation{Kind: record.AggCount, As: "events"},
+						flow.Aggregation{Kind: record.AggSum, Field: "is_request", As: "demand"},
 					)
 				},
 			},

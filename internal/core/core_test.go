@@ -134,7 +134,7 @@ func TestTable1ComponentMatrix(t *testing.T) {
 			Name:    "surge-pipeline",
 			Sources: []flow.SourceSpec{{Source: src}},
 			Stages: []flow.StageSpec{{Name: "w", KeyBy: "city", New: func() flow.Operator {
-				return flow.NewWindowAggOp(60_000, 0, "city", flow.Aggregation{Kind: flow.AggCount})
+				return flow.NewWindowAggOp(60_000, 0, "city", flow.Aggregation{Kind: record.AggCount})
 			}}},
 			Sink: flow.SinkSpec{Sink: flow.NewCollectSink()},
 		})

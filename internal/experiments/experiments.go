@@ -775,7 +775,7 @@ func E13(rows int) []Row {
 	}
 	stages := func() []flow.StageSpec {
 		return []flow.StageSpec{{Name: "agg", KeyBy: "city", New: func() flow.Operator {
-			return flow.NewWindowAggOp(60_000, 0, "city", flow.Aggregation{Kind: flow.AggSum, Field: "amount"})
+			return flow.NewWindowAggOp(60_000, 0, "city", flow.Aggregation{Kind: record.AggSum, Field: "amount"})
 		}}}
 	}
 	var outCount atomic.Int64

@@ -406,7 +406,7 @@ func (p *PinotConnector) aggQuery(table string, aq AggregateQuery) (*olap.Query,
 	q.GroupBy = aq.GroupBy
 	stats.PushedAggs = true
 	for _, a := range aq.Aggs {
-		q.Aggs = append(q.Aggs, olap.AggSpec{Kind: toOlapAgg(a.Func), Column: a.Column, As: a.OutputName()})
+		q.Aggs = append(q.Aggs, olap.AggSpec{Kind: a.Func.Agg(), Column: a.Column, As: a.OutputName()})
 	}
 	return q, stats, nil
 }
@@ -451,21 +451,6 @@ func toOlapFilter(f sqlparse.Predicate) (olap.Filter, error) {
 		return out, fmt.Errorf("fedsql: unsupported predicate op %d", f.Op)
 	}
 	return out, nil
-}
-
-func toOlapAgg(f sqlparse.FuncKind) olap.AggKind {
-	switch f {
-	case sqlparse.FuncSum:
-		return olap.AggSum
-	case sqlparse.FuncMin:
-		return olap.AggMin
-	case sqlparse.FuncMax:
-		return olap.AggMax
-	case sqlparse.FuncAvg:
-		return olap.AggAvg
-	default:
-		return olap.AggCount
-	}
 }
 
 // ---- Archive (Hive-like) connector ----

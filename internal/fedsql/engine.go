@@ -3,7 +3,6 @@ package fedsql
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -718,68 +717,43 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 }
 
 // joinTable is a hash join's build side: its rows as they were collected,
-// typed, and the rows of each key chained in row order. It is keyed by the
-// cell itself, under appendHashKey's classes — a number by its canonical
-// float64 bits, a string (or a non-scalar's %v) by its text
-// (record.Vector.Key) — so no key is built per row; a NULL key joins nothing.
+// typed, a record.KeyIndex of their key cells, and the rows of each key
+// chained in row order; a NULL key joins nothing.
 type joinTable struct {
-	rows *Batch
-	nums map[uint64]int32 // first row of each number key
-	strs map[string]int32 // first row of each text key
-	next []int32          // the following row with the same key, -1 after the last
+	rows  *Batch
+	index record.KeyIndex
+	head  []int32 // the first row of each key
+	next  []int32 // the following row with the same key, -1 after the last
 }
 
 func newJoinTable(rows *Batch, key int) *joinTable {
-	t := &joinTable{rows: rows, nums: map[uint64]int32{}, strs: map[string]int32{}, next: make([]int32, rows.Len)}
+	t := &joinTable{rows: rows, head: make([]int32, 0, rows.Len), next: make([]int32, rows.Len)}
 	if key < 0 {
 		return t
 	}
-	// The key column's own class is sized for every row.
-	v := &rows.Cols[key]
-	if v.Type == metadata.TypeString {
-		t.strs = make(map[string]int32, rows.Len)
-	} else if v.Type != metadata.TypeInvalid && v.Type != metadata.TypeBytes {
-		t.nums = make(map[uint64]int32, rows.Len)
-	}
+	v := rows.Cols[key : key+1]
+	t.index.Reserve(v, rows.Len)
 	// Chained last row first, so each chain runs in row order.
 	for r := rows.Len - 1; r >= 0; r-- {
-		num, bits, text, ok := v.Key(r)
-		if !ok {
+		if v[0].IsNull(r) {
 			continue
 		}
-		var head int32
-		var seen bool
-		if num {
-			head, seen = t.nums[bits]
-			t.nums[bits] = int32(r)
-		} else {
-			head, seen = t.strs[text]
-			t.strs[text] = int32(r)
-		}
 		t.next[r] = -1
-		if seen {
-			t.next[r] = head
+		if k, seen := t.index.Add(v, r); seen {
+			t.next[r], t.head[k] = t.head[k], int32(r)
+		} else {
+			t.head = append(t.head, int32(r))
 		}
 	}
 	return t
 }
 
-// first returns the first build row whose key equals row r of v, or -1.
-func (t *joinTable) first(v *record.Vector, r int) int32 {
-	num, bits, text, ok := v.Key(r)
-	if !ok {
-		return -1
+// first returns the first build row whose key equals row r of key, or -1.
+func (t *joinTable) first(key []record.Vector, r int) int32 {
+	if k, ok := t.index.Find(key, r); ok {
+		return t.head[k]
 	}
-	var head int32
-	if num {
-		head, ok = t.nums[bits]
-	} else {
-		head, ok = t.strs[text]
-	}
-	if !ok {
-		return -1
-	}
-	return head
+	return -1
 }
 
 // joinIterator is the hash-join operator: each probe batch becomes one
@@ -813,7 +787,7 @@ func (j *joinIterator) Next(ctx context.Context) (*Batch, error) {
 			j.sel = filterRows(b, j.filter, j.sel)
 			// Sized for one match per row, the common case of a dimension.
 			j.probeRows, j.buildRows = slices.Grow(j.probeRows, len(j.sel)), slices.Grow(j.buildRows, len(j.sel))
-			key := &b.Cols[j.probeKey]
+			key := b.Cols[j.probeKey : j.probeKey+1]
 			for _, r := range j.sel {
 				for br := j.build.first(key, int(r)); br >= 0; br = j.build.next[br] {
 					j.probeRows = append(j.probeRows, r)
@@ -992,93 +966,18 @@ func sideColumns(refs []colRef, key, side string, schema *metadata.Schema, other
 	return cols
 }
 
-// appendHashKey appends v's lookup-key encoding: a tag, then a number's
-// float64 bits (every NaN as one, -0 as 0) or a string's length and bytes.
-// Two values get the same bytes exactly when record.AppendValueKey spells
-// them the same — int64(3) is float64(3), a string is never a number, NULL
-// is apart, a non-scalar is its formatted form — so the hash tables group and
-// join by the canonical key's classes without formatting a number or quoting
-// a string per row. The length prefix keeps a tuple's keys from aliasing.
-func appendHashKey(key []byte, v any) []byte {
-	if v == nil {
-		return append(key, 0)
-	}
-	if f, ok := record.ToFloat64(v); ok {
-		return appendNumKey(key, f)
-	}
-	s, ok := v.(string)
-	if !ok {
-		s = fmt.Sprintf("%v", v)
-	}
-	return appendTextKey(key, s)
-}
-
-// appendCellKey is appendHashKey of row r of batch column col (-1 is NULL),
-// read from the typed vector without boxing it.
-func appendCellKey(key []byte, b *Batch, col, r int) []byte {
-	if col < 0 {
-		return append(key, 0)
-	}
-	v := &b.Cols[col]
-	switch {
-	case v.IsNull(r):
-		return append(key, 0)
-	case v.Type == metadata.TypeString:
-		return appendTextKey(key, v.Strs[r])
-	case v.Type == metadata.TypeDouble:
-		return appendNumKey(key, v.Floats[r])
-	case v.Type == metadata.TypeInvalid || v.Type == metadata.TypeBytes:
-		return appendHashKey(key, v.Box(r))
-	}
-	return appendNumKey(key, float64(v.Ints[r]))
-}
-
-func appendNumKey(key []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(append(key, 1), record.CanonBits(f))
-}
-
-func appendTextKey(key []byte, s string) []byte {
-	return append(binary.AppendUvarint(append(key, 2), uint64(len(s))), s...)
-}
-
-// aggState accumulates one aggregate of one group; count is the number of
-// non-NULL inputs (of rows, for COUNT(*)).
-type aggState struct {
-	count    int64
-	sum      float64
-	min, max float64
-}
-
-func (st *aggState) add(f float64) {
-	if st.count == 0 || f < st.min {
-		st.min = f
-	}
-	if st.count == 0 || f > st.max {
-		st.max = f
-	}
-	st.count++
-	st.sum += f
-}
-
 // appendFinal appends the aggregate's value to v: COUNT's int64 to a long
-// column, every other aggregate's float64 to a double column. SQL NULL
-// semantics, matching the OLAP layer's aggValue: MIN/MAX/AVG over zero
-// non-null values are NULL, so the engine-side fallback stays equivalent to
+// column, every other aggregate's float64 to a double column, SQL NULL as
+// record.Agg.Final has it, so the engine-side fallback stays equivalent to
 // pushdown.
-func (st aggState) appendFinal(v *record.Vector, f sqlparse.FuncKind) {
-	switch {
-	case f == sqlparse.FuncCount:
-		v.Ints = append(v.Ints, st.count)
-	case f == sqlparse.FuncSum:
-		v.Floats = append(v.Floats, st.sum)
-	case st.count == 0:
+func appendFinal(v *record.Vector, a *record.Agg, kind record.AggKind) {
+	switch f, null := a.Final(kind); {
+	case null:
 		v.AppendNulls(1)
-	case f == sqlparse.FuncMin:
-		v.Floats = append(v.Floats, st.min)
-	case f == sqlparse.FuncMax:
-		v.Floats = append(v.Floats, st.max)
+	case kind == record.AggCount:
+		v.Ints = append(v.Ints, a.Count)
 	default:
-		v.Floats = append(v.Floats, st.sum/float64(st.count))
+		v.Floats = append(v.Floats, f)
 	}
 }
 
@@ -1088,7 +987,7 @@ func (st aggState) appendFinal(v *record.Vector, f sqlparse.FuncKind) {
 // and returns the groups as an in-memory relation laid out like a pushed-down
 // aggregate's response: the GROUP BY columns, then one column per aggregate
 // named by OutputName, rows in canonical group-key order. A row finds its
-// group by appendCellKey of its typed GROUP BY cells; each aggregate then
+// group in a record.KeyIndex of its typed GROUP BY cells; each aggregate then
 // folds its input vector for the whole batch (fold).
 func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, stmt *sqlparse.SelectStmt) (RowIterator, error) {
 	var aggs []sqlparse.SelectItem
@@ -1102,14 +1001,15 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 	groupIdx := bindColumns(src.Columns(), stmt.GroupBy)
 	inputIdx := bindColumns(src.Columns(), inputs)
 	var (
-		index  = map[string]int32{} // appendCellKey of a group's values → group
+		index  record.KeyIndex
+		keys   = make([]record.Vector, len(groupIdx)) // a batch's GROUP BY cells
+		nulls  []any                                  // a missing GROUP BY column's cells
 		values = make([]record.Vector, len(groupIdx))
 		// Group g's record.AppendValueKey of its values, the output order, is
 		// canon[ends[g-1]:ends[g]] (from 0 for the first).
 		canon  []byte
 		ends   []int
-		states []aggState // group g's aggregates are states[g*len(aggs):][:len(aggs)]
-		key    []byte
+		states []record.Agg // group g's aggregates are states[g*len(aggs):][:len(aggs)]
 		sel    []int32
 		groups []int32 // the group of each selected row
 		one    = make([]int32, 1)
@@ -1122,34 +1022,34 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 		if err != nil {
 			return nil, err
 		}
+		for i, gi := range groupIdx {
+			if gi >= 0 {
+				keys[i] = b.Cols[gi]
+				continue
+			}
+			if len(nulls) < b.Len {
+				nulls = make([]any, b.Len)
+			}
+			keys[i] = record.Vector{Any: nulls[:b.Len]}
+		}
 		sel = filterRows(b, filter, sel)
 		groups = slices.Grow(groups[:0], len(sel))
 		for _, r := range sel {
-			key = key[:0]
-			for _, gi := range groupIdx {
-				key = appendCellKey(key, b, gi, int(r))
-			}
-			g, ok := index[string(key)]
-			if !ok {
+			g, found := index.Add(keys, int(r))
+			if !found {
 				// The group's values are copied, and its canonical key
 				// formatted, once per group, not per row.
-				g = int32(len(ends))
-				index[string(key)] = g
 				one[0] = r
-				for i, gi := range groupIdx {
-					if gi < 0 {
-						values[i].AppendNulls(1)
-					} else {
-						values[i].AppendRows(&b.Cols[gi], one)
-					}
-					canon = values[i].AppendKey(canon, int(g))
+				for i := range keys {
+					values[i].AppendRows(&keys[i], one)
+					canon = values[i].AppendKey(canon, g)
 				}
 				ends = append(ends, len(canon))
 				for range aggs {
-					states = append(states, aggState{})
+					states = append(states, record.Agg{})
 				}
 			}
-			groups = append(groups, g)
+			groups = append(groups, int32(g))
 		}
 		for i, it := range aggs {
 			if err := fold(states, len(aggs), i, it, b, inputIdx[i], sel, groups); err != nil {
@@ -1159,7 +1059,7 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 	}
 	if len(ends) == 0 && len(stmt.GroupBy) == 0 {
 		ends = []int{0}
-		states = make([]aggState, len(aggs))
+		states = make([]record.Agg, len(aggs))
 	}
 	canonOf := func(g int32) []byte {
 		if g == 0 {
@@ -1184,7 +1084,7 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 			v.Reset(metadata.TypeLong)
 		}
 		for _, g := range order {
-			states[int(g)*len(aggs)+i].appendFinal(v, it.Func)
+			appendFinal(v, &states[int(g)*len(aggs)+i], it.Func.Agg())
 		}
 	}
 	return newBatchIterator(out, QueryStats{}), nil
@@ -1196,12 +1096,12 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 // from Floats or Ints. SUM/AVG/MIN/MAX over a non-NULL value that is not a
 // number is an error, as in the OLAP layer, never coerced to 0, so the
 // engine-side fallback stays equivalent to pushdown.
-func fold(states []aggState, naggs, ai int, it sqlparse.SelectItem, b *Batch, col int, sel, groups []int32) error {
-	st := func(j int) *aggState { return &states[int(groups[j])*naggs+ai] }
+func fold(states []record.Agg, naggs, ai int, it sqlparse.SelectItem, b *Batch, col int, sel, groups []int32) error {
+	st := func(j int) *record.Agg { return &states[int(groups[j])*naggs+ai] }
 	if col < 0 {
 		if it.Func == sqlparse.FuncCount && it.Column == "" { // COUNT(*)
 			for j := range sel {
-				st(j).count++
+				st(j).Count++
 			}
 		}
 		return nil
@@ -1211,19 +1111,19 @@ func fold(states []aggState, naggs, ai int, it sqlparse.SelectItem, b *Batch, co
 	case it.Func == sqlparse.FuncCount:
 		for j, r := range sel {
 			if !v.IsNull(int(r)) {
-				st(j).count++
+				st(j).Count++
 			}
 		}
 	case v.Type == metadata.TypeDouble:
 		for j, r := range sel {
 			if !v.IsNull(int(r)) {
-				st(j).add(v.Floats[r])
+				st(j).Add(v.Floats[r])
 			}
 		}
 	case v.Type == metadata.TypeLong || v.Type == metadata.TypeTimestamp || v.Type == metadata.TypeBool:
 		for j, r := range sel {
 			if !v.IsNull(int(r)) {
-				st(j).add(float64(v.Ints[r]))
+				st(j).Add(float64(v.Ints[r]))
 			}
 		}
 	default: // strings, blobs, boxed cells: only a number may pass
@@ -1236,7 +1136,7 @@ func fold(states []aggState, naggs, ai int, it sqlparse.SelectItem, b *Batch, co
 			if !ok {
 				return fmt.Errorf("fedsql: %s over non-numeric value %T is not supported; use COUNT", it.OutputName(), x)
 			}
-			st(j).add(f)
+			st(j).Add(f)
 		}
 	}
 	return nil

@@ -84,7 +84,7 @@ func Compile(stmt *sqlparse.SelectStmt, parallelism int) (*Plan, error) {
 				continue
 			}
 			aggs = append(aggs, flow.Aggregation{
-				Kind:  toFlowAgg(it.Func),
+				Kind:  it.Func.Agg(),
 				Field: it.Column,
 				As:    it.OutputName(),
 			})
@@ -170,21 +170,6 @@ func contains(list []string, s string) bool {
 		}
 	}
 	return false
-}
-
-func toFlowAgg(f sqlparse.FuncKind) flow.AggKind {
-	switch f {
-	case sqlparse.FuncSum:
-		return flow.AggSum
-	case sqlparse.FuncMin:
-		return flow.AggMin
-	case sqlparse.FuncMax:
-		return flow.AggMax
-	case sqlparse.FuncAvg:
-		return flow.AggAvg
-	default:
-		return flow.AggCount
-	}
 }
 
 // FromTable returns the FROM table of a single-table query — how the

@@ -3,6 +3,7 @@ package flinksql
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -12,7 +13,9 @@ import (
 	"repro/internal/flow/backfill"
 	"repro/internal/metadata"
 	"repro/internal/objstore"
+	"repro/internal/olap"
 	"repro/internal/record"
+	"repro/internal/reftest"
 	"repro/internal/sqlparse"
 	"repro/internal/stream"
 )
@@ -341,6 +344,142 @@ func TestEvalPredicate(t *testing.T) {
 		slices.Sort(queried)
 		if !slices.Equal(streamed, tc.want) || !slices.Equal(queried, tc.want) {
 			t.Errorf("WHERE %s: flinksql keeps %v, fedsql keeps %v, want %v", tc.where, streamed, queried, tc.want)
+		}
+	}
+}
+
+// TestGroupByNullMeasuresAgree: one GROUP BY, one answer, whichever engine
+// aggregates. Rows with NULL measures — a group with some, a group with
+// nothing but — and a double key holding both 0 and -0 run through a bounded
+// streaming window (BackfillJob), fedsql over the archive (engine-side
+// aggregation), fedsql over an OLAP table (pushed down, over a sealed and a
+// consuming segment) and the reference evaluator, and every answer must be
+// the reference's: COUNT(*) counts rows, COUNT(fare) non-NULL fares, and
+// MIN, MAX and AVG over no fare are NULL.
+func TestGroupByNullMeasuresAgree(t *testing.T) {
+	schema := &metadata.Schema{
+		Name:    "trips",
+		Version: 1,
+		Fields: []metadata.Field{
+			{Name: "city", Type: metadata.TypeString},
+			{Name: "z", Type: metadata.TypeDouble},
+			{Name: "fare", Type: metadata.TypeDouble, Nullable: true},
+			{Name: "ts", Type: metadata.TypeTimestamp},
+		},
+		TimeField: "ts",
+	}
+	negZero := math.Copysign(0, -1)
+	var rows []record.Record
+	for i, r := range []struct {
+		city string
+		z    float64
+		fare any
+	}{
+		{"sf", 0, nil}, {"sf", negZero, 5.0}, {"la", 0, nil}, {"sf", 1.5, nil},
+		{"nyc", negZero, 2.5}, {"sf", 0, 7.0}, {"la", 1.5, nil},
+	} {
+		row := record.Record{"city": r.city, "z": r.z, "ts": base + int64(i)}
+		if r.fare != nil {
+			row["fare"] = r.fare
+		}
+		rows = append(rows, row)
+	}
+
+	store := objstore.NewMemStore()
+	codec, err := record.NewCodec(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := objstore.NewRawLogWriter(store, "trips", codec).Append(rows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := objstore.NewCompactor(store, "trips", codec).Compact(); err != nil {
+		t.Fatal(err)
+	}
+	hive := fedsql.NewArchiveConnector("hive", store)
+	hive.AddTable("trips", schema)
+	d, err := olap.NewDeployment(olap.DeploymentConfig{
+		Table:        olap.TableConfig{Name: "trips", Schema: schema, SegmentRows: 100},
+		Servers:      []*olap.Server{olap.NewServer("s0")},
+		SegmentStore: objstore.NewMemStore(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		if i == len(rows)/2 {
+			if err := d.Seal(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Ingest(0, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinot := fedsql.NewPinotConnector("pinot")
+	pinot.AddTable(d)
+	engine := fedsql.NewEngine()
+	engine.Register(hive)
+	engine.Register(pinot)
+	table := reftest.NewTable(schema, false)
+	for _, r := range rows {
+		table.Put(r)
+	}
+	db := reftest.DB{"trips": table}
+
+	// answer spells the rows' cells of cols — named by have — by the
+	// canonical key and sorts them: -0 is 0 and COUNT's int64 3 is 3.0, as
+	// every engine groups them.
+	answer := func(cols, have []string, rows [][]any) []string {
+		var out []string
+		for _, row := range rows {
+			var key []byte
+			for _, c := range cols {
+				key = record.AppendValueKey(append(key, c+"="...), row[slices.Index(have, c)])
+			}
+			out = append(out, string(key))
+		}
+		slices.Sort(out)
+		return out
+	}
+	const measures = "COUNT(*) AS n, COUNT(fare) AS fares, SUM(fare) AS total, MIN(fare) AS lo, MAX(fare) AS hi, AVG(fare) AS mean"
+	for _, key := range []string{"city", "z"} {
+		cols := []string{key, "n", "fares", "total", "lo", "hi", "mean"}
+		sql := "SELECT " + key + ", " + measures + " FROM %s GROUP BY " + key
+		q, err := reftest.Parse(fmt.Sprintf(sql, "trips"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := db.Eval(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := answer(cols, ref.Columns, ref.Rows)
+
+		sink := flow.NewCollectSink()
+		if _, _, err := BackfillJob("nulls", fmt.Sprintf(sql, "trips")+", TUMBLE(ts, 60000)", store, schema, sink, backfill.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		var streamed [][]any
+		for _, r := range sink.Records() {
+			row := make([]any, len(cols))
+			for i, c := range cols {
+				row[i] = r[c]
+			}
+			streamed = append(streamed, row)
+		}
+		got := map[string][]string{"window": answer(cols, cols, streamed)}
+		for _, catalog := range []string{"hive", "pinot"} {
+			res, err := engine.QueryCtx(context.Background(), fmt.Sprintf(sql, catalog+".trips"))
+			if err != nil {
+				t.Fatalf("%s: %v", catalog, err)
+			}
+			got[catalog] = answer(cols, res.Columns, res.Rows)
+		}
+		for path, rows := range got {
+			if !slices.Equal(rows, want) {
+				t.Errorf("GROUP BY %s through %s:\n%q\nwant\n%q", key, path, rows, want)
+			}
 		}
 	}
 }

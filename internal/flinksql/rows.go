@@ -3,7 +3,6 @@ package flinksql
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/flow"
@@ -107,8 +106,9 @@ const maxInterned = 1 << 12
 
 // keyStage sets each row's routing key to its GROUP BY columns in an
 // injective encoding — per column a NULL tag, then the cell: fixed 8 bytes
-// for a number, length-prefixed bytes for a string — so no two groups share
-// a key whatever their strings hold. Keys are interned: a group seen before
+// for a number (a double's record.CanonBits, so -0 is 0 and every NaN one,
+// as batch SQL groups them), length-prefixed bytes for a string — so no two
+// groups share a key whatever their strings hold. Keys are interned: a group seen before
 // costs no allocation, and the window stage keys its state by the same
 // string without copying it.
 func keyStage(groupBy []string, parallelism int) flow.StageSpec {
@@ -150,7 +150,7 @@ func appendGroupKey(dst []byte, cols *columns, r record.Row) []byte {
 			dst = binary.AppendUvarint(dst, uint64(len(v.B)))
 			dst = append(dst, v.B...)
 		case metadata.TypeDouble:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
+			dst = binary.LittleEndian.AppendUint64(dst, record.CanonBits(v.F))
 		default:
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
 		}

@@ -66,8 +66,8 @@ func aggStages() []flow.StageSpec {
 			Name: "agg", KeyBy: "city", Parallelism: 2,
 			New: func() flow.Operator {
 				return flow.NewWindowAggOp(60_000, 0, "city",
-					flow.Aggregation{Kind: flow.AggCount},
-					flow.Aggregation{Kind: flow.AggSum, Field: "v"},
+					flow.Aggregation{Kind: record.AggCount},
+					flow.Aggregation{Kind: record.AggSum, Field: "v"},
 				)
 			},
 		},

@@ -268,7 +268,7 @@ func TestAutoCheckpointTicker(t *testing.T) {
 func TestWindowStateSurvivesRestore(t *testing.T) {
 	// Checkpoint mid-window; the restored window op must still hold the
 	// partial aggregates.
-	w := NewWindowAggOp(60_000, 0, "k", Aggregation{Kind: AggSum, Field: "v"})
+	w := NewWindowAggOp(60_000, 0, "k", Aggregation{Kind: record.AggSum, Field: "v"})
 	emit := func(Event) {}
 	for i := 0; i < 10; i++ {
 		w.ProcessElement(Event{Key: "a", Time: base + int64(i), Data: record.Record{"v": 1.0}}, emit)
@@ -277,7 +277,7 @@ func TestWindowStateSurvivesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2 := NewWindowAggOp(60_000, 0, "k", Aggregation{Kind: AggSum, Field: "v"})
+	w2 := NewWindowAggOp(60_000, 0, "k", Aggregation{Kind: record.AggSum, Field: "v"})
 	if err := w2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -288,5 +288,51 @@ func TestWindowStateSurvivesRestore(t *testing.T) {
 	w2.OnWatermark(base+120_000, func(e Event) { fired = append(fired, e.Data) })
 	if len(fired) != 1 || fired[0].Double("sum_v") != 10 {
 		t.Errorf("restored window fired %v, want sum 10", fired)
+	}
+}
+
+// headWindowSnapshot is a window's checkpoint as the per-window accumulator
+// before record.Agg wrote it, with its Seen flag: keys "nyc" and "sf", the
+// aggregations of TestWindowRestoresEarlierSnapshot.
+const headWindowSnapshot = `{"LastWM":0,"Late":0,"Keys":[{"Key":"bnlj","Windows":{"0":[` +
+	`{"Count":1,"Sum":0,"Min":0,"Max":0,"Seen":true},{"Count":1,"Sum":2.5,"Min":2.5,"Max":2.5,"Seen":true},` +
+	`{"Count":1,"Sum":2.5,"Min":2.5,"Max":2.5,"Seen":true},{"Count":1,"Sum":2.5,"Min":2.5,"Max":2.5,"Seen":true},` +
+	`{"Count":1,"Sum":2.5,"Min":2.5,"Max":2.5,"Seen":true}]}},{"Key":"c2Y=","Windows":{"0":[` +
+	`{"Count":2,"Sum":0,"Min":0,"Max":0,"Seen":true},{"Count":2,"Sum":12,"Min":5,"Max":7,"Seen":true},` +
+	`{"Count":2,"Sum":12,"Min":5,"Max":7,"Seen":true},{"Count":2,"Sum":12,"Min":5,"Max":7,"Seen":true},` +
+	`{"Count":2,"Sum":12,"Min":5,"Max":7,"Seen":true}],"60000":[{"Count":1,"Sum":0,"Min":0,"Max":0,"Seen":true},` +
+	`{"Count":1,"Sum":4,"Min":4,"Max":4,"Seen":true},{"Count":1,"Sum":4,"Min":4,"Max":4,"Seen":true},` +
+	`{"Count":1,"Sum":4,"Min":4,"Max":4,"Seen":true},{"Count":1,"Sum":4,"Min":4,"Max":4,"Seen":true}]}}]}`
+
+// TestWindowRestoresEarlierSnapshot: a checkpoint written with the dropped
+// Seen flag — always Count > 0 — restores to the answers its writer would
+// have given, and events after the restore fold in with NULL skipped.
+func TestWindowRestoresEarlierSnapshot(t *testing.T) {
+	w := NewWindowAggOp(60_000, 0, "city",
+		Aggregation{Kind: record.AggCount, As: "n"},
+		Aggregation{Kind: record.AggSum, Field: "fare", As: "total"},
+		Aggregation{Kind: record.AggMin, Field: "fare", As: "lo"},
+		Aggregation{Kind: record.AggMax, Field: "fare", As: "hi"},
+		Aggregation{Kind: record.AggAvg, Field: "fare", As: "mean"})
+	if err := w.Restore([]byte(headWindowSnapshot)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ProcessElement(Event{Key: "sf", Time: 62_000, Data: record.Record{"city": "sf"}}, func(Event) {}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	if err := w.OnWatermark(200_000, func(e Event) { got = append(got, fmt.Sprint(e.Data)) }); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"map[city:nyc hi:2.5 lo:2.5 mean:2.5 n:1 total:2.5 window_end:60000 window_start:0]",
+		"map[city:sf hi:7 lo:5 mean:6 n:2 total:12 window_end:60000 window_start:0]",
+		"map[city:sf hi:4 lo:4 mean:4 n:2 total:4 window_end:120000 window_start:60000]",
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("restored windows fired\n%v\nwant\n%v", got, want)
+	}
+	if w.StateBytes() != 0 {
+		t.Errorf("state bytes %d after every window fired", w.StateBytes())
 	}
 }

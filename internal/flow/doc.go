@@ -25,6 +25,13 @@
 // (MapOp, FilterOp, FlatMapOp, ReduceOp, IntervalJoinOp), FuncSink,
 // CollectSink and keyed routing on a named field, all through Event.Record.
 //
+// WindowAggOp answers as batch SQL does over the same rows, so a job and its
+// backfill give the answers fedsql gives: each (key, window) folds one
+// record.Agg per aggregation, and a NULL or missing field is no input.
+// COUNT without a field counts events, COUNT of a field the events whose
+// field is not NULL; SUM over no input is 0, and MIN, MAX and AVG over no
+// input are NULL (a nil in the result record).
+//
 // Kappa+ backfill over archived data (§7, E13) lives in the backfill
 // subpackage. The flinksql package compiles SQL into these dataflow jobs
 // (§4.2.1).

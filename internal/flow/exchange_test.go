@@ -138,7 +138,7 @@ func TestKeyedExchangeKeepsOrderAndExactlyOnce(t *testing.T) {
 					Stages: []StageSpec{
 						{Name: "order", KeyBy: "k", Parallelism: 3, New: newSeqCheck},
 						{Name: "count", KeyBy: "k", Parallelism: 3, New: func() Operator {
-							return NewWindowAggOp(window, 0, "k", Aggregation{Kind: AggCount})
+							return NewWindowAggOp(window, 0, "k", Aggregation{Kind: record.AggCount})
 						}},
 					},
 					Sink:            SinkSpec{Sink: sink},
@@ -370,7 +370,7 @@ func TestLateEventsReportedThroughWrapper(t *testing.T) {
 	}
 	for _, wrap := range []bool{false, true} {
 		newOp := func() Operator {
-			w := NewWindowAggOp(10_000, 0, "city", Aggregation{Kind: AggCount})
+			w := NewWindowAggOp(10_000, 0, "city", Aggregation{Kind: record.AggCount})
 			if wrap {
 				return lateWrapper{w}
 			}

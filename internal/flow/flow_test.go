@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/record"
 )
 
@@ -102,8 +103,8 @@ func TestTumblingWindowAggregation(t *testing.T) {
 				Name: "agg", KeyBy: "city", Parallelism: 3,
 				New: func() Operator {
 					return NewWindowAggOp(60_000, 0, "city",
-						Aggregation{Kind: AggCount},
-						Aggregation{Kind: AggSum, Field: "v"},
+						Aggregation{Kind: record.AggCount},
+						Aggregation{Kind: record.AggSum, Field: "v"},
 					)
 				},
 			},
@@ -147,7 +148,7 @@ func TestSlidingWindowAssignsMultiple(t *testing.T) {
 			{
 				Name: "agg", KeyBy: "city",
 				New: func() Operator {
-					return NewWindowAggOp(60_000, 30_000, "city", Aggregation{Kind: AggCount})
+					return NewWindowAggOp(60_000, 30_000, "city", Aggregation{Kind: record.AggCount})
 				},
 			},
 		},
@@ -176,9 +177,9 @@ func TestWindowAggKinds(t *testing.T) {
 				Name: "agg", KeyBy: "k",
 				New: func() Operator {
 					return NewWindowAggOp(60_000, 0, "k",
-						Aggregation{Kind: AggMin, Field: "v", As: "lo"},
-						Aggregation{Kind: AggMax, Field: "v", As: "hi"},
-						Aggregation{Kind: AggAvg, Field: "v", As: "mean"},
+						Aggregation{Kind: record.AggMin, Field: "v", As: "lo"},
+						Aggregation{Kind: record.AggMax, Field: "v", As: "hi"},
+						Aggregation{Kind: record.AggAvg, Field: "v", As: "mean"},
 					)
 				},
 			},
@@ -192,6 +193,59 @@ func TestWindowAggKinds(t *testing.T) {
 	r := recs[0]
 	if r.Double("lo") != 10 || r.Double("hi") != 30 || r.Double("mean") != 20 {
 		t.Fatalf("agg results = %v", r)
+	}
+}
+
+// TestWindowAggSkipsNull: a window answers as batch SQL does over the same
+// rows — a NULL or missing field is no input, so COUNT(fare) counts the
+// non-NULL fares, COUNT(*) every row, and MIN, MAX and AVG over no input are
+// NULL — on both the row path and the map path.
+func TestWindowAggSkipsNull(t *testing.T) {
+	schema := &metadata.Schema{Name: "trips", Version: 1, Fields: []metadata.Field{
+		{Name: "city", Type: metadata.TypeString},
+		{Name: "fare", Type: metadata.TypeDouble, Nullable: true},
+		{Name: "tip", Type: metadata.TypeDouble, Nullable: true},
+	}}
+	fares := []any{nil, 5.0, nil, 7.0}
+	newOp := func() *WindowAggOp {
+		return NewWindowAggOp(60_000, 0, "city",
+			Aggregation{Kind: record.AggCount, As: "n"},
+			Aggregation{Kind: record.AggCount, Field: "fare", As: "fares"},
+			Aggregation{Kind: record.AggSum, Field: "fare", As: "total"},
+			Aggregation{Kind: record.AggMin, Field: "fare", As: "lo"},
+			Aggregation{Kind: record.AggMax, Field: "fare", As: "hi"},
+			Aggregation{Kind: record.AggAvg, Field: "fare", As: "mean"},
+			Aggregation{Kind: record.AggAvg, Field: "tip", As: "mean_tip"})
+	}
+	want := record.Record{"city": "sf", "window_start": int64(0), "window_end": int64(60_000),
+		"n": int64(4), "fares": int64(2), "total": 12.0, "lo": 5.0, "hi": 7.0, "mean": 6.0, "mean_tip": nil}
+	for _, path := range []string{"row", "map"} {
+		w := newOp()
+		for i, fare := range fares {
+			e := Event{Key: "sf", Time: int64(i)}
+			if path == "row" {
+				vals := []record.Value{record.ValueOf("sf"), {Null: true}, {Null: true}}
+				if fare != nil {
+					vals[1] = record.ValueOf(fare)
+				}
+				e.Row = record.Row{Schema: schema, Vals: vals}
+			} else {
+				e.Data = record.Record{"city": "sf", "tip": nil}
+				if fare != nil {
+					e.Data["fare"] = fare
+				}
+			}
+			if err := w.ProcessElement(e, func(Event) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []record.Record
+		if err := w.OnWatermark(60_000, func(e Event) { got = append(got, e.Data) }); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || fmt.Sprint(got[0]) != fmt.Sprint(want) {
+			t.Errorf("%s path fired %v, want %v", path, got, want)
+		}
 	}
 }
 
@@ -520,7 +574,7 @@ func TestDeterministicWindowOutputOrder(t *testing.T) {
 			Sources: []SourceSpec{{Source: NewBoundedSource(rows(30, base), "ts", 8)}},
 			Stages: []StageSpec{
 				{Name: "agg", KeyBy: "city", New: func() Operator {
-					return NewWindowAggOp(10_000, 0, "city", Aggregation{Kind: AggCount})
+					return NewWindowAggOp(10_000, 0, "city", Aggregation{Kind: record.AggCount})
 				}},
 			},
 		}

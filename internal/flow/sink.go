@@ -46,13 +46,6 @@ func (c *CollectSink) Write(events []Event) error {
 // Flush implements Sink.
 func (c *CollectSink) Flush() error { return nil }
 
-// Events returns a snapshot of everything written so far.
-func (c *CollectSink) Events() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Event(nil), c.events...)
-}
-
 // Records returns just the payloads of everything written so far.
 func (c *CollectSink) Records() []record.Record {
 	c.mu.Lock()

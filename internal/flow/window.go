@@ -4,47 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"repro/internal/metadata"
 	"repro/internal/record"
 )
 
-// AggKind enumerates the built-in window aggregation functions.
-type AggKind int
-
-const (
-	// AggCount counts events.
-	AggCount AggKind = iota
-	// AggSum sums a numeric field.
-	AggSum
-	// AggMin takes a numeric field's minimum.
-	AggMin
-	// AggMax takes a numeric field's maximum.
-	AggMax
-	// AggAvg averages a numeric field.
-	AggAvg
-)
-
-// String names the aggregation.
-func (a AggKind) String() string {
-	switch a {
-	case AggSum:
-		return "sum"
-	case AggMin:
-		return "min"
-	case AggMax:
-		return "max"
-	case AggAvg:
-		return "avg"
-	default:
-		return "count"
-	}
-}
-
 // Aggregation describes one output column of a window aggregate.
 type Aggregation struct {
-	Kind AggKind
-	// Field is the input column aggregated (unused for AggCount).
+	Kind record.AggKind
+	// Field is the input column aggregated; COUNT without one counts
+	// events, with one the events whose field is not NULL.
 	Field string
 	// As is the output column name; defaults to kind_field.
 	As string
@@ -54,49 +24,10 @@ func (a Aggregation) outName() string {
 	if a.As != "" {
 		return a.As
 	}
-	if a.Kind == AggCount {
+	if a.Kind == record.AggCount {
 		return "count"
 	}
 	return fmt.Sprintf("%s_%s", a.Kind, a.Field)
-}
-
-// aggState is the running accumulator for one aggregation in one window.
-type aggState struct {
-	Count int64
-	Sum   float64
-	Min   float64
-	Max   float64
-	Seen  bool
-}
-
-func (s *aggState) add(v float64) {
-	s.Count++
-	s.Sum += v
-	if !s.Seen || v < s.Min {
-		s.Min = v
-	}
-	if !s.Seen || v > s.Max {
-		s.Max = v
-	}
-	s.Seen = true
-}
-
-func (s *aggState) result(kind AggKind) any {
-	switch kind {
-	case AggSum:
-		return s.Sum
-	case AggMin:
-		return s.Min
-	case AggMax:
-		return s.Max
-	case AggAvg:
-		if s.Count == 0 {
-			return 0.0
-		}
-		return s.Sum / float64(s.Count)
-	default:
-		return s.Count
-	}
 }
 
 // WindowAggOp is a keyed event-time window aggregator supporting tumbling
@@ -124,7 +55,7 @@ type WindowAggOp struct {
 	CarryColumns []string
 
 	// windows[key][windowStart] -> per-agg state
-	windows   map[string]map[int64][]aggState
+	windows   map[string]map[int64][]record.Agg
 	carried   map[string]map[int64]record.Record
 	lastWM    int64
 	lateCount int64
@@ -146,7 +77,7 @@ func NewWindowAggOp(size, slide int64, keyColumn string, aggs ...Aggregation) *W
 	}
 	return &WindowAggOp{
 		Size: size, Slide: slide, Aggs: aggs, KeyColumn: keyColumn,
-		windows: make(map[string]map[int64][]aggState),
+		windows: make(map[string]map[int64][]record.Agg),
 		carried: make(map[string]map[int64]record.Record),
 	}
 }
@@ -185,16 +116,16 @@ func (w *WindowAggOp) ProcessElement(e Event, emit func(Event)) error {
 	}
 	perKey, ok := w.windows[e.Key]
 	if !ok {
-		perKey = make(map[int64][]aggState)
+		perKey = make(map[int64][]record.Agg)
 		w.windows[e.Key] = perKey
 		w.bytes += int64(len(e.Key)) + 48
 	}
 	for _, start := range w.assign(e.Time) {
 		states, ok := perKey[start]
 		if !ok {
-			states = make([]aggState, len(w.Aggs))
+			states = make([]record.Agg, len(w.Aggs))
 			perKey[start] = states
-			w.bytes += int64(len(w.Aggs))*40 + 16
+			w.bytes += w.windowBytes()
 			if len(w.CarryColumns) > 0 {
 				cm, ok := w.carried[e.Key]
 				if !ok {
@@ -215,14 +146,17 @@ func (w *WindowAggOp) ProcessElement(e Event, emit func(Event)) error {
 			}
 		}
 		for i, agg := range w.Aggs {
+			// A NULL or missing field is no input: COUNT(col) skips it, and
+			// MIN/MAX/AVG over no input are NULL.
 			switch {
-			case agg.Kind == AggCount:
+			case agg.Field == "" && agg.Kind == record.AggCount:
 				states[i].Count++
-				states[i].Seen = true
 			case row:
-				states[i].add(e.Row.Double(w.aggAt[i]))
-			default:
-				states[i].add(e.Data.Double(agg.Field))
+				if at := w.aggAt[i]; at >= 0 && !e.Row.Vals[at].Null {
+					states[i].Add(e.Row.Double(at))
+				}
+			case e.Data[agg.Field] != nil:
+				states[i].Add(e.Data.Double(agg.Field))
 			}
 		}
 	}
@@ -273,11 +207,11 @@ func (w *WindowAggOp) OnWatermark(wm int64, emit func(Event)) error {
 			}
 		}
 		for i, agg := range w.Aggs {
-			out[agg.outName()] = states[i].result(agg.Kind)
+			out[agg.outName()] = states[i].Value(agg.Kind)
 		}
 		emit(Event{Key: f.key, Time: f.start + w.Size, Data: out})
 		delete(w.windows[f.key], f.start)
-		w.bytes -= int64(len(w.Aggs))*40 + 16
+		w.bytes -= w.windowBytes()
 		if len(w.windows[f.key]) == 0 {
 			delete(w.windows, f.key)
 			w.bytes -= int64(len(f.key)) + 48
@@ -302,7 +236,7 @@ type windowSnapshot struct {
 // keyState is one key's open windows and their carried columns.
 type keyState struct {
 	Key     []byte
-	Windows map[int64][]aggState
+	Windows map[int64][]record.Agg
 	Carried map[int64]record.Record `json:",omitempty"`
 }
 
@@ -332,7 +266,7 @@ func (w *WindowAggOp) Restore(data []byte) error {
 	}
 	w.lastWM = s.LastWM
 	w.lateCount = s.Late
-	w.windows = make(map[string]map[int64][]aggState, len(s.Keys))
+	w.windows = make(map[string]map[int64][]record.Agg, len(s.Keys))
 	w.carried = make(map[string]map[int64]record.Record)
 	w.bytes = 0
 	for _, k := range s.Keys {
@@ -344,9 +278,15 @@ func (w *WindowAggOp) Restore(data []byte) error {
 		if len(k.Carried) > 0 {
 			w.carried[key] = k.Carried
 		}
-		w.bytes += int64(len(key)) + 48 + int64(len(k.Windows))*(int64(len(w.Aggs))*40+16)
+		w.bytes += int64(len(key)) + 48 + int64(len(k.Windows))*w.windowBytes()
 	}
 	return nil
+}
+
+// windowBytes is the state one (key, window) is charged: its aggregation
+// states and the map entry holding them.
+func (w *WindowAggOp) windowBytes() int64 {
+	return int64(len(w.Aggs))*int64(unsafe.Sizeof(record.Agg{})) + 16
 }
 
 // StateBytes implements Operator.

@@ -23,9 +23,10 @@
 //     producer does with its rows is the round's sink. Aggregates and
 //     ordered selections fold: every scan emits a Partial — one typed
 //     table: an aggregate's group keys as record.Vectors, one flat array of
-//     mergeable states (COUNT/SUM/MIN/MAX as running numerics, AVG as a
-//     SUM+COUNT pair, DISTINCTCOUNT as a set of canonical number bits and
-//     strings) and an index from a typed key to its row; a selection's
+//     mergeable states (COUNT/SUM/MIN/MAX as a record.Agg's running
+//     numerics, AVG as its SUM+COUNT pair, DISTINCTCOUNT as a set of
+//     canonical number bits and strings beside it) and a record.KeyIndex
+//     from a typed key to its row; a selection's
 //     columns as record.Vectors, nothing else — and a server
 //     scans its segments through a bounded worker pool
 //     (BrokerOptions.Workers; default GOMAXPROCS). Unordered selections

@@ -20,11 +20,11 @@ import (
 // the query rewrites the serial path needed.
 
 // aggState is the mergeable partial state of one aggregation: the numeric
-// running values of starAgg plus, for DISTINCTCOUNT, the set of observed
+// running values of record.Agg plus, for DISTINCTCOUNT, the set of observed
 // values. States merge associatively and commutatively, so partials can fold
 // together in any grouping or order.
 type aggState struct {
-	starAgg
+	record.Agg
 	distinct *distinctSet // nil unless the spec is AggDistinctCount
 }
 
@@ -60,7 +60,7 @@ func (a *aggState) distinctCount() int {
 
 // mergeState folds another partial state into this one.
 func (a *aggState) mergeState(o *aggState) {
-	a.starAgg.merge(o.starAgg)
+	a.Merge(o.Agg)
 	if o.distinct != nil {
 		set := a.set()
 		maps.Copy(set.nums, o.distinct.nums)
@@ -72,23 +72,17 @@ func (a *aggState) mergeState(o *aggState) {
 // table's segments — the unit the scatter phase ships from segment scans to
 // the broker's streaming merge. It is one typed table: row r is row r of the
 // key vectors. For an aggregation the keys are the GROUP BY columns, group
-// r's aggregations are accs[r*naggs : (r+1)*naggs], and an index maps a
-// typed key to its row — a single number by its record.CanonBits, a single
-// text by itself, a tuple by its record.AppendValueKey bytes — so a group
-// costs no heap object of its own. For a selection the keys are the selected
-// columns, named by cols, with no states and no index.
+// r's aggregations are accs[r*naggs : (r+1)*naggs], and a record.KeyIndex
+// numbers the typed keys by row, so a group costs no heap object of its own.
+// For a selection the keys are the selected columns, named by cols, with no
+// states and no index.
 type Partial struct {
 	agg   bool
 	naggs int
 	n     int             // groups, or a selection's rows
 	keys  []record.Vector // one per GROUP BY or selected column
 	accs  []aggState
-
-	nums  map[uint64]int32 // a single key column's numbers → row
-	strs  map[string]int32 // its texts, or a tuple's key bytes → row
-	null  int32            // row+1 of a single key column's NULL group; 0: none
-	buf   []byte           // scratch: a tuple's key bytes
-	arena []byte           // backing of the tuple keys in strs
+	index record.KeyIndex // an aggregation's key → row
 
 	cols  []string // a selection's columns
 	stats ExecStats
@@ -102,56 +96,6 @@ func newPartial(q *Query) *Partial {
 	return &Partial{}
 }
 
-// slot returns the row the index holds for the key at row r of key, or,
-// when it holds none, records at as that key's row and reports false.
-func (p *Partial) slot(key []record.Vector, r, at int) (int, bool) {
-	if len(key) == 0 {
-		return 0, at > 0 // one group, row 0
-	}
-	if p.nums == nil {
-		p.reserve(0)
-	}
-	if len(key) > 1 {
-		p.buf = p.buf[:0]
-		for c := range key {
-			p.buf = key[c].AppendKey(p.buf, r)
-		}
-		if g, ok := p.strs[string(p.buf)]; ok {
-			return int(g), true
-		}
-		p.strs[intern(&p.arena, p.buf)] = int32(at)
-		return at, false
-	}
-	switch num, bits, text, ok := key[0].Key(r); {
-	case !ok:
-		if p.null > 0 {
-			return int(p.null - 1), true
-		}
-		p.null = int32(at + 1)
-	case num:
-		if g, ok := p.nums[bits]; ok {
-			return int(g), true
-		}
-		p.nums[bits] = int32(at)
-	default:
-		if g, ok := p.strs[text]; ok {
-			return int(g), true
-		}
-		p.strs[text] = int32(at)
-	}
-	return at, false
-}
-
-// reserve makes the index, sized for n groups in the class the key type
-// has.
-func (p *Partial) reserve(n int) {
-	nums, strs := 0, n
-	if len(p.keys) == 1 && p.keys[0].Type != metadata.TypeString {
-		nums, strs = n, 0
-	}
-	p.nums, p.strs = make(map[uint64]int32, nums), make(map[string]int32, strs)
-}
-
 // positions lists the table's rows in order.
 func (p *Partial) positions() []int32 {
 	rows := make([]int32, p.n)
@@ -161,29 +105,17 @@ func (p *Partial) positions() []int32 {
 	return rows
 }
 
-// index indexes a table built without one, in place. It reports false,
-// leaving the index partial, when two rows share a key — longs above 2^53
-// that are one float64 — and the rows must fold instead (keep).
-func (p *Partial) index() bool {
-	p.reserve(p.n)
+// reindex indexes a table built without an index, in place. It reports
+// false, leaving the index partial, when two rows share a key — longs above
+// 2^53 that are one float64 — and the rows must fold instead (keep).
+func (p *Partial) reindex() bool {
+	p.index.Reserve(p.keys, p.n)
 	for r := range p.n {
-		if _, dup := p.slot(p.keys, r, r); dup {
+		if _, dup := p.index.Add(p.keys, r); dup {
 			return false
 		}
 	}
 	return true
-}
-
-// intern returns a string of key's bytes carved from the arena: a table of
-// tuple keys allocates a chunk, each twice the last, not a string per group.
-// Bytes once carved are never written again.
-func intern(arena *[]byte, key []byte) string {
-	if len(*arena)+len(key) > cap(*arena) {
-		*arena = make([]byte, 0, max(256, 2*cap(*arena), len(key)))
-	}
-	at := len(*arena)
-	*arena = append(*arena, key...)
-	return unsafe.String(&(*arena)[at], len(key))
 }
 
 // add folds a group — row r of key, aggregations accs — into the table,
@@ -191,7 +123,7 @@ func intern(arena *[]byte, key []byte) string {
 // accs' DISTINCTCOUNT sets when the group is new; without it they are
 // copied, so the source stays unchanged.
 func (p *Partial) add(key []record.Vector, r int, accs []aggState, adopt bool) {
-	row, found := p.slot(key, r, p.n)
+	row, found := p.index.Add(key, r)
 	if !found {
 		for c := range key {
 			p.keys[c].AppendRows(&key[c], []int32{int32(r)})
@@ -227,7 +159,7 @@ func (p *Partial) keep(rows []int32) *Partial {
 		out.keys[c].Reset(p.keys[c].Type)
 		out.keys[c].Grow(len(rows))
 	}
-	out.reserve(len(rows))
+	out.index.Reserve(out.keys, len(rows))
 	for _, r := range rows {
 		out.add(p.keys, int(r), p.accs[int(r)*p.naggs:(int(r)+1)*p.naggs], true)
 	}
@@ -238,7 +170,7 @@ func (p *Partial) keep(rows []int32) *Partial {
 // cache's byte accounting: its key vectors (Vector.Size), its states, the
 // DISTINCTCOUNT sets' members, and the index and arena.
 func (p *Partial) size() int64 {
-	n := int64(128 + cap(p.arena) + 48*p.n + int(unsafe.Sizeof(aggState{}))*len(p.accs))
+	n := int64(128 + p.index.ArenaBytes() + 48*p.n + int(unsafe.Sizeof(aggState{}))*len(p.accs))
 	for c := range p.keys {
 		n += p.keys[c].Size()
 	}

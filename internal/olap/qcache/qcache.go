@@ -261,9 +261,6 @@ func (c *Cache) Bytes() int64 {
 	return c.curBytes
 }
 
-// MaxBytes returns the configured bound.
-func (c *Cache) MaxBytes() int64 { return c.maxBytes }
-
 // Stats snapshots the counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

@@ -39,43 +39,19 @@ type Filter struct {
 	Values []any // OpIn set
 }
 
-// AggKind enumerates aggregation functions.
-type AggKind int
+// AggKind enumerates aggregation functions: record's, the one list every
+// engine shares.
+type AggKind = record.AggKind
 
+// The aggregation functions; see record.AggKind.
 const (
-	// AggCount counts rows (Column empty) or non-null values.
-	AggCount AggKind = iota
-	// AggSum sums a numeric column.
-	AggSum
-	// AggMin takes the minimum.
-	AggMin
-	// AggMax takes the maximum.
-	AggMax
-	// AggAvg averages. Internally carried as a SUM+COUNT pair so partial
-	// results merge exactly across segments and servers.
-	AggAvg
-	// AggDistinctCount counts distinct non-null values. Internally carried
-	// as a value set so partials merge exactly (set union is associative).
-	AggDistinctCount
+	AggCount         = record.AggCount
+	AggSum           = record.AggSum
+	AggMin           = record.AggMin
+	AggMax           = record.AggMax
+	AggAvg           = record.AggAvg
+	AggDistinctCount = record.AggDistinctCount
 )
-
-// String names the aggregation as it appears in result columns.
-func (a AggKind) String() string {
-	switch a {
-	case AggSum:
-		return "sum"
-	case AggMin:
-		return "min"
-	case AggMax:
-		return "max"
-	case AggAvg:
-		return "avg"
-	case AggDistinctCount:
-		return "distinctcount"
-	default:
-		return "count"
-	}
-}
 
 // AggSpec is one requested aggregation.
 type AggSpec struct {
@@ -518,39 +494,22 @@ func (sc *scanSet) executeAgg(q *Query, ss *selStream, tp *topKPlan) (*Partial, 
 }
 
 // aggValue collapses a partial state into the final user-facing value:
-// COUNT and DISTINCTCOUNT as an int64, the others as final's float64.
+// COUNT and DISTINCTCOUNT as an int64, the others as final's float64, SQL
+// NULL as nil.
 func aggValue(a *aggState, kind AggKind) any {
-	switch f, null := a.final(kind); {
-	case null:
-		return nil
-	case kind == AggCount:
-		return a.Count
-	case kind == AggDistinctCount:
-		return int64(f)
-	default:
-		return f
+	if kind == AggDistinctCount {
+		return int64(a.distinctCount())
 	}
+	return a.Value(kind)
 }
 
 // final is the state's final value as a float64 — the number record.Compare
-// sees of aggValue's — or null. SQL NULL semantics: MIN/MAX/AVG over zero
-// non-null values are NULL, never a fabricated 0 — only COUNT (0) and SUM
-// (empty sum 0) have defined zero-input values.
+// sees of aggValue's — or null (record.Agg.Final).
 func (a *aggState) final(kind AggKind) (f float64, null bool) {
-	switch kind {
-	case AggSum:
-		return a.Sum, false
-	case AggMin:
-		return a.Min, a.Count == 0
-	case AggMax:
-		return a.Max, a.Count == 0
-	case AggAvg:
-		return a.Sum / float64(a.Count), a.Count == 0
-	case AggDistinctCount:
+	if kind == AggDistinctCount {
 		return float64(a.distinctCount()), false
-	default:
-		return float64(a.Count), false
 	}
+	return a.Agg.Final(kind)
 }
 
 // aggTypeError rejects aggregations that are undefined over a column type:

@@ -24,54 +24,13 @@ type StarTreeConfig struct {
 	MaxLeafRecords int
 }
 
-// starAgg is the pre-aggregated value set for one metric.
-type starAgg struct {
-	Count int64
-	Sum   float64
-	Min   float64
-	Max   float64
-}
-
-func (a *starAgg) add(v float64) {
-	if a.Count == 0 {
-		a.Min, a.Max = v, v
-	} else {
-		if v < a.Min {
-			a.Min = v
-		}
-		if v > a.Max {
-			a.Max = v
-		}
-	}
-	a.Count++
-	a.Sum += v
-}
-
-func (a *starAgg) merge(o starAgg) {
-	if o.Count == 0 {
-		return
-	}
-	if a.Count == 0 {
-		*a = o
-		return
-	}
-	a.Count += o.Count
-	a.Sum += o.Sum
-	if o.Min < a.Min {
-		a.Min = o.Min
-	}
-	if o.Max > a.Max {
-		a.Max = o.Max
-	}
-}
-
 // starRow is one pre-aggregated row at a tree node.
 type starRow struct {
 	// Dims holds dict codes per tree dimension; -1 is the star (any) value.
 	Dims []int
 	// Count is the number of base rows aggregated into this row.
 	Count int64
-	Aggs  []starAgg
+	Aggs  []record.Agg
 }
 
 // StarNode is one tree node. Children hold one node per dict code of the
@@ -130,11 +89,11 @@ func buildStarTree(seg *Segment, cfg StarTreeConfig) (*StarTree, error) {
 				dims[di] = c.Dict.size() // null code
 			}
 		}
-		aggs := make([]starAgg, len(cfg.Metrics))
+		aggs := make([]record.Agg, len(cfg.Metrics))
 		for mi, m := range cfg.Metrics {
 			// A NULL measure is no input: MIN/MAX/AVG over it stay NULL.
 			if seg.Columns[m].Present.Get(i) {
-				aggs[mi].add(seg.double(m, i))
+				aggs[mi].Add(seg.double(m, i))
 			}
 		}
 		base[i] = starRow{Dims: dims, Count: 1, Aggs: aggs}
@@ -174,7 +133,7 @@ func aggregateRows(rows []starRow, fromLevel, nDims int) []starRow {
 		k := dimsKey(r.Dims)
 		g, ok := groups[key(k)]
 		if !ok {
-			cp := starRow{Dims: append([]int(nil), r.Dims...), Count: r.Count, Aggs: make([]starAgg, len(r.Aggs))}
+			cp := starRow{Dims: append([]int(nil), r.Dims...), Count: r.Count, Aggs: make([]record.Agg, len(r.Aggs))}
 			copy(cp.Aggs, r.Aggs)
 			groups[key(k)] = &cp
 			order = append(order, key(k))
@@ -182,7 +141,7 @@ func aggregateRows(rows []starRow, fromLevel, nDims int) []starRow {
 		}
 		g.Count += r.Count
 		for i := range g.Aggs {
-			g.Aggs[i].merge(r.Aggs[i])
+			g.Aggs[i].Merge(r.Aggs[i])
 		}
 	}
 	out := make([]starRow, 0, len(groups))
@@ -198,7 +157,7 @@ func collapseDim(rows []starRow, level int) []starRow {
 	for i, r := range rows {
 		dims := append([]int(nil), r.Dims...)
 		dims[level] = -1
-		aggs := make([]starAgg, len(r.Aggs))
+		aggs := make([]record.Agg, len(r.Aggs))
 		copy(aggs, r.Aggs)
 		collapsed[i] = starRow{Dims: dims, Count: r.Count, Aggs: aggs}
 	}
@@ -369,10 +328,10 @@ func (t *StarTree) query(seg *Segment, q *Query) *Partial {
 				}
 				for ai, spec := range q.Aggs {
 					if spec.Kind == AggCount && spec.Column == "" {
-						accs[ai] = aggState{starAgg: starAgg{Count: r.Count}}
+						accs[ai] = aggState{Agg: record.Agg{Count: r.Count}}
 						continue
 					}
-					accs[ai] = aggState{starAgg: r.Aggs[metricIdx[spec.Column]]}
+					accs[ai] = aggState{Agg: r.Aggs[metricIdx[spec.Column]]}
 				}
 				p.add(key, 0, accs, true)
 			}

@@ -831,24 +831,24 @@ func (ac *aggCursor) fold(accs []aggState, naggs, ai int, slots, sel []int32) {
 		nums := c.dict.Nums
 		for j, i := range sel {
 			if code := c.packed.Get(int(i)); code != c.null {
-				accs[int(slots[j])*naggs+ai].add(nums[code])
+				accs[int(slots[j])*naggs+ai].Add(nums[code])
 			}
 		}
 	case c.layout == layoutPacked:
 		ints := c.dict.Ints
 		for j, i := range sel {
 			if code := c.packed.Get(int(i)); code != c.null {
-				accs[int(slots[j])*naggs+ai].add(float64(ints[code]))
+				accs[int(slots[j])*naggs+ai].Add(float64(ints[code]))
 			}
 		}
 	case c.present == nil:
 		for j, i := range sel {
-			accs[int(slots[j])*naggs+ai].add(c.num(int(i)))
+			accs[int(slots[j])*naggs+ai].Add(c.num(int(i)))
 		}
 	default:
 		for j, i := range sel {
 			if c.present[i] {
-				accs[int(slots[j])*naggs+ai].add(c.num(int(i)))
+				accs[int(slots[j])*naggs+ai].Add(c.num(int(i)))
 			}
 		}
 	}
@@ -1040,7 +1040,7 @@ func (g *grouper) hashed(i int32) int32 {
 		return slot
 	}
 	slot := g.addSlot(i)
-	g.index[intern(&g.arena, key)] = slot
+	g.index[record.Intern(&g.arena, key)] = slot
 	return slot
 }
 
@@ -1055,7 +1055,7 @@ func (g *grouper) partial(tp *topKPlan) *Partial {
 	for gi, c := range g.cols {
 		c.gather(&all.keys[gi], g.first)
 	}
-	if p := all.trim(tp); p != all || all.index() {
+	if p := all.trim(tp); p != all || all.reindex() {
 		return p
 	}
 	return all.keep(all.positions())

@@ -212,9 +212,6 @@ func (mr *MultiRegion) Mappings() *MappingStore { return mr.mappings }
 // Region returns a region by index.
 func (mr *MultiRegion) Region(i int) *Region { return mr.regions[i] }
 
-// Regions returns the region count.
-func (mr *MultiRegion) Regions() int { return len(mr.regions) }
-
 // Primary returns the coordinator's current primary region index.
 func (mr *MultiRegion) Primary() int {
 	mr.mu.Lock()

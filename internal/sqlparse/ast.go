@@ -43,6 +43,23 @@ func (f FuncKind) String() string {
 	}
 }
 
+// Agg is the aggregation an aggregate function computes; FuncNone maps to
+// COUNT.
+func (f FuncKind) Agg() record.AggKind {
+	switch f {
+	case FuncSum:
+		return record.AggSum
+	case FuncMin:
+		return record.AggMin
+	case FuncMax:
+		return record.AggMax
+	case FuncAvg:
+		return record.AggAvg
+	default:
+		return record.AggCount
+	}
+}
+
 // SelectItem is one projection: a column, qualified column, or aggregate.
 type SelectItem struct {
 	// Star marks SELECT *.

@@ -13,17 +13,15 @@ type ProducerTarget interface {
 // the audit metadata of §9.4 (unique id, application timestamp, service
 // name, tier) into the Message fields of every message — values, so
 // stamping allocates nothing and never writes into a caller's Headers map —
-// implements round-robin spreading for unkeyed messages, and counts
-// produced messages for the auditing layer.
+// and implements round-robin spreading for unkeyed messages.
 type Producer struct {
 	target  ProducerTarget
 	service string
 	tier    string
 	clock   Clock
 
-	seq      atomic.Int64
-	rr       atomic.Int64
-	produced atomic.Int64
+	seq atomic.Int64
+	rr  atomic.Int64
 }
 
 // NewProducer creates a producer identified as the given service. The tier
@@ -58,12 +56,5 @@ func (p *Producer) ProduceBatch(topic string, msgs []Message) error {
 			m.Timestamp = now
 		}
 	}
-	if err := p.target.Produce(topic, msgs, p.rr.Add(int64(len(msgs)))); err != nil {
-		return err
-	}
-	p.produced.Add(int64(len(msgs)))
-	return nil
+	return p.target.Produce(topic, msgs, p.rr.Add(int64(len(msgs))))
 }
-
-// Produced returns the number of successfully acknowledged messages.
-func (p *Producer) Produced() int64 { return p.produced.Load() }
