@@ -42,6 +42,7 @@ fuzz-smoke:
 	go test ./internal/stream -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=30s
 	go test ./internal/sqlparse -run='^$$' -fuzz=FuzzPredicateValue -fuzztime=30s
 	go test ./internal/record -run='^$$' -fuzz=FuzzCompare -fuzztime=30s
+	go test ./internal/record -run='^$$' -fuzz=FuzzKeyIndex -fuzztime=30s
 
 fmt:
 	gofmt -w .

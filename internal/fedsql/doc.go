@@ -17,8 +17,8 @@
 // whole aggregate query into the backend so only per-group rows cross the
 // boundary). Capabilities are declared explicitly per fragment; an aggregate
 // a connector cannot absorb falls back to a row scan plus engine-side hash
-// aggregation, counted in QueryStats.PushdownFallbacks (and logged via
-// Engine.Log / Engine.Logf when set).
+// aggregation, counted in QueryStats.PushdownFallbacks and shown on EXPLAIN's
+// row-scan+engine-agg line.
 //
 // The Pinot connector pushes predicates, projections, aggregations and
 // limits into the OLAP layer (§4.3.2, E11/E18) — with a pluggable routing

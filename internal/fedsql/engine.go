@@ -1,7 +1,7 @@
 package fedsql
 
 import (
-	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -56,12 +56,6 @@ func (r *Result) Records() []record.Record {
 type Engine struct {
 	connectors map[string]Connector
 	defaultCat string
-	// Logf, when set, receives one text line per pushdown fallback (an
-	// aggregate query a connector could not absorb). Fallbacks are counted
-	// in QueryStats.PushdownFallbacks regardless.
-	Logf func(format string, args ...any)
-	// Log, when set, receives the same diagnostic as a structured event.
-	Log *obs.Logger
 	// Tracer, when set, opens a fedsql.query root span per query; connector
 	// scans and the backend broker pipeline record child spans, and the
 	// finished tree is attached to Result.Trace.
@@ -453,13 +447,6 @@ func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sq
 		// Fallback: stream the rows the aggregation reads (with whatever
 		// filter pushdown the backend offers) and aggregate in the engine,
 		// batch-at-a-time.
-		if e.Log != nil { // the fields are formatted only for a logger
-			e.Log.Warn("pushdown fallback", obs.F("catalog", catalog), obs.F("table", ref.Name),
-				obs.F("fragment", "aggregate"), obs.F("capabilities", fmt.Sprintf("%+v", caps)))
-		}
-		if e.Logf != nil {
-			e.Logf("fedsql: aggregate pushdown fallback for %s.%s (connector capabilities %+v)", catalog, ref.Name, caps)
-		}
 		kind, ordered = kindFallback, false
 		pd.Columns = fallbackColumns(stmt, residual, schema)
 	} else {
@@ -986,9 +973,10 @@ func appendFinal(v *record.Vector, a *record.Agg, kind record.AggKind) {
 // peak engine footprint is one batch plus the group table, not the input —
 // and returns the groups as an in-memory relation laid out like a pushed-down
 // aggregate's response: the GROUP BY columns, then one column per aggregate
-// named by OutputName, rows in canonical group-key order. A row finds its
-// group in a record.KeyIndex of its typed GROUP BY cells; each aggregate then
-// folds its input vector for the whole batch (fold).
+// named by OutputName, rows in the order pushdown returns groups (ascending
+// GROUP BY values, NULL first). A row finds its group in a record.KeyIndex
+// of its typed GROUP BY cells; each aggregate then folds its input vector for
+// the whole batch (fold).
 func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, stmt *sqlparse.SelectStmt) (RowIterator, error) {
 	var aggs []sqlparse.SelectItem
 	var inputs []string
@@ -1004,12 +992,9 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 		index  record.KeyIndex
 		keys   = make([]record.Vector, len(groupIdx)) // a batch's GROUP BY cells
 		nulls  []any                                  // a missing GROUP BY column's cells
-		values = make([]record.Vector, len(groupIdx))
-		// Group g's record.AppendValueKey of its values, the output order, is
-		// canon[ends[g-1]:ends[g]] (from 0 for the first).
-		canon  []byte
-		ends   []int
-		states []record.Agg // group g's aggregates are states[g*len(aggs):][:len(aggs)]
+		values = make([]record.Vector, len(groupIdx)) // group g's GROUP BY values are row g
+		n      int                                    // groups
+		states []record.Agg                           // group g's aggregates are states[g*len(aggs):][:len(aggs)]
 		sel    []int32
 		groups []int32 // the group of each selected row
 		one    = make([]int32, 1)
@@ -1037,14 +1022,12 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 		for _, r := range sel {
 			g, found := index.Add(keys, int(r))
 			if !found {
-				// The group's values are copied, and its canonical key
-				// formatted, once per group, not per row.
+				// The group's values are copied once per group, not per row.
 				one[0] = r
 				for i := range keys {
 					values[i].AppendRows(&keys[i], one)
-					canon = values[i].AppendKey(canon, g)
 				}
-				ends = append(ends, len(canon))
+				n++
 				for range aggs {
 					states = append(states, record.Agg{})
 				}
@@ -1057,21 +1040,24 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 			}
 		}
 	}
-	if len(ends) == 0 && len(stmt.GroupBy) == 0 {
-		ends = []int{0}
+	if n == 0 && len(stmt.GroupBy) == 0 {
+		n = 1
 		states = make([]record.Agg, len(aggs))
 	}
-	canonOf := func(g int32) []byte {
-		if g == 0 {
-			return canon[:ends[0]]
-		}
-		return canon[ends[g-1]:ends[g]]
-	}
-	order := make([]int32, len(ends))
+	// Groups come out as a pushed-down aggregate's do (olap Partial.less):
+	// ascending by each GROUP BY value, NULL first, ties in first-seen order.
+	order := make([]int32, n)
 	for g := range order {
 		order[g] = int32(g)
 	}
-	sort.Slice(order, func(a, b int) bool { return bytes.Compare(canonOf(order[a]), canonOf(order[b])) < 0 })
+	slices.SortFunc(order, func(a, b int32) int {
+		for i := range values {
+			if c := values[i].Compare(int(a), int(b)); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(a, b)
+	})
 	out := Batch{Columns: append([]string(nil), stmt.GroupBy...), Cols: make([]record.Vector, len(groupIdx)+len(aggs)), Len: len(order)}
 	for i := range groupIdx {
 		out.Cols[i].AppendRows(&values[i], order)

@@ -63,12 +63,18 @@ func setupRefDB(n int) reftest.DB {
 // hive.cities (dimension table).
 func setupEngine(t *testing.T, n int) (*Engine, *PinotConnector) {
 	t.Helper()
+	return setupEngineOver(t, ordersSchema(), orderRows(n))
+}
+
+// setupEngineOver is setupEngine with the orders of schema and rows.
+func setupEngineOver(t *testing.T, schema *metadata.Schema, rows []record.Record) (*Engine, *PinotConnector) {
+	t.Helper()
 	// Pinot table.
 	servers := []*olap.Server{olap.NewServer("s0"), olap.NewServer("s1")}
 	d, err := olap.NewDeployment(olap.DeploymentConfig{
 		Table: olap.TableConfig{
 			Name:        "orders",
-			Schema:      ordersSchema(),
+			Schema:      schema,
 			SegmentRows: 50,
 		},
 		Servers:      servers,
@@ -78,7 +84,7 @@ func setupEngine(t *testing.T, n int) (*Engine, *PinotConnector) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range orderRows(n) {
+	for i, r := range rows {
 		if err := d.Ingest(i%2, r); err != nil {
 			t.Fatal(err)
 		}
@@ -88,9 +94,9 @@ func setupEngine(t *testing.T, n int) (*Engine, *PinotConnector) {
 
 	// Archive tables.
 	store := objstore.NewMemStore()
-	codec, _ := record.NewCodec(ordersSchema())
+	codec, _ := record.NewCodec(schema)
 	w := objstore.NewRawLogWriter(store, "orders", codec)
-	w.Append(orderRows(n))
+	w.Append(rows)
 	objstore.NewCompactor(store, "orders", codec).Compact()
 
 	cityCodec, _ := record.NewCodec(citiesSchema())
@@ -103,7 +109,7 @@ func setupEngine(t *testing.T, n int) (*Engine, *PinotConnector) {
 	objstore.NewCompactor(store, "cities", cityCodec).Compact()
 
 	hive := NewArchiveConnector("hive", store)
-	hive.AddTable("orders", ordersSchema())
+	hive.AddTable("orders", schema)
 	hive.AddTable("cities", citiesSchema())
 
 	e := NewEngine()

@@ -1,49 +1,11 @@
 package fedsql
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
-
-// TestFallbackEventStructured asserts the pushdown-fallback diagnostic flows
-// through the obs logger as a structured event carrying the fragment name,
-// while the Logf text sink receives exactly one formatted line.
-func TestFallbackEventStructured(t *testing.T) {
-	e, _ := setupEngine(t, 200)
-	e.Log = obs.NewLogger(obs.LevelDebug, 16, nil)
-	var lines []string
-	e.Logf = func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	}
-	// The archive connector declares no aggregation capability, so this
-	// aggregate falls back to row scan + engine-side aggregation.
-	if _, err := e.Query("SELECT city, COUNT(*) FROM hive.orders GROUP BY city"); err != nil {
-		t.Fatal(err)
-	}
-	events := e.Log.Recent()
-	if len(events) != 1 {
-		t.Fatalf("obs logger got %d events, want 1: %+v", len(events), events)
-	}
-	ev := events[0]
-	if ev.Level != obs.LevelWarn || ev.Msg != "pushdown fallback" {
-		t.Fatalf("event = %+v", ev)
-	}
-	if got := ev.Field("fragment"); got != "aggregate" {
-		t.Fatalf("fragment field = %v, want aggregate", got)
-	}
-	if got := ev.Field("catalog"); got != "hive" {
-		t.Fatalf("catalog field = %v, want hive", got)
-	}
-	if got := ev.Field("table"); got != "orders" {
-		t.Fatalf("table field = %v, want orders", got)
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "fallback") {
-		t.Fatalf("Logf sink got %v, want one fallback line", lines)
-	}
-}
 
 // TestQueryTraceAttached asserts a traced federated query attaches the full
 // span tree to Result.Trace: fedsql.query → scan (with catalog/table attrs)

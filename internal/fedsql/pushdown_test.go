@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/objstore"
 	"repro/internal/olap"
+	"repro/internal/reftest"
 )
 
 // equivalenceQueries is the matrix every aggregate/group-by/limit shape must
@@ -65,6 +66,54 @@ func TestPushdownEquivalenceMatrix(t *testing.T) {
 			}
 		})
 	}
+
+	// Without ORDER BY, groups come out in one order on every path: by
+	// ascending GROUP BY values, NULL first — ten before nine, a number
+	// compared as a number. amount has 12 values and NULLs, city 3 and
+	// NULLs.
+	schema := ordersSchema()
+	for i := range schema.Fields {
+		schema.Fields[i].Nullable = schema.Fields[i].Name != "order_id" && schema.Fields[i].Name != "ts"
+	}
+	rows := orderRows(300)
+	for i, r := range rows {
+		r["amount"] = float64(i % 12)
+		if i%7 == 3 {
+			delete(r, "amount")
+		}
+		if i%11 == 5 {
+			delete(r, "city")
+		}
+	}
+	e, pinot = setupEngineOver(t, schema, rows)
+	db = reftest.DB{"pinot.orders": refTable(schema.FieldNames(), rows), "hive.orders": refTable(schema.FieldNames(), rows)}
+	for _, tmpl := range []string{
+		"SELECT amount, COUNT(*) AS n FROM %s.orders GROUP BY amount",
+		"SELECT city, SUM(amount) AS total, COUNT(*) AS n FROM %s.orders GROUP BY city",
+		"SELECT city, amount, COUNT(*) AS n FROM %s.orders GROUP BY city, amount",
+	} {
+		var first, firstPath string
+		for _, path := range []struct {
+			name, catalog   string
+			e               *Engine
+			disablePushdown bool
+		}{{"pushdown", "pinot", e, false}, {"fallback", "pinot", e, true}, {"v2 adapter", "pinot", v2Engine(e), false}, {"hive", "hive", e, false}} {
+			sql := fmt.Sprintf(tmpl, path.catalog)
+			pinot.DisablePushdown = path.disablePushdown
+			res, err := path.e.Query(sql)
+			pinot.DisablePushdown = false
+			if err != nil {
+				t.Fatalf("%s: %s: %v", path.name, sql, err)
+			}
+			checkRef(t, db, sql, res)
+			switch got := rowsKey(res); {
+			case first == "":
+				first, firstPath = got, path.name
+			case got != first:
+				t.Errorf("%s: %s returns\n%s\n%s returns\n%s", sql, path.name, got, firstPath, first)
+			}
+		}
+	}
 }
 
 // TestStringAggRejectedOnBothPaths: SUM/AVG/MIN/MAX over a string column
@@ -100,27 +149,31 @@ func TestStringAggRejectedOnBothPaths(t *testing.T) {
 	}
 }
 
-func TestAggregateFallbackCountedAndLogged(t *testing.T) {
+// TestAggregateFallbackCountedAndExplained: an aggregate a connector cannot
+// absorb falls back to a row scan plus engine-side aggregation, which the
+// query's stats count in PushdownFallbacks and its plan line (what EXPLAIN
+// prints) names row-scan+engine-agg; a pushed aggregate shows neither.
+func TestAggregateFallbackCountedAndExplained(t *testing.T) {
 	e, pinot := setupEngine(t, 120)
-	var logged []string
-	e.Logf = func(format string, args ...any) {
-		logged = append(logged, fmt.Sprintf(format, args...))
+	fellBack := func(name string, res *Result) {
+		t.Helper()
+		if res.Stats.PushdownFallbacks != 1 {
+			t.Errorf("%s PushdownFallbacks = %d, want 1", name, res.Stats.PushdownFallbacks)
+		}
+		if len(res.Plan) != 1 || !strings.Contains(res.Plan[0], "row-scan+engine-agg") {
+			t.Errorf("%s plan = %v, want a row-scan+engine-agg line", name, res.Plan)
+		}
 	}
 
-	// The archive cannot aggregate: the engine must count (and log) the
+	// The archive cannot aggregate: the engine must count and explain the
 	// fallback while still answering correctly.
 	res, err := e.Query("SELECT city, COUNT(*) AS n FROM hive.orders GROUP BY city")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.PushdownFallbacks != 1 {
-		t.Errorf("archive PushdownFallbacks = %d, want 1", res.Stats.PushdownFallbacks)
-	}
+	fellBack("archive", res)
 	if res.Stats.PushedAggs {
 		t.Error("archive scan must not claim pushed aggregations")
-	}
-	if len(logged) != 1 || !strings.Contains(logged[0], "fallback") {
-		t.Errorf("fallback not logged: %v", logged)
 	}
 
 	// Pushdown-disabled Pinot takes the same fallback path.
@@ -130,9 +183,7 @@ func TestAggregateFallbackCountedAndLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.PushdownFallbacks != 1 {
-		t.Errorf("disabled-pinot PushdownFallbacks = %d, want 1", res.Stats.PushdownFallbacks)
-	}
+	fellBack("disabled-pinot", res)
 
 	// A pushed aggregate records no fallback.
 	res, err = e.Query("SELECT COUNT(*) FROM pinot.orders")
@@ -141,6 +192,9 @@ func TestAggregateFallbackCountedAndLogged(t *testing.T) {
 	}
 	if res.Stats.PushdownFallbacks != 0 || !res.Stats.PushedAggs {
 		t.Errorf("pushed aggregate: fallbacks=%d pushedAggs=%v", res.Stats.PushdownFallbacks, res.Stats.PushedAggs)
+	}
+	if len(res.Plan) != 1 || strings.Contains(res.Plan[0], "row-scan+engine-agg") || !strings.Contains(res.Plan[0], "aggregate-scan") {
+		t.Errorf("pushed aggregate plan = %v, want an aggregate-scan line", res.Plan)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -350,12 +351,14 @@ func TestEvalPredicate(t *testing.T) {
 
 // TestGroupByNullMeasuresAgree: one GROUP BY, one answer, whichever engine
 // aggregates. Rows with NULL measures — a group with some, a group with
-// nothing but — and a double key holding both 0 and -0 run through a bounded
+// nothing but — a double key holding both 0 and -0, a long key holding 2^53
+// and 2^53+1 (one double) and a bool measure run through a bounded
 // streaming window (BackfillJob), fedsql over the archive (engine-side
 // aggregation), fedsql over an OLAP table (pushed down, over a sealed and a
 // consuming segment) and the reference evaluator, and every answer must be
-// the reference's: COUNT(*) counts rows, COUNT(fare) non-NULL fares, and
-// MIN, MAX and AVG over no fare are NULL.
+// the reference's: COUNT(*) counts rows, COUNT(fare) non-NULL fares, MIN,
+// MAX and AVG over no fare are NULL, and a bool sums as 1 or 0. SUM over a
+// string is refused on every path.
 func TestGroupByNullMeasuresAgree(t *testing.T) {
 	schema := &metadata.Schema{
 		Name:    "trips",
@@ -364,23 +367,31 @@ func TestGroupByNullMeasuresAgree(t *testing.T) {
 			{Name: "city", Type: metadata.TypeString},
 			{Name: "z", Type: metadata.TypeDouble},
 			{Name: "fare", Type: metadata.TypeDouble, Nullable: true},
+			{Name: "flag", Type: metadata.TypeBool, Nullable: true},
+			{Name: "big", Type: metadata.TypeLong},
 			{Name: "ts", Type: metadata.TypeTimestamp},
 		},
 		TimeField: "ts",
 	}
 	negZero := math.Copysign(0, -1)
+	const two53 = int64(1) << 53
 	var rows []record.Record
 	for i, r := range []struct {
 		city string
 		z    float64
 		fare any
+		flag any
+		big  int64
 	}{
-		{"sf", 0, nil}, {"sf", negZero, 5.0}, {"la", 0, nil}, {"sf", 1.5, nil},
-		{"nyc", negZero, 2.5}, {"sf", 0, 7.0}, {"la", 1.5, nil},
+		{"sf", 0, nil, true, two53}, {"sf", negZero, 5.0, false, two53 + 1}, {"la", 0, nil, nil, 7},
+		{"sf", 1.5, nil, true, two53 + 1}, {"nyc", negZero, 2.5, true, 7}, {"sf", 0, 7.0, nil, two53},
+		{"la", 1.5, nil, true, two53 + 1},
 	} {
-		row := record.Record{"city": r.city, "z": r.z, "ts": base + int64(i)}
-		if r.fare != nil {
-			row["fare"] = r.fare
+		row := record.Record{"city": r.city, "z": r.z, "big": r.big, "ts": base + int64(i)}
+		for name, v := range map[string]any{"fare": r.fare, "flag": r.flag} {
+			if v != nil {
+				row[name] = v
+			}
 		}
 		rows = append(rows, row)
 	}
@@ -427,24 +438,35 @@ func TestGroupByNullMeasuresAgree(t *testing.T) {
 	}
 	db := reftest.DB{"trips": table}
 
-	// answer spells the rows' cells of cols — named by have — by the
-	// canonical key and sorts them: -0 is 0 and COUNT's int64 3 is 3.0, as
-	// every engine groups them.
+	// answer spells the rows' cells of cols — named by have — and sorts
+	// them: a number by its double, so -0 is 0, COUNT's int64 3 is 3.0 and
+	// 2^53+1 is 2^53, as every engine groups them; NULL apart; a text
+	// quoted.
 	answer := func(cols, have []string, rows [][]any) []string {
 		var out []string
 		for _, row := range rows {
 			var key []byte
 			for _, c := range cols {
-				key = record.AppendValueKey(append(key, c+"="...), row[slices.Index(have, c)])
+				key = append(key, c+"="...)
+				v := row[slices.Index(have, c)]
+				switch f, num := record.ToFloat64(v); {
+				case v == nil:
+					key = append(key, "NULL"...)
+				case num:
+					key = strconv.AppendFloat(key, f+0, 'g', -1, 64) // +0: -0 is 0
+				default:
+					key = strconv.AppendQuote(key, fmt.Sprint(v))
+				}
+				key = append(key, ' ')
 			}
 			out = append(out, string(key))
 		}
 		slices.Sort(out)
 		return out
 	}
-	const measures = "COUNT(*) AS n, COUNT(fare) AS fares, SUM(fare) AS total, MIN(fare) AS lo, MAX(fare) AS hi, AVG(fare) AS mean"
-	for _, key := range []string{"city", "z"} {
-		cols := []string{key, "n", "fares", "total", "lo", "hi", "mean"}
+	const measures = "COUNT(*) AS n, COUNT(fare) AS fares, SUM(fare) AS total, MIN(fare) AS lo, MAX(fare) AS hi, AVG(fare) AS mean, SUM(flag) AS flags, AVG(flag) AS flagged"
+	for _, key := range []string{"city", "z", "big"} {
+		cols := []string{key, "n", "fares", "total", "lo", "hi", "mean", "flags", "flagged"}
 		sql := "SELECT " + key + ", " + measures + " FROM %s GROUP BY " + key
 		q, err := reftest.Parse(fmt.Sprintf(sql, "trips"))
 		if err != nil {
@@ -480,6 +502,24 @@ func TestGroupByNullMeasuresAgree(t *testing.T) {
 			if !slices.Equal(rows, want) {
 				t.Errorf("GROUP BY %s through %s:\n%q\nwant\n%q", key, path, rows, want)
 			}
+		}
+	}
+
+	// A string measure: every path refuses SUM over it.
+	const text = "SELECT big, SUM(city) AS s FROM %s GROUP BY big"
+	q, err := reftest.Parse(fmt.Sprintf(text, "trips"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Eval(q); err == nil {
+		t.Error("reference: SUM over a string answered")
+	}
+	if _, _, err := BackfillJob("text", fmt.Sprintf(text, "trips")+", TUMBLE(ts, 60000)", store, schema, flow.NewCollectSink(), backfill.Config{}); err == nil {
+		t.Error("window: SUM over a string answered")
+	}
+	for _, catalog := range []string{"hive", "pinot"} {
+		if _, err := engine.QueryCtx(context.Background(), fmt.Sprintf(text, catalog+".trips")); err == nil {
+			t.Errorf("%s: SUM over a string answered", catalog)
 		}
 	}
 }
@@ -632,6 +672,22 @@ func TestIdentityProjectionSharesCells(t *testing.T) {
 		}
 		if shared := &out.Row.Vals[0] == &in.Row.Vals[0]; shared != tc.shared {
 			t.Errorf("%s: output shares the input's cells = %v, want %v", tc.sql, shared, tc.shared)
+		}
+	}
+}
+
+// TestGroupLongKeepsExactLongs: a GROUP BY key spells a long a double holds
+// exactly as itself — so window checkpoints restore and the keyed exchange
+// routes such keys as before — and any other long as the integer its double
+// rounds to, MaxInt64 for 2^63.
+func TestGroupLongKeepsExactLongs(t *testing.T) {
+	const two53 = int64(1) << 53
+	for in, want := range map[int64]int64{
+		0: 0, -1: -1, 42: 42, two53: two53, -two53: -two53, two53 + 2: two53 + 2, 1 << 62: 1 << 62, math.MinInt64: math.MinInt64,
+		two53 + 1: two53, -two53 - 1: -two53, two53 + 3: two53 + 4, math.MaxInt64: math.MaxInt64, math.MaxInt64 - 1: math.MaxInt64,
+	} {
+		if got := groupLong(in); got != want {
+			t.Errorf("groupLong(%d) = %d, want %d", in, got, want)
 		}
 	}
 }

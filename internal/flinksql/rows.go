@@ -3,6 +3,7 @@ package flinksql
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/flow"
@@ -106,9 +107,12 @@ const maxInterned = 1 << 12
 
 // keyStage sets each row's routing key to its GROUP BY columns in an
 // injective encoding — per column a NULL tag, then the cell: fixed 8 bytes
-// for a number (a double's record.CanonBits, so -0 is 0 and every NaN one,
-// as batch SQL groups them), length-prefixed bytes for a string — so no two
-// groups share a key whatever their strings hold. Keys are interned: a group seen before
+// for a number (a double's record.CanonBits, so -0 is 0 and every NaN one;
+// a long as groupLong spells it), length-prefixed bytes for a string — so
+// rows batch SQL puts in one group share a key, and no two groups do,
+// whatever their strings hold. The spelling is persisted in window
+// checkpoints and decides the keyed-exchange instance of a key, so it is
+// kept apart from record.KeyIndex's. Keys are interned: a group seen before
 // costs no allocation, and the window stage keys its state by the same
 // string without copying it.
 func keyStage(groupBy []string, parallelism int) flow.StageSpec {
@@ -152,10 +156,21 @@ func appendGroupKey(dst []byte, cols *columns, r record.Row) []byte {
 		case metadata.TypeDouble:
 			dst = binary.LittleEndian.AppendUint64(dst, record.CanonBits(v.F))
 		default:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(groupLong(v.I)))
 		}
 	}
 	return dst
+}
+
+// groupLong is the long a GROUP BY key spells for i: the integer its double
+// rounds to (MaxInt64 for 2^63), so two longs past 2^53 that are one double
+// are one group, as batch SQL has them. A long a double holds exactly is
+// itself, so its key keeps the bytes checkpoints and the keyed exchange know.
+func groupLong(i int64) int64 {
+	if f := float64(i); f < 1<<63 {
+		return int64(f)
+	}
+	return math.MaxInt64
 }
 
 // ---- projection ----

@@ -30,7 +30,11 @@
 // record.Agg per aggregation, and a NULL or missing field is no input.
 // COUNT without a field counts events, COUNT of a field the events whose
 // field is not NULL; SUM over no input is 0, and MIN, MAX and AVG over no
-// input are NULL (a nil in the result record).
+// input are NULL (a nil in the result record). COUNT takes a field of any
+// type. SUM, AVG, MIN and MAX take a long, timestamp or double field, and a
+// bool as 1 or 0; over a string or bytes field they are an error — when the
+// operator binds a row's schema, or on a map event when it meets such a
+// value — as fedsql and the OLAP layer refuse them, never a text read as 0.
 //
 // Kappa+ backfill over archived data (§7, E13) lives in the backfill
 // subpackage. The flinksql package compiles SQL into these dataflow jobs

@@ -249,6 +249,57 @@ func TestWindowAggSkipsNull(t *testing.T) {
 	}
 }
 
+// TestWindowMeasureTypes: on both paths a window sums a bool as 1 or 0, as
+// batch SQL does, counts a string, and refuses SUM, AVG, MIN and MAX over a
+// string or bytes measure — on a row when it binds the schema, on a map when
+// it meets the value — before it folds anything.
+func TestWindowMeasureTypes(t *testing.T) {
+	schema := &metadata.Schema{Name: "trips", Version: 1, Fields: []metadata.Field{
+		{Name: "city", Type: metadata.TypeString},
+		{Name: "flag", Type: metadata.TypeBool},
+		{Name: "blob", Type: metadata.TypeBytes},
+	}}
+	flags := []bool{true, false, true}
+	event := func(path string, i int) Event {
+		e := Event{Key: "sf", Time: int64(i)}
+		if path == "row" {
+			e.Row = record.Row{Schema: schema, Vals: []record.Value{record.ValueOf("sf"), record.ValueOf(flags[i]), record.ValueOf([]byte("b"))}}
+		} else {
+			e.Data = record.Record{"city": "sf", "flag": flags[i], "blob": []byte("b")}
+		}
+		return e
+	}
+	for _, path := range []string{"row", "map"} {
+		w := NewWindowAggOp(60_000, 0, "city",
+			Aggregation{Kind: record.AggSum, Field: "flag", As: "flags"},
+			Aggregation{Kind: record.AggAvg, Field: "flag", As: "share"},
+			Aggregation{Kind: record.AggCount, Field: "city", As: "cities"})
+		for i := range flags {
+			if err := w.ProcessElement(event(path, i), func(Event) {}); err != nil {
+				t.Fatalf("%s path: %v", path, err)
+			}
+		}
+		var got []record.Record
+		if err := w.OnWatermark(60_000, func(e Event) { got = append(got, e.Data) }); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0]["flags"] != 2.0 || got[0]["share"] != 2.0/3 || got[0]["cities"] != int64(3) {
+			t.Errorf("%s path fired %v, want flags 2, share 2/3, cities 3", path, got)
+		}
+		for _, kind := range []record.AggKind{record.AggSum, record.AggAvg, record.AggMin, record.AggMax} {
+			for _, field := range []string{"city", "blob"} {
+				w := NewWindowAggOp(60_000, 0, "city", Aggregation{Kind: kind, Field: field})
+				if err := w.ProcessElement(event(path, 0), func(Event) {}); err == nil {
+					t.Errorf("%s path: %s(%s) folded", path, kind, field)
+				}
+				if w.StateBytes() != 0 {
+					t.Errorf("%s path: %s(%s) refused after keeping state", path, kind, field)
+				}
+			}
+		}
+	}
+}
+
 func TestKeyedRoutingConsistency(t *testing.T) {
 	// With parallel reducers, all events of one key must hit one instance:
 	// final per-key count equals the input count for that key.

@@ -26,10 +26,6 @@ type ManagerConfig struct {
 	// autoscaler redeploys it with doubled parallelism hint. Zero disables
 	// scaling.
 	ScaleUpLagThreshold int64
-	// StallTimeout: a running job whose EventsOut has not advanced for this
-	// long while lag is nonzero is considered stuck and restarted ("such as
-	// restarting a stuck job"). Zero disables.
-	StallTimeout time.Duration
 }
 
 func (c ManagerConfig) withDefaults() ManagerConfig {
@@ -62,16 +58,13 @@ type managedJob struct {
 	restarts    int
 	parallelism int
 	lastErr     error
-	lastOut     int64
-	lastOutTime time.Time
 	stopped     bool
 }
 
 // JobManager is the unified deployment/management/operation layer of
 // §4.2.2: it validates and deploys jobs, persists their checkpoints (via
 // each job's configured store), continuously monitors health, and runs the
-// rule-based engine that restarts failed or stuck jobs and scales them on
-// lag.
+// rule-based engine that restarts failed jobs and scales them on lag.
 type JobManager struct {
 	cfg ManagerConfig
 
@@ -168,8 +161,6 @@ func (m *JobManager) launch(mj *managedJob, withRestore bool) error {
 		return err
 	}
 	mj.job = job
-	mj.lastOut = 0
-	mj.lastOutTime = time.Now()
 	return nil
 }
 
@@ -302,27 +293,7 @@ func (m *JobManager) applyRules(mj *managedJob) {
 
 	metrics := job.Metrics()
 
-	// Rule 2: stuck-job detection. Output stalled while input is backlogged.
-	if m.cfg.StallTimeout > 0 {
-		mj.mu.Lock()
-		if metrics.EventsOut != mj.lastOut {
-			mj.lastOut = metrics.EventsOut
-			mj.lastOutTime = time.Now()
-		}
-		stalled := metrics.SourceLag > 0 && time.Since(mj.lastOutTime) > m.cfg.StallTimeout
-		if stalled && mj.restarts < m.cfg.MaxRestarts {
-			mj.restarts++
-			mj.job = nil
-			mj.mu.Unlock()
-			job.Cancel()
-			_ = job.Wait()
-			_ = m.launch(mj, true)
-			return
-		}
-		mj.mu.Unlock()
-	}
-
-	// Rule 3: lag-based scale-up. Redeploy with doubled parallelism hint.
+	// Rule 2: lag-based scale-up. Redeploy with doubled parallelism hint.
 	if m.cfg.ScaleUpLagThreshold > 0 && metrics.SourceLag > m.cfg.ScaleUpLagThreshold {
 		mj.mu.Lock()
 		if mj.restarts >= m.cfg.MaxRestarts {

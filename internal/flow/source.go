@@ -84,9 +84,6 @@ type StreamSourceConfig struct {
 	LatenessMs int64
 	// Batch is the per-partition fetch size. Default 128.
 	Batch int
-	// FromLatest starts at the high watermarks instead of the earliest
-	// retained data.
-	FromLatest bool
 }
 
 // NewStreamSource creates a source over the topic. The codec decodes
@@ -103,11 +100,7 @@ func NewStreamSource(cluster *stream.Cluster, topic string, codec *record.Codec,
 	for i := range tps {
 		tps[i] = stream.TopicPartition{Topic: topic, Partition: i}
 	}
-	reset := stream.ResetEarliest
-	if cfg.FromLatest {
-		reset = stream.ResetLatest
-	}
-	reader, err := cluster.NewReader(reset, tps...)
+	reader, err := cluster.NewReader(stream.ResetEarliest, tps...)
 	if err != nil {
 		return nil, err
 	}

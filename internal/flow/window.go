@@ -93,15 +93,34 @@ func (w *WindowAggOp) assign(t int64) []int64 {
 	return w.starts
 }
 
-// bind points aggAt and carryAt at schema's fields.
-func (w *WindowAggOp) bind(schema *metadata.Schema) {
-	w.bound, w.aggAt, w.carryAt = schema, w.aggAt[:0], w.carryAt[:0]
+// bind points aggAt and carryAt at schema's fields; a measure of a type the
+// aggregation does not take (measureErr) binds nothing.
+func (w *WindowAggOp) bind(schema *metadata.Schema) error {
+	w.bound, w.aggAt, w.carryAt = nil, w.aggAt[:0], w.carryAt[:0]
 	for _, a := range w.Aggs {
-		w.aggAt = append(w.aggAt, schema.FieldIndex(a.Field))
+		at := schema.FieldIndex(a.Field)
+		if at >= 0 {
+			if err := a.measureErr(schema.Fields[at].Type); err != nil {
+				return err
+			}
+		}
+		w.aggAt = append(w.aggAt, at)
 	}
 	for _, c := range w.CarryColumns {
 		w.carryAt = append(w.carryAt, schema.FieldIndex(c))
 	}
+	w.bound = schema
+	return nil
+}
+
+// measureErr refuses SUM, AVG, MIN and MAX over a string or bytes measure,
+// as batch SQL does: a window folds a number, and a bool as 1 or 0, never a
+// text coerced to 0. COUNT takes any type.
+func (a Aggregation) measureErr(t metadata.FieldType) error {
+	if a.Kind == record.AggCount || t != metadata.TypeString && t != metadata.TypeBytes {
+		return nil
+	}
+	return fmt.Errorf("flow: %s(%s) over a %s field: the aggregate needs a number", a.Kind, a.Field, t)
 }
 
 // ProcessElement implements Operator.
@@ -112,7 +131,16 @@ func (w *WindowAggOp) ProcessElement(e Event, emit func(Event)) error {
 	}
 	row := e.IsRow()
 	if row && e.Row.Schema != w.bound {
-		w.bind(e.Row.Schema)
+		if err := w.bind(e.Row.Schema); err != nil {
+			return err
+		}
+	}
+	if !row {
+		for _, a := range w.Aggs {
+			if err := a.measureErr(record.TypeOf(e.Data[a.Field])); err != nil {
+				return err
+			}
+		}
 	}
 	perKey, ok := w.windows[e.Key]
 	if !ok {

@@ -3,7 +3,7 @@
 // with quantile estimation, labeled families, snapshotting and a
 // Prometheus-style text exposition), per-query span tracing threaded through
 // context.Context with a bounded ring of recent traces and a threshold-based
-// slow-query log, and a small structured logger.
+// slow-query log.
 //
 // The paper's production story (§3-§5: uMetric-style monitoring, Chaperone
 // auditing) rests on operators seeing where time and rows go inside every

@@ -37,7 +37,6 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	var g *Gauge
 	var h *Histogram
 	var tr *Tracer
-	var l *Logger
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
@@ -61,10 +60,6 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	}
 	if tr.Recent() != nil || tr.Slow() != nil || tr.SlowCount() != 0 {
 		t.Fatal("nil tracer rings should be empty")
-	}
-	l.Info("dropped")
-	if l.Recent() != nil {
-		t.Fatal("nil logger should retain nothing")
 	}
 }
 
@@ -486,58 +481,5 @@ func TestStartSpanWithoutTraceIsNoOp(t *testing.T) {
 	}
 	if SpanFromContext(ctx).Active() {
 		t.Fatal("empty ctx should yield inert span")
-	}
-}
-
-func TestLogger(t *testing.T) {
-	var sunk []Event
-	l := NewLogger(LevelInfo, 4, func(e Event) { sunk = append(sunk, e) })
-	l.Debug("below threshold", F("x", 1))
-	l.Info("first")
-	l.Warn("fallback", F("catalog", "hive"), F("fragment", "aggregate"))
-	if len(sunk) != 2 {
-		t.Fatalf("sink received %d events, want 2", len(sunk))
-	}
-	recent := l.Recent()
-	if len(recent) != 2 {
-		t.Fatalf("recent holds %d, want 2", len(recent))
-	}
-	ev := recent[1]
-	if ev.Level != LevelWarn || ev.Field("fragment") != "aggregate" || ev.Field("missing") != nil {
-		t.Fatalf("event = %+v", ev)
-	}
-	if got := ev.Format(); !strings.Contains(got, "warn fallback") || !strings.Contains(got, "fragment=aggregate") {
-		t.Fatalf("Format = %q", got)
-	}
-	for i := 0; i < 10; i++ {
-		l.Error(fmt.Sprintf("e%d", i))
-	}
-	recent = l.Recent()
-	if len(recent) != 4 || recent[3].Msg != "e9" {
-		t.Fatalf("ring eviction wrong: %+v", recent)
-	}
-	if LevelDebug.String() != "debug" || Level(9).String() != "level(9)" {
-		t.Fatal("Level.String mismatch")
-	}
-}
-
-func TestLoggerConcurrentRace(t *testing.T) {
-	l := NewLogger(LevelDebug, 32, nil)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				l.Info("msg", F("w", w), F("i", i))
-				if i%100 == 0 {
-					_ = l.Recent()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := len(l.Recent()); got != 32 {
-		t.Fatalf("recent holds %d, want 32", got)
 	}
 }

@@ -71,7 +71,6 @@ func refBuildSegment(name string, schema *metadata.Schema, rows []record.Record,
 		Schema:    schema.Clone(),
 		NumRows:   len(rows),
 		Columns:   make(map[string]*column, len(schema.Fields)),
-		Sealed:    true,
 		Partition: partition,
 	}
 	for _, f := range schema.Fields {
@@ -344,7 +343,7 @@ func TestScanDifferential(t *testing.T) {
 // TestGroupTrimDifferential: a scan that trims its own groups — slots, before
 // any is decoded — keeps a correct top groupK in every form of the grouper:
 // one coded column, the composite of two or three (NULL codes included), and
-// the hashed fallback for a raw column or a code space past maxCodeSpace.
+// the key index for a raw column or a code space past maxCodeSpace.
 // Orders are full of ties (counts over a few rows), which a trim may break
 // either way, so the check is on what must hold regardless: exactly groupK
 // groups survive, reported as such, and they are an answer the reference
@@ -418,8 +417,8 @@ func TestGroupTrimDifferential(t *testing.T) {
 					gcols[gi] = sc.col(c)
 				}
 				switch gr := newGrouper(gcols, 1, sc.n); {
-				case gr.index != nil:
-					forms[name+" hashed"]++
+				case gr.table == nil:
+					forms[name+" keyed"]++
 				case len(gcols) > 1:
 					forms[name+" composite"]++
 				default:
@@ -439,7 +438,7 @@ func TestGroupTrimDifferential(t *testing.T) {
 			check("map trim", full)
 		}
 	}
-	for _, form := range []string{"sealed single", "sealed composite", "sealed hashed", "consuming single", "consuming composite", "consuming hashed"} {
+	for _, form := range []string{"sealed single", "sealed composite", "sealed keyed", "consuming single", "consuming composite", "consuming keyed"} {
 		if forms[form] == 0 {
 			t.Errorf("no trial exercised the %s grouper (%v)", form, forms)
 		}

@@ -29,8 +29,7 @@ type aggState struct {
 }
 
 // distinctSet is the values a DISTINCTCOUNT observed: numbers by
-// record.CanonBits, strings apart — the classes record.AppendValueKey tells
-// apart.
+// record.CanonBits, strings apart — the classes record.KeyIndex tells apart.
 type distinctSet struct {
 	nums map[uint64]struct{}
 	strs map[string]struct{}

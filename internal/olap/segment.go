@@ -208,9 +208,6 @@ type IndexConfig struct {
 	SortedColumn string
 	// StarTree enables the star-tree pre-aggregation index.
 	StarTree *StarTreeConfig
-	// NoDictionary disables nothing here (dictionaries are always on);
-	// reserved for parity with Pinot configs.
-	NoDictionary bool
 }
 
 // checkSorted rejects a sorted column whose rows cannot be laid out in code
@@ -253,7 +250,6 @@ type Segment struct {
 	Tree    *StarTree // nil unless configured
 	MinTime int64
 	MaxTime int64
-	Sealed  bool
 	// Partition is the upsert partition this segment belongs to (-1 when
 	// the table is not upsert-enabled).
 	Partition int
@@ -302,7 +298,6 @@ func (m *mutableSegment) seal(cfg IndexConfig, partition int) (*Segment, error) 
 		Schema:    m.schema.Clone(),
 		NumRows:   m.n,
 		Columns:   make(map[string]*column, len(m.cols)),
-		Sealed:    true,
 		Partition: partition,
 	}
 	for ci := range m.cols {

@@ -154,8 +154,8 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 	if got.MinTime != seg.MinTime || got.MaxTime != seg.MaxTime {
 		t.Fatalf("time bounds = [%d, %d], want [%d, %d]", got.MinTime, got.MaxTime, seg.MinTime, seg.MaxTime)
 	}
-	if got.Sealed != seg.Sealed || got.Partition != seg.Partition {
-		t.Fatalf("sealed/partition mismatch: %v/%d vs %v/%d", got.Sealed, got.Partition, seg.Sealed, seg.Partition)
+	if got.Partition != seg.Partition {
+		t.Fatalf("partition mismatch: %d vs %d", got.Partition, seg.Partition)
 	}
 	// Every column type decodes identically, including absent (null)
 	// values of the nullable bool column.

@@ -108,7 +108,7 @@ func (t *StarTree) buildNode(rows []starRow, level int) *StarNode {
 	t.Nodes++
 	node := &StarNode{Level: level}
 	if level >= len(t.Cfg.Dimensions) || len(rows) <= t.Cfg.MaxLeafRecords {
-		node.Rows = aggregateRows(rows, level, len(t.Cfg.Dimensions))
+		node.Rows = aggregateRows(rows)
 		return node
 	}
 	groups := make(map[int][]starRow)
@@ -124,29 +124,25 @@ func (t *StarTree) buildNode(rows []starRow, level int) *StarNode {
 	return node
 }
 
-// aggregateRows merges rows with identical remaining-dimension tuples.
-func aggregateRows(rows []starRow, fromLevel, nDims int) []starRow {
-	type key string
-	groups := make(map[key]*starRow)
-	var order []key
+// aggregateRows merges rows with identical dimension tuples, in order of
+// first sight; a record.KeyIndex numbers the tuples, each code a number.
+func aggregateRows(rows []starRow) []starRow {
+	var index record.KeyIndex
+	var key []byte
+	var out []starRow
 	for _, r := range rows {
-		k := dimsKey(r.Dims)
-		g, ok := groups[key(k)]
-		if !ok {
-			cp := starRow{Dims: append([]int(nil), r.Dims...), Count: r.Count, Aggs: make([]record.Agg, len(r.Aggs))}
-			copy(cp.Aggs, r.Aggs)
-			groups[key(k)] = &cp
-			order = append(order, key(k))
+		key = key[:0]
+		for _, d := range r.Dims {
+			key = record.AppendCellKey(key, true, uint64(d), "", true)
+		}
+		if g, found := index.AddKey(false, 0, key, true); found {
+			out[g].Count += r.Count
+			for i := range out[g].Aggs {
+				out[g].Aggs[i].Merge(r.Aggs[i])
+			}
 			continue
 		}
-		g.Count += r.Count
-		for i := range g.Aggs {
-			g.Aggs[i].Merge(r.Aggs[i])
-		}
-	}
-	out := make([]starRow, 0, len(groups))
-	for _, k := range order {
-		out = append(out, *groups[k])
+		out = append(out, starRow{Dims: slices.Clone(r.Dims), Count: r.Count, Aggs: slices.Clone(r.Aggs)})
 	}
 	return out
 }
@@ -155,21 +151,11 @@ func aggregateRows(rows []starRow, fromLevel, nDims int) []starRow {
 func collapseDim(rows []starRow, level int) []starRow {
 	collapsed := make([]starRow, len(rows))
 	for i, r := range rows {
-		dims := append([]int(nil), r.Dims...)
-		dims[level] = -1
-		aggs := make([]record.Agg, len(r.Aggs))
-		copy(aggs, r.Aggs)
-		collapsed[i] = starRow{Dims: dims, Count: r.Count, Aggs: aggs}
+		collapsed[i] = r
+		collapsed[i].Dims = slices.Clone(r.Dims)
+		collapsed[i].Dims[level] = -1
 	}
-	return aggregateRows(collapsed, level, len(collapsed))
-}
-
-func dimsKey(dims []int) string {
-	b := make([]byte, 0, len(dims)*4)
-	for _, d := range dims {
-		b = append(b, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-	}
-	return string(b)
+	return aggregateRows(collapsed)
 }
 
 // check verifies a decoded tree against its segment: its dimensions and

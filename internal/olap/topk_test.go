@@ -118,7 +118,7 @@ func TestTopKTrimmedMatchesExactUniqueKeys(t *testing.T) {
 // boundary, a trimmed top-K returns the rows TrimExact does. The segment
 // trim, the server trim and Finalize break a tie by one rule, ascending
 // group value, so "n10" never outranks "n2" as text and a consuming
-// string's insertion order or a hashed group's code spelling never decides
+// string's insertion order or a keyed group's code spelling never decides
 // which groups survive. Every group here has one row, so every COUNT ties.
 // Ordered selections break a tie by ascending value of the selected
 // columns, so neither the cut nor the order servers finish in decides
@@ -143,7 +143,7 @@ func TestTrimTiesMatchExact(t *testing.T) {
 		{"numeric/consuming", 40, 50, []string{"items"}, []any{int64(1), int64(2)}},
 		{"string/consuming", 40, 50, []string{"order_id"}, []any{"o-1", "o-10"}},
 		// Four unique columns of 100-row segments: a code space of 101^4,
-		// past maxCodeSpace, so the sealed scans hash.
+		// past maxCodeSpace, so the sealed scans group through the key index.
 		{"numeric/sealed-hashed", 200, 100, []string{"items", "order_id", "amount", "ts"}, []any{int64(1), int64(2)}},
 		{"string/sealed-hashed", 200, 100, []string{"order_id", "items", "amount", "ts"}, []any{"o-1", "o-10"}},
 	} {

@@ -1,11 +1,9 @@
 package olap
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-	"strconv"
 
 	"repro/internal/metadata"
 	"repro/internal/record"
@@ -116,6 +114,20 @@ func (v *colView) appendCode(out *record.Vector, code int) {
 	default:
 		out.Ints = append(out.Ints, v.dict.Ints[code])
 	}
+}
+
+// cellKey is row i's group key as a number: its code in a code layout,
+// which within one segment stands for one value, its record.CanonBits in a
+// raw one. ok is false for NULL.
+func (v *colView) cellKey(i int) (num uint64, ok bool) {
+	switch {
+	case v.coded():
+		code := v.code(i)
+		return uint64(code), code != v.null
+	case v.present != nil && !v.present[i]:
+		return 0, false
+	}
+	return record.CanonBits(v.num(i)), true
 }
 
 func (v *colView) isNull(i int) bool {
@@ -865,7 +877,8 @@ const maxCodeSpace = 1 << 16
 // the scan is over: then each group's key is gathered, typed, from its first
 // row, and the top-K trim runs over the typed table (partial). Slots are
 // handed out in first-row order, so the array holds exactly the groups that
-// have a row. A row finds its slot in one of four ways, chosen once per scan:
+// have a row. A row finds its slot in one of three ways, chosen once per
+// scan:
 //
 //   - no group-by: one slot;
 //   - every group-by column carries dictionary codes and their code space
@@ -874,11 +887,10 @@ const maxCodeSpace = 1 << 16
 //     digit like any other — and a table maps id to slot. No per-row key or
 //     hashing: the columnar execution style that gives Pinot its latency
 //     edge;
-//   - one raw numeric column: its record.CanonBits index the slot, as they
-//     index the partial's group table;
-//   - otherwise (a raw numeric column among several, or a larger code
-//     space): the row's codes and values are spelled into a byte key that
-//     hashes to the slot.
+//   - otherwise (a raw numeric column, or a larger code space): a
+//     record.KeyIndex numbers the groups, as it numbers the partial's — one
+//     column by its cell (colView.cellKey), a tuple by its cells spelled by
+//     record.AppendCellKey.
 type grouper struct {
 	cols  []*colView
 	naggs int
@@ -893,15 +905,8 @@ type grouper struct {
 	table []int32
 	radix []int
 
-	// Grouping by one raw numeric column: slot by CanonBits, and the NULL
-	// group's slot plus one (0: none yet).
-	nums map[uint64]int32
-	null int32
-
-	// Hashed grouping: slot by byte key, carved from arena.
-	index map[string]int32
-	key   []byte
-	arena []byte
+	// Otherwise: slot by key.
+	keys record.KeyIndex
 }
 
 // newGrouper picks the grouping form for the columns of a scan of n rows.
@@ -921,14 +926,9 @@ func newGrouper(cols []*colView, naggs, n int) *grouper {
 		g.radix[ci] = c.numCodes()
 		space *= g.radix[ci]
 	}
-	switch {
-	case space <= limit:
+	if space <= limit {
 		g.table = make([]int32, space)
 		g.accs = make([]aggState, 0, min(space, 64)*naggs)
-	case len(cols) == 1 && !cols[0].coded():
-		g.nums = make(map[uint64]int32)
-	default:
-		g.index = make(map[string]int32)
 	}
 	return g
 }
@@ -959,14 +959,13 @@ func (g *grouper) assign(sel []int32) []int32 {
 			g.addSlot(sel[0])
 		}
 		return slots
-	case g.nums != nil:
+	case g.table == nil:
+		// A row's tuple is spelled into buf, on the stack; a tuple that
+		// outgrows it moves to the heap once per batch, not per row.
+		var buf [128]byte
+		key := buf[:0]
 		for j, i := range sel {
-			slots[j] = g.numSlot(i)
-		}
-		return slots
-	case g.index != nil:
-		for j, i := range sel {
-			slots[j] = g.hashed(i)
+			slots[j], key = g.keyed(i, key[:0])
 		}
 		return slots
 	}
@@ -995,53 +994,26 @@ func (g *grouper) assign(sel []int32) []int32 {
 	return slots
 }
 
-// numSlot finds or creates the slot of row i's group under one raw numeric
-// column.
-func (g *grouper) numSlot(i int32) int32 {
-	c := g.cols[0]
-	if c.isNull(int(i)) {
-		if g.null == 0 {
-			g.null = g.addSlot(i) + 1
+// keyed finds or creates the slot of row i's group in the key index: one
+// column by its cell, several by their cells spelled into key, which it
+// returns for the next row.
+func (g *grouper) keyed(i int32, key []byte) (int32, []byte) {
+	var k int
+	var found bool
+	if len(g.cols) == 1 {
+		num, ok := g.cols[0].cellKey(int(i))
+		k, found = g.keys.AddKey(true, num, nil, ok)
+	} else {
+		for _, c := range g.cols {
+			num, ok := c.cellKey(int(i))
+			key = record.AppendCellKey(key, true, num, "", ok)
 		}
-		return g.null - 1
+		k, found = g.keys.AddKey(false, 0, key, true)
 	}
-	bits := record.CanonBits(c.num(int(i)))
-	if slot, ok := g.nums[bits]; ok {
-		return slot
+	if !found {
+		g.addSlot(i)
 	}
-	slot := g.addSlot(i)
-	g.nums[bits] = slot
-	return slot
-}
-
-// hashed finds or creates the slot of row i's group. The key spells each
-// column's code ("~" for NULL) — or, for a raw numeric column, its value.
-func (g *grouper) hashed(i int32) int32 {
-	key := g.key[:0]
-	for _, c := range g.cols {
-		switch {
-		case c.coded():
-			if code := c.code(int(i)); code != c.null {
-				key = strconv.AppendInt(key, int64(code), 10)
-			} else {
-				key = append(key, '~')
-			}
-		case c.isNull(int(i)):
-			key = append(key, '~')
-		default:
-			// '=' and eight bytes: fixed width, so no value can pass for "~|"
-			// followed by the next column.
-			key = binary.LittleEndian.AppendUint64(append(key, '='), record.CanonBits(c.num(int(i))))
-		}
-		key = append(key, '|')
-	}
-	g.key = key
-	if slot, ok := g.index[string(key)]; ok {
-		return slot
-	}
-	slot := g.addSlot(i)
-	g.index[record.Intern(&g.arena, key)] = slot
-	return slot
+	return int32(k), key
 }
 
 // partial hands the scan's groups over as the segment's mergeable partial:

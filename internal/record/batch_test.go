@@ -10,7 +10,7 @@ import (
 
 // TestVectorBoxesWhatItHolds: a typed vector gives back each cell in the
 // value and Go type a record holds, NULLs as nil, as a Value of its type and
-// as its canonical key; appending rows keeps type and NULLs, rows of another
+// under the key its boxed cell has; appending rows keeps type and NULLs, rows of another
 // type box the vector, and Slice, Size and AppendRows read the vector as it
 // is.
 func TestVectorBoxesWhatItHolds(t *testing.T) {
@@ -39,8 +39,8 @@ func TestVectorBoxesWhatItHolds(t *testing.T) {
 			if got := v.Box(r); !reflect.DeepEqual(got, x) || v.IsNull(r) != (x == nil) {
 				t.Errorf("%s row %d: Box %#v (NULL %v), want %#v", c.typ, r, got, v.IsNull(r), x)
 			}
-			if got, want := string(v.AppendKey(nil, r)), string(AppendValueKey(nil, x)); got != want {
-				t.Errorf("%s row %d: key %q, want %q", c.typ, r, got, want)
+			if got, want := keyOf(&v, r), keyOf(&Vector{Any: []any{x}}, 0); got != want {
+				t.Errorf("%s row %d: key %+v, want the boxed cell's %+v", c.typ, r, got, want)
 			}
 			if !v.Boxed() && !reflect.DeepEqual(v.Value(r).Box(c.typ), x) {
 				t.Errorf("%s row %d: Value boxes to %#v, want %#v", c.typ, r, v.Value(r).Box(c.typ), x)

@@ -2,6 +2,8 @@ package record
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 	"unsafe"
 
 	"repro/internal/metadata"
@@ -10,19 +12,22 @@ import (
 // KeyIndex numbers the distinct keys it is shown — 0, 1, 2, … in order of
 // first sight — so a table of groups, or a join's build side, is typed
 // vectors and slices indexed by that number, with no heap object per key.
-// A key is one row of a tuple of vectors, and two keys are one exactly when
-// AppendValueKey spells them the same, whichever vector types hold them: a
-// single column is indexed by Vector.Key's classes — a number by its
-// CanonBits, a text by itself, NULL a key of its own — and a tuple by
-// appendCellKey's bytes carved from an arena, so neither formats a number
-// nor quotes a string per row. The zero value is an empty index.
+// It is the one decision of which rows form one group. A key is one row of a
+// tuple of cells, and two keys are one exactly when their cells are,
+// pairwise, one value by Vector.Key's classes, whichever vector types hold
+// them: NULL is one value; two numbers are one when their CanonBits are
+// (int64(3) and float64(3), -0 and 0, every NaN); two texts when their bytes
+// are; a number is never a text. A single column is indexed by those classes
+// and a tuple by its cells spelled by AppendCellKey, carved from an arena,
+// so neither formats a number nor quotes a string per row. The zero value
+// is an empty index.
 type KeyIndex struct {
 	n     int32
 	nums  map[uint64]int32 // a single column's numbers → key
 	strs  map[string]int32 // its texts, or a tuple's key bytes → key
-	null  int32            // key+1 of a single column's NULL; 0: none
+	null  int32            // key+1 of a single column's NULL, or the empty tuple; 0: none
 	buf   []byte           // scratch: a tuple's key bytes
-	arena []byte           // backing of the tuple keys in strs
+	arena []byte           // backing of the key bytes in strs
 }
 
 // Reserve makes the index's maps, empty, sized for n keys of the shape of
@@ -49,50 +54,78 @@ func (x *KeyIndex) Add(key []Vector, r int) (int, bool) { return x.lookup(key, r
 // false when it is not indexed.
 func (x *KeyIndex) Find(key []Vector, r int) (int, bool) { return x.lookup(key, r, false) }
 
-func (x *KeyIndex) lookup(key []Vector, r int, add bool) (int, bool) {
-	if add && x.nums == nil {
-		x.Reserve(key, 0)
+// AddKey is Add for a key its caller has classified, so a scan that reads
+// cells out of layouts of its own builds no vectors to group: a
+// single-column key as Vector.Key classifies its cell (ok false for NULL),
+// or a tuple as text — ok true, num false — its cells spelled in order by
+// AppendCellKey. One index takes keys of one shape. A new text is copied
+// into the arena, so the caller may reuse its bytes.
+func (x *KeyIndex) AddKey(num bool, bits uint64, text []byte, ok bool) (int, bool) {
+	if num || !ok {
+		return x.class(num, bits, "", ok, true)
 	}
+	return x.spelled(text, true)
+}
+
+func (x *KeyIndex) lookup(key []Vector, r int, add bool) (int, bool) {
+	switch len(key) {
+	case 0: // one key, the empty tuple
+		return x.class(false, 0, "", false, add)
+	case 1:
+		num, bits, text, ok := key[0].Key(r)
+		return x.class(num, bits, text, ok, add)
+	}
+	x.buf = x.buf[:0]
+	for c := range key {
+		num, bits, text, ok := key[c].Key(r)
+		x.buf = AppendCellKey(x.buf, num, bits, text, ok)
+	}
+	return x.spelled(x.buf, add)
+}
+
+// spelled finds a key given as bytes the caller reuses and, when add is set
+// and it is new, indexes a copy carved from the arena.
+func (x *KeyIndex) spelled(key []byte, add bool) (int, bool) {
+	if at, found := x.strs[string(key)]; found {
+		return int(at), true
+	}
+	if !add {
+		return -1, false
+	}
+	return x.class(false, 0, x.intern(key), true, true)
+}
+
+// class finds a key by its class and, when add is set and it is new,
+// indexes it under the next number.
+func (x *KeyIndex) class(num bool, bits uint64, text string, ok, add bool) (int, bool) {
 	k := x.n
 	switch {
-	case len(key) == 0: // one key, the empty tuple
-		if x.n > 0 {
-			return 0, true
+	case !ok:
+		if x.null > 0 {
+			return int(x.null - 1), true
 		}
-	case len(key) > 1:
-		x.buf = x.buf[:0]
-		for c := range key {
-			x.buf = key[c].appendCellKey(x.buf, r)
+		if add {
+			x.null = k + 1
 		}
-		if at, ok := x.strs[string(x.buf)]; ok {
+	case num:
+		if at, found := x.nums[bits]; found {
 			return int(at), true
 		}
 		if add {
-			x.strs[Intern(&x.arena, x.buf)] = k
+			if x.nums == nil {
+				x.nums = make(map[uint64]int32)
+			}
+			x.nums[bits] = k
 		}
 	default:
-		switch num, bits, text, ok := key[0].Key(r); {
-		case !ok:
-			if x.null > 0 {
-				return int(x.null - 1), true
+		if at, found := x.strs[text]; found {
+			return int(at), true
+		}
+		if add {
+			if x.strs == nil {
+				x.strs = make(map[string]int32)
 			}
-			if add {
-				x.null = k + 1
-			}
-		case num:
-			if at, ok := x.nums[bits]; ok {
-				return int(at), true
-			}
-			if add {
-				x.nums[bits] = k
-			}
-		default:
-			if at, ok := x.strs[text]; ok {
-				return int(at), true
-			}
-			if add {
-				x.strs[text] = k
-			}
+			x.strs[text] = k
 		}
 	}
 	if !add {
@@ -102,28 +135,69 @@ func (x *KeyIndex) lookup(key []Vector, r int, add bool) (int, bool) {
 	return int(k), false
 }
 
-// appendCellKey appends row r's key encoding by Key's classes: a tag, then a
-// number's CanonBits or a text's length and bytes; NULL is the tag alone.
-// The length prefix keeps a tuple's keys from aliasing.
-func (v *Vector) appendCellKey(key []byte, r int) []byte {
-	switch num, bits, text, ok := v.Key(r); {
+// intern returns a copy of s carved from the arena: an index of byte keys
+// allocates a chunk, each twice the last, not a string per key. Bytes once
+// carved are never written again.
+func (x *KeyIndex) intern(s []byte) string {
+	if len(s) == 0 {
+		return ""
+	}
+	if len(x.arena)+len(s) > cap(x.arena) {
+		x.arena = make([]byte, 0, max(256, 2*cap(x.arena), len(s)))
+	}
+	at := len(x.arena)
+	x.arena = append(x.arena, s...)
+	return unsafe.String(&x.arena[at], len(s))
+}
+
+// AppendCellKey appends one cell's key by Vector.Key's classes: a tag, then
+// a number's bits or a text's length and bytes; NULL (ok false) is the tag
+// alone. The fixed width and the length prefix keep one tuple's cells from
+// passing for another's.
+func AppendCellKey(key []byte, num bool, bits uint64, text string, ok bool) []byte {
+	switch {
 	case !ok:
 		return append(key, 0)
 	case num:
 		return binary.LittleEndian.AppendUint64(append(key, 1), bits)
-	default:
-		return append(binary.AppendUvarint(append(key, 2), uint64(len(text))), text...)
 	}
+	return append(binary.AppendUvarint(append(key, 2), uint64(len(text))), text...)
 }
 
-// Intern returns a string of key's bytes carved from the arena: a table of
-// byte keys allocates a chunk, each twice the last, not a string per key.
-// Bytes once carved are never written again.
-func Intern(arena *[]byte, key []byte) string {
-	if len(*arena)+len(key) > cap(*arena) {
-		*arena = make([]byte, 0, max(256, 2*cap(*arena), len(key)))
+// Key classifies row r as KeyIndex groups it: a number and its CanonBits,
+// or a text — a string as the vector holds it, any other non-number its %v
+// form. ok is false for NULL.
+func (v *Vector) Key(r int) (num bool, bits uint64, text string, ok bool) {
+	switch {
+	case v.IsNull(r):
+		return false, 0, "", false
+	case v.Type == metadata.TypeString:
+		return false, 0, v.Strs[r], true
+	case v.Type == metadata.TypeDouble:
+		return true, CanonBits(v.Floats[r]), "", true
+	case v.Type != metadata.TypeInvalid && v.Type != metadata.TypeBytes:
+		return true, CanonBits(float64(v.Ints[r])), "", true
 	}
-	at := len(*arena)
-	*arena = append(*arena, key...)
-	return unsafe.String(&(*arena)[at], len(key))
+	x := v.Box(r)
+	if f, isNum := ToFloat64(x); isNum {
+		return true, CanonBits(f), "", true
+	}
+	s, isStr := x.(string)
+	if !isStr {
+		s = fmt.Sprintf("%v", x)
+	}
+	return false, 0, s, true
+}
+
+// CanonBits is a number's key: its float64 bits, with every NaN as one and
+// -0 as 0, so two numbers get the same bits exactly when they are one group
+// value. It is the one place that canonicalization is decided.
+func CanonBits(f float64) uint64 {
+	switch {
+	case f != f:
+		f = math.NaN()
+	case f == 0:
+		f = 0
+	}
+	return math.Float64bits(f)
 }

@@ -1,32 +1,82 @@
 package record
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
+
+	"repro/internal/metadata"
 )
+
+// oneValue is the class rule KeyIndex keys by, stated on the values
+// themselves: NULL is one value; two numbers are one when they are equal or
+// both NaN (so -0 is 0, int64(3) is float64(3) and a long past 2^53 is the
+// double it rounds to); anything else is text, one when its %v form is; a
+// number is never a text.
+func oneValue(a, b any) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	fa, aNum := ToFloat64(a)
+	fb, bNum := ToFloat64(b)
+	switch {
+	case aNum && bNum:
+		return fa == fb || fa != fa && fb != fb
+	case aNum || bNum:
+		return false
+	}
+	return fmt.Sprint(a) == fmt.Sprint(b)
+}
+
+// cellVectors holds x as a one-row boxed vector and, where a vector type
+// holds it, a typed one.
+func cellVectors(x any) []Vector {
+	boxed := Vector{Any: []any{x}}
+	typed := Vector{Type: TypeOf(x)}
+	typed.Append(x)
+	return []Vector{boxed, typed}
+}
+
+// cellKey is Vector.Key's classes of one cell, comparable.
+type cellKey struct {
+	num  bool
+	bits uint64
+	text string
+	ok   bool
+}
+
+func keyOf(v *Vector, r int) (k cellKey) {
+	k.num, k.bits, k.text, k.ok = v.Key(r)
+	return k
+}
+
+// spelled is a tuple's key as AddKey takes it: each cell by Vector.Key's
+// classes, spelled by AppendCellKey.
+func spelled(key []Vector) []byte {
+	var b []byte
+	for c := range key {
+		num, bits, text, ok := key[c].Key(0)
+		b = AppendCellKey(b, num, bits, text, ok)
+	}
+	return b
+}
 
 // TestKeyIndexKeepsTheCanonicalClasses: the group and join tables of every
 // engine look keys up in a KeyIndex, so two cells must find one key exactly
-// when AppendValueKey spells them the same — whether a column holds the cell
-// boxed or typed, alone or in a tuple — and a string's bytes must not let one
-// tuple pass for another.
+// when they are one value by the class rule — whether a column holds the
+// cell boxed or typed, alone or in a tuple — and a string's bytes must not
+// let one tuple pass for another.
 func TestKeyIndexKeepsTheCanonicalClasses(t *testing.T) {
 	values := []any{nil, int64(3), float64(3), 3, true, int64(1), false, 0.0, math.Copysign(0, -1), math.NaN(), -math.NaN(),
-		math.Inf(1), math.Inf(-1), 1e300, int64(1) << 60, "3", "", "~", "n3|", "<nil>", "a|b", `a"b`, []byte("3"), []string{"3"}}
-	// Each value as a boxed cell and, where a vector type holds it, a typed one.
-	cells := func(x any) []Vector {
-		boxed := Vector{Any: []any{x}}
-		typed := Vector{Type: TypeOf(x)}
-		typed.Append(x)
-		return []Vector{boxed, typed}
-	}
+		math.Inf(1), math.Inf(-1), 1e300, int64(1) << 60, int64(1)<<53 + 1, float64(1 << 53), "3", "", "~", "n3|", "<nil>",
+		"a|b", `a"b`, []byte("3"), []string{"3"}}
 	tail := Vector{Any: []any{"tail"}}
 	for _, a := range values {
 		for _, b := range values {
-			canon := string(AppendValueKey(nil, a)) == string(AppendValueKey(nil, b))
-			for _, va := range cells(a) {
-				for _, vb := range cells(b) {
+			same := oneValue(a, b)
+			for _, va := range cellVectors(a) {
+				for _, vb := range cellVectors(b) {
 					for _, shape := range []struct {
 						name   string
 						ka, kb []Vector
@@ -36,9 +86,9 @@ func TestKeyIndexKeepsTheCanonicalClasses(t *testing.T) {
 					} {
 						var x KeyIndex
 						x.Add(shape.ka, 0)
-						if _, found := x.Find(shape.kb, 0); found != canon {
-							t.Errorf("%s %#v (%v) and %#v (%v): same canonical key %v, same index key %v",
-								shape.name, a, va.Type, b, vb.Type, canon, found)
+						if _, found := x.Find(shape.kb, 0); found != same {
+							t.Errorf("%s %#v (%v) and %#v (%v): one value %v, one index key %v",
+								shape.name, a, va.Type, b, vb.Type, same, found)
 						}
 					}
 				}
@@ -52,6 +102,59 @@ func TestKeyIndexKeepsTheCanonicalClasses(t *testing.T) {
 		if _, found := x.Find([]Vector{{Any: []any{pair[2]}}, {Any: []any{pair[3]}}}, 0); found {
 			t.Errorf("tuple keys %q alias", pair)
 		}
+	}
+}
+
+// TestVectorKeyKeepsTheClasses: Vector.Key puts two cells in one class and
+// one key exactly when they are one value — int64(3) is float64(3), -0 is
+// 0, every NaN is one, a string is never a number, NULL is apart — read
+// typed or boxed; and Vector.Compare orders them as Compare does.
+func TestVectorKeyKeepsTheClasses(t *testing.T) {
+	cells := []any{nil, int64(3), 3.0, -0.0, 0.0, int64(0), math.NaN(), math.Inf(1), "3", "", true, int64(1), "a|b"}
+	vectors := func(x any) []*Vector {
+		typed := &Vector{}
+		typed.Reset(TypeOf(x))
+		if x == nil {
+			typed.Reset(metadata.TypeString)
+		}
+		typed.Append(x)
+		boxed := &Vector{}
+		boxed.Append(x)
+		return []*Vector{typed, boxed}
+	}
+	for _, a := range cells {
+		for _, b := range cells {
+			same := oneValue(a, b)
+			for _, va := range vectors(a) {
+				for _, vb := range vectors(b) {
+					if ka, kb := keyOf(va, 0), keyOf(vb, 0); (ka == kb) != same {
+						t.Errorf("Key(%#v) = %+v, Key(%#v) = %+v; one value %v", a, ka, b, kb, same)
+					}
+				}
+			}
+		}
+	}
+	// Vector.Compare is Compare, typed or boxed.
+	for _, a := range cells {
+		for _, b := range cells {
+			typ := TypeOf(a)
+			if typ == metadata.TypeInvalid {
+				typ = TypeOf(b)
+			}
+			if tb := TypeOf(b); tb != typ && tb != metadata.TypeInvalid {
+				typ = metadata.TypeInvalid // mixed: a boxed column
+			}
+			v := &Vector{}
+			v.Reset(typ)
+			v.Append(a)
+			v.Append(b)
+			if got, want := v.Compare(0, 1), Compare(a, b); got != want {
+				t.Errorf("Vector.Compare(%#v, %#v) = %d, Compare = %d", a, b, got, want)
+			}
+		}
+	}
+	if CanonBits(math.Copysign(0, -1)) != CanonBits(0) || CanonBits(math.NaN()) != CanonBits(-math.NaN()) {
+		t.Error("CanonBits keeps -0 or a NaN's sign apart")
 	}
 }
 
@@ -82,4 +185,76 @@ func TestKeyIndexNumbersKeysInOrder(t *testing.T) {
 	if k, ok := x.Add([]Vector{col}, 0); ok || k != 0 {
 		t.Errorf("Add after a Find that missed: %d, %v, want key 0, new", k, ok)
 	}
+}
+
+// fuzzCell draws one cell: the values fuzzValue draws, a float64 from raw
+// bits (every NaN payload, -0, subnormals), and a long within a few of 2^53,
+// where longs start to share a double.
+func fuzzCell(kind uint8, i int64, f float64, s string) any {
+	switch kind %= 9; kind {
+	case 7:
+		return math.Float64frombits(uint64(i))
+	case 8:
+		return int64(1)<<53 + i%4
+	}
+	return fuzzValue(kind, i, f, s)
+}
+
+// FuzzKeyIndex: two rows of two cells each, every cell boxed or typed as
+// mode's bits pick, get one number from a KeyIndex exactly when they are one
+// value by the class rule (oneValue) — as a single column and as a tuple,
+// through Add and through AddKey with the tuple spelled by AppendCellKey —
+// and a reused scratch never changes a key once indexed.
+func FuzzKeyIndex(f *testing.F) {
+	f.Add(uint8(1), int64(3), 0.0, "", uint8(2), int64(0), 3.0, "", uint8(5), int64(0), 0.0, "3", uint8(2), int64(0), 3.0, "", uint8(0))
+	f.Add(uint8(7), int64(0x7ff8000000000001), 0.0, "", uint8(2), int64(0), math.NaN(), "", uint8(2), int64(0), math.Copysign(0, -1), "", uint8(1), int64(0), 0.0, "", uint8(5))
+	f.Add(uint8(8), int64(1), 0.0, "", uint8(2), int64(0), float64(1<<53), "", uint8(4), int64(1), 0.0, "", uint8(1), int64(1), 0.0, "", uint8(10))
+	f.Add(uint8(5), int64(0), 0.0, "a\x02\x01b", uint8(5), int64(0), 0.0, "c", uint8(5), int64(0), 0.0, "a", uint8(5), int64(0), 0.0, "b\x02\x01c", uint8(15))
+	f.Add(uint8(6), int64(0), 0.0, "3", uint8(5), int64(0), 0.0, "[51]", uint8(0), int64(0), 0.0, "", uint8(5), int64(0), 0.0, "1e3", uint8(3))
+	f.Add(uint8(5), int64(0), 0.0, "", uint8(2), int64(0), 3.0, "", uint8(5), int64(0), 0.0, "", uint8(2), int64(0), 0.5, "", uint8(0))
+	f.Fuzz(func(t *testing.T, ka uint8, ia int64, fa float64, sa string, kb uint8, ib int64, fb float64, sb string,
+		kc uint8, ic int64, fc float64, sc string, kd uint8, id int64, fd float64, sd string, mode uint8) {
+		vals := [4]any{fuzzCell(ka, ia, fa, sa), fuzzCell(kb, ib, fb, sb), fuzzCell(kc, ic, fc, sc), fuzzCell(kd, id, fd, sd)}
+		var cols [4]Vector
+		for c, x := range vals {
+			cols[c] = cellVectors(x)[mode>>c&1]
+		}
+		// Row a is cells 0 and 1, row b cells 2 and 3.
+		rows := [2][]Vector{cols[0:2], cols[2:4]}
+		for _, shape := range []struct {
+			name string
+			cut  int
+			same bool
+		}{
+			{"single", 1, oneValue(vals[0], vals[2])},
+			{"tuple", 2, oneValue(vals[0], vals[2]) && oneValue(vals[1], vals[3])},
+		} {
+			var byAdd, byKey KeyIndex
+			var nums [2][2]int
+			for r, row := range rows {
+				key := row[:shape.cut]
+				nums[r][0], _ = byAdd.Add(key, 0)
+				if shape.cut == 1 {
+					num, bits, text, ok := key[0].Key(0)
+					nums[r][1], _ = byKey.AddKey(num, bits, []byte(text), ok)
+				} else {
+					scratch := spelled(key)
+					nums[r][1], _ = byKey.AddKey(false, 0, scratch, true)
+					clear(scratch)
+				}
+			}
+			for via, name := range []string{"Add", "AddKey"} {
+				if got := nums[0][via] == nums[1][via]; got != shape.same {
+					t.Fatalf("%s %s: %#v and %#v numbered %d and %d; one value %v",
+						shape.name, name, vals[:shape.cut], vals[2:2+shape.cut], nums[0][via], nums[1][via], shape.same)
+				}
+			}
+			if k, found := byAdd.Find(rows[1][:shape.cut], 0); !found || k != nums[1][0] {
+				t.Fatalf("%s: Find of an indexed key = %d, %v, want %d", shape.name, k, found, nums[1][0])
+			}
+			if k, found := byKey.AddKey(false, 0, spelled(rows[0][:shape.cut]), true); shape.cut == 2 && (!found || k != nums[0][1]) {
+				t.Fatalf("tuple: AddKey after its scratch was cleared = %d, %v, want %d", k, found, nums[0][1])
+			}
+		}
+	})
 }

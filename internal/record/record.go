@@ -46,19 +46,11 @@ func (r Record) Long(name string) int64 {
 	}
 }
 
-// Double returns the named field coerced to float64. Missing fields and
-// non-numeric values return 0.
+// Double returns the named field coerced to float64 as ToFloat64 reads it:
+// bools are 0 or 1. Missing fields and non-numeric values return 0.
 func (r Record) Double(name string) float64 {
-	switch v := r[name].(type) {
-	case float64:
-		return v
-	case int64:
-		return float64(v)
-	case int:
-		return float64(v)
-	default:
-		return 0
-	}
+	f, _ := ToFloat64(r[name])
+	return f
 }
 
 // String returns the named field coerced to string; non-strings format with

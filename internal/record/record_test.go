@@ -52,6 +52,16 @@ func TestAccessors(t *testing.T) {
 	if r.Double("fare") != 12.75 || r.Double("id") != 42 || r.Double("missing") != 0 {
 		t.Error("Double accessor wrong")
 	}
+	if r.Double("ok") != 1 {
+		t.Errorf("Double(ok) = %v, want 1", r.Double("ok"))
+	}
+	// A Row reads its cells by the same rule: a bool is 1 or 0 either way.
+	row := Row{Schema: &metadata.Schema{Fields: []metadata.Field{
+		{Name: "ok", Type: metadata.TypeBool}, {Name: "city", Type: metadata.TypeString}, {Name: "id", Type: metadata.TypeLong},
+	}}, Vals: []Value{{I: 1}, {B: []byte("sf")}, {I: 42}}}
+	if row.Double(0) != 1 || row.Long(0) != 1 || row.Double(1) != 0 || row.Double(2) != 42 || row.Double(-1) != 0 {
+		t.Errorf("Row accessors: Double %v %v %v, Long(ok) %v", row.Double(0), row.Double(1), row.Double(2), row.Long(0))
+	}
 	if r.String("city") != "sf" || r.String("missing") != "" {
 		t.Error("String accessor wrong")
 	}

@@ -45,7 +45,7 @@ func (r Row) Long(i int) int64 {
 }
 
 // Double returns cell i coerced to float64 by Record.Double's rule: longs
-// convert, anything but a number is 0. NULL and i < 0 are 0.
+// convert, bools are 0 or 1, strings and bytes are 0. NULL and i < 0 are 0.
 func (r Row) Double(i int) float64 {
 	if i < 0 || r.Vals[i].Null {
 		return 0
@@ -53,10 +53,10 @@ func (r Row) Double(i int) float64 {
 	switch r.Schema.Fields[i].Type {
 	case metadata.TypeDouble:
 		return r.Vals[i].F
-	case metadata.TypeLong, metadata.TypeTimestamp:
-		return float64(r.Vals[i].I)
+	case metadata.TypeString, metadata.TypeBytes:
+		return 0
 	}
-	return 0
+	return float64(r.Vals[i].I)
 }
 
 // Binding maps the cells of one schema's rows onto another's by the rule a

@@ -58,9 +58,6 @@ type Config struct {
 	// MaxRetries is the number of retries before the strategy's terminal
 	// action (DLQ publish or drop). Ignored by StrategyBlock. Default 3.
 	MaxRetries int
-	// RetryBackoff is slept between retries. Default 0 (immediate), keeping
-	// tests and benchmarks fast.
-	RetryBackoff time.Duration
 	// MaxBlockRetries caps StrategyBlock's retry loop so experiments
 	// terminate; 0 means retry forever.
 	MaxBlockRetries int
@@ -165,9 +162,6 @@ func (p *Processor) processOne(m stream.Message) bool {
 		for {
 			p.retried.Add(1)
 			attempts++
-			if p.cfg.RetryBackoff > 0 {
-				time.Sleep(p.cfg.RetryBackoff)
-			}
 			if err := p.handler(m); err == nil {
 				p.processed.Add(1)
 				return true
@@ -180,9 +174,6 @@ func (p *Processor) processOne(m stream.Message) bool {
 	default:
 		for attempt := 0; attempt < p.cfg.MaxRetries; attempt++ {
 			p.retried.Add(1)
-			if p.cfg.RetryBackoff > 0 {
-				time.Sleep(p.cfg.RetryBackoff)
-			}
 			if err := p.handler(m); err == nil {
 				p.processed.Add(1)
 				return true
