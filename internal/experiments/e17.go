@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"time"
 
 	"repro/internal/olap"
@@ -54,7 +55,7 @@ func E17(rowsN int) []Row {
 	to := from + span/10
 	q := scatterGatherQuery()
 	windowed := *q
-	windowed.Time = &olap.TimeRange{From: from, To: to}
+	windowed.Filters = append(slices.Clip(q.Filters), olap.Filter{Column: "ts", Op: olap.OpBetween, Value: from, Value2: to})
 	broker := olap.NewBroker(allHot)
 	const iters = 20
 	measure := func(query *olap.Query) (time.Duration, *olap.QueryResponse) {

@@ -3,6 +3,7 @@ package fedsql
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/metadata"
@@ -425,5 +426,46 @@ func TestNegativeZeroGroupsWithZero(t *testing.T) {
 				checkRef(t, db, sql, res)
 			}
 		}
+	}
+}
+
+// TestSQLTimeFilterPrunesSegments: a WHERE on the time column pushed down to
+// Pinot prunes every sealed segment outside it before any scan, and EXPLAIN
+// reports how many.
+func TestSQLTimeFilterPrunesSegments(t *testing.T) {
+	d, err := olap.NewDeployment(olap.DeploymentConfig{
+		Table:        olap.TableConfig{Name: "orders", Schema: ordersSchema(), SegmentRows: 50},
+		Servers:      []*olap.Server{olap.NewServer("s0"), olap.NewServer("s1")},
+		SegmentStore: objstore.NewMemStore(),
+		Backup:       olap.BackupP2P,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := orderRows(200)
+	for i, r := range rows {
+		if err := d.Ingest(i%2, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinot := NewPinotConnector("pinot")
+	pinot.AddTable(d)
+	e := NewEngine()
+	e.Register(pinot)
+
+	past := rows[len(rows)-1].Long("ts") + 1
+	res, err := e.Query(fmt.Sprintf("SELECT COUNT(*) FROM pinot.orders WHERE ts >= %d", past))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := len(d.SegmentInfos())
+	if sealed == 0 || res.Stats.Exec.SegmentsPruned != sealed || res.Stats.Exec.SegmentsScanned != 0 {
+		t.Errorf("pruned %d and scanned %d of %d sealed segments, want all pruned", res.Stats.Exec.SegmentsPruned, res.Stats.Exec.SegmentsScanned, sealed)
+	}
+	if got := fmt.Sprint(res.Rows); got != "[[0]]" {
+		t.Errorf("rows = %s, want [[0]]", got)
+	}
+	if want := fmt.Sprintf("segments_time_pruned=%d", sealed); len(res.Plan) != 1 || !strings.Contains(res.Plan[0], want) {
+		t.Errorf("plan %q does not report %s", res.Plan, want)
 	}
 }

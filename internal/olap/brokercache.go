@@ -32,13 +32,13 @@ import (
 var ErrOverloaded = qcache.ErrOverloaded
 
 // Generation returns the table's mutation fingerprint: a counter bumped by
-// every ingest, seal, compaction, offload, drop and recovery. Result-cache
+// every ingest, seal, compaction, drop and recovery. Result-cache
 // entries record the generation observed before their execution and are
 // invalidated on any mismatch.
 func (d *Deployment) Generation() int64 { return d.gen.Load() }
 
-// bumpGen marks a data or residency mutation, invalidating every cached
-// result for the table.
+// bumpGen marks a data mutation, invalidating every cached result for the
+// table.
 func (d *Deployment) bumpGen() { d.gen.Add(1) }
 
 // ViewServer serves registered materialized-view shapes for a broker; the
@@ -114,18 +114,17 @@ func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query,
 	// Registered materialized views answer ahead of the qcache lookup: a
 	// view's state is maintained incrementally from the mutation feed, so —
 	// unlike cache entries, which any ingest invalidates — it keeps serving
-	// at hit latency regardless of write rate. Only ConsistencyFull shapes
-	// are served (views answer over all rows, like the cache) and a view
-	// hit never fills the cache: the same shape must not be double-served.
-	if b.views != nil && req.Consistency == ConsistencyFull {
-		if resp, stale, ok := b.views.ServeView(viewKey(b.d.cfg.Name, q)); ok {
+	// at hit latency regardless of write rate. A view hit never fills the
+	// cache: the same shape must not be double-served.
+	if b.views != nil {
+		if resp, stale, ok := b.views.ServeView(ViewKey(b.d.cfg.Name, q)); ok {
 			// Recorded as a root attribute, not a child span: the view path
 			// answers at hit latency and must stay inside the overhead budget.
 			obs.SpanFromContext(ctx).SetAttr("view", "hit")
 			return b.respondView(resp, stale), nil
 		}
 	}
-	if b.cache == nil && b.flight == nil {
+	if b.cache == nil { // the flight group comes with the cache
 		if b.admit == nil {
 			return b.executeAdmitted(ctx, req, q, router, nil)
 		}
@@ -143,19 +142,13 @@ func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query,
 	// Generation BEFORE any execution snapshot: entries stored under this
 	// fingerprint can never mask a mutation that lands mid-execution.
 	gen := b.d.Generation()
-	// Only ConsistencyFull responses are cached: hot-only answers depend on
-	// transient segment residency (a deep-store reload mid-flight changes
-	// them without any data mutation), so they always execute.
-	cacheable := b.cache != nil && req.Consistency == ConsistencyFull
-	if cacheable {
-		if v, ok := b.cache.Get(key, gen); ok {
-			// A root attribute, not a child span: the hit path is the
-			// tracing-overhead budget (E22 trace_overhead_x, DESIGN.md).
-			obs.SpanFromContext(ctx).SetAttr("cache", "hit")
-			return b.respond(v.(*QueryResponse), true, false, false), nil
-		}
-		obs.SpanFromContext(ctx).SetAttr("cache", "miss")
+	if v, ok := b.cache.Get(key, gen); ok {
+		// A root attribute, not a child span: the hit path is the
+		// tracing-overhead budget (E22 trace_overhead_x, DESIGN.md).
+		obs.SpanFromContext(ctx).SetAttr("cache", "hit")
+		return b.respond(v.(*QueryResponse), true, false, false), nil
 	}
+	obs.SpanFromContext(ctx).SetAttr("cache", "miss")
 
 	// queued/lateHit are only written by the exec closure, which runs in
 	// this goroutine (flight leaders run fn synchronously; followers never
@@ -168,17 +161,15 @@ func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query,
 		// Put (the leader removes its flight entry only after Put), so a
 		// late-arriving leader finds the entry here instead of executing
 		// the scatter-gather a second time.
-		if cacheable {
-			if v, ok := b.cache.Get(key, gen); ok {
-				lateHit = true
-				return v, nil
-			}
+		if v, ok := b.cache.Get(key, gen); ok {
+			lateHit = true
+			return v, nil
 		}
 		resp, err := b.executeAdmitted(ctx, req, q, router, &queued)
 		if err != nil {
 			return nil, err
 		}
-		if cacheable && b.d.Generation() == gen {
+		if b.d.Generation() == gen {
 			// Dead-on-arrival guard: if the table mutated while this
 			// execution ran, the entry could never serve a hit (every
 			// future Get carries a newer generation) yet it would sit in
@@ -191,16 +182,9 @@ func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query,
 		}
 		return resp, nil
 	}
-	if b.flight == nil {
-		v, err := exec()
-		if err != nil {
-			return nil, err
-		}
-		return b.respond(v.(*QueryResponse), lateHit, false, queued), nil
-	}
 	// The flight key includes the generation: a query arriving after a
 	// mutation never coalesces onto a pre-mutation execution, so coalescing
-	// preserves read-your-writes for ConsistencyFull callers.
+	// preserves read-your-writes.
 	fkey := key + "|g" + strconv.FormatInt(gen, 10)
 	for attempt := 0; ; attempt++ {
 		v, shared, err := b.flight.Do(ctx, fkey, exec)
@@ -290,45 +274,31 @@ func (b *Broker) respondView(src *QueryResponse, stalenessMs int64) *QueryRespon
 
 // requestKey canonicalizes everything that can change a request's result
 // rows: the full query shape (filters, group-by, aggregations, projection,
-// order, limit/offset, time window) plus the result-affecting execution
-// options (consistency, trim mode and budget, segment budget, router
-// strategy). Tenant, timeout and worker counts are deliberately excluded —
-// they never change the rows, so tenants share cache entries. The encoding
-// is injective: every list carries its length, every variable-length string
-// is length-prefixed (keyStr/keyValue), and the remaining fields are
-// fixed-format integers — so no string content, including separator
-// characters, can forge another request's key.
+// order, limit/offset) plus the result-affecting execution options (trim
+// mode and budget, segment budget, router strategy). Tenant, timeout and
+// worker counts are deliberately excluded — they never change the rows, so
+// tenants share cache entries. The encoding is injective: every list carries
+// its length, every variable-length string is length-prefixed
+// (keyStr/keyValue), and the remaining fields are fixed-format integers — so
+// no string content, including separator characters, can forge another
+// request's key.
 func requestKey(table string, req *QueryRequest, q *Query, routerName string) string {
 	var sb strings.Builder
 	sb.Grow(160)
 	keyStr(&sb, table)
 	keyStr(&sb, routerName)
-	fmt.Fprintf(&sb, "c%d,x%v,ts%d,ms%d,", req.Consistency, req.TrimExact, req.TrimSize, req.MaxSegments)
+	fmt.Fprintf(&sb, "x%v,ts%d,ms%d,", req.TrimExact, req.TrimSize, req.MaxSegments)
 	keyQueryShape(&sb, q)
 	return sb.String()
 }
 
-// ViewKey canonicalizes the result identity of a request for the
-// materialized-view registry: the table plus the full query shape, with
-// QueryRequest.Time folded in exactly as Execute folds it. Unlike
+// ViewKey canonicalizes the result identity of a query for the
+// materialized-view registry: the table plus the full query shape. Unlike
 // requestKey it deliberately excludes the execution options (router, trim
 // mode and budget, segment budget): a view's answer is exact and
 // routing-independent, so every router and trim setting maps to the same
-// registered view. Consistency is excluded too — the broker only consults
-// views for ConsistencyFull requests.
-func ViewKey(table string, req *QueryRequest) string {
-	q := req.Query
-	if req.Time != nil {
-		q2 := *q
-		q2.Time = req.Time
-		q = &q2
-	}
-	return viewKey(table, q)
-}
-
-// viewKey is ViewKey over an already-normalized query (the form
-// executeShared holds).
-func viewKey(table string, q *Query) string {
+// registered view.
+func ViewKey(table string, q *Query) string {
 	var sb strings.Builder
 	sb.Grow(160)
 	keyStr(&sb, table)
@@ -371,9 +341,6 @@ func keyQueryShape(sb *strings.Builder, q *Query) {
 		keyStr(sb, o.Column)
 	}
 	fmt.Fprintf(sb, "l%d,%d", q.Limit, q.Offset)
-	if q.Time != nil {
-		fmt.Fprintf(sb, ",t%d,%d", q.Time.From, q.Time.To)
-	}
 }
 
 // keyStr writes one length-prefixed string field; the prefix makes the
@@ -401,11 +368,11 @@ func keyValue(sb *strings.Builder, v any) {
 //   - the segment's name and validity version (segMeta.version), which
 //     together name the rows it can return — compaction renames, a move or
 //     an offload keeps both;
-//   - every filter, the time window's included (timeFilter), as
-//     compileCodePred compiles it against the segment's dictionary, with its
-//     column — code ranges, not literals, so literals that select the same
-//     codes share the entry: a sliding `ts >= now - 10s` compiles to the
-//     whole dictionary on every segment the window covers;
+//   - every filter the segment's scan applies (unitFilters: a time range
+//     holding the whole segment is dropped), as compileCodePred compiles it
+//     against the segment's dictionary, with its column — code ranges, not
+//     literals, so literals that select the same codes share the entry, and
+//     a sliding `ts >= now - 10s` names no filter on the segments it covers;
 //   - whether the star-tree answers, the group-by columns, the aggregations'
 //     kinds and columns, and the trim plan.
 //
@@ -416,18 +383,10 @@ func segmentKey(buf []byte, u scanUnit, q *Query, tp *topKPlan) ([]byte, bool) {
 	buf = append(buf, 'P') // result keys start with a digit
 	buf = appendKeyStr(buf, seg.Name)
 	buf = binary.AppendUvarint(buf, u.version)
-	buf = append(buf, boolByte(seg.treeEligible(q, u.valid)))
-	tf, cuts := timeFilter(q, seg.Schema, seg.MinTime, seg.MaxTime)
-	n := len(q.Filters)
-	if cuts {
-		n++
-	}
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for i := range n {
-		f := tf
-		if i < len(q.Filters) {
-			f = q.Filters[i]
-		}
+	filters := unitFilters(q.Filters, seg.Schema, seg.MinTime, seg.MaxTime)
+	buf = append(buf, boolByte(seg.treeEligible(q, filters, u.valid)))
+	buf = binary.AppendUvarint(buf, uint64(len(filters)))
+	for _, f := range filters {
 		c := seg.Columns[f.Column]
 		if c == nil {
 			return buf, false

@@ -810,21 +810,20 @@ type BrokerOptions struct {
 	// (0 disables it). Enabling the cache also enables in-flight
 	// deduplication: N concurrent identical queries execute once and share
 	// the response. Entries invalidate automatically on any ingest, seal,
-	// compaction, offload, drop or recovery of the table. Under the same
-	// bound the cache also keeps each sealed segment's partial of a
-	// ConsistencyFull aggregate, which ingest elsewhere does not invalidate
-	// (ExecStats.SegmentsCached). With the cache enabled,
-	// QueryResponse.Rows are shared read-only data — callers must copy
-	// before mutating (see QueryResponse).
+	// compaction, drop or recovery of the table. Under the same bound the
+	// cache also keeps each sealed segment's partial of an aggregate, which
+	// ingest elsewhere does not invalidate (ExecStats.SegmentsCached). With
+	// the cache enabled, QueryResponse.Rows are shared read-only data —
+	// callers must copy before mutating (see QueryResponse).
 	CacheMaxBytes int64
 	// Admission enables per-tenant token-bucket quotas and the bounded
 	// execution queue with deadline-aware shedding (typed ErrOverloaded).
 	// Nil disables admission control.
 	Admission *qcache.AdmissionConfig
 	// Views serves registered materialized-view shapes ahead of the result
-	// cache: a ConsistencyFull request whose ViewKey matches a registered
-	// view is answered from the view's incrementally-maintained state
-	// (ExecStats.ViewHit) without routing, scanning, or filling the cache.
+	// cache: a request whose ViewKey matches a registered view is answered
+	// from the view's incrementally-maintained state (ExecStats.ViewHit)
+	// without routing, scanning, or filling the cache.
 	// Typically a *matview.Registry over the same deployment. Nil disables
 	// view serving.
 	Views ViewServer

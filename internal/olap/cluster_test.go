@@ -351,7 +351,7 @@ func TestRerouteMatchesWrappedErrServerDown(t *testing.T) {
 
 	// The failure the re-route path observes is the wrapped sentinel, not
 	// the bare value: errors.Is matches, string equality does not.
-	_, err := servers[0].scanSegments(context.Background(), &Query{Aggs: []AggSpec{{Kind: AggCount}}}, nil, nil, ExecOptions{}, nil)
+	_, err := servers[0].scanSegments(context.Background(), nil, nil, queryTimeBounds(nil, ""), ExecOptions{}, nil)
 	if !errors.Is(err, ErrServerDown) {
 		t.Fatalf("down server returned %v, want a wrapped ErrServerDown", err)
 	}

@@ -94,10 +94,9 @@
 // # Query API v2: typed requests and pluggable routing
 //
 // The typed entry point is Broker.Execute(ctx, *QueryRequest): per-request
-// Timeout, Workers, MaxSegments (fan-out budget), Time window and
-// Consistency (ConsistencyFull reloads offloaded segments; ConsistencyHot
-// skips them). Which server answers each segment is a pluggable Router
-// (router.go): RoundRobinRouter (the default; upsert tables pin to the
+// Timeout, Workers and MaxSegments (fan-out budget); a time window is a
+// filter on the time column. Which server answers each segment is a
+// pluggable Router (router.go): RoundRobinRouter (the default; upsert tables pin to the
 // partition owner, §4.3.1), ReplicaGroupRouter (one replica set per query
 // bounds fan-out to N/R servers, Fig 5, with per-segment failover to the
 // other set) and PartitionRouter (equality filters on the table's declared
@@ -113,20 +112,20 @@
 // (BrokerOptions.CacheMaxBytes, BrokerOptions.Admission; brokercache.go):
 // a bounded-memory LRU result cache keyed by the canonical request shape
 // plus the deployment's Generation — an atomic counter bumped by every
-// ingest, seal, compaction, offload, drop and recovery, so stale entries
+// ingest, seal, compaction, drop and recovery, so stale entries
 // invalidate automatically — in-flight deduplication of identical queries
 // (N concurrent callers execute once and share the response, each with an
 // independent ExecStats snapshot), and per-tenant token-bucket admission
 // (QueryRequest.Tenant) with a bounded, deadline-aware execution queue
 // that sheds overload as the typed ErrOverloaded. Under the same byte
-// bound the cache keeps each sealed segment's partial of a ConsistencyFull
-// aggregate, with no generation: the key names the segment, its upsert
-// validity version, the filters as compiled against the segment's
-// dictionary, the query shape and the trim plan (segmentKey), so ingest
-// elsewhere in the table leaves it valid and a page under ingest scans only
-// the consuming stores and the segments that changed or that its window
-// cuts. ExecStats reports CacheHit, Coalesced, Queued, SegmentsCached, the
-// Shed gauge and CacheMemBytes.
+// bound the cache keeps each sealed segment's partial of an aggregate, with
+// no generation: the key names the segment, its upsert validity version,
+// the filters its scan applies as compiled against the segment's dictionary,
+// the query shape and the trim plan (segmentKey), so ingest elsewhere in the
+// table leaves it valid and a page under ingest scans only the consuming
+// stores and the segments that changed or that its window cuts. ExecStats
+// reports CacheHit, Coalesced, Queued, SegmentsCached, the Shed gauge and
+// CacheMemBytes.
 //
 // # Segment lifecycle
 //
@@ -135,9 +134,11 @@
 // hot (resident on replica servers) → offloaded (encoded form in the deep
 // store only, routing metadata resident, transparently reloaded on query
 // touch) → expired (dropped by retention once the segment's time bounds
-// leave the window). Queries carrying a TimeRange (Query.Time) prune
-// segments whose [MinTime, MaxTime] bounds don't overlap before any scan
-// or deep-store fetch (ExecStats.SegmentsPruned), and background
+// leave the window). The broker derives one interval from a query's
+// filters on the time column (queryTimeBounds) and servers prune segments
+// whose [MinTime, MaxTime] bounds lie outside it before any scan or
+// deep-store fetch (ExecStats.SegmentsPruned); a range filter holding a
+// segment whole is dropped from its scan (unitFilters), and background
 // compaction merges a partition's small sealed segments into one without
 // blocking concurrent queries or upsert invalidation.
 package olap

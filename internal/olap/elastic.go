@@ -367,7 +367,7 @@ func (d *Deployment) applyMove(ctx context.Context, m rebalance.Move) (rebalance
 		return res, err
 	}
 	if metadataOnly {
-		dst.addOffloaded(m.Segment, meta.minTime, meta.maxTime, d.cfg.Schema.TimeField != "")
+		dst.addOffloaded(m.Segment, meta.minTime, meta.maxTime)
 	} else {
 		dst.addSegment(seg)
 	}

@@ -30,8 +30,9 @@ type faultEntry struct {
 	// anyPart: part of the table answers it (an unordered LIMIT), so a fault
 	// in another part may lose the race to the exact answer.
 	anyPart bool
-	run     func(ctx context.Context, b *Broker, req QueryRequest) ([]string, error)
-	check   func(got []string, rows []record.Record) error
+	// run calls the entry with the entry's query, filtered by where.
+	run   func(ctx context.Context, b *Broker, req QueryRequest, where []Filter) ([]string, error)
+	check func(got []string, rows []record.Record) error
 }
 
 var faultAggQuery = &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggSum, Column: "amount"}}}
@@ -81,10 +82,17 @@ func exactly(want func([]record.Record) []string, sorted bool) func([]string, []
 	}
 }
 
+// filtered returns a copy of q whose filters are where.
+func filtered(q *Query, where []Filter) *Query {
+	q2 := *q
+	q2.Filters = where
+	return &q2
+}
+
 func faultEntries() []faultEntry {
-	execute := func(q *Query) func(context.Context, *Broker, QueryRequest) ([]string, error) {
-		return func(ctx context.Context, b *Broker, req QueryRequest) ([]string, error) {
-			req.Query = q
+	execute := func(q *Query) func(context.Context, *Broker, QueryRequest, []Filter) ([]string, error) {
+		return func(ctx context.Context, b *Broker, req QueryRequest, where []Filter) ([]string, error) {
+			req.Query = filtered(q, where)
 			resp, err := b.Execute(ctx, &req)
 			if err != nil {
 				return nil, err
@@ -117,8 +125,8 @@ func faultEntries() []faultEntry {
 				return nil
 			}},
 		{name: "ExecuteStream", stream: true, check: exactly(orderIDs, true),
-			run: func(ctx context.Context, b *Broker, req QueryRequest) ([]string, error) {
-				req.Query = &Query{Select: []string{"order_id"}}
+			run: func(ctx context.Context, b *Broker, req QueryRequest, where []Filter) ([]string, error) {
+				req.Query = &Query{Select: []string{"order_id"}, Filters: where}
 				qs, err := b.ExecuteStream(ctx, &req)
 				if err != nil {
 					return nil, err
@@ -139,8 +147,8 @@ func faultEntries() []faultEntry {
 				}
 			}},
 		{name: "MaterializePartial", check: exactly(wantAgg, true),
-			run: func(ctx context.Context, b *Broker, req QueryRequest) ([]string, error) {
-				req.Query = faultAggQuery
+			run: func(ctx context.Context, b *Broker, req QueryRequest, where []Filter) ([]string, error) {
+				req.Query = filtered(faultAggQuery, where)
 				p, _, err := b.MaterializePartial(ctx, &req)
 				if err != nil {
 					return nil, err
@@ -154,13 +162,14 @@ func faultEntries() []faultEntry {
 	}
 }
 
-// faultCase is one fault, arranged around one call: the broker and request
-// options to call with, the rows an exact answer covers, and the error the
-// call must return instead (nil: it must answer).
+// faultCase is one fault, arranged around one call: the broker, request
+// options and filters to call with, the rows an exact answer covers, and the
+// error the call must return instead (nil: it must answer).
 type faultCase struct {
 	ctx     context.Context
 	b       *Broker
 	req     QueryRequest
+	where   []Filter
 	rows    []record.Record
 	wantErr error
 	// racing, when set, runs beside the calls: the entry point is called
@@ -215,7 +224,7 @@ func faultCases() map[string]func(t *testing.T, e faultEntry) *faultCase {
 			t.Cleanup(func() { s.SetScanDelay(0) })
 		}
 	}
-	offloaded := func(t *testing.T, consistency Consistency) *faultCase {
+	offloaded := func(t *testing.T, pruned bool) *faultCase {
 		store := objstore.NewFaultStore(objstore.NewMemStore())
 		d, _, rows := sealedFixture(t, 1, store)
 		d.AttachLoaders()
@@ -224,18 +233,19 @@ func faultCases() map[string]func(t *testing.T, e faultEntry) *faultCase {
 			t.Fatal(err)
 		}
 		store.SetDown(true)
-		c := &faultCase{ctx: context.Background(), b: NewBroker(d), req: QueryRequest{Consistency: consistency}, rows: rows, wantErr: ErrSegmentUnavailable}
-		if consistency == ConsistencyHot {
-			// The hot set is every row but the cold segment's: its partition's
-			// rows inside its time bounds (ts is unique per row).
+		c := &faultCase{ctx: context.Background(), b: NewBroker(d), rows: rows, wantErr: ErrSegmentUnavailable}
+		if pruned {
+			// A filter on ts past the cold segment's bounds prunes it before
+			// any reload: the answer is exactly the rows the filter keeps.
+			c.where = []Filter{{Column: "ts", Op: OpGt, Value: cold.MaxTime}}
 			c.wantErr, c.rows = nil, nil
-			for i, r := range rows {
-				if ts := r.Long("ts"); i%faultPartitions != cold.Partition || ts < cold.MinTime || ts > cold.MaxTime {
+			for _, r := range rows {
+				if r.Long("ts") > cold.MaxTime {
 					c.rows = append(c.rows, r)
 				}
 			}
-			if len(c.rows) != faultRows-cold.NumRows {
-				t.Fatalf("hot set has %d rows, want %d", len(c.rows), faultRows-cold.NumRows)
+			if len(c.rows) < faultRows/2 {
+				t.Fatalf("the filter keeps %d rows, want at least %d", len(c.rows), faultRows/2)
 			}
 		}
 		return c
@@ -268,8 +278,8 @@ func faultCases() map[string]func(t *testing.T, e faultEntry) *faultCase {
 			slow(t, servers)
 			return &faultCase{ctx: context.Background(), b: NewBroker(d), req: QueryRequest{Timeout: 10 * time.Millisecond}, wantErr: context.DeadlineExceeded}
 		},
-		"offloaded-outage-full": func(t *testing.T, e faultEntry) *faultCase { return offloaded(t, ConsistencyFull) },
-		"offloaded-outage-hot":  func(t *testing.T, e faultEntry) *faultCase { return offloaded(t, ConsistencyHot) },
+		"offloaded-outage-full":   func(t *testing.T, e faultEntry) *faultCase { return offloaded(t, false) },
+		"offloaded-outage-pruned": func(t *testing.T, e faultEntry) *faultCase { return offloaded(t, true) },
 		"upsert-racing": func(t *testing.T, e faultEntry) *faultCase {
 			// 120 keys, sealed and consuming, re-ingested round after round
 			// while the calls run: every round supersedes every key (clearing
@@ -330,7 +340,7 @@ func TestScatterFaultMatrix(t *testing.T) {
 							racing = false
 						default:
 						}
-						got, err := e.run(c.ctx, c.b, c.req)
+						got, err := e.run(c.ctx, c.b, c.req, c.where)
 						if err != nil {
 							t.Fatalf("in flight: %v", err)
 						}
@@ -339,7 +349,7 @@ func TestScatterFaultMatrix(t *testing.T) {
 						}
 					}
 				}
-				got, err := e.run(c.ctx, c.b, c.req)
+				got, err := e.run(c.ctx, c.b, c.req, c.where)
 				switch {
 				case c.wantErr != nil && !(e.anyPart && err == nil && e.check(got, c.rows) == nil):
 					if !errors.Is(err, c.wantErr) {

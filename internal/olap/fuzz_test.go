@@ -2,7 +2,9 @@ package olap
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/metadata"
@@ -297,4 +299,161 @@ func FuzzDecodeSegment(f *testing.F) {
 			seg.Execute(q, nil) // an error is an answer; a panic is the failure
 		}
 	})
+}
+
+// FuzzTimeBounds holds the time pruning to the kernels: for fuzz-derived
+// filter sets on the time column (every operator; int, float, string, bool,
+// NaN and ±Inf literals; reversed BETWEEN) over fuzz-derived row times
+// (MinInt64, MaxInt64, longs past 2^53, NULL when the column is nullable),
+// every row the compiled filters keep — on a sealed segment with or without
+// an index on the time column, and on a consuming store — lies inside
+// queryTimeBounds, so a segment pruned on them held no such row; the two
+// scans keep the same rows; and unitFilters keeps exactly the rows the full
+// filter set does.
+func FuzzTimeBounds(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 2, 1, 5, 0, 7, 3})
+	f.Add([]byte{8, 1, 0, 2, 3, 4, 128, 129, 130, 3, 7, 1, 1, 2, 0})
+	f.Add([]byte{5, 2, 0, 1, 2, 3, 4, 3, 4, 0, 2, 3, 2, 3, 3, 3})
+	f.Add([]byte{4, 0, 5, 6, 200, 1, 2, 3, 4, 5, 6, 7, 8, 1, 3, 6, 1, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzInput(data)
+		schema := &metadata.Schema{Name: "t", Fields: []metadata.Field{
+			{Name: "id", Type: metadata.TypeString},
+			{Name: "ts", Type: metadata.TypeTimestamp, Nullable: in.byte()&1 == 1},
+		}, TimeField: "ts"}
+		nullable := schema.Fields[1].Nullable
+		rows := make([]record.Record, 1+int(in.byte()%8))
+		for i := range rows {
+			rows[i] = record.Record{"id": fmt.Sprint(i)}
+			if b := in.byte(); !nullable || b%5 != 0 {
+				rows[i]["ts"] = in.time(b)
+			}
+		}
+		filters := make([]Filter, 1+int(in.byte()%3))
+		for i := range filters {
+			fl := Filter{Column: "ts", Op: FilterOp(in.byte() % 8), Value: in.literal()}
+			switch fl.Op {
+			case OpBetween:
+				fl.Value2 = in.literal()
+			case OpIn:
+				for n := 1 + int(in.byte()%3); n > 0; n-- {
+					fl.Values = append(fl.Values, in.literal())
+				}
+			}
+			filters[i] = fl
+		}
+		cfg := [...]IndexConfig{{}, {InvertedColumns: []string{"ts"}}, {SortedColumn: "ts"}}[int(in.byte())%3]
+		if nullable {
+			cfg.SortedColumn = ""
+		}
+		seg, err := BuildSegment("s", schema, rows, cfg, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := newMutableSegment("m", schema, len(rows))
+		for _, r := range rows {
+			if _, err := m.add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := queryTimeBounds(filters, "ts")
+		var sealed []int64
+		for _, sc := range []*scanSet{seg.scan(), m.snapshot()} {
+			kept := keptTimes(t, sc, filters)
+			for _, ts := range kept {
+				if x := float64(ts); !(x >= b.lo && x <= b.hi) {
+					t.Fatalf("filters %+v keep time %d outside the bounds [%v, %v]", filters, ts, b.lo, b.hi)
+				}
+			}
+			if len(kept) > 0 && !b.overlaps(sc.minTime, sc.maxTime) {
+				t.Fatalf("filters %+v keep %v of rows in [%d, %d], which the bounds [%v, %v] prune", filters, kept, sc.minTime, sc.maxTime, b.lo, b.hi)
+			}
+			if unit := keptTimes(t, sc, unitFilters(filters, schema, sc.minTime, sc.maxTime)); !reflect.DeepEqual(unit, kept) {
+				t.Fatalf("filters %+v keep %v, the unit's filters %v", filters, kept, unit)
+			}
+			if sealed == nil {
+				sealed = kept
+			} else if !reflect.DeepEqual(kept, sealed) {
+				t.Fatalf("filters %+v: a sealed segment keeps %v, a consuming store %v", filters, sealed, kept)
+			}
+		}
+	})
+}
+
+// keptTimes scans sc through filters and returns the times of the rows they
+// keep, ascending: never nil, so an empty result compares equal to another.
+func keptTimes(t *testing.T, sc *scanSet, filters []Filter) []int64 {
+	t.Helper()
+	ss, err := sc.newSelStream(filters, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sc.col("ts")
+	out := []int64{}
+	for sel := ss.next(); sel != nil; sel = ss.next() {
+		for _, i := range sel {
+			if c.layout == layoutPacked {
+				out = append(out, c.dict.Ints[c.packed.Get(int(i))])
+			} else {
+				out = append(out, c.ints[i])
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// fuzzInput reads a fuzz input byte by byte; past its end every byte is 0.
+type fuzzInput []byte
+
+func (in *fuzzInput) byte() byte {
+	if len(*in) == 0 {
+		return 0
+	}
+	b := (*in)[0]
+	*in = (*in)[1:]
+	return b
+}
+
+// timePalette holds the times at the edges float64 comparison has: the
+// int64 extremes, 2^53 and its neighbours, zero and a realistic epoch.
+var timePalette = [...]int64{math.MinInt64, math.MaxInt64, 1 << 53, 1<<53 + 1, -(1 << 53) - 1, 0, -1, 1_700_000_000_000}
+
+// time draws a time selected by b: a palette value, a small one, or any
+// int64.
+func (in *fuzzInput) time(b byte) int64 {
+	switch {
+	case b < 128:
+		return timePalette[int(b)%len(timePalette)]
+	case b < 192:
+		return int64(int8(in.byte()))
+	}
+	var x uint64
+	for range 8 {
+		x = x<<8 | uint64(in.byte())
+	}
+	return int64(x)
+}
+
+// literal draws a filter literal of any kind a Filter may carry.
+func (in *fuzzInput) literal() any {
+	switch in.byte() % 9 {
+	case 0:
+		return in.time(in.byte())
+	case 1:
+		return float64(in.time(in.byte()))
+	case 2:
+		return float64(in.time(in.byte())) + 0.5
+	case 3:
+		return math.NaN()
+	case 4:
+		return math.Inf(1 - 2*int(in.byte()&1))
+	case 5:
+		return [...]string{"5", "abc", ""}[in.byte()%3]
+	case 6:
+		return int(int8(in.byte()))
+	case 7:
+		return in.byte()&1 == 1
+	}
+	return nil
 }

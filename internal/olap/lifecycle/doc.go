@@ -28,11 +28,11 @@
 //     upsert location map is rewritten atomically at swap time so the
 //     merge stays exact under continuing updates.
 //   - Time pruning support: pruning itself lives in the query path
-//     (olap.Query.Time; servers skip segments whose bounds don't overlap,
-//     reported in ExecStats.SegmentsPruned) and composes with tiering —
-//     an out-of-window offloaded segment is pruned without a deep-store
-//     fetch — but the lifecycle manager is what creates the wide-retention
-//     segment spread that makes pruning matter.
+//     (filters on the time column; servers skip segments whose bounds lie
+//     outside them, reported in ExecStats.SegmentsPruned) and composes
+//     with tiering — an out-of-window offloaded segment is pruned without
+//     a deep-store fetch — but the lifecycle manager is what creates the
+//     wide-retention segment spread that makes pruning matter.
 //
 // Experiment E17 (internal/experiments) measures the three headline
 // claims: bounded resident memory under continuous ingest, pruning ratio

@@ -227,7 +227,8 @@ func (d *Deployment) loadSegment(name string) (*Segment, error) {
 // resident data, keeping only routing metadata. Queries touching it later
 // reload it transparently. Returns how many replicas released data. A
 // deep-store outage fails the archival check and leaves the segment hot —
-// data is never dropped without a durable copy.
+// data is never dropped without a durable copy. An offload changes no
+// answer, so it leaves the generation, and cached results, alone.
 func (d *Deployment) OffloadSegment(name string) (int, error) {
 	if err := d.EnsureArchived(name); err != nil {
 		return 0, err
@@ -243,11 +244,6 @@ func (d *Deployment) OffloadSegment(name string) (int, error) {
 		if d.serverAt(ri).Offload(name) {
 			released++
 		}
-	}
-	if released > 0 {
-		// Residency changed: hot-consistency answers (and cached results
-		// conservatively) must not outlive the offload.
-		d.bumpGen()
 	}
 	return released, nil
 }

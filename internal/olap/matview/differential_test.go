@@ -31,9 +31,6 @@ func fromReference(rq *reftest.Query) *olap.Query {
 	for _, p := range rq.Where {
 		q.Filters = append(q.Filters, olap.Filter{Column: p.Column, Op: olap.FilterOp(p.Op), Value: p.Value, Value2: p.Value2, Values: p.Values})
 	}
-	if w := rq.Time; w != nil {
-		q.Time = &olap.TimeRange{From: w.From, To: w.To}
-	}
 	for _, it := range rq.Items {
 		if it.Func != sqlparse.FuncNone {
 			q.Aggs = append(q.Aggs, olap.AggSpec{Kind: olap.AggKind(it.Func - sqlparse.FuncCount), Column: it.Column, As: it.Alias})

@@ -187,10 +187,7 @@ func (r *Registry) Register(ctx context.Context, req *olap.QueryRequest) (*View,
 	if len(req.Query.Aggs) == 0 {
 		return nil, fmt.Errorf("matview: only aggregate query shapes can be registered")
 	}
-	if req.Consistency != olap.ConsistencyFull {
-		return nil, fmt.Errorf("matview: views serve ConsistencyFull answers only")
-	}
-	key := olap.ViewKey(r.d.Table().Name, req)
+	key := olap.ViewKey(r.d.Table().Name, req.Query)
 
 	// The materialization request is the registered shape with the
 	// registry's timeout; MaterializePartial itself forces exact trimming.
@@ -198,19 +195,13 @@ func (r *Registry) Register(ctx context.Context, req *olap.QueryRequest) (*View,
 	if mreq.Timeout == 0 {
 		mreq.Timeout = r.cfg.Timeout
 	}
-	q := req.Query
-	if req.Time != nil {
-		q2 := *q
-		q2.Time = req.Time
-		q = &q2
-	}
 
 	r.mu.Lock()
 	if v, ok := r.views[key]; ok {
 		r.mu.Unlock()
 		return v, nil
 	}
-	v := &View{reg: r, key: key, q: q, req: &mreq}
+	v := &View{reg: r, key: key, q: req.Query, req: &mreq}
 	// Enter the map before materializing: from here on the mutation hook
 	// queues every event, and the seq reconciliation in install() sorts
 	// out which ones the initial snapshot already covers.
@@ -233,7 +224,7 @@ func (r *Registry) Unregister(req *olap.QueryRequest) bool {
 	if req == nil || req.Query == nil {
 		return false
 	}
-	key := olap.ViewKey(r.d.Table().Name, req)
+	key := olap.ViewKey(r.d.Table().Name, req.Query)
 	r.mu.Lock()
 	_, ok := r.views[key]
 	delete(r.views, key)
@@ -246,7 +237,7 @@ func (r *Registry) View(req *olap.QueryRequest) *View {
 	if req == nil || req.Query == nil {
 		return nil
 	}
-	key := olap.ViewKey(r.d.Table().Name, req)
+	key := olap.ViewKey(r.d.Table().Name, req.Query)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.views[key]

@@ -55,12 +55,6 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := reg.Register(ctx, &olap.QueryRequest{Query: &olap.Query{Select: []string{"id"}}}); err == nil {
 		t.Error("selection shapes must be rejected: only aggregates are mergeable")
 	}
-	if _, err := reg.Register(ctx, &olap.QueryRequest{
-		Query:       &olap.Query{Aggs: []olap.AggSpec{{Kind: olap.AggCount}}},
-		Consistency: olap.ConsistencyHot,
-	}); err == nil {
-		t.Error("hot-consistency shapes must be rejected: views answer over all rows")
-	}
 	// A shape that cannot execute (SUM over a string column) must fail
 	// registration, not linger as a broken view.
 	if _, err := reg.Register(ctx, &olap.QueryRequest{
@@ -97,7 +91,7 @@ func TestRegisterIdempotentAndUnregister(t *testing.T) {
 	if st := reg.Stats(); st.Views != 1 {
 		t.Errorf("views = %d, want 1", st.Views)
 	}
-	if v1.Key() != olap.ViewKey(g.Schema.Name, unitCountReq()) {
+	if v1.Key() != olap.ViewKey(g.Schema.Name, unitCountReq().Query) {
 		t.Error("view key must match the canonical ViewKey")
 	}
 

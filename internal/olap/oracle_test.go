@@ -32,9 +32,6 @@ func FromReference(rq *reftest.Query) *Query {
 	for _, p := range rq.Where {
 		q.Filters = append(q.Filters, Filter{Column: p.Column, Op: FilterOp(p.Op), Value: p.Value, Value2: p.Value2, Values: p.Values})
 	}
-	if w := rq.Time; w != nil {
-		q.Time = &TimeRange{From: w.From, To: w.To}
-	}
 	for _, it := range rq.Items {
 		switch {
 		case it.Func != sqlparse.FuncNone:

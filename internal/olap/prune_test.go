@@ -2,16 +2,18 @@ package olap
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
+	"repro/internal/metadata"
 	"repro/internal/objstore"
+	"repro/internal/record"
 )
 
-// Time-windowed queries must stay exact on consuming (unsealed) rows too:
-// consuming segments have no prunable bounds, so the window applies as a
-// row predicate during the raw-row scan.
-func TestTimeWindowOnConsumingSegment(t *testing.T) {
+// A filter on the time column stays exact on consuming (unsealed) rows:
+// consuming stores are never pruned, so the filter applies row by row.
+func TestTimeFilterOnConsumingSegment(t *testing.T) {
 	d, _ := newDeployment(t, 1, 1, false, BackupP2P, nil)
 	rows := orderRows(30) // below the 50-row seal threshold: stays consuming
 	for _, r := range rows {
@@ -21,8 +23,8 @@ func TestTimeWindowOnConsumingSegment(t *testing.T) {
 	}
 	from, to := int64(1700000000000+5*1000), int64(1700000000000+14*1000)
 	q := &Query{
-		Time: &TimeRange{From: from, To: to},
-		Aggs: []AggSpec{{Kind: AggCount}},
+		Filters: []Filter{{Column: "ts", Op: OpBetween, Value: from, Value2: to}},
+		Aggs:    []AggSpec{{Kind: AggCount}},
 	}
 	res, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: q})
 	if err != nil {
@@ -35,14 +37,14 @@ func TestTimeWindowOnConsumingSegment(t *testing.T) {
 		}
 	}
 	if got := res.Rows[0][0].(int64); got != want {
-		t.Errorf("windowed consuming count = %d, want %d", got, want)
+		t.Errorf("filtered consuming count = %d, want %d", got, want)
 	}
 }
 
-// A time window that only partially overlaps a segment must bypass the
-// star-tree (pre-aggregates can't apply the time predicate), while a window
-// containing the whole segment keeps the fast path.
-func TestStarTreeVsTimeWindow(t *testing.T) {
+// A time filter that holds the whole segment is dropped from its scan, so
+// the star-tree still answers; one that cuts the segment bypasses the tree
+// (pre-aggregates cannot apply it). Both answer as a tree-less segment does.
+func TestStarTreeVsTimeFilter(t *testing.T) {
 	rows := orderRows(400)
 	seg, err := BuildSegment("st", ordersSchema(), rows, IndexConfig{
 		StarTree: &StarTreeConfig{Dimensions: []string{"city"}, Metrics: []string{"amount"}},
@@ -50,46 +52,47 @@ func TestStarTreeVsTimeWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}}}
-
-	full := *base
-	full.Time = &TimeRange{From: seg.MinTime, To: seg.MaxTime}
-	res, err := seg.Execute(&full, nil)
+	plain, err := BuildSegment("plain", ordersSchema(), rows, IndexConfig{}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.StarTreeServed != 1 {
-		t.Error("containing window should keep the star-tree fast path")
-	}
-
-	partial := *base
-	partial.Time = &TimeRange{From: seg.MinTime, To: seg.MinTime + 100*1000}
-	got, err := seg.Execute(&partial, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats.StarTreeServed != 0 {
-		t.Error("partial window must bypass the star-tree")
-	}
-	explicit := *base
-	explicit.Filters = []Filter{{Column: "ts", Op: OpBetween, Value: partial.Time.From, Value2: partial.Time.To}}
-	want, err := seg.Execute(&explicit, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Rows, want.Rows) {
-		t.Errorf("windowed star-tree segment differs from explicit filter:\n got %v\nwant %v", got.Rows, want.Rows)
+	for _, c := range []struct {
+		name   string
+		filter Filter
+		tree   bool
+	}{
+		{"containing between", Filter{Column: "ts", Op: OpBetween, Value: seg.MinTime, Value2: seg.MaxTime}, true},
+		{"containing lower bound", Filter{Column: "ts", Op: OpGe, Value: float64(seg.MinTime - 1)}, true},
+		{"cutting between", Filter{Column: "ts", Op: OpBetween, Value: seg.MinTime, Value2: seg.MinTime + 100*1000}, false},
+		{"cutting strict bound", Filter{Column: "ts", Op: OpLt, Value: seg.MaxTime}, false},
+	} {
+		q := &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}}, Filters: []Filter{c.filter}}
+		got, err := seg.Execute(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served := got.Stats.StarTreeServed == 1; served != c.tree {
+			t.Errorf("%s: star-tree served = %v, want %v", c.name, served, c.tree)
+		}
+		want, err := plain.Execute(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("%s: star-tree segment differs from a tree-less one:\n got %v\nwant %v", c.name, got.Rows, want.Rows)
+		}
 	}
 }
 
-// Server-level pruning: out-of-window segments are skipped before any scan
-// and reported, and an all-pruned query still finalizes correctly.
+// Server-level pruning: segments outside a time filter's bounds are skipped
+// before any scan and reported, and an all-pruned query still finalizes
+// correctly.
 func TestServerTimePruning(t *testing.T) {
 	d, _ := newDeployment(t, 1, 1, false, BackupP2P, objstore.NewMemStore())
 	ingestOrders(t, d, 200, 1) // 4 sealed segments of 50 rows
 	q := &Query{
-		Time: &TimeRange{From: 0, To: 1}, // far before all data
-		Aggs: []AggSpec{{Kind: AggCount}},
+		Filters: []Filter{{Column: "ts", Op: OpBetween, Value: 0, Value2: 1}}, // far before all data
+		Aggs:    []AggSpec{{Kind: AggCount}},
 	}
 	res, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: q})
 	if err != nil {
@@ -101,4 +104,82 @@ func TestServerTimePruning(t *testing.T) {
 	if got := res.Rows[0][0].(int64); got != 0 {
 		t.Errorf("all-pruned count = %d, want 0", got)
 	}
+	// Pruning every segment hides no error: a filter on a column the table
+	// lacks fails before any segment is pruned.
+	q.Filters = append(q.Filters, Filter{Column: "ghost", Op: OpEq, Value: 1})
+	var unknown *UnknownColumnError
+	if _, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: q}); !errors.As(err, &unknown) {
+		t.Errorf("all-pruned query with an unknown filter column: err = %v, want an UnknownColumnError", err)
+	}
+}
+
+// A NULL time lies in no range: `ts BETWEEN 0 AND 20` over times {NULL, 5,
+// 10} counts 2 on a sealed segment, on a consuming store and through the
+// broker over both, although the range holds the rows' time bounds (a NULL
+// time counts as 0 in them).
+func TestNullTimeLiesInNoRange(t *testing.T) {
+	schema := &metadata.Schema{
+		Name: "events",
+		Fields: []metadata.Field{
+			{Name: "id", Type: metadata.TypeString},
+			{Name: "ts", Type: metadata.TypeTimestamp, Nullable: true},
+		},
+		TimeField: "ts",
+	}
+	rows := []record.Record{{"id": "a"}, {"id": "b", "ts": int64(5)}, {"id": "c", "ts": int64(10)}}
+	q := &Query{Filters: []Filter{{Column: "ts", Op: OpBetween, Value: 0, Value2: 20}}, Aggs: []AggSpec{{Kind: AggCount}}}
+	count := func(where string, res *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if got := res.Rows[0][0]; got != int64(2) {
+			t.Errorf("%s: count = %v, want 2", where, got)
+		}
+	}
+	seg, err := BuildSegment("s", schema, rows, IndexConfig{}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := seg.Execute(q, nil)
+	count("sealed segment", res, err)
+	m := newMutableSegment("m", schema, len(rows))
+	for _, r := range rows {
+		if _, err := m.add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := m.snapshot().executePartial(q, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = p.Finalize(q)
+	count("consuming store", res, err)
+
+	d, err := NewDeployment(DeploymentConfig{
+		Table:        TableConfig{Name: "events", Schema: schema, SegmentRows: 50},
+		Servers:      []*Server{NewServer("s0")},
+		SegmentStore: objstore.NewMemStore(),
+		Backup:       BackupP2P,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.IngestBatch(0, rows); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker(d)
+	broker := func(where string) {
+		t.Helper()
+		resp, err := b.Execute(context.Background(), &QueryRequest{Query: q})
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		count(where, &Result{Rows: resp.Rows}, nil)
+	}
+	broker("broker, consuming")
+	if err := d.Seal(0); err != nil {
+		t.Fatal(err)
+	}
+	broker("broker, sealed")
 }

@@ -2,6 +2,7 @@ package olap
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/metadata"
@@ -76,30 +77,6 @@ type OrderSpec struct {
 	Desc   bool
 }
 
-// TimeRange restricts a query to rows whose time-column value lies in
-// [From, To], both inclusive, in the time column's native unit (epoch
-// milliseconds throughout this repo). Brokers and servers use it to *prune*
-// whole segments whose [MinTime, MaxTime] bounds don't overlap the range
-// before scheduling any scan — Pinot's broker-side time pruning — and
-// segments that do overlap apply it as an ordinary range filter on the
-// table's time column so partially-overlapping segments stay exact.
-type TimeRange struct {
-	From int64
-	To   int64
-}
-
-// Overlaps reports whether a segment with bounds [min, max] can contain
-// rows inside the range.
-func (tr *TimeRange) Overlaps(min, max int64) bool {
-	return tr == nil || (max >= tr.From && min <= tr.To)
-}
-
-// Contains reports whether [min, max] lies entirely inside the range, in
-// which case the time predicate is a no-op for that segment.
-func (tr *TimeRange) Contains(min, max int64) bool {
-	return tr == nil || (min >= tr.From && max <= tr.To)
-}
-
 // Query is the structured query the OLAP layer executes — the "limited SQL
 // capability" of the Fig 2 OLAP abstraction: filter, aggregate, group-by,
 // order-by, limit. Joins and subqueries belong to the SQL layer above
@@ -120,12 +97,6 @@ type Query struct {
 	// Bounded top-K execution keeps Limit+Offset candidates so pagination
 	// stays exact.
 	Offset int
-	// Time optionally restricts the query to a time window over the
-	// schema's TimeField. Servers skip segments whose time bounds fall
-	// outside the window (reported in ExecStats.SegmentsPruned) and apply
-	// the window as a row filter on overlapping segments. Nil means no
-	// time restriction. Ignored for tables without a TimeField.
-	Time *TimeRange
 }
 
 // Result is a column-oriented query result.
@@ -142,8 +113,8 @@ type ExecStats struct {
 	// SegmentsScanned counts sealed segments a scan ran on (consuming
 	// segments are not counted).
 	SegmentsScanned int
-	// RowsScanned counts the rows that survived the query's filters, its
-	// time window and the upsert validity mask — the rows the aggregate and
+	// RowsScanned counts the rows that survived the query's filters and
+	// the upsert validity mask — the rows the aggregate and
 	// gather kernels then touched — summed over sealed and consuming scans
 	// alike. It is not the number of rows examined: a consuming scan's
 	// examined count is the rows_in attribute of its trace span. Star-tree
@@ -168,15 +139,12 @@ type ExecStats struct {
 	// key), in sealed and consuming scans alike.
 	UpsertFiltered int64
 	// SegmentsPruned counts sealed segments skipped (never scanned, never
-	// reloaded from the deep store) because their time bounds don't
-	// overlap the query's TimeRange.
+	// reloaded from the deep store) because their time bounds lie outside
+	// the interval the query's filters on the time column keep (timeBounds).
 	SegmentsPruned int
 	// SegmentsReloaded counts offloaded segments pulled back from the
 	// deep store to answer this query.
 	SegmentsReloaded int
-	// SegmentsSkipped counts offloaded segments left unscanned under
-	// ConsistencyHot (hot-set-only execution).
-	SegmentsSkipped int
 	// GroupsTrimmed counts candidate groups dropped by per-segment and
 	// server-level top-K trims (always 0 under TrimExact).
 	GroupsTrimmed int64
@@ -230,7 +198,6 @@ func (s *ExecStats) Add(o ExecStats) {
 	s.UpsertFiltered += o.UpsertFiltered
 	s.SegmentsPruned += o.SegmentsPruned
 	s.SegmentsReloaded += o.SegmentsReloaded
-	s.SegmentsSkipped += o.SegmentsSkipped
 	s.GroupsTrimmed += o.GroupsTrimmed
 	s.RowsHeapKept += o.RowsHeapKept
 	s.GroupsShipped += o.GroupsShipped
@@ -267,29 +234,76 @@ func normalizeFilterValue(typ metadata.FieldType, v any) any {
 	return v
 }
 
-// timeFilters returns the query's filters plus, when a time window applies
-// to this scan set, an OpBetween predicate over the schema's time column —
-// the exactness half of time pruning: a segment that only partially
-// overlaps the window still returns only in-window rows. Scan sets fully
-// inside the window skip the extra predicate.
-func (sc *scanSet) timeFilters(q *Query) []Filter {
-	tf, cuts := timeFilter(q, sc.schema, sc.minTime, sc.maxTime)
-	if !cuts {
-		return q.Filters
+// timeBounds is an interval of the time column, compared as float64 the way
+// the filter kernels compare (compileNumPred): every row a query's filters
+// keep has lo <= float64(time) <= hi. A NaN bound, or lo > hi, keeps nothing.
+type timeBounds struct{ lo, hi float64 }
+
+// queryTimeBounds derives the bounds of filters over the schema's time
+// column: each Eq, Lt/Le, Gt/Ge and Between bounds it as the raw-vector
+// kernel compiles it (rangeOf); any other filter bounds nothing. The broker
+// derives them once per request and servers prune sealed segments on them.
+func queryTimeBounds(filters []Filter, timeField string) timeBounds {
+	b := timeBounds{math.Inf(-1), math.Inf(1)}
+	if timeField == "" {
+		return b
 	}
-	filters := make([]Filter, 0, len(q.Filters)+1)
-	filters = append(filters, q.Filters...)
-	return append(filters, tf)
+	for _, f := range filters {
+		if lo, hi, ok := rangeOf(f); ok && f.Column == timeField {
+			b.lo, b.hi = max(b.lo, lo), min(b.hi, hi) // max and min keep a NaN
+		}
+	}
+	return b
 }
 
-// timeFilter is the predicate q's time window adds to a scan of rows whose
-// times lie in [minTime, maxTime]; cuts is false when the window adds none
-// (no window, no time column, or the rows lie entirely inside it).
-func timeFilter(q *Query, schema *metadata.Schema, minTime, maxTime int64) (f Filter, cuts bool) {
-	if q.Time == nil || schema.TimeField == "" || q.Time.Contains(minTime, maxTime) {
-		return Filter{}, false
+// overlaps reports whether rows whose times lie in [minTime, maxTime] can
+// hold a row inside the bounds.
+func (b timeBounds) overlaps(minTime, maxTime int64) bool {
+	return float64(maxTime) >= b.lo && float64(minTime) <= b.hi
+}
+
+// rangeOf returns the interval a range filter keeps on a numeric column,
+// as compileNumPred compiles it; a filter that can keep no row gives an
+// empty interval, and ok is false for an operator that keeps no interval.
+func rangeOf(f Filter) (lo, hi float64, ok bool) {
+	switch f.Op {
+	case OpEq, OpLt, OpLe, OpGt, OpGe, OpBetween:
+		p, _ := compileNumPred(f) // it compiles every one of these operators
+		if p.kind != predRange {
+			return 1, 0, true // predNever
+		}
+		return p.lo, p.hi, true
 	}
-	return Filter{Column: schema.TimeField, Op: OpBetween, Value: q.Time.From, Value2: q.Time.To}, true
+	return 0, 0, false
+}
+
+// unitFilters returns the filters a scan of rows whose times lie in
+// [minTime, maxTime] applies: filters less every range filter on a required
+// time column whose interval holds all those times, since it keeps every
+// row. The kernels, the star-tree's eligibility and the per-segment cache
+// key all read a unit's filters through it. A nullable time column keeps
+// every filter: a NULL time lies in no interval.
+func unitFilters(filters []Filter, schema *metadata.Schema, minTime, maxTime int64) []Filter {
+	tf, ok := schema.Field(schema.TimeField)
+	if !ok || tf.Nullable {
+		return filters
+	}
+	var out []Filter // nil until a filter is dropped
+	for i, f := range filters {
+		if lo, hi, ok := rangeOf(f); ok && f.Column == tf.Name && lo <= float64(minTime) && float64(maxTime) <= hi {
+			if out == nil {
+				out = append(make([]Filter, 0, len(filters)-1), filters[:i]...)
+			}
+			continue
+		}
+		if out != nil {
+			out = append(out, f)
+		}
+	}
+	if out == nil {
+		return filters
+	}
+	return out
 }
 
 // predBitmap resolves a compiled predicate on an indexed sealed column (n
@@ -405,12 +419,14 @@ func (s *Segment) ExecutePartial(q *Query, valid *Bitmap) (*Partial, error) {
 // aggregations trim to the plan's group budget before the partial leaves the
 // segment.
 func (s *Segment) executePartialTrim(q *Query, valid *Bitmap, tp *topKPlan) (*Partial, error) {
-	if s.treeEligible(q, valid) {
-		if p := s.Tree.query(s, q); p != nil {
-			p = p.trim(tp)
-			p.stats.SegmentsScanned = 1
-			p.stats.StarTreeServed = 1
-			return p, nil
+	if s.Tree != nil {
+		if filters := unitFilters(q.Filters, s.Schema, s.MinTime, s.MaxTime); s.treeEligible(q, filters, valid) {
+			if p := s.Tree.query(s, q, filters); p != nil {
+				p = p.trim(tp)
+				p.stats.SegmentsScanned = 1
+				p.stats.StarTreeServed = 1
+				return p, nil
+			}
 		}
 	}
 	p, err := s.scan().executePartial(q, valid, tp)
@@ -421,17 +437,12 @@ func (s *Segment) executePartialTrim(q *Query, valid *Bitmap, tp *topKPlan) (*Pa
 	return p, nil
 }
 
-// treeEligible reports whether the star-tree may answer q on this segment:
-// only when no upsert filtering applies and — for time-windowed queries —
-// only when the time predicate is a no-op the tree can safely ignore (the
-// table has no time column, or the segment lies entirely inside the
-// window).
-func (s *Segment) treeEligible(q *Query, valid *Bitmap) bool {
-	if s.Tree == nil || valid != nil {
-		return false
-	}
-	_, cuts := timeFilter(q, s.Schema, s.MinTime, s.MaxTime)
-	return !cuts && s.Tree.Eligible(q)
+// treeEligible reports whether the star-tree may answer q on this segment,
+// whose scan applies filters (unitFilters): only when no upsert filtering
+// applies and the tree can answer every filter — a time range that holds the
+// whole segment is no longer among them.
+func (s *Segment) treeEligible(q *Query, filters []Filter, valid *Bitmap) bool {
+	return s.Tree != nil && valid == nil && s.Tree.Eligible(q, filters)
 }
 
 // executePartial scans the set through the kernel pipeline — compile the
@@ -439,7 +450,7 @@ func (s *Segment) treeEligible(q *Query, valid *Bitmap) bool {
 // returns the mergeable partial. It is the one evaluator: sealed segments,
 // consuming segments and matview delta batches all answer through it.
 func (sc *scanSet) executePartial(q *Query, valid *Bitmap, tp *topKPlan) (*Partial, error) {
-	ss, err := sc.newSelStream(sc.timeFilters(q), valid)
+	ss, err := sc.newSelStream(unitFilters(q.Filters, sc.schema, sc.minTime, sc.maxTime), valid)
 	if err != nil {
 		return nil, err
 	}

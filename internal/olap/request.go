@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/obs"
 	"repro/internal/olap/qcache"
 )
@@ -18,28 +19,6 @@ import (
 // ErrTooManySegments is returned when a query would scan more sealed
 // segments than its MaxSegments budget allows.
 var ErrTooManySegments = errors.New("olap: query exceeds MaxSegments")
-
-// Consistency selects how a query treats segments offloaded to the deep
-// store.
-type Consistency int
-
-const (
-	// ConsistencyFull (the default) transparently reloads offloaded
-	// segments so the query sees every sealed row.
-	ConsistencyFull Consistency = iota
-	// ConsistencyHot skips offloaded segments without touching the deep
-	// store: a latency-bounded answer over the hot set only, reported via
-	// ExecStats.SegmentsSkipped.
-	ConsistencyHot
-)
-
-// String names the consistency mode.
-func (c Consistency) String() string {
-	if c == ConsistencyHot {
-		return "hot"
-	}
-	return "full"
-}
 
 // QueryRequest is one typed broker query with its per-request options.
 // Zero-valued options inherit the broker's defaults.
@@ -54,12 +33,6 @@ type QueryRequest struct {
 	// MaxSegments fails the request with ErrTooManySegments when the routed
 	// sealed-segment fan-out exceeds it; 0 means unlimited.
 	MaxSegments int
-	// Time restricts the query to a time window, overriding Query.Time
-	// when set.
-	Time *TimeRange
-	// Consistency selects full (reload offloaded segments) or hot-only
-	// execution.
-	Consistency Consistency
 	// Router overrides the broker's routing strategy for this request.
 	Router Router
 	// TrimExact disables the bounded top-K path for ORDER BY/LIMIT queries.
@@ -158,11 +131,12 @@ func (b *Broker) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse
 	return resp, err
 }
 
-// prepare normalises one request for every entry point: the query with the
-// request's time window laid over it, the effective router, and a context
-// bounded by the effective timeout whose cancel the caller must call.
-// Type-invalid aggregations are rejected here, before any scan is scheduled,
-// so the error surfaces even when routing prunes every segment.
+// prepare normalises one request for every entry point: its query, the
+// effective router, and a context bounded by the effective timeout whose
+// cancel the caller must call. Type-invalid aggregations and filters on a
+// column the table cannot filter are rejected here, before any scan is
+// scheduled, so the error surfaces even when routing or time bounds prune
+// every segment.
 func (b *Broker) prepare(ctx context.Context, req *QueryRequest) (context.Context, context.CancelFunc, *Query, Router, error) {
 	if req == nil || req.Query == nil {
 		return nil, nil, nil, nil, fmt.Errorf("olap: nil query request")
@@ -171,10 +145,10 @@ func (b *Broker) prepare(ctx context.Context, req *QueryRequest) (context.Contex
 		return nil, nil, nil, nil, err
 	}
 	q := req.Query
-	if req.Time != nil {
-		q2 := *q
-		q2.Time = req.Time
-		q = &q2
+	for _, f := range q.Filters {
+		if fd, ok := b.d.cfg.Schema.Field(f.Column); !ok || fd.Type == metadata.TypeBytes {
+			return nil, nil, nil, nil, &UnknownColumnError{Role: "filter", Column: f.Column}
+		}
 	}
 	for _, a := range q.Aggs {
 		if a.Column == "" {
@@ -206,7 +180,7 @@ func (b *Broker) prepare(ctx context.Context, req *QueryRequest) (context.Contex
 
 // scatterPlan is one routing round's decision: which servers scan which
 // sealed segments, which consuming partitions are scanned beside them, and
-// with what options.
+// with what options and time bounds.
 type scatterPlan struct {
 	plan      *RoutePlan
 	router    string
@@ -214,7 +188,10 @@ type scatterPlan struct {
 	consuming []consumingScan
 	contacted int // distinct servers either kind of scan touches
 	opts      ExecOptions
-	snapshot  *querySnapshot
+	// bounds hold every row the query's filters on the time column keep:
+	// servers prune the sealed segments outside them.
+	bounds   timeBounds
+	snapshot *querySnapshot
 }
 
 // route reports the plan as the RouteInfo of a response or stream.
@@ -230,8 +207,8 @@ func (sp *scatterPlan) route() RouteInfo {
 
 // planScatter routes one request under a route span, which also names the
 // sink the round will run into: it snapshots the routable state, asks the
-// router, enforces the MaxSegments budget and resolves the routed consuming
-// partitions against the snapshot.
+// router, enforces the MaxSegments budget, resolves the routed consuming
+// partitions against the snapshot and derives the query's time bounds.
 func (b *Broker) planScatter(ctx context.Context, req *QueryRequest, q *Query, router Router, sink string) (*scatterPlan, error) {
 	routeSp, _ := obs.StartSpan(ctx, "route")
 	routeSp.SetAttr("router", router.Name())
@@ -251,10 +228,9 @@ func (b *Broker) planScatter(ctx context.Context, req *QueryRequest, q *Query, r
 	}
 	sp := &scatterPlan{plan: plan, router: router.Name(), snapshot: snapshot, opts: ExecOptions{
 		Workers:   req.Workers,
-		HotOnly:   req.Consistency == ConsistencyHot,
 		TrimExact: req.TrimExact,
 		TrimSize:  req.TrimSize,
-	}}
+	}, bounds: queryTimeBounds(q.Filters, b.d.cfg.Schema.TimeField)}
 	if sp.opts.Workers == 0 {
 		sp.opts.Workers = b.opts.Workers
 	}
@@ -297,7 +273,7 @@ type producer interface {
 	// false says the sink has had enough, which ends the share.
 	scan(ctx context.Context, u scanUnit) (st ExecStats, more bool, err error)
 	// finish ends the share: st sums its units' scan stats and its segment
-	// snapshot's counters (pruned, reloaded, skipped); err is what stopped it.
+	// snapshot's counters (pruned, reloaded); err is what stopped it.
 	finish(st ExecStats, err error) error
 }
 
@@ -320,7 +296,7 @@ type scanUnit struct {
 // consuming the sink cancels it because it is done. sk.close runs once the
 // last producer has exited, which is how a terminal waits for them. Span
 // handles are generation-stamped: a producer outliving the trace writes no-ops.
-func (b *Broker) scatter(ctx context.Context, q *Query, sp *scatterPlan, sk sink) (context.Context, context.CancelCauseFunc) {
+func (b *Broker) scatter(ctx context.Context, sp *scatterPlan, sk sink) (context.Context, context.CancelCauseFunc) {
 	ctx, cancel := context.WithCancelCause(ctx)
 	var pending atomic.Int32
 	pending.Store(int32(len(sp.servers) + len(sp.consuming) + 1))
@@ -346,7 +322,7 @@ func (b *Broker) scatter(ctx context.Context, q *Query, sp *scatterPlan, sk sink
 		srv, segs := b.d.serverAt(si), sp.plan.Assignment[si]
 		go run("server.scan", false, func(ctx context.Context, span obs.Span, out producer) (ExecStats, error) {
 			span.SetAttr("server", srv.Name())
-			return srv.scanSegments(ctx, q, segs, sp.snapshot.valid, sp.opts, out)
+			return srv.scanSegments(ctx, segs, sp.snapshot.valid, sp.bounds, sp.opts, out)
 		})
 	}
 	for _, cs := range sp.consuming {
@@ -475,7 +451,7 @@ type foldSink struct {
 	tp      *topKPlan // nil: exact, untrimmed execution
 	results chan *Partial
 	// cache, when set, holds sealed units' partials across queries (see
-	// segmentKey): a ConsistencyFull aggregate on a broker with a cache.
+	// segmentKey): an aggregate on a broker with a cache.
 	cache *qcache.Cache
 }
 
@@ -596,10 +572,10 @@ func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query, router R
 	}
 	// One slot per producer: a producer never blocks on a terminal that left.
 	sk := &foldSink{q: q, tp: g.tp, results: make(chan *Partial, len(sp.servers)+len(sp.consuming))}
-	if b.cache != nil && !sp.opts.HotOnly && len(q.Aggs) > 0 {
+	if b.cache != nil && len(q.Aggs) > 0 {
 		sk.cache = b.cache
 	}
-	sctx, cancel := b.scatter(ctx, q, sp, sk)
+	sctx, cancel := b.scatter(ctx, sp, sk)
 	defer cancel(nil)
 	mergeSp, _ := obs.StartSpan(ctx, "merge")
 	defer mergeSp.End()

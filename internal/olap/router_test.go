@@ -357,58 +357,21 @@ func TestMaxSegmentsBudget(t *testing.T) {
 	}
 }
 
-func TestConsistencyHotSkipsOffloadedSegments(t *testing.T) {
+// A filter on the time column prunes the sealed segments outside its
+// bounds before any scan, and the answer stays exact.
+func TestTimeFilterPrunesSegments(t *testing.T) {
 	d, _, _ := routedDeployment(t, 60)
-	infos := d.SegmentInfos()
-	if len(infos) < 2 {
-		t.Fatalf("fixture too small: %d segments", len(infos))
-	}
-	if _, err := d.OffloadSegment(infos[0].Name); err != nil {
-		t.Fatal(err)
-	}
-	b := NewBroker(d)
-	// No loader attached: a full-consistency query over the offloaded
-	// segment fails...
-	if _, err := b.Execute(context.Background(), &QueryRequest{Query: countQueryFor("")}); !errors.Is(err, ErrSegmentUnavailable) {
-		t.Fatalf("full consistency without loader: err = %v, want ErrSegmentUnavailable", err)
-	}
-	// ...while hot-only answers from the resident set and reports the skip.
-	resp, err := b.Execute(context.Background(), &QueryRequest{Query: countQueryFor(""), Consistency: ConsistencyHot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Stats.SegmentsSkipped == 0 {
-		t.Error("hot-only query should report skipped segments")
-	}
-	if got := resp.Rows[0][0].(int64); got >= 240 || got <= 0 {
-		t.Errorf("hot-only count = %d, want in (0, 240)", got)
-	}
-	// With the loader attached, full consistency reloads and is exact again.
-	d.AttachLoaders()
-	full, err := b.Execute(context.Background(), &QueryRequest{Query: countQueryFor("")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := full.Rows[0][0].(int64); got != 240 {
-		t.Errorf("reloaded count = %d, want 240", got)
-	}
-}
-
-func TestRequestTimeWindowOverride(t *testing.T) {
-	d, _, _ := routedDeployment(t, 60)
-	b := NewBroker(d)
-	resp, err := b.Execute(context.Background(), &QueryRequest{
-		Query: countQueryFor(""),
-		Time:  &TimeRange{From: 1700000000000, To: 1700000009000}, // first 10 ts values
-	})
+	q := countQueryFor("")
+	q.Filters = append(q.Filters, Filter{Column: "ts", Op: OpBetween, Value: int64(1700000000000), Value2: int64(1700000009000)}) // first 10 ts values
+	resp, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := resp.Rows[0][0].(int64); got != 40 { // 10 per city x 4 cities
-		t.Errorf("windowed count = %d, want 40", got)
+		t.Errorf("filtered count = %d, want 40", got)
 	}
 	if resp.Stats.SegmentsPruned == 0 {
-		t.Error("time window should prune out-of-window segments")
+		t.Error("the time filter should prune the segments outside it")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -113,6 +114,9 @@ func (d *dictionary) codeRange(min, max any) (int, int) {
 	if max != nil {
 		if f, ok := toF64(max); ok {
 			hi = d.search(f, true)
+			if math.IsNaN(f) {
+				hi = 0 // no value is at most NaN, as compileNumPred has it
+			}
 		}
 	}
 	return lo, hi
@@ -255,14 +259,18 @@ type Segment struct {
 	Partition int
 }
 
-// BuildSegment constructs an immutable segment from records: every record
-// goes into a mutable column store (a missing or nil field is NULL, any
-// other value is coerced by record.Coerce), which is then sealed as
-// ingestion and compaction seal theirs. It is the package's one map entry
+// BuildSegment constructs an immutable segment from records over a schema
+// that passes Schema.Validate, as NewDeployment requires: every record goes
+// into a mutable column store (mutableSegment.add: a missing or nil field is
+// NULL, any other value is coerced by record.Coerce), which is then sealed
+// as ingestion and compaction seal theirs. It is the package's one map entry
 // point to a Segment, and nothing inside the deployment calls it: tests and
 // internal/experiments build segments with it. Rows are dictionary-encoded
 // per column; secondary indexes follow cfg.
 func BuildSegment(name string, schema *metadata.Schema, rows []record.Record, cfg IndexConfig, partition int) (*Segment, error) {
+	if err := schema.Validate(); err != nil {
+		return nil, err
+	}
 	m := newMutableSegment(name, schema, len(rows))
 	for _, r := range rows {
 		if _, err := m.add(r); err != nil {

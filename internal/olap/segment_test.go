@@ -478,6 +478,29 @@ func TestEmptySegmentRejected(t *testing.T) {
 	}
 }
 
+// TestBuildSegmentValidatesSchema: BuildSegment holds its schema and rows
+// to what a deployment does — a double time field fails Schema.Validate,
+// and a row without its required time has no place in the time bounds.
+func TestBuildSegmentValidatesSchema(t *testing.T) {
+	doubleTime := ordersSchema()
+	for i := range doubleTime.Fields {
+		if doubleTime.Fields[i].Name == "ts" {
+			doubleTime.Fields[i].Type = metadata.TypeDouble
+		}
+	}
+	rows := orderRows(3)
+	if _, err := BuildSegment("x", doubleTime, rows, IndexConfig{}, -1); err == nil || !strings.Contains(err.Error(), "must be timestamp or long") {
+		t.Errorf("double time field: err = %v, want Schema.Validate's", err)
+	}
+	if _, err := NewDeployment(DeploymentConfig{Table: TableConfig{Name: "x", Schema: doubleTime}, Servers: []*Server{NewServer("s0")}}); err == nil {
+		t.Error("a deployment accepted a double time field")
+	}
+	delete(rows[1], "ts")
+	if _, err := BuildSegment("x", ordersSchema(), rows, IndexConfig{}, -1); err == nil || !strings.Contains(err.Error(), `required field "ts"`) {
+		t.Errorf("row without its required time: err = %v", err)
+	}
+}
+
 func TestSortedColumnBinarySearchMatchesScan(t *testing.T) {
 	rows := orderRows(200)
 	plain := buildTestSegment(t, rows, IndexConfig{})

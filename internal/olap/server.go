@@ -17,10 +17,9 @@ import (
 // deep-store fetch), and the last query touch that drives the lifecycle
 // manager's LRU hot-set.
 type hosted struct {
-	seg       *Segment // nil while offloaded
-	minTime   int64
-	maxTime   int64
-	hasBounds bool
+	seg     *Segment // nil while offloaded
+	minTime int64
+	maxTime int64
 	// lastQuery is unix-nanos of the latest query touch, atomic so the
 	// query path can record it under the server's read lock without
 	// serializing concurrent snapshot phases.
@@ -92,12 +91,7 @@ func (s *Server) Down() bool {
 
 // addSegment installs a sealed segment.
 func (s *Server) addSegment(seg *Segment) {
-	h := &hosted{
-		seg:       seg,
-		minTime:   seg.MinTime,
-		maxTime:   seg.MaxTime,
-		hasBounds: seg.Schema.TimeField != "",
-	}
+	h := &hosted{seg: seg, minTime: seg.MinTime, maxTime: seg.MaxTime}
 	h.lastQuery.Store(time.Now().UnixNano())
 	s.mu.Lock()
 	s.segments[seg.Name] = h
@@ -108,12 +102,8 @@ func (s *Server) addSegment(seg *Segment) {
 // metadata only, no resident data — the metadata-only half of a rebalance
 // move, where the deep store already holds the bytes and queries reload
 // them transparently through the loader.
-func (s *Server) addOffloaded(name string, minTime, maxTime int64, hasBounds bool) {
-	h := &hosted{
-		minTime:   minTime,
-		maxTime:   maxTime,
-		hasBounds: hasBounds,
-	}
+func (s *Server) addOffloaded(name string, minTime, maxTime int64) {
+	h := &hosted{minTime: minTime, maxTime: maxTime}
 	h.lastQuery.Store(time.Now().UnixNano())
 	s.mu.Lock()
 	s.segments[name] = h
@@ -227,10 +217,6 @@ type ExecOptions struct {
 	// Workers bounds the segment-scan worker pool (0 means GOMAXPROCS; 1
 	// forces the serial baseline).
 	Workers int
-	// HotOnly skips offloaded segments instead of reloading them from the
-	// deep store — the ConsistencyHot execution mode, reported via
-	// ExecStats.SegmentsSkipped.
-	HotOnly bool
 	// TrimExact disables bounded top-K trimming for ORDER BY/LIMIT queries:
 	// every matching row and every candidate group crosses the wire, so
 	// results are byte-identical to a full sort. The default (false) trims
@@ -244,27 +230,25 @@ type ExecOptions struct {
 }
 
 // segSnapshot is one query's view of the routed segments on this server:
-// resident segment data, with out-of-window segments pruned and offloaded
-// segments transparently reloaded or skipped.
+// resident segment data, with segments outside the query's time bounds
+// pruned and offloaded segments transparently reloaded.
 type segSnapshot struct {
 	segs     []*Segment
 	pruned   int
-	skipped  int
 	reloaded int
 	scanHist *obs.Histogram
 }
 
 // snapshotSegments runs the scanSegments preamble: under the read
-// lock it checks liveness, prunes segments whose time bounds miss the
-// query's window (using hosted metadata, so offloaded segments never touch
-// the deep store) and records query touches for the LRU hot-set; then —
-// outside the lock, because the deep store may be slow or down — it
-// reloads surviving offloaded segments through the attached loader and
-// installs them back as resident (or skips them when hotOnly). A reload
-// failure fails only queries that need the cold segment; hot-set queries
-// are unaffected — the graceful-degradation contract under a deep-store
-// outage.
-func (s *Server) snapshotSegments(ctx context.Context, q *Query, segmentNames []string, hotOnly bool) (*segSnapshot, error) {
+// lock it checks liveness, prunes segments whose time bounds lie outside
+// bounds (using hosted metadata, so offloaded segments never touch the deep
+// store) and records query touches for the LRU hot-set; then — outside the
+// lock, because the deep store may be slow or down — it reloads surviving
+// offloaded segments through the attached loader and installs them back as
+// resident. A reload failure fails only queries that need the cold segment;
+// a query whose time filters prune it is unaffected — the
+// graceful-degradation contract under a deep-store outage.
+func (s *Server) snapshotSegments(ctx context.Context, segmentNames []string, bounds timeBounds) (*segSnapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -285,16 +269,12 @@ func (s *Server) snapshotSegments(ctx context.Context, q *Query, segmentNames []
 		// Time pruning: the bounds live in the hosted metadata, so an
 		// out-of-window offloaded segment is skipped without touching the
 		// deep store — pruning composes with tiering.
-		if q.Time != nil && h.hasBounds && !q.Time.Overlaps(h.minTime, h.maxTime) {
+		if !bounds.overlaps(h.minTime, h.maxTime) {
 			snap.pruned++
 			continue
 		}
 		h.lastQuery.Store(now) // atomic: concurrent snapshots share the read lock
 		if h.seg == nil {
-			if hotOnly {
-				snap.skipped++
-				continue
-			}
 			offloaded = append(offloaded, name)
 			continue
 		}
@@ -333,29 +313,23 @@ func (s *Server) snapshotSegments(ctx context.Context, q *Query, segmentNames []
 // scanSegments runs a routed server's share of a scatter over the named
 // sealed segments hosted here, masked by valid (segment name → upsert
 // validity and its version, taken with the routing snapshot; absent means
-// every row is valid). Segments whose time bounds fall outside the query's
-// TimeRange are pruned before any scan is scheduled (and before any
-// deep-store reload); offloaded segments that survive pruning are
-// transparently reloaded through the attached loader and installed back as
-// resident (or skipped under opts.HotOnly). The survivors scan into out, up to opts.Workers at
-// once (0 means GOMAXPROCS; 1 is serial, in routed order, with no goroutine
+// every row is valid). Segments whose time bounds lie outside bounds are
+// pruned before any scan is scheduled (and before any deep-store reload);
+// offloaded segments that survive pruning are transparently reloaded
+// through the attached loader and installed back as resident. The
+// survivors scan into out, up to opts.Workers at once (0 means GOMAXPROCS; 1 is serial, in routed order, with no goroutine
 // overhead — a stream's order, and the baseline E16 compares against),
 // until out has had enough, a scan fails or ctx ends (checked between
 // segment scans). Each scan is a sample in the server's scan histogram and
 // a segment.scan span; the fault-injection delay sleeps inside the timed
 // window so slow-query capture attributes it to this scan. The returned
-// stats sum the scans' and the snapshot's (segments pruned, reloaded,
-// skipped).
-func (s *Server) scanSegments(ctx context.Context, q *Query, segmentNames []string, valid map[string]validity, opts ExecOptions, out producer) (ExecStats, error) {
-	snap, err := s.snapshotSegments(ctx, q, segmentNames, opts.HotOnly)
+// stats sum the scans' and the snapshot's (segments pruned, reloaded).
+func (s *Server) scanSegments(ctx context.Context, segmentNames []string, valid map[string]validity, bounds timeBounds, opts ExecOptions, out producer) (ExecStats, error) {
+	snap, err := s.snapshotSegments(ctx, segmentNames, bounds)
 	if err != nil {
 		return ExecStats{}, err
 	}
-	stats := ExecStats{
-		SegmentsPruned:   snap.pruned,
-		SegmentsReloaded: snap.reloaded,
-		SegmentsSkipped:  snap.skipped,
-	}
+	stats := ExecStats{SegmentsPruned: snap.pruned, SegmentsReloaded: snap.reloaded}
 	parentSpan := obs.SpanFromContext(ctx)
 	// Workers pull segment indexes from a shared counter. The first failure
 	// cancels pctx, which stops every worker before its next segment; a sink

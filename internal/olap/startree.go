@@ -198,11 +198,12 @@ func (t *StarTree) memBytes() int64 {
 	return int64(t.Nodes) * 96
 }
 
-// Eligible reports whether a query can be answered from the star-tree:
-// every filter must be an equality on a tree dimension, every group-by
-// column a tree dimension, and every aggregation a count/sum/min/max/avg
-// over a tree metric.
-func (t *StarTree) Eligible(q *Query) bool {
+// Eligible reports whether a query whose scan of the segment applies filters
+// (q.Filters, less what unitFilters drops) can be answered from the
+// star-tree: every filter must be an equality on a tree dimension, every
+// group-by column a tree dimension, and every aggregation a
+// count/sum/min/max/avg over a tree metric.
+func (t *StarTree) Eligible(q *Query, filters []Filter) bool {
 	dimSet := make(map[string]bool, len(t.Cfg.Dimensions))
 	for _, d := range t.Cfg.Dimensions {
 		dimSet[d] = true
@@ -214,7 +215,7 @@ func (t *StarTree) Eligible(q *Query) bool {
 	if len(q.Select) > 0 || len(q.Aggs) == 0 {
 		return false // selection queries scan; star-tree serves aggregates
 	}
-	for _, f := range q.Filters {
+	for _, f := range filters {
 		if f.Op != OpEq || !dimSet[f.Column] {
 			return false
 		}
@@ -244,12 +245,13 @@ func (t *StarTree) Eligible(q *Query) bool {
 // descending into the filtered code, iterating children for group-by dims,
 // and taking the star child otherwise. Each matching pre-aggregated row
 // enters the partial's group table under its group's key, typed from the
-// dictionaries by code. nil means the tree cannot answer: a filter literal
-// equals several codes, and the segment scans instead.
-func (t *StarTree) query(seg *Segment, q *Query) *Partial {
+// dictionaries by code. filters are the eligible ones the segment's scan
+// applies. nil means the tree cannot answer: a filter literal equals several
+// codes, and the segment scans instead.
+func (t *StarTree) query(seg *Segment, q *Query, filters []Filter) *Partial {
 	// Pre-resolve filters to codes.
 	eqCode := make(map[int]int) // dim level -> required code
-	for _, f := range q.Filters {
+	for _, f := range filters {
 		for di, d := range t.Cfg.Dimensions {
 			if f.Column == d {
 				lo, hi := seg.Columns[d].Dict.span(normalizeFilterValue(seg.Columns[d].Field.Type, f.Value))

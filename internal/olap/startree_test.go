@@ -30,7 +30,7 @@ func TestStarTreeEligibility(t *testing.T) {
 		{Filters: []Filter{{Column: "city", Op: OpEq, Value: "sf"}}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}}},
 	}
 	for i, q := range eligible {
-		if !tree.Eligible(q) {
+		if !tree.Eligible(q, q.Filters) {
 			t.Errorf("query %d should be star-tree eligible", i)
 		}
 	}
@@ -41,7 +41,7 @@ func TestStarTreeEligibility(t *testing.T) {
 		{Aggs: []AggSpec{{Kind: AggSum, Column: "items"}}},                                               // non-tree metric
 	}
 	for i, q := range ineligible {
-		if tree.Eligible(q) {
+		if tree.Eligible(q, q.Filters) {
 			t.Errorf("query %d should NOT be star-tree eligible", i)
 		}
 	}

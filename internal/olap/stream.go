@@ -61,7 +61,7 @@ func (sc *scanSet) streamSelect(ctx context.Context, q *Query, valid *Bitmap, po
 	if err != nil {
 		return ExecStats{}, false, err
 	}
-	ss, err := sc.newSelStream(sc.timeFilters(q), valid)
+	ss, err := sc.newSelStream(unitFilters(q.Filters, sc.schema, sc.minTime, sc.maxTime), valid)
 	if err != nil {
 		return ExecStats{}, false, err
 	}
@@ -287,6 +287,6 @@ func (b *Broker) openStream(ctx context.Context, req *QueryRequest, q *Query, ro
 		qs.remaining = q.Limit
 	}
 	sp.opts.Workers = 1 // a stream keeps each server's segments in routed order
-	qs.ctx, qs.stop = b.scatter(ctx, q, sp, qs.sink)
+	qs.ctx, qs.stop = b.scatter(ctx, sp, qs.sink)
 	return qs, nil
 }

@@ -161,12 +161,17 @@ func newMutableSegment(name string, schema *metadata.Schema, rowsHint int) *muta
 }
 
 // add appends one record as a row and returns its doc id: a missing or nil
-// field is NULL, any other value is coerced by record.Coerce. The row is
-// validated whole before any vector grows, so a rejected row leaves the
-// store untouched. BuildSegment is its one caller.
+// field is NULL, any other value is coerced by record.Coerce. A NULL in a
+// required time field is an error, as ingest has it: unitFilters drops a
+// time range holding a segment's bounds only because no row there lacks a
+// time. The row is validated whole before any vector grows, so a rejected
+// row leaves the store untouched. BuildSegment is its one caller.
 func (m *mutableSegment) add(r record.Record) (int, error) {
 	for fi, f := range m.schema.Fields {
 		v, err := record.Coerce(r[f.Name], f.Type)
+		if v == nil && err == nil && fi == m.timeField {
+			_, err = record.ConformValue(nil, f, m.schema.Name)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("olap: column %q row %d: %w", f.Name, m.n, err)
 		}
@@ -185,11 +190,7 @@ func (m *mutableSegment) appendRow(row []record.Value) int {
 		}
 	}
 	if m.timeField >= 0 {
-		v := row[m.timeField]
-		t := v.I
-		if m.schema.Fields[m.timeField].Type == metadata.TypeDouble {
-			t = int64(v.F)
-		}
+		t := row[m.timeField].I // a validated schema's time field is a long or a timestamp
 		if m.n == 0 || t < m.minTime {
 			m.minTime = t
 		}

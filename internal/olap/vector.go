@@ -214,7 +214,8 @@ func gatherRaw[T any](out *record.Vector, at int, dst, vals []T, present []bool,
 }
 
 // scanSet is the unit every kernel scans: n rows of named column views plus
-// the time bounds that let a window predicate be skipped. A sealed Segment
+// the time bounds that let a time range holding them be skipped
+// (unitFilters). A sealed Segment
 // and the prefix snapshot of a consuming segment both present as one.
 type scanSet struct {
 	n                int

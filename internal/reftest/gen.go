@@ -146,7 +146,8 @@ func (g *Gen) Query() *Query { return g.query(g.Rng.Intn(2) == 0) }
 
 // Aggregation draws an aggregation: up to three GROUP BY columns (listed
 // first), one to three aggregates of any kind, sometimes ORDER BY one output
-// column, and up to three filters, a time window, LIMIT and OFFSET.
+// column, and up to three filters, a time window (BETWEEN on the time
+// column), LIMIT and OFFSET.
 func (g *Gen) Aggregation() *Query { return g.query(true) }
 
 func (g *Gen) query(agg bool) *Query {
@@ -168,7 +169,7 @@ func (g *Gen) query(agg bool) *Query {
 	}
 	if g.Schema.TimeField != "" && g.Rng.Intn(3) == 0 {
 		from := int64(tsBase + g.Rng.Intn(1000))
-		q.Time = &TimeWindow{Column: g.Schema.TimeField, From: from, To: from + int64(g.Rng.Intn(600))}
+		q.Where = append(q.Where, sqlparse.Predicate{Column: g.Schema.TimeField, Op: sqlparse.CmpBetween, Value: from, Value2: from + int64(g.Rng.Intn(600))})
 	}
 	column := func(name string) sqlparse.SelectItem { return sqlparse.SelectItem{Column: name} }
 	if !agg {

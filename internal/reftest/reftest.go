@@ -37,15 +37,6 @@ type Query struct {
 	*sqlparse.SelectStmt
 	// Offset skips that many rows after ORDER BY, before LIMIT.
 	Offset int
-	// Time, when set, keeps only rows whose Time.Column lies in [From, To].
-	Time *TimeWindow
-}
-
-// TimeWindow is the OLAP layer's time restriction: an inclusive range over
-// the table's time column.
-type TimeWindow struct {
-	Column   string
-	From, To int64
 }
 
 // Parse parses one SELECT statement.
@@ -205,11 +196,7 @@ func (want *Result) CheckTypes(rows [][]any) error {
 // Eval evaluates q up to and including ORDER BY; LIMIT and OFFSET are
 // Check's.
 func (db DB) Eval(q *Query) (*Result, error) {
-	where := q.Where
-	if w := q.Time; w != nil {
-		where = append(slices.Clip(where), sqlparse.Predicate{Column: w.Column, Op: sqlparse.CmpBetween, Value: w.From, Value2: w.To})
-	}
-	return db.eval(q.SelectStmt, where)
+	return db.eval(q.SelectStmt)
 }
 
 // rel is an intermediate result: rows keyed by the names in cols, and what
@@ -347,7 +334,7 @@ func (db DB) from(ref *sqlparse.TableRef) (*rel, error) {
 		}
 		return out, nil
 	case ref.Sub != nil:
-		sub, err := db.eval(ref.Sub, ref.Sub.Where)
+		sub, err := db.eval(ref.Sub)
 		if err != nil {
 			return nil, err
 		}
@@ -374,9 +361,8 @@ func (db DB) from(ref *sqlparse.TableRef) (*rel, error) {
 	}
 }
 
-// eval evaluates one SELECT whose conjuncts are where, up to and including
-// ORDER BY.
-func (db DB) eval(stmt *sqlparse.SelectStmt, where []sqlparse.Predicate) (*Result, error) {
+// eval evaluates one SELECT up to and including ORDER BY.
+func (db DB) eval(stmt *sqlparse.SelectStmt) (*Result, error) {
 	in, err := db.from(stmt.From)
 	if err != nil {
 		return nil, err
@@ -384,7 +370,7 @@ func (db DB) eval(stmt *sqlparse.SelectStmt, where []sqlparse.Predicate) (*Resul
 	r := &rel{cols: in.cols, star: in.star}
 rows:
 	for _, row := range in.rows {
-		for _, p := range where {
+		for _, p := range stmt.Where {
 			if !satisfies(in.lookup(row, qualified(p.Table, p.Column)), p) {
 				continue rows
 			}
@@ -626,9 +612,6 @@ func (q *Query) String() string {
 		default:
 			fmt.Fprintf(&b, "%s %s %#v", col, []string{"=", "!=", "<", "<=", ">", ">="}[p.Op], p.Value)
 		}
-	}
-	if w := q.Time; w != nil {
-		fmt.Fprintf(&b, " TIME %s IN [%d, %d]", w.Column, w.From, w.To)
 	}
 	if len(q.GroupBy) > 0 {
 		fmt.Fprintf(&b, " GROUP BY %s", strings.Join(q.GroupBy, ", "))
