@@ -28,6 +28,9 @@ var shapeChecks = map[string]struct {
 			t.Errorf("spark/flink memory ratio = %.1f, want in [3,20]", ratio)
 		}
 	}},
+	// E3, E4 and E15 compare each side's fastest of 30 interleaved calls, which
+	// CPU contention from other test binaries moves least; E4's and
+	// E15's counters show the mechanism outright.
 	"E3": {func() []Row { return E3(5_000) }, func(t *testing.T, get rowGetter) {
 		if r := get("mem_ratio"); r < 2 {
 			t.Errorf("mem ratio = %.1f, want >= 2", r)
@@ -39,9 +42,6 @@ var shapeChecks = map[string]struct {
 			t.Errorf("latency ratio = %.2f, want >= 1 (ES slower)", r)
 		}
 	}},
-	// E4 and E15 compare each side's fastest of 30 interleaved calls, which
-	// CPU contention from other test binaries moves least; the counters show
-	// the mechanism outright.
 	"E4": {func() []Row { return E4(20_000) }, func(t *testing.T, get rowGetter) {
 		if get("startree_segments_served") != 1 {
 			t.Error("the star-tree did not serve the star-tree query")

@@ -457,3 +457,28 @@ func (in *fuzzInput) literal() any {
 	}
 	return nil
 }
+
+// FuzzUnpack holds block unpacking to Get: a column of random values packed
+// at bits bits (1–32) over an odd number of rows, so the final word is part
+// full, unpacked from start for n rows (at most a window), answers Get at
+// every row. A draw outside the column or the widths is skipped.
+func FuzzUnpack(f *testing.F) {
+	f.Add(uint8(1), uint16(0), uint16(64), int64(1))
+	f.Add(uint8(13), uint16(5), uint16(300), int64(2))
+	f.Add(uint8(32), uint16(2*BatchRows), uint16(37), int64(3))
+	f.Add(uint8(7), uint16(2*BatchRows+36), uint16(1), int64(4))
+	const rows = 2*BatchRows + 37
+	f.Fuzz(func(t *testing.T, bits uint8, start, n uint16, seed int64) {
+		if bits < 1 || bits > 32 || n > BatchRows || int(start)+int(n) > rows {
+			t.Skip()
+		}
+		p := randomPacked(uint(bits), rows, seed)
+		var block [BatchRows]uint32
+		p.unpack(block[:n], int(start))
+		for k := range int(n) {
+			if want := p.Get(int(start) + k); int(block[k]) != want {
+				t.Fatalf("width %d: row %d unpacks as %d, Get says %d", bits, int(start)+k, block[k], want)
+			}
+		}
+	})
+}

@@ -445,3 +445,48 @@ func BenchmarkSeal(b *testing.B) {
 		benchSegSink = seg
 	}
 }
+
+// randomPacked returns n random values packed at width bits, seeded by seed.
+func randomPacked(bits uint, n int, seed int64) packedInts {
+	rng := rand.New(rand.NewSource(seed))
+	max := uint64(1)<<bits - 1
+	p := makePackedInts(n, int(max))
+	for i := range n {
+		p.set(i, rng.Uint64()&max)
+	}
+	return p
+}
+
+var benchCodeSink uint32
+
+// BenchmarkPackedUnpack reads a window of BatchRows codes at three widths,
+// one Get per row against one unpack of the window; ns/row is the cost of
+// a code.
+func BenchmarkPackedUnpack(b *testing.B) {
+	for _, bits := range []uint{3, 13, 32} {
+		p := randomPacked(bits, 4*BatchRows, 3)
+		var block [BatchRows]uint32
+		b.Run(fmt.Sprintf("bits=%d/Get", bits), func(b *testing.B) {
+			var sum uint32
+			for i := 0; i < b.N; i++ {
+				start := (i % 3) * BatchRows
+				for j := range block {
+					sum += uint32(p.Get(start + j))
+				}
+			}
+			benchCodeSink = sum
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/BatchRows, "ns/row")
+		})
+		b.Run(fmt.Sprintf("bits=%d/unpack", bits), func(b *testing.B) {
+			var sum uint32
+			for i := 0; i < b.N; i++ {
+				p.unpack(block[:], (i%3)*BatchRows)
+				for _, c := range block {
+					sum += c
+				}
+			}
+			benchCodeSink = sum
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/BatchRows, "ns/row")
+		})
+	}
+}

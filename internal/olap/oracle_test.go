@@ -216,10 +216,47 @@ func mustParse(t testing.TB, sql string) *reftest.Query {
 	return q
 }
 
+// kindSweep draws an aggregation of every kind a nullable column's type
+// allows — COUNT and DISTINCTCOUNT, and off strings SUM, AVG, MIN and MAX —
+// grouped by one column or by none: each kind's fold, over codes that hold
+// NULL's, in one query. nil when no column is nullable.
+func kindSweep(g *reftest.Gen) *reftest.Query {
+	fields := g.Queryable()
+	var nullable []metadata.Field
+	for _, f := range fields {
+		if f.Nullable {
+			nullable = append(nullable, f)
+		}
+	}
+	if len(nullable) == 0 {
+		return nil
+	}
+	f := nullable[g.Rng.Intn(len(nullable))]
+	kinds := []AggKind{AggCount, AggDistinctCount}
+	if f.Type != metadata.TypeString {
+		kinds = append(kinds, AggSum, AggAvg, AggMin, AggMax)
+	}
+	rq := &reftest.Query{SelectStmt: &sqlparse.SelectStmt{From: &sqlparse.TableRef{Name: g.Schema.Name}}}
+	if g.Rng.Intn(2) == 0 {
+		by := fields[g.Rng.Intn(len(fields))].Name
+		rq.GroupBy = []string{by}
+		rq.Items = append(rq.Items, sqlparse.SelectItem{Column: by})
+	}
+	for i, k := range kinds {
+		// FromReference's kind mapping, inverted.
+		fn := sqlparse.FuncCount + sqlparse.FuncKind(k)
+		rq.Items = append(rq.Items, sqlparse.SelectItem{Func: fn, Column: f.Name, Alias: fmt.Sprintf("a%d", i)})
+	}
+	return rq
+}
+
 // TestScanDifferential: over random schemas, rows, upsert-invalid sets and
 // queries, the kernel scan of the mutable store and the same scan of the
 // store after seal() answer as the reference does, with and without the
-// bounded top-K path, and an unordered selection streams every match.
+// bounded top-K path, and an unordered selection streams every match. Each
+// seed also folds every aggregate kind over one nullable column: the
+// per-kind folds over a sealed column's unpacked codes, NULL's code among
+// them.
 func TestScanDifferential(t *testing.T) {
 	seeds := int64(80)
 	if testing.Short() {
@@ -270,8 +307,15 @@ func TestScanDifferential(t *testing.T) {
 		if m.n > BatchRows {
 			queries = 8 // the reference is slow; these seeds are about window edges
 		}
-		for qi := 0; qi < queries; qi++ {
-			rq := g.Query()
+		// After the drawn queries, one that folds every aggregate kind over
+		// a nullable column (kindSweep).
+		for qi := 0; qi <= queries; qi++ {
+			var rq *reftest.Query
+			if qi < queries {
+				rq = g.Query()
+			} else if rq = kindSweep(g); rq == nil {
+				continue
+			}
 			q := FromReference(rq)
 			var tp *topKPlan
 			if g.Rng.Intn(2) == 0 { // else: TrimExact

@@ -308,51 +308,62 @@ func unitFilters(filters []Filter, schema *metadata.Schema, minTime, maxTime int
 
 // predBitmap resolves a compiled predicate on an indexed sealed column (n
 // rows) to the bitmap of matching rows: an equality is one code's rows, a
-// range its code interval's, an IN the union over its member codes.
-func (c *column) predBitmap(n int, pr codePred) *Bitmap {
+// range its code interval's, an IN the union over its member codes. shared
+// reports bm one of the column's own posting lists, which the caller reads
+// and never writes.
+func (c *column) predBitmap(n int, pr codePred) (bm *Bitmap, shared bool) {
 	switch pr.kind {
 	case predEq:
 		return c.codeRows(n, pr.eq, pr.eq+1)
 	case predRange:
 		return c.codeRows(n, pr.lo, pr.hi)
 	case predIn:
-		bm := NewBitmap(n)
+		bm = NewBitmap(n)
 		for code, in := range pr.in {
 			if in {
-				bm.Or(c.codeRows(n, code, code+1))
+				c.orCodeRows(bm, code, code+1)
 			}
 		}
-		return bm
+		return bm, false
 	default: // predNe
-		bm := NewBitmap(n)
+		bm = NewBitmap(n)
 		bm.Fill()
 		if pr.eq >= 0 {
-			bm.AndNot(c.codeRows(n, pr.eq, pr.eq+1))
+			eq, _ := c.codeRows(n, pr.eq, pr.eq+1)
+			bm.AndNot(eq)
 		}
 		// Nulls never match != either (SQL semantics).
 		bm.And(c.Present)
-		return bm
+		return bm, false
 	}
 }
 
 // codeRows returns the rows whose dict code lies in [lo, hi): on an inverted
-// column a clone of the one posting list or the union of the interval's (the
-// "range index": dictionary order makes ranges cheap); on the sorted column,
-// whose codes are non-decreasing, the run between two binary searches.
-func (c *column) codeRows(n, lo, hi int) *Bitmap {
+// column one code's posting list itself (shared), or the union of the
+// interval's (the "range index": dictionary order makes ranges cheap); on
+// the sorted column, whose codes are non-decreasing, the run between two
+// binary searches.
+func (c *column) codeRows(n, lo, hi int) (bm *Bitmap, shared bool) {
+	if c.Inverted != nil && hi == lo+1 && c.Inverted[lo] != nil {
+		return c.Inverted[lo], true
+	}
+	bm = NewBitmap(n)
+	c.orCodeRows(bm, lo, hi)
+	return bm, false
+}
+
+// orCodeRows adds the rows whose dict code lies in [lo, hi) to bm, as
+// codeRows finds them.
+func (c *column) orCodeRows(bm *Bitmap, lo, hi int) {
 	if c.Inverted != nil {
-		if hi == lo+1 && c.Inverted[lo] != nil {
-			return c.Inverted[lo].Clone()
-		}
-		bm := NewBitmap(n)
 		for code := lo; code < hi; code++ {
 			if sub := c.Inverted[code]; sub != nil {
 				bm.Or(sub)
 			}
 		}
-		return bm
+		return
 	}
-	bm := NewBitmap(n)
+	n := bm.N
 	start := sort.Search(n, func(i int) bool { return c.Codes.Get(i) >= lo })
 	end := sort.Search(n, func(i int) bool { return c.Codes.Get(i) >= hi })
 	for i := start; i < end; i++ {
@@ -360,7 +371,6 @@ func (c *column) codeRows(n, lo, hi int) *Bitmap {
 			bm.Set(i)
 		}
 	}
-	return bm
 }
 
 // scan presents the sealed segment to the kernels.
@@ -460,6 +470,7 @@ func (sc *scanSet) executePartial(q *Query, valid *Bitmap, tp *topKPlan) (*Parti
 	} else {
 		p, err = sc.executeSelect(q, ss, tp)
 	}
+	ss.release()
 	if err != nil {
 		return nil, err
 	}
@@ -496,9 +507,9 @@ func (sc *scanSet) executeAgg(q *Query, ss *selStream, tp *topKPlan) (*Partial, 
 	}
 	g := newGrouper(gcols, len(q.Aggs), sc.n)
 	for sel := ss.next(); sel != nil; sel = ss.next() {
-		slots := g.assign(sel)
+		slots := g.assign(sel, ss.block[:])
 		for ai := range cur {
-			cur[ai].fold(g.accs, g.naggs, ai, slots, sel)
+			cur[ai].fold(g.accs, g.naggs, ai, slots, sel, ss.block[:])
 		}
 	}
 	return g.partial(tp), nil

@@ -180,6 +180,56 @@ func (p *packedInts) Get(i int) int {
 	return int(v & ((1 << p.Bits) - 1))
 }
 
+// getEach sets dst[j] to Get(off+sel[j]) for each j: Get with the width,
+// the mask and the words read once per call, not once per row.
+func (p *packedInts) getEach(dst []uint32, off int, sel []int32) {
+	b := p.Bits
+	mask := uint64(1)<<b - 1
+	data := p.Data
+	dst = dst[:len(sel)]
+	for j, i := range sel {
+		bitPos := uint(off+int(i)) * b
+		w, o := bitPos/64, bitPos%64
+		v := data[w] >> o
+		if o+b > 64 {
+			v |= data[w+1] << (64 - o)
+		}
+		dst[j] = uint32(v & mask)
+	}
+}
+
+// unpack fills dst with values start, start+1, … — Get's answers — reading
+// each 64-bit word once: the bits not yet handed out wait in a buffer, and
+// a word is loaded only when the next value reaches into it (block-wise
+// bit-unpacking, Lemire & Boytsov). start+len(dst) must not pass N.
+func (p *packedInts) unpack(dst []uint32, start int) {
+	if len(dst) == 0 {
+		return
+	}
+	b := p.Bits
+	mask := uint64(1)<<b - 1
+	bitPos := start * int(b)
+	w := bitPos / 64
+	data := p.Data[w:]
+	acc := data[0] >> uint(bitPos%64) // bits not yet handed out
+	have := 64 - uint(bitPos%64)      // how many acc holds
+	data = data[1:]
+	for k := range dst {
+		if have >= b {
+			dst[k] = uint32(acc & mask)
+			acc >>= b
+			have -= b
+			continue
+		}
+		// The value's low have bits are in acc, the rest open the next word.
+		next := data[0]
+		data = data[1:]
+		dst[k] = uint32((acc | next<<have) & mask)
+		acc = next >> (b - have)
+		have += 64 - b
+	}
+}
+
 func (p *packedInts) memBytes() int64 { return int64(len(p.Data)*8) + 24 }
 
 // column is one dictionary-encoded column with optional secondary indexes.

@@ -3,7 +3,9 @@ package olap
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -628,5 +630,158 @@ func TestBitmapOps(t *testing.T) {
 	})
 	if n != 10 {
 		t.Errorf("ForEach early exit visited %d", n)
+	}
+}
+
+// TestPackedUnpackMatchesGet: at every width from 1 to 32 bits, unpack and
+// getEach answer what Get does — from aligned and unaligned starts, for
+// every length up to the end of the column, the final word included.
+func TestPackedUnpackMatchesGet(t *testing.T) {
+	const n = 200 // more than three words at every width but 1
+	for bits := uint(1); bits <= 32; bits++ {
+		p := randomPacked(bits, n, int64(bits))
+		if p.Bits != bits {
+			t.Fatalf("width %d packed at %d bits", bits, p.Bits)
+		}
+		dst := make([]uint32, n)
+		for _, start := range []int{0, 1, 3, 63, 64, 65, 127, n - 2, n - 1, n} {
+			for length := 0; start+length <= n; length++ {
+				p.unpack(dst[:length], start)
+				for k := range length {
+					if want := p.Get(start + k); int(dst[k]) != want {
+						t.Fatalf("width %d: unpack(start %d, len %d)[%d] = %d, Get = %d", bits, start, length, k, dst[k], want)
+					}
+				}
+			}
+		}
+		sel := []int32{0, 2, 3, 64, 65, 130, n - 41}
+		p.getEach(dst, 40, sel)
+		for j, i := range sel {
+			if want := p.Get(40 + int(i)); int(dst[j]) != want {
+				t.Fatalf("width %d: getEach row %d = %d, Get = %d", bits, 40+i, dst[j], want)
+			}
+		}
+	}
+}
+
+// TestColViewCodes: colView.codes gives row off+sel[j]'s code at j for
+// contiguous and sparse selections, in both code layouts and at an offset;
+// a contiguous selection of a dense column is the column's own slice and
+// anything else lands in the caller's block.
+func TestColViewCodes(t *testing.T) {
+	const n = 3 * BatchRows
+	p := randomPacked(11, n, 5)
+	dense := make([]uint32, n)
+	for i := range dense {
+		dense[i] = uint32(i*7919) % 1000
+	}
+	views := map[string]*colView{
+		"packed": {layout: layoutPacked, packed: &p},
+		"dense":  {layout: layoutDense, dense: dense},
+	}
+	want := func(v *colView, row int) uint32 {
+		if v.layout == layoutPacked {
+			return uint32(p.Get(row))
+		}
+		return dense[row]
+	}
+	contiguous := func(from, to int) []int32 {
+		sel := make([]int32, 0, to-from)
+		for i := from; i < to; i++ {
+			sel = append(sel, int32(i))
+		}
+		return sel
+	}
+	sparse := []int32{0, 1, 5, 63, 64, 200, 1000, BatchRows - 1}
+	var block [BatchRows]uint32
+	for name, v := range views {
+		for _, off := range []int{0, 7, BatchRows, n - BatchRows} {
+			for shape, sel := range map[string][]int32{
+				"window": contiguous(0, BatchRows), "run": contiguous(13, 77),
+				"one": {9}, "empty": nil, "sparse": sparse,
+			} {
+				got := v.codes(off, sel, block[:])
+				if len(got) != len(sel) {
+					t.Fatalf("%s %s off %d: %d codes for %d rows", name, shape, off, len(got), len(sel))
+				}
+				for j, i := range sel {
+					if w := want(v, off+int(i)); got[j] != w {
+						t.Fatalf("%s %s off %d: code of row %d = %d, want %d", name, shape, off, off+int(i), got[j], w)
+					}
+				}
+				if len(got) == 0 {
+					continue
+				}
+				inBlock := &got[0] == &block[0]
+				if own := name == "dense" && shape != "sparse"; own == inBlock || own && &got[0] != &dense[off+int(sel[0])] {
+					t.Errorf("%s %s off %d: codes in the block = %v, want %v", name, shape, off, inBlock, !own)
+				}
+			}
+		}
+	}
+}
+
+// TestIndexedFiltersBorrowPostingLists: filters resolved through inverted
+// indexes read the posting lists and write none — two equalities (the D2
+// dashboard shape, whose base is the intersection of two posting lists),
+// an IN, a !=, a one-code range — run from several goroutines at once, leave
+// every posting list word for word as it was and answer as the same
+// segment without indexes does.
+func TestIndexedFiltersBorrowPostingLists(t *testing.T) {
+	rows := benchRows(3 * BatchRows)
+	indexed, err := BuildSegment("s", benchSchema(), rows, benchIndexes, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := BuildSegment("s", benchSchema(), rows, IndexConfig{}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[string][][]uint64{}
+	for _, name := range benchIndexes.InvertedColumns {
+		for _, bm := range indexed.Columns[name].Inverted {
+			before[name] = append(before[name], slices.Clone(bm.Words))
+		}
+	}
+	count := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Column: "amount"}}
+	queries := []*Query{
+		benchShapes()["D2"],
+		{Aggs: count, Filters: []Filter{{Column: "city", Op: OpEq, Value: "city_03"}, {Column: "status", Op: OpEq, Value: "placed"}}},
+		{Aggs: count, Filters: []Filter{{Column: "status", Op: OpIn, Values: []any{"placed", "delivered"}}, {Column: "city", Op: OpNe, Value: "city_01"}}},
+		{Aggs: count, Filters: []Filter{{Column: "status", Op: OpEq, Value: "placed"}, {Column: "city", Op: OpIn, Values: []any{"city_02", "city_09"}}}},
+		{Aggs: count, Filters: []Filter{{Column: "city", Op: OpLe, Value: "city_00"}, {Column: "status", Op: OpGe, Value: "preparing"}}},
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				for qi, q := range queries {
+					got, err := indexed.Execute(q, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					want, err := plain.Execute(q, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got.Rows, want.Rows) {
+						t.Errorf("query %d: indexed %v, unindexed %v", qi, got.Rows, want.Rows)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for name, lists := range before {
+		for code, words := range lists {
+			if !slices.Equal(indexed.Columns[name].Inverted[code].Words, words) {
+				t.Errorf("%s: the posting list of code %d changed", name, code)
+			}
+		}
 	}
 }

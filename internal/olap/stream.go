@@ -65,6 +65,7 @@ func (sc *scanSet) streamSelect(ctx context.Context, q *Query, valid *Bitmap, po
 	if err != nil {
 		return ExecStats{}, false, err
 	}
+	defer ss.release()
 	var shipped int64
 	more := true
 	for sel := ss.next(); sel != nil; sel = ss.next() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"repro/internal/metadata"
 	"repro/internal/record"
@@ -24,6 +25,14 @@ import (
 // The same pipeline scans sealed segments and consuming ones. The kernels
 // see a column only through a colView, which names one of three physical
 // layouts; every layout switch sits outside a row loop.
+//
+// A code layout reaches the filter kernel, the grouper and the folds as a
+// code block: colView.codes returns the selected rows' codes as one
+// []uint32 — a contiguous run of a bit-packed column unpacked by the block,
+// each 64-bit word read once; a dense column's own slice; a sparse
+// selection read row by row — into the scan's pooled [BatchRows]uint32
+// (codeBlocks). Over a coded measure the fold runs one loop per aggregate
+// kind (foldCodes) and writes only what that kind's answer reads.
 
 // BatchRows is the scan window width: selection vectors and streamed row
 // batches hold at most this many rows. Large enough to amortize per-batch
@@ -93,6 +102,42 @@ func (v *colView) code(i int) int {
 	return int(v.dense[i])
 }
 
+// codes returns the code of row off+sel[j] at position j, for every j of a
+// selection vector (strictly increasing ids). A contiguous selection —
+// every row of a window, before a filter removed any — is unpacked by the
+// block into buf, or on a dense column is its own code slice, no copy; a
+// sparse one is read row by row into buf (packedInts.getEach). The result
+// is valid until buf is written again.
+func (v *colView) codes(off int, sel []int32, buf []uint32) []uint32 {
+	n := len(sel)
+	if n == 0 {
+		return nil
+	}
+	start := off + int(sel[0])
+	contiguous := int(sel[n-1]-sel[0]) == n-1
+	out := buf[:n]
+	switch {
+	case v.layout == layoutDense && contiguous:
+		return v.dense[start : start+n]
+	case contiguous:
+		v.packed.unpack(out, start)
+	case v.layout == layoutDense:
+		dense := v.dense[off:]
+		for j, i := range sel {
+			out[j] = dense[i]
+		}
+	default:
+		v.packed.getEach(out, off, sel)
+	}
+	return out
+}
+
+// codeBlocks recycles the scans' code blocks: a scan takes one with its
+// selection stream and hands it back when it ends, and every kernel of the
+// scan reads its codes through it in turn (colView.codes), so a scan
+// allocates none.
+var codeBlocks = sync.Pool{New: func() any { return new([BatchRows]uint32) }}
+
 // codeStr is a string column's value for a non-NULL code.
 func (v *colView) codeStr(code int) string {
 	if v.layout == layoutPacked {
@@ -130,12 +175,8 @@ func (v *colView) cellKey(i int) (num uint64, ok bool) {
 	return record.CanonBits(v.num(i)), true
 }
 
-func (v *colView) isNull(i int) bool {
-	if v.coded() {
-		return v.code(i) == v.null
-	}
-	return v.present != nil && !v.present[i]
-}
+// isNull reports row i of a raw column NULL.
+func (v *colView) isNull(i int) bool { return v.present != nil && !v.present[i] }
 
 // num returns row i of a raw numeric column as the float64 every numeric
 // comparison and aggregation works in (sealed dictionaries hold the same).
@@ -530,81 +571,54 @@ func compileFilter(c *colView, f Filter) (k kernelFilter, never bool, err error)
 }
 
 // filterSel refines a selection vector in place through one predicate. sel
-// holds row ids relative to off. The kernels compact by storing every
-// candidate and advancing past the ones that match: at a dashboard
+// holds row ids relative to off; a code layout's kernel reads the selected
+// rows' codes through buf (colView.codes). The kernels compact by storing
+// every candidate and advancing past the ones that match: at a dashboard
 // filter's selectivity (one row in two to one in twenty) the unconditional
 // store is cheaper than a branch the predictor keeps missing.
-func (k *kernelFilter) filterSel(off int, sel []int32) []int32 {
-	switch k.col.layout {
-	case layoutPacked:
-		return filterPacked(k.col.packed, k.code, off, sel)
-	case layoutDense:
-		return filterDense(k.col.dense[off:], k.code, sel)
-	default:
+func (k *kernelFilter) filterSel(off int, sel []int32, buf []uint32) []int32 {
+	if !k.col.coded() {
 		return filterNum(k.col, k.num, off, sel)
 	}
+	return filterCodes(k.col.codes(off, sel, buf), k.code, sel)
 }
 
-func filterPacked(codes *packedInts, pr codePred, off int, sel []int32) []int32 {
-	k := 0
-	switch pr.kind {
-	case predEq:
-		for _, i := range sel {
-			sel[k] = i
-			if codes.Get(off+int(i)) == pr.eq {
-				k++
-			}
-		}
-	case predNe:
-		for _, i := range sel {
-			sel[k] = i
-			if c := codes.Get(off + int(i)); c != pr.eq && c != pr.null {
-				k++
-			}
-		}
-	case predRange:
-		lo, width := pr.lo, uint(pr.hi-pr.lo)
-		for _, i := range sel {
-			sel[k] = i
-			if uint(codes.Get(off+int(i))-lo) < width {
-				k++
-			}
-		}
-	case predIn:
-		for _, i := range sel {
-			sel[k] = i
-			if pr.in[codes.Get(off+int(i))] {
-				k++
-			}
-		}
-	}
-	return sel[:k]
-}
-
-// filterDense is filterPacked over dense codes (NULL is code 0). The
-// compiler never emits predRange for an unordered dictionary.
-func filterDense(codes []uint32, pr codePred, sel []int32) []int32 {
+// filterCodes keeps the rows of sel whose code, codes[j] for row sel[j],
+// satisfies pr. One kernel serves both code layouts: NULL is pr.null on a
+// sealed column and 0 on a dense one, and the compiler emits predRange for
+// sorted dictionaries only.
+func filterCodes(codes []uint32, pr codePred, sel []int32) []int32 {
+	codes = codes[:len(sel)]
 	k := 0
 	switch pr.kind {
 	case predEq:
 		eq := uint32(pr.eq)
-		for _, i := range sel {
+		for j, i := range sel {
 			sel[k] = i
-			if codes[i] == eq {
+			if codes[j] == eq {
 				k++
 			}
 		}
 	case predNe:
-		for _, i := range sel {
+		eq, null := uint32(pr.eq), uint32(pr.null)
+		for j, i := range sel {
 			sel[k] = i
-			if c := int(codes[i]); c != pr.eq && c != 0 {
+			if c := codes[j]; c != eq && c != null {
+				k++
+			}
+		}
+	case predRange:
+		lo, width := uint32(pr.lo), uint32(pr.hi-pr.lo)
+		for j, i := range sel {
+			sel[k] = i
+			if codes[j]-lo < width {
 				k++
 			}
 		}
 	case predIn:
-		for _, i := range sel {
+		for j, i := range sel {
 			sel[k] = i
-			if pr.in[codes[i]] {
+			if pr.in[codes[j]] {
 				k++
 			}
 		}
@@ -704,13 +718,16 @@ var identitySel = func() (s [BatchRows]int32) {
 // filters (inverted / sorted columns) are folded into one base bitmap up
 // front; every other filter becomes a kernel applied per window; the upsert
 // validity bitmap masks last, so dropped counts exactly the rows that
-// matched the filters and were superseded.
+// matched the filters and were superseded. The scan's code block rides
+// along: the filter kernels read codes through it, and so do the grouper
+// and the folds of each batch next returns.
 type selStream struct {
 	n       int
 	base    *Bitmap // nil: every row is a candidate
 	kernels []kernelFilter
 	valid   *Bitmap
 	dead    bool // a predicate can never match; the stream is empty
+	block   *[BatchRows]uint32
 
 	pos     int
 	sel     []int32
@@ -718,9 +735,13 @@ type selStream struct {
 	dropped int64 // rows the valid mask removed
 }
 
-// newSelStream compiles the filters against this scan set.
+// newSelStream compiles the filters against this scan set. An indexed
+// filter's bitmap may be a posting list of the index itself, which the
+// stream only reads: the base is copied only when a second indexed filter
+// is intersected into it. The caller ends the stream with release.
 func (sc *scanSet) newSelStream(filters []Filter, valid *Bitmap) (*selStream, error) {
 	ss := &selStream{n: sc.n, valid: valid, sel: make([]int32, 0, BatchRows)}
+	shared := false // base is a posting list
 	for _, f := range filters {
 		c := sc.col(f.Column)
 		if c == nil {
@@ -736,12 +757,28 @@ func (sc *scanSet) newSelStream(filters []Filter, valid *Bitmap) (*selStream, er
 		case c.indexed == nil:
 			ss.kernels = append(ss.kernels, k)
 		case ss.base == nil:
-			ss.base = c.indexed.predBitmap(sc.n, k.code)
+			ss.base, shared = c.indexed.predBitmap(sc.n, k.code)
 		default:
-			ss.base.And(c.indexed.predBitmap(sc.n, k.code))
+			bm, bmShared := c.indexed.predBitmap(sc.n, k.code)
+			switch {
+			case !shared:
+			case !bmShared:
+				ss.base, bm = bm, ss.base
+			default:
+				ss.base = ss.base.Clone()
+			}
+			ss.base.And(bm)
+			shared = false
 		}
 	}
+	ss.block = codeBlocks.Get().(*[BatchRows]uint32)
 	return ss, nil
+}
+
+// release hands the stream's code block back; the stream is done.
+func (ss *selStream) release() {
+	codeBlocks.Put(ss.block)
+	ss.block = nil
 }
 
 // next returns the next non-empty selection vector, or nil at end of scan.
@@ -771,7 +808,7 @@ func (ss *selStream) next() []int32 {
 			if len(sel) == 0 {
 				break
 			}
-			sel = ss.kernels[i].filterSel(off, sel)
+			sel = ss.kernels[i].filterSel(off, sel, ss.block[:])
 		}
 		if off != 0 {
 			for j := range sel {
@@ -808,60 +845,109 @@ type aggCursor struct {
 // fold folds one batch into aggregation ai of each selected row's group:
 // slots[j] is the accumulator slot of row sel[j], and slot s's aggregations
 // are accs[s*naggs : (s+1)*naggs]. Rows of one group fold in row order, so
-// float sums come out the same whatever the batch boundaries.
-func (ac *aggCursor) fold(accs []aggState, naggs, ai int, slots, sel []int32) {
+// float sums come out the same whatever the batch boundaries. A coded
+// measure's codes are read through buf (colView.codes).
+func (ac *aggCursor) fold(accs []aggState, naggs, ai int, slots, sel []int32, buf []uint32) {
 	c := ac.col
+	accs = accs[ai:]
 	switch {
 	case ac.countStar:
 		for _, s := range slots {
-			accs[int(s)*naggs+ai].Count++
+			accs[int(s)*naggs].Count++
 		}
+	case c.coded():
+		ac.foldCodes(accs, naggs, slots, c.codes(0, sel, buf))
 	case ac.kind == AggCount:
 		for j, i := range sel {
 			if !c.isNull(int(i)) {
-				accs[int(slots[j])*naggs+ai].Count++
-			}
-		}
-	case ac.kind == AggDistinctCount && c.typ == metadata.TypeString:
-		for j, i := range sel {
-			if code := c.code(int(i)); code != c.null {
-				accs[int(slots[j])*naggs+ai].addStr(c.codeStr(code))
-			}
-		}
-	case ac.kind == AggDistinctCount && c.layout == layoutPacked:
-		for j, i := range sel {
-			if code := c.packed.Get(int(i)); code != c.null {
-				accs[int(slots[j])*naggs+ai].addNum(c.dict.num(code))
+				accs[int(slots[j])*naggs].Count++
 			}
 		}
 	case ac.kind == AggDistinctCount:
 		for j, i := range sel {
 			if !c.isNull(int(i)) {
-				accs[int(slots[j])*naggs+ai].addNum(c.num(int(i)))
-			}
-		}
-	case c.layout == layoutPacked && c.typ == metadata.TypeDouble:
-		nums := c.dict.Nums
-		for j, i := range sel {
-			if code := c.packed.Get(int(i)); code != c.null {
-				accs[int(slots[j])*naggs+ai].Add(nums[code])
-			}
-		}
-	case c.layout == layoutPacked:
-		ints := c.dict.Ints
-		for j, i := range sel {
-			if code := c.packed.Get(int(i)); code != c.null {
-				accs[int(slots[j])*naggs+ai].Add(float64(ints[code]))
+				accs[int(slots[j])*naggs].addNum(c.num(int(i)))
 			}
 		}
 	case c.present == nil:
 		for j, i := range sel {
-			accs[int(slots[j])*naggs+ai].Add(c.num(int(i)))
+			accs[int(slots[j])*naggs].Add(c.num(int(i)))
 		}
 	default:
 		for j, i := range sel {
 			if c.present[i] {
-				accs[int(slots[j])*naggs+ai].Add(c.num(int(i)))
+				accs[int(slots[j])*naggs].Add(c.num(int(i)))
+			}
+		}
+	}
+}
+
+// foldCodes is fold over a coded measure, codes[j] being row sel[j]'s. It
+// runs one loop per aggregation kind and writes only what that kind's
+// answer reads (record.Agg.Final): COUNT the count, SUM and AVG the count
+// and the sum, MIN or MAX the count and its one bound. A partial's states
+// are only ever read, merged and cached under their own kinds, so the
+// fields a kind leaves unset are never seen.
+func (ac *aggCursor) foldCodes(accs []aggState, naggs int, slots []int32, codes []uint32) {
+	c := ac.col
+	null := uint32(c.null)
+	switch {
+	case ac.kind == AggCount:
+		for j, code := range codes {
+			if code != null {
+				accs[int(slots[j])*naggs].Count++
+			}
+		}
+	case ac.kind == AggDistinctCount && c.typ == metadata.TypeString:
+		for j, code := range codes {
+			if code != null {
+				accs[int(slots[j])*naggs].addStr(c.codeStr(int(code)))
+			}
+		}
+	case ac.kind == AggDistinctCount:
+		for j, code := range codes {
+			if code != null {
+				accs[int(slots[j])*naggs].addNum(c.dict.num(int(code)))
+			}
+		}
+	case c.dict.Typ == metadata.TypeDouble:
+		foldNums(ac.kind, accs, naggs, slots, codes, null, c.dict.Nums)
+	default:
+		foldNums(ac.kind, accs, naggs, slots, codes, null, c.dict.Ints)
+	}
+}
+
+// foldNums folds SUM, AVG, MIN or MAX over codes into a numeric
+// dictionary, skipping the NULL code.
+func foldNums[T float64 | int64](kind AggKind, accs []aggState, naggs int, slots []int32, codes []uint32, null uint32, dict []T) {
+	slots = slots[:len(codes)]
+	switch kind {
+	case AggMin:
+		for j, code := range codes {
+			if code != null {
+				a, v := &accs[int(slots[j])*naggs], float64(dict[code])
+				if a.Count == 0 || v < a.Min {
+					a.Min = v
+				}
+				a.Count++
+			}
+		}
+	case AggMax:
+		for j, code := range codes {
+			if code != null {
+				a, v := &accs[int(slots[j])*naggs], float64(dict[code])
+				if a.Count == 0 || v > a.Max {
+					a.Max = v
+				}
+				a.Count++
+			}
+		}
+	default: // AggSum, AggAvg
+		for j, code := range codes {
+			if code != null {
+				a := &accs[int(slots[j])*naggs]
+				a.Count++
+				a.Sum += float64(dict[code])
 			}
 		}
 	}
@@ -951,7 +1037,8 @@ func (g *grouper) addSlot(i int32) int32 {
 }
 
 // assign returns the slot of each selected row, valid until the next call.
-func (g *grouper) assign(sel []int32) []int32 {
+// Coded columns' codes are read through buf (colView.codes).
+func (g *grouper) assign(sel []int32, buf []uint32) []int32 {
 	slots := g.slots[:len(sel)]
 	switch {
 	case len(g.cols) == 0:
@@ -974,14 +1061,8 @@ func (g *grouper) assign(sel []int32) []int32 {
 	clear(slots)
 	for ci, c := range g.cols {
 		radix := int32(g.radix[ci])
-		if c.layout == layoutPacked {
-			for j, i := range sel {
-				slots[j] = slots[j]*radix + int32(c.packed.Get(int(i)))
-			}
-		} else {
-			for j, i := range sel {
-				slots[j] = slots[j]*radix + int32(c.dense[i])
-			}
+		for j, code := range c.codes(0, sel, buf) {
+			slots[j] = slots[j]*radix + int32(code)
 		}
 	}
 	for j, id := range slots {
