@@ -174,19 +174,20 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	// Query API v2: a typed request with a per-query deadline against the
-	// replica-group-aware router (the cube has one server, so the group is
-	// trivially the whole deployment — the shape matters, not the size).
-	broker := olap.NewBroker(cube)
-	resp, err := broker.Execute(context.Background(), &olap.QueryRequest{
+	// Query API v2: a typed request under a per-query deadline (the
+	// caller's context) through a broker on the replica-group-aware router
+	// (the cube has one server, so the group is trivially the whole
+	// deployment — the shape matters, not the size).
+	broker := olap.NewBrokerWithOptions(cube, olap.BrokerOptions{Router: &olap.ReplicaGroupRouter{}})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	resp, err := broker.Execute(ctx, &olap.QueryRequest{
 		Query: &olap.Query{
 			GroupBy: []string{"model"},
 			Aggs:    []olap.AggSpec{{Kind: olap.AggAvg, Column: "mae", As: "mae"}},
 			OrderBy: []olap.OrderSpec{{Column: "mae", Desc: true}},
 			Limit:   5,
 		},
-		Timeout: 2 * time.Second,
-		Router:  &olap.ReplicaGroupRouter{},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -167,9 +167,6 @@ type PinotConnector struct {
 	// ("our first version of this connector only included predicate
 	// pushdown").
 	DisablePushdown bool
-	// Parallelism bounds the per-server segment-scan worker pool of brokers
-	// created by AddTable (0 = GOMAXPROCS, 1 = serial). Set before AddTable.
-	Parallelism int
 	// Router selects the broker routing strategy for tables added after it
 	// is set (nil = round-robin). E.g. &olap.PartitionRouter{} lets
 	// partition-filtered federated queries skip servers entirely.
@@ -218,7 +215,6 @@ func (p *PinotConnector) AddTable(d *olap.Deployment) {
 		views = reg
 	}
 	p.brokers[cfg.Name] = olap.NewBrokerWithOptions(d, olap.BrokerOptions{
-		Workers:       p.Parallelism,
 		Router:        p.Router,
 		CacheMaxBytes: p.CacheMaxBytes,
 		Admission:     p.Admission,

@@ -105,7 +105,7 @@ func (b *Broker) AdmissionStats() qcache.AdmissionStats {
 // cache, and in-flight deduplication, in that order. Every caller — leader,
 // coalesced follower, or cache hit — receives its own QueryResponse struct
 // (independent ExecStats snapshot); only the row data is shared, read-only.
-func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query, router Router) (*QueryResponse, error) {
+func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query) (*QueryResponse, error) {
 	if b.admit != nil {
 		if err := b.admit.ChargeTenant(req.Tenant); err != nil {
 			return nil, fmt.Errorf("olap: %w", err)
@@ -126,19 +126,19 @@ func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query,
 	}
 	if b.cache == nil { // the flight group comes with the cache
 		if b.admit == nil {
-			return b.executeAdmitted(ctx, req, q, router, nil)
+			return b.executeAdmitted(ctx, req, q, nil)
 		}
 		// Admission without a cache still reports Queued and the Shed
 		// gauge through respond().
 		queued := false
-		resp, err := b.executeAdmitted(ctx, req, q, router, &queued)
+		resp, err := b.executeAdmitted(ctx, req, q, &queued)
 		if err != nil {
 			return nil, err
 		}
 		return b.respond(resp, false, false, queued), nil
 	}
 
-	key := requestKey(b.d.cfg.Name, req, q, router.Name())
+	key := requestKey(b.d.cfg.Name, req, q)
 	// Generation BEFORE any execution snapshot: entries stored under this
 	// fingerprint can never mask a mutation that lands mid-execution.
 	gen := b.d.Generation()
@@ -165,7 +165,7 @@ func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query,
 			lateHit = true
 			return v, nil
 		}
-		resp, err := b.executeAdmitted(ctx, req, q, router, &queued)
+		resp, err := b.executeAdmitted(ctx, req, q, &queued)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +193,7 @@ func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query,
 		}
 		if err != nil {
 			// A follower must not inherit the leader's private deadline:
-			// the flight key deliberately excludes Timeout, so a
+			// the flight key is the query's, not the caller's context, so a
 			// short-deadline leader can die of its own context while this
 			// caller's is fine. Rejoin the flight instead of executing
 			// directly — of all the released followers, one becomes the
@@ -213,7 +213,7 @@ func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query,
 // gate (cache hits and coalesced followers never reach it) with the broker's
 // one re-route (rerouted). queuedOut, when non-nil, reports whether the
 // execution waited for a slot.
-func (b *Broker) executeAdmitted(ctx context.Context, req *QueryRequest, q *Query, router Router, queuedOut *bool) (*QueryResponse, error) {
+func (b *Broker) executeAdmitted(ctx context.Context, req *QueryRequest, q *Query, queuedOut *bool) (*QueryResponse, error) {
 	if b.admit != nil {
 		sp, _ := obs.StartSpan(ctx, "admission.queue")
 		release, queued, err := b.admit.AcquireSlot(ctx)
@@ -229,7 +229,7 @@ func (b *Broker) executeAdmitted(ctx context.Context, req *QueryRequest, q *Quer
 			*queuedOut = queued
 		}
 	}
-	return rerouted(ctx, func() (*QueryResponse, error) { return b.executeRouted(ctx, req, q, router) })
+	return rerouted(ctx, func() (*QueryResponse, error) { return b.executeRouted(ctx, req, q) })
 }
 
 // respond hands one caller its own copy of a (possibly shared) response.
@@ -274,19 +274,18 @@ func (b *Broker) respondView(src *QueryResponse, stalenessMs int64) *QueryRespon
 
 // requestKey canonicalizes everything that can change a request's result
 // rows: the full query shape (filters, group-by, aggregations, projection,
-// order, limit/offset) plus the result-affecting execution options (trim
-// mode and budget, segment budget, router strategy). Tenant, timeout and
-// worker counts are deliberately excluded — they never change the rows, so
-// tenants share cache entries. The encoding is injective: every list carries
+// order, limit/offset) plus the result-affecting request options (trim mode
+// and budget, segment budget). The tenant is deliberately excluded — it
+// never changes the rows, so tenants share cache entries — and the router
+// is the broker's, the same for every entry of its cache. The encoding is injective: every list carries
 // its length, every variable-length string is length-prefixed
 // (keyStr/keyValue), and the remaining fields are fixed-format integers — so
 // no string content, including separator characters, can forge another
 // request's key.
-func requestKey(table string, req *QueryRequest, q *Query, routerName string) string {
+func requestKey(table string, req *QueryRequest, q *Query) string {
 	var sb strings.Builder
 	sb.Grow(160)
 	keyStr(&sb, table)
-	keyStr(&sb, routerName)
 	fmt.Fprintf(&sb, "x%v,ts%d,ms%d,", req.TrimExact, req.TrimSize, req.MaxSegments)
 	keyQueryShape(&sb, q)
 	return sb.String()

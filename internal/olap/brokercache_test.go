@@ -23,7 +23,7 @@ func countReq() *QueryRequest {
 // a cache key, even with adversarial string literals that contain the
 // encoding's separator characters.
 func TestRequestKeyInjective(t *testing.T) {
-	key := func(q *Query) string { return requestKey("t", &QueryRequest{}, q, "rr") }
+	key := func(q *Query) string { return requestKey("t", &QueryRequest{}, q) }
 	pairs := [][2]*Query{
 		{
 			// A literal forging the nil marker + an IN list vs a plain Eq.
@@ -351,8 +351,8 @@ func (r *slowFirstRouter) Route(v *RouteView, q *Query) (*RoutePlan, error) {
 	return r.inner.Route(v, q)
 }
 
-// TestFollowerNotPoisonedByLeaderDeadline: the flight key excludes Timeout,
-// so a short-deadline leader can die of its own context while coalesced
+// TestFollowerNotPoisonedByLeaderDeadline: the flight key is the query's,
+// not the caller's context, so a short-deadline leader can die of its own context while coalesced
 // followers are fine — they must re-execute instead of inheriting the
 // leader's deadline error.
 func TestFollowerNotPoisonedByLeaderDeadline(t *testing.T) {
@@ -363,9 +363,9 @@ func TestFollowerNotPoisonedByLeaderDeadline(t *testing.T) {
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		leader := countReq()
-		leader.Timeout = 20 * time.Millisecond
-		_, err := b.Execute(context.Background(), leader)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		_, err := b.Execute(ctx, countReq())
 		leaderErr <- err
 	}()
 	<-router.started // leader is inside its flight execution now

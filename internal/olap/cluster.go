@@ -800,11 +800,9 @@ type BrokerOptions struct {
 	// Workers bounds the per-server segment-scan worker pool. 0 means
 	// GOMAXPROCS; 1 forces the serial baseline.
 	Workers int
-	// Timeout is the per-query deadline. 0 means no deadline.
-	Timeout time.Duration
-	// Router selects the routing strategy for every query of this broker
-	// (overridable per request). Nil means the round-robin default, which
-	// preserves the §4.3.1 partition-owner strategy for upsert tables.
+	// Router selects the routing strategy for every query of this broker.
+	// Nil means the round-robin default, which preserves the §4.3.1
+	// partition-owner strategy for upsert tables.
 	Router Router
 	// CacheMaxBytes enables the broker result cache with that memory bound
 	// (0 disables it). Enabling the cache also enables in-flight
@@ -837,12 +835,15 @@ type BrokerOptions struct {
 }
 
 // NewBroker creates a broker over a deployment with default options
-// (parallel scans, no deadline, no cache or admission control).
+// (parallel scans, round-robin routing, no cache or admission control).
 func NewBroker(d *Deployment) *Broker { return NewBrokerWithOptions(d, BrokerOptions{}) }
 
 // NewBrokerWithOptions creates a broker with explicit execution options.
 func NewBrokerWithOptions(d *Deployment, opts BrokerOptions) *Broker {
 	b := &Broker{d: d, opts: opts}
+	if b.opts.Router == nil {
+		b.opts.Router = defaultRouter
+	}
 	if opts.CacheMaxBytes > 0 {
 		b.cache = qcache.NewCache(opts.CacheMaxBytes)
 		b.flight = qcache.NewGroup()

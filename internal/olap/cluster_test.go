@@ -296,6 +296,48 @@ func testSealedValidityCopyOnWrite(t *testing.T, pk string) {
 	}
 }
 
+// TestCompactGathersPastOneBlock: compaction gathers each input's valid
+// rows through one code block, BatchRows codes at a time, so inputs of more
+// than BatchRows rows merge into a segment that answers as they did, NULLs
+// included.
+func TestCompactGathersPastOneBlock(t *testing.T) {
+	d, err := NewDeployment(DeploymentConfig{
+		Table:        TableConfig{Name: "orders", Schema: ordersSchema(), SegmentRows: BatchRows + 300},
+		Servers:      []*Server{NewServer("s0")},
+		SegmentStore: objstore.NewMemStore(),
+		Backup:       BackupP2P,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.IngestBatch(0, orderRows(2*(BatchRows+300))); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, info := range d.SegmentInfos() {
+		names = append(names, info.Name)
+	}
+	all := func() [][]any {
+		t.Helper()
+		resp, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: &Query{OrderBy: []OrderSpec{{Column: "order_id"}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Rows
+	}
+	before := all()
+	res, err := d.Compact(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 2 || res.RowsOut != 2*(BatchRows+300) {
+		t.Fatalf("compacted %v into %d rows, want two segments of %d", names, res.RowsOut, BatchRows+300)
+	}
+	if after := all(); !reflect.DeepEqual(after, before) {
+		t.Error("the compacted segment answers differently from its inputs")
+	}
+}
+
 func TestUpsertRequiresPrimaryKey(t *testing.T) {
 	schema := ordersSchema()
 	schema.PrimaryKey = ""

@@ -42,8 +42,8 @@
 //     typed table (the ORDER BY terms, ties by ascending key value), and
 //     only the rows returned are boxed.
 //
-// Queries run under a context.Context: cancellation and the optional
-// BrokerOptions.Timeout stop segment scans between segments, the first
+// Queries run under a context.Context: its cancellation or deadline stops
+// segment scans between segments, the first
 // producer error stops the others, and ORDER-BY-agnostic LIMIT selections
 // cancel the remaining fan-out as soon as enough rows are in.
 //
@@ -93,9 +93,9 @@
 //
 // # Query API v2: typed requests and pluggable routing
 //
-// The typed entry point is Broker.Execute(ctx, *QueryRequest): per-request
-// Timeout, Workers and MaxSegments (fan-out budget); a time window is a
-// filter on the time column. Which server answers each segment is a
+// The typed entry point is Broker.Execute(ctx, *QueryRequest): the deadline
+// is the context's, the request carries MaxSegments (fan-out budget) and
+// the trim options; a time window is a filter on the time column. Which server answers each segment is a
 // pluggable Router (router.go): RoundRobinRouter (the default; upsert tables pin to the
 // partition owner, §4.3.1), ReplicaGroupRouter (one replica set per query
 // bounds fan-out to N/R servers, Fig 5, with per-segment failover to the

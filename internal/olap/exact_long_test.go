@@ -66,7 +66,7 @@ func TestLongsAboveTwoTo53SurviveSeal(t *testing.T) {
 		for _, rq := range queries {
 			q := FromReference(rq)
 			p, err := sc.executePartial(q, nil, nil)
-			var res *Result
+			var res *QueryResponse
 			if err == nil {
 				res, err = p.Finalize(q)
 			}

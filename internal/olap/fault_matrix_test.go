@@ -258,8 +258,8 @@ func faultCases() map[string]func(t *testing.T, e faultEntry) *faultCase {
 		},
 		"down-after-routing": func(t *testing.T, e faultEntry) *faultCase {
 			d, _, rows := sealedFixture(t, 2, nil)
-			c := &faultCase{ctx: context.Background(), b: NewBroker(d), rows: rows,
-				req: QueryRequest{Router: &downAfterRoute{Router: &RoundRobinRouter{}, d: d}}}
+			c := &faultCase{ctx: context.Background(), rows: rows,
+				b: NewBrokerWithOptions(d, BrokerOptions{Router: &downAfterRoute{Router: &RoundRobinRouter{}, d: d}})}
 			if e.stream {
 				c.wantErr = ErrServerDown // the replica exists, but a stream does not start over
 			}
@@ -276,7 +276,9 @@ func faultCases() map[string]func(t *testing.T, e faultEntry) *faultCase {
 		"request-timeout": func(t *testing.T, e faultEntry) *faultCase {
 			d, servers, _ := sealedFixture(t, 1, nil)
 			slow(t, servers)
-			return &faultCase{ctx: context.Background(), b: NewBroker(d), req: QueryRequest{Timeout: 10 * time.Millisecond}, wantErr: context.DeadlineExceeded}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			t.Cleanup(cancel)
+			return &faultCase{ctx: ctx, b: NewBroker(d), wantErr: context.DeadlineExceeded}
 		},
 		"offloaded-outage-full":   func(t *testing.T, e faultEntry) *faultCase { return offloaded(t, false) },
 		"offloaded-outage-pruned": func(t *testing.T, e faultEntry) *faultCase { return offloaded(t, true) },

@@ -208,7 +208,7 @@ func FuzzMergePartials(f *testing.F) {
 			}
 
 			parts := make([]*Partial, len(chunks))
-			before := make([]*Result, len(chunks))
+			before := make([]*QueryResponse, len(chunks))
 			for i, chunk := range chunks {
 				if parts[i], err = chunk(q); err != nil {
 					t.Fatalf("q%d chunk %d: %v", qi, i, err)

@@ -432,7 +432,9 @@ func TestPayloadIngestAllocations(t *testing.T) {
 
 var benchSegSink *Segment
 
-// BenchmarkSeal freezes a full consuming segment.
+// BenchmarkSeal freezes a full consuming segment and reports the sealed
+// format's size: its in-memory footprint (mem_bytes/seg) and its deep-store
+// encoding (encoded_bytes/seg).
 func BenchmarkSeal(b *testing.B) {
 	m := benchStore(b)
 	b.ReportAllocs()
@@ -444,6 +446,13 @@ func BenchmarkSeal(b *testing.B) {
 		}
 		benchSegSink = seg
 	}
+	b.StopTimer()
+	data, err := benchSegSink.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(benchSegSink.MemBytes()), "mem_bytes/seg")
+	b.ReportMetric(float64(len(data)), "encoded_bytes/seg")
 }
 
 // randomPacked returns n random values packed at width bits, seeded by seed.

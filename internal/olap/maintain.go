@@ -381,6 +381,8 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 	vecs := make([]record.Vector, len(fields))
 	row := make([]record.Value, len(fields))
 	var provs []prov
+	block := codeBlocks.Get().(*[BatchRows]uint32)
+	defer codeBlocks.Put(block)
 	for i, name := range names {
 		seg, err := d.loadSegment(name)
 		if err != nil {
@@ -396,7 +398,7 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 		for fi, f := range fields {
 			vecs[fi].Reset(f.Type)
 			if c := sc.col(f.Name); c != nil {
-				c.gather(&vecs[fi], sel)
+				c.gather(&vecs[fi], sel, block[:])
 			} else { // a blob: never encoded, NULL as any query sees it
 				vecs[fi].AppendNulls(len(sel))
 			}

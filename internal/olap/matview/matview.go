@@ -59,13 +59,6 @@ type Config struct {
 	// past it — or always, when 0 — the broker falls through to normal
 	// execution until the re-materialization completes.
 	MaxStaleness time.Duration
-	// Timeout bounds each (re)materialization execution; 0 means none.
-	Timeout time.Duration
-	// BaseContext, when set, parents every background re-materialization:
-	// cancelling it stops in-flight cold executions and retry loops, so an
-	// embedding process can shut a registry's maintenance down cleanly.
-	// Nil means maintenance is not tied to any lifecycle.
-	BaseContext context.Context
 }
 
 // Stats snapshots a registry's counters.
@@ -99,9 +92,6 @@ type Registry struct {
 	cold *olap.Broker
 	cfg  Config
 
-	// ctx parents background re-materializations (Config.BaseContext).
-	ctx context.Context
-
 	mu    sync.RWMutex
 	views map[string]*View
 
@@ -111,17 +101,11 @@ type Registry struct {
 // NewRegistry creates a registry over the deployment and subscribes it to
 // the deployment's mutation feed.
 func NewRegistry(d *olap.Deployment, cfg Config) *Registry {
-	ctx := cfg.BaseContext
-	if ctx == nil {
-		//lint:ignore ctxflow default for registries wired without a lifecycle; callers that need maintenance shutdown set Config.BaseContext
-		ctx = context.Background()
-	}
 	r := &Registry{
 		d:      d,
 		schema: d.Table().Schema,
 		cold:   olap.NewBroker(d),
 		cfg:    cfg,
-		ctx:    ctx,
 		views:  make(map[string]*View),
 	}
 	d.AddMutationHook(r.onMutation)
@@ -189,26 +173,20 @@ func (r *Registry) Register(ctx context.Context, req *olap.QueryRequest) (*View,
 	}
 	key := olap.ViewKey(r.d.Table().Name, req.Query)
 
-	// The materialization request is the registered shape with the
-	// registry's timeout; MaterializePartial itself forces exact trimming.
-	mreq := *req
-	if mreq.Timeout == 0 {
-		mreq.Timeout = r.cfg.Timeout
-	}
-
 	r.mu.Lock()
 	if v, ok := r.views[key]; ok {
 		r.mu.Unlock()
 		return v, nil
 	}
-	v := &View{reg: r, key: key, q: req.Query, req: &mreq}
+	// MaterializePartial forces exact trimming on the registered shape.
+	v := &View{reg: r, key: key, q: req.Query, req: req}
 	// Enter the map before materializing: from here on the mutation hook
 	// queues every event, and the seq reconciliation in install() sorts
 	// out which ones the initial snapshot already covers.
 	r.views[key] = v
 	r.mu.Unlock()
 
-	p, snapGen, err := r.cold.MaterializePartial(ctx, &mreq)
+	p, snapGen, err := r.cold.MaterializePartial(ctx, req)
 	if err != nil {
 		r.mu.Lock()
 		delete(r.views, key)
@@ -387,7 +365,8 @@ func (v *View) refreshSnapLocked() bool {
 	// The serve does no scanning: a view answer carries no execution
 	// counters of its own (the broker sets ViewHit/ViewStalenessMs and
 	// samples its gauges).
-	v.snap = &olap.QueryResponse{Columns: res.Columns, Rows: res.Rows}
+	res.Stats = olap.ExecStats{}
+	v.snap = res
 	v.snapSeq = v.seq
 	v.last = v.snap
 	return true
@@ -582,19 +561,13 @@ const rematMaxRetries = 50
 // retraction landed mid-materialize.
 func (v *View) rematerialize() {
 	r := v.reg
+	//lint:ignore ctxflow a re-materialization outlives the mutation that starts it; rematMaxRetries, not a caller, ends it
+	ctx := context.Background()
 	errs := 0
 	for {
 		r.remats.Add(1)
-		p, snapGen, err := r.cold.MaterializePartial(r.ctx, v.req)
+		p, snapGen, err := r.cold.MaterializePartial(ctx, v.req)
 		if err != nil {
-			if r.ctx.Err() != nil {
-				// Registry lifecycle ended: stop retrying and leave the view
-				// dirty; the broker falls through to normal execution.
-				v.qmu.Lock()
-				v.rematOn = false
-				v.qmu.Unlock()
-				return
-			}
 			errs++
 			if errs >= rematMaxRetries {
 				v.qmu.Lock()

@@ -97,13 +97,12 @@ func refBuildSegment(name string, schema *metadata.Schema, rows []record.Record,
 }
 
 func refBuildColumn(f metadata.Field, rows []record.Record, cfg IndexConfig) *column {
-	present := NewBitmap(len(rows))
+	has := func(r record.Record) bool { return r[f.Name] != nil }
 	dict := dictionary{Typ: f.Type}
 	if f.Type == metadata.TypeString {
 		uniq := make(map[string]bool)
-		for i, r := range rows {
-			if v, ok := r[f.Name]; ok && v != nil {
-				present.Set(i)
+		for _, r := range rows {
+			if has(r) {
 				uniq[r.String(f.Name)] = true
 			}
 		}
@@ -115,9 +114,8 @@ func refBuildColumn(f metadata.Field, rows []record.Record, cfg IndexConfig) *co
 	} else {
 		uniq := make(map[float64]bool)
 		uniqInts := make(map[int64]bool)
-		for i, r := range rows {
-			if v, ok := r[f.Name]; ok && v != nil {
-				present.Set(i)
+		for _, r := range rows {
+			if has(r) {
 				if f.Type == metadata.TypeDouble {
 					uniq[r.Double(f.Name)] = true
 				} else {
@@ -138,7 +136,7 @@ func refBuildColumn(f metadata.Field, rows []record.Record, cfg IndexConfig) *co
 	maxCode := dict.size()
 	for i, r := range rows {
 		switch {
-		case !present.Get(i):
+		case !has(r):
 			codes[i] = maxCode
 		case f.Type == metadata.TypeString:
 			codes[i] = sort.SearchStrings(dict.Strs, r.String(f.Name))
@@ -149,11 +147,10 @@ func refBuildColumn(f metadata.Field, rows []record.Record, cfg IndexConfig) *co
 		}
 	}
 	col := &column{
-		Field:   f,
-		Dict:    dict,
-		Codes:   newPackedInts(codes, maxCode),
-		Present: present,
-		Sorted:  cfg.SortedColumn == f.Name,
+		Field:  f,
+		Dict:   dict,
+		Codes:  newPackedInts(codes, maxCode),
+		Sorted: cfg.SortedColumn == f.Name,
 	}
 	if cfg.inverted(f.Name) {
 		col.Inverted = make([]*Bitmap, dict.size())
@@ -342,7 +339,7 @@ func TestScanDifferential(t *testing.T) {
 				p    *Partial
 				err  error
 			}{{"consuming", mp, mErr}, {"sealed", sp, sErr}} {
-				var got *Result
+				var got *QueryResponse
 				err := run.err
 				if err == nil {
 					run.p.trimTopK(q, tp)

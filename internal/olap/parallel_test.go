@@ -166,11 +166,12 @@ func TestQueryCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled query returned %v, want context.Canceled", err)
 	}
-	// An expired broker-level timeout surfaces as DeadlineExceeded (or, for
-	// a query racing the deadline, success — both are acceptable outcomes;
-	// what must not happen is a hang or a partial result with a nil error).
-	tb := NewBrokerWithOptions(d, BrokerOptions{Timeout: time.Nanosecond})
-	res, err := tb.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
+	// An expired deadline surfaces as DeadlineExceeded (or, for a query
+	// racing the deadline, success — both are acceptable outcomes; what
+	// must not happen is a hang or a partial result with a nil error).
+	tctx, tcancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer tcancel()
+	res, err := b.Execute(tctx, &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err == nil {
 		if res.Rows[0][0].(int64) != 200 {
 			t.Errorf("timed-out query returned partial result %v with nil error", res.Rows)

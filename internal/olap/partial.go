@@ -210,13 +210,13 @@ func (p *Partial) Merge(o *Partial) {
 	p.n += o.n
 }
 
-// Finalize converts the merged partial into a user-facing Result: group
+// Finalize converts the merged partial into a user-facing response: group
 // states collapse to final values (AVG = Sum/Count, DISTINCTCOUNT = set
 // cardinality) and ORDER BY / OFFSET / LIMIT apply. Rows rank by position
 // over the typed table — the ORDER BY terms, then ascending value of each
 // key column (Partial.less) — and only the rows returned are boxed, into one
 // backing array. A selection without ORDER BY keeps its rows' merge order.
-func (p *Partial) Finalize(q *Query) (*Result, error) {
+func (p *Partial) Finalize(q *Query) (*QueryResponse, error) {
 	cols := p.cols
 	switch {
 	case p.agg:
@@ -259,7 +259,7 @@ func (p *Partial) Finalize(q *Query) (*Result, error) {
 	if q.Limit > 0 && len(order) > q.Limit {
 		order = order[:q.Limit]
 	}
-	res := &Result{Columns: cols, Rows: make([][]any, len(order)), Stats: p.stats}
+	res := &QueryResponse{Columns: cols, Rows: make([][]any, len(order)), Stats: p.stats}
 	cells := make([]any, len(order)*len(cols))
 	for j, r := range order {
 		row := cells[j*len(cols) : (j+1)*len(cols) : (j+1)*len(cols)]

@@ -2,13 +2,14 @@ package olap
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/record"
 )
 
 // TestPartialAllocations: the group table costs no heap object per group.
-// At 1 000 and at 4 000 distinct keys it measures a segment's
+// At 1 000 and at BatchRows+1 000 distinct keys it measures a segment's
 // ExecutePartial — sealed, and a consuming store grouped by its raw long
 // column — a Merge of two partials with disjoint and with equal key sets,
 // and a Finalize under ORDER BY … LIMIT 10; and the same for an ordered
@@ -55,6 +56,12 @@ func TestPartialAllocations(t *testing.T) {
 		sb, err := store.snapshot().executePartial(sel, nil, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Every group's key and states, sealed as consuming: past BatchRows
+		// groups the sealed keys are gathered a code block at a time.
+		whole := &Query{GroupBy: q.GroupBy, Aggs: q.Aggs}
+		if ra, rb := finalized(t, a, whole), finalized(t, b, whole); !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("%d keys: the sealed partial's groups differ from the consuming one's", keys)
 		}
 		merge := func(o *Partial, groups int) func() {
 			return func() {
@@ -116,7 +123,7 @@ func TestPartialAllocations(t *testing.T) {
 			}), rows},
 		}
 	}
-	small, large := measure(1000), measure(4000)
+	small, large := measure(1000), measure(BatchRows+1000)
 	for name, l := range large {
 		sm := small[name]
 		if perGroup := (l[0] - sm[0]) / (l[1] - sm[1]); perGroup > 0.02 {
@@ -124,4 +131,14 @@ func TestPartialAllocations(t *testing.T) {
 				name, sm[0], sm[1], l[0], l[1], perGroup)
 		}
 	}
+}
+
+// finalized is p's finalized rows under q.
+func finalized(t *testing.T, p *Partial, q *Query) [][]any {
+	t.Helper()
+	res, err := p.Finalize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows
 }

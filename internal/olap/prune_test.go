@@ -104,12 +104,21 @@ func TestServerTimePruning(t *testing.T) {
 	if got := res.Rows[0][0].(int64); got != 0 {
 		t.Errorf("all-pruned count = %d, want 0", got)
 	}
-	// Pruning every segment hides no error: a filter on a column the table
-	// lacks fails before any segment is pruned.
-	q.Filters = append(q.Filters, Filter{Column: "ghost", Op: OpEq, Value: 1})
-	var unknown *UnknownColumnError
-	if _, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: q}); !errors.As(err, &unknown) {
-		t.Errorf("all-pruned query with an unknown filter column: err = %v, want an UnknownColumnError", err)
+	// Pruning every segment hides no error: a column the table lacks, in
+	// any role, fails before any segment is pruned.
+	for _, c := range []struct {
+		role string
+		q    Query
+	}{
+		{"filter", Query{Filters: append(q.Filters, Filter{Column: "ghost", Op: OpEq, Value: 1}), Aggs: q.Aggs}},
+		{"group-by", Query{Filters: q.Filters, GroupBy: []string{"ghost"}, Aggs: q.Aggs}},
+		{"aggregation", Query{Filters: q.Filters, Aggs: []AggSpec{{Kind: AggSum, Column: "ghost"}}}},
+		{"select", Query{Filters: q.Filters, Select: []string{"ghost"}}},
+	} {
+		var unknown *UnknownColumnError
+		if _, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: &c.q}); !errors.As(err, &unknown) || unknown.Role != c.role {
+			t.Errorf("all-pruned query with an unknown %s column: err = %v, want an UnknownColumnError of that role", c.role, err)
+		}
 	}
 }
 
@@ -128,7 +137,7 @@ func TestNullTimeLiesInNoRange(t *testing.T) {
 	}
 	rows := []record.Record{{"id": "a"}, {"id": "b", "ts": int64(5)}, {"id": "c", "ts": int64(10)}}
 	q := &Query{Filters: []Filter{{Column: "ts", Op: OpBetween, Value: 0, Value2: 20}}, Aggs: []AggSpec{{Kind: AggCount}}}
-	count := func(where string, res *Result, err error) {
+	count := func(where string, res *QueryResponse, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", where, err)
@@ -175,7 +184,7 @@ func TestNullTimeLiesInNoRange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", where, err)
 		}
-		count(where, &Result{Rows: resp.Rows}, nil)
+		count(where, resp, nil)
 	}
 	broker("broker, consuming")
 	if err := d.Seal(0); err != nil {

@@ -99,15 +99,6 @@ type Query struct {
 	Offset int
 }
 
-// Result is a column-oriented query result.
-type Result struct {
-	Columns []string
-	Rows    [][]any
-	// Stats describe the execution, for experiments and EXPLAIN-style
-	// output.
-	Stats ExecStats
-}
-
 // ExecStats counts work done during execution.
 type ExecStats struct {
 	// SegmentsScanned counts sealed segments a scan ran on (consuming
@@ -308,34 +299,24 @@ func unitFilters(filters []Filter, schema *metadata.Schema, minTime, maxTime int
 
 // predBitmap resolves a compiled predicate on an indexed sealed column (n
 // rows) to the bitmap of matching rows: an equality is one code's rows, a
-// range its code interval's, an IN the union over its member codes. shared
-// reports bm one of the column's own posting lists, which the caller reads
-// and never writes.
+// range its code interval's, an IN the union over its member codes. A !=
+// never comes here: it runs as a kernel (newSelStream). shared reports bm
+// one of the column's own posting lists, which the caller reads and never
+// writes.
 func (c *column) predBitmap(n int, pr codePred) (bm *Bitmap, shared bool) {
 	switch pr.kind {
 	case predEq:
 		return c.codeRows(n, pr.eq, pr.eq+1)
 	case predRange:
 		return c.codeRows(n, pr.lo, pr.hi)
-	case predIn:
-		bm = NewBitmap(n)
-		for code, in := range pr.in {
-			if in {
-				c.orCodeRows(bm, code, code+1)
-			}
-		}
-		return bm, false
-	default: // predNe
-		bm = NewBitmap(n)
-		bm.Fill()
-		if pr.eq >= 0 {
-			eq, _ := c.codeRows(n, pr.eq, pr.eq+1)
-			bm.AndNot(eq)
-		}
-		// Nulls never match != either (SQL semantics).
-		bm.And(c.Present)
-		return bm, false
 	}
+	bm = NewBitmap(n)
+	for code, in := range pr.in {
+		if in {
+			c.orCodeRows(bm, code, code+1)
+		}
+	}
+	return bm, false
 }
 
 // codeRows returns the rows whose dict code lies in [lo, hi): on an inverted
@@ -353,7 +334,8 @@ func (c *column) codeRows(n, lo, hi int) (bm *Bitmap, shared bool) {
 }
 
 // orCodeRows adds the rows whose dict code lies in [lo, hi) to bm, as
-// codeRows finds them.
+// codeRows finds them. No code in [lo, hi) is the NULL code, so every row
+// of a sorted run holds a value.
 func (c *column) orCodeRows(bm *Bitmap, lo, hi int) {
 	if c.Inverted != nil {
 		for code := lo; code < hi; code++ {
@@ -367,9 +349,7 @@ func (c *column) orCodeRows(bm *Bitmap, lo, hi int) {
 	start := sort.Search(n, func(i int) bool { return c.Codes.Get(i) >= lo })
 	end := sort.Search(n, func(i int) bool { return c.Codes.Get(i) >= hi })
 	for i := start; i < end; i++ {
-		if c.Present.Get(i) {
-			bm.Set(i)
-		}
+		bm.Set(i)
 	}
 }
 
@@ -406,7 +386,7 @@ func (s *Segment) scan() *scanSet {
 // Execute runs a query against this single segment and finalizes the
 // result. valid optionally restricts rows to the still-valid set (upsert);
 // nil means all rows count.
-func (s *Segment) Execute(q *Query, valid *Bitmap) (*Result, error) {
+func (s *Segment) Execute(q *Query, valid *Bitmap) (*QueryResponse, error) {
 	p, err := s.ExecutePartial(q, valid)
 	if err != nil {
 		return nil, err
@@ -512,7 +492,7 @@ func (sc *scanSet) executeAgg(q *Query, ss *selStream, tp *topKPlan) (*Partial, 
 			cur[ai].fold(g.accs, g.naggs, ai, slots, sel, ss.block[:])
 		}
 	}
-	return g.partial(tp), nil
+	return g.partial(tp, ss.block[:]), nil
 }
 
 // aggValue collapses a partial state into the final user-facing value:
@@ -571,7 +551,7 @@ func (sc *scanSet) executeSelect(q *Query, ss *selStream, tp *topKPlan) (*Partia
 			sel = sel[:min(len(sel), budget-p.n)]
 		}
 		for ci, c := range scols {
-			c.gather(&p.keys[ci], sel)
+			c.gather(&p.keys[ci], sel, ss.block[:])
 		}
 		if p.n += len(sel); p.n == budget {
 			break

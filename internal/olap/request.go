@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/metadata"
 	"repro/internal/obs"
@@ -20,21 +20,15 @@ import (
 // segments than its MaxSegments budget allows.
 var ErrTooManySegments = errors.New("olap: query exceeds MaxSegments")
 
-// QueryRequest is one typed broker query with its per-request options.
-// Zero-valued options inherit the broker's defaults.
+// QueryRequest is one typed broker query with its per-request options. Its
+// deadline is the caller's context's; workers and routing are the broker's
+// (BrokerOptions).
 type QueryRequest struct {
 	// Query is the structured query (required).
 	Query *Query
-	// Timeout bounds this request; 0 inherits BrokerOptions.Timeout.
-	Timeout time.Duration
-	// Workers bounds the per-server segment-scan pool; 0 inherits
-	// BrokerOptions.Workers.
-	Workers int
 	// MaxSegments fails the request with ErrTooManySegments when the routed
 	// sealed-segment fan-out exceeds it; 0 means unlimited.
 	MaxSegments int
-	// Router overrides the broker's routing strategy for this request.
-	Router Router
 	// TrimExact disables the bounded top-K path for ORDER BY/LIMIT queries.
 	// The default (false) trims candidates at segments and servers — fast,
 	// exactly like Pinot, and for grouped aggregations potentially inexact
@@ -89,18 +83,16 @@ type QueryResponse struct {
 // execution queue — see brokercache.go), serve it from the result cache when
 // the table generation still matches, coalesce it onto an identical
 // in-flight execution when one exists, and otherwise route (with the
-// request's or broker's Router), scatter one subquery per assigned server
+// broker's Router), scatter one subquery per assigned server
 // plus one scan per routed consuming partition, and merge the
 // partial-aggregate states as they stream back. A scatter that fails because
 // a routed server went down between routing and execution is re-routed once
 // against the new liveness state before the error surfaces. Overload is
 // reported as a typed ErrOverloaded, never by queueing without bound.
 func (b *Broker) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
-	ctx, cancel, q, router, err := b.prepare(ctx, req)
-	if err != nil {
+	if err := b.prepare(ctx, req); err != nil {
 		return nil, err
 	}
-	defer cancel()
 	// Trace wiring: nest under a caller-provided span (the fedsql case), or
 	// own a fresh trace when the broker has a tracer. The cache-hit fast
 	// path then costs one pooled trace and its summary — E22 reports the
@@ -115,7 +107,7 @@ func (b *Broker) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse
 		span = ownedRoot
 		ctx = obs.ContextWithSpan(ctx, span)
 	}
-	resp, err := b.executeShared(ctx, req, q, router)
+	resp, err := b.executeShared(ctx, req, req.Query)
 	if span.Active() {
 		if err != nil {
 			span.SetAttr("error", err.Error())
@@ -131,51 +123,52 @@ func (b *Broker) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse
 	return resp, err
 }
 
-// prepare normalises one request for every entry point: its query, the
-// effective router, and a context bounded by the effective timeout whose
-// cancel the caller must call. Type-invalid aggregations and filters on a
-// column the table cannot filter are rejected here, before any scan is
-// scheduled, so the error surfaces even when routing or time bounds prune
-// every segment.
-func (b *Broker) prepare(ctx context.Context, req *QueryRequest) (context.Context, context.CancelFunc, *Query, Router, error) {
+// prepare checks one request for every entry point: a request without a
+// query, an ended context, a column the table cannot serve in its role and a
+// type-invalid aggregation are rejected here, before any scan is scheduled,
+// so the error surfaces even when routing or time bounds prune every
+// segment.
+func (b *Broker) prepare(ctx context.Context, req *QueryRequest) error {
 	if req == nil || req.Query == nil {
-		return nil, nil, nil, nil, fmt.Errorf("olap: nil query request")
+		return fmt.Errorf("olap: nil query request")
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, nil, err
+		return err
 	}
-	q := req.Query
-	for _, f := range q.Filters {
-		if fd, ok := b.d.cfg.Schema.Field(f.Column); !ok || fd.Type == metadata.TypeBytes {
-			return nil, nil, nil, nil, &UnknownColumnError{Role: "filter", Column: f.Column}
+	return b.checkColumns(req.Query)
+}
+
+// checkColumns rejects a query naming a column the table cannot serve in
+// that role (UnknownColumnError) and an aggregation its column's type does
+// not define, as a scan of any segment would.
+func (b *Broker) checkColumns(q *Query) error {
+	schema := b.d.cfg.Schema
+	known := func(role, name string) error {
+		if f, ok := schema.Field(name); !ok || f.Type == metadata.TypeBytes {
+			return &UnknownColumnError{Role: role, Column: name}
 		}
+		return nil
+	}
+	var err error // the first of the checks below to fail
+	for _, f := range q.Filters {
+		err = cmp.Or(err, known("filter", f.Column))
+	}
+	if len(q.Aggs) == 0 {
+		for _, name := range q.Select {
+			err = cmp.Or(err, known("select", name))
+		}
+		return err
+	}
+	for _, name := range q.GroupBy {
+		err = cmp.Or(err, known("group-by", name))
 	}
 	for _, a := range q.Aggs {
-		if a.Column == "" {
-			continue
-		}
-		if f, ok := b.d.cfg.Schema.Field(a.Column); ok {
-			if err := aggTypeError(a.Kind, a.Column, f.Type); err != nil {
-				return nil, nil, nil, nil, err
-			}
+		if a.Column != "" {
+			f, _ := schema.Field(a.Column)
+			err = cmp.Or(err, known("aggregation", a.Column), aggTypeError(a.Kind, a.Column, f.Type))
 		}
 	}
-	router := req.Router
-	if router == nil {
-		router = b.opts.Router
-	}
-	if router == nil {
-		router = defaultRouter
-	}
-	timeout := req.Timeout
-	if timeout == 0 {
-		timeout = b.opts.Timeout
-	}
-	cancel := context.CancelFunc(func() {})
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	}
-	return ctx, cancel, q, router, nil
+	return err
 }
 
 // scatterPlan is one routing round's decision: which servers scan which
@@ -209,7 +202,8 @@ func (sp *scatterPlan) route() RouteInfo {
 // sink the round will run into: it snapshots the routable state, asks the
 // router, enforces the MaxSegments budget, resolves the routed consuming
 // partitions against the snapshot and derives the query's time bounds.
-func (b *Broker) planScatter(ctx context.Context, req *QueryRequest, q *Query, router Router, sink string) (*scatterPlan, error) {
+func (b *Broker) planScatter(ctx context.Context, req *QueryRequest, q *Query, sink string) (*scatterPlan, error) {
+	router := b.opts.Router
 	routeSp, _ := obs.StartSpan(ctx, "route")
 	routeSp.SetAttr("router", router.Name())
 	routeSp.SetAttr("sink", sink)
@@ -227,13 +221,10 @@ func (b *Broker) planScatter(ctx context.Context, req *QueryRequest, q *Query, r
 		}
 	}
 	sp := &scatterPlan{plan: plan, router: router.Name(), snapshot: snapshot, opts: ExecOptions{
-		Workers:   req.Workers,
+		Workers:   b.opts.Workers,
 		TrimExact: req.TrimExact,
 		TrimSize:  req.TrimSize,
 	}, bounds: queryTimeBounds(q.Filters, b.d.cfg.Schema.TimeField)}
-	if sp.opts.Workers == 0 {
-		sp.opts.Workers = b.opts.Workers
-	}
 	contacted := make(map[int]bool, len(plan.Assignment)+len(plan.Consuming))
 	for si := range plan.Assignment {
 		sp.servers = append(sp.servers, si)
@@ -362,9 +353,9 @@ func rerouted[T any](ctx context.Context, round func() (T, error)) (T, error) {
 // needs: an unordered selection collects the batch stream (any Limit+Offset
 // matching rows answer it, so the round stops as soon as they are in);
 // everything else folds, and the merged partial is finalized.
-func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query, router Router) (*QueryResponse, error) {
+func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query) (*QueryResponse, error) {
 	if streamable(q) {
-		qs, err := b.openStream(ctx, req, q, router)
+		qs, err := b.openStream(ctx, req, q)
 		if err != nil {
 			return nil, err
 		}
@@ -386,7 +377,7 @@ func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query,
 		mergeSp.SetRows(int64(len(rows)))
 		return &QueryResponse{Columns: qs.Columns(), Rows: rows, Stats: qs.Stats(), Route: qs.Route()}, nil
 	}
-	g, err := b.fold(ctx, req, q, router)
+	g, err := b.fold(ctx, req, q)
 	if err != nil {
 		return nil, err
 	}
@@ -398,15 +389,15 @@ func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query,
 	}
 	res.Stats.ServersContacted = g.sp.contacted
 	res.Stats.PartitionsPruned = g.sp.plan.PartitionsPruned
-	trimK := 0
+	res.Route = g.sp.route()
 	if g.tp != nil {
 		if len(q.Aggs) > 0 {
-			trimK = g.tp.groupK
+			res.TrimK = g.tp.groupK
 		} else {
-			trimK = g.tp.rowK
+			res.TrimK = g.tp.rowK
 		}
 	}
-	return &QueryResponse{Columns: res.Columns, Rows: res.Rows, Stats: res.Stats, TrimK: trimK, Route: g.sp.route()}, nil
+	return res, nil
 }
 
 // MaterializePartial executes one request and returns the merged mergeable
@@ -420,14 +411,12 @@ func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query,
 // directly (no cache, no coalescing, no admission), with the broker's usual
 // one re-route.
 func (b *Broker) MaterializePartial(ctx context.Context, req *QueryRequest) (*Partial, int64, error) {
-	ctx, cancel, q, router, err := b.prepare(ctx, req)
-	if err != nil {
+	if err := b.prepare(ctx, req); err != nil {
 		return nil, 0, err
 	}
-	defer cancel()
 	r2 := *req
 	r2.TrimExact = true
-	g, err := rerouted(ctx, func() (*folded, error) { return b.fold(ctx, &r2, q, router) })
+	g, err := rerouted(ctx, func() (*folded, error) { return b.fold(ctx, &r2, req.Query) })
 	if err != nil {
 		return nil, 0, err
 	}
@@ -560,8 +549,8 @@ func (p *foldProducer) finish(st ExecStats, err error) error {
 // merge holds O(K · producers) state instead of O(groups) — the top-K memory
 // bound. On a failure or the request's deadline it returns at once, without
 // waiting for scans still in flight.
-func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query, router Router) (*folded, error) {
-	sp, err := b.planScatter(ctx, req, q, router, "fold")
+func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query) (*folded, error) {
+	sp, err := b.planScatter(ctx, req, q, "fold")
 	if err != nil {
 		return nil, err
 	}

@@ -153,11 +153,17 @@ func newPackedInts(values []int, maxValue int) packedInts {
 // makePackedInts returns n zeroed slots wide enough for maxValue; the
 // caller sets each slot once.
 func makePackedInts(n, maxValue int) packedInts {
+	bits := packedWidth(maxValue)
+	return packedInts{Bits: bits, N: n, Data: make([]uint64, (n*int(bits)+63)/64)}
+}
+
+// packedWidth is the fewest bits, at least one, that hold maxValue.
+func packedWidth(maxValue int) uint {
 	bits := uint(1)
 	for (1 << bits) <= maxValue {
 		bits++
 	}
-	return packedInts{Bits: bits, N: n, Data: make([]uint64, (n*int(bits)+63)/64)}
+	return bits
 }
 
 func (p *packedInts) set(i int, v uint64) {
@@ -230,20 +236,31 @@ func (p *packedInts) unpack(dst []uint32, start int) {
 	}
 }
 
+// eachBlock hands fn every value in order, unpacked by the block into buf:
+// fn(start, vals) gets values start, start+1, … .
+func (p *packedInts) eachBlock(buf []uint32, fn func(start int, vals []uint32)) {
+	for start := 0; start < p.N; start += len(buf) {
+		vals := buf[:min(len(buf), p.N-start)]
+		p.unpack(vals, start)
+		fn(start, vals)
+	}
+}
+
 func (p *packedInts) memBytes() int64 { return int64(len(p.Data)*8) + 24 }
 
 // column is one dictionary-encoded column with optional secondary indexes.
+// A row's code is its value's position in the dictionary, or the dictionary
+// size for NULL: the codes alone say which rows hold a value.
 type column struct {
 	Field    metadata.Field
 	Dict     dictionary
 	Codes    packedInts
-	Present  *Bitmap
 	Inverted []*Bitmap // code -> row bitmap; nil when the index is disabled
 	Sorted   bool      // rows are sorted by this column (codes non-decreasing)
 }
 
 func (c *column) memBytes() int64 {
-	n := c.Dict.memBytes() + c.Codes.memBytes() + c.Present.MemBytes()
+	n := c.Dict.memBytes() + c.Codes.memBytes()
 	for _, bm := range c.Inverted {
 		if bm != nil {
 			n += bm.MemBytes()
@@ -332,10 +349,10 @@ func BuildSegment(name string, schema *metadata.Schema, rows []record.Record, cf
 
 // seal freezes the store's rows into an immutable segment: string
 // dictionaries are sorted and the codes remapped, numeric vectors are
-// dictionary-encoded, codes are bit-packed, and presence bitmaps, inverted
-// indexes, time bounds and the star-tree are built. With a sorted column
-// the rows are first put in that column's order (stably), so doc ids change;
-// otherwise row i becomes doc i. seal only reads the store.
+// dictionary-encoded, codes are bit-packed, and inverted indexes, time
+// bounds and the star-tree are built. With a sorted column the rows are
+// first put in that column's order (stably), so doc ids change; otherwise
+// row i becomes doc i. seal only reads the store.
 func (m *mutableSegment) seal(cfg IndexConfig, partition int) (*Segment, error) {
 	if m.n == 0 {
 		return nil, fmt.Errorf("olap: segment %q has no rows", m.name)
@@ -398,8 +415,8 @@ func (c *mutableColumn) sortedOrder(n int) []int32 {
 
 // seal encodes rows [0, n) of the column, in perm order, as a sealed
 // column: a sorted dictionary, codes that are positions in it (the
-// dictionary size standing for NULL), the presence bitmap and, when
-// configured, the inverted index.
+// dictionary size standing for NULL) and, when configured, the inverted
+// index.
 func (c *mutableColumn) seal(n int, perm []int32, cfg IndexConfig) *column {
 	// rank maps what a store row holds — a dense code, or for numerics a
 	// first-seen id, 0 being NULL either way — to the value's position in
@@ -421,11 +438,10 @@ func (c *mutableColumn) seal(n int, perm []int32, cfg IndexConfig) *column {
 	}
 	null := dict.size()
 	col := &column{
-		Field:   c.field,
-		Dict:    dict,
-		Codes:   makePackedInts(n, null),
-		Present: NewBitmap(n),
-		Sorted:  cfg.SortedColumn == c.field.Name,
+		Field:  c.field,
+		Dict:   dict,
+		Codes:  makePackedInts(n, null),
+		Sorted: cfg.SortedColumn == c.field.Name,
 	}
 	if cfg.inverted(c.field.Name) {
 		col.Inverted = make([]*Bitmap, null)
@@ -437,11 +453,7 @@ func (c *mutableColumn) seal(n int, perm []int32, cfg IndexConfig) *column {
 		}
 		code := rank[ids[row]]
 		col.Codes.set(doc, uint64(code))
-		if code == null {
-			continue
-		}
-		col.Present.Set(doc)
-		if col.Inverted != nil {
+		if code != null && col.Inverted != nil {
 			if col.Inverted[code] == nil {
 				col.Inverted[code] = NewBitmap(n)
 			}
@@ -529,16 +541,18 @@ func DecodeSegment(data []byte) (*Segment, error) {
 }
 
 // check verifies what the query path assumes of a sealed segment: a valid
-// schema with one column per non-blob field, of that field; codes, presence
-// and inverted bitmaps covering NumRows; each dictionary in its type's slice
-// and ascending; every code a dictionary position or
-// the NULL code exactly where no value is present; a star-tree whose nodes
-// and rows match its configuration.
+// schema with one column per non-blob field, of that field; codes and
+// inverted bitmaps covering NumRows; each dictionary in its type's slice and
+// ascending; codes packed at the width seal gives them, each a dictionary
+// position or the NULL code and, on the sorted column, non-decreasing (read
+// by the block); a star-tree whose nodes and rows match its configuration.
 func (s *Segment) check() error {
 	if s.Schema == nil || s.Schema.Validate() != nil || s.NumRows < 0 {
 		return fmt.Errorf("invalid schema or row count")
 	}
 	covers := func(b *Bitmap) bool { return b != nil && b.N == s.NumRows && len(b.Words) == (s.NumRows+63)/64 }
+	block := codeBlocks.Get().(*[BatchRows]uint32)
+	defer codeBlocks.Put(block)
 	fields := 0
 	for _, f := range s.Schema.Fields {
 		if f.Type < metadata.TypeLong || f.Type > metadata.TypeTimestamp {
@@ -549,17 +563,24 @@ func (s *Segment) check() error {
 		}
 		fields++
 		c := s.Columns[f.Name]
-		if c == nil || c.Field != f || c.Dict.Typ != f.Type || !c.Dict.holds() || !covers(c.Present) ||
-			c.Codes.N != s.NumRows || c.Codes.Bits < 1 || c.Codes.Bits > 63 || len(c.Codes.Data) != (s.NumRows*int(c.Codes.Bits)+63)/64 {
+		if c == nil || c.Field != f || c.Dict.Typ != f.Type || !c.Dict.holds() || c.Codes.N != s.NumRows ||
+			c.Codes.Bits != packedWidth(c.Dict.size()) || len(c.Codes.Data) != (s.NumRows*int(c.Codes.Bits)+63)/64 {
 			return fmt.Errorf("column %q is missing or does not match its field and %d rows", f.Name, s.NumRows)
 		}
-		null := c.Dict.size()
-		for i := 0; i < s.NumRows; i++ {
-			if code := c.Codes.Get(i); code > null || (code == null) == c.Present.Get(i) {
-				return fmt.Errorf("column %q row %d has code %d of a %d-entry dictionary", f.Name, i, code, null)
+		null := uint32(c.Dict.size())
+		bad, prev := -1, uint32(0)
+		c.Codes.eachBlock(block[:], func(start int, codes []uint32) {
+			for j, code := range codes {
+				if (code > null || c.Sorted && code < prev) && bad < 0 {
+					bad = start + j
+				}
+				prev = code
 			}
+		})
+		if bad >= 0 {
+			return fmt.Errorf("column %q row %d has code %d, out of a %d-entry dictionary or of sorted order", f.Name, bad, c.Codes.Get(bad), null)
 		}
-		if c.Inverted != nil && len(c.Inverted) != null {
+		if c.Inverted != nil && len(c.Inverted) != int(null) {
 			return fmt.Errorf("column %q has %d posting lists for %d codes", f.Name, len(c.Inverted), null)
 		}
 		for _, bm := range c.Inverted {
@@ -575,16 +596,4 @@ func (s *Segment) check() error {
 		return s.Tree.check(s)
 	}
 	return nil
-}
-
-// double returns a column's numeric value at a row (0 when absent).
-func (s *Segment) double(col string, row int) float64 {
-	c, ok := s.Columns[col]
-	if !ok || !c.Present.Get(row) {
-		return 0
-	}
-	if c.Field.Type == metadata.TypeString {
-		return 0
-	}
-	return c.Dict.num(c.Codes.Get(row))
 }

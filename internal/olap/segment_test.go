@@ -1,6 +1,8 @@
 package olap
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"slices"
@@ -20,7 +22,7 @@ func (s *Segment) value(col string, row int) any {
 		return nil
 	}
 	var v record.Vector
-	c.gather(&v, []int32{int32(row)})
+	c.gather(&v, []int32{int32(row)}, make([]uint32, 1))
 	return v.Box(0)
 }
 
@@ -140,12 +142,92 @@ func TestSegmentBuildAndValues(t *testing.T) {
 // offload/reload path (internal/olap/lifecycle) serves queries from
 // decoded segments, so anything lost here would silently corrupt cold
 // reads.
+//
+// A segment encoded while each column still kept a presence bitmap beside
+// its codes (legacySegment) decodes to one that answers as the original.
 func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 	seg := buildTestSegment(t, orderRows(50), IndexConfig{InvertedColumns: []string{"city", "items"}})
 	data, err := seg.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
+	legacy, err := encodeLegacy(seg)
+	if err != nil || !bytes.Contains(legacy, []byte("Present")) {
+		t.Fatalf("legacy encoding without its Present field: %v", err)
+	}
+	for _, data := range [][]byte{data, legacy} {
+		checkRoundTrip(t, seg, data)
+	}
+	// Sorted-column segments round-trip the Sorted flag the binary-search
+	// path depends on.
+	sorted := buildTestSegment(t, orderRows(50), IndexConfig{SortedColumn: "city"})
+	sdata, err := sorted.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sgot, err := DecodeSegment(sdata)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sgot.Columns["city"].Sorted {
+		t.Error("Sorted flag lost in round trip")
+	}
+	// A Sorted flag on codes out of order would answer ranges wrongly by
+	// binary search: such bytes do not decode.
+	sorted.Columns["city"].Sorted, sorted.Columns["order_id"].Sorted = false, true
+	if sdata, err = sorted.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeSegment(sdata); err == nil || !strings.Contains(err.Error(), "sorted order") {
+		t.Errorf("a Sorted flag on unsorted codes decoded: err = %v", err)
+	}
+}
+
+// legacySegment and legacyColumn mirror Segment and column as they were
+// encoded while a sealed column kept a Present bitmap beside its codes.
+type legacySegment struct {
+	Name      string
+	Schema    *metadata.Schema
+	NumRows   int
+	Columns   map[string]*legacyColumn
+	Tree      *StarTree
+	MinTime   int64
+	MaxTime   int64
+	Partition int
+}
+
+type legacyColumn struct {
+	Field    metadata.Field
+	Dict     dictionary
+	Codes    packedInts
+	Present  *Bitmap
+	Inverted []*Bitmap
+	Sorted   bool
+}
+
+// encodeLegacy encodes seg as legacySegment, each column's Present set
+// where its code is not the NULL code.
+func encodeLegacy(seg *Segment) ([]byte, error) {
+	l := legacySegment{Name: seg.Name, Schema: seg.Schema, NumRows: seg.NumRows, Columns: map[string]*legacyColumn{},
+		Tree: seg.Tree, MinTime: seg.MinTime, MaxTime: seg.MaxTime, Partition: seg.Partition}
+	for name, c := range seg.Columns {
+		present := NewBitmap(seg.NumRows)
+		for i := range seg.NumRows {
+			if c.Codes.Get(i) != c.Dict.size() {
+				present.Set(i)
+			}
+		}
+		l.Columns[name] = &legacyColumn{Field: c.Field, Dict: c.Dict, Codes: c.Codes, Present: present, Inverted: c.Inverted, Sorted: c.Sorted}
+	}
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(l)
+	return buf.Bytes(), err
+}
+
+// checkRoundTrip decodes data and holds the segment, and a second encode
+// and decode of it, to seg's header, values and answers.
+func checkRoundTrip(t *testing.T, seg *Segment, data []byte) {
+	t.Helper()
 	got, err := DecodeSegment(data)
 	if err != nil {
 		t.Fatal(err)
@@ -169,9 +251,11 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 		}
 	}
 	// The inverted indexes survive and answer identically, on both the
-	// string and the numeric indexed column.
+	// string and the numeric indexed column; a != keeps no NULL.
 	for _, q := range []*Query{
 		{Filters: []Filter{{Column: "city", Op: OpEq, Value: "sf"}}, Aggs: []AggSpec{{Kind: AggCount}}},
+		{Filters: []Filter{{Column: "rush", Op: OpNe, Value: true}, {Column: "items", Op: OpNe, Value: int64(3)}},
+			GroupBy: []string{"rush"}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggMax, Column: "items"}}},
 		{Filters: []Filter{{Column: "items", Op: OpBetween, Value: int64(2), Value2: int64(5)}},
 			GroupBy: []string{"status"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}}},
 	} {
@@ -209,27 +293,17 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Sorted-column segments round-trip the Sorted flag the binary-search
-	// path depends on.
-	sorted := buildTestSegment(t, orderRows(50), IndexConfig{SortedColumn: "city"})
-	sdata, err := sorted.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sgot, err := DecodeSegment(sdata)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sgot.Columns["city"].Sorted {
-		t.Error("Sorted flag lost in round trip")
-	}
 }
 
+// TestFilterOps counts each filter over one sealed segment per index
+// configuration and holds every count to the consuming store's of the same
+// rows.
 func TestFilterOps(t *testing.T) {
 	rows := orderRows(120)
+	consuming := storeOf(t, ordersSchema(), rows).snapshot()
 	for _, cfg := range []IndexConfig{
 		{},
-		{InvertedColumns: []string{"city", "status", "amount", "items"}},
+		{InvertedColumns: []string{"city", "status", "amount", "items", "rush"}},
 		{SortedColumn: "city"},
 	} {
 		seg := buildTestSegment(t, rows, cfg)
@@ -239,7 +313,37 @@ func TestFilterOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			p, err := consuming.executePartial(q, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := p.Finalize(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Rows[0][0] != c.Rows[0][0] {
+				t.Errorf("cfg %+v %v: sealed count %v, consuming %v", cfg, f, r.Rows[0][0], c.Rows[0][0])
+			}
 			return r.Rows[0][0].(int64)
+		}
+		// != never keeps a NULL: rush is NULL on odd rows, true on rows
+		// 0 mod 4 and false on rows 2 mod 4 — also beside a != on the
+		// indexed (or sorted) city.
+		notRush := func(v bool, city string) (n int64) {
+			for _, r := range rows {
+				if rush, ok := r["rush"].(bool); ok && rush != v && r["city"] != city {
+					n++
+				}
+			}
+			return n
+		}
+		for _, v := range []bool{true, false} {
+			if got, want := count(Filter{Column: "rush", Op: OpNe, Value: v}), notRush(v, ""); got != want || want == 0 {
+				t.Errorf("cfg %+v: rush != %v = %d, want %d", cfg, v, got, want)
+			}
+			if got, want := count(Filter{Column: "rush", Op: OpNe, Value: v}, Filter{Column: "city", Op: OpNe, Value: "la"}), notRush(v, "la"); got != want {
+				t.Errorf("cfg %+v: rush != %v and city != la = %d, want %d", cfg, v, got, want)
+			}
 		}
 		if got := count(Filter{Column: "city", Op: OpEq, Value: "sf"}); got != 30 {
 			t.Errorf("cfg %+v: eq = %d, want 30", cfg, got)

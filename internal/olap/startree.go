@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 
+	"repro/internal/metadata"
 	"repro/internal/record"
 )
 
@@ -77,26 +78,36 @@ func buildStarTree(seg *Segment, cfg StarTreeConfig) (*StarTree, error) {
 			return nil, fmt.Errorf("olap: star-tree metric %q not in segment", m)
 		}
 	}
-	// Materialize the base rows as (dim codes, metric values).
+	// Materialize the base rows as (dim codes, metric values), reading each
+	// column by the block. A dimension's NULL code is a code like any other;
+	// a NULL measure is no input: MIN/MAX/AVG over it stay NULL.
 	base := make([]starRow, seg.NumRows)
-	for i := 0; i < seg.NumRows; i++ {
-		dims := make([]int, len(cfg.Dimensions))
-		for di, d := range cfg.Dimensions {
-			c := seg.Columns[d]
-			if c.Present.Get(i) {
-				dims[di] = c.Codes.Get(i)
-			} else {
-				dims[di] = c.Dict.size() // null code
+	for i := range base {
+		base[i] = starRow{Dims: make([]int, len(cfg.Dimensions)), Count: 1, Aggs: make([]record.Agg, len(cfg.Metrics))}
+	}
+	block := codeBlocks.Get().(*[BatchRows]uint32)
+	defer codeBlocks.Put(block)
+	for di, d := range cfg.Dimensions {
+		seg.Columns[d].Codes.eachBlock(block[:], func(start int, codes []uint32) {
+			for j, code := range codes {
+				base[start+j].Dims[di] = int(code)
 			}
-		}
-		aggs := make([]record.Agg, len(cfg.Metrics))
-		for mi, m := range cfg.Metrics {
-			// A NULL measure is no input: MIN/MAX/AVG over it stay NULL.
-			if seg.Columns[m].Present.Get(i) {
-				aggs[mi].Add(seg.double(m, i))
+		})
+	}
+	for mi, m := range cfg.Metrics {
+		c := seg.Columns[m]
+		null := uint32(c.Dict.size())
+		c.Codes.eachBlock(block[:], func(start int, codes []uint32) {
+			for j, code := range codes {
+				switch {
+				case code == null:
+				case c.Field.Type == metadata.TypeString:
+					base[start+j].Aggs[mi].Add(0) // a string measure's rows count; its value reads as 0
+				default:
+					base[start+j].Aggs[mi].Add(c.Dict.num(int(code)))
+				}
 			}
-		}
-		base[i] = starRow{Dims: dims, Count: 1, Aggs: aggs}
+		})
 	}
 	t := &StarTree{Cfg: cfg}
 	t.Root = t.buildNode(base, 0)

@@ -72,7 +72,7 @@ func (sc *scanSet) streamSelect(ctx context.Context, q *Query, valid *Bitmap, po
 		rb := pool.get(cols)
 		for ci, c := range scols {
 			rb.Cols[ci].Reset(c.typ)
-			c.gather(&rb.Cols[ci], sel)
+			c.gather(&rb.Cols[ci], sel, ss.block[:])
 		}
 		rb.Len = len(sel)
 		shipped += int64(rb.Len)
@@ -247,29 +247,19 @@ func (s *QueryStream) Route() RouteInfo { return s.route }
 // mid-flight fails it (no re-route). Aggregations and ordered queries return
 // ErrNotStreamable. The caller must Close the stream on every path.
 func (b *Broker) ExecuteStream(ctx context.Context, req *QueryRequest) (*QueryStream, error) {
-	ctx, cancel, q, router, err := b.prepare(ctx, req)
-	if err != nil {
+	if err := b.prepare(ctx, req); err != nil {
 		return nil, err
 	}
-	if !streamable(q) {
-		cancel()
+	if !streamable(req.Query) {
 		return nil, ErrNotStreamable
 	}
-	qs, err := b.openStream(ctx, req, q, router)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	// The stream outlives this call: stopping it releases the timeout too.
-	stop := qs.stop
-	qs.stop = func(err error) { stop(err); cancel() }
-	return qs, nil
+	return b.openStream(ctx, req, req.Query)
 }
 
 // openStream starts one routing round into a batch sink and returns its
 // consumer side.
-func (b *Broker) openStream(ctx context.Context, req *QueryRequest, q *Query, router Router) (*QueryStream, error) {
-	sp, err := b.planScatter(ctx, req, q, router, "batch")
+func (b *Broker) openStream(ctx context.Context, req *QueryRequest, q *Query) (*QueryStream, error) {
+	sp, err := b.planScatter(ctx, req, q, "batch")
 	if err != nil {
 		return nil, err
 	}

@@ -18,21 +18,26 @@ import (
 // numeric vector where it does not, and a selection vector of surviving row
 // ids flows from the filter kernels into the aggregate/gather kernels.
 // A filter on a sealed column that carries an inverted index or the
-// sorted-column property compiles like any other and is then resolved
-// through the index (predBitmap) into a base bitmap once up front, so the
-// kernels never regress the E4 index wins.
+// sorted-column property compiles like any other and, unless it is a !=
+// (which keeps most rows and runs as a kernel), is then resolved through the
+// index (predBitmap) into a base bitmap once up front, so the kernels never
+// regress the E4 index wins.
 //
 // The same pipeline scans sealed segments and consuming ones. The kernels
 // see a column only through a colView, which names one of three physical
 // layouts; every layout switch sits outside a row loop.
 //
-// A code layout reaches the filter kernel, the grouper and the folds as a
-// code block: colView.codes returns the selected rows' codes as one
-// []uint32 — a contiguous run of a bit-packed column unpacked by the block,
-// each 64-bit word read once; a dense column's own slice; a sparse
+// A code layout reaches the filter kernel, the grouper, the folds and the
+// gather as a code block: colView.codes returns the selected rows' codes as
+// one []uint32 — a contiguous run of a bit-packed column unpacked by the
+// block, each 64-bit word read once; a dense column's own slice; a sparse
 // selection read row by row — into the scan's pooled [BatchRows]uint32
-// (codeBlocks). Over a coded measure the fold runs one loop per aggregate
-// kind (foldCodes) and writes only what that kind's answer reads.
+// (codeBlocks). A code is also the row's NULL flag: NULL is the column's
+// null code, the dictionary size on a sealed column. Over a coded measure
+// the fold runs one loop per aggregate kind (foldCodes) and writes only what
+// that kind's answer reads.
+// Compaction's gather reads through the same block, and the star-tree build
+// and Segment.check unpack a whole column by it (packedInts.eachBlock).
 
 // BatchRows is the scan window width: selection vectors and streamed row
 // batches hold at most this many rows. Large enough to amortize per-batch
@@ -189,50 +194,48 @@ func (v *colView) num(i int) float64 {
 
 // gather appends the selected rows to out, after the rows it holds, typed by
 // the column: codes become their dictionary's strings or numbers, raw
-// vectors are copied, and an empty out takes the column's type. The layout
-// switch is outside the row loops.
-func (v *colView) gather(out *record.Vector, sel []int32) {
+// vectors are copied, and an empty out takes the column's type. sel holds
+// strictly increasing row ids, as many as it likes: a code layout reads
+// their codes through buf (colView.codes) up to len(buf) rows at a time.
+// The layout switch is outside the row loops.
+func (v *colView) gather(out *record.Vector, sel []int32, buf []uint32) {
 	at := out.Len()
 	if at == 0 {
 		out.Reset(v.typ)
 	}
 	out.Grow(len(sel))
-	switch v.layout {
-	case layoutPacked:
-		switch v.dict.Typ {
-		case metadata.TypeString:
-			out.Strs = gatherPacked(out, at, out.Strs, v.dict.Strs, v.packed, v.null, sel)
-		case metadata.TypeDouble:
-			out.Floats = gatherPacked(out, at, out.Floats, v.dict.Nums, v.packed, v.null, sel)
-		default:
-			out.Ints = gatherPacked(out, at, out.Ints, v.dict.Ints, v.packed, v.null, sel)
-		}
-	case layoutDense:
-		for j, i := range sel {
-			code := v.dense[i]
-			out.Strs = append(out.Strs, v.strs[code])
-			if code == 0 {
-				out.SetNull(at + j)
-			}
-		}
-	case layoutFloats:
+	switch {
+	case v.layout == layoutDense:
+		out.Strs = gatherCodes(v, out, at, out.Strs, v.strs, sel, buf)
+	case v.layout == layoutFloats:
 		out.Floats = gatherRaw(out, at, out.Floats, v.floats, v.present, sel)
-	default:
+	case v.layout == layoutInts:
 		out.Ints = gatherRaw(out, at, out.Ints, v.ints, v.present, sel)
+	case v.dict.Typ == metadata.TypeString:
+		out.Strs = gatherCodes(v, out, at, out.Strs, v.dict.Strs, sel, buf)
+	case v.dict.Typ == metadata.TypeDouble:
+		out.Floats = gatherCodes(v, out, at, out.Floats, v.dict.Nums, sel, buf)
+	default:
+		out.Ints = gatherCodes(v, out, at, out.Ints, v.dict.Ints, sel, buf)
 	}
 }
 
-// gatherPacked appends the dictionary value of each selected row's code to
+// gatherCodes appends the dictionary value of each selected row's code to
 // dst, the zero value for the NULL code; out's row at+j is sel[j].
-func gatherPacked[T any](out *record.Vector, at int, dst, dict []T, codes *packedInts, null int, sel []int32) []T {
+func gatherCodes[T any](v *colView, out *record.Vector, at int, dst, dict []T, sel []int32, buf []uint32) []T {
 	var zero T
-	for j, i := range sel {
-		if code := codes.Get(int(i)); code != null {
-			dst = append(dst, dict[code])
-		} else {
-			dst = append(dst, zero)
-			out.SetNull(at + j)
+	null := uint32(v.null)
+	for len(sel) > 0 {
+		n := min(len(sel), len(buf))
+		for j, code := range v.codes(0, sel[:n], buf) {
+			if code != null {
+				dst = append(dst, dict[code])
+			} else {
+				dst = append(dst, zero)
+				out.SetNull(at + j)
+			}
 		}
+		sel, at = sel[n:], at+n
 	}
 	return dst
 }
@@ -715,8 +718,8 @@ var identitySel = func() (s [BatchRows]int32) {
 }()
 
 // selStream drives one scan as a sequence of selection vectors. Indexed
-// filters (inverted / sorted columns) are folded into one base bitmap up
-// front; every other filter becomes a kernel applied per window; the upsert
+// filters (inverted / sorted columns) but != are folded into one base bitmap
+// up front; every other filter becomes a kernel applied per window; the upsert
 // validity bitmap masks last, so dropped counts exactly the rows that
 // matched the filters and were superseded. The scan's code block rides
 // along: the filter kernels read codes through it, and so do the grouper
@@ -754,7 +757,7 @@ func (sc *scanSet) newSelStream(filters []Filter, valid *Bitmap) (*selStream, er
 		switch {
 		case never:
 			ss.dead = true
-		case c.indexed == nil:
+		case c.indexed == nil || k.code.kind == predNe:
 			ss.kernels = append(ss.kernels, k)
 		case ss.base == nil:
 			ss.base, shared = c.indexed.predBitmap(sc.n, k.code)
@@ -984,7 +987,7 @@ type grouper struct {
 	n     int        // slots in use
 	accs  []aggState // slot s's aggregations are accs[s*naggs : (s+1)*naggs]
 	slots []int32    // scratch: the current batch's slot per selected row
-	first []int32    // first[slot] is a row of the group, its key's source
+	first []int32    // first[slot] is the group's first row, its key's source
 
 	// Code-space grouping. table[id] is the slot of group id plus one, 0
 	// until the group has a row; radix[ci] is the number of codes of column
@@ -1100,14 +1103,14 @@ func (g *grouper) keyed(i int32, key []byte) (int32, []byte) {
 
 // partial hands the scan's groups over as the segment's mergeable partial:
 // each group's key is gathered, typed, from its first row — no value is
-// boxed — and under a top-K plan the table is trimmed by the plan's leading
+// boxed, and the codes are read through buf — and under a top-K plan the table is trimmed by the plan's leading
 // ORDER BY term before it is indexed, so only surviving groups are keyed.
 // Two slots of one segment can share a key — longs above 2^53 that are one
 // float64 — and then fold into one group.
-func (g *grouper) partial(tp *topKPlan) *Partial {
+func (g *grouper) partial(tp *topKPlan, buf []uint32) *Partial {
 	all := &Partial{agg: true, naggs: g.naggs, n: g.n, accs: g.accs, keys: make([]record.Vector, len(g.cols))}
 	for gi, c := range g.cols {
-		c.gather(&all.keys[gi], g.first)
+		c.gather(&all.keys[gi], g.first, buf)
 	}
 	if p := all.trim(tp); p != all || all.reindex() {
 		return p
