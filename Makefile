@@ -45,6 +45,7 @@ fuzz-smoke:
 	go test ./internal/record -run='^$$' -fuzz=FuzzKeyIndex -fuzztime=30s
 	go test ./internal/olap -run='^$$' -fuzz=FuzzTimeBounds -fuzztime=30s
 	go test ./internal/olap -run='^$$' -fuzz=FuzzUnpack -fuzztime=30s
+	go test ./internal/flow -run='^$$' -fuzz=FuzzRestoreOperators -fuzztime=30s
 
 fmt:
 	gofmt -w .

@@ -78,7 +78,7 @@ func main() {
 				Name:        "join",
 				Parallelism: 4,
 				KeyBySource: map[int]string{0: "entity", 1: "entity"},
-				New:         func() flow.Operator { return flow.NewIntervalJoinOp(30_000, nil) },
+				New:         func() flow.Operator { return flow.NewIntervalJoinOp(30_000) },
 			},
 			{
 				Name: "error",

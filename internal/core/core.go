@@ -322,9 +322,7 @@ func (p *Platform) EnableArchival(useCase, topic string) error {
 		return flow.NewJob(flow.JobSpec{
 			Name:    "archiver-" + topic,
 			Sources: []flow.SourceSpec{{Name: topic, Source: src}},
-			Stages: []flow.StageSpec{{Name: "identity", New: func() flow.Operator {
-				return &flow.MapOp{Fn: func(e flow.Event) (flow.Event, error) { return e, nil }}
-			}}},
+			Stages:  []flow.StageSpec{{Name: "identity", New: func() flow.Operator { return flow.PassOp{} }}},
 			Sink: flow.SinkSpec{Sink: &flow.FuncSink{Fn: func(e flow.Event) error {
 				return w.Append([]record.Record{e.Data})
 			}}},

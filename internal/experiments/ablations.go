@@ -105,7 +105,7 @@ func AblationCheckpointInterval(events int) []Row {
 		}
 		spec := flow.JobSpec{
 			Name:    "ckpt-ablation",
-			Sources: []flow.SourceSpec{{Source: flow.NewBoundedSource(rows, "ts", 256)}},
+			Sources: []flow.SourceSpec{{Source: flow.NewBoundedSource(boundRows(rows), "ts", 256)}},
 			Stages: []flow.StageSpec{{Name: "sum", KeyBy: "k", Parallelism: 2, New: func() flow.Operator {
 				return flow.NewReduceOp(func(acc record.Record, e flow.Event) record.Record {
 					if acc == nil {

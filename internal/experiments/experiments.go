@@ -134,6 +134,16 @@ func mustExecute(b *olap.Broker, req *olap.QueryRequest) *olap.QueryResponse {
 	return resp
 }
 
+// boundRows binds records to the rows a bounded source replays
+// (record.BindRows); experiments panic on internal errors.
+func boundRows(recs []record.Record) []record.Row {
+	rows, err := record.BindRows(nil, recs)
+	if err != nil {
+		panic(err)
+	}
+	return rows
+}
+
 // p50 times op iters times and returns the median. prep, when non-nil, runs
 // untimed before each op.
 func p50(iters int, prep, op func()) time.Duration {
@@ -217,7 +227,7 @@ func E2(events, keys int) []Row {
 	var peak int64
 	job, err := flow.NewJob(flow.JobSpec{
 		Name:    "e2",
-		Sources: []flow.SourceSpec{{Source: flow.NewBoundedSource(rows, "ts", 256)}},
+		Sources: []flow.SourceSpec{{Source: flow.NewBoundedSource(boundRows(rows), "ts", 256)}},
 		Stages: []flow.StageSpec{{Name: "sum", KeyBy: "k", New: func() flow.Operator {
 			return flow.NewReduceOp(func(acc record.Record, e flow.Event) record.Record {
 				if acc == nil {

@@ -238,5 +238,5 @@ func benchmarkPlan(b *testing.B, sql string, withSink bool) {
 func BenchmarkCleanPlan(b *testing.B) { benchmarkPlan(b, cleanPlanSQL, true) }
 
 // BenchmarkWindowPlan drives the window job's stages: source → GROUP BY key
-// → window → result projection, 128-message fetches.
+// → window, whose rows are the output, 128-message fetches.
 func BenchmarkWindowPlan(b *testing.B) { benchmarkPlan(b, windowPlanSQL, false) }

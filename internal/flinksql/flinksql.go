@@ -2,12 +2,12 @@
 // §4.2.1: "the SQL processor compiles the queries to reliable, efficient,
 // distributed Flink applications", letting non-engineers run streaming
 // pipelines. A query compiles into a logical plan (filter → key-extract →
-// window aggregate → project), which maps onto flow stages.
+// window aggregate, or filter → project), which maps onto flow stages.
 //
-// The compiled WHERE, GROUP BY key and projection work on schema-bound rows
-// (flow.Event.Row) and have no map form: each payload is decoded once, by
-// the source, and a row is boxed into a map only once per window result or
-// where a sink wants one. The WHERE stage filters with sqlparse.Compiled, the
+// The compiled WHERE, GROUP BY key, window and projection work on
+// schema-bound rows (flow.Event.Row) and have no map form: each payload is
+// decoded once, by the source, and a row is boxed into a map only where a
+// user function or sink wants one. The WHERE stage filters with sqlparse.Compiled, the
 // typed predicate the federated engine shares, which answers what
 // sqlparse.Predicate.Matches answers on the boxed value.
 //
@@ -18,6 +18,7 @@ package flinksql
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/flow"
 	"repro/internal/flow/backfill"
@@ -40,11 +41,14 @@ type Plan struct {
 	OutputColumns []string
 }
 
-// Compile turns a parsed statement into a logical plan. Streaming SQL
-// restrictions: aggregates require a TUMBLE/HOP window (unbounded group-by
-// over an unbounded stream never emits); joins are not supported in this
-// layer (use fedsql for interactive joins or flow's IntervalJoinOp
-// directly); ORDER BY is not supported on unbounded output.
+// Compile turns a parsed statement into a logical plan: WHERE, then either
+// the GROUP BY key and the window, whose rows are the output — group
+// columns, aggregates, window_start and window_end, in OutputColumns'
+// order — or the projection. Streaming SQL restrictions: aggregates require
+// a TUMBLE/HOP window (unbounded group-by over an unbounded stream never
+// emits) and distinct output names; joins are not supported in this layer
+// (use fedsql for interactive joins or flow's IntervalJoinOp directly);
+// ORDER BY is not supported on unbounded output.
 func Compile(stmt *sqlparse.SelectStmt, parallelism int) (*Plan, error) {
 	if stmt.From == nil || stmt.From.Join != nil || stmt.From.Sub != nil {
 		return nil, fmt.Errorf("flinksql: FROM must be a single table (joins/subqueries belong to the fedsql layer)")
@@ -68,7 +72,7 @@ func Compile(stmt *sqlparse.SelectStmt, parallelism int) (*Plan, error) {
 			return nil, fmt.Errorf("flinksql: aggregates over an unbounded stream require a TUMBLE/HOP window in GROUP BY")
 		}
 		for _, it := range stmt.Items {
-			if it.Func == sqlparse.FuncNone && !contains(stmt.GroupBy, it.Column) {
+			if it.Func == sqlparse.FuncNone && !slices.Contains(stmt.GroupBy, it.Column) {
 				return nil, fmt.Errorf("flinksql: projection %q is neither aggregated nor grouped", it.Column)
 			}
 		}
@@ -76,8 +80,6 @@ func Compile(stmt *sqlparse.SelectStmt, parallelism int) (*Plan, error) {
 		groupBy := append([]string(nil), stmt.GroupBy...)
 		// Key-extraction stage: composite key from the group-by columns.
 		stages = append(stages, keyStage(groupBy, parallelism))
-		// Window aggregation stage, keyed by the composite key the stage
-		// before set on each event.
 		var aggs []flow.Aggregation
 		for _, it := range stmt.Items {
 			if it.Func == sqlparse.FuncNone {
@@ -89,26 +91,24 @@ func Compile(stmt *sqlparse.SelectStmt, parallelism int) (*Plan, error) {
 				As:    it.OutputName(),
 			})
 		}
+		// Window aggregation stage, keyed by the composite key the stage
+		// before set on each event: its rows are the query's output.
 		size, slide := stmt.Window.SizeMs, stmt.Window.SlideMs
+		window := func() *flow.WindowAggOp {
+			op := flow.NewWindowAggOp(size, slide, "", aggs...)
+			op.CarryColumns = groupBy
+			return op
+		}
+		var err error
+		if plan.OutputColumns, err = window().Columns(); err != nil {
+			return nil, fmt.Errorf("flinksql: %w", err)
+		}
 		stages = append(stages, flow.StageSpec{
 			Name:        "window",
 			Parallelism: parallelism,
 			KeyBy:       flow.KeyByEventKey,
-			New: func() flow.Operator {
-				op := flow.NewWindowAggOp(size, slide, "", aggs...)
-				op.CarryColumns = groupBy
-				return op
-			},
+			New:         func() flow.Operator { return window() },
 		})
-		// Projection stage: group columns + aggregates + window bounds, over
-		// the window's map results, once per window.
-		outCols := append([]string(nil), groupBy...)
-		for _, a := range aggs {
-			outCols = append(outCols, a.As)
-		}
-		outCols = append(outCols, "window_start", "window_end")
-		plan.OutputColumns = outCols
-		stages = append(stages, resultStage(outCols, parallelism))
 		plan.Stages = stages
 		return plan, nil
 	}
@@ -130,46 +130,10 @@ func Compile(stmt *sqlparse.SelectStmt, parallelism int) (*Plan, error) {
 		stages = append(stages, projectStage(outCols, renames, parallelism))
 	} else if len(stages) == 0 {
 		// SELECT * with no WHERE still needs one stage (jobs require >= 1).
-		stages = append(stages, flow.StageSpec{
-			Name:        "identity",
-			Parallelism: parallelism,
-			New: func() flow.Operator {
-				return &rowStage{name: "identity", fn: func(e flow.Event, emit func(flow.Event)) { emit(e) }}
-			},
-		})
+		stages = append(stages, flow.StageSpec{Name: "identity", Parallelism: parallelism, New: func() flow.Operator { return flow.PassOp{} }})
 	}
 	plan.Stages = stages
 	return plan, nil
-}
-
-// resultStage projects a window's results onto the query's output columns.
-func resultStage(outCols []string, parallelism int) flow.StageSpec {
-	cols := append([]string(nil), outCols...)
-	return flow.StageSpec{
-		Name:        "project",
-		Parallelism: parallelism,
-		New: func() flow.Operator {
-			return &flow.MapOp{Fn: func(e flow.Event) (flow.Event, error) {
-				out := make(record.Record, len(cols))
-				for _, c := range cols {
-					if v, ok := e.Data[c]; ok {
-						out[c] = v
-					}
-				}
-				e.Data = out
-				return e, nil
-			}}
-		},
-	}
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // FromTable returns the FROM table of a single-table query — how the
@@ -198,11 +162,7 @@ type StreamJobConfig struct {
 // StreamJob compiles sql and builds a streaming flow job reading the FROM
 // table as a topic on cluster — the DataStream mode.
 func StreamJob(name, sql string, cluster *stream.Cluster, codec *record.Codec, sink flow.Sink, cfg StreamJobConfig) (*flow.Job, *Plan, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := Compile(stmt, cfg.Parallelism)
+	plan, err := compileSQL(sql, cfg.Parallelism)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -231,17 +191,19 @@ func StreamJob(name, sql string, cluster *stream.Cluster, codec *record.Codec, s
 // two different Flink jobs". The statement is identical to the streaming
 // one; only the source binding changes.
 func BackfillJob(name, sql string, store objstore.Store, schema *metadata.Schema, sink flow.Sink, cfg backfill.Config) (backfill.Result, *Plan, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return backfill.Result{}, nil, err
-	}
-	plan, err := Compile(stmt, 1)
+	plan, err := compileSQL(sql, 1)
 	if err != nil {
 		return backfill.Result{}, nil, err
 	}
 	res, err := backfill.Run(name, store, plan.Table, schema, plan.Stages, sink, cfg)
+	return res, plan, err
+}
+
+// compileSQL parses and compiles sql.
+func compileSQL(sql string, parallelism int) (*Plan, error) {
+	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
-		return backfill.Result{}, nil, err
+		return nil, err
 	}
-	return res, plan, nil
+	return Compile(stmt, parallelism)
 }

@@ -329,7 +329,7 @@ func TestEvalPredicate(t *testing.T) {
 		var streamed []int64
 		for _, r := range rows {
 			if err := filter.ProcessElement(rowEvent(t, schema, r), func(e flow.Event) {
-				streamed = append(streamed, e.Record().Long("id"))
+				streamed = append(streamed, e.Row.Record().Long("id"))
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -625,7 +625,7 @@ func TestGroupByWindowSurvivesRestore(t *testing.T) {
 	feed(restored, 10, 20)
 	var got []string
 	if err := restored.OnWatermark(base+120_000, func(e flow.Event) {
-		got = append(got, fmt.Sprintf("%d:%d", e.Data.Long("restaurant_id"), e.Data.Long("n")))
+		got = append(got, fmt.Sprintf("%d:%d", e.Row.Record().Long("restaurant_id"), e.Row.Record().Long("n")))
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -688,6 +688,24 @@ func TestGroupLongKeepsExactLongs(t *testing.T) {
 	} {
 		if got := groupLong(in); got != want {
 			t.Errorf("groupLong(%d) = %d, want %d", in, got, want)
+		}
+	}
+}
+
+// A windowed query whose output would name one column twice does not
+// compile: its rows are the window's, one cell per name.
+func TestCompileRefusesDuplicateOutputNames(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT city, COUNT(*) AS city FROM trips GROUP BY city, TUMBLE(ts, 60000)",
+		"SELECT city, SUM(fare) AS window_start FROM trips GROUP BY city, TUMBLE(ts, 60000)",
+		"SELECT city, COUNT(*) AS n, MAX(fare) AS n FROM trips GROUP BY city, TUMBLE(ts, 60000)",
+	} {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", sql, err)
+		}
+		if _, err := Compile(stmt, 1); err == nil {
+			t.Errorf("Compile(%q) should fail", sql)
 		}
 	}
 }

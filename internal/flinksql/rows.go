@@ -2,7 +2,6 @@ package flinksql
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sync"
 
@@ -14,35 +13,19 @@ import (
 
 // This file is the one implementation of a compiled query's WHERE, GROUP BY
 // key and projection. Each works on schema-bound rows (flow.Event.Row) by
-// position, binding its columns once per schema, and none builds a map: a
-// row is boxed only where a map is wanted, after the window or at the sink.
+// position, binding its columns once per schema, and none builds a map.
 
 // rowStage is one parallel instance of a stateless compiled stage.
 type rowStage struct {
-	name string
-	fn   func(e flow.Event, emit func(flow.Event))
+	flow.Stateless
+	fn func(e flow.Event, emit func(flow.Event))
 }
 
 // ProcessElement implements flow.Operator.
-func (s *rowStage) ProcessElement(e flow.Event, emit func(flow.Event)) error {
-	if !e.IsRow() {
-		return fmt.Errorf("flinksql: the %s stage takes schema-bound rows (flow.Event.Row), not maps", s.name)
-	}
+func (s rowStage) ProcessElement(e flow.Event, emit func(flow.Event)) error {
 	s.fn(e, emit)
 	return nil
 }
-
-// OnWatermark implements flow.Operator; the stage ignores time.
-func (*rowStage) OnWatermark(int64, func(flow.Event)) error { return nil }
-
-// Snapshot implements flow.Operator; the stage keeps no state.
-func (*rowStage) Snapshot() ([]byte, error) { return nil, nil }
-
-// Restore implements flow.Operator.
-func (*rowStage) Restore([]byte) error { return nil }
-
-// StateBytes implements flow.Operator.
-func (*rowStage) StateBytes() int64 { return 0 }
 
 // columns binds column names to the positions of a row's schema, once per
 // schema.
@@ -86,7 +69,7 @@ func whereStage(preds []sqlparse.Predicate, parallelism int) flow.StageSpec {
 		Parallelism: parallelism,
 		New: func() flow.Operator {
 			cols := &columns{names: names}
-			return &rowStage{name: "where", fn: func(e flow.Event, emit func(flow.Event)) {
+			return rowStage{fn: func(e flow.Event, emit func(flow.Event)) {
 				cols.bind(e.Row.Schema)
 				for i := range compiled {
 					if !compiled[i].MatchesValue(cols.cell(e.Row, i)) {
@@ -123,7 +106,7 @@ func keyStage(groupBy []string, parallelism int) flow.StageSpec {
 			cols := &columns{names: groupBy}
 			var buf []byte
 			keys := make(map[string]string)
-			return &rowStage{name: "keyby", fn: func(e flow.Event, emit func(flow.Event)) {
+			return rowStage{fn: func(e flow.Event, emit func(flow.Event)) {
 				cols.bind(e.Row.Schema)
 				buf = appendGroupKey(buf[:0], cols, e.Row)
 				key, ok := keys[string(buf)]
@@ -210,7 +193,7 @@ func projectStage(outCols []string, renames map[string]string, parallelism int) 
 			var out *metadata.Schema
 			var identity bool
 			var chunk []record.Value
-			return &rowStage{name: "project", fn: func(e flow.Event, emit func(flow.Event)) {
+			return rowStage{fn: func(e flow.Event, emit func(flow.Event)) {
 				if e.Row.Schema != cols.bound {
 					cols.bind(e.Row.Schema)
 					out = output(e.Row.Schema, cols.at)

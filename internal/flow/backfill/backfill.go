@@ -71,35 +71,22 @@ func Run(jobName string, store objstore.Store, dataset string, schema *metadata.
 	if err != nil {
 		return Result{}, fmt.Errorf("backfill: reading archive %q: %w", dataset, err)
 	}
-	// The rows are replayed as a StreamSource would deliver them: conformed
-	// to the schema once, as schema-bound cells.
-	timeField := schema.TimeField
-	var bounded []record.Row
-	skipped := 0
-	nf := len(schema.Fields)
-	cells := make([]record.Value, len(rows)*nf)
+	// The rows in the time boundary are replayed as a StreamSource would
+	// deliver them: as schema-bound cells, bound by the rule a user
+	// function's output is (record.RowBinder).
+	var kept []record.Record
 	for _, r := range rows {
-		t := r.Long(timeField)
-		if (cfg.StartMs != 0 && t < cfg.StartMs) || (cfg.EndMs != 0 && t >= cfg.EndMs) {
-			skipped++
-			continue
+		if t := r.Long(schema.TimeField); (cfg.StartMs == 0 || t >= cfg.StartMs) && (cfg.EndMs == 0 || t < cfg.EndMs) {
+			kept = append(kept, r)
 		}
-		vals := cells[:nf:nf]
-		cells = cells[nf:]
-		for i, f := range schema.Fields {
-			v, err := record.ConformValue(r[f.Name], f, schema.Name)
-			if err != nil {
-				return Result{}, fmt.Errorf("backfill: archive %q: %w", dataset, err)
-			}
-			vals[i] = record.ValueOf(v)
-		}
-		bounded = append(bounded, record.Row{Schema: schema, Vals: vals})
 	}
-	src := flow.NewBoundedRowSource(bounded, timeField, cfg.Batch)
+	bounded, err := record.BindRows(schema, kept)
+	if err != nil {
+		return Result{}, fmt.Errorf("backfill: archive %q: %w", dataset, err)
+	}
+	src := flow.NewBoundedSource(bounded, schema.TimeField, cfg.Batch)
 	src.SetLateness(cfg.LatenessMs)
-	if cfg.RatePerSec > 0 {
-		src.SetRate(cfg.RatePerSec)
-	}
+	src.SetRate(cfg.RatePerSec)
 	job, err := flow.NewJob(flow.JobSpec{
 		Name:    jobName + "-backfill",
 		Sources: []flow.SourceSpec{{Name: dataset, Source: src}},
@@ -116,7 +103,7 @@ func Run(jobName string, store objstore.Store, dataset string, schema *metadata.
 	m := job.Metrics()
 	return Result{
 		RowsRead:    len(bounded),
-		RowsSkipped: skipped,
+		RowsSkipped: len(rows) - len(kept),
 		EventsOut:   m.EventsOut,
 		Elapsed:     time.Since(start),
 	}, nil

@@ -3,10 +3,13 @@ package flow
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/record"
 )
 
 // Checkpoint is a consistent snapshot of a job: every source's read position
@@ -104,41 +107,36 @@ func (j *Job) TriggerCheckpoint(timeout time.Duration) (int64, error) {
 	}
 }
 
-func (c *checkpointCoordinator) addSourceSnapshot(id int64, si int, pos []byte) {
+// update applies f to checkpoint id's pending state, if it is pending, and
+// completes the checkpoint once it has every part.
+func (c *checkpointCoordinator) update(id int64, f func(p *pendingCkpt)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.pending[id]
-	if !ok || p.sources[si] != nil {
-		return
+	if p, ok := c.pending[id]; ok {
+		f(p)
+		c.maybeCompleteLocked(id, p)
 	}
-	p.sources[si] = pos
-	p.gotSources++
-	c.maybeCompleteLocked(id, p)
+}
+
+func (c *checkpointCoordinator) addSourceSnapshot(id int64, si int, pos []byte) {
+	c.update(id, func(p *pendingCkpt) {
+		if p.sources[si] == nil {
+			p.sources[si] = pos
+			p.gotSources++
+		}
+	})
 }
 
 func (c *checkpointCoordinator) addOperatorSnapshot(id int64, key string, snap []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.pending[id]
-	if !ok {
-		return
-	}
-	if _, dup := p.ops[key]; dup {
-		return
-	}
-	p.ops[key] = snap
-	c.maybeCompleteLocked(id, p)
+	c.update(id, func(p *pendingCkpt) {
+		if _, dup := p.ops[key]; !dup {
+			p.ops[key] = snap
+		}
+	})
 }
 
 func (c *checkpointCoordinator) ackSink(id int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.pending[id]
-	if !ok {
-		return
-	}
-	p.sinkAcked = true
-	c.maybeCompleteLocked(id, p)
+	c.update(id, func(p *pendingCkpt) { p.sinkAcked = true })
 }
 
 func (c *checkpointCoordinator) maybeCompleteLocked(id int64, p *pendingCkpt) {
@@ -234,3 +232,15 @@ func (j *Job) RestoreLatest() error {
 	}
 	return j.Restore(ckpt)
 }
+
+// snapRow is a keyed row in a snapshot: its key, as raw bytes (a compiled
+// GROUP BY key is binary, and JSON would rewrite it as a string), a time,
+// and the row, typed cells with their schema (record.Value's JSON).
+type snapRow struct {
+	Key  []byte
+	Time int64 `json:",omitempty"`
+	Row  record.Row
+}
+
+// errNoRow is a snapshot entry without its row.
+var errNoRow = errors.New("snapshot entry without a row")

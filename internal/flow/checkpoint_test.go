@@ -270,8 +270,9 @@ func TestWindowStateSurvivesRestore(t *testing.T) {
 	// partial aggregates.
 	w := NewWindowAggOp(60_000, 0, "k", Aggregation{Kind: record.AggSum, Field: "v"})
 	emit := func(Event) {}
+	row := rowOf(record.Record{"v": 1.0})
 	for i := 0; i < 10; i++ {
-		w.ProcessElement(Event{Key: "a", Time: base + int64(i), Data: record.Record{"v": 1.0}}, emit)
+		w.ProcessElement(Event{Key: "a", Time: base + int64(i), Row: row}, emit)
 	}
 	snap, err := w.Snapshot()
 	if err != nil {
@@ -285,7 +286,7 @@ func TestWindowStateSurvivesRestore(t *testing.T) {
 		t.Error("restored window op has no state bytes")
 	}
 	var fired []record.Record
-	w2.OnWatermark(base+120_000, func(e Event) { fired = append(fired, e.Data) })
+	w2.OnWatermark(base+120_000, func(e Event) { fired = append(fired, e.Row.Record()) })
 	if len(fired) != 1 || fired[0].Double("sum_v") != 10 {
 		t.Errorf("restored window fired %v, want sum 10", fired)
 	}
@@ -317,11 +318,11 @@ func TestWindowRestoresEarlierSnapshot(t *testing.T) {
 	if err := w.Restore([]byte(headWindowSnapshot)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.ProcessElement(Event{Key: "sf", Time: 62_000, Data: record.Record{"city": "sf"}}, func(Event) {}); err != nil {
+	if err := w.ProcessElement(Event{Key: "sf", Time: 62_000, Row: rowOf(record.Record{"city": "sf"})}, func(Event) {}); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	if err := w.OnWatermark(200_000, func(e Event) { got = append(got, fmt.Sprint(e.Data)) }); err != nil {
+	if err := w.OnWatermark(200_000, func(e Event) { got = append(got, fmt.Sprint(e.Row.Record())) }); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{

@@ -18,23 +18,23 @@
 //   - a job management layer (§4.2.2) that deploys, monitors and
 //     automatically recovers jobs with a rule-based engine.
 //
-// An event's payload is a map (Event.Data) or schema-bound cells (Event.Row).
-// StreamSource decodes each message once into a row, and a row stays a row
-// through the compiled SQL stages, the window operator and TopicSink. It is
-// boxed into Data only where user code reads maps: the function operators
-// (MapOp, FilterOp, FlatMapOp, ReduceOp, IntervalJoinOp), FuncSink,
-// CollectSink and keyed routing on a named field, all through Event.Record.
+// An event's payload is a row: schema-bound cells (Event.Row). Sources
+// emit rows — StreamSource decodes each message once into one — and every
+// library operator, router and sink reads rows by position and emits rows.
+// A map exists only inside a user function: MapOp, FilterOp, FlatMapOp,
+// ReduceOp, FuncSink and CollectSink hand user code the row boxed into
+// Event.Data, and what a function returns is bound back to a row, its
+// schema worked out from the map (record.RowBinder).
 //
 // WindowAggOp answers as batch SQL does over the same rows, so a job and its
 // backfill give the answers fedsql gives: each (key, window) folds one
 // record.Agg per aggregation, and a NULL or missing field is no input.
 // COUNT without a field counts events, COUNT of a field the events whose
 // field is not NULL; SUM over no input is 0, and MIN, MAX and AVG over no
-// input are NULL (a nil in the result record). COUNT takes a field of any
-// type. SUM, AVG, MIN and MAX take a long, timestamp or double field, and a
-// bool as 1 or 0; over a string or bytes field they are an error — when the
-// operator binds a row's schema, or on a map event when it meets such a
-// value — as fedsql and the OLAP layer refuse them, never a text read as 0.
+// input are NULL cells. COUNT takes a field of any type. SUM, AVG, MIN and
+// MAX take a long, timestamp or double field, and a bool as 1 or 0; over a
+// string or bytes field they are an error when the operator binds the
+// row's schema, as fedsql and the OLAP layer refuse them.
 //
 // Kappa+ backfill over archived data (§7, E13) lives in the backfill
 // subpackage. The flinksql package compiles SQL into these dataflow jobs

@@ -3,6 +3,7 @@ package flow
 import (
 	"math"
 
+	"repro/internal/metadata"
 	"repro/internal/record"
 )
 
@@ -16,40 +17,38 @@ type Event struct {
 	// Source is the index of the originating source (join operators use it
 	// to tell sides apart).
 	Source int
-	// Data is the event payload as a map: what user functions read and
-	// write.
-	Data record.Record
-	// Row is the payload as schema-bound cells, when Data is nil: a
-	// StreamSource decodes each message into one, and the compiled SQL
-	// stages and TopicSink work on it without a map. A source may lend the
-	// cells for as long as the job holds the event (cellBlock).
+	// Row is the payload: schema-bound cells. A StreamSource decodes each
+	// message into one and may lend the cells for as long as the job holds
+	// the event (cellBlock); every operator and sink reads and emits rows.
 	Row record.Row
+	// Data is the payload boxed into a map, on the events handed to user
+	// code (MapOp, FilterOp, FlatMapOp, ReduceOp, FuncSink and
+	// CollectSink). What a user function returns is bound back to a row
+	// from Data before it leaves the operator; nothing else reads it.
+	Data record.Record
 
 	// block is the cell block Row's cells live in, when a source lends
 	// them (cellBlock): the runtime counts the events that hold it.
 	block *cellBlock
 }
 
-// IsRow reports whether the payload is the row: Data, when set, wins.
-func (e Event) IsRow() bool { return e.Data == nil && e.Row.Schema != nil }
-
-// Record returns the payload as a map: Data, or the row boxed when Data is
-// nil.
-func (e Event) Record() record.Record {
-	if e.IsRow() {
-		return e.Row.Record()
-	}
-	return e.Data
-}
-
-// boxed is e as code that reads Data sees it: the row, if any, boxed into
-// Data and dropped, so a function that changes Data leaves no stale row
-// behind. User functions, keyed routing on a field, FuncSink and
-// CollectSink take events through it.
+// boxed is e as user code sees it: the row boxed into Data, its strings
+// copied, and the row dropped.
 func boxed(e Event) Event {
-	e.Data = e.Record()
+	e.Data = e.Row.Record()
 	e.Row, e.block = record.Row{}, nil
 	return e
+}
+
+// bound emits e, what user code returned, with its Data bound by b to a
+// row (record.RowBinder) whose schema starts from in's.
+func bound(b *record.RowBinder, in *metadata.Schema, e Event, emit func(Event)) error {
+	row, err := b.Bind(in, e.Data)
+	if err == nil {
+		e.Row, e.Data, e.block = row, nil, nil
+		emit(e)
+	}
+	return err
 }
 
 // WatermarkMax is the final watermark emitted by bounded sources: it flushes

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/record"
+	"repro/internal/stream"
 )
 
 // exchangeCredits is how many run buffers each edge owns. A sender fills
@@ -77,6 +78,10 @@ type outputs struct {
 	ctx   context.Context
 	edges []edge
 	open  [][]Event
+	// next is the keyed stage the edges feed, or nil: events then go round
+	// robin, rr the next edge.
+	next *StageSpec
+	rr   int
 	// held and heldN are the references to one cell block that the events
 	// added since the last settle take. settle takes them before any run is
 	// sent, so a receiver never drops a reference not yet taken.
@@ -84,8 +89,21 @@ type outputs struct {
 	heldN int32
 }
 
-func newOutputs(ctx context.Context, edges []edge) *outputs {
-	return &outputs{ctx: ctx, edges: edges, open: make([][]Event, len(edges))}
+func newOutputs(ctx context.Context, edges []edge, next *StageSpec) *outputs {
+	return &outputs{ctx: ctx, edges: edges, open: make([][]Event, len(edges)), next: next}
+}
+
+// route adds e to the run of the edge it goes on: the one its key hashes to
+// when the next stage is keyed, else the next in turn.
+func (o *outputs) route(e Event) bool {
+	d := o.rr % len(o.edges)
+	if o.next != nil {
+		e = o.next.route(e)
+		d = int(stream.Hash(e.Key) % uint32(len(o.edges)))
+	} else {
+		o.rr++
+	}
+	return o.add(d, e)
 }
 
 // add appends e to the run for edge d, first taking a credit if it has no
@@ -176,8 +194,8 @@ func (o *outputs) abort() {
 // it is done with — a poll's once they are in runs, an input run's once the
 // operator has processed it, the sink's once it is written — and the last
 // reference hands the block back to its source for a later fetch. So an
-// operator or sink that keeps a row past the call copies its cells (boxing
-// does, Event.Record).
+// operator or sink that keeps a row past the call copies its cells, as a
+// window, a join and boxing for user code do.
 type cellBlock struct {
 	cells []record.Value
 	refs  atomic.Int32

@@ -69,7 +69,7 @@ type seqCheck struct{ last map[string]int64 }
 func newSeqCheck() Operator { return &seqCheck{last: map[string]int64{}} }
 
 func (s *seqCheck) ProcessElement(e Event, emit func(Event)) error {
-	seq := e.Data.Long("seq")
+	seq := e.Row.Long(e.Row.Schema.FieldIndex("seq"))
 	if seq != s.last[e.Key]+1 {
 		return fmt.Errorf("key %s: seq %d after %d", e.Key, seq, s.last[e.Key])
 	}
@@ -118,16 +118,20 @@ func TestKeyedExchangeKeepsOrderAndExactlyOnce(t *testing.T) {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			const n, keys, window = 3000, 12, 50
-			events := make([]Event, n)
+			recs := make([]record.Record, n)
 			seqs := map[string]int64{}
 			want := map[string]int64{} // "key/window start" -> count
 			ts := base
-			for i := range events {
+			for i := range recs {
 				ts += 1 + rng.Int63n(4)
 				k := fmt.Sprintf("k%d", rng.Intn(keys))
 				seqs[k]++
-				events[i] = Event{Time: ts, Data: record.Record{"k": k, "seq": seqs[k], "ts": ts}}
+				recs[i] = record.Record{"k": k, "seq": seqs[k], "ts": ts}
 				want[fmt.Sprintf("%s/%d", k, ts-ts%window)]++
+			}
+			events := make([]Event, n)
+			for i, r := range toRows(recs) {
+				events[i] = Event{Time: recs[i].Long("ts"), Row: r}
 			}
 			store := objstore.NewMemStore()
 			every, bufferSize := 1+rng.Intn(16), 1+rng.Intn(16)
@@ -221,14 +225,6 @@ func waitEventsIn(t *testing.T, job *Job, n int64) {
 	}
 }
 
-// rowPass emits each event as it is, its row cells and all.
-type rowPass struct{ statelessBase }
-
-func (rowPass) ProcessElement(e Event, emit func(Event)) error {
-	emit(e)
-	return nil
-}
-
 // rowCheckSink reads the cells of every row it is given, as TopicSink does,
 // and checks them against each other: a cell block recycled while a row in
 // it was still in flight shows as a row whose cells disagree, or one seen
@@ -270,8 +266,8 @@ func TestStreamSourceCellBlocksComeBackIntact(t *testing.T) {
 		Name:    "lend",
 		Sources: []SourceSpec{{Source: src}},
 		Stages: []StageSpec{
-			{Name: "a", Parallelism: 3, New: func() Operator { return rowPass{} }},
-			{Name: "b", Parallelism: 2, New: func() Operator { return rowPass{} }},
+			{Name: "a", Parallelism: 3, New: func() Operator { return PassOp{} }},
+			{Name: "b", Parallelism: 2, New: func() Operator { return PassOp{} }},
 		},
 		Sink:       SinkSpec{Sink: sink},
 		BufferSize: 8,
@@ -307,10 +303,10 @@ type discardSink struct{}
 func (discardSink) Write([]Event) error { return nil }
 func (discardSink) Flush() error        { return nil }
 
-// exchangeJob is a bounded source over events → one stage at parallelism
-// p, keyed by city or not → discardSink.
+// exchangeJob is a bounded source over events → one PassOp stage at
+// parallelism p, keyed by city or not → discardSink.
 func exchangeJob(tb testing.TB, src *BoundedSource, keyed bool, p int) *Job {
-	st := StageSpec{Name: "id", Parallelism: p, New: passthrough}
+	st := StageSpec{Name: "id", Parallelism: p, New: func() Operator { return PassOp{} }}
 	if keyed {
 		st.KeyBy = "city"
 	}
@@ -378,7 +374,7 @@ func TestLateEventsReportedThroughWrapper(t *testing.T) {
 		}
 		job, err := NewJob(JobSpec{
 			Name:    "late",
-			Sources: []SourceSpec{{Source: NewBoundedSource(recs, "ts", 3), WatermarkEvery: 3}},
+			Sources: []SourceSpec{{Source: NewBoundedSource(toRows(recs), "ts", 3), WatermarkEvery: 3}},
 			Stages:  []StageSpec{{Name: "window", KeyBy: "city", New: newOp}},
 			Sink:    SinkSpec{Sink: discardSink{}},
 		})

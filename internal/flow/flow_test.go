@@ -13,9 +13,9 @@ import (
 	"repro/internal/record"
 )
 
-// rows generates n events with city dimension, value v=i, spaced 1s apart
+// rows generates n rows with city dimension, value v=i, spaced 1s apart
 // starting at base.
-func rows(n int, base int64) []record.Record {
+func rows(n int, base int64) []record.Row {
 	cities := []string{"sf", "nyc", "la"}
 	out := make([]record.Record, n)
 	for i := range out {
@@ -25,8 +25,20 @@ func rows(n int, base int64) []record.Record {
 			"ts":   base + int64(i)*1000,
 		}
 	}
-	return out
+	return toRows(out)
 }
+
+// toRows binds records to rows as a user function's output is bound.
+func toRows(recs []record.Record) []record.Row {
+	rows, err := record.BindRows(nil, recs)
+	if err != nil {
+		panic(err)
+	}
+	return rows
+}
+
+// rowOf is one record bound to a row.
+func rowOf(r record.Record) record.Row { return toRows([]record.Record{r})[0] }
 
 const base = int64(1700000000000)
 
@@ -171,7 +183,7 @@ func TestWindowAggKinds(t *testing.T) {
 	}
 	spec := JobSpec{
 		Name:    "aggkinds",
-		Sources: []SourceSpec{{Source: NewBoundedSource(rows, "ts", 8)}},
+		Sources: []SourceSpec{{Source: NewBoundedSource(toRows(rows), "ts", 8)}},
 		Stages: []StageSpec{
 			{
 				Name: "agg", KeyBy: "k",
@@ -199,7 +211,7 @@ func TestWindowAggKinds(t *testing.T) {
 // TestWindowAggSkipsNull: a window answers as batch SQL does over the same
 // rows — a NULL or missing field is no input, so COUNT(fare) counts the
 // non-NULL fares, COUNT(*) every row, and MIN, MAX and AVG over no input are
-// NULL — on both the row path and the map path.
+// NULL cells.
 func TestWindowAggSkipsNull(t *testing.T) {
 	schema := &metadata.Schema{Name: "trips", Version: 1, Fields: []metadata.Field{
 		{Name: "city", Type: metadata.TypeString},
@@ -207,52 +219,40 @@ func TestWindowAggSkipsNull(t *testing.T) {
 		{Name: "tip", Type: metadata.TypeDouble, Nullable: true},
 	}}
 	fares := []any{nil, 5.0, nil, 7.0}
-	newOp := func() *WindowAggOp {
-		return NewWindowAggOp(60_000, 0, "city",
-			Aggregation{Kind: record.AggCount, As: "n"},
-			Aggregation{Kind: record.AggCount, Field: "fare", As: "fares"},
-			Aggregation{Kind: record.AggSum, Field: "fare", As: "total"},
-			Aggregation{Kind: record.AggMin, Field: "fare", As: "lo"},
-			Aggregation{Kind: record.AggMax, Field: "fare", As: "hi"},
-			Aggregation{Kind: record.AggAvg, Field: "fare", As: "mean"},
-			Aggregation{Kind: record.AggAvg, Field: "tip", As: "mean_tip"})
-	}
+	w := NewWindowAggOp(60_000, 0, "city",
+		Aggregation{Kind: record.AggCount, As: "n"},
+		Aggregation{Kind: record.AggCount, Field: "fare", As: "fares"},
+		Aggregation{Kind: record.AggSum, Field: "fare", As: "total"},
+		Aggregation{Kind: record.AggMin, Field: "fare", As: "lo"},
+		Aggregation{Kind: record.AggMax, Field: "fare", As: "hi"},
+		Aggregation{Kind: record.AggAvg, Field: "fare", As: "mean"},
+		Aggregation{Kind: record.AggAvg, Field: "tip", As: "mean_tip"})
 	want := record.Record{"city": "sf", "window_start": int64(0), "window_end": int64(60_000),
-		"n": int64(4), "fares": int64(2), "total": 12.0, "lo": 5.0, "hi": 7.0, "mean": 6.0, "mean_tip": nil}
-	for _, path := range []string{"row", "map"} {
-		w := newOp()
-		for i, fare := range fares {
-			e := Event{Key: "sf", Time: int64(i)}
-			if path == "row" {
-				vals := []record.Value{record.ValueOf("sf"), {Null: true}, {Null: true}}
-				if fare != nil {
-					vals[1] = record.ValueOf(fare)
-				}
-				e.Row = record.Row{Schema: schema, Vals: vals}
-			} else {
-				e.Data = record.Record{"city": "sf", "tip": nil}
-				if fare != nil {
-					e.Data["fare"] = fare
-				}
-			}
-			if err := w.ProcessElement(e, func(Event) {}); err != nil {
-				t.Fatal(err)
-			}
+		"n": int64(4), "fares": int64(2), "total": 12.0, "lo": 5.0, "hi": 7.0, "mean": 6.0}
+	for i, fare := range fares {
+		vals := []record.Value{record.ValueOf("sf"), {Null: true}, {Null: true}}
+		if fare != nil {
+			vals[1] = record.ValueOf(fare)
 		}
-		var got []record.Record
-		if err := w.OnWatermark(60_000, func(e Event) { got = append(got, e.Data) }); err != nil {
+		if err := w.ProcessElement(Event{Key: "sf", Time: int64(i), Row: record.Row{Schema: schema, Vals: vals}}, func(Event) {}); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 1 || fmt.Sprint(got[0]) != fmt.Sprint(want) {
-			t.Errorf("%s path fired %v, want %v", path, got, want)
-		}
+	}
+	var got []record.Row
+	if err := w.OnWatermark(60_000, func(e Event) { got = append(got, e.Row) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || fmt.Sprint(got[0].Record()) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if at := got[0].Schema.FieldIndex("mean_tip"); at < 0 || !got[0].Vals[at].Null {
+		t.Errorf("mean_tip over no input is not a NULL cell: %v", got[0])
 	}
 }
 
-// TestWindowMeasureTypes: on both paths a window sums a bool as 1 or 0, as
-// batch SQL does, counts a string, and refuses SUM, AVG, MIN and MAX over a
-// string or bytes measure — on a row when it binds the schema, on a map when
-// it meets the value — before it folds anything.
+// TestWindowMeasureTypes: a window sums a bool as 1 or 0, as batch SQL does,
+// counts a string, and refuses SUM, AVG, MIN and MAX over a string or bytes
+// measure when it binds the row's schema, before it folds anything.
 func TestWindowMeasureTypes(t *testing.T) {
 	schema := &metadata.Schema{Name: "trips", Version: 1, Fields: []metadata.Field{
 		{Name: "city", Type: metadata.TypeString},
@@ -260,41 +260,33 @@ func TestWindowMeasureTypes(t *testing.T) {
 		{Name: "blob", Type: metadata.TypeBytes},
 	}}
 	flags := []bool{true, false, true}
-	event := func(path string, i int) Event {
-		e := Event{Key: "sf", Time: int64(i)}
-		if path == "row" {
-			e.Row = record.Row{Schema: schema, Vals: []record.Value{record.ValueOf("sf"), record.ValueOf(flags[i]), record.ValueOf([]byte("b"))}}
-		} else {
-			e.Data = record.Record{"city": "sf", "flag": flags[i], "blob": []byte("b")}
-		}
-		return e
+	event := func(i int) Event {
+		return Event{Key: "sf", Time: int64(i), Row: record.Row{Schema: schema, Vals: []record.Value{record.ValueOf("sf"), record.ValueOf(flags[i]), record.ValueOf([]byte("b"))}}}
 	}
-	for _, path := range []string{"row", "map"} {
-		w := NewWindowAggOp(60_000, 0, "city",
-			Aggregation{Kind: record.AggSum, Field: "flag", As: "flags"},
-			Aggregation{Kind: record.AggAvg, Field: "flag", As: "share"},
-			Aggregation{Kind: record.AggCount, Field: "city", As: "cities"})
-		for i := range flags {
-			if err := w.ProcessElement(event(path, i), func(Event) {}); err != nil {
-				t.Fatalf("%s path: %v", path, err)
-			}
-		}
-		var got []record.Record
-		if err := w.OnWatermark(60_000, func(e Event) { got = append(got, e.Data) }); err != nil {
+	w := NewWindowAggOp(60_000, 0, "city",
+		Aggregation{Kind: record.AggSum, Field: "flag", As: "flags"},
+		Aggregation{Kind: record.AggAvg, Field: "flag", As: "share"},
+		Aggregation{Kind: record.AggCount, Field: "city", As: "cities"})
+	for i := range flags {
+		if err := w.ProcessElement(event(i), func(Event) {}); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 1 || got[0]["flags"] != 2.0 || got[0]["share"] != 2.0/3 || got[0]["cities"] != int64(3) {
-			t.Errorf("%s path fired %v, want flags 2, share 2/3, cities 3", path, got)
-		}
-		for _, kind := range []record.AggKind{record.AggSum, record.AggAvg, record.AggMin, record.AggMax} {
-			for _, field := range []string{"city", "blob"} {
-				w := NewWindowAggOp(60_000, 0, "city", Aggregation{Kind: kind, Field: field})
-				if err := w.ProcessElement(event(path, 0), func(Event) {}); err == nil {
-					t.Errorf("%s path: %s(%s) folded", path, kind, field)
-				}
-				if w.StateBytes() != 0 {
-					t.Errorf("%s path: %s(%s) refused after keeping state", path, kind, field)
-				}
+	}
+	var got []record.Record
+	if err := w.OnWatermark(60_000, func(e Event) { got = append(got, e.Row.Record()) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0]["flags"] != 2.0 || got[0]["share"] != 2.0/3 || got[0]["cities"] != int64(3) {
+		t.Errorf("fired %v, want flags 2, share 2/3, cities 3", got)
+	}
+	for _, kind := range []record.AggKind{record.AggSum, record.AggAvg, record.AggMin, record.AggMax} {
+		for _, field := range []string{"city", "blob"} {
+			w := NewWindowAggOp(60_000, 0, "city", Aggregation{Kind: kind, Field: field})
+			if err := w.ProcessElement(event(0), func(Event) {}); err == nil {
+				t.Errorf("%s(%s) folded", kind, field)
+			}
+			if w.StateBytes() != 0 {
+				t.Errorf("%s(%s) refused after keeping state", kind, field)
 			}
 		}
 	}
@@ -351,15 +343,15 @@ func TestIntervalJoin(t *testing.T) {
 	spec := JobSpec{
 		Name: "join",
 		Sources: []SourceSpec{
-			{Name: "preds", Source: NewBoundedSource(left, "ts", 8)},
-			{Name: "labels", Source: NewBoundedSource(right, "ts", 8)},
+			{Name: "preds", Source: NewBoundedSource(toRows(left), "ts", 8)},
+			{Name: "labels", Source: NewBoundedSource(toRows(right), "ts", 8)},
 		},
 		Stages: []StageSpec{
 			{
 				Name:        "join",
 				Parallelism: 2,
 				KeyBySource: map[int]string{0: "model", 1: "model"},
-				New:         func() Operator { return NewIntervalJoinOp(1000, nil) },
+				New:         func() Operator { return NewIntervalJoinOp(1000) },
 			},
 		},
 	}
@@ -376,29 +368,29 @@ func TestIntervalJoin(t *testing.T) {
 }
 
 func TestJoinFieldClashPrefixed(t *testing.T) {
-	j := NewIntervalJoinOp(1000, nil)
+	j := NewIntervalJoinOp(1000)
 	var out []Event
 	emit := func(e Event) { out = append(out, e) }
-	if err := j.ProcessElement(Event{Key: "k", Time: 10, Source: 0, Data: record.Record{"ts": int64(10), "v": 1.0}}, emit); err != nil {
+	if err := j.ProcessElement(Event{Key: "k", Time: 10, Source: 0, Row: rowOf(record.Record{"ts": int64(10), "v": 1.0})}, emit); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.ProcessElement(Event{Key: "k", Time: 20, Source: 1, Data: record.Record{"ts": int64(20), "v": 2.0}}, emit); err != nil {
+	if err := j.ProcessElement(Event{Key: "k", Time: 20, Source: 1, Row: rowOf(record.Record{"ts": int64(20), "v": 2.0})}, emit); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 {
 		t.Fatalf("out = %v", out)
 	}
-	r := out[0].Data
+	r := out[0].Row.Record()
 	if r.Double("v") != 1.0 || r.Double("r_v") != 2.0 {
 		t.Fatalf("merge = %v", r)
 	}
 }
 
 func TestJoinEvictionBoundsState(t *testing.T) {
-	j := NewIntervalJoinOp(1000, nil)
+	j := NewIntervalJoinOp(1000)
 	emit := func(Event) {}
 	for i := 0; i < 100; i++ {
-		j.ProcessElement(Event{Key: "k", Time: int64(i * 100), Source: 0, Data: record.Record{"v": float64(i)}}, emit)
+		j.ProcessElement(Event{Key: "k", Time: int64(i * 100), Source: 0, Row: rowOf(record.Record{"v": float64(i)})}, emit)
 	}
 	before := j.StateBytes()
 	j.OnWatermark(100*100+2000, emit)

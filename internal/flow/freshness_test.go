@@ -68,7 +68,7 @@ func TestSinkLoopBatchesRunsAndKeepsBarrierOrder(t *testing.T) {
 	}
 	ev := element{kind: elemEvents}
 	in := newInputEdges(1, job.spec.BufferSize)
-	sendAll(t, newOutputs(job.ctx, in), []element{
+	sendAll(t, newOutputs(job.ctx, in, nil), []element{
 		ev, ev, ev, {kind: elemBarrier, barrier: 1}, // a run, then its barrier
 		ev, ev, ev, ev, ev, ev, // a run longer than BufferSize
 		{kind: elemWatermark, wm: 7}, ev, {kind: elemEnd},
@@ -102,8 +102,8 @@ func TestSinkLoopAlignsBarriersAcrossInputs(t *testing.T) {
 	}
 	ev := element{kind: elemEvents}
 	in := newInputEdges(2, job.spec.BufferSize)
-	sendAll(t, newOutputs(job.ctx, in[:1]), []element{ev, {kind: elemBarrier, barrier: 1}, ev, {kind: elemEnd}})
-	sendAll(t, newOutputs(job.ctx, in[1:]), []element{ev, ev, ev, {kind: elemBarrier, barrier: 1}, {kind: elemEnd}})
+	sendAll(t, newOutputs(job.ctx, in[:1], nil), []element{ev, {kind: elemBarrier, barrier: 1}, ev, {kind: elemEnd}})
+	sendAll(t, newOutputs(job.ctx, in[1:], nil), []element{ev, ev, ev, {kind: elemBarrier, barrier: 1}, {kind: elemEnd}})
 	job.wg.Add(1)
 	job.runSink(in)
 	written, flushes := 0, 0
@@ -155,7 +155,7 @@ func TestWatermarkFollowsADrainingPoll(t *testing.T) {
 	}{{lag: 0, want: base + 2000}, {lag: 5, want: 0}} {
 		src := &gatedSource{lag: tc.lag, release: make(chan struct{})}
 		for i, r := range rows(3, base) {
-			src.batch = append(src.batch, Event{Time: base + int64(i)*1000, Data: r})
+			src.batch = append(src.batch, Event{Time: base + int64(i)*1000, Row: r})
 		}
 		job, err := NewJob(JobSpec{
 			Name:    "wm",
@@ -308,7 +308,7 @@ func TestStreamSourceRereadsAfterLeaderFailureCutsTheLog(t *testing.T) {
 				return got
 			}
 			for _, e := range events {
-				got = append(got, e.Record().Double("v"))
+				got = append(got, e.Row.Record().Double("v"))
 			}
 		}
 	}

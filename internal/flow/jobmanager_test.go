@@ -199,7 +199,7 @@ func TestReduceOpSnapshotRoundTrip(t *testing.T) {
 	})
 	emit := func(Event) {}
 	for i := 0; i < 7; i++ {
-		r.ProcessElement(Event{Key: "a", Data: record.Record{}}, emit)
+		r.ProcessElement(Event{Key: "a", Row: rowOf(record.Record{})}, emit)
 	}
 	snap, err := r.Snapshot()
 	if err != nil {
@@ -210,8 +210,8 @@ func TestReduceOpSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out []Event
-	r2.ProcessElement(Event{Key: "a", Data: record.Record{}}, func(e Event) { out = append(out, e) })
-	if len(out) != 1 || out[0].Data.Long("n") != 8 {
+	r2.ProcessElement(Event{Key: "a", Row: rowOf(record.Record{})}, func(e Event) { out = append(out, e) })
+	if len(out) != 1 || out[0].Row.Record().Long("n") != 8 {
 		t.Errorf("restored reduce emitted %v, want n=8", out)
 	}
 	if err := r2.Restore([]byte("{bad")); err == nil {

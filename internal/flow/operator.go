@@ -1,8 +1,11 @@
 package flow
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/record"
 )
@@ -13,8 +16,7 @@ import (
 type Operator interface {
 	// ProcessElement handles one event, emitting zero or more events. e's
 	// row cells (Event.Row) may be reused once the call returns unless e
-	// is emitted: an operator that keeps a row for later copies it
-	// (boxing does, Event.Record).
+	// is emitted: an operator that keeps a row for later copies its cells.
 	ProcessElement(e Event, emit func(Event)) error
 	// OnWatermark fires when the instance's combined input watermark
 	// advances; window operators fire completed windows here.
@@ -33,75 +35,97 @@ type OperatorFactory func() Operator
 
 // ---- Stateless operators ----
 
-// statelessBase provides no-op state plumbing for stateless operators.
-type statelessBase struct{}
+// Stateless provides the no-op state plumbing of a stateless operator, for
+// embedding: it keeps nothing and ignores time.
+type Stateless struct{}
 
 // Snapshot implements Operator with empty state.
-func (statelessBase) Snapshot() ([]byte, error) { return nil, nil }
+func (Stateless) Snapshot() ([]byte, error) { return nil, nil }
 
 // Restore implements Operator with empty state.
-func (statelessBase) Restore([]byte) error { return nil }
+func (Stateless) Restore([]byte) error { return nil }
 
 // StateBytes implements Operator; stateless operators hold nothing.
-func (statelessBase) StateBytes() int64 { return 0 }
+func (Stateless) StateBytes() int64 { return 0 }
 
 // OnWatermark implements Operator; stateless operators ignore time.
-func (statelessBase) OnWatermark(int64, func(Event)) error { return nil }
+func (Stateless) OnWatermark(int64, func(Event)) error { return nil }
 
-// MapOp applies fn to each event, its payload in Data. fn may mutate and
-// return the event, or build a new one.
+// PassOp emits each event as it came: the stage of a job that only moves
+// rows.
+type PassOp struct{ Stateless }
+
+// ProcessElement implements Operator.
+func (PassOp) ProcessElement(e Event, emit func(Event)) error {
+	emit(e)
+	return nil
+}
+
+// MapOp applies Fn to each event, its payload in Data. Fn may mutate and
+// return the event, or build a new one; the Data it returns leaves as a row
+// (record.RowBinder), its schema worked out from the map.
 type MapOp struct {
-	statelessBase
+	Stateless
 	Fn func(Event) (Event, error)
+
+	binder record.RowBinder
 }
 
 // ProcessElement implements Operator.
 func (m *MapOp) ProcessElement(e Event, emit func(Event)) error {
 	out, err := m.Fn(boxed(e))
-	if err != nil {
-		return err
+	if err == nil {
+		err = bound(&m.binder, e.Row.Schema, out, emit)
 	}
-	emit(out)
-	return nil
+	return err
 }
 
-// FilterOp keeps events for which Pred returns true; they go on with their
-// payload in Data.
+// FilterOp keeps the events for which Pred, shown the payload in Data,
+// returns true: each goes on as it came, its row untouched.
 type FilterOp struct {
-	statelessBase
+	Stateless
 	Pred func(Event) bool
 }
 
 // ProcessElement implements Operator.
 func (f *FilterOp) ProcessElement(e Event, emit func(Event)) error {
-	if e = boxed(e); f.Pred(e) {
+	if f.Pred(boxed(e)) {
 		emit(e)
 	}
 	return nil
 }
 
-// FlatMapOp emits any number of events per input, its payload in Data.
+// FlatMapOp emits any number of events per input, its payload in Data; each
+// leaves as a row, as MapOp's does.
 type FlatMapOp struct {
-	statelessBase
+	Stateless
 	Fn func(Event, func(Event)) error
+
+	binder record.RowBinder
 }
 
 // ProcessElement implements Operator.
 func (f *FlatMapOp) ProcessElement(e Event, emit func(Event)) error {
-	return f.Fn(boxed(e), emit)
+	var bindErr error
+	err := f.Fn(boxed(e), func(out Event) {
+		bindErr = cmp.Or(bindErr, bound(&f.binder, e.Row.Schema, out, emit))
+	})
+	return cmp.Or(err, bindErr)
 }
 
 // ---- Keyed reduce (running aggregate per key) ----
 
 // ReduceOp maintains one accumulator record per key, merged with Fn on every
-// event, and emits the updated accumulator (a changelog-style output).
+// event, and emits the updated accumulator as a row (a changelog-style
+// output). It checkpoints each accumulator as typed cells with its schema.
 type ReduceOp struct {
 	// Fn merges an event into the accumulator; acc is nil for the first
 	// event of a key and the returned record becomes the new accumulator.
 	Fn func(acc record.Record, e Event) record.Record
 
-	state map[string]record.Record
-	bytes int64
+	state  map[string]record.Record
+	bytes  int64
+	binder record.RowBinder
 }
 
 // NewReduceOp creates an empty keyed reducer.
@@ -111,33 +135,58 @@ func NewReduceOp(fn func(acc record.Record, e Event) record.Record) *ReduceOp {
 
 // ProcessElement implements Operator.
 func (r *ReduceOp) ProcessElement(e Event, emit func(Event)) error {
-	e = boxed(e)
 	old := r.state[e.Key]
-	acc := r.Fn(old, e)
+	acc := r.Fn(old, boxed(e))
 	if old == nil {
 		r.bytes += approxRecordBytes(acc) + int64(len(e.Key))
 	}
 	r.state[e.Key] = acc
-	emit(Event{Key: e.Key, Time: e.Time, Data: acc})
-	return nil
+	return bound(&r.binder, e.Row.Schema, Event{Key: e.Key, Time: e.Time, Data: acc}, emit)
 }
 
 // OnWatermark implements Operator (reduce emits continuously; nothing fires).
 func (r *ReduceOp) OnWatermark(int64, func(Event)) error { return nil }
 
-// Snapshot implements Operator.
-func (r *ReduceOp) Snapshot() ([]byte, error) { return json.Marshal(r.state) }
+// Snapshot implements Operator: each key's accumulator as a row, typed
+// cells with their schema, in key order.
+func (r *ReduceOp) Snapshot() ([]byte, error) {
+	var rows []snapRow
+	for _, key := range slices.Sorted(maps.Keys(r.state)) {
+		row, err := r.binder.Bind(nil, r.state[key])
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, snapRow{Key: []byte(key), Row: row})
+	}
+	return json.Marshal(rows)
+}
 
-// Restore implements Operator.
+// Restore implements Operator. A snapshot written before accumulators
+// were rows is a JSON object of them as maps.
 func (r *ReduceOp) Restore(data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	r.state = make(map[string]record.Record)
-	if err := json.Unmarshal(data, &r.state); err != nil {
+	var rows []snapRow
+	var legacy map[string]map[string]any
+	err := json.Unmarshal(data, &rows)
+	if err != nil && json.Unmarshal(data, &legacy) == nil {
+		err = nil
+	}
+	r.state, r.bytes = make(map[string]record.Record, len(rows)+len(legacy)), 0
+	for key, acc := range legacy {
+		r.state[key] = acc
+	}
+	for _, k := range rows {
+		if k.Row.Schema == nil {
+			err = cmp.Or(err, errNoRow)
+			continue
+		}
+		r.state[string(k.Key)] = k.Row.Record()
+	}
+	if err != nil {
 		return fmt.Errorf("flow: restoring reduce state: %w", err)
 	}
-	r.bytes = 0
 	for k, v := range r.state {
 		r.bytes += approxRecordBytes(v) + int64(len(k))
 	}

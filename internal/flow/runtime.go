@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/stream"
 )
 
 // Job is a deployed dataflow. Create with NewJob, optionally Restore from a
@@ -103,10 +101,6 @@ func (j *Job) Start() error {
 		return fmt.Errorf("flow: job %q already started", j.spec.Name)
 	}
 	nStages := len(j.spec.Stages)
-	// edges[l][up][down]: the edge from sender up at level l to instance
-	// down at level l+1. Level 0 senders are sources; level nStages senders
-	// feed the sink (one instance).
-	edges := make([][][]edge, nStages+1)
 	senders := func(level int) int {
 		if level == 0 {
 			return len(j.spec.Sources)
@@ -119,41 +113,38 @@ func (j *Job) Start() error {
 		}
 		return j.spec.Stages[level].Parallelism
 	}
-	for l := 0; l <= nStages; l++ {
-		edges[l] = make([][]edge, senders(l))
-		for u := range edges[l] {
-			edges[l][u] = make([]edge, receivers(l))
+	// ins[l][d] are the edges into receiver d at level l, one from each
+	// sender: level 0 senders are sources, level nStages receivers the
+	// sink. outs(l, u) are sender u's edges, one to each receiver.
+	ins := make([][][]edge, nStages+1)
+	for l := range ins {
+		for range receivers(l) {
+			ins[l] = append(ins[l], newInputEdges(senders(l), j.spec.BufferSize))
 		}
-		for d := 0; d < receivers(l); d++ {
-			for u, in := range newInputEdges(senders(l), j.spec.BufferSize) {
-				edges[l][u][d] = in
-			}
+	}
+	outs := func(l, u int) []edge {
+		out := make([]edge, len(ins[l]))
+		for d := range out {
+			out[d] = ins[l][d][u]
 		}
+		return out
 	}
 
 	// Sources.
-	for si := range j.spec.Sources {
-		src := j.spec.Sources[si]
+	for si, src := range j.spec.Sources {
 		if j.restoreState != nil && si < len(j.restoreState.SourcePositions) {
 			if err := src.Source.Seek(j.restoreState.SourcePositions[si]); err != nil {
 				return fmt.Errorf("flow: restoring source %d: %w", si, err)
 			}
 		}
-		outs := edges[0][si]
 		j.wg.Add(1)
-		go j.runSource(si, src, outs)
+		go j.runSource(si, src, outs(0, si))
 	}
 
 	// Stages.
 	flat := 0
-	for l := 0; l < nStages; l++ {
-		st := j.spec.Stages[l]
+	for l, st := range j.spec.Stages {
 		for inst := 0; inst < st.Parallelism; inst++ {
-			// Gather inputs: channel from every sender at level l.
-			ins := make([]edge, senders(l))
-			for u := range ins {
-				ins[u] = edges[l][u][inst]
-			}
 			op := st.New()
 			if j.restoreState != nil {
 				if state, ok := j.restoreState.OperatorState[opStateKey(st.Name, inst)]; ok {
@@ -162,20 +153,15 @@ func (j *Job) Start() error {
 					}
 				}
 			}
-			outs := edges[l+1][inst]
 			j.wg.Add(1)
-			go j.runInstance(l, inst, flat, op, ins, outs)
+			go j.runInstance(l, inst, flat, op, ins[l][inst], outs(l+1, inst))
 			flat++
 		}
 	}
 
 	// Sink: inputs from every last-stage instance.
-	sinkIns := make([]edge, senders(nStages))
-	for u := range sinkIns {
-		sinkIns[u] = edges[nStages][u][0]
-	}
 	j.wg.Add(1)
-	go j.runSink(sinkIns)
+	go j.runSink(ins[nStages][0])
 
 	// Auto-checkpoint ticker.
 	if j.spec.CheckpointStore != nil && j.spec.CheckpointInterval > 0 {
@@ -257,9 +243,7 @@ func (j *Job) autoCheckpoint() {
 
 func (j *Job) runSource(si int, spec SourceSpec, edges []edge) {
 	defer j.wg.Done()
-	stage0 := j.spec.Stages[0]
-	out := newOutputs(j.ctx, edges)
-	rr := 0
+	out := newOutputs(j.ctx, edges, j.keyedStage(0))
 	sinceWM := 0
 	lastWM := int64(-1)
 	lastBarrier := int64(0)
@@ -294,15 +278,7 @@ func (j *Job) runSource(si int, spec SourceSpec, edges []edge) {
 		// source may reuse the slice.
 		for _, e := range events {
 			e.Source = si
-			dest := 0
-			if stage0.keyed() {
-				e = stage0.route(e)
-				dest = int(stream.Hash(e.Key) % uint32(len(edges)))
-			} else {
-				dest = rr % len(edges)
-				rr++
-			}
-			if !out.add(dest, e) {
+			if !out.route(e) {
 				return
 			}
 		}
@@ -342,34 +318,21 @@ func drained(src Source, n int) bool {
 	return ok && lr.Lag() == 0
 }
 
+// keyedStage is stage l if the job has it and it is keyed, else nil.
+func (j *Job) keyedStage(l int) *StageSpec {
+	if l < len(j.spec.Stages) && j.spec.Stages[l].keyed() {
+		return &j.spec.Stages[l]
+	}
+	return nil
+}
+
 // ---- operator instance loop ----
 
 func (j *Job) runInstance(level, inst, flat int, op Operator, ins []edge, edges []edge) {
 	defer j.wg.Done()
-	var nextKeyed bool
-	var nextStage *StageSpec
-	if level+1 < len(j.spec.Stages) {
-		st := j.spec.Stages[level+1]
-		nextStage = &st
-		nextKeyed = st.keyed()
-	}
-	out := newOutputs(j.ctx, edges)
-	rr := 0
+	out := newOutputs(j.ctx, edges, j.keyedStage(level+1))
 	ok := true
-	emit := func(e Event) {
-		if !ok {
-			return
-		}
-		dest := 0
-		if nextStage != nil && nextKeyed {
-			e = nextStage.route(e)
-			dest = int(stream.Hash(e.Key) % uint32(len(edges)))
-		} else if len(edges) > 1 {
-			dest = rr % len(edges)
-			rr++
-		}
-		ok = out.add(dest, e)
-	}
+	emit := func(e Event) { ok = ok && out.route(e) }
 	// A window operator, wrapped or not, reports the late events it dropped.
 	late, _ := op.(interface{ LateEvents() int64 })
 

@@ -64,12 +64,12 @@ func (c *CollectSink) Len() int {
 	return len(c.events)
 }
 
-// TopicSink encodes output records with a codec and produces them to a
-// topic, keyed by the event key — the FlinkSQL→Pinot "push" integration
-// path (§4.3.3). A row event is conformed to the codec's schema by the rule
-// the OLAP ingester uses (record.Binding) and encoded from its cells; every
-// payload and key of one Write goes into one buffer the next Write reuses,
-// as the log copies what it appends.
+// TopicSink encodes output rows with a codec and produces them to a topic,
+// keyed by the event key — the FlinkSQL→Pinot "push" integration path
+// (§4.3.3). A row is conformed to the codec's schema by the rule the OLAP
+// ingester uses (record.Binding) and encoded from its cells; every payload
+// and key of one Write goes into one buffer the next Write reuses, as the
+// log copies what it appends.
 type TopicSink struct {
 	producer *stream.Producer
 	topic    string
@@ -123,21 +123,13 @@ func (t *TopicSink) Write(events []Event) error {
 
 // encode appends e's payload to buf and its end to ends.
 func (t *TopicSink) encode(e Event) error {
-	if !e.IsRow() {
-		payload, err := t.codec.Encode(e.Data)
-		if err != nil {
-			return err
-		}
-		t.buf = append(t.buf, payload...)
-	} else {
-		if e.Row.Schema != t.bound {
-			t.bound, t.bind = e.Row.Schema, record.Bind(e.Row.Schema, t.schema)
-		}
-		if err := t.bind.Conform(e.Row.Vals, t.cells); err != nil {
-			return err
-		}
-		t.buf = t.codec.EncodeValues(t.buf, t.cells)
+	if e.Row.Schema != t.bound {
+		t.bound, t.bind = e.Row.Schema, record.Bind(e.Row.Schema, t.schema)
 	}
+	if err := t.bind.Conform(e.Row.Vals, t.cells); err != nil {
+		return err
+	}
+	t.buf = t.codec.EncodeValues(t.buf, t.cells)
 	t.ends = append(t.ends, len(t.buf))
 	return nil
 }
@@ -150,8 +142,6 @@ func (t *TopicSink) Flush() error { return nil }
 type FuncSink struct {
 	// Fn receives each output event, its payload in Data.
 	Fn func(Event) error
-	// FlushFn is optional.
-	FlushFn func() error
 }
 
 // Write implements Sink.
@@ -165,9 +155,4 @@ func (f *FuncSink) Write(events []Event) error {
 }
 
 // Flush implements Sink.
-func (f *FuncSink) Flush() error {
-	if f.FlushFn != nil {
-		return f.FlushFn()
-	}
-	return nil
-}
+func (f *FuncSink) Flush() error { return nil }

@@ -44,7 +44,7 @@ type LagReporter interface {
 // and an append to any partition wakes it.
 //
 // Each payload is decoded once, into a row of typed cells (Event.Row) and
-// not into a map: code that wants a map boxes it (Event.Record). A payload
+// not into a map; only a user function's input is boxed. A payload
 // the codec cannot parse is counted (Skipped) and passed over, as the OLAP
 // ingester does, instead of failing the job on the same offset after every
 // restart.
@@ -251,7 +251,7 @@ func (s *StreamSource) Lag() int64 { return s.reader.Lag() }
 // passed over (Metrics.SkippedMessages).
 func (s *StreamSource) Skipped() int64 { return s.skipped.Load() }
 
-// BoundedSource replays an in-memory slice of records — the DataSet-mode
+// BoundedSource replays an in-memory slice of rows — the DataSet-mode
 // input used by backfill (§7) and tests. It supports throttling so Kappa+
 // backfills can bound their resource usage while reading historic data far
 // faster than real time.
@@ -269,32 +269,14 @@ type BoundedSource struct {
 	tokens   float64
 }
 
-// NewBoundedSource creates a bounded source over rows. timeField supplies
-// event time (0 ⇒ all events at time 0).
-func NewBoundedSource(rows []record.Record, timeField string, batch int) *BoundedSource {
-	events := make([]Event, len(rows))
-	for i, r := range rows {
-		events[i].Data = r
-		if timeField != "" {
-			events[i].Time = r.Long(timeField)
-		}
-	}
-	return newBoundedSource(events, batch)
-}
-
-// NewBoundedRowSource creates a bounded source over schema-bound rows, which
-// it replays as Event.Row — how a backfill feeds compiled SQL stages the
-// rows a StreamSource would. Event time is read as NewBoundedSource reads
-// it.
-func NewBoundedRowSource(rows []record.Row, timeField string, batch int) *BoundedSource {
+// NewBoundedSource creates a bounded source over schema-bound rows, which
+// it replays as a StreamSource delivers a topic's. timeField supplies event
+// time (none ⇒ all events at time 0).
+func NewBoundedSource(rows []record.Row, timeField string, batch int) *BoundedSource {
 	events := make([]Event, len(rows))
 	for i, r := range rows {
 		events[i] = Event{Time: r.Long(r.Schema.FieldIndex(timeField)), Row: r}
 	}
-	return newBoundedSource(events, batch)
-}
-
-func newBoundedSource(events []Event, batch int) *BoundedSource {
 	if batch <= 0 {
 		batch = 128
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/objstore"
 )
 
@@ -24,7 +25,7 @@ type StageSpec struct {
 	Name string
 	// Parallelism is the instance count; default 1.
 	Parallelism int
-	// KeyBy routes input events by this record field (hash partitioning),
+	// KeyBy routes input events by this row field (hash partitioning),
 	// or by the key they carry when it is KeyByEventKey. Empty means
 	// round-robin rebalance.
 	KeyBy string
@@ -43,15 +44,22 @@ const KeyByEventKey = "__key"
 
 func (s StageSpec) keyed() bool { return s.KeyBy != "" || len(s.KeyBySource) > 0 }
 
-// route sets e's routing key for the keyed stage s: the field s keys e's
-// source by, read from the boxed payload, or the key e carries.
+// route sets e's routing key for the keyed stage s: the key e carries, or
+// the cell of the field s keys e's source by, spelled as record.Record's
+// String spells the value — the spelling keys in earlier checkpoints have.
 func (s StageSpec) route(e Event) Event {
 	field := s.keyField(e.Source)
 	if field == KeyByEventKey {
 		return e
 	}
-	e = boxed(e)
-	e.Key = e.Data.String(field)
+	e.Key = ""
+	if at := e.Row.Schema.FieldIndex(field); at >= 0 && !e.Row.Vals[at].Null {
+		if t := e.Row.Schema.Fields[at].Type; t == metadata.TypeString {
+			e.Key = string(e.Row.Vals[at].B)
+		} else {
+			e.Key = fmt.Sprint(e.Row.Vals[at].Box(t))
+		}
+	}
 	return e
 }
 
@@ -127,11 +135,6 @@ func (s *JobSpec) Validate() error {
 		if st.Parallelism <= 0 {
 			st.Parallelism = 1
 		}
-		if st.Parallelism > 1 && !st.keyed() && i > 0 {
-			// Round-robin into parallel stateless stages is fine; keyed
-			// state in parallel stages requires KeyBy.
-			_ = st
-		}
 	}
 	if s.Sink.Sink == nil {
 		return fmt.Errorf("flow: job %q has no sink", s.Name)
@@ -145,15 +148,11 @@ func (s *JobSpec) Validate() error {
 	if s.KeepCheckpoints <= 0 {
 		s.KeepCheckpoints = 3
 	}
-	if len(s.Sources) > 1 {
-		// Multiple sources all feed stage 0; a keyed stage 0 must know how
-		// to key every source.
-		st := s.Stages[0]
-		if st.keyed() {
-			for i := range s.Sources {
-				if st.keyField(i) == "" {
-					return fmt.Errorf("flow: job %q stage %q keyed but source %d has no key field", s.Name, st.Name, i)
-				}
+	// Every source feeds stage 0: a keyed stage 0 must know how to key each.
+	if st := s.Stages[0]; st.keyed() {
+		for i := range s.Sources {
+			if st.keyField(i) == "" {
+				return fmt.Errorf("flow: job %q stage %q keyed but source %d has no key field", s.Name, st.Name, i)
 			}
 		}
 	}

@@ -1,9 +1,13 @@
 package flow
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 	"unsafe"
 
 	"repro/internal/metadata"
@@ -35,10 +39,12 @@ func (a Aggregation) outName() string {
 // their end; events older than the watermark ("late-arriving messages",
 // §5.1) are dropped and counted.
 //
-// It reads a row event (Event.Row) by position, the fields bound once per
-// schema, and boxes nothing per event: the carried columns are boxed — their
-// strings copied — once per (key, window), so no window state pins the log
-// slab a row aliases.
+// It reads rows by position, the fields bound once per input schema, and
+// emits each window as a row under the output schema it derives at that
+// bind (Columns). A window's row is made when the window opens, its key and
+// carried cells copied out of the input, so no window state pins the log
+// slab a row aliases; when it fires, its aggregations and bounds are filled
+// in and the row leaves as it is.
 type WindowAggOp struct {
 	// Size is the window length in ms; must be > 0.
 	Size int64
@@ -46,39 +52,63 @@ type WindowAggOp struct {
 	Slide int64
 	// Aggs are the output aggregations; at least one.
 	Aggs []Aggregation
-	// KeyColumn, when set, copies the event key into the output record
-	// under this name.
+	// KeyColumn, when set, copies the event key into the output row under
+	// this name, as a string.
 	KeyColumn string
 	// CarryColumns are copied from the first event of each (key, window)
-	// into the output record — how SQL GROUP BY over multiple columns
-	// rides on a single composite routing key.
+	// into the output row, typed as the input has them (a NULL string where
+	// it lacks one) — how SQL GROUP BY over multiple columns rides on a
+	// single composite routing key.
 	CarryColumns []string
 
-	// windows[key][windowStart] -> per-agg state
-	windows   map[string]map[int64][]record.Agg
-	carried   map[string]map[int64]record.Record
+	windows   map[windowID]*window
 	lastWM    int64
 	lateCount int64
 	bytes     int64
 
-	// bound is the schema aggAt and carryAt hold positions in: per
-	// aggregation and per carried column, its field, or -1.
+	// bound is the input schema aggAt and carryAt hold positions in: per
+	// aggregation and per carried column, its field, or -1. out is the
+	// output schema derived from it.
 	bound   *metadata.Schema
+	out     *metadata.Schema
 	aggAt   []int
 	carryAt []int
 	starts  []int64 // assign's scratch
 }
 
-// NewWindowAggOp builds a window aggregator; it panics on invalid config
-// (caught at job validation time).
+// windowID names one open window: its key and its start.
+type windowID struct {
+	key   string
+	start int64
+}
+
+// byStart orders windows by start, then key: the order they fire in.
+func byStart(a, b windowID) int {
+	return cmp.Or(cmp.Compare(a.start, b.start), strings.Compare(a.key, b.key))
+}
+
+// window is one open window's state: a fold per aggregation, and the row it
+// emits, its key and carried cells set when it opens.
+type window struct {
+	aggs []record.Agg
+	row  record.Row
+}
+
+// size is the state a window is charged: its key, its folds, its row's
+// cells and their bytes, and the map entry holding it.
+func (win *window) size(id windowID) int64 {
+	return int64(len(id.key)+len(win.aggs)*int(unsafe.Sizeof(record.Agg{}))) + win.row.Size() + 64
+}
+
+// NewWindowAggOp builds a window aggregator; its configuration is checked
+// when it binds its first row's schema.
 func NewWindowAggOp(size, slide int64, keyColumn string, aggs ...Aggregation) *WindowAggOp {
 	if slide <= 0 {
 		slide = size
 	}
 	return &WindowAggOp{
 		Size: size, Slide: slide, Aggs: aggs, KeyColumn: keyColumn,
-		windows: make(map[string]map[int64][]record.Agg),
-		carried: make(map[string]map[int64]record.Record),
+		windows: make(map[windowID]*window),
 	}
 }
 
@@ -93,23 +123,59 @@ func (w *WindowAggOp) assign(t int64) []int64 {
 	return w.starts
 }
 
-// bind points aggAt and carryAt at schema's fields; a measure of a type the
-// aggregation does not take (measureErr) binds nothing.
-func (w *WindowAggOp) bind(schema *metadata.Schema) error {
+// Columns names the output row's columns in order: the key column, if any,
+// the carried columns, the aggregations (COUNT a long, the others a double,
+// as record.Agg.Value boxes them), then window_start and window_end. Two
+// columns of one name are an error.
+func (w *WindowAggOp) Columns() ([]string, error) {
+	op := &WindowAggOp{KeyColumn: w.KeyColumn, CarryColumns: w.CarryColumns, Aggs: w.Aggs}
+	if err := op.bind(&metadata.Schema{}); err != nil {
+		return nil, err
+	}
+	return op.out.FieldNames(), nil
+}
+
+// bind points aggAt and carryAt at in's fields and derives the output
+// schema (Columns), a carried column typed as in has it; a measure of a
+// type the aggregation does not take (measureErr) binds nothing.
+func (w *WindowAggOp) bind(in *metadata.Schema) error {
 	w.bound, w.aggAt, w.carryAt = nil, w.aggAt[:0], w.carryAt[:0]
+	out := &metadata.Schema{Name: in.Name, Version: in.Version}
+	add := func(name string, t metadata.FieldType, nullable bool) {
+		out.Fields = append(out.Fields, metadata.Field{Name: name, Type: t, Nullable: nullable})
+	}
+	if w.KeyColumn != "" {
+		add(w.KeyColumn, metadata.TypeString, false)
+	}
+	for _, c := range w.CarryColumns {
+		at := in.FieldIndex(c)
+		if w.carryAt = append(w.carryAt, at); at >= 0 {
+			out.Fields = append(out.Fields, in.Fields[at])
+		} else {
+			add(c, metadata.TypeString, true)
+		}
+	}
 	for _, a := range w.Aggs {
-		at := schema.FieldIndex(a.Field)
+		at := in.FieldIndex(a.Field)
 		if at >= 0 {
-			if err := a.measureErr(schema.Fields[at].Type); err != nil {
+			if err := a.measureErr(in.Fields[at].Type); err != nil {
 				return err
 			}
 		}
-		w.aggAt = append(w.aggAt, at)
+		if w.aggAt = append(w.aggAt, at); a.Kind == record.AggCount {
+			add(a.outName(), metadata.TypeLong, false)
+		} else {
+			add(a.outName(), metadata.TypeDouble, a.Kind != record.AggSum)
+		}
 	}
-	for _, c := range w.CarryColumns {
-		w.carryAt = append(w.carryAt, schema.FieldIndex(c))
+	add("window_start", metadata.TypeTimestamp, false)
+	add("window_end", metadata.TypeTimestamp, false)
+	for i, f := range out.Fields {
+		if out.FieldIndex(f.Name) != i {
+			return fmt.Errorf("flow: window output column %q named twice", f.Name)
+		}
 	}
-	w.bound = schema
+	w.bound, w.out = in, out
 	return nil
 }
 
@@ -125,125 +191,80 @@ func (a Aggregation) measureErr(t metadata.FieldType) error {
 
 // ProcessElement implements Operator.
 func (w *WindowAggOp) ProcessElement(e Event, emit func(Event)) error {
-	if w.watermark() > e.Time {
+	if w.lastWM > e.Time {
 		w.lateCount++
 		return nil
 	}
-	row := e.IsRow()
-	if row && e.Row.Schema != w.bound {
+	if e.Row.Schema != w.bound {
 		if err := w.bind(e.Row.Schema); err != nil {
 			return err
 		}
 	}
-	if !row {
-		for _, a := range w.Aggs {
-			if err := a.measureErr(record.TypeOf(e.Data[a.Field])); err != nil {
-				return err
-			}
-		}
-	}
-	perKey, ok := w.windows[e.Key]
-	if !ok {
-		perKey = make(map[int64][]record.Agg)
-		w.windows[e.Key] = perKey
-		w.bytes += int64(len(e.Key)) + 48
-	}
 	for _, start := range w.assign(e.Time) {
-		states, ok := perKey[start]
+		id := windowID{e.Key, start}
+		win, ok := w.windows[id]
 		if !ok {
-			states = make([]record.Agg, len(w.Aggs))
-			perKey[start] = states
-			w.bytes += w.windowBytes()
-			if len(w.CarryColumns) > 0 {
-				cm, ok := w.carried[e.Key]
-				if !ok {
-					cm = make(map[int64]record.Record)
-					w.carried[e.Key] = cm
-				}
-				carry := make(record.Record, len(w.CarryColumns))
-				for ci, c := range w.CarryColumns {
-					if !row {
-						carry[c] = e.Data[c]
-					} else if at := w.carryAt[ci]; at >= 0 {
-						carry[c] = e.Row.Vals[at].Box(e.Row.Schema.Fields[at].Type)
-					} else {
-						carry[c] = nil
-					}
-				}
-				cm[start] = carry
-			}
+			win = w.open(e)
+			w.windows[id] = win
+			w.bytes += win.size(id)
 		}
 		for i, agg := range w.Aggs {
 			// A NULL or missing field is no input: COUNT(col) skips it, and
 			// MIN/MAX/AVG over no input are NULL.
-			switch {
+			switch at := w.aggAt[i]; {
 			case agg.Field == "" && agg.Kind == record.AggCount:
-				states[i].Count++
-			case row:
-				if at := w.aggAt[i]; at >= 0 && !e.Row.Vals[at].Null {
-					states[i].Add(e.Row.Double(at))
-				}
-			case e.Data[agg.Field] != nil:
-				states[i].Add(e.Data.Double(agg.Field))
+				win.aggs[i].Count++
+			case at >= 0 && !e.Row.Vals[at].Null:
+				win.aggs[i].Add(e.Row.Double(at))
 			}
 		}
 	}
 	return nil
 }
 
-// watermark returns the highest watermark seen (zero before the first).
-func (w *WindowAggOp) watermark() int64 { return w.lastWM }
+// open is the state of a window e opens: its row under the output schema,
+// the key and carried cells copied out of e.
+func (w *WindowAggOp) open(e Event) *window {
+	vals := make([]record.Value, len(w.out.Fields))
+	carried := vals
+	if w.KeyColumn != "" {
+		vals[0], carried = record.ValueOf(e.Key), vals[1:]
+	}
+	for i, at := range w.carryAt {
+		carried[i] = record.Value{Null: true}
+		if at >= 0 {
+			carried[i] = e.Row.Vals[at]
+			carried[i].B = bytes.Clone(carried[i].B)
+		}
+	}
+	return &window{aggs: make([]record.Agg, len(w.Aggs)), row: record.Row{Schema: w.out, Vals: vals}}
+}
 
 // OnWatermark fires every window whose end has passed.
 func (w *WindowAggOp) OnWatermark(wm int64, emit func(Event)) error {
 	w.lastWM = wm
-	type fired struct {
-		key   string
-		start int64
-	}
-	var toFire []fired
-	for key, perKey := range w.windows {
-		for start := range perKey {
-			if start+w.Size <= wm {
-				toFire = append(toFire, fired{key, start})
-			}
+	var fired []windowID
+	for id := range w.windows {
+		if id.start+w.Size <= wm {
+			fired = append(fired, id)
 		}
 	}
-	// Deterministic firing order: by window start, then key.
-	sort.Slice(toFire, func(i, j int) bool {
-		if toFire[i].start != toFire[j].start {
-			return toFire[i].start < toFire[j].start
-		}
-		return toFire[i].key < toFire[j].key
-	})
-	for _, f := range toFire {
-		states := w.windows[f.key][f.start]
-		out := record.Record{
-			"window_start": f.start,
-			"window_end":   f.start + w.Size,
-		}
-		if w.KeyColumn != "" {
-			out[w.KeyColumn] = f.key
-		}
-		if cm, ok := w.carried[f.key]; ok {
-			for col, v := range cm[f.start] {
-				out[col] = v
-			}
-			delete(cm, f.start)
-			if len(cm) == 0 {
-				delete(w.carried, f.key)
-			}
-		}
+	slices.SortFunc(fired, byStart)
+	for _, id := range fired {
+		win := w.windows[id]
+		delete(w.windows, id)
+		w.bytes -= win.size(id)
+		vals := win.row.Vals[len(win.row.Vals)-len(w.Aggs)-2:]
 		for i, agg := range w.Aggs {
-			out[agg.outName()] = states[i].Value(agg.Kind)
+			vals[i] = record.Value{Null: true}
+			if v, null := win.aggs[i].Final(agg.Kind); agg.Kind == record.AggCount {
+				vals[i] = record.Value{I: win.aggs[i].Count}
+			} else if !null {
+				vals[i] = record.Value{F: v}
+			}
 		}
-		emit(Event{Key: f.key, Time: f.start + w.Size, Data: out})
-		delete(w.windows[f.key], f.start)
-		w.bytes -= w.windowBytes()
-		if len(w.windows[f.key]) == 0 {
-			delete(w.windows, f.key)
-			w.bytes -= int64(len(f.key)) + 48
-		}
+		vals[len(w.Aggs)], vals[len(w.Aggs)+1] = record.Value{I: id.start}, record.Value{I: id.start + w.Size}
+		emit(Event{Key: id.key, Time: id.start + w.Size, Row: win.row})
 	}
 	return nil
 }
@@ -251,70 +272,79 @@ func (w *WindowAggOp) OnWatermark(wm int64, emit func(Event)) error {
 // LateEvents returns the number of dropped late events.
 func (w *WindowAggOp) LateEvents() int64 { return w.lateCount }
 
-// windowSnapshot is the serialized checkpoint form. Each key's state is one
-// entry, its key as raw bytes: a key need not be valid UTF-8 — a compiled
-// GROUP BY key is binary — and JSON would rewrite such a key as an object
-// key.
+// windowSnapshot is the serialized checkpoint form: each open window as its
+// row, keyed by its key and start, and its folds. Keys is a snapshot
+// written before windows kept rows: per key, its windows' folds and carried
+// columns, JSON maps.
 type windowSnapshot struct {
 	LastWM int64
 	Late   int64
-	Keys   []keyState
+	Open   []openWindow `json:",omitempty"`
+	Keys   []struct {
+		Key     []byte
+		Windows map[int64][]record.Agg
+		Carried map[int64]map[string]any
+	} `json:",omitempty"`
 }
 
-// keyState is one key's open windows and their carried columns.
-type keyState struct {
-	Key     []byte
-	Windows map[int64][]record.Agg
-	Carried map[int64]record.Record `json:",omitempty"`
+// openWindow is one window in a snapshot: its row, keyed, and its folds.
+type openWindow struct {
+	snapRow
+	Aggs []record.Agg
 }
 
-// Snapshot implements Operator; keys are written in order, so equal state
-// snapshots to equal bytes.
+// Snapshot implements Operator; windows are written in firing order, so
+// equal state snapshots to equal bytes.
 func (w *WindowAggOp) Snapshot() ([]byte, error) {
-	keys := make([]string, 0, len(w.windows))
-	for key := range w.windows {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	s := windowSnapshot{LastWM: w.lastWM, Late: w.lateCount, Keys: make([]keyState, len(keys))}
-	for i, key := range keys {
-		s.Keys[i] = keyState{Key: []byte(key), Windows: w.windows[key], Carried: w.carried[key]}
+	s := windowSnapshot{LastWM: w.lastWM, Late: w.lateCount}
+	for _, id := range slices.SortedFunc(maps.Keys(w.windows), byStart) {
+		win := w.windows[id]
+		s.Open = append(s.Open, openWindow{snapRow{[]byte(id.key), id.start, win.row}, win.aggs})
 	}
 	return json.Marshal(s)
 }
 
-// Restore implements Operator.
+// Restore implements Operator. A window of a snapshot written before
+// windows kept rows gets the row a window opened on its carried columns
+// does.
 func (w *WindowAggOp) Restore(data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
 	var s windowSnapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("flow: restoring window state: %w", err)
+	err := json.Unmarshal(data, &s)
+	w.lastWM, w.lateCount, w.bytes = s.LastWM, s.Late, 0
+	w.windows = make(map[windowID]*window)
+	for _, o := range s.Open {
+		err = cmp.Or(err, w.restore(windowID{string(o.Key), o.Time}, &window{o.Aggs, o.Row}))
 	}
-	w.lastWM = s.LastWM
-	w.lateCount = s.Late
-	w.windows = make(map[string]map[int64][]record.Agg, len(s.Keys))
-	w.carried = make(map[string]map[int64]record.Record)
-	w.bytes = 0
+	var carried record.RowBinder
 	for _, k := range s.Keys {
-		if len(k.Windows) == 0 {
-			continue
+		for start, aggs := range k.Windows {
+			row, err2 := carried.Bind(nil, k.Carried[start])
+			if err2 == nil && row.Schema != w.bound {
+				err2 = w.bind(row.Schema)
+			}
+			if err = cmp.Or(err, err2); err == nil {
+				err = w.restore(windowID{string(k.Key), start}, &window{aggs, w.open(Event{Key: string(k.Key), Row: row}).row})
+			}
 		}
-		key := string(k.Key)
-		w.windows[key] = k.Windows
-		if len(k.Carried) > 0 {
-			w.carried[key] = k.Carried
-		}
-		w.bytes += int64(len(key)) + 48 + int64(len(k.Windows))*w.windowBytes()
+	}
+	if err != nil {
+		return fmt.Errorf("flow: restoring window state: %w", err)
 	}
 	return nil
 }
 
-// windowBytes is the state one (key, window) is charged: its aggregation
-// states and the map entry holding them.
-func (w *WindowAggOp) windowBytes() int64 {
-	return int64(len(w.Aggs))*int64(unsafe.Sizeof(record.Agg{})) + 16
+// restore puts a restored window back, unless it is there already or does
+// not fit the operator's aggregations and columns.
+func (w *WindowAggOp) restore(id windowID, win *window) error {
+	if cols, err := w.Columns(); err != nil || len(win.aggs) != len(w.Aggs) || len(win.row.Vals) != len(cols) || w.windows[id] != nil {
+		return cmp.Or(err, fmt.Errorf("window %d of key %q twice or not fitting the operator", id.start, id.key))
+	}
+	w.windows[id] = win
+	w.bytes += win.size(id)
+	return nil
 }
 
 // StateBytes implements Operator.

@@ -261,8 +261,9 @@ func FuzzMergePartials(f *testing.F) {
 }
 
 // FuzzDecodeSegment feeds DecodeSegment the bytes a deep store could hand a
-// reload or a recovery: whatever decodes must answer a COUNT and a GROUP BY
-// on each column, through the star-tree where one serves, without a panic.
+// reload or a recovery: whatever decodes must answer a COUNT, and a GROUP BY
+// and =, != and range filters on each column, through the star-tree, the
+// inverted index or the sorted runs where one serves, without a panic.
 func FuzzDecodeSegment(f *testing.F) {
 	bigLongs := orderRows(40)
 	for i, r := range bigLongs {
@@ -291,14 +292,37 @@ func FuzzDecodeSegment(f *testing.F) {
 		if err != nil {
 			return
 		}
-		queries := []*Query{{Aggs: []AggSpec{{Kind: AggCount}}}}
+		seg.Execute(&Query{Aggs: []AggSpec{{Kind: AggCount}}}, nil) // an error is an answer; a panic is the failure
 		for _, fld := range seg.Schema.Fields {
-			queries = append(queries, &Query{GroupBy: []string{fld.Name}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggMax, Column: fld.Name}}})
-		}
-		for _, q := range queries {
-			seg.Execute(q, nil) // an error is an answer; a panic is the failure
+			// A GROUP BY, then an equality, a != and ranges on its first
+			// value, so corrupt posting lists, sorted runs and codes reach
+			// predBitmap and orCodeRows: an indexed column filters through
+			// its index, the sorted column's ranges through its runs.
+			lit := fuzzLiteral(fld.Type)
+			r, err := seg.Execute(&Query{GroupBy: []string{fld.Name}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggMax, Column: fld.Name}}}, nil)
+			if err == nil && len(r.Rows) > 0 && r.Rows[0][0] != nil {
+				lit = r.Rows[0][0]
+			}
+			for _, f := range []Filter{{Column: fld.Name, Op: OpEq, Value: lit}, {Column: fld.Name, Op: OpNe, Value: lit},
+				{Column: fld.Name, Op: OpBetween, Value: lit, Value2: lit}, {Column: fld.Name, Op: OpGt, Value: lit}} {
+				seg.Execute(&Query{Filters: []Filter{f}, Aggs: []AggSpec{{Kind: AggCount}}}, nil)
+			}
 		}
 	})
+}
+
+// fuzzLiteral is a filter literal of a column type that values of the
+// FuzzDecodeSegment seeds hold.
+func fuzzLiteral(t metadata.FieldType) any {
+	switch t {
+	case metadata.TypeString:
+		return "placed"
+	case metadata.TypeDouble:
+		return 10.0
+	case metadata.TypeBool:
+		return true
+	}
+	return int64(1)<<53 + 2
 }
 
 // FuzzTimeBounds holds the time pruning to the kernels: for fuzz-derived

@@ -429,9 +429,16 @@ func (s *Segment) executePartialTrim(q *Query, valid *Bitmap, tp *topKPlan) (*Pa
 
 // treeEligible reports whether the star-tree may answer q on this segment,
 // whose scan applies filters (unitFilters): only when no upsert filtering
-// applies and the tree can answer every filter — a time range that holds the
-// whole segment is no longer among them.
+// applies, the tree can answer every filter — a time range that holds the
+// whole segment is no longer among them — and the scan would take every
+// aggregation's column type (aggTypeError): the tree's rollup of a string
+// metric is zeros, and the scan refuses the query.
 func (s *Segment) treeEligible(q *Query, filters []Filter, valid *Bitmap) bool {
+	for _, a := range q.Aggs {
+		if f, ok := s.Schema.Field(a.Column); ok && aggTypeError(a.Kind, a.Column, f.Type) != nil {
+			return false
+		}
+	}
 	return s.Tree != nil && valid == nil && s.Tree.Eligible(q, filters)
 }
 

@@ -148,6 +148,34 @@ func TestStarTreeHighCardinality(t *testing.T) {
 	}
 }
 
+// A star-tree over a string metric does not answer SUM, AVG, MIN or MAX of
+// it: the segment refuses such a query with its tree as it does without,
+// and COUNT of the metric is still the tree's.
+func TestStarTreeRefusesStringMetric(t *testing.T) {
+	cfg := starConfig(10)
+	cfg.StarTree.Dimensions, cfg.StarTree.Metrics = []string{"city"}, []string{"amount", "status"}
+	rows := orderRows(100)
+	for _, seg := range []*Segment{buildTestSegment(t, rows, cfg), buildTestSegment(t, rows, IndexConfig{})} {
+		for _, kind := range []AggKind{AggSum, AggAvg, AggMin, AggMax} {
+			q := &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: kind, Column: "status"}}}
+			if r, err := seg.Execute(q, nil); err == nil {
+				t.Errorf("tree=%v: %s(status) answered %v", seg.Tree != nil, kind, r.Rows)
+			}
+		}
+		r, err := seg.Execute(&Query{Aggs: []AggSpec{{Kind: AggCount, Column: "status"}}}, nil)
+		if err != nil || r.Rows[0][0] != int64(100) || r.Stats.StarTreeServed != boolInt(seg.Tree != nil) {
+			t.Errorf("tree=%v: COUNT(status) = %v, %v (served by tree %d)", seg.Tree != nil, r, err, r.Stats.StarTreeServed)
+		}
+	}
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func TestStarTreeBadConfig(t *testing.T) {
 	if _, err := BuildSegment("x", ordersSchema(), orderRows(10), IndexConfig{
 		StarTree: &StarTreeConfig{Dimensions: []string{"ghost"}, Metrics: []string{"amount"}},

@@ -1,7 +1,10 @@
 package record
 
 import (
+	"fmt"
 	"slices"
+	"sort"
+	"unsafe"
 
 	"repro/internal/metadata"
 )
@@ -26,6 +29,15 @@ func (r Row) Record() Record {
 		}
 	}
 	return out
+}
+
+// Size is the row's resident size: its cells and the bytes they hold.
+func (r Row) Size() int64 {
+	n := len(r.Vals) * int(unsafe.Sizeof(Value{}))
+	for _, v := range r.Vals {
+		n += len(v.B)
+	}
+	return int64(n)
 }
 
 // Long returns cell i coerced to int64 by Record.Long's rule: doubles are
@@ -119,6 +131,112 @@ func (b *Binding) Conform(in, out []Value) error {
 		out[i] = ValueOf(cv)
 	}
 	return nil
+}
+
+// RowBinder binds records to rows under a schema worked out from each record,
+// not declared: the fields of an input schema, each retyped where the record
+// holds a value of another type, then the record's other keys in name
+// order, typed by TypeOf. Every field is nullable, and a key the record
+// lacks or holds nil is NULL. A Go int is a long, as Coerce takes it; any
+// other value that is not a canonical record value is an error. A binder
+// keeps the last schema it worked out and reuses it while records fit it,
+// so records of one shape share one schema.
+type RowBinder struct {
+	in, out *metadata.Schema
+}
+
+// Bind returns r as a row; in may be nil. The cells alias r's strings and
+// byte slices.
+func (b *RowBinder) Bind(in *metadata.Schema, r Record) (Row, error) {
+	if b.out == nil || in != b.in || !fits(b.out, r) {
+		out, err := shape(in, r)
+		if err != nil {
+			return Row{}, err
+		}
+		b.in, b.out = in, out
+	}
+	vals := make([]Value, len(b.out.Fields))
+	for i, f := range b.out.Fields {
+		v := r[f.Name]
+		if n, ok := v.(int); ok {
+			v = int64(n)
+		}
+		vals[i] = ValueOf(v)
+	}
+	return Row{Schema: b.out, Vals: vals}, nil
+}
+
+// BindRows binds records to rows with one RowBinder.
+func BindRows(in *metadata.Schema, recs []Record) ([]Row, error) {
+	var b RowBinder
+	rows := make([]Row, len(recs))
+	for i, r := range recs {
+		var err error
+		if rows[i], err = b.Bind(in, r); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// typeOf is TypeOf, with a Go int a long.
+func typeOf(v any) metadata.FieldType {
+	if _, ok := v.(int); ok {
+		return metadata.TypeLong
+	}
+	return TypeOf(v)
+}
+
+// fits reports whether every non-nil value of r has a field of its type in s.
+func fits(s *metadata.Schema, r Record) bool {
+	held := 0
+	for _, f := range s.Fields {
+		if v := r[f.Name]; v != nil {
+			if typeOf(v) != goType(f.Type) {
+				return false
+			}
+			held++
+		}
+	}
+	for _, v := range r {
+		if v != nil {
+			held--
+		}
+	}
+	return held == 0
+}
+
+// shape works out the schema RowBinder binds r under.
+func shape(in *metadata.Schema, r Record) (*metadata.Schema, error) {
+	out := &metadata.Schema{}
+	if in != nil {
+		out.Name, out.Version = in.Name, in.Version
+		out.Fields = append(out.Fields, in.Fields...)
+	}
+	var extra []string
+	for k, v := range r {
+		if v != nil && (in == nil || in.FieldIndex(k) < 0) {
+			extra = append(extra, k)
+		}
+	}
+	sort.Strings(extra)
+	for _, k := range extra {
+		out.Fields = append(out.Fields, metadata.Field{Name: k})
+	}
+	for i := range out.Fields {
+		f := &out.Fields[i]
+		f.Nullable = true
+		if v := r[f.Name]; v != nil {
+			t := typeOf(v)
+			if t == metadata.TypeInvalid {
+				return nil, fmt.Errorf("record: field %q holds a %T, not a record value", f.Name, v)
+			}
+			if t != goType(f.Type) {
+				f.Type = t
+			}
+		}
+	}
+	return out, nil
 }
 
 // cells returns n cells, in buf when it is large enough.
