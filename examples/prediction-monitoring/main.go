@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/flow"
@@ -56,13 +57,39 @@ func main() {
 	predCodec, _ := record.NewCodec(predSchema)
 	outCodec, _ := record.NewCodec(outSchema)
 
+	// Thousands of models x entities: the high-cardinality fan-out, from
+	// the start of a window.
+	base := time.Now().Add(-10*time.Minute).UnixMilli() / 60_000 * 60_000
+	predProducer := stream.NewProducer(cluster, "prediction-service", "", nil)
+	outProducer := stream.NewProducer(cluster, "label-pipeline", "", nil)
+	const events = 5000
+	for i := 0; i < events; i++ {
+		model := fmt.Sprintf("model-%02d", i%40)
+		entity := fmt.Sprintf("e-%05d", i)
+		score := float64(i%100) / 100
+		drift := 0.0
+		if i%40 == 7 { // model-07 is degrading
+			drift = 0.4
+		}
+		pp, _ := predCodec.Encode(record.Record{"model": model, "entity": entity, "score": score, "ts": base + int64(i)*50})
+		op, _ := outCodec.Encode(record.Record{"model": model, "entity": entity, "label": score + drift, "ts": base + int64(i)*50 + 500})
+		if err := predProducer.Produce("predictions", []byte(entity), pp); err != nil {
+			log.Fatal(err)
+		}
+		if err := outProducer.Produce("outcomes", []byte(entity), op); err != nil {
+			log.Fatal(err)
+		}
+	}
+
 	// Join predictions to outcomes within 30s, compute per-model absolute
-	// error, window it per minute.
-	predSrc, err := flow.NewStreamSource(cluster, "predictions", predCodec, flow.StreamSourceConfig{TimeField: "ts"})
+	// error, window it per minute. One fetch holds each topic's whole
+	// backlog, so each source delivers it in event-time order and no event
+	// arrives behind the watermark.
+	predSrc, err := flow.NewStreamSource(cluster, "predictions", predCodec, flow.StreamSourceConfig{TimeField: "ts", Batch: events})
 	if err != nil {
 		log.Fatal(err)
 	}
-	outSrc, err := flow.NewStreamSource(cluster, "outcomes", outCodec, flow.StreamSourceConfig{TimeField: "ts"})
+	outSrc, err := flow.NewStreamSource(cluster, "outcomes", outCodec, flow.StreamSourceConfig{TimeField: "ts", Batch: events})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -111,35 +138,23 @@ func main() {
 	}
 	defer func() { job.Cancel(); job.Wait() }()
 
-	// Thousands of models x entities: the high-cardinality fan-out.
-	base := time.Now().Add(-10 * time.Minute).UnixMilli()
-	predProducer := stream.NewProducer(cluster, "prediction-service", "", nil)
-	outProducer := stream.NewProducer(cluster, "label-pipeline", "", nil)
-	const events = 5000
-	for i := 0; i < events; i++ {
-		model := fmt.Sprintf("model-%02d", i%40)
-		entity := fmt.Sprintf("e-%05d", i)
-		score := float64(i%100) / 100
-		drift := 0.0
-		if i%40 == 7 { // model-07 is degrading
-			drift = 0.4
+	// Read the accuracy windows once the sink has passed the last
+	// prediction's watermark (the earlier of the two sources' last ones):
+	// every window it closes is then in the sink.
+	last := base + (events-1)*50
+	for deadline := time.Now().Add(10 * time.Second); job.Metrics().SinkWatermark < last; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			log.Fatalf("sink watermark %d, the last prediction's is %d", job.Metrics().SinkWatermark, last)
 		}
-		pp, _ := predCodec.Encode(record.Record{"model": model, "entity": entity, "score": score, "ts": base + int64(i)*50})
-		op, _ := outCodec.Encode(record.Record{"model": model, "entity": entity, "label": score + drift, "ts": base + int64(i)*50 + 500})
-		if err := predProducer.Produce("predictions", []byte(entity), pp); err != nil {
-			log.Fatal(err)
-		}
-		if err := outProducer.Produce("outcomes", []byte(entity), op); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	// Wait for joined, windowed accuracy metrics.
-	deadline := time.Now().Add(10 * time.Second)
-	for accuracy.Len() < 40 && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
 	}
 	recs := accuracy.Records()
+	// In model and window order, as the windows arrive in no fixed order.
+	sort.Slice(recs, func(i, j int) bool {
+		if a, b := recs[i].String("model"), recs[j].String("model"); a != b {
+			return a < b
+		}
+		return recs[i].Long("window_start") < recs[j].Long("window_start")
+	})
 	fmt.Printf("accuracy windows emitted: %d\n", len(recs))
 
 	// Pre-aggregate into an OLAP cube for exploration (as §5.3 describes).

@@ -37,7 +37,10 @@ func tripSchema() *metadata.Schema {
 // surgePipeline computes demand/supply per hexagon per window and writes
 // multipliers through the update service callback.
 func surgePipeline(region string, agg *stream.Cluster, codec *record.Codec, update func(hexagon string, multiplier float64)) (*flow.Job, error) {
-	src, err := flow.NewStreamSource(agg, "trip_events", codec, flow.StreamSourceConfig{TimeField: "ts"})
+	// One fetch holds every partition's whole backlog, so the source
+	// delivers it in event-time order and no trip arrives behind the
+	// watermark, however the two regions' replication interleaved it.
+	src, err := flow.NewStreamSource(agg, "trip_events", codec, flow.StreamSourceConfig{TimeField: "ts", Batch: 1 << 12})
 	if err != nil {
 		return nil, err
 	}
@@ -127,37 +130,10 @@ func main() {
 	mesh.Start()
 	defer mesh.Stop()
 
-	// One surge pipeline per region over its aggregate cluster; only the
-	// primary region's update service writes to the active-active DB.
-	db := mesh.DB()
-	results := map[string]map[string]float64{"dca": {}, "phx": {}}
-	jobs := map[string]*flow.Job{}
-	for i, r := range []*regions.Region{dca, phx} {
-		region := r.Name
-		idx := i
-		job, err := surgePipeline(region, r.Aggregate, codec, func(hex string, mult float64) {
-			results[region][hex] = mult
-			if mesh.Primary() == idx {
-				db.Put("surge/"+hex, fmt.Sprintf("%.2f", mult))
-			}
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := job.Start(); err != nil {
-			log.Fatal(err)
-		}
-		jobs[region] = job
-	}
-	defer func() {
-		for _, j := range jobs {
-			j.Cancel()
-			j.Wait()
-		}
-	}()
-
-	// Produce trips into both regional clusters (riders in both regions).
-	base := time.Now().Add(-5 * time.Minute).UnixMilli()
+	// Produce trips into both regional clusters (riders in both regions),
+	// from the start of a window.
+	base := time.Now().Add(-5*time.Minute).UnixMilli() / 60_000 * 60_000
+	var last int64
 	for ri, r := range []*regions.Region{dca, phx} {
 		p := stream.NewProducer(r.Regional, "rider-app", "", nil)
 		for i := 0; i < 1200; i++ {
@@ -167,6 +143,7 @@ func main() {
 			if i%(hexagons+1) < (i%hexagons)+1 {
 				kind = "request"
 			}
+			last = max(last, base+int64(i)*100+int64(ri))
 			payload, err := codec.Encode(record.Record{
 				"hexagon": hex, "kind": kind, "ts": base + int64(i)*100 + int64(ri),
 			})
@@ -181,7 +158,34 @@ func main() {
 	if lag := mesh.WaitReplicated(10 * time.Second); lag != 0 {
 		log.Fatalf("replication lag %d", lag)
 	}
-	time.Sleep(500 * time.Millisecond) // let windows close
+
+	// One surge pipeline per region over its aggregate cluster; only the
+	// primary region's update service writes to the active-active DB. Each
+	// is read once its sink has passed the last trip's watermark: every
+	// window that watermark closes is then computed and written.
+	db := mesh.DB()
+	results := map[string]map[string]float64{"dca": {}, "phx": {}}
+	for i, r := range []*regions.Region{dca, phx} {
+		region := r.Name
+		job, err := surgePipeline(region, r.Aggregate, codec, func(hex string, mult float64) {
+			results[region][hex] = mult
+			if mesh.Primary() == i {
+				db.Put("surge/"+hex, fmt.Sprintf("%.2f", mult))
+			}
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := job.Start(); err != nil {
+			log.Fatal(err)
+		}
+		defer func() { job.Cancel(); job.Wait() }()
+		for deadline := time.Now().Add(10 * time.Second); job.Metrics().SinkWatermark < last; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				log.Fatalf("surge-%s: sink watermark %d, the last trip's is %d", region, job.Metrics().SinkWatermark, last)
+			}
+		}
+	}
 
 	fmt.Println("surge multipliers (primary region:", []string{"dca", "phx"}[mesh.Primary()], "):")
 	for h := 0; h < hexagons; h++ {

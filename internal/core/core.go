@@ -67,7 +67,6 @@ type Platform struct {
 	codecs      map[string]*record.Codec
 	deployments map[string]*olap.Deployment
 	ingesters   map[string]*olap.RealtimeIngester
-	archivers   map[string]*objstore.RawLogWriter
 	compactors  map[string]*objstore.Compactor
 	usage       map[string]map[Layer]bool
 }
@@ -100,7 +99,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		codecs:      make(map[string]*record.Codec),
 		deployments: make(map[string]*olap.Deployment),
 		ingesters:   make(map[string]*olap.RealtimeIngester),
-		archivers:   make(map[string]*objstore.RawLogWriter),
 		compactors:  make(map[string]*objstore.Compactor),
 		usage:       make(map[string]map[Layer]bool),
 	}
@@ -293,8 +291,8 @@ func (p *Platform) CreateOLAPTable(useCase string, table olap.TableConfig, fromT
 
 // EnableArchival starts raw-log archival + compaction for a stream,
 // registering the archive as a Hive-like table (§4.4). It deploys a managed
-// archiver job reading the topic and writing raw logs; Compact drains them
-// into columnar parts.
+// archiver job reading the topic and writing the rows of each sink write as
+// one raw-log batch; Compact drains them into columnar parts.
 func (p *Platform) EnableArchival(useCase, topic string) error {
 	codec, err := p.Codec(topic)
 	if err != nil {
@@ -303,7 +301,6 @@ func (p *Platform) EnableArchival(useCase, topic string) error {
 	w := objstore.NewRawLogWriter(p.Storage, topic, codec)
 	comp := objstore.NewCompactor(p.Storage, topic, codec)
 	p.mu.Lock()
-	p.archivers[topic] = w
 	p.compactors[topic] = comp
 	p.mu.Unlock()
 	p.archive.AddTable(topic, codec.Schema())
@@ -323,12 +320,19 @@ func (p *Platform) EnableArchival(useCase, topic string) error {
 			Name:    "archiver-" + topic,
 			Sources: []flow.SourceSpec{{Name: topic, Source: src}},
 			Stages:  []flow.StageSpec{{Name: "identity", New: func() flow.Operator { return flow.PassOp{} }}},
-			Sink: flow.SinkSpec{Sink: &flow.FuncSink{Fn: func(e flow.Event) error {
-				return w.Append([]record.Record{e.Data})
-			}}},
+			Sink:    flow.SinkSpec{Sink: rawLogSink{w}},
 		})
 	})
 }
+
+// rawLogSink archives the rows of each Write as one raw-log batch.
+type rawLogSink struct{ *objstore.RawLogWriter }
+
+func (s rawLogSink) Write(events []flow.Event) error {
+	return s.AppendRows(len(events), func(i int) record.Row { return events[i].Row })
+}
+
+func (rawLogSink) Flush() error { return nil }
 
 // Compact runs one compaction round for an archived stream.
 func (p *Platform) Compact(topic string) (int, error) {

@@ -229,3 +229,41 @@ func TestPlatformValidation(t *testing.T) {
 		t.Error("OLAP table over unknown stream should fail")
 	}
 }
+
+// The archiver writes the rows of each sink write as one raw-log batch, not
+// one object per event: compaction then lists, reads and deletes a few
+// objects for 200 rows, not 200.
+func TestArchiverWritesABatchPerSinkWrite(t *testing.T) {
+	p := newPlatform(t)
+	if _, err := p.CreateStream("archive", tripsSchema(), stream.TopicConfig{Partitions: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableArchival("archive", "trips"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ProduceRecords("archive", "trips", tripRows(200)); err != nil {
+		t.Fatal(err)
+	}
+	rows, parts := 0, 0
+	for deadline := time.Now().Add(3 * time.Second); rows < 200 && time.Now().Before(deadline); {
+		n, err := p.Compact("trips")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 0 {
+			rows, parts = rows+n, parts+1
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	puts, _, _, _ := p.Storage.(*objstore.MemStore).Stats()
+	if batches := int(puts) - parts; rows != 200 || batches > 20 {
+		t.Errorf("archived %d rows in %d raw batches, want 200 in a few", rows, batches)
+	}
+	res, err := p.Query("archive", "SELECT COUNT(*) AS n, SUM(fare) AS f FROM hive.trips")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows[0][0] != int64(200) || res.Rows[0][1] != float64(2800) {
+		t.Errorf("hive.trips = %v, want [200 2800]", res.Rows[0])
+	}
+}

@@ -61,11 +61,7 @@ func adhocScanEngine(tb testing.TB) *Engine {
 		schema *metadata.Schema
 		rows   []record.Record
 	}{{day, orders[:adhocDay]}, {restaurantsSchema, restaurants}} {
-		data, err := objstore.EncodeColumnar(t.schema, t.rows)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := store.Put("archive/"+t.schema.Name+"/000000", data); err != nil {
+		if err := store.Put("archive/"+t.schema.Name+"/000000", columnarPart(tb, t.schema, t.rows)); err != nil {
 			tb.Fatal(err)
 		}
 		hive.AddTable(t.schema.Name, t.schema)

@@ -191,17 +191,31 @@ func evolvedTable(t *testing.T, hive *ArchiveConnector, store objstore.Store) *r
 	}
 	var rows []record.Record
 	for i, p := range parts {
-		data, err := objstore.EncodeColumnar(p.schema, p.rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Put(fmt.Sprintf("archive/evolved/%06d", i), data); err != nil {
+		if err := store.Put(fmt.Sprintf("archive/evolved/%06d", i), columnarPart(t, p.schema, p.rows)); err != nil {
 			t.Fatal(err)
 		}
 		rows = append(rows, p.rows...)
 	}
 	hive.AddTable("evolved", cur)
 	return refTable(cur.FieldNames(), rows)
+}
+
+// columnarPart encodes rows as one archive part: each schema field a typed
+// column, NULL where a row lacks it.
+func columnarPart(tb testing.TB, schema *metadata.Schema, rows []record.Record) []byte {
+	tb.Helper()
+	cols := make([]record.Vector, len(schema.Fields))
+	for c, f := range schema.Fields {
+		cols[c].Reset(f.Type)
+		for _, r := range rows {
+			cols[c].Append(r[f.Name])
+		}
+	}
+	data, err := objstore.EncodeColumnar(schema, cols)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }
 
 // v2Conn hides a connector's streaming surface: the engine's openScan

@@ -1,8 +1,9 @@
 // Package backfill implements the Kappa+ architecture of §7: reusing the
 // exact stream-processing operator logic of a flow job, but reading archived
 // data from the object store's columnar archive (the Hive stand-in) instead
-// of the stream layer. It addresses the issues the paper lists for running
-// streaming logic over batch data:
+// of the stream layer — each part's columns replayed as the rows a
+// StreamSource delivers, cells under the archive's own schema. It addresses
+// the issues the paper lists for running streaming logic over batch data:
 //
 //   - identifying the start/end boundary of the bounded input (event-time
 //     bounds filter the archive);
@@ -66,25 +67,11 @@ type Result struct {
 // config changes on both streaming or batch data sources".
 func Run(jobName string, store objstore.Store, dataset string, schema *metadata.Schema, stages []flow.StageSpec, sink flow.Sink, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	reader := objstore.NewArchiveReader(store, dataset, schema)
-	rows, err := reader.ReadAll()
+	rows, skipped, err := readArchive(store, dataset, schema, cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("backfill: reading archive %q: %w", dataset, err)
 	}
-	// The rows in the time boundary are replayed as a StreamSource would
-	// deliver them: as schema-bound cells, bound by the rule a user
-	// function's output is (record.RowBinder).
-	var kept []record.Record
-	for _, r := range rows {
-		if t := r.Long(schema.TimeField); (cfg.StartMs == 0 || t >= cfg.StartMs) && (cfg.EndMs == 0 || t < cfg.EndMs) {
-			kept = append(kept, r)
-		}
-	}
-	bounded, err := record.BindRows(schema, kept)
-	if err != nil {
-		return Result{}, fmt.Errorf("backfill: archive %q: %w", dataset, err)
-	}
-	src := flow.NewBoundedSource(bounded, schema.TimeField, cfg.Batch)
+	src := flow.NewBoundedSource(rows, schema.TimeField, cfg.Batch)
 	src.SetLateness(cfg.LatenessMs)
 	src.SetRate(cfg.RatePerSec)
 	job, err := flow.NewJob(flow.JobSpec{
@@ -100,11 +87,45 @@ func Run(jobName string, store objstore.Store, dataset string, schema *metadata.
 	if err := job.Run(); err != nil {
 		return Result{}, err
 	}
-	m := job.Metrics()
 	return Result{
-		RowsRead:    len(bounded),
-		RowsSkipped: len(rows) - len(kept),
-		EventsOut:   m.EventsOut,
+		RowsRead:    len(rows),
+		RowsSkipped: skipped,
+		EventsOut:   job.Metrics().EventsOut,
 		Elapsed:     time.Since(start),
 	}, nil
+}
+
+// readArchive reads the archive's parts in order into the rows inside the
+// time boundary, cells under the archive's schema, and counts the rows
+// outside it; a NULL time is 0.
+func readArchive(store objstore.Store, dataset string, schema *metadata.Schema, cfg Config) (rows []record.Row, skipped int, err error) {
+	reader := objstore.NewArchiveReader(store, dataset, schema)
+	parts, err := reader.Parts()
+	if err != nil {
+		return nil, 0, err
+	}
+	names := schema.FieldNames()
+	nf, at := len(names), schema.FieldIndex(schema.TimeField)
+	cols := make([]record.Vector, nf)
+	for _, p := range parts {
+		n, err := reader.ReadColumns(p, names, cols)
+		if err != nil {
+			return nil, 0, err
+		}
+		// One slab of cells per part; a skipped row's are the next row's.
+		cells := make([]record.Value, n*nf)
+		for i := range n {
+			row := record.Row{Schema: schema, Vals: cells[:nf:nf]}
+			for c := range cols {
+				row.Vals[c] = cols[c].Value(i)
+			}
+			if t := row.Long(at); cfg.StartMs != 0 && t < cfg.StartMs || cfg.EndMs != 0 && t >= cfg.EndMs {
+				skipped++
+				continue
+			}
+			rows = append(rows, row)
+			cells = cells[nf:]
+		}
+	}
+	return rows, skipped, nil
 }

@@ -183,3 +183,32 @@ func TestBackfillMissingArchive(t *testing.T) {
 		t.Errorf("empty archive produced %d rows", res.RowsRead)
 	}
 }
+
+// schemaSink records the schema of every row it is written.
+type schemaSink struct{ schemas map[*metadata.Schema]int }
+
+func (s *schemaSink) Write(events []flow.Event) error {
+	for _, e := range events {
+		s.schemas[e.Row.Schema]++
+	}
+	return nil
+}
+
+func (s *schemaSink) Flush() error { return nil }
+
+// Backfilled rows reach the stages under the archive's own schema, the one a
+// StreamSource over the topic binds them to: not one worked out from values.
+func TestBackfillRowsCarryArchiveSchema(t *testing.T) {
+	store := objstore.NewMemStore()
+	archive(t, store, 120)
+	s := schema()
+	sink := &schemaSink{schemas: map[*metadata.Schema]int{}}
+	pass := []flow.StageSpec{{Name: "pass", New: func() flow.Operator { return flow.PassOp{} }}}
+	res, err := Run("pass", store, "trips", s, pass, sink, Config{StartMs: base + 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RowsRead != 100 || res.RowsSkipped != 20 || sink.schemas[s] != 100 || len(sink.schemas) != 1 {
+		t.Errorf("read %d, skipped %d; rows by schema %v, want 100 under %p", res.RowsRead, res.RowsSkipped, sink.schemas, s)
+	}
+}

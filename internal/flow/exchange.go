@@ -79,8 +79,9 @@ type outputs struct {
 	edges []edge
 	open  [][]Event
 	// next is the keyed stage the edges feed, or nil: events then go round
-	// robin, rr the next edge.
+	// robin, rr the next edge. keys interns the routing keys for next.
 	next *StageSpec
+	keys keyTable
 	rr   int
 	// held and heldN are the references to one cell block that the events
 	// added since the last settle take. settle takes them before any run is
@@ -90,7 +91,7 @@ type outputs struct {
 }
 
 func newOutputs(ctx context.Context, edges []edge, next *StageSpec) *outputs {
-	return &outputs{ctx: ctx, edges: edges, open: make([][]Event, len(edges)), next: next}
+	return &outputs{ctx: ctx, edges: edges, open: make([][]Event, len(edges)), next: next, keys: keyTable{}}
 }
 
 // route adds e to the run of the edge it goes on: the one its key hashes to
@@ -98,7 +99,7 @@ func newOutputs(ctx context.Context, edges []edge, next *StageSpec) *outputs {
 func (o *outputs) route(e Event) bool {
 	d := o.rr % len(o.edges)
 	if o.next != nil {
-		e = o.next.route(e)
+		e = o.next.route(e, o.keys)
 		d = int(stream.Hash(e.Key) % uint32(len(o.edges)))
 	} else {
 		o.rr++

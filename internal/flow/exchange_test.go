@@ -322,23 +322,26 @@ func exchangeJob(tb testing.TB, src *BoundedSource, keyed bool, p int) *Job {
 	return job
 }
 
-// Runs circulate as credits, so a job's allocations do not grow with the
-// events it moves: what it allocates is its setup.
+// Runs circulate as credits and routing keys are interned, so a job's
+// allocations do not grow with the events it moves, round robin or keyed by
+// a string field: what it allocates is its setup.
 func TestExchangeAllocations(t *testing.T) {
-	allocs := func(n int) float64 {
-		src := NewBoundedSource(rows(n, base), "ts", 128)
-		return testing.AllocsPerRun(5, func() {
-			if err := src.Seek([]byte(`{"Idx":0,"MaxTime":0}`)); err != nil {
-				t.Fatal(err)
-			}
-			if err := exchangeJob(t, src, false, 1).Run(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	small, large := allocs(1_000), allocs(20_000)
-	if perEvent := (large - small) / 19_000; perEvent > 0.002 {
-		t.Errorf("a job allocates %.0f times for 1 000 events and %.0f for 20 000: %.4f per event, want none", small, large, perEvent)
+	for _, keyed := range []bool{false, true} {
+		allocs := func(n int) float64 {
+			src := NewBoundedSource(rows(n, base), "ts", 128)
+			return testing.AllocsPerRun(5, func() {
+				if err := src.Seek([]byte(`{"Idx":0,"MaxTime":0}`)); err != nil {
+					t.Fatal(err)
+				}
+				if err := exchangeJob(t, src, keyed, 2).Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(1_000), allocs(20_000)
+		if perEvent := (large - small) / 19_000; perEvent > 0.002 {
+			t.Errorf("keyed %v: a job allocates %.0f times for 1 000 events and %.0f for 20 000: %.4f per event, want none", keyed, small, large, perEvent)
+		}
 	}
 }
 

@@ -174,11 +174,11 @@ func TestKeyedRoutingSpellsTheRecordKey(t *testing.T) {
 	}
 	e := Event{Key: "stale", Row: record.Row{Schema: schema, Vals: vals}}
 	for _, field := range []string{"s", "l", "d", "b", "x", "ts", "n", "missing"} {
-		if got, want := (StageSpec{KeyBy: field}).route(e).Key, rec.String(field); got != want {
+		if got, want := (StageSpec{KeyBy: field}).route(e, keyTable{}).Key, rec.String(field); got != want {
 			t.Errorf("key of %s = %q, want %q", field, got, want)
 		}
 	}
-	if got := (StageSpec{KeyBy: KeyByEventKey}).route(e).Key; got != "stale" {
+	if got := (StageSpec{KeyBy: KeyByEventKey}).route(e, keyTable{}).Key; got != "stale" {
 		t.Errorf("KeyByEventKey rewrote the key to %q", got)
 	}
 }

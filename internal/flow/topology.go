@@ -47,7 +47,8 @@ func (s StageSpec) keyed() bool { return s.KeyBy != "" || len(s.KeyBySource) > 0
 // route sets e's routing key for the keyed stage s: the key e carries, or
 // the cell of the field s keys e's source by, spelled as record.Record's
 // String spells the value — the spelling keys in earlier checkpoints have.
-func (s StageSpec) route(e Event) Event {
+// A string cell's key is interned in keys.
+func (s StageSpec) route(e Event, keys keyTable) Event {
 	field := s.keyField(e.Source)
 	if field == KeyByEventKey {
 		return e
@@ -55,12 +56,33 @@ func (s StageSpec) route(e Event) Event {
 	e.Key = ""
 	if at := e.Row.Schema.FieldIndex(field); at >= 0 && !e.Row.Vals[at].Null {
 		if t := e.Row.Schema.Fields[at].Type; t == metadata.TypeString {
-			e.Key = string(e.Row.Vals[at].B)
+			e.Key = keys.intern(e.Row.Vals[at].B)
 		} else {
 			e.Key = fmt.Sprint(e.Row.Vals[at].Box(t))
 		}
 	}
 	return e
+}
+
+// maxKeys bounds one sender's interned routing keys; past it the table
+// starts over, as flinksql's GROUP BY key stage does, so a key space without
+// bound costs allocations, not memory.
+const maxKeys = 1 << 12
+
+// keyTable interns the routing keys one sender spells: a key seen before
+// costs no allocation.
+type keyTable map[string]string
+
+func (t keyTable) intern(b []byte) string {
+	if k, ok := t[string(b)]; ok {
+		return k
+	}
+	if len(t) >= maxKeys {
+		clear(t)
+	}
+	k := string(b)
+	t[k] = k
+	return k
 }
 
 func (s StageSpec) keyField(source int) string {

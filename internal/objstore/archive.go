@@ -3,8 +3,9 @@ package objstore
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/metadata"
@@ -28,6 +29,7 @@ type RawLogWriter struct {
 	store   Store
 	dataset string
 	codec   *record.Codec
+	schema  *metadata.Schema // the codec's
 
 	mu  sync.Mutex
 	seq int64
@@ -35,21 +37,46 @@ type RawLogWriter struct {
 
 // NewRawLogWriter creates a writer for dataset using the schema-bound codec.
 func NewRawLogWriter(store Store, dataset string, codec *record.Codec) *RawLogWriter {
-	return &RawLogWriter{store: store, dataset: dataset, codec: codec}
+	return &RawLogWriter{store: store, dataset: dataset, codec: codec, schema: codec.Schema()}
 }
 
-// Append encodes the records as one raw-log batch object.
+// AppendRows writes n rows as one raw-log batch, row i being row(i), each
+// bound to the codec's schema as a topic sink binds its rows
+// (record.Binding).
+func (w *RawLogWriter) AppendRows(n int, row func(i int) record.Row) error {
+	var bound *metadata.Schema
+	var bind *record.Binding
+	return w.write(n, func(i int, cells []record.Value) error {
+		r := row(i)
+		if r.Schema != bound {
+			bound, bind = r.Schema, record.Bind(r.Schema, w.schema)
+		}
+		return bind.Conform(r.Vals, cells)
+	})
+}
+
+// Append is AppendRows for records, each conformed to the codec's schema
+// (record.Conform).
 func (w *RawLogWriter) Append(records []record.Record) error {
-	if len(records) == 0 {
+	return w.write(len(records), func(i int, cells []record.Value) error {
+		return record.Conform(w.schema, records[i], cells)
+	})
+}
+
+// write puts n rows as one raw-log object — the count, then each row's
+// payload length-prefixed — once fill has conformed row i into cells.
+func (w *RawLogWriter) write(n int, fill func(i int, cells []record.Value) error) error {
+	if n == 0 {
 		return nil
 	}
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(records)))
-	for _, r := range records {
-		payload, err := w.codec.Encode(r)
-		if err != nil {
+	cells := make([]record.Value, len(w.schema.Fields))
+	buf := binary.AppendUvarint(nil, uint64(n))
+	var payload []byte
+	for i := range n {
+		if err := fill(i, cells); err != nil {
 			return err
 		}
+		payload = w.codec.EncodeValues(payload[:0], cells)
 		buf = binary.AppendUvarint(buf, uint64(len(payload)))
 		buf = append(buf, payload...)
 	}
@@ -64,28 +91,43 @@ func rawLogKey(dataset string, seq int64) string {
 	return fmt.Sprintf("rawlogs/%s/%012d", dataset, seq)
 }
 
-// decodeRawBatch parses one raw-log object back into records.
-func decodeRawBatch(codec *record.Codec, data []byte) ([]record.Record, error) {
+// decodeRawBatch appends the rows of one raw-log object to cols, one typed
+// column per schema field (record.Codec.DecodeValues), and returns their
+// count. A string is copied out of the payload; a blob stays a view of data.
+func decodeRawBatch(codec *record.Codec, data []byte, cols []record.Vector) (int, error) {
 	count, n := binary.Uvarint(data)
 	// A record is at least its length byte.
 	if n <= 0 || count > uint64(len(data)-n) {
-		return nil, fmt.Errorf("objstore: corrupt raw batch header")
+		return 0, fmt.Errorf("objstore: corrupt raw batch header")
 	}
 	data = data[n:]
-	out := make([]record.Record, 0, count)
+	vals := make([]record.Value, len(cols))
 	for i := uint64(0); i < count; i++ {
 		payload, rest, ok := cutPrefixed(data)
 		if !ok {
-			return nil, fmt.Errorf("objstore: corrupt raw batch record %d", i)
+			return 0, fmt.Errorf("objstore: corrupt raw batch record %d", i)
 		}
-		r, err := codec.Decode(payload)
-		if err != nil {
-			return nil, err
+		if err := codec.DecodeValues(payload, vals); err != nil {
+			return 0, err
 		}
-		out = append(out, r)
+		for c, v := range vals {
+			col := &cols[c]
+			switch {
+			case v.Null:
+				col.AppendNulls(1)
+			case col.Type == metadata.TypeDouble:
+				col.Floats = append(col.Floats, v.F)
+			case col.Type == metadata.TypeString:
+				col.Strs = append(col.Strs, string(v.B))
+			case col.Type == metadata.TypeBytes:
+				col.Bytes = append(col.Bytes, v.B)
+			default:
+				col.Ints = append(col.Ints, v.I)
+			}
+		}
 		data = rest
 	}
-	return out, nil
+	return int(count), nil
 }
 
 // Compactor merges raw-log batches into columnar archive parts. One
@@ -96,6 +138,7 @@ type Compactor struct {
 	store   Store
 	dataset string
 	codec   *record.Codec
+	schema  *metadata.Schema // the codec's
 
 	mu       sync.Mutex
 	nextPart int64
@@ -104,12 +147,12 @@ type Compactor struct {
 
 // NewCompactor creates a compactor for one dataset.
 func NewCompactor(store Store, dataset string, codec *record.Codec) *Compactor {
-	return &Compactor{store: store, dataset: dataset, codec: codec, consumed: make(map[string]bool)}
+	return &Compactor{store: store, dataset: dataset, codec: codec, schema: codec.Schema(), consumed: make(map[string]bool)}
 }
 
-// Compact reads unconsumed raw batches, writes one columnar part containing
-// their rows, and deletes the consumed raw objects. It returns the number of
-// rows compacted (0 when there is nothing new).
+// Compact reads unconsumed raw batches into typed columns, writes one
+// columnar part from them, and deletes the consumed raw objects. It returns
+// the number of rows compacted (0 when there is nothing new).
 func (c *Compactor) Compact() (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -117,7 +160,11 @@ func (c *Compactor) Compact() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var rows []record.Record
+	cols := make([]record.Vector, len(c.schema.Fields))
+	for i, f := range c.schema.Fields {
+		cols[i].Reset(f.Type)
+	}
+	rows := 0
 	var toDelete []string
 	for _, k := range keys {
 		if c.consumed[k] {
@@ -127,17 +174,17 @@ func (c *Compactor) Compact() (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		batch, err := decodeRawBatch(c.codec, data)
+		n, err := decodeRawBatch(c.codec, data, cols)
 		if err != nil {
 			return 0, fmt.Errorf("objstore: compacting %s: %w", k, err)
 		}
-		rows = append(rows, batch...)
+		rows += n
 		toDelete = append(toDelete, k)
 	}
-	if len(rows) == 0 {
+	if rows == 0 {
 		return 0, nil
 	}
-	part, err := EncodeColumnar(c.codec.Schema(), rows)
+	part, err := EncodeColumnar(c.schema, cols)
 	if err != nil {
 		return 0, err
 	}
@@ -152,11 +199,11 @@ func (c *Compactor) Compact() (int, error) {
 			return 0, err
 		}
 	}
-	return len(rows), nil
+	return rows, nil
 }
 
-// ArchiveReader reads back all columnar parts of a dataset — the batch-side
-// source used by Kappa+ backfill (§7) and the archival SQL connector.
+// ArchiveReader reads the columnar parts of a dataset — the batch-side
+// source of Kappa+ backfill (§7) and the archival SQL connector.
 type ArchiveReader struct {
 	store   Store
 	dataset string
@@ -183,45 +230,28 @@ func (a *ArchiveReader) ReadColumns(key string, names []string, cols []record.Ve
 	return DecodeColumns(a.schema, data, names, cols)
 }
 
-// ReadPart decodes one archive part into rows.
-func (a *ArchiveReader) ReadPart(key string) ([]record.Record, error) {
-	data, err := a.store.Get(key)
-	if err != nil {
-		return nil, err
+// EncodeColumnar serializes a part column-major from its columns — cols[c]
+// holds schema field c, typed by it, the form DecodeColumns fills — with
+// per-column dictionary encoding for strings and varint packing for longs:
+// the compact long-term format standing in for Parquet. The presence of
+// each value is tracked in a per-column bitmap so nullable columns
+// round-trip.
+func EncodeColumnar(schema *metadata.Schema, cols []record.Vector) ([]byte, error) {
+	if len(cols) != len(schema.Fields) {
+		return nil, fmt.Errorf("objstore: %d columns for %d schema fields", len(cols), len(schema.Fields))
 	}
-	return DecodeColumnar(a.schema, data)
-}
-
-// ReadAll decodes every part, in part order.
-func (a *ArchiveReader) ReadAll() ([]record.Record, error) {
-	parts, err := a.Parts()
-	if err != nil {
-		return nil, err
+	rows := 0
+	if len(cols) > 0 {
+		rows = cols[0].Len()
 	}
-	var rows []record.Record
-	for _, p := range parts {
-		batch, err := a.ReadPart(p)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, batch...)
-	}
-	return rows, nil
-}
-
-// EncodeColumnar serializes rows column-major with per-column dictionary
-// encoding for strings and varint packing for longs — the compact long-term
-// format standing in for Parquet. The presence of each value is tracked in a
-// per-column bitmap so nullable columns round-trip.
-func EncodeColumnar(schema *metadata.Schema, rows []record.Record) ([]byte, error) {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	buf := binary.AppendUvarint(nil, uint64(rows))
 	buf = binary.AppendUvarint(buf, uint64(len(schema.Fields)))
-	for _, f := range schema.Fields {
-		col, err := encodeColumn(f, rows)
-		if err != nil {
-			return nil, err
+	var col []byte
+	for c, f := range schema.Fields {
+		if cols[c].Type != f.Type || cols[c].Boxed() || cols[c].Len() != rows {
+			return nil, fmt.Errorf("objstore: column %q holds %d rows of %s, want %d of %s", f.Name, cols[c].Len(), cols[c].Type, rows, f.Type)
 		}
+		col = encodeColumn(col[:0], &cols[c], rows)
 		buf = binary.AppendUvarint(buf, uint64(len(f.Name)))
 		buf = append(buf, f.Name...)
 		buf = binary.AppendUvarint(buf, uint64(len(col)))
@@ -230,76 +260,63 @@ func EncodeColumnar(schema *metadata.Schema, rows []record.Record) ([]byte, erro
 	return buf, nil
 }
 
-func encodeColumn(f metadata.Field, rows []record.Record) ([]byte, error) {
-	var buf []byte
-	bitmap := make([]byte, (len(rows)+7)/8)
-	for i, r := range rows {
-		if v, ok := r[f.Name]; ok && v != nil {
-			bitmap[i/8] |= 1 << (i % 8)
+// encodeColumn appends one column's stored form to buf: its presence
+// bitmap, then each non-NULL row's value.
+func encodeColumn(buf []byte, v *record.Vector, rows int) []byte {
+	bitmapAt := len(buf)
+	buf = append(buf, make([]byte, (rows+7)/8)...)
+	for i := range rows {
+		if !v.IsNull(i) {
+			buf[bitmapAt+i/8] |= 1 << (i % 8)
 		}
 	}
-	buf = append(buf, bitmap...)
-	switch f.Type {
-	case metadata.TypeLong, metadata.TypeTimestamp:
-		for _, r := range rows {
-			if v, ok := r[f.Name]; ok && v != nil {
-				buf = binary.AppendVarint(buf, v.(int64))
+	present := func(yield func(int) bool) {
+		for i := range rows {
+			if !v.IsNull(i) && !yield(i) {
+				return
 			}
 		}
+	}
+	switch v.Type {
 	case metadata.TypeDouble:
-		for _, r := range rows {
-			if v, ok := r[f.Name]; ok && v != nil {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.(float64)))
-			}
+		for i := range present {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Floats[i]))
 		}
 	case metadata.TypeBool:
-		for _, r := range rows {
-			if v, ok := r[f.Name]; ok && v != nil {
-				if v.(bool) {
-					buf = append(buf, 1)
-				} else {
-					buf = append(buf, 0)
-				}
+		for i := range present {
+			b := byte(0)
+			if v.Ints[i] != 0 {
+				b = 1
 			}
+			buf = append(buf, b)
 		}
 	case metadata.TypeString:
 		// Dictionary encode: sorted unique values, then per-row codes.
 		dict := make(map[string]int)
-		for _, r := range rows {
-			if v, ok := r[f.Name]; ok && v != nil {
-				dict[v.(string)] = 0
-			}
+		for i := range present {
+			dict[v.Strs[i]] = 0
 		}
-		values := make([]string, 0, len(dict))
-		for s := range dict {
-			values = append(values, s)
-		}
-		sort.Strings(values)
-		for i, s := range values {
-			dict[s] = i
-		}
+		values := slices.Sorted(maps.Keys(dict))
 		buf = binary.AppendUvarint(buf, uint64(len(values)))
-		for _, s := range values {
+		for code, s := range values {
+			dict[s] = code
 			buf = binary.AppendUvarint(buf, uint64(len(s)))
 			buf = append(buf, s...)
 		}
-		for _, r := range rows {
-			if v, ok := r[f.Name]; ok && v != nil {
-				buf = binary.AppendUvarint(buf, uint64(dict[v.(string)]))
-			}
+		for i := range present {
+			buf = binary.AppendUvarint(buf, uint64(dict[v.Strs[i]]))
 		}
 	case metadata.TypeBytes:
-		for _, r := range rows {
-			if v, ok := r[f.Name]; ok && v != nil {
-				b := v.([]byte)
-				buf = binary.AppendUvarint(buf, uint64(len(b)))
-				buf = append(buf, b...)
-			}
+		for i := range present {
+			buf = binary.AppendUvarint(buf, uint64(len(v.Bytes[i])))
+			buf = append(buf, v.Bytes[i]...)
 		}
-	default:
-		return nil, fmt.Errorf("objstore: unsupported column type %s", f.Type)
+	default: // long, timestamp
+		for i := range present {
+			buf = binary.AppendVarint(buf, v.Ints[i])
+		}
 	}
-	return buf, nil
+	return buf
 }
 
 // cutPrefixed splits one uvarint-length-prefixed field off the front of data.
@@ -374,29 +391,6 @@ func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols []
 		if short := rows - cols[c].Len(); short > 0 {
 			cols[c].AppendNulls(short)
 		}
-	}
-	return rows, nil
-}
-
-// DecodeColumnar parses a columnar part produced by EncodeColumnar into
-// rows: DecodeColumns over every schema column, boxed row by row. NULLs are
-// absent keys.
-func DecodeColumnar(schema *metadata.Schema, data []byte) ([]record.Record, error) {
-	names := schema.FieldNames()
-	cols := make([]record.Vector, len(names))
-	n, err := DecodeColumns(schema, data, names, cols)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]record.Record, n)
-	for i := range rows {
-		r := make(record.Record, len(names))
-		for c, name := range names {
-			if v := cols[c].Box(i); v != nil {
-				r[name] = v
-			}
-		}
-		rows[i] = r
 	}
 	return rows, nil
 }

@@ -33,10 +33,7 @@ func BenchmarkArchiveScanProjected(b *testing.B) {
 			"amount": 5 + float64(i%400)/4, "ts": int64(1_700_000_000_000 + i/10),
 		}
 	}
-	data, err := EncodeColumnar(schema, rows)
-	if err != nil {
-		b.Fatal(err)
-	}
+	data := encodeRows(b, schema, rows)
 	store := NewMemStore()
 	if err := store.Put("archive/orders_day/000000", data); err != nil {
 		b.Fatal(err)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -50,37 +52,68 @@ func orderRows(n int) []record.Record {
 	return rows
 }
 
+// columnsOf is rows as the columns of a part, one typed vector per schema
+// field; a field a row lacks is NULL.
+func columnsOf(s *metadata.Schema, rows []record.Record) []record.Vector {
+	cols := make([]record.Vector, len(s.Fields))
+	for c, f := range s.Fields {
+		cols[c].Reset(f.Type)
+		for _, r := range rows {
+			cols[c].Append(r[f.Name])
+		}
+	}
+	return cols
+}
+
+// encodeRows is EncodeColumnar of rows' columns.
+func encodeRows(t testing.TB, s *metadata.Schema, rows []record.Record) []byte {
+	t.Helper()
+	data, err := EncodeColumnar(s, columnsOf(s, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// decodeAll decodes every schema column of a part.
+func decodeAll(s *metadata.Schema, data []byte) (int, []record.Vector, error) {
+	cols := make([]record.Vector, len(s.Fields))
+	n, err := DecodeColumns(s, data, s.FieldNames(), cols)
+	return n, cols, err
+}
+
 func TestColumnarRoundTrip(t *testing.T) {
 	s := archiveSchema()
 	rows := orderRows(100)
-	data, err := EncodeColumnar(s, rows)
+	n, cols, err := decodeAll(s, encodeRows(t, s, rows))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeColumnar(s, data)
-	if err != nil {
-		t.Fatal(err)
+	if n != len(rows) {
+		t.Fatalf("row count %d, want %d", n, len(rows))
 	}
-	if len(got) != len(rows) {
-		t.Fatalf("row count %d, want %d", len(got), len(rows))
-	}
-	for i := range rows {
-		want := rows[i] // canonical values of schema columns only: conformed
-		if !reflect.DeepEqual(map[string]any(got[i]), map[string]any(want)) {
-			t.Fatalf("row %d mismatch:\n got %v\nwant %v", i, got[i], want)
+	for i, r := range rows {
+		for c, f := range s.Fields {
+			if got, want := cols[c].Box(i), r[f.Name]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("row %d column %s = %#v, want %#v", i, f.Name, got, want)
+			}
 		}
 	}
 }
 
 func TestColumnarEmpty(t *testing.T) {
 	s := archiveSchema()
-	data, err := EncodeColumnar(s, nil)
-	if err != nil {
-		t.Fatal(err)
+	n, _, err := decodeAll(s, encodeRows(t, s, nil))
+	if err != nil || n != 0 {
+		t.Errorf("empty round trip = %d rows, %v", n, err)
 	}
-	got, err := DecodeColumnar(s, data)
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty round trip = %v, %v", got, err)
+	if _, err := EncodeColumnar(s, columnsOf(s, nil)[1:]); err == nil {
+		t.Error("a part with a column missing encoded")
+	}
+	cols := columnsOf(s, orderRows(3))
+	cols[2].Reset(metadata.TypeLong)
+	if _, err := EncodeColumnar(s, cols); err == nil {
+		t.Error("a column of another type (and length) encoded")
 	}
 }
 
@@ -96,10 +129,7 @@ func TestColumnarDictionaryCompression(t *testing.T) {
 	for i := range rows {
 		rows[i] = record.Record{"city": fmt.Sprintf("city-%d", i%4)}
 	}
-	colData, err := EncodeColumnar(s, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	colData := encodeRows(t, s, rows)
 	codec, _ := record.NewCodec(s)
 	var rowBytes int
 	for _, r := range rows {
@@ -171,27 +201,95 @@ func TestRawLogAndCompactor(t *testing.T) {
 	if len(parts) != 2 {
 		t.Fatalf("parts = %v, want 2", parts)
 	}
-	all, err := reader.ReadAll()
+	var ids []int64
+	cols := make([]record.Vector, 1)
+	for _, p := range parts {
+		if _, err := reader.ReadColumns(p, []string{"id"}, cols); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, cols[0].Ints...)
+	}
+	if len(ids) != 50 {
+		t.Fatalf("archive rows = %d, want 50", len(ids))
+	}
+	for i, id := range ids {
+		if id != int64(i) {
+			t.Fatalf("archive order broken at %d: id=%d", i, id)
+		}
+	}
+}
+
+// compactedPart is the part compacted from compactedRows' two raw batches,
+// as written before compaction decoded payloads into typed columns instead
+// of records: the format is the same byte for byte.
+const compactedPart = "\x06\a\x02id\a?\x00\x02\x04\x06\b\n\x04city\x13?\x04\x00\x02la\x03nyc\x02sf\x03\x02\x01\x00\x03\x02\x06amount1?\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\xf0\x7f\x00\x00\x00\x00\x00\x00\x12@\x00\x00\x00\x00\x00\x00\x18@\x00\x00\x00\x00\x00\x00\x1e@\x04rush\a?\x01\x00\x00\x01\x00\x00\apayload\x05\x11\x02\x00\x01\x00\x02ts%?\x80\xa0\xab\xfe\xf9b\u042f\xab\xfe\xf9b\xa0\xbf\xab\xfe\xf9b\xf0\u03ab\xfe\xf9b\xc0\u07ab\xfe\xf9b\x90\xee\xab\xfe\xf9b\x04note\x1a\x15\x03\x06note-0\x06note-2\x06note-4\x00\x01\x02"
+
+// compactedRows are six orders with every type, NULLs, -0, +Inf, an empty
+// string and an empty blob.
+func compactedRows() []record.Record {
+	rows := orderRows(6)
+	rows[1]["amount"] = math.Copysign(0, -1)
+	rows[2]["amount"] = math.Inf(1)
+	rows[3]["city"] = ""
+	rows[4]["payload"] = []byte{}
+	return rows
+}
+
+func TestCompactedPartBytes(t *testing.T) {
+	s := archiveSchema()
+	codec, err := record.NewCodec(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 50 {
-		t.Fatalf("archive rows = %d, want 50", len(all))
+	rows := compactedRows()
+	store := NewMemStore()
+	w := NewRawLogWriter(store, "orders", codec)
+	if err := w.Append(rows[:4]); err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range all {
-		if r.Long("id") != int64(i) {
-			t.Fatalf("archive order broken at %d: id=%d", i, r.Long("id"))
-		}
+	// The second batch goes in as rows bound under a schema of their own
+	// (another field order, every field nullable): the same bytes.
+	bound, err := record.BindRows(nil, rows[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendRows(len(bound), func(i int) record.Row { return bound[i] }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCompactor(store, "orders", codec).Compact(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := store.Get("archive/orders/000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != compactedPart {
+		t.Errorf("compacted part =\n%+q\nwant\n%+q", data, compactedPart)
+	}
+	if enc := encodeRows(t, s, rows); string(enc) != compactedPart {
+		t.Errorf("EncodeColumnar of the rows' columns =\n%+q\nwant\n%+q", enc, compactedPart)
+	}
+
+	// A row that does not conform is an error, and writes nothing.
+	if err := w.Append([]record.Record{{"id": "x"}}); err == nil {
+		t.Error("a non-conforming record was appended")
+	}
+	zero := record.Row{Schema: s, Vals: make([]record.Value, len(s.Fields))}
+	if err := w.AppendRows(1, func(int) record.Row { return zero }); err != nil {
+		t.Errorf("a row of the codec's own schema: %v", err)
+	}
+	if err := w.AppendRows(1, func(int) record.Row { return record.Row{Schema: &metadata.Schema{}} }); err == nil {
+		t.Error("a row without the required fields was appended")
+	}
+	if raw, _ := store.List("rawlogs/orders/"); len(raw) != 1 {
+		t.Errorf("raw batches = %v, want the one conforming row's", raw)
 	}
 }
 
 func TestDecodeColumnarSkipsDroppedColumns(t *testing.T) {
 	full := archiveSchema()
 	rows := orderRows(10)
-	data, err := EncodeColumnar(full, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encodeRows(t, full, rows)
 	// Reader schema without the "note" column still decodes.
 	reduced := full.Clone()
 	var fields []metadata.Field
@@ -201,25 +299,25 @@ func TestDecodeColumnarSkipsDroppedColumns(t *testing.T) {
 		}
 	}
 	reduced.Fields = fields
-	got, err := DecodeColumnar(reduced, data)
-	if err != nil {
+	cols := make([]record.Vector, 2)
+	if _, err := DecodeColumns(reduced, data, []string{"note", "city"}, cols); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := got[0]["note"]; ok {
+	if cols[0].Box(0) != nil {
 		t.Error("dropped column decoded anyway")
 	}
-	if got[0].String("city") != "sf" {
+	if cols[1].Box(0) != "sf" {
 		t.Error("remaining columns should decode")
 	}
 }
 
 func TestColumnarCorruptData(t *testing.T) {
 	s := archiveSchema()
-	if _, err := DecodeColumnar(s, nil); err == nil {
+	if _, _, err := decodeAll(s, nil); err == nil {
 		t.Error("empty input should error")
 	}
-	data, _ := EncodeColumnar(s, orderRows(5))
-	if _, err := DecodeColumnar(s, data[:len(data)/2]); err == nil {
+	data := encodeRows(t, s, orderRows(5))
+	if _, _, err := decodeAll(s, data[:len(data)/2]); err == nil {
 		t.Error("truncated input should error")
 	}
 }
@@ -232,24 +330,12 @@ func TestColumnarProperty(t *testing.T) {
 		Fields:  []metadata.Field{{Name: "v", Type: metadata.TypeLong}},
 	}
 	f := func(vals []int64) bool {
-		rows := make([]record.Record, len(vals))
-		for i, v := range vals {
-			rows[i] = record.Record{"v": v}
-		}
-		data, err := EncodeColumnar(s, rows)
+		data, err := EncodeColumnar(s, []record.Vector{{Type: metadata.TypeLong, Ints: vals}})
 		if err != nil {
 			return false
 		}
-		got, err := DecodeColumnar(s, data)
-		if err != nil || len(got) != len(vals) {
-			return false
-		}
-		for i, v := range vals {
-			if got[i].Long("v") != v {
-				return false
-			}
-		}
-		return true
+		n, got, err := decodeAll(s, data)
+		return err == nil && n == len(vals) && slices.Equal(got[0].Ints, vals)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -283,9 +369,6 @@ func TestCorruptPartIsAnError(t *testing.T) {
 		"header of 2^33 rows":        hugeRows,
 		"column length 2^63+1":       hugeCol,
 	} {
-		if rows, err := DecodeColumnar(s, data); err == nil {
-			t.Errorf("%s: DecodeColumnar returned %d rows, want an error", name, len(rows))
-		}
 		cols := make([]record.Vector, 2)
 		if n, err := DecodeColumns(s, data, []string{"id", "city"}, cols); err == nil {
 			t.Errorf("%s: DecodeColumns returned %d rows, want an error", name, n)
@@ -300,8 +383,8 @@ func TestCorruptPartIsAnError(t *testing.T) {
 		"raw batch of 2^40 records":    binary.AppendUvarint(nil, 1<<40),
 		"raw record of length 2^63+15": binary.AppendUvarint(binary.AppendUvarint(nil, 1), 1<<63+15),
 	} {
-		if recs, err := decodeRawBatch(codec, data); err == nil {
-			t.Errorf("%s: decodeRawBatch returned %d records, want an error", name, len(recs))
+		if n, err := decodeRawBatch(codec, data, columnsOf(s, nil)); err == nil {
+			t.Errorf("%s: decodeRawBatch returned %d records, want an error", name, n)
 		}
 	}
 }
@@ -313,10 +396,7 @@ func TestCorruptPartIsAnError(t *testing.T) {
 func TestDecodeColumnsProjection(t *testing.T) {
 	s := archiveSchema()
 	rows := orderRows(50)
-	data, err := EncodeColumnar(s, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encodeRows(t, s, rows)
 	names := []string{"amount", "note", "nosuch", "city", "amount"}
 	cols := make([]record.Vector, len(names))
 	n, err := DecodeColumns(s, data, names, cols)
@@ -334,10 +414,7 @@ func TestDecodeColumnsProjection(t *testing.T) {
 	// An older part without "note", read under the full schema.
 	older := s.Clone()
 	older.Fields = older.Fields[:len(older.Fields)-1]
-	oldData, err := EncodeColumnar(older, rows[:7])
-	if err != nil {
-		t.Fatal(err)
-	}
+	oldData := encodeRows(t, older, rows[:7])
 	backing := &cols[1].Strs[0]
 	if n, err = DecodeColumns(s, oldData, names, cols); err != nil || n != 7 {
 		t.Fatalf("older part: %d, %v", n, err)
@@ -380,10 +457,7 @@ func TestDecodeColumnsAllocatesPerDictionaryEntry(t *testing.T) {
 		for i := range rows {
 			rows[i] = record.Record{"city": fmt.Sprintf("city_%02d", i%16), "order_id": fmt.Sprintf("o%07d", i)}
 		}
-		data, err := EncodeColumnar(s, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := encodeRows(t, s, rows)
 		names, cols := []string{"city"}, make([]record.Vector, 1)
 		return testing.AllocsPerRun(10, func() {
 			if got, err := DecodeColumns(s, data, names, cols); err != nil || got != n {

@@ -4,11 +4,13 @@
 // HDFS/S3/GCS and serves the same roles as in the paper:
 //
 //   - long-term archival of raw streams (RawLogWriter appends row
-//     batches, the Avro stand-in) compacted into columnar archive files
-//     (Compactor, the Parquet stand-in) that the batch/SQL layers read
-//     back through ArchiveReader — DecodeColumns decodes the requested
-//     columns of a part straight into typed vectors (record.Vector), and
-//     DecodeColumnar boxes them into rows;
+//     batches of schema-bound cells, the Avro stand-in; Append is its map
+//     edge) compacted into columnar archive files (Compactor, the Parquet
+//     stand-in: raw payloads decoded into typed columns, EncodeColumnar
+//     writing the part from them) that the batch/SQL layers and Kappa+
+//     backfill read back through ArchiveReader — DecodeColumns decodes the
+//     requested columns of a part straight into typed vectors
+//     (record.Vector), and no layer boxes them into records;
 //   - Flink checkpoint backend (internal/flow writes checkpoint state
 //     here);
 //   - Pinot segment store: sealed segments upload here (centralized or

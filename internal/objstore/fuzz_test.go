@@ -36,72 +36,55 @@ func aliases(b, data []byte) bool {
 
 // FuzzDecodeColumnar feeds the archive part decoder arbitrary bytes — they
 // come from the deep store. It must never panic and never size anything by a
-// claimed count the input could not hold; the typed columns must box to the
-// row form's values and Go types, NULLs included, with no blob a view of the
-// input; and whatever it does decode must survive encode → decode unchanged,
-// in the column form and the row form.
+// claimed count the input could not hold; every column must come back typed
+// by its field, one cell per row, with no blob a view of the input; and
+// whatever it does decode must survive encode → decode unchanged, NULLs
+// included, with a second encode giving the first one's bytes.
 func FuzzDecodeColumnar(f *testing.F) {
 	s := archiveSchema() // one field of every type, two of them nullable
 	rows := orderRows(40)
 	rows[3]["amount"] = math.NaN()
 	rows[5] = record.Record{"id": int64(-1), "city": "", "amount": math.Inf(-1), "rush": false, "ts": int64(0), "payload": []byte{}}
 	for _, seed := range [][]record.Record{nil, rows[:1], rows[:9], rows} {
-		data, err := EncodeColumnar(s, seed)
-		if err != nil {
-			f.Fatal(err)
-		}
+		data := encodeRows(f, s, seed)
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
-	names := s.FieldNames()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cols := make([]record.Vector, len(names))
-		n, err := DecodeColumns(s, data, names, cols)
-		decoded, rowErr := DecodeColumnar(s, data)
-		if (err == nil) != (rowErr == nil) {
-			t.Fatalf("DecodeColumns error %v, DecodeColumnar error %v", err, rowErr)
-		}
+		n, cols, err := decodeAll(s, data)
 		if err != nil {
 			return
 		}
-		if n > 8*len(data) || len(decoded) != n {
-			t.Fatalf("%d rows in columns, %d as records, from %d bytes", n, len(decoded), len(data))
+		if n > 8*len(data) {
+			t.Fatalf("%d rows from %d bytes", n, len(data))
 		}
-		for c, name := range names {
-			if cols[c].Type != s.Fields[c].Type || cols[c].Len() != n {
-				t.Fatalf("column %s: %d rows of type %s, want %d of %s", name, cols[c].Len(), cols[c].Type, n, s.Fields[c].Type)
+		for c, fd := range s.Fields {
+			if cols[c].Type != fd.Type || cols[c].Len() != n {
+				t.Fatalf("column %s: %d rows of type %s, want %d of %s", fd.Name, cols[c].Len(), cols[c].Type, n, fd.Type)
 			}
-			for i, r := range decoded {
-				typed := cols[c].Box(i)
-				if !sameValue(typed, r[name]) || cols[c].IsNull(i) != (r[name] == nil) {
-					t.Fatalf("row %d column %s: typed %#v (NULL %v), boxed %#v", i, name, typed, cols[c].IsNull(i), r[name])
-				}
-				if b, ok := typed.([]byte); ok && len(b) > 0 && aliases(b, data) {
-					t.Fatalf("row %d column %s: a blob is a view of the input", i, name)
+			for i := range n {
+				if b, ok := cols[c].Box(i).([]byte); ok && len(b) > 0 && aliases(b, data) {
+					t.Fatalf("row %d column %s: a blob is a view of the input", i, fd.Name)
 				}
 			}
 		}
-		again, err := EncodeColumnar(s, decoded)
+		again, err := EncodeColumnar(s, cols)
 		if err != nil {
-			t.Fatalf("re-encoding decoded rows: %v", err)
+			t.Fatalf("re-encoding decoded columns: %v", err)
 		}
-		m, err := DecodeColumns(s, again, names, cols)
+		m, back, err := decodeAll(s, again)
 		if err != nil || m != n {
-			t.Fatalf("decode(encode(rows)) = %d rows, %v; want %d", m, err, n)
+			t.Fatalf("decode(encode(columns)) = %d rows, %v; want %d", m, err, n)
 		}
-		back, err := DecodeColumnar(s, again)
-		if err != nil || len(back) != n {
-			t.Fatalf("DecodeColumnar(encode(rows)) = %d rows, %v; want %d", len(back), err, n)
-		}
-		for i, r := range decoded {
-			if len(back[i]) != len(r) {
-				t.Fatalf("row %d: %v, was %v", i, back[i], r)
-			}
-			for c, name := range names {
-				if !sameValue(cols[c].Box(i), r[name]) || !sameValue(back[i][name], r[name]) {
-					t.Fatalf("row %d column %s: columns %#v, records %#v, was %#v", i, name, cols[c].Box(i), back[i][name], r[name])
+		for c, fd := range s.Fields {
+			for i := range n {
+				if !sameValue(back[c].Box(i), cols[c].Box(i)) || back[c].IsNull(i) != cols[c].IsNull(i) {
+					t.Fatalf("row %d column %s: %#v, was %#v", i, fd.Name, back[c].Box(i), cols[c].Box(i))
 				}
 			}
+		}
+		if twice, err := EncodeColumnar(s, back); err != nil || !bytes.Equal(twice, again) {
+			t.Fatalf("a second encode = %v, %q; want the first's %q", err, twice, again)
 		}
 	})
 }

@@ -427,7 +427,7 @@ func (d *Deployment) IngestBatch(partition int, rows []record.Record) (n int, er
 	var rowErr error // the first row that does not conform ends the batch
 	for _, r := range rows {
 		row := b.slot()
-		if rowErr = conformRow(d.cfg.Schema, r, row); rowErr == nil {
+		if rowErr = record.Conform(d.cfg.Schema, r, row); rowErr == nil {
 			rowErr = d.checkPartition(partition, row)
 		}
 		if rowErr != nil {
@@ -466,19 +466,6 @@ func (d *Deployment) ingestBlock(partition int, b *cellBlock) (n int, err error)
 			return n, err
 		}
 	}
-}
-
-// conformRow conforms r into row, one cell per schema field, by the rule
-// record.Codec.Encode applies (record.ConformValue).
-func conformRow(schema *metadata.Schema, r record.Record, row []record.Value) error {
-	for fi, f := range schema.Fields {
-		v, err := record.ConformValue(r[f.Name], f, schema.Name)
-		if err != nil {
-			return err
-		}
-		row[fi] = record.ValueOf(v)
-	}
-	return nil
 }
 
 // checkPartition enforces the partition-aware router's contract on a

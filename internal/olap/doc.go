@@ -137,7 +137,8 @@
 // leave the window). The broker derives one interval from a query's
 // filters on the time column (queryTimeBounds) and servers prune segments
 // whose [MinTime, MaxTime] bounds lie outside it before any scan or
-// deep-store fetch (ExecStats.SegmentsPruned); a range filter holding a
+// deep-store fetch (ExecStats.SegmentsPruned), as the broker skips a
+// consuming store whose time bounds lie outside it; a range filter holding a
 // segment whole is dropped from its scan (unitFilters), and background
 // compaction merges a partition's small sealed segments into one without
 // blocking concurrent queries or upsert invalidation.

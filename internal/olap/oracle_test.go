@@ -183,7 +183,7 @@ func storeOf(t *testing.T, schema *metadata.Schema, rows []record.Record) *mutab
 	m := newMutableSegment("m", schema, 0)
 	row := make([]record.Value, len(schema.Fields))
 	for _, r := range rows {
-		if err := conformRow(schema, r, row); err != nil {
+		if err := record.Conform(schema, r, row); err != nil {
 			t.Fatal(err)
 		}
 		m.appendRow(row)

@@ -8,11 +8,12 @@ import (
 
 	"repro/internal/metadata"
 	"repro/internal/objstore"
+	"repro/internal/obs"
 	"repro/internal/record"
 )
 
-// A filter on the time column stays exact on consuming (unsealed) rows:
-// consuming stores are never pruned, so the filter applies row by row.
+// A filter on the time column stays exact on consuming (unsealed) rows: a
+// store the bounds overlap is scanned, and the filter applies row by row.
 func TestTimeFilterOnConsumingSegment(t *testing.T) {
 	d, _ := newDeployment(t, 1, 1, false, BackupP2P, nil)
 	rows := orderRows(30) // below the 50-row seal threshold: stays consuming
@@ -38,6 +39,71 @@ func TestTimeFilterOnConsumingSegment(t *testing.T) {
 	}
 	if got := res.Rows[0][0].(int64); got != want {
 		t.Errorf("filtered consuming count = %d, want %d", got, want)
+	}
+}
+
+// A consuming store whose times a time filter misses is skipped as a sealed
+// segment is pruned: its scan span examines no row, and the answer is the
+// same as with the store scanned.
+func TestTimeFilterSkipsConsumingStore(t *testing.T) {
+	d, _ := newDeployment(t, 1, 1, false, BackupP2P, nil)
+	rows := orderRows(30) // below the 50-row seal threshold: stays consuming
+	for _, r := range rows {
+		if err := d.Ingest(0, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tracer := obs.NewTracer(obs.TracerConfig{Recent: 1})
+	b := NewBrokerWithOptions(d, BrokerOptions{Tracer: tracer})
+	last := rows[len(rows)-1].Long("ts")
+	for _, c := range []struct {
+		filter Filter
+		count  int64
+		rowsIn string
+	}{
+		{Filter{Column: "ts", Op: OpGt, Value: last}, 0, "0"},
+		{Filter{Column: "ts", Op: OpLt, Value: rows[0].Long("ts")}, 0, "0"},
+		{Filter{Column: "ts", Op: OpGe, Value: last}, 1, "30"},
+		{Filter{Column: "ts", Op: OpBetween, Value: last + 1, Value2: last - 1}, 0, "0"},
+	} {
+		q := &Query{Filters: []Filter{c.filter}, Aggs: []AggSpec{{Kind: AggCount}}}
+		res, err := b.Execute(t.Context(), &QueryRequest{Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0].(int64); got != c.count {
+			t.Errorf("%v: COUNT(*) = %d, want %d", c.filter, got, c.count)
+		}
+		sp := tracer.Recent()[0].Find("consuming.scan")
+		if sp == nil {
+			t.Fatalf("%v: no consuming.scan span", c.filter)
+		}
+		rowsIn := ""
+		for _, a := range sp.Attrs {
+			if a.Key == "rows_in" {
+				rowsIn = a.Value
+			}
+		}
+		if rowsIn != c.rowsIn {
+			t.Errorf("%v: rows_in = %q, want %s", c.filter, rowsIn, c.rowsIn)
+		}
+	}
+}
+
+// An ordered selection whose every unit is pruned answers no rows under its
+// columns, not an error that its ORDER BY column is missing.
+func TestPrunedSelectionKeepsItsColumns(t *testing.T) {
+	d, _ := newDeployment(t, 1, 1, false, BackupP2P, nil)
+	ingestOrders(t, d, 50, 1) // one sealed segment, no consuming rows
+	for _, sel := range [][]string{nil, {"city", "amount"}} {
+		q := &Query{Select: sel, Filters: []Filter{{Column: "ts", Op: OpLt, Value: int64(0)}}, OrderBy: []OrderSpec{{Column: "amount"}}, Limit: 5}
+		res, err := NewBroker(d).Execute(t.Context(), &QueryRequest{Query: q})
+		if err != nil {
+			t.Fatalf("SELECT %v: %v", sel, err)
+		}
+		if want := NewBroker(d).selection(q); len(res.Rows) != 0 || !reflect.DeepEqual(res.Columns, want) || res.Stats.SegmentsPruned != 1 {
+			t.Errorf("SELECT %v = %v under %v, %d pruned; want no rows under %v, 1 pruned", sel, res.Rows, res.Columns, res.Stats.SegmentsPruned, want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/metadata"
 	"repro/internal/obs"
 	"repro/internal/olap/qcache"
+	"repro/internal/record"
 )
 
 // ErrTooManySegments is returned when a query would scan more sealed
@@ -234,9 +236,12 @@ func (b *Broker) planScatter(ctx context.Context, req *QueryRequest, q *Query, s
 	// Keep only the consuming scans the router routed (partition pruning);
 	// the stores were snapshotted atomically with the placement in
 	// routeView, so a Seal racing this query can never drop rows between
-	// the sealed and consuming views.
+	// the sealed and consuming views. A store whose times the time bounds
+	// miss is skipped, by the rule sealed segments are pruned by
+	// (Server.snapshotSegments); the snapshot is this query's own.
 	for _, part := range plan.Consuming {
 		if cs, ok := snapshot.consuming[part]; ok {
+			cs.units = slices.DeleteFunc(cs.units, func(u scanUnit) bool { return !sp.bounds.overlaps(u.rows.minTime, u.rows.maxTime) })
 			sp.consuming = append(sp.consuming, cs)
 			contacted[cs.owner] = true
 		}
@@ -577,6 +582,11 @@ func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query) (*folded
 				// A producer that failed cancelled the round before it exited.
 				if err := context.Cause(sctx); err != nil {
 					return nil, err
+				}
+				if !g.acc.agg && g.acc.cols == nil {
+					// Every unit was pruned: no scan named the columns.
+					g.acc.cols = b.selection(q)
+					g.acc.keys = make([]record.Vector, len(g.acc.cols))
 				}
 				mergeSp.SetRows(int64(g.acc.n))
 				return g, nil

@@ -256,6 +256,15 @@ func (b *Broker) ExecuteStream(ctx context.Context, req *QueryRequest) (*QuerySt
 	return b.openStream(ctx, req, req.Query)
 }
 
+// selection is a copy of the columns a selection answers with: its SELECT
+// list, or every selectable column for SELECT *.
+func (b *Broker) selection(q *Query) []string {
+	if len(q.Select) > 0 {
+		return append([]string(nil), q.Select...)
+	}
+	return selectable(b.d.cfg.Schema)
+}
+
 // openStream starts one routing round into a batch sink and returns its
 // consumer side.
 func (b *Broker) openStream(ctx context.Context, req *QueryRequest, q *Query) (*QueryStream, error) {
@@ -263,12 +272,8 @@ func (b *Broker) openStream(ctx context.Context, req *QueryRequest, q *Query) (*
 	if err != nil {
 		return nil, err
 	}
-	cols := q.Select
-	if len(cols) == 0 {
-		cols = selectable(b.d.cfg.Schema)
-	}
 	qs := &QueryStream{
-		cols:      append([]string(nil), cols...),
+		cols:      b.selection(q),
 		sink:      &batchSink{q: q, pool: &b.pool, ch: make(chan *record.Batch, 2)},
 		skip:      q.Offset,
 		remaining: -1,

@@ -2,7 +2,6 @@ package record
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"unsafe"
@@ -34,25 +33,20 @@ func NewCodec(s *metadata.Schema) (*Codec, error) {
 // Schema returns the codec's bound schema.
 func (c *Codec) Schema() *metadata.Schema { return c.schema.Clone() }
 
-// Encode serializes the record, conforming it to the schema field by field
-// as it goes (ConformValue): unknown columns are dropped and type mismatches
-// are errors. The conformed cells go through EncodeValues.
+// Encode serializes the record: its cells conformed to the schema (Conform),
+// then EncodeValues.
 func (c *Codec) Encode(r Record) ([]byte, error) {
 	var buf [16]Value
 	vals := cells(buf[:], len(c.schema.Fields))
-	for i, f := range c.schema.Fields {
-		v, err := ConformValue(r[f.Name], f, c.schema.Name)
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = ValueOf(v)
+	if err := Conform(c.schema, r, vals); err != nil {
+		return nil, err
 	}
 	return c.EncodeValues(make([]byte, 0, 16+8*len(vals)), vals), nil
 }
 
 // EncodeValues appends the payload of one row to dst and returns the
 // extended slice: vals holds one cell per schema field in schema order,
-// already conformed to the schema (Binding.Conform, ConformValue). It is the
+// already conformed to the schema (Conform, Binding.Conform). It is the
 // codec's one writer of the wire format.
 func (c *Codec) EncodeValues(dst []byte, vals []Value) []byte {
 	dst = binary.AppendUvarint(dst, uint64(c.schema.Version))
@@ -213,20 +207,4 @@ func (c *Codec) DecodeValues(data []byte, vals []Value) error {
 		}
 	}
 	return nil
-}
-
-// EncodeJSON serializes the record as JSON — the wire format used by the
-// document-store baseline, which (like Elasticsearch) persists the original
-// document alongside its indexes.
-func EncodeJSON(r Record) ([]byte, error) { return json.Marshal(map[string]any(r)) }
-
-// DecodeJSON parses a JSON document into a Record. JSON numbers become
-// float64; callers needing longs should conform the result against a schema
-// (ConformValue).
-func DecodeJSON(data []byte) (Record, error) {
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	return Record(m), nil
 }

@@ -145,3 +145,19 @@ func ConformValue(v any, f metadata.Field, schema string) (any, error) {
 	}
 	return v, nil
 }
+
+// Conform fills out, one cell per schema field in schema order, from r by
+// ConformValue field by field: unknown columns are dropped, and a missing
+// required field or a value its type cannot hold is an error. It is the one
+// rule a map enters the cell form by (Codec.Encode, the OLAP IngestBatch);
+// a string cell aliases r's string.
+func Conform(schema *metadata.Schema, r Record, out []Value) error {
+	for i, f := range schema.Fields {
+		v, err := ConformValue(r[f.Name], f, schema.Name)
+		if err != nil {
+			return err
+		}
+		out[i] = ValueOf(v)
+	}
+	return nil
+}

@@ -330,24 +330,6 @@ func TestCodecRejectsInvalidSchema(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	r := Record{"a": int64(1), "b": "x", "c": true}
-	data, err := EncodeJSON(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String("b") != "x" || !got.Bool("c") || got.Long("a") != 1 {
-		t.Errorf("JSON round trip = %v", got)
-	}
-	if _, err := DecodeJSON([]byte("{")); err == nil {
-		t.Error("bad JSON should error")
-	}
-}
-
 func TestCodecProperty(t *testing.T) {
 	// Property: Encode/Decode round-trips arbitrary long/double/string
 	// values bit-exactly.
