@@ -158,7 +158,9 @@ type Connector interface {
 // pushdown (§4.3.2: "predicate pushdowns and aggregation function pushdowns
 // enable us to achieve sub-second query latencies"). OpenAggregateScan maps
 // to the broker's scatter-gather, so a federated GROUP BY moves per-group
-// aggregate rows across the connector boundary instead of raw rows.
+// aggregate rows across the connector boundary instead of raw rows. Every
+// query it issues runs as the default tenant, and a pushed-down ORDER BY …
+// LIMIT trims to its top K like Pinot's.
 type PinotConnector struct {
 	name    string
 	brokers map[string]*olap.Broker
@@ -171,10 +173,6 @@ type PinotConnector struct {
 	// is set (nil = round-robin). E.g. &olap.PartitionRouter{} lets
 	// partition-filtered federated queries skip servers entirely.
 	Router olap.Router
-	// TrimExact disables the OLAP layer's bounded top-K trimming for
-	// pushed-down ORDER BY/LIMIT queries: exact full-sort results at full
-	// fan-out cost. The default (false) trims like Pinot.
-	TrimExact bool
 	// CacheMaxBytes enables the broker result cache (with in-flight
 	// deduplication) for tables added after it is set; 0 disables. Cached
 	// entries invalidate automatically on any ingest/seal/compact/offload/
@@ -183,9 +181,6 @@ type PinotConnector struct {
 	// Admission enables per-tenant quotas and bounded queueing on brokers
 	// created by AddTable; overloaded queries fail with olap.ErrOverloaded.
 	Admission *qcache.AdmissionConfig
-	// Tenant tags every query this connector issues, for the brokers'
-	// per-tenant admission quotas ("" is the default tenant).
-	Tenant string
 	// EnableViews attaches a materialized-view registry to tables added
 	// after it is set: standing aggregate shapes registered via
 	// RegisterView are maintained incrementally from the table's mutation
@@ -296,7 +291,7 @@ func (p *PinotConnector) OpenScan(ctx context.Context, table string, pd Pushdown
 		return nil, err
 	}
 	q.Select = pd.Columns
-	req := &olap.QueryRequest{Query: q, TrimExact: p.TrimExact, Tenant: p.Tenant}
+	req := &olap.QueryRequest{Query: q}
 	if len(q.OrderBy) > 0 {
 		return executed(ctx, broker, req, stats)
 	}
@@ -324,7 +319,7 @@ func (p *PinotConnector) OpenAggregateScan(ctx context.Context, table string, aq
 	if err != nil {
 		return nil, err
 	}
-	return executed(ctx, broker, &olap.QueryRequest{Query: q, TrimExact: p.TrimExact, Tenant: p.Tenant}, stats)
+	return executed(ctx, broker, &olap.QueryRequest{Query: q}, stats)
 }
 
 // executed runs a fragment the backend folds — an aggregate, an ordered scan

@@ -43,7 +43,6 @@ func TestViewServedFederatedQueryUnderIngest(t *testing.T) {
 
 	// A view-less twin answers the same SQL cold, as the oracle.
 	plain := NewPinotConnector("plain")
-	plain.TrimExact = true
 	plain.AddTable(d)
 	oracle := NewEngine()
 	oracle.Register(plain)

@@ -68,8 +68,8 @@ type managedJob struct {
 type JobManager struct {
 	cfg ManagerConfig
 
-	// ctx parents every managed job's context: cancelling it (via Close or
-	// the parent handed to NewJobManagerCtx) cancels all managed jobs.
+	// ctx parents every managed job's context: cancelling it (Close)
+	// cancels all managed jobs.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -82,18 +82,11 @@ type JobManager struct {
 }
 
 // NewJobManager creates a manager with no parent lifecycle and starts its
-// monitor loop. Call Close when done. Prefer NewJobManagerCtx when the
-// embedding process has a shutdown context to thread.
+// monitor loop. Call Close when done: monitoring stops and every managed job
+// is cancelled (each job's context descends from the manager's).
 func NewJobManager(cfg ManagerConfig) *JobManager {
-	//lint:ignore ctxflow convenience for standalone managers with no surrounding lifecycle; NewJobManagerCtx is the threaded API
-	return NewJobManagerCtx(context.Background(), cfg)
-}
-
-// NewJobManagerCtx creates a manager parented on ctx and starts its monitor
-// loop. Cancelling ctx is equivalent to Close: monitoring stops and every
-// managed job is cancelled (each job's context descends from the manager's).
-func NewJobManagerCtx(parent context.Context, cfg ManagerConfig) *JobManager {
-	ctx, cancel := context.WithCancel(parent)
+	//lint:ignore ctxflow a manager is the root of its jobs' lifecycle; Close, not a caller's context, ends it
+	ctx, cancel := context.WithCancel(context.Background())
 	m := &JobManager{
 		cfg:    cfg.withDefaults(),
 		ctx:    ctx,

@@ -39,21 +39,14 @@ type Job struct {
 }
 
 // NewJob validates the spec and prepares a job with no parent lifecycle:
-// only Cancel (or a failure) stops it. Prefer NewJobCtx when the caller has
-// a context to thread — the JobManager does.
+// only Cancel (or a failure) stops it. A JobManager reparents the jobs it
+// runs on its own context (rebind) before they start.
 func NewJob(spec JobSpec) (*Job, error) {
-	//lint:ignore ctxflow convenience for standalone jobs with no surrounding lifecycle; NewJobCtx is the threaded API
-	return NewJobCtx(context.Background(), spec)
-}
-
-// NewJobCtx validates the spec and prepares a job parented on ctx:
-// cancelling ctx cancels the job exactly like Cancel, and Wait then
-// returns the context's error.
-func NewJobCtx(parent context.Context, spec JobSpec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(parent)
+	//lint:ignore ctxflow a job's lifecycle is Cancel until a JobManager threads its context in with rebind
+	ctx, cancel := context.WithCancel(context.Background())
 	total := 0
 	for _, st := range spec.Stages {
 		total += st.Parallelism
@@ -168,8 +161,8 @@ func (j *Job) Start() error {
 		go j.autoCheckpoint()
 	}
 
-	// Surface external cancellation (a parent context from NewJobCtx, or
-	// Cancel) as the job's terminal error; first failure still wins.
+	// Surface external cancellation (a JobManager's context, or Cancel) as
+	// the job's terminal error; first failure still wins.
 	go func() {
 		select {
 		case <-j.ctx.Done():

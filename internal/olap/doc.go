@@ -26,7 +26,9 @@
 //     mergeable states (COUNT/SUM/MIN/MAX as a record.Agg's running
 //     numerics, AVG as its SUM+COUNT pair, DISTINCTCOUNT as a set of
 //     canonical number bits and strings beside it) and a record.KeyIndex
-//     from a typed key to its row; a selection's
+//     from a typed key to its row, built where a key is first looked up
+//     (a Merge into the table, Finalize), so a scan's partial leaves
+//     unindexed; a selection's
 //     columns as record.Vectors, nothing else — and a server
 //     scans its segments through a bounded worker pool
 //     (BrokerOptions.Workers; default GOMAXPROCS). Unordered selections

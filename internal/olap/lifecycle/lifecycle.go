@@ -30,8 +30,6 @@ type Config struct {
 	// merged segment at or above it stops being a candidate, so
 	// compaction converges).
 	CompactMaxRows int
-	// CompactBatch caps how many segments one merge consumes. Default 16.
-	CompactBatch int
 	// Interval is the background sweep cadence for Start. Default 100ms.
 	Interval time.Duration
 	// RetireGrace is how long replaced/expired segment copies stay
@@ -45,12 +43,12 @@ type Config struct {
 	Now func() time.Time
 }
 
+// compactBatch caps how many segments one merge consumes.
+const compactBatch = 16
+
 func (c Config) withDefaults(table olap.TableConfig) Config {
 	if c.CompactMaxRows <= 0 {
 		c.CompactMaxRows = table.SegmentRows
-	}
-	if c.CompactBatch <= 0 {
-		c.CompactBatch = 16
 	}
 	if c.Interval <= 0 {
 		c.Interval = 100 * time.Millisecond
@@ -224,8 +222,8 @@ func (m *Manager) sweepCompaction() {
 		if len(names) < m.cfg.CompactAfter {
 			continue
 		}
-		if len(names) > m.cfg.CompactBatch {
-			names = names[:m.cfg.CompactBatch]
+		if len(names) > compactBatch {
+			names = names[:compactBatch]
 		}
 		compactStart := time.Now()
 		res, err := m.d.Compact(names)

@@ -73,21 +73,26 @@ func (a *aggState) mergeState(o *aggState) {
 // key vectors. For an aggregation the keys are the GROUP BY columns, group
 // r's aggregations are accs[r*naggs : (r+1)*naggs], and a record.KeyIndex
 // numbers the typed keys by row, so a group costs no heap object of its own.
-// For a selection the keys are the selected columns, named by cols, with no
-// states and no index.
+// The index is built where a key is first looked up — Merge into the table,
+// or Finalize — so a scan's, a trim's or a cached partial leaves unindexed.
+// Building it writes the table: a partial two goroutines can reach (a cached
+// segment partial, a view's state) is only ever a Merge argument, or is used
+// under its owner's lock. For a selection the keys are the selected columns,
+// named by cols, with no states and no index.
 type Partial struct {
 	agg   bool
 	naggs int
 	n     int             // groups, or a selection's rows
 	keys  []record.Vector // one per GROUP BY or selected column
 	accs  []aggState
-	index record.KeyIndex // an aggregation's key → row
+	index record.KeyIndex // an aggregation's key → row, once built
 
 	cols  []string // a selection's columns
 	stats ExecStats
 }
 
-// newPartial returns an empty partial for the query shape.
+// newPartial returns an empty partial for the query shape; an empty table's
+// index is built.
 func newPartial(q *Query) *Partial {
 	if len(q.Aggs) > 0 {
 		return &Partial{agg: true, naggs: len(q.Aggs), keys: make([]record.Vector, len(q.GroupBy))}
@@ -104,24 +109,29 @@ func (p *Partial) positions() []int32 {
 	return rows
 }
 
-// reindex indexes a table built without an index, in place. It reports
-// false, leaving the index partial, when two rows share a key — longs above
-// 2^53 that are one float64 — and the rows must fold instead (keep).
-func (p *Partial) reindex() bool {
+// buildIndex indexes an aggregation's table the first time a key is looked
+// up in it; the index is built once it numbers every row. Two rows of one
+// key — longs above 2^53 that are one float64 — fold into one group as Merge
+// folds keys: the table is merged into a fresh one.
+func (p *Partial) buildIndex() {
+	if !p.agg || p.index.Len() == p.n {
+		return
+	}
 	p.index.Reserve(p.keys, p.n)
 	for r := range p.n {
 		if _, dup := p.index.Add(p.keys, r); dup {
-			return false
+			folded := &Partial{agg: true, naggs: p.naggs, keys: make([]record.Vector, len(p.keys))}
+			folded.Merge(p)
+			*p = *folded
+			return
 		}
 	}
-	return true
 }
 
-// add folds a group — row r of key, aggregations accs — into the table,
-// appending it, key row copied, when the table lacks it. adopt hands over
-// accs' DISTINCTCOUNT sets when the group is new; without it they are
-// copied, so the source stays unchanged.
-func (p *Partial) add(key []record.Vector, r int, accs []aggState, adopt bool) {
+// add folds a group — row r of key, aggregations accs — into the indexed
+// table, appending it, key row copied, when the table lacks it. accs'
+// DISTINCTCOUNT sets are copied, so the source stays unchanged.
+func (p *Partial) add(key []record.Vector, r int, accs []aggState) {
 	row, found := p.index.Add(key, r)
 	if !found {
 		for c := range key {
@@ -134,33 +144,22 @@ func (p *Partial) add(key []record.Vector, r int, accs []aggState, adopt bool) {
 	}
 	mine := p.accs[row*p.naggs : (row+1)*p.naggs]
 	for i := range accs {
-		if adopt && !found {
-			mine[i] = accs[i]
-			continue
-		}
 		mine[i].mergeState(&accs[i])
 	}
 }
 
-// keep returns a table of the given rows of p, in that order and, for an
-// aggregation, indexed; it takes over their DISTINCTCOUNT sets and p's stats.
+// keep returns an unindexed table of the given rows of p, in that order; it
+// takes over their DISTINCTCOUNT sets and p's stats.
 func (p *Partial) keep(rows []int32) *Partial {
-	out := &Partial{agg: p.agg, naggs: p.naggs, keys: make([]record.Vector, len(p.keys)), cols: p.cols, stats: p.stats}
-	if !p.agg {
-		for c := range out.keys {
-			out.keys[c].AppendRows(&p.keys[c], rows)
-		}
-		out.n = len(rows)
-		return out
-	}
-	out.accs = make([]aggState, 0, len(rows)*p.naggs)
+	out := &Partial{agg: p.agg, naggs: p.naggs, n: len(rows), keys: make([]record.Vector, len(p.keys)), cols: p.cols, stats: p.stats}
 	for c := range out.keys {
-		out.keys[c].Reset(p.keys[c].Type)
-		out.keys[c].Grow(len(rows))
+		out.keys[c].AppendRows(&p.keys[c], rows)
 	}
-	out.index.Reserve(out.keys, len(rows))
-	for _, r := range rows {
-		out.add(p.keys, int(r), p.accs[int(r)*p.naggs:(int(r)+1)*p.naggs], true)
+	if p.agg {
+		out.accs = make([]aggState, 0, len(rows)*p.naggs)
+		for _, r := range rows {
+			out.accs = append(out.accs, p.accs[int(r)*p.naggs:(int(r)+1)*p.naggs]...)
+		}
 	}
 	return out
 }
@@ -192,8 +191,9 @@ func (p *Partial) size() int64 {
 func (p *Partial) Merge(o *Partial) {
 	p.stats.Add(o.stats)
 	if p.agg {
+		p.buildIndex()
 		for r := 0; r < o.n; r++ {
-			p.add(o.keys, r, o.accs[r*o.naggs:(r+1)*o.naggs], false)
+			p.add(o.keys, r, o.accs[r*o.naggs:(r+1)*o.naggs])
 		}
 		return
 	}
@@ -217,6 +217,7 @@ func (p *Partial) Merge(o *Partial) {
 // key column (Partial.less) — and only the rows returned are boxed, into one
 // backing array. A selection without ORDER BY keeps its rows' merge order.
 func (p *Partial) Finalize(q *Query) (*QueryResponse, error) {
+	p.buildIndex()
 	cols := p.cols
 	switch {
 	case p.agg:

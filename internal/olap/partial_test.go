@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -141,4 +142,80 @@ func finalized(t *testing.T, p *Partial, q *Query) [][]any {
 		t.Fatal(err)
 	}
 	return res.Rows
+}
+
+// TestSegmentPartialsLeaveUnindexed: a sealed segment's partial leaves the
+// scan unindexed, trimmed (more groups than groupK) and untrimmed, and is
+// indexed where a key is first looked up. Every fifth row of a partition is
+// 2^53 or 2^53+1, two longs that are one float64: one group held under two
+// dictionary codes, which Finalize of the bare partial, a Merge and the
+// broker each fold into one. Every other row is a group of its own, so a
+// trimmed broker answer equals the TrimExact one.
+func TestSegmentPartialsLeaveUnindexed(t *testing.T) {
+	const big = int64(1) << 53
+	rows := func(n int) []record.Record {
+		out := make([]record.Record, n)
+		for i := range out {
+			items := int64(1000 + i)
+			if j := i / 2; j%5 == 0 { // j: the row's place in its partition
+				items = big + int64(j/5%2)
+			}
+			out[i] = record.Record{"order_id": fmt.Sprintf("o-%d", i), "city": "sf", "status": "placed",
+				"amount": float64(i%8) / 4, "items": items, "ts": int64(1_700_000_000_000 + i)}
+		}
+		return out
+	}
+	q := &Query{GroupBy: []string{"items"},
+		Aggs:    []AggSpec{{Kind: AggCount, As: "n"}, {Kind: AggSum, Column: "amount", As: "total"}},
+		OrderBy: []OrderSpec{{Column: "n", Desc: true}}, Limit: 3}
+	seg, err := BuildSegment("s", ordersSchema(), rows(100), IndexConfig{}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := seg.executePartialTrim(q, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.n != 82 || whole.index.Len() != 0 {
+		t.Fatalf("untrimmed: %d rows, %d indexed; want 82 (two of one key), none indexed", whole.n, whole.index.Len())
+	}
+	if got := finalized(t, whole, q)[0]; got[0] != big || got[1] != int64(20) {
+		t.Errorf("untrimmed partial's top group %v, want 2^53 with 20 rows", got)
+	}
+	tp := planTopK(q, 10)
+	trimmed, err := seg.executePartialTrim(q, nil, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trimmed.n != tp.groupK || trimmed.index.Len() != 0 || trimmed.stats.GroupsTrimmed != int64(82-tp.groupK) {
+		t.Fatalf("trimmed: %d rows, %d indexed, %d trimmed; want %d, none, %d",
+			trimmed.n, trimmed.index.Len(), trimmed.stats.GroupsTrimmed, tp.groupK, 82-tp.groupK)
+	}
+	acc := newPartial(q)
+	acc.Merge(trimmed)
+	if acc.n != tp.groupK-1 || acc.index.Len() != acc.n || trimmed.index.Len() != 0 {
+		t.Errorf("merge target: %d groups, %d indexed, argument %d indexed; want %d, all, none",
+			acc.n, acc.index.Len(), trimmed.index.Len(), tp.groupK-1)
+	}
+
+	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
+	ingestAll(t, d, rows(400), 2) // 8 sealed segments of 50 rows, no consuming tail
+	b := NewBroker(d)
+	exact, err := b.Execute(context.Background(), &QueryRequest{Query: q, TrimExact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trim, err := b.Execute(context.Background(), &QueryRequest{Query: q, TrimSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trim.Stats.GroupsTrimmed == 0 {
+		t.Fatal("the trimmed run trimmed nothing")
+	}
+	if !reflect.DeepEqual(floatClassed(trim.Rows), floatClassed(exact.Rows)) {
+		t.Errorf("trimmed top-K %v, TrimExact %v", trim.Rows, exact.Rows)
+	}
+	if top := floatClassed(exact.Rows)[0]; top[0] != big || top[1] != int64(80) {
+		t.Errorf("TrimExact's top group %v, want 2^53 with 80 rows", exact.Rows[0])
+	}
 }

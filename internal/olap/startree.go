@@ -332,7 +332,7 @@ func (t *StarTree) query(seg *Segment, q *Query, filters []Filter) *Partial {
 					}
 					accs[ai] = aggState{Agg: r.Aggs[metricIdx[spec.Column]]}
 				}
-				p.add(key, 0, accs, true)
+				p.add(key, 0, accs)
 			}
 			return
 		}

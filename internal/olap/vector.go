@@ -1103,17 +1103,13 @@ func (g *grouper) keyed(i int32, key []byte) (int32, []byte) {
 
 // partial hands the scan's groups over as the segment's mergeable partial:
 // each group's key is gathered, typed, from its first row — no value is
-// boxed, and the codes are read through buf — and under a top-K plan the table is trimmed by the plan's leading
-// ORDER BY term before it is indexed, so only surviving groups are keyed.
-// Two slots of one segment can share a key — longs above 2^53 that are one
-// float64 — and then fold into one group.
+// boxed, and the codes are read through buf — and under a top-K plan the
+// table is trimmed by the plan's leading ORDER BY term. The table leaves
+// unindexed: a key is looked up only where it is merged into.
 func (g *grouper) partial(tp *topKPlan, buf []uint32) *Partial {
 	all := &Partial{agg: true, naggs: g.naggs, n: g.n, accs: g.accs, keys: make([]record.Vector, len(g.cols))}
 	for gi, c := range g.cols {
 		c.gather(&all.keys[gi], g.first, buf)
 	}
-	if p := all.trim(tp); p != all || all.reindex() {
-		return p
-	}
-	return all.keep(all.positions())
+	return all.trim(tp)
 }

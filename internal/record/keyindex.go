@@ -41,6 +41,9 @@ func (x *KeyIndex) Reserve(key []Vector, n int) {
 	x.nums, x.strs = make(map[uint64]int32, nums), make(map[string]int32, strs)
 }
 
+// Len is the number of keys indexed.
+func (x *KeyIndex) Len() int { return int(x.n) }
+
 // ArenaBytes is the capacity of the arena the tuple keys are carved from,
 // for a table's footprint.
 func (x *KeyIndex) ArenaBytes() int { return cap(x.arena) }

@@ -37,9 +37,10 @@ type Config struct {
 	// DLQ enables dead-lettering of repeatedly failing messages. When
 	// false, failed messages are dropped after retries.
 	DLQ bool
-	// PollBatch is the per-poll fetch size. Default 128.
-	PollBatch int
 }
+
+// pollBatch is the per-poll fetch size.
+const pollBatch = 128
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -47,9 +48,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 3
-	}
-	if c.PollBatch <= 0 {
-		c.PollBatch = 128
 	}
 	return c
 }
@@ -175,7 +173,7 @@ func (p *Proxy) loop(pollWait time.Duration, exitOnIdle bool) {
 			goto drain
 		default:
 		}
-		msgs := consumer.Poll(pollWait, p.cfg.PollBatch)
+		msgs := consumer.Poll(pollWait, pollBatch)
 		if len(msgs) == 0 {
 			if exitOnIdle {
 				goto drain
