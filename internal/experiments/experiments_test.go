@@ -282,10 +282,10 @@ var shapeChecks = map[string]struct {
 	// throughput ratio is reported.
 	"E24": {func() []Row { return E24(12_000) }, func(t *testing.T, get rowGetter) {
 		if get("streaming_exact") != 1 {
-			t.Error("streaming and materialized paths answered differently")
+			t.Error("the streaming scan and the materialized subquery answered differently")
 		}
 		if get("streaming_streamed") != 1 {
-			t.Error("the v3 path did not stream, or the v2 reference did")
+			t.Error("the streaming scan did not stream")
 		}
 		if r := get("streaming_mem_reduction"); r < 10 {
 			t.Errorf("peak engine bytes reduction = %.1fx, want >= 10x", r)

@@ -89,8 +89,8 @@ type QueryStats struct {
 	// Streamed marks that the scan's rows reached the engine as they were
 	// produced (a broker stream, one archive part at a time) instead of
 	// being whole in memory before the first batch was pulled (a finalized
-	// aggregate response, a v2 connector's slice) — EXPLAIN's exec=streaming
-	// vs exec=materialized.
+	// aggregate response, a pushed-down ORDER BY's rows) — EXPLAIN's
+	// exec=streaming vs exec=materialized.
 	Streamed bool
 	// BatchesStreamed counts the batches that crossed the boundary, from
 	// either kind of source.
@@ -132,10 +132,10 @@ func (s *QueryStats) Merge(o QueryStats) {
 
 // Connector is the backend interface (Presto's Connector API): catalog
 // metadata, declared capabilities, and the v2 slice-returning scan pair. The
-// engine executes through StreamingConnector (iterator.go), which every
-// in-tree connector implements; why Scan/AggregateScan remain is in DESIGN.md
-// "Streaming execution". In-tree they are drains of the v3 methods, called
-// only by openScan/openAggregateScan for a connector without the v3 surface.
+// engine executes through StreamingConnector (iterator.go) only, and refuses
+// a catalog without it; why Scan/AggregateScan remain is in DESIGN.md
+// "Streaming execution". In-tree they are drains of the v3 methods, which
+// the engine never calls.
 type Connector interface {
 	// Name returns the catalog name ("pinot", "hive", ...).
 	Name() string
@@ -336,7 +336,7 @@ func executed(ctx context.Context, broker *olap.Broker, req *olap.QueryRequest, 
 	stats.RowsReturned = int64(len(resp.Rows))
 	stats.Router = resp.Route.Router
 	stats.Exec = resp.Stats
-	return newRowsIterator(resp.Columns, resp.Rows, stats), nil
+	return newRowsIterator(resp.Columns, resp.Rows, stats)
 }
 
 // Scan implements Connector (v2) as a drain of OpenScan.

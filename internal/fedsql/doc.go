@@ -8,14 +8,17 @@
 // output — is a RowIterator of typed column batches (record.Batch), and one
 // consumer drives it: residual filter (sqlparse.Compiled, shared with
 // flinksql), then hash aggregate or project, then ORDER BY/LIMIT, every
-// operator reading and appending typed vectors. A value is boxed only at the
-// edges: Result.Rows and the v2 Scan/AggregateScan drains. A join's build
-// side stays typed under a table keyed by the cell itself. Every column
-// reference is bound to a batch column index once per query, never looked
-// up by name per row. Connectors hand over iterators (StreamingConnector: OpenScan pulls
-// projected, filtered, ordered, limited rows; OpenAggregateScan pushes a
-// whole aggregate query into the backend so only per-group rows cross the
-// boundary). Capabilities are declared explicitly per fragment; an aggregate
+// operator reading and appending typed vectors: a record.Vector is typed,
+// or untyped with every row NULL (a column no source has), never boxed. A
+// value is boxed only at the edges: Result.Rows and the v2 Scan/AggregateScan
+// drains, which the engine never calls. A join's build side stays typed
+// under a table keyed by the cell itself. Every column reference is bound to
+// a batch column index once per query, never looked up by name per row.
+// Connectors hand over iterators through StreamingConnector, the one surface
+// the engine executes through (a catalog without it is refused): OpenScan
+// pulls projected, filtered, ordered, limited rows; OpenAggregateScan pushes
+// a whole aggregate query into the backend so only per-group rows cross the
+// boundary. Capabilities are declared explicitly per fragment; an aggregate
 // a connector cannot absorb falls back to a row scan plus engine-side hash
 // aggregation, counted in QueryStats.PushdownFallbacks and shown on EXPLAIN's
 // row-scan+engine-agg line.

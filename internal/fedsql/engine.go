@@ -333,8 +333,8 @@ func bindPredicates(preds []sqlparse.Predicate, cols []string) []boundPredicate 
 }
 
 // filterRows returns the rows of b that pass every bound predicate, in sel's
-// storage; a NULL or missing column satisfies none. A typed column is read
-// as cells, a boxed one as its boxed values.
+// storage, each column read as cells of its type; a NULL or missing column
+// satisfies none.
 func filterRows(b *Batch, filter []boundPredicate, sel []int32) []int32 {
 	sel = slices.Grow(sel[:0], b.Len)
 	for r := 0; r < b.Len; r++ {
@@ -347,13 +347,7 @@ func filterRows(b *Batch, filter []boundPredicate, sel []int32) []int32 {
 		}
 		v, k := &b.Cols[p.col], 0
 		for _, r := range sel {
-			var ok bool
-			if v.Boxed() {
-				ok = p.Matches(v.Any[r])
-			} else {
-				ok = p.MatchesValue(v.Value(int(r)), v.Type)
-			}
-			if ok {
+			if p.MatchesValue(v.Value(int(r)), v.Type) {
 				sel[k] = r
 				k++
 			}
@@ -372,6 +366,8 @@ func (e *Engine) resolveRef(ctx context.Context, ref *sqlparse.TableRef, stmt *s
 		if err != nil {
 			return nil, err
 		}
+		// The subquery's rows are whole in memory before the first is pulled.
+		stats.PeakEngineBytes = max(stats.PeakEngineBytes, sub.Size())
 		return &relation{
 			src:  newBatchIterator(*sub, QueryStats{}),
 			star: sub.Columns, stats: stats, plan: plan,
@@ -393,9 +389,13 @@ func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sq
 	if catalog == "" {
 		catalog = e.defaultCat
 	}
-	conn, ok := e.connectors[catalog]
+	c, ok := e.connectors[catalog]
 	if !ok {
 		return nil, fmt.Errorf("fedsql: unknown catalog %q", catalog)
+	}
+	conn, ok := c.(StreamingConnector)
+	if !ok {
+		return nil, fmt.Errorf("fedsql: catalog %q does not implement StreamingConnector (Connector v3)", catalog)
 	}
 	caps := conn.Capabilities()
 	var pushFilters []sqlparse.Predicate
@@ -432,7 +432,7 @@ func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sq
 				aq.Aggs = append(aq.Aggs, item)
 			}
 			rel, err := openRelation(ctx, catalog, ref.Name, "aggregate-scan", nil, func(ctx context.Context) (RowIterator, error) {
-				return openAggregateScan(ctx, conn, ref.Name, aq)
+				return conn.OpenAggregateScan(ctx, ref.Name, aq)
 			})
 			if err == nil {
 				rel.aggregated, rel.ordered = true, ordered
@@ -454,7 +454,7 @@ func (e *Engine) scanTable(ctx context.Context, ref *sqlparse.TableRef, stmt *sq
 		pd.Columns = selectionColumns(stmt, residual)
 	}
 	rel, err := openRelation(ctx, catalog, ref.Name, kind, residual, func(ctx context.Context) (RowIterator, error) {
-		return openScan(ctx, conn, ref.Name, pd)
+		return conn.OpenScan(ctx, ref.Name, pd)
 	})
 	if err != nil {
 		return nil, err
@@ -991,7 +991,6 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 	var (
 		index  record.KeyIndex
 		keys   = make([]record.Vector, len(groupIdx)) // a batch's GROUP BY cells
-		nulls  []any                                  // a missing GROUP BY column's cells
 		values = make([]record.Vector, len(groupIdx)) // group g's GROUP BY values are row g
 		n      int                                    // groups
 		states []record.Agg                           // group g's aggregates are states[g*len(aggs):][:len(aggs)]
@@ -1012,10 +1011,8 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 				keys[i] = b.Cols[gi]
 				continue
 			}
-			if len(nulls) < b.Len {
-				nulls = make([]any, b.Len)
-			}
-			keys[i] = record.Vector{Any: nulls[:b.Len]}
+			keys[i].Reset(metadata.TypeInvalid) // a missing column: NULL in every row
+			keys[i].AppendNulls(b.Len)
 		}
 		sel = filterRows(b, filter, sel)
 		groups = slices.Grow(groups[:0], len(sel))
@@ -1079,9 +1076,9 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 // fold folds aggregate ai's input, batch column col (-1 is NULL), of the
 // selected rows into their groups' states: row sel[j] into group groups[j].
 // The column's type is switched on once per batch; a number is read straight
-// from Floats or Ints. SUM/AVG/MIN/MAX over a non-NULL value that is not a
-// number is an error, as in the OLAP layer, never coerced to 0, so the
-// engine-side fallback stays equivalent to pushdown.
+// from Floats or Ints. SUM/AVG/MIN/MAX over a string or blob column is an
+// error, as in the OLAP layer, never coerced to 0, so the engine-side
+// fallback stays equivalent to pushdown.
 func fold(states []record.Agg, naggs, ai int, it sqlparse.SelectItem, b *Batch, col int, sel, groups []int32) error {
 	st := func(j int) *record.Agg { return &states[int(groups[j])*naggs+ai] }
 	if col < 0 {
@@ -1112,18 +1109,8 @@ func fold(states []record.Agg, naggs, ai int, it sqlparse.SelectItem, b *Batch, 
 				st(j).Add(float64(v.Ints[r]))
 			}
 		}
-	default: // strings, blobs, boxed cells: only a number may pass
-		for j, r := range sel {
-			x := v.Box(int(r))
-			if x == nil {
-				continue
-			}
-			f, ok := record.ToFloat64(x)
-			if !ok {
-				return fmt.Errorf("fedsql: %s over non-numeric value %T is not supported; use COUNT", it.OutputName(), x)
-			}
-			st(j).Add(f)
-		}
+	case v.Type == metadata.TypeString || v.Type == metadata.TypeBytes:
+		return fmt.Errorf("fedsql: %s over a %s column is not supported; use COUNT", it.OutputName(), v.Type)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package fedsql
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/olap"
 	"repro/internal/record"
 	"repro/internal/reftest"
+	"repro/internal/sqlparse"
 )
 
 func ordersSchema() *metadata.Schema {
@@ -354,6 +357,47 @@ func TestQueryErrors(t *testing.T) {
 	for _, sql := range bad {
 		if _, err := e.Query(sql); err == nil {
 			t.Errorf("Query(%q) should fail", sql)
+		}
+	}
+}
+
+// v2Only is a connector without the v3 surface: its Scan and AggregateScan
+// return whole slices.
+type v2Only struct{ Connector }
+
+// TestV2ScanDrainsTheV3Methods: the engine never calls Scan/AggregateScan,
+// but a caller outside it may. They drain OpenScan/OpenAggregateScan into
+// records, NULLs omitted, and report the result materialized.
+func TestV2ScanDrainsTheV3Methods(t *testing.T) {
+	e, pinot := setupEngine(t, 120)
+	ctx := context.Background()
+	for name, conn := range map[string]Connector{"pinot": pinot, "hive": e.connectors["hive"]} {
+		recs, stats, err := conn.Scan(ctx, "orders", Pushdown{Columns: []string{"order_id", "city"}})
+		if err != nil || len(recs) != 120 || len(recs[0]) != 2 || stats.Streamed || stats.PeakEngineBytes == 0 {
+			t.Errorf("%s Scan = %d records (first %v), %+v, %v; want 120 of two fields, materialized", name, len(recs), recs[0], stats, err)
+		}
+	}
+	aq := AggregateQuery{GroupBy: []string{"city"}, Aggs: []sqlparse.SelectItem{{Func: sqlparse.FuncCount, Alias: "n"}}}
+	groups, _, err := pinot.AggregateScan(ctx, "orders", aq)
+	if err != nil || len(groups) != 3 || groups[0]["n"] != int64(40) {
+		t.Errorf("pinot AggregateScan = %v, %v; want three cities of 40", groups, err)
+	}
+	if _, _, err := e.connectors["hive"].AggregateScan(ctx, "orders", aq); !errors.Is(err, ErrPushdownUnsupported) {
+		t.Errorf("hive AggregateScan: %v, want ErrPushdownUnsupported", err)
+	}
+}
+
+// TestCatalogWithoutStreamingIsRefused: the engine executes through
+// StreamingConnector only; a catalog registered without it is refused by
+// name, not adapted.
+func TestCatalogWithoutStreamingIsRefused(t *testing.T) {
+	e, _ := setupEngine(t, 10)
+	hive := e.connectors["hive"]
+	e.Register(&v2Only{Connector: hive})
+	for _, sql := range []string{"SELECT city FROM hive.cities", "SELECT COUNT(*) AS n FROM hive.cities"} {
+		_, err := e.Query(sql)
+		if err == nil || !strings.Contains(err.Error(), `catalog "hive" does not implement StreamingConnector`) {
+			t.Errorf("%q over a v2-only catalog: %v, want it refused by name", sql, err)
 		}
 	}
 }

@@ -2,8 +2,8 @@ package fedsql
 
 import (
 	"context"
+	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/metadata"
 	"repro/internal/record"
@@ -34,7 +34,9 @@ type RowIterator interface {
 	// Columns is the column order of every batch.
 	Columns() []string
 	// Next returns the next batch, or io.EOF at end of stream. The batch is
-	// valid only until the following Next or Close call.
+	// valid only until the following Next or Close call. A column keeps one
+	// type from batch to batch; only an untyped, all-NULL vector may stand
+	// in for it (record.Vector).
 	Next(ctx context.Context) (*Batch, error)
 	// Stats reports what the scan did; complete after io.EOF or Close. An
 	// early-closed iterator reports only the work actually done.
@@ -43,9 +45,10 @@ type RowIterator interface {
 	Close() error
 }
 
-// StreamingConnector is Connector v3, the surface the engine executes
-// through: backends hand their results over as batch iterators. A connector
-// that implements only Connector is adapted by openScan/openAggregateScan.
+// StreamingConnector is Connector v3, the one surface the engine executes
+// through: backends hand their results over as batch iterators. A catalog
+// registered without it is refused when a query scans it; nothing adapts
+// Connector's slice-returning Scan/AggregateScan.
 type StreamingConnector interface {
 	Connector
 	// OpenScan starts the row-scan fragment as a batch stream.
@@ -54,52 +57,6 @@ type StreamingConnector interface {
 	// finalized per-group rows; backends that cannot aggregate return
 	// ErrPushdownUnsupported and the engine aggregates an OpenScan itself.
 	OpenAggregateScan(ctx context.Context, table string, aq AggregateQuery) (RowIterator, error)
-}
-
-// openScan opens a row scan on the connector's v3 surface, or adapts a
-// v2-only connector's Scan result to the in-memory source (EXPLAIN's
-// exec=materialized).
-func openScan(ctx context.Context, conn Connector, table string, pd Pushdown) (RowIterator, error) {
-	if sc, ok := conn.(StreamingConnector); ok {
-		return sc.OpenScan(ctx, table, pd)
-	}
-	return recordsIterator(conn.Scan(ctx, table, pd))
-}
-
-// openAggregateScan is openScan's aggregate-query counterpart.
-func openAggregateScan(ctx context.Context, conn Connector, table string, aq AggregateQuery) (RowIterator, error) {
-	if sc, ok := conn.(StreamingConnector); ok {
-		return sc.OpenAggregateScan(ctx, table, aq)
-	}
-	return recordsIterator(conn.AggregateScan(ctx, table, aq))
-}
-
-// recordsIterator turns a v2 connector's slice result (or passes on its
-// error) into rows, once, under the sorted union of the records' keys — a
-// column no row has a value for is absent, and binds as NULL.
-func recordsIterator(recs []record.Record, stats QueryStats, err error) (RowIterator, error) {
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var cols []string
-	for _, r := range recs {
-		for k := range r {
-			if !seen[k] {
-				seen[k] = true
-				cols = append(cols, k)
-			}
-		}
-	}
-	sort.Strings(cols)
-	rows := make([][]any, len(recs))
-	for i, r := range recs {
-		rows[i] = make([]any, len(cols))
-		for ci, c := range cols {
-			rows[i][ci] = r[c]
-		}
-	}
-	return newRowsIterator(cols, rows, stats), nil
 }
 
 // drainRecords consumes a just-opened iterator (or passes on the error that
@@ -143,33 +100,31 @@ func drainRecords(ctx context.Context, it RowIterator, err error) ([]record.Reco
 }
 
 // newRowsIterator serves rows that already exist — a pushed-down aggregate's
-// response, a v2 connector's slice — through the in-memory source, reading
-// them only (a cached broker response shares its rows between callers). Each
-// column is typed once, here: a column whose non-NULL cells share one Go type
-// becomes that type's vector, any other stays boxed (record.Vector).
-func newRowsIterator(cols []string, rows [][]any, stats QueryStats) RowIterator {
+// response — through the in-memory source, reading them only (a cached
+// broker response shares its rows between callers). Each column is typed
+// once, here, by its first non-NULL cell; a column of NULLs alone is untyped
+// (record.Vector), and a cell of another type is an error.
+func newRowsIterator(cols []string, rows [][]any, stats QueryStats) (RowIterator, error) {
 	data := Batch{Columns: cols, Cols: make([]record.Vector, len(cols)), Len: len(rows)}
 	for ci := range cols {
-		t, typed := metadata.TypeInvalid, true
+		t := metadata.TypeInvalid
 		for _, row := range rows {
-			switch vt := record.TypeOf(row[ci]); {
-			case row[ci] == nil:
-			case vt == metadata.TypeInvalid || t != metadata.TypeInvalid && vt != t:
-				typed = false
-			default:
-				t = vt
+			if row[ci] != nil {
+				t = record.TypeOf(row[ci])
+				break
 			}
 		}
 		v := &data.Cols[ci]
-		if typed {
-			v.Reset(t)
-		}
+		v.Reset(t)
 		v.Grow(len(rows))
 		for _, row := range rows {
+			if x := row[ci]; x != nil && (t == metadata.TypeInvalid || record.TypeOf(x) != t) {
+				return nil, fmt.Errorf("fedsql: column %q holds a %T, not a %s cell", cols[ci], x, t)
+			}
 			v.Append(row[ci])
 		}
 	}
-	return newBatchIterator(data, stats)
+	return newBatchIterator(data, stats), nil
 }
 
 // batchIterator is the one in-memory source: it serves a batch that is whole

@@ -43,9 +43,8 @@ func rowsKey(res *Result) string {
 }
 
 // TestPushdownEquivalenceMatrix: every aggregate/group-by/limit query must
-// answer as the reference does via aggregate pushdown, via the row-scan
-// fallback path (DisablePushdown) and through the v2 adapter. Run under
-// -race in CI.
+// answer as the reference does via aggregate pushdown and via the row-scan
+// fallback path (DisablePushdown). Run under -race in CI.
 func TestPushdownEquivalenceMatrix(t *testing.T) {
 	e, pinot := setupEngine(t, 300)
 	db := setupRefDB(300)
@@ -53,11 +52,10 @@ func TestPushdownEquivalenceMatrix(t *testing.T) {
 		t.Run(sql, func(t *testing.T) {
 			for _, path := range []struct {
 				name            string
-				e               *Engine
 				disablePushdown bool
-			}{{"pushdown", e, false}, {"fallback", e, true}, {"v2 adapter", v2Engine(e), false}} {
+			}{{"pushdown", false}, {"fallback", true}} {
 				pinot.DisablePushdown = path.disablePushdown
-				res, err := path.e.Query(sql)
+				res, err := e.Query(sql)
 				pinot.DisablePushdown = false
 				if err != nil {
 					t.Fatalf("%s: %v", path.name, err)
@@ -95,12 +93,11 @@ func TestPushdownEquivalenceMatrix(t *testing.T) {
 		var first, firstPath string
 		for _, path := range []struct {
 			name, catalog   string
-			e               *Engine
 			disablePushdown bool
-		}{{"pushdown", "pinot", e, false}, {"fallback", "pinot", e, true}, {"v2 adapter", "pinot", v2Engine(e), false}, {"hive", "hive", e, false}} {
+		}{{"pushdown", "pinot", false}, {"fallback", "pinot", true}, {"hive", "hive", false}} {
 			sql := fmt.Sprintf(tmpl, path.catalog)
 			pinot.DisablePushdown = path.disablePushdown
-			res, err := path.e.Query(sql)
+			res, err := e.Query(sql)
 			pinot.DisablePushdown = false
 			if err != nil {
 				t.Fatalf("%s: %s: %v", path.name, sql, err)

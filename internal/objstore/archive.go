@@ -233,9 +233,10 @@ func (a *ArchiveReader) ReadColumns(key string, names []string, cols []record.Ve
 // EncodeColumnar serializes a part column-major from its columns — cols[c]
 // holds schema field c, typed by it, the form DecodeColumns fills — with
 // per-column dictionary encoding for strings and varint packing for longs:
-// the compact long-term format standing in for Parquet. The presence of
-// each value is tracked in a per-column bitmap so nullable columns
-// round-trip.
+// the compact long-term format standing in for Parquet. Each stored column
+// is its name, its type (one byte), then a presence bitmap so nullable
+// columns round-trip, then its values. The stored type lets a part written
+// before a long → double widening decode under the widened schema.
 func EncodeColumnar(schema *metadata.Schema, cols []record.Vector) ([]byte, error) {
 	if len(cols) != len(schema.Fields) {
 		return nil, fmt.Errorf("objstore: %d columns for %d schema fields", len(cols), len(schema.Fields))
@@ -248,12 +249,13 @@ func EncodeColumnar(schema *metadata.Schema, cols []record.Vector) ([]byte, erro
 	buf = binary.AppendUvarint(buf, uint64(len(schema.Fields)))
 	var col []byte
 	for c, f := range schema.Fields {
-		if cols[c].Type != f.Type || cols[c].Boxed() || cols[c].Len() != rows {
+		if cols[c].Type != f.Type || cols[c].Len() != rows {
 			return nil, fmt.Errorf("objstore: column %q holds %d rows of %s, want %d of %s", f.Name, cols[c].Len(), cols[c].Type, rows, f.Type)
 		}
 		col = encodeColumn(col[:0], &cols[c], rows)
 		buf = binary.AppendUvarint(buf, uint64(len(f.Name)))
 		buf = append(buf, f.Name...)
+		buf = append(buf, byte(f.Type))
 		buf = binary.AppendUvarint(buf, uint64(len(col)))
 		buf = append(buf, col...)
 	}
@@ -339,7 +341,9 @@ func cutPrefixed(data []byte) (field, rest []byte, ok bool) {
 // without parsing a value. A dictionary string is one string per dictionary
 // entry, shared by its rows; bytes values are copies, never views of data. A
 // schema column an older part lacks reads as NULL in every row, and so does a
-// name the schema lacks, as a boxed column of nils (record.Vector).
+// name the schema lacks, as an untyped column (record.Vector). A long column
+// stored before its field widened to double decodes as doubles; any other
+// stored type that is not the field's is an error naming both.
 func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols []record.Vector) (int, error) {
 	nRows, n := binary.Uvarint(data)
 	if n <= 0 {
@@ -359,15 +363,16 @@ func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols []
 	}
 	rows := int(nRows)
 	for c, name := range names {
-		f, _ := schema.Field(name) // TypeInvalid, a boxed column, when absent
+		f, _ := schema.Field(name) // TypeInvalid, an untyped column, when absent
 		cols[c].Reset(f.Type)
 	}
 	for c := uint64(0); c < nCols; c++ {
 		name, rest, ok := cutPrefixed(data)
-		if !ok {
+		if !ok || len(rest) == 0 {
 			return 0, fmt.Errorf("objstore: corrupt column name")
 		}
-		col, rest, ok := cutPrefixed(rest)
+		stored := metadata.FieldType(rest[0])
+		col, rest, ok := cutPrefixed(rest[1:])
 		if !ok {
 			return 0, fmt.Errorf("objstore: corrupt column %q", name)
 		}
@@ -380,9 +385,7 @@ func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols []
 			if !ok {
 				continue // column dropped from schema; stays NULL
 			}
-			cols[i].Reset(f.Type)
-			cols[i].Grow(rows)
-			if err := decodeColumn(f, col, rows, &cols[i]); err != nil {
+			if err := decodeColumn(f, stored, col, rows, &cols[i]); err != nil {
 				return 0, err
 			}
 		}
@@ -398,16 +401,23 @@ func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols []
 // present reports row i's bit of a column's presence bitmap.
 func present(bitmap []byte, i int) bool { return bitmap[i/8]&(1<<(i%8)) != 0 }
 
-// decodeColumn appends one stored column's rows to out, a vector of the
-// field's type; rows the presence bitmap marks absent are NULL.
-func decodeColumn(f metadata.Field, col []byte, rows int, out *record.Vector) error {
+// decodeColumn decodes one column stored as type stored into out as field
+// f; rows the presence bitmap marks absent are NULL. Stored longs widen to a
+// double field's doubles once decoded.
+func decodeColumn(f metadata.Field, stored metadata.FieldType, col []byte, rows int, out *record.Vector) error {
+	widen := stored == metadata.TypeLong && f.Type == metadata.TypeDouble
+	if stored != f.Type && !widen {
+		return fmt.Errorf("objstore: column %q is stored as %s, not %s", f.Name, stored, f.Type)
+	}
 	bitmapLen := (rows + 7) / 8
 	if len(col) < bitmapLen {
 		return fmt.Errorf("objstore: corrupt bitmap for column %q", f.Name)
 	}
 	bitmap := col[:bitmapLen]
 	col = col[bitmapLen:]
-	switch f.Type {
+	out.Reset(stored)
+	out.Grow(rows)
+	switch stored {
 	case metadata.TypeLong, metadata.TypeTimestamp:
 		for i := 0; i < rows; i++ {
 			if !present(bitmap, i) {
@@ -496,6 +506,14 @@ func decodeColumn(f metadata.Field, col []byte, rows int, out *record.Vector) er
 			out.Bytes = append(out.Bytes, append([]byte{}, b...))
 			col = rest
 		}
+	}
+	if widen {
+		out.Type = metadata.TypeDouble
+		out.Floats = slices.Grow(out.Floats, rows)
+		for _, x := range out.Ints {
+			out.Floats = append(out.Floats, float64(x))
+		}
+		out.Ints = out.Ints[:0]
 	}
 	return nil
 }

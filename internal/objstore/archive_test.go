@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -220,9 +221,12 @@ func TestRawLogAndCompactor(t *testing.T) {
 }
 
 // compactedPart is the part compacted from compactedRows' two raw batches,
-// as written before compaction decoded payloads into typed columns instead
-// of records: the format is the same byte for byte.
-const compactedPart = "\x06\a\x02id\a?\x00\x02\x04\x06\b\n\x04city\x13?\x04\x00\x02la\x03nyc\x02sf\x03\x02\x01\x00\x03\x02\x06amount1?\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\xf0\x7f\x00\x00\x00\x00\x00\x00\x12@\x00\x00\x00\x00\x00\x00\x18@\x00\x00\x00\x00\x00\x00\x1e@\x04rush\a?\x01\x00\x00\x01\x00\x00\apayload\x05\x11\x02\x00\x01\x00\x02ts%?\x80\xa0\xab\xfe\xf9b\u042f\xab\xfe\xf9b\xa0\xbf\xab\xfe\xf9b\xf0\u03ab\xfe\xf9b\xc0\u07ab\xfe\xf9b\x90\xee\xab\xfe\xf9b\x04note\x1a\x15\x03\x06note-0\x06note-2\x06note-4\x00\x01\x02"
+// as written when compaction still decoded payloads into records, with one
+// byte added after each column's name: its stored type (metadata.FieldType),
+// which lets a part outlive a long → double widening of its schema. The
+// format changed without a reader of the old one because no part outlives
+// the process: the archive is the in-process MemStore.
+const compactedPart = "\x06\a\x02id\x01\a?\x00\x02\x04\x06\b\n\x04city\x03\x13?\x04\x00\x02la\x03nyc\x02sf\x03\x02\x01\x00\x03\x02\x06amount\x021?\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x80\x00\x00\x00\x00\x00\x00\xf0\x7f\x00\x00\x00\x00\x00\x00\x12@\x00\x00\x00\x00\x00\x00\x18@\x00\x00\x00\x00\x00\x00\x1e@\x04rush\x04\a?\x01\x00\x00\x01\x00\x00\apayload\x05\x05\x11\x02\x00\x01\x00\x02ts\x06%?\x80\xa0\xab\xfe\xf9b\u042f\xab\xfe\xf9b\xa0\xbf\xab\xfe\xf9b\xf0\u03ab\xfe\xf9b\xc0\u07ab\xfe\xf9b\x90\xee\xab\xfe\xf9b\x04note\x03\x1a\x15\x03\x06note-0\x06note-2\x06note-4\x00\x01\x02"
 
 // compactedRows are six orders with every type, NULLs, -0, +Inf, an empty
 // string and an empty blob.
@@ -322,6 +326,57 @@ func TestColumnarCorruptData(t *testing.T) {
 	}
 }
 
+// widenedAmount is archiveSchema before its amount widened from long to
+// double (metadata.CheckBackwardCompatible allows it), and rows of it whose
+// amounts are nanosecond-sized longs, one of them NULL.
+func widenedAmount() (*metadata.Schema, []record.Record) {
+	before := archiveSchema()
+	before.Fields[2].Type = metadata.TypeLong
+	before.Fields[2].Nullable = true
+	rows := orderRows(4)
+	for i, r := range rows {
+		r["amount"] = int64(1_700_000_000_000_000_000) + int64(i)*1_000_003
+	}
+	delete(rows[2], "amount")
+	return before, rows
+}
+
+// TestWidenedColumnDecodesAsDouble: a part written while amount was a long
+// reads, under the schema that widened it to double, as the doubles those
+// longs are — not as their bits, and not as an error; a stored type that
+// is neither the field's nor a long under a double is an error naming both.
+func TestWidenedColumnDecodesAsDouble(t *testing.T) {
+	before, rows := widenedAmount()
+	data := encodeRows(t, before, rows)
+	after := archiveSchema()
+	after.Fields[2].Nullable = true
+	if err := metadata.CheckBackwardCompatible(before, after); err != nil {
+		t.Fatal(err)
+	}
+	n, cols, err := decodeAll(after, data)
+	if err != nil || n != len(rows) {
+		t.Fatalf("decode under the widened schema = %d, %v", n, err)
+	}
+	if cols[2].Type != metadata.TypeDouble {
+		t.Fatalf("amount decoded as %s, want double", cols[2].Type)
+	}
+	for i, r := range rows {
+		var want any
+		if x, ok := r["amount"].(int64); ok {
+			want = float64(x)
+		}
+		if got := cols[2].Box(i); got != want {
+			t.Errorf("row %d amount = %#v, want %#v", i, got, want)
+		}
+	}
+
+	narrowed := archiveSchema()
+	narrowed.Fields[2].Type = metadata.TypeString
+	if _, _, err := decodeAll(narrowed, data); err == nil || !strings.Contains(err.Error(), "stored as long, not string") {
+		t.Errorf("a long read as a string: %v, want an error naming both types", err)
+	}
+}
+
 func TestColumnarProperty(t *testing.T) {
 	// Property: longs survive columnar round-trip in order.
 	s := &metadata.Schema{
@@ -343,7 +398,7 @@ func TestColumnarProperty(t *testing.T) {
 }
 
 // corruptPart assembles a part header by hand: nRows, nCols, then one column
-// entry per (name length, name, column bytes) the caller appends.
+// entry per (name length, name, type byte, column bytes) the caller appends.
 func corruptPart(nRows, nCols uint64) []byte {
 	return binary.AppendUvarint(binary.AppendUvarint(nil, nRows), nCols)
 }
@@ -358,10 +413,12 @@ func TestCorruptPartIsAnError(t *testing.T) {
 	s := archiveSchema()
 	hugeName := binary.AppendUvarint(corruptPart(1, 1), 1<<63+15)
 	hugeDict := append(binary.AppendUvarint(corruptPart(1, 1), 4), "city"...)
+	hugeDict = append(hugeDict, byte(metadata.TypeString))
 	dictCol := binary.AppendUvarint([]byte{1}, 1<<62) // bitmap, then the dictionary size
 	hugeDict = append(binary.AppendUvarint(hugeDict, uint64(len(dictCol))), dictCol...)
 	hugeRows := append(binary.AppendUvarint(corruptPart(1<<33, 1), 2), "id"...)
 	hugeCol := append(binary.AppendUvarint(corruptPart(1, 1), 2), "id"...)
+	hugeCol = append(hugeCol, byte(metadata.TypeLong))
 	hugeCol = binary.AppendUvarint(hugeCol, 1<<63+1)
 	for name, data := range map[string][]byte{
 		"column-name length 2^63+15": hugeName,

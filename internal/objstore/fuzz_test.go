@@ -50,6 +50,9 @@ func FuzzDecodeColumnar(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
+	// A part written before amount widened from long to double.
+	before, widened := widenedAmount()
+	f.Add(encodeRows(f, before, widened))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, cols, err := decodeAll(s, data)
 		if err != nil {

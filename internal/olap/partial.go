@@ -166,9 +166,10 @@ func (p *Partial) keep(rows []int32) *Partial {
 
 // size approximates an aggregate partial's resident footprint for the
 // cache's byte accounting: its key vectors (Vector.Size), its states, the
-// DISTINCTCOUNT sets' members, and the index and arena.
+// DISTINCTCOUNT sets' members, and the index and arena once built — a
+// segment's partial enters the cache unindexed.
 func (p *Partial) size() int64 {
-	n := int64(128 + p.index.ArenaBytes() + 48*p.n + int(unsafe.Sizeof(aggState{}))*len(p.accs))
+	n := int64(128 + p.index.ArenaBytes() + 48*p.index.Len() + int(unsafe.Sizeof(aggState{}))*len(p.accs))
 	for c := range p.keys {
 		n += p.keys[c].Size()
 	}

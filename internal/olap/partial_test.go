@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/record"
 )
@@ -217,5 +218,42 @@ func TestSegmentPartialsLeaveUnindexed(t *testing.T) {
 	}
 	if top := floatClassed(exact.Rows)[0]; top[0] != big || top[1] != int64(80) {
 		t.Errorf("TrimExact's top group %v, want 2^53 with 80 rows", exact.Rows[0])
+	}
+}
+
+// TestPartialSizeChargesABuiltIndexOnly: a segment's partial enters the
+// cache unindexed, so its size charges its keys and states and no index;
+// once a Merge into it builds the index, the index is charged too.
+func TestPartialSizeChargesABuiltIndexOnly(t *testing.T) {
+	rows := make([]record.Record, 50)
+	for i := range rows {
+		rows[i] = record.Record{"order_id": fmt.Sprintf("o-%d", i), "city": fmt.Sprintf("c%d", i%10), "status": "placed",
+			"amount": float64(i), "items": int64(i), "ts": int64(1_700_000_000_000 + i)}
+	}
+	q := &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggCount, As: "n"}, {Kind: AggSum, Column: "amount", As: "total"}}}
+	seg, err := BuildSegment("s", ordersSchema(), rows, IndexConfig{}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := seg.executePartialTrim(q, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.n != 10 || p.index.Len() != 0 {
+		t.Fatalf("segment partial: %d groups, %d indexed; want 10, none", p.n, p.index.Len())
+	}
+	unindexed := int64(128 + int(unsafe.Sizeof(aggState{}))*len(p.accs))
+	for c := range p.keys {
+		unindexed += p.keys[c].Size()
+	}
+	if got := p.size(); got != unindexed {
+		t.Errorf("unindexed size = %d, want %d: keys and states, no index", got, unindexed)
+	}
+	p.Merge(newPartial(q))
+	if p.index.Len() != p.n {
+		t.Fatalf("after a Merge: %d of %d groups indexed", p.index.Len(), p.n)
+	}
+	if got := p.size(); got < unindexed+48*int64(p.n) {
+		t.Errorf("indexed size = %d, want at least %d: the index is charged", got, unindexed+48*int64(p.n))
 	}
 }

@@ -1,6 +1,7 @@
 package record
 
 import (
+	"fmt"
 	"slices"
 	"unsafe"
 
@@ -62,14 +63,14 @@ func (b *Batch) Size() int64 {
 	return n
 }
 
-// Vector is one typed column of a Batch. Type says which slice holds the
-// values: Ints for long, timestamp and bool (0 or 1), Floats for double,
-// Strs for string, Bytes for bytes; row r's value is that slice's element r.
-// Null[r] reports row r NULL — its element is then the zero value — and rows
-// past the end of Null are not NULL, so a column without NULLs leaves it
-// empty. A column whose values do not share one Go type (an in-memory source
-// of heterogeneous rows) has Type TypeInvalid and keeps its cells boxed in
-// Any, nil for NULL; every reader reaches such a column through Box.
+// Vector is one column of a Batch. Type says which slice holds the values:
+// Ints for long, timestamp and bool (0 or 1), Floats for double, Strs for
+// string, Bytes for bytes; row r's value is that slice's element r. Null[r]
+// reports row r NULL — its element is then the zero value — and rows past
+// the end of Null are not NULL, so a column without NULLs leaves it empty.
+// A column with no type (TypeInvalid) is untyped: every row is NULL, and it
+// holds Null alone, one true per row — a name no source has. It takes the
+// type of the first typed rows AppendRows or Append adds to it.
 type Vector struct {
 	Type   metadata.FieldType
 	Ints   []int64
@@ -77,21 +78,20 @@ type Vector struct {
 	Strs   []string
 	Bytes  [][]byte
 	Null   []bool
-	Any    []any
 }
 
 // Reset empties the vector as a column of type t, keeping its backing
-// arrays; TypeInvalid makes it a boxed column.
+// arrays; TypeInvalid makes it untyped.
 func (v *Vector) Reset(t metadata.FieldType) {
 	*v = Vector{Type: t, Ints: v.Ints[:0], Floats: v.Floats[:0], Strs: v.Strs[:0],
-		Bytes: v.Bytes[:0], Null: v.Null[:0], Any: v.Any[:0]}
+		Bytes: v.Bytes[:0], Null: v.Null[:0]}
 }
 
 // Grow makes room for n more rows without reallocating.
 func (v *Vector) Grow(n int) {
 	switch v.Type {
 	case metadata.TypeInvalid:
-		v.Any = slices.Grow(v.Any, n)
+		v.Null = slices.Grow(v.Null, n)
 	case metadata.TypeDouble:
 		v.Floats = slices.Grow(v.Floats, n)
 	case metadata.TypeString:
@@ -103,14 +103,11 @@ func (v *Vector) Grow(n int) {
 	}
 }
 
-// Boxed reports a column whose cells are kept in Any.
-func (v *Vector) Boxed() bool { return v.Type == metadata.TypeInvalid }
-
 // Len is the number of rows the vector holds.
 func (v *Vector) Len() int {
 	switch v.Type {
 	case metadata.TypeInvalid:
-		return len(v.Any)
+		return len(v.Null)
 	case metadata.TypeDouble:
 		return len(v.Floats)
 	case metadata.TypeString:
@@ -122,12 +119,7 @@ func (v *Vector) Len() int {
 }
 
 // IsNull reports row r NULL.
-func (v *Vector) IsNull(r int) bool {
-	if v.Type == metadata.TypeInvalid {
-		return v.Any[r] == nil
-	}
-	return r < len(v.Null) && v.Null[r]
-}
+func (v *Vector) IsNull(r int) bool { return r < len(v.Null) && v.Null[r] }
 
 // SetNull marks row r NULL; its value slot must hold the zero value.
 func (v *Vector) SetNull(r int) {
@@ -141,10 +133,7 @@ func (v *Vector) SetNull(r int) {
 // float64, a string, a bool or a []byte by the column's type. A []byte is the
 // vector's own slice, not a copy.
 func (v *Vector) Box(r int) any {
-	switch {
-	case v.Type == metadata.TypeInvalid:
-		return v.Any[r]
-	case r < len(v.Null) && v.Null[r]:
+	if v.IsNull(r) {
 		return nil
 	}
 	switch v.Type {
@@ -160,10 +149,10 @@ func (v *Vector) Box(r int) any {
 	return v.Ints[r]
 }
 
-// Value returns row r of a typed column as a cell of its type; a string's B
-// aliases the string's bytes, which must not be written.
+// Value returns row r as a cell of the column's type; a string's B aliases
+// the string's bytes, which must not be written.
 func (v *Vector) Value(r int) Value {
-	if r < len(v.Null) && v.Null[r] {
+	if v.IsNull(r) {
 		return Value{Null: true}
 	}
 	switch v.Type {
@@ -179,19 +168,26 @@ func (v *Vector) Value(r int) Value {
 
 // Size is the vector's resident size: 8 bytes per number, a 16-byte header
 // per string (its bytes are shared with the dictionary or part it was read
-// from), a 24-byte header per blob, 16 bytes per boxed cell and one per NULL
-// flag. It reads lengths only, never a cell.
+// from), a 24-byte header per blob and one per NULL flag. It reads lengths
+// only, never a cell.
 func (v *Vector) Size() int64 {
-	return int64(8*(len(v.Ints)+len(v.Floats)) + 16*(len(v.Strs)+len(v.Any)) + 24*len(v.Bytes) + len(v.Null))
+	return int64(8*(len(v.Ints)+len(v.Floats)) + 16*len(v.Strs) + 24*len(v.Bytes) + len(v.Null))
 }
 
 // AppendNulls appends n NULL rows.
 func (v *Vector) AppendNulls(n int) {
 	at := v.Len()
+	v.extend(n)
+	for r := at; r < at+n; r++ {
+		v.SetNull(r)
+	}
+}
+
+// extend appends n zero values to the slice the vector's type holds its
+// values in; an untyped vector has none.
+func (v *Vector) extend(n int) {
 	switch v.Type {
 	case metadata.TypeInvalid:
-		v.Any = grow(v.Any, n)
-		return
 	case metadata.TypeDouble:
 		v.Floats = grow(v.Floats, n)
 	case metadata.TypeString:
@@ -200,9 +196,6 @@ func (v *Vector) AppendNulls(n int) {
 		v.Bytes = grow(v.Bytes, n)
 	default:
 		v.Ints = grow(v.Ints, n)
-	}
-	for r := at; r < at+n; r++ {
-		v.SetNull(r)
 	}
 }
 
@@ -213,16 +206,32 @@ func grow[T any](s []T, n int) []T {
 	return s
 }
 
-// Append appends one cell in the form Box returns: nil is NULL, and a typed
-// column takes values of its own type only.
+// take gives the vector type t for rows of that type about to be appended:
+// an untyped vector's NULL rows become NULL zero values of t, and an empty
+// vector is retyped. A typed vector takes rows of its own type only.
+func (v *Vector) take(t metadata.FieldType) {
+	switch n := v.Len(); {
+	case v.Type == t:
+	case v.Type == metadata.TypeInvalid || n == 0:
+		nulls := v.Null
+		v.Reset(t)
+		v.Null = nulls
+		v.extend(n)
+	default:
+		panic(fmt.Sprintf("record: %s rows appended to a %s vector", t, v.Type))
+	}
+}
+
+// Append appends one cell in the form Box returns: nil is NULL, an untyped
+// vector takes the type of the first value, and a typed column takes values
+// of its own type only.
 func (v *Vector) Append(x any) {
 	switch {
-	case v.Type == metadata.TypeInvalid:
-		v.Any = append(v.Any, x)
-		return
 	case x == nil:
 		v.AppendNulls(1)
 		return
+	case v.Type == metadata.TypeInvalid:
+		v.take(TypeOf(x))
 	}
 	switch v.Type {
 	case metadata.TypeDouble:
@@ -261,24 +270,17 @@ func TypeOf(x any) metadata.FieldType {
 	return metadata.TypeInvalid
 }
 
-// AppendRows appends rows of src, in order. An empty vector takes src's
-// type; a vector whose type differs from src's becomes boxed first, so rows
-// of any two columns append without loss. The type switch is outside the
-// row loop.
+// AppendRows appends rows of src, in order: an untyped src's as NULLs, typed
+// rows after an untyped or empty vector takes src's type (take). The type
+// switch is outside the row loop.
 func (v *Vector) AppendRows(src *Vector, rows []int32) {
-	n := v.Len()
-	if n == 0 && v.Type != src.Type {
-		v.Reset(src.Type)
-	}
-	if v.Type != src.Type {
-		v.box()
-	}
-	switch v.Type {
-	case metadata.TypeInvalid:
-		for _, r := range rows {
-			v.Any = append(v.Any, src.Box(int(r)))
-		}
+	if src.Type == metadata.TypeInvalid {
+		v.AppendNulls(len(rows))
 		return
+	}
+	v.take(src.Type)
+	n := v.Len()
+	switch v.Type {
 	case metadata.TypeDouble:
 		v.Floats = gather(v.Floats, src.Floats, rows)
 	case metadata.TypeString:
@@ -305,22 +307,10 @@ func gather[T any](dst, src []T, rows []int32) []T {
 	return dst
 }
 
-// box turns a typed column into a boxed one holding the same cells.
-func (v *Vector) box() {
-	n := v.Len()
-	cells := make([]any, n)
-	for r := range cells {
-		cells[r] = v.Box(r)
-	}
-	v.Reset(metadata.TypeInvalid)
-	v.Any = cells
-}
-
 // Slice keeps rows [from, to) only.
 func (v *Vector) Slice(from, to int) {
 	switch v.Type {
-	case metadata.TypeInvalid:
-		v.Any = v.Any[from:to]
+	case metadata.TypeInvalid: // Null alone
 	case metadata.TypeDouble:
 		v.Floats = v.Floats[from:to]
 	case metadata.TypeString:

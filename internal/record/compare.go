@@ -8,11 +8,11 @@ import (
 )
 
 // This file is the one shared value-comparison helper for the whole stack.
-// The OLAP result sorter, predicate evaluation in both SQL engines
-// (sqlparse.Predicate.Matches) and the federated engine's ORDER BY all need
-// the same dynamic-value ordering; keeping a single implementation here
-// guarantees a pushed-down query and its engine-side fallback order rows
-// identically.
+// The OLAP result sorter, the reference predicate evaluator
+// (sqlparse.Predicate.Matches, which the compiled filter both SQL engines
+// run is held to) and the federated engine's ORDER BY all need the same
+// dynamic-value ordering; keeping a single implementation here guarantees a
+// pushed-down query and its engine-side fallback order rows identically.
 
 // ToFloat64 reports v as a float64 when it is one of the canonical numeric
 // representations a Record may hold: float64, int64, int, or bool (true=1).
@@ -71,10 +71,10 @@ func Compare(a, b any) int {
 	return strings.Compare(fmt.Sprintf("%v", a), fmt.Sprintf("%v", b))
 }
 
-// Compare is Compare of rows a and b of the vector, read typed where the
-// column is: numbers as float64, strings as strings.
+// Compare is Compare of rows a and b of the vector, read typed: numbers as
+// float64, strings as strings; NULL and blobs go through Box.
 func (v *Vector) Compare(a, b int) int {
-	if v.Boxed() || v.Type == metadata.TypeBytes || v.IsNull(a) || v.IsNull(b) {
+	if v.Type == metadata.TypeBytes || v.IsNull(a) || v.IsNull(b) {
 		return Compare(v.Box(a), v.Box(b))
 	}
 	switch v.Type {

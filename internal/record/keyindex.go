@@ -168,8 +168,8 @@ func AppendCellKey(key []byte, num bool, bits uint64, text string, ok bool) []by
 }
 
 // Key classifies row r as KeyIndex groups it: a number and its CanonBits,
-// or a text — a string as the vector holds it, any other non-number its %v
-// form. ok is false for NULL.
+// or a text — a string as the vector holds it, a blob its %v form. ok is
+// false for NULL.
 func (v *Vector) Key(r int) (num bool, bits uint64, text string, ok bool) {
 	switch {
 	case v.IsNull(r):
@@ -178,18 +178,10 @@ func (v *Vector) Key(r int) (num bool, bits uint64, text string, ok bool) {
 		return false, 0, v.Strs[r], true
 	case v.Type == metadata.TypeDouble:
 		return true, CanonBits(v.Floats[r]), "", true
-	case v.Type != metadata.TypeInvalid && v.Type != metadata.TypeBytes:
-		return true, CanonBits(float64(v.Ints[r])), "", true
+	case v.Type == metadata.TypeBytes:
+		return false, 0, fmt.Sprintf("%v", v.Box(r)), true
 	}
-	x := v.Box(r)
-	if f, isNum := ToFloat64(x); isNum {
-		return true, CanonBits(f), "", true
-	}
-	s, isStr := x.(string)
-	if !isStr {
-		s = fmt.Sprintf("%v", x)
-	}
-	return false, 0, s, true
+	return true, CanonBits(float64(v.Ints[r])), "", true
 }
 
 // CanonBits is a number's key: its float64 bits, with every NaN as one and

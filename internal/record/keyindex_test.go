@@ -29,14 +29,25 @@ func oneValue(a, b any) bool {
 	return fmt.Sprint(a) == fmt.Sprint(b)
 }
 
-// cellVectors holds x as a one-row boxed vector and, where a vector type
-// holds it, a typed one.
+// cellVectors holds x as one row of a vector two ways: alone, and as the
+// row that follows an untyped NULL run, sliced off it. NULL is held
+// untyped, and as a typed column's NULL.
 func cellVectors(x any) []Vector {
-	boxed := Vector{Any: []any{x}}
-	typed := Vector{Type: TypeOf(x)}
-	typed.Append(x)
-	return []Vector{boxed, typed}
+	var alone, after Vector
+	alone.Append(x)
+	after.AppendNulls(1)
+	if x == nil {
+		after.Reset(metadata.TypeLong)
+		after.AppendNulls(1)
+		return []Vector{alone, after}
+	}
+	after.AppendRows(&alone, []int32{0})
+	after.Slice(1, 2)
+	return []Vector{alone, after}
 }
+
+// cell is x as a one-row vector.
+func cell(x any) Vector { return cellVectors(x)[0] }
 
 // cellKey is Vector.Key's classes of one cell, comparable.
 type cellKey struct {
@@ -64,14 +75,14 @@ func spelled(key []Vector) []byte {
 
 // TestKeyIndexKeepsTheCanonicalClasses: the group and join tables of every
 // engine look keys up in a KeyIndex, so two cells must find one key exactly
-// when they are one value by the class rule — whether a column holds the
-// cell boxed or typed, alone or in a tuple — and a string's bytes must not
-// let one tuple pass for another.
+// when they are one value by the class rule — whichever vector types hold
+// them, alone or in a tuple — and a string's bytes must not let one tuple
+// pass for another.
 func TestKeyIndexKeepsTheCanonicalClasses(t *testing.T) {
-	values := []any{nil, int64(3), float64(3), 3, true, int64(1), false, 0.0, math.Copysign(0, -1), math.NaN(), -math.NaN(),
+	values := []any{nil, int64(3), float64(3), true, int64(1), false, 0.0, math.Copysign(0, -1), math.NaN(), -math.NaN(),
 		math.Inf(1), math.Inf(-1), 1e300, int64(1) << 60, int64(1)<<53 + 1, float64(1 << 53), "3", "", "~", "n3|", "<nil>",
-		"a|b", `a"b`, []byte("3"), []string{"3"}}
-	tail := Vector{Any: []any{"tail"}}
+		"a|b", `a"b`, "[51]", []byte("3")}
+	tail := cell("tail")
 	for _, a := range values {
 		for _, b := range values {
 			same := oneValue(a, b)
@@ -98,8 +109,8 @@ func TestKeyIndexKeepsTheCanonicalClasses(t *testing.T) {
 	// Tuples: a string's bytes cannot pass for the next value's key.
 	for _, pair := range [][4]string{{"a\x02\x01b", "c", "a", "b\x02\x01c"}, {"a\x02b", "c", "a", "b\x02c"}} {
 		var x KeyIndex
-		x.Add([]Vector{{Any: []any{pair[0]}}, {Any: []any{pair[1]}}}, 0)
-		if _, found := x.Find([]Vector{{Any: []any{pair[2]}}, {Any: []any{pair[3]}}}, 0); found {
+		x.Add([]Vector{cell(pair[0]), cell(pair[1])}, 0)
+		if _, found := x.Find([]Vector{cell(pair[2]), cell(pair[3])}, 0); found {
 			t.Errorf("tuple keys %q alias", pair)
 		}
 	}
@@ -107,45 +118,31 @@ func TestKeyIndexKeepsTheCanonicalClasses(t *testing.T) {
 
 // TestVectorKeyKeepsTheClasses: Vector.Key puts two cells in one class and
 // one key exactly when they are one value — int64(3) is float64(3), -0 is
-// 0, every NaN is one, a string is never a number, NULL is apart — read
-// typed or boxed; and Vector.Compare orders them as Compare does.
+// 0, every NaN is one, a string is never a number, NULL is apart — whichever
+// vectors hold them; and Vector.Compare orders two cells of one column as
+// Compare does.
 func TestVectorKeyKeepsTheClasses(t *testing.T) {
-	cells := []any{nil, int64(3), 3.0, -0.0, 0.0, int64(0), math.NaN(), math.Inf(1), "3", "", true, int64(1), "a|b"}
-	vectors := func(x any) []*Vector {
-		typed := &Vector{}
-		typed.Reset(TypeOf(x))
-		if x == nil {
-			typed.Reset(metadata.TypeString)
-		}
-		typed.Append(x)
-		boxed := &Vector{}
-		boxed.Append(x)
-		return []*Vector{typed, boxed}
-	}
+	cells := []any{nil, int64(3), 3.0, -0.0, 0.0, int64(0), math.NaN(), math.Inf(1), "3", "", true, int64(1), "a|b", []byte("3")}
 	for _, a := range cells {
 		for _, b := range cells {
 			same := oneValue(a, b)
-			for _, va := range vectors(a) {
-				for _, vb := range vectors(b) {
-					if ka, kb := keyOf(va, 0), keyOf(vb, 0); (ka == kb) != same {
+			for _, va := range cellVectors(a) {
+				for _, vb := range cellVectors(b) {
+					if ka, kb := keyOf(&va, 0), keyOf(&vb, 0); (ka == kb) != same {
 						t.Errorf("Key(%#v) = %+v, Key(%#v) = %+v; one value %v", a, ka, b, kb, same)
 					}
 				}
 			}
 		}
 	}
-	// Vector.Compare is Compare, typed or boxed.
+	// Vector.Compare is Compare over the cells one column can hold: one
+	// type, NULLs beside it.
 	for _, a := range cells {
 		for _, b := range cells {
-			typ := TypeOf(a)
-			if typ == metadata.TypeInvalid {
-				typ = TypeOf(b)
+			if a != nil && b != nil && TypeOf(a) != TypeOf(b) {
+				continue
 			}
-			if tb := TypeOf(b); tb != typ && tb != metadata.TypeInvalid {
-				typ = metadata.TypeInvalid // mixed: a boxed column
-			}
-			v := &Vector{}
-			v.Reset(typ)
+			var v Vector
 			v.Append(a)
 			v.Append(b)
 			if got, want := v.Compare(0, 1), Compare(a, b); got != want {
@@ -161,12 +158,12 @@ func TestVectorKeyKeepsTheClasses(t *testing.T) {
 // TestKeyIndexNumbersKeysInOrder: keys are numbered in order of first sight,
 // a repeat finds its number, and Find never adds.
 func TestKeyIndexNumbersKeysInOrder(t *testing.T) {
-	col := Vector{Any: []any{"x", nil, int64(2), "x", 2.0, nil, "y"}}
-	for _, key := range [][]Vector{{col}, {col, col}, {}} {
+	col := column(metadata.TypeString, "x", nil, "2", "x", "2", nil, "y")
+	for _, key := range [][]Vector{{*col}, {*col, *col}, {}} {
 		var x KeyIndex
 		x.Reserve(key, 4)
 		var got []int
-		for r := range col.Any {
+		for r := range col.Len() {
 			k, _ := x.Add(key, r)
 			got = append(got, k)
 		}
@@ -179,19 +176,22 @@ func TestKeyIndexNumbersKeysInOrder(t *testing.T) {
 		}
 	}
 	var x KeyIndex
-	if k, ok := x.Find([]Vector{col}, 0); ok || k != -1 {
+	if k, ok := x.Find([]Vector{*col}, 0); ok || k != -1 {
 		t.Errorf("Find on an empty index: %d, %v", k, ok)
 	}
-	if k, ok := x.Add([]Vector{col}, 0); ok || k != 0 {
+	if k, ok := x.Add([]Vector{*col}, 0); ok || k != 0 {
 		t.Errorf("Add after a Find that missed: %d, %v, want key 0, new", k, ok)
 	}
 }
 
-// fuzzCell draws one cell: the values fuzzValue draws, a float64 from raw
-// bits (every NaN payload, -0, subnormals), and a long within a few of 2^53,
-// where longs start to share a double.
+// fuzzCell draws one cell a vector holds: the values fuzzValue draws (a Go
+// int as the int64 a vector holds it as), a float64 from raw bits (every NaN
+// payload, -0, subnormals), and a long within a few of 2^53, where longs
+// start to share a double.
 func fuzzCell(kind uint8, i int64, f float64, s string) any {
 	switch kind %= 9; kind {
+	case 3:
+		return i
 	case 7:
 		return math.Float64frombits(uint64(i))
 	case 8:
@@ -200,8 +200,8 @@ func fuzzCell(kind uint8, i int64, f float64, s string) any {
 	return fuzzValue(kind, i, f, s)
 }
 
-// FuzzKeyIndex: two rows of two cells each, every cell boxed or typed as
-// mode's bits pick, get one number from a KeyIndex exactly when they are one
+// FuzzKeyIndex: two rows of two cells each, every cell alone in its vector
+// or after an untyped NULL run as mode's bits pick, get one number from a KeyIndex exactly when they are one
 // value by the class rule (oneValue) — as a single column and as a tuple,
 // through Add and through AddKey with the tuple spelled by AppendCellKey —
 // and a reused scratch never changes a key once indexed.

@@ -124,10 +124,10 @@ type Predicate struct {
 
 // Matches evaluates the predicate against its column's value in a row, in
 // the shared record.Compare ordering (numeric coercion included). It is the
-// one evaluator outside the OLAP kernels — fedsql's residual filter and a
-// flinksql-compiled filter stage both call it — so a query filters the same
-// rows whichever engine runs it. NULL, or a column the row lacks, satisfies
-// no predicate.
+// reference Compiled.MatchesValue, which both SQL layers filter with, is
+// held to (compiled_test.go, FuzzPredicateValue), so a query filters the
+// same rows whichever engine runs it. NULL, or a column the row lacks,
+// satisfies no predicate.
 func (p Predicate) Matches(v any) bool {
 	if v == nil {
 		return false
