@@ -762,19 +762,21 @@ func E13(rows int) []Row {
 	store := objstore.NewMemStore()
 	schema := ordersSchema()
 	codec, _ := record.NewCodec(schema)
+	// The archive is compacted as it is written, one part per 5 000 rows,
+	// as an archiver compacts on a schedule: a backfill reads many parts.
 	w := objstore.NewRawLogWriter(store, "orders", codec)
+	compactor := objstore.NewCompactor(store, "orders", codec)
 	data := orderRows(rows)
 	for off := 0; off < len(data); off += 1000 {
-		end := off + 1000
-		if end > len(data) {
-			end = len(data)
-		}
+		end := min(off+1000, len(data))
 		if err := w.Append(data[off:end]); err != nil {
 			panic(err)
 		}
-	}
-	if _, err := objstore.NewCompactor(store, "orders", codec).Compact(); err != nil {
-		panic(err)
+		if end%5000 == 0 || end == len(data) {
+			if _, err := compactor.Compact(); err != nil {
+				panic(err)
+			}
+		}
 	}
 	stages := func() []flow.StageSpec {
 		return []flow.StageSpec{{Name: "agg", KeyBy: "city", New: func() flow.Operator {

@@ -16,7 +16,9 @@
 package backfill
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/flow"
@@ -67,13 +69,10 @@ type Result struct {
 // config changes on both streaming or batch data sources".
 func Run(jobName string, store objstore.Store, dataset string, schema *metadata.Schema, stages []flow.StageSpec, sink flow.Sink, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	rows, skipped, err := readArchive(store, dataset, schema, cfg)
+	src, err := newArchiveSource(store, dataset, schema, cfg)
 	if err != nil {
-		return Result{}, fmt.Errorf("backfill: reading archive %q: %w", dataset, err)
+		return Result{}, err
 	}
-	src := flow.NewBoundedSource(rows, schema.TimeField, cfg.Batch)
-	src.SetLateness(cfg.LatenessMs)
-	src.SetRate(cfg.RatePerSec)
 	job, err := flow.NewJob(flow.JobSpec{
 		Name:    jobName + "-backfill",
 		Sources: []flow.SourceSpec{{Name: dataset, Source: src}},
@@ -88,44 +87,113 @@ func Run(jobName string, store objstore.Store, dataset string, schema *metadata.
 		return Result{}, err
 	}
 	return Result{
-		RowsRead:    len(rows),
-		RowsSkipped: skipped,
+		RowsRead:    src.read,
+		RowsSkipped: src.skipped,
 		EventsOut:   job.Metrics().EventsOut,
 		Elapsed:     time.Since(start),
 	}, nil
 }
 
-// readArchive reads the archive's parts in order into the rows inside the
-// time boundary, cells under the archive's schema, and counts the rows
-// outside it; a NULL time is 0.
-func readArchive(store objstore.Store, dataset string, schema *metadata.Schema, cfg Config) (rows []record.Row, skipped int, err error) {
+// archiveSource replays the archive's parts in order as one bounded source.
+// It decodes a part only once the job has taken every row of the last, and
+// replays it through a flow.BoundedSource (throttle and lateness included),
+// so a backfill holds one part's rows, not the archive's. The watermark is
+// the highest any part's source reached.
+type archiveSource struct {
+	dataset string
+	reader  *objstore.ArchiveReader
+	parts   []string
+	schema  *metadata.Schema
+	names   []string
+	cols    []record.Vector
+	cfg     Config
+
+	mu            sync.Mutex
+	part          int                 // parts decoded
+	cur           *flow.BoundedSource // the last part decoded
+	floor         int64               // the watermark the parts before it reached
+	read, skipped int                 // rows of the parts decoded, inside and outside the boundary
+}
+
+func newArchiveSource(store objstore.Store, dataset string, schema *metadata.Schema, cfg Config) (*archiveSource, error) {
 	reader := objstore.NewArchiveReader(store, dataset, schema)
 	parts, err := reader.Parts()
 	if err != nil {
-		return nil, 0, err
+		return nil, fmt.Errorf("backfill: reading archive %q: %w", dataset, err)
 	}
 	names := schema.FieldNames()
-	nf, at := len(names), schema.FieldIndex(schema.TimeField)
-	cols := make([]record.Vector, nf)
-	for _, p := range parts {
-		n, err := reader.ReadColumns(p, names, cols)
-		if err != nil {
-			return nil, 0, err
+	return &archiveSource{dataset: dataset, reader: reader, parts: parts, schema: schema, names: names,
+		cols: make([]record.Vector, len(names)), cfg: cfg, floor: -cfg.LatenessMs}, nil
+}
+
+// decode makes the next part the current one: its rows inside the time
+// boundary, cells under the archive's schema, in one slab; a NULL time is 0.
+func (s *archiveSource) decode() error {
+	n, err := s.reader.ReadColumns(s.parts[s.part], s.names, s.cols)
+	if err != nil {
+		return fmt.Errorf("backfill: reading archive %q: %w", s.dataset, err)
+	}
+	nf, at := len(s.names), s.schema.FieldIndex(s.schema.TimeField)
+	// A skipped row's cells are the next row's.
+	cells := make([]record.Value, n*nf)
+	rows := make([]record.Row, 0, n)
+	for i := range n {
+		row := record.Row{Schema: s.schema, Vals: cells[:nf:nf]}
+		for c := range s.cols {
+			row.Vals[c] = s.cols[c].Value(i)
 		}
-		// One slab of cells per part; a skipped row's are the next row's.
-		cells := make([]record.Value, n*nf)
-		for i := range n {
-			row := record.Row{Schema: schema, Vals: cells[:nf:nf]}
-			for c := range cols {
-				row.Vals[c] = cols[c].Value(i)
-			}
-			if t := row.Long(at); cfg.StartMs != 0 && t < cfg.StartMs || cfg.EndMs != 0 && t >= cfg.EndMs {
-				skipped++
-				continue
-			}
-			rows = append(rows, row)
-			cells = cells[nf:]
+		if t := row.Long(at); s.cfg.StartMs != 0 && t < s.cfg.StartMs || s.cfg.EndMs != 0 && t >= s.cfg.EndMs {
+			s.skipped++
+			continue
+		}
+		rows = append(rows, row)
+		cells = cells[nf:]
+	}
+	if s.cur != nil {
+		s.floor = max(s.floor, s.cur.Watermark())
+	}
+	s.cur = flow.NewBoundedSource(rows, s.schema.TimeField, s.cfg.Batch)
+	s.cur.SetLateness(s.cfg.LatenessMs)
+	s.cur.SetRate(s.cfg.RatePerSec)
+	s.part++
+	s.read += len(rows)
+	return nil
+}
+
+// Next implements flow.Source: the current part's next batch, decoding the
+// next part with rows once it has none left; the batch that empties the
+// last part ends the source.
+func (s *archiveSource) Next(maxWait time.Duration) ([]flow.Event, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.cur == nil || s.cur.Lag() == 0 {
+		if s.part == len(s.parts) {
+			return nil, true, nil
+		}
+		if err := s.decode(); err != nil {
+			return nil, false, err
 		}
 	}
-	return rows, skipped, nil
+	events, _, err := s.cur.Next(maxWait)
+	return events, s.cur.Lag() == 0 && s.part == len(s.parts), err
 }
+
+// Watermark implements flow.Source.
+func (s *archiveSource) Watermark() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cur == nil {
+		return s.floor
+	}
+	return max(s.floor, s.cur.Watermark())
+}
+
+// errNoCheckpoint refuses a checkpoint: Run's job takes none — it runs to
+// its end or fails — so the source keeps no position to restore.
+var errNoCheckpoint = errors.New("backfill: a backfill job is not checkpointed")
+
+// Position implements flow.Source; see errNoCheckpoint.
+func (s *archiveSource) Position() ([]byte, error) { return nil, errNoCheckpoint }
+
+// Seek implements flow.Source; see errNoCheckpoint.
+func (s *archiveSource) Seek([]byte) error { return errNoCheckpoint }

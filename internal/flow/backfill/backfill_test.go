@@ -1,6 +1,7 @@
 package backfill
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -210,5 +211,67 @@ func TestBackfillRowsCarryArchiveSchema(t *testing.T) {
 	}
 	if res.RowsRead != 100 || res.RowsSkipped != 20 || sink.schemas[s] != 100 || len(sink.schemas) != 1 {
 		t.Errorf("read %d, skipped %d; rows by schema %v, want 100 under %p", res.RowsRead, res.RowsSkipped, sink.schemas, s)
+	}
+}
+
+// archiveParts writes parts parts of 50 rows each (1 s apart), compacting
+// after each.
+func archiveParts(t *testing.T, store objstore.Store, parts int) {
+	t.Helper()
+	codec, err := record.NewCodec(schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := objstore.NewRawLogWriter(store, "trips", codec)
+	c := objstore.NewCompactor(store, "trips", codec)
+	for p := range parts {
+		var rows []record.Record
+		for i := p * 50; i < (p+1)*50; i++ {
+			rows = append(rows, record.Record{"city": "sf", "v": float64(i), "ts": base + int64(i)*1000})
+		}
+		if err := w.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// The backfill source replays the parts in order, and decodes a part only
+// once every row of the one before it was taken.
+func TestBackfillDecodesOnePartAtATime(t *testing.T) {
+	store := objstore.NewMemStore()
+	archiveParts(t, store, 4)
+	src, err := newArchiveSource(store, "trips", schema(), Config{Batch: 30, StartMs: base + 10_000}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(src.parts) != 4 {
+		t.Fatalf("%d parts archived, want 4", len(src.parts))
+	}
+	var vs []float64
+	for taken, end := 10, false; !end; { // taken is the next row's position in the archive
+		var events []flow.Event
+		if events, end, err = src.Next(time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if len(events) > 0 && src.part != taken/50+1 {
+			t.Fatalf("with %d rows taken the source has decoded %d parts, want %d", taken, src.part, taken/50+1)
+		}
+		for _, e := range events {
+			vs = append(vs, e.Row.Double(1))
+		}
+		taken += len(events)
+	}
+	want := make([]float64, 0, 190)
+	for v := 10; v < 200; v++ {
+		want = append(want, float64(v))
+	}
+	if !slices.Equal(vs, want) {
+		t.Errorf("the source replays %v, want the rows 10 to 199 in order", vs)
+	}
+	if src.read != 190 || src.skipped != 10 {
+		t.Errorf("read/skipped %d/%d, want 190/10", src.read, src.skipped)
 	}
 }

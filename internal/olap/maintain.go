@@ -381,8 +381,9 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 	vecs := make([]record.Vector, len(fields))
 	row := make([]record.Value, len(fields))
 	var provs []prov
-	block := codeBlocks.Get().(*[BatchRows]uint32)
-	defer codeBlocks.Put(block)
+	scratch := getScratch()
+	defer scratch.put()
+	block := &scratch.block
 	for i, name := range names {
 		seg, err := d.loadSegment(name)
 		if err != nil {

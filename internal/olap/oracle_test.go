@@ -454,7 +454,7 @@ func TestGroupTrimDifferential(t *testing.T) {
 				for gi, c := range q.GroupBy {
 					gcols[gi] = sc.col(c)
 				}
-				switch gr := newGrouper(gcols, 1, sc.n); {
+				switch gr := newGrouper(new(scanScratch), gcols, 1, sc.n); {
 				case gr.table == nil:
 					forms[name+" keyed"]++
 				case len(gcols) > 1:

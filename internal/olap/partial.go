@@ -100,9 +100,10 @@ func newPartial(q *Query) *Partial {
 	return &Partial{}
 }
 
-// positions lists the table's rows in order.
-func (p *Partial) positions() []int32 {
-	rows := make([]int32, p.n)
+// positions lists the table's rows in order, in buf's memory when it has
+// room.
+func (p *Partial) positions(buf []int32) []int32 {
+	rows := slices.Grow(buf[:0], p.n)[:p.n]
 	for r := range rows {
 		rows[r] = int32(r)
 	}
@@ -204,7 +205,7 @@ func (p *Partial) Merge(o *Partial) {
 	if o.n == 0 {
 		return
 	}
-	rows := o.positions()
+	rows := o.positions(nil)
 	for c := range o.keys {
 		p.keys[c].AppendRows(&o.keys[c], rows)
 	}
@@ -240,7 +241,7 @@ func (p *Partial) Finalize(q *Query) (*QueryResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	order := p.positions()
+	order := p.positions(nil)
 	if p.agg || len(terms) > 0 {
 		less := p.less(terms)
 		if k := q.Limit + q.Offset; q.Limit > 0 && k < len(order) {
@@ -293,10 +294,10 @@ func (p *Partial) order(q *Query, cols []string) ([]rankTerm, error) {
 		case ci < 0:
 			return nil, fmt.Errorf("olap: order-by column %q not in result", o.Column)
 		case ci < len(p.keys):
-			terms[i] = p.rankTerm(ci, -1, 0, o.Desc)
+			terms[i].rank(p, ci, -1, 0, o.Desc)
 		default:
 			ai := ci - len(p.keys)
-			terms[i] = p.rankTerm(-1, ai, q.Aggs[ai].Kind, o.Desc)
+			terms[i].rank(p, -1, ai, q.Aggs[ai].Kind, o.Desc)
 		}
 	}
 	return terms, nil

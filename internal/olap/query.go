@@ -492,14 +492,15 @@ func (sc *scanSet) executeAgg(q *Query, ss *selStream, tp *topKPlan) (*Partial, 
 		}
 		cur[ai].col = c
 	}
-	g := newGrouper(gcols, len(q.Aggs), sc.n)
+	g := newGrouper(ss.s, gcols, len(q.Aggs), sc.n)
+	buf := ss.s.block[:]
 	for sel := ss.next(); sel != nil; sel = ss.next() {
-		slots := g.assign(sel, ss.block[:])
+		slots := g.assign(sel, buf)
 		for ai := range cur {
-			cur[ai].fold(g.accs, g.naggs, ai, slots, sel, ss.block[:])
+			cur[ai].fold(ss.s.accs, g.naggs, ai, slots, sel, buf)
 		}
 	}
-	return g.partial(tp, ss.block[:]), nil
+	return g.partial(tp, buf), nil
 }
 
 // aggValue collapses a partial state into the final user-facing value:
@@ -558,7 +559,7 @@ func (sc *scanSet) executeSelect(q *Query, ss *selStream, tp *topKPlan) (*Partia
 			sel = sel[:min(len(sel), budget-p.n)]
 		}
 		for ci, c := range scols {
-			c.gather(&p.keys[ci], sel, ss.block[:])
+			c.gather(&p.keys[ci], sel, ss.s.block[:])
 		}
 		if p.n += len(sel); p.n == budget {
 			break

@@ -551,8 +551,9 @@ func (s *Segment) check() error {
 		return fmt.Errorf("invalid schema or row count")
 	}
 	covers := func(b *Bitmap) bool { return b != nil && b.N == s.NumRows && len(b.Words) == (s.NumRows+63)/64 }
-	block := codeBlocks.Get().(*[BatchRows]uint32)
-	defer codeBlocks.Put(block)
+	scratch := getScratch()
+	defer scratch.put()
+	block := &scratch.block
 	fields := 0
 	for _, f := range s.Schema.Fields {
 		if f.Type < metadata.TypeLong || f.Type > metadata.TypeTimestamp {

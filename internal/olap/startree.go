@@ -85,8 +85,9 @@ func buildStarTree(seg *Segment, cfg StarTreeConfig) (*StarTree, error) {
 	for i := range base {
 		base[i] = starRow{Dims: make([]int, len(cfg.Dimensions)), Count: 1, Aggs: make([]record.Agg, len(cfg.Metrics))}
 	}
-	block := codeBlocks.Get().(*[BatchRows]uint32)
-	defer codeBlocks.Put(block)
+	scratch := getScratch()
+	defer scratch.put()
+	block := &scratch.block
 	for di, d := range cfg.Dimensions {
 		seg.Columns[d].Codes.eachBlock(block[:], func(start int, codes []uint32) {
 			for j, code := range codes {

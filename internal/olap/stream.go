@@ -72,7 +72,7 @@ func (sc *scanSet) streamSelect(ctx context.Context, q *Query, valid *Bitmap, po
 		rb := pool.get(cols)
 		for ci, c := range scols {
 			rb.Cols[ci].Reset(c.typ)
-			c.gather(&rb.Cols[ci], sel, ss.block[:])
+			c.gather(&rb.Cols[ci], sel, ss.s.block[:])
 		}
 		rb.Len = len(sel)
 		shipped += int64(rb.Len)

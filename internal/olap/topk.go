@@ -1,6 +1,10 @@
 package olap
 
-import "repro/internal/record"
+import (
+	"slices"
+
+	"repro/internal/record"
+)
 
 // This file implements the bounded top-K execution path for ORDER BY/LIMIT
 // queries — Pinot's answer to the dashboard query shape
@@ -103,19 +107,19 @@ type rankTerm struct {
 	num  []float64
 }
 
-// rankTerm ranks the table's rows by group-by column valIdx, or, when it is
-// negative, by aggregation aggIdx of the given kind.
-func (p *Partial) rankTerm(valIdx, aggIdx int, kind AggKind, desc bool) rankTerm {
-	t := rankTerm{desc: desc}
+// rank sets t to rank the table's rows by group-by column valIdx, or, when
+// it is negative, by aggregation aggIdx of the given kind, whose values it
+// writes into t's memory when it has room.
+func (t *rankTerm) rank(p *Partial, valIdx, aggIdx int, kind AggKind, desc bool) {
+	t.desc, t.key = desc, nil
 	if valIdx >= 0 {
 		t.key = &p.keys[valIdx]
-		return t
+		return
 	}
-	t.null, t.num = make([]bool, p.n), make([]float64, p.n)
+	t.null, t.num = slices.Grow(t.null[:0], p.n)[:p.n], slices.Grow(t.num[:0], p.n)[:p.n]
 	for r := range p.n {
 		t.num[r], t.null[r] = p.accs[r*p.naggs+aggIdx].final(kind)
 	}
-	return t
 }
 
 // compare orders rows a and b: negative when a ranks before b.
@@ -196,17 +200,27 @@ func selectTop(idx []int32, k int, less func(a, b int32) bool) {
 	}
 }
 
-// trim returns the table cut to the plan's group budget — the groupK rows
-// that rank first by its leading ORDER BY term under Partial.less — counting
+// trimRows cuts rows, positions of the table, to the plan's group budget —
+// the groupK rows that rank first by its leading ORDER BY term, ranked in
+// t's memory, under Partial.less — or returns them whole when no trim
+// applies. The trim needs the set of survivors, not their order
+// (selectTop).
+func (p *Partial) trimRows(tp *topKPlan, rows []int32, t *rankTerm) []int32 {
+	if tp == nil || tp.groupK <= 0 || len(rows) <= tp.groupK {
+		return rows
+	}
+	t.rank(p, tp.valIdx, tp.aggIdx, tp.aggKind, tp.desc)
+	selectTop(rows, tp.groupK, p.less([]rankTerm{*t}))
+	return rows[:tp.groupK]
+}
+
+// trim returns the table cut to the plan's group budget (trimRows), counting
 // the dropped groups into GroupsTrimmed, or p itself when no trim applies.
-// The trim needs the set of survivors, not their order (selectTop).
 func (p *Partial) trim(tp *topKPlan) *Partial {
 	if tp == nil || tp.groupK <= 0 || p.n <= tp.groupK {
 		return p
 	}
-	rows := p.positions()
-	selectTop(rows, tp.groupK, p.less([]rankTerm{p.rankTerm(tp.valIdx, tp.aggIdx, tp.aggKind, tp.desc)}))
-	kept := p.keep(rows[:tp.groupK])
+	kept := p.keep(p.trimRows(tp, p.positions(nil), new(rankTerm)))
 	kept.stats.GroupsTrimmed += int64(p.n - tp.groupK)
 	return kept
 }
@@ -223,7 +237,7 @@ func (p *Partial) top(q *Query, k int) *Partial {
 	if err != nil {
 		return p
 	}
-	rows := p.positions()
+	rows := p.positions(nil)
 	selectTop(rows, k, p.less(terms))
 	return p.keep(rows[:k])
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/metadata"
@@ -32,10 +33,10 @@ import (
 // one []uint32 — a contiguous run of a bit-packed column unpacked by the
 // block, each 64-bit word read once; a dense column's own slice; a sparse
 // selection read row by row — into the scan's pooled [BatchRows]uint32
-// (codeBlocks). A code is also the row's NULL flag: NULL is the column's
-// null code, the dictionary size on a sealed column. Over a coded measure
-// the fold runs one loop per aggregate kind (foldCodes) and writes only what
-// that kind's answer reads.
+// (scanScratch.block). A code is also the row's NULL flag: NULL is the
+// column's null code, the dictionary size on a sealed column. Over a coded
+// measure the fold runs one loop per aggregate kind (foldCodes) and writes
+// only what that kind's answer reads.
 // Compaction's gather reads through the same block, and the star-tree build
 // and Segment.check unpack a whole column by it (packedInts.eachBlock).
 
@@ -137,11 +138,54 @@ func (v *colView) codes(off int, sel []int32, buf []uint32) []uint32 {
 	return out
 }
 
-// codeBlocks recycles the scans' code blocks: a scan takes one with its
-// selection stream and hands it back when it ends, and every kernel of the
-// scan reads its codes through it in turn (colView.codes), so a scan
-// allocates none.
-var codeBlocks = sync.Pool{New: func() any { return new([BatchRows]uint32) }}
+// scanScratch is one scan's working memory, recycled through scratchPool: a
+// scan takes one with its selection stream and hands it back when it ends,
+// so a scan allocates none of it. Every kernel of the scan reads its codes
+// through block in turn (colView.codes); sel is the selection vector; the
+// grouper keeps its slots, id → slot table, accumulators, first rows and
+// touched ids here. Between scans table and accs are all zero: release
+// clears only what the scan wrote, so its cost follows the groups touched,
+// not the code space. Compaction, Segment.check and the star-tree build
+// read whole columns through block alone.
+type scanScratch struct {
+	block [BatchRows]uint32
+	sel   [BatchRows]int32
+	slots [BatchRows]int32
+	table []int32         // the code-space grouper's id → slot table
+	accs  []aggState      // the grouper's accumulators; len is the prefix in use
+	first []int32         // first[slot] is the group's first row
+	ids   []int32         // ids[slot] is the table entry the group took
+	keys  []record.Vector // the groups' keys, until partial copies out the rows kept
+	rows  []int32         // the groups' positions, for the trim
+	rank  rankTerm        // the trim's ranking of them
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// getScratch takes a scratch from the pool; put hands it back.
+func getScratch() *scanScratch { return scratchPool.Get().(*scanScratch) }
+
+// release clears what the last scan wrote: the table entries its groups
+// took, the accumulator prefix they used, DISTINCTCOUNT sets included, and
+// the strings of its keys, so nothing a partial holds stays reachable from
+// the pool.
+func (s *scanScratch) release() {
+	for _, id := range s.ids {
+		s.table[id] = 0
+	}
+	clear(s.accs)
+	for i := range s.keys {
+		clear(s.keys[i].Strs)
+		s.keys[i].Reset(metadata.TypeInvalid)
+	}
+	s.accs, s.first, s.ids, s.keys = s.accs[:0], s.first[:0], s.ids[:0], s.keys[:0]
+}
+
+// put releases the scratch and returns it to the pool.
+func (s *scanScratch) put() {
+	s.release()
+	scratchPool.Put(s)
+}
 
 // codeStr is a string column's value for a non-NULL code.
 func (v *colView) codeStr(code int) string {
@@ -721,8 +765,8 @@ var identitySel = func() (s [BatchRows]int32) {
 // filters (inverted / sorted columns) but != are folded into one base bitmap
 // up front; every other filter becomes a kernel applied per window; the upsert
 // validity bitmap masks last, so dropped counts exactly the rows that
-// matched the filters and were superseded. The scan's code block rides
-// along: the filter kernels read codes through it, and so do the grouper
+// matched the filters and were superseded. The scan's scratch rides along:
+// the filter kernels read codes through its block, and so do the grouper
 // and the folds of each batch next returns.
 type selStream struct {
 	n       int
@@ -730,7 +774,7 @@ type selStream struct {
 	kernels []kernelFilter
 	valid   *Bitmap
 	dead    bool // a predicate can never match; the stream is empty
-	block   *[BatchRows]uint32
+	s       *scanScratch
 
 	pos     int
 	sel     []int32
@@ -743,7 +787,7 @@ type selStream struct {
 // stream only reads: the base is copied only when a second indexed filter
 // is intersected into it. The caller ends the stream with release.
 func (sc *scanSet) newSelStream(filters []Filter, valid *Bitmap) (*selStream, error) {
-	ss := &selStream{n: sc.n, valid: valid, sel: make([]int32, 0, BatchRows)}
+	ss := &selStream{n: sc.n, valid: valid}
 	shared := false // base is a posting list
 	for _, f := range filters {
 		c := sc.col(f.Column)
@@ -774,14 +818,15 @@ func (sc *scanSet) newSelStream(filters []Filter, valid *Bitmap) (*selStream, er
 			shared = false
 		}
 	}
-	ss.block = codeBlocks.Get().(*[BatchRows]uint32)
+	ss.s = getScratch()
+	ss.sel = ss.s.sel[:0]
 	return ss, nil
 }
 
-// release hands the stream's code block back; the stream is done.
+// release hands the stream's scratch back; the stream is done.
 func (ss *selStream) release() {
-	codeBlocks.Put(ss.block)
-	ss.block = nil
+	ss.s.put()
+	ss.s, ss.sel = nil, nil
 }
 
 // next returns the next non-empty selection vector, or nil at end of scan.
@@ -811,7 +856,7 @@ func (ss *selStream) next() []int32 {
 			if len(sel) == 0 {
 				break
 			}
-			sel = ss.kernels[i].filterSel(off, sel, ss.block[:])
+			sel = ss.kernels[i].filterSel(off, sel, ss.s.block[:])
 		}
 		if off != 0 {
 			for j := range sel {
@@ -981,13 +1026,15 @@ const maxCodeSpace = 1 << 16
 //     record.KeyIndex numbers the groups, as it numbers the partial's — one
 //     column by its cell (colView.cellKey), a tuple by its cells spelled by
 //     record.AppendCellKey.
+//
+// Its arrays — slots, table, accs, first, ids — belong to the scan's
+// scratch and live as long as the scan: partial copies out the rows the
+// Partial keeps, and the scratch's release clears the rest.
 type grouper struct {
+	s     *scanScratch
 	cols  []*colView
 	naggs int
-	n     int        // slots in use
-	accs  []aggState // slot s's aggregations are accs[s*naggs : (s+1)*naggs]
-	slots []int32    // scratch: the current batch's slot per selected row
-	first []int32    // first[slot] is the group's first row, its key's source
+	n     int // slots in use; slot s's aggregations are s.accs[s*naggs : (s+1)*naggs]
 
 	// Code-space grouping. table[id] is the slot of group id plus one, 0
 	// until the group has a row; radix[ci] is the number of codes of column
@@ -999,10 +1046,14 @@ type grouper struct {
 	keys record.KeyIndex
 }
 
-// newGrouper picks the grouping form for the columns of a scan of n rows.
-func newGrouper(cols []*colView, naggs, n int) *grouper {
-	g := &grouper{cols: cols, naggs: naggs, slots: make([]int32, BatchRows)}
+// newGrouper picks the grouping form for the columns of a scan of n rows
+// and takes its arrays from the scan's scratch. In the code-space form they
+// are sized once: a scan of n rows has at most min(space, n) groups.
+func newGrouper(s *scanScratch, cols []*colView, naggs, n int) *grouper {
+	g := &grouper{s: s, cols: cols, naggs: naggs}
 	if len(cols) == 0 {
+		// One group: every row's slot is 0.
+		clear(s.slots[:])
 		return g
 	}
 	limit := max(maxCodeSpace, n+1)
@@ -1017,24 +1068,37 @@ func newGrouper(cols []*colView, naggs, n int) *grouper {
 		space *= g.radix[ci]
 	}
 	if space <= limit {
-		g.table = make([]int32, space)
-		g.accs = make([]aggState, 0, min(space, 64)*naggs)
+		if cap(s.table) < space {
+			s.table = make([]int32, space)
+		}
+		g.table = s.table[:space]
+		groups := min(space, n)
+		if cap(s.accs) < groups*naggs {
+			s.accs = make([]aggState, 0, groups*naggs)
+		}
+		if min(cap(s.first), cap(s.ids)) < groups {
+			s.first, s.ids = make([]int32, 0, groups), make([]int32, 0, groups)
+		}
 	}
 	return g
 }
 
-// addSlot appends a zeroed accumulator slot for the group of row i. The
-// array grows by doubling: a filtered scan touches a fraction of the code
-// space, so it is not sized by it up front.
-func (g *grouper) addSlot(i int32) int32 {
+// addSlot appends a zeroed accumulator slot for the group of row i, whose
+// id in the code-space table is id. Only the keyed and global forms grow
+// the array, by doubling; the code-space form sized it up front.
+func (g *grouper) addSlot(i, id int32) int32 {
+	s := g.s
 	need := (g.n + 1) * g.naggs
-	if need > cap(g.accs) {
-		grown := make([]aggState, len(g.accs), max(2*cap(g.accs), 64*g.naggs))
-		copy(grown, g.accs)
-		g.accs = grown
+	if need > cap(s.accs) {
+		grown := make([]aggState, len(s.accs), max(2*cap(s.accs), 64*g.naggs))
+		copy(grown, s.accs)
+		s.accs = grown
 	}
-	g.accs = g.accs[:need]
-	g.first = append(g.first, i)
+	s.accs = s.accs[:need]
+	s.first = append(s.first, i)
+	if g.table != nil {
+		s.ids = append(s.ids, id)
+	}
 	g.n++
 	return int32(g.n - 1)
 }
@@ -1042,12 +1106,12 @@ func (g *grouper) addSlot(i int32) int32 {
 // assign returns the slot of each selected row, valid until the next call.
 // Coded columns' codes are read through buf (colView.codes).
 func (g *grouper) assign(sel []int32, buf []uint32) []int32 {
-	slots := g.slots[:len(sel)]
+	slots := g.s.slots[:len(sel)]
 	switch {
 	case len(g.cols) == 0:
-		// One group: the scratch is never written, so every slot reads 0.
+		// One group: newGrouper zeroed the slots, and nothing writes them.
 		if g.n == 0 {
-			g.addSlot(sel[0])
+			g.addSlot(sel[0], 0)
 		}
 		return slots
 	case g.table == nil:
@@ -1071,7 +1135,7 @@ func (g *grouper) assign(sel []int32, buf []uint32) []int32 {
 	for j, id := range slots {
 		slot := g.table[id]
 		if slot == 0 {
-			slot = g.addSlot(sel[j]) + 1
+			slot = g.addSlot(sel[j], id) + 1
 			g.table[id] = slot
 		}
 		slots[j] = slot - 1
@@ -1096,7 +1160,7 @@ func (g *grouper) keyed(i int32, key []byte) (int32, []byte) {
 		k, found = g.keys.AddKey(false, 0, key, true)
 	}
 	if !found {
-		g.addSlot(i)
+		g.addSlot(i, 0)
 	}
 	return int32(k), key
 }
@@ -1105,11 +1169,20 @@ func (g *grouper) keyed(i int32, key []byte) (int32, []byte) {
 // each group's key is gathered, typed, from its first row — no value is
 // boxed, and the codes are read through buf — and under a top-K plan the
 // table is trimmed by the plan's leading ORDER BY term. The table leaves
-// unindexed: a key is looked up only where it is merged into.
+// unindexed: a key is looked up only where it is merged into. The table is
+// built in the scratch, and the partial is a copy of the rows it keeps —
+// every row when no trim applies — so nothing of it goes back to the pool
+// with the scratch.
 func (g *grouper) partial(tp *topKPlan, buf []uint32) *Partial {
-	all := &Partial{agg: true, naggs: g.naggs, n: g.n, accs: g.accs, keys: make([]record.Vector, len(g.cols))}
+	s := g.s
+	s.keys = slices.Grow(s.keys, len(g.cols))[:len(g.cols)]
+	all := &Partial{agg: true, naggs: g.naggs, n: g.n, accs: s.accs, keys: s.keys}
 	for gi, c := range g.cols {
-		c.gather(&all.keys[gi], g.first, buf)
+		c.gather(&all.keys[gi], s.first, buf)
 	}
-	return all.trim(tp)
+	s.rows = all.positions(s.rows)
+	rows := all.trimRows(tp, s.rows, &s.rank)
+	p := all.keep(rows)
+	p.stats.GroupsTrimmed = int64(g.n - len(rows))
+	return p
 }
