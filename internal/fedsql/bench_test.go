@@ -125,6 +125,33 @@ func TestEngineScanAllocations(t *testing.T) {
 	}
 }
 
+// raceDetector is set in a build with the race detector (race_test.go).
+var raceDetector bool
+
+// TestArchiveScanBytes: A3 reads its archive part where the deep store
+// holds it and decodes it into column arrays an earlier scan returned to the
+// connector's pool, so once warm a run allocates fewer bytes than the arrays
+// its city and amount columns decode into (≈ 150 KB against 360 KB). A copy
+// of the stored part (≈ 405 KB), or fresh column arrays per query, fails it.
+// The race detector drops pooled objects at random, so it skips there.
+func TestArchiveScanBytes(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops objects at random under the race detector")
+	}
+	e := adhocScanEngine(t)
+	const bound = adhocDay * (16 + 8) // a string header per city, a float per amount
+	runAdhoc(t, e, a3SQL, 16)
+	var before, after runtime.MemStats
+	for i := range 20 {
+		runtime.ReadMemStats(&before)
+		runAdhoc(t, e, a3SQL, 16)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+			t.Fatalf("run %d allocated %d bytes, want fewer than %d: %d rows of city and amount", i, got, bound, adhocDay)
+		}
+	}
+}
+
 // benchAdhoc reports ns and allocations per row of the tables one query
 // reads.
 func benchAdhoc(b *testing.B, sql string, groups, in int) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"repro/internal/metadata"
 	"repro/internal/objstore"
@@ -453,6 +454,7 @@ type ArchiveConnector struct {
 	name    string
 	store   objstore.Store
 	schemas map[string]*metadata.Schema
+	vectors sync.Pool // *[]record.Vector: closed scans' columns, one scan's at a time
 }
 
 // NewArchiveConnector creates an archive catalog over the store.
@@ -505,7 +507,9 @@ func (a *ArchiveConnector) Capabilities() Capabilities {
 // decoded per pull, so a scan's resident state is one part's requested
 // columns, never the whole table. pd carries at most a projection — the
 // archive advertises nothing else — and the projection is applied while
-// reading: a column nobody asked for is never decoded.
+// reading: a column nobody asked for is never decoded. The batch's vectors
+// come from the connector's pool and go back at Close, so a scan reuses the
+// arrays an earlier scan's parts were decoded into.
 func (a *ArchiveConnector) OpenScan(ctx context.Context, table string, pd Pushdown) (RowIterator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -523,8 +527,15 @@ func (a *ArchiveConnector) OpenScan(ctx context.Context, table string, pd Pushdo
 	if len(cols) == 0 {
 		cols = schema.FieldNames()
 	}
-	return &archiveIterator{reader: reader, parts: parts, stats: QueryStats{Streamed: true},
-		batch: Batch{Columns: cols, Cols: make([]record.Vector, len(cols))}}, nil
+	vecs, _ := a.vectors.Get().(*[]record.Vector)
+	if vecs == nil {
+		vecs = new([]record.Vector)
+	}
+	if n := len(cols) - len(*vecs); n > 0 {
+		*vecs = append(*vecs, make([]record.Vector, n)...)
+	}
+	return &archiveIterator{reader: reader, parts: parts, stats: QueryStats{Streamed: true}, pool: &a.vectors, vecs: vecs,
+		batch: Batch{Columns: cols, Cols: (*vecs)[:len(cols)]}}, nil
 }
 
 // OpenAggregateScan implements StreamingConnector: the archive cannot
@@ -535,12 +546,14 @@ func (a *ArchiveConnector) OpenAggregateScan(ctx context.Context, table string, 
 
 // archiveIterator streams an archived dataset part by part; each part is
 // one batch, decoded by the archive reader straight into the batch's typed
-// vectors, reused from part to part — no row is ever assembled on the way,
-// and no value is boxed.
+// vectors, reused from part to part and, through the pool, from scan to scan
+// — no row is ever assembled on the way, and no value is boxed.
 type archiveIterator struct {
 	reader *objstore.ArchiveReader
 	parts  []string
 	stats  QueryStats
+	pool   *sync.Pool
+	vecs   *[]record.Vector // the batch's vectors until Close returns them
 	batch  Batch
 }
 
@@ -569,8 +582,20 @@ func (it *archiveIterator) Next(ctx context.Context) (*Batch, error) {
 
 func (it *archiveIterator) Stats() QueryStats { return it.stats }
 
+// Close returns the vectors to the pool with every string and blob slot
+// cleared up to capacity, so a pooled vector pins no dictionary string or
+// blob of a part.
 func (it *archiveIterator) Close() error {
 	it.parts = nil
+	if it.vecs != nil {
+		for i := range *it.vecs {
+			v := &(*it.vecs)[i]
+			clear(v.Strs[:cap(v.Strs)])
+			clear(v.Bytes[:cap(v.Bytes)])
+		}
+		it.pool.Put(it.vecs)
+		it.vecs, it.batch.Cols = nil, nil
+	}
 	return nil
 }
 

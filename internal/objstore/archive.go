@@ -93,7 +93,8 @@ func rawLogKey(dataset string, seq int64) string {
 
 // decodeRawBatch appends the rows of one raw-log object to cols, one typed
 // column per schema field (record.Codec.DecodeValues), and returns their
-// count. A string is copied out of the payload; a blob stays a view of data.
+// count. A string is copied out of the payload; a blob stays a view of data,
+// the stored object Get lent, read only until EncodeColumnar copies it.
 func decodeRawBatch(codec *record.Codec, data []byte, cols []record.Vector) (int, error) {
 	count, n := binary.Uvarint(data)
 	// A record is at least its length byte.

@@ -35,11 +35,12 @@ func aliases(b, data []byte) bool {
 }
 
 // FuzzDecodeColumnar feeds the archive part decoder arbitrary bytes — they
-// come from the deep store. It must never panic and never size anything by a
-// claimed count the input could not hold; every column must come back typed
-// by its field, one cell per row, with no blob a view of the input; and
-// whatever it does decode must survive encode → decode unchanged, NULLs
-// included, with a second encode giving the first one's bytes.
+// come from the deep store, which lends them. It must never panic, never
+// write into the input and never size anything by a claimed count the input
+// could not hold; every column must come back typed by its field, one cell
+// per row, with no blob a view of the input; and whatever it does decode
+// must survive encode → decode unchanged, NULLs included, with a second
+// encode giving the first one's bytes.
 func FuzzDecodeColumnar(f *testing.F) {
 	s := archiveSchema() // one field of every type, two of them nullable
 	rows := orderRows(40)
@@ -54,7 +55,11 @@ func FuzzDecodeColumnar(f *testing.F) {
 	before, widened := widenedAmount()
 	f.Add(encodeRows(f, before, widened))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		was := bytes.Clone(data)
 		n, cols, err := decodeAll(s, data)
+		if !bytes.Equal(data, was) {
+			t.Fatal("the decoder wrote into its input")
+		}
 		if err != nil {
 			return
 		}

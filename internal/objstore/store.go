@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -21,7 +22,8 @@ var ErrUnavailable = errors.New("objstore: store unavailable")
 type Store interface {
 	// Put stores value under key, overwriting any existing object.
 	Put(key string, value []byte) error
-	// Get returns the object stored under key.
+	// Get returns the object stored under key. The bytes are the store's,
+	// lent to the caller: they must not be written.
 	Get(key string) ([]byte, error)
 	// Delete removes the object; it is an error to delete a missing key.
 	Delete(key string) error
@@ -32,16 +34,14 @@ type Store interface {
 }
 
 // MemStore is the in-memory reference implementation of Store. It is safe
-// for concurrent use. Values are copied on Put and Get so callers cannot
-// alias the stored bytes.
+// for concurrent use. Put stores a copy, never written after: a later Put of
+// the key replaces the entry, so Get lends the stored bytes without a copy,
+// capped at their length so a caller's append cannot reach the store's.
 type MemStore struct {
 	mu      sync.RWMutex
 	objects map[string][]byte
 
-	putBytes  int64
-	putCount  int64
-	getCount  int64
-	listCount int64
+	putBytes, putCount, getCount, listCount atomic.Int64
 }
 
 // NewMemStore returns an empty in-memory object store.
@@ -58,9 +58,9 @@ func (m *MemStore) Put(key string, value []byte) error {
 	copy(cp, value)
 	m.mu.Lock()
 	m.objects[key] = cp
-	m.putBytes += int64(len(value))
-	m.putCount++
 	m.mu.Unlock()
+	m.putBytes.Add(int64(len(value)))
+	m.putCount.Add(1)
 	return nil
 }
 
@@ -72,12 +72,8 @@ func (m *MemStore) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	m.mu.Lock()
-	m.getCount++
-	m.mu.Unlock()
-	cp := make([]byte, len(v))
-	copy(cp, v)
-	return cp, nil
+	m.getCount.Add(1)
+	return v[:len(v):len(v)], nil
 }
 
 // Delete implements Store.
@@ -101,9 +97,7 @@ func (m *MemStore) List(prefix string) ([]string, error) {
 		}
 	}
 	m.mu.RUnlock()
-	m.mu.Lock()
-	m.listCount++
-	m.mu.Unlock()
+	m.listCount.Add(1)
 	sort.Strings(keys)
 	return keys, nil
 }
@@ -133,14 +127,13 @@ func (m *MemStore) TotalBytes() int64 {
 
 // Stats reports cumulative operation counts.
 func (m *MemStore) Stats() (puts, gets, lists int64, putBytes int64) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.putCount, m.getCount, m.listCount, m.putBytes
+	return m.putCount.Load(), m.getCount.Load(), m.listCount.Load(), m.putBytes.Load()
 }
 
 // FaultStore wraps a Store and injects failures, used to reproduce the
 // paper's segment-store outage scenario (§4.3.4) and slow-archival behavior.
-// The zero injection state passes all calls through unchanged.
+// The zero injection state passes all calls through unchanged; Get passes on
+// the inner store's lent bytes as they are.
 type FaultStore struct {
 	inner Store
 

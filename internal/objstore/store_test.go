@@ -68,10 +68,31 @@ func TestMemStoreCopies(t *testing.T) {
 	if string(v) != "orig" {
 		t.Error("Put aliases caller buffer")
 	}
-	v[0] = 'Y'
-	v2, _ := s.Get("k")
-	if string(v2) != "orig" {
-		t.Error("Get aliases stored buffer")
+}
+
+// TestMemStoreGetLends: Get returns the stored bytes themselves, capped at
+// their length, so an append by the caller reallocates instead of writing
+// past them; and a later Put of the key stores new bytes without touching
+// the lent ones.
+func TestMemStoreGetLends(t *testing.T) {
+	s := NewMemStore()
+	s.Put("k", []byte("orig"))
+	v, _ := s.Get("k")
+	again, _ := s.Get("k")
+	if &v[0] != &again[0] {
+		t.Error("Get copied the stored object")
+	}
+	if cap(v) != len(v) {
+		t.Errorf("Get = %d bytes of capacity %d, want capacity = length", len(v), cap(v))
+	}
+	grown := append(v, 'Z')
+	grown[0] = 'Y'
+	if got, _ := s.Get("k"); string(got) != "orig" || &got[0] != &v[0] {
+		t.Errorf("an append to the lent bytes changed the stored object: %q", got)
+	}
+	s.Put("k", []byte("next"))
+	if got, _ := s.Get("k"); string(v) != "orig" || string(got) != "next" {
+		t.Errorf("after a second Put: lent %q, stored %q; want orig, next", v, got)
 	}
 }
 

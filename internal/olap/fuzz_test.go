@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -275,7 +276,8 @@ func FuzzMergePartials(f *testing.F) {
 // FuzzDecodeSegment feeds DecodeSegment the bytes a deep store could hand a
 // reload or a recovery: whatever decodes must answer a COUNT, and a GROUP BY
 // and =, != and range filters on each column, through the star-tree, the
-// inverted index or the sorted runs where one serves, without a panic.
+// inverted index or the sorted runs where one serves, without a panic and
+// without writing into the input.
 func FuzzDecodeSegment(f *testing.F) {
 	bigLongs := orderRows(40)
 	for i, r := range bigLongs {
@@ -300,6 +302,14 @@ func FuzzDecodeSegment(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The deep store lends its objects: neither the decoder nor a query
+		// over what it decoded may write into the input.
+		was := bytes.Clone(data)
+		defer func() {
+			if !bytes.Equal(data, was) {
+				t.Fatal("decoding or querying the segment wrote into its input")
+			}
+		}()
 		seg, err := DecodeSegment(data)
 		if err != nil {
 			return
