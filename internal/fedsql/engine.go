@@ -1,7 +1,6 @@
 package fedsql
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -272,7 +271,7 @@ func collect(ctx context.Context, src RowIterator, filter []boundPredicate, star
 		if err != nil {
 			return nil, err
 		}
-		sel = filterRows(b, filter, sel)
+		sel = filterRows(b, 0, b.Len, filter, sel)
 		if limit > 0 {
 			sel = sel[:min(len(sel), limit-out.Len)]
 		}
@@ -332,12 +331,12 @@ func bindPredicates(preds []sqlparse.Predicate, cols []string) []boundPredicate 
 	return out
 }
 
-// filterRows returns the rows of b that pass every bound predicate, in sel's
-// storage, each column read as cells of its type; a NULL or missing column
-// satisfies none.
-func filterRows(b *Batch, filter []boundPredicate, sel []int32) []int32 {
-	sel = slices.Grow(sel[:0], b.Len)
-	for r := 0; r < b.Len; r++ {
+// filterRows returns the rows [from, to) of b that pass every bound
+// predicate, in sel's storage, each column read as cells of its type; a NULL
+// or missing column satisfies none.
+func filterRows(b *Batch, from, to int, filter []boundPredicate, sel []int32) []int32 {
+	sel = slices.Grow(sel[:0], to-from)
+	for r := from; r < to; r++ {
 		sel = append(sel, int32(r))
 	}
 	for i := range filter {
@@ -771,7 +770,7 @@ func (j *joinIterator) Next(ctx context.Context) (*Batch, error) {
 		}
 		j.probeRows, j.buildRows = j.probeRows[:0], j.buildRows[:0]
 		if j.probeKey >= 0 {
-			j.sel = filterRows(b, j.filter, j.sel)
+			j.sel = filterRows(b, 0, b.Len, j.filter, j.sel)
 			// Sized for one match per row, the common case of a dimension.
 			j.probeRows, j.buildRows = slices.Grow(j.probeRows, len(j.sel)), slices.Grow(j.buildRows, len(j.sel))
 			key := b.Cols[j.probeKey : j.probeKey+1]
@@ -968,15 +967,20 @@ func appendFinal(v *record.Vector, a *record.Agg, kind record.AggKind) {
 	}
 }
 
+// aggWindow is the rows of a batch aggregate folds at a time.
+const aggWindow = 1024
+
 // aggregate is the engine-side hash aggregation: it folds the rows of src
 // that pass filter into one accumulator set per group, batch by batch — the
 // peak engine footprint is one batch plus the group table, not the input —
 // and returns the groups as an in-memory relation laid out like a pushed-down
 // aggregate's response: the GROUP BY columns, then one column per aggregate
-// named by OutputName, rows in the order pushdown returns groups (ascending
-// GROUP BY values, NULL first). A row finds its group in a record.KeyIndex
-// of its typed GROUP BY cells; each aggregate then folds its input vector for
-// the whole batch (fold).
+// named by OutputName, rows in the order pushdown returns groups (key order,
+// record.Vector.KeyCompare: ascending GROUP BY values, NULL first). A batch
+// is walked in windows of aggWindow rows: a row finds its group in a
+// record.KeyIndex of its typed GROUP BY cells, and each aggregate then folds
+// its input vector for the window (fold). The window's selection and group
+// arrays live on the stack, so no array grows with the input.
 func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, stmt *sqlparse.SelectStmt) (RowIterator, error) {
 	var aggs []sqlparse.SelectItem
 	var inputs []string
@@ -994,8 +998,8 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 		values = make([]record.Vector, len(groupIdx)) // group g's GROUP BY values are row g
 		n      int                                    // groups
 		states []record.Agg                           // group g's aggregates are states[g*len(aggs):][:len(aggs)]
-		sel    []int32
-		groups []int32 // the group of each selected row
+		window [aggWindow]int32                       // a window's selected rows
+		ids    [aggWindow]int32                       // the group of each
 		one    = make([]int32, 1)
 	)
 	for {
@@ -1014,26 +1018,28 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 			keys[i].Reset(metadata.TypeInvalid) // a missing column: NULL in every row
 			keys[i].AppendNulls(b.Len)
 		}
-		sel = filterRows(b, filter, sel)
-		groups = slices.Grow(groups[:0], len(sel))
-		for _, r := range sel {
-			g, found := index.Add(keys, int(r))
-			if !found {
-				// The group's values are copied once per group, not per row.
-				one[0] = r
-				for i := range keys {
-					values[i].AppendRows(&keys[i], one)
+		for from := 0; from < b.Len; from += aggWindow {
+			sel := filterRows(b, from, min(from+aggWindow, b.Len), filter, window[:0])
+			groups := ids[:len(sel)]
+			for j, r := range sel {
+				g, found := index.Add(keys, int(r))
+				if !found {
+					// The group's values are copied once per group, not per row.
+					one[0] = r
+					for i := range keys {
+						values[i].AppendRows(&keys[i], one)
+					}
+					n++
+					for range aggs {
+						states = append(states, record.Agg{})
+					}
 				}
-				n++
-				for range aggs {
-					states = append(states, record.Agg{})
-				}
+				groups[j] = int32(g)
 			}
-			groups = append(groups, int32(g))
-		}
-		for i, it := range aggs {
-			if err := fold(states, len(aggs), i, it, b, inputIdx[i], sel, groups); err != nil {
-				return nil, err
+			for i, it := range aggs {
+				if err := fold(states, len(aggs), i, it, b, inputIdx[i], sel, groups); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -1041,19 +1047,19 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 		n = 1
 		states = make([]record.Agg, len(aggs))
 	}
-	// Groups come out as a pushed-down aggregate's do (olap Partial.less):
-	// ascending by each GROUP BY value, NULL first, ties in first-seen order.
+	// Groups come out as a pushed-down aggregate's do, in key order: by each
+	// GROUP BY value under record.Vector.KeyCompare, which no two groups tie.
 	order := make([]int32, n)
 	for g := range order {
 		order[g] = int32(g)
 	}
 	slices.SortFunc(order, func(a, b int32) int {
 		for i := range values {
-			if c := values[i].Compare(int(a), int(b)); c != 0 {
+			if c := values[i].KeyCompare(int(a), &values[i], int(b)); c != 0 {
 				return c
 			}
 		}
-		return cmp.Compare(a, b)
+		return 0
 	})
 	out := Batch{Columns: append([]string(nil), stmt.GroupBy...), Cols: make([]record.Vector, len(groupIdx)+len(aggs)), Len: len(order)}
 	for i := range groupIdx {

@@ -22,27 +22,24 @@
 //     for upsert tables), plus one per partition with unsealed rows. What a
 //     producer does with its rows is the round's sink. Aggregates and
 //     ordered selections fold: every scan emits a Partial — one typed
-//     table: an aggregate's group keys as record.Vectors, one flat array of
-//     mergeable states (COUNT/SUM/MIN/MAX as a record.Agg's running
-//     numerics, AVG as its SUM+COUNT pair, DISTINCTCOUNT as a set of
-//     canonical number bits and strings beside it) and a record.KeyIndex
-//     from a typed key to its row, built where a key is first looked up
-//     (a Merge into the table, Finalize), so a scan's partial leaves
-//     unindexed; a selection's
-//     columns as record.Vectors, nothing else — and a server
-//     scans its segments through a bounded worker pool
+//     table: an aggregate's group keys as record.Vectors in strict key
+//     order (record.Vector.KeyCompare) and one flat array of mergeable
+//     states (COUNT/SUM/MIN/MAX as a record.Agg's running numerics, AVG as
+//     its SUM+COUNT pair, DISTINCTCOUNT as a set of canonical number bits
+//     and strings beside it); a selection's columns as record.Vectors —
+//     and a server scans its segments through a bounded worker pool
 //     (BrokerOptions.Workers; default GOMAXPROCS). Unordered selections
 //     stream: scans push row batches onto one bounded channel, in order.
-//   - Gather: partials merge associatively, so the broker folds them in
-//     arrival order, streaming, without barriers — a new group's key row
-//     and states, or a selection's rows, are appended by value, a known
-//     group's states folded, no object per group or row; a batch stream is
-//     collected (Execute) or handed to
+//   - Gather: a producer collects its units' partials and the broker its
+//     producers', and each merges them once — an aggregate's runs k ways,
+//     equal keys folded, no hash and no object per group; a selection's
+//     rows appended. A batch stream is collected (Execute) or handed to
 //     the caller (ExecuteStream).
-//   - Merge/finalize: the accumulated partial collapses to final values
-//     exactly once: groups or selected rows rank by row position over the
-//     typed table (the ORDER BY terms, ties by ascending key value), and
-//     only the rows returned are boxed.
+//   - Finalize: the merged partial collapses to final values exactly once:
+//     without ORDER BY an aggregate's groups come in key order as they
+//     lie; with it rows rank by position over the typed table (the ORDER
+//     BY terms, ties by ascending key value). Only the rows returned are
+//     boxed.
 //
 // Queries run under a context.Context: its cancellation or deadline stops
 // segment scans between segments, the first
@@ -53,8 +50,8 @@
 // cut a selection's typed columns to its best Limit+Offset rows by every
 // ORDER BY term, or trim candidate groups by the leading ORDER BY term to
 // max(5·(Limit+Offset), TrimSize) — Pinot's minSegmentGroupTrimSize rule —
-// and servers apply the same bound to the merged partial, so the broker's
-// gather phase holds O(K · servers) state instead of O(groups). Every cut,
+// and servers apply the same bound to the merged partial, in place, so the
+// broker's gather phase holds O(K · servers) state instead of O(groups). Every cut,
 // trim and the final sort break ORDER BY ties by ascending key value — the
 // group, or the selected columns — so a selection cut is exact, ties
 // included. Group trimming can be inexact under pathological cross-server

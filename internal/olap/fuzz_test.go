@@ -16,22 +16,34 @@ import (
 // (and therefore for matview incremental maintenance, which is nothing but
 // Merge over PartialOfRows batches): for fuzz-derived row sets, splitting
 // the rows into any chunking and merging the chunk partials in any rotation
-// — or as a balanced tree — must finalize to a single-pass aggregation over
-// all rows, cell for cell in value and Go type (reflect.DeepEqual of the
-// boxed rows). The chunks come from every source a broker merges: a
-// consuming scan, a sealed segment (whose long keys and values come from an
-// int64 dictionary) and a star-tree-served segment. Merge must leave its
-// argument unchanged: every chunk finalizes as before after it has been
-// merged into two accumulators. The derived rows include the
-// NULL-semantics edges: missing measure values, all-null chunks, empty
-// chunks, and filters that match zero rows (MIN/MAX/AVG over empty sets).
+// — or as a balanced tree, or k ways at once as a producer and the broker
+// do — must finalize to a single-pass aggregation over all rows, cell for
+// cell in value and Go type (reflect.DeepEqual of the boxed rows). The
+// chunks come from every source a broker merges: a consuming scan, a sealed
+// segment (whose long keys and values come from an int64 dictionary), a
+// star-tree-served segment, PartialOfRows and an empty chunk. Every merge
+// leaves a table in strict key order, and equals the hash merge it replaced
+// (hashMerge), kept here as its oracle — in both rotations, and over runs
+// trimmed to a top-K budget, which no single pass answers. Merge must leave
+// its argument unchanged: every chunk finalizes as before after it has been
+// merged into two accumulators. The derived rows include the NULL-semantics
+// edges: missing measure values, all-null chunks, empty chunks, and filters
+// that match zero rows (MIN/MAX/AVG over empty sets).
 
-// fuzzRow derives one row from one fuzz byte. Numerics are exactly
+// fuzzSchema is the orders schema with a nullable double, score, that
+// groups NaN, -0 and 0 and NULL.
+func fuzzSchema() *metadata.Schema {
+	s := ordersSchema()
+	s.Fields = append(s.Fields, metadata.Field{Name: "score", Type: metadata.TypeDouble, Nullable: true})
+	return s
+}
+
+// fuzzRow derives one row from one fuzz byte. Measures are exactly
 // representable (multiples of 0.5 below 16), so float64 sums are
 // merge-order independent and byte-identical comparison is sound. Some
 // items are 2^53 or 2^53+1, two longs that are one float64: one group and
 // one DISTINCTCOUNT value, which a sealed chunk's dictionary holds as two
-// codes, so its partial leaves the scan with two rows of one key.
+// codes. The score key is NaN, -0, 0, a number or NULL.
 func fuzzRow(b byte, i int) record.Record {
 	cities := []string{"sf", "nyc", "la", "chi"}
 	statuses := []string{"placed", "cooking", "delivered"}
@@ -55,7 +67,35 @@ func fuzzRow(b byte, i int) record.Record {
 	if b&1 == 0 {
 		r["rush"] = b&2 == 0
 	}
+	switch (b >> 5) % 5 {
+	case 0:
+		r["score"] = math.NaN()
+	case 1:
+		r["score"] = math.Copysign(0, -1)
+	case 2:
+		r["score"] = 0.0
+	case 3:
+		r["score"] = float64(b&7) / 2
+	}
 	return r
+}
+
+// consumingOf is a consuming store of records, each field's cell by the
+// rule BuildSegment's rows take: missing is NULL, the rest record.Coerce.
+func consumingOf(schema *metadata.Schema, recs []record.Record) (*scanSet, error) {
+	m := newMutableSegment("", schema, len(recs))
+	for _, r := range recs {
+		vals := make([]record.Value, len(schema.Fields))
+		for fi, f := range schema.Fields {
+			v, err := record.Coerce(r[f.Name], f.Type)
+			if err != nil {
+				return nil, err
+			}
+			vals[fi] = record.ValueOf(v)
+		}
+		m.appendRow(vals)
+	}
+	return m.snapshot(), nil
 }
 
 // partialOfRecords is PartialOfRows over records, each field's cell by the
@@ -75,10 +115,42 @@ func partialOfRecords(schema *metadata.Schema, recs []record.Record, q *Query) (
 	return PartialOfRows(schema, rows, q)
 }
 
+// hashMerge is the merge the run merge replaced, kept as its oracle: each
+// group of each part in turn is looked up in a record.KeyIndex of the
+// table's keys and folds into the group it finds, or is appended — key row
+// copied, states copied — in first-seen order. nil for a selection.
+func hashMerge(q *Query, parts []*Partial) *Partial {
+	acc := newPartial(q)
+	if !acc.agg {
+		return nil
+	}
+	var index record.KeyIndex
+	for _, o := range parts {
+		acc.stats.Add(o.stats)
+		for r := range o.n {
+			row, found := index.Add(o.keys, r)
+			if found {
+				foldStates(acc.states(row), o.states(r))
+				continue
+			}
+			for c := range o.keys {
+				acc.keys[c].AppendRows(&o.keys[c], []int32{int32(r)})
+			}
+			for range acc.naggs {
+				acc.accs = append(acc.accs, aggState{})
+			}
+			foldStates(acc.states(acc.n), o.states(r))
+			acc.n++
+		}
+	}
+	return acc
+}
+
 // fuzzQueries is the shape set every chunking is checked against: global
 // and grouped aggregations over every kind, filtered shapes that can match
-// zero rows in some or all chunks, and ordered selections whose ORDER BY
-// ties across chunks. The star-tree shape comes last.
+// zero rows in some or all chunks, keys of NaN, -0, 0 and NULL, a top-K
+// whose runs trim, and ordered selections whose ORDER BY ties across
+// chunks. The star-tree shape comes last.
 func fuzzQueries() []*Query {
 	return []*Query{
 		{Aggs: []AggSpec{
@@ -114,6 +186,13 @@ func fuzzQueries() []*Query {
 			{Kind: AggDistinctCount, Column: "items"},
 			{Kind: AggDistinctCount, Column: "status"},
 			{Kind: AggSum, Column: "amount"}}},
+		// Keys of NaN, -0 and 0 and NULL, alone and leading a tuple.
+		{GroupBy: []string{"score"}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggSum, Column: "amount"},
+			{Kind: AggDistinctCount, Column: "status"}}},
+		{GroupBy: []string{"score", "items"}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggMax, Column: "amount"}}},
+		// A top-K over a group per row: runs trimmed to ten groups.
+		{GroupBy: []string{"order_id"}, Aggs: []AggSpec{{Kind: AggCount, As: "n"}, {Kind: AggSum, Column: "amount", As: "total"}},
+			OrderBy: []OrderSpec{{Column: "total", Desc: true}}, Limit: 2},
 		// Ordered selections: amount ties across chunks and is sometimes
 		// NULL; city and items tie more often still, and OFFSET skips rows.
 		{Select: []string{"order_id", "amount"},
@@ -143,8 +222,13 @@ func FuzzMergePartials(f *testing.F) {
 	f.Add([]byte{255, 255, 255, 255, 255, 255})
 	f.Add([]byte{1, 2, 0, 13, 26, 39, 52, 65, 78, 91, 104, 117, 130, 143})
 	f.Add([]byte{7, 3, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96, 104, 112, 120, 128})
+	// NULL keys (score, items), NaN, -0 beside 0, and 2^53 beside 2^53+1,
+	// over three chunks.
+	f.Add([]byte{2, 2, 130, 143, 13, 26, 5, 165, 40, 70, 45, 75, 20, 27, 6, 34, 66})
+	// Two chunks of thirteen groups each: the top-K's runs trim.
+	f.Add([]byte{1, 1, 9, 18, 27, 36, 45, 54, 63, 72, 81, 90, 99, 108, 117, 126, 135, 144, 153, 162, 171, 180, 189, 198, 207, 216, 225, 234})
 
-	schema := ordersSchema()
+	schema := fuzzSchema()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
@@ -165,9 +249,10 @@ func FuzzMergePartials(f *testing.F) {
 
 		// Chunk the rows evenly (some chunks may be empty), each to be
 		// answered by a consuming scan, a sealed segment or a star-tree
-		// segment in turn, and append one always-empty chunk.
+		// segment in turn, and append one always-empty chunk. A chunk
+		// scans under a top-K plan, or none.
 		per := max((len(rows)+nChunks-1)/nChunks, 1)
-		var chunks []func(q *Query) (*Partial, error)
+		var chunks []func(q *Query, tp *topKPlan) (*Partial, error)
 		star := -1 // the chunk a star-tree segment answers
 		for at := 0; at < nChunks; at++ {
 			chunk := rows[min(at*per, len(rows)):min((at+1)*per, len(rows))]
@@ -179,7 +264,16 @@ func FuzzMergePartials(f *testing.F) {
 				cfg = &fuzzStarTree
 			}
 			if cfg == nil || len(chunk) == 0 {
-				chunks = append(chunks, func(q *Query) (*Partial, error) { return partialOfRecords(schema, chunk, q) })
+				chunks = append(chunks, func(q *Query, tp *topKPlan) (*Partial, error) {
+					if tp == nil {
+						return partialOfRecords(schema, chunk, q)
+					}
+					sc, err := consumingOf(schema, chunk)
+					if err != nil {
+						return nil, err
+					}
+					return sc.executePartial(q, nil, tp)
+				})
 				continue
 			}
 			seg, err := BuildSegment(fmt.Sprintf("c%d", at), schema, chunk, *cfg, -1)
@@ -189,9 +283,9 @@ func FuzzMergePartials(f *testing.F) {
 			if cfg.StarTree != nil {
 				star = at
 			}
-			chunks = append(chunks, func(q *Query) (*Partial, error) { return seg.ExecutePartial(q, nil) })
+			chunks = append(chunks, func(q *Query, tp *topKPlan) (*Partial, error) { return seg.executePartialTrim(q, nil, tp) })
 		}
-		chunks = append(chunks, func(q *Query) (*Partial, error) { return PartialOfRows(schema, nil, q) })
+		chunks = append(chunks, func(q *Query, _ *topKPlan) (*Partial, error) { return PartialOfRows(schema, nil, q) })
 
 		for qi, q := range fuzzQueries() {
 			single, err := partialOfRecords(schema, rows, q)
@@ -202,27 +296,51 @@ func FuzzMergePartials(f *testing.F) {
 			if err != nil {
 				t.Fatalf("q%d finalize: %v", qi, err)
 			}
-			same := func(how string, p *Partial) {
+			finalize := func(how string, p *Partial) *QueryResponse {
 				t.Helper()
+				if p.agg && !inKeyOrder(p) {
+					t.Fatalf("q%d %s: the merged table is not in strict key order", qi, how)
+				}
 				got, err := p.Finalize(q)
 				if err != nil {
 					t.Fatalf("q%d %s finalize: %v", qi, how, err)
 				}
+				return got
+			}
+			same := func(how string, p *Partial) {
+				t.Helper()
+				got := finalize(how, p)
 				if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(floatClassed(got.Rows), floatClassed(want.Rows)) {
 					t.Fatalf("q%d %s diverges from single pass:\n got %v %v\nwant %v %v",
 						qi, how, got.Columns, fmt.Sprintf("%#v", got.Rows), want.Columns, fmt.Sprintf("%#v", want.Rows))
 				}
 			}
+			// asOracle holds a merge of parts to the hash merge of them: the
+			// same groups and states, whatever their order.
+			asOracle := func(how string, p *Partial, parts []*Partial) {
+				t.Helper()
+				oracle := hashMerge(q, parts)
+				if oracle == nil {
+					return
+				}
+				exp, err := oracle.Finalize(q)
+				if err != nil {
+					t.Fatalf("q%d %s: the hash merge's finalize: %v", qi, how, err)
+				}
+				if g, w := unordered(finalize(how, p).Rows), unordered(exp.Rows); !reflect.DeepEqual(g, w) {
+					t.Fatalf("q%d %s diverges from the hash merge:\n got %v\nwant %v", qi, how, g, w)
+				}
+			}
 
 			// Each chunk's answer comes from a second partial of it, so the
-			// merges below read partials as they leave the scan, unindexed.
+			// merges below read partials as they leave the scan.
 			parts := make([]*Partial, len(chunks))
 			before := make([]*QueryResponse, len(chunks))
 			for i, chunk := range chunks {
-				if parts[i], err = chunk(q); err != nil {
+				if parts[i], err = chunk(q, nil); err != nil {
 					t.Fatalf("q%d chunk %d: %v", qi, i, err)
 				}
-				twin, err := chunk(q)
+				twin, err := chunk(q, nil)
 				if err == nil {
 					before[i], err = twin.Finalize(q)
 				}
@@ -242,10 +360,14 @@ func FuzzMergePartials(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				rotated := make([]*Partial, len(parts))
 				for i := range parts {
-					acc.Merge(parts[(i+start)%len(parts)])
+					rotated[i] = parts[(i+start)%len(parts)]
+					acc.Merge(rotated[i])
 				}
-				same(fmt.Sprintf("rotated merge from %d", start%len(parts)), acc)
+				how := fmt.Sprintf("rotated merge from %d", start%len(parts))
+				same(how, acc)
+				asOracle(how, acc, rotated)
 			}
 
 			// Balanced-tree merge: associativity across groupings.
@@ -262,15 +384,65 @@ func FuzzMergePartials(f *testing.F) {
 			}
 			same("tree merge", tree(parts))
 
+			// One k-way merge, as a producer and the broker run it.
+			same("k-way merge", merged(q, slices.Clone(parts), 0))
+
+			// The same merge over runs the caller owns, whose states it
+			// moves or folds into: all of them, as the broker merges the
+			// producers' tables, and the first few beside read-only ones, as
+			// a producer merges its scans beside the cache's partials.
+			fresh := make([]*Partial, len(chunks))
+			for i, chunk := range chunks {
+				if fresh[i], err = chunk(q, nil); err != nil {
+					t.Fatalf("q%d chunk %d: %v", qi, i, err)
+				}
+			}
+			same("k-way merge of owned runs", merged(q, fresh, len(fresh)))
+			mine := len(chunks)/2 + 1
+			for i, chunk := range chunks[:mine] {
+				if fresh[i], err = chunk(q, nil); err != nil {
+					t.Fatalf("q%d chunk %d: %v", qi, i, err)
+				}
+			}
+			same("k-way merge of owned and read-only runs", merged(q, append(fresh[:mine], parts[mine:]...), mine))
+
+			// Runs trimmed to the top-K budget: merged one at a time and k
+			// ways, as the hash merge merges them.
+			if tp := planTopK(q, 1); tp != nil && len(q.Aggs) > 0 {
+				trimmed := make([]*Partial, len(chunks))
+				for i, chunk := range chunks {
+					if trimmed[i], err = chunk(q, tp); err != nil {
+						t.Fatalf("q%d chunk %d trimmed: %v", qi, i, err)
+					}
+				}
+				acc := newPartial(q)
+				for _, p := range trimmed {
+					acc.Merge(p)
+				}
+				asOracle("merge of trimmed runs", acc, trimmed)
+				asOracle("k-way merge of trimmed runs", merged(q, slices.Clone(trimmed), 0), trimmed)
+			}
+
 			// Merge left every chunk as it was.
 			for i, p := range parts {
 				after, err := p.Finalize(q)
-				if err != nil || !reflect.DeepEqual(after.Rows, before[i].Rows) {
+				if err != nil || !reflect.DeepEqual(floatClassed(after.Rows), floatClassed(before[i].Rows)) {
 					t.Fatalf("q%d chunk %d changed by Merge: %v, was %v (%v)", qi, i, after.Rows, before[i].Rows, err)
 				}
 			}
 		}
 	})
+}
+
+// unordered is rows as comparable text, NaN and -0 as floatClassed spells
+// them, sorted: the rows as a multiset.
+func unordered(rows [][]any) []string {
+	out := make([]string, len(rows))
+	for i, row := range floatClassed(rows) {
+		out[i] = fmt.Sprintf("%#v", row)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // FuzzDecodeSegment feeds DecodeSegment the bytes a deep store could hand a
@@ -530,15 +702,26 @@ func FuzzUnpack(f *testing.F) {
 }
 
 // floatClassed returns rows with each long past 2^53 rounded to the long its
-// float64 is: 2^53 and 2^53+1 are one group, and which of them names it
-// depends on which partial reached the merge first.
+// float64 is, and -0 as 0: 2^53 and 2^53+1 are one group, as are -0 and 0,
+// and which of them names it depends on which partial reached the merge
+// first. A NaN is the string "NaN", which DeepEqual takes for itself.
 func floatClassed(rows [][]any) [][]any {
 	out := make([][]any, len(rows))
 	for i, row := range rows {
 		out[i] = slices.Clone(row)
 		for c, v := range row {
-			if l, ok := v.(int64); ok && (l > 1<<53 || l < -1<<53) {
-				out[i][c] = int64(float64(l))
+			switch x := v.(type) {
+			case int64:
+				if x > 1<<53 || x < -1<<53 {
+					out[i][c] = int64(float64(x))
+				}
+			case float64:
+				switch {
+				case x != x:
+					out[i][c] = "NaN"
+				case x == 0:
+					out[i][c] = 0.0
+				}
 			}
 		}
 	}

@@ -233,6 +233,54 @@ func BenchmarkBrokerGroupBy(b *testing.B) {
 	}
 }
 
+// BenchmarkViewMerge folds 100-row delta partials into a standing view's
+// state of 2 000 restaurants with a DISTINCTCOUNT, as matview's drain does:
+// old-groups deltas hold only groups the view has, one-new-group deltas add
+// one each. Order ids repeat every 50 000 rows, so the sets stop growing.
+func BenchmarkViewMerge(b *testing.B) {
+	schema := &metadata.Schema{Name: "orders", Fields: []metadata.Field{
+		{Name: "restaurant_id", Type: metadata.TypeLong, Dimension: true},
+		{Name: "order_id", Type: metadata.TypeString, Dimension: true},
+		{Name: "amount", Type: metadata.TypeDouble},
+	}}
+	q := &Query{GroupBy: []string{"restaurant_id"}, Aggs: []AggSpec{
+		{Kind: AggSum, Column: "amount"}, {Kind: AggCount}, {Kind: AggDistinctCount, Column: "order_id"}}}
+	next := 0
+	rows := func(n int) []record.Row {
+		out := make([]record.Row, n)
+		for i := range out {
+			next++
+			out[i] = record.Row{Schema: schema, Vals: []record.Value{
+				record.ValueOf(int64(next * 7919 % 2000)), record.ValueOf(fmt.Sprintf("o%08d", next%50_000)), record.ValueOf(float64(next % 97)),
+			}}
+		}
+		return out
+	}
+	for _, fresh := range []bool{false, true} {
+		name := map[bool]string{false: "old-groups", true: "one-new-group"}[fresh]
+		b.Run(name, func(b *testing.B) {
+			state, err := PartialOfRows(schema, rows(20_000), q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := range b.N {
+				b.StopTimer()
+				batch := rows(100)
+				if fresh {
+					batch[0].Vals[0] = record.ValueOf(int64(1_000_000 + i))
+				}
+				delta, err := PartialOfRows(schema, batch, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				state.Merge(delta)
+			}
+		})
+	}
+}
+
 // BenchmarkBrokerOrderedSelect is ORDER BY amount DESC LIMIT 10 over the
 // selected rows through Broker.Execute: two servers, eight sealed 500-row
 // segments, amounts tied about ten rows apiece. trim cuts each segment and

@@ -3,7 +3,9 @@ package olap
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"repro/internal/metadata"
@@ -15,9 +17,10 @@ import (
 // merge associatively — first across the segments of one server, then across
 // servers at the broker — and are finalized into user-facing values exactly
 // once. Keeping every aggregation as a mergeable state (COUNT/SUM/MIN/MAX as
-// running numerics, AVG as a SUM+COUNT pair, DISTINCTCOUNT as a value set)
-// is what lets the broker merge partial results in any arrival order without
-// the query rewrites the serial path needed.
+// running numerics, AVG as a SUM+COUNT pair, DISTINCTCOUNT as a value set),
+// in group-key order, is what lets the broker merge partial results from
+// any arrival order in one pass, without the query rewrites the serial path
+// needed.
 
 // aggState is the mergeable partial state of one aggregation: the numeric
 // running values of record.Agg plus, for DISTINCTCOUNT, the set of observed
@@ -69,30 +72,31 @@ func (a *aggState) mergeState(o *aggState) {
 
 // Partial is the mergeable partial result of a query over a subset of a
 // table's segments — the unit the scatter phase ships from segment scans to
-// the broker's streaming merge. It is one typed table: row r is row r of the
-// key vectors. For an aggregation the keys are the GROUP BY columns, group
-// r's aggregations are accs[r*naggs : (r+1)*naggs], and a record.KeyIndex
-// numbers the typed keys by row, so a group costs no heap object of its own.
-// The index is built where a key is first looked up — Merge into the table,
-// or Finalize — so a scan's, a trim's or a cached partial leaves unindexed.
-// Building it writes the table: a partial two goroutines can reach (a cached
-// segment partial, a view's state) is only ever a Merge argument, or is used
-// under its owner's lock. For a selection the keys are the selected columns,
-// named by cols, with no states and no index.
+// the broker's merge. It is one typed table: row r is row r of the key
+// vectors. For an aggregation the keys are the GROUP BY columns, group r's
+// aggregations are accs[r*naggs : (r+1)*naggs], and the rows ascend strictly
+// by key, column by column under record.Vector.KeyCompare: every emitter — a
+// scan's grouper, the star-tree, a trim — writes its groups in that order,
+// and a merge is one pass over such runs (merged) that keeps it. So a
+// group costs no heap object and no hash, and Finalize without ORDER BY
+// returns the rows as they lie. Once emitted a partial is only read — merged,
+// cached, finalized — except by its one owner: a producer or the broker
+// merges the runs it owns, which may take their states, and trims the merged
+// table in place, and a view merges into its state under its lock. For a
+// selection the keys are the selected columns, named by cols, with no states
+// and no order.
 type Partial struct {
 	agg   bool
 	naggs int
 	n     int             // groups, or a selection's rows
 	keys  []record.Vector // one per GROUP BY or selected column
 	accs  []aggState
-	index record.KeyIndex // an aggregation's key → row, once built
 
 	cols  []string // a selection's columns
 	stats ExecStats
 }
 
-// newPartial returns an empty partial for the query shape; an empty table's
-// index is built.
+// newPartial returns an empty partial for the query shape.
 func newPartial(q *Query) *Partial {
 	if len(q.Aggs) > 0 {
 		return &Partial{agg: true, naggs: len(q.Aggs), keys: make([]record.Vector, len(q.GroupBy))}
@@ -110,67 +114,79 @@ func (p *Partial) positions(buf []int32) []int32 {
 	return rows
 }
 
-// buildIndex indexes an aggregation's table the first time a key is looked
-// up in it; the index is built once it numbers every row. Two rows of one
-// key — longs above 2^53 that are one float64 — fold into one group as Merge
-// folds keys: the table is merged into a fresh one.
-func (p *Partial) buildIndex() {
-	if !p.agg || p.index.Len() == p.n {
-		return
-	}
-	p.index.Reserve(p.keys, p.n)
-	for r := range p.n {
-		if _, dup := p.index.Add(p.keys, r); dup {
-			folded := &Partial{agg: true, naggs: p.naggs, keys: make([]record.Vector, len(p.keys))}
-			folded.Merge(p)
-			*p = *folded
-			return
+// compareKeys orders row a of p against row b of o by their keys, column by
+// column (record.Vector.KeyCompare).
+func compareKeys(p *Partial, a int, o *Partial, b int) int {
+	for c := range p.keys {
+		if x := p.keys[c].KeyCompare(a, &o.keys[c], b); x != 0 {
+			return x
 		}
+	}
+	return 0
+}
+
+// sortRows sorts rows of the table into key order, rows of one key side by
+// side.
+func (p *Partial) sortRows(rows []int32) {
+	slices.SortFunc(rows, func(a, b int32) int { return compareKeys(p, int(a), p, int(b)) })
+}
+
+// foldStates folds states into mine, one to one: zero states take a copy,
+// their DISTINCTCOUNT sets copied, so the source stays unchanged.
+func foldStates(mine, states []aggState) {
+	for i := range states {
+		mine[i].mergeState(&states[i])
 	}
 }
 
-// add folds a group — row r of key, aggregations accs — into the indexed
-// table, appending it, key row copied, when the table lacks it. accs'
-// DISTINCTCOUNT sets are copied, so the source stays unchanged.
-func (p *Partial) add(key []record.Vector, r int, accs []aggState) {
-	row, found := p.index.Add(key, r)
-	if !found {
-		for c := range key {
-			p.keys[c].AppendRows(&key[c], []int32{int32(r)})
-		}
-		for range p.naggs {
-			p.accs = append(p.accs, aggState{})
-		}
-		p.n++
-	}
-	mine := p.accs[row*p.naggs : (row+1)*p.naggs]
-	for i := range accs {
-		mine[i].mergeState(&accs[i])
-	}
-}
-
-// keep returns an unindexed table of the given rows of p, in that order; it
-// takes over their DISTINCTCOUNT sets and p's stats.
+// keep returns a new table of the given rows of an aggregation, in that
+// order, which is key order: a row whose key is the key of the row kept
+// before it — two codes of one value, as 2^53 and 2^53+1 are in a long
+// dictionary — folds into that row. It takes over the rows' states, their
+// DISTINCTCOUNT sets included, and p's stats: p is a table about to be let
+// go (a scan's scratch, the star-tree's hits).
 func (p *Partial) keep(rows []int32) *Partial {
-	out := &Partial{agg: p.agg, naggs: p.naggs, n: len(rows), keys: make([]record.Vector, len(p.keys)), cols: p.cols, stats: p.stats}
-	for c := range out.keys {
-		out.keys[c].AppendRows(&p.keys[c], rows)
-	}
-	if p.agg {
-		out.accs = make([]aggState, 0, len(rows)*p.naggs)
-		for _, r := range rows {
-			out.accs = append(out.accs, p.accs[int(r)*p.naggs:(int(r)+1)*p.naggs]...)
+	kept := rows[:0]
+	for _, r := range rows {
+		if last := len(kept) - 1; last >= 0 && compareKeys(p, int(kept[last]), p, int(r)) == 0 {
+			foldStates(p.states(int(kept[last])), p.states(int(r)))
+			continue
 		}
+		kept = append(kept, r)
 	}
+	out := &Partial{agg: true, naggs: p.naggs, keys: make([]record.Vector, len(p.keys)), accs: make([]aggState, 0, len(kept)*p.naggs), stats: p.stats}
+	out.take(p, kept)
 	return out
 }
 
+// states is group r's aggregations.
+func (p *Partial) states(r int) []aggState { return p.accs[r*p.naggs : (r+1)*p.naggs] }
+
+// take makes p's rows the given rows of src, in their order, taking over
+// their states; the rest of src's states are cleared, letting go of their
+// DISTINCTCOUNT sets. src may be p itself when the positions ascend: each
+// row is appended to the table truncated to its front, where a row's new
+// place is never after its old one, so it is read before it is written over.
+func (p *Partial) take(src *Partial, rows []int32) {
+	accs := src.accs
+	for c := range p.keys {
+		v := src.keys[c]
+		p.keys[c].Reset(v.Type)
+		p.keys[c].AppendRows(&v, rows)
+	}
+	p.accs = p.accs[:0]
+	for _, r := range rows {
+		p.accs = append(p.accs, accs[int(r)*p.naggs:(int(r)+1)*p.naggs]...)
+	}
+	clear(accs[len(p.accs):])
+	p.n = len(rows)
+}
+
 // size approximates an aggregate partial's resident footprint for the
-// cache's byte accounting: its key vectors (Vector.Size), its states, the
-// DISTINCTCOUNT sets' members, and the index and arena once built — a
-// segment's partial enters the cache unindexed.
+// cache's byte accounting: its key vectors (Vector.Size), its states and the
+// DISTINCTCOUNT sets' members.
 func (p *Partial) size() int64 {
-	n := int64(128 + p.index.ArenaBytes() + 48*p.index.Len() + int(unsafe.Sizeof(aggState{}))*len(p.accs))
+	n := int64(128 + int(unsafe.Sizeof(aggState{}))*len(p.accs))
 	for c := range p.keys {
 		n += p.keys[c].Size()
 	}
@@ -185,41 +201,233 @@ func (p *Partial) size() int64 {
 	return n
 }
 
-// Merge folds another partial into this one, leaving o unchanged. Merging
-// is associative and commutative, so the broker can fold partials in
-// arrival order — and partials remain reusable after being merged. A group
-// new to p, or a selection's row, is appended by value; only a group's
-// DISTINCTCOUNT sets are copied.
+// Merge folds another partial into this one, leaving o unchanged: the one
+// two-run merge, for a caller that folds partials one at a time. Merging is
+// associative and commutative, so partials fold in any arrival order and
+// remain reusable after being merged.
 func (p *Partial) Merge(o *Partial) {
-	p.stats.Add(o.stats)
-	if p.agg {
-		p.buildIndex()
-		for r := 0; r < o.n; r++ {
-			p.add(o.keys, r, o.accs[r*o.naggs:(r+1)*o.naggs])
+	p.accs = slices.Grow(p.accs, len(o.accs)) // room to grow in, by doubling
+	*p = *merged(nil, []*Partial{p, o}, 1)
+}
+
+// merged merges runs, partials of q's shape of which the first own are the
+// caller's to write and the rest only to read, into one table; the stats add
+// up. No run makes an empty table; the caller's only run is the table. An
+// aggregation's runs, each in key order, merge k ways (mergeScratch.merge)
+// into a table in strict key order, whose states go where the largest of the
+// caller's runs keeps its own when it has room for them all — it is the
+// table when the other runs add no group to it — and into one array
+// allocated at its size otherwise. A group's first state moves in from a
+// run of the caller's and is copied from any other, its DISTINCTCOUNT set
+// with it. A selection's rows follow run after run. Runs that are only read
+// are left unchanged.
+func merged(q *Query, runs []*Partial, own int) *Partial {
+	switch {
+	case len(runs) == 0:
+		return newPartial(q)
+	case len(runs) == 1 && own == 1:
+		return runs[0]
+	}
+	for i := range own {
+		if runs[i].n > runs[0].n {
+			runs[0], runs[i] = runs[i], runs[0]
 		}
+	}
+	out := &Partial{agg: runs[0].agg, naggs: runs[0].naggs, keys: make([]record.Vector, len(runs[0].keys))}
+	m := mergePool.Get().(*mergeScratch)
+	defer mergePool.Put(m)
+	defer m.release()
+	for i, r := range runs {
+		out.stats.Add(r.stats)
+		if out.cols == nil && r.cols != nil {
+			out.cols, out.keys = r.cols, make([]record.Vector, len(r.keys))
+		}
+		for row := 0; !out.agg && row < r.n; row++ {
+			m.from, m.rows = append(m.from, int32(i)), append(m.rows, int32(row))
+		}
+	}
+	if out.agg {
+		m.merge(runs)
+		first, n := 0, len(m.from)*out.naggs
+		if own > 0 && cap(runs[0].accs) >= n {
+			// The largest of the caller's runs has room for the table's
+			// states: its own move back to their groups' places, last
+			// first, as no row's group is before the row.
+			out.accs, first = runs[0].accs[:n], 1
+			for g := len(m.from) - 1; g >= 0; g-- {
+				switch {
+				case m.from[g] != 0:
+					clear(out.states(g))
+				case int(m.rows[g]) != g:
+					copy(out.states(g), runs[0].states(int(m.rows[g])))
+				}
+			}
+		} else {
+			out.accs = make([]aggState, n)
+		}
+		m.fold(runs, first, out.accs, own)
+		if first == 1 && len(m.from) == runs[0].n {
+			runs[0].stats = out.stats
+			return runs[0]
+		}
+	}
+	out.n = len(m.from)
+	for c := range out.keys {
+		for _, r := range runs {
+			if v := &out.keys[c]; r.n > 0 && v.Type == metadata.TypeInvalid {
+				v.Reset(r.keys[c].Type)
+				v.Grow(out.n)
+			}
+		}
+	}
+	// Key rows are copied a stretch of one run at a time.
+	for j := 0; j < out.n; {
+		k := j + 1
+		for k < out.n && m.from[k] == m.from[j] {
+			k++
+		}
+		for c := range out.keys {
+			out.keys[c].AppendRows(&runs[m.from[j]].keys[c], m.rows[j:k])
+		}
+		j = k
+	}
+	return out
+}
+
+// mergeScratch is one merge's working memory, recycled through mergePool:
+// each row of the table to be — the run from[g] and the row rows[g] its key
+// is read from — and, for an aggregation, the group each run's rows fold
+// into: run i's row r into group dst[i][r], a stretch of one backing array.
+type mergeScratch struct {
+	from, rows []int32
+	dst        [][]int32
+	groups     []int32 // dst's backing array
+	at         []int   // each run's next row
+	slots      []int32 // direct's table over a span of longs
+}
+
+var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// merge merges runs, aggregations in key order, k ways: the run whose next
+// key is least gives the next row, ties to the earlier run, and a key equal
+// to the group written last — the same group in another run — joins it. So
+// a group's key is read from the earliest run that holds it.
+func (m *mergeScratch) merge(runs []*Partial) {
+	total := 0
+	for _, r := range runs {
+		total += r.n
+	}
+	m.groups = slices.Grow(m.groups[:0], total)
+	rest := m.groups[:total]
+	m.dst, m.at = m.dst[:0], m.at[:0]
+	for _, r := range runs {
+		m.dst, rest = append(m.dst, rest[:r.n:r.n]), rest[r.n:]
+		m.at = append(m.at, 0)
+	}
+	if m.direct(runs) {
 		return
 	}
-	if p.cols == nil {
-		p.cols, p.keys = o.cols, make([]record.Vector, len(o.keys))
+	for {
+		i := -1
+		for j, run := range runs {
+			if m.at[j] < run.n && (i < 0 || compareKeys(run, m.at[j], runs[i], m.at[i]) < 0) {
+				i = j
+			}
+		}
+		if i < 0 {
+			return
+		}
+		// A run is in strict key order: only another run's row can hold
+		// the key of the group written last.
+		r, g := m.at[i], len(m.from)-1
+		if g < 0 || int(m.from[g]) == i || compareKeys(runs[m.from[g]], int(m.rows[g]), runs[i], r) != 0 {
+			m.from, m.rows, g = append(m.from, int32(i)), append(m.rows, int32(r)), g+1
+		}
+		m.dst[i][r] = int32(g)
+		m.at[i]++
 	}
-	if o.n == 0 {
-		return
+}
+
+// fold folds the states of runs[first:] into accs, the merged groups'
+// states, run after run: a group's first row, when its run is one of the
+// first own, moves its states in, and every other row folds its states into
+// its group's.
+func (m *mergeScratch) fold(runs []*Partial, first int, accs []aggState, own int) {
+	naggs := runs[0].naggs
+	for i := first; i < len(runs); i++ {
+		for r, g := range m.dst[i] {
+			to := accs[int(g)*naggs : (int(g)+1)*naggs]
+			if i < own && int(m.from[g]) == i && int(m.rows[g]) == r {
+				copy(to, runs[i].states(r))
+				continue
+			}
+			foldStates(to, runs[i].states(r))
+		}
 	}
-	rows := o.positions(nil)
-	for c := range o.keys {
-		p.keys[c].AppendRows(&o.keys[c], rows)
+}
+
+// direct merges runs keyed by one long column without NULLs whose values
+// are dense — their span at most 16 times the runs' rows, every value a
+// float64 of its own — by value, and reports whether it did: each value's
+// slot in a table over the span is marked, and the marked slots numbered in
+// value order are the groups, a group's key read from the earliest run.
+func (m *mergeScratch) direct(runs []*Partial) bool {
+	lo, hi, total := int64(math.MaxInt64), int64(math.MinInt64), 0
+	for _, r := range runs {
+		if r.n == 0 {
+			continue
+		}
+		if len(r.keys) != 1 || len(r.keys[0].Null) > 0 || !slices.Contains(longTypes, r.keys[0].Type) {
+			return false
+		}
+		lo, hi, total = min(lo, r.keys[0].Ints[0]), max(hi, r.keys[0].Ints[r.n-1]), total+r.n
 	}
-	p.n += o.n
+	if total == 0 || lo < -1<<53 || hi > 1<<53 || hi-lo >= int64(16*total) {
+		return false
+	}
+	slots := slices.Grow(m.slots[:0], int(hi-lo)+1)[:hi-lo+1]
+	for _, r := range runs {
+		for _, x := range r.keys[0].Ints[:r.n] {
+			slots[x-lo] = 1
+		}
+	}
+	groups := int32(0)
+	for k, s := range slots {
+		if s != 0 {
+			groups++
+			slots[k] = groups
+		}
+	}
+	m.from, m.rows = slices.Grow(m.from, int(groups))[:groups], slices.Grow(m.rows, int(groups))[:groups]
+	for i := len(runs) - 1; i >= 0; i-- {
+		for r, x := range runs[i].keys[0].Ints[:runs[i].n] {
+			g := slots[x-lo] - 1
+			m.from[g], m.rows[g], m.dst[i][r] = int32(i), int32(r), g
+		}
+	}
+	clear(slots)
+	m.slots = slots
+	return true
+}
+
+// longTypes are the column types a record.Vector holds in Ints.
+var longTypes = []metadata.FieldType{metadata.TypeLong, metadata.TypeTimestamp, metadata.TypeBool}
+
+// release lets go of what the last merge left: the runs.
+func (m *mergeScratch) release() {
+	m.from, m.rows = m.from[:0], m.rows[:0]
+	clear(m.dst)
 }
 
 // Finalize converts the merged partial into a user-facing response: group
 // states collapse to final values (AVG = Sum/Count, DISTINCTCOUNT = set
-// cardinality) and ORDER BY / OFFSET / LIMIT apply. Rows rank by position
-// over the typed table — the ORDER BY terms, then ascending value of each
-// key column (Partial.less) — and only the rows returned are boxed, into one
-// backing array. A selection without ORDER BY keeps its rows' merge order.
+// cardinality) and ORDER BY / OFFSET / LIMIT apply. Under ORDER BY rows rank
+// by position over the typed table — the ORDER BY terms, then ascending
+// value of each key column (Partial.less); without it an aggregation's
+// groups come as they lie, in key order, and a selection's rows in their
+// merge order. Only the rows returned are boxed, into one backing array.
+// Finalize only reads p.
 func (p *Partial) Finalize(q *Query) (*QueryResponse, error) {
-	p.buildIndex()
 	cols := p.cols
 	switch {
 	case p.agg:
@@ -242,7 +450,7 @@ func (p *Partial) Finalize(q *Query) (*QueryResponse, error) {
 		return nil, err
 	}
 	order := p.positions(nil)
-	if p.agg || len(terms) > 0 {
+	if len(terms) > 0 {
 		less := p.less(terms)
 		if k := q.Limit + q.Offset; q.Limit > 0 && k < len(order) {
 			selectTop(order, k, less)

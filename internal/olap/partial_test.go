@@ -3,6 +3,7 @@ package olap
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -145,14 +146,13 @@ func finalized(t *testing.T, p *Partial, q *Query) [][]any {
 	return res.Rows
 }
 
-// TestSegmentPartialsLeaveUnindexed: a sealed segment's partial leaves the
-// scan unindexed, trimmed (more groups than groupK) and untrimmed, and is
-// indexed where a key is first looked up. Every fifth row of a partition is
-// 2^53 or 2^53+1, two longs that are one float64: one group held under two
-// dictionary codes, which Finalize of the bare partial, a Merge and the
-// broker each fold into one. Every other row is a group of its own, so a
-// trimmed broker answer equals the TrimExact one.
-func TestSegmentPartialsLeaveUnindexed(t *testing.T) {
+// TestSegmentPartialsFoldTwoCodesOfOneKey: a sealed segment's partial
+// leaves the scan in strict key order, trimmed (more groups than groupK) and
+// untrimmed. Every fifth row of a partition is 2^53 or 2^53+1, two longs
+// that are one float64: one group held under two dictionary codes, which
+// the scan, a Merge and the broker each fold into one. Every other row is a
+// group of its own, so a trimmed broker answer equals the TrimExact one.
+func TestSegmentPartialsFoldTwoCodesOfOneKey(t *testing.T) {
 	const big = int64(1) << 53
 	rows := func(n int) []record.Record {
 		out := make([]record.Record, n)
@@ -177,8 +177,8 @@ func TestSegmentPartialsLeaveUnindexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if whole.n != 82 || whole.index.Len() != 0 {
-		t.Fatalf("untrimmed: %d rows, %d indexed; want 82 (two of one key), none indexed", whole.n, whole.index.Len())
+	if whole.n != 81 || !inKeyOrder(whole) {
+		t.Fatalf("untrimmed: %d rows, in key order %v; want 81 (two codes of one key folded), in order", whole.n, inKeyOrder(whole))
 	}
 	if got := finalized(t, whole, q)[0]; got[0] != big || got[1] != int64(20) {
 		t.Errorf("untrimmed partial's top group %v, want 2^53 with 20 rows", got)
@@ -188,15 +188,15 @@ func TestSegmentPartialsLeaveUnindexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trimmed.n != tp.groupK || trimmed.index.Len() != 0 || trimmed.stats.GroupsTrimmed != int64(82-tp.groupK) {
-		t.Fatalf("trimmed: %d rows, %d indexed, %d trimmed; want %d, none, %d",
-			trimmed.n, trimmed.index.Len(), trimmed.stats.GroupsTrimmed, tp.groupK, 82-tp.groupK)
+	if trimmed.n != tp.groupK-1 || !inKeyOrder(trimmed) || trimmed.stats.GroupsTrimmed != int64(82-tp.groupK) {
+		t.Fatalf("trimmed: %d rows, in key order %v, %d trimmed; want %d, in order, %d",
+			trimmed.n, inKeyOrder(trimmed), trimmed.stats.GroupsTrimmed, tp.groupK-1, 82-tp.groupK)
 	}
 	acc := newPartial(q)
 	acc.Merge(trimmed)
-	if acc.n != tp.groupK-1 || acc.index.Len() != acc.n || trimmed.index.Len() != 0 {
-		t.Errorf("merge target: %d groups, %d indexed, argument %d indexed; want %d, all, none",
-			acc.n, acc.index.Len(), trimmed.index.Len(), tp.groupK-1)
+	acc.Merge(whole)
+	if acc.n != 81 || !inKeyOrder(acc) {
+		t.Errorf("merged: %d groups, in key order %v; want 81, in order", acc.n, inKeyOrder(acc))
 	}
 
 	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
@@ -221,10 +221,9 @@ func TestSegmentPartialsLeaveUnindexed(t *testing.T) {
 	}
 }
 
-// TestPartialSizeChargesABuiltIndexOnly: a segment's partial enters the
-// cache unindexed, so its size charges its keys and states and no index;
-// once a Merge into it builds the index, the index is charged too.
-func TestPartialSizeChargesABuiltIndexOnly(t *testing.T) {
+// TestPartialSizeChargesKeysAndStates: a partial's size, which the cache
+// charges, is its keys and its states, whether it left a scan or a Merge.
+func TestPartialSizeChargesKeysAndStates(t *testing.T) {
 	rows := make([]record.Record, 50)
 	for i := range rows {
 		rows[i] = record.Record{"order_id": fmt.Sprintf("o-%d", i), "city": fmt.Sprintf("c%d", i%10), "status": "placed",
@@ -239,21 +238,154 @@ func TestPartialSizeChargesABuiltIndexOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.n != 10 || p.index.Len() != 0 {
-		t.Fatalf("segment partial: %d groups, %d indexed; want 10, none", p.n, p.index.Len())
+	want := func(p *Partial) int64 {
+		n := int64(128 + int(unsafe.Sizeof(aggState{}))*len(p.accs))
+		for c := range p.keys {
+			n += p.keys[c].Size()
+		}
+		return n
 	}
-	unindexed := int64(128 + int(unsafe.Sizeof(aggState{}))*len(p.accs))
-	for c := range p.keys {
-		unindexed += p.keys[c].Size()
-	}
-	if got := p.size(); got != unindexed {
-		t.Errorf("unindexed size = %d, want %d: keys and states, no index", got, unindexed)
+	if p.n != 10 || p.size() != want(p) {
+		t.Fatalf("segment partial: %d groups, size %d; want 10, %d: keys and states", p.n, p.size(), want(p))
 	}
 	p.Merge(newPartial(q))
-	if p.index.Len() != p.n {
-		t.Fatalf("after a Merge: %d of %d groups indexed", p.index.Len(), p.n)
+	if p.n != 10 || p.size() != want(p) {
+		t.Errorf("after a Merge: %d groups, size %d; want 10, %d: keys and states", p.n, p.size(), want(p))
 	}
-	if got := p.size(); got < unindexed+48*int64(p.n) {
-		t.Errorf("indexed size = %d, want at least %d: the index is charged", got, unindexed+48*int64(p.n))
+}
+
+// inKeyOrder reports an aggregation's groups in strict key order.
+func inKeyOrder(p *Partial) bool {
+	for r := 1; r < p.n; r++ {
+		if compareKeys(p, r-1, p, r) >= 0 {
+			return false
+		}
 	}
+	return true
+}
+
+// TestPartialsEmitInKeyOrder: every grouping form emits its groups in strict
+// key order (record.Vector.KeyCompare), which the run merge and Finalize
+// without ORDER BY rely on: the code-space form over one and two sealed
+// columns with NULL codes, past maxCodeSpace the keyed form, raw consuming
+// long and double columns, a dense consuming string column, the star-tree,
+// a global aggregate and trimmed scans. The rows hold NULLs, NaN beside -0
+// and 0, and 2^53 beside 2^53+1, so a sealed dictionary has two codes of one
+// value. An emitter that writes its groups in first-seen order fails it.
+func TestPartialsEmitInKeyOrder(t *testing.T) {
+	const n = 600
+	cities := []string{"sf", "nyc", "la", "chi", "bos"}
+	rows := make([]record.Record, n)
+	for i := range rows {
+		r := record.Record{"order_id": fmt.Sprintf("o-%04d", (i*7919)%n), "city": cities[(i*3)%len(cities)], "status": "placed",
+			"amount": float64((i*13)%40) / 4, "items": int64((i * 31) % 290), "ts": int64(1_700_000_000_000 + i)}
+		switch i % 11 {
+		case 0:
+			delete(r, "amount")
+		case 3:
+			r["amount"] = math.NaN()
+			r["items"] = int64(1) << 53
+		case 5:
+			r["amount"] = math.Copysign(0, -1)
+			r["items"] = int64(1)<<53 + 1
+		case 7:
+			delete(r, "items")
+		}
+		if i%3 != 0 {
+			r["rush"] = i%3 == 1
+		}
+		rows[i] = r
+	}
+	aggs := []AggSpec{{Kind: AggCount, As: "n"}, {Kind: AggSum, Column: "amount", As: "total"}}
+	by := func(cols ...string) *Query { return &Query{GroupBy: cols, Aggs: aggs} }
+	top := func(cols ...string) *Query {
+		q := by(cols...)
+		q.OrderBy, q.Limit = []OrderSpec{{Column: "n", Desc: true}}, 3
+		return q
+	}
+	sealed, err := BuildSegment("s", ordersSchema(), rows, IndexConfig{}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, err := BuildSegment("t", ordersSchema(), rows, IndexConfig{StarTree: &StarTreeConfig{
+		Dimensions: []string{"city", "status", "items"}, Metrics: []string{"amount"}, MaxLeafRecords: 2}}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The consuming store takes each row's cells as BuildSegment does: a
+	// missing field is NULL.
+	schema := ordersSchema()
+	m := newMutableSegment("m", schema, n)
+	for _, r := range rows {
+		vals := make([]record.Value, len(schema.Fields))
+		for fi, f := range schema.Fields {
+			v, err := record.Coerce(r[f.Name], f.Type)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals[fi] = record.ValueOf(v)
+		}
+		m.appendRow(vals)
+	}
+	consuming := m.snapshot()
+	for _, c := range []struct {
+		name string
+		scan func(q *Query, valid *Bitmap, tp *topKPlan) (*Partial, error)
+		q    *Query
+		trim bool
+	}{
+		{"code space, one column", sealed.executePartialTrim, by("rush"), false},
+		{"code space, one numeric column", sealed.executePartialTrim, by("amount"), false},
+		{"code space, two columns", sealed.executePartialTrim, by("rush", "city"), false},
+		{"code space, two columns after ties", sealed.executePartialTrim, by("items", "city"), false},
+		{"keyed past maxCodeSpace", sealed.executePartialTrim, by("order_id", "items"), false},
+		{"raw consuming long", consuming.executePartial, by("items"), false},
+		{"raw consuming double", consuming.executePartial, by("amount"), false},
+		{"dense consuming string", consuming.executePartial, by("city"), false},
+		{"dense and raw consuming", consuming.executePartial, by("city", "items"), false},
+		{"raw consuming bool", consuming.executePartial, by("rush"), false},
+		{"star-tree", star.executePartialTrim, &Query{Filters: []Filter{{Column: "status", Op: OpEq, Value: "placed"}},
+			GroupBy: []string{"city", "items"}, Aggs: aggs}, false},
+		{"global", sealed.executePartialTrim, by(), false},
+		{"trimmed sealed", sealed.executePartialTrim, top("items"), true},
+		{"trimmed consuming", consuming.executePartial, top("amount", "city"), true},
+	} {
+		var tp *topKPlan
+		if c.trim {
+			tp = planTopK(c.q, 10)
+		}
+		p, err := c.scan(c.q, nil, tp)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.name == "star-tree" && p.stats.StarTreeServed != 1 {
+			t.Errorf("%s: not served from the tree", c.name)
+		}
+		if c.trim && p.stats.GroupsTrimmed == 0 {
+			t.Errorf("%s: nothing trimmed", c.name)
+		}
+		if p.n < 1 || c.name != "global" && p.n < 3 {
+			t.Errorf("%s: %d groups", c.name, p.n)
+		}
+		for r := 1; r < p.n; r++ {
+			if compareKeys(p, r-1, p, r) >= 0 {
+				t.Errorf("%s: group %d %v does not come after group %d %v", c.name, r, keyOf(p, r), r-1, keyOf(p, r-1))
+				break
+			}
+		}
+	}
+	s := getScratch()
+	defer s.put()
+	if g := newGrouper(s, []*colView{sealed.scan().col("order_id"), sealed.scan().col("items")}, 1, n); g.table != nil {
+		t.Error("order_id × items fits the code space; the keyed form is not reached")
+	}
+}
+
+// keyOf is row r's key, boxed, for a failure message.
+func keyOf(p *Partial, r int) []any {
+	key := make([]any, len(p.keys))
+	for c := range p.keys {
+		key[c] = p.keys[c].Box(r)
+	}
+	return key
 }

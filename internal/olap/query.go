@@ -412,7 +412,7 @@ func (s *Segment) executePartialTrim(q *Query, valid *Bitmap, tp *topKPlan) (*Pa
 	if s.Tree != nil {
 		if filters := unitFilters(q.Filters, s.Schema, s.MinTime, s.MaxTime); s.treeEligible(q, filters, valid) {
 			if p := s.Tree.query(s, q, filters); p != nil {
-				p = p.trim(tp)
+				p.trimTopK(q, tp)
 				p.stats.SegmentsScanned = 1
 				p.stats.StarTreeServed = 1
 				return p, nil
@@ -565,11 +565,11 @@ func (sc *scanSet) executeSelect(q *Query, ss *selStream, tp *topKPlan) (*Partia
 			break
 		}
 		if k > 0 && p.n >= 2*k {
-			p = p.top(q, k)
+			p.trimTopK(q, tp)
 		}
 	}
 	if k > 0 {
-		p = p.top(q, k)
+		p.trimTopK(q, tp)
 		p.stats.RowsHeapKept = int64(p.n)
 	}
 	return p, nil

@@ -437,9 +437,10 @@ type folded struct {
 }
 
 // foldSink is the sink of aggregates and ordered selections: every unit
-// answers with a Partial; a producer merges its units' and trims the merge to
-// the query's top-K bound before it crosses to the broker, so at most groupK
-// groups / rowK rows per producer do (GroupsShipped/RowsShipped count them).
+// answers with a Partial; a producer merges its units' once it has them all
+// and trims the merge to the query's top-K bound before it crosses to the
+// broker, so at most groupK groups / rowK rows per producer do
+// (GroupsShipped/RowsShipped count them).
 type foldSink struct {
 	q       *Query
 	tp      *topKPlan // nil: exact, untrimmed execution
@@ -461,13 +462,15 @@ func (f *foldSink) producer(consuming bool) producer {
 	return p
 }
 
-// foldProducer merges one producer's units. The mutex orders the merges of
-// a server's pooled segment scans.
+// foldProducer collects one producer's units' partials — runs — and merges
+// them once, at finish. The mutex orders the collection of a server's pooled
+// segment scans.
 type foldProducer struct {
 	sink   *foldSink
 	unitTP *topKPlan
 	mu     sync.Mutex
-	acc    *Partial
+	own    []*Partial // the runs the producer scanned
+	shared []*Partial // the cache's: read, never written
 }
 
 func (p *foldProducer) scan(_ context.Context, u scanUnit) (ExecStats, bool, error) {
@@ -484,21 +487,20 @@ func (p *foldProducer) scan(_ context.Context, u scanUnit) (ExecStats, bool, err
 	if err != nil {
 		return ExecStats{}, false, err
 	}
-	st := part.stats // read before an adopted part becomes the shared accumulator
-	p.merge(part, true)
-	return st, true, nil
+	p.add(part, false)
+	return part.stats, true, nil
 }
 
 // scanCached answers a sealed unit from the partial the cache holds for it,
 // or scans the unit and caches its partial. A hit counts in SegmentsCached
 // and nothing else. Either way the partial is shared with later queries, so
-// it is merged, never adopted: Merge leaves its argument unchanged.
+// it is a run the merge reads and never writes.
 func (p *foldProducer) scanCached(u scanUnit) (ExecStats, bool, error) {
 	var buf [128]byte
 	key, ok := segmentKey(buf[:0], u, p.sink.q, p.unitTP)
 	if ok {
 		if v, hit := p.sink.cache.GetSegment(key); hit {
-			p.merge(v.(*Partial), false)
+			p.add(v.(*Partial), true)
 			return ExecStats{SegmentsCached: 1}, true, nil
 		}
 	}
@@ -509,35 +511,28 @@ func (p *foldProducer) scanCached(u scanUnit) (ExecStats, bool, error) {
 	if ok {
 		p.sink.cache.PutSegment(u.seg.Name, u.version, string(key), part, part.size())
 	}
-	p.merge(part, !ok)
+	p.add(part, ok)
 	return part.stats, true, nil
 }
 
-// merge folds one unit's partial into the producer's. adopt lets the first
-// partial become the accumulator instead of being copied into a new one;
-// a partial the cache holds must never be adopted.
-func (p *foldProducer) merge(part *Partial, adopt bool) {
+// add collects one unit's partial; shared marks one the cache holds.
+func (p *foldProducer) add(part *Partial, shared bool) {
 	p.mu.Lock()
-	switch {
-	case p.acc != nil:
-		p.acc.Merge(part)
-	case adopt:
-		p.acc = part
-	default:
-		p.acc = newPartial(p.sink.q)
-		p.acc.Merge(part)
+	if shared {
+		p.shared = append(p.shared, part)
+	} else {
+		p.own = append(p.own, part)
 	}
 	p.mu.Unlock()
 }
 
+// finish merges the producer's runs into one table it owns, so the top-K
+// trim cuts it in place, and ships it.
 func (p *foldProducer) finish(st ExecStats, err error) error {
 	if err != nil {
 		return err
 	}
-	acc := p.acc
-	if acc == nil {
-		acc = newPartial(p.sink.q)
-	}
+	acc := merged(p.sink.q, append(p.own, p.shared...), len(p.own))
 	acc.stats = st
 	acc.trimTopK(p.sink.q, p.sink.tp)
 	if acc.agg {
@@ -549,18 +544,18 @@ func (p *foldProducer) finish(st ExecStats, err error) error {
 	return nil
 }
 
-// fold performs one routing round into a foldSink, merging the producers'
-// partials as they arrive, without finalizing. Under default trimming the
-// merge holds O(K · producers) state instead of O(groups) — the top-K memory
-// bound. On a failure or the request's deadline it returns at once, without
-// waiting for scans still in flight.
+// fold performs one routing round into a foldSink, collecting the
+// producers' partials as they arrive and merging them once, at the end of
+// the round, without finalizing. Under default trimming the merge holds
+// O(K · producers) state instead of O(groups) — the top-K memory bound. On a
+// failure or the request's deadline it returns at once, without waiting for
+// scans still in flight.
 func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query) (*folded, error) {
 	sp, err := b.planScatter(ctx, req, q, "fold")
 	if err != nil {
 		return nil, err
 	}
-	g := &folded{acc: newPartial(q), sp: sp}
-	adopted := false
+	g := &folded{sp: sp}
 	if !sp.opts.TrimExact {
 		g.tp = planTopK(q, sp.opts.TrimSize)
 	}
@@ -573,29 +568,28 @@ func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query) (*folded
 	defer cancel(nil)
 	mergeSp, _ := obs.StartSpan(ctx, "merge")
 	defer mergeSp.End()
+	var runs []*Partial // each a producer's own, shipped to the broker
 	for {
 		select {
 		case <-sctx.Done():
 			return nil, context.Cause(sctx)
 		case p, ok := <-sk.results:
-			if !ok {
-				// A producer that failed cancelled the round before it exited.
-				if err := context.Cause(sctx); err != nil {
-					return nil, err
-				}
-				if !g.acc.agg && g.acc.cols == nil {
-					// Every unit was pruned: no scan named the columns.
-					g.acc.cols = b.selection(q)
-					g.acc.keys = make([]record.Vector, len(g.acc.cols))
-				}
-				mergeSp.SetRows(int64(g.acc.n))
-				return g, nil
+			if ok {
+				runs = append(runs, p)
+				continue
 			}
-			if adopted {
-				g.acc.Merge(p)
-			} else {
-				g.acc, adopted = p, true // the first partial is adopted, not copied
+			// A producer that failed cancelled the round before it exited.
+			if err := context.Cause(sctx); err != nil {
+				return nil, err
 			}
+			g.acc = merged(q, runs, len(runs))
+			if !g.acc.agg && g.acc.cols == nil {
+				// Every unit was pruned: no scan named the columns.
+				g.acc.cols = b.selection(q)
+				g.acc.keys = make([]record.Vector, len(g.acc.cols))
+			}
+			mergeSp.SetRows(int64(g.acc.n))
+			return g, nil
 		}
 	}
 }

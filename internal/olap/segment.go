@@ -47,6 +47,19 @@ func (d *dictionary) holds() bool {
 	return len(d.Strs) == 0 && len(d.Nums) == 0 && slices.IsSorted(d.Ints)
 }
 
+// tieFree reports that no two codes are one value: a string dictionary, a
+// double one with at most one NaN (-0 and 0 are one entry), a long one
+// within ±2^53.
+func (d *dictionary) tieFree() bool {
+	switch d.Typ {
+	case metadata.TypeString:
+		return true
+	case metadata.TypeDouble:
+		return len(d.Nums) < 2 || d.Nums[1] == d.Nums[1]
+	}
+	return len(d.Ints) == 0 || d.Ints[0] >= -1<<53 && d.Ints[len(d.Ints)-1] <= 1<<53
+}
+
 // num is a numeric code's value as the float64 comparisons and aggregations
 // work in.
 func (d *dictionary) num(code int) float64 {

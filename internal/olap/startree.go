@@ -255,9 +255,10 @@ func (t *StarTree) Eligible(q *Query, filters []Filter) bool {
 
 // query answers an eligible query from the tree: walk dimensions in order,
 // descending into the filtered code, iterating children for group-by dims,
-// and taking the star child otherwise. Each matching pre-aggregated row
-// enters the partial's group table under its group's key, typed from the
-// dictionaries by code. filters are the eligible ones the segment's scan
+// and taking the star child otherwise. The matching pre-aggregated rows,
+// each a group's key typed from the dictionaries by code and its rollups,
+// sort into key order and fold, rows of one key into one group (keep).
+// filters are the eligible ones the segment's scan
 // applies. nil means the tree cannot answer: a filter literal equals several
 // codes, and the segment scans instead.
 func (t *StarTree) query(seg *Segment, q *Query, filters []Filter) *Partial {
@@ -290,14 +291,15 @@ func (t *StarTree) query(seg *Segment, q *Query, filters []Filter) *Partial {
 		metricIdx[m] = i
 	}
 
-	p := newPartial(q)
+	// hits is every matching pre-aggregated row, a group's key typed from
+	// the dictionaries by code, in walk order.
+	hits := &Partial{agg: true, naggs: len(q.Aggs), keys: make([]record.Vector, len(groupLevels))}
 	sc := seg.scan()
 	gcols := make([]*colView, len(groupLevels))
 	for i, gl := range groupLevels {
 		gcols[i] = sc.col(t.Cfg.Dimensions[gl])
+		hits.keys[i].Reset(gcols[i].typ)
 	}
-	key := make([]record.Vector, len(groupLevels)) // one row: a group's key
-	accs := make([]aggState, len(q.Aggs))
 	var walk func(n *StarNode)
 	walk = func(n *StarNode) {
 		if n.Rows != nil {
@@ -323,17 +325,16 @@ func (t *StarTree) query(seg *Segment, q *Query, filters []Filter) *Partial {
 					continue
 				}
 				for i, gl := range groupLevels {
-					key[i].Reset(gcols[i].typ)
-					gcols[i].appendCode(&key[i], r.Dims[gl])
+					gcols[i].appendCode(&hits.keys[i], r.Dims[gl])
 				}
-				for ai, spec := range q.Aggs {
-					if spec.Kind == AggCount && spec.Column == "" {
-						accs[ai] = aggState{Agg: record.Agg{Count: r.Count}}
-						continue
+				for _, spec := range q.Aggs {
+					st := aggState{Agg: record.Agg{Count: r.Count}}
+					if spec.Kind != AggCount || spec.Column != "" {
+						st.Agg = r.Aggs[metricIdx[spec.Column]]
 					}
-					accs[ai] = aggState{Agg: r.Aggs[metricIdx[spec.Column]]}
+					hits.accs = append(hits.accs, st)
 				}
-				p.add(key, 0, accs)
+				hits.n++
 			}
 			return
 		}
@@ -360,5 +361,7 @@ func (t *StarTree) query(seg *Segment, q *Query, filters []Filter) *Partial {
 		walk(n.Star)
 	}
 	walk(t.Root)
-	return p
+	rows := hits.positions(nil)
+	hits.sortRows(rows)
+	return hits.keep(rows)
 }

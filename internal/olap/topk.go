@@ -214,42 +214,31 @@ func (p *Partial) trimRows(tp *topKPlan, rows []int32, t *rankTerm) []int32 {
 	return rows[:tp.groupK]
 }
 
-// trim returns the table cut to the plan's group budget (trimRows), counting
-// the dropped groups into GroupsTrimmed, or p itself when no trim applies.
-func (p *Partial) trim(tp *topKPlan) *Partial {
-	if tp == nil || tp.groupK <= 0 || p.n <= tp.groupK {
-		return p
-	}
-	kept := p.keep(p.trimRows(tp, p.positions(nil), new(rankTerm)))
-	kept.stats.GroupsTrimmed += int64(p.n - tp.groupK)
-	return kept
-}
-
-// top returns the selection cut to its k best rows under q's ORDER BY, or p
-// itself when it holds no more or an ORDER BY column is not selected
-// (Finalize reports that). The cut needs the set of survivors, not their
-// order (selectTop).
-func (p *Partial) top(q *Query, k int) *Partial {
-	if p.n <= k {
-		return p
-	}
-	terms, err := p.order(q, p.cols)
-	if err != nil {
-		return p
-	}
-	rows := p.positions(nil)
-	selectTop(rows, k, p.less(terms))
-	return p.keep(rows[:k])
-}
-
-// trimTopK bounds a merged partial before it leaves the server: grouped
-// aggregations keep groupK groups, ordered selections rowK rows. Counts
-// dropped groups into stats.GroupsTrimmed.
+// trimTopK cuts a partial its caller owns, in place, to the plan's bound:
+// a grouped aggregation to the groupK groups trimRows keeps, counted into
+// GroupsTrimmed; an ordered selection to its rowK best rows under q's ORDER
+// BY, unless an ORDER BY column is not selected (Finalize reports that).
+// Either cut needs the set of survivors, not their order (selectTop); they
+// keep their order in the table, so a table in key order stays in it.
 func (p *Partial) trimTopK(q *Query, tp *topKPlan) {
+	var rows []int32
 	switch {
-	case p.agg:
-		*p = *p.trim(tp)
-	case tp != nil:
-		*p = *p.top(q, tp.rowK)
+	case tp == nil:
+		return
+	case p.agg && tp.groupK > 0 && p.n > tp.groupK:
+		p.stats.GroupsTrimmed += int64(p.n - tp.groupK)
+		rows = p.trimRows(tp, p.positions(nil), new(rankTerm))
+	case !p.agg && p.n > tp.rowK:
+		terms, err := p.order(q, p.cols)
+		if err != nil {
+			return
+		}
+		rows = p.positions(nil)
+		selectTop(rows, tp.rowK, p.less(terms))
+		rows = rows[:tp.rowK]
+	default:
+		return
 	}
+	slices.Sort(rows)
+	p.take(p, rows)
 }

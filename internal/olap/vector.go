@@ -156,7 +156,7 @@ type scanScratch struct {
 	first []int32         // first[slot] is the group's first row
 	ids   []int32         // ids[slot] is the table entry the group took
 	keys  []record.Vector // the groups' keys, until partial copies out the rows kept
-	rows  []int32         // the groups' positions, for the trim
+	rows  []int32         // the groups' positions, for the trim and the key order
 	rank  rankTerm        // the trim's ranking of them
 }
 
@@ -1010,7 +1010,8 @@ const maxCodeSpace = 1 << 16
 // grouper assigns every selected row the accumulator slot of its group and
 // keeps groups as slots — an index into one flat accumulator array — until
 // the scan is over: then each group's key is gathered, typed, from its first
-// row, and the top-K trim runs over the typed table (partial). Slots are
+// row, the top-K trim runs over the typed table, and the groups leave in key
+// order (partial). Slots are
 // handed out in first-row order, so the array holds exactly the groups that
 // have a row. A row finds its slot in one of three ways, chosen once per
 // scan:
@@ -1165,13 +1166,27 @@ func (g *grouper) keyed(i int32, key []byte) (int32, []byte) {
 	return int32(k), key
 }
 
+// codeOrder reports that the code-space ids list the groups in key order
+// once each column's NULL code is taken first: every column is sealed, and
+// no two codes of a column but the last are one value (two codes of one
+// value in a leading column could put a later column's keys out of order
+// between them).
+func (g *grouper) codeOrder() bool {
+	for ci, c := range g.cols {
+		if c.layout != layoutPacked || ci < len(g.cols)-1 && !c.dict.tieFree() {
+			return false
+		}
+	}
+	return true
+}
+
 // partial hands the scan's groups over as the segment's mergeable partial:
 // each group's key is gathered, typed, from its first row — no value is
 // boxed, and the codes are read through buf — and under a top-K plan the
-// table is trimmed by the plan's leading ORDER BY term. The table leaves
-// unindexed: a key is looked up only where it is merged into. The table is
-// built in the scratch, and the partial is a copy of the rows it keeps —
-// every row when no trim applies — so nothing of it goes back to the pool
+// table is trimmed by the plan's leading ORDER BY term. The table is built
+// in the scratch; the partial is a copy of the rows it keeps — every row
+// when no trim applies — in key order (a walk of the id table when
+// codeOrder holds, else sortRows), so nothing of it goes back to the pool
 // with the scratch.
 func (g *grouper) partial(tp *topKPlan, buf []uint32) *Partial {
 	s := g.s
@@ -1182,6 +1197,33 @@ func (g *grouper) partial(tp *topKPlan, buf []uint32) *Partial {
 	}
 	s.rows = all.positions(s.rows)
 	rows := all.trimRows(tp, s.rows, &s.rank)
+	if g.table != nil && 16*len(rows) >= len(g.table) && g.codeOrder() {
+		// The ids are the codes, column by column, in value order but for
+		// NULL, each column's last code: a walk of the id table taking each
+		// column's NULL first lists the groups in key order. A kept group's
+		// entry is marked first.
+		for _, r := range rows {
+			g.table[s.ids[r]] = -(r + 1)
+		}
+		rows = rows[:0]
+		var walk func(ci, id int)
+		walk = func(ci, id int) {
+			if ci == len(g.cols) {
+				if slot := g.table[id]; slot < 0 {
+					rows = append(rows, -slot-1)
+				}
+				return
+			}
+			radix := g.radix[ci]
+			walk(ci+1, id*radix+radix-1)
+			for code := range radix - 1 {
+				walk(ci+1, id*radix+code)
+			}
+		}
+		walk(0, 0)
+	} else {
+		all.sortRows(rows)
+	}
 	p := all.keep(rows)
 	p.stats.GroupsTrimmed = int64(g.n - len(rows))
 	return p

@@ -1,9 +1,11 @@
 package record
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"unsafe"
 
 	"repro/internal/metadata"
@@ -182,6 +184,52 @@ func (v *Vector) Key(r int) (num bool, bits uint64, text string, ok bool) {
 		return false, 0, fmt.Sprintf("%v", v.Box(r)), true
 	}
 	return true, CanonBits(float64(v.Ints[r])), "", true
+}
+
+// KeyCompare orders row r of v against row s of o by Key's classes, whatever
+// the two vectors' types: NULL first, then numbers by value — every NaN
+// before every other number, -0 as 0, a long as its float64 — then texts by
+// their bytes. It is the one total order of group keys, and it is 0 exactly
+// when KeyIndex takes the two for one key.
+func (v *Vector) KeyCompare(r int, o *Vector, s int) int {
+	an, bn := v.IsNull(r), o.IsNull(s)
+	switch {
+	case an || bn:
+		if an == bn {
+			return 0
+		}
+		if an {
+			return -1
+		}
+		return 1
+	case v.Type == metadata.TypeString && o.Type == metadata.TypeString:
+		return strings.Compare(v.Strs[r], o.Strs[s])
+	}
+	x, xNum := v.keyNum(r)
+	y, yNum := o.keyNum(s)
+	switch {
+	case xNum && yNum:
+		return cmp.Compare(x, y)
+	case xNum:
+		return -1
+	case yNum:
+		return 1
+	}
+	_, _, tx, _ := v.Key(r)
+	_, _, ty, _ := o.Key(s)
+	return strings.Compare(tx, ty)
+}
+
+// keyNum is a non-NULL row as the number Key classes it by, or false for a
+// text.
+func (v *Vector) keyNum(r int) (float64, bool) {
+	switch v.Type {
+	case metadata.TypeString, metadata.TypeBytes:
+		return 0, false
+	case metadata.TypeDouble:
+		return v.Floats[r], true
+	}
+	return float64(v.Ints[r]), true
 }
 
 // CanonBits is a number's key: its float64 bits, with every NaN as one and

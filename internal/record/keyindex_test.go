@@ -155,6 +155,47 @@ func TestVectorKeyKeepsTheClasses(t *testing.T) {
 	}
 }
 
+// TestKeyCompareOrdersTheClasses: KeyCompare, the order of every group
+// table, is 0 exactly when KeyIndex takes two cells for one key, whichever
+// vectors hold them; it is antisymmetric and transitive; and it puts NULL
+// first, every NaN before every other number, and numbers before texts.
+func TestKeyCompareOrdersTheClasses(t *testing.T) {
+	values := []any{nil, int64(3), float64(3), true, int64(1), false, 0.0, math.Copysign(0, -1), math.NaN(), -math.NaN(),
+		math.Inf(1), math.Inf(-1), 1e300, int64(1) << 60, int64(1)<<53 + 1, float64(1 << 53), "3", "", "~", "<nil>",
+		"a|b", "[51]", []byte("3")}
+	var cells []Vector
+	var of []any
+	for _, x := range values {
+		for _, v := range cellVectors(x) {
+			cells, of = append(cells, v), append(of, x)
+		}
+	}
+	cmp := func(i, j int) int { return cells[i].KeyCompare(0, &cells[j], 0) }
+	for i := range cells {
+		for j := range cells {
+			c := cmp(i, j)
+			if (c == 0) != oneValue(of[i], of[j]) {
+				t.Errorf("KeyCompare(%#v (%v), %#v (%v)) = %d; one value %v", of[i], cells[i].Type, of[j], cells[j].Type, c, oneValue(of[i], of[j]))
+			}
+			if back := cmp(j, i); c != -back {
+				t.Errorf("KeyCompare(%#v, %#v) = %d, but %d the other way", of[i], of[j], c, back)
+			}
+			for k := range cells {
+				if c <= 0 && cmp(j, k) <= 0 && cmp(i, k) > 0 {
+					t.Errorf("KeyCompare is not transitive over %#v, %#v, %#v", of[i], of[j], of[k])
+				}
+			}
+		}
+	}
+	ascending := []any{nil, math.NaN(), math.Inf(-1), int64(-1), math.Copysign(0, -1), int64(1), float64(1<<53 + 2), math.Inf(1), "", "a"}
+	for i := 1; i < len(ascending); i++ {
+		a, b := cell(ascending[i-1]), cell(ascending[i])
+		if a.KeyCompare(0, &b, 0) >= 0 {
+			t.Errorf("KeyCompare(%#v, %#v) >= 0, want %#v first", ascending[i-1], ascending[i], ascending[i-1])
+		}
+	}
+}
+
 // TestKeyIndexNumbersKeysInOrder: keys are numbered in order of first sight,
 // a repeat finds its number, and Find never adds.
 func TestKeyIndexNumbersKeysInOrder(t *testing.T) {
@@ -204,7 +245,8 @@ func fuzzCell(kind uint8, i int64, f float64, s string) any {
 // or after an untyped NULL run as mode's bits pick, get one number from a KeyIndex exactly when they are one
 // value by the class rule (oneValue) — as a single column and as a tuple,
 // through Add and through AddKey with the tuple spelled by AppendCellKey —
-// and a reused scratch never changes a key once indexed.
+// a reused scratch never changes a key once indexed, and KeyCompare ties
+// the first cells of the two rows exactly when they are one value.
 func FuzzKeyIndex(f *testing.F) {
 	f.Add(uint8(1), int64(3), 0.0, "", uint8(2), int64(0), 3.0, "", uint8(5), int64(0), 0.0, "3", uint8(2), int64(0), 3.0, "", uint8(0))
 	f.Add(uint8(7), int64(0x7ff8000000000001), 0.0, "", uint8(2), int64(0), math.NaN(), "", uint8(2), int64(0), math.Copysign(0, -1), "", uint8(1), int64(0), 0.0, "", uint8(5))
@@ -255,6 +297,12 @@ func FuzzKeyIndex(f *testing.F) {
 			if k, found := byKey.AddKey(false, 0, spelled(rows[0][:shape.cut]), true); shape.cut == 2 && (!found || k != nums[0][1]) {
 				t.Fatalf("tuple: AddKey after its scratch was cleared = %d, %v, want %d", k, found, nums[0][1])
 			}
+		}
+		// KeyCompare ties exactly the cells the index takes for one key,
+		// the same either way round.
+		c, back := cols[0].KeyCompare(0, &cols[2], 0), cols[2].KeyCompare(0, &cols[0], 0)
+		if (c == 0) != oneValue(vals[0], vals[2]) || c != -back {
+			t.Fatalf("KeyCompare(%#v, %#v) = %d, %d the other way; one value %v", vals[0], vals[2], c, back, oneValue(vals[0], vals[2]))
 		}
 	})
 }
