@@ -115,6 +115,9 @@ type Deployment struct {
 	// under mu until then.
 	sealing map[int][]*mutableSegment
 	segSeq  map[int]int
+	// lastDicts is what the dictionaries of each partition's last frozen
+	// store came to, which its next store is sized by.
+	lastDicts map[int][]dictSize
 	// upsert metadata per partition: pk -> latest location.
 	upsertLoc map[int]map[string]location
 	// segment placement: name -> replica server indexes.
@@ -350,6 +353,7 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 		consuming:      make(map[int]*mutableSegment),
 		sealing:        make(map[int][]*mutableSegment),
 		segSeq:         make(map[int]int),
+		lastDicts:      make(map[int][]dictSize),
 		upsertLoc:      make(map[int]map[string]location),
 		placement:      make(map[string][]int),
 		segMeta:        make(map[string]*segMeta),
@@ -495,8 +499,9 @@ func (d *Deployment) appendLocked(partition int, b *cellBlock, from int) (added 
 	ms, ok := d.consuming[partition]
 	if !ok {
 		// Room for a whole segment up front (growing a vector copies it),
-		// unless the seal threshold is too large to reserve on spec.
-		ms = newMutableSegment(d.segmentName(partition, d.segSeq[partition]), d.cfg.Schema, min(d.cfg.SegmentRows, 1<<16))
+		// unless the seal threshold is too large to reserve on spec, and
+		// for the dictionaries the last store of the partition needed.
+		ms = newMutableSegment(d.segmentName(partition, d.segSeq[partition]), d.cfg.Schema, min(d.cfg.SegmentRows, 1<<16), d.lastDicts[partition])
 		d.consuming[partition] = ms
 	}
 	now := time.Now().UnixNano()
@@ -605,6 +610,7 @@ func (d *Deployment) Seal(partition int) error {
 func (d *Deployment) freezeLocked(partition int, ms *mutableSegment) {
 	delete(d.consuming, partition)
 	d.segSeq[partition]++
+	d.lastDicts[partition] = ms.dictSizes()
 	d.sealing[partition] = append(d.sealing[partition], ms)
 	if d.cfg.Upsert {
 		// Point mutable locations at the future sealed segment now, so

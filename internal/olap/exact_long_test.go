@@ -25,7 +25,7 @@ func TestLongsAboveTwoTo53SurviveSeal(t *testing.T) {
 	}
 	schema := ordersSchema()
 	table := reftest.NewTable(schema, false)
-	m := newMutableSegment("m", schema, len(rows))
+	m := newMutableSegment("m", schema, len(rows), nil)
 	for _, r := range rows {
 		table.Put(r)
 		if _, err := m.add(r); err != nil {

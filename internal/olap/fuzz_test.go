@@ -83,7 +83,7 @@ func fuzzRow(b byte, i int) record.Record {
 // consumingOf is a consuming store of records, each field's cell by the
 // rule BuildSegment's rows take: missing is NULL, the rest record.Coerce.
 func consumingOf(schema *metadata.Schema, recs []record.Record) (*scanSet, error) {
-	m := newMutableSegment("", schema, len(recs))
+	m := newMutableSegment("", schema, len(recs), nil)
 	for _, r := range recs {
 		vals := make([]record.Value, len(schema.Fields))
 		for fi, f := range schema.Fields {
@@ -568,7 +568,7 @@ func FuzzTimeBounds(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := newMutableSegment("m", schema, len(rows))
+		m := newMutableSegment("m", schema, len(rows), nil)
 		for _, r := range rows {
 			if _, err := m.add(r); err != nil {
 				t.Fatal(err)

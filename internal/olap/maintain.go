@@ -376,7 +376,7 @@ func (d *Deployment) Compact(names []string) (CompactResult, error) {
 		doc int
 	}
 	mergedName := fmt.Sprintf("%s__%d__c%d", d.cfg.Name, part, cseq)
-	ms := newMutableSegment(mergedName, d.cfg.Schema, 0)
+	ms := newMutableSegment(mergedName, d.cfg.Schema, 0, nil)
 	fields := d.cfg.Schema.Fields
 	vecs := make([]record.Vector, len(fields))
 	row := make([]record.Value, len(fields))

@@ -180,7 +180,7 @@ func scanRows(g *reftest.Gen) []record.Record {
 // storeOf appends rows to a fresh mutable store.
 func storeOf(t *testing.T, schema *metadata.Schema, rows []record.Record) *mutableSegment {
 	t.Helper()
-	m := newMutableSegment("m", schema, 0)
+	m := newMutableSegment("m", schema, 0, nil)
 	row := make([]record.Value, len(schema.Fields))
 	for _, r := range rows {
 		if err := record.Conform(schema, r, row); err != nil {
@@ -539,7 +539,7 @@ func TestMutableSegmentPrefixSnapshot(t *testing.T) {
 		{Name: "opt", Type: metadata.TypeDouble, Nullable: true},
 	}}
 	const total = 20_000
-	m := newMutableSegment("p", schema, 0)
+	m := newMutableSegment("p", schema, 0, nil)
 	var mu sync.Mutex
 	done := make(chan struct{})
 	go func() {

@@ -519,7 +519,7 @@ func (p *Partial) order(q *Query, cols []string) ([]rankTerm, error) {
 // transient column store and the exact consuming-segment scan, so the
 // partial merges and finalizes identically to scatter-gathered partials.
 func PartialOfRows(schema *metadata.Schema, rows []record.Row, q *Query) (*Partial, error) {
-	m := newMutableSegment("", schema, len(rows))
+	m := newMutableSegment("", schema, len(rows), nil)
 	for _, r := range rows {
 		m.appendRow(r.Vals)
 	}

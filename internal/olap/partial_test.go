@@ -315,7 +315,7 @@ func TestPartialsEmitInKeyOrder(t *testing.T) {
 	// The consuming store takes each row's cells as BuildSegment does: a
 	// missing field is NULL.
 	schema := ordersSchema()
-	m := newMutableSegment("m", schema, n)
+	m := newMutableSegment("m", schema, n, nil)
 	for _, r := range rows {
 		vals := make([]record.Value, len(schema.Fields))
 		for fi, f := range schema.Fields {

@@ -218,7 +218,7 @@ func TestNullTimeLiesInNoRange(t *testing.T) {
 	}
 	res, err := seg.Execute(q, nil)
 	count("sealed segment", res, err)
-	m := newMutableSegment("m", schema, len(rows))
+	m := newMutableSegment("m", schema, len(rows), nil)
 	for _, r := range rows {
 		if _, err := m.add(r); err != nil {
 			t.Fatal(err)

@@ -351,7 +351,7 @@ func BuildSegment(name string, schema *metadata.Schema, rows []record.Record, cf
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	m := newMutableSegment(name, schema, len(rows))
+	m := newMutableSegment(name, schema, len(rows), nil)
 	for _, r := range rows {
 		if _, err := m.add(r); err != nil {
 			return nil, err
@@ -413,10 +413,10 @@ func (c *mutableColumn) sortedOrder(n int) []int32 {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	switch {
+	switch strs := c.dict.Texts(); {
 	case c.layout == layoutDense:
 		sort.SliceStable(perm, func(a, b int) bool {
-			return c.strs[c.codes[perm[a]]] < c.strs[c.codes[perm[b]]]
+			return strs[c.codes[perm[a]]] < strs[c.codes[perm[b]]]
 		})
 	case c.layout == layoutInts:
 		sort.SliceStable(perm, func(a, b int) bool { return c.ints[perm[a]] < c.ints[perm[b]] })
@@ -439,7 +439,7 @@ func (c *mutableColumn) seal(n int, perm []int32, cfg IndexConfig) *column {
 	ids := c.codes
 	switch c.layout {
 	case layoutDense:
-		dict.Strs, rank = sortedRanks(c.strs[1:])
+		dict.Strs, rank = sortedRanks(c.dict.Texts()[1:])
 	case layoutInts:
 		var distinct []int64
 		ids, distinct = firstSeen(c.ints[:n], c.present)

@@ -87,11 +87,12 @@ func (c TableConfig) withDefaults() (TableConfig, error) {
 // reallocated array, so a snapshot — n and the slice headers, captured
 // under the owner's lock — stays a consistent view of rows [0, n) while the
 // writer carries on: what a reader holds is never written again. The one
-// structure that is rewritten in place, the value→code map of a string
+// structure that is rewritten in place, the hash table of a string
 // dictionary, belongs to the writer alone; readers resolve literals by
-// scanning the snapshotted dictionary entries. The upsert-invalid set is
-// mutated under the owner's lock and handed to readers as a bitmap built
-// there.
+// scanning the snapshotted dictionary entries, strings carved from the
+// dictionary's arena, whose bytes are never written again either. The
+// upsert-invalid set is mutated under the owner's lock and handed to
+// readers as a bitmap built there.
 type mutableSegment struct {
 	name   string
 	schema *metadata.Schema
@@ -123,14 +124,35 @@ type mutableColumn struct {
 	// the column sees its first NULL.
 	present []bool
 
-	codes []uint32          // layoutDense: code per row, 0 for NULL
-	strs  []string          // dictionary by code; strs[0] is the NULL slot
-	index map[string]uint32 // value → code; the writer's alone
+	codes []uint32 // layoutDense: code per row, 0 for NULL
+	// dict numbers a string column's values by code, NULL first as code 0.
+	// A new value is carved from its arena; dict.Texts() is the dictionary
+	// by code that readers snapshot, its entry 0 the NULL slot, and its
+	// hash table is the writer's alone.
+	dict record.KeyIndex
+}
+
+// dictSize is one string column's dictionary size: its values and their
+// bytes, the NULL slot apart.
+type dictSize struct{ values, bytes int }
+
+// dictSizes is the size of each column's dictionary, zero for a raw column.
+func (m *mutableSegment) dictSizes() []dictSize {
+	out := make([]dictSize, len(m.cols))
+	for ci := range m.cols {
+		if c := &m.cols[ci]; c.layout == layoutDense {
+			out[ci] = dictSize{c.dict.Len() - 1, c.dict.ArenaBytes()}
+		}
+	}
+	return out
 }
 
 // newMutableSegment creates an empty store for the schema, with room for
-// rowsHint rows.
-func newMutableSegment(name string, schema *metadata.Schema, rowsHint int) *mutableSegment {
+// rowsHint rows. dicts, when not nil, is what the partition's last store's
+// dictionaries came to (dictSizes): each string column's table, arena and
+// dictionary are sized for that plus a sixteenth, so a steady partition's
+// stores grow none of them.
+func newMutableSegment(name string, schema *metadata.Schema, rowsHint int, dicts []dictSize) *mutableSegment {
 	m := &mutableSegment{name: name, schema: schema, timeField: -1, invalid: make(map[int]bool)}
 	for fi, f := range schema.Fields {
 		if f.Name == schema.TimeField {
@@ -144,8 +166,12 @@ func newMutableSegment(name string, schema *metadata.Schema, rowsHint int) *muta
 		case metadata.TypeString:
 			c.layout = layoutDense
 			c.codes = make([]uint32, 0, rowsHint)
-			c.strs = []string{""}
-			c.index = make(map[string]uint32)
+			var last dictSize
+			if len(m.cols) < len(dicts) {
+				last = dicts[len(m.cols)]
+			}
+			c.dict.ReserveTexts(1+last.values+last.values/16, last.bytes+last.bytes/16)
+			c.dict.AddKey(false, 0, nil, false) // NULL is code 0
 		case metadata.TypeDouble:
 			c.layout = layoutFloats
 			c.floats = make([]float64, 0, rowsHint)
@@ -218,25 +244,20 @@ func (c *mutableColumn) push(v record.Value, n int) {
 
 // intern returns the code of a string cell, adding the value to the
 // dictionary on first sight. The lookup converts nothing; only a new value
-// is copied, so the dictionary never holds the cell's bytes.
+// is copied, carved from the dictionary's arena, so the dictionary never
+// holds the cell's bytes and a value costs no allocation of its own.
 func (c *mutableColumn) intern(v record.Value) uint32 {
 	if v.Null {
 		return 0
 	}
-	code, ok := c.index[string(v.B)]
-	if !ok {
-		s := string(v.B)
-		code = uint32(len(c.strs))
-		c.strs = append(c.strs, s)
-		c.index[s] = code
-	}
-	return code
+	code, _ := c.dict.AddKey(false, 0, v.B, true)
+	return uint32(code)
 }
 
 // str is string column fi's value at row doc: the dictionary's own copy.
 func (m *mutableSegment) str(fi, doc int) string {
 	c := &m.cols[m.colOf[fi]]
-	return c.strs[c.codes[doc]]
+	return c.dict.Texts()[c.codes[doc]]
 }
 
 // hookRow copies row doc, appended from row, out of the caller's block as
@@ -303,7 +324,7 @@ func (m *mutableSegment) snapshot() *scanSet {
 			typ:     c.field.Type,
 			layout:  c.layout,
 			dense:   c.codes,
-			strs:    c.strs,
+			strs:    c.dict.Texts(),
 			ints:    c.ints,
 			floats:  c.floats,
 			present: c.present,

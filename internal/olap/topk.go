@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/record"
@@ -219,7 +220,9 @@ func (p *Partial) trimRows(tp *topKPlan, rows []int32, t *rankTerm) []int32 {
 // GroupsTrimmed; an ordered selection to its rowK best rows under q's ORDER
 // BY, unless an ORDER BY column is not selected (Finalize reports that).
 // Either cut needs the set of survivors, not their order (selectTop); they
-// keep their order in the table, so a table in key order stays in it.
+// keep their order in the table, so a table in key order stays in it: each
+// is marked by its position, and one walk of the marks reads them back in
+// that order, with no sort.
 func (p *Partial) trimTopK(q *Query, tp *topKPlan) {
 	var rows []int32
 	switch {
@@ -239,6 +242,15 @@ func (p *Partial) trimTopK(q *Query, tp *topKPlan) {
 	default:
 		return
 	}
-	slices.Sort(rows)
+	marks := make([]uint64, (p.n+63)/64)
+	for _, r := range rows {
+		marks[r/64] |= 1 << (r % 64)
+	}
+	rows = rows[:0]
+	for w, m := range marks {
+		for ; m != 0; m &= m - 1 {
+			rows = append(rows, int32(64*w+bits.TrailingZeros64(m)))
+		}
+	}
 	p.take(p, rows)
 }

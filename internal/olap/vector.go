@@ -479,7 +479,7 @@ func compileCodePred(d *dictionary, f Filter) (codePred, error) {
 // dictionary. Codes carry no order there, so anything but an equality
 // becomes a membership table: the predicate is evaluated once per
 // dictionary entry, never per row. Literals normalize exactly as on a
-// sealed string column. Readers never touch the writer's value→code map;
+// sealed string column. Readers never touch the writer's hash table;
 // an equality finds its code by scanning the snapshotted entries.
 func compileDictPred(strs []string, f Filter) (codePred, error) {
 	lit := func(v any) string { return normalizeFilterValue(metadata.TypeString, v).(string) }

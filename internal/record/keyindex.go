@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strings"
 	"unsafe"
@@ -24,31 +25,44 @@ import (
 // so neither formats a number nor quotes a string per row. The zero value
 // is an empty index.
 type KeyIndex struct {
-	n     int32
-	nums  map[uint64]int32 // a single column's numbers → key
-	strs  map[string]int32 // its texts, or a tuple's key bytes → key
-	null  int32            // key+1 of a single column's NULL, or the empty tuple; 0: none
-	buf   []byte           // scratch: a tuple's key bytes
-	arena []byte           // backing of the key bytes in strs
+	n      int32
+	nums   map[uint64]int32 // a single column's numbers → key
+	texts  textTable        // its texts, or a tuple's key bytes → key
+	null   int32            // key+1 of a single column's NULL, or the empty tuple; 0: none
+	buf    []byte           // scratch: a tuple's key bytes
+	arena  []byte           // the chunk spelled keys are carved from
+	carved int              // bytes carved from the arena, every chunk
 }
 
-// Reserve makes the index's maps, empty, sized for n keys of the shape of
-// key: numbers for a single column that is not a string column, texts for a
+// Reserve makes the index, empty, sized for n keys of the shape of key:
+// numbers for a single column that is not a string column, texts for a
 // string column or a tuple.
 func (x *KeyIndex) Reserve(key []Vector, n int) {
-	nums, strs := 0, n
 	if len(key) == 1 && key[0].Type != metadata.TypeString {
-		nums, strs = n, 0
+		x.nums, x.texts = make(map[uint64]int32, n), textTable{}
+		return
 	}
-	x.nums, x.strs = make(map[uint64]int32, nums), make(map[string]int32, strs)
+	x.nums, x.texts = nil, newTextTable(n)
+}
+
+// ReserveTexts makes the index, empty, sized for n text keys given to
+// AddKey, whose bytes come to about bytes: the arena's first chunk.
+func (x *KeyIndex) ReserveTexts(n, bytes int) {
+	x.nums, x.texts, x.arena = nil, newTextTable(n), make([]byte, 0, bytes)
 }
 
 // Len is the number of keys indexed.
 func (x *KeyIndex) Len() int { return int(x.n) }
 
-// ArenaBytes is the capacity of the arena the tuple keys are carved from,
-// for a table's footprint.
-func (x *KeyIndex) ArenaBytes() int { return cap(x.arena) }
+// ArenaBytes is how many bytes of spelled keys have been carved from the
+// arena, over all its chunks.
+func (x *KeyIndex) ArenaBytes() int { return x.carved }
+
+// Texts is the text of every key by its number, "" for a NULL or a number,
+// once the index holds a text or was reserved for texts (nil before). Its
+// entries are never written again: appends go past the end or to a new
+// array, so a caller may read a slice it took while the index grows.
+func (x *KeyIndex) Texts() []string { return x.texts.keys }
 
 // Add returns the number of the key at row r of key and true when it is
 // indexed; otherwise it indexes the key under the next number — the count
@@ -69,7 +83,7 @@ func (x *KeyIndex) AddKey(num bool, bits uint64, text []byte, ok bool) (int, boo
 	if num || !ok {
 		return x.class(num, bits, "", ok, true)
 	}
-	return x.spelled(text, true)
+	return x.text(unsafe.String(unsafe.SliceData(text), len(text)), true, true)
 }
 
 func (x *KeyIndex) lookup(key []Vector, r int, add bool) (int, bool) {
@@ -85,23 +99,11 @@ func (x *KeyIndex) lookup(key []Vector, r int, add bool) (int, bool) {
 		num, bits, text, ok := key[c].Key(r)
 		x.buf = AppendCellKey(x.buf, num, bits, text, ok)
 	}
-	return x.spelled(x.buf, add)
-}
-
-// spelled finds a key given as bytes the caller reuses and, when add is set
-// and it is new, indexes a copy carved from the arena.
-func (x *KeyIndex) spelled(key []byte, add bool) (int, bool) {
-	if at, found := x.strs[string(key)]; found {
-		return int(at), true
-	}
-	if !add {
-		return -1, false
-	}
-	return x.class(false, 0, x.intern(key), true, true)
+	return x.text(unsafe.String(unsafe.SliceData(x.buf), len(x.buf)), true, add)
 }
 
 // class finds a key by its class and, when add is set and it is new,
-// indexes it under the next number.
+// indexes it under the next number. A text is the caller's to keep.
 func (x *KeyIndex) class(num bool, bits uint64, text string, ok, add bool) (int, bool) {
 	k := x.n
 	switch {
@@ -123,27 +125,42 @@ func (x *KeyIndex) class(num bool, bits uint64, text string, ok, add bool) (int,
 			x.nums[bits] = k
 		}
 	default:
-		if at, found := x.strs[text]; found {
-			return int(at), true
-		}
-		if add {
-			if x.strs == nil {
-				x.strs = make(map[string]int32)
-			}
-			x.strs[text] = k
-		}
+		return x.text(text, false, add)
 	}
 	if !add {
 		return -1, false
+	}
+	if x.texts.keys != nil {
+		x.texts.keys = append(x.texts.keys, "") // Texts stays by number
 	}
 	x.n++
 	return int(k), false
 }
 
+// text finds a text key and, when add is set and it is new, indexes it
+// under the next number: carved from the arena when carve is set (the
+// caller reuses its bytes), as it is otherwise.
+func (x *KeyIndex) text(s string, carve, add bool) (int, bool) {
+	h := uint32(maphash.String(textSeed, s))
+	slot, k := x.texts.find(s, h)
+	if k >= 0 {
+		return int(k), true
+	}
+	if !add {
+		return -1, false
+	}
+	if carve {
+		s = x.intern(s)
+	}
+	x.texts.insert(slot, s, h, x.n)
+	x.n++
+	return int(x.n - 1), false
+}
+
 // intern returns a copy of s carved from the arena: an index of byte keys
 // allocates a chunk, each twice the last, not a string per key. Bytes once
 // carved are never written again.
-func (x *KeyIndex) intern(s []byte) string {
+func (x *KeyIndex) intern(s string) string {
 	if len(s) == 0 {
 		return ""
 	}
@@ -152,8 +169,87 @@ func (x *KeyIndex) intern(s []byte) string {
 	}
 	at := len(x.arena)
 	x.arena = append(x.arena, s...)
+	x.carved += len(s)
 	return unsafe.String(&x.arena[at], len(s))
 }
+
+// textSeed hashes every KeyIndex's texts: one seed for the process.
+var textSeed = maphash.MakeSeed()
+
+// textTable is KeyIndex's text class, a flat open-addressing table. A slot
+// holds a text's 32-bit hash above its key's number plus one (0 is empty),
+// so the collector has nothing to scan in it and a key costs no object of
+// its own; the text itself is keys[number]. A hash's home slot is the hash
+// scaled to the table's length, and a collision takes the next free slot.
+// The table is kept at most three quarters full.
+type textTable struct {
+	slots []uint64
+	keys  []string // by key number: the text, "" for a NULL or a number
+	n     int      // texts in slots
+}
+
+// newTextTable is an empty table with room for n texts.
+func newTextTable(n int) textTable {
+	return textTable{slots: make([]uint64, max(8, n+n/3+1)), keys: make([]string, 0, n)}
+}
+
+// find returns the number of text s, hashed to h, or -1 and the free slot
+// where it would go.
+func (t *textTable) find(s string, h uint32) (slot int, k int32) {
+	if len(t.slots) == 0 {
+		return 0, -1
+	}
+	i := t.home(h)
+	for {
+		e := t.slots[i]
+		if e == 0 {
+			return i, -1
+		}
+		if uint32(e>>32) == h && t.keys[uint32(e)-1] == s {
+			return i, int32(uint32(e) - 1)
+		}
+		if i++; i == len(t.slots) {
+			i = 0
+		}
+	}
+}
+
+// insert indexes text s, hashed to h, as key k at slot, the free slot find
+// returned for it.
+func (t *textTable) insert(slot int, s string, h uint32, k int32) {
+	e := uint64(h)<<32 | uint64(k+1)
+	if 4*(t.n+1) > 3*len(t.slots) {
+		old := t.slots
+		t.slots = make([]uint64, max(8, 2*len(old)))
+		for _, o := range old {
+			if o != 0 {
+				t.place(o)
+			}
+		}
+		t.place(e)
+	} else {
+		t.slots[slot] = e
+	}
+	t.n++
+	for len(t.keys) < int(k) {
+		t.keys = append(t.keys, "") // the numbers and NULL before the first text
+	}
+	t.keys = append(t.keys, s)
+}
+
+// place puts slot entry e at the first free slot from its hash's home.
+func (t *textTable) place(e uint64) {
+	i := t.home(uint32(e >> 32))
+	for t.slots[i] != 0 {
+		if i++; i == len(t.slots) {
+			i = 0
+		}
+	}
+	t.slots[i] = e
+}
+
+// home is hash h's first slot: h scaled to the table's length.
+func (t *textTable) home(h uint32) int { return int(uint64(h) * uint64(len(t.slots)) >> 32) }
 
 // AppendCellKey appends one cell's key by Vector.Key's classes: a tag, then
 // a number's bits or a text's length and bytes; NULL (ok false) is the tag

@@ -3,7 +3,10 @@ package record
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/metadata"
@@ -305,4 +308,136 @@ func FuzzKeyIndex(f *testing.F) {
 			t.Fatalf("KeyCompare(%#v, %#v) = %d, %d the other way; one value %v", vals[0], vals[2], c, back, oneValue(vals[0], vals[2]))
 		}
 	})
+}
+
+// TestKeyIndexTextTableMatchesAMap holds the text class — the flat table
+// over the arena — to a Go map as the oracle, over 10⁴ and 10⁵ distinct
+// keys: the empty string, long keys, keys sharing long prefixes and tuples
+// spelled by AppendCellKey, each shown twice in random order. Every
+// path in: a string column through Add (the caller's strings kept), AddKey
+// from a scratch clobbered after each call (the arena's copies), and a
+// tuple through both; from a zero index, one reserved for a quarter of the
+// keys (grown past it) and one reserved for all. Each key gets its number
+// of first sight, Texts gives its text back by number, and absent keys —
+// one byte off a present one — are not found.
+func TestKeyIndexTextTableMatchesAMap(t *testing.T) {
+	for _, distinct := range []int{10_000, 100_000} {
+		rng := rand.New(rand.NewSource(int64(distinct)))
+		texts := []string{""}
+		for len(texts) < distinct {
+			i := len(texts)
+			switch i % 4 {
+			case 0:
+				texts = append(texts, fmt.Sprintf("order-%08d", rng.Int63n(1e8)))
+			case 1:
+				texts = append(texts, strings.Repeat("shared prefix/", 8)+strconv.Itoa(i))
+			case 2:
+				texts = append(texts, strings.Repeat(string(rune('a'+i%26)), 64+i%200)+strconv.Itoa(i))
+			default:
+				texts = append(texts, strconv.Itoa(i))
+			}
+		}
+		slices.Sort(texts)
+		texts = slices.Compact(texts)
+		shown := make([]int, 0, 2*len(texts))
+		for i := range texts {
+			shown = append(shown, i, i)
+		}
+		rng.Shuffle(len(shown), func(a, b int) { shown[a], shown[b] = shown[b], shown[a] })
+		absent := func(s string) string { return s + "\x00" }
+
+		var strCol, numCol Vector
+		strCol.Reset(metadata.TypeString)
+		numCol.Reset(metadata.TypeLong)
+		for _, i := range shown {
+			strCol.Strs = append(strCol.Strs, texts[i])
+			numCol.Ints = append(numCol.Ints, int64(i%7))
+		}
+		tuple := []Vector{numCol, strCol}
+		spelledOf := make([]string, len(texts))
+		for i := range texts {
+			spelledOf[i] = string(AppendCellKey(AppendCellKey(nil, true, CanonBits(float64(i%7)), "", true), false, 0, texts[i], true))
+		}
+		spell := func(r int) string { return spelledOf[shown[r]] }
+
+		for _, reserve := range []string{"none", "quarter", "all"} {
+			for _, path := range []string{"column Add", "AddKey", "tuple Add", "tuple AddKey"} {
+				var x KeyIndex
+				switch reserve {
+				case "quarter":
+					x.Reserve([]Vector{strCol}, len(texts)/4)
+				case "all":
+					x.ReserveTexts(len(texts), 0)
+				}
+				oracle := map[string]int{}
+				scratch := make([]byte, 0, 1024)
+				keyOfRow := func(r int) string {
+					if strings.HasPrefix(path, "tuple") {
+						return spell(r)
+					}
+					return strCol.Strs[r]
+				}
+				for r := range shown {
+					want, seen := oracle[keyOfRow(r)]
+					if !seen {
+						want = len(oracle)
+						oracle[keyOfRow(r)] = want
+					}
+					var got int
+					var found bool
+					switch path {
+					case "column Add":
+						got, found = x.Add([]Vector{strCol}, r)
+					case "AddKey":
+						scratch = append(scratch[:0], strCol.Strs[r]...)
+						got, found = x.AddKey(false, 0, scratch, true)
+						clear(scratch[:cap(scratch)])
+					case "tuple Add":
+						got, found = x.Add(tuple, r)
+					default:
+						scratch = append(scratch[:0], spell(r)...)
+						got, found = x.AddKey(false, 0, scratch, true)
+						clear(scratch[:cap(scratch)])
+					}
+					if got != want || found != seen {
+						t.Fatalf("%d keys, %s, reserved %s: row %d numbered %d (found %v), the map says %d (found %v)",
+							len(texts), path, reserve, r, got, found, want, seen)
+					}
+				}
+				if x.Len() != len(oracle) {
+					t.Fatalf("%s, reserved %s: %d keys, the map holds %d", path, reserve, x.Len(), len(oracle))
+				}
+				bytes := 0
+				for key, k := range oracle {
+					if got := x.Texts()[k]; got != key {
+						t.Fatalf("%s, reserved %s: Texts()[%d] = %q, want %q", path, reserve, k, got, key)
+					}
+					bytes += len(key)
+					if strings.HasPrefix(path, "tuple") {
+						continue // Find takes vectors; the absent tuples are below
+					}
+					var miss Vector
+					miss.Append(absent(key))
+					if k, found := x.Find([]Vector{miss}, 0); found || k != -1 {
+						t.Fatalf("%s, reserved %s: Find of absent %q = %d, %v", path, reserve, absent(key), k, found)
+					}
+				}
+				if path == "AddKey" || path == "tuple AddKey" {
+					if x.ArenaBytes() != bytes {
+						t.Errorf("%s, reserved %s: %d bytes carved, the keys hold %d", path, reserve, x.ArenaBytes(), bytes)
+					}
+				}
+				if strings.HasPrefix(path, "tuple") {
+					for r := 0; r < 1000; r++ {
+						var n, s Vector
+						n.Append(int64(r%7) + 7) // no tuple has a number past 6
+						s.Append(strCol.Strs[r])
+						if k, found := x.Find([]Vector{n, s}, 0); found || k != -1 {
+							t.Fatalf("%s, reserved %s: Find of an absent tuple = %d, %v", path, reserve, k, found)
+						}
+					}
+				}
+			}
+		}
+	}
 }

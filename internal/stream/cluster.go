@@ -282,51 +282,55 @@ func (c *Cluster) Produce(topic string, msgs []Message, rrHint int64) error {
 	c.confirmMembership()
 	parts := t.partitions
 	c.mu.RUnlock()
-	buckets := bucketByPartition(msgs, len(parts), rrHint)
+	picks, ends := bucketByPartition(msgs, len(parts), rrHint)
 	var err error
-	for pi, picks := range buckets {
-		if len(picks) > 0 && err == nil {
-			err = parts[pi].append(msgs, picks)
+	from := int32(0)
+	for pi, end := range ends {
+		if end > from && err == nil {
+			err = parts[pi].append(msgs, picks[from:end])
 		}
+		from = end
 	}
 	// Wake consumers only now that every partition has its share: one woken
 	// by the first append would read the others before the rest of the
 	// batch reached them, and a flow source would put its watermark between
 	// rows that were produced together.
-	for pi, picks := range buckets {
-		if len(picks) > 0 {
+	from = 0
+	for pi, end := range ends {
+		if end > from {
 			parts[pi].wake()
 		}
+		from = end
 	}
 	return err
 }
 
 // bucketByPartition groups the indices of msgs by destination partition,
-// preserving order, as a counting sort into one backing array: a fixed
-// number of allocations whatever the batch size, partitions in index order,
-// and no message copied.
-func bucketByPartition(msgs []Message, n int, rrHint int64) [][]int32 {
-	dest := make([]int32, len(msgs))
-	counts := make([]int, n)
+// preserving order, as a counting sort in one allocation whatever the batch
+// size: partition pi's share is picks[ends[pi-1]:ends[pi]] (from 0 for the
+// first), and no message is copied.
+func bucketByPartition(msgs []Message, n int, rrHint int64) (picks, ends []int32) {
+	buf := make([]int32, 2*len(msgs)+n)
+	dest, picks, ends := buf[:len(msgs)], buf[len(msgs):2*len(msgs)], buf[2*len(msgs):]
 	for i := range msgs {
 		if key := msgs[i].Key; len(key) > 0 {
 			dest[i] = int32(Hash(key) % uint32(n))
 		} else {
 			dest[i] = int32((rrHint + int64(i)) % int64(n))
 		}
-		counts[dest[i]]++
+		ends[dest[i]]++
 	}
-	flat := make([]int32, len(msgs))
-	buckets := make([][]int32, n)
-	off := 0
-	for pi, c := range counts {
-		buckets[pi] = flat[off : off : off+c]
-		off += c
+	var start int32
+	for pi, c := range ends {
+		ends[pi], start = start, start+c
 	}
+	// Each partition's cursor starts at its first place and ends past its
+	// last.
 	for i, pi := range dest {
-		buckets[pi] = append(buckets[pi], int32(i))
+		picks[ends[pi]] = int32(i)
+		ends[pi]++
 	}
-	return buckets
+	return picks, ends
 }
 
 // Fetch returns up to max messages from the given partition starting at

@@ -146,6 +146,40 @@ func TestKeyedPartitioningIsStable(t *testing.T) {
 	}
 }
 
+// A produced batch is split by partition in one allocation, each share in
+// the batch's order and every message in exactly one share.
+func TestBucketByPartitionKeepsOrder(t *testing.T) {
+	msgs := make([]Message, 300)
+	for i := range msgs {
+		if i%3 == 0 {
+			msgs[i].Key = []byte(fmt.Sprintf("k%d", i%17))
+		}
+	}
+	const n = 5
+	picks, ends := bucketByPartition(msgs, n, 7)
+	seen := make([]bool, len(msgs))
+	from := int32(0)
+	for pi, end := range ends {
+		for j, i := range picks[from:end] {
+			want := int((7 + int64(i)) % n)
+			if key := msgs[i].Key; len(key) > 0 {
+				want = int(Hash(key) % n)
+			}
+			if want != pi || seen[i] || j > 0 && i <= picks[from+int32(j)-1] {
+				t.Fatalf("partition %d's share %v: message %d misplaced, repeated or out of order", pi, picks[from:end], i)
+			}
+			seen[i] = true
+		}
+		from = end
+	}
+	if int(from) != len(msgs) {
+		t.Fatalf("the shares hold %d of %d messages", from, len(msgs))
+	}
+	if a := testing.AllocsPerRun(20, func() { bucketByPartition(msgs, n, 7) }); a != 1 {
+		t.Errorf("bucketByPartition allocates %v times per batch, want 1", a)
+	}
+}
+
 func TestRoundRobinSpreads(t *testing.T) {
 	c := testCluster(t, 1)
 	mustCreate(t, c, "t", TopicConfig{Partitions: 4})

@@ -6,9 +6,10 @@ import "encoding/binary"
 // Kafka lays out its log (§4.1): the records back to back in one
 // append-only byte slab, and the offset each ends at in an index. A segment
 // is a handful of allocations the collector does not look into, however
-// many messages it holds; Message values exist only between a fetch and its
-// caller. Like Kafka, retention removes whole segments from the head of the
-// log, never individual messages.
+// many messages it holds, and a rolled one keeps the slab it was written
+// into (seal); Message values exist only between a fetch and its caller.
+// Like Kafka, retention removes whole segments from the head of the log,
+// never individual messages.
 //
 // A record is
 //
@@ -25,7 +26,7 @@ import "encoding/binary"
 type segment struct {
 	baseOffset int64
 	// data is the slab. Fetched messages alias it, so a byte below len(data)
-	// is never written again: growing and sealing copy, and a truncation
+	// is never written again: growing and trimming copy, and a truncation
 	// clips the capacity where it cuts.
 	data []byte
 	// ends[i] is where record i ends in data; it begins where i-1 ends.
@@ -105,13 +106,17 @@ func (s *segment) auditID(service, tier string) int {
 	return len(s.audits) - 1
 }
 
-// seal leaves a segment that takes no more appends exactly as large as its
-// records.
-func (s *segment) seal() { s.data, s.ends = exact(s.data), exact(s.ends) }
+// seal ends a segment's appends. A rolled segment keeps the slab and index
+// it was written into: newSegment sized them from their predecessor plus a
+// sixteenth, so their spare is within that sixteenth, and each byte is
+// written once. Only one whose spare is past it — the first segment's,
+// which grew by doubling, or one that rolled short — is copied to size.
+func (s *segment) seal() { s.data, s.ends = trim(s.data), trim(s.ends) }
 
-// exact returns v with no spare capacity, copied unless it has none.
-func exact[T any](v []T) []T {
-	if cap(v) == len(v) {
+// trim returns v, copied to its length when more than a sixteenth of its
+// capacity is spare.
+func trim[T any](v []T) []T {
+	if 16*(cap(v)-len(v)) <= cap(v) {
 		return v
 	}
 	out := make([]T, len(v))

@@ -124,14 +124,17 @@ func randomMessage(rng *rand.Rand) Message {
 
 // checkLayout holds every segment to what the layout promises: a record
 // takes no more than it was charged, the slab stays under the roll size plus
-// one record, and a rolled segment is exactly sized.
+// one record, and a rolled segment's slab and index have at most a
+// sixteenth of their capacity spare — the headroom newSegment sizes them
+// with, kept in place, and no more.
 func checkLayout(t *testing.T, p *partition) {
 	t.Helper()
 	for i, s := range p.segments {
 		if int64(len(s.data)) > s.bytes {
 			t.Errorf("segment %d holds %d bytes, more than the %d it was charged", i, len(s.data), s.bytes)
 		}
-		if rolled := i < len(p.segments)-1; rolled && (cap(s.data) != len(s.data) || cap(s.ends) != len(s.ends)) {
+		spare := func(n, c int) bool { return 16*(c-n) > c }
+		if rolled := i < len(p.segments)-1; rolled && (spare(len(s.data), cap(s.data)) || spare(len(s.ends), cap(s.ends))) {
 			t.Errorf("rolled segment %d: slab %d of %d, index %d of %d", i, len(s.data), cap(s.data), len(s.ends), cap(s.ends))
 		}
 	}
@@ -395,7 +398,10 @@ func TestRetentionFollowsChargedBytes(t *testing.T) {
 }
 
 // Appending a batch allocates for the segment now and then — a slab, an
-// index, a roll — and never for a message.
+// index, a roll — and never for a message. And each byte once: a rolled
+// segment keeps the slab it was written into, so steady appends allocate
+// what the records occupy plus newSegment's sixteenth of headroom, not a
+// second copy at every roll.
 func TestAppendAllocatesPerSegmentNotPerMessage(t *testing.T) {
 	p := testPartition(t, TopicConfig{RetentionBytes: 8 << 20})
 	var seq int64
@@ -409,9 +415,19 @@ func TestAppendAllocatesPerSegmentNotPerMessage(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		run() // past the first segment, whose slab doubles its way up
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	// 200 batches are 100 000 messages and some 17 rolls.
 	if n := testing.AllocsPerRun(200, run); n > 1 {
 		t.Errorf("appending 500 messages allocates %v times, want at most one", n)
+	}
+	runtime.ReadMemStats(&after)
+	rolled := p.segments[len(p.segments)-2]
+	occupied := float64(len(rolled.data)+4*len(rolled.ends)) / float64(rolled.count())
+	perMsg := float64(after.TotalAlloc-before.TotalAlloc) / float64(201*len(msgs))
+	t.Logf("%.1f bytes allocated per message, %.1f occupied", perMsg, occupied)
+	if perMsg > occupied*17/16+1 {
+		t.Errorf("appends allocate %.1f bytes per message, want at most 17/16 of the %.1f a message occupies", perMsg, occupied)
 	}
 }
 
