@@ -33,6 +33,8 @@ reftest-unlinked:
 	@deps=$$(go list -deps ./cmd/... ./examples/... && cd bench && go list -deps ./...) || exit 1; \
 	if echo "$$deps" | grep -qE '^repro/internal/reftest(/|$$)'; then echo "a program links repro/internal/reftest"; exit 1; fi
 
+# fuzz-smoke is the one list of fuzz targets, 30 s each; CI's fuzz step runs
+# this target.
 fuzz-smoke:
 	go test ./internal/olap -run='^$$' -fuzz=FuzzMergePartials -fuzztime=30s
 	go test ./internal/olap -run='^$$' -fuzz=FuzzDecodeSegment -fuzztime=30s

@@ -324,20 +324,21 @@ func (p *PinotConnector) OpenAggregateScan(ctx context.Context, table string, aq
 }
 
 // executed runs a fragment the backend folds — an aggregate, an ordered scan
-// — through Broker.Execute: nothing can stream until the backend has seen
-// every row, so the in-memory source serves the response's rows as they are.
+// — through Broker.ExecuteBatch: nothing can stream until the backend has seen
+// every row, so the in-memory source serves the response's batch as it is,
+// reading it only (a cached response shares its batch between callers).
 func executed(ctx context.Context, broker *olap.Broker, req *olap.QueryRequest, stats QueryStats) (RowIterator, error) {
-	resp, err := broker.Execute(ctx, req)
+	resp, err := broker.ExecuteBatch(ctx, req)
 	if err != nil {
 		return nil, err
 	}
 	// The backend reports the top-K budget it actually applied (EXPLAIN's
 	// trim=server k=N line); no connector-side re-derivation.
 	stats.TrimK = resp.TrimK
-	stats.RowsReturned = int64(len(resp.Rows))
+	stats.RowsReturned = int64(resp.Batch.Len)
 	stats.Router = resp.Route.Router
 	stats.Exec = resp.Stats
-	return newRowsIterator(resp.Columns, resp.Rows, stats)
+	return newBatchIterator(resp.Batch, stats), nil
 }
 
 // Scan implements Connector (v2) as a drain of OpenScan.

@@ -9,11 +9,13 @@
 // consumer drives it: residual filter (sqlparse.Compiled, shared with
 // flinksql), then hash aggregate or project, then ORDER BY/LIMIT, every
 // operator reading and appending typed vectors: a record.Vector is typed,
-// or untyped with every row NULL (a column no source has), never boxed. A
-// value is boxed only at the edges: Result.Rows and the v2 Scan/AggregateScan
-// drains, which the engine never calls. A join's build side stays typed
-// under a table keyed by the cell itself. Every column reference is bound to
-// a batch column index once per query, never looked up by name per row.
+// or untyped with every row NULL (a column no source has), never boxed; a
+// pushed-down aggregate's rows arrive as the broker's own typed batch
+// (olap.QueryResponse.Batch). A value is boxed only at the edges:
+// Result.Rows and the v2 Scan/AggregateScan drains, which the engine never
+// calls. A join's build side stays typed under a table keyed by the cell
+// itself. Every column reference is bound to a batch column index once per
+// query, never looked up by name per row.
 // Connectors hand over iterators through StreamingConnector, the one surface
 // the engine executes through (a catalog without it is refused): OpenScan
 // pulls projected, filtered, ordered, limited rows; OpenAggregateScan pushes

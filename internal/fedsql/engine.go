@@ -33,21 +33,6 @@ type Result struct {
 	Trace *obs.TraceSummary
 }
 
-// Records converts the result rows into records keyed by column name.
-func (r *Result) Records() []record.Record {
-	out := make([]record.Record, len(r.Rows))
-	for i, row := range r.Rows {
-		rec := make(record.Record, len(r.Columns))
-		for ci, c := range r.Columns {
-			if row[ci] != nil {
-				rec[c] = row[ci]
-			}
-		}
-		out[i] = rec
-	}
-	return out
-}
-
 // Engine is the federated query engine: it parses SQL, resolves tables
 // through registered connectors, plans pushdown per connector capabilities,
 // and executes the remainder (joins, subqueries, residual filters and
@@ -952,21 +937,6 @@ func sideColumns(refs []colRef, key, side string, schema *metadata.Schema, other
 	return cols
 }
 
-// appendFinal appends the aggregate's value to v: COUNT's int64 to a long
-// column, every other aggregate's float64 to a double column, SQL NULL as
-// record.Agg.Final has it, so the engine-side fallback stays equivalent to
-// pushdown.
-func appendFinal(v *record.Vector, a *record.Agg, kind record.AggKind) {
-	switch f, null := a.Final(kind); {
-	case null:
-		v.AppendNulls(1)
-	case kind == record.AggCount:
-		v.Ints = append(v.Ints, a.Count)
-	default:
-		v.Floats = append(v.Floats, f)
-	}
-}
-
 // aggWindow is the rows of a batch aggregate folds at a time.
 const aggWindow = 1024
 
@@ -1068,12 +1038,10 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 	for i, it := range aggs {
 		out.Columns = append(out.Columns, it.OutputName())
 		v := &out.Cols[len(groupIdx)+i]
-		v.Reset(metadata.TypeDouble)
-		if it.Func == sqlparse.FuncCount {
-			v.Reset(metadata.TypeLong)
-		}
+		kind := it.Func.Agg()
+		v.Reset(kind.FinalType())
 		for _, g := range order {
-			appendFinal(v, &states[int(g)*len(aggs)+i], it.Func.Agg())
+			states[int(g)*len(aggs)+i].AppendFinal(v, kind)
 		}
 	}
 	return newBatchIterator(out, QueryStats{}), nil

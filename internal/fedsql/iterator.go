@@ -2,10 +2,8 @@ package fedsql
 
 import (
 	"context"
-	"fmt"
 	"io"
 
-	"repro/internal/metadata"
 	"repro/internal/record"
 )
 
@@ -99,40 +97,13 @@ func drainRecords(ctx context.Context, it RowIterator, err error) ([]record.Reco
 	return recs, stats, nil
 }
 
-// newRowsIterator serves rows that already exist — a pushed-down aggregate's
-// response — through the in-memory source, reading them only (a cached
-// broker response shares its rows between callers). Each column is typed
-// once, here, by its first non-NULL cell; a column of NULLs alone is untyped
-// (record.Vector), and a cell of another type is an error.
-func newRowsIterator(cols []string, rows [][]any, stats QueryStats) (RowIterator, error) {
-	data := Batch{Columns: cols, Cols: make([]record.Vector, len(cols)), Len: len(rows)}
-	for ci := range cols {
-		t := metadata.TypeInvalid
-		for _, row := range rows {
-			if row[ci] != nil {
-				t = record.TypeOf(row[ci])
-				break
-			}
-		}
-		v := &data.Cols[ci]
-		v.Reset(t)
-		v.Grow(len(rows))
-		for _, row := range rows {
-			if x := row[ci]; x != nil && (t == metadata.TypeInvalid || record.TypeOf(x) != t) {
-				return nil, fmt.Errorf("fedsql: column %q holds a %T, not a %s cell", cols[ci], x, t)
-			}
-			v.Append(row[ci])
-		}
-	}
-	return newBatchIterator(data, stats), nil
-}
-
 // batchIterator is the one in-memory source: it serves a batch that is whole
 // before the first pull — a subquery's result, an engine-side aggregation's
-// groups, rows typed by newRowsIterator — in views of at most BatchRows rows,
-// copying nothing. It reports exec=materialized (Streamed stays false) and
-// counts the whole batch into PeakEngineBytes: every row was resident before
-// the first batch was pulled, which is what streaming scans avoid.
+// groups, a pushed-down aggregate's response — in views of at most BatchRows
+// rows, copying nothing and writing nothing. It reports exec=materialized
+// (Streamed stays false) and counts the whole batch into PeakEngineBytes:
+// every row was resident before the first batch was pulled, which is what
+// streaming scans avoid.
 type batchIterator struct {
 	data  Batch
 	pos   int

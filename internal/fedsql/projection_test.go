@@ -245,14 +245,13 @@ func (m *memConn) OpenScan(ctx context.Context, table string, pd Pushdown) (RowI
 	if len(cols) == 0 {
 		cols = t.Cols
 	}
-	rows := make([][]any, len(t.Rows))
-	for i, r := range t.Rows {
-		rows[i] = make([]any, len(cols))
-		for ci, c := range cols {
-			rows[i][ci] = r[c]
+	b := Batch{Columns: cols, Cols: make([]record.Vector, len(cols)), Len: len(t.Rows)}
+	for ci, c := range cols {
+		for _, r := range t.Rows {
+			b.Cols[ci].Append(r[c])
 		}
 	}
-	return newRowsIterator(cols, rows, QueryStats{})
+	return newBatchIterator(b, QueryStats{}), nil
 }
 
 func (m *memConn) OpenAggregateScan(context.Context, string, AggregateQuery) (RowIterator, error) {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/olap"
 	"repro/internal/reftest"
+	"repro/internal/sqlparse"
 )
 
 // equivalenceQueries is the matrix every aggregate/group-by/limit shape must
@@ -109,6 +110,56 @@ func TestPushdownEquivalenceMatrix(t *testing.T) {
 			case got != first:
 				t.Errorf("%s: %s returns\n%s\n%s returns\n%s", sql, path.name, got, firstPath, first)
 			}
+		}
+	}
+}
+
+// TestPushdownAndFallbackTypeColumnsAlike: the engine's typed output is the
+// same through aggregate pushdown and through the fallback — column for
+// column the same vector type (COUNT a long, the other aggregations a double)
+// and the same cells — over the equivalence matrix and over groups whose
+// MIN and AVG inputs are all NULL, where pushdown's result cell is a NULL
+// double as the engine-side aggregate's is.
+func TestPushdownAndFallbackTypeColumnsAlike(t *testing.T) {
+	schema := ordersSchema()
+	schema.Fields[schema.FieldIndex("amount")].Nullable = true
+	rows := orderRows(300)
+	for _, r := range rows {
+		if r["city"] == "la" {
+			delete(r, "amount")
+		}
+	}
+	e, pinot := setupEngineOver(t, schema, rows)
+	queries := append(equivalenceQueries[:len(equivalenceQueries):len(equivalenceQueries)],
+		"SELECT city, MIN(amount) AS lo, AVG(amount) AS mean, COUNT(amount) AS n FROM pinot.orders GROUP BY city",
+		"SELECT city, MIN(amount) AS lo, AVG(amount) AS mean FROM pinot.orders WHERE city = 'la' GROUP BY city",
+		"SELECT MIN(amount) AS lo, AVG(amount) AS mean, SUM(amount) AS total FROM pinot.orders WHERE city = 'la'",
+	)
+	for _, sql := range queries {
+		var outs [2]*Batch
+		for i, disable := range []bool{false, true} {
+			stmt, err := sqlparse.Parse(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinot.DisablePushdown = disable
+			outs[i], _, _, err = e.run(context.Background(), stmt)
+			pinot.DisablePushdown = false
+			if err != nil {
+				t.Fatalf("%s (fallback %v): %v", sql, disable, err)
+			}
+		}
+		push, fall := outs[0], outs[1]
+		if !reflect.DeepEqual(push.Columns, fall.Columns) {
+			t.Fatalf("%s: columns %v through pushdown, %v through the fallback", sql, push.Columns, fall.Columns)
+		}
+		for c := range push.Cols {
+			if pt, ft := push.Cols[c].Type, fall.Cols[c].Type; pt != ft {
+				t.Errorf("%s: column %s has type %s through pushdown, %s through the fallback", sql, push.Columns[c], pt, ft)
+			}
+		}
+		if got, want := push.AppendRows(nil), fall.AppendRows(nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: pushdown gives %v, the fallback %v", sql, got, want)
 		}
 	}
 }
@@ -283,8 +334,8 @@ func TestPlanLinesDescribeDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Rows, direct.Rows) {
-		t.Errorf("ordered scan rows differ from Broker.Execute's:\n%v\n%v", res.Rows, direct.Rows)
+	if !reflect.DeepEqual(res.Rows, direct.Batch.AppendRows(nil)) {
+		t.Errorf("ordered scan rows differ from Broker.Execute's:\n%v\n%v", res.Rows, direct.Batch.AppendRows(nil))
 	}
 	// The response's vectors: a 16-byte header per order_id, 8 bytes per amount.
 	whole := int64(len(res.Rows)) * (16 + 8)

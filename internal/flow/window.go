@@ -125,8 +125,8 @@ func (w *WindowAggOp) assign(t int64) []int64 {
 
 // Columns names the output row's columns in order: the key column, if any,
 // the carried columns, the aggregations (COUNT a long, the others a double,
-// as record.Agg.Value boxes them), then window_start and window_end. Two
-// columns of one name are an error.
+// as record.Agg.AppendFinal writes them), then window_start and window_end.
+// Two columns of one name are an error.
 func (w *WindowAggOp) Columns() ([]string, error) {
 	op := &WindowAggOp{KeyColumn: w.KeyColumn, CarryColumns: w.CarryColumns, Aggs: w.Aggs}
 	if err := op.bind(&metadata.Schema{}); err != nil {

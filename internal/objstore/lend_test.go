@@ -158,7 +158,7 @@ func TestDecodersLeaveLentBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r, err := back.Execute(&olap.Query{GroupBy: []string{"city"}, Aggs: []olap.AggSpec{{Kind: olap.AggCount}},
-		Filters: []olap.Filter{{Column: "city", Op: olap.OpEq, Value: "c1"}}}, nil); err != nil || len(r.Rows) != 1 {
+		Filters: []olap.Filter{{Column: "city", Op: olap.OpEq, Value: "c1"}}}, nil); err != nil || r.Batch.Len != 1 {
 		t.Fatalf("reloaded segment answered %v, %v", r, err)
 	}
 	store.unchanged(t, "DecodeSegment")

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/olap/qcache"
+	"repro/internal/record"
 )
 
 // This file threads the qcache subsystem through the broker: result caching
@@ -178,7 +180,7 @@ func (b *Broker) executeShared(ctx context.Context, req *QueryRequest, q *Query)
 			// in-flight result; don't store it. A mutation racing past
 			// this check still lands a dead entry, which the CacheStats
 			// sweep reconciles.
-			b.cache.Put(key, gen, resp, responseSize(resp))
+			b.cache.Put(key, gen, resp, cacheCharge(key, resp))
 		}
 		return resp, nil
 	}
@@ -235,7 +237,7 @@ func (b *Broker) executeAdmitted(ctx context.Context, req *QueryRequest, q *Quer
 // respond hands one caller its own copy of a (possibly shared) response.
 // The struct copy gives every caller an independent ExecStats snapshot —
 // coalesced callers and cache hits must never share a mutable stats block —
-// while the row data stays shared, read-only by contract.
+// while the batch's vectors stay shared, read-only by contract.
 func (b *Broker) respond(src *QueryResponse, hit, coalesced, queued bool) *QueryResponse {
 	out := *src
 	if hit {
@@ -458,22 +460,19 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// responseSize approximates a response's resident footprint for the cache's
-// byte accounting: slice headers plus per-value estimates (strings by
-// length, everything else as one word).
-func responseSize(resp *QueryResponse) int64 {
-	size := int64(128) // struct, stats, route
-	for _, c := range resp.Columns {
-		size += int64(len(c)) + 16
+// cacheEntryBytes is the result cache's own keep per entry: its entry
+// struct, list element and map slot.
+const cacheEntryBytes = 160
+
+// cacheCharge is what one cached answer keeps resident: the cache's entry
+// and key, the QueryResponse struct, and per column a name, a vector header
+// and the vector's cells by record.Vector.Size (the rule PeakEngineBytes
+// counts by). A one-cell answer is charged several hundred bytes, not the
+// eight its cell holds.
+func cacheCharge(key string, resp *QueryResponse) int64 {
+	n := cacheEntryBytes + int64(len(key)) + int64(unsafe.Sizeof(*resp)) + resp.Batch.Size()
+	for _, c := range resp.Batch.Columns {
+		n += 16 + int64(len(c)) + int64(unsafe.Sizeof(record.Vector{}))
 	}
-	for _, row := range resp.Rows {
-		size += 24 // slice header
-		for _, v := range row {
-			size += 16
-			if s, ok := v.(string); ok {
-				size += int64(len(s))
-			}
-		}
-	}
-	return size
+	return n
 }

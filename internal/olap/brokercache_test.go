@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/olap/qcache"
 	"repro/internal/record"
 )
@@ -81,8 +82,8 @@ func TestResultCacheHitAndIngestInvalidation(t *testing.T) {
 	if r2.Stats.CacheHit != 1 {
 		t.Fatal("second identical execution must hit")
 	}
-	if !reflect.DeepEqual(r1.Rows, r2.Rows) {
-		t.Fatalf("hit rows differ: %v vs %v", r1.Rows, r2.Rows)
+	if !reflect.DeepEqual(rowsOf(r1), rowsOf(r2)) {
+		t.Fatalf("hit rows differ: %v vs %v", rowsOf(r1), rowsOf(r2))
 	}
 	if r2.Stats.CacheMemBytes <= 0 {
 		t.Fatal("hit must report resident cache bytes")
@@ -106,7 +107,7 @@ func TestResultCacheHitAndIngestInvalidation(t *testing.T) {
 	if r3.Stats.CacheHit != 0 {
 		t.Fatal("post-ingest query must not be served from the stale cache")
 	}
-	if got := r3.Rows[0][0].(int64); got != 221 {
+	if got := rowsOf(r3)[0][0].(int64); got != 221 {
 		t.Fatalf("post-ingest count = %d, want 221", got)
 	}
 	if st := b.CacheStats(); st.Invalidations == 0 {
@@ -159,8 +160,8 @@ func TestMaintenanceInvalidatesCache(t *testing.T) {
 	if r.Stats.CacheHit != 0 {
 		t.Fatal("compaction must invalidate cached results")
 	}
-	if !reflect.DeepEqual(r.Rows, baseline.Rows) {
-		t.Fatalf("compaction changed results: %v vs %v", r.Rows, baseline.Rows)
+	if !reflect.DeepEqual(rowsOf(r), rowsOf(baseline)) {
+		t.Fatalf("compaction changed results: %v vs %v", rowsOf(r), rowsOf(baseline))
 	}
 
 	// Offload changes residency, not rows: the generation stays and the
@@ -174,8 +175,8 @@ func TestMaintenanceInvalidatesCache(t *testing.T) {
 	if d.Generation() != genBefore {
 		t.Fatal("offload must leave the generation alone")
 	}
-	if r := execute(); r.Stats.CacheHit != 1 || !reflect.DeepEqual(r.Rows, baseline.Rows) {
-		t.Fatalf("after offload: hit %d, rows %v, want the cached %v", r.Stats.CacheHit, r.Rows, baseline.Rows)
+	if r := execute(); r.Stats.CacheHit != 1 || !reflect.DeepEqual(rowsOf(r), rowsOf(baseline)) {
+		t.Fatalf("after offload: hit %d, rows %v, want the cached %v", r.Stats.CacheHit, rowsOf(r), rowsOf(baseline))
 	}
 
 	// Drop removes rows: cache invalidates and the count shrinks.
@@ -190,8 +191,8 @@ func TestMaintenanceInvalidatesCache(t *testing.T) {
 	if r.Stats.CacheHit != 0 {
 		t.Fatal("drop must invalidate cached results")
 	}
-	want := baseline.Rows[0][0].(int64) - int64(dropped.NumRows)
-	if got := r.Rows[0][0].(int64); got != want {
+	want := rowsOf(baseline)[0][0].(int64) - int64(dropped.NumRows)
+	if got := rowsOf(r)[0][0].(int64); got != want {
 		t.Fatalf("post-drop count = %d, want %d", got, want)
 	}
 }
@@ -231,7 +232,7 @@ func TestConcurrentIdenticalQueriesExecuteOnce(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if !reflect.DeepEqual(resps[i].Rows, resps[0].Rows) {
+		if !reflect.DeepEqual(rowsOf(resps[i]), rowsOf(resps[0])) {
 			t.Fatalf("caller %d got different rows", i)
 		}
 		if resps[i].Stats.CacheHit == 0 && resps[i].Stats.Coalesced == 0 {
@@ -374,7 +375,7 @@ func TestFollowerNotPoisonedByLeaderDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("follower inherited the leader's deadline: %v", err)
 	}
-	if got := resp.Rows[0][0].(int64); got != 100 {
+	if got := rowsOf(resp)[0][0].(int64); got != 100 {
 		t.Fatalf("follower count = %d, want 100", got)
 	}
 	if err := <-leaderErr; !errors.Is(err, context.DeadlineExceeded) {
@@ -401,6 +402,67 @@ func TestCacheMemoryBounded(t *testing.T) {
 	}
 	if st := b.CacheStats(); st.Evictions == 0 {
 		t.Fatalf("expected evictions under a tight bound, got %+v", st)
+	}
+}
+
+// TestExecuteBoxesPerCaller: Execute's Columns and Rows are its Batch boxed,
+// and each caller's own — a cache hit's rows do not alias an earlier
+// caller's — while ExecuteBatch leaves both nil.
+func TestExecuteBoxesPerCaller(t *testing.T) {
+	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
+	ingestOrders(t, d, 200, 2)
+	b := NewBrokerWithOptions(d, BrokerOptions{CacheMaxBytes: 1 << 20})
+	req := func() *QueryRequest {
+		return &QueryRequest{Query: &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggAvg, Column: "amount"}}}}
+	}
+	ctx := context.Background()
+	first, err := b.Execute(ctx, req())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := first.Batch.AppendRows(nil)
+	if len(want) == 0 || !reflect.DeepEqual(first.Columns, first.Batch.Columns) || !reflect.DeepEqual(first.Rows, want) {
+		t.Fatalf("Execute boxed %v %v, want %v %v", first.Columns, first.Rows, first.Batch.Columns, want)
+	}
+	first.Rows[0][0] = "mutated"
+	hit, err := b.Execute(ctx, req())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Stats.CacheHit != 1 || !reflect.DeepEqual(hit.Rows, want) {
+		t.Fatalf("cache hit (CacheHit=%d) answered %v, want %v", hit.Stats.CacheHit, hit.Rows, want)
+	}
+	typed, err := b.ExecuteBatch(ctx, req())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typed.Columns != nil || typed.Rows != nil || !reflect.DeepEqual(typed.Batch.AppendRows(nil), want) {
+		t.Fatalf("ExecuteBatch answered Columns %v Rows %v, batch %v; want nil, nil, %v", typed.Columns, typed.Rows, typed.Batch.AppendRows(nil), want)
+	}
+}
+
+// TestCacheChargesSmallAnswers fills the result cache with distinct one-cell
+// answers. Each entry keeps its key, response struct and vector headers
+// resident (≈ 800 B of heap for a COUNT(*), measured), so the bound must hold
+// the entry count to what those bytes allow, not to the 8 B the cell holds:
+// a charge under half the entry's heap fails it.
+func TestCacheChargesSmallAnswers(t *testing.T) {
+	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
+	ingestOrders(t, d, 200, 2)
+	const bound = 64 << 10
+	b := NewBrokerWithOptions(d, BrokerOptions{CacheMaxBytes: bound})
+	for i := 0; i < 2000; i++ {
+		req := &QueryRequest{Query: &Query{
+			Filters: []Filter{{Column: "items", Op: OpLe, Value: int64(i)}},
+			Aggs:    []AggSpec{{Kind: AggCount}},
+		}}
+		if _, err := b.Execute(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := b.CacheStats()
+	if st.Entries == 0 || st.Entries > bound/400 {
+		t.Fatalf("%d one-cell entries under a %d B bound (%d B charged): want 1..%d", st.Entries, bound, st.Bytes, bound/400)
 	}
 }
 
@@ -475,7 +537,7 @@ func TestCachedExecuteNeverStaleUnderMutation(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got := resp.Rows[0][0].(int64)
+				got := rowsOf(resp)[0][0].(int64)
 				if got < before {
 					t.Errorf("stale response: count %d < %d rows committed before the query", got, before)
 					return
@@ -491,7 +553,7 @@ func TestCachedExecuteNeverStaleUnderMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.Rows[0][0].(int64); got != totalRows {
+	if got := rowsOf(resp)[0][0].(int64); got != totalRows {
 		t.Fatalf("final count %d, want %d", got, totalRows)
 	}
 	resp, err = b.Execute(context.Background(), countReq())
@@ -532,7 +594,7 @@ func TestViewHitBypassesCacheFill(t *testing.T) {
 	ingestOrders(t, d, 100, 2)
 	fake := &fakeViews{
 		key:   ViewKey("orders", countReq().Query),
-		resp:  &QueryResponse{Columns: []string{"count"}, Rows: [][]any{{int64(100)}}},
+		resp:  &QueryResponse{Batch: record.Batch{Columns: []string{"count"}, Cols: []record.Vector{{Type: metadata.TypeLong, Ints: []int64{100}}}, Len: 1}},
 		stale: 7,
 	}
 	b := NewBrokerWithOptions(d, BrokerOptions{CacheMaxBytes: 1 << 20, Views: fake})
@@ -548,8 +610,8 @@ func TestViewHitBypassesCacheFill(t *testing.T) {
 		if resp.Stats.ViewStalenessMs != 7 {
 			t.Fatalf("staleness must pass through, got %d", resp.Stats.ViewStalenessMs)
 		}
-		if got := resp.Rows[0][0].(int64); got != 100 {
-			t.Fatalf("view rows not served: %v", resp.Rows)
+		if got := rowsOf(resp)[0][0].(int64); got != 100 {
+			t.Fatalf("view rows not served: %v", rowsOf(resp))
 		}
 	}
 	if st := b.CacheStats(); st.Entries != 0 || st.Hits != 0 {
@@ -640,7 +702,7 @@ func TestInFlightCompletionAfterMutationNotCached(t *testing.T) {
 	if resp == nil {
 		t.Fatal("leader failed")
 	}
-	if got := resp.Rows[0][0].(int64); got != 100 {
+	if got := rowsOf(resp)[0][0].(int64); got != 100 {
 		t.Fatalf("leader snapshot count = %d, want 100 (pre-ingest)", got)
 	}
 	// Raw cache stats (no CacheStats sweep): the DOA guard itself must have
@@ -656,7 +718,7 @@ func TestInFlightCompletionAfterMutationNotCached(t *testing.T) {
 	if r.Stats.CacheHit != 0 {
 		t.Fatal("post-mutation query must not be served from a stale entry")
 	}
-	if got := r.Rows[0][0].(int64); got != 101 {
+	if got := rowsOf(r)[0][0].(int64); got != 101 {
 		t.Fatalf("post-mutation count = %d, want 101", got)
 	}
 }
@@ -688,8 +750,8 @@ func TestSegmentPartialCache(t *testing.T) {
 	}
 	same := func(what string, got, want *QueryResponse) {
 		t.Helper()
-		if !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Fatalf("%s: rows %v, uncached %v", what, got.Rows, want.Rows)
+		if !reflect.DeepEqual(rowsOf(got), rowsOf(want)) {
+			t.Fatalf("%s: rows %v, uncached %v", what, rowsOf(got), rowsOf(want))
 		}
 	}
 

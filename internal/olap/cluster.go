@@ -804,8 +804,11 @@ type BrokerOptions struct {
 	// compaction, drop or recovery of the table. Under the same bound the
 	// cache also keeps each sealed segment's partial of an aggregate, which
 	// ingest elsewhere does not invalidate (ExecStats.SegmentsCached). With
-	// the cache enabled, QueryResponse.Rows are shared read-only data —
-	// callers must copy before mutating (see QueryResponse).
+	// the cache enabled, a QueryResponse.Batch is shared read-only data —
+	// callers must copy its vectors before mutating (see QueryResponse). An
+	// entry is charged what it keeps resident: its key and the cache's
+	// bookkeeping, the response struct, a name and a vector header per
+	// column, and the cells by record.Vector.Size.
 	CacheMaxBytes int64
 	// Admission enables per-tenant token-bucket quotas and the bounded
 	// execution queue with deadline-aware shedding (typed ErrOverloaded).

@@ -14,6 +14,9 @@ import (
 	"repro/internal/stream"
 )
 
+// rowsOf boxes a response's rows, as reftest and reflect.DeepEqual compare them.
+func rowsOf(r *QueryResponse) [][]any { return r.Batch.AppendRows(nil) }
+
 func newDeployment(t *testing.T, nServers, replicas int, upsert bool, backup BackupMode, store objstore.Store) (*Deployment, []*Server) {
 	t.Helper()
 	servers := make([]*Server, nServers)
@@ -67,7 +70,7 @@ func TestDeploymentIngestSealQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Rows[0][0].(int64); got != 220 {
+	if got := rowsOf(r)[0][0].(int64); got != 220 {
 		t.Errorf("count across sealed+consuming = %d, want 220", got)
 	}
 	// Aggregation across consuming + sealed matches a single-segment oracle.
@@ -81,8 +84,8 @@ func TestDeploymentIngestSealQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Rows, want.Rows) {
-		t.Errorf("distributed result mismatch:\n got %v\nwant %v", got.Rows, want.Rows)
+	if !reflect.DeepEqual(rowsOf(got), rowsOf(want)) {
+		t.Errorf("distributed result mismatch:\n got %v\nwant %v", rowsOf(got), rowsOf(want))
 	}
 }
 
@@ -97,12 +100,13 @@ func TestBrokerAvgMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("rows = %d vs %d", len(got.Rows), len(want.Rows))
+	if got.Batch.Len != want.Batch.Len {
+		t.Fatalf("rows = %d vs %d", got.Batch.Len, want.Batch.Len)
 	}
-	for i := range got.Rows {
-		ga := got.Rows[i][1].(float64)
-		wa := want.Rows[i][1].(float64)
+	gr, wr := rowsOf(got), rowsOf(want)
+	for i := range gr {
+		ga := gr[i][1].(float64)
+		wa := wr[i][1].(float64)
 		if diff := ga - wa; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("avg mismatch row %d: %v vs %v", i, ga, wa)
 		}
@@ -134,7 +138,7 @@ func TestUpsertLatestValueWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Rows[0][0].(int64); got != 10 {
+	if got := rowsOf(r)[0][0].(int64); got != 10 {
 		t.Errorf("upsert count = %d, want 10", got)
 	}
 	// Every surviving row carries the final amount (11).
@@ -142,17 +146,17 @@ func TestUpsertLatestValueWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel.Rows) != 10 {
-		t.Fatalf("selection rows = %d", len(sel.Rows))
+	if sel.Batch.Len != 10 {
+		t.Fatalf("selection rows = %d", sel.Batch.Len)
 	}
-	for _, row := range sel.Rows {
+	for _, row := range rowsOf(sel) {
 		if row[1].(float64) != 11 {
 			t.Errorf("stale value for %v: %v", row[0], row[1])
 		}
 	}
 	// Sum reflects only latest values.
 	sum, _ := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}}}})
-	if got := sum.Rows[0][0].(float64); got != 110 {
+	if got := rowsOf(sum)[0][0].(float64); got != 110 {
 		t.Errorf("upsert sum = %v, want 110", got)
 	}
 }
@@ -223,7 +227,7 @@ func testSealedValidityCopyOnWrite(t *testing.T, pk string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Rows[0][0].(int64)
+		return rowsOf(res)[0][0].(int64)
 	}
 	for k := 0; k < 50; k++ {
 		ingest(k, 0)
@@ -323,7 +327,7 @@ func TestCompactGathersPastOneBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.Rows
+		return rowsOf(resp)
 	}
 	before := all()
 	res, err := d.Compact(names)
@@ -371,8 +375,8 @@ func TestReplicaFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before.Rows, after.Rows) {
-		t.Errorf("failover changed result: %v vs %v", before.Rows, after.Rows)
+	if !reflect.DeepEqual(rowsOf(before), rowsOf(after)) {
+		t.Errorf("failover changed result: %v vs %v", rowsOf(before), rowsOf(after))
 	}
 }
 
@@ -406,7 +410,7 @@ func TestRerouteMatchesWrappedErrServerDown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-route did not absorb the wrapped ErrServerDown: %v", err)
 	}
-	if got := res.Rows[0][0].(int64); got != 200 {
+	if got := rowsOf(res)[0][0].(int64); got != 200 {
 		t.Errorf("count after failover = %v, want 200", got)
 	}
 }
@@ -436,7 +440,7 @@ func TestP2PRecoveryWithStoreDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Rows[0][0].(int64); got != 200 {
+	if got := rowsOf(r)[0][0].(int64); got != 200 {
 		t.Errorf("post-recovery count = %d, want 200", got)
 	}
 }
@@ -489,7 +493,7 @@ func TestCentralizedSealBlocksDuringOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Rows[0][0].(int64); got != 51 {
+	if got := rowsOf(r)[0][0].(int64); got != 51 {
 		t.Errorf("count after recovery = %d, want 51", got)
 	}
 }
@@ -511,7 +515,7 @@ func TestP2PSealUnaffectedByOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Rows[0][0].(int64); got != 200 {
+	if got := rowsOf(r)[0][0].(int64); got != 200 {
 		t.Errorf("count = %d, want 200", got)
 	}
 }
@@ -548,7 +552,7 @@ func TestRealtimeIngestion(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		r, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
-		if err == nil && r.Rows[0][0].(int64) == 150 {
+		if err == nil && rowsOf(r)[0][0].(int64) == 150 {
 			if lag := ing.Lag(); lag != 0 {
 				t.Errorf("lag = %d after full ingest", lag)
 			}
@@ -560,7 +564,7 @@ func TestRealtimeIngestion(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	r, _ := b.Execute(context.Background(), &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
-	t.Fatalf("realtime ingestion incomplete: %v", r.Rows)
+	t.Fatalf("realtime ingestion incomplete: %v", rowsOf(r))
 }
 
 // TestSelectStarSkipsBlobsAcrossSeal: a TypeBytes column is stored in no
@@ -601,8 +605,8 @@ func TestSelectStarSkipsBlobsAcrossSeal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: SELECT *: %v", stage, err)
 		}
-		if want := []string{"id", "n"}; !reflect.DeepEqual(resp.Columns, want) || len(resp.Rows) != ingested {
-			t.Fatalf("%s: SELECT * gave columns %v and %d rows, want %v and %d", stage, resp.Columns, len(resp.Rows), want, ingested)
+		if want := []string{"id", "n"}; !reflect.DeepEqual(resp.Batch.Columns, want) || resp.Batch.Len != ingested {
+			t.Fatalf("%s: SELECT * gave columns %v and %d rows, want %v and %d", stage, resp.Batch.Columns, resp.Batch.Len, want, ingested)
 		}
 		qs, err := b.ExecuteStream(context.Background(), &QueryRequest{Query: &Query{}})
 		if err != nil {
@@ -663,7 +667,7 @@ func TestRowsScannedOneDefinition(t *testing.T) {
 	if st := sealed.Stats; st.RowsScanned != 10 || st.UpsertFiltered != 2 || st.SegmentsScanned != 2 {
 		t.Fatalf("sealed: RowsScanned=%d UpsertFiltered=%d SegmentsScanned=%d, want 10, 2, 2", st.RowsScanned, st.UpsertFiltered, st.SegmentsScanned)
 	}
-	if !reflect.DeepEqual(consuming.Rows, sealed.Rows) {
-		t.Fatalf("answer changed across the seal: %v then %v", consuming.Rows, sealed.Rows)
+	if !reflect.DeepEqual(rowsOf(consuming), rowsOf(sealed)) {
+		t.Fatalf("answer changed across the seal: %v then %v", rowsOf(consuming), rowsOf(sealed))
 	}
 }

@@ -168,7 +168,7 @@ func TestConsumingDictionaryReadsUnderIngest(t *testing.T) {
 			return false
 		}
 		res, err := p.Finalize(q)
-		if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != int64(n) {
+		if err != nil || res.Batch.Len != 1 || rowsOf(res)[0][0] != int64(n) {
 			t.Errorf("reader %d: COUNT(*) of order_id = %q over %d rows = %v, %v; want %d", r, want[k], sc.n, res, err, n)
 			return false
 		}

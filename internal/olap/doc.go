@@ -10,8 +10,13 @@
 // exact beyond 2^53) or float64s; every numeric comparison reads a value as
 // the float64 record.Compare does. A streamed selection gathers its rows
 // straight into the typed vectors of a pooled record.Batch — dictionary
-// values by code, raw consuming vectors as they are — and boxes nothing;
-// Result and QueryResponse rows are boxed from those batches at the edge.
+// values by code, raw consuming vectors as they are — and boxes nothing. A
+// QueryResponse carries its rows as one typed record.Batch: Finalize gathers
+// the key columns and writes each aggregation's result cell
+// (record.Agg.AppendFinal), and a streamed selection's batches are copied in
+// typed. Broker.ExecuteBatch answers in that batch alone, as the SQL engine
+// reads it; Broker.Execute also boxes it into QueryResponse.Columns and Rows
+// for callers that read cells.
 //
 // # Query execution: parallel scatter-gather-merge
 //
@@ -92,7 +97,8 @@
 //
 // # Query API v2: typed requests and pluggable routing
 //
-// The typed entry point is Broker.Execute(ctx, *QueryRequest): the deadline
+// The typed entry points are Broker.ExecuteBatch(ctx, *QueryRequest) and
+// Execute, which also boxes the answer (see above): the deadline
 // is the context's, the request carries MaxSegments (fan-out budget) and
 // the trim options; a time window is a filter on the time column. Which server answers each segment is a
 // pluggable Router (router.go): RoundRobinRouter (the default; upsert tables pin to the

@@ -67,8 +67,8 @@ func TestAddServerScaleOutMovesMinimalShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before.Rows, after.Rows) {
-		t.Fatalf("scale-out changed results: %v vs %v", before.Rows, after.Rows)
+	if !reflect.DeepEqual(rowsOf(before), rowsOf(after)) {
+		t.Fatalf("scale-out changed results: %v vs %v", rowsOf(before), rowsOf(after))
 	}
 	// The moved-onto server actually serves: kill one old server and the
 	// count must survive via the rebalanced replicas.
@@ -77,8 +77,8 @@ func TestAddServerScaleOutMovesMinimalShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before.Rows, again.Rows) {
-		t.Fatalf("post-failover results diverged: %v vs %v", before.Rows, again.Rows)
+	if !reflect.DeepEqual(rowsOf(before), rowsOf(again)) {
+		t.Fatalf("post-failover results diverged: %v vs %v", rowsOf(before), rowsOf(again))
 	}
 }
 
@@ -114,8 +114,8 @@ func TestDecommissionDrainsAndGuardsReplicaFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before.Rows, after.Rows) {
-		t.Fatalf("decommission changed results:\n got %v\nwant %v", after.Rows, before.Rows)
+	if !reflect.DeepEqual(rowsOf(before), rowsOf(after)) {
+		t.Fatalf("decommission changed results:\n got %v\nwant %v", rowsOf(after), rowsOf(before))
 	}
 
 	// Two active servers remain with Replicas=2: removing another must be
@@ -177,7 +177,7 @@ func TestOffloadedSegmentsRebalanceMetadataOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Rows[0][0].(int64); got != 600 {
+	if got := rowsOf(r)[0][0].(int64); got != 600 {
 		t.Fatalf("count after metadata-only rebalance = %d, want 600", got)
 	}
 }
@@ -217,14 +217,14 @@ func TestDecommissionUpsertOwnerReassignsPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Rows[0][0].(int64); got != 10 {
+	if got := rowsOf(r)[0][0].(int64); got != 10 {
 		t.Fatalf("upsert count after owner decommission = %d, want 10", got)
 	}
 	sel, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Select: []string{"order_id", "amount"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range sel.Rows {
+	for _, row := range rowsOf(sel) {
 		if row[1].(float64) != 11 {
 			t.Fatalf("stale value surfaced for %v after rebalance: %v", row[0], row[1])
 		}
@@ -293,7 +293,7 @@ func TestRecoverDecommissionedPathSharesMachinery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Rows[0][0].(int64); got != 300 {
+	if got := rowsOf(r)[0][0].(int64); got != 300 {
 		t.Fatalf("post-recovery count = %d, want 300", got)
 	}
 }
@@ -334,7 +334,7 @@ func TestQueriesExactDuringMembershipChange(t *testing.T) {
 					continue
 				}
 				queries.Add(1)
-				if !reflect.DeepEqual(got.Rows, want.Rows) {
+				if !reflect.DeepEqual(rowsOf(got), rowsOf(want)) {
 					wrong.Add(1)
 				}
 			}
@@ -413,7 +413,7 @@ func TestAddServerGetsLoaderWhenAttached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Rows[0][0].(int64); got != 100 {
+	if got := rowsOf(r)[0][0].(int64); got != 100 {
 		t.Fatalf("count via late-joined loader = %d, want 100", got)
 	}
 }

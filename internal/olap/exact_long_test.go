@@ -71,7 +71,7 @@ func TestLongsAboveTwoTo53SurviveSeal(t *testing.T) {
 				res, err = p.Finalize(q)
 			}
 			if err == nil {
-				err = db.Check(rq, res.Columns, res.Rows)
+				err = db.Check(rq, res.Batch.Columns, rowsOf(res))
 			}
 			if err != nil {
 				t.Fatalf("%s: %s: %v", name, rq, err)
@@ -79,7 +79,7 @@ func TestLongsAboveTwoTo53SurviveSeal(t *testing.T) {
 			if len(rq.GroupBy) > 0 {
 				continue
 			}
-			for _, row := range res.Rows {
+			for _, row := range rowsOf(res) {
 				if got, ok := row[1].(int64); !ok || got != exact[row[0].(string)] {
 					t.Fatalf("%s: %s: %s has items %#v, want int64 %d", name, rq, row[0], row[1], exact[row[0].(string)])
 				}

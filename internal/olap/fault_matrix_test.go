@@ -97,7 +97,7 @@ func faultEntries() []faultEntry {
 			if err != nil {
 				return nil, err
 			}
-			return rowStrings(resp.Rows), nil
+			return rowStrings(rowsOf(resp)), nil
 		}
 	}
 	const limit = 50
@@ -157,7 +157,7 @@ func faultEntries() []faultEntry {
 				if err != nil {
 					return nil, err
 				}
-				return rowStrings(res.Rows), nil
+				return rowStrings(rowsOf(res)), nil
 			}},
 	}
 }

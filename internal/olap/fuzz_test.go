@@ -310,9 +310,9 @@ func FuzzMergePartials(f *testing.F) {
 			same := func(how string, p *Partial) {
 				t.Helper()
 				got := finalize(how, p)
-				if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(floatClassed(got.Rows), floatClassed(want.Rows)) {
+				if !reflect.DeepEqual(got.Batch.Columns, want.Batch.Columns) || !reflect.DeepEqual(floatClassed(rowsOf(got)), floatClassed(rowsOf(want))) {
 					t.Fatalf("q%d %s diverges from single pass:\n got %v %v\nwant %v %v",
-						qi, how, got.Columns, fmt.Sprintf("%#v", got.Rows), want.Columns, fmt.Sprintf("%#v", want.Rows))
+						qi, how, got.Batch.Columns, fmt.Sprintf("%#v", rowsOf(got)), want.Batch.Columns, fmt.Sprintf("%#v", rowsOf(want)))
 				}
 			}
 			// asOracle holds a merge of parts to the hash merge of them: the
@@ -327,7 +327,7 @@ func FuzzMergePartials(f *testing.F) {
 				if err != nil {
 					t.Fatalf("q%d %s: the hash merge's finalize: %v", qi, how, err)
 				}
-				if g, w := unordered(finalize(how, p).Rows), unordered(exp.Rows); !reflect.DeepEqual(g, w) {
+				if g, w := unordered(rowsOf(finalize(how, p))), unordered(rowsOf(exp)); !reflect.DeepEqual(g, w) {
 					t.Fatalf("q%d %s diverges from the hash merge:\n got %v\nwant %v", qi, how, g, w)
 				}
 			}
@@ -426,8 +426,8 @@ func FuzzMergePartials(f *testing.F) {
 			// Merge left every chunk as it was.
 			for i, p := range parts {
 				after, err := p.Finalize(q)
-				if err != nil || !reflect.DeepEqual(floatClassed(after.Rows), floatClassed(before[i].Rows)) {
-					t.Fatalf("q%d chunk %d changed by Merge: %v, was %v (%v)", qi, i, after.Rows, before[i].Rows, err)
+				if err != nil || !reflect.DeepEqual(floatClassed(rowsOf(after)), floatClassed(rowsOf(before[i]))) {
+					t.Fatalf("q%d chunk %d changed by Merge: %v, was %v (%v)", qi, i, rowsOf(after), rowsOf(before[i]), err)
 				}
 			}
 		}
@@ -494,8 +494,8 @@ func FuzzDecodeSegment(f *testing.F) {
 			// its index, the sorted column's ranges through its runs.
 			lit := fuzzLiteral(fld.Type)
 			r, err := seg.Execute(&Query{GroupBy: []string{fld.Name}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggMax, Column: fld.Name}}}, nil)
-			if err == nil && len(r.Rows) > 0 && r.Rows[0][0] != nil {
-				lit = r.Rows[0][0]
+			if err == nil && r.Batch.Len > 0 && rowsOf(r)[0][0] != nil {
+				lit = rowsOf(r)[0][0]
 			}
 			for _, f := range []Filter{{Column: fld.Name, Op: OpEq, Value: lit}, {Column: fld.Name, Op: OpNe, Value: lit},
 				{Column: fld.Name, Op: OpBetween, Value: lit, Value2: lit}, {Column: fld.Name, Op: OpGt, Value: lit}} {

@@ -71,13 +71,13 @@ func stateOf(t *testing.T, d *Deployment) tableState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Rows = sel.Rows
+	s.Rows = rowsOf(sel)
 	sort.Slice(s.Rows, func(i, j int) bool { return fmt.Sprint(s.Rows[i]) < fmt.Sprint(s.Rows[j]) })
 	agg, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggCount}, {Kind: AggSum, Column: "amount"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.ByCity = agg.Rows
+	s.ByCity = rowsOf(agg)
 	return s
 }
 
@@ -161,7 +161,7 @@ func TestIngestBatchSupersedesWithinBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[string]any{}
-	for _, r := range sel.Rows {
+	for _, r := range rowsOf(sel) {
 		got[r[0].(string)] = r[1]
 	}
 	if want := (map[string]any{"dup": rows[2]["amount"], "o-00001": rows[1]["amount"]}); !reflect.DeepEqual(got, want) {
@@ -225,11 +225,11 @@ func TestIngestBatchFailedBackupMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[any]int{}
-	for _, r := range sel.Rows {
+	for _, r := range rowsOf(sel) {
 		seen[r[0]]++
 	}
-	if len(sel.Rows) != 130 || len(seen) != 130 {
-		t.Errorf("%d rows, %d distinct order ids; want 130 of each", len(sel.Rows), len(seen))
+	if sel.Batch.Len != 130 || len(seen) != 130 {
+		t.Errorf("%d rows, %d distinct order ids; want 130 of each", sel.Batch.Len, len(seen))
 	}
 }
 
@@ -281,7 +281,7 @@ func TestFailedSealMovesNoRows(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := res.Rows[0][0].(int64); got != int64(len(want)) {
+				if got := rowsOf(res)[0][0].(int64); got != int64(len(want)) {
 					t.Errorf("%s: COUNT(*) = %d, want %d", step, got, len(want))
 				}
 				sel, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{Select: []string{"order_id", "amount"}}})
@@ -289,7 +289,7 @@ func TestFailedSealMovesNoRows(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := map[any]any{}
-				for _, r := range sel.Rows {
+				for _, r := range rowsOf(sel) {
 					got[r[0]] = r[1]
 				}
 				if !reflect.DeepEqual(got, want) {
@@ -395,8 +395,8 @@ func TestIngesterFailedBackupNoLossNoDuplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r.Rows[0], []any{int64(120), int64(120)}) {
-		t.Errorf("count, distinct order ids = %v; want 120, 120", r.Rows[0])
+	if !reflect.DeepEqual(rowsOf(r)[0], []any{int64(120), int64(120)}) {
+		t.Errorf("count, distinct order ids = %v; want 120, 120", rowsOf(r)[0])
 	}
 }
 

@@ -190,8 +190,9 @@ func BenchmarkTopKTrim(b *testing.B) {
 }
 
 // BenchmarkBrokerGroupBy is the broker hop of the ad-hoc pass's A1 and A4:
-// Broker.Execute over two servers, each owning a partition of the bench rows
-// held as one sealed 10 000-row segment and a 2 500-row consuming tail —
+// Broker.ExecuteBatch, the SQL engine's path, over two servers, each owning a
+// partition of the bench rows held as one sealed 10 000-row segment and a
+// 2 500-row consuming tail —
 // scatter, segment and consuming scans, the server trim, the broker's merge
 // and Finalize.
 func BenchmarkBrokerGroupBy(b *testing.B) {
@@ -224,9 +225,9 @@ func BenchmarkBrokerGroupBy(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := broker.Execute(context.Background(), &QueryRequest{Query: c.q})
-				if err != nil || len(res.Rows) != c.groups {
-					b.Fatalf("%s: %v rows, %v; want %d", c.name, len(res.Rows), err, c.groups)
+				res, err := broker.ExecuteBatch(context.Background(), &QueryRequest{Query: c.q})
+				if err != nil || res.Batch.Len != c.groups {
+					b.Fatalf("%s: %v rows, %v; want %d", c.name, res.Batch.Len, err, c.groups)
 				}
 			}
 		})
@@ -282,7 +283,7 @@ func BenchmarkViewMerge(b *testing.B) {
 }
 
 // BenchmarkBrokerOrderedSelect is ORDER BY amount DESC LIMIT 10 over the
-// selected rows through Broker.Execute: two servers, eight sealed 500-row
+// selected rows through Broker.ExecuteBatch: two servers, eight sealed 500-row
 // segments, amounts tied about ten rows apiece. trim cuts each segment and
 // each server to its best ten rows; exact (TrimExact) ships every row and
 // ranks them all in Finalize.
@@ -309,9 +310,9 @@ func BenchmarkBrokerOrderedSelect(b *testing.B) {
 		b.Run(map[bool]string{false: "trim", true: "exact"}[exact], func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := broker.Execute(context.Background(), &QueryRequest{Query: q, TrimExact: exact})
-				if err != nil || len(res.Rows) != 10 || res.Stats.SegmentsScanned != 8 {
-					b.Fatalf("%v rows over %d segments, %v; want 10 over 8", len(res.Rows), res.Stats.SegmentsScanned, err)
+				res, err := broker.ExecuteBatch(context.Background(), &QueryRequest{Query: q, TrimExact: exact})
+				if err != nil || res.Batch.Len != 10 || res.Stats.SegmentsScanned != 8 {
+					b.Fatalf("%v rows over %d segments, %v; want 10 over 8", res.Batch.Len, res.Stats.SegmentsScanned, err)
 				}
 			}
 		})
@@ -319,8 +320,8 @@ func BenchmarkBrokerOrderedSelect(b *testing.B) {
 }
 
 // BenchmarkBrokerDashPage is the dashboard's aggregate panels D1, D3 and D4
-// through Broker.Execute over one partition held as three sealed 10 000-row
-// segments and a 5 000-row consuming store, with the broker cache off and
+// through Broker.ExecuteBatch over one partition held as three sealed
+// 10 000-row segments and a 5 000-row consuming store, with the broker cache off and
 // on. Every request has its own segment budget, so none is a whole-result
 // hit — as on a dashboard under ingest, where every page misses. With the
 // cache on, a page scans the consuming store and, on D4, the one segment
@@ -350,9 +351,9 @@ func BenchmarkBrokerDashPage(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					budget++
-					res, err := broker.Execute(context.Background(), &QueryRequest{Query: shapes[name], MaxSegments: budget})
-					if err != nil || len(res.Rows) == 0 {
-						b.Fatalf("%s: %d rows, %v", name, len(res.Rows), err)
+					res, err := broker.ExecuteBatch(context.Background(), &QueryRequest{Query: shapes[name], MaxSegments: budget})
+					if err != nil || res.Batch.Len == 0 {
+						b.Fatalf("%s: %d rows, %v", name, res.Batch.Len, err)
 					}
 				}
 			})

@@ -15,6 +15,9 @@ import (
 	"repro/internal/record"
 )
 
+// rowsOf boxes a response's rows.
+func rowsOf(r *olap.QueryResponse) [][]any { return r.Batch.AppendRows(nil) }
+
 func ordersSchema() *metadata.Schema {
 	return &metadata.Schema{
 		Name:    "orders",
@@ -86,7 +89,7 @@ func countRows(t *testing.T, d *olap.Deployment, q *olap.Query) (int64, *olap.Qu
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Rows[0][0].(int64), res
+	return rowsOf(res)[0][0].(int64), res
 }
 
 func countQuery() *olap.Query {
@@ -221,8 +224,8 @@ func TestOffloadedSegmentsAnswerExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Rows, baseline.Rows) {
-		t.Errorf("offloaded query differs:\n got %v\nwant %v", got.Rows, baseline.Rows)
+	if !reflect.DeepEqual(rowsOf(got), rowsOf(baseline)) {
+		t.Errorf("offloaded query differs:\n got %v\nwant %v", rowsOf(got), rowsOf(baseline))
 	}
 	if got.Stats.SegmentsReloaded == 0 {
 		t.Error("query over cold segments reported no reloads")
@@ -301,7 +304,7 @@ func TestOffloadGracefulWhenStoreDown(t *testing.T) {
 	if res.Stats.SegmentsPruned == 0 {
 		t.Error("hot-window query pruned nothing")
 	}
-	if got := res.Rows[0][0].(int64); got != int64(hot.NumRows) {
+	if got := rowsOf(res)[0][0].(int64); got != int64(hot.NumRows) {
 		t.Errorf("hot-window rows = %d, want %d", got, hot.NumRows)
 	}
 }
@@ -331,10 +334,10 @@ func TestTimePruningMatchesExplicitFilter(t *testing.T) {
 			counts[r.String("city")]++
 		}
 	}
-	if len(got.Rows) != len(counts) {
-		t.Fatalf("%d groups, want %d: %v", len(got.Rows), len(counts), got.Rows)
+	if got.Batch.Len != len(counts) {
+		t.Fatalf("%d groups, want %d: %v", got.Batch.Len, len(counts), rowsOf(got))
 	}
-	for _, row := range got.Rows {
+	for _, row := range rowsOf(got) {
 		if city := row[0].(string); row[1] != sums[city] || row[2] != counts[city] {
 			t.Errorf("group %v, want sum %v count %d", row, sums[city], counts[city])
 		}
@@ -392,8 +395,8 @@ func TestCompactionMergesRuntSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before.Rows, after.Rows) {
-		t.Errorf("compaction changed results:\n got %v\nwant %v", after.Rows, before.Rows)
+	if !reflect.DeepEqual(rowsOf(before), rowsOf(after)) {
+		t.Errorf("compaction changed results:\n got %v\nwant %v", rowsOf(after), rowsOf(before))
 	}
 }
 
@@ -443,7 +446,7 @@ func TestCompactionUnderUpsert(t *testing.T) {
 	for i := 0; i < keys; i++ {
 		wantSum += float64((i+1000)%50) + 0.5
 	}
-	if got := sum.Rows[0][0].(float64); got != wantSum {
+	if got := rowsOf(sum)[0][0].(float64); got != wantSum {
 		t.Errorf("sum after updates = %v, want %v", got, wantSum)
 	}
 }

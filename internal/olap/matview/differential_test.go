@@ -76,7 +76,7 @@ func (s *viewSystem) check(t *testing.T, drv *reftest.Driver, q *reftest.Query, 
 	t.Helper()
 	resp, err := s.Execute(q)
 	if err == nil {
-		err = drv.Want(q).Check(q, resp.Columns, resp.Rows)
+		err = drv.Want(q).Check(q, resp.Batch.Columns, rowsOf(resp))
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", q, err)
@@ -252,7 +252,7 @@ func TestDifferentialConcurrent(t *testing.T) {
 					t.Errorf("append-only reads must hit the view: %+v", resp.Stats)
 					return
 				}
-				n := resp.Rows[0][0].(int64)
+				n := rowsOf(resp)[0][0].(int64)
 				if n < before || n > after {
 					t.Errorf("count %d outside committed window [%d, %d]", n, before, after)
 					return

@@ -14,6 +14,9 @@ import (
 
 // newUnitDeployment returns a deployment of a generated table and the
 // generator of its rows.
+// rowsOf boxes a response's rows.
+func rowsOf(r *olap.QueryResponse) [][]any { return r.Batch.AppendRows(nil) }
+
 func newUnitDeployment(t *testing.T) (*olap.Deployment, []*olap.Server, *reftest.Gen) {
 	t.Helper()
 	g := reftest.NewGen(reftest.Seed(t))
@@ -102,7 +105,7 @@ func TestRegisterIdempotentAndUnregister(t *testing.T) {
 	if resp.Stats.ViewHit != 1 {
 		t.Fatalf("registered shape must hit, stats %+v", resp.Stats)
 	}
-	if got := resp.Rows[0][0].(int64); got != 40 {
+	if got := rowsOf(resp)[0][0].(int64); got != 40 {
 		t.Fatalf("count = %d, want 40", got)
 	}
 
@@ -142,8 +145,8 @@ func TestStaleServeDuringRematerialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Stats.ViewHit != 1 || warm.Rows[0][0].(int64) != 120 {
-		t.Fatalf("warm serve wrong: %+v %v", warm.Stats, warm.Rows)
+	if warm.Stats.ViewHit != 1 || rowsOf(warm)[0][0].(int64) != 120 {
+		t.Fatalf("warm serve wrong: %+v %v", warm.Stats, rowsOf(warm))
 	}
 
 	// Outage + retraction: the drop dirties the view and the worker cannot
@@ -169,7 +172,7 @@ func TestStaleServeDuringRematerialize(t *testing.T) {
 		t.Fatalf("stale serve must report an explicit bound, got %d", stale.Stats.ViewStalenessMs)
 	}
 	// The snapshot predates the drop: it still counts the dropped rows.
-	if got := stale.Rows[0][0].(int64); got != 120 {
+	if got := rowsOf(stale)[0][0].(int64); got != 120 {
 		t.Fatalf("stale snapshot count = %d, want 120", got)
 	}
 
@@ -186,7 +189,7 @@ func TestStaleServeDuringRematerialize(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.Stats.ViewHit == 1 && resp.Stats.ViewStalenessMs == 0 {
-			if got := resp.Rows[0][0].(int64); got != want {
+			if got := rowsOf(resp)[0][0].(int64); got != want {
 				t.Fatalf("recovered count = %d, want %d", got, want)
 			}
 			break

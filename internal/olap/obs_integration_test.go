@@ -56,8 +56,8 @@ func TestBrokerTraceSpanTree(t *testing.T) {
 		}
 	}
 	// The merge span counts the groups the fold round merged.
-	if m := miss.Find("merge"); m != nil && m.Rows != int64(len(res.Rows)) {
-		t.Errorf("merge span rows = %d, want the %d groups", m.Rows, len(res.Rows))
+	if m := miss.Find("merge"); m != nil && m.Rows != int64(res.Batch.Len) {
+		t.Errorf("merge span rows = %d, want the %d groups", m.Rows, res.Batch.Len)
 	}
 	// segment.scan must nest under server.scan, and server.scan must carry
 	// the server name and the scanned rows.

@@ -351,7 +351,7 @@ func TestScanDifferential(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				if err := want.Check(rq, got.Columns, got.Rows); err != nil {
+				if err := want.Check(rq, got.Batch.Columns, rowsOf(got)); err != nil {
 					t.Fatalf("seed %d query %d %s (trim %+v, index %+v): %s: %v", seed, qi, rq, tp, cfg, run.name, err)
 				}
 			}
@@ -443,7 +443,7 @@ func TestGroupTrimDifferential(t *testing.T) {
 				}
 				res, err := got.Finalize(&qTop)
 				if err == nil {
-					err = want.Check(&top, res.Columns, res.Rows)
+					err = want.Check(&top, res.Batch.Columns, rowsOf(res))
 				}
 				if err != nil {
 					t.Fatalf("seed %d %s %s (trim %+v): %v", seed, name, rq, tp, err)
@@ -589,7 +589,7 @@ func TestMutableSegmentPrefixSnapshot(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				row := res.Rows[0]
+				row := rowsOf(res)[0]
 				tags := int64(sc.n)
 				if tags > 997 {
 					tags = 997
@@ -655,7 +655,7 @@ func TestConsumingScanUnderIngestAndSeal(t *testing.T) {
 					return
 				}
 				var got int64
-				for _, row := range resp.Rows {
+				for _, row := range rowsOf(resp) {
 					got += row[1].(int64)
 				}
 				if got < before || got > after {
@@ -671,7 +671,7 @@ func TestConsumingScanUnderIngestAndSeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.Rows[0][0].(int64); got != total {
+	if got := rowsOf(resp)[0][0].(int64); got != total {
 		t.Fatalf("final count %d, want %d", got, total)
 	}
 }

@@ -60,8 +60,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if len(q.Aggs) == 0 && len(q.OrderBy) == 0 {
 			continue // unordered selections may differ in row order
 		}
-		if !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Errorf("query %d mismatch:\n got %v\nwant %v", qi, got.Rows, want.Rows)
+		if !reflect.DeepEqual(rowsOf(got), rowsOf(want)) {
+			t.Errorf("query %d mismatch:\n got %v\nwant %v", qi, rowsOf(got), rowsOf(want))
 		}
 	}
 }
@@ -88,13 +88,13 @@ func TestDistinctCountAcrossSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Rows, want.Rows) {
-		t.Errorf("distinctcount mismatch: got %v want %v", got.Rows, want.Rows)
+	if !reflect.DeepEqual(rowsOf(got), rowsOf(want)) {
+		t.Errorf("distinctcount mismatch: got %v want %v", rowsOf(got), rowsOf(want))
 	}
-	if cities := got.Rows[0][0].(int64); cities != 4 {
+	if cities := rowsOf(got)[0][0].(int64); cities != 4 {
 		t.Errorf("distinct cities = %d, want 4", cities)
 	}
-	if ids := got.Rows[0][1].(int64); ids != 300 {
+	if ids := rowsOf(got)[0][1].(int64); ids != 300 {
 		t.Errorf("distinct order ids = %d, want 300", ids)
 	}
 }
@@ -129,7 +129,7 @@ func TestPartialMergeAssociativity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Rows
+		return rowsOf(res)
 	}
 	// (a ⊕ b) ⊕ c
 	left := partial(0)
@@ -173,8 +173,8 @@ func TestQueryCancellation(t *testing.T) {
 	defer tcancel()
 	res, err := b.Execute(tctx, &QueryRequest{Query: &Query{Aggs: []AggSpec{{Kind: AggCount}}}})
 	if err == nil {
-		if res.Rows[0][0].(int64) != 200 {
-			t.Errorf("timed-out query returned partial result %v with nil error", res.Rows)
+		if rowsOf(res)[0][0].(int64) != 200 {
+			t.Errorf("timed-out query returned partial result %v with nil error", rowsOf(res))
 		}
 	} else if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("timeout query returned %v, want context.DeadlineExceeded", err)
@@ -222,7 +222,7 @@ func TestMidQuerySetDown(t *testing.T) {
 					}
 					continue
 				}
-				if got := res.Rows[0][0].(int64); got != 400 {
+				if got := rowsOf(res)[0][0].(int64); got != 400 {
 					t.Errorf("mid-flap count = %d, want 400", got)
 				}
 			}
@@ -243,8 +243,8 @@ func TestEarlyTerminationLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 5 {
-		t.Errorf("limited selection returned %d rows, want 5", len(res.Rows))
+	if res.Batch.Len != 5 {
+		t.Errorf("limited selection returned %d rows, want 5", res.Batch.Len)
 	}
 	// The same limit with an ORDER BY must NOT terminate early: the global
 	// minimum could live in the last segment scanned.
@@ -252,10 +252,10 @@ func TestEarlyTerminationLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ordered.Rows) != 5 {
-		t.Fatalf("ordered limited selection returned %d rows", len(ordered.Rows))
+	if ordered.Batch.Len != 5 {
+		t.Fatalf("ordered limited selection returned %d rows", ordered.Batch.Len)
 	}
-	if got := ordered.Rows[0][0].(string); got != "o-00000" {
+	if got := rowsOf(ordered)[0][0].(string); got != "o-00000" {
 		t.Errorf("ordered limit lost the global minimum: first row %v", got)
 	}
 }
@@ -377,7 +377,7 @@ func TestUpsertInvalidateDuringQuery(t *testing.T) {
 					break
 				}
 				queries++
-				if got := res.Rows[0][0].(int64); got != keys {
+				if got := rowsOf(res)[0][0].(int64); got != keys {
 					wrong++
 					low = min(low, got)
 				}
@@ -394,7 +394,7 @@ func TestUpsertInvalidateDuringQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := res.Rows[0][0].(int64); got != keys {
+			if got := rowsOf(res)[0][0].(int64); got != keys {
 				t.Errorf("final upsert count = %d, want %d", got, keys)
 			}
 		})
@@ -431,7 +431,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Rows[0][0].(int64); got > 600 {
+		if got := rowsOf(res)[0][0].(int64); got > 600 {
 			t.Fatalf("count overshot: %d > 600", got)
 		}
 	}
@@ -439,7 +439,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].(int64); got != 600 {
+	if got := rowsOf(res)[0][0].(int64); got != 600 {
 		t.Errorf("final count = %d, want 600", got)
 	}
 }

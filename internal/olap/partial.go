@@ -425,8 +425,8 @@ func (m *mergeScratch) release() {
 // by position over the typed table — the ORDER BY terms, then ascending
 // value of each key column (Partial.less); without it an aggregation's
 // groups come as they lie, in key order, and a selection's rows in their
-// merge order. Only the rows returned are boxed, into one backing array.
-// Finalize only reads p.
+// merge order. Only the rows returned are written: key columns gathered,
+// aggregations as record.Agg.AppendFinal writes them. Finalize only reads p.
 func (p *Partial) Finalize(q *Query) (*QueryResponse, error) {
 	cols := p.cols
 	switch {
@@ -470,19 +470,20 @@ func (p *Partial) Finalize(q *Query) (*QueryResponse, error) {
 	if q.Limit > 0 && len(order) > q.Limit {
 		order = order[:q.Limit]
 	}
-	res := &QueryResponse{Columns: cols, Rows: make([][]any, len(order)), Stats: p.stats}
-	cells := make([]any, len(order)*len(cols))
-	for j, r := range order {
-		row := cells[j*len(cols) : (j+1)*len(cols) : (j+1)*len(cols)]
-		for c := range p.keys {
-			row[c] = p.keys[c].Box(int(r))
-		}
-		for ai, spec := range q.Aggs {
-			row[len(p.keys)+ai] = aggValue(&p.accs[int(r)*p.naggs+ai], spec.Kind)
-		}
-		res.Rows[j] = row
+	out := record.Batch{Columns: cols, Cols: make([]record.Vector, len(cols)), Len: len(order)}
+	for c := range p.keys {
+		out.Cols[c].AppendRows(&p.keys[c], order)
 	}
-	return res, nil
+	for ai, spec := range q.Aggs {
+		v := &out.Cols[len(p.keys)+ai]
+		v.Reset(spec.Kind.FinalType())
+		v.Grow(len(order))
+		for _, r := range order {
+			a := p.accs[int(r)*p.naggs+ai].result(spec.Kind)
+			a.AppendFinal(v, spec.Kind)
+		}
+	}
+	return &QueryResponse{Batch: out, Stats: p.stats}, nil
 }
 
 // order resolves q's ORDER BY over the result columns cols — the key

@@ -92,7 +92,7 @@ func TestPartialAllocations(t *testing.T) {
 			"Merge/disjoint": {testing.AllocsPerRun(5, merge(disjoint, 2*keys)), float64(2 * keys)},
 			"Merge/equal":    {testing.AllocsPerRun(5, merge(b, keys)), float64(keys)},
 			"Finalize": {testing.AllocsPerRun(5, func() {
-				if res, err := a.Finalize(q); err != nil || len(res.Rows) != 10 {
+				if res, err := a.Finalize(q); err != nil || res.Batch.Len != 10 {
 					t.Fatalf("Finalize: %v", err)
 				}
 			}), float64(keys)},
@@ -120,7 +120,7 @@ func TestPartialAllocations(t *testing.T) {
 				}
 			}), 2 * rows},
 			"Select/Finalize": {testing.AllocsPerRun(5, func() {
-				if res, err := sa.Finalize(sel); err != nil || len(res.Rows) != 10 {
+				if res, err := sa.Finalize(sel); err != nil || res.Batch.Len != 10 {
 					t.Fatalf("Finalize: %v", err)
 				}
 			}), rows},
@@ -143,7 +143,7 @@ func finalized(t *testing.T, p *Partial, q *Query) [][]any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Rows
+	return rowsOf(res)
 }
 
 // TestSegmentPartialsFoldTwoCodesOfOneKey: a sealed segment's partial
@@ -213,11 +213,11 @@ func TestSegmentPartialsFoldTwoCodesOfOneKey(t *testing.T) {
 	if trim.Stats.GroupsTrimmed == 0 {
 		t.Fatal("the trimmed run trimmed nothing")
 	}
-	if !reflect.DeepEqual(floatClassed(trim.Rows), floatClassed(exact.Rows)) {
-		t.Errorf("trimmed top-K %v, TrimExact %v", trim.Rows, exact.Rows)
+	if !reflect.DeepEqual(floatClassed(rowsOf(trim)), floatClassed(rowsOf(exact))) {
+		t.Errorf("trimmed top-K %v, TrimExact %v", rowsOf(trim), rowsOf(exact))
 	}
-	if top := floatClassed(exact.Rows)[0]; top[0] != big || top[1] != int64(80) {
-		t.Errorf("TrimExact's top group %v, want 2^53 with 80 rows", exact.Rows[0])
+	if top := floatClassed(rowsOf(exact))[0]; top[0] != big || top[1] != int64(80) {
+		t.Errorf("TrimExact's top group %v, want 2^53 with 80 rows", rowsOf(exact)[0])
 	}
 }
 

@@ -37,7 +37,7 @@ func TestTimeFilterOnConsumingSegment(t *testing.T) {
 			want++
 		}
 	}
-	if got := res.Rows[0][0].(int64); got != want {
+	if got := rowsOf(res)[0][0].(int64); got != want {
 		t.Errorf("filtered consuming count = %d, want %d", got, want)
 	}
 }
@@ -71,7 +71,7 @@ func TestTimeFilterSkipsConsumingStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Rows[0][0].(int64); got != c.count {
+		if got := rowsOf(res)[0][0].(int64); got != c.count {
 			t.Errorf("%v: COUNT(*) = %d, want %d", c.filter, got, c.count)
 		}
 		sp := tracer.Recent()[0].Find("consuming.scan")
@@ -101,8 +101,8 @@ func TestPrunedSelectionKeepsItsColumns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SELECT %v: %v", sel, err)
 		}
-		if want := NewBroker(d).selection(q); len(res.Rows) != 0 || !reflect.DeepEqual(res.Columns, want) || res.Stats.SegmentsPruned != 1 {
-			t.Errorf("SELECT %v = %v under %v, %d pruned; want no rows under %v, 1 pruned", sel, res.Rows, res.Columns, res.Stats.SegmentsPruned, want)
+		if want := NewBroker(d).selection(q); res.Batch.Len != 0 || !reflect.DeepEqual(res.Batch.Columns, want) || res.Stats.SegmentsPruned != 1 {
+			t.Errorf("SELECT %v = %v under %v, %d pruned; want no rows under %v, 1 pruned", sel, rowsOf(res), res.Batch.Columns, res.Stats.SegmentsPruned, want)
 		}
 	}
 }
@@ -144,8 +144,8 @@ func TestStarTreeVsTimeFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Errorf("%s: star-tree segment differs from a tree-less one:\n got %v\nwant %v", c.name, got.Rows, want.Rows)
+		if !reflect.DeepEqual(rowsOf(got), rowsOf(want)) {
+			t.Errorf("%s: star-tree segment differs from a tree-less one:\n got %v\nwant %v", c.name, rowsOf(got), rowsOf(want))
 		}
 	}
 }
@@ -167,7 +167,7 @@ func TestServerTimePruning(t *testing.T) {
 	if res.Stats.SegmentsPruned != 4 || res.Stats.SegmentsScanned != 0 {
 		t.Errorf("pruned=%d scanned=%d, want 4/0", res.Stats.SegmentsPruned, res.Stats.SegmentsScanned)
 	}
-	if got := res.Rows[0][0].(int64); got != 0 {
+	if got := rowsOf(res)[0][0].(int64); got != 0 {
 		t.Errorf("all-pruned count = %d, want 0", got)
 	}
 	// Pruning every segment hides no error: a column the table lacks, in
@@ -208,7 +208,7 @@ func TestNullTimeLiesInNoRange(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", where, err)
 		}
-		if got := res.Rows[0][0]; got != int64(2) {
+		if got := rowsOf(res)[0][0]; got != int64(2) {
 			t.Errorf("%s: count = %v, want 2", where, got)
 		}
 	}

@@ -503,23 +503,20 @@ func (sc *scanSet) executeAgg(q *Query, ss *selStream, tp *topKPlan) (*Partial, 
 	return g.partial(tp, buf), nil
 }
 
-// aggValue collapses a partial state into the final user-facing value:
-// COUNT and DISTINCTCOUNT as an int64, the others as final's float64, SQL
-// NULL as nil.
-func aggValue(a *aggState, kind AggKind) any {
+// result is the state as record.Agg.Final reads it: a DISTINCTCOUNT's Count
+// is its set's size.
+func (a *aggState) result(kind AggKind) record.Agg {
 	if kind == AggDistinctCount {
-		return int64(a.distinctCount())
+		return record.Agg{Count: int64(a.distinctCount())}
 	}
-	return a.Value(kind)
+	return a.Agg
 }
 
 // final is the state's final value as a float64 — the number record.Compare
-// sees of aggValue's — or null (record.Agg.Final).
+// sees of the result cell — or null (record.Agg.Final).
 func (a *aggState) final(kind AggKind) (f float64, null bool) {
-	if kind == AggDistinctCount {
-		return float64(a.distinctCount()), false
-	}
-	return a.Agg.Final(kind)
+	r := a.result(kind)
+	return r.Final(kind)
 }
 
 // aggTypeError rejects aggregations that are undefined over a column type:

@@ -64,13 +64,20 @@ type RouteInfo struct {
 	PartitionsPruned int
 }
 
-// QueryResponse is the typed result of Broker.Execute.
+// QueryResponse is the typed result of Broker.ExecuteBatch and Execute.
 //
-// Rows are read-only: on a broker with a result cache, hits and coalesced
-// responses alias the shared cached row data (only the response struct and
-// its Stats are per-caller copies). Callers that need to mutate or sort in
-// place must copy the rows first.
+// Batch holds the answer's rows in typed column vectors, as the partials and
+// scans produced them; it is what the cache keeps and the SQL engine reads.
+// It is read-only: on a broker with a result cache, hits and coalesced
+// responses share the cached batch (only the response struct and its Stats
+// are per-caller copies). Callers that need to mutate or sort in place must
+// copy the vectors first.
 type QueryResponse struct {
+	Batch record.Batch
+	// Columns and Rows are Batch as names and boxed cells, which
+	// Broker.Execute fills per call (Rows is the caller's own) and
+	// ExecuteBatch, the cache and Segment.Execute leave nil. The pipeline
+	// benchmark's harness test reads them.
 	Columns []string
 	Rows    [][]any
 	Stats   ExecStats
@@ -81,17 +88,28 @@ type QueryResponse struct {
 	TrimK int
 }
 
-// Execute runs one typed request: admit it (per-tenant quota, bounded
-// execution queue — see brokercache.go), serve it from the result cache when
-// the table generation still matches, coalesce it onto an identical
-// in-flight execution when one exists, and otherwise route (with the
-// broker's Router), scatter one subquery per assigned server
-// plus one scan per routed consuming partition, and merge the
-// partial-aggregate states as they stream back. A scatter that fails because
+// Execute is ExecuteBatch with the answer also boxed into Columns and Rows,
+// for a caller that reads cells.
+func (b *Broker) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
+	resp, err := b.ExecuteBatch(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	resp.Columns, resp.Rows = resp.Batch.Columns, resp.Batch.AppendRows(nil) // resp is this caller's own
+	return resp, nil
+}
+
+// ExecuteBatch runs one typed request and answers in Batch alone: admit it
+// (per-tenant quota, bounded execution queue — see brokercache.go), serve it
+// from the result cache when the table generation still matches, coalesce it
+// onto an identical in-flight execution when one exists, and otherwise route
+// (with the broker's Router), scatter one subquery per assigned server plus
+// one scan per routed consuming partition, and merge the partial-aggregate
+// states as they stream back. A scatter that fails because
 // a routed server went down between routing and execution is re-routed once
 // against the new liveness state before the error surfaces. Overload is
 // reported as a typed ErrOverloaded, never by queueing without bound.
-func (b *Broker) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
+func (b *Broker) ExecuteBatch(ctx context.Context, req *QueryRequest) (*QueryResponse, error) {
 	if err := b.prepare(ctx, req); err != nil {
 		return nil, err
 	}
@@ -114,7 +132,7 @@ func (b *Broker) Execute(ctx context.Context, req *QueryRequest) (*QueryResponse
 		if err != nil {
 			span.SetAttr("error", err.Error())
 		} else {
-			span.SetRows(int64(len(resp.Rows)))
+			span.SetRows(int64(resp.Batch.Len))
 		}
 		if ownedRoot.Active() {
 			b.opts.Tracer.FinishTrace(ownedRoot) // ends the root itself
@@ -367,7 +385,8 @@ func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query)
 		defer qs.Close()
 		mergeSp, _ := obs.StartSpan(ctx, "merge")
 		defer mergeSp.End()
-		var rows [][]any
+		out := record.Batch{Columns: qs.Columns(), Cols: make([]record.Vector, len(qs.Columns()))}
+		var all []int32 // 0, 1, …: every row of a stream batch
 		for {
 			rb, err := qs.Next(ctx)
 			if err == io.EOF {
@@ -376,11 +395,17 @@ func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query)
 			if err != nil {
 				return nil, err
 			}
-			rows = rb.AppendRows(rows)
+			for len(all) < rb.Len {
+				all = append(all, int32(len(all)))
+			}
+			for c := range rb.Cols {
+				out.Cols[c].AppendRows(&rb.Cols[c], all[:rb.Len])
+			}
+			out.Len += rb.Len
 		}
 		qs.Close() // joins the producers: the stats below are complete
-		mergeSp.SetRows(int64(len(rows)))
-		return &QueryResponse{Columns: qs.Columns(), Rows: rows, Stats: qs.Stats(), Route: qs.Route()}, nil
+		mergeSp.SetRows(int64(out.Len))
+		return &QueryResponse{Batch: out, Stats: qs.Stats(), Route: qs.Route()}, nil
 	}
 	g, err := b.fold(ctx, req, q)
 	if err != nil {

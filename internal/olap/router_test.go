@@ -124,7 +124,7 @@ func TestRoundRobinRouterMatchesExpectedTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.Rows[0][0].(int64); got != 240 {
+	if got := rowsOf(resp)[0][0].(int64); got != 240 {
 		t.Errorf("count = %d, want 240", got)
 	}
 	if resp.Route.Router != "round-robin" {
@@ -154,8 +154,8 @@ func TestReplicaGroupRouterBoundsFanOut(t *testing.T) {
 		if resp.Route.ReplicaGroup < 0 || resp.Route.ReplicaGroup > 1 {
 			t.Errorf("replica group = %d", resp.Route.ReplicaGroup)
 		}
-		if !reflect.DeepEqual(resp.Rows, baseline.Rows) {
-			t.Errorf("replica-group rows %v != baseline %v", resp.Rows, baseline.Rows)
+		if !reflect.DeepEqual(rowsOf(resp), rowsOf(baseline)) {
+			t.Errorf("replica-group rows %v != baseline %v", rowsOf(resp), rowsOf(baseline))
 		}
 	}
 }
@@ -176,8 +176,8 @@ func TestReplicaGroupRouterFailsOverToOtherReplicaSet(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d with group 0 down: %v", i, err)
 		}
-		if !reflect.DeepEqual(resp.Rows, baseline.Rows) {
-			t.Errorf("failover rows %v != baseline %v", resp.Rows, baseline.Rows)
+		if !reflect.DeepEqual(rowsOf(resp), rowsOf(baseline)) {
+			t.Errorf("failover rows %v != baseline %v", rowsOf(resp), rowsOf(baseline))
 		}
 		if resp.Stats.ServersContacted > 2 {
 			t.Errorf("contacted %d servers with half the cluster down", resp.Stats.ServersContacted)
@@ -197,8 +197,8 @@ func TestPartitionRouterPrunesServers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(resp.Rows, baseline.Rows) {
-		t.Errorf("partition-routed rows %v != baseline %v", resp.Rows, baseline.Rows)
+	if !reflect.DeepEqual(rowsOf(resp), rowsOf(baseline)) {
+		t.Errorf("partition-routed rows %v != baseline %v", rowsOf(resp), rowsOf(baseline))
 	}
 	if resp.Stats.ServersContacted != 1 {
 		t.Errorf("ServersContacted = %d, want 1 (only the partition's owner)", resp.Stats.ServersContacted)
@@ -206,7 +206,7 @@ func TestPartitionRouterPrunesServers(t *testing.T) {
 	if resp.Stats.PartitionsPruned != 3 {
 		t.Errorf("PartitionsPruned = %d, want 3", resp.Stats.PartitionsPruned)
 	}
-	if got := resp.Rows[0][0].(int64); got != 60 {
+	if got := rowsOf(resp)[0][0].(int64); got != 60 {
 		t.Errorf("count = %d, want 60", got)
 	}
 
@@ -219,7 +219,7 @@ func TestPartitionRouterPrunesServers(t *testing.T) {
 	if all.Stats.PartitionsPruned != 0 {
 		t.Errorf("unfiltered PartitionsPruned = %d, want 0", all.Stats.PartitionsPruned)
 	}
-	if got := all.Rows[0][0].(int64); got != 240 {
+	if got := rowsOf(all)[0][0].(int64); got != 240 {
 		t.Errorf("unfiltered count = %d, want 240", got)
 	}
 }
@@ -235,7 +235,7 @@ func TestPartitionRouterInFilterPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.Rows[0][0].(int64); got != 60 {
+	if got := rowsOf(resp)[0][0].(int64); got != 60 {
 		t.Errorf("count = %d, want 60", got)
 	}
 	if resp.Stats.PartitionsPruned != 2 {
@@ -260,8 +260,8 @@ func TestPartitionRouterNeverPrunesOnlyLiveReplica(t *testing.T) {
 	if err != nil {
 		t.Fatalf("partition router must fail over when the owner is down: %v", err)
 	}
-	if !reflect.DeepEqual(resp.Rows, baseline.Rows) {
-		t.Errorf("failover rows %v != baseline %v", resp.Rows, baseline.Rows)
+	if !reflect.DeepEqual(rowsOf(resp), rowsOf(baseline)) {
+		t.Errorf("failover rows %v != baseline %v", rowsOf(resp), rowsOf(baseline))
 	}
 	// Both replicas down: the segment really is unavailable — that must
 	// surface as an error, not silent pruning.
@@ -321,8 +321,8 @@ func TestRoutingUnderSetDownFlaps(t *testing.T) {
 					}
 					continue
 				}
-				if !reflect.DeepEqual(resp.Rows, want.Rows) {
-					t.Errorf("%s: rows %v != want %v", r.Name(), resp.Rows, want.Rows)
+				if !reflect.DeepEqual(rowsOf(resp), rowsOf(want)) {
+					t.Errorf("%s: rows %v != want %v", r.Name(), rowsOf(resp), rowsOf(want))
 				}
 				mu.Lock()
 				succeeded++
@@ -352,7 +352,7 @@ func TestMaxSegmentsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pruned query within budget: %v", err)
 	}
-	if got := resp.Rows[0][0].(int64); got != 30 {
+	if got := rowsOf(resp)[0][0].(int64); got != 30 {
 		t.Errorf("count = %d, want 30", got)
 	}
 }
@@ -367,7 +367,7 @@ func TestTimeFilterPrunesSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resp.Rows[0][0].(int64); got != 40 { // 10 per city x 4 cities
+	if got := rowsOf(resp)[0][0].(int64); got != 40 { // 10 per city x 4 cities
 		t.Errorf("filtered count = %d, want 40", got)
 	}
 	if resp.Stats.SegmentsPruned == 0 {

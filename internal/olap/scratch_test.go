@@ -66,7 +66,7 @@ func TestScanScratchDoesNotLeak(t *testing.T) {
 		t.Helper()
 		res, err := p.Finalize(c.q)
 		if err == nil {
-			err = db.Check(c.rq, res.Columns, res.Rows)
+			err = db.Check(c.rq, res.Batch.Columns, rowsOf(res))
 		}
 		if err != nil {
 			t.Errorf("%s on the %s scan: %v", c.name, where, err)
@@ -104,8 +104,8 @@ func TestScanScratchDoesNotLeak(t *testing.T) {
 		c := cases[i%len(cases)]
 		scan(c, []string{"sealed", "consuming"}[i%2])
 	}
-	if after := check(cases[1], "sealed", kept); !reflect.DeepEqual(before.Rows, after.Rows) {
-		t.Errorf("an untrimmed partial answers %v after 50 more scans, %v before", after.Rows, before.Rows)
+	if after := check(cases[1], "sealed", kept); !reflect.DeepEqual(rowsOf(before), rowsOf(after)) {
+		t.Errorf("an untrimmed partial answers %v after 50 more scans, %v before", rowsOf(after), rowsOf(before))
 	}
 
 	// release on one scratch, scan after scan: what it clears is what the

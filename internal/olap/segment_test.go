@@ -267,8 +267,8 @@ func checkRoundTrip(t *testing.T, seg *Segment, data []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(r1.Rows, r2.Rows) {
-			t.Fatalf("decoded segment answers differently: %v vs %v", r1.Rows, r2.Rows)
+		if !reflect.DeepEqual(rowsOf(r1), rowsOf(r2)) {
+			t.Fatalf("decoded segment answers differently: %v vs %v", rowsOf(r1), rowsOf(r2))
 		}
 	}
 	// Re-archiving a reloaded segment is idempotent: encode → decode →
@@ -321,10 +321,10 @@ func TestFilterOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if r.Rows[0][0] != c.Rows[0][0] {
-				t.Errorf("cfg %+v %v: sealed count %v, consuming %v", cfg, f, r.Rows[0][0], c.Rows[0][0])
+			if rowsOf(r)[0][0] != rowsOf(c)[0][0] {
+				t.Errorf("cfg %+v %v: sealed count %v, consuming %v", cfg, f, rowsOf(r)[0][0], rowsOf(c)[0][0])
 			}
-			return r.Rows[0][0].(int64)
+			return rowsOf(r)[0][0].(int64)
 		}
 		// != never keeps a NULL: rush is NULL on odd rows, true on rows
 		// 0 mod 4 and false on rows 2 mod 4 — also beside a != on the
@@ -402,7 +402,7 @@ func TestFilterComparisonOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Rows[0][0].(int64)
+		return rowsOf(r)[0][0].(int64)
 	}
 	brute := func(pred func(int64) bool) int64 {
 		var n int64
@@ -481,7 +481,7 @@ func TestStrictBoundsAbsentAndExtremeLiterals(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cfg %+v case %s: %v", cfg, tc.name, err)
 			}
-			if got := r.Rows[0][0].(int64); got != tc.want {
+			if got := rowsOf(r)[0][0].(int64); got != tc.want {
 				t.Errorf("cfg %+v case %s: count = %d, want %d", cfg, tc.name, got, tc.want)
 			}
 		}
@@ -504,12 +504,12 @@ func TestGroupByAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("groups = %d, want 4 cities", len(r.Rows))
+	if r.Batch.Len != 4 {
+		t.Fatalf("groups = %d, want 4 cities", r.Batch.Len)
 	}
 	var totalCount int64
 	var totalSum float64
-	for _, row := range r.Rows {
+	for _, row := range rowsOf(r) {
 		totalCount += row[1].(int64)
 		totalSum += row[2].(float64)
 		if row[3].(float64) > row[4].(float64) {
@@ -540,11 +540,12 @@ func TestSelectionQueryWithOrderAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 5 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	if r.Batch.Len != 5 {
+		t.Fatalf("rows = %d", r.Batch.Len)
 	}
-	for i := 1; i < len(r.Rows); i++ {
-		if r.Rows[i][1].(float64) > r.Rows[i-1][1].(float64) {
+	rows := rowsOf(r)
+	for i := 1; i < len(rows); i++ {
+		if rows[i][1].(float64) > rows[i-1][1].(float64) {
 			t.Fatalf("not descending at %d", i)
 		}
 	}
@@ -557,7 +558,7 @@ func TestCountNonNullColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Rows[0][0].(int64); got != 10 {
+	if got := rowsOf(r)[0][0].(int64); got != 10 {
 		t.Errorf("count(rush) = %d, want 10 non-null", got)
 	}
 }
@@ -623,8 +624,8 @@ func TestSortedColumnBinarySearchMatchesScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r1.Rows, r2.Rows) {
-		t.Errorf("sorted path disagrees: %v vs %v", r1.Rows, r2.Rows)
+	if !reflect.DeepEqual(rowsOf(r1), rowsOf(r2)) {
+		t.Errorf("sorted path disagrees: %v vs %v", rowsOf(r1), rowsOf(r2))
 	}
 }
 
@@ -678,7 +679,7 @@ func TestInvertedIndexMatchesScanProperty(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return reflect.DeepEqual(r1.Rows, r2.Rows)
+		return reflect.DeepEqual(rowsOf(r1), rowsOf(r2))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -872,8 +873,8 @@ func TestIndexedFiltersBorrowPostingLists(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if !reflect.DeepEqual(got.Rows, want.Rows) {
-						t.Errorf("query %d: indexed %v, unindexed %v", qi, got.Rows, want.Rows)
+					if !reflect.DeepEqual(rowsOf(got), rowsOf(want)) {
+						t.Errorf("query %d: indexed %v, unindexed %v", qi, rowsOf(got), rowsOf(want))
 						return
 					}
 				}

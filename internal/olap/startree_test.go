@@ -72,8 +72,8 @@ func TestStarTreeMatchesScan(t *testing.T) {
 			if got.Stats.StarTreeServed != 1 {
 				t.Errorf("maxLeaf=%d q%d: not served by star-tree", maxLeaf, qi)
 			}
-			if !reflect.DeepEqual(got.Rows, want.Rows) {
-				t.Errorf("maxLeaf=%d q%d:\n got %v\nwant %v", maxLeaf, qi, got.Rows, want.Rows)
+			if !reflect.DeepEqual(rowsOf(got), rowsOf(want)) {
+				t.Errorf("maxLeaf=%d q%d:\n got %v\nwant %v", maxLeaf, qi, rowsOf(got), rowsOf(want))
 			}
 		}
 	}
@@ -86,8 +86,8 @@ func TestStarTreeFilterOnMissingValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 1 || r.Rows[0][0].(int64) != 0 {
-		t.Errorf("missing-value star query = %v", r.Rows)
+	if r.Batch.Len != 1 || rowsOf(r)[0][0].(int64) != 0 {
+		t.Errorf("missing-value star query = %v", rowsOf(r))
 	}
 }
 
@@ -106,8 +106,8 @@ func TestStarTreeUpsertBypassed(t *testing.T) {
 	if r.Stats.StarTreeServed != 0 {
 		t.Error("star-tree should be bypassed under a validity bitmap")
 	}
-	if r.Rows[0][0].(int64) != 99 {
-		t.Errorf("count = %v, want 99", r.Rows[0][0])
+	if rowsOf(r)[0][0].(int64) != 99 {
+		t.Errorf("count = %v, want 99", rowsOf(r)[0][0])
 	}
 }
 
@@ -143,8 +143,8 @@ func TestStarTreeHighCardinality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Rows, want.Rows) {
-		t.Errorf("high-cardinality star-tree mismatch: %v vs %v", got.Rows, want.Rows)
+	if !reflect.DeepEqual(rowsOf(got), rowsOf(want)) {
+		t.Errorf("high-cardinality star-tree mismatch: %v vs %v", rowsOf(got), rowsOf(want))
 	}
 }
 
@@ -159,11 +159,11 @@ func TestStarTreeRefusesStringMetric(t *testing.T) {
 		for _, kind := range []AggKind{AggSum, AggAvg, AggMin, AggMax} {
 			q := &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: kind, Column: "status"}}}
 			if r, err := seg.Execute(q, nil); err == nil {
-				t.Errorf("tree=%v: %s(status) answered %v", seg.Tree != nil, kind, r.Rows)
+				t.Errorf("tree=%v: %s(status) answered %v", seg.Tree != nil, kind, rowsOf(r))
 			}
 		}
 		r, err := seg.Execute(&Query{Aggs: []AggSpec{{Kind: AggCount, Column: "status"}}}, nil)
-		if err != nil || r.Rows[0][0] != int64(100) || r.Stats.StarTreeServed != boolInt(seg.Tree != nil) {
+		if err != nil || rowsOf(r)[0][0] != int64(100) || r.Stats.StarTreeServed != boolInt(seg.Tree != nil) {
 			t.Errorf("tree=%v: COUNT(status) = %v, %v (served by tree %d)", seg.Tree != nil, r, err, r.Stats.StarTreeServed)
 		}
 	}

@@ -68,8 +68,8 @@ func TestExecuteStreamMatchesExecute(t *testing.T) {
 			t.Fatalf("query %d stream: %v", qi, err)
 		}
 		got := drainStream(t, qs)
-		if !reflect.DeepEqual(sortedRows(got), sortedRows(resp.Rows)) {
-			t.Errorf("query %d: streamed rows differ from Execute (%d vs %d rows)", qi, len(got), len(resp.Rows))
+		if !reflect.DeepEqual(sortedRows(got), sortedRows(rowsOf(resp))) {
+			t.Errorf("query %d: streamed rows differ from Execute (%d vs %d rows)", qi, len(got), resp.Batch.Len)
 		}
 		st := qs.Stats()
 		if st.RowsShipped != int64(len(got)) {
@@ -108,7 +108,7 @@ func TestExecuteStreamUpsertValidity(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("streamed %d rows, want 10 live upsert rows", len(got))
 	}
-	if !reflect.DeepEqual(sortedRows(got), sortedRows(resp.Rows)) {
+	if !reflect.DeepEqual(sortedRows(got), sortedRows(rowsOf(resp))) {
 		t.Error("streamed upsert rows differ from Execute")
 	}
 }
@@ -156,7 +156,7 @@ func TestExecuteStreamLimitOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := map[string]int{}
-	for _, r := range full.Rows {
+	for _, r := range rowsOf(full) {
 		all[fmt.Sprint(r[0])]++
 	}
 	for _, tc := range []struct{ limit, offset, want int }{
@@ -347,8 +347,8 @@ func TestStreamSelectSegmentLevel(t *testing.T) {
 	if !more {
 		t.Error("full drain should report more=true")
 	}
-	if !reflect.DeepEqual(sortedRows(rows), sortedRows(want.Rows)) {
-		t.Errorf("segment stream mismatch: %d rows vs %d", len(rows), len(want.Rows))
+	if !reflect.DeepEqual(sortedRows(rows), sortedRows(rowsOf(want))) {
+		t.Errorf("segment stream mismatch: %d rows vs %d", len(rows), want.Batch.Len)
 	}
 	if st.RowsShipped != int64(len(rows)) {
 		t.Errorf("RowsShipped = %d, want %d", st.RowsShipped, len(rows))
@@ -365,7 +365,7 @@ func TestStreamSelectSegmentLevel(t *testing.T) {
 	if more {
 		t.Error("early stop should report more=false")
 	}
-	if n == 0 || n >= len(want.Rows) {
-		t.Errorf("early stop consumed %d of %d rows", n, len(want.Rows))
+	if n == 0 || n >= want.Batch.Len {
+		t.Errorf("early stop consumed %d of %d rows", n, want.Batch.Len)
 	}
 }

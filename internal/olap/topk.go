@@ -97,7 +97,7 @@ func planTopK(q *Query, trimSize int) *topKPlan {
 
 // rankTerm is one ORDER BY term over a table's rows, typed once: a key
 // column — group-by or selected — compared in place, or an aggregation's
-// final value as the float64 record.Compare would see of aggValue's result
+// final value as the float64 record.Compare would see of its result cell
 // (null: NULL, for MIN/MAX/AVG of no input). Ranking never boxes a value.
 // The order is record.Compare's — NULL first, numbers by value (a NaN ties
 // with everything), strings by content — reversed for DESC.

@@ -69,8 +69,8 @@ func TestTopKTrimmedMatchesExactUniqueKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(trim.Rows, exact.Rows) {
-		t.Errorf("trimmed top-K diverged on unique keys:\n trim %v\nexact %v", trim.Rows, exact.Rows)
+	if !reflect.DeepEqual(rowsOf(trim), rowsOf(exact)) {
+		t.Errorf("trimmed top-K diverged on unique keys:\n trim %v\nexact %v", rowsOf(trim), rowsOf(exact))
 	}
 	if exact.Stats.GroupsTrimmed != 0 {
 		t.Errorf("TrimExact run trimmed %d groups", exact.Stats.GroupsTrimmed)
@@ -99,8 +99,8 @@ func TestTopKTrimmedMatchesExactUniqueKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(trimS.Rows, exactS.Rows) {
-		t.Errorf("selection heap diverged:\n trim %v\nexact %v", trimS.Rows, exactS.Rows)
+	if !reflect.DeepEqual(rowsOf(trimS), rowsOf(exactS)) {
+		t.Errorf("selection heap diverged:\n trim %v\nexact %v", rowsOf(trimS), rowsOf(exactS))
 	}
 	if exactS.Stats.RowsShipped != 400 || exactS.Stats.RowsHeapKept != 0 {
 		t.Errorf("exact selection shipped %d rows, heap kept %d; want 400 / 0",
@@ -172,12 +172,12 @@ func TestTrimTiesMatchExact(t *testing.T) {
 			if trim.Stats.GroupsTrimmed == 0 {
 				t.Fatal("the trimmed run trimmed nothing")
 			}
-			if !reflect.DeepEqual(trim.Rows, exact.Rows) {
-				t.Errorf("trimmed top-K %v, TrimExact %v", trim.Rows, exact.Rows)
+			if !reflect.DeepEqual(rowsOf(trim), rowsOf(exact)) {
+				t.Errorf("trimmed top-K %v, TrimExact %v", rowsOf(trim), rowsOf(exact))
 			}
-			for i, row := range exact.Rows {
+			for i, row := range rowsOf(exact) {
 				if row[0] != c.first[i] {
-					t.Errorf("TrimExact %v: ties not broken by ascending group value, want first column %v", exact.Rows, c.first)
+					t.Errorf("TrimExact %v: ties not broken by ascending group value, want first column %v", rowsOf(exact), c.first)
 					break
 				}
 			}
@@ -227,8 +227,8 @@ func TestTrimTiesMatchExact(t *testing.T) {
 					if !exact && res.Stats.RowsHeapKept == 0 {
 						t.Fatal("the trimmed run cut nothing")
 					}
-					if !reflect.DeepEqual(res.Rows, want) {
-						t.Fatalf("run %d, TrimExact %v: %v, want %v", run, exact, res.Rows, want)
+					if !reflect.DeepEqual(rowsOf(res), want) {
+						t.Fatalf("run %d, TrimExact %v: %v, want %v", run, exact, rowsOf(res), want)
 					}
 				}
 			}
@@ -282,7 +282,7 @@ func TestTopKRandomizedEquivalence(t *testing.T) {
 		for _, req := range []*QueryRequest{{Query: FromReference(rq), TrimExact: true}, {Query: FromReference(rq), TrimSize: 25}} {
 			got, err := b.Execute(context.Background(), req)
 			if err == nil {
-				err = db.Check(rq, got.Columns, got.Rows)
+				err = db.Check(rq, got.Batch.Columns, rowsOf(got))
 			}
 			if err != nil {
 				t.Errorf("query %d %s (TrimExact %v): %v", i, rq, req.TrimExact, err)
@@ -319,10 +319,10 @@ func TestQueryOffsetPagination(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			paged = append(paged, resp.Rows...)
+			paged = append(paged, rowsOf(resp)...)
 		}
-		if !reflect.DeepEqual(paged, full.Rows) {
-			t.Errorf("trimExact=%v: stitched pages != top-10:\n got %v\nwant %v", trimExact, paged, full.Rows)
+		if !reflect.DeepEqual(paged, rowsOf(full)) {
+			t.Errorf("trimExact=%v: stitched pages != top-10:\n got %v\nwant %v", trimExact, paged, rowsOf(full))
 		}
 	}
 
@@ -335,8 +335,8 @@ func TestQueryOffsetPagination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Rows) != 10 {
-		t.Errorf("consuming-path page = %d rows, want 10 (offset 5 of 30)", len(page.Rows))
+	if page.Batch.Len != 10 {
+		t.Errorf("consuming-path page = %d rows, want 10 (offset 5 of 30)", page.Batch.Len)
 	}
 
 	// A global aggregate over zero rows answers one row (COUNT 0), which
@@ -348,8 +348,8 @@ func TestQueryOffsetPagination(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(resp.Rows) != want {
-				t.Errorf("%s: COUNT(*) of no rows, OFFSET %d = %v, want %d rows", name, off, resp.Rows, want)
+			if resp.Batch.Len != want {
+				t.Errorf("%s: COUNT(*) of no rows, OFFSET %d = %v, want %d rows", name, off, rowsOf(resp), want)
 			}
 		}
 	}
@@ -430,7 +430,7 @@ func TestAggNullSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGroups(t, res.Rows)
+	checkGroups(t, rowsOf(res))
 
 	// Consuming-row path (unsealed deployment) plus the zero-row global
 	// aggregate through the broker.
@@ -447,7 +447,7 @@ func TestAggNullSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGroups(t, got.Rows)
+	checkGroups(t, rowsOf(got))
 
 	empty, err := b.Execute(context.Background(), &QueryRequest{Query: &Query{
 		Filters: []Filter{{Column: "city", Op: OpEq, Value: "nowhere"}},
@@ -456,12 +456,12 @@ func TestAggNullSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(empty.Rows) != 1 {
-		t.Fatalf("zero-row global aggregate rows = %v", empty.Rows)
+	if empty.Batch.Len != 1 {
+		t.Fatalf("zero-row global aggregate rows = %v", rowsOf(empty))
 	}
 	want := []any{nil, nil, nil, int64(0), 0.0}
-	if !reflect.DeepEqual(empty.Rows[0], want) {
-		t.Errorf("zero-row global aggregate = %v, want %v", empty.Rows[0], want)
+	if !reflect.DeepEqual(rowsOf(empty)[0], want) {
+		t.Errorf("zero-row global aggregate = %v, want %v", rowsOf(empty)[0], want)
 	}
 }
 

@@ -1,5 +1,7 @@
 package record
 
+import "repro/internal/metadata"
+
 // AggKind enumerates the aggregation functions, one list for every engine
 // that folds them: the streaming windows, the OLAP partials and star-tree,
 // and the federated engine.
@@ -104,15 +106,27 @@ func (a *Agg) Final(kind AggKind) (f float64, null bool) {
 	}
 }
 
-// Value is Final boxed as a result cell: nil for NULL, COUNT's int64, and
-// every other aggregation's float64.
-func (a *Agg) Value(kind AggKind) any {
+// FinalType is the type of the aggregation's result column: long for COUNT
+// and DISTINCTCOUNT, double for the others.
+func (k AggKind) FinalType() metadata.FieldType {
+	if k == AggCount || k == AggDistinctCount {
+		return metadata.TypeLong
+	}
+	return metadata.TypeDouble
+}
+
+// AppendFinal appends the aggregation's result cell to v, a vector of
+// kind.FinalType() — the one writer of a result cell, so a pushed-down
+// aggregate and the engine-side fallback answer alike: Count as a long for
+// COUNT (and DISTINCTCOUNT, whose caller puts the set's size in Count), Final
+// as a double for the others, SQL NULL as Final has it.
+func (a *Agg) AppendFinal(v *Vector, kind AggKind) {
 	switch f, null := a.Final(kind); {
 	case null:
-		return nil
-	case kind == AggCount:
-		return a.Count
+		v.AppendNulls(1)
+	case kind == AggCount || kind == AggDistinctCount:
+		v.Ints = append(v.Ints, a.Count)
 	default:
-		return f
+		v.Floats = append(v.Floats, f)
 	}
 }

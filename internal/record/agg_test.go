@@ -30,12 +30,18 @@ func TestAggFinalAndMerge(t *testing.T) {
 			t.Errorf("cut %d: merged %+v, folded %+v", cut, left, all)
 		}
 	}
+	final := func(a *Agg, kind AggKind) any {
+		var v Vector
+		v.Reset(kind.FinalType())
+		a.AppendFinal(&v, kind)
+		return v.Box(0)
+	}
 	var none Agg
 	for kind, w := range want {
-		if got := all.Value(kind); got != w {
+		if got := final(&all, kind); got != w {
 			t.Errorf("%s = %v, want %v", kind, got, w)
 		}
-		got := none.Value(kind)
+		got := final(&none, kind)
 		if null := got == nil; null != (kind != AggCount && kind != AggSum) {
 			t.Errorf("%s over no input = %v", kind, got)
 		}
