@@ -3,7 +3,9 @@ package fedsql
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/metadata"
@@ -156,6 +158,103 @@ func TestArchiveScanBytes(t *testing.T) {
 			t.Fatalf("run %d allocated %d bytes, want fewer than %d for %d rows of city and amount", i, got, bound, adhocDay)
 		}
 	}
+}
+
+// TestFederatedJoinBytes: A2 collects its build side into the vectors of a
+// join table an earlier join returned to the pool, indexes it in that
+// table's KeyIndex and gathers the joined rows into its output vectors, so
+// once warm a run allocates its plan, the probe side's stream and the
+// grouped result alone (≈ 48 KB against 200 KB). A fresh index per query (a
+// map of 5 000 keys, ≈ 140 KB), fresh build-side vectors (≈ 125 KB) or
+// fresh joined vectors per probe batch fail it; the parent of the pooled
+// table read ≈ 445 KB. It runs on one P, and skips under the race
+// detector, for the reasons TestArchiveScanBytes gives.
+func TestFederatedJoinBytes(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops objects at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := adhocScanEngine(t)
+	const bound = 200_000
+	runAdhoc(t, e, a2SQL, 12)
+	var before, after runtime.MemStats
+	for i := range 20 {
+		runtime.ReadMemStats(&before)
+		runAdhoc(t, e, a2SQL, 12)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
+			t.Fatalf("run %d allocated %d bytes, want fewer than %d for a %d-row build side", i, got, bound, adhocRestaurants)
+		}
+	}
+}
+
+// TestJoinTableRecycled: joins on two goroutines at once share the pool of
+// join tables, each table one join's from resolveJoin to its Close. A2 and
+// an ordered, limited selection over the same join interleave for 10
+// rounds, and every answer must be the one the query gave run alone: a
+// table still probed by one join while another builds into it, or a stale
+// build row, key or output vector, shows. A table back in the pool holds no
+// string header — not in its build rows, its output vectors or its index —
+// so it pins no dictionary or archive part.
+func TestJoinTableRecycled(t *testing.T) {
+	e := adhocScanEngine(t)
+	const top = "SELECT o.order_id, r.cuisine, o.amount FROM pinot.orders o JOIN hive.restaurants r" +
+		" ON o.restaurant_id = r.restaurant_id WHERE o.status = 'placed' ORDER BY o.amount DESC, o.order_id LIMIT 20"
+	serial := map[string]*Result{}
+	for _, sql := range []string{a2SQL, top} {
+		res, err := e.QueryCtx(context.Background(), sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		serial[sql] = res
+	}
+	if len(serial[a2SQL].Rows) != 12 || len(serial[top].Rows) != 20 {
+		t.Fatalf("A2 gave %d rows, the selection %d; want 12 and 20", len(serial[a2SQL].Rows), len(serial[top].Rows))
+	}
+	var wg sync.WaitGroup
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 10 {
+				sql := []string{a2SQL, top}[(round+w)%2]
+				res, err := e.QueryCtx(context.Background(), sql)
+				if err != nil {
+					t.Errorf("round %d %q: %v", round, sql, err)
+					return
+				}
+				if want := serial[sql]; !reflect.DeepEqual(res.Rows, want.Rows) {
+					t.Errorf("round %d %q: %v, run alone %v", round, sql, res.Rows, want.Rows)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// The race detector drops pooled objects at random; a few joins put
+	// one back.
+	for range 20 {
+		runAdhoc(t, e, a2SQL, 12)
+		jt := joinTables.Get().(*joinTable)
+		if cap(jt.rows.Cols) == 0 {
+			continue
+		}
+		for _, vs := range [][]record.Vector{jt.rows.Cols[:cap(jt.rows.Cols)], jt.out[:cap(jt.out)]} {
+			for c, v := range vs {
+				for r, s := range v.Strs[:cap(v.Strs)] {
+					if s != "" {
+						t.Fatalf("a pooled join table's vector %d keeps string %q at row %d", c, s, r)
+					}
+				}
+			}
+		}
+		if jt.keys.Len() != 0 || len(jt.keys.Texts()) != 0 {
+			t.Fatalf("a pooled join table's index holds %d keys, %d texts", jt.keys.Len(), len(jt.keys.Texts()))
+		}
+		return
+	}
+	t.Fatal("no join table came back to the pool")
 }
 
 // benchAdhoc reports ns and allocations per row of the tables one query

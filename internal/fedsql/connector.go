@@ -589,11 +589,7 @@ func (it *archiveIterator) Stats() QueryStats { return it.stats }
 func (it *archiveIterator) Close() error {
 	it.parts = nil
 	if it.vecs != nil {
-		for i := range *it.vecs {
-			v := &(*it.vecs)[i]
-			clear(v.Strs[:cap(v.Strs)])
-			clear(v.Bytes[:cap(v.Bytes)])
-		}
+		clearVectors(*it.vecs)
 		it.pool.Put(it.vecs)
 		it.vecs, it.batch.Cols = nil, nil
 	}

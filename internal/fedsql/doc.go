@@ -14,7 +14,9 @@
 // (olap.QueryResponse.Batch). A value is boxed only at the edges:
 // Result.Rows and the v2 Scan/AggregateScan drains, which the engine never
 // calls. A join's build side stays typed under a table keyed by the cell
-// itself. Every column reference is bound to a batch column index once per
+// itself; the table, its index and the join's output vectors come from a
+// pool and go back at the join's Close, so a warm join allocates none of
+// them. Every column reference is bound to a batch column index once per
 // query, never looked up by name per row.
 // Connectors hand over iterators through StreamingConnector, the one surface
 // the engine executes through (a catalog without it is refused): OpenScan

@@ -180,7 +180,7 @@ func (rel *relation) finish(err error) (QueryStats, []string) {
 // execute runs one SELECT and boxes its rows: Result.Rows is the engine's
 // edge, where typed vectors become cells.
 func (e *Engine) execute(ctx context.Context, stmt *sqlparse.SelectStmt) (*Result, error) {
-	out, stats, plan, err := e.run(ctx, stmt)
+	out, stats, plan, err := e.run(ctx, stmt, new(Batch))
 	if err != nil {
 		return nil, err
 	}
@@ -189,8 +189,9 @@ func (e *Engine) execute(ctx context.Context, stmt *sqlparse.SelectStmt) (*Resul
 
 // run runs one SELECT through the pipeline every query shape shares:
 // resolveRef yields the FROM clause as an iterator, consume drives it into
-// typed output vectors.
-func (e *Engine) run(ctx context.Context, stmt *sqlparse.SelectStmt) (*Batch, QueryStats, []string, error) {
+// typed output vectors: dst's, reused, and dst is what run returns unless an
+// ORDER BY gathers the rows into a sorted copy (collect).
+func (e *Engine) run(ctx context.Context, stmt *sqlparse.SelectStmt, dst *Batch) (*Batch, QueryStats, []string, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, nil, err
 	}
@@ -204,7 +205,7 @@ func (e *Engine) run(ctx context.Context, stmt *sqlparse.SelectStmt) (*Batch, Qu
 	if err != nil {
 		return nil, QueryStats{}, nil, err
 	}
-	out, err := rel.consume(ctx, stmt)
+	out, err := rel.consume(ctx, stmt, dst)
 	stats, plan := rel.finish(err)
 	if err != nil {
 		return nil, QueryStats{}, nil, err
@@ -212,37 +213,42 @@ func (e *Engine) run(ctx context.Context, stmt *sqlparse.SelectStmt) (*Batch, Qu
 	return out, stats, plan, nil
 }
 
-// consume drives the relation to its output rows: residual filter, then
-// aggregate or project, then ORDER BY/LIMIT. An engine-side aggregation is
-// itself a relation — its groups, laid out like a pushed-down aggregate's
-// response — so both kinds reach collect the same way.
-func (rel *relation) consume(ctx context.Context, stmt *sqlparse.SelectStmt) (*Batch, error) {
+// consume drives the relation to its output rows in dst's vectors: residual
+// filter, then aggregate or project, then ORDER BY/LIMIT. An engine-side
+// aggregation is itself a relation — its groups, laid out like a pushed-down
+// aggregate's response — so both kinds reach collect the same way.
+func (rel *relation) consume(ctx context.Context, stmt *sqlparse.SelectStmt, dst *Batch) (*Batch, error) {
 	defer rel.src.Close()
 	filter := bindPredicates(rel.residual, rel.src.Columns())
 	if !stmt.HasAggregates() || rel.aggregated {
-		return collect(ctx, rel.src, filter, rel.star, stmt, rel.ordered)
+		return collect(ctx, rel.src, filter, rel.star, stmt, rel.ordered, dst)
 	}
 	groups, err := aggregate(ctx, rel.src, filter, stmt)
 	if err != nil {
 		return nil, err
 	}
 	defer groups.Close()
-	return collect(ctx, groups, nil, groups.Columns(), stmt, false)
+	return collect(ctx, groups, nil, groups.Columns(), stmt, false, dst)
 }
 
 // collect is the pipeline's tail and the one place iterator output becomes
 // output rows: it binds the projection to batch columns, appends the rows
-// that pass filter to typed output vectors, which grow by doubling, and
-// applies ORDER BY/LIMIT unless the backend already did. An unordered LIMIT
-// stops pulling as soon as it is met — any stmt.Limit rows are a correct
-// answer — and the caller's Close then cancels the backend scan.
-func collect(ctx context.Context, src RowIterator, filter []boundPredicate, star []string, stmt *sqlparse.SelectStmt, ordered bool) (*Batch, error) {
+// that pass filter to out's typed vectors — emptied, their arrays kept, and
+// grown by doubling — and applies ORDER BY/LIMIT unless the backend already
+// did. An unordered LIMIT stops pulling as soon as it is met — any
+// stmt.Limit rows are a correct answer — and the caller's Close then
+// cancels the backend scan.
+func collect(ctx context.Context, src RowIterator, filter []boundPredicate, star []string, stmt *sqlparse.SelectStmt, ordered bool, out *Batch) (*Batch, error) {
 	names, refs, err := projection(stmt, star)
 	if err != nil {
 		return nil, err
 	}
 	idx := bindColumns(src.Columns(), refs)
-	out := &Batch{Columns: names, Cols: make([]record.Vector, len(names))}
+	out.Columns, out.Len = names, 0
+	out.Cols = slices.Grow(out.Cols[:0], len(names))[:len(names)]
+	for ci := range out.Cols {
+		out.Cols[ci].Reset(metadata.TypeInvalid) // takes its source's type
+	}
 	limit := 0
 	if len(stmt.OrderBy) == 0 {
 		limit = stmt.Limit
@@ -346,7 +352,7 @@ func (e *Engine) resolveRef(ctx context.Context, ref *sqlparse.TableRef, stmt *s
 	case ref.Join != nil:
 		return e.resolveJoin(ctx, ref.Join, stmt)
 	case ref.Sub != nil:
-		sub, stats, plan, err := e.run(ctx, ref.Sub)
+		sub, stats, plan, err := e.run(ctx, ref.Sub, new(Batch))
 		if err != nil {
 			return nil, err
 		}
@@ -595,11 +601,11 @@ func planLine(m *scanMeta, st QueryStats, elapsed time.Duration) string {
 }
 
 // resolveJoin opens a hash join as a relation. The right side is the build
-// side: its statement runs to completion into typed vectors and the join
-// table over them (joinTable), concurrently with opening the left side so
-// both backends' scatter-gathers overlap. The left side is the probe side and
-// stays an iterator — its rows flow through joinIterator as the consumer
-// pulls and are never held as a joined slice.
+// side: its statement runs to completion into the typed vectors of a join
+// table taken from the pool (joinTable), concurrently with opening the left
+// side so both backends' scatter-gathers overlap. The left side is the probe
+// side and stays an iterator — its rows flow through joinIterator as the
+// consumer pulls and are never held as a joined slice.
 func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sqlparse.SelectStmt) (*relation, error) {
 	// Each side runs as its own statement: the columns the join's consumer
 	// can reach on that side, under the predicates qualified with its name.
@@ -624,7 +630,7 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 	ctx, cancel := context.WithCancel(ctx)
 	var (
 		wg         sync.WaitGroup
-		build      *Batch
+		t          = joinTables.Get().(*joinTable)
 		buildStats QueryStats
 		buildPlan  []string
 		buildErr   error
@@ -632,7 +638,8 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		build, buildStats, buildPlan, buildErr = e.run(ctx, rightStmt)
+		// A side statement has no ORDER BY: run leaves its rows in t.rows.
+		_, buildStats, buildPlan, buildErr = e.run(ctx, rightStmt, &t.rows)
 		if buildErr != nil {
 			cancel() // abort the probe side
 		}
@@ -656,15 +663,17 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 			probe.src.Close()
 			probe.finish(err)
 		}
+		t.release()
 		return nil, err
 	}
 
+	t.index(findColumn(t.rows.Columns, j.RightCol))
 	it := &joinIterator{
 		probe:    probe.src,
 		cancel:   cancel,
 		filter:   bindPredicates(probe.residual, probe.src.Columns()),
 		probeKey: findColumn(probe.src.Columns(), j.LeftCol),
-		build:    newJoinTable(build, findColumn(build.Columns, j.RightCol)),
+		build:    t,
 	}
 	// Output columns are alias.column for both sides, probe side first (a
 	// side that is itself a join is qualified already); SELECT * is the
@@ -672,10 +681,11 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 	for _, c := range probe.src.Columns() {
 		it.batch.Columns = append(it.batch.Columns, qualName(j.Left.RefName(), c))
 	}
-	for _, c := range build.Columns {
+	for _, c := range t.rows.Columns {
 		it.batch.Columns = append(it.batch.Columns, qualName(j.Right.RefName(), c))
 	}
-	it.batch.Cols = make([]record.Vector, len(it.batch.Columns))
+	t.out = slices.Grow(t.out[:0], len(it.batch.Columns))[:len(it.batch.Columns)]
+	it.batch.Cols = t.out
 	star := stripQualifiers(it.batch.Columns)
 	sort.Strings(star)
 	star = slices.Compact(star)
@@ -687,44 +697,77 @@ func (e *Engine) resolveJoin(ctx context.Context, j *sqlparse.JoinSpec, stmt *sq
 		residual: after}, nil
 }
 
-// joinTable is a hash join's build side: its rows as they were collected,
-// typed, a record.KeyIndex of their key cells, and the rows of each key
-// chained in row order; a NULL key joins nothing.
+// joinTable is a hash join's build side and the join's working memory: the
+// build rows as they were collected, typed, a record.KeyIndex of their key
+// cells, and the rows of each key chained in row order (a NULL key joins
+// nothing); then, for each probe batch, its selection, its matches and the
+// joined output vectors. Tables come from joinTables and go back at the
+// join's Close, so a query reuses the arrays and the index an earlier join
+// grew and, once they are large enough, allocates none of them.
 type joinTable struct {
-	rows  *Batch
-	index record.KeyIndex
-	head  []int32 // the first row of each key
-	next  []int32 // the following row with the same key, -1 after the last
+	rows      Batch
+	keys      record.KeyIndex
+	head      []int32 // the first row of each key
+	next      []int32 // the following row with the same key, -1 after the last
+	sel       []int32
+	probeRows []int32 // the current probe batch's matches: probe row,
+	buildRows []int32 // and build row
+	out       []record.Vector
 }
 
-func newJoinTable(rows *Batch, key int) *joinTable {
-	t := &joinTable{rows: rows, head: make([]int32, 0, rows.Len), next: make([]int32, rows.Len)}
+var joinTables = sync.Pool{New: func() any { return new(joinTable) }}
+
+// index indexes the collected rows by their column key; -1 (no such
+// column) leaves the index empty, so nothing joins.
+func (t *joinTable) index(key int) {
+	t.head = t.head[:0]
 	if key < 0 {
-		return t
+		return
 	}
-	v := rows.Cols[key : key+1]
-	t.index.Reserve(v, rows.Len)
+	n := t.rows.Len
+	t.next = slices.Grow(t.next[:0], n)[:n]
+	v := t.rows.Cols[key : key+1]
+	t.keys.Reserve(v, n)
 	// Chained last row first, so each chain runs in row order.
-	for r := rows.Len - 1; r >= 0; r-- {
+	for r := n - 1; r >= 0; r-- {
 		if v[0].IsNull(r) {
 			continue
 		}
 		t.next[r] = -1
-		if k, seen := t.index.Add(v, r); seen {
+		if k, seen := t.keys.Add(v, r); seen {
 			t.next[r], t.head[k] = t.head[k], int32(r)
 		} else {
 			t.head = append(t.head, int32(r))
 		}
 	}
-	return t
 }
 
 // first returns the first build row whose key equals row r of key, or -1.
 func (t *joinTable) first(key []record.Vector, r int) int32 {
-	if k, ok := t.index.Find(key, r); ok {
+	if k, ok := t.keys.Find(key, r); ok {
 		return t.head[k]
 	}
 	return -1
+}
+
+// release returns the table to joinTables with every string and blob slot
+// of its vectors and index cleared, so a pooled table pins no dictionary or
+// deep-store object.
+func (t *joinTable) release() {
+	clearVectors(t.rows.Cols[:cap(t.rows.Cols)])
+	clearVectors(t.out[:cap(t.out)])
+	t.rows.Columns = nil
+	t.keys.Reset()
+	joinTables.Put(t)
+}
+
+// clearVectors clears every string and blob slot of vs up to capacity, so a
+// pooled vector pins nothing it was filled from.
+func clearVectors(vs []record.Vector) {
+	for i := range vs {
+		clear(vs[i].Strs[:cap(vs[i].Strs)])
+		clear(vs[i].Bytes[:cap(vs[i].Bytes)])
+	}
 }
 
 // joinIterator is the hash-join operator: each probe batch becomes one
@@ -734,60 +777,67 @@ func (t *joinTable) first(key []record.Vector, r int) int32 {
 // into typed output vectors from both sides. SELECT * over the join and bare
 // column references resolve through findColumn: the probe side wins a clash.
 type joinIterator struct {
-	probe     RowIterator
-	cancel    context.CancelFunc // releases the join's context; see Close
-	filter    []boundPredicate
-	probeKey  int
-	build     *joinTable
-	sel       []int32
-	probeRows []int32 // the current batch's matches: probe row,
-	buildRows []int32 // and build row
-	batch     Batch
+	probe    RowIterator        // kept past Close: relation.finish reads its Stats
+	cancel   context.CancelFunc // releases the join's context; see Close
+	filter   []boundPredicate
+	probeKey int
+	build    *joinTable // nil once Close has returned it to the pool
+	batch    Batch      // the output; its vectors are build.out
 }
 
 func (j *joinIterator) Columns() []string { return j.batch.Columns }
 
 func (j *joinIterator) Next(ctx context.Context) (*Batch, error) {
+	t := j.build
+	if t == nil {
+		return nil, io.EOF
+	}
 	for {
 		b, err := j.probe.Next(ctx)
 		if err != nil {
 			return nil, err
 		}
-		j.probeRows, j.buildRows = j.probeRows[:0], j.buildRows[:0]
+		t.probeRows, t.buildRows = t.probeRows[:0], t.buildRows[:0]
 		if j.probeKey >= 0 {
-			j.sel = filterRows(b, 0, b.Len, j.filter, j.sel)
+			t.sel = filterRows(b, 0, b.Len, j.filter, t.sel)
 			// Sized for one match per row, the common case of a dimension.
-			j.probeRows, j.buildRows = slices.Grow(j.probeRows, len(j.sel)), slices.Grow(j.buildRows, len(j.sel))
+			t.probeRows, t.buildRows = slices.Grow(t.probeRows, len(t.sel)), slices.Grow(t.buildRows, len(t.sel))
 			key := b.Cols[j.probeKey : j.probeKey+1]
-			for _, r := range j.sel {
-				for br := j.build.first(key, int(r)); br >= 0; br = j.build.next[br] {
-					j.probeRows = append(j.probeRows, r)
-					j.buildRows = append(j.buildRows, br)
+			for _, r := range t.sel {
+				for br := t.first(key, int(r)); br >= 0; br = t.next[br] {
+					t.probeRows = append(t.probeRows, r)
+					t.buildRows = append(t.buildRows, br)
 				}
 			}
 		}
-		if len(j.probeRows) == 0 {
+		if len(t.probeRows) == 0 {
 			continue
 		}
 		for ci := range j.batch.Cols {
 			j.batch.Cols[ci].Reset(metadata.TypeInvalid) // takes its source's type
 		}
 		for ci := range b.Cols {
-			j.batch.Cols[ci].AppendRows(&b.Cols[ci], j.probeRows)
+			j.batch.Cols[ci].AppendRows(&b.Cols[ci], t.probeRows)
 		}
-		for ci := range j.build.rows.Cols {
-			j.batch.Cols[len(b.Cols)+ci].AppendRows(&j.build.rows.Cols[ci], j.buildRows)
+		for ci := range t.rows.Cols {
+			j.batch.Cols[len(b.Cols)+ci].AppendRows(&t.rows.Cols[ci], t.buildRows)
 		}
-		j.batch.Len = len(j.probeRows)
+		j.batch.Len = len(t.probeRows)
 		return &j.batch, nil
 	}
 }
 
 func (j *joinIterator) Stats() QueryStats { return j.probe.Stats() }
 
+// Close closes the probe side, releases the join's context and returns the
+// join table to the pool, once.
 func (j *joinIterator) Close() error {
 	err := j.probe.Close()
 	j.cancel()
+	if j.build != nil {
+		j.build.release()
+		j.build, j.batch.Cols = nil, nil
+	}
 	return err
 }
 

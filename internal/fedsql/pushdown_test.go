@@ -143,7 +143,7 @@ func TestPushdownAndFallbackTypeColumnsAlike(t *testing.T) {
 				t.Fatal(err)
 			}
 			pinot.DisablePushdown = disable
-			outs[i], _, _, err = e.run(context.Background(), stmt)
+			outs[i], _, _, err = e.run(context.Background(), stmt, new(Batch))
 			pinot.DisablePushdown = false
 			if err != nil {
 				t.Fatalf("%s (fallback %v): %v", sql, disable, err)

@@ -18,10 +18,11 @@ type scratchCase struct {
 	tp   *topKPlan
 }
 
-// scratchCases are the four shapes a scan's scratch serves: a code-space
+// scratchCases are the five shapes a scan's scratch serves: a code-space
 // top-K trimmed in the scan, an untrimmed GROUP BY with DISTINCTCOUNT (its
-// sets live in the accumulators), a global aggregate (every slot 0) and a
-// selection.
+// sets live in the accumulators), a global aggregate (every slot 0), a
+// selection, and a GROUP BY a raw long, which a consuming scan groups
+// through the scratch's key index.
 func scratchCases(t *testing.T) []scratchCase {
 	distinct := mustParse(t, "SELECT city, COUNT(*) AS n FROM orders GROUP BY city")
 	// FromReference's kind mapping, inverted: DISTINCTCOUNT has no SQL name.
@@ -32,6 +33,7 @@ func scratchCases(t *testing.T) []scratchCase {
 		{name: "distinct", rq: distinct},
 		{name: "global", rq: mustParse(t, "SELECT COUNT(*) AS n, SUM(amount) AS s FROM orders WHERE status = 'placed'")},
 		{name: "select", rq: mustParse(t, "SELECT order_id, amount FROM orders WHERE city = 'city_03' AND amount >= 100")},
+		{name: "keyed", rq: mustParse(t, "SELECT restaurant_id, COUNT(*) AS n, SUM(amount) AS s FROM orders GROUP BY restaurant_id")},
 	}
 	for i := range cases {
 		cases[i].q = FromReference(cases[i].rq)
@@ -42,12 +44,13 @@ func scratchCases(t *testing.T) []scratchCase {
 
 // TestScanScratchDoesNotLeak: scans that share pooled scratches answer as
 // the reference does, whatever ran on the scratch before — a code-space
-// top-K, an untrimmed GROUP BY with DISTINCTCOUNT, a global aggregate and a
-// selection, interleaved over a sealed segment and a consuming store by two
+// top-K, an untrimmed GROUP BY with DISTINCTCOUNT, a global aggregate, a
+// selection and a keyed GROUP BY, interleaved over a sealed segment and a consuming store by two
 // goroutines at once; a partial an untrimmed scan returned owns its rows,
 // so 50 more scans leave its answer as it was; and release, called on a
 // scratch directly (sync.Pool need not hand one back), leaves its table and
-// accumulators zero and no DISTINCTCOUNT set reachable.
+// accumulators zero, its key index empty and no DISTINCTCOUNT set
+// reachable.
 func TestScanScratchDoesNotLeak(t *testing.T) {
 	rows := benchRows(6_000)
 	m := storeOf(t, benchSchema(), rows)
@@ -143,5 +146,24 @@ func TestScanScratchDoesNotLeak(t *testing.T) {
 			}
 		}
 		check(c, "released scratch's", p)
+	}
+	// The keyed form: a consuming scan numbers its raw longs in the
+	// scratch's index, which release empties and the next scan reuses.
+	keyed := cases[len(cases)-1]
+	for range 2 {
+		sc := m.snapshot()
+		ss := &selStream{n: sc.n, s: s, sel: s.sel[:0]}
+		p, err := sc.executeAgg(keyed.q, ss, keyed.tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.index.Len() != p.n || p.n == 0 {
+			t.Fatalf("keyed: the scratch's index holds %d keys for %d groups", s.index.Len(), p.n)
+		}
+		s.release()
+		if s.index.Len() != 0 {
+			t.Fatalf("keyed: release left %d keys in the index", s.index.Len())
+		}
+		check(keyed, "released scratch's", p)
 	}
 }

@@ -142,16 +142,17 @@ func (v *colView) codes(off int, sel []int32, buf []uint32) []uint32 {
 // scan takes one with its selection stream and hands it back when it ends,
 // so a scan allocates none of it. Every kernel of the scan reads its codes
 // through block in turn (colView.codes); sel is the selection vector; the
-// grouper keeps its slots, id → slot table, accumulators, first rows and
-// touched ids here. Between scans table and accs are all zero: release
-// clears only what the scan wrote, so its cost follows the groups touched,
-// not the code space. Compaction, Segment.check and the star-tree build
-// read whole columns through block alone.
+// grouper keeps its slots, id → slot table or key index, accumulators,
+// first rows and touched ids here. Between scans table and accs are all zero
+// and index is empty: release clears only what the scan wrote, so its cost
+// follows the groups touched, not the code space. Compaction, Segment.check
+// and the star-tree build read whole columns through block alone.
 type scanScratch struct {
 	block [BatchRows]uint32
 	sel   [BatchRows]int32
 	slots [BatchRows]int32
 	table []int32         // the code-space grouper's id → slot table
+	index record.KeyIndex // the keyed grouper's groups, emptied with its tables kept
 	accs  []aggState      // the grouper's accumulators; len is the prefix in use
 	first []int32         // first[slot] is the group's first row
 	ids   []int32         // ids[slot] is the table entry the group took
@@ -166,13 +167,14 @@ var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 func getScratch() *scanScratch { return scratchPool.Get().(*scanScratch) }
 
 // release clears what the last scan wrote: the table entries its groups
-// took, the accumulator prefix they used, DISTINCTCOUNT sets included, and
-// the strings of its keys, so nothing a partial holds stays reachable from
-// the pool.
+// took or the key index, the accumulator prefix they used, DISTINCTCOUNT
+// sets included, and the strings of its keys, so nothing a partial holds
+// stays reachable from the pool.
 func (s *scanScratch) release() {
 	for _, id := range s.ids {
 		s.table[id] = 0
 	}
+	s.index.Reset()
 	clear(s.accs)
 	for i := range s.keys {
 		clear(s.keys[i].Strs)
@@ -1024,13 +1026,13 @@ const maxCodeSpace = 1 << 16
 //     hashing: the columnar execution style that gives Pinot its latency
 //     edge;
 //   - otherwise (a raw numeric column, or a larger code space): a
-//     record.KeyIndex numbers the groups, as it numbers the partial's — one
-//     column by its cell (colView.cellKey), a tuple by its cells spelled by
+//     record.KeyIndex numbers the groups — one column by its cell
+//     (colView.cellKey), a tuple by its cells spelled by
 //     record.AppendCellKey.
 //
-// Its arrays — slots, table, accs, first, ids — belong to the scan's
-// scratch and live as long as the scan: partial copies out the rows the
-// Partial keeps, and the scratch's release clears the rest.
+// Its arrays — slots, table or index, accs, first, ids — belong to the
+// scan's scratch and live as long as the scan: partial copies out the rows
+// the Partial keeps, and the scratch's release clears the rest.
 type grouper struct {
 	s     *scanScratch
 	cols  []*colView
@@ -1042,9 +1044,6 @@ type grouper struct {
 	// ci.
 	table []int32
 	radix []int
-
-	// Otherwise: slot by key.
-	keys record.KeyIndex
 }
 
 // newGrouper picks the grouping form for the columns of a scan of n rows
@@ -1152,13 +1151,13 @@ func (g *grouper) keyed(i int32, key []byte) (int32, []byte) {
 	var found bool
 	if len(g.cols) == 1 {
 		num, ok := g.cols[0].cellKey(int(i))
-		k, found = g.keys.AddKey(true, num, nil, ok)
+		k, found = g.s.index.AddKey(true, num, nil, ok)
 	} else {
 		for _, c := range g.cols {
 			num, ok := c.cellKey(int(i))
 			key = record.AppendCellKey(key, true, num, "", ok)
 		}
-		k, found = g.keys.AddKey(false, 0, key, true)
+		k, found = g.s.index.AddKey(false, 0, key, true)
 	}
 	if !found {
 		g.addSlot(i, 0)

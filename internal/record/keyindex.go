@@ -20,48 +20,65 @@ import (
 // pairwise, one value by Vector.Key's classes, whichever vector types hold
 // them: NULL is one value; two numbers are one when their CanonBits are
 // (int64(3) and float64(3), -0 and 0, every NaN); two texts when their bytes
-// are; a number is never a text. A single column is indexed by those classes
-// and a tuple by its cells spelled by AppendCellKey, carved from an arena,
-// so neither formats a number nor quotes a string per row. The zero value
-// is an empty index.
+// are; a number is never a text. A single column's numbers are indexed by
+// their CanonBits and its texts as they are, a tuple by its cells spelled
+// by AppendCellKey, carved from an arena, so neither formats a number nor
+// quotes a string per row. Both classes sit in flat tables (flatTable) the
+// collector has nothing to scan in, and Reset empties them keeping their
+// capacity, so an index kept from one query to the next allocates nothing
+// once it has held as many keys. The zero value is an empty index.
 type KeyIndex struct {
 	n      int32
-	nums   map[uint64]int32 // a single column's numbers → key
-	texts  textTable        // its texts, or a tuple's key bytes → key
-	null   int32            // key+1 of a single column's NULL, or the empty tuple; 0: none
-	buf    []byte           // scratch: a tuple's key bytes
-	arena  []byte           // the chunk spelled keys are carved from
-	carved int              // bytes carved from the arena, every chunk
+	nums   flatTable[uint64] // a single column's numbers, by CanonBits
+	texts  flatTable[string] // its texts, or a tuple's key bytes
+	null   int32             // key+1 of a single column's NULL, or the empty tuple; 0: none
+	buf    []byte            // scratch: a tuple's key bytes
+	arena  []byte            // the chunk spelled keys are carved from
+	carved int               // bytes carved from the arena, every chunk
 }
 
-// Reserve makes the index, empty, sized for n keys of the shape of key:
-// numbers for a single column that is not a string column, texts for a
+// Reserve empties the index (Reset) and sizes it for n keys of the shape of
+// key: numbers for a single column that is not a string column, texts for a
 // string column or a tuple.
 func (x *KeyIndex) Reserve(key []Vector, n int) {
+	x.Reset()
 	if len(key) == 1 && key[0].Type != metadata.TypeString {
-		x.nums, x.texts = make(map[uint64]int32, n), textTable{}
+		x.nums.reserve(n)
 		return
 	}
-	x.nums, x.texts = nil, newTextTable(n)
+	x.texts.reserve(n)
 }
 
-// ReserveTexts makes the index, empty, sized for n text keys given to
-// AddKey, whose bytes come to about bytes: the arena's first chunk.
+// ReserveTexts empties the index (Reset) and sizes it for n text keys given
+// to AddKey, whose bytes come to about bytes: the arena's first chunk.
 func (x *KeyIndex) ReserveTexts(n, bytes int) {
-	x.nums, x.texts, x.arena = nil, newTextTable(n), make([]byte, 0, bytes)
+	x.Reset()
+	x.texts.reserve(n)
+	x.arena = make([]byte, 0, bytes)
+}
+
+// Reset empties the index and keeps its tables' capacity; their string
+// headers are cleared, so the index keeps nothing of its keys reachable. The
+// arena is dropped, never written again: its bytes may be the texts of
+// a slice Texts returned. Such a slice is not the index's after a Reset.
+func (x *KeyIndex) Reset() {
+	x.nums.reset()
+	x.texts.reset()
+	x.n, x.null, x.arena, x.carved = 0, 0, nil, 0
 }
 
 // Len is the number of keys indexed.
 func (x *KeyIndex) Len() int { return int(x.n) }
 
 // ArenaBytes is how many bytes of spelled keys have been carved from the
-// arena, over all its chunks.
+// arena, over all its chunks, since the index was last emptied.
 func (x *KeyIndex) ArenaBytes() int { return x.carved }
 
 // Texts is the text of every key by its number, "" for a NULL or a number,
 // once the index holds a text or was reserved for texts (nil before). Its
-// entries are never written again: appends go past the end or to a new
-// array, so a caller may read a slice it took while the index grows.
+// entries are never written again until a Reset: appends go past the end or
+// to a new array, so a caller may read a slice it took while the index
+// grows.
 func (x *KeyIndex) Texts() []string { return x.texts.keys }
 
 // Add returns the number of the key at row r of key and true when it is
@@ -115,14 +132,13 @@ func (x *KeyIndex) class(num bool, bits uint64, text string, ok, add bool) (int,
 			x.null = k + 1
 		}
 	case num:
-		if at, found := x.nums[bits]; found {
+		h := numHash(bits)
+		slot, at := x.nums.find(bits, h)
+		if at >= 0 {
 			return int(at), true
 		}
 		if add {
-			if x.nums == nil {
-				x.nums = make(map[uint64]int32)
-			}
-			x.nums[bits] = k
+			x.nums.insert(slot, bits, h, k)
 		}
 	default:
 		return x.text(text, false, add)
@@ -176,26 +192,52 @@ func (x *KeyIndex) intern(s string) string {
 // textSeed hashes every KeyIndex's texts: one seed for the process.
 var textSeed = maphash.MakeSeed()
 
-// textTable is KeyIndex's text class, a flat open-addressing table. A slot
-// holds a text's 32-bit hash above its key's number plus one (0 is empty),
+// numHash is a number key's 32-bit hash: its CanonBits multiplied by an odd
+// constant, the product's high half folded onto its low half. The high half
+// depends on every bit below it, so small codes spread; the fold brings it
+// down to the low half, where a double's exponent and leading mantissa —
+// the bits small integers as doubles differ in, their low bits all zero —
+// land after the multiply. One multiply and one shift, not a call.
+func numHash(bits uint64) uint32 {
+	bits *= 0xd6e8feb86659fd93
+	return uint32(bits ^ bits>>32)
+}
+
+// flatTable is one class of KeyIndex's keys, a flat open-addressing table.
+// A slot holds a key's 32-bit hash above its number plus one (0 is empty),
 // so the collector has nothing to scan in it and a key costs no object of
-// its own; the text itself is keys[number]. A hash's home slot is the hash
-// scaled to the table's length, and a collision takes the next free slot.
-// The table is kept at most three quarters full.
-type textTable struct {
+// its own; the key itself is keys[number]. A hash's home slot is the hash
+// scaled to the table's length — a multiply and a fixed shift, whatever the
+// length — and a collision takes the next free slot. The table is kept at
+// most three quarters full.
+type flatTable[K string | uint64] struct {
 	slots []uint64
-	keys  []string // by key number: the text, "" for a NULL or a number
-	n     int      // texts in slots
+	keys  []K // by key number: the key, the zero value for one of another class
+	n     int // keys in slots
 }
 
-// newTextTable is an empty table with room for n texts.
-func newTextTable(n int) textTable {
-	return textTable{slots: make([]uint64, max(8, n+n/3+1)), keys: make([]string, 0, n)}
+// reserve makes room for n keys in an empty table, keeping a larger one.
+func (t *flatTable[K]) reserve(n int) {
+	if need := max(8, n+n/3+1); len(t.slots) < need {
+		t.slots = make([]uint64, need)
+	}
+	if t.keys == nil || cap(t.keys) < n {
+		t.keys = make([]K, 0, n)
+	}
 }
 
-// find returns the number of text s, hashed to h, or -1 and the free slot
+// reset empties the table, keeping its arrays; a string key is cleared.
+func (t *flatTable[K]) reset() {
+	if t.n > 0 {
+		clear(t.slots)
+	}
+	clear(t.keys)
+	t.keys, t.n = t.keys[:0], 0
+}
+
+// find returns the number of key s, hashed to h, or -1 and the free slot
 // where it would go.
-func (t *textTable) find(s string, h uint32) (slot int, k int32) {
+func (t *flatTable[K]) find(s K, h uint32) (slot int, k int32) {
 	if len(t.slots) == 0 {
 		return 0, -1
 	}
@@ -214,9 +256,9 @@ func (t *textTable) find(s string, h uint32) (slot int, k int32) {
 	}
 }
 
-// insert indexes text s, hashed to h, as key k at slot, the free slot find
-// returned for it.
-func (t *textTable) insert(slot int, s string, h uint32, k int32) {
+// insert indexes key s, hashed to h, as number k at slot, the free slot
+// find returned for it.
+func (t *flatTable[K]) insert(slot int, s K, h uint32, k int32) {
 	e := uint64(h)<<32 | uint64(k+1)
 	if 4*(t.n+1) > 3*len(t.slots) {
 		old := t.slots
@@ -231,14 +273,15 @@ func (t *textTable) insert(slot int, s string, h uint32, k int32) {
 		t.slots[slot] = e
 	}
 	t.n++
+	var zero K
 	for len(t.keys) < int(k) {
-		t.keys = append(t.keys, "") // the numbers and NULL before the first text
+		t.keys = append(t.keys, zero) // the keys of other classes before this one
 	}
 	t.keys = append(t.keys, s)
 }
 
 // place puts slot entry e at the first free slot from its hash's home.
-func (t *textTable) place(e uint64) {
+func (t *flatTable[K]) place(e uint64) {
 	i := t.home(uint32(e >> 32))
 	for t.slots[i] != 0 {
 		if i++; i == len(t.slots) {
@@ -249,7 +292,7 @@ func (t *textTable) place(e uint64) {
 }
 
 // home is hash h's first slot: h scaled to the table's length.
-func (t *textTable) home(h uint32) int { return int(uint64(h) * uint64(len(t.slots)) >> 32) }
+func (t *flatTable[K]) home(h uint32) int { return int(uint64(h) * uint64(len(t.slots)) >> 32) }
 
 // AppendCellKey appends one cell's key by Vector.Key's classes: a tag, then
 // a number's bits or a text's length and bytes; NULL (ok false) is the tag

@@ -249,16 +249,18 @@ func fuzzCell(kind uint8, i int64, f float64, s string) any {
 // value by the class rule (oneValue) — as a single column and as a tuple,
 // through Add and through AddKey with the tuple spelled by AppendCellKey —
 // a reused scratch never changes a key once indexed, and KeyCompare ties
-// the first cells of the two rows exactly when they are one value.
+// the first cells of the two rows exactly when they are one value; then a
+// sequence of many cells seq draws numbers as a Go map does
+// (fuzzKeySequence).
 func FuzzKeyIndex(f *testing.F) {
-	f.Add(uint8(1), int64(3), 0.0, "", uint8(2), int64(0), 3.0, "", uint8(5), int64(0), 0.0, "3", uint8(2), int64(0), 3.0, "", uint8(0))
-	f.Add(uint8(7), int64(0x7ff8000000000001), 0.0, "", uint8(2), int64(0), math.NaN(), "", uint8(2), int64(0), math.Copysign(0, -1), "", uint8(1), int64(0), 0.0, "", uint8(5))
-	f.Add(uint8(8), int64(1), 0.0, "", uint8(2), int64(0), float64(1<<53), "", uint8(4), int64(1), 0.0, "", uint8(1), int64(1), 0.0, "", uint8(10))
-	f.Add(uint8(5), int64(0), 0.0, "a\x02\x01b", uint8(5), int64(0), 0.0, "c", uint8(5), int64(0), 0.0, "a", uint8(5), int64(0), 0.0, "b\x02\x01c", uint8(15))
-	f.Add(uint8(6), int64(0), 0.0, "3", uint8(5), int64(0), 0.0, "[51]", uint8(0), int64(0), 0.0, "", uint8(5), int64(0), 0.0, "1e3", uint8(3))
-	f.Add(uint8(5), int64(0), 0.0, "", uint8(2), int64(0), 3.0, "", uint8(5), int64(0), 0.0, "", uint8(2), int64(0), 0.5, "", uint8(0))
+	f.Add(uint8(1), int64(3), 0.0, "", uint8(2), int64(0), 3.0, "", uint8(5), int64(0), 0.0, "3", uint8(2), int64(0), 3.0, "", uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(uint8(7), int64(0x7ff8000000000001), 0.0, "", uint8(2), int64(0), math.NaN(), "", uint8(2), int64(0), math.Copysign(0, -1), "", uint8(1), int64(0), 0.0, "", uint8(5), []byte("NaN -0 2^53"))
+	f.Add(uint8(8), int64(1), 0.0, "", uint8(2), int64(0), float64(1<<53), "", uint8(4), int64(1), 0.0, "", uint8(1), int64(1), 0.0, "", uint8(10), []byte{8, 8, 8, 8, 7, 7, 2, 2, 1, 1, 3})
+	f.Add(uint8(5), int64(0), 0.0, "a\x02\x01b", uint8(5), int64(0), 0.0, "c", uint8(5), int64(0), 0.0, "a", uint8(5), int64(0), 0.0, "b\x02\x01c", uint8(15), []byte{})
+	f.Add(uint8(6), int64(0), 0.0, "3", uint8(5), int64(0), 0.0, "[51]", uint8(0), int64(0), 0.0, "", uint8(5), int64(0), 0.0, "1e3", uint8(3), []byte{5, 5, 5, 0, 0, 9})
+	f.Add(uint8(5), int64(0), 0.0, "", uint8(2), int64(0), 3.0, "", uint8(5), int64(0), 0.0, "", uint8(2), int64(0), 0.5, "", uint8(0), []byte{200, 17, 33, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1})
 	f.Fuzz(func(t *testing.T, ka uint8, ia int64, fa float64, sa string, kb uint8, ib int64, fb float64, sb string,
-		kc uint8, ic int64, fc float64, sc string, kd uint8, id int64, fd float64, sd string, mode uint8) {
+		kc uint8, ic int64, fc float64, sc string, kd uint8, id int64, fd float64, sd string, mode uint8, seq []byte) {
 		vals := [4]any{fuzzCell(ka, ia, fa, sa), fuzzCell(kb, ib, fb, sb), fuzzCell(kc, ic, fc, sc), fuzzCell(kd, id, fd, sd)}
 		var cols [4]Vector
 		for c, x := range vals {
@@ -307,7 +309,65 @@ func FuzzKeyIndex(f *testing.F) {
 		if (c == 0) != oneValue(vals[0], vals[2]) || c != -back {
 			t.Fatalf("KeyCompare(%#v, %#v) = %d, %d the other way; one value %v", vals[0], vals[2], c, back, oneValue(vals[0], vals[2]))
 		}
+		fuzzKeySequence(t, seq, vals, ia^ib<<1^ic<<2^id<<3)
 	})
+}
+
+// fuzzKeySequence adds many cells to one single-column index, through Add
+// and through AddKey, past several of its tables' growths and across a
+// Reset, and holds every number to a Go map keyed by Vector.Key's class —
+// the map-based index the flat tables replaced, as the oracle. Each byte of
+// seq draws 16 cells, of the kind its low bits pick and with values from a
+// generator seeded by seed, drawn from a range that widens as the sequence
+// goes on so that keys repeat and the tables grow; the four fuzzed cells
+// come first. The index is Reset at the point seq's first byte picks,
+// after which it numbers from 0 again.
+func fuzzKeySequence(t *testing.T, seq []byte, first [4]any, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	cells := first[:]
+	for j := range 16 * min(len(seq), 256) {
+		b, span := seq[j/16], int64(2+j/3)
+		i := rng.Int63n(span) - span/2
+		var f float64
+		switch rng.Intn(8) {
+		case 0:
+			f = math.Copysign(0, -1)
+		case 1:
+			f = math.Float64frombits(0x7ff0_0000_0000_0001 | rng.Uint64()) // a NaN, of any payload
+		default:
+			f = float64(i) / float64(1+b%3)
+		}
+		cells = append(cells, fuzzCell(b+uint8(j), i, f, strconv.FormatInt(i, 10)))
+	}
+	resetAt := len(cells)
+	if len(seq) > 0 {
+		resetAt = int(seq[0]) * len(cells) / 256
+	}
+	var byAdd, byKey KeyIndex
+	oracle := map[cellKey]int{}
+	for r, x := range cells {
+		if r == resetAt {
+			byAdd.Reset()
+			byKey.Reset()
+			clear(oracle)
+		}
+		v := cell(x)
+		class := keyOf(&v, 0)
+		want, seen := oracle[class]
+		if !seen {
+			want = len(oracle)
+			oracle[class] = want
+		}
+		gotAdd, foundAdd := byAdd.Add([]Vector{v}, 0)
+		gotKey, foundKey := byKey.AddKey(class.num, class.bits, []byte(class.text), class.ok)
+		if gotAdd != want || foundAdd != seen || gotKey != want || foundKey != seen {
+			t.Fatalf("cell %d (%#v, reset at %d): Add %d (found %v), AddKey %d (found %v); the map says %d (found %v)",
+				r, x, resetAt, gotAdd, foundAdd, gotKey, foundKey, want, seen)
+		}
+	}
+	if byAdd.Len() != len(oracle) || byKey.Len() != len(oracle) {
+		t.Fatalf("%d and %d keys, the map holds %d", byAdd.Len(), byKey.Len(), len(oracle))
+	}
 }
 
 // TestKeyIndexTextTableMatchesAMap holds the text class — the flat table
@@ -317,9 +377,10 @@ func FuzzKeyIndex(f *testing.F) {
 // path in: a string column through Add (the caller's strings kept), AddKey
 // from a scratch clobbered after each call (the arena's copies), and a
 // tuple through both; from a zero index, one reserved for a quarter of the
-// keys (grown past it) and one reserved for all. Each key gets its number
-// of first sight, Texts gives its text back by number, and absent keys —
-// one byte off a present one — are not found.
+// keys (grown past it), one reserved for all, and one Reset after it held
+// half the absent keys. Each key gets its number of first sight, Texts gives
+// its text back by number, and absent keys — one byte off a present one —
+// are not found.
 func TestKeyIndexTextTableMatchesAMap(t *testing.T) {
 	for _, distinct := range []int{10_000, 100_000} {
 		rng := rand.New(rand.NewSource(int64(distinct)))
@@ -360,7 +421,7 @@ func TestKeyIndexTextTableMatchesAMap(t *testing.T) {
 		}
 		spell := func(r int) string { return spelledOf[shown[r]] }
 
-		for _, reserve := range []string{"none", "quarter", "all"} {
+		for _, reserve := range []string{"none", "quarter", "all", "reset"} {
 			for _, path := range []string{"column Add", "AddKey", "tuple Add", "tuple AddKey"} {
 				var x KeyIndex
 				switch reserve {
@@ -368,6 +429,11 @@ func TestKeyIndexTextTableMatchesAMap(t *testing.T) {
 					x.Reserve([]Vector{strCol}, len(texts)/4)
 				case "all":
 					x.ReserveTexts(len(texts), 0)
+				case "reset":
+					for _, s := range texts[:len(texts)/2] {
+						x.AddKey(false, 0, []byte(absent(s)), true)
+					}
+					x.Reset()
 				}
 				oracle := map[string]int{}
 				scratch := make([]byte, 0, 1024)
@@ -437,6 +503,200 @@ func TestKeyIndexTextTableMatchesAMap(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestKeyIndexReserveAndResetEmptyIt: Reserve, ReserveTexts and Reset each
+// leave an index that has been added to empty — no key, no NULL, nothing
+// carved — so the next keys are numbered from 0 again, as in a new index.
+func TestKeyIndexReserveAndResetEmptyIt(t *testing.T) {
+	nums, strs := column(metadata.TypeLong, int64(5), nil, int64(7)), column(metadata.TypeString, "a", nil, "b")
+	for _, key := range [][]Vector{{*nums}, {*strs}, {*nums, *strs}} {
+		for _, empty := range []string{"Reserve", "ReserveTexts", "Reset", "Reserve then Reset"} {
+			var x KeyIndex
+			for r := range 3 {
+				x.Add(key, r)
+			}
+			x.AddKey(false, 0, []byte("carved"), true)
+			switch empty {
+			case "Reserve":
+				x.Reserve(key, 2)
+			case "ReserveTexts":
+				x.ReserveTexts(2, 8)
+			case "Reset":
+				x.Reset()
+			default:
+				x.Reserve(key, 2)
+				x.Reset()
+			}
+			if x.Len() != 0 || x.ArenaBytes() != 0 || len(x.Texts()) != 0 {
+				t.Fatalf("%d columns, %s: %d keys, %d bytes carved, %d texts left", len(key), empty, x.Len(), x.ArenaBytes(), len(x.Texts()))
+			}
+			for r := range 3 {
+				if k, found := x.Find(key, r); found || k != -1 {
+					t.Fatalf("%d columns, %s: row %d (NULL %v) still found as key %d", len(key), empty, r, r == 1, k)
+				}
+			}
+			for i, r := range []int{2, 1, 0, 1} {
+				if k, found := x.Add(key, r); k != []int{0, 1, 2, 1}[i] || found != (i == 3) {
+					t.Fatalf("%d columns, %s: row %d numbered %d (found %v), want %d", len(key), empty, r, k, found, []int{0, 1, 2, 1}[i])
+				}
+			}
+		}
+	}
+}
+
+// numberKeys draws distinct number classes, as cells of the types a column
+// holds them in: small integers as longs and as doubles (whose CanonBits
+// clump, all their low bits zero), random longs and doubles, longs past
+// 2^53, NaN and 0. Each class is drawn once; alt is another cell of its
+// class (a long's double, another NaN payload, -0, a long past 2^53 that
+// rounds to it), or nil.
+func numberKeys(rng *rand.Rand, distinct int) (keys, alt []any) {
+	seen := map[uint64]bool{}
+	add := func(x, y any) {
+		f, _ := ToFloat64(x)
+		if b := CanonBits(f); !seen[b] {
+			seen[b] = true
+			keys, alt = append(keys, x), append(alt, y)
+		}
+	}
+	add(math.NaN(), math.Float64frombits(0xfff0_0000_0000_0001))
+	add(0.0, math.Copysign(0, -1))
+	for i := 0; len(keys) < distinct; i++ {
+		switch i % 5 {
+		case 0:
+			add(int64(i), float64(i))
+		case 1:
+			add(float64(-i), int64(-i))
+		case 2:
+			add(rng.Int63()-1<<62, nil)
+		case 3:
+			add(rng.NormFloat64()*1e6, nil)
+		default:
+			add(int64(1)<<53+int64(2*i), int64(1)<<53+int64(2*i)+1) // the odd one rounds to the even
+		}
+	}
+	return keys, alt
+}
+
+// TestKeyIndexNumberTableMatchesAMap holds the number class — the flat
+// table over CanonBits — to a Go map of CanonBits as the oracle, over 10⁴
+// and 10⁵ distinct classes (numberKeys), each shown twice in random order,
+// half of them the second time as another cell of the class, and NULL
+// among them. Every path in: a long or double column through Add, and
+// AddKey with the bits classified; from a zero index, one reserved for a
+// quarter of the keys (grown past it), one reserved for all, and one Reset
+// after holding other keys. Each key gets its number of first sight, and
+// absent numbers are not found. Small integers as doubles and as codes (the
+// keyed scan's AddKey of a code) take a short probe from their home slot:
+// the hash spreads keys that share their low bits, or their high ones.
+func TestKeyIndexNumberTableMatchesAMap(t *testing.T) {
+	for _, distinct := range []int{10_000, 100_000} {
+		rng := rand.New(rand.NewSource(int64(distinct)))
+		keys, alt := numberKeys(rng, distinct)
+		shown := make([]any, 0, 2*len(keys)+2)
+		for i := range keys {
+			second := keys[i]
+			if alt[i] != nil && i%2 == 0 {
+				second = alt[i]
+			}
+			shown = append(shown, keys[i], second)
+		}
+		shown = append(shown, nil, nil)
+		rng.Shuffle(len(shown), func(a, b int) { shown[a], shown[b] = shown[b], shown[a] })
+
+		// Row r is a long in longs or a double in doubles; NULL in both.
+		var longs, doubles Vector
+		longs.Reset(metadata.TypeLong)
+		doubles.Reset(metadata.TypeDouble)
+		for r, x := range shown {
+			longs.Ints, doubles.Floats = append(longs.Ints, 0), append(doubles.Floats, 0)
+			switch x := x.(type) {
+			case int64:
+				longs.Ints[r] = x
+			case float64:
+				doubles.Floats[r] = x
+			default:
+				longs.SetNull(r)
+				doubles.SetNull(r)
+			}
+		}
+		colOf := func(r int) []Vector {
+			if _, ok := shown[r].(int64); ok {
+				return []Vector{longs}
+			}
+			return []Vector{doubles}
+		}
+
+		for _, reserve := range []string{"none", "quarter", "all", "reset"} {
+			for _, path := range []string{"Add", "AddKey"} {
+				var x KeyIndex
+				switch reserve {
+				case "quarter":
+					x.Reserve([]Vector{longs}, len(keys)/4)
+				case "all":
+					x.Reserve([]Vector{doubles}, len(keys)+1)
+				case "reset":
+					for r := range len(shown) / 2 {
+						x.AddKey(true, uint64(r)<<20, nil, true)
+					}
+					x.Reset()
+				}
+				oracle := map[cellKey]int{}
+				for r := range shown {
+					class := keyOf(&colOf(r)[0], r)
+					want, seen := oracle[class]
+					if !seen {
+						want = len(oracle)
+						oracle[class] = want
+					}
+					var got int
+					var found bool
+					if path == "Add" {
+						got, found = x.Add(colOf(r), r)
+					} else {
+						got, found = x.AddKey(class.num, class.bits, nil, class.ok)
+					}
+					if got != want || found != seen {
+						t.Fatalf("%d keys, %s, reserved %s: row %d (%#v) numbered %d (found %v), the map says %d (found %v)",
+							len(keys), path, reserve, r, shown[r], got, found, want, seen)
+					}
+				}
+				if x.Len() != len(oracle) || x.Texts() != nil {
+					t.Fatalf("%s, reserved %s: %d keys (the map holds %d), texts %d", path, reserve, x.Len(), len(oracle), len(x.Texts()))
+				}
+				for _, k := range keys[:1000] {
+					if f, _ := ToFloat64(k); math.Abs(f) < 1<<40 { // f+0.5 is another number
+						miss := cell(f + 0.5)
+						if k, found := x.Find([]Vector{miss}, 0); found {
+							t.Fatalf("%s, reserved %s: Find of absent %v = %d", path, reserve, f+0.5, k)
+						}
+					}
+				}
+			}
+		}
+
+		// Clumped keys: the mean probe from a key's home slot stays short.
+		for _, clump := range []string{"integers as doubles", "codes"} {
+			var x KeyIndex
+			for i := range distinct {
+				bits := uint64(i)
+				if clump == "integers as doubles" {
+					bits = CanonBits(float64(i))
+				}
+				x.AddKey(true, bits, nil, true)
+			}
+			probes := 0
+			for i, e := range x.nums.slots {
+				if e != 0 {
+					probes += (i - x.nums.home(uint32(e>>32)) + len(x.nums.slots)) % len(x.nums.slots)
+				}
+			}
+			if mean := float64(probes) / float64(distinct); mean > 2 {
+				t.Errorf("%d %s: a key sits %.1f slots past its home on average, want at most 2", distinct, clump, mean)
 			}
 		}
 	}

@@ -35,6 +35,8 @@ type Reader struct {
 	// buf is the last fetch, and what the next decodes into. Only the owner
 	// touches it.
 	buf []Message
+	// waiter is what the owner parks with in Wait.
+	waiter waiter
 }
 
 // NewReader assigns the given partitions to a new reader, each starting at
@@ -84,8 +86,9 @@ func (r *Reader) assign(at []Position, kept []int) {
 
 // Wait parks until one of the reader's partitions has a message at its
 // position, or something about a position needs repair, for at most
-// maxWait; see Cluster.Wait.
-func (r *Reader) Wait(maxWait time.Duration) bool { return r.cluster.Wait(r.at, maxWait) }
+// maxWait; see Cluster.Wait. A park allocates nothing: the reader parks
+// with a waiter of its own every time.
+func (r *Reader) Wait(maxWait time.Duration) bool { return r.cluster.wait(r.at, maxWait, &r.waiter) }
 
 // Fetch returns up to max messages of partition i (an index into the
 // assignment) from its position, without blocking and without moving the

@@ -370,3 +370,42 @@ func TestReaderEmptyCycleAllocatesNothing(t *testing.T) {
 		t.Errorf("empty cycle with a park: %v allocs, Cluster.Wait alone %v", got, want)
 	}
 }
+
+// A timed-out park allocates nothing: the reader parks with its own
+// waiter, channel, watched list and timer every time. The reused waiter
+// still wakes on an append during a park, and a wake-up left in its channel
+// after a park ended does not end the next one early.
+func TestReaderParkAllocatesNothing(t *testing.T) {
+	c := testCluster(t, 1)
+	mustCreate(t, c, "t", TopicConfig{Partitions: 2})
+	r := mustReader(t, c, ResetEarliest, "t", 2)
+	if got := testing.AllocsPerRun(20, func() {
+		if r.Wait(50 * time.Microsecond) {
+			t.Fatal("nothing was produced, Wait = true")
+		}
+	}); got != 0 {
+		t.Errorf("a timed-out park: %v allocs, want 0", got)
+	}
+	for round := range 3 {
+		done := parkedReader(t, c, r, time.Minute)
+		produceN(t, c, "t", 1, false)
+		select {
+		case ready := <-done:
+			if !ready {
+				t.Fatalf("round %d: Wait ran into its bound", round)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: an append did not wake the reused waiter", round)
+		}
+		for i := range 2 {
+			msgs, _ := r.Fetch(i, 10)
+			if len(msgs) > 0 {
+				r.Seek(i, msgs[len(msgs)-1].Offset+1)
+			}
+		}
+	}
+	r.waiter.ch <- struct{}{} // a wake-up that arrived after the last park
+	if r.Wait(20 * time.Millisecond) {
+		t.Error("a stale wake-up ended a park with nothing to read")
+	}
+}

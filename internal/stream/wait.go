@@ -11,8 +11,14 @@ type Position struct {
 
 // waiter is one goroutine parked in Cluster.Wait. Every partition it
 // watches holds it until that partition wakes it; ch has room for the one
-// wake-up the waiter consumes, so wakers never block.
-type waiter struct{ ch chan struct{} }
+// wake-up the waiter consumes, so wakers never block. A Reader owns one and
+// parks with it every time, so a park allocates nothing once its channel,
+// watched list and timer exist.
+type waiter struct {
+	ch      chan struct{}
+	watched []*partition // the partitions of the current park
+	timer   *time.Timer
+}
 
 // Wait is the stream layer's one blocking hand-off: it parks the caller
 // until a message is fetchable at any of the given positions, for at most
@@ -25,9 +31,14 @@ type waiter struct{ ch chan struct{} }
 // log on either side counts as fetchable — the Fetch that follows reports
 // ErrOffsetOutOfRange and the Reader repairs it. Wait parks at most
 // once: after a wake-up it returns without re-checking, and the caller's
-// next Wait parks again if there was nothing to read. Reader.Wait is its
-// one caller in the program.
+// next Wait parks again if there was nothing to read. Each call parks with
+// a waiter of its own; Reader.Wait parks with the reader's.
 func (c *Cluster) Wait(at []Position, maxWait time.Duration) bool {
+	return c.wait(at, maxWait, new(waiter))
+}
+
+// wait is Wait parking with w, which no other goroutine parks with.
+func (c *Cluster) wait(at []Position, maxWait time.Duration, w *waiter) bool {
 	// Holding c.mu across the check and the registration orders both
 	// against SetDown, DeleteTopic and Close, which wake under it.
 	c.mu.RLock()
@@ -42,16 +53,23 @@ func (c *Cluster) Wait(at []Position, maxWait time.Duration) bool {
 		return false
 	}
 	// Nothing yet: register with every watched partition, re-checking each
-	// under its lock so an append between the two passes is not missed.
-	w := &waiter{ch: make(chan struct{}, 1)}
-	watched := make([]*partition, 0, len(at))
+	// under its lock so an append between the two passes is not missed. A
+	// wake-up that reached w after its last park ended is dropped first: no
+	// partition held w then, so none can send until it registers again.
+	if w.ch == nil {
+		w.ch = make(chan struct{}, 1)
+	}
+	select {
+	case <-w.ch:
+	default:
+	}
 	ready := false
 	for _, pos := range at {
 		p := c.partitionLocked(pos.TopicPartition)
 		if p == nil {
 			continue
 		}
-		watched = append(watched, p)
+		w.watched = append(w.watched, p)
 		if p.fetchable(pos.Offset, c.down, w) {
 			ready = true
 			break
@@ -60,17 +78,23 @@ func (c *Cluster) Wait(at []Position, maxWait time.Duration) bool {
 	c.mu.RUnlock()
 
 	if !ready {
-		timer := time.NewTimer(maxWait)
+		if w.timer == nil {
+			w.timer = time.NewTimer(maxWait)
+		} else {
+			w.timer.Reset(maxWait) // stopped below, so its channel is empty
+		}
 		select {
 		case <-w.ch:
 			ready = true
-		case <-timer.C:
+		case <-w.timer.C:
 		}
-		timer.Stop()
+		w.timer.Stop()
 	}
-	for _, p := range watched {
+	for _, p := range w.watched {
 		p.unwatch(w)
 	}
+	clear(w.watched)
+	w.watched = w.watched[:0]
 	return ready
 }
 
