@@ -1,12 +1,7 @@
 // Repolint machine-checks the repo's concurrency and cache-coherence
 // invariants (see internal/analysis): genbump, lockscope, sentinelerr,
-// ctxflow, statscopy.
-//
-// Standalone over packages (non-test files):
-//
-//	go run ./cmd/repolint ./...
-//
-// As a vet tool, which also covers test files and caches per package:
+// ctxflow, statscopy, iterclose. It runs as a vet tool, which covers test
+// files and caches per package:
 //
 //	go build -o /tmp/repolint ./cmd/repolint
 //	go vet -vettool=/tmp/repolint ./...
@@ -65,13 +60,11 @@ func main() {
 	cfg := analysis.DefaultConfig()
 
 	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVet(args[0], cfg, analyzers))
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		fmt.Fprintf(os.Stderr, "%s is a vet tool: go vet -vettool=$(which %s) ./...\n", progname, progname)
+		os.Exit(2)
 	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	os.Exit(runStandalone(args, cfg, analyzers))
+	os.Exit(runVet(args[0], cfg, analyzers))
 }
 
 // runVet analyzes one compilation unit described by a cmd/go vet.cfg.
@@ -93,27 +86,6 @@ func runVet(cfgPath string, cfg *analysis.Config, analyzers []*analysis.Analyzer
 	if err := vcfg.WriteVetx(); err != nil {
 		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
 		return 1
-	}
-	return code
-}
-
-// runStandalone analyzes the packages matching the patterns.
-func runStandalone(patterns []string, cfg *analysis.Config, analyzers []*analysis.Analyzer) int {
-	units, err := load.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "repolint: %v\n", err)
-		return 1
-	}
-	code := 0
-	for _, u := range units {
-		diags, err := analysis.Run(u, cfg, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "repolint: %s: %v\n", u.PkgPath, err)
-			return 1
-		}
-		if c := report(os.Stderr, diags); c != 0 {
-			code = c
-		}
 	}
 	return code
 }

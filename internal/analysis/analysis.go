@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 )
 
@@ -58,6 +59,51 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 // Defs, or nil.
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.Info.ObjectOf(id)
+}
+
+// eachFunc calls check on every function declaration with a body.
+func (p *Pass) eachFunc(check func(*ast.FuncDecl)) {
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				check(fn)
+			}
+		}
+	}
+}
+
+// namedOf unwraps pointers and aliases down to a named type.
+func namedOf(t types.Type) *types.Named {
+	for {
+		switch tt := t.(type) {
+		case *types.Pointer:
+			t = tt.Elem()
+		case *types.Named:
+			return tt
+		case *types.Alias:
+			t = types.Unalias(tt)
+		default:
+			return nil
+		}
+	}
+}
+
+// isNamed reports whether t, through pointers and aliases, is the named type
+// pkg.name.
+func isNamed(t types.Type, pkg, name string) bool {
+	n := namedOf(t)
+	if n == nil || n.Obj().Name() != name {
+		return false
+	}
+	if n.Obj().Pkg() == nil {
+		return pkg == ""
+	}
+	return n.Obj().Pkg().Path() == pkg
+}
+
+// isOneOf reports whether t is one of the named types specs lists.
+func isOneOf(t types.Type, specs []TypeSpec) bool {
+	return slices.ContainsFunc(specs, func(s TypeSpec) bool { return isNamed(t, s.Pkg, s.Name) })
 }
 
 // Unit is the loaded form of one package, produced by the load package.

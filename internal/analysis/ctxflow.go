@@ -85,6 +85,5 @@ func checkCtxPosition(p *Pass, fn *ast.FuncDecl) {
 }
 
 func isContextType(t types.Type) bool {
-	named := namedOf(t)
-	return named != nil && named.Obj().Name() == "Context" && pkgPathOf(named) == "context"
+	return isNamed(t, "context", "Context")
 }

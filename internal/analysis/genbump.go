@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -32,15 +33,7 @@ func runGenBump(p *Pass) error {
 		if p.Pkg.Path() != g.Pkg {
 			continue
 		}
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				checkGenBumpFunc(p, fn, g)
-			}
-		}
+		p.eachFunc(func(fn *ast.FuncDecl) { checkGenBumpFunc(p, fn, g) })
 	}
 	return nil
 }
@@ -58,29 +51,21 @@ func checkGenBumpFunc(p *Pass, fn *ast.FuncDecl, g GenGuard) {
 	var muts []mutation   // guarded-field writes
 	var bumps []token.Pos // bump calls
 	var emits []token.Pos // hook-emitter calls
-	skip := func(pos token.Pos) bool {
-		for _, cut := range li.cutouts {
-			if pos >= cut.Pos() && pos < cut.End() {
-				return true
-			}
-		}
-		return false
-	}
 
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if name, ok := guardedFieldTarget(p, lhs, g); ok && !skip(lhs.Pos()) {
+				if name, ok := guardedFieldTarget(p, lhs, g); ok && !li.cut(lhs.Pos()) {
 					muts = append(muts, mutation{pos: lhs.Pos(), field: name})
 				}
 			}
 		case *ast.IncDecStmt:
-			if name, ok := guardedFieldTarget(p, n.X, g); ok && !skip(n.Pos()) {
+			if name, ok := guardedFieldTarget(p, n.X, g); ok && !li.cut(n.Pos()) {
 				muts = append(muts, mutation{pos: n.Pos(), field: name})
 			}
 		case *ast.CallExpr:
-			if skip(n.Pos()) {
+			if li.cut(n.Pos()) {
 				return true
 			}
 			// delete(d.field, k) mutates the map.
@@ -102,7 +87,7 @@ func checkGenBumpFunc(p *Pass, fn *ast.FuncDecl, g GenGuard) {
 	// Hook emission must stay under the lock regardless of mutations.
 	if !callerHoldsLock {
 		for _, e := range emits {
-			if _, held := li.inside(e, true); !held {
+			if li.inside(e, true) == nil {
 				p.Reportf(e, "mutation-hook emission outside the %s.%s critical section: hooks must observe mutations in snapshot order", g.Type, g.Mutex)
 			}
 		}
@@ -113,8 +98,8 @@ func checkGenBumpFunc(p *Pass, fn *ast.FuncDecl, g GenGuard) {
 	}
 
 	for _, m := range muts {
-		region, held := li.inside(m.pos, true)
-		if !held {
+		region := li.inside(m.pos, true)
+		if region == nil {
 			p.Reportf(m.pos, "%s.%s mutated outside the %s critical section (or move this into a *Locked helper)", g.Type, m.field, g.Mutex)
 			continue
 		}
@@ -146,14 +131,8 @@ func guardedFieldTarget(p *Pass, e ast.Expr, g GenGuard) (string, bool) {
 			e = ee.X
 			continue
 		case *ast.SelectorExpr:
-			named := namedOf(p.TypeOf(ee.X))
-			if named == nil || named.Obj().Name() != g.Type || pkgPathOf(named) != g.Pkg {
-				return "", false
-			}
-			for _, f := range g.Fields {
-				if ee.Sel.Name == f {
-					return f, true
-				}
+			if isNamed(p.TypeOf(ee.X), g.Pkg, g.Type) && slices.Contains(g.Fields, ee.Sel.Name) {
+				return ee.Sel.Name, true
 			}
 			return "", false
 		default:
@@ -177,35 +156,19 @@ func isBumpCall(p *Pass, call *ast.CallExpr, g GenGuard) bool {
 	if !ok || genSel.Sel.Name != g.GenField {
 		return false
 	}
-	named := namedOf(p.TypeOf(genSel.X))
-	return named != nil && named.Obj().Name() == g.Type && pkgPathOf(named) == g.Pkg
+	return isNamed(p.TypeOf(genSel.X), g.Pkg, g.Type)
 }
 
 // isMethodCallOn matches <expr of guarded type>.<one of names>(…).
 func isMethodCallOn(p *Pass, call *ast.CallExpr, g GenGuard, names []string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	match := false
-	for _, n := range names {
-		if sel.Sel.Name == n {
-			match = true
-			break
-		}
-	}
-	if !match {
-		return false
-	}
-	recv := recvTypeOfSelection(p, sel)
-	return recv != nil && recv.Obj().Name() == g.Type && pkgPathOf(recv) == g.Pkg
+	return ok && slices.Contains(names, sel.Sel.Name) && isNamed(recvType(p, sel), g.Pkg, g.Type)
 }
 
-// recvTypeOfSelection returns the named receiver type of a method
-// selection, or nil.
-func recvTypeOfSelection(p *Pass, sel *ast.SelectorExpr) *types.Named {
+// recvType returns the receiver type of a method selection, or nil.
+func recvType(p *Pass, sel *ast.SelectorExpr) types.Type {
 	if s, ok := p.Info.Selections[sel]; ok {
-		return namedOf(s.Recv())
+		return s.Recv()
 	}
-	return namedOf(p.TypeOf(sel.X))
+	return p.TypeOf(sel.X)
 }

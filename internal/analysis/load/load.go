@@ -1,9 +1,10 @@
 // Package load turns Go packages into analysis.Units without
 // golang.org/x/tools: type information comes from the toolchain's own
 // export data, obtained either via `go list -export -deps -json` (the
-// standalone repolint mode and the analysistest fixture loader) or from the
-// vet.cfg handed to a vet tool by `go vet -vettool` (vetcfg.go). Only the
-// standard library is required.
+// analysistest fixture loader and the check that DefaultConfig names real
+// types) or from the vet.cfg handed to a vet tool by `go vet -vettool`
+// (vetcfg.go), which is how cmd/repolint runs. Only the standard library is
+// required.
 package load
 
 import (

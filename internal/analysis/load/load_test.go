@@ -8,7 +8,8 @@ import (
 )
 
 // TestLoadSelf lists, parses and type-checks a real repo package through
-// the export-data pipeline — the standalone repolint path end to end.
+// the export-data pipeline that TestDefaultConfigResolves loads the repo
+// through.
 func TestLoadSelf(t *testing.T) {
 	units, err := Load(".", "repro/internal/analysis")
 	if err != nil {

@@ -6,45 +6,213 @@ import (
 	"go/types"
 )
 
-// Lock-region computation: a control-flow-aware lexical approximation of
-// "which statements run while recv.mu is held", shared by genbump and
-// lockscope.
+// The region engine: a control-flow-aware lexical approximation of "which
+// statements run while a resource is live", shared by genbump and lockscope
+// (a configured mutex is held) and iterclose (an opened iterator is not yet
+// closed).
 //
-// A function body's statement lists are walked structurally. A Lock/RLock
-// on a configured mutex opens a region; the matching Unlock closes it;
-// `defer mu.Unlock()` (directly or inside a deferred closure, which is
-// excluded from scanning anyway) extends the region to the end of the
-// function. An Unlock in a nested early-exit branch —
+// A function body's statement lists are walked structurally, each statement
+// with its nesting depth and the remainder of its list; an if or for
+// statement's init runs at the statement's own level. The analyzer's visit
+// function reports what a statement does to its resources: an open starts a
+// region; a close at the open's depth ends it; a deferred close settles it,
+// holding it to the end of the body. A close in a nested branch that
+// terminates —
 //
 //	if !ok {
 //	    d.mu.Unlock()
 //	    return nil
 //	}
 //
-// does not close the outer region: it punches an unlocked "hole" covering
-// the branch remainder, because control either leaves the function through
-// the branch or continues past the if with the lock still held. Ambiguous
-// shapes (an Unlock in a branch that falls through) close the region,
-// which can only under-report, never over-report, "X happened under the
-// lock".
+// does not end the outer region: it punches a hole covering the branch
+// remainder, because control either leaves through the branch or continues
+// past the if with the resource still live. Ambiguous shapes (a close in a
+// branch that falls through) end the region, which can only under-report,
+// never over-report, "X happened while live".
 //
-// Function literals are attributed to the function in which they appear
-// only when invoked immediately; bodies of go statements, deferred
-// closures and stored closures execute outside the lexical critical
-// section and are excluded (cutouts).
+// The walk does not descend into function literals. For the lock checks a
+// literal is attributed to the function in which it appears only when
+// invoked immediately; bodies of go statements, deferred closures and stored
+// closures execute outside the lexical critical section and are excluded
+// (cutouts). iterclose checks each literal as a body of its own.
 
 type posRange struct{ start, end token.Pos }
 
 func (r posRange) contains(p token.Pos) bool { return p > r.start && p < r.end }
 
-// lockRegion is one lexically-held interval of a specific mutex.
-type lockRegion struct {
-	key   lockKey
-	read  bool // RLock region
-	start token.Pos
-	end   token.Pos
-	holes []posRange // early-exit branch remainders after a nested Unlock
-	depth int        // statement-list nesting level at the Lock
+// region is one live interval of an opened resource.
+type region struct {
+	key     any    // the resource: a lockKey, an iterator's types.Object
+	name    string // how findings spell the resource
+	start   token.Pos
+	end     token.Pos    // the close, or the end of the body while open
+	holes   []posRange   // branch remainders after a close in a terminating nested branch
+	depth   int          // statement-list nesting level at the open
+	settled bool         // a deferred close, or an ownership hand-off, answers for it
+	read    bool         // an RLock region
+	guard   types.Object // iterclose: the error assigned beside the iterator
+}
+
+// live reports whether pos falls inside the region and outside its holes.
+func (r *region) live(pos token.Pos) bool {
+	if pos <= r.start || pos >= r.end {
+		return false
+	}
+	for _, h := range r.holes {
+		if h.contains(pos) {
+			return false
+		}
+	}
+	return true
+}
+
+// regionWalk walks one body and collects the regions its visit function
+// opens.
+type regionWalk struct {
+	regions []*region
+	open    map[any][]*region // open regions per key, innermost last
+	bodyEnd token.Pos
+	visit   func(ast.Stmt)
+	rest    []ast.Stmt // the remainder of the visited statement's list
+	depth   int        // the visited statement's nesting level
+}
+
+// walk hands visit each simple statement of body in source order, and each
+// if statement after its init and before its branches.
+func (w *regionWalk) walk(body *ast.BlockStmt, visit func(ast.Stmt)) {
+	w.open, w.bodyEnd, w.visit = map[any][]*region{}, body.End(), visit
+	w.list(body.List, 0)
+}
+
+func (w *regionWalk) list(list []ast.Stmt, depth int) {
+	for i, st := range list {
+		w.stmt(st, list[i+1:], depth)
+	}
+}
+
+func (w *regionWalk) stmt(st ast.Stmt, rest []ast.Stmt, depth int) {
+	switch s := st.(type) {
+	case *ast.IfStmt:
+		if s.Init != nil {
+			w.stmt(s.Init, rest, depth)
+		}
+		w.rest, w.depth = rest, depth
+		w.visit(s)
+		w.list(s.Body.List, depth+1)
+		if s.Else != nil {
+			w.stmt(s.Else, nil, depth)
+		}
+	case *ast.ForStmt:
+		if s.Init != nil {
+			w.stmt(s.Init, nil, depth)
+		}
+		w.list(s.Body.List, depth+1)
+	case *ast.RangeStmt:
+		w.list(s.Body.List, depth+1)
+	case *ast.SwitchStmt:
+		w.clauses(s.Body, depth+1)
+	case *ast.TypeSwitchStmt:
+		w.clauses(s.Body, depth+1)
+	case *ast.SelectStmt:
+		w.clauses(s.Body, depth+1)
+	case *ast.BlockStmt:
+		w.list(s.List, depth+1)
+	case *ast.LabeledStmt:
+		w.stmt(s.Stmt, rest, depth)
+	default:
+		w.rest, w.depth = rest, depth
+		w.visit(st)
+	}
+}
+
+// clauses walks the case or comm clauses of a switch or select body.
+func (w *regionWalk) clauses(body *ast.BlockStmt, depth int) {
+	for _, cc := range body.List {
+		switch c := cc.(type) {
+		case *ast.CaseClause:
+			w.list(c.Body, depth)
+		case *ast.CommClause:
+			w.list(c.Body, depth)
+		}
+	}
+}
+
+// openRegion starts a region of key after start at the visited statement's
+// depth; it stays open until a close or the end of the body.
+func (w *regionWalk) openRegion(key any, name string, start token.Pos) *region {
+	r := &region{key: key, name: name, start: start, end: w.bodyEnd, depth: w.depth}
+	w.regions = append(w.regions, r)
+	w.open[key] = append(w.open[key], r)
+	return r
+}
+
+// innermost returns key's innermost open region, or nil.
+func (w *regionWalk) innermost(key any) *region {
+	if opens := w.open[key]; len(opens) > 0 {
+		return opens[len(opens)-1]
+	}
+	return nil
+}
+
+func (w *regionWalk) pop(key any) *region {
+	r := w.innermost(key)
+	if opens := w.open[key]; len(opens) > 1 {
+		w.open[key] = opens[:len(opens)-1]
+	} else {
+		delete(w.open, key)
+	}
+	return r
+}
+
+// closeRegion applies a close of key at the visited statement: it ends the
+// innermost open region, or, from a terminating nested branch, punches a
+// hole over the branch remainder.
+func (w *regionWalk) closeRegion(key any, call ast.Node) {
+	r := w.innermost(key)
+	if r == nil {
+		return
+	}
+	if r.depth < w.depth && terminates(w.rest) {
+		r.holes = append(r.holes, posRange{start: call.End(), end: w.rest[len(w.rest)-1].End()})
+		return
+	}
+	w.pop(key)
+	r.end = call.Pos()
+}
+
+// settle answers for key's innermost open region to the end of the body: a
+// deferred close, or a hand-off of the resource to another owner.
+func (w *regionWalk) settle(key any) {
+	if r := w.pop(key); r != nil {
+		r.settled = true
+	}
+}
+
+// terminates reports whether control definitely leaves a statement list
+// through its last statement: a return, a branch statement, a panic, or a
+// block or an if/else all of whose arms terminate.
+func terminates(list []ast.Stmt) bool {
+	if len(list) == 0 {
+		return false
+	}
+	switch s := list[len(list)-1].(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		call, ok := s.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		id, ok := call.Fun.(*ast.Ident)
+		return ok && id.Name == "panic"
+	case *ast.IfStmt:
+		return s.Else != nil && terminates(s.Body.List) && terminates([]ast.Stmt{s.Else})
+	case *ast.BlockStmt:
+		return terminates(s.List)
+	case *ast.LabeledStmt:
+		return terminates([]ast.Stmt{s.Stmt})
+	}
+	return false
 }
 
 // lockKey identifies a mutex instance well enough for intra-function
@@ -54,78 +222,75 @@ type lockKey struct {
 	path string
 }
 
-// lockInfo is the result: held intervals plus the cutout subtrees that
+// lockInfo is one function's held intervals plus the cutout subtrees that
 // must not count as locked.
 type lockInfo struct {
-	regions []lockRegion
+	regions []*region
 	cutouts []ast.Node
 }
 
-// inside reports whether pos falls in a locked region (optionally only
-// write-locked ones) and is not inside a hole or cutout.
-func (li *lockInfo) inside(pos token.Pos, writeOnly bool) (lockRegion, bool) {
-	for _, cut := range li.cutouts {
-		if pos >= cut.Pos() && pos < cut.End() {
-			return lockRegion{}, false
+// cut reports whether pos lies in a cutout.
+func (li *lockInfo) cut(pos token.Pos) bool {
+	for _, c := range li.cutouts {
+		if pos >= c.Pos() && pos < c.End() {
+			return true
 		}
+	}
+	return false
+}
+
+// inside returns the region (optionally only a write-locked one) that holds
+// a lock at pos, or nil.
+func (li *lockInfo) inside(pos token.Pos, writeOnly bool) *region {
+	if li.cut(pos) {
+		return nil
 	}
 	for _, r := range li.regions {
-		if writeOnly && r.read {
-			continue
+		if !(writeOnly && r.read) && r.live(pos) {
+			return r
 		}
-		if pos <= r.start || pos >= r.end {
-			continue
-		}
-		holed := false
-		for _, h := range r.holes {
-			if h.contains(pos) {
-				holed = true
-				break
+	}
+	return nil
+}
+
+// computeLockInfo runs the region engine over body with the configured
+// mutexes' Lock/RLock as opens and Unlock/RUnlock as closes.
+func computeLockInfo(p *Pass, body *ast.BlockStmt, specs []LockSpec) *lockInfo {
+	var w regionWalk
+	w.walk(body, func(st ast.Stmt) {
+		switch s := st.(type) {
+		case *ast.ExprStmt:
+			key, op, ok := mutexOp(p, s.X, specs)
+			switch {
+			case !ok:
+			case op == "Lock" || op == "RLock":
+				w.openRegion(key, key.path, s.End()).read = op == "RLock"
+			default:
+				w.closeRegion(key, s)
+			}
+		case *ast.DeferStmt:
+			if key, op, ok := mutexOp(p, s.Call, specs); ok && (op == "Unlock" || op == "RUnlock") {
+				w.settle(key)
 			}
 		}
-		if !holed {
-			return r, true
-		}
-	}
-	return lockRegion{}, false
+	})
+	return &lockInfo{regions: w.regions, cutouts: cutouts(body)}
 }
 
-// locksAny reports whether the function acquires any configured mutex.
-func (li *lockInfo) locksAny() bool { return len(li.regions) > 0 }
-
-type lockScanner struct {
-	p       *Pass
-	specs   []LockSpec
-	li      *lockInfo
-	open    map[lockKey][]int // indexes into li.regions, innermost last
-	bodyEnd token.Pos
-}
-
-// computeLockInfo scans body for configured mutex acquisitions.
-func computeLockInfo(p *Pass, body *ast.BlockStmt, specs []LockSpec) *lockInfo {
-	li := &lockInfo{}
-	if body == nil {
-		return li
-	}
-	collectCutouts(li, body)
-	sc := &lockScanner{p: p, specs: specs, li: li, open: map[lockKey][]int{}, bodyEnd: body.End()}
-	sc.scanList(body.List, 0)
-	return li
-}
-
-// collectCutouts records the subtrees that do not run inline: go-statement
-// calls, deferred closures, and stored/passed function literals. Only an
-// immediately-invoked literal (the Fun of a plain CallExpr) runs within
-// the lexical critical section.
-func collectCutouts(li *lockInfo, body *ast.BlockStmt) {
+// cutouts returns the subtrees that do not run inline: go-statement calls,
+// deferred closures, and stored/passed function literals. Only an
+// immediately-invoked literal (the Fun of a plain CallExpr) runs within the
+// lexical critical section.
+func cutouts(body *ast.BlockStmt) []ast.Node {
+	var out []ast.Node
 	iife := map[*ast.FuncLit]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			li.cutouts = append(li.cutouts, n.Call)
+			out = append(out, n.Call)
 		case *ast.DeferStmt:
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				li.cutouts = append(li.cutouts, lit)
+				out = append(out, lit)
 			}
 		case *ast.CallExpr:
 			if lit, ok := n.Fun.(*ast.FuncLit); ok {
@@ -136,126 +301,21 @@ func collectCutouts(li *lockInfo, body *ast.BlockStmt) {
 	})
 	ast.Inspect(body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok && !iife[lit] {
-			li.cutouts = append(li.cutouts, lit)
+			out = append(out, lit)
 			return false
 		}
 		return true
 	})
-}
-
-// scanList walks one statement list at the given nesting depth.
-func (sc *lockScanner) scanList(list []ast.Stmt, depth int) {
-	for i, st := range list {
-		sc.scanStmt(st, list[i+1:], depth)
-	}
-}
-
-func (sc *lockScanner) scanStmt(st ast.Stmt, rest []ast.Stmt, depth int) {
-	switch s := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			sc.handleCall(call, rest, depth)
-		}
-	case *ast.DeferStmt:
-		if key, op, ok := mutexOp(sc.p, s.Call, sc.specs); ok && (op == "Unlock" || op == "RUnlock") {
-			if opens := sc.open[key]; len(opens) > 0 {
-				idx := opens[len(opens)-1]
-				sc.open[key] = opens[:len(opens)-1]
-				sc.li.regions[idx].end = sc.bodyEnd
-			}
-		}
-	case *ast.IfStmt:
-		sc.scanList(s.Body.List, depth+1)
-		if s.Else != nil {
-			sc.scanStmt(s.Else, nil, depth)
-		}
-	case *ast.ForStmt:
-		sc.scanList(s.Body.List, depth+1)
-	case *ast.RangeStmt:
-		sc.scanList(s.Body.List, depth+1)
-	case *ast.SwitchStmt:
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				sc.scanList(clause.Body, depth+1)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				sc.scanList(clause.Body, depth+1)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CommClause); ok {
-				sc.scanList(clause.Body, depth+1)
-			}
-		}
-	case *ast.BlockStmt:
-		sc.scanList(s.List, depth+1)
-	case *ast.LabeledStmt:
-		sc.scanStmt(s.Stmt, rest, depth)
-	}
-}
-
-// handleCall processes one statement-level call; rest is the remainder of
-// the enclosing statement list after it.
-func (sc *lockScanner) handleCall(call *ast.CallExpr, rest []ast.Stmt, depth int) {
-	key, op, ok := mutexOp(sc.p, call, sc.specs)
-	if !ok {
-		return
-	}
-	switch op {
-	case "Lock", "RLock":
-		sc.li.regions = append(sc.li.regions, lockRegion{
-			key:   key,
-			read:  op == "RLock",
-			start: call.End(),
-			end:   sc.bodyEnd, // provisional: until Unlock or function end
-			depth: depth,
-		})
-		sc.open[key] = append(sc.open[key], len(sc.li.regions)-1)
-	case "Unlock", "RUnlock":
-		opens := sc.open[key]
-		if len(opens) == 0 {
-			return
-		}
-		idx := opens[len(opens)-1]
-		r := &sc.li.regions[idx]
-		if r.depth < depth && terminates(rest) {
-			// Early-exit branch: the lock is released only on the path that
-			// leaves through this branch. The outer region stays open; the
-			// branch remainder becomes an unlocked hole.
-			r.holes = append(r.holes, posRange{start: call.End(), end: rest[len(rest)-1].End()})
-			return
-		}
-		sc.open[key] = opens[:len(opens)-1]
-		r.end = call.Pos()
-	}
-}
-
-// terminates reports whether a statement-list remainder definitely leaves
-// the enclosing list (return, branch, panic) rather than falling through.
-func terminates(rest []ast.Stmt) bool {
-	if len(rest) == 0 {
-		return false
-	}
-	switch last := rest[len(rest)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
+	return out
 }
 
 // mutexOp matches a call of the form <path>.<mutex>.(R)Lock/(R)Unlock on a
 // configured mutex and returns its key and operation.
-func mutexOp(p *Pass, call *ast.CallExpr, specs []LockSpec) (lockKey, string, bool) {
+func mutexOp(p *Pass, e ast.Expr, specs []LockSpec) (lockKey, string, bool) {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return lockKey{}, "", false
+	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return lockKey{}, "", false
@@ -271,48 +331,13 @@ func mutexOp(p *Pass, call *ast.CallExpr, specs []LockSpec) (lockKey, string, bo
 	if !ok {
 		return lockKey{}, "", false
 	}
-	ownerType := p.TypeOf(mutexSel.X)
-	if ownerType == nil {
-		return lockKey{}, "", false
-	}
-	named := namedOf(ownerType)
-	if named == nil {
-		return lockKey{}, "", false
-	}
-	matched := false
+	owner := p.TypeOf(mutexSel.X)
 	for _, s := range specs {
-		if named.Obj().Name() == s.Type && pkgPathOf(named) == s.Pkg && mutexSel.Sel.Name == s.Field {
-			matched = true
-			break
+		if mutexSel.Sel.Name == s.Field && isNamed(owner, s.Pkg, s.Type) {
+			return lockKey{root: rootObject(p, mutexSel.X), path: exprPath(mutexSel)}, op, true
 		}
 	}
-	if !matched {
-		return lockKey{}, "", false
-	}
-	return lockKey{root: rootObject(p, mutexSel.X), path: exprPath(mutexSel)}, op, true
-}
-
-// namedOf unwraps pointers and aliases down to a named type.
-func namedOf(t types.Type) *types.Named {
-	for {
-		switch tt := t.(type) {
-		case *types.Pointer:
-			t = tt.Elem()
-		case *types.Named:
-			return tt
-		case *types.Alias:
-			t = types.Unalias(tt)
-		default:
-			return nil
-		}
-	}
-}
-
-func pkgPathOf(n *types.Named) string {
-	if n.Obj().Pkg() == nil {
-		return ""
-	}
-	return n.Obj().Pkg().Path()
+	return lockKey{}, "", false
 }
 
 // rootObject resolves the base identifier's object of a selector chain.

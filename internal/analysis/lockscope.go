@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // LockScope enforces the PR 2/8 discipline: segment bytes (and every other
@@ -28,56 +29,50 @@ func runLockScope(p *Pass) error {
 	if len(specs) == 0 {
 		return nil
 	}
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			li := computeLockInfo(p, fn.Body, specs)
-			if !li.locksAny() {
-				continue
-			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SendStmt:
-					if r, held := li.inside(n.Pos(), false); held {
-						p.Reportf(n.Pos(), "channel send while %s is held", r.key.path)
-					}
-				case *ast.UnaryExpr:
-					if n.Op.String() == "<-" {
-						if r, held := li.inside(n.Pos(), false); held {
-							p.Reportf(n.Pos(), "channel receive while %s is held", r.key.path)
-						}
-					}
-				case *ast.SelectStmt:
-					if r, held := li.inside(n.Pos(), false); held {
-						p.Reportf(n.Pos(), "select while %s is held", r.key.path)
-					}
-					// The comm clauses are already under the lock; don't
-					// double-report each send/recv inside.
-					return false
-				case *ast.RangeStmt:
-					t := p.TypeOf(n.X)
-					if t == nil {
-						return true
-					}
-					if _, isChan := t.Underlying().(*types.Chan); isChan {
-						if r, held := li.inside(n.Pos(), false); held {
-							p.Reportf(n.Pos(), "range over channel while %s is held", r.key.path)
-						}
-					}
-				case *ast.CallExpr:
-					if name, ok := blockingCall(p, n); ok {
-						if r, held := li.inside(n.Pos(), false); held {
-							p.Reportf(n.Pos(), "blocking call %s while %s is held: obtain the result outside the lock", name, r.key.path)
-						}
+	p.eachFunc(func(fn *ast.FuncDecl) {
+		li := computeLockInfo(p, fn.Body, specs)
+		if len(li.regions) == 0 {
+			return
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SendStmt:
+				if r := li.inside(n.Pos(), false); r != nil {
+					p.Reportf(n.Pos(), "channel send while %s is held", r.name)
+				}
+			case *ast.UnaryExpr:
+				if n.Op.String() == "<-" {
+					if r := li.inside(n.Pos(), false); r != nil {
+						p.Reportf(n.Pos(), "channel receive while %s is held", r.name)
 					}
 				}
-				return true
-			})
-		}
-	}
+			case *ast.SelectStmt:
+				if r := li.inside(n.Pos(), false); r != nil {
+					p.Reportf(n.Pos(), "select while %s is held", r.name)
+				}
+				// The comm clauses are already under the lock; don't
+				// double-report each send/recv inside.
+				return false
+			case *ast.RangeStmt:
+				t := p.TypeOf(n.X)
+				if t == nil {
+					return true
+				}
+				if _, isChan := t.Underlying().(*types.Chan); isChan {
+					if r := li.inside(n.Pos(), false); r != nil {
+						p.Reportf(n.Pos(), "range over channel while %s is held", r.name)
+					}
+				}
+			case *ast.CallExpr:
+				if name, ok := blockingCall(p, n); ok {
+					if r := li.inside(n.Pos(), false); r != nil {
+						p.Reportf(n.Pos(), "blocking call %s while %s is held: obtain the result outside the lock", name, r.name)
+					}
+				}
+			}
+			return true
+		})
+	})
 	return nil
 }
 
@@ -115,30 +110,19 @@ func blockingCall(p *Pass, call *ast.CallExpr) (string, bool) {
 						if spec.Type != "" || spec.Pkg != f.Pkg().Path() {
 							continue
 						}
-						for _, m := range spec.Methods {
-							if m == f.Name() {
-								return f.Pkg().Path() + "." + f.Name(), true
-							}
+						if slices.Contains(spec.Methods, f.Name()) {
+							return f.Pkg().Path() + "." + f.Name(), true
 						}
 					}
 					return "", false
 				}
 			}
 		}
-		recv := recvTypeOfSelection(p, fun)
-		if recv == nil {
-			// Interface method: Selections carries it; namedOf on an
-			// interface value's type works when the static type is named.
-			return "", false
-		}
+		// An interface method matches when its static type is named.
+		recv := recvType(p, fun)
 		for _, spec := range p.Config.Blocking {
-			if spec.Type == "" || spec.Type != recv.Obj().Name() || spec.Pkg != pkgPathOf(recv) {
-				continue
-			}
-			for _, m := range spec.Methods {
-				if m == fun.Sel.Name {
-					return recv.Obj().Name() + "." + fun.Sel.Name, true
-				}
+			if spec.Type != "" && isNamed(recv, spec.Pkg, spec.Type) && slices.Contains(spec.Methods, fun.Sel.Name) {
+				return spec.Type + "." + fun.Sel.Name, true
 			}
 		}
 	}

@@ -27,15 +27,7 @@ func runStatsCopy(p *Pass) error {
 	if !p.Config.statscopyPkg(p.Pkg.Path()) {
 		return nil
 	}
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkStatsCopyFunc(p, fn)
-		}
-	}
+	p.eachFunc(func(fn *ast.FuncDecl) { checkStatsCopyFunc(p, fn) })
 	return nil
 }
 
@@ -64,19 +56,7 @@ func sharedPtrResultPositions(p *Pass, ftype *ast.FuncType) []int {
 
 func isSharedPtr(p *Pass, t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named := namedOf(ptr.Elem())
-	if named == nil {
-		return false
-	}
-	for _, s := range p.Config.SharedResponses {
-		if named.Obj().Name() == s.Name && pkgPathOf(named) == s.Pkg {
-			return true
-		}
-	}
-	return false
+	return ok && isOneOf(ptr.Elem(), p.Config.SharedResponses)
 }
 
 func checkStatsCopyFunc(p *Pass, fn *ast.FuncDecl) {

@@ -122,3 +122,20 @@ func (d *D) NoBumpAfterEarlyReturn(k string, v int) {
 	d.placement[k] = v // want `D\.placement mutated without a generation bump`
 	d.mu.Unlock()
 }
+
+// NoBumpAfterNestedExit: the early-exit branch ends in an if/else whose
+// arms both return, so the mutation after it still runs locked and still
+// needs its bump.
+func (d *D) NoBumpAfterNestedExit(k string, v int) {
+	d.mu.Lock()
+	if v < 0 {
+		d.mu.Unlock()
+		if k == "" {
+			return
+		} else {
+			panic(k)
+		}
+	}
+	d.placement[k] = v // want `D\.placement mutated without a generation bump`
+	d.mu.Unlock()
+}

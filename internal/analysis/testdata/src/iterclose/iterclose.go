@@ -184,3 +184,22 @@ func GoodLoopClose(n int) {
 		it.Close()
 	}
 }
+
+// BadCloseInNestedExit closes only in the branch that leaves through an
+// if/else; the path past the branch returns with the iterator open.
+func BadCloseInNestedExit(stop, fast bool) error {
+	it, err := open() // want `iterator it is not closed on the path returning`
+	if err != nil {
+		return err
+	}
+	if stop {
+		it.Close()
+		if fast {
+			return nil
+		} else {
+			return err
+		}
+	}
+	_, _ = it.Next()
+	return nil
+}

@@ -87,3 +87,20 @@ func (s *S) StoreOutsideThenLock(st *Store) []byte {
 	defer s.mu.Unlock()
 	return b
 }
+
+// SleepAfterNestedExit: the early Unlock sits in a branch that leaves
+// through an if/else whose arms both return, so the lock is still held
+// after the branch.
+func (s *S) SleepAfterNestedExit(c, x bool) {
+	s.mu.Lock()
+	if c {
+		s.mu.Unlock()
+		if x {
+			return
+		} else {
+			return
+		}
+	}
+	time.Sleep(time.Millisecond) // want `blocking call time\.Sleep while s\.mu is held`
+	s.mu.Unlock()
+}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/fedsql"
 	"repro/internal/objstore"
@@ -11,7 +10,7 @@ import (
 	"repro/internal/record"
 )
 
-// ---- E18: aggregate pushdown + partition-aware routing (§4.3, §4.5) ----
+// ---- E18: partition-aware and replica-group routing (§4.3, §4.5) ----
 
 // e18Cities returns one city name per partition (cities[p] hashes to
 // partition p under the deployment's canonical partition function), found by
@@ -79,12 +78,9 @@ func e18Deployment(rowsN int) (*olap.Deployment, []string) {
 	return d, cities
 }
 
-// E18 measures the Query API v2 against the pull-rows baseline on the same
-// federated aggregate:
+// E18 measures partition-aware and replica-group routing on the federated
+// aggregate (E11 measures its pushdown against the pull-rows baseline):
 //
-//   - rows moved engine-side: AggregateScan pushes the whole GROUP BY into
-//     the OLAP layer, so one aggregate row crosses the connector boundary
-//     where the baseline (pushdown disabled) ships every raw row;
 //   - partition-aware routing: the WHERE city = ... equality filter prunes
 //     every other partition's server before any scan, so ServersContacted
 //     stays below the server count;
@@ -103,28 +99,12 @@ func E18(rowsN int) []Row {
 	e := fedsql.NewEngine()
 	e.Register(pinot)
 
-	sql := fmt.Sprintf(
+	res, err := e.Query(fmt.Sprintf(
 		"SELECT city, SUM(amount) AS revenue, COUNT(*) AS n FROM pinot.orders WHERE city = '%s' GROUP BY city",
-		cities[0])
-	const iters = 20
-	measure := func() (time.Duration, fedsql.QueryStats) {
-		var stats fedsql.QueryStats
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			res, err := e.Query(sql)
-			if err != nil {
-				panic(err)
-			}
-			stats = res.Stats
-		}
-		return time.Since(start) / iters, stats
+		cities[0]))
+	if err != nil {
+		panic(err)
 	}
-	measure() // warm
-	pushLat, pushStats := measure()
-
-	pinot.DisablePushdown = true
-	pullLat, pullStats := measure()
-	pinot.DisablePushdown = false
 
 	// Replica-group routing on the unfiltered aggregate, straight through
 	// the v2 broker surface.
@@ -138,16 +118,9 @@ func E18(rowsN int) []Row {
 	}
 
 	return []Row{
-		{"pushdown_rows_moved", float64(pushStats.RowsReturned), "rows"},
-		{"pull_rows_moved", float64(pullStats.RowsReturned), "rows"},
-		{"rows_reduction", float64(pullStats.RowsReturned) / float64(pushStats.RowsReturned), "x"},
-		{"pushdown_query_us", float64(pushLat.Microseconds()), "us"},
-		{"pull_query_us", float64(pullLat.Microseconds()), "us"},
-		{"latency_ratio", float64(pullLat) / float64(pushLat), "x"},
 		{"servers_total", float64(nServers), "servers"},
-		{"partition_servers_contacted", float64(pushStats.Exec.ServersContacted), "servers"},
-		{"partitions_pruned", float64(pushStats.Exec.PartitionsPruned), "parts"},
+		{"partition_servers_contacted", float64(res.Stats.Exec.ServersContacted), "servers"},
+		{"partitions_pruned", float64(res.Stats.Exec.PartitionsPruned), "parts"},
 		{"replica_group_servers_contacted", float64(groupResp.Stats.ServersContacted), "servers"},
-		{"pull_fallbacks", float64(pullStats.PushdownFallbacks), "queries"},
 	}
 }

@@ -747,6 +747,7 @@ func E11(rowsN int) []Row {
 		{"latency_ratio", float64(scanLat) / float64(pushedLat), "x"},
 		{"pushdown_rows_moved", float64(pushedRows), "rows"},
 		{"no_pushdown_rows_moved", float64(scanRows), "rows"},
+		{"rows_reduction", float64(scanRows) / float64(pushedRows), "x"},
 	}
 }
 
@@ -900,7 +901,7 @@ func All() []Experiment {
 		{"E15", "Pre-aggregation tradeoff (§5.2)", "preprocessing reduces serving data and latency at the cost of flexibility", func() []Row { return E15(0) }},
 		{"E16", "Parallel scatter-gather query execution (§4.3)", "scatter-gather across segment servers serves sub-second aggregations; partial aggregates merge exactly at the broker", func() []Row { return E16(0) }},
 		{"E17", "Segment lifecycle: retention, tiering, time pruning (§4.3.4, §4.4)", "servers keep only hot segments while sealed segments age to the deep store; brokers prune segments by time range before scanning", func() []Row { return E17(0) }},
-		{"E18", "Aggregate pushdown + partition/replica-group routing (§4.3, §4.5)", "aggregation pushdowns move partial-aggregate results instead of raw rows; broker routing prunes servers by partition and bounds fan-out by replica group", func() []Row { return E18(0) }},
+		{"E18", "Partition-aware and replica-group routing (§4.3, §4.5)", "broker routing prunes servers by partition and bounds fan-out by replica group", func() []Row { return E18(0) }},
 		{"E19", "Bounded top-K execution: ORDER BY/LIMIT pushdown (§4.3)", "server-side group trimming and per-segment row heaps ship O(K) candidates per server instead of every group/row, keeping dashboard top-N queries fast under fan-out", func() []Row { return E19(0) }},
 		{"E20", "Broker result cache + admission control (§4.3)", "result caching keyed on segment versions plus per-tenant admission control let brokers survive heavy multi-tenant dashboard traffic: repeated queries collapse to cache hits, identical in-flight queries execute once, and bursts shed with typed errors instead of collapsing the broker", func() []Row { return E20(0) }},
 		{"E21", "Incrementally-maintained materialized views (§4.3)", "standing dashboard aggregates maintained incrementally from the ingest mutation feed keep serving at near-cache-hit latency under continuous writes — exactly where the generation-keyed result cache degrades to a ~0% hit rate — while staying byte-identical to cold re-execution", func() []Row { return E21(0) }},

@@ -104,6 +104,9 @@ var shapeChecks = map[string]struct {
 		if get("pushdown_rows_moved") >= get("no_pushdown_rows_moved") {
 			t.Error("pushdown should move fewer rows across the connector")
 		}
+		if r := get("rows_reduction"); r < 10 {
+			t.Errorf("pushdown rows reduction = %.1fx, want >= 10x", r)
+		}
 	}},
 	"E12": {func() []Row { return E12(200) }, func(t *testing.T, get rowGetter) {
 		if a, b := get("aa_region0_global_msgs"), get("aa_region1_global_msgs"); a != b {
@@ -163,9 +166,6 @@ var shapeChecks = map[string]struct {
 		}
 	}},
 	"E18": {func() []Row { return E18(12_000) }, func(t *testing.T, get rowGetter) {
-		if r := get("rows_reduction"); r < 10 {
-			t.Errorf("pushdown rows reduction = %.1fx, want >= 10x", r)
-		}
 		if get("partition_servers_contacted") >= get("servers_total") {
 			t.Error("partition-filtered query should contact fewer servers than the cluster holds")
 		}

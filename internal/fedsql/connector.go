@@ -166,7 +166,7 @@ type PinotConnector struct {
 	name    string
 	brokers map[string]*olap.Broker
 	schemas map[string]*metadata.Schema
-	// DisablePushdown forces scan-only behavior — the E11/E18 baseline
+	// DisablePushdown forces scan-only behavior — the E11 baseline
 	// ("our first version of this connector only included predicate
 	// pushdown").
 	DisablePushdown bool
@@ -450,7 +450,7 @@ func toOlapFilter(f sqlparse.Predicate) (olap.Filter, error) {
 
 // ArchiveConnector exposes the object store's columnar archive as read-only
 // tables. It advertises no pushdown: filters and aggregations run in the
-// engine, like Presto over HDFS/Hive — the latency contrast in E11/E18.
+// engine, like Presto over HDFS/Hive — the latency contrast in E11.
 type ArchiveConnector struct {
 	name    string
 	store   objstore.Store

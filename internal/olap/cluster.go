@@ -138,9 +138,6 @@ type Deployment struct {
 	ingested     int64
 	sealed       int64
 	uploadErrors int64
-	// lastIngestNanos is the wall time of the latest ingested row, for
-	// freshness measurement.
-	lastIngestNanos int64
 
 	// gen is the table's mutation fingerprint: bumped by every ingest,
 	// seal, compaction, offload, drop and recovery (reads stay lock-free on
@@ -504,14 +501,12 @@ func (d *Deployment) appendLocked(partition int, b *cellBlock, from int) (added 
 		ms = newMutableSegment(d.segmentName(partition, d.segSeq[partition]), d.cfg.Schema, min(d.cfg.SegmentRows, 1<<16), d.lastDicts[partition])
 		d.consuming[partition] = ms
 	}
-	now := time.Now().UnixNano()
 	for i := from; i < b.rows(); i++ {
 		row := b.row(i)
 		doc := ms.appendRow(row)
 		superseded := d.cfg.Upsert && d.supersedeLocked(partition, ms, d.keyOf(ms, doc, row), doc)
 		d.ingested++
 		d.ingestRows.Inc()
-		d.lastIngestNanos = now
 		added++
 		// The bump (and hook delivery) happens inside the same critical
 		// section that made the row visible, so the generation totally

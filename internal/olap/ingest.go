@@ -23,7 +23,6 @@ import (
 // record.Record per row.
 type RealtimeIngester struct {
 	bind    *binding // the codec's fields onto the table's columns
-	d       *Deployment
 	batch   int
 	readers []*stream.Reader // one per partition
 
@@ -43,7 +42,6 @@ func NewRealtimeIngester(cluster *stream.Cluster, topic string, codec *record.Co
 	}
 	ri := &RealtimeIngester{
 		bind:    bind(codec, d),
-		d:       d,
 		batch:   128,
 		readers: make([]*stream.Reader, n),
 		stop:    make(chan struct{}),

@@ -696,7 +696,6 @@ func (b *Broker) routeView() (*RouteView, *querySnapshot) {
 		PartitionColumn: d.cfg.PartitionColumn,
 		Partitions:      d.cfg.Partitions,
 		Replicas:        d.cfg.Replicas,
-		NumServers:      d.NumServers(),
 	}
 	snapshot := &querySnapshot{
 		consuming: make(map[int]consumingScan, len(d.consuming)),

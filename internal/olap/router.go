@@ -44,8 +44,6 @@ type RouteView struct {
 	Partitions      int
 	// Replicas is the configured replica count per segment.
 	Replicas int
-	// NumServers is the deployment's server count.
-	NumServers int
 	// Segments lists every routable sealed segment.
 	Segments []SegmentRoute
 	// ConsumingPartitions lists partitions with an in-flight consuming
