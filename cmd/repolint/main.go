@@ -29,7 +29,6 @@ func main() {
 	progname := filepath.Base(os.Args[0])
 	version := flag.String("V", "", "print version and exit (cmd/go tool-ID handshake)")
 	printflags := flag.Bool("flags", false, "print analyzer flags in JSON (cmd/go vet handshake)")
-	checks := flag.String("checks", "", "comma-separated analyzer subset (default: all)")
 	flag.Parse()
 
 	// `go vet -vettool` handshake 1: tool identity for the build cache.
@@ -48,23 +47,12 @@ func main() {
 		os.Exit(0)
 	}
 
-	var names []string
-	if *checks != "" {
-		names = strings.Split(*checks, ",")
-	}
-	analyzers := analysis.ByName(names)
-	if len(analyzers) == 0 {
-		fmt.Fprintf(os.Stderr, "%s: no analyzers match -checks=%s\n", progname, *checks)
-		os.Exit(2)
-	}
-	cfg := analysis.DefaultConfig()
-
 	args := flag.Args()
 	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
 		fmt.Fprintf(os.Stderr, "%s is a vet tool: go vet -vettool=$(which %s) ./...\n", progname, progname)
 		os.Exit(2)
 	}
-	os.Exit(runVet(args[0], cfg, analyzers))
+	os.Exit(runVet(args[0], analysis.DefaultConfig(), analysis.Analyzers()))
 }
 
 // runVet analyzes one compilation unit described by a cmd/go vet.cfg.

@@ -77,16 +77,3 @@ func TestIterClose(t *testing.T) {
 	cfg := &analysis.Config{Iterators: []analysis.TypeSpec{{Pkg: "fix/iterclose", Name: "Iter"}}}
 	analysistest.Run(t, fixture("iterclose"), "fix/iterclose", []*analysis.Analyzer{analysis.IterClose}, cfg)
 }
-
-func TestByName(t *testing.T) {
-	if got := len(analysis.Analyzers()); got != 6 {
-		t.Fatalf("suite has %d analyzers, want 6", got)
-	}
-	sel := analysis.ByName([]string{"genbump", "nope", "ctxflow"})
-	if len(sel) != 2 || sel[0].Name != "genbump" || sel[1].Name != "ctxflow" {
-		t.Fatalf("ByName selected %v", sel)
-	}
-	if got := len(analysis.ByName(nil)); got != 6 {
-		t.Fatalf("ByName(nil) = %d analyzers, want all 6", got)
-	}
-}

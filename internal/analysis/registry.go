@@ -4,19 +4,3 @@ package analysis
 func Analyzers() []*Analyzer {
 	return []*Analyzer{GenBump, LockScope, SentinelErr, CtxFlow, StatsCopy, IterClose}
 }
-
-// ByName resolves a comma-separated analyzer selection; empty selects all.
-func ByName(names []string) []*Analyzer {
-	if len(names) == 0 {
-		return Analyzers()
-	}
-	var out []*Analyzer
-	for _, n := range names {
-		for _, a := range Analyzers() {
-			if a.Name == n {
-				out = append(out, a)
-			}
-		}
-	}
-	return out
-}

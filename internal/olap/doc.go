@@ -46,6 +46,11 @@
 //     BY terms, ties by ascending key value). Only the rows returned are
 //     boxed.
 //
+// An aggregate's group tables — a scan's partial, a producer's and the
+// broker's merged table — come from a pool by state capacity and go back
+// from their last owner once merged or, the broker's, finalized; cached
+// segment partials, views and failed rounds never do.
+//
 // Queries run under a context.Context: its cancellation or deadline stops
 // segment scans between segments, the first
 // producer error stops the others, and ORDER-BY-agnostic LIMIT selections

@@ -385,7 +385,7 @@ func FuzzMergePartials(f *testing.F) {
 			same("tree merge", tree(parts))
 
 			// One k-way merge, as a producer and the broker run it.
-			same("k-way merge", merged(q, slices.Clone(parts), 0))
+			same("k-way merge", merged(q, slices.Clone(parts), 0, true))
 
 			// The same merge over runs the caller owns, whose states it
 			// moves or folds into: all of them, as the broker merges the
@@ -397,14 +397,14 @@ func FuzzMergePartials(f *testing.F) {
 					t.Fatalf("q%d chunk %d: %v", qi, i, err)
 				}
 			}
-			same("k-way merge of owned runs", merged(q, fresh, len(fresh)))
+			same("k-way merge of owned runs", merged(q, fresh, len(fresh), true))
 			mine := len(chunks)/2 + 1
 			for i, chunk := range chunks[:mine] {
 				if fresh[i], err = chunk(q, nil); err != nil {
 					t.Fatalf("q%d chunk %d: %v", qi, i, err)
 				}
 			}
-			same("k-way merge of owned and read-only runs", merged(q, append(fresh[:mine], parts[mine:]...), mine))
+			same("k-way merge of owned and read-only runs", merged(q, append(fresh[:mine], parts[mine:]...), mine, true))
 
 			// Runs trimmed to the top-K budget: merged one at a time and k
 			// ways, as the hash merge merges them.
@@ -420,7 +420,7 @@ func FuzzMergePartials(f *testing.F) {
 					acc.Merge(p)
 				}
 				asOracle("merge of trimmed runs", acc, trimmed)
-				asOracle("k-way merge of trimmed runs", merged(q, slices.Clone(trimmed), 0), trimmed)
+				asOracle("k-way merge of trimmed runs", merged(q, slices.Clone(trimmed), 0, true), trimmed)
 			}
 
 			// Merge left every chunk as it was.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"unsafe"
@@ -79,12 +80,13 @@ func (a *aggState) mergeState(o *aggState) {
 // scan's grouper, the star-tree, a trim — writes its groups in that order,
 // and a merge is one pass over such runs (merged) that keeps it. So a
 // group costs no heap object and no hash, and Finalize without ORDER BY
-// returns the rows as they lie. Once emitted a partial is only read — merged,
-// cached, finalized — except by its one owner: a producer or the broker
-// merges the runs it owns, which may take their states, and trims the merged
-// table in place, and a view merges into its state under its lock. For a
-// selection the keys are the selected columns, named by cols, with no states
-// and no order.
+// returns the rows as they lie. Only a partial's one owner writes it — a
+// producer the runs it scanned and the table it merges, trims and ships, the
+// broker those tables and its own, a view its state under its lock — and
+// its last owner releases an aggregation's table to the pool (release). A
+// cached segment partial, MaterializePartial's result and a view's state
+// are only read and never released. For a selection the keys are the
+// selected columns, named by cols, with no states and no order.
 type Partial struct {
 	agg   bool
 	naggs int
@@ -139,12 +141,12 @@ func foldStates(mine, states []aggState) {
 	}
 }
 
-// keep returns a new table of the given rows of an aggregation, in that
-// order, which is key order: a row whose key is the key of the row kept
-// before it — two codes of one value, as 2^53 and 2^53+1 are in a long
-// dictionary — folds into that row. It takes over the rows' states, their
-// DISTINCTCOUNT sets included, and p's stats: p is a table about to be let
-// go (a scan's scratch, the star-tree's hits).
+// keep returns a table from the pool holding the given rows of an
+// aggregation, in that order, which is key order: a row whose key is the key
+// of the row kept before it — two codes of one value, as 2^53 and 2^53+1 are
+// in a long dictionary — folds into that row. It takes over the rows'
+// states, their DISTINCTCOUNT sets included, and p's stats: p is a table
+// about to be let go (a scan's scratch, the star-tree's hits).
 func (p *Partial) keep(rows []int32) *Partial {
 	kept := rows[:0]
 	for _, r := range rows {
@@ -154,9 +156,46 @@ func (p *Partial) keep(rows []int32) *Partial {
 		}
 		kept = append(kept, r)
 	}
-	out := &Partial{agg: true, naggs: p.naggs, keys: make([]record.Vector, len(p.keys)), accs: make([]aggState, 0, len(kept)*p.naggs), stats: p.stats}
+	out := newTable(p.naggs, len(p.keys), len(kept))
+	out.stats = p.stats
 	out.take(p, kept)
 	return out
+}
+
+// tables holds released aggregation tables by state capacity: tables[c]
+// those with room for at least 2^c states, so a table taken for many groups
+// never regrows from a small one.
+var tables [64]sync.Pool
+
+// newTable returns an empty aggregation table of nkeys key columns from
+// tables, with room for groups groups' states.
+func newTable(naggs, nkeys, groups int) *Partial {
+	c := bits.Len(uint(max(groups*naggs, 1) - 1))
+	p, ok := tables[c].Get().(*Partial)
+	if !ok {
+		p = &Partial{accs: make([]aggState, 0, 1<<c)}
+	}
+	p.agg, p.naggs = true, naggs
+	p.keys = slices.Grow(p.keys[:0], nkeys)[:nkeys]
+	return p
+}
+
+// release hands an aggregation table its last owner is done with to tables,
+// its states cleared, DISTINCTCOUNT sets and all, and its key vectors'
+// strings and blobs to capacity, so the pool pins nothing a query read.
+func (p *Partial) release() {
+	if !p.agg || cap(p.accs) == 0 {
+		return
+	}
+	clear(p.accs[:cap(p.accs)])
+	keys := p.keys[:cap(p.keys)]
+	for i := range keys {
+		clear(keys[i].Strs[:cap(keys[i].Strs)])
+		clear(keys[i].Bytes[:cap(keys[i].Bytes)])
+		keys[i].Reset(metadata.TypeInvalid)
+	}
+	*p = Partial{keys: keys[:0], accs: p.accs[:0]}
+	tables[bits.Len(uint(cap(p.accs)))-1].Put(p)
 }
 
 // states is group r's aggregations.
@@ -207,21 +246,22 @@ func (p *Partial) size() int64 {
 // remain reusable after being merged.
 func (p *Partial) Merge(o *Partial) {
 	p.accs = slices.Grow(p.accs, len(o.accs)) // room to grow in, by doubling
-	*p = *merged(nil, []*Partial{p, o}, 1)
+	*p = *merged(nil, []*Partial{p, o}, 1, false)
 }
 
 // merged merges runs, partials of q's shape of which the first own are the
 // caller's to write and the rest only to read, into one table; the stats add
 // up. No run makes an empty table; the caller's only run is the table. An
 // aggregation's runs, each in key order, merge k ways (mergeScratch.merge)
-// into a table in strict key order, whose states go where the largest of the
-// caller's runs keeps its own when it has room for them all — it is the
-// table when the other runs add no group to it — and into one array
-// allocated at its size otherwise. A group's first state moves in from a
+// into a table in strict key order: the largest of the caller's runs when
+// the others add no group to it, else pooled a table from the pool — the
+// caller releases it and its own runs — and else (a view's Merge) one whose
+// states go where that run keeps its own when it has room for them all, or
+// into one array allocated at their size. A group's first state moves in from a
 // run of the caller's and is copied from any other, its DISTINCTCOUNT set
 // with it. A selection's rows follow run after run. Runs that are only read
 // are left unchanged.
-func merged(q *Query, runs []*Partial, own int) *Partial {
+func merged(q *Query, runs []*Partial, own int, pooled bool) *Partial {
 	switch {
 	case len(runs) == 0:
 		return newPartial(q)
@@ -233,23 +273,30 @@ func merged(q *Query, runs []*Partial, own int) *Partial {
 			runs[0], runs[i] = runs[i], runs[0]
 		}
 	}
-	out := &Partial{agg: runs[0].agg, naggs: runs[0].naggs, keys: make([]record.Vector, len(runs[0].keys))}
-	m := mergePool.Get().(*mergeScratch)
-	defer mergePool.Put(m)
-	defer m.release()
-	for i, r := range runs {
-		out.stats.Add(r.stats)
-		if out.cols == nil && r.cols != nil {
-			out.cols, out.keys = r.cols, make([]record.Vector, len(r.keys))
-		}
-		for row := 0; !out.agg && row < r.n; row++ {
-			m.from, m.rows = append(m.from, int32(i)), append(m.rows, int32(row))
-		}
+	var stats ExecStats
+	for _, r := range runs {
+		stats.Add(r.stats)
 	}
-	if out.agg {
+	m := mergePool.Get().(*mergeScratch)
+	defer m.put()
+	var out *Partial
+	if runs[0].agg {
 		m.merge(runs)
+		if own > 0 && len(m.from) == runs[0].n {
+			m.fold(runs, 1, runs[0].accs, own)
+			runs[0].stats = stats
+			return runs[0]
+		}
+		if pooled {
+			out = newTable(runs[0].naggs, len(runs[0].keys), len(m.from))
+		} else {
+			out = &Partial{agg: true, naggs: runs[0].naggs, keys: make([]record.Vector, len(runs[0].keys))}
+		}
 		first, n := 0, len(m.from)*out.naggs
-		if own > 0 && cap(runs[0].accs) >= n {
+		switch {
+		case pooled:
+			out.accs = out.accs[:n]
+		case own > 0 && cap(runs[0].accs) >= n:
 			// The largest of the caller's runs has room for the table's
 			// states: its own move back to their groups' places, last
 			// first, as no row's group is before the row.
@@ -262,16 +309,22 @@ func merged(q *Query, runs []*Partial, own int) *Partial {
 					copy(out.states(g), runs[0].states(int(m.rows[g])))
 				}
 			}
-		} else {
+		default:
 			out.accs = make([]aggState, n)
 		}
 		m.fold(runs, first, out.accs, own)
-		if first == 1 && len(m.from) == runs[0].n {
-			runs[0].stats = out.stats
-			return runs[0]
+	} else {
+		out = &Partial{}
+		for i, r := range runs {
+			if out.cols == nil && r.cols != nil {
+				out.cols, out.keys = r.cols, make([]record.Vector, len(r.keys))
+			}
+			for row := range r.n {
+				m.from, m.rows = append(m.from, int32(i)), append(m.rows, int32(row))
+			}
 		}
 	}
-	out.n = len(m.from)
+	out.n, out.stats = len(m.from), stats
 	for c := range out.keys {
 		for _, r := range runs {
 			if v := &out.keys[c]; r.n > 0 && v.Type == metadata.TypeInvalid {
@@ -294,16 +347,19 @@ func merged(q *Query, runs []*Partial, own int) *Partial {
 	return out
 }
 
-// mergeScratch is one merge's working memory, recycled through mergePool:
-// each row of the table to be — the run from[g] and the row rows[g] its key
-// is read from — and, for an aggregation, the group each run's rows fold
-// into: run i's row r into group dst[i][r], a stretch of one backing array.
+// mergeScratch is one merge's, trim's or Finalize's working memory, recycled
+// through mergePool: each row of the table to be — the run from[g] and the
+// row rows[g] its key is read from — and, for an aggregation, the group each
+// run's rows fold into: run i's row r into group dst[i][r], a stretch of one
+// backing array; or a table's positions (rows), ranks and trim marks.
 type mergeScratch struct {
 	from, rows []int32
 	dst        [][]int32
 	groups     []int32 // dst's backing array
 	at         []int   // each run's next row
 	slots      []int32 // direct's table over a span of longs
+	terms      []rankTerm
+	marks      []uint64
 }
 
 var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
@@ -413,10 +469,11 @@ func (m *mergeScratch) direct(runs []*Partial) bool {
 // longTypes are the column types a record.Vector holds in Ints.
 var longTypes = []metadata.FieldType{metadata.TypeLong, metadata.TypeTimestamp, metadata.TypeBool}
 
-// release lets go of what the last merge left: the runs.
-func (m *mergeScratch) release() {
+// put lets go of the runs the last merge left and returns m to mergePool.
+func (m *mergeScratch) put() {
 	m.from, m.rows = m.from[:0], m.rows[:0]
 	clear(m.dst)
+	mergePool.Put(m)
 }
 
 // Finalize converts the merged partial into a user-facing response: group
@@ -445,11 +502,14 @@ func (p *Partial) Finalize(q *Query) (*QueryResponse, error) {
 		cols = append([]string(nil), q.Select...)
 		p = &Partial{keys: make([]record.Vector, len(cols)), stats: p.stats}
 	}
-	terms, err := p.order(q, cols)
+	m := mergePool.Get().(*mergeScratch)
+	defer m.put()
+	terms, err := p.order(q, cols, m)
 	if err != nil {
 		return nil, err
 	}
-	order := p.positions(nil)
+	m.rows = p.positions(m.rows)
+	order := m.rows
 	if len(terms) > 0 {
 		less := p.less(terms)
 		if k := q.Limit + q.Offset; q.Limit > 0 && k < len(order) {
@@ -487,9 +547,10 @@ func (p *Partial) Finalize(q *Query) (*QueryResponse, error) {
 }
 
 // order resolves q's ORDER BY over the result columns cols — the key
-// columns, then the aggregations — to rank terms over the table.
-func (p *Partial) order(q *Query, cols []string) ([]rankTerm, error) {
-	terms := make([]rankTerm, len(q.OrderBy))
+// columns, then the aggregations — to rank terms over the table, in m.
+func (p *Partial) order(q *Query, cols []string, m *mergeScratch) ([]rankTerm, error) {
+	m.terms = slices.Grow(m.terms[:0], len(q.OrderBy))[:len(q.OrderBy)]
+	terms := m.terms
 	for i, o := range q.OrderBy {
 		// The last column of the name wins: an aggregation over a group
 		// column it shadows, as in planTopK.

@@ -188,9 +188,10 @@ func TestSegmentPartialsFoldTwoCodesOfOneKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trimmed.n != tp.groupK-1 || !inKeyOrder(trimmed) || trimmed.stats.GroupsTrimmed != int64(82-tp.groupK) {
+	// The two codes fold before the trim cuts: groupK whole groups survive.
+	if trimmed.n != tp.groupK || !inKeyOrder(trimmed) || trimmed.stats.GroupsTrimmed != int64(81-tp.groupK) {
 		t.Fatalf("trimmed: %d rows, in key order %v, %d trimmed; want %d, in order, %d",
-			trimmed.n, inKeyOrder(trimmed), trimmed.stats.GroupsTrimmed, tp.groupK-1, 82-tp.groupK)
+			trimmed.n, inKeyOrder(trimmed), trimmed.stats.GroupsTrimmed, tp.groupK, 81-tp.groupK)
 	}
 	acc := newPartial(q)
 	acc.Merge(trimmed)
@@ -218,6 +219,53 @@ func TestSegmentPartialsFoldTwoCodesOfOneKey(t *testing.T) {
 	}
 	if top := floatClassed(rowsOf(exact))[0]; top[0] != big || top[1] != int64(80) {
 		t.Errorf("TrimExact's top group %v, want 2^53 with 80 rows", rowsOf(exact)[0])
+	}
+}
+
+// TestTrimFoldsTwoCodesOfOneKeyFirst: a segment trim ranks whole groups.
+// Each partition's 50 rows hold 2^53 and 2^53+1 — one group under two
+// dictionary codes — with amount 6 each, and six groups that sum to 10, so
+// the group ranks first only when its two codes are folded before the cut.
+// A trim of the codes apart keeps five groups of 10 and drops both halves.
+// It holds on one sealed segment under planTopK(q, 1) and through a broker
+// with TrimSize 1, over two such segments.
+func TestTrimFoldsTwoCodesOfOneKeyFirst(t *testing.T) {
+	const big = int64(1) << 53
+	rows := make([]record.Record, 100)
+	for i := range rows {
+		j, items, amount := i/2, int64(1+(i/2+4)%6), 1.25 // j: the row's place in its partition
+		if j < 2 {
+			items, amount = big+int64(j), 6
+		}
+		rows[i] = record.Record{"order_id": fmt.Sprintf("o-%d", i), "city": "sf", "status": "placed",
+			"amount": amount, "items": items, "ts": int64(1_700_000_000_000 + i)}
+	}
+	q := &Query{GroupBy: []string{"items"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount", As: "total"}},
+		OrderBy: []OrderSpec{{Column: "total", Desc: true}}, Limit: 1}
+	var part []record.Record // partition 0's rows
+	for i := 0; i < len(rows); i += 2 {
+		part = append(part, rows[i])
+	}
+	seg, err := BuildSegment("s", ordersSchema(), part, IndexConfig{}, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := seg.executePartialTrim(q, nil, planTopK(q, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := finalized(t, p, q); p.stats.GroupsTrimmed != 2 || !reflect.DeepEqual(got, [][]any{{big, 12.0}}) {
+		t.Errorf("trimmed segment: %v, %d groups trimmed; want [[2^53 12]], 2", got, p.stats.GroupsTrimmed)
+	}
+
+	d, _ := newDeployment(t, 2, 1, false, BackupP2P, nil)
+	ingestAll(t, d, rows, 2) // 2 sealed segments of 50 rows, no consuming tail
+	res, err := NewBroker(d).Execute(context.Background(), &QueryRequest{Query: q, TrimSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := floatClassed(rowsOf(res)); res.Stats.GroupsTrimmed == 0 || !reflect.DeepEqual(got, floatClassed([][]any{{big, 24.0}})) {
+		t.Errorf("broker with TrimSize 1: %v, %d groups trimmed; want [[2^53 24]], some", rowsOf(res), res.Stats.GroupsTrimmed)
 	}
 }
 

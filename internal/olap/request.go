@@ -413,6 +413,7 @@ func (b *Broker) executeRouted(ctx context.Context, req *QueryRequest, q *Query)
 	}
 	finSp, _ := obs.StartSpan(ctx, "finalize")
 	res, err := g.acc.Finalize(q)
+	g.acc.release() // the answer is a copy
 	finSp.End()
 	if err != nil {
 		return nil, err
@@ -488,8 +489,9 @@ func (f *foldSink) producer(consuming bool) producer {
 }
 
 // foldProducer collects one producer's units' partials — runs — and merges
-// them once, at finish. The mutex orders the collection of a server's pooled
-// segment scans.
+// them once, at finish, into a table the broker owns once shipped. The runs
+// it scanned are its to release; the cache's are shared. The mutex orders
+// the collection of a server's pooled segment scans.
 type foldProducer struct {
 	sink   *foldSink
 	unitTP *topKPlan
@@ -552,12 +554,17 @@ func (p *foldProducer) add(part *Partial, shared bool) {
 }
 
 // finish merges the producer's runs into one table it owns, so the top-K
-// trim cuts it in place, and ships it.
+// trim cuts it in place, releases its runs but that table, and ships it.
 func (p *foldProducer) finish(st ExecStats, err error) error {
 	if err != nil {
 		return err
 	}
-	acc := merged(p.sink.q, append(p.own, p.shared...), len(p.own))
+	acc := merged(p.sink.q, append(p.own, p.shared...), len(p.own), true)
+	for _, r := range p.own {
+		if r != acc {
+			r.release()
+		}
+	}
 	acc.stats = st
 	acc.trimTopK(p.sink.q, p.sink.tp)
 	if acc.agg {
@@ -572,9 +579,10 @@ func (p *foldProducer) finish(st ExecStats, err error) error {
 // fold performs one routing round into a foldSink, collecting the
 // producers' partials as they arrive and merging them once, at the end of
 // the round, without finalizing. Under default trimming the merge holds
-// O(K · producers) state instead of O(groups) — the top-K memory bound. On a
-// failure or the request's deadline it returns at once, without waiting for
-// scans still in flight.
+// O(K · producers) state instead of O(groups) — the top-K memory bound. It
+// releases the producers' tables but the merged one, which the caller
+// releases once finalized. On a failure or the request's deadline it
+// returns at once, without waiting for scans still in flight.
 func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query) (*folded, error) {
 	sp, err := b.planScatter(ctx, req, q, "fold")
 	if err != nil {
@@ -607,7 +615,12 @@ func (b *Broker) fold(ctx context.Context, req *QueryRequest, q *Query) (*folded
 			if err := context.Cause(sctx); err != nil {
 				return nil, err
 			}
-			g.acc = merged(q, runs, len(runs))
+			g.acc = merged(q, runs, len(runs), true)
+			for _, r := range runs {
+				if r != g.acc {
+					r.release()
+				}
+			}
 			if !g.acc.agg && g.acc.cols == nil {
 				// Every unit was pruned: no scan named the columns.
 				g.acc.cols = b.selection(q)

@@ -1,10 +1,19 @@
 package olap
 
 import (
+	"context"
+	"fmt"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/metadata"
+	"repro/internal/objstore"
+	"repro/internal/record"
 	"repro/internal/reftest"
 	"repro/internal/sqlparse"
 )
@@ -165,5 +174,148 @@ func TestScanScratchDoesNotLeak(t *testing.T) {
 			t.Fatalf("keyed: release left %d keys in the index", s.index.Len())
 		}
 		check(keyed, "released scratch's", p)
+	}
+}
+
+// TestPartialsRecycled: the group tables a query's producers and broker
+// build go back to the pool once their last owner is done, and nothing a
+// pooled table held shows in a later answer. A1-shaped (top-10 over
+// restaurants, every segment and producer trimmed), A4-shaped (city ×
+// status) and DISTINCTCOUNT queries run through brokers with the segment
+// cache off and on, interleaved by two goroutines, every answer checked
+// against reftest. Then, on one P with the GC off so the pool keeps what is
+// put into it, each case runs again over that deployment and over one whose
+// only segment is the only run of its producer and of the broker (a single
+// adopted run, released once, after Finalize): every table in the pool is
+// cleared — no state, DISTINCTCOUNT set or key string left — and none is
+// in it twice. The segment cache's partials are shared and never pooled: a
+// cached query answers exactly from them after all of that.
+func TestPartialsRecycled(t *testing.T) {
+	rows := benchRows(6_000)
+	ref := reftest.NewTable(benchSchema(), false)
+	for _, r := range rows {
+		ref.Put(r)
+	}
+	db := reftest.DB{"orders": ref}
+	deploy := func(servers, segmentRows int, rows []record.Record) *Deployment {
+		cfg := DeploymentConfig{Table: TableConfig{Name: "orders", Schema: benchSchema(), SegmentRows: segmentRows, Indexes: benchIndexes},
+			SegmentStore: objstore.NewMemStore(), Backup: BackupP2P}
+		for s := range servers {
+			cfg.Servers = append(cfg.Servers, NewServer(fmt.Sprintf("s%d", s)))
+		}
+		d, err := NewDeployment(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingestAll(t, d, rows, servers)
+		d.WaitUploads()
+		return d
+	}
+	d := deploy(2, 1_200, rows) // 2 sealed segments and 600 consuming rows a partition
+	plain := NewBrokerWithOptions(d, BrokerOptions{Workers: 2})
+	cached := NewBrokerWithOptions(d, BrokerOptions{Workers: 2, CacheMaxBytes: 1 << 24})
+	one := NewBroker(deploy(1, 1_000, rows[:1_000]))
+
+	distinct := mustParse(t, "SELECT city, COUNT(*) AS n FROM orders GROUP BY city")
+	distinct.Items = append(distinct.Items, sqlparse.SelectItem{
+		Func: sqlparse.FuncCount + sqlparse.FuncKind(AggDistinctCount), Column: "restaurant_id", Alias: "r"})
+	cases := []scratchCase{
+		{name: "A1", rq: mustParse(t, "SELECT restaurant_id, SUM(amount) AS total FROM orders GROUP BY restaurant_id ORDER BY total DESC LIMIT 10")},
+		{name: "A4", rq: mustParse(t, "SELECT city, status, COUNT(*) AS n, AVG(amount) AS mean, MAX(amount) AS top FROM orders GROUP BY city, status")},
+		{name: "distinct", rq: distinct},
+	}
+	// MaxSegments gives each request its own result-cache key, so every
+	// request scatters; TrimSize 200 trims every segment and producer of A1,
+	// and its top 10 stay exact on these rows.
+	var budget atomic.Int64
+	budget.Store(1 << 20)
+	run := func(b *Broker, c scratchCase) *QueryResponse {
+		t.Helper()
+		res, err := b.Execute(context.Background(), &QueryRequest{Query: FromReference(c.rq), TrimSize: 200, MaxSegments: int(budget.Add(1))})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		return res
+	}
+	check := func(b *Broker, c scratchCase, rows []record.Record) *QueryResponse {
+		t.Helper()
+		res := run(b, c)
+		want := db
+		if len(rows) < 6_000 {
+			small := reftest.NewTable(benchSchema(), false)
+			for _, r := range rows {
+				small.Put(r)
+			}
+			want = reftest.DB{"orders": small}
+		}
+		if err := want.Check(c.rq, res.Batch.Columns, rowsOf(res)); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		return res
+	}
+	if res := check(plain, cases[0], rows); res.Stats.GroupsTrimmed == 0 {
+		t.Fatal("A1 trims nothing")
+	}
+
+	var wg sync.WaitGroup
+	for w := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 24 {
+				check([]*Broker{plain, cached}[(i/len(cases)+w)%2], cases[(i+w)%len(cases)], rows)
+			}
+		}()
+	}
+	wg.Wait()
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	drain := func() []*Partial {
+		var out []*Partial
+		for c := range tables {
+			for p, ok := tables[c].Get().(*Partial); ok; p, ok = tables[c].Get().(*Partial) {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	pooled := 0
+	for _, b := range []*Broker{plain, cached, one} {
+		drain()
+		for _, c := range cases {
+			if b == one {
+				check(b, c, rows[:1_000])
+			} else {
+				check(b, c, rows)
+			}
+		}
+		seen := map[*Partial]bool{}
+		for _, p := range drain() {
+			if seen[p] {
+				t.Fatalf("a table is in the pool twice: released twice")
+			}
+			seen[p] = true
+			if p.n != 0 || len(p.accs) != 0 || len(p.keys) != 0 {
+				t.Fatalf("a pooled table holds %d groups, %d states, %d key columns", p.n, len(p.accs), len(p.keys))
+			}
+			for i, a := range p.accs[:cap(p.accs)] {
+				if a != (aggState{}) {
+					t.Fatalf("a pooled table's state %d is %+v", i, a)
+				}
+			}
+			for _, k := range p.keys[:cap(p.keys)] {
+				if k.Type != metadata.TypeInvalid || slices.ContainsFunc(k.Strs[:cap(k.Strs)], func(s string) bool { return s != "" }) {
+					t.Fatalf("a pooled table's key column is %v, its strings %q", k.Type, k.Strs[:cap(k.Strs)])
+				}
+			}
+		}
+		pooled += len(seen)
+	}
+	if pooled == 0 {
+		t.Fatal("no query released a table")
+	}
+	if res := check(cached, cases[1], rows); res.Stats.SegmentsCached == 0 {
+		t.Fatal("A4 on the cached broker read no cached partial")
 	}
 }

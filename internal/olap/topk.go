@@ -203,15 +203,15 @@ func selectTop(idx []int32, k int, less func(a, b int32) bool) {
 
 // trimRows cuts rows, positions of the table, to the plan's group budget —
 // the groupK rows that rank first by its leading ORDER BY term, ranked in
-// t's memory, under Partial.less — or returns them whole when no trim
-// applies. The trim needs the set of survivors, not their order
-// (selectTop).
-func (p *Partial) trimRows(tp *topKPlan, rows []int32, t *rankTerm) []int32 {
+// the memory of term, a one-term slice, under Partial.less — or returns them
+// whole when no trim applies. The trim needs the set of survivors, not their
+// order (selectTop).
+func (p *Partial) trimRows(tp *topKPlan, rows []int32, term []rankTerm) []int32 {
 	if tp == nil || tp.groupK <= 0 || len(rows) <= tp.groupK {
 		return rows
 	}
-	t.rank(p, tp.valIdx, tp.aggIdx, tp.aggKind, tp.desc)
-	selectTop(rows, tp.groupK, p.less([]rankTerm{*t}))
+	term[0].rank(p, tp.valIdx, tp.aggIdx, tp.aggKind, tp.desc)
+	selectTop(rows, tp.groupK, p.less(term))
 	return rows[:tp.groupK]
 }
 
@@ -222,34 +222,35 @@ func (p *Partial) trimRows(tp *topKPlan, rows []int32, t *rankTerm) []int32 {
 // Either cut needs the set of survivors, not their order (selectTop); they
 // keep their order in the table, so a table in key order stays in it: each
 // is marked by its position, and one walk of the marks reads them back in
-// that order, with no sort.
+// that order, with no sort, all in a pooled mergeScratch.
 func (p *Partial) trimTopK(q *Query, tp *topKPlan) {
-	var rows []int32
-	switch {
-	case tp == nil:
+	if tp == nil || !(p.agg && tp.groupK > 0 && p.n > tp.groupK || !p.agg && p.n > tp.rowK) {
 		return
-	case p.agg && tp.groupK > 0 && p.n > tp.groupK:
+	}
+	m := mergePool.Get().(*mergeScratch)
+	defer m.put()
+	m.rows = p.positions(m.rows)
+	rows := m.rows
+	if p.agg {
 		p.stats.GroupsTrimmed += int64(p.n - tp.groupK)
-		rows = p.trimRows(tp, p.positions(nil), new(rankTerm))
-	case !p.agg && p.n > tp.rowK:
-		terms, err := p.order(q, p.cols)
+		m.terms = slices.Grow(m.terms[:0], 1)[:1]
+		rows = p.trimRows(tp, rows, m.terms)
+	} else {
+		terms, err := p.order(q, p.cols, m)
 		if err != nil {
 			return
 		}
-		rows = p.positions(nil)
 		selectTop(rows, tp.rowK, p.less(terms))
 		rows = rows[:tp.rowK]
-	default:
-		return
 	}
-	marks := make([]uint64, (p.n+63)/64)
+	m.marks = append(m.marks[:0], make([]uint64, (p.n+63)/64)...)
 	for _, r := range rows {
-		marks[r/64] |= 1 << (r % 64)
+		m.marks[r/64] |= 1 << (r % 64)
 	}
 	rows = rows[:0]
-	for w, m := range marks {
-		for ; m != 0; m &= m - 1 {
-			rows = append(rows, int32(64*w+bits.TrailingZeros64(m)))
+	for w, mark := range m.marks {
+		for ; mark != 0; mark &= mark - 1 {
+			rows = append(rows, int32(64*w+bits.TrailingZeros64(mark)))
 		}
 	}
 	p.take(p, rows)

@@ -158,7 +158,7 @@ type scanScratch struct {
 	ids   []int32         // ids[slot] is the table entry the group took
 	keys  []record.Vector // the groups' keys, until partial copies out the rows kept
 	rows  []int32         // the groups' positions, for the trim and the key order
-	rank  rankTerm        // the trim's ranking of them
+	rank  [1]rankTerm     // the trim's ranking of them
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -1183,10 +1183,11 @@ func (g *grouper) codeOrder() bool {
 // each group's key is gathered, typed, from its first row — no value is
 // boxed, and the codes are read through buf — and under a top-K plan the
 // table is trimmed by the plan's leading ORDER BY term. The table is built
-// in the scratch; the partial is a copy of the rows it keeps — every row
-// when no trim applies — in key order (a walk of the id table when
-// codeOrder holds, else sortRows), so nothing of it goes back to the pool
-// with the scratch.
+// in the scratch; the partial is a pooled copy (keep) of the rows it keeps
+// — every row when no trim applies — in key order (a walk of the id table
+// when codeOrder holds, else sortRows). When two ids can be one group — two
+// codes of one value in a sealed dictionary (tieFree) — the copy folds them
+// first and the trim cuts it after, so the group ranks whole.
 func (g *grouper) partial(tp *topKPlan, buf []uint32) *Partial {
 	s := g.s
 	s.keys = slices.Grow(s.keys, len(g.cols))[:len(g.cols)]
@@ -1195,7 +1196,12 @@ func (g *grouper) partial(tp *topKPlan, buf []uint32) *Partial {
 		c.gather(&all.keys[gi], s.first, buf)
 	}
 	s.rows = all.positions(s.rows)
-	rows := all.trimRows(tp, s.rows, &s.rank)
+	rows, ties := s.rows, g.table != nil && slices.ContainsFunc(g.cols, func(c *colView) bool {
+		return c.layout == layoutPacked && !c.dict.tieFree()
+	})
+	if !ties {
+		rows = all.trimRows(tp, rows, s.rank[:])
+	}
 	if g.table != nil && 16*len(rows) >= len(g.table) && g.codeOrder() {
 		// The ids are the codes, column by column, in value order but for
 		// NULL, each column's last code: a walk of the id table taking each
@@ -1225,5 +1231,8 @@ func (g *grouper) partial(tp *topKPlan, buf []uint32) *Partial {
 	}
 	p := all.keep(rows)
 	p.stats.GroupsTrimmed = int64(g.n - len(rows))
+	if ties {
+		p.trimTopK(nil, tp)
+	}
 	return p
 }
