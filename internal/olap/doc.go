@@ -152,4 +152,12 @@
 // segment whole is dropped from its scan (unitFilters), and background
 // compaction merges a partition's small sealed segments into one without
 // blocking concurrent queries or upsert invalidation.
+//
+// A segment's encoded form (segcodec.go, DESIGN.md "Segment format") is one
+// flat, versioned byte layout: a header, the schema, the star-tree's
+// configuration, then each column in schema order — its dictionary, its
+// packed code words as they are and its posting lists as words. Encode
+// sizes it first and writes it into one buffer of that size; DecodeSegment
+// holds every count to the bytes left, copies each column's arrays once,
+// checks the result and rebuilds the star-tree from the checked columns.
 package olap

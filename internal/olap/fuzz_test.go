@@ -446,10 +446,14 @@ func unordered(rows [][]any) []string {
 }
 
 // FuzzDecodeSegment feeds DecodeSegment the bytes a deep store could hand a
-// reload or a recovery: whatever decodes must answer a COUNT, and a GROUP BY
-// and =, != and range filters on each column, through the star-tree, the
-// inverted index or the sorted runs where one serves, without a panic and
-// without writing into the input.
+// reload or a recovery: whatever decodes re-encodes to the bytes it was read
+// from (so they decode to an equal segment), and answers a COUNT, and a
+// GROUP BY and =, != and range filters on each column, through the
+// star-tree, the inverted index or the sorted runs where one serves,
+// without a panic and without writing into the input. Decoding allocates at
+// most a small constant times the input's length, beside the star-tree,
+// whose rebuild costs what the seal's build did: no count the bytes claim
+// sizes an allocation they cannot back.
 func FuzzDecodeSegment(f *testing.F) {
 	bigLongs := orderRows(40)
 	for i, r := range bigLongs {
@@ -485,6 +489,16 @@ func FuzzDecodeSegment(f *testing.F) {
 		seg, err := DecodeSegment(data)
 		if err != nil {
 			return
+		}
+		if again, err := seg.Encode(); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("a decoded segment re-encodes to other bytes (%v)", err)
+		}
+		allowed := 32*uint64(len(data)) + 64<<10
+		if seg.Tree != nil {
+			allowed += heapBytes(func() { buildStarTree(seg, seg.Tree.Cfg) })
+		}
+		if got := heapBytes(func() { DecodeSegment(data) }); got > allowed {
+			t.Fatalf("decoding %d bytes allocated %d, more than %d", len(data), got, allowed)
 		}
 		seg.Execute(&Query{Aggs: []AggSpec{{Kind: AggCount}}}, nil) // an error is an answer; a panic is the failure
 		for _, fld := range seg.Schema.Fields {

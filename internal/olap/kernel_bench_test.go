@@ -506,6 +506,38 @@ func BenchmarkSeal(b *testing.B) {
 	b.ReportMetric(float64(len(data)), "encoded_bytes/seg")
 }
 
+// BenchmarkSegmentCodec is a seal's deep-store backup and a reload: the
+// bench segment encoded (one buffer of the exact size) and its bytes
+// decoded, with B/op and allocs/op of each and the encoded size.
+func BenchmarkSegmentCodec(b *testing.B) {
+	seg, err := benchStore(b).seal(benchIndexes, -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := seg.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := seg.Encode(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(data)), "encoded_bytes/seg")
+	})
+	b.Run("Decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if benchSegSink, err = DecodeSegment(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(data)), "encoded_bytes/seg")
+	})
+}
+
 // randomPacked returns n random values packed at width bits, seeded by seed.
 func randomPacked(bits uint, n int, seed int64) packedInts {
 	rng := rand.New(rand.NewSource(seed))

@@ -222,12 +222,14 @@ func (p *Partial) take(src *Partial, rows []int32) {
 }
 
 // size approximates an aggregate partial's resident footprint for the
-// cache's byte accounting: its key vectors (Vector.Size), its states and the
-// DISTINCTCOUNT sets' members.
+// cache's byte accounting: the arrays its states and key vectors hold, to
+// their capacity — a scan's partial is a pooled table, whose arrays are
+// sized by the pool and may hold what an earlier query left room for — and
+// the DISTINCTCOUNT sets' members.
 func (p *Partial) size() int64 {
-	n := int64(128 + int(unsafe.Sizeof(aggState{}))*len(p.accs))
-	for c := range p.keys {
-		n += p.keys[c].Size()
+	n := int64(128 + int(unsafe.Sizeof(aggState{}))*cap(p.accs))
+	for _, v := range p.keys[:cap(p.keys)] {
+		n += int64(unsafe.Sizeof(v)) + int64(8*(cap(v.Ints)+cap(v.Floats))+16*cap(v.Strs)+24*cap(v.Bytes)+cap(v.Null))
 	}
 	for i := range p.accs {
 		if d := p.accs[i].distinct; d != nil {

@@ -1,9 +1,7 @@
 package olap
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"slices"
@@ -526,39 +524,14 @@ func (s *Segment) MemBytes() int64 {
 	return n
 }
 
-// Encode serializes the segment for the segment store / deep archival. The
-// bit-packed columnar structures serialize compactly, which is what the
-// disk-footprint experiment (E3) measures against the document store.
-func (s *Segment) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("olap: encoding segment %q: %w", s.Name, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSegment parses a segment serialized by Encode. The bytes come from
-// the deep store, so a segment a query could crash on — a structure Encode
-// never writes — is an error.
-func DecodeSegment(data []byte) (*Segment, error) {
-	// A map gob fills is allocated at the size the bytes claim, unless it
-	// exists already.
-	s := Segment{Columns: map[string]*column{}}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("olap: decoding segment: %w", err)
-	}
-	if err := s.check(); err != nil {
-		return nil, fmt.Errorf("olap: decoding segment %q: %w", s.Name, err)
-	}
-	return &s, nil
-}
-
 // check verifies what the query path assumes of a sealed segment: a valid
-// schema with one column per non-blob field, of that field; codes and
-// inverted bitmaps covering NumRows; each dictionary in its type's slice and
+// schema with one column per non-blob field, of that field, and at least one
+// such column, whose codes are what back the row count; codes and inverted
+// bitmaps covering NumRows; each dictionary in its type's slice and
 // ascending; codes packed at the width seal gives them, each a dictionary
 // position or the NULL code and, on the sorted column, non-decreasing (read
-// by the block); a star-tree whose nodes and rows match its configuration.
+// by the block). A star-tree is not checked: a decoded one is rebuilt from
+// the checked columns.
 func (s *Segment) check() error {
 	if s.Schema == nil || s.Schema.Validate() != nil || s.NumRows < 0 {
 		return fmt.Errorf("invalid schema or row count")
@@ -603,11 +576,8 @@ func (s *Segment) check() error {
 			}
 		}
 	}
-	if len(s.Columns) != fields {
+	if fields == 0 || len(s.Columns) != fields {
 		return fmt.Errorf("%d columns for %d non-blob fields", len(s.Columns), fields)
-	}
-	if s.Tree != nil {
-		return s.Tree.check(s)
 	}
 	return nil
 }

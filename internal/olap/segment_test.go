@@ -2,9 +2,10 @@ package olap
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -143,103 +144,99 @@ func TestSegmentBuildAndValues(t *testing.T) {
 // decoded segments, so anything lost here would silently corrupt cold
 // reads.
 //
-// A segment encoded while each column still kept a presence bitmap beside
-// its codes (legacySegment) decodes to one that answers as the original.
+// A decoded segment is deep-equal to the sealed one, its star-tree rebuilt
+// from the decoded columns and answering E4's star-tree query as the
+// original's did. One segment always encodes to the same bytes. Bytes cut
+// short, or whose count claims more than they hold, are an error found
+// before the claimed count is allocated.
 func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 	seg := buildTestSegment(t, orderRows(50), IndexConfig{InvertedColumns: []string{"city", "items"}})
-	data, err := seg.Encode()
+	data := encodeSegment(t, seg)
+	checkRoundTrip(t, seg, data)
+	for range 3 { // the column map's order differs from walk to walk
+		if again := encodeSegment(t, seg); !bytes.Equal(again, data) {
+			t.Fatal("two encodes of one segment differ")
+		}
+	}
+
+	starred := buildTestSegment(t, orderRows(200), IndexConfig{InvertedColumns: []string{"city"},
+		StarTree: &StarTreeConfig{Dimensions: []string{"city", "status"}, Metrics: []string{"amount"}, MaxLeafRecords: 10}})
+	got := checkRoundTrip(t, starred, encodeSegment(t, starred))
+	q := &Query{GroupBy: []string{"city"}, Aggs: []AggSpec{{Kind: AggSum, Column: "amount"}}}
+	want, err := starred.Execute(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := encodeLegacy(seg)
-	if err != nil || !bytes.Contains(legacy, []byte("Present")) {
-		t.Fatalf("legacy encoding without its Present field: %v", err)
+	r, err := got.Execute(q, nil)
+	if err != nil || r.Stats.StarTreeServed != 1 || !reflect.DeepEqual(rowsOf(r), rowsOf(want)) {
+		t.Fatalf("rebuilt star-tree answers %v (served %d, %v), want %v", rowsOf(r), r.Stats.StarTreeServed, err, rowsOf(want))
 	}
-	for _, data := range [][]byte{data, legacy} {
-		checkRoundTrip(t, seg, data)
-	}
+
 	// Sorted-column segments round-trip the Sorted flag the binary-search
 	// path depends on.
 	sorted := buildTestSegment(t, orderRows(50), IndexConfig{SortedColumn: "city"})
-	sdata, err := sorted.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sgot, err := DecodeSegment(sdata)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sgot.Columns["city"].Sorted {
+	if got := checkRoundTrip(t, sorted, encodeSegment(t, sorted)); !got.Columns["city"].Sorted {
 		t.Error("Sorted flag lost in round trip")
 	}
 	// A Sorted flag on codes out of order would answer ranges wrongly by
 	// binary search: such bytes do not decode.
 	sorted.Columns["city"].Sorted, sorted.Columns["order_id"].Sorted = false, true
-	if sdata, err = sorted.Encode(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeSegment(sdata); err == nil || !strings.Contains(err.Error(), "sorted order") {
+	if _, err := DecodeSegment(encodeSegment(t, sorted)); err == nil || !strings.Contains(err.Error(), "sorted order") {
 		t.Errorf("a Sorted flag on unsorted codes decoded: err = %v", err)
 	}
-}
 
-// legacySegment and legacyColumn mirror Segment and column as they were
-// encoded while a sealed column kept a Present bitmap beside its codes.
-type legacySegment struct {
-	Name      string
-	Schema    *metadata.Schema
-	NumRows   int
-	Columns   map[string]*legacyColumn
-	Tree      *StarTree
-	MinTime   int64
-	MaxTime   int64
-	Partition int
-}
-
-type legacyColumn struct {
-	Field    metadata.Field
-	Dict     dictionary
-	Codes    packedInts
-	Present  *Bitmap
-	Inverted []*Bitmap
-	Sorted   bool
-}
-
-// encodeLegacy encodes seg as legacySegment, each column's Present set
-// where its code is not the NULL code.
-func encodeLegacy(seg *Segment) ([]byte, error) {
-	l := legacySegment{Name: seg.Name, Schema: seg.Schema, NumRows: seg.NumRows, Columns: map[string]*legacyColumn{},
-		Tree: seg.Tree, MinTime: seg.MinTime, MaxTime: seg.MaxTime, Partition: seg.Partition}
-	for name, c := range seg.Columns {
-		present := NewBitmap(seg.NumRows)
-		for i := range seg.NumRows {
-			if c.Codes.Get(i) != c.Dict.size() {
-				present.Set(i)
-			}
+	for n := range len(data) {
+		if _, err := DecodeSegment(data[:n]); err == nil {
+			t.Fatalf("the first %d of %d bytes decoded", n, len(data))
 		}
-		l.Columns[name] = &legacyColumn{Field: c.Field, Dict: c.Dict, Codes: c.Codes, Present: present, Inverted: c.Inverted, Sorted: c.Sorted}
 	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(l)
-	return buf.Bytes(), err
+	// The field count sits after the magic, the version, the name, the
+	// partition, the row count, the time bounds, the schema's name and its
+	// version.
+	at := len(segmentMagic) + 1 + 4 + len(seg.Name) + 8 + 4 + 8 + 8 + 4 + len(seg.Schema.Name) + 8
+	if le.Uint32(data[at:]) != uint32(len(seg.Schema.Fields)) {
+		t.Fatalf("no field count at byte %d", at)
+	}
+	overrun := bytes.Clone(data)
+	le.PutUint32(overrun[at:], 1<<31)
+	if b := heapBytes(func() {
+		if _, err := DecodeSegment(overrun); !errors.Is(err, errSegmentShort) {
+			t.Fatalf("a count past the bytes: err = %v", err)
+		}
+	}); b > 1<<10 {
+		t.Errorf("decoding a count of 2^31 fields allocated %d bytes", b)
+	}
 }
 
-// checkRoundTrip decodes data and holds the segment, and a second encode
-// and decode of it, to seg's header, values and answers.
-func checkRoundTrip(t *testing.T, seg *Segment, data []byte) {
+// heapBytes returns the bytes fn allocates on the heap.
+func heapBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// encodeSegment is seg.Encode, which must not fail.
+func encodeSegment(t *testing.T, seg *Segment) []byte {
+	t.Helper()
+	data, err := seg.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// checkRoundTrip decodes data into a segment deep-equal to seg that reads
+// seg's values and answers as it does and re-encodes to data, and returns it.
+func checkRoundTrip(t *testing.T, seg *Segment, data []byte) *Segment {
 	t.Helper()
 	got, err := DecodeSegment(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumRows != seg.NumRows || got.Name != seg.Name {
-		t.Fatalf("round trip header mismatch")
-	}
-	if got.MinTime != seg.MinTime || got.MaxTime != seg.MaxTime {
-		t.Fatalf("time bounds = [%d, %d], want [%d, %d]", got.MinTime, got.MaxTime, seg.MinTime, seg.MaxTime)
-	}
-	if got.Partition != seg.Partition {
-		t.Fatalf("partition mismatch: %d vs %d", got.Partition, seg.Partition)
+	if !reflect.DeepEqual(got, seg) {
+		t.Fatalf("decoded segment differs from the sealed one")
 	}
 	// Every column type decodes identically, including absent (null)
 	// values of the nullable bool column.
@@ -271,27 +268,36 @@ func checkRoundTrip(t *testing.T, seg *Segment, data []byte) {
 			t.Fatalf("decoded segment answers differently: %v vs %v", rowsOf(r1), rowsOf(r2))
 		}
 	}
-	// Re-archiving a reloaded segment is idempotent: encode → decode →
-	// encode → decode preserves every value. (Byte equality is not
-	// guaranteed — gob serializes maps in random order — so the claim is
-	// checked semantically.)
-	data2, err := got.Encode()
-	if err != nil {
-		t.Fatal(err)
+	// Re-archiving a reloaded segment writes the bytes it was read from.
+	if again := encodeSegment(t, got); !bytes.Equal(again, data) {
+		t.Fatal("a decoded segment re-encodes to other bytes")
 	}
-	again, err := DecodeSegment(data2)
-	if err != nil {
-		t.Fatal(err)
+	return got
+}
+
+// TestSegmentEncodeAllocatesOnce: Encode sizes its output first and then
+// writes it into one buffer of exactly that size, so an encode is one
+// allocation of len(out) bytes.
+func TestSegmentEncodeAllocatesOnce(t *testing.T) {
+	seg := buildTestSegment(t, orderRows(5000), IndexConfig{InvertedColumns: []string{"city", "status"},
+		StarTree: &StarTreeConfig{Dimensions: []string{"city", "status"}, Metrics: []string{"amount"}}})
+	out := encodeSegment(t, seg)
+	if cap(out) != len(out) {
+		t.Errorf("Encode returned %d bytes in a buffer of %d", len(out), cap(out))
 	}
-	if again.MinTime != seg.MinTime || again.MaxTime != seg.MaxTime || again.NumRows != seg.NumRows {
-		t.Fatal("second round trip lost header fields")
+	if allocs := testing.AllocsPerRun(20, func() { encodeSegment(t, seg) }); allocs != 1 {
+		t.Errorf("Encode made %.1f allocations, want 1", allocs)
 	}
-	for i := 0; i < seg.NumRows; i++ {
-		for _, col := range []string{"order_id", "city", "status", "amount", "items", "rush", "ts"} {
-			if !reflect.DeepEqual(again.value(col, i), seg.value(col, i)) {
-				t.Fatalf("second round trip row %d col %s: %v != %v", i, col, again.value(col, i), seg.value(col, i))
-			}
+	// The one buffer is len(out) bytes, up to the allocator's rounding of a
+	// large object to its 8 KB pages.
+	const runs = 20
+	per := heapBytes(func() {
+		for range runs {
+			encodeSegment(t, seg)
 		}
+	}) / runs
+	if per < uint64(len(out)) || per > uint64(len(out))+8<<10 {
+		t.Errorf("Encode allocated %d bytes for %d bytes of output", per, len(out))
 	}
 }
 

@@ -40,9 +40,7 @@ type starRow struct {
 type StarNode struct {
 	// Level is the dimension index this node splits on (== len(cfg.
 	// Dimensions) at leaves).
-	Level int
-	// Children is a slice, not a map: decoding a map allocates it at
-	// whatever size the bytes claim.
+	Level    int
 	Children []starChild
 	Star     *StarNode
 	// Rows are the node's pre-aggregated rows (leaf nodes only).
@@ -63,14 +61,26 @@ type StarTree struct {
 	Nodes int
 }
 
-// buildStarTree constructs the tree from the segment's encoded columns.
+// maxStarDimensions bounds a tree's split dimensions: each can double the
+// tree (a star child beside every split), and a decoded segment's tree is
+// built from a configuration read from the deep store.
+const maxStarDimensions = 8
+
+// buildStarTree constructs the tree from the segment's encoded columns: at
+// seal, and when a segment is decoded.
 func buildStarTree(seg *Segment, cfg StarTreeConfig) (*StarTree, error) {
 	if cfg.MaxLeafRecords <= 0 {
 		cfg.MaxLeafRecords = 100
 	}
-	for _, d := range cfg.Dimensions {
+	if len(cfg.Dimensions) > maxStarDimensions {
+		return nil, fmt.Errorf("olap: star-tree of %d dimensions, more than %d", len(cfg.Dimensions), maxStarDimensions)
+	}
+	for i, d := range cfg.Dimensions {
 		if _, ok := seg.Columns[d]; !ok {
 			return nil, fmt.Errorf("olap: star-tree dimension %q not in segment", d)
+		}
+		if slices.Contains(cfg.Dimensions[:i], d) {
+			return nil, fmt.Errorf("olap: star-tree dimension %q listed twice", d)
 		}
 	}
 	for _, m := range cfg.Metrics {
@@ -168,41 +178,6 @@ func collapseDim(rows []starRow, level int) []starRow {
 		collapsed[i].Dims[level] = -1
 	}
 	return aggregateRows(collapsed)
-}
-
-// check verifies a decoded tree against its segment: its dimensions and
-// metrics are columns, every node a query can walk into exists, and every
-// leaf row has one code per dimension and one rollup per metric.
-func (t *StarTree) check(seg *Segment) error {
-	for _, c := range slices.Concat(t.Cfg.Dimensions, t.Cfg.Metrics) {
-		if seg.Columns[c] == nil {
-			return fmt.Errorf("star-tree column %q is not in the segment", c)
-		}
-	}
-	var walk func(n *StarNode) error
-	walk = func(n *StarNode) error {
-		if n == nil {
-			return fmt.Errorf("star-tree node missing")
-		}
-		if n.Rows != nil {
-			for _, r := range n.Rows {
-				if len(r.Dims) != len(t.Cfg.Dimensions) || len(r.Aggs) != len(t.Cfg.Metrics) {
-					return fmt.Errorf("star-tree row of %d codes and %d rollups", len(r.Dims), len(r.Aggs))
-				}
-			}
-			return nil
-		}
-		for i, c := range n.Children {
-			if i > 0 && c.Code <= n.Children[i-1].Code {
-				return fmt.Errorf("star-tree children out of code order")
-			}
-			if err := walk(c.Node); err != nil {
-				return err
-			}
-		}
-		return walk(n.Star)
-	}
-	return walk(t.Root)
 }
 
 // memBytes approximates the tree's footprint.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/metadata"
 	"repro/internal/record"
 )
 
@@ -186,5 +187,31 @@ func TestStarTreeBadConfig(t *testing.T) {
 		StarTree: &StarTreeConfig{Dimensions: []string{"city"}, Metrics: []string{"ghost"}},
 	}, -1); err == nil {
 		t.Error("unknown star-tree metric should fail build")
+	}
+	// Each dimension can double the tree, and a decoded segment rebuilds its
+	// tree from a configuration read from the deep store: a dimension
+	// listed twice, or more than maxStarDimensions, fails the build.
+	if _, err := BuildSegment("x", ordersSchema(), orderRows(10), IndexConfig{
+		StarTree: &StarTreeConfig{Dimensions: []string{"city", "status", "city"}, Metrics: []string{"amount"}},
+	}, -1); err == nil {
+		t.Error("a star-tree dimension listed twice should fail build")
+	}
+	wide := &metadata.Schema{Name: "wide"}
+	row := record.Record{}
+	var dims []string
+	for i := range maxStarDimensions + 1 {
+		name := fmt.Sprintf("d%d", i)
+		wide.Fields = append(wide.Fields, metadata.Field{Name: name, Type: metadata.TypeLong, Dimension: true})
+		row[name], dims = int64(i), append(dims, name)
+	}
+	if _, err := BuildSegment("x", wide, []record.Record{row}, IndexConfig{
+		StarTree: &StarTreeConfig{Dimensions: dims, Metrics: []string{"d0"}},
+	}, -1); err == nil {
+		t.Errorf("a star-tree of %d dimensions should fail build", len(dims))
+	}
+	if _, err := BuildSegment("x", wide, []record.Record{row}, IndexConfig{
+		StarTree: &StarTreeConfig{Dimensions: dims[:maxStarDimensions], Metrics: []string{"d0"}},
+	}, -1); err != nil {
+		t.Errorf("a star-tree of %d dimensions: %v", maxStarDimensions, err)
 	}
 }
