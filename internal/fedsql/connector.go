@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -449,8 +450,11 @@ func toOlapFilter(f sqlparse.Predicate) (olap.Filter, error) {
 // ---- Archive (Hive-like) connector ----
 
 // ArchiveConnector exposes the object store's columnar archive as read-only
-// tables. It advertises no pushdown: filters and aggregations run in the
-// engine, like Presto over HDFS/Hive — the latency contrast in E11.
+// tables, like Presto over HDFS/Hive — the latency contrast in E11. It
+// pushes aggregations and GROUP BY down, folding each part as it is stored
+// (OpenAggregateScan), and nothing else: filters, ORDER BY and LIMIT run in
+// the engine, so an aggregate query with a WHERE on an archive table falls
+// back to a row scan.
 type ArchiveConnector struct {
 	name    string
 	store   objstore.Store
@@ -490,15 +494,15 @@ func (a *ArchiveConnector) Schema(table string) (*metadata.Schema, error) {
 	return s.Clone(), nil
 }
 
-// Capabilities implements Connector. The archive pushes nothing down —
-// every fragment is declared unsupported so the engine plans full
-// engine-side processing (and counts the aggregate fallback), instead of
-// silently inheriting whatever the zero value happens to mean.
+// Capabilities implements Connector. The archive aggregates, grouped or
+// not, and filters, orders and limits nothing: every fragment is declared,
+// so the engine plans a WHERE, ORDER BY or LIMIT on an archive table
+// engine-side instead of inheriting whatever the zero value happens to mean.
 func (a *ArchiveConnector) Capabilities() Capabilities {
 	return Capabilities{
 		Filters:      false,
-		Aggregations: false,
-		GroupBy:      false,
+		Aggregations: true,
+		GroupBy:      true,
 		OrderBy:      false,
 		Limit:        false,
 	}
@@ -528,21 +532,111 @@ func (a *ArchiveConnector) OpenScan(ctx context.Context, table string, pd Pushdo
 	if len(cols) == 0 {
 		cols = schema.FieldNames()
 	}
+	vecs := a.takeVectors(len(cols))
+	return &archiveIterator{reader: reader, parts: parts, stats: QueryStats{Streamed: true}, conn: a, vecs: vecs,
+		batch: Batch{Columns: cols, Cols: (*vecs)[:len(cols)]}}, nil
+}
+
+// takeVectors takes at least n column vectors from the connector's pool.
+func (a *ArchiveConnector) takeVectors(n int) *[]record.Vector {
 	vecs, _ := a.vectors.Get().(*[]record.Vector)
 	if vecs == nil {
 		vecs = new([]record.Vector)
 	}
-	if n := len(cols) - len(*vecs); n > 0 {
-		*vecs = append(*vecs, make([]record.Vector, n)...)
+	if k := n - len(*vecs); k > 0 {
+		*vecs = append(*vecs, make([]record.Vector, k)...)
 	}
-	return &archiveIterator{reader: reader, parts: parts, stats: QueryStats{Streamed: true}, pool: &a.vectors, vecs: vecs,
-		batch: Batch{Columns: cols, Cols: (*vecs)[:len(cols)]}}, nil
+	return vecs
 }
 
-// OpenAggregateScan implements StreamingConnector: the archive cannot
-// aggregate, so the engine must pull rows and aggregate itself.
+// putVectors returns vectors to the pool with every string and blob slot
+// cleared up to capacity, so a pooled vector pins no dictionary string or
+// blob of a part.
+func (a *ArchiveConnector) putVectors(vecs *[]record.Vector) {
+	clearVectors(*vecs)
+	a.vectors.Put(vecs)
+}
+
+// OpenAggregateScan implements StreamingConnector: the archive folds the
+// aggregate part by part into one group table, as Presto aggregates each
+// split before merging them, and only the finished groups cross the
+// connector boundary (exec=materialized). A part's GROUP BY columns are read
+// as stored — dictionary and codes (objstore.ArchiveReader.ReadCoded) — so a
+// row's group is found by its code, each code's once per part, never by
+// hashing its text; the aggregates' input columns are decoded into the
+// connector's pooled vectors. The groups are the engine's own
+// (groupTable), so they answer as its aggregation of a row scan would, row
+// for row. A shape it cannot fold that way returns ErrPushdownUnsupported
+// and the engine aggregates a row scan: a filter, ORDER BY or LIMIT, a
+// GROUP BY column that is not a string, or SUM, MIN, MAX or AVG over a
+// string or blob column.
 func (a *ArchiveConnector) OpenAggregateScan(ctx context.Context, table string, aq AggregateQuery) (RowIterator, error) {
-	return nil, ErrPushdownUnsupported
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	schema, ok := a.schemas[table]
+	if !ok {
+		return nil, fmt.Errorf("fedsql: archive table %q not found", table)
+	}
+	if len(aq.Filters) > 0 || len(aq.OrderBy) > 0 || aq.Limit > 0 {
+		return nil, ErrPushdownUnsupported
+	}
+	for _, g := range aq.GroupBy {
+		if f, ok := schema.Field(g); ok && f.Type != metadata.TypeString {
+			return nil, ErrPushdownUnsupported
+		}
+	}
+	var measures []string // the aggregates' input columns the schema has
+	for _, it := range aq.Aggs {
+		f, ok := schema.Field(it.Column)
+		switch {
+		case !ok:
+		case it.Func != sqlparse.FuncCount && (f.Type == metadata.TypeString || f.Type == metadata.TypeBytes):
+			return nil, ErrPushdownUnsupported
+		default:
+			measures = appendUnique(measures, it.Column)
+		}
+	}
+	reader := objstore.NewArchiveReader(a.store, table, schema)
+	parts, err := reader.Parts()
+	if err != nil {
+		return nil, err
+	}
+	t := newGroupTable(len(aq.GroupBy), aq.Aggs)
+	t.coded = slices.Grow(t.coded[:0], len(aq.GroupBy))[:len(aq.GroupBy)]
+	for i, g := range aq.GroupBy {
+		if _, ok := schema.Field(g); ok {
+			t.values[i].Reset(metadata.TypeString)
+		}
+	}
+	vecs := a.takeVectors(len(measures))
+	cols := (*vecs)[:len(measures)]
+	t.inputs = slices.Grow(t.inputs[:0], len(aq.Aggs))[:len(aq.Aggs)]
+	for i, it := range aq.Aggs {
+		if c := slices.Index(measures, it.Column); c >= 0 {
+			t.inputs[i] = &cols[c]
+		}
+	}
+	for _, part := range parts {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		var n int
+		if n, err = reader.ReadCoded(part, measures, cols, aq.GroupBy, t.coded); err != nil {
+			break
+		}
+		if err = t.foldPart(n, t.inputs); err != nil {
+			break
+		}
+	}
+	a.putVectors(vecs)
+	if err != nil {
+		t.release()
+		return nil, err
+	}
+	it := t.finish(aq.GroupBy)
+	it.stats.PushedAggs, it.stats.RowsReturned = true, int64(it.data.Len)
+	return it, nil
 }
 
 // archiveIterator streams an archived dataset part by part; each part is
@@ -553,7 +647,7 @@ type archiveIterator struct {
 	reader *objstore.ArchiveReader
 	parts  []string
 	stats  QueryStats
-	pool   *sync.Pool
+	conn   *ArchiveConnector
 	vecs   *[]record.Vector // the batch's vectors until Close returns them
 	batch  Batch
 }
@@ -583,14 +677,11 @@ func (it *archiveIterator) Next(ctx context.Context) (*Batch, error) {
 
 func (it *archiveIterator) Stats() QueryStats { return it.stats }
 
-// Close returns the vectors to the pool with every string and blob slot
-// cleared up to capacity, so a pooled vector pins no dictionary string or
-// blob of a part.
+// Close returns the vectors to the connector's pool, once.
 func (it *archiveIterator) Close() error {
 	it.parts = nil
 	if it.vecs != nil {
-		clearVectors(*it.vecs)
-		it.pool.Put(it.vecs)
+		it.conn.putVectors(it.vecs)
 		it.vecs, it.batch.Cols = nil, nil
 	}
 	return nil
@@ -602,7 +693,8 @@ func (a *ArchiveConnector) Scan(ctx context.Context, table string, pd Pushdown) 
 	return drainRecords(ctx, it, err)
 }
 
-// AggregateScan implements Connector (v2); see OpenAggregateScan.
+// AggregateScan implements Connector (v2) as a drain of OpenAggregateScan.
 func (a *ArchiveConnector) AggregateScan(ctx context.Context, table string, aq AggregateQuery) ([]record.Record, QueryStats, error) {
-	return nil, QueryStats{}, ErrPushdownUnsupported
+	it, err := a.OpenAggregateScan(ctx, table, aq)
+	return drainRecords(ctx, it, err)
 }

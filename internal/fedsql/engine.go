@@ -713,6 +713,7 @@ type joinTable struct {
 	probeRows []int32 // the current probe batch's matches: probe row,
 	buildRows []int32 // and build row
 	out       []record.Vector
+	gid       []int32 // a fused aggregation's group of each build row, -1 until a match folds it
 }
 
 var joinTables = sync.Pool{New: func() any { return new(joinTable) }}
@@ -773,8 +774,10 @@ func clearVectors(vs []record.Vector) {
 // joinIterator is the hash-join operator: each probe batch becomes one
 // output batch holding, for every probe row that passes the probe side's
 // residual filter, one row per build row with an equal key (joinTable). The
-// matches are found first, as row pairs, and then gathered column by column
-// into typed output vectors from both sides. SELECT * over the join and bare
+// matches are found first, as row pairs (pairs), and then gathered column by
+// column into typed output vectors from both sides; an aggregation whose
+// GROUP BY columns are all on the build side folds through the pairs
+// without gathering (groupTable.foldJoin). SELECT * over the join and bare
 // column references resolve through findColumn: the probe side wins a clash.
 type joinIterator struct {
 	probe    RowIterator        // kept past Close: relation.finish reads its Stats
@@ -787,7 +790,11 @@ type joinIterator struct {
 
 func (j *joinIterator) Columns() []string { return j.batch.Columns }
 
-func (j *joinIterator) Next(ctx context.Context) (*Batch, error) {
+// pairs pulls probe batches until one has a match and returns it, its
+// matches left in the join table as (probe row, build row) pairs —
+// probeRows and buildRows, valid until the following pull: the join's one
+// matching loop.
+func (j *joinIterator) pairs(ctx context.Context) (*Batch, error) {
 	t := j.build
 	if t == nil {
 		return nil, io.EOF
@@ -810,21 +817,42 @@ func (j *joinIterator) Next(ctx context.Context) (*Batch, error) {
 				}
 			}
 		}
-		if len(t.probeRows) == 0 {
-			continue
+		if len(t.probeRows) > 0 {
+			return b, nil
 		}
-		for ci := range j.batch.Cols {
-			j.batch.Cols[ci].Reset(metadata.TypeInvalid) // takes its source's type
-		}
-		for ci := range b.Cols {
-			j.batch.Cols[ci].AppendRows(&b.Cols[ci], t.probeRows)
-		}
-		for ci := range t.rows.Cols {
-			j.batch.Cols[len(b.Cols)+ci].AppendRows(&t.rows.Cols[ci], t.buildRows)
-		}
-		j.batch.Len = len(t.probeRows)
-		return &j.batch, nil
 	}
+}
+
+// Next gathers the pairs of the next probe batch with a match.
+func (j *joinIterator) Next(ctx context.Context) (*Batch, error) {
+	b, err := j.pairs(ctx)
+	if err != nil {
+		return nil, err
+	}
+	t := j.build
+	for ci := range j.batch.Cols {
+		j.batch.Cols[ci].Reset(metadata.TypeInvalid) // takes its source's type
+	}
+	for ci := range b.Cols {
+		j.batch.Cols[ci].AppendRows(&b.Cols[ci], t.probeRows)
+	}
+	for ci := range t.rows.Cols {
+		j.batch.Cols[len(b.Cols)+ci].AppendRows(&t.rows.Cols[ci], t.buildRows)
+	}
+	j.batch.Len = len(t.probeRows)
+	return &j.batch, nil
+}
+
+// buildSide reports every column of cols, bound to the join's output,
+// one of the build side's.
+func (j *joinIterator) buildSide(cols []int) bool {
+	probe := len(j.probe.Columns())
+	for _, c := range cols {
+		if c < probe {
+			return false
+		}
+	}
+	return true
 }
 
 func (j *joinIterator) Stats() QueryStats { return j.probe.Stats() }
@@ -985,158 +1013,6 @@ func sideColumns(refs []colRef, key, side string, schema *metadata.Schema, other
 		}
 	}
 	return cols
-}
-
-// aggWindow is the rows of a batch aggregate folds at a time.
-const aggWindow = 1024
-
-// aggregate is the engine-side hash aggregation: it folds the rows of src
-// that pass filter into one accumulator set per group, batch by batch — the
-// peak engine footprint is one batch plus the group table, not the input —
-// and returns the groups as an in-memory relation laid out like a pushed-down
-// aggregate's response: the GROUP BY columns, then one column per aggregate
-// named by OutputName, rows in the order pushdown returns groups (key order,
-// record.Vector.KeyCompare: ascending GROUP BY values, NULL first). A batch
-// is walked in windows of aggWindow rows: a row finds its group in a
-// record.KeyIndex of its typed GROUP BY cells, and each aggregate then folds
-// its input vector for the window (fold). The window's selection and group
-// arrays live on the stack, so no array grows with the input.
-func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, stmt *sqlparse.SelectStmt) (RowIterator, error) {
-	var aggs []sqlparse.SelectItem
-	var inputs []string
-	for _, it := range stmt.Items {
-		if it.Func != sqlparse.FuncNone {
-			aggs = append(aggs, it)
-			inputs = append(inputs, qualName(it.Table, it.Column))
-		}
-	}
-	groupIdx := bindColumns(src.Columns(), stmt.GroupBy)
-	inputIdx := bindColumns(src.Columns(), inputs)
-	var (
-		index  record.KeyIndex
-		keys   = make([]record.Vector, len(groupIdx)) // a batch's GROUP BY cells
-		values = make([]record.Vector, len(groupIdx)) // group g's GROUP BY values are row g
-		n      int                                    // groups
-		states []record.Agg                           // group g's aggregates are states[g*len(aggs):][:len(aggs)]
-		window [aggWindow]int32                       // a window's selected rows
-		ids    [aggWindow]int32                       // the group of each
-		one    = make([]int32, 1)
-	)
-	for {
-		b, err := src.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		for i, gi := range groupIdx {
-			if gi >= 0 {
-				keys[i] = b.Cols[gi]
-				continue
-			}
-			keys[i].Reset(metadata.TypeInvalid) // a missing column: NULL in every row
-			keys[i].AppendNulls(b.Len)
-		}
-		for from := 0; from < b.Len; from += aggWindow {
-			sel := filterRows(b, from, min(from+aggWindow, b.Len), filter, window[:0])
-			groups := ids[:len(sel)]
-			for j, r := range sel {
-				g, found := index.Add(keys, int(r))
-				if !found {
-					// The group's values are copied once per group, not per row.
-					one[0] = r
-					for i := range keys {
-						values[i].AppendRows(&keys[i], one)
-					}
-					n++
-					for range aggs {
-						states = append(states, record.Agg{})
-					}
-				}
-				groups[j] = int32(g)
-			}
-			for i, it := range aggs {
-				if err := fold(states, len(aggs), i, it, b, inputIdx[i], sel, groups); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	if n == 0 && len(stmt.GroupBy) == 0 {
-		n = 1
-		states = make([]record.Agg, len(aggs))
-	}
-	// Groups come out as a pushed-down aggregate's do, in key order: by each
-	// GROUP BY value under record.Vector.KeyCompare, which no two groups tie.
-	order := make([]int32, n)
-	for g := range order {
-		order[g] = int32(g)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		for i := range values {
-			if c := values[i].KeyCompare(int(a), &values[i], int(b)); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
-	out := Batch{Columns: append([]string(nil), stmt.GroupBy...), Cols: make([]record.Vector, len(groupIdx)+len(aggs)), Len: len(order)}
-	for i := range groupIdx {
-		out.Cols[i].AppendRows(&values[i], order)
-	}
-	for i, it := range aggs {
-		out.Columns = append(out.Columns, it.OutputName())
-		v := &out.Cols[len(groupIdx)+i]
-		kind := it.Func.Agg()
-		v.Reset(kind.FinalType())
-		for _, g := range order {
-			states[int(g)*len(aggs)+i].AppendFinal(v, kind)
-		}
-	}
-	return newBatchIterator(out, QueryStats{}), nil
-}
-
-// fold folds aggregate ai's input, batch column col (-1 is NULL), of the
-// selected rows into their groups' states: row sel[j] into group groups[j].
-// The column's type is switched on once per batch; a number is read straight
-// from Floats or Ints. SUM/AVG/MIN/MAX over a string or blob column is an
-// error, as in the OLAP layer, never coerced to 0, so the engine-side
-// fallback stays equivalent to pushdown.
-func fold(states []record.Agg, naggs, ai int, it sqlparse.SelectItem, b *Batch, col int, sel, groups []int32) error {
-	st := func(j int) *record.Agg { return &states[int(groups[j])*naggs+ai] }
-	if col < 0 {
-		if it.Func == sqlparse.FuncCount && it.Column == "" { // COUNT(*)
-			for j := range sel {
-				st(j).Count++
-			}
-		}
-		return nil
-	}
-	v := &b.Cols[col]
-	switch {
-	case it.Func == sqlparse.FuncCount:
-		for j, r := range sel {
-			if !v.IsNull(int(r)) {
-				st(j).Count++
-			}
-		}
-	case v.Type == metadata.TypeDouble:
-		for j, r := range sel {
-			if !v.IsNull(int(r)) {
-				st(j).Add(v.Floats[r])
-			}
-		}
-	case v.Type == metadata.TypeLong || v.Type == metadata.TypeTimestamp || v.Type == metadata.TypeBool:
-		for j, r := range sel {
-			if !v.IsNull(int(r)) {
-				st(j).Add(float64(v.Ints[r]))
-			}
-		}
-	case v.Type == metadata.TypeString || v.Type == metadata.TypeBytes:
-		return fmt.Errorf("fedsql: %s over a %s column is not supported; use COUNT", it.OutputName(), v.Type)
-	}
-	return nil
 }
 
 func qualName(table, column string) string {

@@ -189,7 +189,7 @@ func TestArchiveScanEngineSideAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Stats.PushedAggs || res.Stats.PushedFilters {
-		t.Error("archive connector advertises no pushdown")
+		t.Error("the archive filters nothing, so an aggregate with a WHERE pushes nothing")
 	}
 	var total int64
 	for _, row := range res.Rows {
@@ -378,12 +378,16 @@ func TestV2ScanDrainsTheV3Methods(t *testing.T) {
 		}
 	}
 	aq := AggregateQuery{GroupBy: []string{"city"}, Aggs: []sqlparse.SelectItem{{Func: sqlparse.FuncCount, Alias: "n"}}}
-	groups, _, err := pinot.AggregateScan(ctx, "orders", aq)
-	if err != nil || len(groups) != 3 || groups[0]["n"] != int64(40) {
-		t.Errorf("pinot AggregateScan = %v, %v; want three cities of 40", groups, err)
+	for name, conn := range map[string]Connector{"pinot": pinot, "hive": e.connectors["hive"]} {
+		groups, stats, err := conn.AggregateScan(ctx, "orders", aq)
+		if err != nil || len(groups) != 3 || groups[0]["n"] != int64(40) || !stats.PushedAggs || stats.Streamed {
+			t.Errorf("%s AggregateScan = %v, %+v, %v; want three cities of 40, pushed and materialized", name, groups, stats, err)
+		}
 	}
+	// The archive refuses a shape it cannot fold as the engine would.
+	aq.GroupBy = []string{"amount"}
 	if _, _, err := e.connectors["hive"].AggregateScan(ctx, "orders", aq); !errors.Is(err, ErrPushdownUnsupported) {
-		t.Errorf("hive AggregateScan: %v, want ErrPushdownUnsupported", err)
+		t.Errorf("hive AggregateScan grouped by a double: %v, want ErrPushdownUnsupported", err)
 	}
 }
 

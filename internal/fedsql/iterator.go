@@ -103,15 +103,17 @@ func drainRecords(ctx context.Context, it RowIterator, err error) ([]record.Reco
 // rows, copying nothing and writing nothing. It reports exec=materialized
 // (Streamed stays false) and counts the whole batch into PeakEngineBytes:
 // every row was resident before the first batch was pulled, which is what
-// streaming scans avoid.
+// streaming scans avoid. Serving an aggregation's groups, it returns their
+// table to the pool at Close.
 type batchIterator struct {
-	data  Batch
-	pos   int
-	stats QueryStats
-	view  Batch
+	data   Batch
+	pos    int
+	stats  QueryStats
+	view   Batch
+	groups *groupTable // the table data's vectors are, until Close
 }
 
-func newBatchIterator(data Batch, stats QueryStats) RowIterator {
+func newBatchIterator(data Batch, stats QueryStats) *batchIterator {
 	stats.PeakEngineBytes += data.Size()
 	return &batchIterator{data: data, stats: stats,
 		view: Batch{Columns: data.Columns, Cols: make([]record.Vector, len(data.Cols))}}
@@ -138,6 +140,10 @@ func (m *batchIterator) Next(ctx context.Context) (*Batch, error) {
 func (m *batchIterator) Stats() QueryStats { return m.stats }
 
 func (m *batchIterator) Close() error {
-	m.data, m.pos = Batch{}, 0
+	m.data, m.pos, m.view = Batch{}, 0, Batch{}
+	if m.groups != nil {
+		m.groups.release()
+		m.groups = nil
+	}
 	return nil
 }

@@ -17,11 +17,21 @@ import (
 )
 
 // recordingConn notes the projection of every row scan the engine opens on
-// the connector it wraps.
+// the connector it wraps. With refuseAggs set it refuses every aggregate
+// scan, as a backend refuses a shape it cannot fold, so the engine falls
+// back to a row scan.
 type recordingConn struct {
 	StreamingConnector
-	mu    sync.Mutex
-	asked map[string][]string // table → Pushdown.Columns of its last OpenScan
+	mu         sync.Mutex
+	asked      map[string][]string // table → Pushdown.Columns of its last OpenScan
+	refuseAggs bool
+}
+
+func (c *recordingConn) OpenAggregateScan(ctx context.Context, table string, aq AggregateQuery) (RowIterator, error) {
+	if c.refuseAggs {
+		return nil, ErrPushdownUnsupported
+	}
+	return c.StreamingConnector.OpenAggregateScan(ctx, table, aq)
 }
 
 func (c *recordingConn) OpenScan(ctx context.Context, table string, pd Pushdown) (RowIterator, error) {
@@ -135,38 +145,44 @@ func TestProjectionReachesEveryScan(t *testing.T) {
 		sql          string
 		probe, build string // what pinot.orders and the archive table were asked for
 		archive      string // the archive table scanned
+		fallback     bool   // the archive refuses to aggregate: the engine scans it
 	}{
-		// The ad-hoc pass's A2 and A3.
+		// The ad-hoc pass's A2 and A3. A3 is folded inside the archive
+		// connector, which opens no row scan; refused, its fallback scan
+		// moves what the aggregation reads.
 		{"SELECT r.cuisine, COUNT(*) AS n, SUM(o.amount) AS total" + join + " WHERE o.status = 'picked_up' GROUP BY r.cuisine",
-			"amount,restaurant_id", "cuisine,restaurant_id", "restaurants"},
+			"amount,restaurant_id", "cuisine,restaurant_id", "restaurants", false},
 		{"SELECT city, COUNT(*) AS n, SUM(amount) AS total FROM hive.orders_day GROUP BY city",
-			"(no scan)", "amount,city", "orders_day"},
+			"(no scan)", "(no scan)", "orders_day", false},
+		{"SELECT city, COUNT(*) AS n, SUM(amount) AS total FROM hive.orders_day GROUP BY city",
+			"(no scan)", "amount,city", "orders_day", true},
 		// An unqualified name is fetched on every side that has it; the
 		// probe side's wins the binding.
 		{"SELECT city, COUNT(*) AS n" + join + " GROUP BY city",
-			"city,restaurant_id", "city,restaurant_id", "restaurants"},
+			"city,restaurant_id", "city,restaurant_id", "restaurants", false},
 		// A name qualified with the other side is that side's alone; one
 		// qualified with a side that lacks it falls back to the bare name.
 		{"SELECT r.city, o.city, o.cuisine" + join,
-			"city,restaurant_id", "city,cuisine,restaurant_id", "restaurants"},
+			"city,restaurant_id", "city,cuisine,restaurant_id", "restaurants", false},
 		// Residual predicates add their columns: the archive filters nothing
 		// itself, and an unqualified predicate runs after the join.
 		{"SELECT o.order_id" + join + " WHERE r.name != 'r3' AND cuisine = 'thai'",
-			"order_id,restaurant_id", "cuisine,name,restaurant_id", "restaurants"},
+			"order_id,restaurant_id", "cuisine,name,restaurant_id", "restaurants", false},
 		{"SELECT order_id FROM hive.orders_day WHERE amount > 9 AND status = 'placed'",
-			"(no scan)", "amount,order_id,status", "orders_day"},
+			"(no scan)", "amount,order_id,status", "orders_day", false},
 		// A statement that reads no column still counts rows.
-		{"SELECT COUNT(*) AS n FROM hive.orders_day", "(no scan)", "order_id", "orders_day"},
-		{"SELECT COUNT(*) AS n" + join, "restaurant_id", "restaurant_id", "restaurants"},
+		{"SELECT COUNT(*) AS n FROM hive.orders_day", "(no scan)", "order_id", "orders_day", true},
+		{"SELECT COUNT(*) AS n" + join, "restaurant_id", "restaurant_id", "restaurants", false},
 		// A name the schema lacks is NULL, not a column to ask for.
-		{"SELECT COUNT(nosuch) AS n, MAX(amount) AS top FROM hive.orders_day", "(no scan)", "amount", "orders_day"},
+		{"SELECT COUNT(nosuch) AS n, MAX(amount) AS top FROM hive.orders_day", "(no scan)", "amount", "orders_day", true},
 		// SELECT * reaches everything, on every side.
-		{"SELECT *" + join + " WHERE o.amount > 9", "*", "*", "restaurants"},
-		{"SELECT * FROM hive.orders_day WHERE amount > 9.5", "(no scan)", "*", "orders_day"},
+		{"SELECT *" + join + " WHERE o.amount > 9", "*", "*", "restaurants", false},
+		{"SELECT * FROM hive.orders_day WHERE amount > 9.5", "(no scan)", "*", "orders_day", false},
 		// A backend that orders must return what it orders by.
-		{"SELECT order_id, amount FROM pinot.orders ORDER BY amount DESC, order_id LIMIT 7", "amount,order_id", "(no scan)", "restaurants"},
+		{"SELECT order_id, amount FROM pinot.orders ORDER BY amount DESC, order_id LIMIT 7", "amount,order_id", "(no scan)", "restaurants", false},
 	} {
 		pinot.asked, hive.asked = map[string][]string{}, map[string][]string{}
+		hive.refuseAggs = c.fallback
 		res, err := e.Query(c.sql)
 		if err != nil {
 			t.Fatalf("%q: %v", c.sql, err)

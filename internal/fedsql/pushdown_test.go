@@ -213,15 +213,29 @@ func TestAggregateFallbackCountedAndExplained(t *testing.T) {
 		}
 	}
 
-	// The archive cannot aggregate: the engine must count and explain the
-	// fallback while still answering correctly.
-	res, err := e.Query("SELECT city, COUNT(*) AS n FROM hive.orders GROUP BY city")
+	// The archive filters nothing: an aggregate with a WHERE on an archive
+	// table falls back, and the engine must count and explain the fallback
+	// while still answering correctly.
+	res, err := e.Query("SELECT city, COUNT(*) AS n FROM hive.orders WHERE amount >= 0 GROUP BY city")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fellBack("archive", res)
 	if res.Stats.PushedAggs {
 		t.Error("archive scan must not claim pushed aggregations")
+	}
+	if len(res.Rows) != 3 {
+		t.Errorf("archive fallback = %v, want three cities", res.Rows)
+	}
+
+	// Without the WHERE the archive aggregates itself.
+	res, err = e.Query("SELECT city, COUNT(*) AS n FROM hive.orders GROUP BY city")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.PushdownFallbacks != 0 || !res.Stats.PushedAggs || len(res.Plan) != 1 || !strings.Contains(res.Plan[0], "[aggregate-scan]") ||
+		!strings.Contains(res.Plan[0], "exec=materialized") {
+		t.Errorf("archive aggregate: fallbacks=%d pushedAggs=%v plan %v; want an aggregate-scan, materialized", res.Stats.PushdownFallbacks, res.Stats.PushedAggs, res.Plan)
 	}
 
 	// Pushdown-disabled Pinot takes the same fallback path.
@@ -246,14 +260,28 @@ func TestAggregateFallbackCountedAndExplained(t *testing.T) {
 	}
 }
 
+// TestArchiveCapabilitiesExplicit: the archive declares every fragment — it
+// aggregates, grouped or not, and filters, orders and limits nothing — and
+// its aggregate scan refuses any fragment it did not declare.
 func TestArchiveCapabilitiesExplicit(t *testing.T) {
-	a := NewArchiveConnector("hive", nil)
+	a := NewArchiveConnector("hive", objstore.NewMemStore())
+	a.AddTable("orders", ordersSchema())
 	caps := a.Capabilities()
-	if caps.Filters || caps.Aggregations || caps.GroupBy || caps.OrderBy || caps.Limit {
-		t.Errorf("archive capabilities must all be false: %+v", caps)
+	if want := (Capabilities{Aggregations: true, GroupBy: true}); caps != want {
+		t.Errorf("archive capabilities = %+v, want %+v", caps, want)
 	}
-	if _, _, err := a.AggregateScan(context.Background(), "orders", AggregateQuery{}); !errors.Is(err, ErrPushdownUnsupported) {
-		t.Errorf("archive AggregateScan err = %v, want ErrPushdownUnsupported", err)
+	count := []sqlparse.SelectItem{{Func: sqlparse.FuncCount}}
+	for name, aq := range map[string]AggregateQuery{
+		"filters": {Aggs: count, Filters: []sqlparse.Predicate{{Column: "amount", Op: sqlparse.CmpGt, Value: 1.0}}},
+		"orderBy": {Aggs: count, GroupBy: []string{"city"}, OrderBy: []sqlparse.OrderItem{{Column: "city"}}},
+		"limit":   {Aggs: count, GroupBy: []string{"city"}, Limit: 2},
+	} {
+		if _, _, err := a.AggregateScan(context.Background(), "orders", aq); !errors.Is(err, ErrPushdownUnsupported) {
+			t.Errorf("archive AggregateScan with %s: err = %v, want ErrPushdownUnsupported", name, err)
+		}
+	}
+	if recs, _, err := a.AggregateScan(context.Background(), "orders", AggregateQuery{Aggs: count}); err != nil || len(recs) != 1 || recs[0]["count"] != int64(0) {
+		t.Errorf("archive COUNT(*) over no parts = %v, %v; want one row of 0", recs, err)
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/metadata"
 	"repro/internal/record"
@@ -224,12 +226,71 @@ func (a *ArchiveReader) Parts() ([]string, error) {
 // ReadColumns decodes the named columns of one archive part into cols and
 // returns its row count; see DecodeColumns.
 func (a *ArchiveReader) ReadColumns(key string, names []string, cols []record.Vector) (int, error) {
+	return a.ReadCoded(key, names, cols, nil, nil)
+}
+
+// ReadCoded is ReadColumns that also reads the string columns named by
+// codedNames as they are stored: coded[i] receives codedNames[i]'s
+// dictionary and each row's code (Coded), so a caller that groups by them
+// can work per dictionary entry rather than per row. A coded name must be a
+// string field of the schema or absent from it; a column the part lacks, or
+// the schema, reads as NULL codes.
+func (a *ArchiveReader) ReadCoded(key string, names []string, cols []record.Vector, codedNames []string, coded []Coded) (int, error) {
 	data, err := a.store.Get(key)
 	if err != nil {
 		return 0, err
 	}
-	return DecodeColumns(a.schema, data, names, cols)
+	return decodePart(a.schema, data, names, cols, codedNames, coded)
 }
+
+// Coded is a string column of a part as it is stored: its dictionary, in
+// code order, and each row's code, -1 for NULL. The dictionary's strings
+// are views of the part's bytes, which the store lends and never writes; a
+// caller that keeps one past the part copies it (strings.Clone). Both
+// slices are reused from part to part.
+type Coded struct {
+	Dict  []string
+	Codes []int32
+}
+
+// decode parses one string column's stored form — its dictionary, then the
+// code of each row the presence bitmap marks present — into c.
+func (c *Coded) decode(name string, bitmap, col []byte, rows int) error {
+	dictSize, n := binary.Uvarint(col)
+	// An entry is at least its length byte: a dictionary cannot have more
+	// entries than the column has bytes left, nor more than a code numbers.
+	if n <= 0 || dictSize > uint64(len(col)-n) || dictSize > math.MaxInt32 {
+		return fmt.Errorf("objstore: truncated dictionary for %q", name)
+	}
+	col = col[n:]
+	c.Dict = slices.Grow(c.Dict[:0], int(dictSize))
+	for range dictSize {
+		s, rest, ok := cutPrefixed(col)
+		if !ok {
+			return fmt.Errorf("objstore: truncated dictionary entry for %q", name)
+		}
+		c.Dict = append(c.Dict, unsafe.String(unsafe.SliceData(s), len(s)))
+		col = rest
+	}
+	c.Codes = slices.Grow(c.Codes[:0], rows)
+	for i := 0; i < rows; i++ {
+		if !present(bitmap, i) {
+			c.Codes = append(c.Codes, -1)
+			continue
+		}
+		code, n := binary.Uvarint(col)
+		if n <= 0 || code >= dictSize {
+			return fmt.Errorf("objstore: bad dictionary code for %q", name)
+		}
+		c.Codes = append(c.Codes, int32(code))
+		col = col[n:]
+	}
+	return nil
+}
+
+// codedScratch is the string branch's working Coded when a column is read
+// as values: its arrays are reused from column to column.
+var codedScratch = sync.Pool{New: func() any { return new(Coded) }}
 
 // EncodeColumnar serializes a part column-major from its columns — cols[c]
 // holds schema field c, typed by it, the form DecodeColumns fills — with
@@ -346,6 +407,12 @@ func cutPrefixed(data []byte) (field, rest []byte, ok bool) {
 // stored before its field widened to double decodes as doubles; any other
 // stored type that is not the field's is an error naming both.
 func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols []record.Vector) (int, error) {
+	return decodePart(schema, data, names, cols, nil, nil)
+}
+
+// decodePart is DecodeColumns that reads the string columns named by
+// codedNames into coded as well (ArchiveReader.ReadCoded).
+func decodePart(schema *metadata.Schema, data []byte, names []string, cols []record.Vector, codedNames []string, coded []Coded) (int, error) {
 	nRows, n := binary.Uvarint(data)
 	if n <= 0 {
 		return 0, fmt.Errorf("objstore: corrupt columnar header")
@@ -367,6 +434,12 @@ func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols []
 		f, _ := schema.Field(name) // TypeInvalid, an untyped column, when absent
 		cols[c].Reset(f.Type)
 	}
+	for i, name := range codedNames {
+		if f, ok := schema.Field(name); ok && f.Type != metadata.TypeString {
+			return 0, fmt.Errorf("objstore: column %q is %s, not a coded string column", name, f.Type)
+		}
+		coded[i].Dict, coded[i].Codes = coded[i].Dict[:0], coded[i].Codes[:0]
+	}
 	for c := uint64(0); c < nCols; c++ {
 		name, rest, ok := cutPrefixed(data)
 		if !ok || len(rest) == 0 {
@@ -386,14 +459,29 @@ func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols []
 			if !ok {
 				continue // column dropped from schema; stays NULL
 			}
-			if err := decodeColumn(f, stored, col, rows, &cols[i]); err != nil {
+			if err := decodeColumn(f, stored, col, rows, &cols[i], nil); err != nil {
 				return 0, err
+			}
+		}
+		for i, want := range codedNames {
+			if want != string(name) {
+				continue
+			}
+			if f, ok := schema.Field(want); ok {
+				if err := decodeColumn(f, stored, col, rows, nil, &coded[i]); err != nil {
+					return 0, err
+				}
 			}
 		}
 	}
 	for c := range cols {
 		if short := rows - cols[c].Len(); short > 0 {
 			cols[c].AppendNulls(short)
+		}
+	}
+	for i := range coded {
+		for len(coded[i].Codes) < rows {
+			coded[i].Codes = append(coded[i].Codes, -1)
 		}
 	}
 	return rows, nil
@@ -403,9 +491,12 @@ func DecodeColumns(schema *metadata.Schema, data []byte, names []string, cols []
 func present(bitmap []byte, i int) bool { return bitmap[i/8]&(1<<(i%8)) != 0 }
 
 // decodeColumn decodes one column stored as type stored into out as field
-// f; rows the presence bitmap marks absent are NULL. Stored longs widen to a
-// double field's doubles once decoded.
-func decodeColumn(f metadata.Field, stored metadata.FieldType, col []byte, rows int, out *record.Vector) error {
+// f, or, for a string column, into coded when it is set; rows the presence
+// bitmap marks absent are NULL. Stored longs widen to a double field's
+// doubles once decoded. A string column is always parsed as it is stored,
+// dictionary and codes (Coded.decode); read as values, each dictionary
+// entry is then copied out of the part once and shared by its rows.
+func decodeColumn(f metadata.Field, stored metadata.FieldType, col []byte, rows int, out *record.Vector, coded *Coded) error {
 	widen := stored == metadata.TypeLong && f.Type == metadata.TypeDouble
 	if stored != f.Type && !widen {
 		return fmt.Errorf("objstore: column %q is stored as %s, not %s", f.Name, stored, f.Type)
@@ -416,6 +507,9 @@ func decodeColumn(f metadata.Field, stored metadata.FieldType, col []byte, rows 
 	}
 	bitmap := col[:bitmapLen]
 	col = col[bitmapLen:]
+	if coded != nil {
+		return coded.decode(f.Name, bitmap, col, rows)
+	}
 	out.Reset(stored)
 	out.Grow(rows)
 	switch stored {
@@ -464,34 +558,25 @@ func decodeColumn(f metadata.Field, stored metadata.FieldType, col []byte, rows 
 			col = col[1:]
 		}
 	case metadata.TypeString:
-		dictSize, n := binary.Uvarint(col)
-		// An entry is at least its length byte: a dictionary cannot have
-		// more entries than the column has bytes left.
-		if n <= 0 || dictSize > uint64(len(col)-n) {
-			return fmt.Errorf("objstore: truncated dictionary for %q", f.Name)
+		c := codedScratch.Get().(*Coded)
+		err := c.decode(f.Name, bitmap, col, rows)
+		if err == nil {
+			for d, s := range c.Dict {
+				c.Dict[d] = strings.Clone(s)
+			}
+			for i, code := range c.Codes {
+				if code < 0 {
+					out.Strs = append(out.Strs, "")
+					out.SetNull(i)
+					continue
+				}
+				out.Strs = append(out.Strs, c.Dict[code])
+			}
 		}
-		col = col[n:]
-		dict := make([]string, dictSize)
-		for d := range dict {
-			s, rest, ok := cutPrefixed(col)
-			if !ok {
-				return fmt.Errorf("objstore: truncated dictionary entry for %q", f.Name)
-			}
-			dict[d] = string(s)
-			col = rest
-		}
-		for i := 0; i < rows; i++ {
-			if !present(bitmap, i) {
-				out.Strs = append(out.Strs, "")
-				out.SetNull(i)
-				continue
-			}
-			code, n := binary.Uvarint(col)
-			if n <= 0 || code >= dictSize {
-				return fmt.Errorf("objstore: bad dictionary code for %q", f.Name)
-			}
-			out.Strs = append(out.Strs, dict[code])
-			col = col[n:]
+		clear(c.Dict[:cap(c.Dict)])
+		codedScratch.Put(c)
+		if err != nil {
+			return err
 		}
 	case metadata.TypeBytes:
 		for i := 0; i < rows; i++ {

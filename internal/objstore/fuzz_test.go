@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/metadata"
 	"repro/internal/record"
 )
 
@@ -40,7 +41,10 @@ func aliases(b, data []byte) bool {
 // could not hold; every column must come back typed by its field, one cell
 // per row, with no blob a view of the input; and whatever it does decode
 // must survive encode → decode unchanged, NULLs included, with a second
-// encode giving the first one's bytes.
+// encode giving the first one's bytes. The coded read of every string
+// column goes through the same parser: it must fail exactly when the typed
+// decode does, and otherwise give each row the code of its value in the
+// dictionary, -1 for NULL, with the dictionary a view of the input.
 func FuzzDecodeColumnar(f *testing.F) {
 	s := archiveSchema() // one field of every type, two of them nullable
 	rows := orderRows(40)
@@ -57,11 +61,43 @@ func FuzzDecodeColumnar(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		was := bytes.Clone(data)
 		n, cols, err := decodeAll(s, data)
+		var strs, others []string // the coded read's string columns, and the rest as values
+		for _, fd := range s.Fields {
+			if fd.Type == metadata.TypeString {
+				strs = append(strs, fd.Name)
+			} else {
+				others = append(others, fd.Name)
+			}
+		}
+		coded := make([]Coded, len(strs))
+		m, codedErr := decodePart(s, data, others, make([]record.Vector, len(others)), strs, coded)
 		if !bytes.Equal(data, was) {
 			t.Fatal("the decoder wrote into its input")
 		}
+		if (err == nil) != (codedErr == nil) {
+			t.Fatalf("the typed decode returned %v, the coded read %v", err, codedErr)
+		}
 		if err != nil {
 			return
+		}
+		if m != n {
+			t.Fatalf("the coded read found %d rows, the typed decode %d", m, n)
+		}
+		for i, name := range strs {
+			v, c := &cols[s.FieldIndex(name)], &coded[i]
+			if len(c.Codes) != n {
+				t.Fatalf("column %s: %d codes for %d rows", name, len(c.Codes), n)
+			}
+			for r, code := range c.Codes {
+				if (code < 0) != v.IsNull(r) || code >= 0 && c.Dict[code] != v.Strs[r] {
+					t.Fatalf("column %s row %d: code %d of %q, value %#v", name, r, code, c.Dict, v.Box(r))
+				}
+			}
+			for _, d := range c.Dict {
+				if len(d) > 0 && !aliases(unsafe.Slice(unsafe.StringData(d), len(d)), data) {
+					t.Fatalf("column %s: dictionary entry %q is not a view of the input", name, d)
+				}
+			}
 		}
 		if n > 8*len(data) {
 			t.Fatalf("%d rows from %d bytes", n, len(data))

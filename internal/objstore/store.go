@@ -20,10 +20,15 @@ var ErrUnavailable = errors.New("objstore: store unavailable")
 // Implementations must provide read-after-write consistency: a Get that
 // begins after a successful Put returns the new value.
 type Store interface {
-	// Put stores value under key, overwriting any existing object.
+	// Put stores value under key, overwriting any existing object. The
+	// bytes become the store's: the caller hands over a buffer it never
+	// writes again, and an in-process store may keep that very array.
 	Put(key string, value []byte) error
 	// Get returns the object stored under key. The bytes are the store's,
-	// lent to the caller: they must not be written.
+	// lent to the caller: they must not be written, and the store never
+	// writes them either — a later Put or Delete of the key replaces the
+	// object and leaves bytes already lent as they were, so a reader may
+	// keep views of them.
 	Get(key string) ([]byte, error)
 	// Delete removes the object; it is an error to delete a missing key.
 	Delete(key string) error
@@ -34,9 +39,10 @@ type Store interface {
 }
 
 // MemStore is the in-memory reference implementation of Store. It is safe
-// for concurrent use. Put stores a copy, never written after: a later Put of
-// the key replaces the entry, so Get lends the stored bytes without a copy,
-// capped at their length so a caller's append cannot reach the store's.
+// for concurrent use. Put keeps the caller's array as the object, without a
+// copy, and never writes it: a later Put of the key replaces the entry, so
+// Get lends the stored bytes without a copy, capped at their length so a
+// caller's append cannot reach past them.
 type MemStore struct {
 	mu      sync.RWMutex
 	objects map[string][]byte
@@ -54,10 +60,8 @@ func (m *MemStore) Put(key string, value []byte) error {
 	if key == "" {
 		return fmt.Errorf("objstore: empty key")
 	}
-	cp := make([]byte, len(value))
-	copy(cp, value)
 	m.mu.Lock()
-	m.objects[key] = cp
+	m.objects[key] = value
 	m.mu.Unlock()
 	m.putBytes.Add(int64(len(value)))
 	m.putCount.Add(1)

@@ -59,14 +59,35 @@ func TestMemStoreList(t *testing.T) {
 	}
 }
 
-func TestMemStoreCopies(t *testing.T) {
+// TestMemStorePutKeepsCallersBytes: Put takes the caller's buffer as the
+// object, without a copy — the caller hands over bytes it never writes
+// again — so Get lends that very array; a later Put of the key stores the
+// new buffer and leaves the bytes already lent as they were.
+func TestMemStorePutKeepsCallersBytes(t *testing.T) {
 	s := NewMemStore()
-	buf := []byte("orig")
-	s.Put("k", buf)
-	buf[0] = 'X'
+	buf := make([]byte, 4, 16)
+	copy(buf, "orig")
+	if allocs := testing.AllocsPerRun(10, func() { s.Put("k", buf) }); allocs != 0 {
+		t.Errorf("Put allocated %.0f times, want 0: it copies the value", allocs)
+	}
 	v, _ := s.Get("k")
-	if string(v) != "orig" {
-		t.Error("Put aliases caller buffer")
+	if &v[0] != &buf[0] {
+		t.Fatal("the stored object is not the caller's array")
+	}
+	if len(v) != 4 || cap(v) != 4 {
+		t.Errorf("Get = %d bytes of capacity %d, want 4 of 4: the lent slice must stop at the object", len(v), cap(v))
+	}
+	next := []byte("next")
+	s.Put("k", next)
+	got, _ := s.Get("k")
+	if string(v) != "orig" || &v[0] != &buf[0] {
+		t.Errorf("a second Put touched the lent bytes: %q", v)
+	}
+	if string(got) != "next" || &got[0] != &next[0] {
+		t.Errorf("after a second Put Get = %q, want the new caller's array", got)
+	}
+	if puts, _, _, putBytes := s.Stats(); puts != 12 || putBytes != 12*4 {
+		t.Errorf("Stats = %d puts of %d bytes, want 12 of 48", puts, putBytes)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // A sealed segment's deep-store form is one flat byte layout, little-endian
-// throughout; a count or a length is a uint32, a 64-bit value 8 bytes and a
-// string its length and its bytes:
+// throughout; a count or a length is a uint32 unless said otherwise, a
+// 64-bit value 8 bytes and a string its length and its bytes:
 //
 //	magic "OSEG", version byte
 //	name, partition, row count, min time, max time
@@ -23,7 +23,8 @@ import (
 //	  flags byte (1 sorted, 2 inverted index)
 //	  dictionary: its size, then the values — 8 bytes each for a long,
 //	    timestamp, bool (int64) or double (float64 bits) column; for a string
-//	    column each value's end offset and then all the values' bytes
+//	    column each value's length as a uvarint (its shortest form) and then
+//	    all the values' bytes
 //	  codes: the packed width byte, the word count, the words
 //	  posting lists (inverted only): one per dictionary code, each
 //	    ⌈rows/64⌉ words
@@ -32,7 +33,7 @@ import (
 // decoded columns, so it cannot disagree with them.
 const (
 	segmentMagic   = "OSEG"
-	segmentVersion = 1
+	segmentVersion = 2
 )
 
 // Flag bits of a field and of a column.
@@ -123,10 +124,8 @@ func (c *column) encode(w *segmentWriter, rows int) {
 	switch d := &c.Dict; d.Typ {
 	case metadata.TypeString:
 		w.u32(len(d.Strs))
-		end := 0
 		for _, v := range d.Strs {
-			end += len(v)
-			w.u32(end)
+			w.uvarint(uint64(len(v)))
 		}
 		for _, v := range d.Strs {
 			w.raw(v)
@@ -194,6 +193,23 @@ func (w *segmentWriter) u64(v uint64) {
 		le.PutUint64(w.buf[w.n:], v)
 	}
 	w.n += 8
+}
+
+func (w *segmentWriter) uvarint(v uint64) {
+	if w.buf != nil {
+		binary.PutUvarint(w.buf[w.n:], v)
+	}
+	w.n += uvarintLen(v)
+}
+
+// uvarintLen is the length of v's shortest uvarint form, the one the writer
+// writes and the reader accepts.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
 }
 
 func (w *segmentWriter) raw(s string) {
@@ -272,6 +288,18 @@ func (r *segmentReader) u64() uint64 {
 		return le.Uint64(b)
 	}
 	return 0
+}
+
+// uvarint reads a uvarint in its shortest form; a longer spelling of the
+// same value would not re-encode to the bytes it was read from.
+func (r *segmentReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.data)
+	if n <= 0 || n != uvarintLen(v) {
+		r.fail()
+		return 0
+	}
+	r.data = r.data[n:]
+	return v
 }
 
 func (r *segmentReader) str() string { return string(r.take(r.u32())) }
@@ -413,22 +441,30 @@ func (c *column) decode(r *segmentReader, f metadata.Field, rows int) error {
 	c.Dict.Typ = f.Type
 	switch f.Type {
 	case metadata.TypeString:
-		n := r.count(4)
-		ends := r.take(4 * n)
-		size := 0
-		if n > 0 {
-			size = int(le.Uint32(ends[4*n-4:]))
+		// The lengths are summed against the bytes left before the values
+		// are cut: a length is at least one byte, and no sum passes the end.
+		n := r.count(1)
+		lens, size := r.data, 0
+		for range n {
+			l := r.uvarint()
+			if l > uint64(len(r.data)) || size > len(r.data)-int(l) {
+				r.fail()
+				break
+			}
+			size += int(l)
 		}
+		lens = lens[:len(lens)-len(r.data)]
 		// One string holds every value; each value is a substring of it.
 		blob := string(r.take(size))
+		if r.err != nil {
+			return r.err
+		}
 		c.Dict.Strs = make([]string, n)
 		start := 0
 		for i := range c.Dict.Strs {
-			end := int(le.Uint32(ends[4*i:]))
-			if end < start || end > len(blob) {
-				return fmt.Errorf("value %d ends at %d, before %d or past %d", i, end, start, len(blob))
-			}
-			c.Dict.Strs[i], start = blob[start:end], end
+			l, k := binary.Uvarint(lens)
+			lens = lens[k:]
+			c.Dict.Strs[i], start = blob[start:start+int(l)], start+int(l)
 		}
 	case metadata.TypeDouble:
 		c.Dict.Nums = make([]float64, r.count(8))

@@ -208,6 +208,48 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSegmentStringDictionaryLengths: a string dictionary is its size, each
+// value's length as a shortest-form uvarint, then the values' bytes. The
+// lengths are summed against the bytes left before the values are cut, so
+// lengths past the end, a size past the bytes and a longer spelling of a
+// length (which would not re-encode to its bytes) are errors, found before
+// anything is sized by them.
+func TestSegmentStringDictionaryLengths(t *testing.T) {
+	field := metadata.Field{Name: "s", Type: metadata.TypeString}
+	stored := func(size uint32, lens []byte, values string) []byte {
+		b := []byte{0} // flags
+		b = le.AppendUint32(b, size)
+		b = append(append(b, lens...), values...)
+		b = append(b, 2)                  // packed width
+		b = le.AppendUint32(b, 1)         // one word
+		return le.AppendUint64(b, 0b0100) // codes 0, 1
+	}
+	decode := func(data []byte) (*column, error) {
+		var c column
+		r := segmentReader{data: data}
+		err := c.decode(&r, field, 2)
+		return &c, err
+	}
+	c, err := decode(stored(2, []byte{1, 2}, "abc"))
+	if err != nil || !reflect.DeepEqual(c.Dict.Strs, []string{"a", "bc"}) {
+		t.Fatalf("decode = %q, %v; want [a bc]", c.Dict.Strs, err)
+	}
+	for name, data := range map[string][]byte{
+		"lengths past the bytes": stored(2, []byte{1, 200}, "abc"),
+		"a size past the bytes":  stored(1<<31, []byte{1, 2}, "abc"),
+		"a longer spelling":      stored(2, []byte{0x81, 0x00, 2}, "abc"),
+		"a length past 2^63":     stored(1, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "abc"),
+	} {
+		if b := heapBytes(func() {
+			if _, err := decode(data); !errors.Is(err, errSegmentShort) {
+				t.Errorf("%s: err = %v, want errSegmentShort", name, err)
+			}
+		}); b > 1<<10 {
+			t.Errorf("%s: decoding allocated %d bytes", name, b)
+		}
+	}
+}
+
 // heapBytes returns the bytes fn allocates on the heap.
 func heapBytes(fn func()) uint64 {
 	var before, after runtime.MemStats
