@@ -451,10 +451,10 @@ func toOlapFilter(f sqlparse.Predicate) (olap.Filter, error) {
 
 // ArchiveConnector exposes the object store's columnar archive as read-only
 // tables, like Presto over HDFS/Hive — the latency contrast in E11. It
-// pushes aggregations and GROUP BY down, folding each part as it is stored
-// (OpenAggregateScan), and nothing else: filters, ORDER BY and LIMIT run in
-// the engine, so an aggregate query with a WHERE on an archive table falls
-// back to a row scan.
+// pushes aggregations down, global or grouped by one string column, folding
+// each part as it is stored (OpenAggregateScan), and nothing else: filters,
+// ORDER BY and LIMIT run in the engine, so an aggregate query with a WHERE
+// on an archive table, or grouped by two columns, falls back to a row scan.
 type ArchiveConnector struct {
 	name    string
 	store   objstore.Store
@@ -566,10 +566,10 @@ func (a *ArchiveConnector) putVectors(vecs *[]record.Vector) {
 // hashing its text; the aggregates' input columns are decoded into the
 // connector's pooled vectors. The groups are the engine's own
 // (groupTable), so they answer as its aggregation of a row scan would, row
-// for row. A shape it cannot fold that way returns ErrPushdownUnsupported
-// and the engine aggregates a row scan: a filter, ORDER BY or LIMIT, a
-// GROUP BY column that is not a string, or SUM, MIN, MAX or AVG over a
-// string or blob column.
+// for row. A shape it does not fold returns ErrPushdownUnsupported and the
+// engine aggregates a row scan: a filter, ORDER BY or LIMIT, more than one
+// GROUP BY column, a GROUP BY column that is not a string, or SUM, MIN, MAX
+// or AVG over a string or blob column.
 func (a *ArchiveConnector) OpenAggregateScan(ctx context.Context, table string, aq AggregateQuery) (RowIterator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -578,7 +578,7 @@ func (a *ArchiveConnector) OpenAggregateScan(ctx context.Context, table string, 
 	if !ok {
 		return nil, fmt.Errorf("fedsql: archive table %q not found", table)
 	}
-	if len(aq.Filters) > 0 || len(aq.OrderBy) > 0 || aq.Limit > 0 {
+	if len(aq.Filters) > 0 || len(aq.OrderBy) > 0 || aq.Limit > 0 || len(aq.GroupBy) > 1 {
 		return nil, ErrPushdownUnsupported
 	}
 	for _, g := range aq.GroupBy {

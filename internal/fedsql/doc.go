@@ -18,10 +18,8 @@
 // pool and go back at the join's Close, so a warm join allocates none of
 // them. An aggregation's group table (its key index, the groups' values and
 // accumulators) comes from a pool the same way and goes back at the Close of
-// its groups' iterator; over a join grouped by build-side columns it folds
-// the join's row pairs without gathering them, one group lookup per build
-// row. Every column reference is bound to a batch column index once per
-// query, never looked up by name per row.
+// its groups' iterator. Every column reference is bound to a batch column
+// index once per query, never looked up by name per row.
 // Connectors hand over iterators through StreamingConnector, the one surface
 // the engine executes through (a catalog without it is refused): OpenScan
 // pulls projected, filtered, ordered, limited rows; OpenAggregateScan pushes
@@ -37,8 +35,9 @@
 // skip servers entirely — which is what makes sub-second federated queries
 // on fresh data possible; the archive connector streams the long-term store
 // one part at a time, like Presto-over-Hive, and pushes down aggregations
-// and GROUP BY alone, folding each part on its dictionary codes as Presto
-// aggregates each split, while filters run in the engine. Result.Stats
+// alone, global or grouped by one string column, folding each part on its
+// dictionary codes as Presto aggregates each split, while filters and wider
+// GROUP BYs run in the engine. Result.Stats
 // unifies connector-side and backend
 // execution counters, and Result.Plan records one pushdown/routing line per
 // table scan (the payload of sqlshell's EXPLAIN).

@@ -713,7 +713,6 @@ type joinTable struct {
 	probeRows []int32 // the current probe batch's matches: probe row,
 	buildRows []int32 // and build row
 	out       []record.Vector
-	gid       []int32 // a fused aggregation's group of each build row, -1 until a match folds it
 }
 
 var joinTables = sync.Pool{New: func() any { return new(joinTable) }}
@@ -774,10 +773,8 @@ func clearVectors(vs []record.Vector) {
 // joinIterator is the hash-join operator: each probe batch becomes one
 // output batch holding, for every probe row that passes the probe side's
 // residual filter, one row per build row with an equal key (joinTable). The
-// matches are found first, as row pairs (pairs), and then gathered column by
-// column into typed output vectors from both sides; an aggregation whose
-// GROUP BY columns are all on the build side folds through the pairs
-// without gathering (groupTable.foldJoin). SELECT * over the join and bare
+// matches are found first, as row pairs, and then gathered column by column
+// into typed output vectors from both sides. SELECT * over the join and bare
 // column references resolve through findColumn: the probe side wins a clash.
 type joinIterator struct {
 	probe    RowIterator        // kept past Close: relation.finish reads its Stats
@@ -790,11 +787,7 @@ type joinIterator struct {
 
 func (j *joinIterator) Columns() []string { return j.batch.Columns }
 
-// pairs pulls probe batches until one has a match and returns it, its
-// matches left in the join table as (probe row, build row) pairs —
-// probeRows and buildRows, valid until the following pull: the join's one
-// matching loop.
-func (j *joinIterator) pairs(ctx context.Context) (*Batch, error) {
+func (j *joinIterator) Next(ctx context.Context) (*Batch, error) {
 	t := j.build
 	if t == nil {
 		return nil, io.EOF
@@ -817,42 +810,21 @@ func (j *joinIterator) pairs(ctx context.Context) (*Batch, error) {
 				}
 			}
 		}
-		if len(t.probeRows) > 0 {
-			return b, nil
+		if len(t.probeRows) == 0 {
+			continue
 		}
-	}
-}
-
-// Next gathers the pairs of the next probe batch with a match.
-func (j *joinIterator) Next(ctx context.Context) (*Batch, error) {
-	b, err := j.pairs(ctx)
-	if err != nil {
-		return nil, err
-	}
-	t := j.build
-	for ci := range j.batch.Cols {
-		j.batch.Cols[ci].Reset(metadata.TypeInvalid) // takes its source's type
-	}
-	for ci := range b.Cols {
-		j.batch.Cols[ci].AppendRows(&b.Cols[ci], t.probeRows)
-	}
-	for ci := range t.rows.Cols {
-		j.batch.Cols[len(b.Cols)+ci].AppendRows(&t.rows.Cols[ci], t.buildRows)
-	}
-	j.batch.Len = len(t.probeRows)
-	return &j.batch, nil
-}
-
-// buildSide reports every column of cols, bound to the join's output,
-// one of the build side's.
-func (j *joinIterator) buildSide(cols []int) bool {
-	probe := len(j.probe.Columns())
-	for _, c := range cols {
-		if c < probe {
-			return false
+		for ci := range j.batch.Cols {
+			j.batch.Cols[ci].Reset(metadata.TypeInvalid) // takes its source's type
 		}
+		for ci := range b.Cols {
+			j.batch.Cols[ci].AppendRows(&b.Cols[ci], t.probeRows)
+		}
+		for ci := range t.rows.Cols {
+			j.batch.Cols[len(b.Cols)+ci].AppendRows(&t.rows.Cols[ci], t.buildRows)
+		}
+		j.batch.Len = len(t.probeRows)
+		return &j.batch, nil
 	}
-	return true
 }
 
 func (j *joinIterator) Stats() QueryStats { return j.probe.Stats() }

@@ -2,7 +2,6 @@ package fedsql
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -22,10 +21,7 @@ const aggWindow = 1024
 // that pass filter into one accumulator set per group, batch by batch — the
 // peak engine footprint is one batch plus the group table, not the input —
 // and returns the groups as an in-memory relation laid out like a pushed-down
-// aggregate's response (groupTable.finish). Over a join whose GROUP BY
-// columns are all on its build side, with no filter left to apply, it folds
-// through the join's row pairs and numbers each build row's group once;
-// every other shape numbers each row's group through the index.
+// aggregate's response (groupTable.finish).
 func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, stmt *sqlparse.SelectStmt) (RowIterator, error) {
 	var aggs []sqlparse.SelectItem
 	var inputs []string
@@ -38,13 +34,7 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 	groupIdx := bindColumns(src.Columns(), stmt.GroupBy)
 	inputIdx := bindColumns(src.Columns(), inputs)
 	t := newGroupTable(len(groupIdx), aggs)
-	var err error
-	if j, ok := src.(*joinIterator); ok && len(filter) == 0 && j.buildSide(groupIdx) {
-		err = t.foldJoin(ctx, j, groupIdx, inputIdx)
-	} else {
-		err = t.foldRows(ctx, src, filter, groupIdx, inputIdx)
-	}
-	if err != nil {
+	if err := t.foldRows(ctx, src, filter, groupIdx, inputIdx); err != nil {
 		t.release()
 		return nil, err
 	}
@@ -54,12 +44,12 @@ func aggregate(ctx context.Context, src RowIterator, filter []boundPredicate, st
 // groupTable is an aggregation's working memory: a record.KeyIndex of the
 // GROUP BY keys, each group's GROUP BY values (row g of values) and
 // aggregate states, and the finished groups. A row's group is numbered in
-// one of three ways — per row through the index (foldRows, every shape), per
-// build row of a join (foldJoin) or per dictionary code of an archive part
-// (foldPart) — and each adds a group's key to the one index as its cells
-// class it, so all three agree on which rows form a group. Tables come from
-// groupTables and go back at the Close of the iterator that serves the
-// finished groups, so a warm aggregation allocates none of their arrays.
+// one of two ways — per row through the index (foldRows, every shape) or per
+// dictionary code of an archive part (foldPart) — and both add a group's key
+// to the one index as its cells class it, so they agree on which rows form a
+// group. Tables come from groupTables and go back at the Close of the
+// iterator that serves the finished groups, so a warm aggregation allocates
+// none of their arrays.
 type groupTable struct {
 	aggs   []sqlparse.SelectItem
 	index  record.KeyIndex
@@ -74,14 +64,12 @@ type groupTable struct {
 	order  []int32
 	out    []record.Vector // the finished groups' columns
 
-	// An archive part's GROUP BY columns as stored (foldPart), and its
-	// groups by code: gid[code+1] for one column, gid[local number] of a
-	// code tuple for several, gid[0] for none; -1 until a row folds it.
+	// An archive part's GROUP BY column as stored (foldPart; none or one),
+	// and its groups by code: gid[code+1], gid[0] for a NULL or no GROUP
+	// BY; -1 until a row folds it.
 	coded  []objstore.Coded
-	dict   [1]record.Vector // one column's dictionary, as the index reads it
-	local  record.KeyIndex
+	dict   [1]record.Vector // the column's dictionary, as the index reads it
 	gid    []int32
-	spell  []byte
 	inputs []*record.Vector
 }
 
@@ -102,7 +90,7 @@ func newGroupTable(keys int, aggs []sqlparse.SelectItem) *groupTable {
 
 // release returns the table to groupTables with the headers of the vectors
 // it read dropped and every string and blob slot of its own vectors, its
-// indexes and its parts' dictionaries cleared up to capacity, so a pooled
+// index and its parts' dictionaries cleared up to capacity, so a pooled
 // table pins no batch, dictionary or archive part.
 func (t *groupTable) release() {
 	clear(t.keys[:cap(t.keys)])
@@ -115,7 +103,6 @@ func (t *groupTable) release() {
 	clear(t.inputs[:cap(t.inputs)])
 	t.dict[0] = record.Vector{}
 	t.index.Reset()
-	t.local.Reset()
 	t.aggs = nil
 	groupTables.Put(t)
 }
@@ -184,77 +171,19 @@ func (t *groupTable) foldRows(ctx context.Context, src RowIterator, filter []bou
 	}
 }
 
-// foldJoin folds a join whose GROUP BY columns, bound to its output by
-// groupIdx, are all on its build side: it reads each probe batch's row
-// pairs (joinIterator.pairs), never the gathered rows, and a build row's
-// group is numbered once, when a pair first reaches it, then kept in the
-// join table (gid). An input is read at its side's row of each pair.
-func (t *groupTable) foldJoin(ctx context.Context, j *joinIterator, groupIdx, inputIdx []int) error {
-	jt, probe := j.build, len(j.probe.Columns())
-	for i, gi := range groupIdx {
-		t.keys[i] = jt.rows.Cols[gi-probe]
-	}
-	jt.gid = slices.Grow(jt.gid[:0], jt.rows.Len)[:jt.rows.Len]
-	for r := range jt.gid {
-		jt.gid[r] = -1
-	}
-	for {
-		b, err := j.pairs(ctx)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		for from := 0; from < len(jt.probeRows); from += aggWindow {
-			to := min(from+aggWindow, len(jt.probeRows))
-			probeRows, buildRows := jt.probeRows[from:to], jt.buildRows[from:to]
-			groups := t.ids[:to-from]
-			for k, br := range buildRows {
-				g := jt.gid[br]
-				if g < 0 {
-					g = t.add(int(br))
-					jt.gid[br] = g
-				}
-				groups[k] = g
-			}
-			for i, c := range inputIdx {
-				var v *record.Vector
-				rows := probeRows
-				switch {
-				case c < 0:
-				case c < probe:
-					v = &b.Cols[c]
-				default:
-					v, rows = &jt.rows.Cols[c-probe], buildRows
-				}
-				if err := t.fold(i, v, rows, groups); err != nil {
-					return err
-				}
-			}
-		}
-	}
-}
-
-// foldPart folds one archive part of rows rows: its GROUP BY columns as
-// coded (dictionary and codes, in GROUP BY order) and each aggregate's input
-// in inputs (nil for none). A row's group is looked up by its code — by its
-// code tuple, numbered per part in local, for several columns — and a code's
+// foldPart folds one archive part of rows rows: its GROUP BY column, if
+// any, as coded (dictionary and codes) and each aggregate's input in inputs
+// (nil for none). A row's group is looked up by its code, and a code's
 // group is found in the index once per part, from its dictionary text.
 func (t *groupTable) foldPart(rows int, inputs []*record.Vector) error {
-	t.gid = t.gid[:0]
-	switch len(t.coded) {
-	case 0:
-		t.gid = append(t.gid, -1)
-	case 1:
-		n := len(t.coded[0].Dict) + 1
-		t.gid = slices.Grow(t.gid, n)[:n]
-		for c := range t.gid {
-			t.gid[c] = -1
-		}
+	n := 1 // gid[0]: a NULL code, or every row without GROUP BY
+	if len(t.coded) == 1 {
+		n += len(t.coded[0].Dict)
 		t.dict[0] = record.Vector{Type: metadata.TypeString, Strs: t.coded[0].Dict}
-	default:
-		t.local.Reset()
+	}
+	t.gid = slices.Grow(t.gid[:0], n)[:n]
+	for c := range t.gid {
+		t.gid[c] = -1
 	}
 	for from := 0; from < rows; from += aggWindow {
 		sel := t.sel[:min(aggWindow, rows-from)]
@@ -272,63 +201,39 @@ func (t *groupTable) foldPart(rows int, inputs []*record.Vector) error {
 	return nil
 }
 
-// codeGroup returns the group of part row r by its codes.
+// codeGroup returns the group of part row r by its code.
 func (t *groupTable) codeGroup(r int) int32 {
-	slot := 0
-	switch len(t.coded) {
-	case 0:
-	case 1:
-		slot = int(t.coded[0].Codes[r]) + 1
-	default:
-		t.spell = t.spell[:0]
-		for i := range t.coded {
-			t.spell = binary.AppendUvarint(t.spell, uint64(t.coded[i].Codes[r]+1))
-		}
-		l, seen := t.local.AddKey(false, 0, t.spell, true)
-		if !seen {
-			t.gid = append(t.gid, -1)
-		}
-		slot = l
+	code := int32(-1)
+	if len(t.coded) == 1 {
+		code = t.coded[0].Codes[r]
 	}
-	if g := t.gid[slot]; g >= 0 {
+	if g := t.gid[code+1]; g >= 0 {
 		return g
 	}
-	g := t.addCoded(r)
-	t.gid[slot] = g
+	g := t.addCoded(code)
+	t.gid[code+1] = g
 	return g
 }
 
-// addCoded returns the group of part row r's key, classed as add classes a
-// row of string cells, and opens it with a copy of each dictionary value
-// when it is new: a string per group, none per row.
-func (t *groupTable) addCoded(r int) int32 {
+// addCoded returns the group of a row whose GROUP BY value is dictionary
+// entry code (-1: NULL, or no GROUP BY), classed as add classes a row's
+// string cell, and opens it with a copy of the entry when it is new: a
+// string per group, none per row.
+func (t *groupTable) addCoded(code int32) int32 {
 	var g int
 	var found bool
-	switch {
-	case len(t.coded) == 1 && t.coded[0].Codes[r] >= 0:
-		g, found = t.index.Add(t.dict[:], int(t.coded[0].Codes[r]))
-	case len(t.coded) <= 1: // a NULL key, or no GROUP BY
+	if code >= 0 {
+		g, found = t.index.Add(t.dict[:], int(code))
+	} else {
 		g, found = t.index.AddKey(false, 0, nil, false)
-	default:
-		t.spell = t.spell[:0]
-		for i := range t.coded {
-			c := &t.coded[i]
-			if code := c.Codes[r]; code >= 0 {
-				t.spell = record.AppendCellKey(t.spell, false, 0, c.Dict[code], true)
-			} else {
-				t.spell = record.AppendCellKey(t.spell, false, 0, "", false)
-			}
-		}
-		g, found = t.index.AddKey(false, 0, t.spell, true)
 	}
 	if !found {
-		for i := range t.coded {
-			c := &t.coded[i]
-			if code := c.Codes[r]; code >= 0 {
-				t.values[i].Strs = append(t.values[i].Strs, strings.Clone(c.Dict[code]))
-			} else {
-				t.values[i].AppendNulls(1)
-			}
+		switch {
+		case len(t.coded) == 0:
+		case code >= 0:
+			t.values[0].Strs = append(t.values[0].Strs, strings.Clone(t.coded[0].Dict[code]))
+		default:
+			t.values[0].AppendNulls(1)
 		}
 		t.open()
 	}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/record"
 	"repro/internal/reftest"
-	"repro/internal/sqlparse"
 )
 
 // salesTables archives hive.sales in four parts and hive.nothing in none.
@@ -106,9 +105,9 @@ func (refusing) OpenAggregateScan(context.Context, string, AggregateQuery) (RowI
 // same order, the same column types — and as the reference does. The table
 // has several parts, an empty part, NULL keys, a part written before a long
 // → double widening and one without a GROUP BY column; the shapes include
-// two string GROUP BY columns and global aggregates over an empty table.
-// The shapes the connector refuses answer identically through the fallback,
-// an error included.
+// global aggregates over an empty table. The shapes the connector refuses —
+// two string GROUP BY columns among them — answer identically through the
+// fallback, an error included.
 func TestArchivePushdownDifferential(t *testing.T) {
 	hive, db := salesTables(t)
 	pushed, fallback := NewEngine(), NewEngine()
@@ -120,14 +119,14 @@ func TestArchivePushdownDifferential(t *testing.T) {
 	}{
 		{"SELECT city, COUNT(*) AS n, SUM(amount) AS s FROM hive.sales GROUP BY city", true},
 		{"SELECT region, COUNT(*) AS n, AVG(amount) AS mean, MIN(qty) AS lo, MAX(qty) AS hi FROM hive.sales GROUP BY region", true},
-		{"SELECT city, region, COUNT(*) AS n, SUM(qty) AS q, COUNT(note) AS notes, COUNT(flag) AS flags FROM hive.sales GROUP BY city, region", true},
-		{"SELECT region, city, COUNT(city) AS n, MAX(amount) AS top FROM hive.sales GROUP BY region, city ORDER BY top DESC, n LIMIT 4", true},
 		{"SELECT COUNT(*) AS n, SUM(amount) AS s, MIN(amount) AS lo, COUNT(city) AS c, AVG(qty) AS q FROM hive.sales", true},
 		{"SELECT COUNT(*) AS n, SUM(amount) AS s, AVG(amount) AS mean, MAX(amount) AS top FROM hive.nothing", true},
 		{"SELECT city, COUNT(*) AS n FROM hive.nothing GROUP BY city", true},
 		{"SELECT nosuch, COUNT(*) AS n, SUM(nosuch) AS s FROM hive.sales GROUP BY nosuch", true},
-		// Refused: a GROUP BY column that is not a string, a numeric
-		// aggregate over a string or a blob, and a WHERE.
+		// Refused: two GROUP BY columns, a GROUP BY column that is not a
+		// string, a numeric aggregate over a string or a blob, and a WHERE.
+		{"SELECT city, region, COUNT(*) AS n, SUM(qty) AS q, COUNT(note) AS notes, COUNT(flag) AS flags FROM hive.sales GROUP BY city, region", false},
+		{"SELECT region, city, COUNT(city) AS n, MAX(amount) AS top FROM hive.sales GROUP BY region, city ORDER BY top DESC, n LIMIT 4", false},
 		{"SELECT qty, COUNT(*) AS n FROM hive.sales GROUP BY qty", false},
 		{"SELECT amount, COUNT(*) AS n FROM hive.sales GROUP BY amount", false},
 		{"SELECT flag, SUM(amount) AS s FROM hive.sales GROUP BY flag", false},
@@ -158,20 +157,14 @@ func TestArchivePushdownDifferential(t *testing.T) {
 	}
 }
 
-// hideJoin hides a join from aggregate, which then numbers every joined
-// row's group through the index, as it does for any other source.
-type hideJoin struct{ RowIterator }
-
-// TestJoinAggregatesFusedAndGathered: every aggregate the reference knows
+// TestJoinAggregatesMatchReference: every aggregate the reference knows
 // that the SQL dialect has — COUNT(*), COUNT, SUM, MIN, MAX and AVG — over
-// inputs on either side of a join, grouped by build-side columns (or not at
-// all), folds through the join's row pairs with one group per build row
-// (fused), and answers as the gathered join does and as the reference does.
-// The joins include NULL and duplicate keys on both sides, a string that
-// prints like a number, and a probe side whose first archive part matches
-// nothing and whose last matches twice. A SUM over a string is the same
-// error either way.
-func TestJoinAggregatesFusedAndGathered(t *testing.T) {
+// inputs on either side of a join, grouped by build-side columns or not at
+// all, answers as the reference does. The joins include NULL and duplicate
+// keys on both sides, a string that prints like a number, and a probe side
+// whose first archive part matches nothing and whose last matches twice. A
+// SUM over a string is an error.
+func TestJoinAggregatesMatchReference(t *testing.T) {
 	e, db, _ := buildDiffEngine(t, rand.New(rand.NewSource(23)), 300, false)
 	joins := []struct {
 		from    string
@@ -200,14 +193,11 @@ func TestJoinAggregatesFusedAndGathered(t *testing.T) {
 			if g != "" {
 				sql = "SELECT " + g + ", COUNT(*) AS n, " + strings.Join(items, ", ") + j.from + " GROUP BY " + g
 			}
-			fused := aggregateJoin(t, ctx, e, sql, false)
-			checkRef(t, db, sql, fused)
-			if gathered := aggregateJoin(t, ctx, e, sql, true); !reflect.DeepEqual(fused.Rows, gathered.Rows) {
-				t.Errorf("%q: fused %v, gathered %v", sql, fused.Rows, gathered.Rows)
+			res, err := e.QueryCtx(ctx, sql)
+			if err != nil {
+				t.Fatalf("%q: %v", sql, err)
 			}
-			if res, err := e.QueryCtx(ctx, sql); err != nil || !reflect.DeepEqual(res.Rows, fused.Rows) {
-				t.Errorf("%q through the engine: %v, %v; want %v", sql, res, err, fused.Rows)
-			}
+			checkRef(t, db, sql, res)
 		}
 		sql := "SELECT " + j.groups[1] + ", SUM(" + j.strings[1] + ") AS s" + j.from + " GROUP BY " + j.groups[1]
 		if _, err := e.QueryCtx(ctx, sql); err == nil || !strings.Contains(err.Error(), "over a string column") {
@@ -216,40 +206,13 @@ func TestJoinAggregatesFusedAndGathered(t *testing.T) {
 	}
 }
 
-// aggregateJoin runs an aggregate over a join as the engine's consume does,
-// with the join hidden from aggregate when gather is set; unhidden, the
-// statement's shape must be one aggregate fuses.
-func aggregateJoin(t *testing.T, ctx context.Context, e *Engine, sql string, gather bool) *Result {
-	t.Helper()
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := e.resolveRef(ctx, stmt.From, stmt)
-	if err != nil {
-		t.Fatalf("%q: %v", sql, err)
-	}
-	j := rel.src.(*joinIterator)
-	if !j.buildSide(bindColumns(j.Columns(), stmt.GroupBy)) || len(rel.residual) > 0 {
-		t.Fatalf("%q: a join aggregate does not fuse", sql)
-	}
-	if gather {
-		rel.src = hideJoin{j}
-	}
-	out, err := rel.consume(ctx, stmt, new(Batch))
-	rel.finish(err)
-	if err != nil {
-		t.Fatalf("%q: %v", sql, err)
-	}
-	return &Result{Columns: out.Columns, Rows: out.AppendRows(nil)}
-}
-
 // TestGroupTablesRecycled: aggregations on two goroutines at once share the
 // pool of group tables, each table one aggregation's from its start to the
-// Close of the iterator serving its groups. A2 (fused through the join), A3
-// (per dictionary code of an archive part), a two-column archive GROUP BY, a
-// row-scan fallback and a global aggregate interleave for 30 rounds, and
-// every answer must be the one the query gave run alone: a table still read
+// Close of the iterator serving its groups. A2 (over the join), A3
+// (per dictionary code of an archive part), two row-scan fallbacks (a
+// two-column archive GROUP BY and a WHERE) and a global aggregate
+// interleave for 30 rounds, and every answer must be the one the query gave
+// run alone: a table still read
 // by one query while another numbers groups into it shows. A table back in
 // the pool holds no string header — not in its keys, values, output, index
 // or a part's dictionary — and no table is in the pool twice.
@@ -326,8 +289,8 @@ func TestGroupTablesRecycled(t *testing.T) {
 // checkTableCleared fails unless a pooled table holds no string or blob.
 func checkTableCleared(t *testing.T, g *groupTable) {
 	t.Helper()
-	if g.index.Len() != 0 || g.local.Len() != 0 || g.aggs != nil {
-		t.Fatalf("a pooled table keeps %d keys, %d local keys, aggregates %v", g.index.Len(), g.local.Len(), g.aggs)
+	if g.index.Len() != 0 || g.aggs != nil {
+		t.Fatalf("a pooled table keeps %d keys, aggregates %v", g.index.Len(), g.aggs)
 	}
 	for _, v := range g.keys[:cap(g.keys)] {
 		if !reflect.DeepEqual(v, record.Vector{}) {

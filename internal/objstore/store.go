@@ -39,10 +39,12 @@ type Store interface {
 }
 
 // MemStore is the in-memory reference implementation of Store. It is safe
-// for concurrent use. Put keeps the caller's array as the object, without a
-// copy, and never writes it: a later Put of the key replaces the entry, so
-// Get lends the stored bytes without a copy, capped at their length so a
-// caller's append cannot reach past them.
+// for concurrent use. Put keeps an exact-size array (capacity equal to
+// length) as the object, without a copy, and copies a value with spare
+// capacity into one, so an object holds no more memory than the bytes Stats
+// counts. It never writes an object: a later Put of the key replaces the
+// entry, so Get lends the stored bytes without a copy, capped at their
+// length so a caller's append cannot reach past them.
 type MemStore struct {
 	mu      sync.RWMutex
 	objects map[string][]byte
@@ -59,6 +61,9 @@ func NewMemStore() *MemStore {
 func (m *MemStore) Put(key string, value []byte) error {
 	if key == "" {
 		return fmt.Errorf("objstore: empty key")
+	}
+	if cap(value) != len(value) {
+		value = append(make([]byte, 0, len(value)), value...)
 	}
 	m.mu.Lock()
 	m.objects[key] = value

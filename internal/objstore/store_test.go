@@ -59,16 +59,18 @@ func TestMemStoreList(t *testing.T) {
 	}
 }
 
-// TestMemStorePutKeepsCallersBytes: Put takes the caller's buffer as the
+// TestMemStorePutKeepsCallersBytes: Put takes an exact-size buffer as the
 // object, without a copy — the caller hands over bytes it never writes
-// again — so Get lends that very array; a later Put of the key stores the
-// new buffer and leaves the bytes already lent as they were.
+// again — so Get lends that very array; a buffer with spare capacity is
+// copied into an exact-size one, so the store holds the bytes it counts and
+// no slack behind them. A later Put of the key stores the new buffer and
+// leaves the bytes already lent as they were.
 func TestMemStorePutKeepsCallersBytes(t *testing.T) {
 	s := NewMemStore()
-	buf := make([]byte, 4, 16)
+	buf := make([]byte, 4)
 	copy(buf, "orig")
 	if allocs := testing.AllocsPerRun(10, func() { s.Put("k", buf) }); allocs != 0 {
-		t.Errorf("Put allocated %.0f times, want 0: it copies the value", allocs)
+		t.Errorf("Put allocated %.0f times, want 0: it copies an exact-size value", allocs)
 	}
 	v, _ := s.Get("k")
 	if &v[0] != &buf[0] {
@@ -77,14 +79,16 @@ func TestMemStorePutKeepsCallersBytes(t *testing.T) {
 	if len(v) != 4 || cap(v) != 4 {
 		t.Errorf("Get = %d bytes of capacity %d, want 4 of 4: the lent slice must stop at the object", len(v), cap(v))
 	}
-	next := []byte("next")
+	next := make([]byte, 4, 1<<16)
+	copy(next, "next")
 	s.Put("k", next)
 	got, _ := s.Get("k")
 	if string(v) != "orig" || &v[0] != &buf[0] {
 		t.Errorf("a second Put touched the lent bytes: %q", v)
 	}
-	if string(got) != "next" || &got[0] != &next[0] {
-		t.Errorf("after a second Put Get = %q, want the new caller's array", got)
+	if string(got) != "next" || &got[0] == &next[0] || cap(got) != 4 {
+		t.Errorf("after a Put of 4 bytes in a %d-byte buffer Get = %q of capacity %d, the caller's array %v; want an exact-size copy",
+			cap(next), got, cap(got), &got[0] == &next[0])
 	}
 	if puts, _, _, putBytes := s.Stats(); puts != 12 || putBytes != 12*4 {
 		t.Errorf("Stats = %d puts of %d bytes, want 12 of 48", puts, putBytes)
